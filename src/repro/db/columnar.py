@@ -174,7 +174,7 @@ class ColumnarBranchStore:
         self._order_blocks_cache: Optional[Tuple[np.ndarray, Tuple]] = None
         # (postings array identity, (distinct, row_order, starts, ends)) of
         # the last snapshot's rows-grouped-by-order partition — see
-        # _order_partition_for.
+        # order_partition.
         self._order_partition_cache: Optional[Tuple[np.ndarray, Tuple]] = None
         self._compact_lock = threading.Lock()
         #: Number of compaction passes performed (bulk-load tests pin this).
@@ -551,6 +551,20 @@ class ColumnarBranchStore:
                 total += count if count <= cap else cap
         return total
 
+    def matched_postings(self, query_branches: Counter, csr: _Csr) -> Tuple[int, int, int]:
+        """``(matched_total, matched keys, Σ their posting-segment lengths)``.
+
+        The inputs of a caller's sparse-vs-dense choice, from one vocabulary
+        pass: :meth:`intersection_row` walks exactly the summed segments,
+        :meth:`intersection_subrow` probes every matched key once per
+        requested row.  ``matched_total`` is :meth:`matched_query_total`.
+        """
+        key_ids, _query_counts, total = self._match_single(query_branches, csr)
+        if key_ids is None:
+            return total, 0, 0
+        offsets = csr[0]
+        return total, len(key_ids), int((offsets[key_ids + 1] - offsets[key_ids]).sum())
+
     def gbd_lower_bound_row(
         self,
         num_query_vertices: int,
@@ -681,7 +695,7 @@ class ColumnarBranchStore:
         self._order_blocks_cache = (all_positions, blocks)
         return blocks
 
-    def _order_partition_for(
+    def order_partition(
         self, csr: _Csr
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Rows of a snapshot grouped by ``|V_G|``: ``(distinct, row_order, starts, ends)``.
@@ -808,7 +822,7 @@ class ColumnarBranchStore:
           sequence is one C call with no intermediates.
         """
         csr = view[0] if view is not None else self._snapshot()
-        partition = self._order_partition_for(csr)
+        partition = self.order_partition(csr)
         calls, rows = _counters(self.backend).filter_verify_row
         calls.inc()
         rows.inc(len(partition[0]))
@@ -853,7 +867,7 @@ class ColumnarBranchStore:
           are never read.
         """
         csr = view[0] if view is not None else self._snapshot()
-        distinct, row_order, starts, ends = self._order_partition_for(csr)
+        distinct, row_order, starts, ends = self.order_partition(csr)
         num_queries = len(query_branch_sets)
         calls, rows = _counters(self.backend).filter_verify_matrix
         calls.inc()

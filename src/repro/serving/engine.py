@@ -411,7 +411,8 @@ class BatchQueryEngine:
             return []
         for query in queries:
             self._validate_tau(query.tau_hat)
-        _QUERIES_BATCH.inc(len(queries))
+        # Top-k rows are answered (and counted, path="topk") by query_topk.
+        _QUERIES_BATCH.inc(sum(query.top_k is None for query in queries))
         batch_started = time.perf_counter()
         with activated(trace):
             answers: List[Optional[QueryAnswer]] = [None] * len(queries)

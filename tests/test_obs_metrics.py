@@ -274,3 +274,41 @@ class TestPrometheusText:
             "repro_offline_fits_total",  # offline layer
         }
         assert expected <= names
+
+
+class TestEngineQueryCounter:
+    def test_every_query_is_counted_under_exactly_one_path(self):
+        """Σ over ``path`` of ``repro_engine_queries_total`` == queries answered.
+
+        Regression: ``query_batch`` used to count its whole batch under
+        ``path="batch"`` and then route the top-k rows through
+        ``query_topk``, which counted them again under ``path="topk"``.
+        """
+        import random
+
+        from repro.core.search import GBDASearch
+        from repro.db.database import GraphDatabase
+        from repro.db.query import SimilarityQuery
+        from repro.graphs.generators import random_labeled_graph
+        from repro.serving import BatchQueryEngine
+
+        rng = random.Random(7)
+        graphs = [random_labeled_graph(rng.randint(4, 7), rng.randint(4, 8), seed=rng) for _ in range(12)]
+        search = GBDASearch(GraphDatabase(graphs), max_tau=2, num_prior_pairs=60, seed=1).fit()
+        engine = BatchQueryEngine.from_search(search)
+        plain = [SimilarityQuery(graph, 1, 0.5) for graph in graphs[:5]]
+        ranked = [SimilarityQuery(graph, 2, 0.5, top_k=3) for graph in graphs[5:8]]
+
+        def counts():
+            series = get_registry().dump()["repro_engine_queries_total"]["series"]
+            return {labels[0]: value for labels, value in series.items()}
+
+        before = counts()
+        engine.query_batch(plain + ranked)  # 5 batch + 3 topk
+        engine.query(plain[0])  # 1 single
+        engine.query(ranked[0])  # 1 topk (routed by query)
+        engine.query_topk(plain[1], 2)  # 1 topk
+        after = counts()
+        delta = {path: after[path] - before.get(path, 0.0) for path in after}
+        assert delta == {"single": 1.0, "topk": 5.0, "batch": 5.0}
+        assert sum(delta.values()) == len(plain) + len(ranked) + 3

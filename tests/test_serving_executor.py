@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import sys
 
 import pytest
 
@@ -14,16 +15,22 @@ from repro.graphs.generators import random_labeled_graph
 from repro.serving import BatchQueryEngine, ServingExecutor, ServingStats
 
 
-@pytest.fixture(scope="module")
-def engine():
-    rng = random.Random(41)
+NUM_GRAPHS = 30
+
+
+def _fitted_search(seed: int, name: str) -> GBDASearch:
+    rng = random.Random(seed)
     graphs = [
         random_labeled_graph(rng.randint(5, 8), rng.randint(5, 10), seed=rng)
-        for _ in range(30)
+        for _ in range(NUM_GRAPHS)
     ]
-    database = GraphDatabase(graphs, name="executor-db")
-    search = GBDASearch(database, max_tau=4, num_prior_pairs=100, seed=2).fit()
-    return BatchQueryEngine.from_search(search)
+    database = GraphDatabase(graphs, name=name)
+    return GBDASearch(database, max_tau=4, num_prior_pairs=100, seed=2).fit()
+
+
+@pytest.fixture(scope="module")
+def engine():
+    return BatchQueryEngine.from_search(_fitted_search(41, "executor-db"))
 
 
 @pytest.fixture(scope="module")
@@ -52,6 +59,25 @@ class TestModes:
     def test_thread_pool_matches_engine(self, engine, queries, reference):
         answers = ServingExecutor(engine, num_workers=4, mode="thread").map(queries)
         assert [a.accepted_ids for a in answers] == reference
+
+    def test_thread_pool_matches_engine_on_topk(self, queries):
+        # A fresh, cacheless engine: the top-k bound table of each τ̂ is
+        # first filled, then read, by several worker threads at once.
+        search = _fitted_search(41, "executor-topk")
+        fresh = BatchQueryEngine.from_search(search, cache_size=None)
+        ranked = [
+            SimilarityQuery(q.query_graph, q.tau_hat, q.gamma, top_k=1 + index % 5)
+            for index, q in enumerate(queries * 4)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # more thread switches inside the table fill
+        try:
+            answers = ServingExecutor(fresh, num_workers=4, mode="thread").map(ranked)
+        finally:
+            sys.setswitchinterval(interval)
+        assert [a.ranking for a in answers] == [
+            search.query_topk_reference(q, q.top_k) for q in ranked
+        ]
 
     def test_process_pool_matches_engine(self, engine, queries, reference):
         answers = ServingExecutor(engine, num_workers=2, mode="process").map(queries[:6])
@@ -113,19 +139,13 @@ class TestStats:
 class TestFilterEffectivenessStats:
     def test_prune_counters_flow_into_stats(self, queries):
         # fresh cacheless engine so every query really scores the database
-        rng = random.Random(61)
-        graphs = [
-            random_labeled_graph(rng.randint(5, 8), rng.randint(5, 10), seed=rng)
-            for _ in range(30)
-        ]
-        search = GBDASearch(
-            GraphDatabase(graphs, name="executor-prune"), max_tau=4, num_prior_pairs=100, seed=2
-        ).fit()
-        pruned_engine = BatchQueryEngine.from_search(search, cache_size=None)
+        pruned_engine = BatchQueryEngine.from_search(
+            _fitted_search(61, "executor-prune"), cache_size=None
+        )
         executor = ServingExecutor(pruned_engine, num_workers=2, mode="thread")
         executor.map(queries)
         stats = executor.last_stats
-        assert stats.candidates_generated == len(queries) * len(graphs)
+        assert stats.candidates_generated == len(queries) * NUM_GRAPHS
         assert stats.candidates_generated == (
             stats.candidates_pruned + stats.candidates_verified
         )
