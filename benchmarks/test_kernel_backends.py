@@ -4,7 +4,10 @@ Times each CSR kernel of the columnar branch store under every available
 backend on one identical store + query stream, and prices the headline
 fusion win — the single-pass ``filter_verify_row`` against the unfused
 pipeline it replaced (dense GBD lower-bound row → γ-threshold compare →
-postings gather for the survivors).
+postings gather for the survivors).  The write path's one kernel,
+``merge_postings``, is timed through its only caller: one
+``ColumnarBranchStore.compact`` of a batch of appended graphs with the block
+index and the order partition carried.
 
 Asserts only *correctness* (both backends bit-identical per kernel); the
 timing ratios are recorded in ``results/BENCH_kernels.json`` for the
@@ -35,6 +38,7 @@ DATABASE_SIZE = 300 if SMOKE else 4_000
 MAX_ORDER = 40 if SMOKE else 80
 NUM_QUERIES = 8 if SMOKE else 16
 NUM_ROUNDS = 3 if SMOKE else 5                # best-of rounds per (kernel, backend)
+WRITE_BATCH = 16 if SMOKE else 64             # graphs appended per timed compaction
 TAU = 2                                       # GBD bar for the filter kernels
 
 BACKENDS = available_backends()
@@ -60,7 +64,13 @@ def workload():
     ]
     branch_sets = [branch_multiset(query) for query in queries]
     vertices = [query.num_vertices for query in queries]
-    return stores, vertices, branch_sets
+    writes = GraphDatabase(
+        [
+            random_labeled_graph(rng.randint(8, MAX_ORDER), rng.randint(10, MAX_ORDER + 20), seed=rng)
+            for _ in range(NUM_ROUNDS * WRITE_BATCH)
+        ]
+    ).entries()
+    return stores, vertices, branch_sets, writes
 
 
 def _per_call_us(fn, calls: int) -> float:
@@ -86,8 +96,17 @@ def _unfused_filter_verify(store, num_query_vertices, branches, distinct, tau):
     return positions, store.intersection_for_orders(branches, distinct[eligible], positions)
 
 
+def _compaction_us(store, writes) -> float:
+    """Best-of-NUM_ROUNDS wall time of compacting one appended batch, in microseconds."""
+    best = float("inf")
+    for low in range(0, len(writes), WRITE_BATCH):
+        store.extend(writes[low : low + WRITE_BATCH])
+        best = min(best, _timed(store.compact))
+    return best * 1e6
+
+
 def test_kernel_backend_microbench(workload, results_dir):
-    stores, vertices, branch_sets = workload
+    stores, vertices, branch_sets, writes = workload
     reference = stores["numpy"]
     distinct = np.unique(reference.orders())
     bars = np.full(len(distinct), TAU, dtype=np.int64)
@@ -148,6 +167,20 @@ def test_kernel_backend_microbench(workload, results_dir):
             fn()  # warm caches (order partition, composite keys, key match)
             kernels[name][backend] = _per_call_us(fn, per_call[name])
 
+    # The write path last (it grows the stores): every backend compacts the
+    # same batches with the block index and partition the reads above built.
+    kernels["merge_postings"] = {
+        backend: _compaction_us(store, writes) for backend, store in stores.items()
+    }
+    grown_bars = np.full(len(np.unique(reference.orders())), TAU, dtype=np.int64)
+    for store in stores.values():
+        for mine, theirs in zip(store.view()[0][:3], reference.view()[0][:3]):
+            assert np.array_equal(mine, theirs)
+        for nq, branches in zip(vertices, branch_sets):
+            mine = store.filter_verify_row(nq, branches, grown_bars, store.num_graphs)
+            theirs = reference.filter_verify_row(nq, branches, grown_bars, store.num_graphs)
+            assert all(np.array_equal(a, b) for a, b in zip(mine[:3], theirs[:3]))
+
     record = {
         "benchmark": "kernel_backends",
         "mode": "smoke" if SMOKE else "full",
@@ -155,6 +188,7 @@ def test_kernel_backend_microbench(workload, results_dir):
         "num_queries": len(branch_sets),
         "rounds": NUM_ROUNDS,
         "tau": TAU,
+        "write_batch": WRITE_BATCH,
         "backends": list(BACKENDS),
         "native_load_error": native_load_error(),
         "kernels_us_per_call": kernels,

@@ -332,14 +332,9 @@ class ExecutionCore:
         # cannot permanently disable pruning for selective queries that
         # merely share its shape.
         self._dense_signatures: Dict[Tuple, int] = {}
-        # Snapshot-derived caches keyed by snapshot length.  The store only
-        # ever appends, so one length identifies one prefix — entries are
-        # idempotent and concurrent duplicate computation is benign (no
-        # check-then-invalidate races across threads holding different
-        # snapshots).
-        self._distinct_orders: Dict[int, np.ndarray] = {}
-        self._orders_rows: Dict[Tuple[int, int], np.ndarray] = {}
-        self._order_codes_cache: Dict[int, np.ndarray] = {}
+        # (snapshot's order vector, {key: D-length row derived from it}) of
+        # the snapshot last seen — see _row_memo.
+        self._snapshot_rows: Tuple[Optional[np.ndarray], Dict] = (None, {})
         # (τ̂, γ, |V_Q|, |distinct|, pruning) -> (extended, capped threshold)
         # vector pairs of the pruned path — see _pruned_thresholds.
         self._pruned_thresholds_cache: Dict[Tuple, Tuple[np.ndarray, np.ndarray]] = {}
@@ -364,6 +359,7 @@ class ExecutionCore:
         state = self.__dict__.copy()
         del state["_table_lock"]  # locks are not picklable
         del state["_counter_lock"]
+        state["_snapshot_rows"] = (None, {})  # rebuilt against the worker's store
         return state
 
     def __setstate__(self, state):
@@ -437,37 +433,37 @@ class ExecutionCore:
     # ------------------------------------------------------------------ #
     # order-row caches (derived from one store snapshot per query)
     # ------------------------------------------------------------------ #
-    def _store_distinct_orders(self, db_orders: np.ndarray) -> np.ndarray:
-        """Distinct ``|V_G|`` values of the snapshot (size-keyed cache)."""
-        if len(self._distinct_orders) > 64:
-            self._distinct_orders = {}
-        key = len(db_orders)
-        distinct = self._distinct_orders.get(key)
-        if distinct is None:
-            distinct = np.unique(db_orders)
-            self._distinct_orders[key] = distinct
-        return distinct
+    def _row_memo(self, db_orders: np.ndarray) -> Dict:
+        """Memo of the D-length rows derived from one store snapshot.
+
+        Keyed on the identity of the snapshot's order vector (one object per
+        published snapshot, held here so its id cannot be recycled): the
+        first call that sees a new snapshot drops the rows of the superseded
+        one, so a write stream never strands dead rows.  Entries are
+        idempotent, so threads racing on one snapshot — or briefly replacing
+        each other's memo across two — only ever recompute.
+        """
+        memo = self._snapshot_rows
+        if memo[0] is not db_orders:
+            memo = self._snapshot_rows = (db_orders, {})
+        return memo[1]
 
     def _orders_row(self, db_orders: np.ndarray, num_query_vertices: int) -> np.ndarray:
         """Cached dense ``max(|V_Q|, |V_G|)`` row for one query size."""
-        if len(self._orders_rows) > 256:
-            self._orders_rows = {}
-        key = (num_query_vertices, len(db_orders))
-        row = self._orders_rows.get(key)
+        memo = self._row_memo(db_orders)
+        row = memo.get(num_query_vertices)
         if row is None:
-            row = np.maximum(num_query_vertices, db_orders)
-            self._orders_rows[key] = row
+            if len(memo) > 256:
+                memo.clear()
+            row = memo[num_query_vertices] = np.maximum(num_query_vertices, db_orders)
         return row
 
     def _order_codes(self, db_orders: np.ndarray, distinct: np.ndarray) -> np.ndarray:
         """Cached ``position -> index into distinct orders`` map of a snapshot."""
-        if len(self._order_codes_cache) > 64:
-            self._order_codes_cache = {}
-        key = len(db_orders)
-        codes = self._order_codes_cache.get(key)
+        memo = self._row_memo(db_orders)
+        codes = memo.get("codes")
         if codes is None:
-            codes = np.searchsorted(distinct, db_orders)
-            self._order_codes_cache[key] = codes
+            codes = memo["codes"] = np.searchsorted(distinct, db_orders)
         return codes
 
     def _count(
@@ -802,7 +798,7 @@ class ExecutionCore:
         orders = self._orders_row(db_orders, num_query_vertices)
         gbds = orders - store.intersection_row(branches, view=(csr, len(db_orders)))
         needed_orders = np.maximum(
-            num_query_vertices, self._store_distinct_orders(db_orders)
+            num_query_vertices, store.order_partition(csr)[0]
         ).tolist()
         if self._use_tables(query.tau_hat, needed_orders, len(gbds)):
             lut = self._lut_for(query.tau_hat, needed_orders)
@@ -861,7 +857,7 @@ class ExecutionCore:
             # Countdown expired: drop and re-estimate (pop, not del — a
             # racing thread may have removed the entry already).
             self._dense_signatures.pop(signature, None)
-        distinct = self._store_distinct_orders(db_orders)
+        distinct = store.order_partition(csr)[0]
         extended = np.maximum(num_query_vertices, distinct)
         if not self._use_tables(tau_hat, extended.tolist(), num_rows):
             # One-shot workload: inverting the thresholds would cost more
@@ -983,7 +979,7 @@ class ExecutionCore:
         store = self.ensure_index().store
         # One coherent snapshot for the whole batch (see execute()).
         csr, db_orders, global_ids = store.view()
-        distinct_orders = self._store_distinct_orders(db_orders)
+        distinct_orders = store.order_partition(csr)[0]
 
         # Sort by (τ̂, γ) so each parameter group is a contiguous slice —
         # group operations below are views, never fancy-index copies.
@@ -1091,7 +1087,7 @@ class ExecutionCore:
         store = self.ensure_index().store
         csr, db_orders, global_ids = store.view()
         num_rows = len(db_orders)
-        distinct = self._store_distinct_orders(db_orders)
+        distinct = store.order_partition(csr)[0]
         codes = self._order_codes(db_orders, distinct)
         view = (csr, num_rows)
         empty = np.empty(0, dtype=np.int64)

@@ -17,25 +17,31 @@ internal dtype change, never an API event.
 
 The kernels themselves live in :mod:`repro.db.kernels` behind a pluggable
 ``backend`` (``"numpy"`` | ``"native"`` | ``"auto"``): this class owns the
-vocabulary pass, the snapshot caches, and the metrics, and dispatches the
+vocabulary pass, the published snapshot, and the metrics, and dispatches the
 array work to the selected backend.  The ``native`` backend additionally
 fuses the pruned execution layer's bound-filter → survivor-gather →
 verification sequence into one C call (:meth:`filter_verify_row`), so
 pruned-out candidates never allocate or touch intermediates.
 
 Incremental additions go through an **append buffer**: :meth:`append` is
-``O(|branches|)`` bookkeeping, and the CSR arrays are rebuilt lazily by
-:meth:`compact` on the next read.  A bulk load of ``k`` graphs therefore
-costs one compaction, not ``k`` (see
-:meth:`~repro.db.database.GraphDatabase.add_many`).
+``O(|branches|)`` bookkeeping, and :meth:`compact` — run lazily by the next
+read — is the one place a write is paid for.  It takes the previous
+published snapshot and produces the next in one linear pass: old posting
+segments are shifted, the pending postings appended, and every derived
+structure the previous snapshot had materialised (the ``(key, |V_G|)`` block
+index, the rows-by-order partition, the probe codes) is carried forward by
+remapping it through that same shift and merging the pending postings in.
+Only the ``p`` pending postings are ever sorted; a structure nobody has read
+yet is not built.  A bulk load of ``k`` graphs costs one compaction, not
+``k`` (see :meth:`~repro.db.database.GraphDatabase.add_many`).
 
 Concurrency: queries may run from several threads sharing one engine (the
-serving executor's ``"thread"`` mode), so the CSR triple is published as a
-single immutable tuple swap behind a compaction lock, and readers operate
-on one snapshot for the whole query — a query racing a compaction sees
-either the pre-add or post-add postings, never a torn mix.  Mutation
-(:meth:`append`) is only ever driven by the database's add-hook and is not
-itself thread-safe.
+serving executor's ``"thread"`` mode), so everything a read needs — CSR
+arrays, row vectors, derived indexes — is published as one snapshot record
+swapped behind a compaction lock, and readers operate on one snapshot for
+the whole query — a query racing a compaction sees either the pre-add or
+post-add postings, never a torn mix.  Mutation (:meth:`append` /
+:meth:`extend`) takes the same lock.
 
 Rows are *positions* ``0..D-1`` in insertion order; :meth:`global_ids` maps
 positions back to database graph ids.  For a plain
@@ -52,7 +58,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.db.kernels import backend_module, resolve_backend
+from repro.db.kernels import backend_module, numpy_impl, resolve_backend
 from repro.obs.metrics import get_registry
 
 __all__ = ["ColumnarBranchStore"]
@@ -126,6 +132,8 @@ _Csr = Tuple[np.ndarray, np.ndarray, np.ndarray, int]
 _POSITION_DTYPE_LIMIT = int(np.iinfo(np.int32).max)
 _COUNT_DTYPE_LIMIT = int(np.iinfo(np.int32).max)
 
+_EMPTY_I64 = np.empty(0, dtype=np.int64)
+
 _EMPTY_CSR: _Csr = (
     np.zeros(1, dtype=np.int64),
     np.empty(0, dtype=np.int32),
@@ -133,7 +141,36 @@ _EMPTY_CSR: _Csr = (
     0,
 )
 
-_EMPTY_I64 = np.empty(0, dtype=np.int64)
+
+class _Snapshot:
+    """One published read state: the CSR, its row vectors, its derived indexes.
+
+    ``csr``, ``orders`` and ``global_ids`` cover the same rows and never
+    change.  ``blocks`` (the ``(key, |V_G|)`` block index), ``partition``
+    (rows grouped by order) and ``probe_codes`` (flat ``(key, position)``
+    codes) start out ``None`` unless :meth:`ColumnarBranchStore.compact`
+    carried them over from the previous snapshot, and are filled at most once,
+    by the first read that needs them.
+    """
+
+    __slots__ = ("csr", "orders", "global_ids", "blocks", "partition", "probe_codes")
+
+    def __init__(self, csr, orders, global_ids, blocks=None, partition=None, probe_codes=None):
+        self.csr: _Csr = csr
+        self.orders: np.ndarray = orders
+        self.global_ids: np.ndarray = global_ids
+        self.blocks = blocks
+        self.partition = partition
+        self.probe_codes = probe_codes
+
+
+#: First-build path of each derived structure of a snapshot (looked up through
+#: the module on every call, so a test can spy on the from-scratch builders).
+_BUILDERS = {
+    "blocks": lambda snapshot: numpy_impl.build_order_blocks(snapshot.csr, snapshot.orders),
+    "partition": lambda snapshot: numpy_impl.build_order_partition(snapshot.orders),
+    "probe_codes": lambda snapshot: numpy_impl.build_probe_codes(snapshot.csr),
+}
 
 
 class ColumnarBranchStore:
@@ -152,35 +189,24 @@ class ColumnarBranchStore:
         # kernels race-safe (a cap newer than a CSR snapshot only loosens
         # the bound — see matched_query_total).
         self._key_caps: List[int] = []
-        # Per-row metadata, grown on append.
-        self._row_global_ids: List[int] = []
-        self._row_orders: List[int] = []
-        # Compacted CSR arrays, swapped atomically as one tuple.
-        self._csr: _Csr = _EMPTY_CSR
+        # Per-row metadata: growable int64 buffers written only past the
+        # published rows, so a snapshot's prefix view of them never changes.
+        self._row_global_ids = np.empty(0, dtype=np.int64)
+        self._row_orders = np.empty(0, dtype=np.int64)
+        self._num_rows = 0
+        # Largest posting multiplicity compacted so far (decides the counts dtype).
+        self._max_count = 0
+        # Everything a read needs, swapped atomically as one record.
+        self._published = _Snapshot(_EMPTY_CSR, _EMPTY_I64, _EMPTY_I64)
         # Append buffer: parallel lists of (key id, row position, count).
         self._pending_keys: List[int] = []
         self._pending_positions: List[int] = []
         self._pending_counts: List[int] = []
-        # Caches of the dense per-row / per-key vectors.
-        self._global_ids_cache: Optional[np.ndarray] = None
-        self._orders_cache: Optional[np.ndarray] = None
         self._caps_cache: Optional[np.ndarray] = None
-        # (postings array identity, composite codes) of the last snapshot
-        # probed by intersection_subrow — see _composite_for.
-        self._composite_cache: Optional[Tuple[np.ndarray, np.ndarray]] = None
-        # (postings array identity, (sorted codes, permutation, stride)) of
-        # the last snapshot's (key, row-order) block index — see
-        # _order_blocks_for.
-        self._order_blocks_cache: Optional[Tuple[np.ndarray, Tuple]] = None
-        # (postings array identity, (distinct, row_order, starts, ends)) of
-        # the last snapshot's rows-grouped-by-order partition — see
-        # order_partition.
-        self._order_partition_cache: Optional[Tuple[np.ndarray, Tuple]] = None
         self._compact_lock = threading.Lock()
         #: Number of compaction passes performed (bulk-load tests pin this).
         self.num_compactions = 0
-        for entry in entries:
-            self.append(entry)
+        self.extend(entries)
 
     @property
     def _kernels(self):
@@ -188,13 +214,22 @@ class ColumnarBranchStore:
         return backend_module(self.backend)
 
     def __getstate__(self):
+        # Only the CSR and the row vectors travel (to pool workers); the
+        # derived indexes are 3 x P int64 a worker rebuilds on first use.
         state = self.__dict__.copy()
         del state["_compact_lock"]  # locks are not picklable
+        state["_published"] = self._published.csr
+        state["_row_orders"] = self._row_orders[: self._num_rows]
+        state["_row_global_ids"] = self._row_global_ids[: self._num_rows]
         return state
 
     def __setstate__(self, state):
         self.__dict__.update(state)
         self._compact_lock = threading.Lock()
+        csr = self._published
+        self._published = _Snapshot(
+            csr, self._row_orders[: csr[3]], self._row_global_ids[: csr[3]]
+        )
         # A snapshot restored on another machine keeps its configured
         # backend name; backend_module degrades native->numpy with a
         # warning if this host cannot build the library.
@@ -206,146 +241,183 @@ class ColumnarBranchStore:
     def append(self, entry) -> int:
         """Buffer one :class:`~repro.db.database.StoredGraph`; return its position.
 
-        The CSR arrays are not touched — the entry's postings land in the
-        append buffer and are merged on the next :meth:`compact` (triggered
-        lazily by any read), so bulk loads pay for one compaction total.
-        Runs under the compaction lock so a reader-triggered merge can never
-        observe (or discard) a half-written buffer entry.
+        O(|branches|): the entry's postings land in the append buffer and its
+        row metadata in the growable row vectors; the published snapshot is
+        not touched.  Everything else a write costs is paid by the next
+        :meth:`compact` (triggered lazily by any read), so bulk loads pay for
+        one compaction total.  Runs under the compaction lock so a
+        reader-triggered merge can never observe (or discard) a half-written
+        buffer entry.
         """
         with self._compact_lock:
-            position = len(self._row_global_ids)
-            self._row_global_ids.append(int(entry.graph_id))
-            self._row_orders.append(int(entry.num_vertices))
-            key_ids = self._key_ids
-            caps = self._key_caps
-            for key, count in entry.branches.items():
-                count = int(count)
-                key_id = key_ids.get(key)
-                if key_id is None:
-                    key_id = len(self._keys)
-                    key_ids[key] = key_id
-                    self._keys.append(key)
-                    caps.append(count)
-                elif count > caps[key_id]:
-                    caps[key_id] = count
-                self._pending_keys.append(key_id)
-                self._pending_positions.append(position)
-                self._pending_counts.append(count)
-            self._global_ids_cache = None
-            self._orders_cache = None
-            self._caps_cache = None
+            return self._append(entry)
+
+    def extend(self, entries: Iterable) -> None:
+        """Buffer several entries under one acquisition of the compaction lock."""
+        with self._compact_lock:
+            for entry in entries:
+                self._append(entry)
+
+    def _append(self, entry) -> int:
+        position = self._num_rows
+        if position == len(self._row_orders):
+            # Doubling keeps appends amortised O(1); published snapshots keep
+            # viewing the buffer they were cut from.
+            capacity = max(2 * position, 64)
+            for name in ("_row_orders", "_row_global_ids"):
+                grown = np.empty(capacity, dtype=np.int64)
+                grown[:position] = getattr(self, name)
+                setattr(self, name, grown)
+        self._row_global_ids[position] = entry.graph_id
+        self._row_orders[position] = entry.num_vertices
+        key_ids = self._key_ids
+        caps = self._key_caps
+        for key, count in entry.branches.items():
+            count = int(count)
+            key_id = key_ids.get(key)
+            if key_id is None:
+                key_id = len(self._keys)
+                key_ids[key] = key_id
+                self._keys.append(key)
+                caps.append(count)
+            elif count > caps[key_id]:
+                caps[key_id] = count
+            self._pending_keys.append(key_id)
+            self._pending_positions.append(position)
+            self._pending_counts.append(count)
+        self._num_rows = position + 1
+        self._caps_cache = None
         return position
 
     def _is_compacted(self) -> bool:
-        """Whether the published CSR already covers every key *and* row.
+        """Whether the published snapshot already covers every posting *and* row.
 
         Both conditions matter: an appended entry with zero branches grows
-        the row count without touching the vocabulary or the buffer, so
-        checking the vocabulary alone would leave ``rows_covered`` stale
-        forever (and :meth:`view`, which insists on full row coverage,
-        spinning).
+        the row count without touching the buffer.  (A key new to the
+        vocabulary always arrives with a pending posting.)
         """
-        return (
-            not self._pending_keys
-            and len(self._csr[0]) == len(self._keys) + 1
-            and self._csr[3] == len(self._row_global_ids)
-        )
+        return not self._pending_keys and self._published.csr[3] == self._num_rows
 
     def compact(self) -> bool:
-        """Merge the append buffer into the CSR arrays; return whether work was done.
+        """Publish the next snapshot if anything was appended; return whether work was done.
 
-        Within each key the postings stay sorted by row position: the old
-        segment is copied in order and pending entries (whose positions are
-        strictly larger) are placed after it in arrival order.  The merge
-        runs under a lock and publishes the rebuilt arrays as one atomic
-        tuple swap, so concurrent readers are never exposed to a torn CSR.
+        The one place a write is paid for, in one linear pass over the
+        previous snapshot (O(P + D + p log p) for P postings, D rows and p
+        pending postings — only the pending ones are sorted):
 
-        The rebuilt ``positions``/``counts`` use int32 while every row index
-        and posting multiplicity fits (:data:`_POSITION_DTYPE_LIMIT` /
+        * each key's old posting segment is shifted by the room the keys
+          before it grew and its pending postings (whose row positions are
+          strictly larger) placed behind it in arrival order, so segments
+          stay sorted by position;
+        * every derived structure the previous snapshot had materialised is
+          carried forward — the block index by remapping its permutation
+          through that same shift and merging the pending postings in, the
+          rows-by-order partition by appending the new rows to their runs,
+          the probe codes re-emitted — and equals what its from-scratch
+          builder returns on the new CSR; one the previous snapshot never
+          built stays unbuilt until a read asks for it;
+        * ``orders`` / ``global_ids`` are prefix views of the row buffers
+          :meth:`append` already wrote.
+
+        The pass runs in the store's kernel backend under the compaction
+        lock and publishes the result as one record swap, so concurrent
+        readers are never exposed to a torn state.
+
+        ``positions``/``counts`` use int32 while every row index and posting
+        multiplicity fits (:data:`_POSITION_DTYPE_LIMIT` /
         :data:`_COUNT_DTYPE_LIMIT`), promoting to int64 otherwise.  Both
         decisions are value-safe in either direction: positions are bounded
-        by the row count and counts by the max per-key cap, which are
-        exactly the quantities checked.
+        by the row count and counts by the largest multiplicity seen, which
+        are exactly the quantities checked.
         """
         if self._is_compacted():
             return False
         with self._compact_lock:
-            num_keys = len(self._keys)
-            old_offsets, old_positions, old_counts, _old_rows = self._csr
             if self._is_compacted():
                 return False  # another thread compacted while we waited
-
-            old_num_keys = len(old_offsets) - 1
-            old_lengths = np.diff(old_offsets)
-            lengths = np.zeros(num_keys, dtype=np.int64)
-            lengths[:old_num_keys] = old_lengths
-
-            if self._pending_keys:
-                pending_keys = np.asarray(self._pending_keys, dtype=np.int64)
-                pending_positions = np.asarray(self._pending_positions, dtype=np.int64)
-                pending_counts = np.asarray(self._pending_counts, dtype=np.int64)
-                lengths += np.bincount(pending_keys, minlength=num_keys)
-
-            num_rows = len(self._row_global_ids)
-            position_dtype = np.int32 if num_rows <= _POSITION_DTYPE_LIMIT else np.int64
-            max_cap = max(self._key_caps, default=0)
-            count_dtype = np.int32 if max_cap <= _COUNT_DTYPE_LIMIT else np.int64
-            offsets = np.zeros(num_keys + 1, dtype=np.int64)
-            np.cumsum(lengths, out=offsets[1:])
-            positions = np.empty(int(offsets[-1]), dtype=position_dtype)
-            counts = np.empty(int(offsets[-1]), dtype=count_dtype)
-
-            if len(old_positions):
-                # Shift every old posting of key k by the room its segment grew.
-                shift = np.repeat(offsets[:old_num_keys] - old_offsets[:-1], old_lengths)
-                destination = np.arange(len(old_positions), dtype=np.int64) + shift
-                positions[destination] = old_positions
-                counts[destination] = old_counts
-
-            if self._pending_keys:
-                order = np.argsort(pending_keys, kind="stable")
-                sorted_keys = pending_keys[order]
-                # Rank of each pending posting within its key's block.
-                block_starts = np.flatnonzero(
-                    np.r_[True, sorted_keys[1:] != sorted_keys[:-1]]
+            previous = self._published
+            num_rows = self._num_rows
+            orders = self._row_orders[:num_rows]
+            pending = (
+                np.asarray(self._pending_keys, dtype=np.int64),
+                np.asarray(self._pending_positions, dtype=np.int64),
+                np.asarray(self._pending_counts, dtype=np.int64),
+            )
+            self._max_count = int(pending[2].max(initial=self._max_count))
+            arrays, blocks, probe_codes = self._kernels.merge_postings(
+                previous.csr,
+                previous.blocks,
+                previous.probe_codes is not None,
+                pending,
+                len(self._keys),
+                orders,
+                np.int32 if num_rows <= _POSITION_DTYPE_LIMIT else np.int64,
+                np.int32 if self._max_count <= _COUNT_DTYPE_LIMIT else np.int64,
+            )
+            partition = previous.partition
+            if partition is not None:
+                partition = numpy_impl.extend_order_partition(
+                    partition, orders, previous.csr[3]
                 )
-                block_lengths = np.diff(np.r_[block_starts, len(sorted_keys)])
-                ranks = np.arange(len(sorted_keys), dtype=np.int64) - np.repeat(
-                    block_starts, block_lengths
-                )
-                old_tail = np.zeros(num_keys, dtype=np.int64)
-                old_tail[:old_num_keys] = old_lengths
-                destination = offsets[sorted_keys] + old_tail[sorted_keys] + ranks
-                positions[destination] = pending_positions[order]
-                counts[destination] = pending_counts[order]
-
-            self._csr = (offsets, positions, counts, num_rows)
+            self._published = _Snapshot(
+                (*arrays, num_rows),
+                orders,
+                self._row_global_ids[:num_rows],
+                blocks,
+                partition,
+                probe_codes,
+            )
             self._pending_keys = []
             self._pending_positions = []
             self._pending_counts = []
             self.num_compactions += 1
         return True
 
-    def _snapshot(self) -> _Csr:
-        """Compact if needed and return one consistent CSR tuple."""
+    def _snapshot(self) -> _Snapshot:
+        """Compact if needed and return the published snapshot."""
         self.compact()
-        return self._csr
+        return self._published
+
+    @property
+    def _csr(self) -> _Csr:
+        """The published CSR tuple (what the dtype-layout tests inspect)."""
+        return self._published.csr
 
     def view(self) -> Tuple[_Csr, np.ndarray, np.ndarray]:
         """Return one coherent ``(csr, orders, global_ids)`` read snapshot.
 
-        The three pieces are captured together (retrying across a racing
-        append) so a whole query computes against arrays of one length whose
-        every row is covered by the CSR — concurrent additions become
-        visible only between queries, never as a torn mix or a graph with
-        silently missing postings.
+        ``csr`` is the ``(offsets, positions, counts, rows)`` tuple; the three
+        pieces belong to one published snapshot record, so a whole query
+        computes against arrays of one length whose every row is covered by
+        the CSR — concurrent additions become visible only between queries,
+        never as a torn mix or a graph with silently missing postings.  The
+        first read after a write pays the compaction here.
         """
-        while True:
-            csr = self._snapshot()
-            orders = self.orders()
-            global_ids = self.global_ids()
-            if csr[3] == len(orders) == len(global_ids):
-                return csr, orders, global_ids
+        snapshot = self._snapshot()
+        return snapshot.csr, snapshot.orders, snapshot.global_ids
+
+    def _derived(self, csr: _Csr, name: str):
+        """The ``name`` structure of the snapshot ``csr`` belongs to, built on first use.
+
+        Carried structures are simply there; the from-scratch builder runs
+        once per store (and once per unpickled copy), under the compaction
+        lock so racing readers share one build and a compaction cannot miss
+        it.  A reader still computing against a superseded snapshot is served
+        from scratch, uncached — the row buffers are append-only, so the
+        prefix its CSR covers is still what it was.
+        """
+        snapshot = self._published
+        if snapshot.csr is not csr:
+            rows = csr[3]
+            snapshot = _Snapshot(csr, self._row_orders[:rows], self._row_global_ids[:rows])
+        value = getattr(snapshot, name)
+        if value is None:
+            with self._compact_lock:
+                value = getattr(snapshot, name)
+                if value is None:
+                    value = _BUILDERS[name](snapshot)
+                    setattr(snapshot, name, value)
+        return value
 
     # ------------------------------------------------------------------ #
     # shape and per-row vectors
@@ -353,7 +425,7 @@ class ColumnarBranchStore:
     @property
     def num_graphs(self) -> int:
         """Number of rows (database graphs) covered by the store."""
-        return len(self._row_global_ids)
+        return self._num_rows
 
     @property
     def num_keys(self) -> int:
@@ -363,19 +435,15 @@ class ColumnarBranchStore:
     @property
     def num_postings(self) -> int:
         """Total postings held (compacted segment plus append buffer)."""
-        return len(self._csr[1]) + len(self._pending_keys)
+        return len(self._published.csr[1]) + len(self._pending_keys)
 
     def global_ids(self) -> np.ndarray:
-        """Dense ``position -> graph id`` vector (cached)."""
-        if self._global_ids_cache is None or len(self._global_ids_cache) != self.num_graphs:
-            self._global_ids_cache = np.asarray(self._row_global_ids, dtype=np.int64)
-        return self._global_ids_cache
+        """Dense ``position -> graph id`` vector of the (compacted) snapshot."""
+        return self._snapshot().global_ids
 
     def orders(self) -> np.ndarray:
-        """Dense ``position -> |V_G|`` vector (cached)."""
-        if self._orders_cache is None or len(self._orders_cache) != self.num_graphs:
-            self._orders_cache = np.asarray(self._row_orders, dtype=np.int64)
-        return self._orders_cache
+        """Dense ``position -> |V_G|`` vector of the (compacted) snapshot."""
+        return self._snapshot().orders
 
     def branch_totals(self) -> np.ndarray:
         """Dense ``position -> |B_G|`` vector of total branch counts.
@@ -398,12 +466,13 @@ class ColumnarBranchStore:
     # ------------------------------------------------------------------ #
     def postings(self, branch_key: Tuple) -> List[Tuple[int, int]]:
         """Return the ``(graph_id, count)`` postings of one branch key."""
-        offsets, positions, counts, _rows = self._snapshot()
+        snapshot = self._snapshot()
+        offsets, positions, counts, _rows = snapshot.csr
         key_id = self._key_ids.get(branch_key)
         if key_id is None or key_id >= len(offsets) - 1:
             return []
         start, end = int(offsets[key_id]), int(offsets[key_id + 1])
-        global_ids = self.global_ids()
+        global_ids = snapshot.global_ids
         return [
             (int(global_ids[position]), int(count))
             for position, count in zip(positions[start:end], counts[start:end])
@@ -491,7 +560,8 @@ class ColumnarBranchStore:
         if view is not None:
             csr, num_graphs = view
         else:
-            csr, num_graphs = self._snapshot(), self.num_graphs
+            csr = self._snapshot().csr
+            num_graphs = csr[3]
         calls, rows = _counters(self.backend).row
         calls.inc()
         rows.inc(num_graphs)
@@ -517,7 +587,8 @@ class ColumnarBranchStore:
         if view is not None:
             csr, num_graphs = view
         else:
-            csr, num_graphs = self._snapshot(), self.num_graphs
+            csr = self._snapshot().csr
+            num_graphs = csr[3]
         calls, rows = _counters(self.backend).matrix
         calls.inc()
         rows.inc(num_queries * num_graphs)
@@ -617,22 +688,10 @@ class ColumnarBranchStore:
 
         Within a key the postings are position-sorted and keys are laid out
         in id order, so the composite codes are strictly increasing — one
-        global ``searchsorted`` can probe any (key, row) pair.  Built once
-        per compaction (O(P)) and cached against the snapshot's postings
-        array *identity* — every :meth:`compact` allocates fresh arrays, so
-        a stale entry can never alias a rebuilt snapshot.
+        global ``searchsorted`` can probe any (key, row) pair.  O(P) on first
+        use, re-emitted by every :meth:`compact` from then on.
         """
-        offsets, all_positions, _counts, rows_covered = csr
-        stride = max(int(rows_covered), 1)
-        cached = self._composite_cache
-        if cached is not None and cached[0] is all_positions:
-            return cached[1], stride
-        keys_of_postings = np.repeat(
-            np.arange(len(offsets) - 1, dtype=np.int64), np.diff(offsets)
-        )
-        composite = keys_of_postings * stride + all_positions
-        self._composite_cache = (all_positions, composite)
-        return composite, stride
+        return self._derived(csr, "probe_codes"), max(int(csr[3]), 1)
 
     def intersection_subrow(
         self,
@@ -651,7 +710,7 @@ class ColumnarBranchStore:
         each key's segment is shorter.  Entries equal
         ``intersection_row(...)[positions]`` exactly.
         """
-        csr = view[0] if view is not None else self._snapshot()
+        csr = view[0] if view is not None else self._snapshot().csr
         _offsets, _all_positions, all_counts, _rows = csr
         positions = np.asarray(positions, dtype=np.int64)
         num_positions = len(positions)
@@ -676,24 +735,11 @@ class ColumnarBranchStore:
         order back to posting slots.  Every ``(branch key, vertex count)``
         pair owns one contiguous block, located by two binary-search probes
         — the backbone of :meth:`intersection_for_orders` and the fused
-        filter-verify kernels.  Built once per compaction (O(P log P)) and
-        cached against the snapshot's postings array identity (fresh arrays
-        every compaction — see :meth:`_composite_for`).
+        filter-verify kernels.  Sorted once (O(P log P)) by the first pruned
+        read of a store; every :meth:`compact` after that carries it forward
+        in O(P + p log p).
         """
-        offsets, all_positions, _counts, rows_covered = csr
-        cached = self._order_blocks_cache
-        if cached is not None and cached[0] is all_positions:
-            return cached[1]
-        orders = self.orders()[: int(rows_covered)]
-        stride = int(orders.max()) + 1 if len(orders) else 1
-        keys_of_postings = np.repeat(
-            np.arange(len(offsets) - 1, dtype=np.int64), np.diff(offsets)
-        )
-        codes = keys_of_postings * stride + orders[all_positions]
-        permutation = np.argsort(codes, kind="stable")
-        blocks = (codes[permutation], permutation, stride)
-        self._order_blocks_cache = (all_positions, blocks)
-        return blocks
+        return self._derived(csr, "blocks")
 
     def order_partition(
         self, csr: _Csr
@@ -703,22 +749,10 @@ class ColumnarBranchStore:
         ``row_order[starts[i]:ends[i]]`` are the (ascending) store positions
         whose order is ``distinct[i]`` — the shape the fused filter-verify
         kernels consume: per-distinct-order eligibility plus slice
-        concatenation of the survivors.  Built once per compaction and
-        cached against the snapshot's postings array identity.
+        concatenation of the survivors.  Sorted once (O(D log D)) on first
+        use, then extended by every :meth:`compact`.
         """
-        _offsets, all_positions, _counts, rows_covered = csr
-        cached = self._order_partition_cache
-        if cached is not None and cached[0] is all_positions:
-            return cached[1]
-        orders = self.orders()[: int(rows_covered)]
-        distinct = np.unique(orders)
-        row_order = np.argsort(orders, kind="stable")
-        sorted_orders = orders[row_order]
-        starts = np.searchsorted(sorted_orders, distinct, side="left")
-        ends = np.searchsorted(sorted_orders, distinct, side="right")
-        partition = (distinct, row_order, starts, ends)
-        self._order_partition_cache = (all_positions, partition)
-        return partition
+        return self._derived(csr, "partition")
 
     def intersection_for_orders(
         self,
@@ -740,7 +774,7 @@ class ColumnarBranchStore:
         rows are never read.  Entries equal
         ``intersection_row(...)[positions]`` exactly.
         """
-        csr = view[0] if view is not None else self._snapshot()
+        csr = view[0] if view is not None else self._snapshot().csr
         _offsets, all_positions, _all_counts, _rows = csr
         positions = np.asarray(positions, dtype=np.int64)
         num_positions = len(positions)
@@ -778,7 +812,7 @@ class ColumnarBranchStore:
         ``intersection_matrix(...)[:, positions]`` exactly.
         """
         num_queries = len(query_branch_sets)
-        csr = view[0] if view is not None else self._snapshot()
+        csr = view[0] if view is not None else self._snapshot().csr
         positions = np.asarray(positions, dtype=np.int64)
         calls, rows = _counters(self.backend).submatrix
         calls.inc()
@@ -821,7 +855,7 @@ class ColumnarBranchStore:
           any pruned row's postings.  On the native backend the whole
           sequence is one C call with no intermediates.
         """
-        csr = view[0] if view is not None else self._snapshot()
+        csr = view[0] if view is not None else self._snapshot().csr
         partition = self.order_partition(csr)
         calls, rows = _counters(self.backend).filter_verify_row
         calls.inc()
@@ -866,7 +900,7 @@ class ColumnarBranchStore:
           intersection matrix, computed blockwise so pruned orders' postings
           are never read.
         """
-        csr = view[0] if view is not None else self._snapshot()
+        csr = view[0] if view is not None else self._snapshot().csr
         distinct, row_order, starts, ends = self.order_partition(csr)
         num_queries = len(query_branch_sets)
         calls, rows = _counters(self.backend).filter_verify_matrix
@@ -921,16 +955,22 @@ class ColumnarBranchStore:
 
     def gbd_row(self, num_query_vertices: int, query_branches: Counter) -> np.ndarray:
         """Return ``GBD(Q, G)`` for every row as a dense ``(D,)`` array."""
-        intersections = self.intersection_row(query_branches)
-        return np.maximum(int(num_query_vertices), self.orders()) - intersections
+        snapshot = self._snapshot()
+        intersections = self.intersection_row(
+            query_branches, view=(snapshot.csr, len(snapshot.orders))
+        )
+        return np.maximum(int(num_query_vertices), snapshot.orders) - intersections
 
     def gbd_matrix(
         self, num_query_vertices: Sequence[int], query_branch_sets: Sequence[Counter]
     ) -> np.ndarray:
         """Return the ``(Q, D)`` GBD matrix of a query batch in one pass."""
         vertices = np.asarray(list(num_query_vertices), dtype=np.int64)
-        intersections = self.intersection_matrix(query_branch_sets)
-        return np.maximum(vertices[:, None], self.orders()[None, :]) - intersections
+        snapshot = self._snapshot()
+        intersections = self.intersection_matrix(
+            query_branch_sets, view=(snapshot.csr, len(snapshot.orders))
+        )
+        return np.maximum(vertices[:, None], snapshot.orders[None, :]) - intersections
 
     def __repr__(self) -> str:
         return (

@@ -48,17 +48,21 @@ class BranchInvertedIndex:
     def __init__(self, database: GraphDatabase, *, backend: str = "auto") -> None:
         self.database = database
         self._store = ColumnarBranchStore(database, backend=backend)
-        database.subscribe(self._on_graph_added)
+        database.subscribe(self._on_graph_added, batched=True)
 
-    def _on_graph_added(self, entry: StoredGraph) -> None:
-        """Incremental hook: buffer the new entry's postings in the store."""
-        self._store.append(entry)
+    def _on_graph_added(self, entries: Sequence[StoredGraph]) -> None:
+        """Incremental hook: buffer the new entries' postings in the store.
+
+        Batched, so a bulk ``add_many`` takes the store's compaction lock
+        once, not once per graph.
+        """
+        self._store.extend(entries)
 
     def __setstate__(self, state):
         # The database drops its (weakly held) subscribers when pickled;
         # re-register so an unpickled index keeps tracking additions.
         self.__dict__.update(state)
-        self.database.subscribe(self._on_graph_added)
+        self.database.subscribe(self._on_graph_added, batched=True)
 
     # ------------------------------------------------------------------ #
     # queries

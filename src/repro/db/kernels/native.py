@@ -60,6 +60,7 @@ _SIGNATURES = {
     "repro_gbd_lower_bound_row": "iipip",
     "repro_gbd_lower_bound_matrix": "ppipip",
     "repro_filter_verify_row": "iipppippippiippppippp",
+    "repro_merge_postings": "pppipppiipppppipppiipppp",
 }
 _ARG_KINDS = {"i": ctypes.c_int64, "p": ctypes.c_void_p}
 
@@ -160,8 +161,9 @@ def load_error() -> Optional[str]:
 
 #: id(array) -> (keyed array, contiguous twin, address).  Entries strongly
 #: reference the keyed array, so its id cannot be recycled while cached and
-#: the address cannot dangle.  Snapshot arrays change only on compaction;
-#: the occasional wholesale clear just re-primes a handful of entries.
+#: the address cannot dangle.  Snapshot arrays change only on compaction,
+#: where :func:`merge_postings` drops the superseded P-sized ones; the
+#: occasional wholesale clear just re-primes a handful of entries.
 _PTR_CACHE: Dict[int, Tuple[np.ndarray, np.ndarray, int]] = {}
 
 
@@ -184,6 +186,11 @@ def _c64(array: np.ndarray) -> np.ndarray:
     # hold the returned array until after the foreign call — addresses are
     # extracted with ``.ctypes.data``, which does not pin the array.
     return np.ascontiguousarray(array, dtype=np.int64)
+
+
+def _address(array: Optional[np.ndarray]) -> Optional[int]:
+    """Address of a call-scoped array the caller keeps referenced (NULL for ``None``)."""
+    return None if array is None else array.ctypes.data
 
 
 def _compact_csr(csr) -> Optional[Tuple[int, int, int]]:
@@ -413,3 +420,65 @@ def filter_verify_row(
     if num_eligible > capacity:
         return None, None, eligible, num_eligible
     return out_positions[:num_eligible], out_intersections[:num_eligible], eligible, num_eligible
+
+
+def merge_postings(
+    csr, blocks, with_probe_codes, pending, num_keys, orders, position_dtype, count_dtype
+):
+    old_offsets, old_positions, old_counts, _old_rows = csr
+    # The snapshot these arrays belong to is being superseded: stop pinning
+    # them, or every compaction's P-sized arrays stay alive (and the next
+    # ones land on fresh pages) until the address cache's wholesale clear.
+    # A reader still on that snapshot holds the arrays itself and re-pins.
+    for array in csr[:3] + (blocks[:2] if blocks is not None else ()):
+        _PTR_CACHE.pop(id(array), None)
+    if not (
+        old_positions.dtype == old_counts.dtype == position_dtype == count_dtype == np.int32
+    ):
+        # Wide layout on either side of the merge (the promotion itself
+        # included): the dtype-agnostic reference handles it.
+        return numpy_impl.merge_postings(
+            csr, blocks, with_probe_codes, pending, num_keys, orders,
+            position_dtype, count_dtype,
+        )
+    pending_keys, pending_positions, pending_counts = (_c64(part) for part in pending)
+    orders = _c64(orders)
+    old_offsets = _c64(old_offsets)
+    old_positions = np.ascontiguousarray(old_positions)
+    old_counts = np.ascontiguousarray(old_counts)
+    num_pending = len(pending_keys)
+    total = len(old_positions) + num_pending
+    offsets = np.empty(num_keys + 1, dtype=np.int64)
+    positions = np.empty(total, dtype=np.int32)
+    counts = np.empty(total, dtype=np.int32)
+    cursor = np.empty(num_keys, dtype=np.int64)
+    pending_slots = np.empty(num_pending, dtype=np.int64)
+    probe_codes = np.empty(total, dtype=np.int64) if with_probe_codes else None
+    if blocks is None:
+        old_codes = old_permutation = pending_codes = by_code = codes = permutation = None
+        old_stride = stride = 0
+    else:
+        old_codes, old_permutation, old_stride = blocks
+        old_codes = _c64(old_codes)
+        old_permutation = _c64(old_permutation)
+        stride = numpy_impl.block_stride(orders)
+        # The only sort of a compaction, over the pending postings alone;
+        # stable over arrival, so equal codes keep their slot order.
+        pending_codes = pending_keys * stride + orders[pending_positions]
+        by_code = np.argsort(pending_codes, kind="stable")
+        codes = np.empty(total, dtype=np.int64)
+        permutation = np.empty(total, dtype=np.int64)
+
+    _library().repro_merge_postings(
+        old_offsets.ctypes.data, old_positions.ctypes.data, old_counts.ctypes.data,
+        len(old_offsets) - 1,
+        pending_keys.ctypes.data, pending_positions.ctypes.data,
+        pending_counts.ctypes.data, num_pending, num_keys,
+        offsets.ctypes.data, positions.ctypes.data, counts.ctypes.data,
+        cursor.ctypes.data, pending_slots.ctypes.data,
+        max(len(orders), 1), _address(probe_codes),
+        _address(old_codes), _address(old_permutation), int(old_stride), stride,
+        _address(pending_codes), _address(by_code), _address(codes), _address(permutation),
+    )
+    new_blocks = None if blocks is None else (codes, permutation, stride)
+    return (offsets, positions, counts), new_blocks, probe_codes

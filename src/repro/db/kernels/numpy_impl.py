@@ -21,6 +21,10 @@ Interface conventions shared by all backends:
   backend needs it.
 * ``partition`` is ``(distinct orders, row_order, starts, ends)``: rows
   grouped by ``|V_G|``, each group's slice of ``row_order`` ascending.
+* ``build_*`` are the from-scratch builders of those derived structures —
+  the first-build path of a snapshot and the oracle of the carried ones;
+  :func:`merge_postings` / :func:`extend_order_partition` carry them from one
+  snapshot to the next in linear time.
 * Outputs are always int64; weighted ``bincount`` sums are exact small
   integers, so the float64 round-trip is lossless.
 """
@@ -294,3 +298,138 @@ def filter_verify_row(
         csr, blocks, key_ids, query_counts, distinct[eligible], positions
     )
     return positions, intersections, eligible, num_eligible
+
+
+# --------------------------------------------------------------------------- #
+# derived structures of a snapshot: from-scratch builders and the write path
+# --------------------------------------------------------------------------- #
+def _keys_of_postings(offsets: np.ndarray) -> np.ndarray:
+    """Key id of every posting slot of a CSR."""
+    return np.repeat(np.arange(len(offsets) - 1, dtype=np.int64), np.diff(offsets))
+
+
+def block_stride(orders: np.ndarray) -> int:
+    """Stride of the ``key_id * stride + |V_row|`` block codes: past the largest order."""
+    return int(orders.max()) + 1 if len(orders) else 1
+
+
+def build_order_blocks(csr, orders: np.ndarray) -> Tuple[np.ndarray, np.ndarray, int]:
+    """``(sorted codes, permutation, stride)`` of a snapshot, from scratch: O(P log P).
+
+    ``codes = key_id * stride + |V_row|``; ``permutation`` maps the sorted
+    order back to posting slots, ties in slot order.
+    """
+    offsets, all_positions, _counts, _rows = csr
+    stride = block_stride(orders)
+    codes = _keys_of_postings(offsets) * stride + orders[all_positions]
+    permutation = np.argsort(codes, kind="stable")
+    return codes[permutation], permutation, stride
+
+
+def build_probe_codes(csr) -> np.ndarray:
+    """Flat ``key_id * max(rows, 1) + position`` codes of a snapshot: O(P), ascending."""
+    offsets, all_positions, _counts, rows_covered = csr
+    return _keys_of_postings(offsets) * max(int(rows_covered), 1) + all_positions
+
+
+def _partition_of(distinct: np.ndarray, row_order: np.ndarray, orders: np.ndarray):
+    sorted_orders = orders[row_order]
+    starts = np.searchsorted(sorted_orders, distinct, side="left")
+    ends = np.searchsorted(sorted_orders, distinct, side="right")
+    return distinct, row_order, starts, ends
+
+
+def build_order_partition(orders: np.ndarray):
+    """``(distinct, row_order, starts, ends)`` of a snapshot, from scratch: O(D log D)."""
+    return _partition_of(np.unique(orders), np.argsort(orders, kind="stable"), orders)
+
+
+def extend_order_partition(partition, orders: np.ndarray, old_rows: int):
+    """Carry a partition over ``old_rows`` rows to all of ``orders``: O(D + n log n).
+
+    The ``n`` new rows have the largest positions, so each joins the end of
+    its order's run; only they are sorted.
+    """
+    distinct, row_order, _starts, _ends = partition
+    new_orders = orders[old_rows:]
+    if len(new_orders) == 0:
+        return partition
+    by_order = np.argsort(new_orders, kind="stable")
+    at = np.searchsorted(orders[row_order], new_orders[by_order], side="right")
+    return _partition_of(
+        np.union1d(distinct, new_orders),
+        np.insert(row_order, at, old_rows + by_order),
+        orders,
+    )
+
+
+def merge_postings(
+    csr,
+    blocks: Optional[Tuple[np.ndarray, np.ndarray, int]],
+    with_probe_codes: bool,
+    pending: Tuple[np.ndarray, np.ndarray, np.ndarray],
+    num_keys: int,
+    orders: np.ndarray,
+    position_dtype,
+    count_dtype,
+):
+    """One compaction: the next snapshot's arrays from the previous one's, linearly.
+
+    ``pending`` is the append buffer as int64 ``(key ids, row positions,
+    counts)`` in arrival order (rows ascending, every one past the old CSR);
+    ``orders`` covers old and new rows.  Returns ``((offsets, positions,
+    counts), blocks, probe codes)``: each old segment shifted by the room the
+    keys before it grew, its pending postings behind it in arrival order.
+    ``blocks`` — the previous snapshot's block index, or ``None`` when it had
+    none — is carried by remapping its permutation through that shift and
+    merging the pending postings in by ``(code, slot)``; the probe codes are
+    emitted when ``with_probe_codes``.  Both equal their from-scratch builder
+    on the merged CSR.  Only the pending postings are sorted.
+    """
+    old_offsets, old_positions, old_counts, _old_rows = csr
+    pending_keys, pending_positions, pending_counts = pending
+    old_num_keys = len(old_offsets) - 1
+    old_lengths = np.diff(old_offsets)
+    added = np.bincount(pending_keys, minlength=num_keys)
+    lengths = added.copy()
+    lengths[:old_num_keys] += old_lengths
+    offsets = np.zeros(num_keys + 1, dtype=np.int64)
+    np.cumsum(lengths, out=offsets[1:])
+    positions = np.empty(int(offsets[-1]), dtype=position_dtype)
+    counts = np.empty(int(offsets[-1]), dtype=count_dtype)
+
+    destination = np.arange(len(old_positions), dtype=np.int64) + np.repeat(
+        offsets[:old_num_keys] - old_offsets[:-1], old_lengths
+    )
+    positions[destination] = old_positions
+    counts[destination] = old_counts
+
+    # Pending postings fill the tail of their key's segment in arrival order.
+    arrival = np.argsort(pending_keys, kind="stable")
+    sorted_keys = pending_keys[arrival]
+    ranks = np.arange(len(sorted_keys)) - np.searchsorted(sorted_keys, sorted_keys)
+    new_slots = offsets[sorted_keys + 1] - added[sorted_keys] + ranks
+    new_rows = pending_positions[arrival]
+    positions[new_slots] = new_rows
+    counts[new_slots] = pending_counts[arrival]
+
+    if blocks is not None:
+        codes, permutation, old_stride = blocks
+        stride = block_stride(orders)
+        if stride != old_stride:  # a new row raised the largest order: re-base
+            key_of, order_of = np.divmod(codes, old_stride)
+            codes = key_of * stride + order_of
+        new_codes = sorted_keys * stride + orders[new_rows]
+        # Stable over (key, arrival): equal codes stay in slot order, and an
+        # old posting of the same block (a smaller slot) stays ahead of them.
+        by_code = np.argsort(new_codes, kind="stable")
+        at = np.searchsorted(codes, new_codes[by_code], side="right")
+        blocks = (
+            np.insert(codes, at, new_codes[by_code]),
+            np.insert(destination[permutation], at, new_slots[by_code]),
+            stride,
+        )
+    probe_codes = None
+    if with_probe_codes:
+        probe_codes = build_probe_codes((offsets, positions, counts, len(orders)))
+    return (offsets, positions, counts), blocks, probe_codes

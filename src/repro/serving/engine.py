@@ -396,7 +396,10 @@ class BatchQueryEngine:
         execution core's matrix path — one ``(Q, D)`` columnar intersection
         pass for the whole batch, then one shared lookup table per τ̂/γ
         group, reusing the lazily built ``(τ̂, |V'1|)`` tables across
-        batches.  Answers are identical to calling :meth:`query` per query;
+        batches.  A query that occurs several times in the batch is scored
+        once and its answer copied to the repeats (the cache is probed for
+        the whole batch before any of it is scored, so it cannot serve them).
+        Answers are identical to calling :meth:`query` per query;
         each scored answer's latency is the batch scoring time amortised
         over the queries it was scored with.
 
@@ -419,6 +422,8 @@ class BatchQueryEngine:
             pending = []
             pending_branches = []
             pending_keys: List = []
+            first_of: Dict = {}  # cache key -> position of the row that gets scored
+            repeats: List[Tuple[int, int]] = []
             probe_started = time.perf_counter()
             for position, query in enumerate(queries):
                 if query.top_k is not None:
@@ -434,6 +439,10 @@ class BatchQueryEngine:
                 start = time.perf_counter()
                 query_branches = query.branches()
                 cache_key = self._cache_key(query_branches, query)
+                first = first_of.get(cache_key)
+                if first is not None:
+                    repeats.append((position, first))
+                    continue
                 cached = self.cache.get(cache_key)
                 if cached is not None:
                     _CACHE_HITS.inc()
@@ -442,6 +451,7 @@ class BatchQueryEngine:
                     )
                     continue
                 _CACHE_MISSES.inc()
+                first_of[cache_key] = position
                 pending.append(position)
                 pending_branches.append(query_branches)
                 pending_keys.append(cache_key)
@@ -471,6 +481,8 @@ class BatchQueryEngine:
                         self.cache.put(
                             cache_key, self._copy_answer(answer, per_query_elapsed)
                         )
+                for position, first in repeats:
+                    answers[position] = self._copy_answer(answers[first], per_query_elapsed)
         _SECONDS_BATCH.observe(time.perf_counter() - batch_started)
         return answers  # type: ignore[return-value]
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
 
 from repro.core.search import GBDASearch
@@ -145,3 +146,83 @@ class TestBackendPlumbing:
             b = native_engine.query(query)
             assert a.accepted_ids == b.accepted_ids
             assert a.scores == b.scores
+
+
+@needs_native
+class TestMergePostingsParity:
+    """The write-path kernel: native and NumPy emit the same next snapshot."""
+
+    ORDERS = np.asarray([3, 5, 3, 9, 5, 4, 12], dtype=np.int64)  # rows 0..6
+    #: ten postings over four keys; rows 0..3, position-sorted within each key
+    OLD = (
+        np.asarray([0, 3, 4, 8, 10], dtype=np.int64),
+        np.asarray([0, 2, 3, 1, 0, 1, 2, 3, 1, 3], dtype=np.int32),
+        np.asarray([1, 2, 1, 3, 1, 1, 2, 1, 2, 4], dtype=np.int32),
+        4,
+    )
+    EMPTY = (np.zeros(1, dtype=np.int64), np.empty(0, np.int32), np.empty(0, np.int32), 0)
+
+    @staticmethod
+    def pending(*postings):
+        columns = np.asarray(postings, dtype=np.int64).reshape(-1, 3)
+        return tuple(np.ascontiguousarray(columns[:, i]) for i in range(3))
+
+    def check(self, csr, pending, num_keys, orders):
+        """Both backends, with and without each carried structure; returns the merged CSR."""
+        from repro.db.kernels import native
+
+        merged = None
+        for blocks in (None, numpy_impl.build_order_blocks(csr, orders[: csr[3]])):
+            for with_probe_codes in (False, True):
+                args = (csr, blocks, with_probe_codes, pending, num_keys, orders,
+                        np.int32, np.int32)
+                mine = native.merge_postings(*args)
+                theirs = numpy_impl.merge_postings(*args)
+                merged = (*mine[0], len(orders))
+                for a, b in zip(mine[0], theirs[0]):
+                    assert a.dtype == b.dtype and np.array_equal(a, b)
+                assert (mine[1] is None) == (blocks is None)
+                if blocks is not None:
+                    built = numpy_impl.build_order_blocks(merged, orders)
+                    for a, b, c in zip(mine[1], theirs[1], built):
+                        assert np.array_equal(a, b) and np.array_equal(a, c)
+                assert (mine[2] is None) == (not with_probe_codes)
+                if with_probe_codes:
+                    assert np.array_equal(mine[2], theirs[2])
+                    assert np.array_equal(mine[2], numpy_impl.build_probe_codes(merged))
+        return merged
+
+    def test_known_and_new_keys_with_a_larger_stride(self):
+        # rows 4..6: old keys, a key new to the vocabulary (4), and an order
+        # (12) above every old one, so the block codes are re-based
+        pending = self.pending((1, 4, 2), (3, 4, 1), (0, 5, 1), (4, 5, 3), (1, 6, 1), (4, 6, 2))
+        offsets, positions, counts, rows = self.check(self.OLD, pending, 5, self.ORDERS)
+        assert offsets.tolist() == [0, 4, 7, 11, 14, 16] and rows == 7
+        assert positions.tolist() == [0, 2, 3, 5, 1, 4, 6, 0, 1, 2, 3, 1, 3, 4, 5, 6]
+        assert counts.tolist() == [1, 2, 1, 1, 3, 2, 1, 1, 1, 2, 1, 2, 4, 1, 3, 2]
+
+    def test_empty_pending_still_covers_new_rows(self):
+        # zero-branch rows only: nothing to merge, the stride may still grow
+        merged = self.check(self.OLD, self.pending(), 4, self.ORDERS[:6])
+        assert all(np.array_equal(a, b) for a, b in zip(merged[:3], self.OLD[:3]))
+
+    def test_empty_store(self):
+        pending = self.pending((0, 0, 2), (1, 0, 1), (0, 1, 1), (2, 2, 3))
+        offsets, positions, _counts, _rows = self.check(self.EMPTY, pending, 3, self.ORDERS[:3])
+        assert offsets.tolist() == [0, 2, 3, 4] and positions.tolist() == [0, 1, 0, 2]
+
+    def test_all_new_keys(self):
+        pending = self.pending((4, 4, 1), (5, 4, 2), (6, 5, 1), (4, 6, 1))
+        offsets, positions, _counts, _rows = self.check(self.OLD, pending, 7, self.ORDERS)
+        assert offsets.tolist() == [0, 3, 4, 8, 10, 12, 13, 14]
+        assert positions[10:].tolist() == [4, 6, 4, 5]
+
+    def test_wide_layout_delegates_to_the_reference(self):
+        from repro.db.kernels import native
+
+        pending = self.pending((1, 4, 2), (4, 4, 1))
+        arrays, _blocks, _codes = native.merge_postings(
+            self.OLD, None, False, pending, 5, self.ORDERS[:5], np.int64, np.int32
+        )
+        assert arrays[1].dtype == np.int64 and arrays[2].dtype == np.int32
+        assert arrays[1].tolist() == [0, 2, 3, 1, 4, 0, 1, 2, 3, 1, 3, 4]

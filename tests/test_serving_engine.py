@@ -181,6 +181,41 @@ class TestCacheBehaviour:
         assert -1 not in second.scores
         assert set(second.scores) == set(second.accepted_ids)
 
+    def test_batch_scores_a_repeated_query_once(self, fitted, monkeypatch):
+        """Repeats inside one batch are copies of the first row's answer."""
+        engine = BatchQueryEngine.from_search(fitted)
+        a, b, c = _random_queries(3, seed=79)
+        engine.query(c)  # c is cached before the batch, a and b are not
+        scored = []  # rows per execute_batch call; the engine's own call comes first
+
+        def spy_on(core):
+            execute_batch = core.execute_batch
+
+            def spy(queries, **kwargs):
+                scored.append(len(queries))
+                return execute_batch(queries, **kwargs)
+
+            monkeypatch.setattr(core, "execute_batch", spy)
+
+        spy_on(engine._core)
+        hits, misses = engine.cache.hits, engine.cache.misses
+        batch = [a, b, a, c, a, b, c]
+        answers = engine.query_batch(batch)
+        assert scored[0] == 2  # a and b, once each
+        # repeats of a missed row never probe the cache; c hits it both times
+        assert (engine.cache.hits - hits, engine.cache.misses - misses) == (2, 2)
+        for query, answer in zip(batch, answers):
+            loop = fitted.query(query)
+            assert answer.accepted_ids == loop.answer.accepted_ids
+        assert answers[2] is not answers[0] and answers[2].scores is not answers[0].scores
+        assert answers[2].scores == answers[0].scores
+
+        cacheless = BatchQueryEngine.from_search(fitted, cache_size=None)
+        spy_on(cacheless._core)
+        del scored[:]
+        cacheless.query_batch(batch)
+        assert scored[0] == 7  # no cache key, nothing to deduplicate by
+
     def test_dropped_engine_does_not_leak_subscription(self):
         import gc
 
@@ -214,6 +249,29 @@ class TestIncrementalDatabase:
         loop = search.query(query)
         assert new_id in served.accepted_ids
         assert served.accepted_ids == loop.answer.accepted_ids
+
+
+    def test_a_write_strands_no_row_data_in_the_core(self):
+        """Per-snapshot rows of the execution core are dropped with their snapshot."""
+        rng = random.Random(23)
+        graphs = [
+            random_labeled_graph(rng.randint(5, 8), rng.randint(5, 10), seed=rng)
+            for _ in range(25)
+        ]
+        database = GraphDatabase(graphs, name="serving-write-stream")
+        search = GBDASearch(database, max_tau=3, num_prior_pairs=100, seed=1).fit()
+        engine = BatchQueryEngine.from_search(search, cache_size=None, keep_scores="all")
+        core = engine._core
+        queries = _random_queries(6, seed=29, max_tau=3)
+        for round_ in range(5):
+            for query in queries:
+                assert engine.query(query).accepted_ids == search.query(query).answer.accepted_ids
+            engine.query_batch(queries)
+            snapshot_orders, rows = core._snapshot_rows
+            assert snapshot_orders is core.index.store.view()[1]
+            assert all(len(row) == len(database) for row in rows.values())
+            assert len(rows) <= len({q.query_graph.num_vertices for q in queries}) + 1
+            database.add_many([graphs[round_].copy(name=f"late-{round_}")])
 
 
 class TestRevisionScopedCache:
