@@ -1,22 +1,28 @@
-"""Service-layer throughput: micro-batched concurrency vs a serial client.
+"""Service-layer latency and throughput: a lone caller, then concurrency.
 
 Starts a real :class:`~repro.service.server.SimilarityService` (asyncio TCP,
 length-prefixed JSON protocol) over a fitted engine and drives it two ways:
 
-* **serial** — one connection, one query at a time: every request pays the
-  full round-trip and scores as a batch of one;
+* **lone caller** — one connection, the next query sent when the answer
+  arrived: every request pays the full round-trip and scores as a batch of
+  one.  Its p50/p90 latency (``LONE_PASSES`` passes of the query stream
+  after a warm-up pass) is the headline: it is what one remote user
+  observes, and the micro-batcher must add nothing to it;
 * **concurrent** — N client threads with pipelined requests: the server's
   :class:`~repro.service.batcher.MicroBatcher` coalesces the in-flight
   queries into single ``query_batch`` calls, which is exactly how the
   engine's batched-execution speedup becomes concurrent serving throughput.
 
 Assertions: answers received over the wire are bit-identical to direct
-engine calls on every path, and (full mode) coalesced concurrent QPS clears
-``MIN_CONCURRENT_SPEEDUP``x the serial single-connection QPS.  The run
-emits the machine-readable ``results/BENCH_service.json`` (QPS, speedup,
-batch occupancy, latency percentiles) uploaded by CI next to the other
-BENCH files; ``REPRO_SMOKE=1`` shrinks the workload and keeps only the
-parity assertions.
+engine calls on every path, the concurrent clients were coalesced, and
+(full mode) the coalesced concurrent QPS is above the lone caller's.  (The
+bar used to be 2x, against a lone caller that spent two thirds of every
+round-trip in the batcher's 2 ms timer; without the timer the lone caller
+is bound by the round-trip and the concurrent clients by the CPU, ~3x
+apart on the 2000-graph workload.)  The run emits the machine-readable
+``results/BENCH_service.json`` (lone-caller latency, QPS, batch occupancy)
+uploaded by CI next to the other BENCH files; ``REPRO_SMOKE=1`` shrinks
+the workload and keeps only the parity assertions.
 """
 
 from __future__ import annotations
@@ -27,6 +33,7 @@ import random
 import threading
 import time
 
+import numpy as np
 import pytest
 
 from repro.core.search import GBDASearch
@@ -41,7 +48,7 @@ SMOKE = os.environ.get("REPRO_SMOKE", "") not in ("", "0")
 DATABASE_SIZE = 300 if SMOKE else 2000
 NUM_QUERIES = 48 if SMOKE else 240          # total queries per measured pass
 NUM_CLIENTS = 8                              # concurrent connections
-MIN_CONCURRENT_SPEEDUP = 2.0                 # coalesced concurrent vs serial QPS
+LONE_PASSES = 2 if SMOKE else 3              # timed passes of the lone caller (>= 512 queries)
 
 
 @pytest.fixture(scope="module")
@@ -73,15 +80,22 @@ def test_micro_batched_concurrency_beats_serial_connection(service_workload, res
     engine, queries = service_workload
     direct = [engine.query(query) for query in queries]  # also warms the tables
 
-    handle = start_service_thread(engine, max_batch=64, max_delay_ms=2.0)
+    handle = start_service_thread(engine, max_batch=64)
     try:
-        # --- serial: one connection, strict request/response lockstep ----- #
+        # --- lone caller: one connection, strict request/response lockstep #
+        lone_latencies = []
         with ServiceClient(*handle.address, timeout=120.0) as client:
             serial_answers = [client.query(query) for query in queries]  # warm pass
-            start = time.perf_counter()
-            serial_answers = [client.query(query) for query in queries]
-            serial_seconds = time.perf_counter() - start
-        serial_qps = len(queries) / serial_seconds
+            for _ in range(LONE_PASSES):
+                for position, query in enumerate(queries):
+                    start = time.perf_counter()
+                    serial_answers[position] = client.query(query)
+                    lone_latencies.append(time.perf_counter() - start)
+        serial_seconds = sum(lone_latencies)
+        serial_qps = len(lone_latencies) / serial_seconds
+        lone_p50_ms, lone_p90_ms = (
+            float(np.percentile(lone_latencies, q)) * 1e3 for q in (50, 90)
+        )
 
         for received, expected in zip(serial_answers, direct):
             assert received.accepted_ids == expected.accepted_ids
@@ -135,11 +149,18 @@ def test_micro_batched_concurrency_beats_serial_connection(service_workload, res
         "database_size": DATABASE_SIZE,
         "num_queries": len(queries),
         "num_clients": NUM_CLIENTS,
+        "lone_caller": {
+            "queries": len(lone_latencies),
+            "p50_ms": lone_p50_ms,
+            "p90_ms": lone_p90_ms,
+        },
         "qps": {
             "serial_single_connection": serial_qps,
             "concurrent_micro_batched": concurrent_qps,
-            "speedup": speedup,
         },
+        # Neither direction is better (a faster lone caller lowers it), so
+        # the key carries none of check_regression's higher-is-better markers.
+        "concurrent_over_serial": speedup,
         "batcher": {
             "batches_flushed": batches,
             "mean_batch_size": mean_batch,
@@ -164,14 +185,17 @@ def test_micro_batched_concurrency_beats_serial_connection(service_workload, res
         f"Service throughput on |D|={DATABASE_SIZE}, {len(queries)} queries "
         f"(tau in 1..3, gamma=0.5), {NUM_CLIENTS} concurrent clients",
         "",
-        f"{'path':<42}{'seconds':>10}{'QPS':>12}",
-        f"{'serial single connection':<42}{serial_seconds:>10.3f}{serial_qps:>12.1f}",
-        f"{'concurrent micro-batched':<42}{concurrent_seconds:>10.3f}{concurrent_qps:>12.1f}",
+        f"{'path':<34}{'queries':>8}{'seconds':>10}{'QPS':>10}{'p50 ms':>9}{'p90 ms':>9}",
+        f"{'lone caller, one connection':<34}{len(lone_latencies):>8}{serial_seconds:>10.3f}"
+        f"{serial_qps:>10.1f}{lone_p50_ms:>9.2f}{lone_p90_ms:>9.2f}",
+        f"{'concurrent micro-batched':<34}{len(queries):>8}{concurrent_seconds:>10.3f}"
+        f"{concurrent_qps:>10.1f}",
         "",
-        f"concurrent speedup: {speedup:.1f}x (required >= {MIN_CONCURRENT_SPEEDUP:.0f}x)",
+        f"concurrent over lone caller: {speedup:.1f}x (required > 1x)",
         f"coalescing: {batches} batches, mean size {mean_batch:.1f}, "
         f"largest {metrics['batcher']['largest_batch']}",
-        f"latency p50/p95/p99: {metrics['serving']['p50_latency'] * 1e3:.2f} / "
+        "server-side latency p50/p95/p99, all phases: "
+        f"{metrics['serving']['p50_latency'] * 1e3:.2f} / "
         f"{metrics['serving']['p95_latency'] * 1e3:.2f} / "
         f"{metrics['serving']['p99_latency'] * 1e3:.2f} ms",
     ]
@@ -182,7 +206,7 @@ def test_micro_batched_concurrency_beats_serial_connection(service_workload, res
 
     assert mean_batch > 1.0, "concurrent clients should have been coalesced"
     if not SMOKE:
-        assert speedup >= MIN_CONCURRENT_SPEEDUP, (
+        assert concurrent_qps > serial_qps, (
             f"concurrent QPS {concurrent_qps:.1f} is only {speedup:.2f}x "
-            f"the serial single-connection QPS {serial_qps:.1f}"
+            f"the lone caller's {serial_qps:.1f}"
         )

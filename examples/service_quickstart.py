@@ -64,8 +64,8 @@ def main() -> None:
     # -- start the server (loads the engine from the snapshot) ----------- #
     handle = start_service_thread(
         snapshot_path=snapshot_v0,
-        max_batch=32,          # flush as soon as 32 queries are waiting ...
-        max_delay_ms=2.0,      # ... or 2 ms after the first one arrived
+        max_batch=32,          # flush at 32 queries, or as soon as the event
+                               # loop has no more to deliver (never a timer)
         max_pending=256,       # shed load beyond 256 in-flight queries
         trace_sample_rate=1.0,  # demo: trace everything (production: ~0.01)
         slow_query_ms=0.0,      # demo: every query lands in the slow log

@@ -10,8 +10,11 @@ requests are coalesced into single ``query_batch`` calls.
   exact codecs for queries (including the graph) and answers (including
   top-k rankings): answers received over the wire are bit-identical to
   direct engine calls.
-* :class:`~repro.service.batcher.MicroBatcher` — flush-on-full /
-  bounded-delay coalescing of concurrently-arriving queries.
+* :class:`~repro.service.batcher.MicroBatcher` — work-conserving
+  coalescing of concurrently-arriving queries: a batch is flushed when it
+  is full or on the first event-loop turn that adds no query to it (at
+  most ``max_batch`` turns, never a timer), so a lone query is not held
+  back and arrivals during a running batch form the next one.
 * :class:`~repro.service.admission.AdmissionController` — bounded queue
   depth + per-connection backpressure; sheds load with a typed
   ``OVERLOADED`` response instead of stalling.

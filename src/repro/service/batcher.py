@@ -5,16 +5,26 @@ is several times faster per query than the per-query path — one ``(Q, D)``
 columnar intersection pass and shared posterior tables for the whole batch
 — but a network server naively answering each request as it arrives never
 hands the engine more than a batch of one.  :class:`MicroBatcher` closes
-that gap the way production model servers do: concurrently-arriving
-queries wait at most ``max_delay_ms`` for company, then the whole group is
-scored in a single batch call.
+that gap without making anybody wait on a clock: it is *work-conserving*.
 
-Mechanics: a single worker task pops the first waiting query, then keeps
-collecting until the batch is full (``max_batch`` — *flush-on-full*, no
-added latency under heavy load) or the tick deadline expires
-(``max_delay_ms`` — bounded added latency under light load).  While a
-batch is executing, new arrivals simply accumulate in the queue and form
-the next batch, so batch size adapts to instantaneous load with no tuning.
+The rule: a single worker task takes the first waiting query, drains
+whatever else is queued, and while the batch is not full (``max_batch``)
+yields to the event loop one turn at a time for as long as each turn
+delivers company.  One turn is what a request whose frame has been read
+needs to reach :meth:`MicroBatcher.submit` (its handler task is already
+scheduled), so requests that arrived together — a pipelined burst, the
+replies-then-requests lockstep of a closed loop — ride in one batch.  The
+worker flushes on the first turn that delivers nothing, or at
+``max_batch``.  No timer is ever armed: a lone query is scored two loop
+turns after it was submitted, and since every lingering turn must add a
+query the linger is bounded by ``max_batch`` turns — there is nothing to
+tune.
+
+What is further back than one turn (bytes still in a socket buffer) is not
+waited for, and does not need to be: while a batch is executing, new
+arrivals simply accumulate in the queue and form the next batch on their
+own, so batch size adapts to instantaneous load.  At saturation a timer
+adds nothing; below it, pure delay.
 
 The batch runner is an ``async`` callable supplied by the server (which
 offloads the numpy scoring to a thread so the event loop keeps accepting
@@ -66,7 +76,7 @@ _FLUSHES = get_registry().counter(
     "repro_batcher_flushes_total", "Micro-batch flushes by trigger", ("kind",)
 )
 _FLUSHES_FULL = _FLUSHES.labels(kind="full")
-_FLUSHES_TIMER = _FLUSHES.labels(kind="timer")
+_FLUSHES_DRAINED = _FLUSHES.labels(kind="drained")
 _DEADLINE_DROPPED_BATCHER = get_registry().counter(
     "repro_deadline_drops_total",
     "Queries dropped because their deadline expired, by pipeline stage",
@@ -84,24 +94,14 @@ class MicroBatcher:
         same-order list of answers (typically an executor offload of
         ``engine.query_batch``).
     max_batch:
-        Flush as soon as this many queries are waiting (>= 1).
-    max_delay_ms:
-        Longest time the first query of a batch waits for company before
-        the batch is flushed anyway (>= 0; 0 batches only what is already
-        queued).
+        Flush as soon as this many queries are waiting (>= 1).  A smaller
+        batch is flushed on the first event-loop turn that adds no query
+        to it (see the module docstring); there is no delay to configure.
     """
 
-    def __init__(
-        self,
-        run_batch: BatchRunner,
-        *,
-        max_batch: int = 32,
-        max_delay_ms: float = 2.0,
-    ) -> None:
+    def __init__(self, run_batch: BatchRunner, *, max_batch: int = 32) -> None:
         if max_batch < 1:
             raise ServiceError("max_batch must be a positive integer")
-        if max_delay_ms < 0:
-            raise ServiceError("max_delay_ms must be non-negative")
         self._run_batch = run_batch
         # Trace plumbing is opt-in per runner: a runner declaring a ``trace``
         # parameter receives the batch-level QueryTrace; plain
@@ -111,7 +111,6 @@ class MicroBatcher:
         except (TypeError, ValueError):  # pragma: no cover - exotic callables
             self._runner_takes_trace = False
         self.max_batch = int(max_batch)
-        self.max_delay = float(max_delay_ms) / 1000.0
         self._queue: "asyncio.Queue" = asyncio.Queue()
         self._worker: "asyncio.Task | None" = None
         self._closed = False
@@ -194,7 +193,6 @@ class MicroBatcher:
         """Flat summary for the metrics endpoint."""
         return {
             "max_batch": self.max_batch,
-            "max_delay_ms": self.max_delay * 1000.0,
             "queue_depth": self.queue_depth,
             "batches_flushed": self.batches_flushed,
             "queries_batched": self.queries_batched,
@@ -208,25 +206,22 @@ class MicroBatcher:
     # worker
     # ------------------------------------------------------------------ #
     async def _work(self) -> None:
-        loop = asyncio.get_running_loop()
+        queue = self._queue
         stopping = False
         while not stopping:
-            item = await self._queue.get()
+            item = await queue.get()
             if item is _SHUTDOWN:
                 break
             batch: List[Tuple[SimilarityQuery, Any]] = [item]
-            deadline = loop.time() + self.max_delay
             while len(batch) < self.max_batch:
-                try:
-                    nxt = self._queue.get_nowait()
-                except asyncio.QueueEmpty:
-                    remaining = deadline - loop.time()
-                    if remaining <= 0:
+                if queue.empty():
+                    # Linger in loop turns, not milliseconds: one bare yield
+                    # lets every handler task that is already scheduled reach
+                    # submit(); a turn that adds nothing ends the batch.
+                    await asyncio.sleep(0)
+                    if queue.empty():
                         break
-                    try:
-                        nxt = await asyncio.wait_for(self._queue.get(), remaining)
-                    except asyncio.TimeoutError:
-                        break
+                nxt = queue.get_nowait()
                 if nxt is _SHUTDOWN:
                     stopping = True
                     break
@@ -260,6 +255,9 @@ class MicroBatcher:
         return live
 
     async def _flush(self, batch: List[Tuple[SimilarityQuery, Any, Any, float, Any]]) -> None:
+        # Classified as assembled: a full batch stays "full" even when
+        # expired entries are shed from it below.
+        full = len(batch) >= self.max_batch
         batch = self._drop_expired(batch)
         if not batch:
             _QUEUE_DEPTH.set(self._queue.qsize())
@@ -296,11 +294,11 @@ class MicroBatcher:
             self.batches_flushed += 1
             self.queries_batched += len(batch)
             self.largest_batch = max(self.largest_batch, len(batch))
-            if len(batch) >= self.max_batch:
+            if full:
                 self.full_flushes += 1
                 _FLUSHES_FULL.inc()
             else:
-                _FLUSHES_TIMER.inc()
+                _FLUSHES_DRAINED.inc()
             _BATCH_SIZE.observe(len(batch))
             _QUEUE_DEPTH.set(self._queue.qsize())
         if batch_trace is not None:

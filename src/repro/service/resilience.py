@@ -482,6 +482,10 @@ class IdempotencyCache:
         while len(self._entries) > self.capacity:
             self._entries.popitem(last=False)
 
+    def clear(self) -> None:
+        """Forget every answer (the hit/miss counters keep counting)."""
+        self._entries.clear()
+
     def __len__(self) -> int:
         return len(self._entries)
 

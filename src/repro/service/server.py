@@ -166,8 +166,10 @@ class SimilarityService:
         Default snapshot for engine (re)loads.
     host, port:
         Listen address; port 0 picks a free port (see :attr:`port`).
-    max_batch, max_delay_ms:
-        Micro-batcher knobs (see :class:`~repro.service.batcher.MicroBatcher`).
+    max_batch:
+        Largest micro-batch (see :class:`~repro.service.batcher.MicroBatcher`;
+        smaller batches flush as soon as the event loop has no more queries
+        to deliver — there is no batching delay to set).
     max_pending, max_per_connection:
         Admission budgets (see :class:`~repro.service.admission.AdmissionController`).
     latency_window:
@@ -205,7 +207,6 @@ class SimilarityService:
         host: str = "127.0.0.1",
         port: int = 0,
         max_batch: int = 32,
-        max_delay_ms: float = 2.0,
         max_pending: int = 1024,
         max_per_connection: int = 0,
         latency_window: int = ServingStats.DEFAULT_LATENCY_WINDOW,
@@ -226,9 +227,7 @@ class SimilarityService:
         self.admission = AdmissionController(
             max_pending=max_pending, max_per_connection=max_per_connection
         )
-        self.batcher = MicroBatcher(
-            self._run_batch, max_batch=max_batch, max_delay_ms=max_delay_ms
-        )
+        self.batcher = MicroBatcher(self._run_batch, max_batch=max_batch)
         self.stats = ServingStats(latency_window=latency_window)
         self.idempotency = IdempotencyCache(capacity=idempotency_capacity)
         self.tracer = Tracer(sample_rate=trace_sample_rate)
@@ -298,10 +297,15 @@ class SimilarityService:
         queries batched after it score on the new one — zero downtime and
         no torn answers.
 
+        The idempotency cache is cleared with the swap: its answers are the
+        old model's, and a query still in flight across the swap is not
+        cached at all (it may have been scored on either side of it).
+
         Failure is *non-fatal by construction*: a missing, truncated, or
         checksum-failing snapshot raises before the swap assignment, so the
-        last-good engine keeps serving; the attempt is counted in
-        ``repro_reload_failures_total`` and the metrics document.
+        last-good engine (and its answer cache) keeps serving; the attempt
+        is counted in ``repro_reload_failures_total`` and the metrics
+        document.
 
         The swap serializes with :meth:`stop` through ``_reload_lock``:
         once shutdown has begun a reload is refused, and :meth:`stop` waits
@@ -326,6 +330,11 @@ class SimilarityService:
                 raise
             previous = self._engine
             self._engine = engine
+            # An answer cache belongs to the model that produced it: a retry
+            # or hedge landing after the swap is re-scored on the new engine,
+            # never answered ``cached`` with the old model's result.  (A
+            # failed load raised above and kept engine and cache.)
+            self.idempotency.clear()
             self._reloads += 1
             _RELOADS.inc()
         # The tracer ring and slow log intentionally survive the swap (their
@@ -649,6 +658,7 @@ class SimilarityService:
             if trace is not None:
                 trace.add("decode", time.perf_counter() - start, depth=0)
             batcher_started = time.perf_counter()
+            swaps_before = self._reloads
             answer = await self.batcher.submit(query, trace, deadline)
             if trace is not None:
                 trace.add("batcher", time.perf_counter() - batcher_started, depth=0)
@@ -687,7 +697,7 @@ class SimilarityService:
             self.admission.release(connection_id)
         serialize_started = time.perf_counter()
         encoded = encode_answer(answer)
-        if request_key is not None:
+        if request_key is not None and self._reloads == swaps_before:
             self.idempotency.put(str(request_key), encoded)
         payload = {"id": message_id, "kind": "answer", "answer": encoded}
         latency = time.perf_counter() - start

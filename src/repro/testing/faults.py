@@ -461,6 +461,16 @@ class FaultyEngine:
         self._engine = engine
         self._injector = injector
 
+    @classmethod
+    def holding(cls, engine, stall_ms: float) -> "FaultyEngine":
+        """``engine`` behind a scorer that holds *every* batch for ``stall_ms``.
+
+        The way to keep queries waiting in a test: the micro-batcher never
+        holds a query back on its own, so a queue forms — as in production —
+        only behind a batch that is still being scored.
+        """
+        return cls(engine, FaultInjector(engine_stall=1.0, stall_ms=(stall_ms, stall_ms)))
+
     def query_batch(self, queries, **kwargs):
         action, stall = self._injector.engine_action()
         if action == "raise":

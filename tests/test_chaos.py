@@ -159,7 +159,7 @@ def _wire_case(engine, workload, name, **fault_probs):
     fault class, whatever the seed.
     """
     injector = FaultInjector(CHAOS_SEED, **fault_probs)
-    handle = start_service_thread(engine, max_batch=8, max_delay_ms=2.0)
+    handle = start_service_thread(engine, max_batch=8)
     proxy = start_fault_proxy(handle.address, injector)
     try:
         for _ in range(5):
@@ -200,7 +200,7 @@ class TestEngineFaults:
     def test_mid_batch_exceptions(self, engine, workload):
         injector = FaultInjector(CHAOS_SEED, engine_fault=0.3)
         handle = start_service_thread(
-            FaultyEngine(engine, injector), max_batch=8, max_delay_ms=2.0
+            FaultyEngine(engine, injector), max_batch=8
         )
         try:
             outcomes = _run_workload(handle.address, workload)
@@ -214,7 +214,7 @@ class TestEngineFaults:
             CHAOS_SEED, engine_stall=0.4, stall_ms=(20.0, 120.0)
         )
         handle = start_service_thread(
-            FaultyEngine(engine, injector), max_batch=8, max_delay_ms=2.0
+            FaultyEngine(engine, injector), max_batch=8
         )
         try:
             outcomes = _run_workload(handle.address, workload, read_timeout=1.0)
@@ -226,7 +226,7 @@ class TestEngineFaults:
 class TestProcessFaults:
     def test_kill_and_restart_mid_workload(self, engine, workload):
         queries, direct = workload
-        chaos = ChaosService(engine, max_batch=8, max_delay_ms=2.0)
+        chaos = ChaosService(engine, max_batch=8)
         chaos.start()
         injector = FaultInjector(CHAOS_SEED)  # only for schedule/dump symmetry
         outcomes = []
@@ -277,7 +277,7 @@ class TestCombinedChaos:
             stall_ms=(10.0, 80.0),
         )
         handle = start_service_thread(
-            FaultyEngine(engine, injector), max_batch=8, max_delay_ms=2.0
+            FaultyEngine(engine, injector), max_batch=8
         )
         proxy = start_fault_proxy(handle.address, injector)
         try:
@@ -304,7 +304,7 @@ class TestCombinedChaos:
         queries, _ = workload
         injector = FaultInjector(CHAOS_SEED, drop=0.25)
         tracer = Tracer(sample_rate=1.0, keep=4 * len(queries), seed=CHAOS_SEED)
-        handle = start_service_thread(engine, max_batch=8, max_delay_ms=2.0)
+        handle = start_service_thread(engine, max_batch=8)
         proxy = start_fault_proxy(handle.address, injector)
         try:
             client = ServiceClient(

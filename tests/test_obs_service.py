@@ -41,6 +41,7 @@ from repro.obs.trace import Tracer
 from repro.serving import BatchQueryEngine, load_engine, save_engine
 from repro.service import AsyncServiceClient, HedgePolicy, ServiceClient, start_service_thread
 from repro.service.protocol import query_request, recv_frame, send_frame
+from repro.testing.faults import FaultyEngine
 
 
 @pytest.fixture(scope="module")
@@ -72,7 +73,6 @@ def handle(engine):
     with start_service_thread(
         engine,
         max_batch=8,
-        max_delay_ms=1.0,
         trace_sample_rate=1.0,  # every query traced: deterministic assertions
         slow_query_ms=0.0,  # every query is "slow": the log always fills
         metrics_port=0,
@@ -288,13 +288,16 @@ class TestDistributedTracing:
         # query is served untraced.
         assert handle.service.tracer.find(trace_id) == []
 
-    def test_hedged_query_is_one_root_trace_with_tagged_children(self, handle):
+    def test_hedged_query_is_one_root_trace_with_tagged_children(self, engine):
         tracer = Tracer(sample_rate=1.0, seed=7)
         queries = _random_queries(3, seed=55)
+        # A scorer that holds every batch 20 ms keeps the primary in flight
+        # past the hedge delay: every query hedges.
+        slow = FaultyEngine.holding(engine, 20.0)
 
-        async def run():
+        async def run(address):
             client = await AsyncServiceClient.connect(
-                *handle.address,
+                *address,
                 tracer=tracer,
                 hedge=HedgePolicy(percentile=50.0, min_delay_ms=0.01),
             )
@@ -304,7 +307,8 @@ class TestDistributedTracing:
             finally:
                 await client.close()
 
-        asyncio.run(run())
+        with start_service_thread(slow, max_batch=8, trace_sample_rate=1.0) as handle:
+            asyncio.run(run(handle.address))
         docs = tracer.recent_traces(limit=len(queries))
         assert len(docs) == len(queries)
         for doc in docs:

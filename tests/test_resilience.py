@@ -41,6 +41,7 @@ from repro.service import (
     ServiceClient,
     start_service_thread,
 )
+from repro.testing.faults import FaultyEngine
 
 
 # ---------------------------------------------------------------------- #
@@ -351,10 +352,10 @@ class TestClientTimeouts:
 # ---------------------------------------------------------------------- #
 class TestRetryIntegration:
     def test_overload_is_retried_to_success(self, engine):
-        # One in-flight query per connection + a long tick: a pipelined
+        # One in-flight query per connection + a slow scorer: a pipelined
         # burst trips OVERLOADED. With retries, every slot converges.
         handle = start_service_thread(
-            engine, max_batch=64, max_delay_ms=30.0, max_per_connection=1
+            FaultyEngine.holding(engine, 30.0), max_batch=64, max_per_connection=1
         )
         queries = _queries(6, seed=89)
         direct = [engine.query(query) for query in queries]
@@ -374,7 +375,7 @@ class TestRetryIntegration:
 
         queries = _queries(3, seed=97)
         direct = [engine.query(query) for query in queries]
-        chaos = ChaosService(engine, max_batch=8, max_delay_ms=2.0)
+        chaos = ChaosService(engine, max_batch=8)
         chaos.start()
         retry = RetryPolicy(max_attempts=10, base_delay_ms=50, max_delay_ms=400, seed=2)
         client = ServiceClient(*chaos.address, retry=retry, read_timeout=10.0)
@@ -394,7 +395,7 @@ class TestRetryIntegration:
 
         query = _queries(1, seed=101)[0]
         expected = engine.query(query)
-        chaos = ChaosService(engine, max_batch=8, max_delay_ms=2.0)
+        chaos = ChaosService(engine, max_batch=8)
         chaos.start()
 
         async def run():
@@ -421,7 +422,7 @@ class TestRetryIntegration:
 
     def test_no_retry_policy_raises_immediately(self, engine):
         handle = start_service_thread(
-            engine, max_batch=64, max_delay_ms=100.0, max_per_connection=1
+            FaultyEngine.holding(engine, 100.0), max_batch=64, max_per_connection=1
         )
         queries = _queries(5, seed=103)
         try:
@@ -437,7 +438,7 @@ class TestRetryIntegration:
 # ---------------------------------------------------------------------- #
 class TestIdempotencyIntegration:
     def test_duplicate_request_key_served_from_cache(self, engine):
-        handle = start_service_thread(engine, max_batch=8, max_delay_ms=1.0)
+        handle = start_service_thread(engine, max_batch=8)
         query = _queries(1, seed=107)[0]
         try:
             with ServiceClient(*handle.address) as client:
@@ -464,7 +465,7 @@ class TestIdempotencyIntegration:
 # ---------------------------------------------------------------------- #
 class TestBreakerIntegration:
     def test_breaker_fails_fast_after_endpoint_death(self, engine):
-        handle = start_service_thread(engine, max_batch=8, max_delay_ms=1.0)
+        handle = start_service_thread(engine, max_batch=8)
         query = _queries(1, seed=109)[0]
         breaker = CircuitBreaker(failure_threshold=2, reset_timeout_ms=60_000)
         client = ServiceClient(*handle.address, breaker=breaker, read_timeout=1.0)
@@ -509,7 +510,7 @@ class TestResilienceMetrics:
         assert 'repro_service_requests_total{outcome="deadline_exceeded"}' in text
 
     def test_server_scrape_carries_the_resilience_section(self, engine):
-        handle = start_service_thread(engine, max_batch=8, max_delay_ms=1.0)
+        handle = start_service_thread(engine, max_batch=8)
         try:
             with ServiceClient(*handle.address) as client:
                 stats = client.stats()
@@ -527,10 +528,10 @@ class TestResilienceMetrics:
 # ---------------------------------------------------------------------- #
 class TestHedgingIntegration:
     def test_hedged_duplicate_resolves_first_response_wins(self, engine):
-        # A slow batching tick (150 ms) keeps every primary in flight well
+        # A slow scorer (150 ms a batch) keeps every primary in flight well
         # past the zero-floor hedge delay: all requests deterministically
         # hedge, which stresses the demux path hardest.
-        handle = start_service_thread(engine, max_batch=64, max_delay_ms=150.0)
+        handle = start_service_thread(FaultyEngine.holding(engine, 150.0), max_batch=64)
         queries = _queries(8, seed=113)
         direct = [engine.query(query) for query in queries]
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 import asyncio
 import random
 import threading
+import time
 
 import pytest
 
@@ -33,10 +34,12 @@ from repro.serving import BatchQueryEngine, load_engine, save_engine
 from repro.service import (
     AdmissionController,
     AsyncServiceClient,
+    Deadline,
     MicroBatcher,
     ServiceClient,
     start_service_thread,
 )
+from repro.testing.faults import FaultInjector, FaultyEngine
 
 
 # ---------------------------------------------------------------------- #
@@ -83,6 +86,13 @@ def _random_queries(num, seed, max_tau=4, with_topk=True):
     return queries
 
 
+def _wait_until(condition, timeout: float = 30.0) -> bool:
+    deadline = time.monotonic() + timeout
+    while not condition() and time.monotonic() < deadline:
+        time.sleep(0.005)
+    return condition()
+
+
 def _assert_identical(received: QueryAnswer, direct: QueryAnswer) -> None:
     assert received.accepted_ids == direct.accepted_ids
     assert received.scores == direct.scores
@@ -100,7 +110,7 @@ class TestConcurrentParity:
         queries = _random_queries(16, seed=23)
         direct = [engine.query(query) for query in queries]
 
-        handle = start_service_thread(engine, max_batch=16, max_delay_ms=3.0)
+        handle = start_service_thread(engine, max_batch=16)
         failures = []
 
         def run_client(worker: int) -> None:
@@ -133,7 +143,7 @@ class TestConcurrentParity:
     def test_async_client_pipelines_one_connection(self, engine):
         queries = _random_queries(12, seed=29)
         direct = [engine.query(query) for query in queries]
-        handle = start_service_thread(engine, max_batch=12, max_delay_ms=3.0)
+        handle = start_service_thread(engine, max_batch=12)
 
         async def run() -> None:
             client = await AsyncServiceClient.connect(*handle.address)
@@ -157,11 +167,11 @@ class TestConcurrentParity:
 # ---------------------------------------------------------------------- #
 class TestOverload:
     def test_overload_returns_typed_error_instead_of_hanging(self, engine):
-        # One in-flight query per connection; a long batching tick keeps the
+        # One in-flight query per connection; a slow scorer keeps the
         # first query in flight while the rest of the pipelined burst
         # arrives — they must be shed immediately, not queued.
         handle = start_service_thread(
-            engine, max_batch=64, max_delay_ms=250.0, max_per_connection=1
+            FaultyEngine.holding(engine, 100.0), max_batch=64, max_per_connection=1
         )
         queries = _random_queries(10, seed=31, with_topk=False)
         direct = [engine.query(query) for query in queries]
@@ -182,7 +192,7 @@ class TestOverload:
 
     def test_query_raises_typed_exception_without_return_errors(self, engine):
         handle = start_service_thread(
-            engine, max_batch=64, max_delay_ms=250.0, max_per_connection=1
+            FaultyEngine.holding(engine, 100.0), max_batch=64, max_per_connection=1
         )
         queries = _random_queries(6, seed=37, with_topk=False)
         try:
@@ -238,7 +248,7 @@ class TestMicroBatcher:
             return [f"answer-{id(query)}" for query in queries]
 
         async def scenario():
-            batcher = MicroBatcher(runner, max_batch=16, max_delay_ms=20.0)
+            batcher = MicroBatcher(runner, max_batch=16)
             batcher.start()
             futures = [batcher.submit(object()) for _ in range(5)]
             results = await asyncio.gather(*futures)
@@ -249,7 +259,7 @@ class TestMicroBatcher:
         assert len(results) == 5
         assert seen_batches == [5]
 
-    def test_flush_on_full_does_not_wait_for_the_timer(self):
+    def test_flush_on_full_is_immediate(self):
         seen_batches = []
 
         async def runner(queries):
@@ -258,7 +268,7 @@ class TestMicroBatcher:
 
         async def scenario():
             loop = asyncio.get_running_loop()
-            batcher = MicroBatcher(runner, max_batch=3, max_delay_ms=10_000.0)
+            batcher = MicroBatcher(runner, max_batch=3)
             batcher.start()
             start = loop.time()
             await asyncio.gather(*[batcher.submit(i) for i in range(3)])
@@ -278,10 +288,10 @@ class TestMicroBatcher:
             return list(queries)
 
         async def scenario():
-            batcher = MicroBatcher(runner, max_batch=100, max_delay_ms=10_000.0)
+            batcher = MicroBatcher(runner, max_batch=100)
             batcher.start()
             futures = [batcher.submit(i) for i in range(7)]
-            await batcher.stop()  # must not wait 10 s, must answer all 7
+            await batcher.stop()  # must answer all 7
             return await asyncio.gather(*futures)
 
         results = asyncio.run(scenario())
@@ -293,7 +303,7 @@ class TestMicroBatcher:
             return list(queries)
 
         async def scenario():
-            batcher = MicroBatcher(runner, max_batch=4, max_delay_ms=1.0)
+            batcher = MicroBatcher(runner, max_batch=4)
             batcher.start()
             await batcher.stop()
             with pytest.raises(ServiceError):
@@ -306,7 +316,7 @@ class TestMicroBatcher:
             raise RuntimeError("engine exploded")
 
         async def scenario():
-            batcher = MicroBatcher(runner, max_batch=8, max_delay_ms=5.0)
+            batcher = MicroBatcher(runner, max_batch=8)
             batcher.start()
             futures = [batcher.submit(i) for i in range(3)]
             results = await asyncio.gather(*futures, return_exceptions=True)
@@ -316,14 +326,168 @@ class TestMicroBatcher:
         results = asyncio.run(scenario())
         assert all(isinstance(result, RuntimeError) for result in results)
 
+    # -- the flush rule: loop turns, never a timer -------------------------- #
+    @staticmethod
+    def _recording(seen, gate=None):
+        """Stub runner: records every batch; the first one waits on ``gate``."""
+
+        async def runner(queries):
+            seen.append(list(queries))
+            if gate is not None and len(seen) == 1:
+                await gate.wait()
+            return list(queries)
+
+        return runner
+
+    def test_lone_submit_is_flushed_without_arming_a_timer(self):
+        seen = []
+
+        async def scenario():
+            loop = asyncio.get_running_loop()
+            armed = []
+            real_call_at, real_call_later = loop.call_at, loop.call_later
+
+            def spy(real):
+                def arm(when, callback, *args, **kwargs):
+                    armed.append(callback)
+                    return real(when, callback, *args, **kwargs)
+
+                return arm
+
+            loop.call_at, loop.call_later = spy(real_call_at), spy(real_call_later)
+            try:
+                batcher = MicroBatcher(self._recording(seen), max_batch=16)
+                batcher.start()
+                answer = await batcher.submit("lone")
+                await batcher.stop()
+            finally:
+                loop.call_at, loop.call_later = real_call_at, real_call_later
+            return answer, armed, batcher.as_dict()
+
+        answer, armed, stats = asyncio.run(scenario())
+        assert answer == "lone" and seen == [["lone"]]
+        assert armed == [], "a lone query must not wait on a timer"
+        assert "max_delay_ms" not in stats
+
+    def test_submissions_on_consecutive_turns_coalesce(self):
+        seen = []
+
+        async def scenario():
+            batcher = MicroBatcher(self._recording(seen), max_batch=16)
+            batcher.start()
+            futures = []
+            for position in range(5):
+                futures.append(batcher.submit(position))
+                await asyncio.sleep(0)
+            results = await asyncio.gather(*futures)
+            await batcher.stop()
+            return results
+
+        assert asyncio.run(scenario()) == list(range(5))
+        assert seen == [list(range(5))]
+
+    def test_arrivals_during_a_running_batch_form_the_next_batch_in_order(self):
+        seen = []
+
+        async def scenario():
+            gate = asyncio.Event()
+            batcher = MicroBatcher(self._recording(seen, gate), max_batch=16)
+            batcher.start()
+            first = batcher.submit("first")
+            while not seen:  # the first batch is with the (blocked) runner
+                await asyncio.sleep(0)
+            later = [batcher.submit(position) for position in range(3)]
+            await asyncio.sleep(0)
+            later += [batcher.submit(position) for position in (3, 4)]
+            for _ in range(8):
+                await asyncio.sleep(0)
+            assert seen == [["first"]], "nothing may be flushed beside a running batch"
+            assert batcher.queue_depth == 5
+            gate.set()
+            results = await asyncio.gather(first, *later)
+            await batcher.stop()
+            return results
+
+        assert asyncio.run(scenario()) == ["first", 0, 1, 2, 3, 4]
+        assert seen == [["first"], [0, 1, 2, 3, 4]]
+
+    def test_a_query_every_turn_flushes_at_max_batch_not_later(self):
+        seen = []
+
+        async def scenario():
+            batcher = MicroBatcher(self._recording(seen), max_batch=4)
+            batcher.start()
+            futures = []
+            for position in range(10):
+                futures.append(batcher.submit(position))
+                await asyncio.sleep(0)
+            results = await asyncio.gather(*futures)
+            await batcher.stop()
+            return results, batcher.as_dict()
+
+        results, stats = asyncio.run(scenario())
+        assert results == list(range(10))
+        assert seen == [[0, 1, 2, 3], [4, 5, 6, 7], [8, 9]]
+        assert stats["full_flushes"] == 2 and stats["largest_batch"] == 4
+
+    def test_stop_during_the_linger_answers_everything_queued(self):
+        seen = []
+
+        async def scenario():
+            batcher = MicroBatcher(self._recording(seen), max_batch=16)
+            batcher.start()
+            futures = [batcher.submit(position) for position in range(3)]
+            await asyncio.sleep(0)  # the worker took the three and yielded for company
+            assert batcher.queue_depth == 0 and seen == []
+            futures.append(batcher.submit(3))
+            await batcher.stop()
+            assert all(future.done() for future in futures)
+            return await asyncio.gather(*futures)
+
+        assert asyncio.run(scenario()) == [0, 1, 2, 3]
+        assert seen == [[0, 1, 2, 3]]
+
+    def test_deadline_expiring_behind_a_running_batch_is_shed_at_assembly(self):
+        seen = []
+
+        async def scenario():
+            gate = asyncio.Event()
+            batcher = MicroBatcher(self._recording(seen, gate), max_batch=3)
+            batcher.start()
+            first = batcher.submit("first")
+            while not seen:
+                await asyncio.sleep(0)
+            budget = Deadline.after_ms(60_000)
+            doomed = batcher.submit("doomed", deadline=budget)
+            live = [batcher.submit("live-1"), batcher.submit("live-2")]
+            # The budget runs out while the query waits behind the running
+            # batch (no wall-clock sleep: the deadline is moved, not awaited).
+            budget.expires_at = time.monotonic() - 1.0
+            gate.set()
+            results = await asyncio.gather(first, doomed, *live, return_exceptions=True)
+            await batcher.stop()
+            return results, batcher.as_dict()
+
+        results, stats = asyncio.run(scenario())
+        assert results[0] == "first" and results[2:] == ["live-1", "live-2"]
+        assert isinstance(results[1], DeadlineExceededError)
+        assert seen == [["first"], ["live-1", "live-2"]], "expired work reached the runner"
+        assert stats["deadline_dropped"] == 1
+        # Classified as assembled: three queries made the batch full, and
+        # shedding one of them does not turn the flush into a drained one.
+        assert stats["full_flushes"] == 1
+        assert stats["batches_flushed"] == 2 and stats["queries_batched"] == 3
+
     def test_invalid_knobs(self):
         async def runner(queries):
             return list(queries)
 
         with pytest.raises(ServiceError):
             MicroBatcher(runner, max_batch=0)
-        with pytest.raises(ServiceError):
-            MicroBatcher(runner, max_delay_ms=-1.0)
+        with pytest.raises(TypeError):
+            # The linger is a rule, not a knob: the old argument is gone,
+            # not accepted-and-ignored.
+            MicroBatcher(runner, max_delay_ms=2.0)
 
 
 # ---------------------------------------------------------------------- #
@@ -331,12 +495,10 @@ class TestMicroBatcher:
 # ---------------------------------------------------------------------- #
 class TestGracefulDrain:
     def test_stop_answers_every_inflight_query(self, engine):
-        # A huge tick: the pipelined burst is admitted and then *waits* in
-        # the batcher.  stop() must drain it promptly (not after 30 s) and
+        # A slow scorer: the pipelined burst is admitted and then *waits* in
+        # the batcher behind the running batch.  stop() must drain it and
         # every query must be answered before the connection closes.
-        import time
-
-        handle = start_service_thread(engine, max_batch=64, max_delay_ms=30_000.0)
+        handle = start_service_thread(FaultyEngine.holding(engine, 300.0), max_batch=64)
         queries = _random_queries(10, seed=41)
         direct = [engine.query(query) for query in queries]
         outcome: dict = {}
@@ -354,13 +516,7 @@ class TestGracefulDrain:
             # Deterministic hand-off: stop only once every query has been
             # admitted and is waiting in the batcher — the drain guarantee
             # is about *admitted* queries, and this removes scheduler races.
-            deadline = time.time() + 30.0
-            while (
-                handle.service.admission.pending < len(queries)
-                and time.time() < deadline
-            ):
-                time.sleep(0.01)
-            assert handle.service.admission.pending == len(queries)
+            assert _wait_until(lambda: handle.service.admission.pending == len(queries))
             handle.stop()
             client_thread.join(timeout=60)
             assert not client_thread.is_alive()
@@ -374,7 +530,7 @@ class TestGracefulDrain:
             client_thread.join(timeout=10)
 
     def test_queries_after_drain_get_typed_shutdown_error(self, engine):
-        handle = start_service_thread(engine, max_batch=4, max_delay_ms=1.0)
+        handle = start_service_thread(engine, max_batch=4)
         query = _random_queries(1, seed=43, with_topk=False)[0]
         try:
             client = ServiceClient(*handle.address)
@@ -432,7 +588,7 @@ class TestHotSwap:
             assert a.accepted_ids != b.accepted_ids, "fixtures must be distinguishable"
 
         handle = start_service_thread(
-            None, snapshot_path=path_a, max_batch=8, max_delay_ms=1.0
+            None, snapshot_path=path_a, max_batch=8
         )
         stop_traffic = threading.Event()
         failures = []
@@ -483,13 +639,64 @@ class TestHotSwap:
             handle.stop()
         assert not failures, failures
 
+    def test_answer_cache_does_not_outlive_the_model_that_filled_it(self, snapshots, tmp_path):
+        """Idempotency across a hot swap: the same ``request_key`` before and
+        after ``reload`` is re-scored on the new engine, never answered
+        ``cached`` with the old model's result; a failed reload keeps the
+        engine *and* its cache."""
+        import socket
+
+        from repro.service.protocol import decode_answer, query_request, recv_frame, send_frame
+
+        queries, path_a, path_b = snapshots
+        query = queries[0]
+        expected_a = load_engine(path_a).query(query)
+        expected_b = load_engine(path_b).query(query)
+        assert expected_a.accepted_ids != expected_b.accepted_ids
+        corrupt = tmp_path / "corrupt.snapshot"
+        corrupt.write_bytes(b"this is not a snapshot")
+
+        handle = start_service_thread(None, snapshot_path=path_a, max_batch=8)
+        try:
+            with socket.create_connection(handle.address, timeout=10) as sock:
+
+                def ask(message_id):
+                    send_frame(sock, query_request(message_id, query, request_key="same-key"))
+                    reply = recv_frame(sock)
+                    assert reply["kind"] == "answer", reply
+                    return bool(reply.get("cached")), decode_answer(reply["answer"])
+
+                cached, answer = ask(1)
+                assert not cached
+                _assert_identical(answer, expected_a)
+                cached, answer = ask(2)
+                assert cached
+                _assert_identical(answer, expected_a)
+
+                with ServiceClient(*handle.address) as admin:
+                    with pytest.raises(ServiceError):
+                        admin.reload(corrupt)
+                    cached, answer = ask(3)
+                    assert cached, "a failed reload keeps the engine and its answer cache"
+                    _assert_identical(answer, expected_a)
+                    assert admin.reload(path_b)["model_version"] == 1
+
+                cached, answer = ask(4)
+                assert not cached, "the old model's answer outlived the swap"
+                _assert_identical(answer, expected_b)
+                cached, answer = ask(5)
+                assert cached
+                _assert_identical(answer, expected_b)
+        finally:
+            handle.stop()
+
 
 # ---------------------------------------------------------------------- #
 # deadlines end-to-end
 # ---------------------------------------------------------------------- #
 class TestDeadlines:
     def test_generous_deadline_answers_normally(self, engine):
-        handle = start_service_thread(engine, max_batch=8, max_delay_ms=1.0)
+        handle = start_service_thread(engine, max_batch=8)
         query = _random_queries(1, seed=61, with_topk=False)[0]
         try:
             with ServiceClient(*handle.address) as client:
@@ -501,7 +708,7 @@ class TestDeadlines:
     def test_tight_deadline_is_refused_at_admission(self, engine):
         # A sub-millisecond budget expires in transit: admission must
         # refuse it with the typed error before it costs engine cycles.
-        handle = start_service_thread(engine, max_batch=8, max_delay_ms=1.0)
+        handle = start_service_thread(engine, max_batch=8)
         query = _random_queries(1, seed=67, with_topk=False)[0]
         try:
             with ServiceClient(*handle.address) as client:
@@ -520,27 +727,38 @@ class TestDeadlines:
             handle.stop()
 
     def test_deadline_expiring_in_the_batch_queue_is_dropped_at_flush(self, engine):
-        # A long batching tick: the query is admitted, then its budget
-        # runs out while it waits.  The flush must shed it (typed error)
-        # instead of scoring expired work.
-        handle = start_service_thread(engine, max_batch=64, max_delay_ms=200.0)
-        query = _random_queries(1, seed=71, with_topk=False)[0]
+        # A slow scorer is busy with one query; a second is admitted behind
+        # it and its budget runs out while it waits.  The next flush must
+        # shed it (typed error) instead of scoring expired work.
+        # ``injector.injected`` counts the batches that reached the scorer.
+        injector = FaultInjector(engine_stall=1.0, stall_ms=(200.0, 200.0))
+        handle = start_service_thread(FaultyEngine(engine, injector), max_batch=64)
+        first, query = _random_queries(2, seed=71, with_topk=False)
         try:
-            with ServiceClient(*handle.address) as client:
-                with pytest.raises(DeadlineExceededError):
-                    client.query(query, deadline_ms=30)
+            with ServiceClient(*handle.address) as holder, ServiceClient(
+                *handle.address
+            ) as client:
+                holding = threading.Thread(target=holder.query, args=(first,))
+                holding.start()
+                try:
+                    assert _wait_until(lambda: injector.injected == 1)
+                    with pytest.raises(DeadlineExceededError):
+                        client.query(query, deadline_ms=30)
+                finally:
+                    holding.join(timeout=30)
             stats = handle.service.metrics()
-            assert stats["batcher"]["deadline_dropped"] >= 1
-            assert stats["resilience"]["deadline_dropped_batcher"] >= 1
-            # The engine never scored the expired query.
-            assert stats["serving"]["num_queries"] == 0
+            assert stats["batcher"]["deadline_dropped"] == 1
+            assert stats["resilience"]["deadline_dropped_batcher"] == 1
+            # The scorer was entered once, for the holding query alone.
+            assert injector.injected == 1
+            assert stats["serving"]["num_queries"] == 1
         finally:
             handle.stop()
 
     def test_invalid_deadline_is_a_bad_request(self, engine):
         from repro.exceptions import ProtocolError
 
-        handle = start_service_thread(engine, max_batch=8, max_delay_ms=1.0)
+        handle = start_service_thread(engine, max_batch=8)
         query = _random_queries(1, seed=73, with_topk=False)[0]
         try:
             with ServiceClient(*handle.address) as client:
@@ -564,7 +782,7 @@ class TestStopDuringReload:
         path = tmp_path / "engine.snapshot"
         save_engine(engine, path)
         handle = start_service_thread(
-            engine, snapshot_path=path, max_batch=8, max_delay_ms=1.0
+            engine, snapshot_path=path, max_batch=8
         )
         outcomes: dict = {}
 
@@ -587,7 +805,7 @@ class TestStopDuringReload:
     def test_reload_after_close_is_refused(self, engine, tmp_path):
         path = tmp_path / "engine.snapshot"
         save_engine(engine, path)
-        handle = start_service_thread(engine, max_batch=8, max_delay_ms=1.0)
+        handle = start_service_thread(engine, max_batch=8)
         service = handle.service
         handle.stop()
         with pytest.raises(ServiceError, match="shutting down"):
@@ -601,7 +819,7 @@ class TestMetricsEndpoint:
     def test_metrics_document_shape(self, fitted):
         # A dedicated engine so cache counters start from zero.
         engine = BatchQueryEngine.from_search(fitted)
-        handle = start_service_thread(engine, max_batch=8, max_delay_ms=1.0)
+        handle = start_service_thread(engine, max_batch=8)
         queries = _random_queries(6, seed=53, with_topk=False)
         try:
             with ServiceClient(*handle.address) as client:
@@ -635,7 +853,7 @@ class TestMetricsEndpoint:
         no hang) and leave the old engine serving."""
         bad = tmp_path / "corrupt.snapshot"
         bad.write_bytes(b"this is not a snapshot")
-        handle = start_service_thread(engine, max_batch=4, max_delay_ms=1.0)
+        handle = start_service_thread(engine, max_batch=4)
         query = _random_queries(1, seed=59, with_topk=False)[0]
         try:
             with ServiceClient(*handle.address, timeout=10.0) as client:
