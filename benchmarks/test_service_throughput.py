@@ -14,15 +14,21 @@ length-prefixed JSON protocol) over a fitted engine and drives it two ways:
   engine's batched-execution speedup becomes concurrent serving throughput.
 
 Assertions: answers received over the wire are bit-identical to direct
-engine calls on every path, the concurrent clients were coalesced, and
-(full mode) the coalesced concurrent QPS is above the lone caller's.  (The
-bar used to be 2x, against a lone caller that spent two thirds of every
-round-trip in the batcher's 2 ms timer; without the timer the lone caller
-is bound by the round-trip and the concurrent clients by the CPU, ~3x
-apart on the 2000-graph workload.)  The run emits the machine-readable
-``results/BENCH_service.json`` (lone-caller latency, QPS, batch occupancy)
-uploaded by CI next to the other BENCH files; ``REPRO_SMOKE=1`` shrinks
-the workload and keeps only the parity assertions.
+engine calls on every path, and (full mode) the concurrent clients were
+coalesced past one query per connection (``MIN_MEAN_BATCH``) and their QPS
+clears ``MIN_CONCURRENT_SPEEDUP``x the lone caller's.  (That bar was 2x
+against a lone caller that spent two thirds of every round-trip in the
+batcher's 2 ms timer; without the timer the lone caller is bound by the
+round-trip and the concurrent clients by the CPU, 2.4-3.6x apart on the
+2000-graph workload, so the bar is 1.5x and the occupancy check is what
+catches broken coalescing.)  The run emits the machine-readable
+``results/BENCH_service.json`` (lone-caller latency, QPS, speedup, batch
+occupancy) uploaded by CI next to the other BENCH files.
+``benchmarks/check_regression.py`` compares higher-is-better figures only:
+``qps.serial_single_connection`` is the reciprocal of the lone caller's
+mean latency and is how that latency is tracked; ``lone_caller.p50_ms`` /
+``p90_ms`` are there to be read.  ``REPRO_SMOKE=1`` shrinks the workload
+and keeps only the parity assertions.
 """
 
 from __future__ import annotations
@@ -49,6 +55,8 @@ DATABASE_SIZE = 300 if SMOKE else 2000
 NUM_QUERIES = 48 if SMOKE else 240          # total queries per measured pass
 NUM_CLIENTS = 8                              # concurrent connections
 LONE_PASSES = 2 if SMOKE else 3              # timed passes of the lone caller (>= 512 queries)
+MIN_CONCURRENT_SPEEDUP = 1.5                 # coalesced concurrent vs lone-caller QPS
+MIN_MEAN_BATCH = 2 * NUM_CLIENTS             # pipelined requests rode together, not one per connection
 
 
 @pytest.fixture(scope="module")
@@ -157,10 +165,8 @@ def test_micro_batched_concurrency_beats_serial_connection(service_workload, res
         "qps": {
             "serial_single_connection": serial_qps,
             "concurrent_micro_batched": concurrent_qps,
+            "speedup": speedup,
         },
-        # Neither direction is better (a faster lone caller lowers it), so
-        # the key carries none of check_regression's higher-is-better markers.
-        "concurrent_over_serial": speedup,
         "batcher": {
             "batches_flushed": batches,
             "mean_batch_size": mean_batch,
@@ -191,7 +197,7 @@ def test_micro_batched_concurrency_beats_serial_connection(service_workload, res
         f"{'concurrent micro-batched':<34}{len(queries):>8}{concurrent_seconds:>10.3f}"
         f"{concurrent_qps:>10.1f}",
         "",
-        f"concurrent over lone caller: {speedup:.1f}x (required > 1x)",
+        f"concurrent speedup: {speedup:.1f}x (required >= {MIN_CONCURRENT_SPEEDUP:.1f}x)",
         f"coalescing: {batches} batches, mean size {mean_batch:.1f}, "
         f"largest {metrics['batcher']['largest_batch']}",
         "server-side latency p50/p95/p99, all phases: "
@@ -206,7 +212,11 @@ def test_micro_batched_concurrency_beats_serial_connection(service_workload, res
 
     assert mean_batch > 1.0, "concurrent clients should have been coalesced"
     if not SMOKE:
-        assert concurrent_qps > serial_qps, (
+        assert mean_batch >= MIN_MEAN_BATCH, (
+            f"mean batch {mean_batch:.1f} of {NUM_CLIENTS} pipelining clients: "
+            "requests that arrived together were not flushed together"
+        )
+        assert speedup >= MIN_CONCURRENT_SPEEDUP, (
             f"concurrent QPS {concurrent_qps:.1f} is only {speedup:.2f}x "
             f"the lone caller's {serial_qps:.1f}"
         )

@@ -690,6 +690,48 @@ class TestHotSwap:
         finally:
             handle.stop()
 
+    def test_answer_in_flight_across_a_swap_is_not_cached(self, snapshots):
+        """A keyed query held in the scorer while ``reload`` lands is answered
+        by the old engine, after the cache was cleared: writing it back would
+        serve the old model's answer ``cached`` under the new one."""
+        import select
+        import socket
+
+        from repro.service.protocol import decode_answer, query_request, recv_frame, send_frame
+
+        queries, path_a, path_b = snapshots
+        query = queries[0]
+        expected_a = load_engine(path_a).query(query)
+        expected_b = load_engine(path_b).query(query)
+        injector = FaultInjector(engine_stall=1.0, stall_ms=(400.0, 400.0))
+        handle = start_service_thread(FaultyEngine(load_engine(path_a), injector), max_batch=8)
+        try:
+            with socket.create_connection(handle.address, timeout=10) as sock:
+
+                def ask(message_id):
+                    send_frame(sock, query_request(message_id, query, request_key="same-key"))
+
+                def reply():
+                    frame = recv_frame(sock)
+                    assert frame["kind"] == "answer", frame
+                    return bool(frame.get("cached")), decode_answer(frame["answer"])
+
+                ask(1)
+                assert _wait_until(lambda: injector.injected == 1)
+                with ServiceClient(*handle.address) as admin:
+                    assert admin.reload(path_b)["reload_count"] == 1
+                assert not select.select([sock], [], [], 0)[0], "swap landed after the answer"
+                cached, answer = reply()
+                assert not cached
+                _assert_identical(answer, expected_a)  # batched before the swap
+
+                ask(2)
+                cached, answer = reply()
+                assert not cached, "an answer scored before the swap was cached after it"
+                _assert_identical(answer, expected_b)
+        finally:
+            handle.stop()
+
 
 # ---------------------------------------------------------------------- #
 # deadlines end-to-end
