@@ -75,13 +75,12 @@ MIN_BATCH_VS_SINGLE = 0.8  # batched must never regress vs per-query engine
 SELECTIVE_DB_SIZE = 400 if SMOKE else 16_000
 SELECTIVE_MAX_ORDER = 40 if SMOKE else 120
 SELECTIVE_QUERIES = 8 if SMOKE else 24
-# Pruned-vs-unpruned QPS bar per kernel backend.  The 3x numpy bar is the
-# original memory-bandwidth argument (the dense scan reads every posting, the
-# filter reads almost none).  The native C kernels make the *dense* scan
-# itself several-fold faster, so the relative pruning win shrinks there even
-# though absolute pruned QPS rises — the bar prices that honestly instead of
-# demanding a ratio the compiled dense path no longer leaves on the table.
-MIN_PRUNED_SPEEDUP = {"numpy": 3.0, "native": 1.3}
+# The bar on this workload is a count, not a clock: the share of candidates
+# the bound arithmetic eliminates (97.5 % full mode, exact and repeatable).
+# One pass is 24 queries in ~3 ms, so the pruned-vs-unpruned wall-clock ratio
+# (numpy ~3.9x; native ~1.5x, its dense scan being several-fold faster
+# already) is printed and written to BENCH_serving.json but not asserted.
+MIN_PRUNE_RATE = 0.9
 
 
 def _build_database(seed: int = 0) -> GraphDatabase:
@@ -286,8 +285,8 @@ def test_pruned_selective_workload(results_dir):
     through the (key, order)-block index — the unpruned engine scores the
     whole database per query.  Answers must be bit-identical.  The whole
     measurement runs once per available kernel backend (numpy always, the
-    compiled native kernels when they build here), each held to its own
-    ``MIN_PRUNED_SPEEDUP`` bar.  Also emits the machine-readable
+    compiled native kernels when they build here), each held to the
+    ``MIN_PRUNE_RATE`` bar on its prune counters.  Also emits the machine-readable
     ``BENCH_serving.json`` (QPS per backend, prune rate, latency
     percentiles) consumed by the CI artifact upload.
     """
@@ -419,8 +418,7 @@ def test_pruned_selective_workload(results_dir):
     for backend, result in results.items():
         qps = result["qps"]
         lines.append(
-            f"[{backend}] pruned speedup: {qps['speedup']:.1f}x "
-            f"(required >= {MIN_PRUNED_SPEEDUP[backend]:.1f}x), "
+            f"[{backend}] pruned speedup: {qps['speedup']:.1f}x (reported, not asserted), "
             f"batched: {qps['batch_speedup']:.1f}x, "
             f"batch pruned {qps['batch_pruned']:.1f} QPS"
         )
@@ -428,7 +426,8 @@ def test_pruned_selective_workload(results_dir):
     lines += [
         f"prune rate: {prune_rate:.1%} "
         f"({prune['candidates_pruned']} of {prune['candidates_generated']} "
-        f"candidates eliminated by bound arithmetic)",
+        f"candidates eliminated by bound arithmetic; "
+        f"required >= {MIN_PRUNE_RATE:.0%} on every backend)",
         f"latency p50/p95/p99 [{primary}]: {stats.p50_latency * 1e3:.2f} / "
         f"{stats.p95_latency * 1e3:.2f} / {stats.p99_latency * 1e3:.2f} ms",
     ]
@@ -440,8 +439,8 @@ def test_pruned_selective_workload(results_dir):
     assert prune_rate > 0.5, "the selective workload should prune most candidates"
     if not SMOKE:
         for backend, result in results.items():
-            speedup = result["qps"]["speedup"]
-            assert speedup >= MIN_PRUNED_SPEEDUP[backend], (
-                f"[{backend}] pruned QPS {result['qps']['pruned']:.1f} is only "
-                f"{speedup:.2f}x the unpruned engine QPS {result['qps']['unpruned']:.1f}"
+            prune = result["prune"]
+            assert prune["prune_rate"] >= MIN_PRUNE_RATE, (
+                f"[{backend}] only {prune['candidates_pruned']} of "
+                f"{prune['candidates_generated']} candidates were pruned"
             )

@@ -9,6 +9,7 @@ can compute precision/recall/F1 uniformly across GBDA and the baselines.
 
 from __future__ import annotations
 
+import struct
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Tuple
@@ -17,6 +18,15 @@ from repro.exceptions import QueryError
 from repro.graphs.graph import Graph
 
 __all__ = ["SimilarityQuery", "QueryAnswer"]
+
+#: Head of an answer's wire form: elapsed_seconds, len(method), has ranking,
+#: |accepted_ids|, |scores|, |ranking| (little-endian, unpadded).
+_WIRE_COUNTS = struct.Struct("<dHBIII")
+
+
+def _wire_arrays(method_bytes: int, accepted: int, scored: int, ranked: int) -> str:
+    """``struct`` format of what follows the counts: method, ids, (ids, scores) twice."""
+    return "<%ds%dq%dq%dd%dq%dd" % (method_bytes, accepted, scored, scored, ranked, ranked)
 
 
 @dataclass(frozen=True)
@@ -130,42 +140,51 @@ class QueryAnswer:
     # ------------------------------------------------------------------ #
     # wire serialization (used by the repro.service protocol)
     # ------------------------------------------------------------------ #
-    def to_wire(self) -> Dict[str, object]:
-        """Return a JSON-safe dict that round-trips through :meth:`from_wire`.
+    def to_wire(self) -> bytes:
+        """Return the answer section of an answer frame (see ``repro.service.protocol``).
 
-        Graph ids and scores are coerced to native ``int``/``float`` (numpy
-        scalars carry the same bits, so equality with in-process answers is
-        preserved), and score/ranking maps are carried as ``[id, score]``
-        pairs because JSON object keys would stringify the integer ids.
-        Floats survive JSON exactly — ``json`` emits ``repr`` which parses
-        back to the identical double — so a decoded answer compares equal,
-        bit for bit, to the answer the server computed.
+        Counts first, then the method name and the id and score arrays as
+        little-endian ``int64`` / ``float64``; ids travel in ascending order
+        (``ranking`` in rank order), so equal answers encode to equal bytes.
+        A float travels as its eight bytes and a NumPy scalar as the native
+        number of the same bits, so a decoded answer compares equal, bit for
+        bit, to the answer the server computed — non-finite scores included.
         """
-        return {
-            "method": self.method,
-            "accepted_ids": sorted(int(graph_id) for graph_id in self.accepted_ids),
-            "scores": [
-                [int(graph_id), float(score)]
-                for graph_id, score in sorted(self.scores.items())
-            ],
-            "elapsed_seconds": float(self.elapsed_seconds),
-            "ranking": None
-            if self.ranking is None
-            else [[int(graph_id), float(score)] for graph_id, score in self.ranking],
-        }
+        method = self.method.encode("utf-8")
+        accepted = sorted(self.accepted_ids)
+        scored = sorted(self.scores)
+        ranking = self.ranking or ()
+        return _WIRE_COUNTS.pack(
+            self.elapsed_seconds, len(method), self.ranking is not None,
+            len(accepted), len(scored), len(ranking),
+        ) + struct.pack(
+            _wire_arrays(len(method), len(accepted), len(scored), len(ranking)),
+            method, *accepted, *scored, *map(self.scores.__getitem__, scored),
+            *[graph_id for graph_id, _ in ranking], *[score for _, score in ranking],
+        )
 
     @classmethod
-    def from_wire(cls, payload: Dict[str, object]) -> "QueryAnswer":
-        """Rebuild an answer from :meth:`to_wire` output."""
-        ranking = payload.get("ranking")
+    def from_wire(cls, payload: bytes) -> "QueryAnswer":
+        """Rebuild an answer from :meth:`to_wire` output; ``ValueError`` if malformed."""
+        try:
+            elapsed, method_bytes, has_ranking, accepted, scored, ranked = (
+                _WIRE_COUNTS.unpack_from(payload))
+            # Before anything is allocated: the counts must be what the section holds.
+            if len(payload) != (
+                _WIRE_COUNTS.size + method_bytes + 8 * accepted + 16 * (scored + ranked)
+            ) or has_ranking > 1 or (ranked and not has_ranking):
+                raise ValueError("answer section length or flags disagree with its counts")
+            method, *numbers = struct.unpack_from(
+                _wire_arrays(method_bytes, accepted, scored, ranked), payload, _WIRE_COUNTS.size)
+        except struct.error as exc:
+            raise ValueError(f"malformed answer section: {exc}") from exc
+        scores_at = accepted + scored
+        ranking_at = scores_at + scored
         return cls(
-            method=str(payload["method"]),
-            accepted_ids=frozenset(int(graph_id) for graph_id in payload["accepted_ids"]),
-            scores={
-                int(graph_id): float(score) for graph_id, score in payload.get("scores", [])
-            },
-            elapsed_seconds=float(payload.get("elapsed_seconds", 0.0)),
-            ranking=None
-            if ranking is None
-            else [(int(graph_id), float(score)) for graph_id, score in ranking],
+            method=method.decode("utf-8"),
+            accepted_ids=frozenset(numbers[:accepted]),
+            scores=dict(zip(numbers[accepted:scores_at], numbers[scores_at:ranking_at])),
+            elapsed_seconds=elapsed,
+            ranking=list(zip(numbers[ranking_at:ranking_at + ranked],
+                             numbers[ranking_at + ranked:])) if has_ranking else None,
         )

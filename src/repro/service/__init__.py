@@ -6,10 +6,12 @@ clients and converts the engine's batched-execution speedup into real
 concurrent throughput by *dynamic micro-batching* — independent in-flight
 requests are coalesced into single ``query_batch`` calls.
 
-* :mod:`~repro.service.protocol` — length-prefixed JSON wire protocol;
-  exact codecs for queries (including the graph) and answers (including
-  top-k rankings): answers received over the wire are bit-identical to
-  direct engine calls.
+* :mod:`~repro.service.protocol` — length-prefixed wire protocol: one
+  fixed binary layout for queries (including the graph) and answers
+  (including top-k rankings), JSON for admin and error messages only;
+  scores travel as their eight bytes, so answers received over the wire
+  are bit-identical to direct engine calls, and every defect of a frame
+  is a typed ``BAD_REQUEST``.
 * :class:`~repro.service.batcher.MicroBatcher` — work-conserving
   coalescing of concurrently-arriving queries: a batch is flushed when it
   is full or on the first event-loop turn that adds no query to it (at

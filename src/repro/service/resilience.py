@@ -456,12 +456,12 @@ class IdempotencyCache:
         if capacity < 0:
             raise ServiceError("capacity must be >= 0 (0 disables the cache)")
         self.capacity = int(capacity)
-        self._entries: "OrderedDict[str, Dict[str, Any]]" = OrderedDict()
+        self._entries: "OrderedDict[str, bytes]" = OrderedDict()
         self.hits = 0
         self.misses = 0
 
-    def get(self, key: Optional[str]) -> Optional[Dict[str, Any]]:
-        """The cached wire answer for ``key``, or ``None``."""
+    def get(self, key: Optional[str]) -> Optional[bytes]:
+        """The cached answer section (``encode_answer`` bytes) for ``key``, or ``None``."""
         if not key or not self.capacity:
             return None
         entry = self._entries.get(key)
@@ -473,7 +473,7 @@ class IdempotencyCache:
         _IDEMPOTENT_HITS.inc()
         return entry
 
-    def put(self, key: Optional[str], answer_payload: Dict[str, Any]) -> None:
+    def put(self, key: Optional[str], answer_payload: bytes) -> None:
         """Remember the wire-encoded answer of a completed request."""
         if not key or not self.capacity:
             return

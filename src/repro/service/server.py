@@ -655,6 +655,12 @@ class SimilarityService:
             trace.add("admission", start - arrival, depth=0)
         try:
             query: SimilarityQuery = decode_query(message.get("query"))
+            # Refused here, per query: inside a batch the engine's own check
+            # would fail every batch-mate too, and as a SERVER_ERROR.
+            if query.tau_hat > self._engine.max_tau:
+                raise QueryError(
+                    f"τ̂={query.tau_hat} exceeds the served model's maximum {self._engine.max_tau}"
+                )
             if trace is not None:
                 trace.add("decode", time.perf_counter() - start, depth=0)
             batcher_started = time.perf_counter()

@@ -15,8 +15,8 @@ Three injection sites cover the failure surface of the service stack:
   :func:`~repro.service.server.start_service_thread`).  It understands
   the length-prefixed framing, so faults land on *message* boundaries
   the way real network failures do: a dropped response (client must time
-  out and retry), corrupted payload bytes (receiver sees unframeable
-  JSON and must poison the connection), a truncated frame followed by a
+  out and retry), corrupted payload bytes (receiver sees a body of
+  no known message class and must poison the connection), a truncated frame followed by a
   reset (the classic partial write), injected latency (stalls), and
   abrupt resets.
 * **the engine** — :class:`FaultyEngine`, a transparent wrapper whose

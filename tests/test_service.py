@@ -15,7 +15,9 @@ Covers the acceptance criteria of the service subsystem:
 from __future__ import annotations
 
 import asyncio
+import json
 import random
+import struct
 import threading
 import time
 
@@ -907,5 +909,94 @@ class TestMetricsEndpoint:
                 assert stats["server"]["reload_count"] == 0
                 assert stats["server"]["reload_failures"] == 1
                 _assert_identical(client.query(query), engine.query(query))
+        finally:
+            handle.stop()
+
+
+# ---------------------------------------------------------------------- #
+# hostile graphs and thresholds are the client's fault, per query
+# ---------------------------------------------------------------------- #
+def _raw_query_frame(message_id, query_section: bytes) -> bytes:
+    """A query frame packed by hand from the documented layout (no optional fields)."""
+    body = struct.pack("<cBqdHH", b"Q", 0, message_id, 0.0, 0, 0) + query_section
+    return struct.pack(">I", len(body)) + body
+
+
+def _raw_query_section(table, vertex_codes, edges, tau_hat=1, gamma=0.5) -> bytes:
+    """Thresholds + graph section; ``edges`` are ``(u, v, label code)``."""
+    text = json.dumps(table).encode("utf-8")
+    ints = [*vertex_codes, *(e[2] for e in edges), *(e[0] for e in edges), *(e[1] for e in edges)]
+    return (
+        struct.pack("<qdq", tau_hat, gamma, 0)
+        + struct.pack("<III", len(vertex_codes), len(edges), len(text))
+        + text
+        + struct.pack("<%dI" % len(ints), *ints)
+    )
+
+
+class TestHostileQueriesAreBadRequests:
+    """Every graph or threshold defect of a frame is ``BAD_REQUEST`` — never
+    ``SERVER_ERROR`` (which a retry policy may resend and ``_REQ_ERROR``
+    counts as a server fault) — and the connection keeps serving."""
+
+    CASES = {
+        "self-loop": _raw_query_section([None, ["A", "x"], None], [0, 0], [(0, 0, 1)]),
+        "edge-in-both-orientations": _raw_query_section(
+            [None, ["A", "x"], None], [0, 0], [(0, 1, 1), (1, 0, 1)]
+        ),
+        "vertex-id-listed-twice": _raw_query_section(
+            [None, ["A", "B", "x"], ["v", "v"]], [0, 1], [(0, 1, 2)]
+        ),
+        "no-thresholds": b"\x00" * 16,
+        "tau-beyond-the-model": _raw_query_section(
+            [None, ["A", "x"], None], [0, 0], [(0, 1, 1)], tau_hat=5
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_raw_frame_in_bad_request_out(self, engine, case):
+        import socket
+
+        from repro.service import server as server_module
+        from repro.service.protocol import decode_answer, query_request, recv_frame, send_frame
+
+        assert engine.max_tau == 4
+        handle = start_service_thread(engine, max_batch=8)
+        query = _random_queries(1, seed=83, with_topk=False)[0]
+        bad_before = server_module._REQ_BAD_REQUEST.value
+        errors_before = server_module._REQ_ERROR.value
+        try:
+            with socket.create_connection(handle.address, timeout=10) as sock:
+                sock.sendall(_raw_query_frame(41, self.CASES[case]))
+                reply = recv_frame(sock)
+                assert reply["id"] == 41 and reply["kind"] == "error", reply
+                assert reply["error"]["code"] == "BAD_REQUEST", reply
+                # The same connection answers the next valid query.
+                send_frame(sock, query_request(42, query))
+                reply = recv_frame(sock)
+                assert reply["id"] == 42 and reply["kind"] == "answer", reply
+                _assert_identical(decode_answer(reply["answer"]), engine.query(query))
+            assert server_module._REQ_BAD_REQUEST.value == bad_before + 1
+            assert server_module._REQ_ERROR.value == errors_before
+            assert handle.service.admission.pending == 0
+        finally:
+            handle.stop()
+
+    def test_a_bad_threshold_does_not_fail_its_batch_mates(self, engine):
+        """τ̂ beyond the model is refused before batching: pipelined with valid
+        queries it alone is an error."""
+        from repro.exceptions import ProtocolError
+
+        queries = _random_queries(6, seed=89, with_topk=False)
+        queries[3] = SimilarityQuery(queries[3].query_graph, engine.max_tau + 1, 0.5)
+        handle = start_service_thread(engine, max_batch=8)
+        try:
+            with ServiceClient(*handle.address) as client:
+                results = client.query_many(queries, return_errors=True)
+            for position, result in enumerate(results):
+                if position == 3:
+                    assert isinstance(result, ProtocolError), result
+                else:
+                    _assert_identical(result, engine.query(queries[position]))
         finally:
             handle.stop()
