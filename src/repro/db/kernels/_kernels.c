@@ -58,27 +58,8 @@ static int64_t lower_bound_i32(const int32_t *arr, int64_t n, int32_t value) {
 }
 
 /* ------------------------------------------------------------------ *
- * postings gather and dense intersection kernels
+ * dense intersection kernel
  * ------------------------------------------------------------------ */
-
-/* Materialise the matched postings of one query: for each matched key,
- * its CSR segment's rows into out_cols and min(query count, count) into
- * out_values.  The caller sizes the outputs from the segment lengths. */
-void repro_gather_postings(const int64_t *offsets, const int32_t *positions,
-                           const int32_t *counts, const int64_t *key_ids,
-                           const int64_t *query_counts, int64_t num_keys,
-                           int64_t *out_cols, int64_t *out_values) {
-    int64_t cursor = 0;
-    for (int64_t ki = 0; ki < num_keys; ++ki) {
-        int64_t qc = query_counts[ki];
-        int64_t start = offsets[key_ids[ki]];
-        int64_t end = offsets[key_ids[ki] + 1];
-        for (int64_t s = start; s < end; ++s) {
-            out_cols[cursor] = positions[s];
-            out_values[cursor++] = MIN64(qc, (int64_t)counts[s]);
-        }
-    }
-}
 
 /* |B_Q ∩ B_G| for every row: direct scatter-add over the matched keys'
  * CSR segments into the zeroed dense output. */
@@ -92,23 +73,6 @@ void repro_intersection_row(const int64_t *offsets, const int32_t *positions,
         int64_t end = offsets[key_ids[ki] + 1];
         for (int64_t s = start; s < end; ++s) {
             out[positions[s]] += MIN64(qc, (int64_t)counts[s]);
-        }
-    }
-}
-
-/* Batched form: one (query row, key) pair per element of row_ids/key_ids/
- * query_counts, scattered into the zeroed (num_queries, num_graphs) output. */
-void repro_intersection_matrix(const int64_t *offsets, const int32_t *positions,
-                               const int32_t *counts, const int64_t *row_ids,
-                               const int64_t *key_ids, const int64_t *query_counts,
-                               int64_t num_pairs, int64_t num_graphs, int64_t *out) {
-    for (int64_t p = 0; p < num_pairs; ++p) {
-        int64_t *row = out + row_ids[p] * num_graphs;
-        int64_t qc = query_counts[p];
-        int64_t start = offsets[key_ids[p]];
-        int64_t end = offsets[key_ids[p] + 1];
-        for (int64_t s = start; s < end; ++s) {
-            row[positions[s]] += MIN64(qc, (int64_t)counts[s]);
         }
     }
 }
@@ -157,36 +121,25 @@ void repro_intersection_subrow(const int64_t *offsets, const int32_t *positions,
     }
 }
 
-/* Batched subset intersection into the zeroed (num_queries, num_sub) output. */
-void repro_intersection_submatrix(const int64_t *offsets, const int32_t *positions,
-                                  const int32_t *counts, const int64_t *row_ids,
-                                  const int64_t *key_ids, const int64_t *query_counts,
-                                  int64_t num_pairs, const int64_t *sub_positions,
-                                  int64_t num_sub, int64_t *out) {
-    for (int64_t p = 0; p < num_pairs; ++p) {
-        segment_into_subrow(positions, counts, offsets[key_ids[p]],
-                            offsets[key_ids[p] + 1], query_counts[p], sub_positions,
-                            num_sub, out + row_ids[p] * num_sub);
-    }
-}
-
 /* ------------------------------------------------------------------ *
- * (key, row-order) block probes — the pruned execution layer's kernels
+ * (key, row-order) block probes
  * ------------------------------------------------------------------ */
 
-/* Add every posting of the (key, order) blocks of one query into out,
- * where out is indexed by the slot of the posting's row in sub_positions.
- * codes_sorted is the snapshot's block index (key_id * stride + |V_row|,
- * ascending) and permutation maps sorted slots back to posting slots.
- * Rows of the probed orders are members of sub_positions by contract; the
- * membership check only guards against contract violations. */
-static void blocks_into_row(const int64_t *codes_sorted, const int64_t *permutation,
-                            int64_t num_postings, int64_t stride,
-                            const int32_t *positions, const int32_t *counts,
-                            const int64_t *key_ids, const int64_t *query_counts,
-                            int64_t num_keys, const int64_t *order_values,
-                            int64_t num_orders, const int64_t *sub_positions,
-                            int64_t num_sub, int64_t *out) {
+/* |B_Q ∩ B_G| for every row whose order is in order_values: add every
+ * posting of the query's (key, order) blocks into the zeroed out, indexed by
+ * the slot of the posting's row in sub_positions.  codes_sorted is the
+ * snapshot's block index (key_id * stride + |V_row|, ascending) and
+ * permutation maps sorted slots back to posting slots.  Rows of the probed
+ * orders are members of sub_positions by contract; the membership check only
+ * guards against contract violations. */
+void repro_intersection_for_orders(const int64_t *codes_sorted,
+                                   const int64_t *permutation, int64_t num_postings,
+                                   int64_t stride, const int32_t *positions,
+                                   const int32_t *counts, const int64_t *key_ids,
+                                   const int64_t *query_counts, int64_t num_keys,
+                                   const int64_t *order_values, int64_t num_orders,
+                                   const int64_t *sub_positions, int64_t num_sub,
+                                   int64_t *out) {
     for (int64_t ki = 0; ki < num_keys; ++ki) {
         int64_t base = key_ids[ki] * stride;
         int64_t qc = query_counts[ki];
@@ -205,40 +158,8 @@ static void blocks_into_row(const int64_t *codes_sorted, const int64_t *permutat
     }
 }
 
-/* |B_Q ∩ B_G| for every row whose order is in order_values (zeroed output). */
-void repro_intersection_for_orders(const int64_t *codes_sorted,
-                                   const int64_t *permutation, int64_t num_postings,
-                                   int64_t stride, const int32_t *positions,
-                                   const int32_t *counts, const int64_t *key_ids,
-                                   const int64_t *query_counts, int64_t num_keys,
-                                   const int64_t *order_values, int64_t num_orders,
-                                   const int64_t *sub_positions, int64_t num_sub,
-                                   int64_t *out) {
-    blocks_into_row(codes_sorted, permutation, num_postings, stride, positions,
-                    counts, key_ids, query_counts, num_keys, order_values,
-                    num_orders, sub_positions, num_sub, out);
-}
-
-/* Batched form over a query group: key_offsets[g]..key_offsets[g+1] delimit
- * query g's slice of key_ids/query_counts; output is the zeroed
- * (num_queries, num_sub) matrix. */
-void repro_intersection_matrix_for_orders(
-    const int64_t *codes_sorted, const int64_t *permutation, int64_t num_postings,
-    int64_t stride, const int32_t *positions, const int32_t *counts,
-    const int64_t *key_offsets, int64_t num_queries, const int64_t *key_ids,
-    const int64_t *query_counts, const int64_t *order_values, int64_t num_orders,
-    const int64_t *sub_positions, int64_t num_sub, int64_t *out) {
-    for (int64_t g = 0; g < num_queries; ++g) {
-        int64_t lo = key_offsets[g];
-        blocks_into_row(codes_sorted, permutation, num_postings, stride, positions,
-                        counts, key_ids + lo, query_counts + lo,
-                        key_offsets[g + 1] - lo, order_values, num_orders,
-                        sub_positions, num_sub, out + g * num_sub);
-    }
-}
-
 /* ------------------------------------------------------------------ *
- * GBD lower bounds
+ * GBD lower bound
  * ------------------------------------------------------------------ */
 
 /* GBD(Q, G) >= max(|V_Q|, |V_G|) - min(matched_total, |V_G|) per row. */
@@ -248,15 +169,6 @@ void repro_gbd_lower_bound_row(int64_t num_query_vertices, int64_t matched_total
     for (int64_t i = 0; i < num_rows; ++i) {
         int64_t order = orders[i];
         out[i] = MAX64(num_query_vertices, order) - MIN64(matched_total, order);
-    }
-}
-
-void repro_gbd_lower_bound_matrix(const int64_t *vertices, const int64_t *totals,
-                                  int64_t num_queries, const int64_t *orders,
-                                  int64_t num_rows, int64_t *out) {
-    for (int64_t q = 0; q < num_queries; ++q) {
-        repro_gbd_lower_bound_row(vertices[q], totals[q], orders, num_rows,
-                                  out + q * num_rows);
     }
 }
 

@@ -50,15 +50,10 @@ _ABI_VERSION = 1
 #: argtypes of every exported kernel (i=int64 scalar, p=array address)
 _SIGNATURES = {
     "repro_kernels_abi_version": "",
-    "repro_gather_postings": "pppppipp",
     "repro_intersection_row": "pppppip",
-    "repro_intersection_matrix": "ppppppiip",
     "repro_intersection_subrow": "pppppipip",
-    "repro_intersection_submatrix": "ppppppipip",
     "repro_intersection_for_orders": "ppiippppipipip",
-    "repro_intersection_matrix_for_orders": "ppiipppipppipip",
     "repro_gbd_lower_bound_row": "iipip",
-    "repro_gbd_lower_bound_matrix": "ppipip",
     "repro_filter_verify_row": "iipppippippiippppippp",
     "repro_merge_postings": "pppipppiipppppipppiipppp",
 }
@@ -189,8 +184,19 @@ def _c64(array: np.ndarray) -> np.ndarray:
 
 
 def _address(array: Optional[np.ndarray]) -> Optional[int]:
-    """Address of a call-scoped array the caller keeps referenced (NULL for ``None``)."""
-    return None if array is None else array.ctypes.data
+    """Address of a call-scoped array the caller keeps referenced (NULL for ``None``).
+
+    ``array.ctypes`` builds a helper object on every access (~1.9µs, and a
+    read wrapper takes three to five addresses per query); the buffer
+    protocol hands out the same address in a third of that.  It refuses
+    empty and read-only arrays, which take the general route.
+    """
+    if array is None:
+        return None
+    try:
+        return ctypes.addressof(ctypes.c_char.from_buffer(array))
+    except (TypeError, ValueError):
+        return array.ctypes.data
 
 
 def _compact_csr(csr) -> Optional[Tuple[int, int, int]]:
@@ -205,27 +211,6 @@ def _compact_csr(csr) -> Optional[Tuple[int, int, int]]:
     )
 
 
-def gather_postings(csr, key_ids, query_counts):
-    compact = _compact_csr(csr)
-    if compact is None:
-        return numpy_impl.gather_postings(csr, key_ids, query_counts)
-    offsets = csr[0]
-    lengths = offsets[key_ids + 1] - offsets[key_ids]
-    total = int(lengths.sum())
-    if total == 0:
-        return _EMPTY_I64, _EMPTY_I64
-    keys = _c64(key_ids)
-    counts_q = _c64(query_counts)
-    out_cols = np.empty(total, dtype=np.int64)
-    out_values = np.empty(total, dtype=np.int64)
-    _library().repro_gather_postings(
-        *compact,
-        keys.ctypes.data, counts_q.ctypes.data, len(keys),
-        out_cols.ctypes.data, out_values.ctypes.data,
-    )
-    return out_cols, out_values
-
-
 def intersection_row(csr, key_ids, query_counts, num_graphs):
     compact = _compact_csr(csr)
     if compact is None:
@@ -234,25 +219,7 @@ def intersection_row(csr, key_ids, query_counts, num_graphs):
     counts_q = _c64(query_counts)
     out = np.zeros(num_graphs, dtype=np.int64)
     _library().repro_intersection_row(
-        *compact, keys.ctypes.data, counts_q.ctypes.data, len(keys), out.ctypes.data,
-    )
-    return out
-
-
-def intersection_matrix(csr, row_ids, key_ids, query_counts, num_queries, num_graphs):
-    compact = _compact_csr(csr)
-    if compact is None:
-        return numpy_impl.intersection_matrix(
-            csr, row_ids, key_ids, query_counts, num_queries, num_graphs
-        )
-    rows = _c64(row_ids)
-    keys = _c64(key_ids)
-    counts_q = _c64(query_counts)
-    out = np.zeros((num_queries, num_graphs), dtype=np.int64)
-    _library().repro_intersection_matrix(
-        *compact,
-        rows.ctypes.data, keys.ctypes.data, counts_q.ctypes.data,
-        len(keys), num_graphs, out.ctypes.data,
+        *compact, _address(keys), _address(counts_q), len(keys), _address(out),
     )
     return out
 
@@ -269,27 +236,8 @@ def intersection_subrow(csr, composite_fn, key_ids, query_counts, sub_positions)
     out = np.zeros(len(subs), dtype=np.int64)
     _library().repro_intersection_subrow(
         *compact,
-        keys.ctypes.data, counts_q.ctypes.data, len(keys),
-        subs.ctypes.data, len(subs), out.ctypes.data,
-    )
-    return out
-
-
-def intersection_submatrix(csr, row_ids, key_ids, query_counts, num_queries, sub_positions):
-    compact = _compact_csr(csr)
-    if compact is None:
-        return numpy_impl.intersection_submatrix(
-            csr, row_ids, key_ids, query_counts, num_queries, sub_positions
-        )
-    rows = _c64(row_ids)
-    keys = _c64(key_ids)
-    counts_q = _c64(query_counts)
-    subs = _c64(sub_positions)
-    out = np.zeros((num_queries, len(subs)), dtype=np.int64)
-    _library().repro_intersection_submatrix(
-        *compact,
-        rows.ctypes.data, keys.ctypes.data, counts_q.ctypes.data, len(keys),
-        subs.ctypes.data, len(subs), out.ctypes.data,
+        _address(keys), _address(counts_q), len(keys),
+        _address(subs), len(subs), _address(out),
     )
     return out
 
@@ -311,37 +259,9 @@ def intersection_for_orders(csr, blocks, key_ids, query_counts, order_values, su
         _pinned(codes_sorted, np.int64), _pinned(permutation, np.int64),
         len(codes_sorted), stride,
         positions_ptr, counts_ptr,
-        keys.ctypes.data, counts_q.ctypes.data, len(keys),
-        values.ctypes.data, len(values),
-        subs.ctypes.data, len(subs), out.ctypes.data,
-    )
-    return out
-
-
-def intersection_matrix_for_orders(
-    csr, blocks, key_offsets, key_ids, query_counts, order_values, sub_positions
-):
-    compact = _compact_csr(csr)
-    if compact is None:
-        return numpy_impl.intersection_matrix_for_orders(
-            csr, blocks, key_offsets, key_ids, query_counts, order_values, sub_positions
-        )
-    _offsets_ptr, positions_ptr, counts_ptr = compact
-    codes_sorted, permutation, stride = blocks
-    offsets_q = _c64(key_offsets)
-    keys = _c64(key_ids)
-    counts_q = _c64(query_counts)
-    values = _c64(order_values)
-    subs = _c64(sub_positions)
-    num_queries = len(key_offsets) - 1
-    out = np.zeros((num_queries, len(subs)), dtype=np.int64)
-    _library().repro_intersection_matrix_for_orders(
-        _pinned(codes_sorted, np.int64), _pinned(permutation, np.int64),
-        len(codes_sorted), stride,
-        positions_ptr, counts_ptr,
-        offsets_q.ctypes.data, num_queries, keys.ctypes.data, counts_q.ctypes.data,
-        values.ctypes.data, len(values),
-        subs.ctypes.data, len(subs), out.ctypes.data,
+        _address(keys), _address(counts_q), len(keys),
+        _address(values), len(values),
+        _address(subs), len(subs), _address(out),
     )
     return out
 
@@ -350,18 +270,7 @@ def gbd_lower_bound_row(num_query_vertices, matched_total, orders):
     out = np.empty(len(orders), dtype=np.int64)
     _library().repro_gbd_lower_bound_row(
         int(num_query_vertices), int(matched_total),
-        _pinned(orders, np.int64), len(orders), out.ctypes.data,
-    )
-    return out
-
-
-def gbd_lower_bound_matrix(vertices, totals, orders):
-    verts = _c64(vertices)
-    tots = _c64(totals)
-    out = np.empty((len(verts), len(orders)), dtype=np.int64)
-    _library().repro_gbd_lower_bound_matrix(
-        verts.ctypes.data, tots.ctypes.data, len(verts),
-        _pinned(orders, np.int64), len(orders), out.ctypes.data,
+        _pinned(orders, np.int64), len(orders), _address(out),
     )
     return out
 
@@ -404,9 +313,9 @@ def filter_verify_row(
             _pinned(codes_sorted, np.int64), _pinned(permutation, np.int64),
             len(codes_sorted), stride,
             positions_ptr, counts_ptr,
-            keys.ctypes.data, counts_q.ctypes.data, len(keys),
-            out_positions.ctypes.data, out_intersections.ctypes.data,
-            eligible_flags.ctypes.data,
+            _address(keys), _address(counts_q), len(keys),
+            _address(out_positions), _address(out_intersections),
+            _address(eligible_flags),
         )
     )
     if num_eligible < 0:  # allocation failure inside the kernel

@@ -40,76 +40,27 @@ name = "numpy"
 _EMPTY_I64 = np.empty(0, dtype=np.int64)
 
 
-def _gather_segments(
-    csr, key_ids: np.ndarray, query_counts: np.ndarray
-) -> Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Materialise the matched CSR segments: ``(flat slots, cols, values)``.
+def intersection_row(
+    csr, key_ids: np.ndarray, query_counts: np.ndarray, num_graphs: int
+) -> np.ndarray:
+    """``|B_Q ∩ B_G|`` for every row: one gather plus one bincount scatter-add.
 
-    One range-concatenation gather — repeat each segment start and add the
-    within-segment offset ``0..length-1`` — with no Python-level loop.
+    The gather is one range concatenation — repeat each matched segment's
+    start and add the within-segment offset ``0..length-1`` — with no
+    Python-level loop.
     """
     offsets, all_positions, all_counts, _rows = csr
     starts = offsets[key_ids]
     lengths = offsets[key_ids + 1] - starts
     total = int(lengths.sum())
     if total == 0:
-        return None
+        return np.zeros(num_graphs, dtype=np.int64)
     ends = np.cumsum(lengths)
     flat = np.repeat(starts - (ends - lengths), lengths) + np.arange(total, dtype=np.int64)
-    cols = all_positions[flat]
     values = np.minimum(np.repeat(query_counts, lengths), all_counts[flat])
-    return flat, cols, values
-
-
-def gather_postings(
-    csr, key_ids: np.ndarray, query_counts: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Postings gather of one query: ``(cols, values)`` int64 arrays."""
-    gathered = _gather_segments(csr, key_ids, query_counts)
-    if gathered is None:
-        return _EMPTY_I64, _EMPTY_I64
-    _flat, cols, values = gathered
-    return cols.astype(np.int64, copy=False), values.astype(np.int64, copy=False)
-
-
-def intersection_row(
-    csr, key_ids: np.ndarray, query_counts: np.ndarray, num_graphs: int
-) -> np.ndarray:
-    """``|B_Q ∩ B_G|`` for every row: one gather plus one bincount scatter-add."""
-    gathered = _gather_segments(csr, key_ids, query_counts)
-    if gathered is None:
-        return np.zeros(num_graphs, dtype=np.int64)
-    _flat, cols, values = gathered
-    return np.bincount(cols, weights=values, minlength=num_graphs).astype(np.int64)
-
-
-def intersection_matrix(
-    csr,
-    row_ids: np.ndarray,
-    key_ids: np.ndarray,
-    query_counts: np.ndarray,
-    num_queries: int,
-    num_graphs: int,
-) -> np.ndarray:
-    """``(Q, D)`` intersection matrix of a batch (``row_ids`` sorted ascending)."""
-    out_shape = (num_queries, num_graphs)
-    gathered = _gather_segments(csr, key_ids, query_counts)
-    if gathered is None:
-        return np.zeros(out_shape, dtype=np.int64)
-    _flat, cols, values = gathered
-    offsets = csr[0]
-    lengths = offsets[key_ids + 1] - offsets[key_ids]
-    rows = np.repeat(row_ids, lengths)
-    boundaries = np.searchsorted(rows, np.arange(num_queries + 1, dtype=np.int64))
-    out = np.zeros(out_shape, dtype=np.float64)
-    for row in range(num_queries):
-        start, end = boundaries[row], boundaries[row + 1]
-        if start == end:
-            continue
-        out[row] = np.bincount(
-            cols[start:end], weights=values[start:end], minlength=num_graphs
-        )
-    return out.astype(np.int64)
+    return np.bincount(all_positions[flat], weights=values, minlength=num_graphs).astype(
+        np.int64
+    )
 
 
 def intersection_subrow(
@@ -137,42 +88,6 @@ def intersection_subrow(
     capped = np.minimum(np.repeat(query_counts, num_positions)[hits], counts)
     columns = np.tile(np.arange(num_positions, dtype=np.int64), len(key_ids))[hits]
     return np.bincount(columns, weights=capped, minlength=num_positions).astype(np.int64)
-
-
-def intersection_submatrix(
-    csr,
-    row_ids: np.ndarray,
-    key_ids: np.ndarray,
-    query_counts: np.ndarray,
-    num_queries: int,
-    positions: np.ndarray,
-) -> np.ndarray:
-    """``(Q, E)`` intersection matrix restricted to sorted row ``positions``."""
-    num_positions = len(positions)
-    out_shape = (num_queries, num_positions)
-    gathered = _gather_segments(csr, key_ids, query_counts)
-    if gathered is None:
-        return np.zeros(out_shape, dtype=np.int64)
-    _flat, cols, values = gathered
-    offsets = csr[0]
-    lengths = offsets[key_ids + 1] - offsets[key_ids]
-    rows = np.repeat(row_ids, lengths)
-    slots = np.searchsorted(positions, cols)
-    slots_clipped = np.minimum(slots, num_positions - 1)
-    member = positions[slots_clipped] == cols
-    rows = rows[member]
-    compact = slots_clipped[member]
-    values = values[member]
-    boundaries = np.searchsorted(rows, np.arange(num_queries + 1, dtype=np.int64))
-    dense = np.zeros(out_shape, dtype=np.float64)
-    for row in range(num_queries):
-        start, end = boundaries[row], boundaries[row + 1]
-        if start == end:
-            continue
-        dense[row] = np.bincount(
-            compact[start:end], weights=values[start:end], minlength=num_positions
-        )
-    return dense.astype(np.int64)
 
 
 def intersection_for_orders(
@@ -213,47 +128,12 @@ def intersection_for_orders(
     return np.bincount(columns, weights=capped, minlength=num_positions).astype(np.int64)
 
 
-def intersection_matrix_for_orders(
-    csr,
-    blocks: Tuple[np.ndarray, np.ndarray, int],
-    key_offsets: np.ndarray,
-    key_ids: np.ndarray,
-    query_counts: np.ndarray,
-    order_values: np.ndarray,
-    positions: np.ndarray,
-) -> np.ndarray:
-    """``(G, E)`` block-probe intersections of a query group.
-
-    ``key_offsets[g]..key_offsets[g+1]`` delimits query ``g``'s slice of
-    ``key_ids``/``query_counts``.
-    """
-    num_queries = len(key_offsets) - 1
-    out = np.zeros((num_queries, len(positions)), dtype=np.int64)
-    for g in range(num_queries):
-        lo, hi = int(key_offsets[g]), int(key_offsets[g + 1])
-        if lo == hi:
-            continue
-        out[g] = intersection_for_orders(
-            csr, blocks, key_ids[lo:hi], query_counts[lo:hi], order_values, positions
-        )
-    return out
-
-
 def gbd_lower_bound_row(
     num_query_vertices: int, matched_total: int, orders: np.ndarray
 ) -> np.ndarray:
     """``max(|V_Q|, |V_G|) - min(matched_total, |V_G|)`` per row."""
     return np.maximum(int(num_query_vertices), orders) - np.minimum(
         int(matched_total), orders
-    )
-
-
-def gbd_lower_bound_matrix(
-    vertices: np.ndarray, totals: np.ndarray, orders: np.ndarray
-) -> np.ndarray:
-    """Batched ``(Q, D)`` form of :func:`gbd_lower_bound_row`."""
-    return np.maximum(vertices[:, None], orders[None, :]) - np.minimum(
-        totals[:, None], orders[None, :]
     )
 
 

@@ -2,9 +2,10 @@
 
 The fifth layer of the stack: an asyncio TCP server that exposes a
 :class:`~repro.serving.engine.BatchQueryEngine` to concurrent remote
-clients and converts the engine's batched-execution speedup into real
-concurrent throughput by *dynamic micro-batching* — independent in-flight
-requests are coalesced into single ``query_batch`` calls.
+clients and serves concurrent load by *dynamic micro-batching* —
+independent in-flight requests are coalesced into single ``query_batch``
+calls, so a flush pays one thread hand-over, one cache-probe pass and one
+trace instead of one per request.
 
 * :mod:`~repro.service.protocol` — length-prefixed wire protocol: one
   fixed binary layout for queries (including the graph) and answers

@@ -1,11 +1,14 @@
 """Dynamic micro-batching: coalesce concurrent queries into one batch call.
 
-The serving engine's :meth:`~repro.serving.engine.BatchQueryEngine.query_batch`
-is several times faster per query than the per-query path — one ``(Q, D)``
-columnar intersection pass and shared posterior tables for the whole batch
-— but a network server naively answering each request as it arrives never
-hands the engine more than a batch of one.  :class:`MicroBatcher` closes
-that gap without making anybody wait on a clock: it is *work-conserving*.
+The serving engine scores a batch row by row, no faster per row than a
+single query, so batching buys nothing inside the engine.  It buys what
+surrounds a score: the server offloads scoring to a thread, and one
+:meth:`~repro.serving.engine.BatchQueryEngine.query_batch` call per flush
+means one thread hand-over, one cache-probe pass (a repeated query is scored
+once) and one trace for everything that arrived together, where a server
+naively answering each request as it arrives pays each of them per request.
+:class:`MicroBatcher` gets that without making anybody wait on a clock: it
+is *work-conserving*.
 
 The rule: a single worker task takes the first waiting query, drains
 whatever else is queued, and while the batch is not full (``max_batch``)

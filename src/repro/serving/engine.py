@@ -15,12 +15,13 @@ the whole database is therefore:
 2. a vectorized numpy table lookup mapping GBDs to posteriors, and
 3. a single threshold comparison against γ.
 
-:meth:`query_batch` goes one step further: the whole batch's GBDs come
-from **one** ``(Q, D)`` columnar intersection pass
-(:meth:`~repro.db.index.BranchInvertedIndex.gbd_matrix`), and τ̂/γ-sorted
-groups share one posterior (or boolean acceptance) lookup table each —
-true batching instead of a per-query loop, with answers identical to the
-loop path in input order.
+:meth:`query_batch` answers a batch in input order.  Steps 2–4 are decided
+per (query, graph) pair, so a batch shares no scoring work: its rows go
+through the same per-query pipeline as :meth:`query`, one by one
+(:meth:`~repro.core.plan.ExecutionCore.execute_batch`).  What a batch saves
+is around the scoring — one cache-probe pass that also scores a repeated
+query once, and for the service one thread hand-over and one trace per
+flush — not a matrix kernel.
 
 Answers are bit-identical to :meth:`GBDASearch.query` (and its scalar
 :meth:`~repro.core.search.GBDASearch.query_reference` loop) because the
@@ -390,18 +391,17 @@ class BatchQueryEngine:
     def query_batch(
         self, queries: Iterable[SimilarityQuery], *, trace=None
     ) -> List[QueryAnswer]:
-        """Answer a batch of queries with true batched scoring, in input order.
+        """Answer a batch of queries in input order.
 
-        Cached queries are served from the LRU; the remainder go through the
-        execution core's matrix path — one ``(Q, D)`` columnar intersection
-        pass for the whole batch, then one shared lookup table per τ̂/γ
-        group, reusing the lazily built ``(τ̂, |V'1|)`` tables across
-        batches.  A query that occurs several times in the batch is scored
-        once and its answer copied to the repeats (the cache is probed for
-        the whole batch before any of it is scored, so it cannot serve them).
-        Answers are identical to calling :meth:`query` per query;
-        each scored answer's latency is the batch scoring time amortised
-        over the queries it was scored with.
+        Cached queries are served from the LRU in one probe pass; the
+        remainder go through the execution core row by row — each the same
+        pipeline as :meth:`query`, reusing the lazily built ``(τ̂, |V'1|)``
+        tables across rows and batches.  A query that occurs several times
+        in the batch is scored once and its answer copied to the repeats
+        (the cache is probed for the whole batch before any of it is scored,
+        so it cannot serve them).  Answers and filter counters are identical
+        to calling :meth:`query` per query; each scored answer's latency is
+        the batch scoring time amortised over the queries it was scored with.
 
         ``trace`` optionally carries a batch-level
         :class:`~repro.obs.trace.QueryTrace`: it is activated thread-locally
@@ -465,7 +465,7 @@ class BatchQueryEngine:
                     query_branches=pending_branches,
                     use_pruning=self.use_index_pruning,
                     # keep_scores="all" needs every candidate's posterior; the
-                    # other modes let the core classify through the boolean
+                    # other modes let a pruned core classify through the boolean
                     # acceptance tables and materialise only accepted scores.
                     need="full" if self.keep_scores == "all" else "accepted",
                     pruned=self._pruned_path,

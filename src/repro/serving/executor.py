@@ -21,8 +21,8 @@ Four execution modes are supported:
 * ``"data-parallel"`` — partitions the *database* instead: the engine is
   split into id-preserving shard engines
   (:meth:`~repro.serving.engine.BatchQueryEngine.shard_engines`), each
-  process worker scores **every** query against its shard through the
-  batched matrix path, and the per-shard answers are merged by union
+  process worker scores **every** query against its shard with one
+  ``query_batch`` call, and the per-shard answers are merged by union
   (:meth:`BatchQueryEngine.merge_answers`).  Workers ship one shard each
   instead of the full engine, so memory per worker scales down with the
   shard — the mode to reach databases too large (or too slow) to score in

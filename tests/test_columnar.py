@@ -285,26 +285,15 @@ class TestVectorizedKernels:
             for entry in random_database:
                 assert row[entry.graph_id] == graph_branch_distance(query, entry.graph)
 
-    def test_matrix_kernels_match_row_kernels(self, random_database, make_store):
-        store = make_store(random_database)
-        queries = _queries(7, seed=17)
-        branch_sets = [branch_multiset(query) for query in queries]
-        inter = store.intersection_matrix(branch_sets)
-        gbd = store.gbd_matrix([q.num_vertices for q in queries], branch_sets)
-        assert inter.shape == gbd.shape == (len(queries), len(random_database))
-        assert inter.dtype == gbd.dtype == np.int64
-        for i, query in enumerate(queries):
-            assert inter[i].tolist() == store.intersection_row(branch_sets[i]).tolist()
-            assert gbd[i].tolist() == store.gbd_row(query.num_vertices, branch_sets[i]).tolist()
-
     def test_empty_batch_and_disjoint_queries(self, random_database, make_store):
         store = make_store(random_database)
-        assert store.intersection_matrix([]).shape == (0, len(random_database))
-        stranger = random_labeled_graph(
-            4, 4, vertex_labels=["Z1"], edge_labels=["zz"], seed=0
+        stranger = branch_multiset(
+            random_labeled_graph(4, 4, vertex_labels=["Z1"], edge_labels=["zz"], seed=0)
         )
-        matrix = store.intersection_matrix([branch_multiset(stranger)])
-        assert not matrix.any()
+        for branches in (Counter(), stranger):  # no key at all, no known key
+            row = store.intersection_row(branches)
+            assert row.shape == (len(random_database),) and not row.any()
+            assert not store.intersection_subrow(branches, np.arange(0, 30, 4)).any()
 
     def test_shard_stores_keep_global_ids(self, random_database, make_store):
         full = make_store(random_database)
@@ -339,17 +328,6 @@ class TestBoundKernels:
         for entry in random_database:
             bounds = store.gbd_lower_bound_row(entry.num_vertices, entry.branches)
             assert bounds[entry.graph_id] == 0
-
-    def test_lower_bound_matrix_matches_rows(self, random_database, make_store):
-        store = make_store(random_database)
-        queries = _queries(6, seed=37)
-        branch_sets = [branch_multiset(query) for query in queries]
-        matrix = store.gbd_lower_bound_matrix(
-            [query.num_vertices for query in queries], branch_sets
-        )
-        for i, query in enumerate(queries):
-            expected = store.gbd_lower_bound_row(query.num_vertices, branch_sets[i])
-            assert matrix[i].tolist() == expected.tolist()
 
     def test_bounds_stay_sound_after_incremental_appends(self, random_database, make_store):
         store = make_store(random_database)
@@ -386,7 +364,6 @@ class TestBoundKernels:
         store = make_store(random_database)
         queries = _queries(5, seed=47)
         branch_sets = [branch_multiset(query) for query in queries]
-        dense = store.intersection_matrix(branch_sets)
         for positions in (
             np.arange(0, len(random_database), 3),
             np.asarray([0]),
@@ -394,15 +371,13 @@ class TestBoundKernels:
             np.arange(len(random_database)),
             np.empty(0, dtype=np.int64),
         ):
-            sub = store.intersection_submatrix(branch_sets, positions)
-            assert sub.tolist() == dense[:, positions].tolist()
-            for i, branches in enumerate(branch_sets):
+            for branches in branch_sets:
                 row = store.intersection_subrow(branches, positions)
-                assert row.tolist() == dense[i, positions].tolist()
+                assert row.tolist() == store.intersection_row(branches)[positions].tolist()
 
 
 class TestFusedFilterVerify:
-    """Contract of the single-pass bound-filter + verify kernels."""
+    """Contract of the single-pass bound-filter + verify kernel."""
 
     @staticmethod
     def _bars(store, num_query_vertices, tau):
@@ -411,25 +386,38 @@ class TestFusedFilterVerify:
         distinct = np.unique(store.orders())
         return distinct, np.minimum(np.maximum(num_query_vertices, distinct), tau)
 
-    def test_row_matches_unfused_kernels(self, random_database, make_store):
+    def test_row_matches_unfused_kernels(self, random_database, make_store, monkeypatch):
         store = make_store(random_database)
         orders = store.orders()
-        for query in _queries(10, seed=53):
-            branches = branch_multiset(query)
-            nq = query.num_vertices
-            bounds = store.gbd_lower_bound_row(nq, branches)
-            dense = store.intersection_row(branches)
-            for tau in (0, 1, 2, 4, 50):
-                distinct, thresholds = self._bars(store, nq, tau)
-                positions, inters, eligible, num_eligible = store.filter_verify_row(
-                    nq, branches, thresholds, max_candidates=store.num_graphs
-                )
-                per_row_bar = thresholds[np.searchsorted(distinct, orders)]
-                expected_rows = np.flatnonzero(bounds <= per_row_bar)
-                assert eligible.dtype == np.bool_ and len(eligible) == len(distinct)
-                assert num_eligible == len(expected_rows)
-                assert positions.tolist() == expected_rows.tolist()
-                assert inters.tolist() == dense[expected_rows].tolist()
+        by_cost = columnar.sparse_row_budget
+        # A 30-row store would take the dense plan nearly every time on its
+        # own: force each plan in turn, then let the cost rule choose.
+        for plan, budget in (
+            ("sparse", lambda postings, rows: rows),
+            ("dense", lambda postings, rows: 0),
+            ("by cost", by_cost),
+        ):
+            monkeypatch.setattr(columnar, "sparse_row_budget", budget)
+            for query in _queries(10, seed=53):
+                branches = branch_multiset(query)
+                nq = query.num_vertices
+                bounds = store.gbd_lower_bound_row(nq, branches)
+                dense = store.intersection_row(branches)
+                for tau in (0, 1, 2, 4, 50):
+                    distinct, thresholds = self._bars(store, nq, tau)
+                    positions, inters, eligible, num_eligible = store.filter_verify_row(
+                        nq, branches, thresholds
+                    )
+                    per_row_bar = thresholds[np.searchsorted(distinct, orders)]
+                    expected_rows = np.flatnonzero(bounds <= per_row_bar)
+                    assert eligible.dtype == np.bool_ and len(eligible) == len(distinct)
+                    assert num_eligible == len(expected_rows)
+                    if positions is None:  # the dense plan: every row's intersection
+                        assert plan != "sparse" and inters.tolist() == dense.tolist()
+                    else:
+                        assert plan != "dense" or num_eligible == 0
+                        assert positions.tolist() == expected_rows.tolist()
+                        assert inters.tolist() == dense[expected_rows].tolist()
 
     def test_row_dense_bail_and_empty_cases(self, random_database, make_store):
         store = make_store(random_database)
@@ -438,57 +426,57 @@ class TestFusedFilterVerify:
         nq = query.num_vertices
         distinct, thresholds = self._bars(store, nq, 50)  # everything survives
         positions, inters, eligible, num_eligible = store.filter_verify_row(
-            nq, branches, thresholds, max_candidates=0
+            nq, branches, thresholds
         )
-        assert positions is None and inters is None  # over the caller's bar
+        # every row to verify: walking the postings once is the cheaper plan
+        assert positions is None
+        assert inters.tolist() == store.intersection_row(branches).tolist()
         assert eligible.all() and num_eligible == store.num_graphs
         hopeless = np.full(len(distinct), -1, dtype=np.int64)  # GBD >= 0 always
         positions, inters, eligible, num_eligible = store.filter_verify_row(
-            nq, branches, hopeless, max_candidates=store.num_graphs
+            nq, branches, hopeless
         )
         assert num_eligible == 0 and not eligible.any()
         assert positions.shape == (0,) and inters.shape == (0,)
 
-    def test_matrix_matches_row_calls(self, random_database, make_store):
+    def test_a_repeat_known_to_go_dense_skips_the_fused_kernel(
+        self, random_database, make_store, monkeypatch
+    ):
         store = make_store(random_database)
-        queries = _queries(6, seed=63)
-        branch_sets = [branch_multiset(query) for query in queries]
-        vertices = [query.num_vertices for query in queries]
-        distinct = np.unique(store.orders())
-        rng = np.random.default_rng(3)
-        thresholds = rng.integers(0, 6, size=(len(queries), len(distinct)))
-        positions, inters, eligible, num_union = store.filter_verify_matrix(
-            vertices, branch_sets, thresholds, max_union_rows=store.num_graphs
+        kernels = store._kernels
+        fused_calls = []
+        fused = kernels.filter_verify_row
+        monkeypatch.setattr(
+            kernels, "filter_verify_row", lambda *args: fused_calls.append(args) or fused(*args)
         )
-        assert eligible.shape == (len(queries), len(distinct))
-        union = set()
-        for i, (nq, branches) in enumerate(zip(vertices, branch_sets)):
-            row_positions, row_inters, row_eligible, _n = store.filter_verify_row(
-                nq, branches, np.ascontiguousarray(thresholds[i]), store.num_graphs
-            )
-            assert eligible[i].tolist() == row_eligible.tolist()
-            union.update(row_positions.tolist())
-            dense = store.intersection_row(branches)
-            assert inters[i].tolist() == dense[positions].tolist()
-        assert set(positions.tolist()) >= union
-        assert num_union == len(positions)
+        query = _queries(1, seed=59)[0]
+        branches, nq = branch_multiset(query), query.num_vertices
+        _distinct, thresholds = self._bars(store, nq, 50)  # everything survives: dense
 
-    def test_matrix_dense_bail_and_empty_union(self, random_database, make_store):
-        store = make_store(random_database)
-        queries = _queries(3, seed=69)
-        branch_sets = [branch_multiset(query) for query in queries]
-        vertices = [query.num_vertices for query in queries]
-        distinct = np.unique(store.orders())
-        generous = np.full((len(queries), len(distinct)), 100, dtype=np.int64)
-        positions, inters, eligible, num_union = store.filter_verify_matrix(
-            vertices, branch_sets, generous, max_union_rows=1
-        )
-        assert positions is None and inters is None
-        assert num_union == store.num_graphs and eligible.all()
-        hopeless = np.full((len(queries), len(distinct)), -1, dtype=np.int64)
-        positions, inters, eligible, num_union = store.filter_verify_matrix(
-            vertices, branch_sets, hopeless, max_union_rows=store.num_graphs
-        )
-        assert num_union == 0 and not eligible.any()
-        assert positions.shape == (0,)
-        assert inters.shape == (len(queries), 0)
+        def read(bars):
+            positions, inters, eligible, num_eligible = store.filter_verify_row(nq, branches, bars)
+            return positions, inters.tolist(), eligible.tolist(), num_eligible
+
+        first = read(thresholds)
+        assert first[0] is None and read(thresholds) == first
+        assert len(fused_calls) == 1  # the repeat counted nothing again
+        # Identity, not equality, names a shape: an equal copy is a stranger.
+        assert read(thresholds.copy()) == first and len(fused_calls) == 2
+        # A repeat the budget sends to the probes still has them to run.
+        monkeypatch.setattr(columnar, "sparse_row_budget", lambda postings, rows: rows)
+        sparse = read(thresholds)
+        assert sparse[0] is not None and sparse[2:] == first[2:] and len(fused_calls) == 3
+        # A write publishes a new snapshot, which has other rows to count.
+        monkeypatch.undo()
+        store.append(_appendable(store, random_database[0]))
+        assert read(thresholds)[3] == first[3] + 1
+
+    def test_sparse_row_budget_reads_the_querys_own_postings(self):
+        budget = columnar.sparse_row_budget
+        # no matched posting: only the rows to classify count, sparse always
+        assert budget(0, 1000) == 1000
+        # postings dominate: survivors' share × probe depth must stay below 1
+        assert budget(10**9, 1024) == 1024 // (1024).bit_length()
+        # more postings to walk, fewer rows worth probing — never none, never all
+        assert 1000 > budget(100, 1000) > budget(10_000, 1000) > budget(10**6, 1000) > 0
+        assert budget(0, 0) == 0

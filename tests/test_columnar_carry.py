@@ -150,16 +150,6 @@ class CarryMachine(RuleBasedStateMachine):
             assert np.array_equal(
                 store.gbd_lower_bound_row(nq, q), fresh.gbd_lower_bound_row(nq, q)
             )
-        assert np.array_equal(
-            store.intersection_matrix(queries), fresh.intersection_matrix(queries)
-        )
-        assert np.array_equal(
-            store.gbd_matrix(vertices, queries), fresh.gbd_matrix(vertices, queries)
-        )
-        assert np.array_equal(
-            store.gbd_lower_bound_matrix(vertices, queries),
-            fresh.gbd_lower_bound_matrix(vertices, queries),
-        )
         csr, orders, global_ids = store.view()
         assert np.array_equal(orders, [e.num_vertices for e in self.entries])
         assert np.array_equal(global_ids, [e.graph_id for e in self.entries])
@@ -175,40 +165,41 @@ class CarryMachine(RuleBasedStateMachine):
             assert np.array_equal(
                 store.intersection_subrow(q, rows), fresh.intersection_row(q)[rows]
             )
-        assert np.array_equal(
-            store.intersection_submatrix(queries, rows),
-            fresh.intersection_matrix(queries)[:, rows],
-        )
 
     @rule(
         queries=st.lists(branch_sets, min_size=1, max_size=3),
         bar=st.integers(0, 8),
+        plan=st.sampled_from(["sparse", "dense", "by cost"]),
         data=st.data(),
     )
-    def read_pruned(self, queries, bar, data):
-        """The block-index kernels: what the pruned execution layer calls."""
+    def read_pruned(self, queries, bar, plan, data):
+        """The block-index kernels: what the thresholded path calls."""
         store, fresh = self.store, self.fresh()
         csr = store.view()[0]
         distinct, row_order, starts, ends = store.order_partition(csr)
-        num_rows = len(self.entries)
-        vertices = [sum(q.values()) for q in queries]
         bars = np.full(len(distinct), bar, dtype=np.int64)
-        for nq, q in zip(vertices, queries):
-            mine = store.filter_verify_row(nq, q, bars, num_rows)
-            theirs = fresh.filter_verify_row(nq, q, bars, num_rows)
-            assert mine[3] == theirs[3]
-            for a, b in zip(mine[:3], theirs[:3]):
-                assert np.array_equal(a, b)
-            assert np.array_equal(mine[1], fresh.intersection_row(q)[mine[0]])
-        mine = store.filter_verify_matrix(
-            vertices, queries, np.tile(bars, (len(queries), 1)), num_rows
-        )
-        theirs = fresh.filter_verify_matrix(
-            vertices, queries, np.tile(bars, (len(queries), 1)), num_rows
-        )
-        assert mine[3] == theirs[3]
-        for a, b in zip(mine[:3], theirs[:3]):
-            assert np.array_equal(a, b)
+        # Stores this small would nearly always take the dense plan on their
+        # own: force each plan in turn so that both keep being compared.
+        by_cost = columnar.sparse_row_budget
+        if plan != "by cost":
+            columnar.sparse_row_budget = lambda postings, rows: rows if plan == "sparse" else 0
+        try:
+            for q in queries:
+                nq = sum(q.values())
+                mine = store.filter_verify_row(nq, q, bars)
+                theirs = fresh.filter_verify_row(nq, q, bars)
+                assert mine[3] == theirs[3]
+                assert (mine[0] is None) == (theirs[0] is None)
+                assert plan == "by cost" or mine[3] == 0 or (mine[0] is None) == (plan == "dense")
+                for a, b in zip(mine[1:3], theirs[1:3]):
+                    assert np.array_equal(a, b)
+                dense = fresh.intersection_row(q)
+                if mine[0] is not None:
+                    assert np.array_equal(mine[0], theirs[0])
+                    dense = dense[mine[0]]
+                assert np.array_equal(mine[1], dense)
+        finally:
+            columnar.sparse_row_budget = by_cost
         if len(distinct):
             chosen = data.draw(st.sets(st.sampled_from(distinct.tolist()), min_size=1))
             chosen = np.asarray(sorted(chosen), dtype=np.int64)
@@ -257,6 +248,12 @@ def _graphs(num, seed, low=4, high=12):
 
 
 @pytest.fixture
+def sparse_plan(monkeypatch):
+    """Pruned reads take the block-probe plan whatever it costs: these stores are small."""
+    monkeypatch.setattr(columnar, "sparse_row_budget", lambda postings, rows: rows)
+
+
+@pytest.fixture
 def block_builds(monkeypatch):
     """Count calls of the from-scratch block-index builder."""
     calls = []
@@ -271,7 +268,7 @@ def block_builds(monkeypatch):
 
 
 @pytest.mark.parametrize("backend", backend_params)
-def test_write_then_pruned_read_sorts_nothing(backend, block_builds):
+def test_write_then_pruned_read_sorts_nothing(backend, block_builds, sparse_plan):
     database = GraphDatabase(_graphs(40, seed=3))
     index = BranchInvertedIndex(database, backend=backend)  # held: the hook is weak
     store = index.store
@@ -279,9 +276,8 @@ def test_write_then_pruned_read_sorts_nothing(backend, block_builds):
     branches = Counter(database[0].branches)
 
     def pruned_read():
-        csr, orders, _ids = store.view()
-        bars = np.full(len(store.order_partition(csr)[0]), 3, dtype=np.int64)
-        return store.filter_verify_row(query.num_vertices, branches, bars, len(orders))
+        bars = np.full(len(store.order_partition(store.view()[0])[0]), 3, dtype=np.int64)
+        return store.filter_verify_row(query.num_vertices, branches, bars)
 
     pruned_read()
     assert block_builds == [40]  # the first pruned read of a store sorts, once
@@ -312,7 +308,7 @@ def test_store_never_pruned_holds_no_block_index(backend, block_builds):
 
 
 @pytest.mark.parametrize("backend", backend_params)
-def test_superseded_snapshot_arrays_are_released(backend):
+def test_superseded_snapshot_arrays_are_released(backend, sparse_plan):
     """A write stream must not keep every old snapshot's postings alive."""
     database = GraphDatabase(_graphs(40, seed=13))
     index = BranchInvertedIndex(database, backend=backend)
@@ -322,7 +318,7 @@ def test_superseded_snapshot_arrays_are_released(backend):
     def pruned_read():
         csr, orders, _ids = store.view()
         bars = np.full(len(store.order_partition(csr)[0]), 3, dtype=np.int64)
-        store.filter_verify_row(8, branches, bars, len(orders), view=(csr, len(orders)))
+        store.filter_verify_row(8, branches, bars, view=(csr, len(orders)))
         store.intersection_row(branches)
         return [weakref.ref(csr[1]), weakref.ref(store._order_blocks_for(csr)[1])]
 
@@ -355,7 +351,7 @@ def test_pickle_ships_csr_and_row_vectors_only(backend):
 # a reader racing bulk writes
 # --------------------------------------------------------------------------- #
 @pytest.mark.parametrize("backend", backend_params)
-def test_reader_racing_add_many_sees_whole_batches_only(backend):
+def test_reader_racing_add_many_sees_whole_batches_only(backend, sparse_plan):
     base, batches = _graphs(60, seed=31), [_graphs(9, seed=40 + i) for i in range(12)]
     database = GraphDatabase(base)
     index = BranchInvertedIndex(database, backend=backend)
@@ -372,7 +368,7 @@ def test_reader_racing_add_many_sees_whole_batches_only(backend):
         fresh = ColumnarBranchStore(GraphDatabase(graphs), backend="numpy")
         bars = np.full(len(fresh.order_partition(fresh.view()[0])[0]), 4, dtype=np.int64)
         positions, intersections, _eligible, count = fresh.filter_verify_row(
-            query.num_vertices, branches, bars, len(graphs)
+            query.num_vertices, branches, bars
         )
         expected[len(graphs)] = (
             fresh.intersection_row(branches), positions, intersections, count
@@ -389,9 +385,7 @@ def test_reader_racing_add_many_sees_whole_batches_only(backend):
                 view = (csr, len(orders))
                 assert np.array_equal(store.intersection_row(branches, view=view), row)
                 bars = np.full(len(store.order_partition(csr)[0]), 4, dtype=np.int64)
-                got = store.filter_verify_row(
-                    query.num_vertices, branches, bars, len(orders), view=view
-                )
+                got = store.filter_verify_row(query.num_vertices, branches, bars, view=view)
                 assert got[3] == count
                 assert np.array_equal(got[0], positions)
                 assert np.array_equal(got[1], intersections)

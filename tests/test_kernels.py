@@ -8,7 +8,10 @@ errors for an explicitly requested but unbuildable native backend).
 
 from __future__ import annotations
 
+import inspect
 import random
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -83,6 +86,65 @@ class TestResolveBackend:
             from repro.db.kernels import native
 
             assert backend_module("native") is native
+
+
+class TestKernelInterfaceDrift:
+    """Three mirrors of one interface: NumPy reference, ctypes wrappers, C source.
+
+    Nothing here loads the compiled library, so the test also holds where
+    the native backend cannot be built.
+    """
+
+    LOADER_API = {"available", "load_error"}  # native's own, not kernels
+
+    @staticmethod
+    def public_functions(module):
+        return {
+            name: function
+            for name, function in vars(module).items()
+            if inspect.isfunction(function)
+            and function.__module__ == module.__name__
+            and not name.startswith("_")
+        }
+
+    @staticmethod
+    def source(*parts):
+        return Path(numpy_impl.__file__).parent.joinpath(*parts).read_text(encoding="utf-8")
+
+    def test_backends_expose_the_same_kernels(self):
+        from repro.db.kernels import native
+
+        reference = self.public_functions(numpy_impl)
+        kernels = self.public_functions(native)
+        assert self.LOADER_API <= set(kernels)
+        kernels = {name: fn for name, fn in kernels.items() if name not in self.LOADER_API}
+        assert set(kernels) <= set(reference)
+        for name, wrapper in kernels.items():
+            assert len(inspect.signature(wrapper).parameters) == len(
+                inspect.signature(reference[name]).parameters
+            ), name
+        # What only the reference has is backend-independent: the builders of
+        # the derived structures, called by name from the store or the wrappers.
+        callers = self.source("..", "columnar.py") + self.source("native.py")
+        for name in set(reference) - set(kernels):
+            assert f"numpy_impl.{name}" in callers, name
+
+    def test_every_kernel_is_called_by_the_store(self):
+        from repro.db.kernels import native
+
+        store = self.source("..", "columnar.py")
+        for name in set(self.public_functions(native)) - self.LOADER_API:
+            assert f"_kernels.{name}(" in store, f"{name} has no call site in columnar.py"
+
+    def test_signatures_match_the_c_source_and_the_wrappers(self):
+        from repro.db.kernels import native
+
+        probe = {"repro_kernels_abi_version"}  # checked at load time, not a kernel
+        declared = set(native._SIGNATURES) - probe
+        defined = re.findall(r"^(?:void|int64_t) (repro_\w+)\(", self.source("_kernels.c"), re.M)
+        called = re.findall(r"_library\(\)\s*\.(repro_\w+)\(", self.source("native.py"))
+        assert declared == set(defined) - probe
+        assert declared == set(called)
 
 
 class TestBackendPlumbing:

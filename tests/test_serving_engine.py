@@ -7,10 +7,14 @@ import random
 import pytest
 
 from repro.core.search import GBDASearch
+from repro.db import columnar
 from repro.db.database import GraphDatabase
+from repro.db.kernels import available_backends
 from repro.db.query import SimilarityQuery
 from repro.exceptions import ServingError
 from repro.graphs.generators import random_labeled_graph
+from repro.obs.metrics import get_registry
+from repro.obs.trace import QueryTrace
 from repro.serving import BatchQueryEngine
 
 
@@ -348,6 +352,103 @@ class TestPrunedExecutionEngine:
         path = tmp_path / "engine.snapshot"
         engine.save(path)
         assert not BatchQueryEngine.load(path).pruned_execution
+
+
+class TestOnePipeline:
+    """A batch row, a single query and both verification plans are one code path."""
+
+    @pytest.fixture(scope="class")
+    def selective(self):
+        """400 graphs of 8–40 vertices, 16 small tight queries: the bounds prune most."""
+        rng = random.Random(5)
+        graphs = []
+        for _ in range(400):
+            order = rng.randint(8, 40)
+            graphs.append(random_labeled_graph(order, rng.randint(order - 1, 2 * order), seed=rng))
+        search = GBDASearch(
+            GraphDatabase(graphs, name="selective"), max_tau=1, num_prior_pairs=150, seed=2
+        ).fit()
+        qrng = random.Random(9)
+        queries = [
+            SimilarityQuery(
+                random_labeled_graph(qrng.randint(8, 12), qrng.randint(9, 18), seed=qrng),
+                qrng.choice([0, 0, 1]),
+                0.95,
+            )
+            for _ in range(12)
+        ]
+        queries += [SimilarityQuery(graphs[i], 1, 0.95) for i in (3, 77, 150, 311)]
+        return search, queries
+
+    def test_empty_batch_on_the_core(self, fitted):
+        core = BatchQueryEngine.from_search(fitted, cache_size=None)._core
+        for need, pruned in (("full", False), ("accepted", False), ("accepted", True)):
+            assert core.execute_batch([], need=need, pruned=pruned) == []
+            assert core.execute_batch([], query_branches=[], need=need, pruned=pruned) == []
+
+    def test_batch_counts_what_each_query_verified(self, selective):
+        """``prune_counters`` mean one thing: batch == loop, numpy == native."""
+        search, queries = selective
+        readings = {}
+        for backend in available_backends():
+            batch_engine, loop_engine = (
+                BatchQueryEngine.from_search(search, cache_size=None, kernel_backend=backend)
+                for _ in range(2)
+            )
+            batched = batch_engine.query_batch(queries)
+            looped = [loop_engine.query(query) for query in queries]
+            for query, one, other in zip(queries, batched, looped):
+                assert one.accepted_ids == other.accepted_ids
+                assert one.accepted_ids == search.query_reference(query).answer.accepted_ids
+            counters = batch_engine.prune_counters
+            assert counters == loop_engine.prune_counters  # key by key, passes included
+            assert counters["candidates_generated"] == len(queries) * len(search.database)
+            assert counters["sparse_passes"] > 0 and counters["candidates_pruned"] > 0
+            readings[backend] = counters
+        assert all(counters == readings["numpy"] for counters in readings.values())
+
+    def test_traced_flush_has_one_span_per_stage(self, selective):
+        """A sampled flush keeps its waterfall shape; histograms still see every row."""
+        search, queries = selective
+        rows = queries * 2  # no cache: all 32 rows are scored
+        engine = BatchQueryEngine.from_search(search, cache_size=None)
+        stages = get_registry().get("repro_stage_seconds")
+        per_row = stages.labels(stage="bound_filter")
+        rows_before = per_row.count
+        trace = QueryTrace()
+        engine.query_batch(rows, trace=trace)
+        assert per_row.count - rows_before == len(rows) == 32
+        core_spans = [span for span in trace.spans if span.depth == 1]
+        names = [span.name for span in core_spans]
+        assert sorted(names) == sorted(set(names))  # one span per stage and flush
+        assert "bound_filter" in names and set(names) <= {"bound_filter", "verify", "score_dense"}
+        assert ("batch_score",) not in dict(stages.series())  # the matrix path's label
+        # The folded spans tile the start of the engine's own score span.
+        (score,) = (span for span in trace.spans if span.name == "score")
+        cursor = core_spans[0].offset
+        assert cursor >= score.offset
+        for span in core_spans:
+            assert span.offset == pytest.approx(cursor, abs=1e-9)
+            cursor += span.seconds
+        assert cursor <= score.offset + score.seconds + 1e-9
+
+    @pytest.mark.parametrize("backend", available_backends())
+    def test_both_verification_plans_answer_like_the_reference(
+        self, selective, monkeypatch, backend
+    ):
+        search, queries = selective
+        for plan, budget in (("sparse", lambda postings, rows: rows), ("dense", lambda *_: 0)):
+            monkeypatch.setattr(columnar, "sparse_row_budget", budget)
+            engine = BatchQueryEngine.from_search(search, cache_size=None, kernel_backend=backend)
+            for query, answer in zip(queries, engine.query_batch(queries)):
+                reference = search.query_reference(query)
+                assert answer.accepted_ids == reference.answer.accepted_ids
+                assert answer.scores == {
+                    graph_id: reference.posteriors[graph_id] for graph_id in answer.accepted_ids
+                }
+            counters = engine.prune_counters
+            assert counters["sparse_passes" if plan == "dense" else "dense_passes"] == 0
+            assert counters["dense_passes" if plan == "dense" else "sparse_passes"] > 0
 
 
 class TestTopKServing:
