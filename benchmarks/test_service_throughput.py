@@ -93,7 +93,7 @@ def test_micro_batched_concurrency_beats_serial_connection(service_workload, res
     try:
         # --- lone caller: one connection, strict request/response lockstep #
         lone_latencies = []
-        with ServiceClient(*handle.address, timeout=120.0) as client:
+        with ServiceClient(*handle.address, read_timeout=120.0) as client:
             serial_answers = [client.query(query) for query in queries]  # warm pass
             for _ in range(LONE_PASSES):
                 for position, query in enumerate(queries):
@@ -121,7 +121,7 @@ def test_micro_batched_concurrency_beats_serial_connection(service_workload, res
 
         def run_client(worker: int) -> None:
             try:
-                with ServiceClient(*handle.address, timeout=120.0) as client:
+                with ServiceClient(*handle.address, read_timeout=120.0) as client:
                     barrier.wait()
                     answers = client.query_many(shards[worker])
                     for received, expected in zip(answers, expected_shards[worker]):

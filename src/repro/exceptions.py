@@ -115,9 +115,10 @@ class DeadlineExceededError(ServiceError):
     Server-side the query is *dropped*, never scored: admission refuses
     already-expired work and the micro-batcher sheds expired entries at
     flush time, so a deadline that has passed costs no engine cycles.
-    Client-side it also covers a local read timeout on a deadline-carrying
-    request.  Queries are idempotent reads — safe to retry with a fresh
-    deadline.
+    Client-side it is raised for the server's ``DEADLINE_EXCEEDED`` reply
+    only: a local wait that runs out first — the async client bounds its own
+    by the same budget — is a plain :class:`TimeoutError`.  Queries are
+    idempotent reads — safe to retry with a fresh deadline.
     """
 
 

@@ -27,8 +27,10 @@ trace instead of one per request.
   a ``stats`` metrics endpoint.
 * :class:`~repro.service.client.ServiceClient` /
   :class:`~repro.service.client.AsyncServiceClient` — pipelined sync and
-  asyncio clients with typed error mapping, configurable timeouts,
-  retries, hedging, and circuit breaking.
+  asyncio clients: two byte movers over one request state machine that
+  holds every decision (ids, idempotency keys, retries, hedging, what the
+  circuit breaker is told, trace spans), with typed error mapping, bounded
+  waits, and a dead connection replaced by the next request.
 * :mod:`~repro.service.resilience` — the fault-tolerance primitives:
   :class:`~repro.service.resilience.Deadline` (end-to-end budgets),
   :class:`~repro.service.resilience.RetryPolicy` (capped exponential

@@ -305,17 +305,12 @@ class TestClientTimeouts:
         client.close()
 
     def test_sync_timeout_knobs_are_applied(self, hung_server):
-        # Distinct knobs: the read timeout is pinned on the socket after
-        # connect, and the legacy ``timeout`` argument feeds both defaults.
+        # Distinct knobs: the read timeout is pinned on the socket after connect.
         client = ServiceClient(*hung_server, connect_timeout=5.0, read_timeout=0.7)
         assert client.connect_timeout == 5.0
         assert client.read_timeout == 0.7
         assert client._sock.gettimeout() == 0.7
         client.close()
-        legacy = ServiceClient(*hung_server, timeout=9.0)
-        assert legacy.connect_timeout == 9.0
-        assert legacy.read_timeout == 9.0
-        legacy.close()
 
     def test_async_read_timeout_fires(self, hung_server):
         query = _queries(1, seed=79)[0]
@@ -447,7 +442,7 @@ class TestIdempotencyIntegration:
                 # client's key counter: the server must serve the cached
                 # answer, bit-identical, without re-scoring.
                 before = handle.service.metrics()["serving"]["num_queries"]
-                client._next_key -= 1
+                client._requests._next_key -= 1
                 second = client.query(query)
                 after = handle.service.metrics()["serving"]["num_queries"]
             assert second.accepted_ids == first.accepted_ids

@@ -507,7 +507,7 @@ class TestGracefulDrain:
 
         def run_client() -> None:
             try:
-                with ServiceClient(*handle.address, timeout=60.0) as client:
+                with ServiceClient(*handle.address, read_timeout=60.0) as client:
                     outcome["answers"] = client.query_many(queries)  # blocks until drained
             except Exception as exc:
                 outcome["error"] = exc
@@ -832,7 +832,7 @@ class TestStopDuringReload:
 
         def do_reload() -> None:
             try:
-                with ServiceClient(*handle.address, timeout=30.0) as client:
+                with ServiceClient(*handle.address, read_timeout=30.0) as client:
                     outcomes["reload"] = client.reload(path)
             except Exception as exc:
                 outcomes["reload_error"] = exc
@@ -900,7 +900,7 @@ class TestMetricsEndpoint:
         handle = start_service_thread(engine, max_batch=4)
         query = _random_queries(1, seed=59, with_topk=False)[0]
         try:
-            with ServiceClient(*handle.address, timeout=10.0) as client:
+            with ServiceClient(*handle.address, read_timeout=10.0) as client:
                 with pytest.raises(ServiceError):
                     client.reload(bad)
                 # Old engine still up and serving identical answers, and the
