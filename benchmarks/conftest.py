@@ -1,9 +1,11 @@
 """Shared fixtures for the benchmark harness.
 
 Every benchmark regenerates one paper artefact (a table or a figure), prints
-its plain-text rendering, and writes it to ``results/<name>.txt`` so the
-paper-versus-measured record in ``EXPERIMENTS.md`` can be refreshed from the
-committed benchmark output.
+its plain-text rendering, and writes it to ``<results_dir>/<name>.txt``.  The
+committed record lives in ``results/``, and only a run that asks for it with
+``REPRO_BENCH_WRITE=1`` writes there (the CI steps that upload or compare
+``results/BENCH_*.json`` do); every other run, tier-1 included, writes to a
+pytest temporary directory and leaves the working tree as it found it.
 
 Expensive experiment sweeps are computed once per session in fixtures and
 shared across the benchmark files that slice different metrics out of them
@@ -12,6 +14,7 @@ shared across the benchmark files that slice different metrics out of them
 
 from __future__ import annotations
 
+import os
 from pathlib import Path
 
 import pytest
@@ -22,8 +25,10 @@ RESULTS_DIR = Path(__file__).resolve().parent.parent / "results"
 
 
 @pytest.fixture(scope="session")
-def results_dir() -> Path:
-    """Directory where rendered tables/series are written."""
+def results_dir(tmp_path_factory) -> Path:
+    """Where rendered tables/series are written: ``results/`` only on request."""
+    if os.environ.get("REPRO_BENCH_WRITE") != "1":
+        return tmp_path_factory.mktemp("results")
     RESULTS_DIR.mkdir(exist_ok=True)
     return RESULTS_DIR
 

@@ -15,6 +15,23 @@ strings whose first element is the vertex label and whose remaining elements
 are the sorted edge labels; we store an immutable, hashable tuple with the
 same layout so branches can live in ``Counter`` multisets and be compared
 lexicographically.
+
+Every stored graph and every query pays for extraction, and a database repeats
+a few thousand neighbourhoods over and over, so :func:`branch_multiset` — the
+one extractor of the write and the read path — sorts each *distinct* one once:
+a process-wide table maps a vertex's neighbourhood as stored (``L(v)`` plus its
+incident edge labels in adjacency order) to the canonical ``(L(v), N(v))`` key
+object.  A hit is one tuple build and one dict probe, a miss the scalar sort,
+and equal branches of different graphs are one shared tuple.  The table holds
+at most ``_SORT_KEY_MEMO_LIMIT`` entries and is cleared when full.  Type rule:
+:func:`_sort_key` puts the type name first, so ``1``, ``True`` and ``1.0`` (or
+``"A"`` and ``numpy.str_("A")``) sort differently although tuples holding them
+compare and hash equal; an entry is therefore keyed on the exact types of its
+labels too — the one type of all the graph's labels where there is only one,
+the neighbourhood's own tuple of types otherwise.  (Labels *inside* a container
+label, ``(1,)`` and ``(True,)``, are told apart by value only, as the sort-key
+memo always has.)  :func:`branch_of` / :func:`branches_of` stay the scalar
+Definition 2, one sort per vertex: the oracle the tests hold the table against.
 """
 
 from __future__ import annotations
@@ -92,15 +109,21 @@ def branch_multiset(graph: Graph) -> Counter:
     kept for faithfulness to the paper's storage description and for
     human-readable output.
 
-    This is the innermost per-query cost of the online stage (one call per
-    similarity query), so it builds the canonical ``(L(v), N(v))`` keys
-    directly instead of going through :class:`Branch` objects; the keys are
-    exactly ``branch_of(graph, v).canonical_key()``.
+    Every write and every query pays this, so a neighbourhood the process has
+    seen costs one tuple build and one probe of the table in the module
+    docstring; only a new one is sorted.  Keys, counts and iteration order are
+    those of ``Counter(branch_of(graph, v).canonical_key() for v in graph)``.
     """
-    counts: Counter = Counter()
-    for vertex, vertex_label in graph.vertex_items():
-        labels = sorted(graph.incident_edge_labels(vertex), key=_sort_key)
-        counts[(vertex_label, tuple(labels))] += 1
+    kinds = graph.label_types()
+    if len(kinds) == 1:
+        (kind,) = kinds
+        probes = [(kind, label, *incident) for label, incident in graph.neighbourhoods()]
+    else:
+        hoods = [(label, *incident) for label, incident in graph.neighbourhoods()]
+        probes = [(tuple(map(type, hood)), *hood) for hood in hoods]
+    counts = Counter(map(_BRANCH_KEYS.get, probes))
+    if None in counts:  # some neighbourhood is new to the table: count again, learning it
+        counts = Counter(_BRANCH_KEYS.get(probe) or _learn_branch_key(probe) for probe in probes)
     return counts
 
 
@@ -111,9 +134,8 @@ def iter_branches(graph: Graph) -> Iterator[Tuple[object, Branch]]:
 
 
 #: Memo of label -> sort key: labels come from small fixed alphabets and the
-#: (type name, str) tuples are expensive to rebuild per comparison in the
-#: per-query branch-extraction hot loop.  Bounded so a long-lived server
-#: answering arbitrary query graphs cannot grow it without limit.
+#: (type name, str) tuples are expensive to rebuild per comparison.  Bounded so
+#: a long-lived server answering arbitrary queries cannot grow it without limit.
 _SORT_KEY_MEMO: dict = {}
 _SORT_KEY_MEMO_LIMIT = 8192
 
@@ -135,6 +157,25 @@ def _sort_key(label: Label) -> Tuple[str, str]:
         key = (type(label).__name__, str(label))
         _SORT_KEY_MEMO[memo_key] = key
     return key
+
+
+#: (exact label types, neighbourhood as stored) -> canonical key.  Plain ``get`` /
+#: ``setdefault`` under the memo's bound: threads can lose an entry, never read a wrong one.
+_BRANCH_KEYS: dict = {}
+#: (canonical key, its labels' exact types) -> the one object standing for it,
+#: however the branch's edges were stored; emptied with the table.
+_SHARED_KEYS: dict = {}
+
+
+def _learn_branch_key(probe: Tuple) -> Tuple:
+    """Sort one neighbourhood the table has not seen and remember its key."""
+    _kind, label, *incident = probe
+    if len(_BRANCH_KEYS) >= _SORT_KEY_MEMO_LIMIT:
+        _BRANCH_KEYS.clear()
+        _SHARED_KEYS.clear()
+    key = (label, tuple(sorted(incident, key=_sort_key)))
+    key = _SHARED_KEYS.setdefault((key, type(label), *map(type, key[1])), key)
+    return _BRANCH_KEYS.setdefault(probe, key)
 
 
 def _branch_sort_key(branch: Branch) -> Tuple:

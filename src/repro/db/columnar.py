@@ -24,11 +24,13 @@ additionally fuses the thresholded path's bound-filter → survivor-gather →
 verification sequence into one C call (:meth:`filter_verify_row`), so
 pruned-out candidates never allocate or touch intermediates.
 
-Incremental additions go through an **append buffer**: :meth:`append` is
-``O(|branches|)`` bookkeeping, and :meth:`compact` — run lazily by the next
-read — is the one place a write is paid for.  It takes the previous
-published snapshot and produces the next in one linear pass: old posting
-segments are shifted, the pending postings appended, and every derived
+Incremental additions go through an **append buffer**: :meth:`append` /
+:meth:`extend` are ``O(|branches|)`` bookkeeping with no Python statement per
+posting — a batch's key ids are one ``map`` of the vocabulary's ``get`` over
+its branch keys and each pending buffer is extended once — and :meth:`compact`,
+run lazily by the next read, is the one place a write is paid for.  It takes
+the previous published snapshot and produces the next in one linear pass: old
+posting segments are shifted, the pending postings appended, and every derived
 structure the previous snapshot had materialised (the ``(key, |V_G|)`` block
 index, the rows-by-order partition, the probe codes) is carried forward by
 remapping it through that same shift and merging the pending postings in.
@@ -55,6 +57,8 @@ from __future__ import annotations
 
 import threading
 from collections import Counter
+from itertools import chain, compress, repeat
+from operator import gt
 from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
@@ -263,53 +267,69 @@ class ColumnarBranchStore:
     def append(self, entry) -> int:
         """Buffer one :class:`~repro.db.database.StoredGraph`; return its position.
 
-        O(|branches|): the entry's postings land in the append buffer and its
-        row metadata in the growable row vectors; the published snapshot is
-        not touched.  Everything else a write costs is paid by the next
-        :meth:`compact` (triggered lazily by any read), so bulk loads pay for
-        one compaction total.  Runs under the compaction lock so a
-        reader-triggered merge can never observe (or discard) a half-written
-        buffer entry.
+        O(|branches|) bookkeeping that leaves the published snapshot alone; the
+        next :meth:`compact` pays for the write.  Runs under the compaction lock
+        so a reader-triggered merge never sees a half-written buffer entry.
         """
         with self._compact_lock:
-            return self._append(entry)
+            return self._extend((entry,))
 
     def extend(self, entries: Iterable) -> None:
         """Buffer several entries under one acquisition of the compaction lock."""
+        entries = list(entries)
         with self._compact_lock:
-            for entry in entries:
-                self._append(entry)
+            self._extend(entries)
 
-    def _append(self, entry) -> int:
-        position = self._num_rows
-        if position == len(self._row_orders):
+    def _extend(self, entries) -> int:
+        """Buffer ``entries`` (lock held); return the position of the first.
+
+        No Python statement runs per posting: the loops below visit only keys
+        the vocabulary has not seen (:meth:`_learn_key`, once per new key) and
+        multiplicities above 1 — at least 1 each, so only those can raise a cap.
+        """
+        first = self._num_rows
+        rows = first + len(entries)
+        if rows > len(self._row_orders):
             # Doubling keeps appends amortised O(1); published snapshots keep
             # viewing the buffer they were cut from.
-            capacity = max(2 * position, 64)
+            capacity = max(2 * rows, 64)
             for name in ("_row_orders", "_row_global_ids"):
                 grown = np.empty(capacity, dtype=np.int64)
-                grown[:position] = getattr(self, name)
+                grown[:first] = getattr(self, name)[:first]
                 setattr(self, name, grown)
-        self._row_global_ids[position] = entry.graph_id
-        self._row_orders[position] = entry.num_vertices
-        key_ids = self._key_ids
-        caps = self._key_caps
-        for key, count in entry.branches.items():
-            count = int(count)
-            key_id = key_ids.get(key)
+        self._row_global_ids[first:rows] = [entry.graph_id for entry in entries]
+        self._row_orders[first:rows] = [entry.num_vertices for entry in entries]
+        multisets = [entry.branches for entry in entries]
+        keys = list(chain.from_iterable(multisets))
+        counts = list(chain.from_iterable(map(dict.values, multisets)))
+        lookup = self._key_ids.get
+        key_ids = list(map(lookup, keys))
+        slot = -1
+        for _ in range(key_ids.count(None)):
+            slot = key_ids.index(None, slot + 1)
+            key_id = lookup(keys[slot])  # an earlier entry of the batch may have brought it
             if key_id is None:
-                key_id = len(self._keys)
-                key_ids[key] = key_id
-                self._keys.append(key)
-                caps.append(count)
-            elif count > caps[key_id]:
-                caps[key_id] = count
-            self._pending_keys.append(key_id)
-            self._pending_positions.append(position)
-            self._pending_counts.append(count)
-        self._num_rows = position + 1
+                key_id = self._learn_key(keys[slot], counts[slot])
+            key_ids[slot] = key_id
+        caps = self._key_caps
+        for key_id, count in compress(zip(key_ids, counts), map(gt, counts, repeat(1))):
+            if count > caps[key_id]:
+                caps[key_id] = int(count)
+        self._pending_keys += key_ids
+        self._pending_positions += chain.from_iterable(
+            map(repeat, range(first, rows), map(len, multisets))
+        )
+        self._pending_counts += counts
+        self._num_rows = rows
         self._caps_cache = None
-        return position
+        return first
+
+    def _learn_key(self, key: Tuple, count: int) -> int:
+        """The vocabulary's slow path: the id of a branch key seen for the first time."""
+        key_id = self._key_ids[key] = len(self._keys)
+        self._keys.append(key)
+        self._key_caps.append(int(count))
+        return key_id
 
     def _is_compacted(self) -> bool:
         """Whether the published snapshot already covers every posting *and* row.

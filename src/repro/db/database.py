@@ -70,19 +70,21 @@ class GraphDatabase:
     # ------------------------------------------------------------------ #
     # mutation
     # ------------------------------------------------------------------ #
-    def _make_entry(self, graph: Graph, branches: Optional[Counter]) -> StoredGraph:
-        entry = StoredGraph(
-            graph_id=len(self._entries),
-            graph=graph,
-            branches=branch_multiset(graph) if branches is None else branches,
-            num_vertices=graph.num_vertices,
-            num_edges=graph.num_edges,
-        )
-        self._entries.append(entry)
-        self._vertex_labels |= graph.vertex_label_set()
-        self._edge_labels |= graph.edge_label_set()
-        self._revision += 1
-        return entry
+    def _commit(self, graphs: Sequence[Graph], multisets: Sequence[Counter]) -> List[int]:
+        """Append one entry per graph, then tell the subscribers once."""
+        first = len(self._entries)
+        entries = [
+            StoredGraph(first + offset, graph, branches, graph.num_vertices, graph.num_edges)
+            for offset, (graph, branches) in enumerate(zip(graphs, multisets))
+        ]
+        self._entries += entries
+        for graph in graphs:
+            self._vertex_labels |= graph.vertex_label_set()
+            self._edge_labels |= graph.edge_label_set()
+        self._revision += len(entries)
+        if entries:
+            self._notify(entries)
+        return list(range(first, first + len(entries)))
 
     def add(self, graph: Graph, *, branches: Optional[Counter] = None) -> int:
         """Add a graph; pre-compute its branch multiset; return its id.
@@ -95,12 +97,16 @@ class GraphDatabase:
         :class:`StoredGraph` so derived structures (e.g. the branch inverted
         index) stay consistent with incremental additions.
         """
-        entry = self._make_entry(graph, branches)
-        self._notify((entry,))
-        return entry.graph_id
+        branches = branch_multiset(graph) if branches is None else branches
+        return self._commit((graph,), (branches,))[0]
 
     def add_many(self, graphs: Iterable[Graph]) -> List[int]:
         """Add several graphs with a single round of notifications; return their ids.
+
+        All or nothing: every branch multiset of the batch is extracted before
+        the first entry is appended, so a bad item (a non-:class:`Graph` is a
+        :class:`DatasetError` naming its position) leaves the length, revision,
+        alphabets and every subscriber exactly as they were.
 
         Per-entry subscribers still see every graph, but subscribers
         registered with ``subscribe(..., batched=True)`` receive the whole
@@ -109,10 +115,11 @@ class GraphDatabase:
         with the columnar index's append buffer this makes ``extend`` of
         ``k`` graphs cost one compaction, not ``k`` dense rebuilds.
         """
-        entries = [self._make_entry(graph, None) for graph in graphs]
-        if entries:
-            self._notify(entries)
-        return [entry.graph_id for entry in entries]
+        graphs = list(graphs)
+        for position, graph in enumerate(graphs):
+            if not isinstance(graph, Graph):
+                raise DatasetError(f"add_many: item {position} is not a Graph; nothing was added")
+        return self._commit(graphs, list(map(branch_multiset, graphs)))
 
     @property
     def revision(self) -> int:

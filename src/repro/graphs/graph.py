@@ -237,6 +237,13 @@ class Graph:
             raise MissingVertexError(f"vertex {vertex!r} does not exist")
         return iter(self._adjacency[vertex].values())
 
+    def neighbourhoods(self) -> Iterator[Tuple[Label, Iterable[Label]]]:
+        """Iterate over ``(L(v), labels of the edges at v)`` in :meth:`vertices` order.
+
+        Edge labels come as stored (insertion order, unsorted); no Python frame per vertex.
+        """
+        return zip(self._vertex_labels.values(), map(dict.values, self._adjacency.values()))
+
     def degree(self, vertex: VertexId) -> int:
         """Return the degree of a vertex."""
         if vertex not in self._adjacency:
@@ -265,6 +272,11 @@ class Graph:
     def edge_label_set(self) -> FrozenSet[Label]:
         """Return the set of edge labels used in this graph."""
         return frozenset(self._edge_labels.values())
+
+    def label_types(self) -> set:
+        """Return the exact Python types of the labels in use (``1 == True == 1.0``:
+        code that must tell equal labels apart asks here whether it has to look)."""
+        return {*map(type, self._vertex_labels.values()), *map(type, self._edge_labels.values())}
 
     # ------------------------------------------------------------------ #
     # comparison helpers

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import random
 from collections import Counter
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -77,6 +78,14 @@ def _appendable(store, entry):
     )
 
 
+def _fake_entry(graph_id, branches):
+    """A store entry with no graph behind it: id, multiset and |V| are all a store reads."""
+    branches = Counter(branches)
+    return SimpleNamespace(
+        graph_id=graph_id, branches=branches, num_vertices=sum(branches.values())
+    )
+
+
 class TestCsrLayout:
     def test_counts_shapes_and_vocabulary(self, random_database, make_store):
         store = make_store(random_database)
@@ -141,6 +150,51 @@ class TestAppendBufferCompaction:
                 store.intersection_row(branches).tolist()
                 == bulk_store.intersection_row(branches).tolist()
             )
+
+
+    def test_extend_locks_once_and_learns_each_new_key_once(
+        self, random_database, make_store, monkeypatch
+    ):
+        """Count guards of the write path: one lock, one slow-path visit per new key."""
+        entries = list(random_database)
+        store = make_store(entries[:10])
+        store.compact()
+
+        class CountingLock:
+            def __init__(self, lock):
+                self.lock, self.entered = lock, 0
+
+            def __enter__(self):
+                self.entered += 1
+                return self.lock.__enter__()
+
+            def __exit__(self, *exc):
+                return self.lock.__exit__(*exc)
+
+        lock = store._compact_lock = CountingLock(store._compact_lock)
+        learned = []
+        learn = store._learn_key
+        monkeypatch.setattr(
+            store, "_learn_key", lambda key, count: learned.append(key) or learn(key, count)
+        )
+        known = set(store._key_ids)
+        batch = entries[10:] + [_fake_entry(40, {("new", ()): 3}), _fake_entry(41, {("new", ()): 5})]
+        store.extend(batch)
+        assert lock.entered == 1
+        fresh = {key for entry in batch for key in entry.branches} - known
+        assert len(fresh) > 1 and sorted(map(repr, learned)) == sorted(map(repr, fresh))
+        assert len(learned) == len(set(learned))  # ("new", ()) came twice, was learned once
+        caps = store.key_caps()
+        assert caps[store._key_ids[("new", ())]] == 5  # learned at 3, raised by the later entry
+
+        del learned[:]
+        store.extend([_fake_entry(42 + offset, entry.branches) for offset, entry in enumerate(batch)])
+        assert lock.entered == 2 and learned == []  # nothing new: the slow path is not touched
+        reference = make_store(entries + batch[-2:] + batch)
+        assert [array.tolist() for array in store.view()[0][:3]] == [
+            array.tolist() for array in reference.view()[0][:3]
+        ]
+        assert store._keys == reference._keys and caps.tolist() == reference.key_caps().tolist()
 
 
 class TestCompactionRegressions:

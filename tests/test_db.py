@@ -1,15 +1,20 @@
 """Tests for the graph database layer: storage, branch index, catalog, queries."""
 
+import random
+
 import pytest
 
 from repro.core.gbd import graph_branch_distance
+from repro.core.search import GBDASearch
 from repro.db.catalog import DatabaseCatalog
 from repro.db.database import GraphDatabase
 from repro.db.index import BranchInvertedIndex
+from repro.db.kernels import available_backends
 from repro.db.query import QueryAnswer, SimilarityQuery
 from repro.exceptions import DatasetError, SearchError
 from repro.graphs.generators import random_labeled_graph
 from repro.graphs.graph import Graph
+from repro.serving import BatchQueryEngine
 
 
 @pytest.fixture
@@ -155,6 +160,68 @@ class TestBatchNotifications:
         database.unsubscribe(hook)
         database.add(triangle.copy(name="late"))
         assert calls == []
+
+
+class TestAddManyIsAllOrNothing:
+    """A batch with a bad item changes nothing; the next batch lands where its ids say."""
+
+    @staticmethod
+    def _graphs(count, seed):
+        rng = random.Random(seed)
+        return [
+            random_labeled_graph(rng.randint(4, 8), rng.randint(3, 10), seed=rng)
+            for _ in range(count)
+        ]
+
+    def test_a_bad_item_leaves_the_database_and_its_index_as_they_were(self):
+        a, b, c, d, e = self._graphs(5, seed=1)
+        database = GraphDatabase([a, b])
+        index = BranchInvertedIndex(database)
+        batches = []
+        database.subscribe(batches.append, batched=True)
+        alphabets = database.num_vertex_labels, database.num_edge_labels
+        gbds = index.gbd_all(a)
+
+        with pytest.raises(DatasetError, match="item 1"):
+            database.add_many([c, None, d])
+        assert (len(database), database.revision, index.num_indexed_graphs) == (2, 2, 2)
+        assert (database.num_vertex_labels, database.num_edge_labels) == alphabets
+        assert batches == [] and index.gbd_all(a) == gbds
+
+        # Every later graph is indexed at the row its id names.
+        assert database.add(e) == 2
+        assert database.add_many([c, d]) == [3, 4]
+        assert index.store.global_ids().tolist() == [0, 1, 2, 3, 4]
+        assert index.gbd_all(c)[3] == 0 and index.gbd_all(d)[4] == 0
+
+    @pytest.mark.parametrize("backend", available_backends())
+    def test_the_engine_answers_like_the_reference_before_and_after(self, backend):
+        stored, late, queries = self._graphs(20, 2), self._graphs(6, 3), self._graphs(6, 4)
+        search = GBDASearch(GraphDatabase(stored), max_tau=3, num_prior_pairs=80, seed=2).fit()
+        engine = BatchQueryEngine.from_search(search, cache_size=None, kernel_backend=backend)
+        queries = [SimilarityQuery(graph, tau, 0.3) for graph in queries for tau in (1, 3)]
+        queries += [SimilarityQuery(graph, 0, 0.3) for graph in late]  # each finds itself, once added
+
+        def answers():
+            return [(answer.accepted_ids, answer.scores) for answer in map(engine.query, queries)]
+
+        def reference():
+            found = [search.query_reference(query) for query in queries]
+            return [
+                (one.answer.accepted_ids, {i: one.posteriors[i] for i in one.answer.accepted_ids})
+                for one in found
+            ]
+
+        before = answers()
+        assert before == reference()
+        with pytest.raises(DatasetError, match="item 2"):
+            search.database.add_many(late[:2] + ["not a graph"] + late[2:])
+        assert len(search.database) == 20 and answers() == before
+
+        assert search.database.add_many(late) == list(range(20, 26))
+        after = answers()
+        assert after == reference() and after != before
+        assert all(20 + offset in after[-6 + offset][0] for offset in range(6))
 
 
 class TestShardViews:
