@@ -2,9 +2,10 @@
 
 Times each CSR kernel of the columnar branch store under every available
 backend on one identical store + query stream, and prices the headline
-fusion win — the single-pass ``filter_verify_row`` against the unfused
-pipeline it replaced (dense GBD lower-bound row → γ-threshold compare →
-postings gather for the survivors).  The write path's one kernel,
+fusion win — the single-pass ``filter_verify_row`` (bound filter → verify →
+γ threshold, hits out) against the unfused pipeline it replaced: one dense
+``intersection_row`` and the NumPy reduce over its ``D`` cells (GBD, posterior
+lookup, comparison with γ, ``flatnonzero``).  The write path's one kernel,
 ``merge_postings``, is timed through its only caller: one
 ``ColumnarBranchStore.compact`` of a batch of appended graphs with the block
 index and the order partition carried.
@@ -40,6 +41,11 @@ NUM_QUERIES = 8 if SMOKE else 16
 NUM_ROUNDS = 3 if SMOKE else 5                # best-of rounds per (kernel, backend)
 WRITE_BATCH = 16 if SMOKE else 64             # graphs appended per timed compaction
 TAU = 2                                       # GBD bar for the filter kernels
+#: A posterior table that accepts exactly ``GBD <= TAU``: Φ = 1 / (1 + ϕ) at every order.
+GAMMA = 1.0 / (1 + TAU)
+LUT = np.ascontiguousarray(
+    np.broadcast_to(1.0 / (1.0 + np.arange(MAX_ORDER + 2)), (MAX_ORDER + 1, MAX_ORDER + 2))
+)
 
 BACKENDS = available_backends()
 
@@ -85,15 +91,12 @@ def _timed(fn) -> float:
     return time.perf_counter() - start
 
 
-def _unfused_filter_verify(store, num_query_vertices, branches, distinct, tau):
-    """The pre-fusion pipeline: dense bound row → compare → gather survivors."""
-    bounds = store.gbd_lower_bound_row(num_query_vertices, branches)
-    positions = np.flatnonzero(bounds <= tau)
-    order_bounds = np.maximum(num_query_vertices, distinct) - np.minimum(
-        store.matched_query_total(branches), distinct
-    )
-    eligible = order_bounds <= tau
-    return positions, store.intersection_for_orders(branches, distinct[eligible], positions)
+def _unfused_filter_verify(store, num_query_vertices, branches):
+    """The pre-fusion pipeline: one dense row, then the reduce in NumPy."""
+    orders = np.maximum(num_query_vertices, store.orders())
+    gbds = orders - store.intersection_row(branches)
+    positions = np.flatnonzero(LUT.take(orders * LUT.shape[1] + gbds) >= GAMMA)
+    return positions, gbds[positions]
 
 
 def _compaction_us(store, writes) -> float:
@@ -121,11 +124,11 @@ def test_kernel_backend_microbench(workload, results_dir):
                 for nq, branches in zip(vertices, branch_sets)
             ],
             "filter_verify_row": lambda: [
-                store.filter_verify_row(nq, branches, bars)
+                store.filter_verify_row(nq, branches, bars, LUT, GAMMA)
                 for nq, branches in zip(vertices, branch_sets)
             ],
             "unfused_filter_verify": lambda: [
-                _unfused_filter_verify(store, nq, branches, distinct, TAU)
+                _unfused_filter_verify(store, nq, branches)
                 for nq, branches in zip(vertices, branch_sets)
             ],
         }
@@ -139,10 +142,16 @@ def test_kernel_backend_microbench(workload, results_dir):
                 store.intersection_row(branches).tolist()
                 == reference.intersection_row(branches).tolist()
             )
-            mine = store.filter_verify_row(nq, branches, bars)
-            theirs = reference.filter_verify_row(nq, branches, bars)
-            assert mine[0] is not None, "the fused (sparse) plan is what this row prices"
+            mine = store.filter_verify_row(nq, branches, bars, LUT, GAMMA)
+            theirs = reference.filter_verify_row(nq, branches, bars, LUT, GAMMA)
+            assert mine[4] is True, "the sparse plan is what this store's fused row prices"
             assert all(np.array_equal(a, b) for a, b in zip(mine[:3], theirs[:3]))
+            assert mine[3:] == theirs[3:]
+            # and the fused hits are the unfused pipeline's
+            assert all(
+                np.array_equal(a, b)
+                for a, b in zip(mine[:2], _unfused_filter_verify(store, nq, branches))
+            )
 
     kernels = {}
     for name in ops(reference):
@@ -162,8 +171,8 @@ def test_kernel_backend_microbench(workload, results_dir):
         for mine, theirs in zip(store.view()[0][:3], reference.view()[0][:3]):
             assert np.array_equal(mine, theirs)
         for nq, branches in zip(vertices, branch_sets):
-            mine = store.filter_verify_row(nq, branches, grown_bars)
-            theirs = reference.filter_verify_row(nq, branches, grown_bars)
+            mine = store.filter_verify_row(nq, branches, grown_bars, LUT, GAMMA)
+            theirs = reference.filter_verify_row(nq, branches, grown_bars, LUT, GAMMA)
             assert all(np.array_equal(a, b) for a, b in zip(mine[:3], theirs[:3]))
 
     record = {

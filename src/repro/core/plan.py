@@ -17,22 +17,35 @@ implements them once, as one pipeline a query goes through:
   own posting lengths make cheaper
   (:func:`~repro.db.columnar.sparse_row_budget`: no tuning constant, the same
   choice under both kernel backends).
-* **reduce** — two reducers over the same scored candidates.  *Threshold*
-  (:meth:`execute_pruned`): a boolean acceptance table classifies the
-  candidates and posteriors are looked up for the hits only — or, asked to
-  keep every posterior (:meth:`execute`, what ``keep_scores="all"`` and
-  :meth:`GBDASearch.query <repro.core.search.GBDASearch.query>` need), for
-  every row.  *k-best* (:meth:`execute_topk`): chunks in descending bound
-  order fold into a running top ``k`` whose k-th score ends the scan.
+* **reduce** — two reducers over the same scored candidates.  *Threshold*:
+  posterior ``>= γ``.  *k-best* (:meth:`execute_topk`): chunks in descending
+  bound order fold into a running top ``k`` whose k-th score ends the scan.
+
+For callers that only need the accepted graphs (:meth:`execute_pruned`, the
+serving engine's default) *bound*, *verify* and *reduce* are **one store
+call**: :meth:`ColumnarBranchStore.filter_verify_row
+<repro.db.columnar.ColumnarBranchStore.filter_verify_row>` takes the
+per-order thresholds, the τ̂ posterior table, γ and the branch-bound cap and
+returns the *hits* — the accepted rows' store positions and GBDs — so nothing
+``D`` long is produced or walked here; what is left is their ids and one table
+lookup each.  The ``bound_filter`` stage histogram therefore covers that whole
+call (bound, verification and the γ comparison) and the second stage —
+``verify`` after the sparse plan, ``score_dense`` after the dense one — the
+hits' ids and scores only.  Likewise the dense remainder of top-k is one call
+(:meth:`~repro.db.columnar.ColumnarBranchStore.filter_verify_topk`) that hands
+back at most ``k`` scored rows.  Asked to keep every posterior
+(:meth:`execute`, what ``keep_scores="all"`` and :meth:`GBDASearch.query
+<repro.core.search.GBDASearch.query>` need) the threshold reducer scores the
+dense row in NumPy, for every row.
 
 Posteriors come from two interchangeable, bit-identical strategies, chosen
 once per query by estimated cost (:meth:`_use_tables`).  *Tables*: dense
 ``(τ̂, |V'1|)`` posterior vectors from :meth:`GBDAEstimator.posterior_row`
 (each entry is the scalar :meth:`GBDAEstimator.posterior`), stacked into
-order-indexed lookup matrices plus, per ``(τ̂, γ)``, boolean acceptance
-matrices — one fancy index classifies a whole GBD row.  *Direct*: evaluate
-only the distinct ``(GBD, |V'1|)`` pairs actually present (cached across
-queries) — never worse than the per-pair loop.
+order-indexed lookup matrices — the table the store call compares with γ, on
+the very doubles the per-pair loop compares.  *Direct*: evaluate only the
+distinct ``(GBD, |V'1|)`` pairs actually present (cached across queries) —
+never worse than the per-pair loop.
 
 A batch is a loop.  Two queries of a batch share nothing but lookup-table
 rows, which are cached across calls anyway, so :meth:`execute_batch` runs
@@ -70,6 +83,7 @@ from repro.core.estimator import GBDAEstimator
 from repro.core.gbd import max_gbd_for_ged
 from repro.db.database import GraphDatabase
 from repro.db.index import BranchInvertedIndex
+from repro.db.kernels import numpy_impl
 from repro.db.query import SimilarityQuery
 from repro.exceptions import SearchError
 from repro.obs.metrics import DEFAULT_RATIO_BUCKETS, get_registry
@@ -137,21 +151,12 @@ _TOPK_CHUNK = 512
 def _k_best(kept, ids: np.ndarray, scores: np.ndarray, k: int):
     """Fold scored rows into ``kept``: the first ``k`` under ``(-score, id)``, unsorted.
 
-    Top-k's reducer; exact chunk by chunk because the ranking is a prefix of
-    a total order.  The k-th score comes from a full sort: ``np.partition``
-    degenerates when one score dominates (a store of uniform sizes) — 0.7 ms
-    against 0.04 ms for the SIMD sort on 40 000 scores.
+    Top-k's running state between chunks; the selection is the kernels' own
+    (:func:`repro.db.kernels.numpy_impl.k_best`).
     """
-    ids = np.concatenate((kept[0], ids))
-    scores = np.concatenate((kept[1], scores))
-    if len(ids) <= k:
-        return ids, scores
-    kth_score = np.sort(scores)[-k]
-    keep = np.flatnonzero(scores > kth_score)
-    tied = np.flatnonzero(scores == kth_score)
-    short = k - len(keep)  # places left for the smallest ids among the tied
-    keep = np.concatenate((keep, tied[np.argpartition(ids[tied], short - 1)[:short]]))
-    return ids[keep], scores[keep]
+    return numpy_impl.k_best(
+        np.concatenate((kept[0], ids)), np.concatenate((kept[1], scores)), k
+    )
 
 
 def _ranked(ids: np.ndarray, scores: np.ndarray) -> List[Tuple[int, float]]:
@@ -194,29 +199,27 @@ class FilterCounters:
 class CandidateScores:
     """Per-candidate output of one query's online stage.
 
-    All arrays are aligned with each other: on store positions when they
-    span the whole store, on :attr:`positions` otherwise.  ``graph_ids``
-    holds the global database ids of the covered rows (the identity map of
-    an unsharded database when every row is covered).
+    From :meth:`ExecutionCore.execute` every array spans the whole store,
+    aligned on store positions (``graph_ids`` is then the identity map of an
+    unsharded database).  From the accepted-only reducer
+    (:meth:`ExecutionCore.execute_pruned` on the tables side) nothing ``D``
+    long exists: ``graph_ids`` / :attr:`positions` hold the accepted rows,
+    their scores are in :attr:`accepted_items`, and the per-candidate arrays
+    are ``None``.
     """
 
     graph_ids: np.ndarray
-    gbds: np.ndarray
-    #: Per-candidate posteriors, or ``None`` from the accepted-only reducer
-    #: (:meth:`ExecutionCore.execute_pruned`) — the accepted graphs'
-    #: posteriors are then in :attr:`accepted_items`.
-    posteriors: Optional[np.ndarray]
-    accepted: np.ndarray
+    gbds: Optional[np.ndarray] = None
+    posteriors: Optional[np.ndarray] = None
+    accepted: Optional[np.ndarray] = None
     #: Boolean survival mask of the branch lower-bound filter, or ``None``
     #: when pruning was off (every graph was scored).
-    eligible: Optional[np.ndarray]
-    #: Pre-extracted accepted (ids, posteriors) lists of the accepted-only
-    #: reducer (one ``nonzero`` scan instead of a mask pass per consumer).
+    eligible: Optional[np.ndarray] = None
+    #: Accepted (ids, posteriors) lists of the accepted-only reducer — what
+    #: its consumers read (also through :meth:`accepted_id_set`).
     accepted_items: Optional[Tuple[List[int], List[float]]] = None
-    #: Store positions of the rows the arrays cover, or ``None`` when they
-    #: span the whole store.  The sparse plan materialises arrays only for
-    #: bound-surviving candidates and records them here; its consumers read
-    #: :attr:`accepted_items` / :meth:`accepted_id_set`.
+    #: Store positions of the rows ``graph_ids`` covers, or ``None`` when it
+    #: spans the whole store.
     positions: Optional[np.ndarray] = None
 
     def candidate_positions(self) -> np.ndarray:
@@ -233,17 +236,17 @@ class CandidateScores:
 
     def scores_dict(self, which: str = "candidates") -> Dict[int, float]:
         """Posterior scores keyed by global id: ``"candidates"`` or ``"accepted"``."""
-        if which == "accepted":
-            if self.accepted_items is not None:
-                return dict(zip(*self.accepted_items))
-            positions = np.flatnonzero(self.accepted)
-        else:
-            positions = self.candidate_positions()
+        if which == "accepted" and self.accepted_items is not None:
+            return dict(zip(*self.accepted_items))
         if self.posteriors is None:
             raise ValueError(
                 "per-candidate posteriors were not materialised "
                 "(scored with need='accepted')"
             )
+        if which == "accepted":
+            positions = np.flatnonzero(self.accepted)
+        else:
+            positions = self.candidate_positions()
         return dict(
             zip(self.graph_ids[positions].tolist(), self.posteriors[positions].tolist())
         )
@@ -290,12 +293,10 @@ class ExecutionCore:
         self.kernel_backend = str(kernel_backend)
         self._index = index
         self._tables: Dict[Tuple[int, int], np.ndarray] = {}
-        # Published (matrix, frozen filled-order set) pairs per τ̂ (resp.
-        # per (τ̂, γ) for the boolean acceptance variants) — see the module
-        # docstring for the concurrency protocol.
+        # Published (matrix, frozen filled-order set) pairs per τ̂ — see the
+        # module docstring for the concurrency protocol.
         self._luts: Dict[int, _Table] = {}
         self._bound_luts: Dict[int, _Table] = {}  # top-k suffix-max bounds
-        self._accept_luts: Dict[Tuple[int, float], _Table] = {}
         self._table_lock = threading.Lock()
         # Direct-evaluation cache: (τ̂, |V'1|, ϕ) -> posterior.  Writes are
         # idempotent (same float recomputed), so no lock is needed.
@@ -306,9 +307,9 @@ class ExecutionCore:
         # (snapshot's order vector, {key: D-length row derived from it}) of
         # the snapshot last seen — see _row_memo.
         self._snapshot_rows: Tuple[Optional[np.ndarray], Dict] = (None, {})
-        # (τ̂, γ, |V_Q|, |distinct|, pruning) -> capped threshold vector of
-        # the thresholded path — see _pruned_thresholds.
-        self._pruned_thresholds_cache: Dict[Tuple, np.ndarray] = {}
+        # (τ̂, γ, |V_Q|, |distinct|, pruning) -> (capped threshold vector,
+        # posterior table) of the thresholded path — see _pruned_thresholds.
+        self._pruned_thresholds_cache: Dict[Tuple, Tuple[np.ndarray, np.ndarray]] = {}
         # γ-threshold inversion cache: (τ̂, γ) -> order-indexed max acceptable
         # GBD; -2 marks a not-yet-inverted order.  Fills are idempotent (derived
         # from the posterior vectors), so no lock is needed; see
@@ -447,30 +448,37 @@ class ExecutionCore:
 
     def _pruned_thresholds(
         self, query: SimilarityQuery, extended: np.ndarray, use_pruning: bool
-    ) -> np.ndarray:
-        """Cached max acceptable GBD per distinct order of one query shape.
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Cached ``(thresholds, lut)`` of one query shape: what the store call reads.
 
-        Step 4 inverted (:meth:`acceptance_threshold`, vectorized), further
-        capped by the branch bound ``2 τ̂`` under ``use_pruning``.  One query
-        shape ``(τ̂, γ, |V_Q|, pruning)`` over one snapshot always produces
-        the same small vector, so it is built once and reused — and because
-        the *same array object* recurs, the native backend's per-array
-        address cache applies to it too.  ``len(extended)`` identifies the
-        distinct-order set: the store is append-only, so the set only ever
-        grows.
+        ``thresholds`` is the max acceptable GBD per distinct order — Step 4
+        inverted (:meth:`acceptance_threshold`, vectorized), further capped by
+        the branch bound ``2 τ̂`` under ``use_pruning`` — and ``lut`` the τ̂
+        posterior table with a row for each of the shape's extended orders
+        (:meth:`_lut_for`; filled rows never change, so a table that covered
+        the shape once covers it for good).  One query shape ``(τ̂, γ, |V_Q|,
+        pruning)`` over one snapshot always produces the same pair, so it is
+        built once and reused — a repeat costs one dict probe, however many
+        orders the store has — and because the *same array objects* recur, the
+        native backend's per-array address cache applies to them too.
+        ``len(extended)`` identifies the distinct-order set: the store is
+        append-only, so the set only ever grows.
         """
         cache = self._pruned_thresholds_cache
         tau_hat, gamma = query.tau_hat, query.gamma
         key = (tau_hat, gamma, query.query_graph.num_vertices, len(extended), use_pruning)
-        thresholds = cache.get(key)
-        if thresholds is None:
+        cached = cache.get(key)
+        if cached is None:
             if len(cache) > 256:
                 cache.clear()
             thresholds = self._threshold_lookup(tau_hat, gamma, extended)[extended]
             if use_pruning:
                 thresholds = np.minimum(thresholds, max_gbd_for_ged(tau_hat))
-            thresholds = cache[key] = np.ascontiguousarray(thresholds, dtype=np.int64)
-        return thresholds
+            cached = cache[key] = (
+                np.ascontiguousarray(thresholds, dtype=np.int64),
+                self._lut_for(tau_hat, extended.tolist()),
+            )
+        return cached
 
     def _threshold_lookup(
         self, tau_hat: int, gamma: float, extended_orders: np.ndarray
@@ -610,26 +618,6 @@ class ExecutionCore:
             np.float64,
         )
 
-    def _accept_lut_for(
-        self, tau_hat: int, gamma: float, needed_orders: List[int]
-    ) -> np.ndarray:
-        """Boolean ``lut[order, gbd] = (Φ >= γ)`` acceptance matrix.
-
-        Derived row-by-row from :meth:`posterior_vector`, so decisions are
-        exactly Step 4's ``posterior >= γ`` — but a whole GBD row is
-        classified by one (cheap, boolean) fancy index without
-        materialising its posteriors.
-        """
-        gamma = float(gamma)
-        return self._published_table(
-            self._accept_luts,
-            (tau_hat, gamma),
-            tau_hat,
-            needed_orders,
-            lambda vector: vector >= gamma,
-            bool,
-        )
-
     # ------------------------------------------------------------------ #
     # Steps 2–4 of Algorithm 1: one pipeline, two reducers
     # ------------------------------------------------------------------ #
@@ -673,14 +661,15 @@ class ExecutionCore:
         on), and every candidate whose GBD *lower bound* exceeds it is
         eliminated with O(1) arithmetic before any postings traversal — once
         per *distinct* ``|V_G|``, since the bound depends on a row only
-        through its order.  The store verifies the survivors in the same
-        call, by block probes or one dense row
-        (:meth:`ColumnarBranchStore.filter_verify_row`), and the reducer
-        looks up posteriors for the accepted graphs only.  Without
-        ``bounded`` — or on the direct side of the tables choice, a one-shot
-        workload where inverting the thresholds would cost more posterior
-        evaluations than it saves — every order is eligible: verification is
-        the dense row and the reducer keeps every posterior.
+        through its order.  The same store call
+        (:meth:`ColumnarBranchStore.filter_verify_row`) verifies the
+        survivors, by block probes or one dense walk, and compares their
+        posteriors with γ: it returns the accepted rows, and all that is left
+        here is their ids and scores.  Without ``bounded`` — or on the direct
+        side of the tables choice, a one-shot workload where inverting the
+        thresholds would cost more posterior evaluations than it saves —
+        every order is eligible: verification is the dense row and the
+        reducer keeps every posterior.
         """
         started = time.perf_counter()
         branches, store, snapshot, extended, needed_orders, use_tables = self._open(
@@ -690,57 +679,45 @@ class ExecutionCore:
         tau_hat, gamma = query.tau_hat, query.gamma
         num_query_vertices = query.query_graph.num_vertices
         num_rows = len(db_orders)
-        hits_only = bounded and use_tables
-        positions = None
-        stage = "score_dense"
-        if hits_only:
-            thresholds = self._pruned_thresholds(query, extended, use_pruning)
-            positions, intersections, eligible_orders, num_eligible = store.filter_verify_row(
-                num_query_vertices, branches, thresholds, view=(csr, num_rows)
+        if bounded and use_tables:
+            thresholds, lut = self._pruned_thresholds(query, extended, use_pruning)
+            hits, gbds, _eligible, verified, sparse = store.filter_verify_row(
+                num_query_vertices,
+                branches,
+                thresholds,
+                lut,
+                gamma,
+                max_gbd_for_ged(tau_hat) if use_pruning else None,
+                view=(csr, num_rows),
             )
-            sparse = positions is not None
-            verified = num_eligible if sparse else num_rows
             # A query whose every row fell to the bound ran neither plan.
-            self._count(
-                num_rows, num_rows - verified, verified, sparse=sparse if verified else None
-            )
+            self._count(num_rows, num_rows - verified, verified, sparse=sparse)
             _record_stage("bound_filter", started)
             started = time.perf_counter()
-            if sparse:
-                stage = "verify"
-                needed_orders = extended[eligible_orders].tolist()
-        else:
-            intersections = store.intersection_row(branches, view=(csr, num_rows))
-            self._count(num_rows, 0, num_rows, sparse=False)
-        if positions is None:
-            orders, ids = self._orders_row(db_orders, num_query_vertices), global_ids
-        else:
-            orders, ids = np.maximum(num_query_vertices, db_orders[positions]), global_ids[positions]
+            ids = global_ids[hits]
+            orders = np.maximum(num_query_vertices, db_orders[hits])
+            scores = lut.take(orders * lut.shape[1] + gbds)
+            scored = CandidateScores(
+                ids, accepted_items=(ids.tolist(), scores.tolist()), positions=hits
+            )
+            _record_stage("score_dense" if sparse is False else "verify", started)
+            return scored
+        intersections = store.intersection_row(branches, view=(csr, num_rows))
+        self._count(num_rows, 0, num_rows, sparse=False)
+        orders = self._orders_row(db_orders, num_query_vertices)
         gbds = orders - intersections
-        posteriors = None
-        if hits_only:
-            accept_lut = self._accept_lut_for(tau_hat, gamma, needed_orders)
-            accepted = accept_lut.take(orders * accept_lut.shape[1] + gbds)
+        if use_tables:
+            lut = self._lut_for(tau_hat, needed_orders)
+            posteriors = lut.take(orders * lut.shape[1] + gbds)
         else:
-            if use_tables:
-                lut = self._lut_for(tau_hat, needed_orders)
-                posteriors = lut.take(orders * lut.shape[1] + gbds)
-            else:
-                posteriors = self._posteriors_direct(tau_hat, orders, gbds)
-            accepted = posteriors >= gamma
+            posteriors = self._posteriors_direct(tau_hat, orders, gbds)
+        accepted = posteriors >= gamma
         within_branch_bound = None
         if use_pruning:
             within_branch_bound = gbds <= max_gbd_for_ged(tau_hat)
             accepted &= within_branch_bound
-        accepted_items = None
-        if hits_only:
-            hits = np.flatnonzero(accepted)
-            lut = self._lut_for(tau_hat, needed_orders)
-            accepted_items = (ids[hits].tolist(), lut[orders[hits], gbds[hits]].tolist())
-        scored = CandidateScores(
-            ids, gbds, posteriors, accepted, within_branch_bound, accepted_items, positions
-        )
-        _record_stage(stage, started)
+        scored = CandidateScores(global_ids, gbds, posteriors, accepted, within_branch_bound)
+        _record_stage("score_dense", started)
         return scored
 
     def execute(
@@ -845,10 +822,12 @@ class ExecutionCore:
         num_rows = len(db_orders)
         if num_rows == 0:
             return []
-        orders_row = self._orders_row(db_orders, query.query_graph.num_vertices)
+        num_query_vertices = query.query_graph.num_vertices
+        orders_row = self._orders_row(db_orders, num_query_vertices)
         distinct, row_order, starts, ends = store.order_partition(csr)
         tau_hat = query.tau_hat
-        max_gbd = max_gbd_for_ged(tau_hat)
+        # The branch-bound cap on a ranked row's GBD (``use_pruning`` only).
+        cap = max_gbd_for_ged(tau_hat) if use_pruning else None
         view = (csr, num_rows)
         kept = (global_ids[:0], np.empty(0, dtype=np.float64))
 
@@ -858,7 +837,7 @@ class ExecutionCore:
             posteriors = self._posteriors_direct(tau_hat, orders_row, gbds)
             self._count(num_rows, 0, num_rows, sparse=False)
             _record_stage("topk", started)
-            rows = gbds <= max_gbd if use_pruning else slice(None)
+            rows = gbds <= cap if use_pruning else slice(None)
             return _ranked(*_k_best(kept, global_ids[rows], posteriors[rows], k))
 
         # Bound: a GBD lower bound, hence a posterior upper bound, per order.
@@ -867,7 +846,7 @@ class ExecutionCore:
         upper = self._bound_lut_for(tau_hat, needed_orders)[extended, lower_bounds]
         if use_pruning:
             # Rows whose bound already certifies GED > τ̂ leave the ranking.
-            ranked_in = lower_bounds <= max_gbd
+            ranked_in = lower_bounds <= cap
         else:
             # A zero upper bound *determines* the score: posterior ∈ [0, 0].
             # Those rows join the ranking at 0.0 unverified — sound only without
@@ -893,21 +872,24 @@ class ExecutionCore:
             stop = min(cursor + chunk_size, limit)
             if num_keys * (stop - cursor) * probe_steps >= dense_cost:
                 # Probing the next chunk costs as much as walking the query's
-                # posting segments once: do that, score every row in reach.
+                # posting segments once: do that, score every row in reach —
+                # one store call, which hands back the k best of them.
                 rows = candidates[cursor:limit]
-                intersections = store.intersection_row(branches, view=view)[rows]
+                cursor = limit
+                ids, scores = store.filter_verify_topk(
+                    num_query_vertices, branches, rows, lut, cap, k, view=view
+                )
             else:
                 rows = np.sort(candidates[cursor:stop])
-                intersections = store.intersection_subrow(branches, rows, view=view)
+                cursor = stop
                 chunk_size *= 2
-            cursor += len(rows)
-            row_orders = orders_row[rows]
-            gbds = row_orders - intersections
-            if use_pruning:
-                survivors = gbds <= max_gbd
-                rows, row_orders, gbds = rows[survivors], row_orders[survivors], gbds[survivors]
-            scores = lut.take(row_orders * lut.shape[1] + gbds)
-            kept = _k_best(kept, global_ids[rows], scores, k)
+                row_orders = orders_row[rows]
+                gbds = row_orders - store.intersection_subrow(branches, rows, view=view)
+                if use_pruning:
+                    survivors = gbds <= cap
+                    rows, row_orders, gbds = rows[survivors], row_orders[survivors], gbds[survivors]
+                ids, scores = global_ids[rows], lut.take(row_orders * lut.shape[1] + gbds)
+            kept = _k_best(kept, ids, scores, k)
             if len(kept[0]) == k:
                 kth_score = kept[1].min()
                 limit = group_ends[np.searchsorted(neg_bounds, -kth_score, side="right")]

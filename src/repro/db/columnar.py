@@ -19,10 +19,12 @@ The kernels themselves live in :mod:`repro.db.kernels` behind a pluggable
 ``backend`` (``"numpy"`` | ``"native"`` | ``"auto"``): this class owns the
 vocabulary pass, the published snapshot, and the metrics, and dispatches the
 array work to the selected backend.  Every read is one query against one
-snapshot — there is no batched ``(Q, D)`` form.  The ``native`` backend
-additionally fuses the thresholded path's bound-filter → survivor-gather →
-verification sequence into one C call (:meth:`filter_verify_row`), so
-pruned-out candidates never allocate or touch intermediates.
+snapshot — there is no batched ``(Q, D)`` form.  The two reducers of the
+execution core run inside the store call that verifies: :meth:`filter_verify_row`
+(bound filter → survivor gather or dense walk → γ threshold) returns the
+accepted rows and :meth:`filter_verify_topk` (dense walk → k-best) at most
+``k`` scored ones, so on the ``native`` backend — one C call each — neither
+pruned-out candidates nor a ``D``-length row ever reach NumPy.
 
 Incremental additions go through an **append buffer**: :meth:`append` /
 :meth:`extend` are ``O(|branches|)`` bookkeeping with no Python statement per
@@ -72,9 +74,10 @@ __all__ = ["ColumnarBranchStore"]
 # and cached at module level — the kernels below are the hot path of every
 # online query, and children must never live on store instances (stores are
 # pickled into pool workers, whose deltas merge back by label set).  Rows
-# count the cells each call produced (D for a dense row, E for compacted
-# kernels, U distinct orders for the fused filter), making ``rows / calls``
-# an instant read on how selective the pruned layer is.
+# count the cells each call produced (D for a dense row — the top-k reducer's
+# dense walk included — E for compacted kernels, U distinct orders for the
+# fused filter), making ``rows / calls`` an instant read on how selective the
+# pruned layer is.
 _KERNEL_CALLS = get_registry().counter(
     "repro_kernel_calls_total", "Columnar CSR kernel invocations", ("kernel", "backend")
 )
@@ -93,7 +96,7 @@ _BACKEND_INFO = get_registry().gauge(
 class _BackendCounters:
     """Pre-bound (calls, rows) counter children of one backend label."""
 
-    __slots__ = ("row", "subrow", "for_orders", "bound_row", "filter_verify_row")
+    __slots__ = ("row", "subrow", "bound_row", "filter_verify_row")
 
     def __init__(self, backend: str) -> None:
         for kernel in self.__slots__:
@@ -145,14 +148,10 @@ class _Snapshot:
     (rows grouped by order) and ``probe_codes`` (flat ``(key, position)``
     codes) start out ``None`` unless :meth:`ColumnarBranchStore.compact`
     carried them over from the previous snapshot, and are filled at most once,
-    by the first read that needs them.  ``bound_counts`` remembers bound-filter
-    outcomes of this snapshot (see :meth:`ColumnarBranchStore.filter_verify_row`)
-    and is never carried: a new snapshot has other rows to count.
+    by the first read that needs them.
     """
 
-    __slots__ = (
-        "csr", "orders", "global_ids", "blocks", "partition", "probe_codes", "bound_counts"
-    )
+    __slots__ = ("csr", "orders", "global_ids", "blocks", "partition", "probe_codes")
 
     def __init__(self, csr, orders, global_ids, blocks=None, partition=None, probe_codes=None):
         self.csr: _Csr = csr
@@ -161,7 +160,6 @@ class _Snapshot:
         self.blocks = blocks
         self.partition = partition
         self.probe_codes = probe_codes
-        self.bound_counts: Optional[Dict] = None
 
 
 #: First-build path of each derived structure of a snapshot (looked up through
@@ -170,7 +168,6 @@ _BUILDERS = {
     "blocks": lambda snapshot: numpy_impl.build_order_blocks(snapshot.csr, snapshot.orders),
     "partition": lambda snapshot: numpy_impl.build_order_partition(snapshot.orders),
     "probe_codes": lambda snapshot: numpy_impl.build_probe_codes(snapshot.csr),
-    "bound_counts": lambda snapshot: {},
 }
 
 
@@ -438,20 +435,29 @@ class ColumnarBranchStore:
         snapshot = self._snapshot()
         return snapshot.csr, snapshot.orders, snapshot.global_ids
 
+    def _snapshot_of(self, csr: _Csr) -> _Snapshot:
+        """The snapshot record ``csr`` belongs to.
+
+        A reader still computing against a superseded snapshot gets a record
+        of its own, whose derived structures are built from scratch, uncached
+        — the row buffers are append-only, so the prefix its CSR covers is
+        still what it was.
+        """
+        snapshot = self._published
+        if snapshot.csr is not csr:
+            rows = csr[3]
+            snapshot = _Snapshot(csr, self._row_orders[:rows], self._row_global_ids[:rows])
+        return snapshot
+
     def _derived(self, csr: _Csr, name: str):
         """The ``name`` structure of the snapshot ``csr`` belongs to, built on first use.
 
         Carried structures are simply there; the from-scratch builder runs
         once per store (and once per unpickled copy), under the compaction
         lock so racing readers share one build and a compaction cannot miss
-        it.  A reader still computing against a superseded snapshot is served
-        from scratch, uncached — the row buffers are append-only, so the
-        prefix its CSR covers is still what it was.
+        it.
         """
-        snapshot = self._published
-        if snapshot.csr is not csr:
-            rows = csr[3]
-            snapshot = _Snapshot(csr, self._row_orders[:rows], self._row_global_ids[:rows])
+        snapshot = self._snapshot_of(csr)
         value = getattr(snapshot, name)
         if value is None:
             with self._compact_lock:
@@ -575,10 +581,6 @@ class ColumnarBranchStore:
             csr = self._snapshot().csr
             num_graphs = csr[3]
         key_ids, query_counts, _total = self._match(query_branches, csr)
-        return self._dense_row(csr, key_ids, query_counts, num_graphs)
-
-    def _dense_row(self, csr: _Csr, key_ids, query_counts, num_graphs: int) -> np.ndarray:
-        """The dense row of already-matched keys (one ``row`` kernel call)."""
         calls, rows = _counters(self.backend).row
         calls.inc()
         rows.inc(num_graphs)
@@ -689,10 +691,9 @@ class ColumnarBranchStore:
         key_id * stride + |V_row|`` and ``permutation`` maps the sorted
         order back to posting slots.  Every ``(branch key, vertex count)``
         pair owns one contiguous block, located by two binary-search probes
-        — the backbone of :meth:`intersection_for_orders` and the fused
-        filter-verify kernels.  Sorted once (O(P log P)) by the first pruned
-        read of a store; every :meth:`compact` after that carries it forward
-        in O(P + p log p).
+        — the backbone of the sparse plan of :meth:`filter_verify_row`.
+        Sorted once (O(P log P)) by the first pruned read of a store; every
+        :meth:`compact` after that carries it forward in O(P + p log p).
         """
         return self._derived(csr, "blocks")
 
@@ -709,75 +710,59 @@ class ColumnarBranchStore:
         """
         return self._derived(csr, "partition")
 
-    def intersection_for_orders(
-        self,
-        query_branches: Counter,
-        order_values: np.ndarray,
-        positions: np.ndarray,
-        *,
-        view: Optional[Tuple[_Csr, int]] = None,
-    ) -> np.ndarray:
-        """``|B_Q ∩ B_G|`` for every row whose ``|V_G|`` is in ``order_values``.
+    # ------------------------------------------------------------------ #
+    # fused filter → verify → reduce (the two reducers of the execution core)
+    # ------------------------------------------------------------------ #
+    @staticmethod
+    def _checked_table(lut: np.ndarray, num_query_vertices: int, distinct: np.ndarray):
+        """``lut`` once it provably has a cell for every ``(order, gbd)`` a read can meet.
 
-        ``positions`` must be exactly the (sorted) store positions of those
-        rows — the shape the pruned execution layer produces, where bound
-        eligibility is decided per distinct order.  Each (query key,
-        eligible order) pair is one contiguous block of the
-        :meth:`_order_blocks_for` index, so the kernel touches only the
-        postings that actually belong to surviving candidates: O(K · U · log
-        P) block probes plus O(hits) gather — the postings of pruned-out
-        rows are never read.  Entries equal
-        ``intersection_row(...)[positions]`` exactly.
+        The compiled reducers index the table unchecked (``gbd <= order`` by
+        construction, ``order <= max(|V_Q|, largest |V_G|)``, ``distinct``
+        ascending), so the rows and columns have to be there before its
+        address is handed over.
         """
-        csr = view[0] if view is not None else self._snapshot().csr
-        _offsets, all_positions, _all_counts, _rows = csr
-        positions = np.asarray(positions, dtype=np.int64)
-        num_positions = len(positions)
-        calls, rows = _counters(self.backend).for_orders
-        calls.inc()
-        rows.inc(num_positions)
-        if num_positions == 0 or len(all_positions) == 0:
-            return np.zeros(num_positions, dtype=np.int64)
-        key_ids, query_counts, _total = self._match(query_branches, csr)
-        if len(key_ids) == 0:
-            return np.zeros(num_positions, dtype=np.int64)
-        return self._kernels.intersection_for_orders(
-            csr,
-            self._order_blocks_for(csr),
-            key_ids,
-            query_counts,
-            np.asarray(order_values, dtype=np.int64),
-            positions,
-        )
+        largest = max(int(num_query_vertices), int(distinct[-1]) if len(distinct) else 0)
+        if lut.ndim != 2 or min(lut.shape[0], lut.shape[1] - 1) <= largest:
+            raise ValueError(
+                f"posterior table of shape {lut.shape} does not cover extended order {largest}"
+            )
+        return lut
 
-    # ------------------------------------------------------------------ #
-    # fused filter-and-verify (the thresholded path of the execution core)
-    # ------------------------------------------------------------------ #
     def filter_verify_row(
         self,
         num_query_vertices: int,
         query_branches: Counter,
         thresholds: np.ndarray,
+        lut: np.ndarray,
+        gamma: float,
+        max_gbd: Optional[int] = None,
         *,
         view: Optional[Tuple[_Csr, int]] = None,
     ):
-        """Bound filter + exact intersections of one query, from one vocabulary pass.
+        """Bound filter, exact GBDs and the γ threshold of one query, in one pass.
 
         ``thresholds[i]`` is the caller's max acceptable GBD for rows of
         order ``distinct[i]`` (the snapshot's distinct-order partition) —
-        the γ-threshold inversion of the execution core.  Returns
-        ``(positions, intersections, eligible_orders, num_eligible)``:
+        the γ-threshold inversion of the execution core; ``lut[order, gbd]``
+        is its posterior table for the query's τ̂ (a row per extended order
+        ``max(|V_Q|, |V_G|)`` of the snapshot) and ``max_gbd`` the branch-bound
+        cap, if any.  Returns ``(positions, gbds, eligible, verified, sparse)``:
 
-        * no order survives — two empty arrays, the all-false mask, 0;
-        * more rows survive than the query's :func:`sparse_row_budget` —
-          ``positions`` is ``None`` and ``intersections`` the dense ``(D,)``
-          row (:meth:`intersection_row`): walking the matched posting
-          segments once is the cheaper plan;
-        * otherwise — the sorted surviving store positions and their exact
-          ``|B_Q ∩ B_G|`` values (equal to
-          ``intersection_row(...)[positions]``), computed without touching
-          any pruned row's postings.  On the native backend the whole
-          sequence is one C call with no intermediates.
+        * ``eligible`` — the bool mask of the orders whose GBD lower bound is
+          within their threshold;
+        * ``sparse`` / ``verified`` — the plan taken and the rows it verified:
+          ``None`` / 0 when no order survives, ``True`` / the eligible rows
+          when they fit the query's :func:`sparse_row_budget` (block probes:
+          no pruned row's postings are touched), ``False`` / every row
+          otherwise (walking the matched posting segments once is cheaper);
+        * ``positions`` / ``gbds`` — the *hits*: ascending store positions of
+          the verified rows with ``GBD <= max_gbd`` and ``lut[order, GBD] >=
+          gamma``, and those GBDs (``max(|V_Q|, |V_G|) - |B_Q ∩ B_G|``, exactly
+          ``order - intersection_row(...)[positions]``).
+
+        One vocabulary pass, one kernel call; on the native backend that is
+        one C call which hands back the hits and nothing ``D`` long.
         """
         csr = view[0] if view is not None else self._snapshot().csr
         partition = self.order_partition(csr)
@@ -786,36 +771,69 @@ class ColumnarBranchStore:
         rows.inc(len(partition[0]))
         key_ids, query_counts, matched_total = self._match(query_branches, csr)
         budget = sparse_row_budget(_segment_total(csr[0], key_ids), csr[3])
-        # The bound filter is a pure function of (|V_Q|, matched total,
-        # thresholds) over one snapshot, and the execution core hands every
-        # query of a shape the same thresholds array: a repeat known to leave
-        # more rows than its budget goes straight to the dense row.
-        known_counts = self._derived(csr, "bound_counts")
-        shape = (int(num_query_vertices), matched_total, id(thresholds))
-        known = known_counts.get(shape)
-        if known is not None and known[0] is thresholds and known[2] > budget:
-            positions = None
-            _held, eligible, num_eligible = known
-        else:
-            positions, intersections, eligible, num_eligible = self._kernels.filter_verify_row(
-                csr,
-                self._order_blocks_for(csr),
-                partition,
-                shape[0],
-                matched_total,
-                key_ids,
-                query_counts,
-                np.ascontiguousarray(thresholds, dtype=np.int64),
-                budget,
-            )
-            # Entries hold their thresholds array (so its id cannot be
-            # recycled); the core re-makes those now and then, hence a cap.
-            if len(known_counts) > 4096:
-                known_counts.clear()
-            known_counts[shape] = (thresholds, eligible, num_eligible)
-        if positions is None:
-            intersections = self._dense_row(csr, key_ids, query_counts, csr[3])
-        return positions, intersections, eligible, num_eligible
+        positions, gbds, eligible, num_eligible = self._kernels.filter_verify_row(
+            csr,
+            self._order_blocks_for(csr),
+            partition,
+            self._snapshot_of(csr).orders,
+            int(num_query_vertices),
+            matched_total,
+            key_ids,
+            query_counts,
+            np.ascontiguousarray(thresholds, dtype=np.int64),
+            budget,
+            self._checked_table(lut, num_query_vertices, partition[0]),
+            float(gamma),
+            max_gbd,
+        )
+        if num_eligible == 0:
+            return positions, gbds, eligible, 0, None
+        if num_eligible <= budget:
+            return positions, gbds, eligible, num_eligible, True
+        return positions, gbds, eligible, csr[3], False
+
+    def filter_verify_topk(
+        self,
+        num_query_vertices: int,
+        query_branches: Counter,
+        rows: np.ndarray,
+        lut: np.ndarray,
+        max_gbd: Optional[int],
+        k: int,
+        *,
+        view: Optional[Tuple[_Csr, int]] = None,
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """The ``k`` best of ``rows`` by posterior, from one dense walk: ``(ids, scores)``.
+
+        The dense plan of the top-k reducer: every store position in ``rows``
+        (any order, no repeats) is verified — ``gbd = max(|V_Q|, |V_G|) -
+        |B_Q ∩ B_G|`` — dropped when ``gbd > max_gbd`` (``None``: no cap) and
+        scored ``lut[order, gbd]``; returned are the graph ids and scores of at
+        most ``k`` of them, the first under ``(-score, id)``, best first.  It
+        walks the matched posting segments once, like :meth:`intersection_row`,
+        and is counted as that kernel; on the native backend the row never
+        leaves the C call, which keeps a heap of ``k`` entries.
+        """
+        if k < 1:
+            raise ValueError("k must be a positive integer")
+        csr = view[0] if view is not None else self._snapshot().csr
+        snapshot = self._snapshot_of(csr)
+        calls, cells = _counters(self.backend).row
+        calls.inc()
+        cells.inc(csr[3])
+        key_ids, query_counts, _total = self._match(query_branches, csr)
+        return self._kernels.filter_verify_topk(
+            csr,
+            key_ids,
+            query_counts,
+            snapshot.orders,
+            snapshot.global_ids,
+            int(num_query_vertices),
+            np.asarray(rows, dtype=np.int64),
+            self._checked_table(lut, num_query_vertices, self.order_partition(csr)[0]),
+            max_gbd,
+            int(k),
+        )
 
     def gbd_row(self, num_query_vertices: int, query_branches: Counter) -> np.ndarray:
         """Return ``GBD(Q, G)`` for every row as a dense ``(D,)`` array."""

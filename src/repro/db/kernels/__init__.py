@@ -6,7 +6,14 @@ in :mod:`repro.db.kernels.numpy_impl`:
 * ``"numpy"`` — the pure-NumPy reference implementation (always available);
 * ``"native"`` — the bundled C kernels (:mod:`repro.db.kernels.native`),
   compiled on demand with the system toolchain and called through ctypes.
-  Single-pass and fused, so pruned candidates never allocate intermediates.
+  Single-pass and fused: the two reducers (``filter_verify_row``,
+  ``filter_verify_topk``) verify and reduce in one call, so pruned candidates
+  never allocate intermediates and only hits come back.
+
+The interface is six kernels — ``intersection_row``, ``intersection_subrow``,
+``gbd_lower_bound_row``, ``filter_verify_row``, ``filter_verify_topk`` on the
+read path and ``merge_postings`` on the write path — plus, in the reference
+only, the builders of the derived structures and the ``k_best`` selection.
 
 ``"auto"`` (the default everywhere a backend is configurable) resolves to
 ``native`` when it can be built on this machine and ``numpy`` otherwise, so

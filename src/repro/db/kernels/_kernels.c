@@ -14,9 +14,14 @@
  *     unless the store outgrows int32, in which case the wrappers fall back
  *     to the numpy backend instead of calling in here.
  *   - Everything else (key ids, query counts, orders, block codes,
- *     permutations, outputs) is int64.
+ *     permutations, outputs) is int64, except posterior tables and scores,
+ *     which are doubles: ``lut[order * lut_width + gbd]`` is
+ *     Pr[GED <= tau | GBD = gbd] at extended order ``order`` (row-major, every
+ *     order a query can meet covered — checked by the store before the call).
  *   - Output buffers are caller-allocated; intersection outputs must be
- *     zero-initialised unless noted otherwise.
+ *     zero-initialised unless noted otherwise.  The two reducers accumulate a
+ *     dense row in a private int32 buffer (an entry is at most |B_Q|) that
+ *     lives for one call: threads share nothing.
  *   - Within one key's CSR segment the postings are sorted by row position
  *     and rows are unique; ``sub_positions`` arguments are sorted ascending.
  */
@@ -28,7 +33,7 @@
 #define MIN64(a, b) ((a) < (b) ? (a) : (b))
 #define MAX64(a, b) ((a) > (b) ? (a) : (b))
 
-int64_t repro_kernels_abi_version(void) { return 1; }
+int64_t repro_kernels_abi_version(void) { return 2; }
 
 /* First slot in arr[0..n) not less than value (arr ascending). */
 static int64_t lower_bound_i64(const int64_t *arr, int64_t n, int64_t value) {
@@ -122,43 +127,6 @@ void repro_intersection_subrow(const int64_t *offsets, const int32_t *positions,
 }
 
 /* ------------------------------------------------------------------ *
- * (key, row-order) block probes
- * ------------------------------------------------------------------ */
-
-/* |B_Q ∩ B_G| for every row whose order is in order_values: add every
- * posting of the query's (key, order) blocks into the zeroed out, indexed by
- * the slot of the posting's row in sub_positions.  codes_sorted is the
- * snapshot's block index (key_id * stride + |V_row|, ascending) and
- * permutation maps sorted slots back to posting slots.  Rows of the probed
- * orders are members of sub_positions by contract; the membership check only
- * guards against contract violations. */
-void repro_intersection_for_orders(const int64_t *codes_sorted,
-                                   const int64_t *permutation, int64_t num_postings,
-                                   int64_t stride, const int32_t *positions,
-                                   const int32_t *counts, const int64_t *key_ids,
-                                   const int64_t *query_counts, int64_t num_keys,
-                                   const int64_t *order_values, int64_t num_orders,
-                                   const int64_t *sub_positions, int64_t num_sub,
-                                   int64_t *out) {
-    for (int64_t ki = 0; ki < num_keys; ++ki) {
-        int64_t base = key_ids[ki] * stride;
-        int64_t qc = query_counts[ki];
-        for (int64_t u = 0; u < num_orders; ++u) {
-            int64_t code = base + order_values[u];
-            int64_t lo = lower_bound_i64(codes_sorted, num_postings, code);
-            for (; lo < num_postings && codes_sorted[lo] == code; ++lo) {
-                int64_t slot = permutation[lo];
-                int64_t row = positions[slot];
-                int64_t col = lower_bound_i64(sub_positions, num_sub, row);
-                if (col < num_sub && sub_positions[col] == row) {
-                    out[col] += MIN64(qc, (int64_t)counts[slot]);
-                }
-            }
-        }
-    }
-}
-
-/* ------------------------------------------------------------------ *
  * GBD lower bound
  * ------------------------------------------------------------------ */
 
@@ -173,8 +141,32 @@ void repro_gbd_lower_bound_row(int64_t num_query_vertices, int64_t matched_total
 }
 
 /* ------------------------------------------------------------------ *
- * fused filter-and-verify
+ * fused filter → verify → reduce
  * ------------------------------------------------------------------ */
+
+/* The dense row of the matched keys in a fresh all-zero int32 accumulator
+ * (NULL: out of memory); the caller frees it. */
+static int32_t *dense_accumulator(const int64_t *offsets, const int32_t *positions,
+                                  const int32_t *counts, const int64_t *key_ids,
+                                  const int64_t *query_counts, int64_t num_keys,
+                                  int64_t num_rows) {
+    int32_t *acc = (int32_t *)calloc((size_t)MAX64(num_rows, 1), sizeof(int32_t));
+    if (acc == NULL) {
+        return NULL;
+    }
+    for (int64_t ki = 0; ki < num_keys; ++ki) {
+        /* The minimum is taken in 32 bits: narrowed from a 64-bit one it
+         * compiles to a branch (gcc 12, -O3) that real multiplicities
+         * mispredict half the time — four times the whole walk. */
+        int32_t qc = (int32_t)MIN64(query_counts[ki], INT32_MAX);
+        int64_t end = offsets[key_ids[ki] + 1];
+        for (int64_t s = offsets[key_ids[ki]]; s < end; ++s) {
+            int32_t count = counts[s];
+            acc[positions[s]] += count < qc ? count : qc;
+        }
+    }
+    return acc;
+}
 
 /* k-way merge of the eligible orders' ascending row runs. */
 typedef struct {
@@ -198,30 +190,42 @@ static void heap_sift_down(merge_run *heap, int64_t size, int64_t i) {
     }
 }
 
-/* Single-pass filter-and-verify for one query:
+/* Single-pass filter, verify and threshold reduce for one query:
  *   1. per distinct |V_G|, the GBD lower bound is compared against the
  *      caller's max-acceptable-GBD threshold (out_eligible is always
- *      filled; ineligible orders' rows are never touched again);
- *   2. the eligible row count is returned as-is when it is 0 or exceeds
- *      max_candidates (the caller's dense-plan bar) — no per-row work;
- *   3. otherwise the eligible orders' row runs (row_order[starts[u]:ends[u]],
- *      each ascending) are heap-merged into out_positions (sorted), and the
- *      survivors' intersections are accumulated into out_intersections via
- *      the (key, order) block index — postings of pruned rows are never read.
+ *      filled; ineligible orders' rows are never touched again on the sparse
+ *      plan);
+ *   2. no eligible row: nothing else happens;
+ *   3. at most max_candidates eligible rows (the sparse plan): the eligible
+ *      orders' row runs (row_order[starts[u]:ends[u]], each ascending) are
+ *      heap-merged into out_positions (sorted) and the survivors'
+ *      intersections accumulated via the (key, order) block index — postings
+ *      of pruned rows are never read;
+ *      more (the dense plan): the matched keys' segments are scatter-added
+ *      into a private accumulator, every row verified;
+ *   4. each verified row is a hit when
+ *          gbd = max(|V_Q|, |V_G|) - |B_Q ∩ B_G| <= max_gbd
+ *          && lut[order * lut_width + gbd] >= gamma
+ *      — Step 4's own comparison of doubles — and the hits' store positions
+ *      (ascending) and GBDs are compacted into out_positions / out_gbds, their
+ *      number written to *out_num_hits.
  * Returns the eligible row count, or -1 on allocation failure (the wrapper
- * then falls back to the numpy backend).  out_positions/out_intersections
- * must hold at least max_candidates slots; they are written only when
- * 0 < count <= max_candidates. */
+ * then falls back to the numpy backend).  out_positions / out_gbds must hold
+ * num_rows slots. */
 int64_t repro_filter_verify_row(
     int64_t num_query_vertices, int64_t matched_total, const int64_t *distinct,
     const int64_t *starts, const int64_t *ends, int64_t num_distinct,
     const int64_t *row_order, const int64_t *thresholds, int64_t max_candidates,
     const int64_t *codes_sorted, const int64_t *permutation, int64_t num_postings,
-    int64_t stride, const int32_t *positions, const int32_t *counts,
-    const int64_t *key_ids, const int64_t *query_counts, int64_t num_keys,
-    int64_t *out_positions, int64_t *out_intersections, uint8_t *out_eligible) {
+    int64_t stride, const int64_t *offsets, const int32_t *positions,
+    const int32_t *counts, const int64_t *key_ids, const int64_t *query_counts,
+    int64_t num_keys, const int64_t *orders, int64_t num_rows, const double *lut,
+    int64_t lut_width, double gamma, int64_t max_gbd, int64_t *out_positions,
+    int64_t *out_gbds, uint8_t *out_eligible, int64_t *out_num_hits) {
     int64_t num_eligible = 0;
     int64_t num_runs = 0;
+    int64_t num_hits = 0;
+    *out_num_hits = 0;
     for (int64_t u = 0; u < num_distinct; ++u) {
         int64_t order = distinct[u];
         int64_t bound = MAX64(num_query_vertices, order) - MIN64(matched_total, order);
@@ -233,7 +237,42 @@ int64_t repro_filter_verify_row(
             out_eligible[u] = 0;
         }
     }
-    if (num_eligible == 0 || num_eligible > max_candidates) {
+    if (num_eligible == 0) {
+        return 0;
+    }
+
+    if (num_eligible > max_candidates) {
+        int32_t *acc = dense_accumulator(offsets, positions, counts, key_ids,
+                                         query_counts, num_keys, num_rows);
+        if (acc == NULL) {
+            return -1;
+        }
+        /* The fewest shared branches any hit can have: a row of extended
+         * order e is one only if lut[e, g] >= gamma for its GBD g = e - acc, so
+         * acc >= e - (largest accepting g within the cap), minimised over the
+         * orders present.  Most rows fail that one comparison. */
+        int64_t fewest = INT64_MAX;
+        for (int64_t u = 0; u < num_distinct; ++u) {
+            int64_t order = MAX64(num_query_vertices, distinct[u]);
+            const double *row_of = lut + order * lut_width;
+            for (int64_t gbd = MIN64(order, max_gbd); gbd >= 0; --gbd) {
+                if (row_of[gbd] >= gamma) {
+                    fewest = MIN64(fewest, order - gbd);
+                    break;
+                }
+            }
+        }
+        for (int64_t row = 0; row < num_rows; ++row) {
+            if (acc[row] < fewest) continue;
+            int64_t order = MAX64(num_query_vertices, orders[row]);
+            int64_t gbd = order - acc[row];
+            if (gbd <= max_gbd && lut[order * lut_width + gbd] >= gamma) {
+                out_positions[num_hits] = row;
+                out_gbds[num_hits++] = gbd;
+            }
+        }
+        free(acc);
+        *out_num_hits = num_hits;
         return num_eligible;
     }
 
@@ -266,7 +305,8 @@ int64_t repro_filter_verify_row(
     }
     free(heap);
 
-    memset(out_intersections, 0, (size_t)num_eligible * sizeof(int64_t));
+    /* out_gbds holds the survivors' intersections until the reduce below. */
+    memset(out_gbds, 0, (size_t)num_eligible * sizeof(int64_t));
     for (int64_t ki = 0; ki < num_keys; ++ki) {
         int64_t base = key_ids[ki] * stride;
         int64_t qc = query_counts[ki];
@@ -279,12 +319,107 @@ int64_t repro_filter_verify_row(
                 int64_t row = positions[slot];
                 int64_t col = lower_bound_i64(out_positions, num_eligible, row);
                 if (col < num_eligible && out_positions[col] == row) {
-                    out_intersections[col] += MIN64(qc, (int64_t)counts[slot]);
+                    out_gbds[col] += MIN64(qc, (int64_t)counts[slot]);
                 }
             }
         }
     }
+    for (int64_t col = 0; col < num_eligible; ++col) {
+        int64_t row = out_positions[col];
+        int64_t order = MAX64(num_query_vertices, orders[row]);
+        int64_t gbd = order - out_gbds[col];
+        if (gbd <= max_gbd && lut[order * lut_width + gbd] >= gamma) {
+            out_positions[num_hits] = row;
+            out_gbds[num_hits++] = gbd;
+        }
+    }
+    *out_num_hits = num_hits;
     return num_eligible;
+}
+
+/* Whether (score a, id a) ranks after (score b, id b) under (-score, id). */
+static int ranks_after(double score_a, int64_t id_a, double score_b, int64_t id_b) {
+    return score_a < score_b || (score_a == score_b && id_a > id_b);
+}
+
+/* Restore, from slot i down, the heap whose root ranks last of its entries. */
+static void last_ranked_sift_down(int64_t *ids, double *scores, int64_t size, int64_t i) {
+    for (;;) {
+        int64_t left = 2 * i + 1;
+        int64_t right = left + 1;
+        int64_t last = i;
+        if (left < size && ranks_after(scores[left], ids[left], scores[last], ids[last]))
+            last = left;
+        if (right < size && ranks_after(scores[right], ids[right], scores[last], ids[last]))
+            last = right;
+        if (last == i) break;
+        int64_t id = ids[i];
+        double score = scores[i];
+        ids[i] = ids[last];
+        scores[i] = scores[last];
+        ids[last] = id;
+        scores[last] = score;
+        i = last;
+    }
+}
+
+/* The k-best reduce over one dense row: every row of ``rows`` (store
+ * positions, any order) is verified against the dense accumulator, dropped
+ * when its GBD exceeds max_gbd, scored lut[order * lut_width + gbd], and
+ * offered to a heap of at most k (graph id, score) entries whose root ranks
+ * last under (-score, id).  out_ids / out_scores (min(k, num_sub) slots) are
+ * the heap and, on return, its entries best first.  Returns their number, or
+ * -1 on allocation failure. */
+int64_t repro_filter_verify_topk(
+    const int64_t *offsets, const int32_t *positions, const int32_t *counts,
+    const int64_t *key_ids, const int64_t *query_counts, int64_t num_keys,
+    const int64_t *orders, const int64_t *global_ids, int64_t num_rows,
+    int64_t num_query_vertices, const int64_t *rows, int64_t num_sub,
+    const double *lut, int64_t lut_width, int64_t max_gbd, int64_t k,
+    int64_t *out_ids, double *out_scores) {
+    int32_t *acc = dense_accumulator(offsets, positions, counts, key_ids, query_counts,
+                                     num_keys, num_rows);
+    if (acc == NULL) {
+        return -1;
+    }
+    int64_t size = 0;
+    for (int64_t i = 0; i < num_sub; ++i) {
+        int64_t row = rows[i];
+        int64_t order = MAX64(num_query_vertices, orders[row]);
+        int64_t gbd = order - acc[row];
+        if (gbd > max_gbd) continue;
+        double score = lut[order * lut_width + gbd];
+        int64_t id = global_ids[row];
+        if (size < k) {
+            /* sift up: a child that ranks after its parent moves towards the root */
+            int64_t slot = size++;
+            while (slot > 0) {
+                int64_t parent = (slot - 1) / 2;
+                if (!ranks_after(score, id, out_scores[parent], out_ids[parent])) break;
+                out_ids[slot] = out_ids[parent];
+                out_scores[slot] = out_scores[parent];
+                slot = parent;
+            }
+            out_ids[slot] = id;
+            out_scores[slot] = score;
+        } else if (ranks_after(out_scores[0], out_ids[0], score, id)) {
+            out_ids[0] = id;
+            out_scores[0] = score;
+            last_ranked_sift_down(out_ids, out_scores, size, 0);
+        }
+    }
+    free(acc);
+    /* heap sort in place: the root (last ranked) goes to the shrinking tail */
+    for (int64_t end = size - 1; end > 0; --end) {
+        int64_t id = out_ids[0];
+        double score = out_scores[0];
+        out_ids[0] = out_ids[end];
+        out_scores[0] = out_scores[end];
+        out_ids[end] = id;
+        out_scores[end] = score;
+        last_ranked_sift_down(out_ids, out_scores, end, 0);
+    }
+    return size;
 }
 
 /* ------------------------------------------------------------------ *

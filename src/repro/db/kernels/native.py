@@ -16,13 +16,20 @@ Pointer arguments are declared ``void *`` and passed as plain addresses:
 extracting ``array.ctypes.data_as(...)`` costs ~2µs per array in ctypes
 machinery, which at a dozen arrays per fused call would rival the kernel
 itself.  Addresses of snapshot-stable arrays (the CSR triple, the block and
-partition indexes) are therefore identity-cached via :func:`_pinned` — the
+partition indexes, the row vectors, the execution core's threshold vectors
+and posterior tables) are therefore identity-cached via :func:`_pinned` — the
 cache holds a strong reference to each keyed array, so a cached address can
 never dangle or alias a recycled ``id``.
 
+The two reducers accumulate their dense row inside the C call, in a buffer
+that lives for that call alone — nothing is shared between threads, nothing
+persists on a store — and write hits into caller-allocated outputs sized for
+the worst case, of which only the slots of actual hits are ever touched.
+
 Build products land in ``$REPRO_KERNEL_CACHE`` when set, else
-``$TMPDIR/repro-kernels-<uid>``; a failed build is recorded once and surfaces
-through :func:`available` / :func:`load_error`.
+``$TMPDIR/repro-kernels-<uid>`` (:func:`library_path` names the file); a
+failed build is recorded once and surfaces through :func:`available` /
+:func:`load_error`.
 """
 
 from __future__ import annotations
@@ -45,26 +52,26 @@ from repro.db.kernels import numpy_impl
 name = "native"
 
 _SOURCE_PATH = Path(__file__).with_name("_kernels.c")
-_ABI_VERSION = 1
+_ABI_VERSION = 2
 
-#: argtypes of every exported kernel (i=int64 scalar, p=array address)
+#: argtypes of every exported kernel (i=int64 scalar, d=double, p=array address)
 _SIGNATURES = {
     "repro_kernels_abi_version": "",
     "repro_intersection_row": "pppppip",
     "repro_intersection_subrow": "pppppipip",
-    "repro_intersection_for_orders": "ppiippppipipip",
     "repro_gbd_lower_bound_row": "iipip",
-    "repro_filter_verify_row": "iipppippippiippppippp",
+    "repro_filter_verify_row": "iipppippippiipppppipipidipppp",
+    "repro_filter_verify_topk": "pppppippiipipiiipp",
     "repro_merge_postings": "pppipppiipppppipppiipppp",
 }
-_ARG_KINDS = {"i": ctypes.c_int64, "p": ctypes.c_void_p}
+_ARG_KINDS = {"i": ctypes.c_int64, "d": ctypes.c_double, "p": ctypes.c_void_p}
+#: ``max_gbd`` of a reducer called without the branch-bound cap: no GBD exceeds it.
+_NO_CAP = int(np.iinfo(np.int64).max)
 
 _lock = threading.Lock()
 _lib: Optional[ctypes.CDLL] = None
 _load_error: Optional[str] = None
 _attempted = False
-
-_EMPTY_I64 = np.empty(0, dtype=np.int64)
 
 
 def _cache_dir() -> Path:
@@ -83,18 +90,29 @@ def _find_compiler() -> Optional[str]:
     return None
 
 
-def _build_and_load() -> ctypes.CDLL:
-    source = _SOURCE_PATH.read_bytes()
+def library_path() -> Path:
+    """Where the compiled library of the bundled source is cached.
+
+    The loader builds there unless the file exists and loads whatever it
+    finds: placing a differently built library of the same source at this
+    path (the sanitised CI leg does, inside a private ``REPRO_KERNEL_CACHE``)
+    makes it the native backend of every process that shares the cache.
+    """
     tag = hashlib.sha256(
-        source + f"|{platform.system()}|{platform.machine()}|{_ABI_VERSION}".encode()
+        _SOURCE_PATH.read_bytes()
+        + f"|{platform.system()}|{platform.machine()}|{_ABI_VERSION}".encode()
     ).hexdigest()[:16]
-    library_path = _cache_dir() / f"repro_kernels_{tag}.so"
-    if not library_path.exists():
+    return _cache_dir() / f"repro_kernels_{tag}.so"
+
+
+def _build_and_load() -> ctypes.CDLL:
+    path = library_path()
+    if not path.exists():
         compiler = _find_compiler()
         if compiler is None:
             raise RuntimeError("no C compiler found (tried cc, gcc, clang)")
-        library_path.parent.mkdir(parents=True, exist_ok=True)
-        scratch = library_path.with_suffix(f".build-{os.getpid()}.so")
+        path.parent.mkdir(parents=True, exist_ok=True)
+        scratch = path.with_suffix(f".build-{os.getpid()}.so")
         command = [
             compiler,
             "-O3",
@@ -110,8 +128,8 @@ def _build_and_load() -> ctypes.CDLL:
             raise RuntimeError(
                 f"kernel build failed ({' '.join(command)}): {result.stderr.strip()}"
             )
-        os.replace(scratch, library_path)  # atomic publish against racing builders
-    library = ctypes.CDLL(str(library_path))
+        os.replace(scratch, path)  # atomic publish against racing builders
+    library = ctypes.CDLL(str(path))
     for symbol, signature in _SIGNATURES.items():
         function = getattr(library, symbol)
         function.argtypes = [_ARG_KINDS[kind] for kind in signature]
@@ -242,30 +260,6 @@ def intersection_subrow(csr, composite_fn, key_ids, query_counts, sub_positions)
     return out
 
 
-def intersection_for_orders(csr, blocks, key_ids, query_counts, order_values, sub_positions):
-    compact = _compact_csr(csr)
-    if compact is None:
-        return numpy_impl.intersection_for_orders(
-            csr, blocks, key_ids, query_counts, order_values, sub_positions
-        )
-    _offsets_ptr, positions_ptr, counts_ptr = compact
-    codes_sorted, permutation, stride = blocks
-    keys = _c64(key_ids)
-    counts_q = _c64(query_counts)
-    values = _c64(order_values)
-    subs = _c64(sub_positions)
-    out = np.zeros(len(subs), dtype=np.int64)
-    _library().repro_intersection_for_orders(
-        _pinned(codes_sorted, np.int64), _pinned(permutation, np.int64),
-        len(codes_sorted), stride,
-        positions_ptr, counts_ptr,
-        _address(keys), _address(counts_q), len(keys),
-        _address(values), len(values),
-        _address(subs), len(subs), _address(out),
-    )
-    return out
-
-
 def gbd_lower_bound_row(num_query_vertices, matched_total, orders):
     out = np.empty(len(orders), dtype=np.int64)
     _library().repro_gbd_lower_bound_row(
@@ -279,56 +273,99 @@ def filter_verify_row(
     csr,
     blocks,
     partition,
+    orders,
     num_query_vertices,
     matched_total,
     key_ids,
     query_counts,
     thresholds,
     max_candidates,
+    lut,
+    gamma,
+    max_gbd,
 ):
     compact = _compact_csr(csr)
     if compact is None:
         return numpy_impl.filter_verify_row(
-            csr, blocks, partition, num_query_vertices, matched_total,
-            key_ids, query_counts, thresholds, max_candidates,
+            csr, blocks, partition, orders, num_query_vertices, matched_total,
+            key_ids, query_counts, thresholds, max_candidates, lut, gamma, max_gbd,
         )
-    _offsets_ptr, positions_ptr, counts_ptr = compact
     codes_sorted, permutation, stride = blocks
     distinct, row_order, starts, ends = partition
+    num_rows = len(orders)
     keys = _c64(key_ids)
     counts_q = _c64(query_counts)
     # The execution core reuses one thresholds array per repeated query
     # shape, so its address is worth caching alongside the snapshot arrays.
     bars_ptr = _pinned(thresholds, np.int64)
-    capacity = max(int(max_candidates), 0)
     eligible_flags = np.empty(len(distinct), dtype=np.uint8)
-    out_positions = np.empty(capacity, dtype=np.int64)
-    out_intersections = np.empty(capacity, dtype=np.int64)
+    # Room for every row to be a hit; only the slots of actual hits are
+    # ever written, so the rest of the pages are never touched.
+    out_positions = np.empty(num_rows, dtype=np.int64)
+    out_gbds = np.empty(num_rows, dtype=np.int64)
+    num_hits = np.zeros(1, dtype=np.int64)
     num_eligible = int(
         _library().repro_filter_verify_row(
             int(num_query_vertices), int(matched_total),
             _pinned(distinct, np.int64), _pinned(starts, np.int64),
             _pinned(ends, np.int64), len(distinct),
-            _pinned(row_order, np.int64), bars_ptr, capacity,
+            _pinned(row_order, np.int64), bars_ptr, max(int(max_candidates), 0),
             _pinned(codes_sorted, np.int64), _pinned(permutation, np.int64),
             len(codes_sorted), stride,
-            positions_ptr, counts_ptr,
+            *compact,
             _address(keys), _address(counts_q), len(keys),
-            _address(out_positions), _address(out_intersections),
-            _address(eligible_flags),
+            _pinned(orders, np.int64), num_rows,
+            _pinned(lut, np.float64), lut.shape[1], float(gamma),
+            _NO_CAP if max_gbd is None else int(max_gbd),
+            _address(out_positions), _address(out_gbds),
+            _address(eligible_flags), _address(num_hits),
         )
     )
     if num_eligible < 0:  # allocation failure inside the kernel
         return numpy_impl.filter_verify_row(
-            csr, blocks, partition, num_query_vertices, matched_total,
-            key_ids, query_counts, thresholds, max_candidates,
+            csr, blocks, partition, orders, num_query_vertices, matched_total,
+            key_ids, query_counts, thresholds, max_candidates, lut, gamma, max_gbd,
         )
-    eligible = eligible_flags.view(np.bool_)
-    if num_eligible == 0:
-        return _EMPTY_I64, _EMPTY_I64, eligible, 0
-    if num_eligible > capacity:
-        return None, None, eligible, num_eligible
-    return out_positions[:num_eligible], out_intersections[:num_eligible], eligible, num_eligible
+    hits = int(num_hits[0])
+    # Copies, not views: a few hits must not keep two D-sized buffers alive.
+    return (
+        out_positions[:hits].copy(), out_gbds[:hits].copy(),
+        eligible_flags.view(np.bool_), num_eligible,
+    )
+
+
+def filter_verify_topk(
+    csr, key_ids, query_counts, orders, global_ids, num_query_vertices, rows, lut, max_gbd, k
+):
+    compact = _compact_csr(csr)
+    subs = _c64(rows)
+    capacity = min(int(k), len(subs))
+    if compact is None or capacity < 1:
+        return numpy_impl.filter_verify_topk(
+            csr, key_ids, query_counts, orders, global_ids, num_query_vertices,
+            rows, lut, max_gbd, k,
+        )
+    keys = _c64(key_ids)
+    counts_q = _c64(query_counts)
+    out_ids = np.empty(capacity, dtype=np.int64)
+    out_scores = np.empty(capacity, dtype=np.float64)
+    kept = int(
+        _library().repro_filter_verify_topk(
+            *compact,
+            _address(keys), _address(counts_q), len(keys),
+            _pinned(orders, np.int64), _pinned(global_ids, np.int64), len(orders),
+            int(num_query_vertices), _address(subs), len(subs),
+            _pinned(lut, np.float64), lut.shape[1],
+            _NO_CAP if max_gbd is None else int(max_gbd), capacity,
+            _address(out_ids), _address(out_scores),
+        )
+    )
+    if kept < 0:  # allocation failure inside the kernel
+        return numpy_impl.filter_verify_topk(
+            csr, key_ids, query_counts, orders, global_ids, num_query_vertices,
+            rows, lut, max_gbd, k,
+        )
+    return out_ids[:kept], out_scores[:kept]
 
 
 def merge_postings(

@@ -50,6 +50,8 @@ Fault tolerance (primitives in :mod:`repro.service.resilience`):
   While open, queries fail fast with
   :class:`~repro.exceptions.CircuitOpenError`; admin commands are not
   gated, so ``ping`` still reaches an endpoint the breaker has written off.
+  A half-open probe whose caller leaves before it settles (a cancelled
+  task, an interrupt) is handed back, so the next query probes instead.
 * **Dead connections.**  A connection that timed out mid-stream (sync),
   reset, closed or carried a corrupt frame is never written to again: the
   next request dials a fresh one — one dial however many callers wait — or
@@ -107,7 +109,7 @@ class _Call:
 
     __slots__ = (
         "message", "key", "field", "trace", "attempt", "ids", "started", "sent_at",
-        "hedged_at", "result", "done", "waiter",
+        "hedged_at", "result", "done", "probing", "waiter",
     )
 
     def __init__(self, message: Dict[str, Any], key=None, field=None, trace=None) -> None:
@@ -120,6 +122,7 @@ class _Call:
         self.started = self.sent_at = self.hedged_at = 0.0
         self.result: Any = None
         self.done = False
+        self.probing = False  #: this attempt holds the breaker's half-open probe
         self.waiter: Any = None  #: the async driver's future for this attempt
 
     def value(self):
@@ -181,12 +184,16 @@ class _Requests:
         One breaker check (``CircuitOpenError`` while it refuses) covers the
         round: a half-open breaker lets one probe through, and this is it.
         """
+        probing = False
         if self.breaker is not None and calls[0].key is not None:
             self.breaker.check()
+            # Half-open admits nothing but its probe: admitted there, this is it.
+            probing = self.breaker.state == CircuitBreaker.HALF_OPEN
         now = time.perf_counter()
         for call in calls:
             call.attempt += 1
             call.done = False
+            call.probing = probing
             call.started = call.sent_at = now
             call.hedged_at = 0.0
 
@@ -322,8 +329,12 @@ class _Requests:
 
     def finish(self, call: _Call) -> None:
         """The caller is done with ``call``, however its driver was left: one
-        root trace per logical query, whatever the attempts — never an orphan."""
+        root trace per logical query, whatever the attempts — never an orphan —
+        and a breaker probe that was abandoned (cancelled, interrupted) before it
+        settled is handed back, or every later query would fail fast for good."""
         self._forget(call)
+        if call.probing and not call.done:
+            self.breaker.release_probe()
         if call.trace is not None:
             call.trace.detail["attempts"] = call.attempt
             call.trace.finish()

@@ -304,6 +304,17 @@ class CircuitBreaker:
                 f"(after {self._failures} consecutive failures)"
             )
 
+    def release_probe(self) -> None:
+        """The half-open probe was abandoned before it could succeed or fail.
+
+        Nothing was learnt about the endpoint, so the state stays half-open
+        and the next request is the probe — without this a probe whose
+        caller was cancelled would shut the circuit for good.
+        """
+        with self._lock:
+            if self._state == self.HALF_OPEN:
+                self._probe_inflight = False
+
     def record_success(self) -> None:
         """A request completed: close the circuit and reset the count."""
         with self._lock:

@@ -465,8 +465,8 @@ class BatchQueryEngine:
                     query_branches=pending_branches,
                     use_pruning=self.use_index_pruning,
                     # keep_scores="all" needs every candidate's posterior; the
-                    # other modes let a pruned core classify through the boolean
-                    # acceptance tables and materialise only accepted scores.
+                    # other modes let a pruned core threshold inside the store
+                    # call and materialise only accepted scores.
                     need="full" if self.keep_scores == "all" else "accepted",
                     pruned=self._pruned_path,
                 )

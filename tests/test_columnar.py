@@ -86,6 +86,37 @@ def _fake_entry(graph_id, branches):
     )
 
 
+def verified_rows(store, num_query_vertices, branches, thresholds, **view):
+    """``filter_verify_row`` under a table that accepts every row it verifies.
+
+    The hits are then exactly the verified rows, so the call reads as the
+    bound filter and the verification it fuses: ``(positions, intersections,
+    eligible, num_eligible)`` with ``positions`` ``None`` on the dense plan
+    (every row verified), ``intersections`` read as ``order - gbd``.
+    """
+    csr = view["view"][0] if view else store.view()[0]
+    orders = store._snapshot_of(csr).orders
+    distinct, _row_order, starts, ends = store.order_partition(csr)
+    largest = max([int(num_query_vertices), *distinct[-1:].tolist()])
+    accept_all = np.ones((largest + 1, largest + 2))
+    positions, gbds, eligible, verified, sparse = store.filter_verify_row(
+        num_query_vertices, branches, thresholds, accept_all, 0.5, **view
+    )
+    num_eligible = int((ends - starts)[eligible].sum())
+    assert positions.dtype == gbds.dtype == np.int64
+    if num_eligible == 0:
+        assert sparse is None and verified == 0
+    else:
+        assert sparse in (True, False)
+        assert verified == (num_eligible if sparse else len(orders))
+    assert len(positions) == verified  # every verified row is a hit of this table
+    intersections = np.maximum(int(num_query_vertices), orders[positions]) - gbds
+    if sparse is False:
+        assert positions.tolist() == list(range(len(orders)))
+        positions = None
+    return positions, intersections, eligible, num_eligible
+
+
 class TestCsrLayout:
     def test_counts_shapes_and_vocabulary(self, random_database, make_store):
         store = make_store(random_database)
@@ -238,8 +269,8 @@ class TestCompactionRegressions:
         queries = _queries(6, seed=29)
         branch_sets = [branch_multiset(query) for query in queries]
         # Warm every derived cache on the first snapshot.
-        store.intersection_for_orders(
-            branch_sets[0], np.unique(store.orders()), np.arange(store.num_graphs)
+        verified_rows(
+            store, queries[0].num_vertices, branch_sets[0], np.unique(store.orders())
         )
         store.intersection_subrow(branch_sets[0], np.arange(0, store.num_graphs, 2))
         extras = GraphDatabase(_queries(4, seed=31))
@@ -459,8 +490,8 @@ class TestFusedFilterVerify:
                 dense = store.intersection_row(branches)
                 for tau in (0, 1, 2, 4, 50):
                     distinct, thresholds = self._bars(store, nq, tau)
-                    positions, inters, eligible, num_eligible = store.filter_verify_row(
-                        nq, branches, thresholds
+                    positions, inters, eligible, num_eligible = verified_rows(
+                        store, nq, branches, thresholds
                     )
                     per_row_bar = thresholds[np.searchsorted(distinct, orders)]
                     expected_rows = np.flatnonzero(bounds <= per_row_bar)
@@ -479,51 +510,19 @@ class TestFusedFilterVerify:
         branches = branch_multiset(query)
         nq = query.num_vertices
         distinct, thresholds = self._bars(store, nq, 50)  # everything survives
-        positions, inters, eligible, num_eligible = store.filter_verify_row(
-            nq, branches, thresholds
+        positions, inters, eligible, num_eligible = verified_rows(
+            store, nq, branches, thresholds
         )
         # every row to verify: walking the postings once is the cheaper plan
         assert positions is None
         assert inters.tolist() == store.intersection_row(branches).tolist()
         assert eligible.all() and num_eligible == store.num_graphs
         hopeless = np.full(len(distinct), -1, dtype=np.int64)  # GBD >= 0 always
-        positions, inters, eligible, num_eligible = store.filter_verify_row(
-            nq, branches, hopeless
+        positions, inters, eligible, num_eligible = verified_rows(
+            store, nq, branches, hopeless
         )
         assert num_eligible == 0 and not eligible.any()
         assert positions.shape == (0,) and inters.shape == (0,)
-
-    def test_a_repeat_known_to_go_dense_skips_the_fused_kernel(
-        self, random_database, make_store, monkeypatch
-    ):
-        store = make_store(random_database)
-        kernels = store._kernels
-        fused_calls = []
-        fused = kernels.filter_verify_row
-        monkeypatch.setattr(
-            kernels, "filter_verify_row", lambda *args: fused_calls.append(args) or fused(*args)
-        )
-        query = _queries(1, seed=59)[0]
-        branches, nq = branch_multiset(query), query.num_vertices
-        _distinct, thresholds = self._bars(store, nq, 50)  # everything survives: dense
-
-        def read(bars):
-            positions, inters, eligible, num_eligible = store.filter_verify_row(nq, branches, bars)
-            return positions, inters.tolist(), eligible.tolist(), num_eligible
-
-        first = read(thresholds)
-        assert first[0] is None and read(thresholds) == first
-        assert len(fused_calls) == 1  # the repeat counted nothing again
-        # Identity, not equality, names a shape: an equal copy is a stranger.
-        assert read(thresholds.copy()) == first and len(fused_calls) == 2
-        # A repeat the budget sends to the probes still has them to run.
-        monkeypatch.setattr(columnar, "sparse_row_budget", lambda postings, rows: rows)
-        sparse = read(thresholds)
-        assert sparse[0] is not None and sparse[2:] == first[2:] and len(fused_calls) == 3
-        # A write publishes a new snapshot, which has other rows to count.
-        monkeypatch.undo()
-        store.append(_appendable(store, random_database[0]))
-        assert read(thresholds)[3] == first[3] + 1
 
     def test_sparse_row_budget_reads_the_querys_own_postings(self):
         budget = columnar.sparse_row_budget

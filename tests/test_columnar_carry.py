@@ -32,6 +32,7 @@ from repro.db.database import GraphDatabase
 from repro.db.index import BranchInvertedIndex
 from repro.db.kernels import available_backends, numpy_impl
 from repro.graphs.generators import random_labeled_graph
+from test_columnar import verified_rows
 
 BACKENDS = available_backends()
 INT32_MAX = int(np.iinfo(np.int32).max)
@@ -170,9 +171,8 @@ class CarryMachine(RuleBasedStateMachine):
         queries=st.lists(branch_sets, min_size=1, max_size=3),
         bar=st.integers(0, 8),
         plan=st.sampled_from(["sparse", "dense", "by cost"]),
-        data=st.data(),
     )
-    def read_pruned(self, queries, bar, plan, data):
+    def read_pruned(self, queries, bar, plan):
         """The block-index kernels: what the thresholded path calls."""
         store, fresh = self.store, self.fresh()
         csr = store.view()[0]
@@ -186,8 +186,8 @@ class CarryMachine(RuleBasedStateMachine):
         try:
             for q in queries:
                 nq = sum(q.values())
-                mine = store.filter_verify_row(nq, q, bars)
-                theirs = fresh.filter_verify_row(nq, q, bars)
+                mine = verified_rows(store, nq, q, bars)
+                theirs = verified_rows(fresh, nq, q, bars)
                 assert mine[3] == theirs[3]
                 assert (mine[0] is None) == (theirs[0] is None)
                 assert plan == "by cost" or mine[3] == 0 or (mine[0] is None) == (plan == "dense")
@@ -200,15 +200,6 @@ class CarryMachine(RuleBasedStateMachine):
                 assert np.array_equal(mine[1], dense)
         finally:
             columnar.sparse_row_budget = by_cost
-        if len(distinct):
-            chosen = data.draw(st.sets(st.sampled_from(distinct.tolist()), min_size=1))
-            chosen = np.asarray(sorted(chosen), dtype=np.int64)
-            rows = np.flatnonzero(np.isin(store.orders(), chosen))
-            for q in queries:
-                assert np.array_equal(
-                    store.intersection_for_orders(q, chosen, rows),
-                    fresh.intersection_row(q)[rows],
-                )
 
     @invariant()
     def carried_structures_equal_their_builders(self):
@@ -277,7 +268,7 @@ def test_write_then_pruned_read_sorts_nothing(backend, block_builds, sparse_plan
 
     def pruned_read():
         bars = np.full(len(store.order_partition(store.view()[0])[0]), 3, dtype=np.int64)
-        return store.filter_verify_row(query.num_vertices, branches, bars)
+        return verified_rows(store, query.num_vertices, branches, bars)
 
     pruned_read()
     assert block_builds == [40]  # the first pruned read of a store sorts, once
@@ -318,7 +309,7 @@ def test_superseded_snapshot_arrays_are_released(backend, sparse_plan):
     def pruned_read():
         csr, orders, _ids = store.view()
         bars = np.full(len(store.order_partition(csr)[0]), 3, dtype=np.int64)
-        store.filter_verify_row(8, branches, bars, view=(csr, len(orders)))
+        verified_rows(store, 8, branches, bars, view=(csr, len(orders)))
         store.intersection_row(branches)
         return [weakref.ref(csr[1]), weakref.ref(store._order_blocks_for(csr)[1])]
 
@@ -367,8 +358,8 @@ def test_reader_racing_add_many_sees_whole_batches_only(backend, sparse_plan):
         graphs.extend(batch)
         fresh = ColumnarBranchStore(GraphDatabase(graphs), backend="numpy")
         bars = np.full(len(fresh.order_partition(fresh.view()[0])[0]), 4, dtype=np.int64)
-        positions, intersections, _eligible, count = fresh.filter_verify_row(
-            query.num_vertices, branches, bars
+        positions, intersections, _eligible, count = verified_rows(
+            fresh, query.num_vertices, branches, bars
         )
         expected[len(graphs)] = (
             fresh.intersection_row(branches), positions, intersections, count
@@ -385,7 +376,7 @@ def test_reader_racing_add_many_sees_whole_batches_only(backend, sparse_plan):
                 view = (csr, len(orders))
                 assert np.array_equal(store.intersection_row(branches, view=view), row)
                 bars = np.full(len(store.order_partition(csr)[0]), 4, dtype=np.int64)
-                got = store.filter_verify_row(query.num_vertices, branches, bars, view=view)
+                got = verified_rows(store, query.num_vertices, branches, bars, view=view)
                 assert got[3] == count
                 assert np.array_equal(got[0], positions)
                 assert np.array_equal(got[1], intersections)

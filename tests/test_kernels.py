@@ -8,17 +8,28 @@ errors for an explicitly requested but unbuildable native backend).
 
 from __future__ import annotations
 
+import dataclasses
 import inspect
 import random
 import re
+import sys
+import threading
+from collections import Counter
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.core import plan
+from repro.core.plan import ExecutionCore, FilterCounters
 from repro.core.search import GBDASearch
+from repro.db import columnar
 from repro.db.columnar import ColumnarBranchStore
 from repro.db.database import GraphDatabase
+from repro.db.query import SimilarityQuery
 from repro.db.kernels import (
     KNOWN_BACKENDS,
     available_backends,
@@ -29,6 +40,8 @@ from repro.db.kernels import (
 )
 from repro.db.kernels import numpy_impl
 from repro.graphs.generators import random_labeled_graph
+from repro.graphs.graph import Graph
+from repro.obs.metrics import get_registry
 from repro.serving import BatchQueryEngine
 from repro.serving.snapshot import load_engine, save_engine
 
@@ -95,7 +108,7 @@ class TestKernelInterfaceDrift:
     the native backend cannot be built.
     """
 
-    LOADER_API = {"available", "load_error"}  # native's own, not kernels
+    LOADER_API = {"available", "load_error", "library_path"}  # native's own, not kernels
 
     @staticmethod
     def public_functions(module):
@@ -124,8 +137,13 @@ class TestKernelInterfaceDrift:
                 inspect.signature(reference[name]).parameters
             ), name
         # What only the reference has is backend-independent: the builders of
-        # the derived structures, called by name from the store or the wrappers.
-        callers = self.source("..", "columnar.py") + self.source("native.py")
+        # the derived structures, called by name from the store or the wrappers,
+        # and the k-best selection, which the execution core folds its chunks with.
+        callers = (
+            self.source("..", "columnar.py")
+            + self.source("native.py")
+            + self.source("..", "..", "core", "plan.py")
+        )
         for name in set(reference) - set(kernels):
             assert f"numpy_impl.{name}" in callers, name
 
@@ -288,3 +306,428 @@ class TestMergePostingsParity:
         )
         assert arrays[1].dtype == np.int64 and arrays[2].dtype == np.int32
         assert arrays[1].tolist() == [0, 2, 3, 1, 4, 0, 1, 2, 3, 1, 3, 4]
+
+
+# --------------------------------------------------------------------------- #
+# the two reducers: native == numpy_impl == the scalar loop
+# --------------------------------------------------------------------------- #
+INT32_MAX = int(np.iinfo(np.int32).max)
+#: Eight keys, multiplicities up to three: orders 0 (no branch at all) to 15.
+reducer_branch_sets = st.dictionaries(
+    st.tuples(st.just("k"), st.integers(0, 7)), st.integers(1, 3), max_size=5
+).map(Counter)
+#: Query multisets also draw keys no stored graph has (nothing matched at all
+#: when they draw nothing else).
+reducer_queries = st.dictionaries(
+    st.tuples(st.sampled_from(["k", "unknown"]), st.integers(0, 7)), st.integers(1, 3), max_size=5
+).map(Counter)
+#: Few distinct posteriors: γ often *is* a table entry and whole stores tie.
+TABLE_VALUES = np.asarray([0.0, 0.25, 0.5, 0.75, 1.0])
+
+
+def _reducer_stores(multisets, ids, position_limit):
+    """The same rows under every backend (``position_limit`` 5: the wide layout)."""
+    entries = [
+        SimpleNamespace(graph_id=graph_id, num_vertices=sum(branches.values()), branches=branches)
+        for graph_id, branches in zip(ids, multisets)
+    ]
+    saved = columnar._POSITION_DTYPE_LIMIT
+    columnar._POSITION_DTYPE_LIMIT = position_limit
+    try:
+        stores = {}
+        for backend in available_backends():
+            stores[backend] = ColumnarBranchStore(entries, backend=backend)
+            stores[backend].compact()
+    finally:
+        columnar._POSITION_DTYPE_LIMIT = saved
+    return entries, stores
+
+
+def _scalar_rows(entries, query):
+    """``(extended order, GBD)`` of every row, by the per-pair loop."""
+    num_query_vertices = sum(query.values())
+    rows = []
+    for entry in entries:
+        order = max(num_query_vertices, entry.num_vertices)
+        shared = sum(min(count, entry.branches.get(key, 0)) for key, count in query.items())
+        rows.append((order, order - shared))
+    return rows
+
+
+def _random_table(seed, constant, largest):
+    """A posterior table whose rows are not monotone in ϕ (nor anything else).
+
+    ``constant``: that value everywhere — every row a hit or none, every score a tie.
+    """
+    shape = (largest + 1, largest + 2)
+    if constant is not None:
+        return np.full(shape, constant)
+    return TABLE_VALUES[np.random.default_rng(seed).integers(0, len(TABLE_VALUES), size=shape)]
+
+
+class TestReducerParity:
+    """Hits and k-best pairs: both backends against the scalar loop, bit for bit."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        multisets=st.lists(reducer_branch_sets, max_size=12),
+        query=reducer_queries,
+        bar=st.integers(-1, 16),
+        table=st.tuples(st.integers(0, 10_000), st.sampled_from([None, None, 0.5])),
+        gamma=st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0, 0.6, 2.0]),
+        max_gbd=st.sampled_from([None, 0, 2, 4]),
+        plan=st.sampled_from(["sparse", "dense", "by cost"]),
+        position_limit=st.sampled_from([5, INT32_MAX]),
+    )
+    def test_threshold_reducer_equals_the_scalar_loop(
+        self, multisets, query, bar, table, gamma, max_gbd, plan, position_limit
+    ):
+        entries, stores = _reducer_stores(multisets, range(100, 100 + len(multisets)), position_limit)
+        num_query_vertices = sum(query.values())
+        scalar = _scalar_rows(entries, query)
+        distinct = sorted({entry.num_vertices for entry in entries})
+        largest = max([num_query_vertices, *distinct])
+        lut = _random_table(*table, largest)
+        # Bars that differ by order, like the γ-threshold inversion's.
+        bars = np.asarray([bar - (order % 3) for order in distinct], dtype=np.int64)
+
+        matched_total = stores["numpy"].matched_query_total(query)
+        eligible = [
+            max(num_query_vertices, order) - min(matched_total, order) <= threshold
+            for order, threshold in zip(distinct, bars.tolist())
+        ]
+        eligible_orders = {order for order, kept in zip(distinct, eligible) if kept}
+        survivors = [
+            position for position, entry in enumerate(entries)
+            if entry.num_vertices in eligible_orders
+        ]
+        by_cost = columnar.sparse_row_budget
+        if plan != "by cost":
+            columnar.sparse_row_budget = lambda postings, rows: rows if plan == "sparse" else 0
+        try:
+            csr = stores["numpy"].view()[0]
+            budget = columnar.sparse_row_budget(
+                stores["numpy"].matched_postings(query, csr)[2], len(entries)
+            )
+            sparse = None if not survivors else len(survivors) <= budget
+            verified = survivors if sparse is not False else range(len(entries))
+            hits = [
+                (position, scalar[position][1])
+                for position in verified
+                if (max_gbd is None or scalar[position][1] <= max_gbd)
+                and lut[scalar[position]] >= gamma
+            ]
+            for backend, store in stores.items():
+                assert (store.view()[0][1].dtype == np.int64) == (len(entries) > position_limit)
+                positions, gbds, mask, count, taken = store.filter_verify_row(
+                    num_query_vertices, query, bars, lut, gamma, max_gbd
+                )
+                assert positions.dtype == gbds.dtype == np.int64, backend
+                assert list(zip(positions.tolist(), gbds.tolist())) == hits, backend
+                assert mask.dtype == np.bool_ and mask.tolist() == eligible, backend
+                assert taken is sparse and count == len(verified) * bool(survivors), backend
+        finally:
+            columnar.sparse_row_budget = by_cost
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        multisets=st.lists(reducer_branch_sets, min_size=1, max_size=12),
+        query=reducer_queries,
+        data=st.data(),
+        table=st.tuples(st.integers(0, 10_000), st.sampled_from([None, None, 0.5])),
+        max_gbd=st.sampled_from([None, 0, 2, 4]),
+        position_limit=st.sampled_from([5, INT32_MAX]),
+    )
+    def test_k_best_reducer_equals_the_scalar_ranking(
+        self, multisets, query, data, table, max_gbd, position_limit
+    ):
+        # Ids in no relation to positions: under ties it is the id that decides.
+        ids = data.draw(st.permutations(range(50, 50 + len(multisets))))
+        entries, stores = _reducer_stores(multisets, ids, position_limit)
+        rows = data.draw(st.permutations(range(len(entries))))
+        rows = np.asarray(rows[: data.draw(st.integers(0, len(entries)))], dtype=np.int64)
+        k = data.draw(st.sampled_from([1, 2, 3, len(entries), len(entries) + 3]))
+        num_query_vertices = sum(query.values())
+        scalar = _scalar_rows(entries, query)
+        largest = max(num_query_vertices, max(entry.num_vertices for entry in entries))
+        lut = _random_table(*table, largest)
+        scored = [
+            (entries[position].graph_id, float(lut[scalar[position]]))
+            for position in rows.tolist()
+            if max_gbd is None or scalar[position][1] <= max_gbd
+        ]
+        expected = sorted(scored, key=lambda pair: (-pair[1], pair[0]))[:k]
+        for backend, store in stores.items():
+            got_ids, got_scores = store.filter_verify_topk(
+                num_query_vertices, query, rows, lut, max_gbd, k
+            )
+            assert got_ids.dtype == np.int64 and got_scores.dtype == np.float64, backend
+            assert list(zip(got_ids.tolist(), got_scores.tolist())) == expected, backend
+
+    def test_a_table_that_does_not_reach_the_largest_order_is_refused(self):
+        entries, stores = _reducer_stores([Counter({("k", 0): 3}), Counter({("k", 1): 6})], [7, 8], 5)
+        query = Counter({("k", 0): 2})
+        bars = np.asarray([9, 9], dtype=np.int64)
+        for store in stores.values():
+            for shape in ((6, 8), (7, 7)):  # a row short, a column short
+                with pytest.raises(ValueError, match="does not cover extended order 6"):
+                    store.filter_verify_row(2, query, bars, np.ones(shape), 0.5)
+                with pytest.raises(ValueError, match="does not cover extended order 6"):
+                    store.filter_verify_topk(2, query, np.arange(2), np.ones(shape), None, 1)
+            with pytest.raises(ValueError, match="positive"):
+                store.filter_verify_topk(2, query, np.arange(2), np.ones((7, 8)), None, 0)
+
+
+class _SawtoothPosterior:
+    """Φ that is not monotone in ϕ, with γ = 0.5 an entry of every row."""
+
+    VALUES = (0.9, 0.2, 0.5, 0.1, 0.7)
+
+    def posterior(self, gbd_value, tau_hat, extended_order):
+        return self.VALUES[(gbd_value + extended_order + tau_hat) % len(self.VALUES)]
+
+    def posterior_row(self, tau_hat, extended_order):
+        return [self.posterior(gbd, tau_hat, extended_order) for gbd in range(extended_order + 1)]
+
+
+@pytest.fixture(scope="module")
+def reducer_search():
+    """90 graphs of 4–9 vertices: a handful of order groups, many ties."""
+    rng = random.Random(41)
+    graphs = [
+        random_labeled_graph(rng.randint(4, 9), rng.randint(3, 11), seed=rng) for _ in range(90)
+    ]
+    database = GraphDatabase(graphs, name="kernels-reducers")
+    return GBDASearch(database, max_tau=3, num_prior_pairs=80, seed=5).fit()
+
+
+def _path(labels):
+    """A path whose vertices carry ``labels``; every edge is labeled ``x``."""
+    graph = Graph()
+    for vertex, label in enumerate(labels):
+        graph.add_vertex(vertex, label)
+    for vertex in range(1, len(labels)):
+        graph.add_edge(vertex - 1, vertex, "x")
+    return graph
+
+
+@pytest.fixture(scope="module")
+def path_searches():
+    """600 ``A``/``B`` paths of 4–6 vertices, without and with the branch bound.
+
+    Three order groups of 200 rows and half a dozen branch keys with long
+    posting segments: probing a handful of rows is cheaper than the dense walk,
+    so top-k starts with sparse chunks and switches inside a group.
+    """
+    rng = random.Random(71)
+    graphs = [_path([rng.choice("AB") for _ in range(4 + index % 3)]) for index in range(600)]
+    database = GraphDatabase(graphs, name="kernels-paths")
+    return {
+        pruning: GBDASearch(
+            database, max_tau=2, num_prior_pairs=80, seed=5, use_index_pruning=pruning
+        ).fit()
+        for pruning in (False, True)
+    }
+
+
+def _reducer_queries(num, seed, *, top_k=None):
+    rng = random.Random(seed)
+    return [
+        SimilarityQuery(
+            random_labeled_graph(rng.randint(3, 10), rng.randint(2, 12), seed=rng),
+            rng.randint(0, 3),
+            rng.choice([0.05, 0.5, 0.9]),
+            top_k=top_k and rng.choice(top_k),
+        )
+        for _ in range(num)
+    ]
+
+
+class TestReducersInTheCore:
+    """The fused store calls as the execution core drives them."""
+
+    @pytest.mark.parametrize("backend", available_backends())
+    @pytest.mark.parametrize("use_pruning", [False, True])
+    def test_a_posterior_that_is_not_monotone_is_thresholded_like_the_loop(
+        self, reducer_search, backend, use_pruning, monkeypatch
+    ):
+        database = reducer_search.database
+        estimator = _SawtoothPosterior()
+        for plan, budget in (("sparse", lambda postings, rows: rows), ("dense", lambda *_: 0)):
+            monkeypatch.setattr(columnar, "sparse_row_budget", budget)
+            core = ExecutionCore(database, estimator, max_tau=3, kernel_backend=backend)
+            core.warm(range(4), range(1, 11))  # the tables side of the tables-vs-direct choice
+            for query in _reducer_queries(12, seed=43):
+                graph, tau_hat = query.query_graph, query.tau_hat
+                expected = {}
+                for entry in database:
+                    gbd = database.gbd_to(graph, entry.graph_id)
+                    order = max(graph.num_vertices, entry.num_vertices)
+                    score = estimator.posterior(gbd, tau_hat, order)
+                    if score >= 0.5 and (not use_pruning or gbd <= 2 * tau_hat):
+                        expected[entry.graph_id] = score
+                scored = core.execute_pruned(
+                    SimilarityQuery(graph, tau_hat, 0.5), use_pruning=use_pruning
+                )
+                assert scored.scores_dict("accepted") == expected, (plan, tau_hat)
+                assert scored.graph_ids.tolist() == sorted(expected)
+            assert core.filter_counters.sparse_passes == 0 or plan == "sparse"
+            assert core.filter_counters.dense_passes == 0 or plan == "dense"
+
+    @pytest.mark.parametrize("backend", available_backends())
+    @pytest.mark.parametrize("use_pruning", [False, True])
+    def test_a_dense_remainder_that_starts_inside_an_order_group(
+        self, path_searches, backend, use_pruning, monkeypatch
+    ):
+        """Four-row chunks: sparse probes first, then the dense walk from mid-group."""
+        monkeypatch.setattr(plan, "_TOPK_CHUNK", 4)
+        search = path_searches[use_pruning]
+        core = ExecutionCore(search.database, search.estimator, max_tau=2, kernel_backend=backend)
+        core.warm(range(3), range(1, 9))
+        counters = columnar._counters(backend)
+        rng = random.Random(73)
+        mixed = 0
+        for _ in range(12):
+            labels = [rng.choice("AABC") for _ in range(rng.randint(3, 7))]
+            query = SimilarityQuery(_path(labels), rng.randint(0, 2), 0.5)
+            reference = search.query_topk_reference(query, len(search.database) + 1)
+            for k in (1, 3, 250, len(search.database) + 5):
+                before = counters.subrow[0].value, counters.row[0].value
+                ranking = core.execute_topk(query, k, use_pruning=use_pruning)
+                assert ranking == reference[:k], (labels, k, query.tau_hat)
+                probes = counters.subrow[0].value - before[0]
+                walks = counters.row[0].value - before[1]
+                assert walks <= 1  # the remainder is one store call, whatever is left
+                mixed += bool(probes and walks)
+        assert mixed  # sparse chunks, then the dense walk: the mid-group start happened
+
+    def test_threads_sharing_one_engine_answer_like_a_serial_run(self, reducer_search):
+        """No state is shared between calls: the accumulators are per call."""
+        engine = BatchQueryEngine.from_search(reducer_search, cache_size=None)
+        queries = _reducer_queries(150, seed=53, top_k=[None, None, 1, 7])
+        serial = [engine.query(query) for query in queries]
+        answers = {}
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            def run(worker):
+                answers[worker] = [engine.query(query) for query in queries]
+
+            threads = [threading.Thread(target=run, args=(worker,)) for worker in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+            assert not any(thread.is_alive() for thread in threads)
+        finally:
+            sys.setswitchinterval(interval)
+        for worker in range(4):
+            for mine, theirs in zip(answers[worker], serial):
+                assert mine.accepted_ids == theirs.accepted_ids
+                assert mine.scores == theirs.scores and mine.ranking == theirs.ranking
+
+
+@needs_native
+class TestReducerCountGuards:
+    """What the hits-only paths cost, in calls and array lengths (no clock)."""
+
+    @staticmethod
+    def kernel_calls():
+        counter = get_registry().get("repro_kernel_calls_total")
+        return {labels: child.value for labels, child in counter.series()}
+
+    def calls_during(self, action):
+        before = self.kernel_calls()
+        result = action()
+        after = self.kernel_calls()
+        return result, {
+            labels[0]: after[labels] - before.get(labels, 0)
+            for labels in after
+            if labels[1] == "native" and after[labels] != before.get(labels, 0)
+        }
+
+    def test_a_hits_only_query_is_one_fused_call_and_no_d_length_array(self, reducer_search):
+        engine = BatchQueryEngine.from_search(
+            reducer_search, cache_size=None, kernel_backend="native"
+        )
+        engine.warm(range(4))
+        core = engine._core
+        for query in _reducer_queries(10, seed=59):
+            _answer, calls = self.calls_during(lambda: engine.query(query))
+            assert calls == {"filter_verify_row": 1}  # no dense ``row`` call beside it
+            scored = core.execute_pruned(query)
+            assert scored.gbds is scored.accepted is scored.eligible is scored.posteriors is None
+            assert len(scored.graph_ids) == len(scored.positions) == len(scored.accepted_items[0])
+            with pytest.raises(ValueError, match="not materialised"):
+                scored.scores_dict("candidates")
+            full = core.execute(query)
+            assert scored.scores_dict("accepted") == full.scores_dict("accepted")
+            assert scored.positions.tolist() == np.flatnonzero(full.accepted).tolist()
+
+    def test_filter_counters_of_a_mixed_stream(self, reducer_search, monkeypatch):
+        """Per query: what the bound arithmetic says was pruned, verified, and how."""
+        core = ExecutionCore(
+            reducer_search.database, reducer_search.estimator, max_tau=3, kernel_backend="native"
+        )
+        core.warm(range(4), range(1, 11))
+        store = core.ensure_index().store
+        csr, orders, _ids = store.view()
+        num_rows = len(orders)
+        distinct = store.order_partition(csr)[0]
+        # Half the store: queries land on both sides of the budget.
+        monkeypatch.setattr(columnar, "sparse_row_budget", lambda postings, rows: rows // 2)
+        plans = set()
+        for query in _reducer_queries(40, seed=61):
+            branches, num_vertices = query.branches(), query.query_graph.num_vertices
+            thresholds, _lut = core._pruned_thresholds(
+                query, np.maximum(num_vertices, distinct), False
+            )
+            bounds = store.gbd_lower_bound_row(num_vertices, branches)
+            eligible = int((bounds <= thresholds[np.searchsorted(distinct, orders)]).sum())
+            sparse = None if eligible == 0 else eligible <= num_rows // 2
+            verified = eligible if sparse is not False else num_rows
+            expected = FilterCounters(
+                num_rows, num_rows - verified, verified, int(sparse is False), int(sparse is True)
+            )
+            before = dataclasses.replace(core.filter_counters)
+            core.execute_pruned(query, query_branches=branches)
+            after = core.filter_counters
+            delta = FilterCounters(
+                *(
+                    getattr(after, field.name) - getattr(before, field.name)
+                    for field in dataclasses.fields(FilterCounters)
+                )
+            )
+            assert delta == expected
+            # The same query through ``execute``: every row verified, one dense pass.
+            before = dataclasses.replace(core.filter_counters)
+            core.execute(query, query_branches=branches)
+            assert core.filter_counters.candidates_verified - before.candidates_verified == num_rows
+            assert core.filter_counters.dense_passes - before.dense_passes == 1
+            plans.add(sparse)
+        assert plans == {None, True, False}
+
+    def test_the_dense_remainder_of_top_k_is_one_call_handing_back_k_rows(
+        self, reducer_search, monkeypatch
+    ):
+        engine = BatchQueryEngine.from_search(
+            reducer_search, cache_size=None, kernel_backend="native"
+        )
+        engine.warm(range(4))
+        folded = []
+        fold = plan._k_best
+        monkeypatch.setattr(
+            plan, "_k_best", lambda kept, ids, scores, k: folded.append((len(ids), k))
+            or fold(kept, ids, scores, k),
+        )
+        dense_remainders = 0
+        for query in _reducer_queries(12, seed=67):
+            for k in (1, 5):
+                del folded[:]
+                _answer, calls = self.calls_during(lambda: engine.query_topk(query, k))
+                assert set(calls) <= {"row", "subrow"} and calls.get("row", 0) <= 1
+                assert all(rows <= 2 * wanted for rows, wanted in folded if wanted == k)
+                if calls.get("row"):
+                    dense_remainders += 1
+                    assert max(rows for rows, _k in folded) <= k
+        assert dense_remainders

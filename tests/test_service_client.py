@@ -51,6 +51,7 @@ from repro.service import (
     protocol,
     start_service_thread,
 )
+from repro.service import client as client_module
 from repro.service.client import _Requests
 from repro.service.protocol import (
     ERROR_BAD_REQUEST,
@@ -241,6 +242,43 @@ class TestRequestMachine:
             requests.admit([call])
         requests.admit([requests.admin("ping")])  # an admin command is not gated
 
+    def test_an_abandoned_probe_is_handed_back_a_settled_one_is_not(self):
+        breaker = CircuitBreaker(failure_threshold=1, reset_timeout_ms=1)
+        requests = _Requests(breaker=breaker)
+
+        def half_open():
+            call = requests.query(_query())
+            _attempt(requests, call)
+            requests.fail([call], TimeoutError("slow"))
+            time.sleep(0.01)
+            assert breaker.state == CircuitBreaker.HALF_OPEN
+
+        half_open()
+        probe = requests.query(_query())
+        _attempt(requests, probe)
+        with pytest.raises(CircuitOpenError):
+            requests.admit([requests.query(_query())])  # one probe, and it is out
+        requests.finish(probe)  # its caller left: cancelled, interrupted
+        assert breaker.state == CircuitBreaker.HALF_OPEN and not breaker._probe_inflight
+        following = requests.query(_query())
+        requests.reply(_answer(_attempt(requests, following)))  # the next request is the probe
+        assert breaker.state == CircuitBreaker.CLOSED
+        requests.finish(following)
+
+        # A probe that settled released nothing: the claim of the probe that
+        # followed its failure is not undone by finishing it.
+        half_open()
+        probe = requests.query(_query())
+        _attempt(requests, probe)
+        requests.fail([probe], ConnectionResetError("reset"))
+        time.sleep(0.01)
+        following = requests.query(_query())
+        _attempt(requests, following)
+        requests.finish(probe)
+        assert breaker.state == CircuitBreaker.HALF_OPEN and breaker._probe_inflight
+        requests.finish(requests.admin("ping"))  # never admitted, not gated: nothing to release
+        assert breaker._probe_inflight
+
     def test_spans_of_a_retried_query(self):
         tracer = Tracer(sample_rate=1.0, seed=1)
         requests = _Requests(tracer=tracer, endpoint="host:1")
@@ -396,12 +434,23 @@ TestRequestsStateMachine = RequestsMachine.TestCase
 # ---------------------------------------------------------------------- #
 # part two: both drivers, the same scenarios
 # ---------------------------------------------------------------------- #
+def _interrupted(sock):
+    raise KeyboardInterrupt
+
+
 class _SyncDriver:
     def open(self, address, **options):
         return ServiceClient(*address, **options)
 
     def call(self, client, method, *args, **kwargs):
         return getattr(client, method)(*args, **kwargs)
+
+    def abandon(self, client, query, monkeypatch):
+        """The caller is interrupted while it waits for the reply."""
+        with monkeypatch.context() as patch:
+            patch.setattr(client_module, "recv_frame", _interrupted)
+            with pytest.raises(KeyboardInterrupt):
+                client.query(query)
 
     def stop(self):
         pass
@@ -416,6 +465,18 @@ class _AsyncDriver:
 
     def call(self, client, method, *args, **kwargs):
         return self.loop.run_until_complete(getattr(client, method)(*args, **kwargs))
+
+    def abandon(self, client, query, monkeypatch):
+        """The caller's task is cancelled while it waits for the reply."""
+
+        async def run():
+            task = asyncio.ensure_future(client.query(query))
+            await _until(lambda: client._requests.pending)
+            task.cancel()
+            with pytest.raises(asyncio.CancelledError):
+                await task
+
+        self.loop.run_until_complete(run())
 
     def stop(self):
         self.loop.close()
@@ -724,6 +785,28 @@ class TestBothDrivers:
                     driver.call(client, "query", _query())
                 time.sleep(0.1)
                 assert listener.accepted == dials, "a refused call must not touch the socket"
+            finally:
+                driver.call(client, "close")
+
+    def test_an_abandoned_half_open_probe_does_not_shut_the_circuit_for_good(
+        self, driver, monkeypatch
+    ):
+        breaker = CircuitBreaker(failure_threshold=1, reset_timeout_ms=100)
+        # Two frames go unanswered — the query that opens the circuit and the
+        # probe that is abandoned — and everything after them is answered.
+        with _Listener(_Script(None, None)) as listener:
+            client = driver.open(listener.address, breaker=breaker, read_timeout=0.2)
+            try:
+                with pytest.raises(TimeoutError):
+                    driver.call(client, "query", _query(1))
+                assert breaker.state == CircuitBreaker.OPEN
+                time.sleep(0.15)
+                driver.abandon(client, _query(2), monkeypatch)
+                assert client._requests.pending == {}
+                assert breaker.state == CircuitBreaker.HALF_OPEN
+                assert driver.call(client, "query", _query(3)) == ANSWER  # sent: it is the probe
+                assert breaker.state == CircuitBreaker.CLOSED
+                assert breaker.as_dict()["fast_failures"] == 0
             finally:
                 driver.call(client, "close")
 
