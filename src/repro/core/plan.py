@@ -224,6 +224,10 @@ class CandidateScores:
 
     def candidate_positions(self) -> np.ndarray:
         """Positions that were actually scored (all, unless pruning masked some)."""
+        if self.gbds is None:
+            raise ValueError(
+                "the scored rows were not materialised (scored with need='accepted')"
+            )
         if self.eligible is None:
             return np.arange(len(self.gbds))
         return np.flatnonzero(self.eligible)

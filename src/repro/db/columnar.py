@@ -809,7 +809,7 @@ class ColumnarBranchStore:
         (any order, no repeats) is verified — ``gbd = max(|V_Q|, |V_G|) -
         |B_Q ∩ B_G|`` — dropped when ``gbd > max_gbd`` (``None``: no cap) and
         scored ``lut[order, gbd]``; returned are the graph ids and scores of at
-        most ``k`` of them, the first under ``(-score, id)``, best first.  It
+        most ``k`` of them, the first under ``(-score, id)``, unsorted.  It
         walks the matched posting segments once, like :meth:`intersection_row`,
         and is counted as that kernel; on the native backend the row never
         leaves the C call, which keeps a heap of ``k`` entries.

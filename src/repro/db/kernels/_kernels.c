@@ -250,7 +250,9 @@ int64_t repro_filter_verify_row(
         /* The fewest shared branches any hit can have: a row of extended
          * order e is one only if lut[e, g] >= gamma for its GBD g = e - acc, so
          * acc >= e - (largest accepting g within the cap), minimised over the
-         * orders present.  Most rows fail that one comparison. */
+         * orders present.  Most rows fail that one comparison.  Read off the
+         * table, not off thresholds: this plan's hits are the rows the table
+         * accepts, whatever bars the caller filters with. */
         int64_t fewest = INT64_MAX;
         for (int64_t u = 0; u < num_distinct; ++u) {
             int64_t order = MAX64(num_query_vertices, distinct[u]);
@@ -368,8 +370,8 @@ static void last_ranked_sift_down(int64_t *ids, double *scores, int64_t size, in
  * when its GBD exceeds max_gbd, scored lut[order * lut_width + gbd], and
  * offered to a heap of at most k (graph id, score) entries whose root ranks
  * last under (-score, id).  out_ids / out_scores (min(k, num_sub) slots) are
- * the heap and, on return, its entries best first.  Returns their number, or
- * -1 on allocation failure. */
+ * the heap, left in heap order: the caller ranks once, at the end.  Returns
+ * the number of entries, or -1 on allocation failure. */
 int64_t repro_filter_verify_topk(
     const int64_t *offsets, const int32_t *positions, const int32_t *counts,
     const int64_t *key_ids, const int64_t *query_counts, int64_t num_keys,
@@ -409,16 +411,6 @@ int64_t repro_filter_verify_topk(
         }
     }
     free(acc);
-    /* heap sort in place: the root (last ranked) goes to the shrinking tail */
-    for (int64_t end = size - 1; end > 0; --end) {
-        int64_t id = out_ids[0];
-        double score = out_scores[0];
-        out_ids[0] = out_ids[end];
-        out_scores[0] = out_scores[end];
-        out_ids[end] = id;
-        out_scores[end] = score;
-        last_ranked_sift_down(out_ids, out_scores, end, 0);
-    }
     return size;
 }
 

@@ -239,12 +239,12 @@ def filter_verify_topk(
     max_gbd: Optional[int],
     k: int,
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Verify → k-best reduce over one dense row: ``(ids, scores)``, best first.
+    """Verify → k-best reduce over one dense row: ``(ids, scores)``, unsorted.
 
     Every row of ``rows`` (store positions, any order) is verified against
     the dense row, dropped when its GBD exceeds ``max_gbd``, and scored
-    ``lut[order, gbd]``; at most ``k`` survive, ranked by ``(-score, graph
-    id)``.
+    ``lut[order, gbd]``; at most ``k`` survive, the first under ``(-score,
+    graph id)``, in no particular order (the caller ranks once, at the end).
     """
     intersections = intersection_row(csr, key_ids, query_counts, len(orders))[rows]
     row_orders = np.maximum(int(num_query_vertices), orders[rows])
@@ -252,9 +252,7 @@ def filter_verify_topk(
     if max_gbd is not None:
         survivors = gbds <= max_gbd
         rows, row_orders, gbds = rows[survivors], row_orders[survivors], gbds[survivors]
-    ids, scores = k_best(global_ids[rows], lut.take(row_orders * lut.shape[1] + gbds), k)
-    ranked = np.lexsort((ids, -scores))
-    return ids[ranked], scores[ranked]
+    return k_best(global_ids[rows], lut.take(row_orders * lut.shape[1] + gbds), k)
 
 
 # --------------------------------------------------------------------------- #

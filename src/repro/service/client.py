@@ -109,7 +109,7 @@ class _Call:
 
     __slots__ = (
         "message", "key", "field", "trace", "attempt", "ids", "started", "sent_at",
-        "hedged_at", "result", "done", "probing", "waiter",
+        "hedged_at", "result", "done", "probe", "waiter",
     )
 
     def __init__(self, message: Dict[str, Any], key=None, field=None, trace=None) -> None:
@@ -122,7 +122,7 @@ class _Call:
         self.started = self.sent_at = self.hedged_at = 0.0
         self.result: Any = None
         self.done = False
-        self.probing = False  #: this attempt holds the breaker's half-open probe
+        self.probe = 0  #: the half-open probe claim this attempt holds (0: none)
         self.waiter: Any = None  #: the async driver's future for this attempt
 
     def value(self):
@@ -184,16 +184,14 @@ class _Requests:
         One breaker check (``CircuitOpenError`` while it refuses) covers the
         round: a half-open breaker lets one probe through, and this is it.
         """
-        probing = False
+        probe = 0
         if self.breaker is not None and calls[0].key is not None:
-            self.breaker.check()
-            # Half-open admits nothing but its probe: admitted there, this is it.
-            probing = self.breaker.state == CircuitBreaker.HALF_OPEN
+            probe = self.breaker.check()
         now = time.perf_counter()
         for call in calls:
             call.attempt += 1
             call.done = False
-            call.probing = probing
+            call.probe = probe
             call.started = call.sent_at = now
             call.hedged_at = 0.0
 
@@ -333,8 +331,8 @@ class _Requests:
         and a breaker probe that was abandoned (cancelled, interrupted) before it
         settled is handed back, or every later query would fail fast for good."""
         self._forget(call)
-        if call.probing and not call.done:
-            self.breaker.release_probe()
+        if call.probe and not call.done:
+            self.breaker.release_probe(call.probe)
         if call.trace is not None:
             call.trace.detail["attempts"] = call.attempt
             call.trace.finish()

@@ -260,6 +260,7 @@ class CircuitBreaker:
         self._failures = 0
         self._opened_at = 0.0
         self._probe_inflight = False
+        self._probes = 0  # half-open probes claimed so far: the latest is the claim
         #: Lifetime counters surfaced in client stats.
         self.opened = 0
         self.fast_failures = 0
@@ -283,36 +284,51 @@ class CircuitBreaker:
             if state == self.HALF_OPEN:
                 self._probe_inflight = False
 
-    def allow(self) -> bool:
-        """True when a request may be sent now (claims the half-open probe)."""
+    def _admit(self) -> Tuple[bool, int]:
+        """``(may send now, probe claim)``, decided under the one lock: the
+        claim is 0 unless this very call took the half-open probe."""
         with self._lock:
             state = self._effective_state()
             if state == self.CLOSED:
-                return True
+                return True, 0
             if state == self.HALF_OPEN and not self._probe_inflight:
                 self._probe_inflight = True
-                return True
+                self._probes += 1
+                return True, self._probes
             self.fast_failures += 1
             _BREAKER_FAST_FAILS.inc()
-            return False
+            return False, 0
 
-    def check(self) -> None:
-        """Raise :class:`CircuitOpenError` unless a request may be sent now."""
-        if not self.allow():
+    def allow(self) -> bool:
+        """True when a request may be sent now (claims the half-open probe)."""
+        return self._admit()[0]
+
+    def check(self) -> int:
+        """Raise :class:`CircuitOpenError` unless a request may be sent now.
+
+        Returns the half-open probe claim this call took (0: none, the circuit
+        is closed) — what :meth:`release_probe` takes if the request is
+        abandoned.
+        """
+        allowed, claim = self._admit()
+        if not allowed:
             raise CircuitOpenError(
                 f"circuit breaker is {self._state} "
                 f"(after {self._failures} consecutive failures)"
             )
+        return claim
 
-    def release_probe(self) -> None:
-        """The half-open probe was abandoned before it could succeed or fail.
+    def release_probe(self, claim: int) -> None:
+        """The half-open probe ``claim`` was abandoned before it could succeed or fail.
 
         Nothing was learnt about the endpoint, so the state stays half-open
         and the next request is the probe — without this a probe whose
-        caller was cancelled would shut the circuit for good.
+        caller was cancelled would shut the circuit for good.  A claim that
+        is not the latest one (its probe settled and another was taken
+        since) releases nothing.
         """
         with self._lock:
-            if self._state == self.HALF_OPEN:
+            if claim and claim == self._probes:
                 self._probe_inflight = False
 
     def record_success(self) -> None:

@@ -524,6 +524,31 @@ class TestFusedFilterVerify:
         assert num_eligible == 0 and not eligible.any()
         assert positions.shape == (0,) and inters.shape == (0,)
 
+    def test_a_repeat_reads_the_same_on_either_plan(
+        self, random_database, make_store, monkeypatch
+    ):
+        store = make_store(random_database)
+        query = _queries(1, seed=59)[0]
+        branches, nq = branch_multiset(query), query.num_vertices
+        _distinct, thresholds = self._bars(store, nq, 50)  # everything survives: dense
+
+        def read(bars):
+            positions, inters, eligible, num_eligible = verified_rows(store, nq, branches, bars)
+            return positions, inters.tolist(), eligible.tolist(), num_eligible
+
+        first = read(thresholds)
+        assert first[0] is None and read(thresholds) == first
+        # Nothing is remembered per thresholds array: an equal copy reads the same.
+        assert read(thresholds.copy()) == first
+        # A repeat the budget sends to the probes still has them to run.
+        monkeypatch.setattr(columnar, "sparse_row_budget", lambda postings, rows: rows)
+        sparse = read(thresholds)
+        assert sparse[0] is not None and sparse[2:] == first[2:]
+        # A write publishes a new snapshot, which has other rows to count.
+        monkeypatch.undo()
+        store.append(_appendable(store, random_database[0]))
+        assert read(thresholds)[3] == first[3] + 1
+
     def test_sparse_row_budget_reads_the_querys_own_postings(self):
         budget = columnar.sparse_row_budget
         # no matched posting: only the rows to classify count, sparse always

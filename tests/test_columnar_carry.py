@@ -171,8 +171,9 @@ class CarryMachine(RuleBasedStateMachine):
         queries=st.lists(branch_sets, min_size=1, max_size=3),
         bar=st.integers(0, 8),
         plan=st.sampled_from(["sparse", "dense", "by cost"]),
+        data=st.data(),
     )
-    def read_pruned(self, queries, bar, plan):
+    def read_pruned(self, queries, bar, plan, data):
         """The block-index kernels: what the thresholded path calls."""
         store, fresh = self.store, self.fresh()
         csr = store.view()[0]
@@ -198,6 +199,16 @@ class CarryMachine(RuleBasedStateMachine):
                     assert np.array_equal(mine[0], theirs[0])
                     dense = dense[mine[0]]
                 assert np.array_equal(mine[1], dense)
+            if len(distinct):
+                # Bars that keep some orders only: the probes read those blocks alone.
+                chosen = data.draw(st.sets(st.sampled_from(distinct.tolist()), min_size=1))
+                rows = np.flatnonzero(np.isin(store.orders(), sorted(chosen)))
+                only = np.where(np.isin(distinct, sorted(chosen)), 10**6, -1)
+                columnar.sparse_row_budget = lambda postings, rows: rows
+                for q in queries:
+                    mine = verified_rows(store, sum(q.values()), q, only)
+                    assert mine[0].tolist() == rows.tolist() and mine[3] == len(rows)
+                    assert np.array_equal(mine[1], fresh.intersection_row(q)[rows])
         finally:
             columnar.sparse_row_budget = by_cost
 

@@ -278,6 +278,27 @@ class TestRequestMachine:
         assert breaker.state == CircuitBreaker.HALF_OPEN and breaker._probe_inflight
         requests.finish(requests.admin("ping"))  # never admitted, not gated: nothing to release
         assert breaker._probe_inflight
+        requests.reply(_answer(_sent(requests, following)["id"]))
+        requests.finish(following)
+
+        # The claim is decided where the probe is taken and names that probe:
+        # a call admitted on a closed circuit holds none, and the abandoned
+        # sibling of a round whose probe failed does not hand back the next one.
+        early = requests.query(_query())
+        _attempt(requests, early)
+        assert breaker.state == CircuitBreaker.CLOSED and early.probe == 0
+        half_open()
+        first, sibling = requests.query(_query()), requests.query(_query())
+        requests.admit([first, sibling])
+        assert first.probe == sibling.probe != 0
+        _sent(requests, first), _sent(requests, sibling)
+        requests.fail([first], TimeoutError("slow"))
+        time.sleep(0.01)
+        following = requests.query(_query())
+        _attempt(requests, following)
+        assert following.probe not in (0, first.probe)
+        requests.finish(early), requests.finish(sibling)  # both unsettled
+        assert breaker.state == CircuitBreaker.HALF_OPEN and breaker._probe_inflight
 
     def test_spans_of_a_retried_query(self):
         tracer = Tracer(sample_rate=1.0, seed=1)
