@@ -18,8 +18,9 @@ implements them once, as one pipeline a query goes through:
   (:func:`~repro.db.columnar.sparse_row_budget`: no tuning constant, the same
   choice under both kernel backends).
 * **reduce** — two reducers over the same scored candidates.  *Threshold*:
-  posterior ``>= γ``.  *k-best* (:meth:`execute_topk`): chunks in descending
-  bound order fold into a running top ``k`` whose k-th score ends the scan.
+  posterior ``>= γ``.  *k-best* (:meth:`execute_topk`): whole order groups in
+  descending bound order are offered to a running top ``k`` whose k-th score
+  ends the scan between two groups.
 
 For callers that only need the accepted graphs (:meth:`execute_pruned`, the
 serving engine's default) *bound*, *verify* and *reduce* are **one store
@@ -31,9 +32,10 @@ returns the *hits* — the accepted rows' store positions and GBDs — so nothin
 lookup each.  The ``bound_filter`` stage histogram therefore covers that whole
 call (bound, verification and the γ comparison) and the second stage —
 ``verify`` after the sparse plan, ``score_dense`` after the dense one — the
-hits' ids and scores only.  Likewise the dense remainder of top-k is one call
-(:meth:`~repro.db.columnar.ColumnarBranchStore.filter_verify_topk`) that hands
-back at most ``k`` scored rows.  Asked to keep every posterior
+hits' ids and scores only.  Likewise all of top-k is one call
+(:meth:`~repro.db.columnar.ColumnarBranchStore.filter_verify_topk`: bounds,
+group order, verification, k-best and cut-off) that hands back at most ``k``
+scored rows, ranked here.  Asked to keep every posterior
 (:meth:`execute`, what ``keep_scores="all"`` and :meth:`GBDASearch.query
 <repro.core.search.GBDASearch.query>` need) the threshold reducer scores the
 dense row in NumPy, for every row.
@@ -141,22 +143,6 @@ _Table = Tuple[np.ndarray, FrozenSet[int]]
 #: work of the current call — serving workloads cross the bar immediately,
 #: one-shot large-τ̂ experiment queries never pay for rows they don't use.
 _TABLE_COST_FACTOR = 4
-
-#: First chunk of the top-k verification loop, doubled every round: candidates
-#: are verified in upper-bound order, so the loop can stop as soon as the k-th
-#: best verified posterior dominates every remaining bound.
-_TOPK_CHUNK = 512
-
-
-def _k_best(kept, ids: np.ndarray, scores: np.ndarray, k: int):
-    """Fold scored rows into ``kept``: the first ``k`` under ``(-score, id)``, unsorted.
-
-    Top-k's running state between chunks; the selection is the kernels' own
-    (:func:`repro.db.kernels.numpy_impl.k_best`).
-    """
-    return numpy_impl.k_best(
-        np.concatenate((kept[0], ids)), np.concatenate((kept[1], scores)), k
-    )
 
 
 def _ranked(ids: np.ndarray, scores: np.ndarray) -> List[Tuple[int, float]]:
@@ -308,8 +294,8 @@ class ExecutionCore:
         # Memo of _use_tables calls that found every row already filled —
         # tables only ever grow, so a fully-covered verdict stays true.
         self._tables_ready: set = set()
-        # (snapshot's order vector, {key: D-length row derived from it}) of
-        # the snapshot last seen — see _row_memo.
+        # (snapshot's order vector, {|V_Q|: the D-length max(|V_Q|, |V_G|) row}) of
+        # the snapshot last seen — see _orders_row.
         self._snapshot_rows: Tuple[Optional[np.ndarray], Dict] = (None, {})
         # (τ̂, γ, |V_Q|, |distinct|, pruning) -> (capped threshold vector,
         # posterior table) of the thresholded path — see _pruned_thresholds.
@@ -381,38 +367,26 @@ class ExecutionCore:
     # ------------------------------------------------------------------ #
     # order-row caches (derived from one store snapshot per query)
     # ------------------------------------------------------------------ #
-    def _row_memo(self, db_orders: np.ndarray) -> Dict:
-        """Memo of the D-length rows derived from one store snapshot.
+    def _orders_row(self, db_orders: np.ndarray, num_query_vertices: int) -> np.ndarray:
+        """Cached dense ``max(|V_Q|, |V_G|)`` row for one query size.
 
-        Keyed on the identity of the snapshot's order vector (one object per
-        published snapshot, held here so its id cannot be recycled): the
-        first call that sees a new snapshot drops the rows of the superseded
-        one, so a write stream never strands dead rows.  Entries are
-        idempotent, so threads racing on one snapshot — or briefly replacing
-        each other's memo across two — only ever recompute.
+        The memo is keyed on the identity of the snapshot's order vector (one
+        object per published snapshot, held here so its id cannot be
+        recycled): the first call that sees a new snapshot drops the rows of
+        the superseded one, so a write stream never strands dead rows.
+        Entries are idempotent, so threads racing on one snapshot — or briefly
+        replacing each other's memo across two — only ever recompute.
         """
         memo = self._snapshot_rows
         if memo[0] is not db_orders:
             memo = self._snapshot_rows = (db_orders, {})
-        return memo[1]
-
-    def _orders_row(self, db_orders: np.ndarray, num_query_vertices: int) -> np.ndarray:
-        """Cached dense ``max(|V_Q|, |V_G|)`` row for one query size."""
-        memo = self._row_memo(db_orders)
-        row = memo.get(num_query_vertices)
+        rows = memo[1]
+        row = rows.get(num_query_vertices)
         if row is None:
-            if len(memo) > 256:
-                memo.clear()
-            row = memo[num_query_vertices] = np.maximum(num_query_vertices, db_orders)
+            if len(rows) > 256:
+                rows.clear()
+            row = rows[num_query_vertices] = np.maximum(num_query_vertices, db_orders)
         return row
-
-    def _order_codes(self, db_orders: np.ndarray, distinct: np.ndarray) -> np.ndarray:
-        """Cached ``position -> index into distinct orders`` map of a snapshot."""
-        memo = self._row_memo(db_orders)
-        codes = memo.get("codes")
-        if codes is None:
-            codes = memo["codes"] = np.searchsorted(distinct, db_orders)
-        return codes
 
     def _count(
         self, generated: int, pruned: int, verified: int, *, sparse: Optional[bool] = None
@@ -804,19 +778,20 @@ class ExecutionCore:
 
         The ranking is exactly the first ``k`` entries of the full γ=0
         scoring sorted by ``(-posterior, graph id)`` — deterministic under
-        ties.  One pass, bound → ordered candidates → verify → reduce: each
+        ties.  One store call (:meth:`ColumnarBranchStore.filter_verify_topk
+        <repro.db.columnar.ColumnarBranchStore.filter_verify_topk>`) is the
+        whole pass, bound → ordered candidates → verify → reduce: each
         distinct ``|V_G|`` gets a posterior *upper* bound from its GBD lower
-        bound (:meth:`_bound_lut_for`), rows are verified in descending bound
-        order, and each chunk is folded into a running k-best state
-        (:func:`_k_best`) whose k-th score cuts off the rows no longer in
-        reach.  Chunks double from ``_TOPK_CHUNK`` rows, reading only their
-        own postings, until probing the next would cost as much as the dense
-        row, which then scores the whole remainder: at worst one dense pass
-        and one selection, no row verified twice.  With ``use_pruning`` the
-        ranking covers only the branch-bound candidate set (``GBD <= 2 τ̂``).
+        bound (:meth:`_bound_lut_for`), whole order groups are verified in
+        descending bound order — by block probes, or from one dense walk once
+        probing would cost as much — and offered to a k-best heap whose k-th
+        score cuts off the groups no longer in reach; nothing ``D`` long is
+        built here.  On the direct side of the tables choice (a one-shot
+        workload) every row is scored and reduced once.  With ``use_pruning``
+        the ranking covers only the branch-bound candidate set (``GBD <= 2 τ̂``).
         """
         started = time.perf_counter()
-        branches, store, snapshot, extended, needed_orders, use_tables = self._open(
+        branches, store, snapshot, _extended, needed_orders, use_tables = self._open(
             query, query_branches
         )
         k = int(k)
@@ -827,86 +802,32 @@ class ExecutionCore:
         if num_rows == 0:
             return []
         num_query_vertices = query.query_graph.num_vertices
-        orders_row = self._orders_row(db_orders, num_query_vertices)
-        distinct, row_order, starts, ends = store.order_partition(csr)
         tau_hat = query.tau_hat
         # The branch-bound cap on a ranked row's GBD (``use_pruning`` only).
         cap = max_gbd_for_ged(tau_hat) if use_pruning else None
         view = (csr, num_rows)
-        kept = (global_ids[:0], np.empty(0, dtype=np.float64))
-
-        if not use_tables:
+        if use_tables:
+            ids, scores, verified, sparse = store.filter_verify_topk(
+                num_query_vertices,
+                branches,
+                self._lut_for(tau_hat, needed_orders),
+                self._bound_lut_for(tau_hat, needed_orders),
+                cap,
+                k,
+                view=view,
+            )
+        else:
             # One-shot workload: score everything directly, reduce once.
+            orders_row = self._orders_row(db_orders, num_query_vertices)
             gbds = orders_row - store.intersection_row(branches, view=view)
             posteriors = self._posteriors_direct(tau_hat, orders_row, gbds)
-            self._count(num_rows, 0, num_rows, sparse=False)
-            _record_stage("topk", started)
             rows = gbds <= cap if use_pruning else slice(None)
-            return _ranked(*_k_best(kept, global_ids[rows], posteriors[rows], k))
-
-        # Bound: a GBD lower bound, hence a posterior upper bound, per order.
-        matched_total, num_keys, dense_cost = store.matched_postings(branches, csr)
-        lower_bounds = extended - np.minimum(matched_total, distinct)
-        upper = self._bound_lut_for(tau_hat, needed_orders)[extended, lower_bounds]
-        if use_pruning:
-            # Rows whose bound already certifies GED > τ̂ leave the ranking.
-            ranked_in = lower_bounds <= cap
-        else:
-            # A zero upper bound *determines* the score: posterior ∈ [0, 0].
-            # Those rows join the ranking at 0.0 unverified — sound only without
-            # the branch-bound restriction (membership needs the exact GBD).
-            ranked_in = upper > 0.0
-        # Ordered candidates: whole order groups, by descending bound.
-        groups = np.argsort(-upper, kind="stable")
-        groups = groups[ranked_in[groups]]
-        candidates = np.concatenate(
-            [row_order[:0]] + [row_order[starts[g] : ends[g]] for g in groups.tolist()]
-        )
-        neg_bounds = -upper[groups]
-        group_ends = np.concatenate(([0], np.cumsum((ends - starts)[groups])))
-
-        lut = self._lut_for(tau_hat, needed_orders)
-        kth_score = -np.inf
-        limit = len(candidates)  # rows past it have a bound below the k-th best
-        chunk_size = _TOPK_CHUNK
-        # A sparse probe is one binary search over a key's posting segment.
-        probe_steps = (dense_cost // max(num_keys, 1)).bit_length()
-        cursor = 0
-        while cursor < limit:
-            stop = min(cursor + chunk_size, limit)
-            if num_keys * (stop - cursor) * probe_steps >= dense_cost:
-                # Probing the next chunk costs as much as walking the query's
-                # posting segments once: do that, score every row in reach —
-                # one store call, which hands back the k best of them.
-                rows = candidates[cursor:limit]
-                cursor = limit
-                ids, scores = store.filter_verify_topk(
-                    num_query_vertices, branches, rows, lut, cap, k, view=view
-                )
-            else:
-                rows = np.sort(candidates[cursor:stop])
-                cursor = stop
-                chunk_size *= 2
-                row_orders = orders_row[rows]
-                gbds = row_orders - store.intersection_subrow(branches, rows, view=view)
-                if use_pruning:
-                    survivors = gbds <= cap
-                    rows, row_orders, gbds = rows[survivors], row_orders[survivors], gbds[survivors]
-                ids, scores = global_ids[rows], lut.take(row_orders * lut.shape[1] + gbds)
-            kept = _k_best(kept, ids, scores, k)
-            if len(kept[0]) == k:
-                kth_score = kept[1].min()
-                limit = group_ends[np.searchsorted(neg_bounds, -kth_score, side="right")]
-        if not use_pruning and (len(kept[0]) < k or kth_score <= 0.0):
-            # Zero-bound rows matter only when the k-th best is 0 (ties go by
-            # id) or fewer than k rows were scored: their k smallest ids.
-            zero_ids = global_ids[~ranked_in[self._order_codes(db_orders, distinct)]]
-            if len(zero_ids) > k:
-                zero_ids = np.partition(zero_ids, k - 1)[:k]
-            kept = _k_best(kept, zero_ids, np.zeros(len(zero_ids)), k)
-        self._count(num_rows, num_rows - cursor, cursor, sparse=None)
+            ids, scores = numpy_impl.k_best(global_ids[rows], posteriors[rows], k)
+            verified, sparse = num_rows, False
+        # A query none of whose order groups was ranked in ran neither plan.
+        self._count(num_rows, num_rows - verified, verified, sparse=sparse)
         _record_stage("topk", started)
-        return _ranked(*kept)
+        return _ranked(ids, scores)
 
     def warm(
         self, tau_hats: Iterable[int], extended_orders: Optional[Iterable[int]] = None

@@ -22,8 +22,9 @@ array work to the selected backend.  Every read is one query against one
 snapshot — there is no batched ``(Q, D)`` form.  The two reducers of the
 execution core run inside the store call that verifies: :meth:`filter_verify_row`
 (bound filter → survivor gather or dense walk → γ threshold) returns the
-accepted rows and :meth:`filter_verify_topk` (dense walk → k-best) at most
-``k`` scored ones, so on the ``native`` backend — one C call each — neither
+accepted rows and :meth:`filter_verify_topk` (order groups in bound order →
+block probes or dense walk → k-best, cut off by the k-th score) at most ``k``
+scored ones, so on the ``native`` backend — one C call each — neither
 pruned-out candidates nor a ``D``-length row ever reach NumPy.
 
 Incremental additions go through an **append buffer**: :meth:`append` /
@@ -34,8 +35,8 @@ run lazily by the next read, is the one place a write is paid for.  It takes
 the previous published snapshot and produces the next in one linear pass: old
 posting segments are shifted, the pending postings appended, and every derived
 structure the previous snapshot had materialised (the ``(key, |V_G|)`` block
-index, the rows-by-order partition, the probe codes) is carried forward by
-remapping it through that same shift and merging the pending postings in.
+index, the rows-by-order partition) is carried forward by remapping it
+through that same shift and merging the pending postings in.
 Only the ``p`` pending postings are ever sorted; a structure nobody has read
 yet is not built.  A bulk load of ``k`` graphs costs one compaction, not
 ``k`` (see :meth:`~repro.db.database.GraphDatabase.add_many`).
@@ -74,10 +75,10 @@ __all__ = ["ColumnarBranchStore"]
 # and cached at module level — the kernels below are the hot path of every
 # online query, and children must never live on store instances (stores are
 # pickled into pool workers, whose deltas merge back by label set).  Rows
-# count the cells each call produced (D for a dense row — the top-k reducer's
-# dense walk included — E for compacted kernels, U distinct orders for the
-# fused filter), making ``rows / calls`` an instant read on how selective the
-# pruned layer is.
+# count the cells each call produced (D for a dense row — the top-k reducer
+# counts here too: D when it walked the dense row, else the rows of the groups
+# it verified — U distinct orders for the fused filter), making ``rows /
+# calls`` an instant read on how selective the pruned layer is.
 _KERNEL_CALLS = get_registry().counter(
     "repro_kernel_calls_total", "Columnar CSR kernel invocations", ("kernel", "backend")
 )
@@ -96,7 +97,7 @@ _BACKEND_INFO = get_registry().gauge(
 class _BackendCounters:
     """Pre-bound (calls, rows) counter children of one backend label."""
 
-    __slots__ = ("row", "subrow", "bound_row", "filter_verify_row")
+    __slots__ = ("row", "bound_row", "filter_verify_row")
 
     def __init__(self, backend: str) -> None:
         for kernel in self.__slots__:
@@ -144,22 +145,20 @@ class _Snapshot:
     """One published read state: the CSR, its row vectors, its derived indexes.
 
     ``csr``, ``orders`` and ``global_ids`` cover the same rows and never
-    change.  ``blocks`` (the ``(key, |V_G|)`` block index), ``partition``
-    (rows grouped by order) and ``probe_codes`` (flat ``(key, position)``
-    codes) start out ``None`` unless :meth:`ColumnarBranchStore.compact`
-    carried them over from the previous snapshot, and are filled at most once,
-    by the first read that needs them.
+    change.  ``blocks`` (the ``(key, |V_G|)`` block index) and ``partition``
+    (rows grouped by order) start out ``None`` unless
+    :meth:`ColumnarBranchStore.compact` carried them over from the previous
+    snapshot, and are filled at most once, by the first read that needs them.
     """
 
-    __slots__ = ("csr", "orders", "global_ids", "blocks", "partition", "probe_codes")
+    __slots__ = ("csr", "orders", "global_ids", "blocks", "partition")
 
-    def __init__(self, csr, orders, global_ids, blocks=None, partition=None, probe_codes=None):
+    def __init__(self, csr, orders, global_ids, blocks=None, partition=None):
         self.csr: _Csr = csr
         self.orders: np.ndarray = orders
         self.global_ids: np.ndarray = global_ids
         self.blocks = blocks
         self.partition = partition
-        self.probe_codes = probe_codes
 
 
 #: First-build path of each derived structure of a snapshot (looked up through
@@ -167,7 +166,6 @@ class _Snapshot:
 _BUILDERS = {
     "blocks": lambda snapshot: numpy_impl.build_order_blocks(snapshot.csr, snapshot.orders),
     "partition": lambda snapshot: numpy_impl.build_order_partition(snapshot.orders),
-    "probe_codes": lambda snapshot: numpy_impl.build_probe_codes(snapshot.csr),
 }
 
 
@@ -238,7 +236,7 @@ class ColumnarBranchStore:
 
     def __getstate__(self):
         # Only the CSR and the row vectors travel (to pool workers); the
-        # derived indexes are 3 x P int64 a worker rebuilds on first use.
+        # derived indexes are 2 x P + D int64 a worker rebuilds on first use.
         state = self.__dict__.copy()
         del state["_compact_lock"]  # locks are not picklable
         state["_published"] = self._published.csr
@@ -351,10 +349,10 @@ class ColumnarBranchStore:
         * every derived structure the previous snapshot had materialised is
           carried forward — the block index by remapping its permutation
           through that same shift and merging the pending postings in, the
-          rows-by-order partition by appending the new rows to their runs,
-          the probe codes re-emitted — and equals what its from-scratch
-          builder returns on the new CSR; one the previous snapshot never
-          built stays unbuilt until a read asks for it;
+          rows-by-order partition by appending the new rows to their runs —
+          and equals what its from-scratch builder returns on the new CSR; one
+          the previous snapshot never built stays unbuilt until a read asks
+          for it;
         * ``orders`` / ``global_ids`` are prefix views of the row buffers
           :meth:`append` already wrote.
 
@@ -383,10 +381,9 @@ class ColumnarBranchStore:
                 np.asarray(self._pending_counts, dtype=np.int64),
             )
             self._max_count = int(pending[2].max(initial=self._max_count))
-            arrays, blocks, probe_codes = self._kernels.merge_postings(
+            arrays, blocks = self._kernels.merge_postings(
                 previous.csr,
                 previous.blocks,
-                previous.probe_codes is not None,
                 pending,
                 len(self._keys),
                 orders,
@@ -404,7 +401,6 @@ class ColumnarBranchStore:
                 self._row_global_ids[:num_rows],
                 blocks,
                 partition,
-                probe_codes,
             )
             self._pending_keys = []
             self._pending_positions = []
@@ -589,7 +585,7 @@ class ColumnarBranchStore:
         return self._kernels.intersection_row(csr, key_ids, query_counts, num_graphs)
 
     # ------------------------------------------------------------------ #
-    # GBD lower-bound kernels and sparse (position-restricted) intersections
+    # GBD lower-bound kernels and the derived indexes of the fused reads
     # ------------------------------------------------------------------ #
     def matched_query_total(self, query_branches: Counter) -> int:
         """Upper bound on ``|B_Q ∩ B_G|`` valid for *every* row: ``Σ_k min(q_k, cap_k)``.
@@ -601,17 +597,6 @@ class ColumnarBranchStore:
         lower bound stays a true lower bound for any CSR snapshot.
         """
         return self._match(query_branches, self._published.csr)[2]
-
-    def matched_postings(self, query_branches: Counter, csr: _Csr) -> Tuple[int, int, int]:
-        """``(matched_total, matched keys, Σ their posting-segment lengths)``.
-
-        The inputs of a caller's sparse-vs-dense choice, from one vocabulary
-        pass: :meth:`intersection_row` walks exactly the summed segments,
-        :meth:`intersection_subrow` probes every matched key once per
-        requested row.  ``matched_total`` is :meth:`matched_query_total`.
-        """
-        key_ids, _query_counts, total = self._match(query_branches, csr)
-        return total, len(key_ids), _segment_total(csr[0], key_ids)
 
     def gbd_lower_bound_row(
         self,
@@ -641,49 +626,6 @@ class ColumnarBranchStore:
         total = self.matched_query_total(query_branches)
         return self._kernels.gbd_lower_bound_row(int(num_query_vertices), total, orders)
 
-    def _composite_for(self, csr: _Csr) -> Tuple[np.ndarray, int]:
-        """Flat sorted ``key_id * stride + position`` view of a CSR snapshot.
-
-        Within a key the postings are position-sorted and keys are laid out
-        in id order, so the composite codes are strictly increasing — one
-        global ``searchsorted`` can probe any (key, row) pair.  O(P) on first
-        use, re-emitted by every :meth:`compact` from then on.
-        """
-        return self._derived(csr, "probe_codes"), max(int(csr[3]), 1)
-
-    def intersection_subrow(
-        self,
-        query_branches: Counter,
-        positions: np.ndarray,
-        *,
-        view: Optional[Tuple[_Csr, int]] = None,
-    ) -> np.ndarray:
-        """``|B_Q ∩ B_G|`` for a sorted subset of rows, without a full gather.
-
-        The index-driven sparse strategy of the pruned execution layer: when
-        the bound filter leaves few candidates, the postings of the pruned
-        rows are never touched.  The numpy backend probes all K · E (query
-        key, surviving row) pairs through the composite-sorted CSR
-        (:meth:`_composite_for`); the native backend walks whichever side of
-        each key's segment is shorter.  Entries equal
-        ``intersection_row(...)[positions]`` exactly.
-        """
-        csr = view[0] if view is not None else self._snapshot().csr
-        _offsets, _all_positions, all_counts, _rows = csr
-        positions = np.asarray(positions, dtype=np.int64)
-        num_positions = len(positions)
-        calls, rows = _counters(self.backend).subrow
-        calls.inc()
-        rows.inc(num_positions)
-        if num_positions == 0 or len(all_counts) == 0:
-            return np.zeros(num_positions, dtype=np.int64)
-        key_ids, query_counts, _total = self._match(query_branches, csr)
-        if len(key_ids) == 0:
-            return np.zeros(num_positions, dtype=np.int64)
-        return self._kernels.intersection_subrow(
-            csr, lambda: self._composite_for(csr), key_ids, query_counts, positions
-        )
-
     def _order_blocks_for(self, csr: _Csr) -> Tuple[np.ndarray, np.ndarray, int]:
         """Postings of a snapshot re-indexed by ``(key, row order)`` blocks.
 
@@ -691,8 +633,9 @@ class ColumnarBranchStore:
         key_id * stride + |V_row|`` and ``permutation`` maps the sorted
         order back to posting slots.  Every ``(branch key, vertex count)``
         pair owns one contiguous block, located by two binary-search probes
-        — the backbone of the sparse plan of :meth:`filter_verify_row`.
-        Sorted once (O(P log P)) by the first pruned read of a store; every
+        — the backbone of the sparse plan of :meth:`filter_verify_row` and of
+        the group walk of :meth:`filter_verify_topk`.
+        Sorted once (O(P log P)) by the first pruned or top-k read of a store; every
         :meth:`compact` after that carries it forward in O(P + p log p).
         """
         return self._derived(csr, "blocks")
@@ -796,44 +739,63 @@ class ColumnarBranchStore:
         self,
         num_query_vertices: int,
         query_branches: Counter,
-        rows: np.ndarray,
         lut: np.ndarray,
+        bound_lut: np.ndarray,
         max_gbd: Optional[int],
         k: int,
         *,
         view: Optional[Tuple[_Csr, int]] = None,
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """The ``k`` best of ``rows`` by posterior, from one dense walk: ``(ids, scores)``.
+    ):
+        """The ``k`` best rows of one query by posterior: ``(ids, scores, verified, sparse)``.
 
-        The dense plan of the top-k reducer: every store position in ``rows``
-        (any order, no repeats) is verified — ``gbd = max(|V_Q|, |V_G|) -
-        |B_Q ∩ B_G|`` — dropped when ``gbd > max_gbd`` (``None``: no cap) and
-        scored ``lut[order, gbd]``; returned are the graph ids and scores of at
-        most ``k`` of them, the first under ``(-score, id)``, unsorted.  It
-        walks the matched posting segments once, like :meth:`intersection_row`,
-        and is counted as that kernel; on the native backend the row never
-        leaves the C call, which keeps a heap of ``k`` entries.
+        The whole top-k reducer.  ``lut[order, gbd]`` is the caller's posterior
+        table for the query's τ̂ and ``bound_lut[order, ϕ]`` its suffix maximum
+        over ``gbd >= ϕ`` (tables of their own shapes, a row per extended order
+        of the snapshot each); ``max_gbd`` is the branch-bound cap, or ``None``.
+        Per distinct ``|V_G|`` the GBD lower bound gives a posterior *upper*
+        bound shared by the order group's rows; groups are visited by
+        descending bound until one falls strictly below the k-th best score so
+        far.  A visited group is verified through its ``(key, |V_G|)`` blocks —
+        no other row's postings are read — until the rows verified plus the
+        next group exceed the query's :func:`sparse_row_budget` (the rule of
+        :meth:`filter_verify_row`), from where one dense walk of the matched
+        segments serves the groups still in reach.  A row is dropped when
+        ``gbd > max_gbd`` and scored ``lut[order, gbd]``; with the cap, groups
+        whose bound already exceeds it are never visited; without it,
+        zero-bound groups are not verified (their score is 0.0) and fill a
+        short or zero-tailed ranking by smallest graph id.
+
+        ``ids`` / ``scores`` are at most ``k`` pairs, the first under ``(-score,
+        id)``, unsorted; ``verified`` the rows of the visited groups; ``sparse``
+        the plan taken — ``True`` block probes only, ``False`` the dense walk
+        ran, ``None`` no group was ranked in.  One vocabulary pass, one kernel
+        call, counted as a ``row`` kernel producing the rows it verified (all
+        ``D`` once the dense walk ran).
         """
         if k < 1:
             raise ValueError("k must be a positive integer")
         csr = view[0] if view is not None else self._snapshot().csr
-        snapshot = self._snapshot_of(csr)
-        calls, cells = _counters(self.backend).row
-        calls.inc()
-        cells.inc(csr[3])
-        key_ids, query_counts, _total = self._match(query_branches, csr)
-        return self._kernels.filter_verify_topk(
+        partition = self.order_partition(csr)
+        key_ids, query_counts, matched_total = self._match(query_branches, csr)
+        ids, scores, verified, dense = self._kernels.filter_verify_topk(
             csr,
+            self._order_blocks_for(csr),
+            partition,
+            self._snapshot_of(csr).global_ids,
+            int(num_query_vertices),
+            matched_total,
             key_ids,
             query_counts,
-            snapshot.orders,
-            snapshot.global_ids,
-            int(num_query_vertices),
-            np.asarray(rows, dtype=np.int64),
-            self._checked_table(lut, num_query_vertices, self.order_partition(csr)[0]),
+            sparse_row_budget(_segment_total(csr[0], key_ids), csr[3]),
+            self._checked_table(lut, num_query_vertices, partition[0]),
+            self._checked_table(bound_lut, num_query_vertices, partition[0]),
             max_gbd,
             int(k),
         )
+        calls, cells = _counters(self.backend).row
+        calls.inc()
+        cells.inc(csr[3] if dense else verified)
+        return ids, scores, verified, (not dense) if verified else None
 
     def gbd_row(self, num_query_vertices: int, query_branches: Counter) -> np.ndarray:
         """Return ``GBD(Q, G)`` for every row as a dense ``(D,)`` array."""

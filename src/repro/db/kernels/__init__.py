@@ -10,7 +10,7 @@ in :mod:`repro.db.kernels.numpy_impl`:
   ``filter_verify_topk``) verify and reduce in one call, so pruned candidates
   never allocate intermediates and only hits come back.
 
-The interface is six kernels — ``intersection_row``, ``intersection_subrow``,
+The interface is five kernels — ``intersection_row``,
 ``gbd_lower_bound_row``, ``filter_verify_row``, ``filter_verify_topk`` on the
 read path and ``merge_postings`` on the write path — plus, in the reference
 only, the builders of the derived structures and the ``k_best`` selection.

@@ -19,11 +19,15 @@
  *     Pr[GED <= tau | GBD = gbd] at extended order ``order`` (row-major, every
  *     order a query can meet covered — checked by the store before the call).
  *   - Output buffers are caller-allocated; intersection outputs must be
- *     zero-initialised unless noted otherwise.  The two reducers accumulate a
- *     dense row in a private int32 buffer (an entry is at most |B_Q|) that
- *     lives for one call: threads share nothing.
+ *     zero-initialised unless noted otherwise.  The two reducers accumulate
+ *     intersections in a private int32 buffer, one slot per row (an entry a
+ *     reducer reads is at most |B_Q|), that lives for one call: threads share
+ *     nothing.
  *   - Within one key's CSR segment the postings are sorted by row position
- *     and rows are unique; ``sub_positions`` arguments are sorted ascending.
+ *     and rows are unique.
+ *   - The (key, |V_row|) block index (``codes_sorted`` = key * stride + order,
+ *     ascending, ``permutation`` back to posting slots) lists the postings of
+ *     key k in its slots offsets[k]..offsets[k + 1], like the CSR itself.
  */
 
 #include <stdint.h>
@@ -33,23 +37,10 @@
 #define MIN64(a, b) ((a) < (b) ? (a) : (b))
 #define MAX64(a, b) ((a) > (b) ? (a) : (b))
 
-int64_t repro_kernels_abi_version(void) { return 2; }
+int64_t repro_kernels_abi_version(void) { return 3; }
 
 /* First slot in arr[0..n) not less than value (arr ascending). */
 static int64_t lower_bound_i64(const int64_t *arr, int64_t n, int64_t value) {
-    int64_t lo = 0, hi = n;
-    while (lo < hi) {
-        int64_t mid = lo + ((hi - lo) >> 1);
-        if (arr[mid] < value) {
-            lo = mid + 1;
-        } else {
-            hi = mid;
-        }
-    }
-    return lo;
-}
-
-static int64_t lower_bound_i32(const int32_t *arr, int64_t n, int32_t value) {
     int64_t lo = 0, hi = n;
     while (lo < hi) {
         int64_t mid = lo + ((hi - lo) >> 1);
@@ -83,50 +74,6 @@ void repro_intersection_row(const int64_t *offsets, const int32_t *positions,
 }
 
 /* ------------------------------------------------------------------ *
- * position-restricted (sparse) intersections
- * ------------------------------------------------------------------ */
-
-/* Add one key segment's contribution restricted to sub_positions into one
- * output row.  Adaptive: walk whichever side is shorter and binary-search
- * the other — min(seg log E, E log seg) instead of a full gather. */
-static void segment_into_subrow(const int32_t *positions, const int32_t *counts,
-                                int64_t start, int64_t end, int64_t qc,
-                                const int64_t *sub_positions, int64_t num_sub,
-                                int64_t *out) {
-    int64_t seg = end - start;
-    if (seg <= num_sub) {
-        for (int64_t s = start; s < end; ++s) {
-            int64_t row = positions[s];
-            int64_t slot = lower_bound_i64(sub_positions, num_sub, row);
-            if (slot < num_sub && sub_positions[slot] == row) {
-                out[slot] += MIN64(qc, (int64_t)counts[s]);
-            }
-        }
-    } else {
-        for (int64_t e = 0; e < num_sub; ++e) {
-            int32_t row = (int32_t)sub_positions[e];
-            int64_t slot = start + lower_bound_i32(positions + start, seg, row);
-            if (slot < end && positions[slot] == row) {
-                out[e] += MIN64(qc, (int64_t)counts[slot]);
-            }
-        }
-    }
-}
-
-/* |B_Q ∩ B_G| for a sorted subset of rows (zeroed output, length num_sub). */
-void repro_intersection_subrow(const int64_t *offsets, const int32_t *positions,
-                               const int32_t *counts, const int64_t *key_ids,
-                               const int64_t *query_counts, int64_t num_keys,
-                               const int64_t *sub_positions, int64_t num_sub,
-                               int64_t *out) {
-    for (int64_t ki = 0; ki < num_keys; ++ki) {
-        segment_into_subrow(positions, counts, offsets[key_ids[ki]],
-                            offsets[key_ids[ki] + 1], query_counts[ki],
-                            sub_positions, num_sub, out);
-    }
-}
-
-/* ------------------------------------------------------------------ *
  * GBD lower bound
  * ------------------------------------------------------------------ */
 
@@ -144,16 +91,10 @@ void repro_gbd_lower_bound_row(int64_t num_query_vertices, int64_t matched_total
  * fused filter → verify → reduce
  * ------------------------------------------------------------------ */
 
-/* The dense row of the matched keys in a fresh all-zero int32 accumulator
- * (NULL: out of memory); the caller frees it. */
-static int32_t *dense_accumulator(const int64_t *offsets, const int32_t *positions,
-                                  const int32_t *counts, const int64_t *key_ids,
-                                  const int64_t *query_counts, int64_t num_keys,
-                                  int64_t num_rows) {
-    int32_t *acc = (int32_t *)calloc((size_t)MAX64(num_rows, 1), sizeof(int32_t));
-    if (acc == NULL) {
-        return NULL;
-    }
+/* Scatter-add the matched keys' posting segments into acc (one slot per row). */
+static void dense_walk(const int64_t *offsets, const int32_t *positions,
+                       const int32_t *counts, const int64_t *key_ids,
+                       const int64_t *query_counts, int64_t num_keys, int32_t *acc) {
     for (int64_t ki = 0; ki < num_keys; ++ki) {
         /* The minimum is taken in 32 bits: narrowed from a 64-bit one it
          * compiles to a branch (gcc 12, -O3) that real multiplicities
@@ -165,7 +106,11 @@ static int32_t *dense_accumulator(const int64_t *offsets, const int32_t *positio
             acc[positions[s]] += count < qc ? count : qc;
         }
     }
-    return acc;
+}
+
+/* A fresh all-zero int32 accumulator (NULL: out of memory); the caller frees it. */
+static int32_t *zeroed_accumulator(int64_t num_rows) {
+    return (int32_t *)calloc((size_t)MAX64(num_rows, 1), sizeof(int32_t));
 }
 
 /* k-way merge of the eligible orders' ascending row runs. */
@@ -242,11 +187,11 @@ int64_t repro_filter_verify_row(
     }
 
     if (num_eligible > max_candidates) {
-        int32_t *acc = dense_accumulator(offsets, positions, counts, key_ids,
-                                         query_counts, num_keys, num_rows);
+        int32_t *acc = zeroed_accumulator(num_rows);
         if (acc == NULL) {
             return -1;
         }
+        dense_walk(offsets, positions, counts, key_ids, query_counts, num_keys, acc);
         /* The fewest shared branches any hit can have: a row of extended
          * order e is one only if lut[e, g] >= gamma for its GBD g = e - acc, so
          * acc >= e - (largest accepting g within the cap), minimised over the
@@ -365,52 +310,167 @@ static void last_ranked_sift_down(int64_t *ids, double *scores, int64_t size, in
     }
 }
 
-/* The k-best reduce over one dense row: every row of ``rows`` (store
- * positions, any order) is verified against the dense accumulator, dropped
- * when its GBD exceeds max_gbd, scored lut[order * lut_width + gbd], and
- * offered to a heap of at most k (graph id, score) entries whose root ranks
- * last under (-score, id).  out_ids / out_scores (min(k, num_sub) slots) are
- * the heap, left in heap order: the caller ranks once, at the end.  Returns
- * the number of entries, or -1 on allocation failure. */
+/* Offer (id, score) to the heap of at most k entries whose root ranks last
+ * under (-score, id); returns the new size. */
+static int64_t offer_to_heap(int64_t *ids, double *scores, int64_t size, int64_t k,
+                             int64_t id, double score) {
+    if (size < k) {
+        /* sift up: a child that ranks after its parent moves towards the root */
+        int64_t slot = size;
+        while (slot > 0) {
+            int64_t parent = (slot - 1) / 2;
+            if (!ranks_after(score, id, scores[parent], ids[parent])) break;
+            ids[slot] = ids[parent];
+            scores[slot] = scores[parent];
+            slot = parent;
+        }
+        ids[slot] = id;
+        scores[slot] = score;
+        return size + 1;
+    }
+    if (ranks_after(scores[0], ids[0], score, id)) {
+        ids[0] = id;
+        scores[0] = score;
+        last_ranked_sift_down(ids, scores, size, 0);
+    }
+    return size;
+}
+
+/* An order group in reach of the ranking and the posterior upper bound its
+ * rows share; groups are visited by descending bound, then ascending slot. */
+typedef struct {
+    double bound;
+    int64_t group;
+} group_bound;
+
+static int visited_before(group_bound a, group_bound b) {
+    return a.bound > b.bound || (a.bound == b.bound && a.group < b.group);
+}
+
+static void next_group_sift_down(group_bound *heap, int64_t size, int64_t i) {
+    for (;;) {
+        int64_t left = 2 * i + 1;
+        int64_t right = left + 1;
+        int64_t first = i;
+        if (left < size && visited_before(heap[left], heap[first])) first = left;
+        if (right < size && visited_before(heap[right], heap[first])) first = right;
+        if (first == i) break;
+        group_bound tmp = heap[i];
+        heap[i] = heap[first];
+        heap[first] = tmp;
+        i = first;
+    }
+}
+
+/* The whole k-best reducer for one query — bound, ordered candidates, verify,
+ * reduce:
+ *   1. per distinct |V_G| (slot u): extended order e = max(|V_Q|, |V_G|), GBD
+ *      lower bound b = e - min(matched_total, |V_G|), posterior upper bound
+ *      bound_lut[e * bound_width + b].  With the branch-bound cap (max_gbd <
+ *      INT64_MAX) the groups with b <= max_gbd are ranked in; without it those
+ *      with a positive bound — a zero bound settles the score at 0.0;
+ *   2. ranked-in groups are visited by descending bound and the visit ends at
+ *      the first whose bound is strictly below the k-th best score so far;
+ *   3. a visited group's rows (row_order[starts[u]:ends[u]]) are verified by
+ *      scatter-adding the group's (key, |V_G|) blocks into a private
+ *      accumulator, until the rows verified so far plus the next group exceed
+ *      max_candidates: from there the matched keys' whole segments are walked
+ *      once (rows of groups already visited take a second helping nobody
+ *      reads) and the groups that follow read the accumulator as it is;
+ *   4. a verified row with gbd = e - |B_Q ∩ B_G| <= max_gbd is scored
+ *      lut[e * lut_width + gbd] and offered to the heap under (-score, id);
+ *   5. without the cap, a heap that is short or whose root scores 0.0 is filled
+ *      from the zero-bound groups, smallest graph ids first.
+ * out_ids / out_scores (k slots, k <= num_rows) are the heap, left in heap
+ * order: the caller ranks once, at the end.  out_plan[0] is the number of rows
+ * verified, out_plan[1] whether the dense walk ran.  Returns the number of
+ * entries, or -1 on allocation failure (the wrapper then falls back to the
+ * numpy backend). */
 int64_t repro_filter_verify_topk(
-    const int64_t *offsets, const int32_t *positions, const int32_t *counts,
-    const int64_t *key_ids, const int64_t *query_counts, int64_t num_keys,
-    const int64_t *orders, const int64_t *global_ids, int64_t num_rows,
-    int64_t num_query_vertices, const int64_t *rows, int64_t num_sub,
-    const double *lut, int64_t lut_width, int64_t max_gbd, int64_t k,
-    int64_t *out_ids, double *out_scores) {
-    int32_t *acc = dense_accumulator(offsets, positions, counts, key_ids, query_counts,
-                                     num_keys, num_rows);
-    if (acc == NULL) {
+    int64_t num_query_vertices, int64_t matched_total, const int64_t *distinct,
+    const int64_t *starts, const int64_t *ends, int64_t num_distinct,
+    const int64_t *row_order, int64_t max_candidates, const int64_t *codes_sorted,
+    const int64_t *permutation, int64_t stride, const int64_t *offsets,
+    const int32_t *positions, const int32_t *counts, const int64_t *key_ids,
+    const int64_t *query_counts, int64_t num_keys, const int64_t *global_ids,
+    int64_t num_rows, const double *lut, int64_t lut_width, const double *bound_lut,
+    int64_t bound_width, int64_t max_gbd, int64_t k, int64_t *out_ids,
+    double *out_scores, int64_t *out_plan) {
+    int capped = max_gbd != INT64_MAX;
+    group_bound *reach =
+        (group_bound *)malloc((size_t)MAX64(num_distinct, 1) * sizeof(group_bound));
+    int32_t *acc = zeroed_accumulator(num_rows);
+    if (reach == NULL || acc == NULL) {
+        free(reach);
+        free(acc);
         return -1;
     }
-    int64_t size = 0;
-    for (int64_t i = 0; i < num_sub; ++i) {
-        int64_t row = rows[i];
-        int64_t order = MAX64(num_query_vertices, orders[row]);
-        int64_t gbd = order - acc[row];
-        if (gbd > max_gbd) continue;
-        double score = lut[order * lut_width + gbd];
-        int64_t id = global_ids[row];
-        if (size < k) {
-            /* sift up: a child that ranks after its parent moves towards the root */
-            int64_t slot = size++;
-            while (slot > 0) {
-                int64_t parent = (slot - 1) / 2;
-                if (!ranks_after(score, id, out_scores[parent], out_ids[parent])) break;
-                out_ids[slot] = out_ids[parent];
-                out_scores[slot] = out_scores[parent];
-                slot = parent;
+    /* Ranked-in groups fill reach from the front (the heap), zero-bound groups
+     * from the back: the heap only shrinks, so the two never meet. */
+    int64_t in_reach = 0, settled = num_distinct;
+    for (int64_t u = 0; u < num_distinct; ++u) {
+        int64_t order = MAX64(num_query_vertices, distinct[u]);
+        int64_t lower = order - MIN64(matched_total, distinct[u]);
+        double bound = bound_lut[order * bound_width + lower];
+        if (capped ? lower <= max_gbd : bound > 0.0) {
+            reach[in_reach].bound = bound;
+            reach[in_reach++].group = u;
+        } else if (!capped) {
+            reach[--settled].group = u;
+        }
+    }
+    for (int64_t i = in_reach / 2 - 1; i >= 0; --i) {
+        next_group_sift_down(reach, in_reach, i);
+    }
+
+    int64_t size = 0, verified = 0;
+    int dense = 0;
+    while (in_reach > 0 && !(size == k && reach[0].bound < out_scores[0])) {
+        int64_t u = reach[0].group;
+        reach[0] = reach[--in_reach];
+        next_group_sift_down(reach, in_reach, 0);
+        if (!dense && verified + ends[u] - starts[u] > max_candidates) {
+            dense_walk(offsets, positions, counts, key_ids, query_counts, num_keys, acc);
+            dense = 1;
+        }
+        if (!dense) {
+            for (int64_t ki = 0; ki < num_keys; ++ki) {
+                int64_t key = key_ids[ki];
+                int64_t code = key * stride + distinct[u];
+                int64_t key_end = offsets[key + 1];
+                int32_t qc = (int32_t)MIN64(query_counts[ki], INT32_MAX);
+                int64_t lo = offsets[key] + lower_bound_i64(codes_sorted + offsets[key],
+                                                            key_end - offsets[key], code);
+                for (; lo < key_end && codes_sorted[lo] == code; ++lo) {
+                    int64_t slot = permutation[lo];
+                    int32_t count = counts[slot];
+                    acc[positions[slot]] += count < qc ? count : qc;
+                }
             }
-            out_ids[slot] = id;
-            out_scores[slot] = score;
-        } else if (ranks_after(out_scores[0], out_ids[0], score, id)) {
-            out_ids[0] = id;
-            out_scores[0] = score;
-            last_ranked_sift_down(out_ids, out_scores, size, 0);
+        }
+        verified += ends[u] - starts[u];
+        int64_t order = MAX64(num_query_vertices, distinct[u]);
+        const double *row_of = lut + order * lut_width;
+        for (int64_t i = starts[u]; i < ends[u]; ++i) {
+            int64_t row = row_order[i];
+            int64_t gbd = order - acc[row];
+            if (gbd > max_gbd) continue;
+            size = offer_to_heap(out_ids, out_scores, size, k, global_ids[row], row_of[gbd]);
         }
     }
     free(acc);
+
+    if (size < k || out_scores[0] <= 0.0) {
+        for (; settled < num_distinct; ++settled) {
+            int64_t u = reach[settled].group;
+            for (int64_t i = starts[u]; i < ends[u]; ++i) {
+                size = offer_to_heap(out_ids, out_scores, size, k, global_ids[row_order[i]], 0.0);
+            }
+        }
+    }
+    free(reach);
+    out_plan[0] = verified;
+    out_plan[1] = dense;
     return size;
 }
 
@@ -424,7 +484,6 @@ int64_t repro_filter_verify_topk(
  * every old row) join the tail of their key's segment; an old segment moves
  * by the room the keys before it grew.  Outputs (caller-allocated):
  *   - offsets[num_keys + 1], positions/counts[old total + num_pending];
- *   - probe_codes (or NULL): key * probe_stride + position per posting slot;
  *   - codes/permutation (old_codes NULL: skipped): the (key, |V_row|) block
  *     index of the merged CSR.  The old index is walked once in sorted order —
  *     keys ascend along it, so the key of each entry, and with it the slot
@@ -438,10 +497,10 @@ void repro_merge_postings(
     const int32_t *old_counts, int64_t old_num_keys, const int64_t *pending_keys,
     const int64_t *pending_positions, const int64_t *pending_counts,
     int64_t num_pending, int64_t num_keys, int64_t *offsets, int32_t *positions,
-    int32_t *counts, int64_t *cursor, int64_t *pending_slots, int64_t probe_stride,
-    int64_t *probe_codes, const int64_t *old_codes, const int64_t *old_permutation,
-    int64_t old_stride, int64_t stride, const int64_t *pending_codes,
-    const int64_t *by_code, int64_t *codes, int64_t *permutation) {
+    int32_t *counts, int64_t *cursor, int64_t *pending_slots, const int64_t *old_codes,
+    const int64_t *old_permutation, int64_t old_stride, int64_t stride,
+    const int64_t *pending_codes, const int64_t *by_code, int64_t *codes,
+    int64_t *permutation) {
     memset(offsets, 0, (size_t)(num_keys + 1) * sizeof(int64_t));
     for (int64_t i = 0; i < num_pending; ++i) {
         ++offsets[pending_keys[i] + 1];
@@ -464,14 +523,6 @@ void repro_merge_postings(
         positions[slot] = (int32_t)pending_positions[i];
         counts[slot] = (int32_t)pending_counts[i];
         pending_slots[i] = slot;
-    }
-    if (probe_codes != NULL) {
-        for (int64_t k = 0; k < num_keys; ++k) {
-            int64_t base = k * probe_stride;
-            for (int64_t s = offsets[k]; s < offsets[k + 1]; ++s) {
-                probe_codes[s] = base + positions[s];
-            }
-        }
     }
     if (old_codes == NULL) {
         return;

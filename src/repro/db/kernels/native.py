@@ -21,10 +21,11 @@ and posterior tables) are therefore identity-cached via :func:`_pinned` — the
 cache holds a strong reference to each keyed array, so a cached address can
 never dangle or alias a recycled ``id``.
 
-The two reducers accumulate their dense row inside the C call, in a buffer
-that lives for that call alone — nothing is shared between threads, nothing
-persists on a store — and write hits into caller-allocated outputs sized for
-the worst case, of which only the slots of actual hits are ever touched.
+The two reducers accumulate intersections inside the C call, in a buffer of
+four bytes a row that lives for that call alone — nothing is shared between
+threads, nothing persists on a store — and write hits into caller-allocated
+outputs sized for the worst case, of which only the slots of actual hits are
+ever touched.
 
 Build products land in ``$REPRO_KERNEL_CACHE`` when set, else
 ``$TMPDIR/repro-kernels-<uid>`` (:func:`library_path` names the file); a
@@ -52,17 +53,16 @@ from repro.db.kernels import numpy_impl
 name = "native"
 
 _SOURCE_PATH = Path(__file__).with_name("_kernels.c")
-_ABI_VERSION = 2
+_ABI_VERSION = 3
 
 #: argtypes of every exported kernel (i=int64 scalar, d=double, p=array address)
 _SIGNATURES = {
     "repro_kernels_abi_version": "",
     "repro_intersection_row": "pppppip",
-    "repro_intersection_subrow": "pppppipip",
     "repro_gbd_lower_bound_row": "iipip",
     "repro_filter_verify_row": "iipppippippiipppppipipidipppp",
-    "repro_filter_verify_topk": "pppppippiipipiiipp",
-    "repro_merge_postings": "pppipppiipppppipppiipppp",
+    "repro_filter_verify_topk": "iipppipippipppppipipipiiippp",
+    "repro_merge_postings": "pppipppiipppppppiipppp",
 }
 _ARG_KINDS = {"i": ctypes.c_int64, "d": ctypes.c_double, "p": ctypes.c_void_p}
 #: ``max_gbd`` of a reducer called without the branch-bound cap: no GBD exceeds it.
@@ -242,24 +242,6 @@ def intersection_row(csr, key_ids, query_counts, num_graphs):
     return out
 
 
-def intersection_subrow(csr, composite_fn, key_ids, query_counts, sub_positions):
-    compact = _compact_csr(csr)
-    if compact is None:
-        return numpy_impl.intersection_subrow(
-            csr, composite_fn, key_ids, query_counts, sub_positions
-        )
-    keys = _c64(key_ids)
-    counts_q = _c64(query_counts)
-    subs = _c64(sub_positions)
-    out = np.zeros(len(subs), dtype=np.int64)
-    _library().repro_intersection_subrow(
-        *compact,
-        _address(keys), _address(counts_q), len(keys),
-        _address(subs), len(subs), _address(out),
-    )
-    return out
-
-
 def gbd_lower_bound_row(num_query_vertices, matched_total, orders):
     out = np.empty(len(orders), dtype=np.int64)
     _library().repro_gbd_lower_bound_row(
@@ -335,42 +317,57 @@ def filter_verify_row(
 
 
 def filter_verify_topk(
-    csr, key_ids, query_counts, orders, global_ids, num_query_vertices, rows, lut, max_gbd, k
+    csr,
+    blocks,
+    partition,
+    global_ids,
+    num_query_vertices,
+    matched_total,
+    key_ids,
+    query_counts,
+    max_candidates,
+    lut,
+    bound_lut,
+    max_gbd,
+    k,
 ):
     compact = _compact_csr(csr)
-    subs = _c64(rows)
-    capacity = min(int(k), len(subs))
-    if compact is None or capacity < 1:
-        return numpy_impl.filter_verify_topk(
-            csr, key_ids, query_counts, orders, global_ids, num_query_vertices,
-            rows, lut, max_gbd, k,
+    capacity = min(int(k), len(global_ids))
+    if compact is not None and capacity >= 1:
+        codes_sorted, permutation, stride = blocks
+        distinct, row_order, starts, ends = partition
+        keys = _c64(key_ids)
+        counts_q = _c64(query_counts)
+        out_ids = np.empty(capacity, dtype=np.int64)
+        out_scores = np.empty(capacity, dtype=np.float64)
+        plan = np.zeros(2, dtype=np.int64)
+        kept = int(
+            _library().repro_filter_verify_topk(
+                int(num_query_vertices), int(matched_total),
+                _pinned(distinct, np.int64), _pinned(starts, np.int64),
+                _pinned(ends, np.int64), len(distinct),
+                _pinned(row_order, np.int64), max(int(max_candidates), 0),
+                _pinned(codes_sorted, np.int64), _pinned(permutation, np.int64), stride,
+                *compact,
+                _address(keys), _address(counts_q), len(keys),
+                _pinned(global_ids, np.int64), len(global_ids),
+                _pinned(lut, np.float64), lut.shape[1],
+                _pinned(bound_lut, np.float64), bound_lut.shape[1],
+                _NO_CAP if max_gbd is None else int(max_gbd), capacity,
+                _address(out_ids), _address(out_scores), _address(plan),
+            )
         )
-    keys = _c64(key_ids)
-    counts_q = _c64(query_counts)
-    out_ids = np.empty(capacity, dtype=np.int64)
-    out_scores = np.empty(capacity, dtype=np.float64)
-    kept = int(
-        _library().repro_filter_verify_topk(
-            *compact,
-            _address(keys), _address(counts_q), len(keys),
-            _pinned(orders, np.int64), _pinned(global_ids, np.int64), len(orders),
-            int(num_query_vertices), _address(subs), len(subs),
-            _pinned(lut, np.float64), lut.shape[1],
-            _NO_CAP if max_gbd is None else int(max_gbd), capacity,
-            _address(out_ids), _address(out_scores),
-        )
+        if kept >= 0:
+            return out_ids[:kept], out_scores[:kept], int(plan[0]), bool(plan[1])
+    # A store that outgrew int32, no row to rank, or an allocation failure
+    # inside the kernel: the dtype-agnostic reference handles it.
+    return numpy_impl.filter_verify_topk(
+        csr, blocks, partition, global_ids, num_query_vertices, matched_total,
+        key_ids, query_counts, max_candidates, lut, bound_lut, max_gbd, k,
     )
-    if kept < 0:  # allocation failure inside the kernel
-        return numpy_impl.filter_verify_topk(
-            csr, key_ids, query_counts, orders, global_ids, num_query_vertices,
-            rows, lut, max_gbd, k,
-        )
-    return out_ids[:kept], out_scores[:kept]
 
 
-def merge_postings(
-    csr, blocks, with_probe_codes, pending, num_keys, orders, position_dtype, count_dtype
-):
+def merge_postings(csr, blocks, pending, num_keys, orders, position_dtype, count_dtype):
     old_offsets, old_positions, old_counts, _old_rows = csr
     # The snapshot these arrays belong to is being superseded: stop pinning
     # them, or every compaction's P-sized arrays stay alive (and the next
@@ -384,8 +381,7 @@ def merge_postings(
         # Wide layout on either side of the merge (the promotion itself
         # included): the dtype-agnostic reference handles it.
         return numpy_impl.merge_postings(
-            csr, blocks, with_probe_codes, pending, num_keys, orders,
-            position_dtype, count_dtype,
+            csr, blocks, pending, num_keys, orders, position_dtype, count_dtype
         )
     pending_keys, pending_positions, pending_counts = (_c64(part) for part in pending)
     orders = _c64(orders)
@@ -399,7 +395,6 @@ def merge_postings(
     counts = np.empty(total, dtype=np.int32)
     cursor = np.empty(num_keys, dtype=np.int64)
     pending_slots = np.empty(num_pending, dtype=np.int64)
-    probe_codes = np.empty(total, dtype=np.int64) if with_probe_codes else None
     if blocks is None:
         old_codes = old_permutation = pending_codes = by_code = codes = permutation = None
         old_stride = stride = 0
@@ -422,9 +417,8 @@ def merge_postings(
         pending_counts.ctypes.data, num_pending, num_keys,
         offsets.ctypes.data, positions.ctypes.data, counts.ctypes.data,
         cursor.ctypes.data, pending_slots.ctypes.data,
-        max(len(orders), 1), _address(probe_codes),
         _address(old_codes), _address(old_permutation), int(old_stride), stride,
         _address(pending_codes), _address(by_code), _address(codes), _address(permutation),
     )
     new_blocks = None if blocks is None else (codes, permutation, stride)
-    return (offsets, positions, counts), new_blocks, probe_codes
+    return (offsets, positions, counts), new_blocks

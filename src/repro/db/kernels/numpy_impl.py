@@ -16,21 +16,20 @@ Interface conventions shared by all backends:
 * ``key_ids``/``query_counts`` are parallel int64 arrays of the query's
   *matched* branch keys (possibly empty, never ``None``).
 * ``blocks`` is the snapshot's ``(sorted codes, permutation, stride)``
-  (key, row-order) block index; ``composite_fn`` lazily yields the
-  ``(composite codes, stride)`` flat probe index — lazy because only this
-  backend needs it.
+  (key, row-order) block index.
 * ``partition`` is ``(distinct orders, row_order, starts, ends)``: rows
   grouped by ``|V_G|``, each group's slice of ``row_order`` ascending.
 * ``orders`` / ``global_ids`` are the snapshot's int64 row vectors
   (``position -> |V_G|`` / ``-> graph id``).
 * ``lut`` is a float64 posterior table, ``lut[order, gbd] = Pr[GED <= τ̂ |
   GBD = gbd]`` at extended order ``order``, with a row for every extended
-  order the query can meet (the store checks); ``max_gbd`` is the
-  branch-bound cap on an acceptable GBD, or ``None`` for no cap.  The two
-  reducers (:func:`filter_verify_row`, :func:`filter_verify_topk`) read
-  them to turn verified rows into *hits* inside the kernel: the NumPy code
-  below is the reduce the execution core used to run around a dense row,
-  the compiled twins never materialise that row.
+  order the query can meet (the store checks); ``bound_lut`` is its
+  suffix-max twin, ``bound_lut[order, ϕ] = max(lut[order, ϕ:])`` — read at a
+  GBD *lower bound* it upper-bounds the posterior — a table of its own
+  shape; ``max_gbd`` is the branch-bound cap on an acceptable GBD, or
+  ``None`` for no cap.  The two reducers (:func:`filter_verify_row`,
+  :func:`filter_verify_topk`) read them to turn verified rows into *hits*
+  inside the kernel; the compiled twins never materialise a dense row.
 * ``build_*`` are the from-scratch builders of those derived structures —
   the first-build path of a snapshot and the oracle of the carried ones;
   :func:`merge_postings` / :func:`extend_order_partition` carry them from one
@@ -41,7 +40,7 @@ Interface conventions shared by all backends:
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -73,33 +72,6 @@ def intersection_row(
     )
 
 
-def intersection_subrow(
-    csr,
-    composite_fn: Callable[[], Tuple[np.ndarray, int]],
-    key_ids: np.ndarray,
-    query_counts: np.ndarray,
-    positions: np.ndarray,
-) -> np.ndarray:
-    """``|B_Q ∩ B_G|`` for a sorted row subset via composite-code probes."""
-    _offsets, _all_positions, all_counts, _rows = csr
-    num_positions = len(positions)
-    out = np.zeros(num_positions, dtype=np.int64)
-    order = np.argsort(key_ids, kind="stable")
-    key_ids = key_ids[order]
-    query_counts = query_counts[order]
-    composite, stride = composite_fn()
-    probes = (key_ids[:, None] * stride + positions[None, :]).ravel()
-    slots = np.searchsorted(composite, probes)
-    slots_clipped = np.minimum(slots, len(composite) - 1)
-    hits = composite[slots_clipped] == probes
-    if not hits.any():
-        return out
-    counts = all_counts[slots_clipped[hits]]
-    capped = np.minimum(np.repeat(query_counts, num_positions)[hits], counts)
-    columns = np.tile(np.arange(num_positions, dtype=np.int64), len(key_ids))[hits]
-    return np.bincount(columns, weights=capped, minlength=num_positions).astype(np.int64)
-
-
 def _block_intersections(
     csr,
     blocks: Tuple[np.ndarray, np.ndarray, int],
@@ -110,18 +82,18 @@ def _block_intersections(
 ) -> np.ndarray:
     """``|B_Q ∩ B_G|`` over the rows of the given orders via block probes.
 
-    The sparse plan of :func:`filter_verify_row`: ``positions`` are exactly the
-    (sorted) rows of ``order_values``, and each (query key, eligible order)
-    pair is one contiguous block of the snapshot's block index — only postings
-    of surviving rows are gathered.
+    The sparse plan of both reducers: ``positions`` are exactly the (sorted)
+    rows of ``order_values``, and each (query key, order) pair is one
+    contiguous block of the snapshot's block index — only postings of those
+    rows are gathered.
     """
     _offsets, all_positions, all_counts, _rows = csr
     num_positions = len(positions)
     out = np.zeros(num_positions, dtype=np.int64)
     codes_sorted, permutation, stride = blocks
-    probe_codes = (key_ids[:, None] * stride + order_values[None, :]).ravel()
-    starts = np.searchsorted(codes_sorted, probe_codes, side="left")
-    ends = np.searchsorted(codes_sorted, probe_codes, side="right")
+    block_codes = (key_ids[:, None] * stride + order_values[None, :]).ravel()
+    starts = np.searchsorted(codes_sorted, block_codes, side="left")
+    ends = np.searchsorted(codes_sorted, block_codes, side="right")
     lengths = ends - starts
     total = int(lengths.sum())
     if total == 0:
@@ -212,7 +184,7 @@ def filter_verify_row(
 def k_best(ids: np.ndarray, scores: np.ndarray, k: int) -> Tuple[np.ndarray, np.ndarray]:
     """The first ``k`` of the scored rows under ``(-score, id)``, unsorted.
 
-    The selection of both top-k reducers — exact chunk by chunk because the
+    The selection of the top-k reducer — exact group by group because the
     ranking is a prefix of a total order.  The k-th score comes from a full
     sort: ``np.partition`` degenerates when one score dominates (a store of
     uniform sizes) — 0.7 ms against 0.04 ms for the SIMD sort on 40 000 scores.
@@ -229,30 +201,78 @@ def k_best(ids: np.ndarray, scores: np.ndarray, k: int) -> Tuple[np.ndarray, np.
 
 def filter_verify_topk(
     csr,
-    key_ids: np.ndarray,
-    query_counts: np.ndarray,
-    orders: np.ndarray,
+    blocks: Tuple[np.ndarray, np.ndarray, int],
+    partition: Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
     global_ids: np.ndarray,
     num_query_vertices: int,
-    rows: np.ndarray,
+    matched_total: int,
+    key_ids: np.ndarray,
+    query_counts: np.ndarray,
+    max_candidates: int,
     lut: np.ndarray,
+    bound_lut: np.ndarray,
     max_gbd: Optional[int],
     k: int,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Verify → k-best reduce over one dense row: ``(ids, scores)``, unsorted.
+):
+    """The k-best reducer of one query: ``(ids, scores, verified, dense)``.
 
-    Every row of ``rows`` (store positions, any order) is verified against
-    the dense row, dropped when its GBD exceeds ``max_gbd``, and scored
-    ``lut[order, gbd]``; at most ``k`` survive, the first under ``(-score,
-    graph id)``, in no particular order (the caller ranks once, at the end).
+    Every distinct ``|V_G|`` gets its GBD lower bound and, from ``bound_lut``,
+    the posterior upper bound its rows share.  Ranked in are the order groups
+    whose lower bound is within ``max_gbd`` or, without the cap, whose upper
+    bound is positive (a zero bound settles the score at 0.0).  They are
+    visited by descending bound, ties in ``distinct`` order, until the first
+    whose bound is strictly below the k-th best score so far.  A visited
+    group is verified through its ``(key, |V_G|)`` blocks while the rows
+    verified so far plus its own stay within ``max_candidates`` (the caller's
+    dense-plan bar); the first group past it, and every one after, reads one
+    dense row.  A verified row with ``gbd = max(|V_Q|, |V_G|) - |B_Q ∩ B_G|``
+    within ``max_gbd`` scores ``lut[order, gbd]``.  Without the cap, a ranking
+    that is short or whose k-th score is 0.0 is filled from the zero-bound
+    groups by smallest graph id.  Returned are at most ``k`` graph ids and
+    scores, the first under ``(-score, id)`` in no particular order (the
+    caller ranks once, at the end), the rows verified, and whether the dense
+    row was walked.
     """
-    intersections = intersection_row(csr, key_ids, query_counts, len(orders))[rows]
-    row_orders = np.maximum(int(num_query_vertices), orders[rows])
-    gbds = row_orders - intersections
-    if max_gbd is not None:
-        survivors = gbds <= max_gbd
-        rows, row_orders, gbds = rows[survivors], row_orders[survivors], gbds[survivors]
-    return k_best(global_ids[rows], lut.take(row_orders * lut.shape[1] + gbds), k)
+    distinct, row_order, starts, ends = partition
+    extended = np.maximum(int(num_query_vertices), distinct)
+    lower_bounds = extended - np.minimum(int(matched_total), distinct)
+    upper = bound_lut[extended, lower_bounds]
+    ranked_in = lower_bounds <= max_gbd if max_gbd is not None else upper > 0.0
+    groups = np.argsort(-upper, kind="stable")
+    ids, scores = global_ids[:0], np.empty(0, dtype=np.float64)
+    verified, dense_row = 0, None
+    for group in groups[ranked_in[groups]].tolist():
+        if len(ids) == k and upper[group] < scores.min():
+            break
+        rows = row_order[starts[group] : ends[group]]
+        if dense_row is None and verified + len(rows) > max_candidates:
+            dense_row = intersection_row(csr, key_ids, query_counts, len(global_ids))
+        if dense_row is None:
+            intersections = _block_intersections(
+                csr, blocks, key_ids, query_counts, distinct[group : group + 1], rows
+            )
+        else:
+            intersections = dense_row[rows]
+        verified += len(rows)
+        gbds = extended[group] - intersections
+        if max_gbd is not None:
+            rows, gbds = rows[gbds <= max_gbd], gbds[gbds <= max_gbd]
+        ids, scores = k_best(
+            np.concatenate((ids, global_ids[rows])),
+            np.concatenate((scores, lut[extended[group], gbds])),
+            k,
+        )
+    if max_gbd is None and (len(ids) < k or scores.min() <= 0.0):
+        zero_rows = np.concatenate(
+            [row_order[:0]]
+            + [row_order[starts[g] : ends[g]] for g in np.flatnonzero(~ranked_in).tolist()]
+        )
+        ids, scores = k_best(
+            np.concatenate((ids, global_ids[zero_rows])),
+            np.concatenate((scores, np.zeros(len(zero_rows)))),
+            k,
+        )
+    return ids, scores, verified, dense_row is not None
 
 
 # --------------------------------------------------------------------------- #
@@ -279,12 +299,6 @@ def build_order_blocks(csr, orders: np.ndarray) -> Tuple[np.ndarray, np.ndarray,
     codes = _keys_of_postings(offsets) * stride + orders[all_positions]
     permutation = np.argsort(codes, kind="stable")
     return codes[permutation], permutation, stride
-
-
-def build_probe_codes(csr) -> np.ndarray:
-    """Flat ``key_id * max(rows, 1) + position`` codes of a snapshot: O(P), ascending."""
-    offsets, all_positions, _counts, rows_covered = csr
-    return _keys_of_postings(offsets) * max(int(rows_covered), 1) + all_positions
 
 
 def _partition_of(distinct: np.ndarray, row_order: np.ndarray, orders: np.ndarray):
@@ -321,7 +335,6 @@ def extend_order_partition(partition, orders: np.ndarray, old_rows: int):
 def merge_postings(
     csr,
     blocks: Optional[Tuple[np.ndarray, np.ndarray, int]],
-    with_probe_codes: bool,
     pending: Tuple[np.ndarray, np.ndarray, np.ndarray],
     num_keys: int,
     orders: np.ndarray,
@@ -333,13 +346,12 @@ def merge_postings(
     ``pending`` is the append buffer as int64 ``(key ids, row positions,
     counts)`` in arrival order (rows ascending, every one past the old CSR);
     ``orders`` covers old and new rows.  Returns ``((offsets, positions,
-    counts), blocks, probe codes)``: each old segment shifted by the room the
-    keys before it grew, its pending postings behind it in arrival order.
-    ``blocks`` — the previous snapshot's block index, or ``None`` when it had
-    none — is carried by remapping its permutation through that shift and
-    merging the pending postings in by ``(code, slot)``; the probe codes are
-    emitted when ``with_probe_codes``.  Both equal their from-scratch builder
-    on the merged CSR.  Only the pending postings are sorted.
+    counts), blocks)``: each old segment shifted by the room the keys before
+    it grew, its pending postings behind it in arrival order.  ``blocks`` —
+    the previous snapshot's block index, or ``None`` when it had none — is
+    carried by remapping its permutation through that shift and merging the
+    pending postings in by ``(code, slot)``, and equals its from-scratch
+    builder on the merged CSR.  Only the pending postings are sorted.
     """
     old_offsets, old_positions, old_counts, _old_rows = csr
     pending_keys, pending_positions, pending_counts = pending
@@ -384,7 +396,4 @@ def merge_postings(
             np.insert(destination[permutation], at, new_slots[by_code]),
             stride,
         )
-    probe_codes = None
-    if with_probe_codes:
-        probe_codes = build_probe_codes((offsets, positions, counts, len(orders)))
-    return (offsets, positions, counts), blocks, probe_codes
+    return (offsets, positions, counts), blocks

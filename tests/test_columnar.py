@@ -117,6 +117,35 @@ def verified_rows(store, num_query_vertices, branches, thresholds, **view):
     return positions, intersections, eligible, num_eligible
 
 
+#: ``sparse_row_budget`` stand-ins that force a verification plan on a small
+#: store: block probes only, the dense walk at once, the switch mid-walk.
+PLAN_BUDGETS = {
+    "sparse": lambda postings, rows: rows,
+    "dense": lambda postings, rows: 0,
+    "half": lambda postings, rows: rows // 2,
+}
+
+
+def ranked_rows(store, num_query_vertices, branches, k, max_gbd=None, **view):
+    """``filter_verify_topk`` under Φ = 1 / (1 + GBD): ``(ranking, verified, sparse)``.
+
+    A table that decreases in ϕ is its own suffix maximum, so it serves as the
+    bound table too; the ranking is sorted by ``(-score, id)``.
+    """
+    csr = view["view"][0] if view else store.view()[0]
+    distinct = store.order_partition(csr)[0]
+    largest = max([int(num_query_vertices), *distinct[-1:].tolist()])
+    lut = np.zeros((largest + 1, largest + 2))
+    for order in range(largest + 1):
+        lut[order, : order + 1] = 1.0 / (1 + np.arange(order + 1))
+    ids, scores, verified, sparse = store.filter_verify_topk(
+        num_query_vertices, branches, lut, lut, max_gbd, k, **view
+    )
+    assert ids.dtype == np.int64 and scores.dtype == np.float64 and len(ids) == len(scores)
+    order = np.lexsort((ids, -scores))
+    return list(zip(ids[order].tolist(), scores[order].tolist())), verified, sparse
+
+
 class TestCsrLayout:
     def test_counts_shapes_and_vocabulary(self, random_database, make_store):
         store = make_store(random_database)
@@ -258,13 +287,17 @@ class TestCompactionRegressions:
         assert len(row) == store.num_graphs
         assert row[-1] == 0  # the branchless row intersects nothing
 
-    def test_caches_refresh_after_mid_query_compaction(self, random_database, make_store):
+    def test_caches_refresh_after_mid_query_compaction(
+        self, random_database, make_store, monkeypatch
+    ):
         """Per-snapshot derived caches must key on the CSR actually in use.
 
-        The composite sort key, order blocks, and order partition are cached
-        per snapshot; after an append + compaction they must be rebuilt for
-        the new arrays, never served stale for the old (shorter) ones.
+        The order blocks and the order partition are cached per snapshot;
+        after an append + compaction they must be carried over to the new
+        arrays, never served stale for the old (shorter) ones.
         """
+        # Block probes whatever they cost: the reads below go through both caches.
+        monkeypatch.setattr(columnar, "sparse_row_budget", PLAN_BUDGETS["sparse"])
         store = make_store(random_database)
         queries = _queries(6, seed=29)
         branch_sets = [branch_multiset(query) for query in queries]
@@ -272,7 +305,6 @@ class TestCompactionRegressions:
         verified_rows(
             store, queries[0].num_vertices, branch_sets[0], np.unique(store.orders())
         )
-        store.intersection_subrow(branch_sets[0], np.arange(0, store.num_graphs, 2))
         extras = GraphDatabase(_queries(4, seed=31))
         for entry in extras:
             store.append(_appendable(store, entry))
@@ -282,12 +314,10 @@ class TestCompactionRegressions:
             [e.graph for e in random_database] + [e.graph for e in extras]
         )
         bulk = make_store(grown)
-        positions = np.arange(0, store.num_graphs + len(extras), 3)
         for nq, branches in zip((q.num_vertices for q in queries), branch_sets):
-            assert (
-                store.intersection_subrow(branches, positions).tolist()
-                == bulk.intersection_subrow(branches, positions).tolist()
-            )
+            mine = ranked_rows(store, nq, branches, len(grown))
+            assert mine == ranked_rows(bulk, nq, branches, len(grown))
+            assert mine[2] is True and len(mine[0]) == mine[1] == len(grown)
             assert (
                 store.gbd_lower_bound_row(nq, branches).tolist()
                 == bulk.gbd_lower_bound_row(nq, branches).tolist()
@@ -378,7 +408,12 @@ class TestVectorizedKernels:
         for branches in (Counter(), stranger):  # no key at all, no known key
             row = store.intersection_row(branches)
             assert row.shape == (len(random_database),) and not row.any()
-            assert not store.intersection_subrow(branches, np.arange(0, 30, 4)).any()
+            # nothing shared with any row: every GBD is the extended order
+            ranking, _verified, _sparse = ranked_rows(store, 4, branches, 30)
+            assert ranking == sorted(
+                ((e.graph_id, 1.0 / (1 + max(4, e.num_vertices))) for e in random_database),
+                key=lambda pair: (-pair[1], pair[0]),
+            )
 
     def test_shard_stores_keep_global_ids(self, random_database, make_store):
         full = make_store(random_database)
@@ -445,20 +480,32 @@ class TestBoundKernels:
             assert total <= query.num_vertices  # |B_Q| branches overall
             assert total >= int(store.intersection_row(branches).max(initial=0))
 
-    def test_subrow_and_submatrix_match_dense_selections(self, random_database, make_store):
+    @pytest.mark.parametrize("plan", sorted(PLAN_BUDGETS))
+    def test_top_k_walk_ranks_like_the_dense_row(
+        self, random_database, make_store, plan, monkeypatch
+    ):
+        """Block probes, the dense walk, or one after the other: the same ``k`` best."""
+        monkeypatch.setattr(columnar, "sparse_row_budget", PLAN_BUDGETS[plan])
         store = make_store(random_database)
-        queries = _queries(5, seed=47)
-        branch_sets = [branch_multiset(query) for query in queries]
-        for positions in (
-            np.arange(0, len(random_database), 3),
-            np.asarray([0]),
-            np.asarray([len(random_database) - 1]),
-            np.arange(len(random_database)),
-            np.empty(0, dtype=np.int64),
-        ):
-            for branches in branch_sets:
-                row = store.intersection_subrow(branches, positions)
-                assert row.tolist() == store.intersection_row(branches)[positions].tolist()
+        orders, ids = store.orders(), store.global_ids()
+        plans = set()
+        for query in _queries(5, seed=47):
+            branches = branch_multiset(query)
+            gbds = np.maximum(query.num_vertices, orders) - store.intersection_row(branches)
+            for max_gbd in (None, 3):
+                rows = np.flatnonzero(gbds <= (max_gbd if max_gbd is not None else gbds.max()))
+                expected = sorted(
+                    zip(ids[rows].tolist(), (1.0 / (1 + gbds[rows])).tolist()),
+                    key=lambda pair: (-pair[1], pair[0]),
+                )
+                for k in (1, 4, len(orders), len(orders) + 2):
+                    ranking, verified, sparse = ranked_rows(
+                        store, query.num_vertices, branches, k, max_gbd
+                    )
+                    assert ranking == expected[:k]
+                    assert verified <= len(orders) and (sparse is None) == (verified == 0)
+                    plans.add(sparse)
+        assert {"sparse": True, "dense": False, "half": False}[plan] in plans
 
 
 class TestFusedFilterVerify:

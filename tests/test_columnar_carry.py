@@ -32,7 +32,7 @@ from repro.db.database import GraphDatabase
 from repro.db.index import BranchInvertedIndex
 from repro.db.kernels import available_backends, numpy_impl
 from repro.graphs.generators import random_labeled_graph
-from test_columnar import verified_rows
+from test_columnar import PLAN_BUDGETS, ranked_rows, verified_rows
 
 BACKENDS = available_backends()
 INT32_MAX = int(np.iinfo(np.int32).max)
@@ -72,14 +72,11 @@ def assert_derived_match_builders(store: ColumnarBranchStore) -> None:
     built = {
         "blocks": lambda: numpy_impl.build_order_blocks(csr, snapshot.orders),
         "partition": lambda: numpy_impl.build_order_partition(snapshot.orders),
-        "probe_codes": lambda: (numpy_impl.build_probe_codes(csr),),
     }
     for name, build in built.items():
         carried = getattr(snapshot, name)
         if carried is None:
             continue
-        if name == "probe_codes":
-            carried = (carried,)
         for mine, theirs in zip(carried, build()):
             if isinstance(theirs, np.ndarray):
                 assert mine.dtype == theirs.dtype, name
@@ -139,7 +136,6 @@ class CarryMachine(RuleBasedStateMachine):
         self.store = pickle.loads(pickle.dumps(self.store))
         snapshot = self.store._published
         assert snapshot.blocks is None and snapshot.partition is None
-        assert snapshot.probe_codes is None
 
     @rule(queries=st.lists(branch_sets, min_size=1, max_size=3))
     def read_dense(self, queries):
@@ -156,16 +152,35 @@ class CarryMachine(RuleBasedStateMachine):
         assert np.array_equal(global_ids, [e.graph_id for e in self.entries])
         assert store.num_postings == sum(len(e.branches) for e in self.entries)
 
-    @rule(queries=st.lists(branch_sets, min_size=1, max_size=3), data=st.data())
-    def read_probed(self, queries, data):
-        """The position-restricted kernels (NumPy: through the probe codes)."""
+    @rule(
+        queries=st.lists(branch_sets, min_size=1, max_size=3),
+        k=st.integers(1, 12),
+        max_gbd=st.sampled_from([None, 2, 5]),
+        plan=st.sampled_from(sorted(PLAN_BUDGETS)),
+    )
+    def read_ranked(self, queries, k, max_gbd, plan):
+        """The top-k reducer: order groups walked through the carried block index."""
         store, fresh = self.store, self.fresh()
-        rows = sorted(data.draw(st.sets(st.integers(0, max(len(self.entries) - 1, 0)))))
-        rows = np.asarray(rows[: len(self.entries)], dtype=np.int64)
-        for q in queries:
-            assert np.array_equal(
-                store.intersection_subrow(q, rows), fresh.intersection_row(q)[rows]
-            )
+        by_cost = columnar.sparse_row_budget
+        columnar.sparse_row_budget = PLAN_BUDGETS[plan]
+        try:
+            for q in queries:
+                nq = sum(q.values())
+                mine = ranked_rows(store, nq, q, k, max_gbd)
+                assert mine == ranked_rows(fresh, nq, q, k, max_gbd)
+                # Φ = 1 / (1 + GBD): the ranking is that of the dense row.
+                gbds = fresh.gbd_row(nq, q)
+                rows = [
+                    row for row, gbd in enumerate(gbds.tolist())
+                    if max_gbd is None or gbd <= max_gbd
+                ]
+                expected = sorted(
+                    ((self.entries[row].graph_id, 1.0 / (1 + int(gbds[row]))) for row in rows),
+                    key=lambda pair: (-pair[1], pair[0]),
+                )
+                assert mine[0] == expected[:k]
+        finally:
+            columnar.sparse_row_budget = by_cost
 
     @rule(
         queries=st.lists(branch_sets, min_size=1, max_size=3),
@@ -298,10 +313,8 @@ def test_store_never_pruned_holds_no_block_index(backend, block_builds):
     index = BranchInvertedIndex(database, backend=backend)
     store = index.store
     branches = Counter(database[3].branches)
-    rows = np.arange(0, 30, 3, dtype=np.int64)
     for batch in range(3):
         store.intersection_row(branches)
-        store.intersection_subrow(branches, rows)
         store.gbd_lower_bound_row(5, branches)
         database.add_many(_graphs(5, seed=20 + batch))
     store.compact()
@@ -338,7 +351,7 @@ def test_pickle_ships_csr_and_row_vectors_only(backend):
     database = GraphDatabase(_graphs(30, seed=9))
     store = ColumnarBranchStore(database, backend=backend)
     csr = store.view()[0]
-    store._order_blocks_for(csr), store.order_partition(csr), store._composite_for(csr)
+    store._order_blocks_for(csr), store.order_partition(csr)
     lean = ColumnarBranchStore(database, backend=backend)
     lean.compact()
     assert len(pickle.dumps(store)) == len(pickle.dumps(lean))

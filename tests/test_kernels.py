@@ -23,7 +23,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import plan
 from repro.core.plan import ExecutionCore, FilterCounters
 from repro.core.search import GBDASearch
 from repro.db import columnar
@@ -109,6 +108,11 @@ class TestKernelInterfaceDrift:
     """
 
     LOADER_API = {"available", "load_error", "library_path"}  # native's own, not kernels
+    #: The whole interface: four reads and the write path.
+    KERNELS = {
+        "intersection_row", "gbd_lower_bound_row", "filter_verify_row", "filter_verify_topk",
+        "merge_postings",
+    }
 
     @staticmethod
     def public_functions(module):
@@ -131,6 +135,7 @@ class TestKernelInterfaceDrift:
         kernels = self.public_functions(native)
         assert self.LOADER_API <= set(kernels)
         kernels = {name: fn for name, fn in kernels.items() if name not in self.LOADER_API}
+        assert set(kernels) == self.KERNELS
         assert set(kernels) <= set(reference)
         for name, wrapper in kernels.items():
             assert len(inspect.signature(wrapper).parameters) == len(
@@ -138,7 +143,8 @@ class TestKernelInterfaceDrift:
             ), name
         # What only the reference has is backend-independent: the builders of
         # the derived structures, called by name from the store or the wrappers,
-        # and the k-best selection, which the execution core folds its chunks with.
+        # and the k-best selection, which the execution core reduces its direct
+        # (table-less) top-k with.
         callers = (
             self.source("..", "columnar.py")
             + self.source("native.py")
@@ -162,7 +168,7 @@ class TestKernelInterfaceDrift:
         defined = re.findall(r"^(?:void|int64_t) (repro_\w+)\(", self.source("_kernels.c"), re.M)
         called = re.findall(r"_library\(\)\s*\.(repro_\w+)\(", self.source("native.py"))
         assert declared == set(defined) - probe
-        assert declared == set(called)
+        assert declared == set(called) == {f"repro_{name}" for name in self.KERNELS}
 
 
 class TestBackendPlumbing:
@@ -248,28 +254,22 @@ class TestMergePostingsParity:
         return tuple(np.ascontiguousarray(columns[:, i]) for i in range(3))
 
     def check(self, csr, pending, num_keys, orders):
-        """Both backends, with and without each carried structure; returns the merged CSR."""
+        """Both backends, with and without the carried block index; returns the merged CSR."""
         from repro.db.kernels import native
 
         merged = None
         for blocks in (None, numpy_impl.build_order_blocks(csr, orders[: csr[3]])):
-            for with_probe_codes in (False, True):
-                args = (csr, blocks, with_probe_codes, pending, num_keys, orders,
-                        np.int32, np.int32)
-                mine = native.merge_postings(*args)
-                theirs = numpy_impl.merge_postings(*args)
-                merged = (*mine[0], len(orders))
-                for a, b in zip(mine[0], theirs[0]):
-                    assert a.dtype == b.dtype and np.array_equal(a, b)
-                assert (mine[1] is None) == (blocks is None)
-                if blocks is not None:
-                    built = numpy_impl.build_order_blocks(merged, orders)
-                    for a, b, c in zip(mine[1], theirs[1], built):
-                        assert np.array_equal(a, b) and np.array_equal(a, c)
-                assert (mine[2] is None) == (not with_probe_codes)
-                if with_probe_codes:
-                    assert np.array_equal(mine[2], theirs[2])
-                    assert np.array_equal(mine[2], numpy_impl.build_probe_codes(merged))
+            args = (csr, blocks, pending, num_keys, orders, np.int32, np.int32)
+            mine = native.merge_postings(*args)
+            theirs = numpy_impl.merge_postings(*args)
+            merged = (*mine[0], len(orders))
+            for a, b in zip(mine[0], theirs[0]):
+                assert a.dtype == b.dtype and np.array_equal(a, b)
+            assert (mine[1] is None) == (blocks is None)
+            if blocks is not None:
+                built = numpy_impl.build_order_blocks(merged, orders)
+                for a, b, c in zip(mine[1], theirs[1], built):
+                    assert np.array_equal(a, b) and np.array_equal(a, c)
         return merged
 
     def test_known_and_new_keys_with_a_larger_stride(self):
@@ -301,8 +301,8 @@ class TestMergePostingsParity:
         from repro.db.kernels import native
 
         pending = self.pending((1, 4, 2), (4, 4, 1))
-        arrays, _blocks, _codes = native.merge_postings(
-            self.OLD, None, False, pending, 5, self.ORDERS[:5], np.int64, np.int32
+        arrays, _blocks = native.merge_postings(
+            self.OLD, None, pending, 5, self.ORDERS[:5], np.int64, np.int32
         )
         assert arrays[1].dtype == np.int64 and arrays[2].dtype == np.int32
         assert arrays[1].tolist() == [0, 2, 3, 1, 4, 0, 1, 2, 3, 1, 3, 4]
@@ -343,6 +343,14 @@ def _reducer_stores(multisets, ids, position_limit):
     return entries, stores
 
 
+def _sparse_budget(store, query):
+    """``sparse_row_budget`` (as patched, if it is) of one query over a store's snapshot."""
+    csr = store.view()[0]
+    return columnar.sparse_row_budget(
+        columnar._segment_total(csr[0], store._match(query, csr)[0]), csr[3]
+    )
+
+
 def _scalar_rows(entries, query):
     """``(extended order, GBD)`` of every row, by the per-pair loop."""
     num_query_vertices = sum(query.values())
@@ -363,6 +371,63 @@ def _random_table(seed, constant, largest):
     if constant is not None:
         return np.full(shape, constant)
     return TABLE_VALUES[np.random.default_rng(seed).integers(0, len(TABLE_VALUES), size=shape)]
+
+
+def _bound_table(lut, largest):
+    """Suffix maxima of ``lut`` over the cells a GBD can take, in a table of its own shape."""
+    bound = np.zeros((largest + 1, largest + 2))
+    for order in range(min(largest + 1, lut.shape[0])):
+        cells = lut[order, : min(order, lut.shape[1] - 1) + 1]
+        bound[order, : len(cells)] = np.maximum.accumulate(cells[::-1])[::-1]
+    return bound
+
+
+def _ranked_pairs(pairs):
+    return sorted(pairs, key=lambda pair: (-pair[1], pair[0]))
+
+
+def _scalar_top_k(
+    entries, scalar, num_query_vertices, matched_total, lut, bound_lut, max_gbd, k, budget
+):
+    """``(ranking, verified, sparse)`` of the group walk, one Python step at a time.
+
+    The ranking is checked against the plain definition first — the first ``k``
+    of every row within the cap under ``(-score, id)`` — so the walk is held to
+    it, not the other way round.
+    """
+    scored = {
+        position: (entry.graph_id, float(lut[scalar[position]]))
+        for position, entry in enumerate(entries)
+        if max_gbd is None or scalar[position][1] <= max_gbd
+    }
+    groups = {}
+    for position, entry in enumerate(entries):
+        groups.setdefault(entry.num_vertices, []).append(position)
+    bounds = {}
+    for order in groups:
+        extended = max(num_query_vertices, order)
+        lower = extended - min(matched_total, order)
+        bound = float(bound_lut[extended, lower])
+        if bound > 0.0 if max_gbd is None else lower <= max_gbd:
+            bounds[order] = bound
+    kept, verified, dense = [], 0, False
+    for order in sorted(bounds, key=lambda order: (-bounds[order], order)):
+        if len(kept) == k and bounds[order] < kept[-1][1]:
+            break
+        dense = dense or verified + len(groups[order]) > budget
+        verified += len(groups[order])
+        kept = _ranked_pairs(
+            kept + [scored[position] for position in groups[order] if position in scored]
+        )[:k]
+    if max_gbd is None and (len(kept) < k or kept[-1][1] <= 0.0):
+        zero = [
+            (entries[position].graph_id, 0.0)
+            for order in groups.keys() - bounds.keys()
+            for position in groups[order]
+        ]
+        kept = _ranked_pairs(kept + zero)[:k]
+    assert kept == _ranked_pairs(scored.values())[:k]
+    return kept, verified, (not dense) if verified else None
 
 
 class TestReducerParity:
@@ -405,10 +470,7 @@ class TestReducerParity:
         if plan != "by cost":
             columnar.sparse_row_budget = lambda postings, rows: rows if plan == "sparse" else 0
         try:
-            csr = stores["numpy"].view()[0]
-            budget = columnar.sparse_row_budget(
-                stores["numpy"].matched_postings(query, csr)[2], len(entries)
-            )
+            budget = _sparse_budget(stores["numpy"], query)
             sparse = None if not survivors else len(survivors) <= budget
             verified = survivors if sparse is not False else range(len(entries))
             hits = [
@@ -429,57 +491,141 @@ class TestReducerParity:
         finally:
             columnar.sparse_row_budget = by_cost
 
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=250, deadline=None)
     @given(
         multisets=st.lists(reducer_branch_sets, min_size=1, max_size=12),
         query=reducer_queries,
+        id_order=st.sampled_from(["ascending", "descending", "shuffled"]),
         data=st.data(),
-        table=st.tuples(st.integers(0, 10_000), st.sampled_from([None, None, 0.5])),
+        table=st.tuples(st.integers(0, 10_000), st.sampled_from([None, None, None, 0.5, 0.0])),
+        padding=st.sampled_from([(0, 0), (1, 0), (0, 1)]),
         max_gbd=st.sampled_from([None, 0, 2, 4]),
+        plan=st.sampled_from(["sparse", "dense", "half", "by cost"]),
         position_limit=st.sampled_from([5, INT32_MAX]),
     )
     def test_k_best_reducer_equals_the_scalar_ranking(
-        self, multisets, query, data, table, max_gbd, position_limit
+        self, multisets, query, id_order, data, table, padding, max_gbd, plan, position_limit
     ):
-        # Ids in no relation to positions: under ties it is the id that decides.
-        ids = data.draw(st.permutations(range(50, 50 + len(multisets))))
+        # Ids in no relation to positions: under ties, and in the zero-bound
+        # fill, it is the id that decides — never the position.
+        ids = list(range(50, 50 + len(multisets)))
+        if id_order != "ascending":
+            ids = ids[::-1] if id_order == "descending" else data.draw(st.permutations(ids))
         entries, stores = _reducer_stores(multisets, ids, position_limit)
-        rows = data.draw(st.permutations(range(len(entries))))
-        rows = np.asarray(rows[: data.draw(st.integers(0, len(entries)))], dtype=np.int64)
         k = data.draw(st.sampled_from([1, 2, 3, len(entries), len(entries) + 3]))
         num_query_vertices = sum(query.values())
         scalar = _scalar_rows(entries, query)
         largest = max(num_query_vertices, max(entry.num_vertices for entry in entries))
-        lut = _random_table(*table, largest)
-        scored = [
-            (entries[position].graph_id, float(lut[scalar[position]]))
-            for position in rows.tolist()
-            if max_gbd is None or scalar[position][1] <= max_gbd
-        ]
-        def ranked(pairs):
-            return sorted(pairs, key=lambda pair: (-pair[1], pair[0]))
-
-        expected = ranked(scored)[:k]
-        for backend, store in stores.items():
-            got_ids, got_scores = store.filter_verify_topk(
-                num_query_vertices, query, rows, lut, max_gbd, k
+        # The two tables grow independently in the core: each has its own shape.
+        lut = _random_table(*table, largest + padding[0])
+        bound_lut = _bound_table(lut, largest + padding[1])
+        by_cost = columnar.sparse_row_budget
+        if plan != "by cost":
+            columnar.sparse_row_budget = {
+                "sparse": lambda postings, rows: rows,
+                "dense": lambda postings, rows: 0,
+                "half": lambda postings, rows: rows // 2,  # the switch comes mid-walk
+            }[plan]
+        try:
+            expected = _scalar_top_k(
+                entries, scalar, num_query_vertices, stores["numpy"].matched_query_total(query),
+                lut, bound_lut, max_gbd, k, _sparse_budget(stores["numpy"], query),
             )
-            assert got_ids.dtype == np.int64 and got_scores.dtype == np.float64, backend
-            # The k best, in no particular order: the caller ranks once, at the end.
-            assert ranked(zip(got_ids.tolist(), got_scores.tolist())) == expected, backend
+            for backend, store in stores.items():
+                assert (store.view()[0][1].dtype == np.int64) == (len(entries) > position_limit)
+                got_ids, got_scores, verified, sparse = store.filter_verify_topk(
+                    num_query_vertices, query, lut, bound_lut, max_gbd, k
+                )
+                assert got_ids.dtype == np.int64 and got_scores.dtype == np.float64, backend
+                # The k best, in no particular order: the caller ranks once, at the end.
+                got = _ranked_pairs(zip(got_ids.tolist(), got_scores.tolist()))
+                assert (got, verified, sparse) == expected, backend
+        finally:
+            columnar.sparse_row_budget = by_cost
+
+    @pytest.mark.parametrize("backend", available_backends())
+    def test_the_named_top_k_cases(self, backend, monkeypatch):
+        """Each situation the group walk has to get right, met for sure, by hand."""
+        def entries_of(*rows):
+            return [
+                SimpleNamespace(graph_id=graph_id, num_vertices=sum(b.values()), branches=b)
+                for graph_id, b in ((graph_id, Counter(branches)) for graph_id, branches in rows)
+            ]
+
+        a, b, c = ("k", 0), ("k", 1), ("k", 2)
+        # Ids descend with position; orders 2 (rows 0, 3, 5), 3 (rows 1, 4), 4 (row 2).
+        entries = entries_of(
+            (90, {a: 2}), (80, {a: 2, b: 1}), (70, {a: 2, b: 2}),
+            (60, {a: 1, b: 1}), (50, {a: 1, c: 2}), (40, {c: 2}),
+        )
+        store = ColumnarBranchStore(entries, backend=backend)
+        query = Counter({a: 2})  # |V_Q| = 2: extended orders 2, 3, 4, lower bounds 0, 1, 2
+        decreasing = np.zeros((5, 6))
+        for order in range(5):
+            decreasing[order, : order + 1] = 1.0 / (1 + np.arange(order + 1))
+        flat = np.full((5, 6), 0.5)
+        sawtooth = np.tile([0.25, 0.75, 0.0, 0.5, 0.25, 0.75], (5, 1))  # not monotone in ϕ
+
+        def top(lut, max_gbd, k, budget, bound_lut=None):
+            monkeypatch.setattr(columnar, "sparse_row_budget", lambda postings, rows: budget)
+            bound_lut = _bound_table(lut, 4) if bound_lut is None else bound_lut
+            got = store.filter_verify_topk(2, query, lut, bound_lut, max_gbd, k)
+            scalar = _scalar_rows(entries, query)
+            expected = _scalar_top_k(
+                entries, scalar, 2, store.matched_query_total(query), lut, bound_lut, max_gbd,
+                k, budget,
+            )
+            ranking = _ranked_pairs(zip(got[0].tolist(), got[1].tolist()))
+            assert (ranking, *got[2:]) == expected
+            return ranking, got[2], got[3]
+
+        # k = 1: the exact match ends the scan inside the query's own size group.
+        assert top(decreasing, None, 1, 6) == ([(90, 1.0)], 3, True)
+        # k > rows: everything is ranked, groups by bound, ids inside a tie.
+        ranking, verified, sparse = top(decreasing, None, 9, 6)
+        assert [graph_id for graph_id, _ in ranking] == [90, 60, 80, 40, 50, 70]
+        assert (verified, sparse) == (6, True)
+        # One score everywhere: equal bounds across all three groups, so the id
+        # alone decides and no group may be left out — the smallest ids sit in
+        # the *last* rows of the groups visited last.
+        assert top(flat, None, 2, 6) == ([(40, 0.5), (50, 0.5)], 6, True)
+        # ... and under a k-th score above the shared bound, none is visited twice
+        # nor half: the cap 0 keeps the exact match only, every group in reach.
+        assert top(flat, 0, 2, 6) == ([(90, 0.5)], 3, True)
+        # The budget holds the first group (3 rows), not the second: a dense walk
+        # after a walked group, over a row that is not monotone in ϕ.
+        ranking, verified, sparse = top(sawtooth, None, 4, 4)
+        assert (verified, sparse) == (6, False) and ranking[0] == (60, 0.75)
+        # Every bound zero: nothing is verified, the smallest ids fill the
+        # ranking at 0.0 — by id, though positions ascend the other way.
+        nothing = np.zeros((5, 6))
+        assert top(nothing, None, 3, 6) == ([(40, 0.0), (50, 0.0), (60, 0.0)], 0, None)
+        # ... but under the cap membership needs the exact GBD: groups are visited.
+        assert top(nothing, 1, 3, 6) == ([(60, 0.0), (80, 0.0), (90, 0.0)], 5, True)
+        # A query that matches no key: bounds from the sizes alone.
+        query = Counter({("unknown", 0): 2})
+        assert top(decreasing, None, 2, 6) == ([(40, 1 / 3), (60, 1 / 3)], 3, True)
+        # The pair of shapes the core really produced: 11 x 12 beside 10 x 11.
+        query = Counter({a: 2})
+        wide = np.zeros((11, 12))
+        wide[:5, :6] = decreasing
+        assert top(wide, None, 1, 6, _bound_table(decreasing, 9)) == ([(90, 1.0)], 3, True)
 
     def test_a_table_that_does_not_reach_the_largest_order_is_refused(self):
         entries, stores = _reducer_stores([Counter({("k", 0): 3}), Counter({("k", 1): 6})], [7, 8], 5)
         query = Counter({("k", 0): 2})
         bars = np.asarray([9, 9], dtype=np.int64)
+        full = np.ones((7, 8))
         for store in stores.values():
             for shape in ((6, 8), (7, 7)):  # a row short, a column short
                 with pytest.raises(ValueError, match="does not cover extended order 6"):
                     store.filter_verify_row(2, query, bars, np.ones(shape), 0.5)
-                with pytest.raises(ValueError, match="does not cover extended order 6"):
-                    store.filter_verify_topk(2, query, np.arange(2), np.ones(shape), None, 1)
+                # each of top-k's two tables is checked against its own shape
+                for tables in ((np.ones(shape), full), (full, np.ones(shape))):
+                    with pytest.raises(ValueError, match="does not cover extended order 6"):
+                        store.filter_verify_topk(2, query, *tables, None, 1)
             with pytest.raises(ValueError, match="positive"):
-                store.filter_verify_topk(2, query, np.arange(2), np.ones((7, 8)), None, 0)
+                store.filter_verify_topk(2, query, full, full, None, 0)
 
 
 class _SawtoothPosterior:
@@ -580,35 +726,51 @@ class TestReducersInTheCore:
 
     @pytest.mark.parametrize("backend", available_backends())
     @pytest.mark.parametrize("use_pruning", [False, True])
-    def test_a_dense_remainder_that_starts_inside_an_order_group(
+    def test_a_dense_walk_after_walked_groups(
         self, path_searches, backend, use_pruning, monkeypatch
     ):
-        """Four-row chunks: sparse probes first, then the dense walk from mid-group."""
-        monkeypatch.setattr(plan, "_TOPK_CHUNK", 4)
+        """A budget of 250 rows: the first group of 200 is probed, the second walks densely."""
+        monkeypatch.setattr(columnar, "sparse_row_budget", lambda postings, rows: 250)
         search = path_searches[use_pruning]
         core = ExecutionCore(search.database, search.estimator, max_tau=2, kernel_backend=backend)
         core.warm(range(3), range(1, 9))
         counters = columnar._counters(backend)
         rng = random.Random(73)
-        mixed = 0
+        plans = Counter()
         for _ in range(12):
             labels = [rng.choice("AABC") for _ in range(rng.randint(3, 7))]
             query = SimilarityQuery(_path(labels), rng.randint(0, 2), 0.5)
             reference = search.query_topk_reference(query, len(search.database) + 1)
             for k in (1, 3, 250, len(search.database) + 5):
-                before = counters.subrow[0].value, counters.row[0].value
+                before = dataclasses.replace(core.filter_counters)
+                calls, cells = (child.value for child in counters.row)
                 ranking = core.execute_topk(query, k, use_pruning=use_pruning)
                 assert ranking == reference[:k], (labels, k, query.tau_hat)
-                probes = counters.subrow[0].value - before[0]
-                walks = counters.row[0].value - before[1]
-                assert walks <= 1  # the remainder is one store call, whatever is left
-                mixed += bool(probes and walks)
-        assert mixed  # sparse chunks, then the dense walk: the mid-group start happened
+                after = core.filter_counters
+                verified = after.candidates_verified - before.candidates_verified
+                dense = after.dense_passes - before.dense_passes
+                sparse = after.sparse_passes - before.sparse_passes
+                # whole groups, one plan, one call — which counts the rows it produced
+                assert verified % 200 == 0 and dense + sparse == bool(verified)
+                assert dense == (verified > 200)
+                assert counters.row[0].value - calls == 1
+                assert counters.row[1].value - cells == (600 if dense else verified)
+                plans[None if not verified else not dense] += 1
+        # probes only; probes, then the dense walk for the groups still in reach
+        assert plans[True] and plans[False]
 
     def test_threads_sharing_one_engine_answer_like_a_serial_run(self, reducer_search):
         """No state is shared between calls: the accumulators are per call."""
+        self.threads_answer_like_a_serial_run(reducer_search, top_k=[None, None, 1, 7])
+
+    def test_threads_sharing_one_engine_rank_like_a_serial_run(self, reducer_search):
+        """Top-k only: every call allocates, walks and frees its own accumulator."""
+        self.threads_answer_like_a_serial_run(reducer_search, top_k=[1, 3, 10, 50])
+
+    @staticmethod
+    def threads_answer_like_a_serial_run(reducer_search, top_k):
         engine = BatchQueryEngine.from_search(reducer_search, cache_size=None)
-        queries = _reducer_queries(150, seed=53, top_k=[None, None, 1, 7])
+        queries = _reducer_queries(150, seed=53, top_k=top_k)
         serial = [engine.query(query) for query in queries]
         answers = {}
         interval = sys.getswitchinterval()
@@ -713,27 +875,72 @@ class TestReducerCountGuards:
             plans.add(sparse)
         assert plans == {None, True, False}
 
-    def test_the_dense_remainder_of_top_k_is_one_call_handing_back_k_rows(
-        self, reducer_search, monkeypatch
-    ):
+    def test_a_top_k_query_is_one_call_handing_back_k_rows(self, reducer_search, monkeypatch):
         engine = BatchQueryEngine.from_search(
             reducer_search, cache_size=None, kernel_backend="native"
         )
         engine.warm(range(4))
-        folded = []
-        fold = plan._k_best
-        monkeypatch.setattr(
-            plan, "_k_best", lambda kept, ids, scores, k: folded.append((len(ids), k))
-            or fold(kept, ids, scores, k),
-        )
-        dense_remainders = 0
+        handed_back = []
+        reducer = ColumnarBranchStore.filter_verify_topk
+
+        def spy(store, *args, **kwargs):
+            result = reducer(store, *args, **kwargs)
+            handed_back.append((len(result[0]), len(result[1])))
+            return result
+
+        monkeypatch.setattr(ColumnarBranchStore, "filter_verify_topk", spy)
         for query in _reducer_queries(12, seed=67):
             for k in (1, 5):
-                del folded[:]
-                _answer, calls = self.calls_during(lambda: engine.query_topk(query, k))
-                assert set(calls) <= {"row", "subrow"} and calls.get("row", 0) <= 1
-                assert all(rows <= 2 * wanted for rows, wanted in folded if wanted == k)
-                if calls.get("row"):
-                    dense_remainders += 1
-                    assert max(rows for rows, _k in folded) <= k
-        assert dense_remainders
+                del handed_back[:]
+                answer, calls = self.calls_during(lambda: engine.query_topk(query, k))
+                assert calls == {"row": 1}  # bounds, walk, k-best and cut-off: that call
+                assert handed_back == [(k, k)] and len(answer.ranking) == k
+
+    def test_a_selective_top_k_verifies_the_groups_in_reach_and_builds_nothing_d_long(
+        self, monkeypatch
+    ):
+        """``filter_selective`` in small: 8–120 vertices, τ̂ = 0, most bounds zero."""
+        rng = random.Random(83)
+        graphs = [
+            random_labeled_graph(8 + index % 113, 10 + index % 113, seed=rng)
+            for index in range(452)
+        ]
+        search = GBDASearch(
+            GraphDatabase(graphs, name="kernels-selective"), max_tau=1, num_prior_pairs=120, seed=5
+        ).fit()
+        engine = BatchQueryEngine.from_search(search, cache_size=None, kernel_backend="native")
+        engine.warm(range(2))
+        core, store = engine._core, engine._core.ensure_index().store
+        distinct, _row_order, starts, ends = store.order_partition(store.view()[0])
+        built = []
+        concatenate = np.concatenate
+
+        def spied_top_k(query, k):
+            """The query with every ``np.concatenate`` and ``_orders_row`` call recorded."""
+            with monkeypatch.context() as patched:
+                patched.setattr(
+                    np, "concatenate", lambda arrays, *a, **kw: built.append("concatenate")
+                    or concatenate(arrays, *a, **kw),
+                )
+                patched.setattr(
+                    ExecutionCore, "_orders_row", lambda *args: built.append("_orders_row")
+                )
+                return self.calls_during(lambda: engine.query_topk(query, k))
+
+        for index in (3, 40, 77, 110):
+            query = SimilarityQuery(graphs[index].copy(), 0, 0.95)  # a planted exact match
+            extended = np.maximum(query.query_graph.num_vertices, distinct)
+            lower = extended - np.minimum(store.matched_query_total(query.branches()), distinct)
+            bounds = core._bound_lut_for(0, extended.tolist())[extended, lower]
+            assert 0 < (bounds > 0.0).sum() < len(distinct) // 4
+            for k in (1, 10):
+                reference = search.query_topk_reference(query, k)
+                before = core.filter_counters.candidates_verified
+                answer, calls = spied_top_k(query, k)
+                assert answer.ranking == reference and calls == {"row": 1}
+                # exactly the groups whose bound reaches the k-th score — ties included
+                in_reach = (bounds > 0.0) & (bounds >= reference[-1][1])
+                assert core.filter_counters.candidates_verified - before == int(
+                    (ends - starts)[in_reach].sum()
+                )
+        assert built == []

@@ -1,17 +1,18 @@
-"""Top-k over stores many verification chunks wide.
+"""Top-k over stores of tens of thousands of rows.
 
-The cross-path parity suite ranks 25 graphs, so one ``_TOPK_CHUNK`` covers
-its whole store and the chunk loop of :meth:`ExecutionCore.execute_topk`
-never takes a second step.  The two stores here are 64 and 16 chunks wide:
+The cross-path parity suite ranks 25 graphs, so its top-k never leaves the
+first order group or two.  The two stores here are 64 and 16 times ``CHUNK``
+(512 rows, the unit these sizes and the larger ``k`` are written in) wide:
 
 * **uniform** — every graph has four vertices, so a query has one posterior
   bound for the whole store: the bounds never end the scan, the scores take
   a handful of values, and the k-th place is almost always decided by graph
-  id.  Long posting segments make the first chunk a sparse probe
-  (``intersection_subrow``) and the second the dense switch.
-* **mixed** — paths of 3–34 vertices: a small query's bound is zero for most
-  sizes (rows that join the ranking unverified, at 0.0) and the k-th best
-  score ends the scan after the first chunk.
+  id.  The one order group is past the sparse budget, so the reducer walks
+  the dense row at once.
+* **mixed** — paths of 3–34 vertices, 32 order groups of 256 rows: a small
+  query's bound is zero for most sizes (rows that join the ranking
+  unverified, at 0.0) and the k-th best score ends the scan after the first
+  group.
 
 Every ranking is compared with :meth:`GBDASearch.query_topk_reference` (the
 scalar per-pair loop, sorted) under both kernel backends, with and without
@@ -21,22 +22,21 @@ the branch-bound candidate restriction; the work done is bounded by counts
 
 from __future__ import annotations
 
-import math
 import random
 
 import pytest
 
 from repro.core import plan
 from repro.core.search import GBDASearch
-from repro.db import columnar
 from repro.db.database import GraphDatabase
 from repro.db.kernels import available_backends
 from repro.db.query import SimilarityQuery
 from repro.graphs.graph import Graph
+from repro.obs.metrics import get_registry
 from repro.serving import BatchQueryEngine
 
 MAX_TAU = 2
-CHUNK = plan._TOPK_CHUNK
+CHUNK = 512
 BACKEND_PARAMS = [
     pytest.param(
         name,
@@ -146,20 +146,24 @@ def test_ties_at_the_kth_place_and_zero_bound_fill(backend):
 
 @pytest.mark.parametrize("backend", BACKEND_PARAMS)
 def test_uniform_store_is_one_pass(backend):
-    """Bounds that never end the scan cost ~log₂ kernel calls and D verifications."""
+    """Bounds that never end the scan cost one kernel call and D verifications."""
     _search, engine = _built("uniform", False, backend)
     num_rows = STORE_SIZES["uniform"]
     query = SimilarityQuery(QUERIES[0], MAX_TAU, 0.5)
-    counters = columnar._counters(backend)
-    sparse, dense = counters.subrow[0].value, counters.row[0].value
+    calls = get_registry().get("repro_kernel_calls_total")
+    before = {labels: child.value for labels, child in calls.series()}
     verified = engine.prune_counters["candidates_verified"]
+    dense_passes = engine.prune_counters["dense_passes"]
     engine.query_topk(query, 10)
-    sparse, dense = counters.subrow[0].value - sparse, counters.row[0].value - dense
-    assert sparse + dense <= math.ceil(math.log2(num_rows / CHUNK)) + 2
-    # the store is wide enough for both plans: sparse chunks, then one dense row
-    assert sparse >= 1 and dense == 1
+    made = {
+        labels: child.value - before.get(labels, 0)
+        for labels, child in calls.series()
+        if child.value != before.get(labels, 0)
+    }
+    assert made == {("row", backend): 1}  # the whole reducer is that one call
     # every row's bound reaches the k-th best, and no row is verified twice
     assert engine.prune_counters["candidates_verified"] - verified == num_rows
+    assert engine.prune_counters["dense_passes"] - dense_passes == 1
 
 
 @pytest.mark.parametrize("backend", BACKEND_PARAMS)
@@ -211,8 +215,8 @@ def test_kth_best_score_ends_the_scan(backend):
         assert core.execute_topk(SimilarityQuery(graph, 1, 0.5), k) == expected[:k]
         verified = core.filter_counters.candidates_verified - before
         if k <= 10:
-            # exact matches fill the ranking inside the first chunk, and no
-            # other size group's bound reaches their score
-            assert verified == CHUNK
+            # exact matches fill the ranking inside the query's own size
+            # group, and no other group's bound reaches their score
+            assert verified == len(database) // 32
         else:
             assert min(k, len(database)) <= verified <= len(database)
