@@ -11,10 +11,11 @@ implements them once, as one pipeline a query goes through:
   into a max-acceptable GBD (:meth:`acceptance_threshold`); top-k turns it
   into a posterior upper bound.  Unpruned execution is the same pipeline
   with every order eligible.
-* **candidates** — the rows of the orders that survive the bound.
-* **verify** — the candidates' exact ``|B_Q ∩ B_G|``, by sparse index probes
-  or by one dense walk of the query's posting segments, whichever the query's
-  own posting lengths make cheaper
+* **candidates** — the rows of the orders that survive the bound: contiguous
+  position ranges, the store lays rows out by ``|V_G|``.
+* **verify** — the candidates' exact ``|B_Q ∩ B_G|``, by slicing the query's
+  posting segments to the candidates' position ranges or by one dense walk of
+  them, whichever the query's own posting lengths make cheaper
   (:func:`~repro.db.columnar.sparse_row_budget`: no tuning constant, the same
   choice under both kernel backends).
 * **reduce** — two reducers over the same scored candidates.  *Threshold*:
@@ -186,8 +187,9 @@ class CandidateScores:
     """Per-candidate output of one query's online stage.
 
     From :meth:`ExecutionCore.execute` every array spans the whole store,
-    aligned on store positions (``graph_ids`` is then the identity map of an
-    unsharded database).  From the accepted-only reducer
+    aligned on store positions — the store's ``|V_G|``-clustered layout, so
+    ``graph_ids`` maps each position to its graph and is not in id order.
+    From the accepted-only reducer
     (:meth:`ExecutionCore.execute_pruned` on the tables side) nothing ``D``
     long exists: ``graph_ids`` / :attr:`positions` hold the accepted rows,
     their scores are in :attr:`accepted_items`, and the per-candidate arrays
@@ -300,6 +302,9 @@ class ExecutionCore:
         # (τ̂, γ, |V_Q|, |distinct|, pruning) -> (capped threshold vector,
         # posterior table) of the thresholded path — see _pruned_thresholds.
         self._pruned_thresholds_cache: Dict[Tuple, Tuple[np.ndarray, np.ndarray]] = {}
+        # (τ̂, |V_Q|, |distinct|) -> (posterior table, bound table) of top-k —
+        # see _topk_tables.
+        self._topk_tables_cache: Dict[Tuple, Tuple[np.ndarray, np.ndarray]] = {}
         # γ-threshold inversion cache: (τ̂, γ) -> order-indexed max acceptable
         # GBD; -2 marks a not-yet-inverted order.  Fills are idempotent (derived
         # from the posterior vectors), so no lock is needed; see
@@ -457,6 +462,29 @@ class ExecutionCore:
                 self._lut_for(tau_hat, extended.tolist()),
             )
         return cached
+
+    def _topk_tables(
+        self, tau_hat: int, num_query_vertices: int, needed_orders: List[int]
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Cached ``(lut, bound_lut)`` of one top-k query shape: what its store call reads.
+
+        The two published tables (:meth:`_lut_for`, :meth:`_bound_lut_for`)
+        each cost a coverage check over every needed order; one shape ``(τ̂,
+        |V_Q|)`` over one snapshot always needs the same rows, and filled rows
+        never change, so the pair found once is reused — keyed, as in
+        :meth:`_pruned_thresholds`, by the number of distinct orders.
+        """
+        cache = self._topk_tables_cache
+        key = (tau_hat, num_query_vertices, len(needed_orders))
+        tables = cache.get(key)
+        if tables is None:
+            if len(cache) > 256:
+                cache.clear()
+            tables = cache[key] = (
+                self._lut_for(tau_hat, needed_orders),
+                self._bound_lut_for(tau_hat, needed_orders),
+            )
+        return tables
 
     def _threshold_lookup(
         self, tau_hat: int, gamma: float, extended_orders: np.ndarray
@@ -617,7 +645,7 @@ class ExecutionCore:
         branches = query.branches() if query_branches is None else query_branches
         store = self.ensure_index().store
         snapshot = store.view()
-        distinct = store.order_partition(snapshot[0])[0]
+        distinct = store.order_ranges(snapshot[0])[0]
         extended = np.maximum(query.query_graph.num_vertices, distinct)
         needed_orders = extended.tolist()
         use_tables = self._use_tables(query.tau_hat, needed_orders, call_rows * len(snapshot[1]))
@@ -641,7 +669,7 @@ class ExecutionCore:
         per *distinct* ``|V_G|``, since the bound depends on a row only
         through its order.  The same store call
         (:meth:`ColumnarBranchStore.filter_verify_row`) verifies the
-        survivors, by block probes or one dense walk, and compares their
+        survivors, by range slices or one dense walk, and compares their
         posteriors with γ: it returns the accepted rows, and all that is left
         here is their ids and scores.  Without ``bounded`` — or on the direct
         side of the tables choice, a one-shot workload where inverting the
@@ -783,8 +811,8 @@ class ExecutionCore:
         whole pass, bound → ordered candidates → verify → reduce: each
         distinct ``|V_G|`` gets a posterior *upper* bound from its GBD lower
         bound (:meth:`_bound_lut_for`), whole order groups are verified in
-        descending bound order — by block probes, or from one dense walk once
-        probing would cost as much — and offered to a k-best heap whose k-th
+        descending bound order — by range slices, or from one dense walk once
+        slicing would cost as much — and offered to a k-best heap whose k-th
         score cuts off the groups no longer in reach; nothing ``D`` long is
         built here.  On the direct side of the tables choice (a one-shot
         workload) every row is scored and reduced once.  With ``use_pruning``
@@ -810,8 +838,7 @@ class ExecutionCore:
             ids, scores, verified, sparse = store.filter_verify_topk(
                 num_query_vertices,
                 branches,
-                self._lut_for(tau_hat, needed_orders),
-                self._bound_lut_for(tau_hat, needed_orders),
+                *self._topk_tables(tau_hat, num_query_vertices, needed_orders),
                 cap,
                 k,
                 view=view,

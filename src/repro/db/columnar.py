@@ -15,45 +15,57 @@ re-checks the limits on every rebuild and promotes to int64 the moment
 either is exceeded — the kernels accept both layouts, so promotion is an
 internal dtype change, never an API event.
 
+**Rows are clustered by** ``|V_G|``.  A row's *position* is its slot in a
+layout that lists rows in ascending vertex count, by arrival within one
+count, so every distinct order owns one contiguous *range* of positions
+(:meth:`order_ranges`) and, because each key's posting segment is sorted by
+position, the rows of one ``(key, |V_G|)`` pair are one slice of that
+segment.  Algorithm 1 decides Steps 2–4 once per distinct extended order; the
+layout makes that grouping physical, so the reducers read eligibility as
+ranges and verify a range by slicing the matched segments.  The CSR, the
+vectors of :meth:`view` and the reducers' hits speak positions.  Every
+public ``D``-length row — :meth:`intersection_row`, :meth:`gbd_row`,
+:meth:`gbd_lower_bound_row`, :meth:`orders`, :meth:`global_ids` — is indexed
+by *arrival* instead (the row number :meth:`append` returns), gathered once
+at the store boundary; only a caller that pins a :meth:`view` reads
+positions, paired with that view's own vectors.  :meth:`global_ids` maps a
+row back to its database graph id; for a plain
+:class:`~repro.db.database.GraphDatabase` arrival and graph id coincide, for
+an id-preserving shard view (:meth:`GraphDatabase.shard`) they differ, which
+is what lets shard stores be scored independently and merged by global id.
+
 The kernels themselves live in :mod:`repro.db.kernels` behind a pluggable
 ``backend`` (``"numpy"`` | ``"native"`` | ``"auto"``): this class owns the
-vocabulary pass, the published snapshot, and the metrics, and dispatches the
-array work to the selected backend.  Every read is one query against one
-snapshot — there is no batched ``(Q, D)`` form.  The two reducers of the
-execution core run inside the store call that verifies: :meth:`filter_verify_row`
-(bound filter → survivor gather or dense walk → γ threshold) returns the
-accepted rows and :meth:`filter_verify_topk` (order groups in bound order →
-block probes or dense walk → k-best, cut off by the k-th score) at most ``k``
-scored ones, so on the ``native`` backend — one C call each — neither
-pruned-out candidates nor a ``D``-length row ever reach NumPy.
+vocabulary pass, the layout, the published snapshot, and the metrics, and
+dispatches the array work to the selected backend.  Every read is one query
+against one snapshot — there is no batched ``(Q, D)`` form.  The two reducers
+of the execution core run inside the store call that verifies:
+:meth:`filter_verify_row` (bound filter per range → range slices or dense
+walk → γ threshold) returns the accepted rows and :meth:`filter_verify_topk`
+(ranges in bound order → range slices or dense walk → k-best, cut off by the
+k-th score) at most ``k`` scored ones, so on the ``native`` backend — one C
+call each — neither pruned-out candidates nor a ``D``-length row ever reach
+NumPy.
 
 Incremental additions go through an **append buffer**: :meth:`append` /
 :meth:`extend` are ``O(|branches|)`` bookkeeping with no Python statement per
 posting — a batch's key ids are one ``map`` of the vocabulary's ``get`` over
 its branch keys and each pending buffer is extended once — and :meth:`compact`,
 run lazily by the next read, is the one place a write is paid for.  It takes
-the previous published snapshot and produces the next in one linear pass: old
-posting segments are shifted, the pending postings appended, and every derived
-structure the previous snapshot had materialised (the ``(key, |V_G|)`` block
-index, the rows-by-order partition) is carried forward by remapping it
-through that same shift and merging the pending postings in.
-Only the ``p`` pending postings are ever sorted; a structure nobody has read
-yet is not built.  A bulk load of ``k`` graphs costs one compaction, not
-``k`` (see :meth:`~repro.db.database.GraphDatabase.add_many`).
+the previous published snapshot and produces the next in one linear pass: the
+new rows are interleaved into their order's range, old positions go through
+one monotone shift table, and each key's pending postings are merged into its
+sorted segment.  Only the new rows are sorted (by order).  A bulk load of
+``k`` graphs costs one compaction, not ``k`` (see
+:meth:`~repro.db.database.GraphDatabase.add_many`).
 
 Concurrency: queries may run from several threads sharing one engine (the
 serving executor's ``"thread"`` mode), so everything a read needs — CSR
-arrays, row vectors, derived indexes — is published as one snapshot record
+arrays, row vectors, order ranges — is published as one snapshot record
 swapped behind a compaction lock, and readers operate on one snapshot for
 the whole query — a query racing a compaction sees either the pre-add or
 post-add postings, never a torn mix.  Mutation (:meth:`append` /
 :meth:`extend`) takes the same lock.
-
-Rows are *positions* ``0..D-1`` in insertion order; :meth:`global_ids` maps
-positions back to database graph ids.  For a plain
-:class:`~repro.db.database.GraphDatabase` the two coincide; for an
-id-preserving shard view (:meth:`GraphDatabase.shard`) they differ, which
-is what lets shard stores be scored independently and merged by global id.
 """
 
 from __future__ import annotations
@@ -66,7 +78,7 @@ from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
-from repro.db.kernels import backend_module, numpy_impl, resolve_backend
+from repro.db.kernels import backend_module, resolve_backend
 from repro.obs.metrics import get_registry
 
 __all__ = ["ColumnarBranchStore"]
@@ -76,7 +88,7 @@ __all__ = ["ColumnarBranchStore"]
 # online query, and children must never live on store instances (stores are
 # pickled into pool workers, whose deltas merge back by label set).  Rows
 # count the cells each call produced (D for a dense row — the top-k reducer
-# counts here too: D when it walked the dense row, else the rows of the groups
+# counts here too: D when it walked the dense row, else the rows of the ranges
 # it verified — U distinct orders for the fused filter), making ``rows /
 # calls`` an instant read on how selective the pruned layer is.
 _KERNEL_CALLS = get_registry().counter(
@@ -142,31 +154,41 @@ _EMPTY_CSR: _Csr = (
 
 
 class _Snapshot:
-    """One published read state: the CSR, its row vectors, its derived indexes.
+    """One published read state: the CSR and its row vectors, all by position.
 
-    ``csr``, ``orders`` and ``global_ids`` cover the same rows and never
-    change.  ``blocks`` (the ``(key, |V_G|)`` block index) and ``partition``
-    (rows grouped by order) start out ``None`` unless
-    :meth:`ColumnarBranchStore.compact` carried them over from the previous
-    snapshot, and are filled at most once, by the first read that needs them.
+    ``orders`` (non-decreasing) and ``global_ids`` are indexed by position,
+    ``ranges`` is ``(distinct orders, bounds)`` — the rows of order
+    ``distinct[u]`` are the positions ``bounds[u]:bounds[u + 1]`` — and
+    ``slots[r]`` is the position of the row that arrived ``r``-th, which is
+    how public rows are gathered back into arrival order.  Nothing in a
+    snapshot changes after it is published, and nothing is built lazily.
     """
 
-    __slots__ = ("csr", "orders", "global_ids", "blocks", "partition")
+    __slots__ = ("csr", "orders", "global_ids", "ranges", "slots")
 
-    def __init__(self, csr, orders, global_ids, blocks=None, partition=None):
+    def __init__(self, csr, orders, global_ids, slots):
         self.csr: _Csr = csr
         self.orders: np.ndarray = orders
         self.global_ids: np.ndarray = global_ids
-        self.blocks = blocks
-        self.partition = partition
+        self.slots: np.ndarray = slots
+        starts = np.flatnonzero(np.diff(orders, prepend=-1))  # orders are >= 0
+        self.ranges: Tuple[np.ndarray, np.ndarray] = (
+            orders[starts],
+            np.append(starts, len(orders)).astype(np.int64),
+        )
 
+    @classmethod
+    def laid_out(cls, csr, orders: np.ndarray, global_ids: np.ndarray) -> "_Snapshot":
+        """The snapshot of ``csr`` from its rows' arrival-order vectors, from scratch.
 
-#: First-build path of each derived structure of a snapshot (looked up through
-#: the module on every call, so a test can spy on the from-scratch builders).
-_BUILDERS = {
-    "blocks": lambda snapshot: numpy_impl.build_order_blocks(snapshot.csr, snapshot.orders),
-    "partition": lambda snapshot: numpy_impl.build_order_partition(snapshot.orders),
-}
+        The layout is a function of the arrival orders alone — a stable sort
+        — so this is also what :meth:`ColumnarBranchStore.compact` carries,
+        and the record a reader pinned to a superseded CSR gets.
+        """
+        by_order = np.argsort(orders, kind="stable")
+        slots = np.empty(len(orders), dtype=np.int64)
+        slots[by_order] = np.arange(len(orders))
+        return cls(csr, orders[by_order], global_ids[by_order], slots)
 
 
 def _segment_total(offsets: np.ndarray, key_ids: np.ndarray) -> int:
@@ -175,17 +197,17 @@ def _segment_total(offsets: np.ndarray, key_ids: np.ndarray) -> int:
 
 
 def sparse_row_budget(matched_postings: int, num_rows: int) -> int:
-    """Most bound survivors of one query worth verifying by block probes.
+    """Most bound survivors of one query worth verifying by range slices.
 
     The dense plan touches every matched posting once and then classifies all
     ``D`` rows: ``Σseg + D``.  The sparse plan touches only the postings of
     the ``E`` surviving rows — ``E / D`` of them when postings spread evenly
-    over rows — each placed by a binary search among the survivors (at most
-    ``log2 D`` steps), and classifies ``E`` rows: ``(E / D) · (Σseg · log2 D +
-    D)``.  Up to the returned ``E`` the sparse plan is the cheaper one.
-    Everything is read off the query's own postings and the snapshot's size,
-    so the rule has no tuning constant and is the same under both kernel
-    backends.
+    over rows — each charged a binary search's worth (at most ``log2 D``
+    steps) for locating its slice, and classifies ``E`` rows: ``(E / D) ·
+    (Σseg · log2 D + D)``.  Up to the returned ``E`` the sparse plan is the
+    cheaper one.  Everything is read off the query's own postings and the
+    snapshot's size, so the rule has no tuning constant and is the same under
+    both kernel backends.
     """
     return (
         num_rows
@@ -210,16 +232,16 @@ class ColumnarBranchStore:
         # kernels race-safe (a cap newer than a CSR snapshot only loosens
         # the bound — see matched_query_total).
         self._key_caps: List[int] = []
-        # Per-row metadata: growable int64 buffers written only past the
-        # published rows, so a snapshot's prefix view of them never changes.
-        self._row_global_ids = np.empty(0, dtype=np.int64)
-        self._row_orders = np.empty(0, dtype=np.int64)
+        # Per-row metadata in arrival order: growable int64 buffers written
+        # only past the published rows, so a prefix of them never changes.
+        self._arrival_ids = np.empty(0, dtype=np.int64)
+        self._arrival_orders = np.empty(0, dtype=np.int64)
         self._num_rows = 0
         # Largest posting multiplicity compacted so far (decides the counts dtype).
         self._max_count = 0
         # Everything a read needs, swapped atomically as one record.
-        self._published = _Snapshot(_EMPTY_CSR, _EMPTY_I64, _EMPTY_I64)
-        # Append buffer: parallel lists of (key id, row position, count).
+        self._published = _Snapshot(_EMPTY_CSR, _EMPTY_I64, _EMPTY_I64, _EMPTY_I64)
+        # Append buffer: parallel lists of (key id, arrival row, count).
         self._pending_keys: List[int] = []
         self._pending_positions: List[int] = []
         self._pending_counts: List[int] = []
@@ -235,21 +257,22 @@ class ColumnarBranchStore:
         return backend_module(self.backend)
 
     def __getstate__(self):
-        # Only the CSR and the row vectors travel (to pool workers); the
-        # derived indexes are 2 x P + D int64 a worker rebuilds on first use.
+        # Only the CSR and the arrival-order row vectors travel (to pool
+        # workers); the position-order vectors and ranges are 3 x D + U int64
+        # the receiving side lays out again in O(D log D).
         state = self.__dict__.copy()
         del state["_compact_lock"]  # locks are not picklable
         state["_published"] = self._published.csr
-        state["_row_orders"] = self._row_orders[: self._num_rows]
-        state["_row_global_ids"] = self._row_global_ids[: self._num_rows]
+        state["_arrival_orders"] = self._arrival_orders[: self._num_rows]
+        state["_arrival_ids"] = self._arrival_ids[: self._num_rows]
         return state
 
     def __setstate__(self, state):
         self.__dict__.update(state)
         self._compact_lock = threading.Lock()
         csr = self._published
-        self._published = _Snapshot(
-            csr, self._row_orders[: csr[3]], self._row_global_ids[: csr[3]]
+        self._published = _Snapshot.laid_out(
+            csr, self._arrival_orders[: csr[3]], self._arrival_ids[: csr[3]]
         )
         # A snapshot restored on another machine keeps its configured
         # backend name; backend_module degrades native->numpy with a
@@ -260,7 +283,7 @@ class ColumnarBranchStore:
     # mutation
     # ------------------------------------------------------------------ #
     def append(self, entry) -> int:
-        """Buffer one :class:`~repro.db.database.StoredGraph`; return its position.
+        """Buffer one :class:`~repro.db.database.StoredGraph`; return its arrival row.
 
         O(|branches|) bookkeeping that leaves the published snapshot alone; the
         next :meth:`compact` pays for the write.  Runs under the compaction lock
@@ -276,7 +299,7 @@ class ColumnarBranchStore:
             self._extend(entries)
 
     def _extend(self, entries) -> int:
-        """Buffer ``entries`` (lock held); return the position of the first.
+        """Buffer ``entries`` (lock held); return the arrival row of the first.
 
         No Python statement runs per posting: the loops below visit only keys
         the vocabulary has not seen (:meth:`_learn_key`, once per new key) and
@@ -284,16 +307,16 @@ class ColumnarBranchStore:
         """
         first = self._num_rows
         rows = first + len(entries)
-        if rows > len(self._row_orders):
+        if rows > len(self._arrival_orders):
             # Doubling keeps appends amortised O(1); published snapshots keep
             # viewing the buffer they were cut from.
             capacity = max(2 * rows, 64)
-            for name in ("_row_orders", "_row_global_ids"):
+            for name in ("_arrival_orders", "_arrival_ids"):
                 grown = np.empty(capacity, dtype=np.int64)
                 grown[:first] = getattr(self, name)[:first]
                 setattr(self, name, grown)
-        self._row_global_ids[first:rows] = [entry.graph_id for entry in entries]
-        self._row_orders[first:rows] = [entry.num_vertices for entry in entries]
+        self._arrival_ids[first:rows] = [entry.graph_id for entry in entries]
+        self._arrival_orders[first:rows] = [entry.num_vertices for entry in entries]
         multisets = [entry.branches for entry in entries]
         keys = list(chain.from_iterable(multisets))
         counts = list(chain.from_iterable(map(dict.values, multisets)))
@@ -339,26 +362,23 @@ class ColumnarBranchStore:
         """Publish the next snapshot if anything was appended; return whether work was done.
 
         The one place a write is paid for, in one linear pass over the
-        previous snapshot (O(P + D + p log p) for P postings, D rows and p
-        pending postings — only the pending ones are sorted):
+        previous snapshot (O(P + D + n log n + p) for P postings, D rows, and
+        n new rows carrying p pending postings — only the new rows are sorted):
 
-        * each key's old posting segment is shifted by the room the keys
-          before it grew and its pending postings (whose row positions are
-          strictly larger) placed behind it in arrival order, so segments
-          stay sorted by position;
-        * every derived structure the previous snapshot had materialised is
-          carried forward — the block index by remapping its permutation
-          through that same shift and merging the pending postings in, the
-          rows-by-order partition by appending the new rows to their runs —
-          and equals what its from-scratch builder returns on the new CSR; one
-          the previous snapshot never built stays unbuilt until a read asks
-          for it;
-        * ``orders`` / ``global_ids`` are prefix views of the row buffers
-          :meth:`append` already wrote.
+        * the new rows are interleaved into their order's range, each behind
+          the rows of its order that arrived before it: old positions move
+          through one monotone shift table (an old row moves by the number of
+          new rows of a smaller order), and ``orders`` / ``global_ids`` /
+          ``slots`` / the ranges are re-laid out in O(D);
+        * each key's old posting segment, its positions sent through the
+          shift, moves by the room the keys before it grew, and its pending
+          postings — visited by new position — are merged into it, so
+          segments stay sorted by position.
 
-        The pass runs in the store's kernel backend under the compaction
-        lock and publishes the result as one record swap, so concurrent
-        readers are never exposed to a torn state.
+        The result equals :meth:`_Snapshot.laid_out` over the grown rows.  The
+        pass runs in the store's kernel backend under the compaction lock and
+        publishes the result as one record swap, so concurrent readers are
+        never exposed to a torn state.
 
         ``positions``/``counts`` use int32 while every row index and posting
         multiplicity fits (:data:`_POSITION_DTYPE_LIMIT` /
@@ -373,34 +393,51 @@ class ColumnarBranchStore:
             if self._is_compacted():
                 return False  # another thread compacted while we waited
             previous = self._published
-            num_rows = self._num_rows
-            orders = self._row_orders[:num_rows]
+            old_rows, num_rows = previous.csr[3], self._num_rows
+            added = self._arrival_orders[old_rows:num_rows]
+            # New row i lands behind the old rows of an order <= its own and
+            # the new rows sorted before it; an old row moves by the new rows
+            # that land at or before it.
+            by_order = np.argsort(added, kind="stable")
+            at = np.searchsorted(previous.orders, added[by_order], side="right")
+            placed = np.empty(len(added), dtype=np.int64)
+            placed[by_order] = at + np.arange(len(added))
+            shift = np.arange(old_rows) + np.cumsum(np.bincount(at, minlength=old_rows + 1))[
+                :old_rows
+            ]
+            orders = np.empty(num_rows, dtype=np.int64)
+            orders[shift] = previous.orders
+            orders[placed] = added
+            global_ids = np.empty(num_rows, dtype=np.int64)
+            global_ids[shift] = previous.global_ids
+            global_ids[placed] = self._arrival_ids[old_rows:num_rows]
+
+            # Pending postings come row by row in arrival order; visit the rows
+            # by new position instead, so each key's postings ascend.
+            rows = np.asarray(self._pending_positions, dtype=np.int64) - old_rows
+            per_row = np.bincount(rows, minlength=len(added))
+            first, run = (np.cumsum(per_row) - per_row)[by_order], per_row[by_order]
+            visit = np.repeat(first - (np.cumsum(run) - run), run) + np.arange(len(rows))
             pending = (
-                np.asarray(self._pending_keys, dtype=np.int64),
-                np.asarray(self._pending_positions, dtype=np.int64),
-                np.asarray(self._pending_counts, dtype=np.int64),
+                np.asarray(self._pending_keys, dtype=np.int64)[visit],
+                placed[rows[visit]],
+                np.asarray(self._pending_counts, dtype=np.int64)[visit],
             )
+            del rows, visit  # the largest temporaries of a bulk load
             self._max_count = int(pending[2].max(initial=self._max_count))
-            arrays, blocks = self._kernels.merge_postings(
+            arrays = self._kernels.merge_postings(
                 previous.csr,
-                previous.blocks,
                 pending,
                 len(self._keys),
-                orders,
+                shift,
                 np.int32 if num_rows <= _POSITION_DTYPE_LIMIT else np.int64,
                 np.int32 if self._max_count <= _COUNT_DTYPE_LIMIT else np.int64,
             )
-            partition = previous.partition
-            if partition is not None:
-                partition = numpy_impl.extend_order_partition(
-                    partition, orders, previous.csr[3]
-                )
             self._published = _Snapshot(
                 (*arrays, num_rows),
                 orders,
-                self._row_global_ids[:num_rows],
-                blocks,
-                partition,
+                global_ids,
+                np.concatenate((shift[previous.slots], placed)),
             )
             self._pending_keys = []
             self._pending_positions = []
@@ -419,14 +456,15 @@ class ColumnarBranchStore:
         return self._published.csr
 
     def view(self) -> Tuple[_Csr, np.ndarray, np.ndarray]:
-        """Return one coherent ``(csr, orders, global_ids)`` read snapshot.
+        """Return one coherent ``(csr, orders, global_ids)`` read snapshot, by position.
 
-        ``csr`` is the ``(offsets, positions, counts, rows)`` tuple; the three
-        pieces belong to one published snapshot record, so a whole query
-        computes against arrays of one length whose every row is covered by
-        the CSR — concurrent additions become visible only between queries,
-        never as a torn mix or a graph with silently missing postings.  The
-        first read after a write pays the compaction here.
+        ``csr`` is the ``(offsets, positions, counts, rows)`` tuple and the
+        two vectors are indexed by position, like the CSR and the reducers'
+        hits; the three pieces belong to one published snapshot record, so a
+        whole query computes against arrays of one length whose every row is
+        covered by the CSR — concurrent additions become visible only between
+        queries, never as a torn mix or a graph with silently missing
+        postings.  The first read after a write pays the compaction here.
         """
         snapshot = self._snapshot()
         return snapshot.csr, snapshot.orders, snapshot.global_ids
@@ -435,33 +473,17 @@ class ColumnarBranchStore:
         """The snapshot record ``csr`` belongs to.
 
         A reader still computing against a superseded snapshot gets a record
-        of its own, whose derived structures are built from scratch, uncached
-        — the row buffers are append-only, so the prefix its CSR covers is
-        still what it was.
+        of its own, laid out from scratch and uncached — the arrival-order row
+        buffers are append-only, so the prefix its CSR covers is still what it
+        was, and the layout is a function of that prefix.
         """
         snapshot = self._published
         if snapshot.csr is not csr:
             rows = csr[3]
-            snapshot = _Snapshot(csr, self._row_orders[:rows], self._row_global_ids[:rows])
+            snapshot = _Snapshot.laid_out(
+                csr, self._arrival_orders[:rows], self._arrival_ids[:rows]
+            )
         return snapshot
-
-    def _derived(self, csr: _Csr, name: str):
-        """The ``name`` structure of the snapshot ``csr`` belongs to, built on first use.
-
-        Carried structures are simply there; the from-scratch builder runs
-        once per store (and once per unpickled copy), under the compaction
-        lock so racing readers share one build and a compaction cannot miss
-        it.
-        """
-        snapshot = self._snapshot_of(csr)
-        value = getattr(snapshot, name)
-        if value is None:
-            with self._compact_lock:
-                value = getattr(snapshot, name)
-                if value is None:
-                    value = _BUILDERS[name](snapshot)
-                    setattr(snapshot, name, value)
-        return value
 
     # ------------------------------------------------------------------ #
     # shape and per-row vectors
@@ -482,15 +504,15 @@ class ColumnarBranchStore:
         return len(self._published.csr[1]) + len(self._pending_keys)
 
     def global_ids(self) -> np.ndarray:
-        """Dense ``position -> graph id`` vector of the (compacted) snapshot."""
-        return self._snapshot().global_ids
+        """Dense ``arrival row -> graph id`` vector of the (compacted) snapshot."""
+        return self._arrival_ids[: self._snapshot().csr[3]]
 
     def orders(self) -> np.ndarray:
-        """Dense ``position -> |V_G|`` vector of the (compacted) snapshot."""
-        return self._snapshot().orders
+        """Dense ``arrival row -> |V_G|`` vector of the (compacted) snapshot."""
+        return self._arrival_orders[: self._snapshot().csr[3]]
 
     def branch_totals(self) -> np.ndarray:
-        """Dense ``position -> |B_G|`` vector of total branch counts.
+        """Dense ``arrival row -> |B_G|`` vector of total branch counts.
 
         A graph contributes exactly one branch per vertex (Definition 2), so
         the total branch count of a row equals its vertex count — this is
@@ -509,18 +531,15 @@ class ColumnarBranchStore:
     # postings access
     # ------------------------------------------------------------------ #
     def postings(self, branch_key: Tuple) -> List[Tuple[int, int]]:
-        """Return the ``(graph_id, count)`` postings of one branch key."""
+        """Return the ``(graph_id, count)`` postings of one branch key, by graph id."""
         snapshot = self._snapshot()
         offsets, positions, counts, _rows = snapshot.csr
         key_id = self._key_ids.get(branch_key)
         if key_id is None or key_id >= len(offsets) - 1:
             return []
         start, end = int(offsets[key_id]), int(offsets[key_id + 1])
-        global_ids = snapshot.global_ids
-        return [
-            (int(global_ids[position]), int(count))
-            for position, count in zip(positions[start:end], counts[start:end])
-        ]
+        ids = snapshot.global_ids[positions[start:end]]
+        return sorted(zip(ids.tolist(), counts[start:end].tolist()))
 
     def _match(self, query_branches: Counter, csr: _Csr) -> Tuple[np.ndarray, np.ndarray, int]:
         """The vocabulary pass of a read: ``(key_ids, query_counts, matched_total)``.
@@ -563,13 +582,15 @@ class ColumnarBranchStore:
     def intersection_row(
         self, query_branches: Counter, *, view: Optional[Tuple[_Csr, int]] = None
     ) -> np.ndarray:
-        """Return ``|B_Q ∩ B_G|`` for every row as a dense ``(D,)`` array.
+        """Return ``|B_Q ∩ B_G|`` for every row as a dense ``(D,)`` array, by arrival.
 
         One vocabulary pass over the query's branch keys, then the selected
         backend accumulates the matching CSR segments (a vectorized gather
         plus ``bincount`` scatter-add on numpy, a direct segment scatter in
-        C).  ``view`` optionally pins the ``(csr, num_graphs)`` snapshot the
-        caller is computing against (see :meth:`view`).
+        C) and the result is gathered into arrival order.  ``view``
+        optionally pins the ``(csr, num_graphs)`` snapshot the caller is
+        computing against (see :meth:`view`); the row is then indexed by
+        position, like that view's own vectors, and nothing is gathered.
         """
         if view is not None:
             csr, num_graphs = view
@@ -582,10 +603,11 @@ class ColumnarBranchStore:
         rows.inc(num_graphs)
         if len(key_ids) == 0:
             return np.zeros(num_graphs, dtype=np.int64)
-        return self._kernels.intersection_row(csr, key_ids, query_counts, num_graphs)
+        row = self._kernels.intersection_row(csr, key_ids, query_counts, num_graphs)
+        return row if view is not None else row[self._snapshot_of(csr).slots]
 
     # ------------------------------------------------------------------ #
-    # GBD lower-bound kernels and the derived indexes of the fused reads
+    # GBD lower-bound kernels and the ranges of the fused reads
     # ------------------------------------------------------------------ #
     def matched_query_total(self, query_branches: Counter) -> int:
         """Upper bound on ``|B_Q ∩ B_G|`` valid for *every* row: ``Σ_k min(q_k, cap_k)``.
@@ -616,8 +638,9 @@ class ColumnarBranchStore:
         size-difference bound ``| |V_Q| - |V_G| |``.  No postings are
         traversed — the whole row costs one vocabulary pass plus two dense
         ops, which is what lets the pruned execution layer discard
-        candidates before touching the index.  ``db_orders`` optionally pins
-        the per-row order vector of the caller's snapshot.
+        candidates before touching the index.  The row is indexed like the
+        order vector it is computed over: :meth:`orders` (arrival) unless
+        ``db_orders`` pins another.
         """
         orders = self.orders() if db_orders is None else db_orders
         calls, rows = _counters(self.backend).bound_row
@@ -626,32 +649,15 @@ class ColumnarBranchStore:
         total = self.matched_query_total(query_branches)
         return self._kernels.gbd_lower_bound_row(int(num_query_vertices), total, orders)
 
-    def _order_blocks_for(self, csr: _Csr) -> Tuple[np.ndarray, np.ndarray, int]:
-        """Postings of a snapshot re-indexed by ``(key, row order)`` blocks.
+    def order_ranges(self, csr: _Csr) -> Tuple[np.ndarray, np.ndarray]:
+        """The ranges of a snapshot's layout: ``(distinct, bounds)``.
 
-        Returns ``(sorted codes, permutation, stride)`` where ``codes =
-        key_id * stride + |V_row|`` and ``permutation`` maps the sorted
-        order back to posting slots.  Every ``(branch key, vertex count)``
-        pair owns one contiguous block, located by two binary-search probes
-        — the backbone of the sparse plan of :meth:`filter_verify_row` and of
-        the group walk of :meth:`filter_verify_topk`.
-        Sorted once (O(P log P)) by the first pruned or top-k read of a store; every
-        :meth:`compact` after that carries it forward in O(P + p log p).
+        ``distinct`` are the snapshot's distinct ``|V_G|``, ascending, and the
+        rows of order ``distinct[u]`` are the positions ``bounds[u]:bounds[u +
+        1]`` — what the fused filter-verify kernels consume: eligibility per
+        range, candidates as ranges, the order of a row read off its range.
         """
-        return self._derived(csr, "blocks")
-
-    def order_partition(
-        self, csr: _Csr
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Rows of a snapshot grouped by ``|V_G|``: ``(distinct, row_order, starts, ends)``.
-
-        ``row_order[starts[i]:ends[i]]`` are the (ascending) store positions
-        whose order is ``distinct[i]`` — the shape the fused filter-verify
-        kernels consume: per-distinct-order eligibility plus slice
-        concatenation of the survivors.  Sorted once (O(D log D)) on first
-        use, then extended by every :meth:`compact`.
-        """
-        return self._derived(csr, "partition")
+        return self._snapshot_of(csr).ranges
 
     # ------------------------------------------------------------------ #
     # fused filter → verify → reduce (the two reducers of the execution core)
@@ -686,46 +692,44 @@ class ColumnarBranchStore:
         """Bound filter, exact GBDs and the γ threshold of one query, in one pass.
 
         ``thresholds[i]`` is the caller's max acceptable GBD for rows of
-        order ``distinct[i]`` (the snapshot's distinct-order partition) —
-        the γ-threshold inversion of the execution core; ``lut[order, gbd]``
-        is its posterior table for the query's τ̂ (a row per extended order
+        order ``distinct[i]`` (the snapshot's :meth:`order_ranges`) — the
+        γ-threshold inversion of the execution core; ``lut[order, gbd]`` is
+        its posterior table for the query's τ̂ (a row per extended order
         ``max(|V_Q|, |V_G|)`` of the snapshot) and ``max_gbd`` the branch-bound
         cap, if any.  Returns ``(positions, gbds, eligible, verified, sparse)``:
 
-        * ``eligible`` — the bool mask of the orders whose GBD lower bound is
+        * ``eligible`` — the bool mask of the ranges whose GBD lower bound is
           within their threshold;
         * ``sparse`` / ``verified`` — the plan taken and the rows it verified:
-          ``None`` / 0 when no order survives, ``True`` / the eligible rows
-          when they fit the query's :func:`sparse_row_budget` (block probes:
+          ``None`` / 0 when no range survives, ``True`` / the eligible rows
+          when they fit the query's :func:`sparse_row_budget` (range slices:
           no pruned row's postings are touched), ``False`` / every row
           otherwise (walking the matched posting segments once is cheaper);
-        * ``positions`` / ``gbds`` — the *hits*: ascending store positions of
-          the verified rows with ``GBD <= max_gbd`` and ``lut[order, GBD] >=
+        * ``positions`` / ``gbds`` — the *hits*: ascending positions of the
+          verified rows with ``GBD <= max_gbd`` and ``lut[order, GBD] >=
           gamma``, and those GBDs (``max(|V_Q|, |V_G|) - |B_Q ∩ B_G|``, exactly
-          ``order - intersection_row(...)[positions]``).
+          ``order - intersection_row(..., view=...)[positions]``).
 
         One vocabulary pass, one kernel call; on the native backend that is
         one C call which hands back the hits and nothing ``D`` long.
         """
         csr = view[0] if view is not None else self._snapshot().csr
-        partition = self.order_partition(csr)
+        ranges = self._snapshot_of(csr).ranges
         calls, rows = _counters(self.backend).filter_verify_row
         calls.inc()
-        rows.inc(len(partition[0]))
+        rows.inc(len(ranges[0]))
         key_ids, query_counts, matched_total = self._match(query_branches, csr)
         budget = sparse_row_budget(_segment_total(csr[0], key_ids), csr[3])
         positions, gbds, eligible, num_eligible = self._kernels.filter_verify_row(
             csr,
-            self._order_blocks_for(csr),
-            partition,
-            self._snapshot_of(csr).orders,
+            ranges,
             int(num_query_vertices),
             matched_total,
             key_ids,
             query_counts,
             np.ascontiguousarray(thresholds, dtype=np.int64),
             budget,
-            self._checked_table(lut, num_query_vertices, partition[0]),
+            self._checked_table(lut, num_query_vertices, ranges[0]),
             float(gamma),
             max_gbd,
         )
@@ -753,42 +757,42 @@ class ColumnarBranchStore:
         over ``gbd >= ϕ`` (tables of their own shapes, a row per extended order
         of the snapshot each); ``max_gbd`` is the branch-bound cap, or ``None``.
         Per distinct ``|V_G|`` the GBD lower bound gives a posterior *upper*
-        bound shared by the order group's rows; groups are visited by
+        bound shared by the rows of its range; ranges are visited by
         descending bound until one falls strictly below the k-th best score so
-        far.  A visited group is verified through its ``(key, |V_G|)`` blocks —
-        no other row's postings are read — until the rows verified plus the
-        next group exceed the query's :func:`sparse_row_budget` (the rule of
-        :meth:`filter_verify_row`), from where one dense walk of the matched
-        segments serves the groups still in reach.  A row is dropped when
-        ``gbd > max_gbd`` and scored ``lut[order, gbd]``; with the cap, groups
-        whose bound already exceeds it are never visited; without it,
-        zero-bound groups are not verified (their score is 0.0) and fill a
+        far.  A visited range is verified from its slices of the matched
+        segments — no other row's postings are read — until the rows verified
+        plus the next range exceed the query's :func:`sparse_row_budget` (the
+        rule of :meth:`filter_verify_row`), from where one dense walk of the
+        matched segments serves the ranges still in reach.  A row is dropped
+        when ``gbd > max_gbd`` and scored ``lut[order, gbd]``; with the cap,
+        ranges whose bound already exceeds it are never visited; without it,
+        zero-bound ranges are not verified (their score is 0.0) and fill a
         short or zero-tailed ranking by smallest graph id.
 
         ``ids`` / ``scores`` are at most ``k`` pairs, the first under ``(-score,
-        id)``, unsorted; ``verified`` the rows of the visited groups; ``sparse``
-        the plan taken — ``True`` block probes only, ``False`` the dense walk
-        ran, ``None`` no group was ranked in.  One vocabulary pass, one kernel
+        id)``, unsorted; ``verified`` the rows of the visited ranges; ``sparse``
+        the plan taken — ``True`` range slices only, ``False`` the dense walk
+        ran, ``None`` no range was ranked in.  One vocabulary pass, one kernel
         call, counted as a ``row`` kernel producing the rows it verified (all
         ``D`` once the dense walk ran).
         """
         if k < 1:
             raise ValueError("k must be a positive integer")
         csr = view[0] if view is not None else self._snapshot().csr
-        partition = self.order_partition(csr)
+        snapshot = self._snapshot_of(csr)
+        distinct = snapshot.ranges[0]
         key_ids, query_counts, matched_total = self._match(query_branches, csr)
         ids, scores, verified, dense = self._kernels.filter_verify_topk(
             csr,
-            self._order_blocks_for(csr),
-            partition,
-            self._snapshot_of(csr).global_ids,
+            snapshot.ranges,
+            snapshot.global_ids,
             int(num_query_vertices),
             matched_total,
             key_ids,
             query_counts,
             sparse_row_budget(_segment_total(csr[0], key_ids), csr[3]),
-            self._checked_table(lut, num_query_vertices, partition[0]),
-            self._checked_table(bound_lut, num_query_vertices, partition[0]),
+            self._checked_table(lut, num_query_vertices, distinct),
+            self._checked_table(bound_lut, num_query_vertices, distinct),
             max_gbd,
             int(k),
         )
@@ -798,12 +802,13 @@ class ColumnarBranchStore:
         return ids, scores, verified, (not dense) if verified else None
 
     def gbd_row(self, num_query_vertices: int, query_branches: Counter) -> np.ndarray:
-        """Return ``GBD(Q, G)`` for every row as a dense ``(D,)`` array."""
+        """Return ``GBD(Q, G)`` for every row as a dense ``(D,)`` array, by arrival."""
         snapshot = self._snapshot()
-        intersections = self.intersection_row(
-            query_branches, view=(snapshot.csr, len(snapshot.orders))
-        )
-        return np.maximum(int(num_query_vertices), snapshot.orders) - intersections
+        rows = snapshot.csr[3]
+        intersections = self.intersection_row(query_branches, view=(snapshot.csr, rows))
+        return np.maximum(int(num_query_vertices), self._arrival_orders[:rows]) - intersections[
+            snapshot.slots
+        ]
 
     def __repr__(self) -> str:
         return (

@@ -109,13 +109,15 @@ class BranchInvertedIndex:
     def gbd_array(self, query: Graph, *, query_branches: Optional[Counter] = None) -> np.ndarray:
         """Return ``GBD(Q, G)`` for every database graph as a dense numpy array.
 
-        The array is indexed by store position — identical to graph id for a
-        plain :class:`GraphDatabase` (ids are assigned contiguously by
-        :meth:`GraphDatabase.add`; shard views map positions to global ids
-        via ``store.global_ids()``).  This is the vectorized form of
-        :meth:`gbd_all`: one gather over the query's CSR segments plus a
-        ``bincount`` scatter-add produces all intersection sizes, then a
-        single numpy subtraction yields every GBD at once.
+        The array is indexed by arrival — the order graphs were added in,
+        which is graph id for a plain :class:`GraphDatabase` (ids are assigned
+        contiguously by :meth:`GraphDatabase.add`; shard views map arrival
+        rows to global ids via ``store.global_ids()``).  The store keeps its
+        rows clustered by ``|V_G|`` and gathers this row back into arrival
+        order at its boundary.  This is the vectorized form of
+        :meth:`gbd_all`: one walk of the query's CSR segments produces all
+        intersection sizes, then a single numpy subtraction yields every GBD
+        at once.
         """
         branches_q = branch_multiset(query) if query_branches is None else query_branches
         return self._store.gbd_row(query.num_vertices, branches_q)
@@ -145,7 +147,7 @@ class BranchInvertedIndex:
     def gbd_lower_bound_array(
         self, query: Graph, *, query_branches: Optional[Counter] = None
     ) -> np.ndarray:
-        """Vectorized GBD lower bound for every database graph (store positions).
+        """Vectorized GBD lower bound for every database graph, by arrival like :meth:`gbd_array`.
 
         Entry-wise ``<= gbd_array(query)`` always; computed from per-graph
         norms only (O(1) per graph, no postings traversal) — see

@@ -8,26 +8,26 @@
  * scalar reference loop.
  *
  * Data layout contract (enforced by the ctypes wrappers):
+ *   - A row is addressed by its position in the clustered layout: rows lie in
+ *     ascending |V_row|, by arrival within one order.  ``bounds`` (one slot
+ *     per distinct order plus the row count) cuts the positions into ranges:
+ *     the rows of order distinct[u] are bounds[u]..bounds[u + 1].
  *   - CSR ``offsets`` are int64, one slot per branch key plus a sentinel.
  *   - CSR ``positions`` (row of each posting) and ``counts`` (multiplicity)
  *     are int32 — the compact layout ColumnarBranchStore.compact() emits
  *     unless the store outgrows int32, in which case the wrappers fall back
  *     to the numpy backend instead of calling in here.
- *   - Everything else (key ids, query counts, orders, block codes,
- *     permutations, outputs) is int64, except posterior tables and scores,
- *     which are doubles: ``lut[order * lut_width + gbd]`` is
- *     Pr[GED <= tau | GBD = gbd] at extended order ``order`` (row-major, every
- *     order a query can meet covered — checked by the store before the call).
- *   - Output buffers are caller-allocated; intersection outputs must be
- *     zero-initialised unless noted otherwise.  The two reducers accumulate
- *     intersections in a private int32 buffer, one slot per row (an entry a
- *     reducer reads is at most |B_Q|), that lives for one call: threads share
- *     nothing.
- *   - Within one key's CSR segment the postings are sorted by row position
- *     and rows are unique.
- *   - The (key, |V_row|) block index (``codes_sorted`` = key * stride + order,
- *     ascending, ``permutation`` back to posting slots) lists the postings of
- *     key k in its slots offsets[k]..offsets[k + 1], like the CSR itself.
+ *   - Within one key's CSR segment the postings are sorted by position and
+ *     positions are unique, so the rows of one (key, |V_row|) pair are one
+ *     contiguous slice of the segment.
+ *   - Everything else (key ids, query counts, orders, bounds, ids, outputs)
+ *     is int64, except posterior tables and scores, which are doubles:
+ *     ``lut[order * lut_width + gbd]`` is Pr[GED <= tau | GBD = gbd] at
+ *     extended order ``order`` (row-major, every order a query can meet
+ *     covered — checked by the store before the call).
+ *   - Output buffers are caller-allocated.  The two reducers accumulate
+ *     intersections in private int32 buffers that live for one call (an
+ *     entry a reducer reads is at most |B_Q|): threads share nothing.
  */
 
 #include <stdint.h>
@@ -37,10 +37,10 @@
 #define MIN64(a, b) ((a) < (b) ? (a) : (b))
 #define MAX64(a, b) ((a) > (b) ? (a) : (b))
 
-int64_t repro_kernels_abi_version(void) { return 3; }
+int64_t repro_kernels_abi_version(void) { return 4; }
 
 /* First slot in arr[0..n) not less than value (arr ascending). */
-static int64_t lower_bound_i64(const int64_t *arr, int64_t n, int64_t value) {
+static int64_t lower_bound_i32(const int32_t *arr, int64_t n, int64_t value) {
     int64_t lo = 0, hi = n;
     while (lo < hi) {
         int64_t mid = lo + ((hi - lo) >> 1);
@@ -108,78 +108,120 @@ static void dense_walk(const int64_t *offsets, const int32_t *positions,
     }
 }
 
+/* Scatter-add the matched keys' postings of the rows of the ranges picked[r]
+ * (ascending) into acc, ranges laid end to end.  Per key, each range is one
+ * slice of the position-sorted segment, found by one binary search from where
+ * the slice of the range before it ended: no other row's postings are read. */
+static void ranges_walk(const int64_t *offsets, const int32_t *positions,
+                        const int32_t *counts, const int64_t *key_ids,
+                        const int64_t *query_counts, int64_t num_keys,
+                        const int64_t *bounds, const int64_t *picked, int64_t num_picked,
+                        int32_t *acc) {
+    for (int64_t ki = 0; ki < num_keys; ++ki) {
+        int32_t qc = (int32_t)MIN64(query_counts[ki], INT32_MAX);
+        int64_t s = offsets[key_ids[ki]];
+        int64_t end = offsets[key_ids[ki] + 1];
+        int32_t *column = acc;
+        for (int64_t r = 0; r < num_picked && s < end; ++r) {
+            int64_t first = bounds[picked[r]];
+            int64_t last = bounds[picked[r] + 1];
+            s += lower_bound_i32(positions + s, end - s, first);
+            for (; s < end && positions[s] < last; ++s) {
+                int32_t count = counts[s];
+                column[positions[s] - first] += count < qc ? count : qc;
+            }
+            column += last - first;
+        }
+    }
+}
+
 /* A fresh all-zero int32 accumulator (NULL: out of memory); the caller frees it. */
 static int32_t *zeroed_accumulator(int64_t num_rows) {
     return (int32_t *)calloc((size_t)MAX64(num_rows, 1), sizeof(int32_t));
 }
 
-/* k-way merge of the eligible orders' ascending row runs. */
-typedef struct {
-    int64_t value;
-    int64_t next;
-    int64_t end;
-} merge_run;
-
-static void heap_sift_down(merge_run *heap, int64_t size, int64_t i) {
-    for (;;) {
-        int64_t left = 2 * i + 1;
-        int64_t right = left + 1;
-        int64_t smallest = i;
-        if (left < size && heap[left].value < heap[smallest].value) smallest = left;
-        if (right < size && heap[right].value < heap[smallest].value) smallest = right;
-        if (smallest == i) break;
-        merge_run tmp = heap[i];
-        heap[i] = heap[smallest];
-        heap[smallest] = tmp;
-        i = smallest;
+/* Hits among rows from..to of a range (see reduce_range). */
+static int64_t reduce_rows(const int32_t *acc, int64_t from, int64_t to, int64_t first,
+                           int64_t order, int32_t fewest, const double *row_of, double gamma,
+                           int64_t *out_positions, int64_t *out_gbds, int64_t num_hits) {
+    for (int64_t i = from; i < to; ++i) {
+        if (acc[i] < fewest) continue;
+        int64_t gbd = order - acc[i];
+        if (row_of[gbd] >= gamma) {
+            out_positions[num_hits] = first + i;
+            out_gbds[num_hits++] = gbd;
+        }
     }
+    return num_hits;
+}
+
+/* The hits among the `size` rows of one range, whose first row is position
+ * `first` and whose extended order is `order`: row i is one when its GBD
+ * order - acc[i] is within max_gbd and lut[order, gbd] >= gamma — Step 4's own
+ * comparison of doubles.  The order is constant over the range, so the largest
+ * accepting GBD within the cap is found once, and a row sharing fewer branches
+ * than order minus that GBD cannot be a hit: most rows are, and blocks of 16
+ * of them are dismissed by one test the compiler vectorises.  Read off the
+ * table, not off the caller's thresholds: hits are the rows the table accepts,
+ * whatever bars the caller filtered with.  Appends to out_positions /
+ * out_gbds from slot num_hits on; returns the new hit count. */
+static int64_t reduce_range(const int32_t *acc, int64_t first, int64_t size,
+                            int64_t order, const double *lut, int64_t lut_width,
+                            double gamma, int64_t max_gbd, int64_t *out_positions,
+                            int64_t *out_gbds, int64_t num_hits) {
+    const double *row_of = lut + order * lut_width;
+    int64_t largest = MIN64(order, max_gbd);
+    while (largest >= 0 && !(row_of[largest] >= gamma)) --largest;
+    if (largest < 0) return num_hits;
+    int32_t fewest = (int32_t)(order - largest);
+    int64_t block = 0;
+    for (; block + 16 <= size; block += 16) {
+        int32_t any = 0;
+        for (int64_t i = block; i < block + 16; ++i) any |= acc[i] >= fewest;
+        if (any) {
+            num_hits = reduce_rows(acc, block, block + 16, first, order, fewest, row_of, gamma,
+                                   out_positions, out_gbds, num_hits);
+        }
+    }
+    return reduce_rows(acc, block, size, first, order, fewest, row_of, gamma, out_positions,
+                       out_gbds, num_hits);
 }
 
 /* Single-pass filter, verify and threshold reduce for one query:
- *   1. per distinct |V_G|, the GBD lower bound is compared against the
- *      caller's max-acceptable-GBD threshold (out_eligible is always
- *      filled; ineligible orders' rows are never touched again on the sparse
+ *   1. per distinct |V_G| (range u), the GBD lower bound is compared against
+ *      the caller's max-acceptable-GBD threshold (out_eligible is always
+ *      filled; ineligible ranges' rows are never touched again on the sparse
  *      plan);
  *   2. no eligible row: nothing else happens;
  *   3. at most max_candidates eligible rows (the sparse plan): the eligible
- *      orders' row runs (row_order[starts[u]:ends[u]], each ascending) are
- *      heap-merged into out_positions (sorted) and the survivors'
- *      intersections accumulated via the (key, order) block index — postings
- *      of pruned rows are never read;
+ *      ranges' intersections are accumulated from the slices of the matched
+ *      segments — postings of pruned rows are never read;
  *      more (the dense plan): the matched keys' segments are scatter-added
  *      into a private accumulator, every row verified;
- *   4. each verified row is a hit when
- *          gbd = max(|V_Q|, |V_G|) - |B_Q ∩ B_G| <= max_gbd
- *          && lut[order * lut_width + gbd] >= gamma
- *      — Step 4's own comparison of doubles — and the hits' store positions
- *      (ascending) and GBDs are compacted into out_positions / out_gbds, their
- *      number written to *out_num_hits.
+ *   4. each verified range is reduced with its order held constant
+ *      (reduce_range); the hits' positions (ascending) and GBDs are
+ *      compacted into out_positions / out_gbds, their number written to
+ *      *out_num_hits.
  * Returns the eligible row count, or -1 on allocation failure (the wrapper
  * then falls back to the numpy backend).  out_positions / out_gbds must hold
- * num_rows slots. */
+ * as many slots as there are rows. */
 int64_t repro_filter_verify_row(
     int64_t num_query_vertices, int64_t matched_total, const int64_t *distinct,
-    const int64_t *starts, const int64_t *ends, int64_t num_distinct,
-    const int64_t *row_order, const int64_t *thresholds, int64_t max_candidates,
-    const int64_t *codes_sorted, const int64_t *permutation, int64_t num_postings,
-    int64_t stride, const int64_t *offsets, const int32_t *positions,
+    const int64_t *bounds, int64_t num_distinct, const int64_t *thresholds,
+    int64_t max_candidates, const int64_t *offsets, const int32_t *positions,
     const int32_t *counts, const int64_t *key_ids, const int64_t *query_counts,
-    int64_t num_keys, const int64_t *orders, int64_t num_rows, const double *lut,
-    int64_t lut_width, double gamma, int64_t max_gbd, int64_t *out_positions,
-    int64_t *out_gbds, uint8_t *out_eligible, int64_t *out_num_hits) {
-    int64_t num_eligible = 0;
-    int64_t num_runs = 0;
-    int64_t num_hits = 0;
+    int64_t num_keys, const double *lut, int64_t lut_width, double gamma,
+    int64_t max_gbd, int64_t *out_positions, int64_t *out_gbds,
+    uint8_t *out_eligible, int64_t *out_num_hits) {
+    int64_t num_eligible = 0, num_picked = 0, num_hits = 0;
     *out_num_hits = 0;
     for (int64_t u = 0; u < num_distinct; ++u) {
         int64_t order = distinct[u];
         int64_t bound = MAX64(num_query_vertices, order) - MIN64(matched_total, order);
-        if (bound <= thresholds[u]) {
-            out_eligible[u] = 1;
-            num_eligible += ends[u] - starts[u];
-            ++num_runs;
-        } else {
-            out_eligible[u] = 0;
+        out_eligible[u] = bound <= thresholds[u];
+        if (out_eligible[u]) {
+            num_eligible += bounds[u + 1] - bounds[u];
+            ++num_picked;
         }
     }
     if (num_eligible == 0) {
@@ -187,99 +229,44 @@ int64_t repro_filter_verify_row(
     }
 
     if (num_eligible > max_candidates) {
-        int32_t *acc = zeroed_accumulator(num_rows);
+        int32_t *acc = zeroed_accumulator(bounds[num_distinct]);
         if (acc == NULL) {
             return -1;
         }
         dense_walk(offsets, positions, counts, key_ids, query_counts, num_keys, acc);
-        /* The fewest shared branches any hit can have: a row of extended
-         * order e is one only if lut[e, g] >= gamma for its GBD g = e - acc, so
-         * acc >= e - (largest accepting g within the cap), minimised over the
-         * orders present.  Most rows fail that one comparison.  Read off the
-         * table, not off thresholds: this plan's hits are the rows the table
-         * accepts, whatever bars the caller filters with. */
-        int64_t fewest = INT64_MAX;
         for (int64_t u = 0; u < num_distinct; ++u) {
-            int64_t order = MAX64(num_query_vertices, distinct[u]);
-            const double *row_of = lut + order * lut_width;
-            for (int64_t gbd = MIN64(order, max_gbd); gbd >= 0; --gbd) {
-                if (row_of[gbd] >= gamma) {
-                    fewest = MIN64(fewest, order - gbd);
-                    break;
-                }
-            }
-        }
-        for (int64_t row = 0; row < num_rows; ++row) {
-            if (acc[row] < fewest) continue;
-            int64_t order = MAX64(num_query_vertices, orders[row]);
-            int64_t gbd = order - acc[row];
-            if (gbd <= max_gbd && lut[order * lut_width + gbd] >= gamma) {
-                out_positions[num_hits] = row;
-                out_gbds[num_hits++] = gbd;
-            }
+            num_hits = reduce_range(acc + bounds[u], bounds[u], bounds[u + 1] - bounds[u],
+                                    MAX64(num_query_vertices, distinct[u]), lut, lut_width,
+                                    gamma, max_gbd, out_positions, out_gbds, num_hits);
         }
         free(acc);
         *out_num_hits = num_hits;
         return num_eligible;
     }
 
-    merge_run *heap = (merge_run *)malloc((size_t)num_runs * sizeof(merge_run));
-    if (heap == NULL) {
+    int64_t *picked = (int64_t *)malloc((size_t)num_picked * sizeof(int64_t));
+    int32_t *acc = zeroed_accumulator(num_eligible);
+    if (picked == NULL || acc == NULL) {
+        free(picked);
+        free(acc);
         return -1;
     }
-    int64_t size = 0;
-    for (int64_t u = 0; u < num_distinct; ++u) {
-        if (out_eligible[u] && starts[u] < ends[u]) {
-            heap[size].value = row_order[starts[u]];
-            heap[size].next = starts[u] + 1;
-            heap[size].end = ends[u];
-            ++size;
-        }
+    for (int64_t u = 0, r = 0; u < num_distinct; ++u) {
+        if (out_eligible[u]) picked[r++] = u;
     }
-    for (int64_t i = size / 2 - 1; i >= 0; --i) {
-        heap_sift_down(heap, size, i);
+    ranges_walk(offsets, positions, counts, key_ids, query_counts, num_keys, bounds, picked,
+                num_picked, acc);
+    const int32_t *column = acc;
+    for (int64_t r = 0; r < num_picked; ++r) {
+        int64_t u = picked[r];
+        int64_t size = bounds[u + 1] - bounds[u];
+        num_hits = reduce_range(column, bounds[u], size, MAX64(num_query_vertices, distinct[u]),
+                                lut, lut_width, gamma, max_gbd, out_positions, out_gbds,
+                                num_hits);
+        column += size;
     }
-    int64_t cursor = 0;
-    while (size > 0) {
-        out_positions[cursor++] = heap[0].value;
-        if (heap[0].next < heap[0].end) {
-            heap[0].value = row_order[heap[0].next++];
-        } else {
-            heap[0] = heap[size - 1];
-            --size;
-        }
-        heap_sift_down(heap, size, 0);
-    }
-    free(heap);
-
-    /* out_gbds holds the survivors' intersections until the reduce below. */
-    memset(out_gbds, 0, (size_t)num_eligible * sizeof(int64_t));
-    for (int64_t ki = 0; ki < num_keys; ++ki) {
-        int64_t base = key_ids[ki] * stride;
-        int64_t qc = query_counts[ki];
-        for (int64_t u = 0; u < num_distinct; ++u) {
-            if (!out_eligible[u]) continue;
-            int64_t code = base + distinct[u];
-            int64_t lo = lower_bound_i64(codes_sorted, num_postings, code);
-            for (; lo < num_postings && codes_sorted[lo] == code; ++lo) {
-                int64_t slot = permutation[lo];
-                int64_t row = positions[slot];
-                int64_t col = lower_bound_i64(out_positions, num_eligible, row);
-                if (col < num_eligible && out_positions[col] == row) {
-                    out_gbds[col] += MIN64(qc, (int64_t)counts[slot]);
-                }
-            }
-        }
-    }
-    for (int64_t col = 0; col < num_eligible; ++col) {
-        int64_t row = out_positions[col];
-        int64_t order = MAX64(num_query_vertices, orders[row]);
-        int64_t gbd = order - out_gbds[col];
-        if (gbd <= max_gbd && lut[order * lut_width + gbd] >= gamma) {
-            out_positions[num_hits] = row;
-            out_gbds[num_hits++] = gbd;
-        }
-    }
+    free(picked);
+    free(acc);
     *out_num_hits = num_hits;
     return num_eligible;
 }
@@ -364,45 +351,45 @@ static void next_group_sift_down(group_bound *heap, int64_t size, int64_t i) {
 
 /* The whole k-best reducer for one query — bound, ordered candidates, verify,
  * reduce:
- *   1. per distinct |V_G| (slot u): extended order e = max(|V_Q|, |V_G|), GBD
+ *   1. per distinct |V_G| (range u): extended order e = max(|V_Q|, |V_G|), GBD
  *      lower bound b = e - min(matched_total, |V_G|), posterior upper bound
  *      bound_lut[e * bound_width + b].  With the branch-bound cap (max_gbd <
  *      INT64_MAX) the groups with b <= max_gbd are ranked in; without it those
  *      with a positive bound — a zero bound settles the score at 0.0;
  *   2. ranked-in groups are visited by descending bound and the visit ends at
  *      the first whose bound is strictly below the k-th best score so far;
- *   3. a visited group's rows (row_order[starts[u]:ends[u]]) are verified by
- *      scatter-adding the group's (key, |V_G|) blocks into a private
- *      accumulator, until the rows verified so far plus the next group exceed
- *      max_candidates: from there the matched keys' whole segments are walked
- *      once (rows of groups already visited take a second helping nobody
- *      reads) and the groups that follow read the accumulator as it is;
+ *   3. a visited group's rows (positions bounds[u]..bounds[u + 1]) are
+ *      verified from the group's slices of the matched segments, into a fresh
+ *      stretch of a probe accumulator of max_candidates slots, until the rows
+ *      verified so far plus the next group exceed max_candidates: from there
+ *      the matched keys' whole segments are walked once into a dense
+ *      accumulator the groups that follow read as it is;
  *   4. a verified row with gbd = e - |B_Q ∩ B_G| <= max_gbd is scored
  *      lut[e * lut_width + gbd] and offered to the heap under (-score, id);
  *   5. without the cap, a heap that is short or whose root scores 0.0 is filled
  *      from the zero-bound groups, smallest graph ids first.
- * out_ids / out_scores (k slots, k <= num_rows) are the heap, left in heap
- * order: the caller ranks once, at the end.  out_plan[0] is the number of rows
+ * out_ids / out_scores (k slots, k <= rows) are the heap, left in heap order:
+ * the caller ranks once, at the end.  out_plan[0] is the number of rows
  * verified, out_plan[1] whether the dense walk ran.  Returns the number of
  * entries, or -1 on allocation failure (the wrapper then falls back to the
  * numpy backend). */
 int64_t repro_filter_verify_topk(
     int64_t num_query_vertices, int64_t matched_total, const int64_t *distinct,
-    const int64_t *starts, const int64_t *ends, int64_t num_distinct,
-    const int64_t *row_order, int64_t max_candidates, const int64_t *codes_sorted,
-    const int64_t *permutation, int64_t stride, const int64_t *offsets,
-    const int32_t *positions, const int32_t *counts, const int64_t *key_ids,
-    const int64_t *query_counts, int64_t num_keys, const int64_t *global_ids,
-    int64_t num_rows, const double *lut, int64_t lut_width, const double *bound_lut,
-    int64_t bound_width, int64_t max_gbd, int64_t k, int64_t *out_ids,
-    double *out_scores, int64_t *out_plan) {
+    const int64_t *bounds, int64_t num_distinct, int64_t max_candidates,
+    const int64_t *offsets, const int32_t *positions, const int32_t *counts,
+    const int64_t *key_ids, const int64_t *query_counts, int64_t num_keys,
+    const int64_t *global_ids, const double *lut, int64_t lut_width,
+    const double *bound_lut, int64_t bound_width, int64_t max_gbd, int64_t k,
+    int64_t *out_ids, double *out_scores, int64_t *out_plan) {
     int capped = max_gbd != INT64_MAX;
+    int64_t num_rows = bounds[num_distinct];
     group_bound *reach =
         (group_bound *)malloc((size_t)MAX64(num_distinct, 1) * sizeof(group_bound));
-    int32_t *acc = zeroed_accumulator(num_rows);
-    if (reach == NULL || acc == NULL) {
+    int32_t *probe = zeroed_accumulator(MIN64(max_candidates, num_rows));
+    int32_t *acc = NULL;
+    if (reach == NULL || probe == NULL) {
         free(reach);
-        free(acc);
+        free(probe);
         return -1;
     }
     /* Ranked-in groups fill reach from the front (the heap), zero-bound groups
@@ -424,53 +411,51 @@ int64_t repro_filter_verify_topk(
     }
 
     int64_t size = 0, verified = 0;
-    int dense = 0;
     while (in_reach > 0 && !(size == k && reach[0].bound < out_scores[0])) {
         int64_t u = reach[0].group;
         reach[0] = reach[--in_reach];
         next_group_sift_down(reach, in_reach, 0);
-        if (!dense && verified + ends[u] - starts[u] > max_candidates) {
-            dense_walk(offsets, positions, counts, key_ids, query_counts, num_keys, acc);
-            dense = 1;
-        }
-        if (!dense) {
-            for (int64_t ki = 0; ki < num_keys; ++ki) {
-                int64_t key = key_ids[ki];
-                int64_t code = key * stride + distinct[u];
-                int64_t key_end = offsets[key + 1];
-                int32_t qc = (int32_t)MIN64(query_counts[ki], INT32_MAX);
-                int64_t lo = offsets[key] + lower_bound_i64(codes_sorted + offsets[key],
-                                                            key_end - offsets[key], code);
-                for (; lo < key_end && codes_sorted[lo] == code; ++lo) {
-                    int64_t slot = permutation[lo];
-                    int32_t count = counts[slot];
-                    acc[positions[slot]] += count < qc ? count : qc;
-                }
+        int64_t first = bounds[u], rows = bounds[u + 1] - first;
+        if (acc == NULL && verified + rows > max_candidates) {
+            acc = zeroed_accumulator(num_rows);
+            if (acc == NULL) {
+                free(reach);
+                free(probe);
+                return -1;
             }
+            dense_walk(offsets, positions, counts, key_ids, query_counts, num_keys, acc);
         }
-        verified += ends[u] - starts[u];
+        const int32_t *shared;
+        if (acc != NULL) {
+            shared = acc + first;
+        } else {
+            shared = probe + verified;
+            ranges_walk(offsets, positions, counts, key_ids, query_counts, num_keys, bounds, &u,
+                        1, probe + verified);
+        }
+        verified += rows;
         int64_t order = MAX64(num_query_vertices, distinct[u]);
         const double *row_of = lut + order * lut_width;
-        for (int64_t i = starts[u]; i < ends[u]; ++i) {
-            int64_t row = row_order[i];
-            int64_t gbd = order - acc[row];
+        for (int64_t i = 0; i < rows; ++i) {
+            int64_t gbd = order - shared[i];
             if (gbd > max_gbd) continue;
-            size = offer_to_heap(out_ids, out_scores, size, k, global_ids[row], row_of[gbd]);
+            size = offer_to_heap(out_ids, out_scores, size, k, global_ids[first + i], row_of[gbd]);
         }
     }
+    out_plan[1] = acc != NULL;
     free(acc);
+    free(probe);
 
     if (size < k || out_scores[0] <= 0.0) {
         for (; settled < num_distinct; ++settled) {
             int64_t u = reach[settled].group;
-            for (int64_t i = starts[u]; i < ends[u]; ++i) {
-                size = offer_to_heap(out_ids, out_scores, size, k, global_ids[row_order[i]], 0.0);
+            for (int64_t row = bounds[u]; row < bounds[u + 1]; ++row) {
+                size = offer_to_heap(out_ids, out_scores, size, k, global_ids[row], 0.0);
             }
         }
     }
     free(reach);
     out_plan[0] = verified;
-    out_plan[1] = dense;
     return size;
 }
 
@@ -478,79 +463,67 @@ int64_t repro_filter_verify_topk(
  * the write path: one compaction as one linear pass
  * ------------------------------------------------------------------ */
 
-/* Merge the append buffer into a CSR snapshot and carry the derived indexes.
+/* Merge the append buffer into a CSR snapshot whose rows were re-laid out.
  *
- * Pending postings (key, row, count — arrival order, rows ascending and past
- * every old row) join the tail of their key's segment; an old segment moves
- * by the room the keys before it grew.  Outputs (caller-allocated):
- *   - offsets[num_keys + 1], positions/counts[old total + num_pending];
- *   - codes/permutation (old_codes NULL: skipped): the (key, |V_row|) block
- *     index of the merged CSR.  The old index is walked once in sorted order —
- *     keys ascend along it, so the key of each entry, and with it the slot
- *     shift of its segment and its code under a grown stride, is tracked with
- *     no division — while the pending postings, visited through by_code
- *     (their stable order by pending_codes = key * stride + |V_row|), are
- *     merged in behind the old postings of their block.
- * cursor[num_keys] and pending_slots[num_pending] are scratch. */
+ * shift[p] is the new position of old position p (monotone: new rows are
+ * interleaved into their order's range, old rows keep their relative order);
+ * the pending postings (key, new position, count) come ascending in position.
+ * They are counting-sorted by key into sorted_positions / sorted_counts
+ * (stable, so each key's run stays ascending), then every key's old segment,
+ * sent through shift, and its run are merged into the key's new segment — so
+ * segments stay sorted by position.  Outputs (caller-allocated):
+ * offsets[num_keys + 1], positions/counts[old total + num_pending].
+ * cursor[num_keys + 1] and sorted_positions / sorted_counts[num_pending] are
+ * scratch. */
 void repro_merge_postings(
     const int64_t *old_offsets, const int32_t *old_positions,
-    const int32_t *old_counts, int64_t old_num_keys, const int64_t *pending_keys,
-    const int64_t *pending_positions, const int64_t *pending_counts,
-    int64_t num_pending, int64_t num_keys, int64_t *offsets, int32_t *positions,
-    int32_t *counts, int64_t *cursor, int64_t *pending_slots, const int64_t *old_codes,
-    const int64_t *old_permutation, int64_t old_stride, int64_t stride,
-    const int64_t *pending_codes, const int64_t *by_code, int64_t *codes,
-    int64_t *permutation) {
-    memset(offsets, 0, (size_t)(num_keys + 1) * sizeof(int64_t));
+    const int32_t *old_counts, int64_t old_num_keys, const int64_t *shift,
+    const int64_t *pending_keys, const int64_t *pending_positions,
+    const int64_t *pending_counts, int64_t num_pending, int64_t num_keys,
+    int64_t *offsets, int32_t *positions, int32_t *counts, int64_t *cursor,
+    int32_t *sorted_positions, int32_t *sorted_counts) {
+    memset(cursor, 0, (size_t)(num_keys + 1) * sizeof(int64_t));
     for (int64_t i = 0; i < num_pending; ++i) {
-        ++offsets[pending_keys[i] + 1];
+        ++cursor[pending_keys[i] + 1];
     }
+    offsets[0] = 0;
     for (int64_t k = 0; k < num_keys; ++k) {
         int64_t old_length = k < old_num_keys ? old_offsets[k + 1] - old_offsets[k] : 0;
-        offsets[k + 1] += offsets[k] + old_length;
-        cursor[k] = offsets[k] + old_length;
-        /* A plain loop rather than memcpy: one more imported symbol moves
-         * every kernel above by a PLT slot, and the block-probe loops ran 3 %
-         * slower at the new alignment. */
-        int64_t from = old_length ? old_offsets[k] : 0;
-        for (int64_t s = 0; s < old_length; ++s) {
-            positions[offsets[k] + s] = old_positions[from + s];
-            counts[offsets[k] + s] = old_counts[from + s];
-        }
+        offsets[k + 1] = offsets[k] + old_length + cursor[k + 1];
+        cursor[k + 1] += cursor[k];
     }
+    /* cursor[k] is where key k's run starts; placing a posting advances it,
+     * so afterwards the run of key k ends at cursor[k]. */
     for (int64_t i = 0; i < num_pending; ++i) {
         int64_t slot = cursor[pending_keys[i]]++;
-        positions[slot] = (int32_t)pending_positions[i];
-        counts[slot] = (int32_t)pending_counts[i];
-        pending_slots[i] = slot;
+        sorted_positions[slot] = (int32_t)pending_positions[i];
+        sorted_counts[slot] = (int32_t)pending_counts[i];
     }
-    if (old_codes == NULL) {
-        return;
-    }
-    int64_t num_old = old_offsets[old_num_keys];
-    int64_t rebase = stride - old_stride;
-    int64_t key = 0, key_end = old_stride, shift = 0, lift = 0;
-    int64_t i = 0, out = 0;
-    for (int64_t j = 0; j <= num_pending; ++j) {
-        /* Old entries up to (and equal to) the next pending code go first. */
-        int64_t next = j < num_pending ? by_code[j] : -1;
-        for (; i < num_old; ++i) {
-            int64_t code = old_codes[i];
-            if (code >= key_end) {
-                do {
-                    ++key;
-                    key_end += old_stride;
-                } while (code >= key_end);
-                shift = offsets[key] - old_offsets[key];
-                lift = key * rebase;
+    for (int64_t k = 0; k < num_keys; ++k) {
+        int64_t a = k < old_num_keys ? old_offsets[k] : 0;
+        int64_t a_end = k < old_num_keys ? old_offsets[k + 1] : 0;
+        int64_t b = k ? cursor[k - 1] : 0, b_end = cursor[k];
+        int64_t out = offsets[k];
+        /* Plain loops rather than memcpy: one more imported symbol moves every
+         * kernel above by a PLT slot, and the walks ran 3 % slower at the new
+         * alignment. */
+        while (a < a_end && b < b_end) {
+            int64_t moved = shift[old_positions[a]];
+            if (moved < sorted_positions[b]) {
+                positions[out] = (int32_t)moved;
+                counts[out++] = old_counts[a++];
+            } else {
+                positions[out] = sorted_positions[b];
+                counts[out++] = sorted_counts[b++];
             }
-            if (next >= 0 && code + lift > pending_codes[next]) break;
-            codes[out] = code + lift;
-            permutation[out++] = old_permutation[i] + shift;
         }
-        if (next >= 0) {
-            codes[out] = pending_codes[next];
-            permutation[out++] = pending_slots[next];
+        for (; a < a_end; ++a) {
+            positions[out] = (int32_t)shift[old_positions[a]];
+            counts[out++] = old_counts[a];
+        }
+        for (; b < b_end; ++b) {
+            positions[out] = sorted_positions[b];
+            counts[out++] = sorted_counts[b];
         }
     }
 }

@@ -15,14 +15,15 @@ backend than on the numpy one.
 Pointer arguments are declared ``void *`` and passed as plain addresses:
 extracting ``array.ctypes.data_as(...)`` costs ~2µs per array in ctypes
 machinery, which at a dozen arrays per fused call would rival the kernel
-itself.  Addresses of snapshot-stable arrays (the CSR triple, the block and
-partition indexes, the row vectors, the execution core's threshold vectors
-and posterior tables) are therefore identity-cached via :func:`_pinned` — the
-cache holds a strong reference to each keyed array, so a cached address can
-never dangle or alias a recycled ``id``.
+itself.  Addresses of snapshot-stable arrays (the CSR triple, the order
+ranges, the row vectors, the execution core's threshold vectors and
+posterior tables) are therefore identity-cached via :func:`_pinned` — an
+entry lives exactly as long as its array, so a cached address can never
+dangle or alias a recycled ``id``, and a superseded snapshot's arrays leave
+the cache with the snapshot.
 
-The two reducers accumulate intersections inside the C call, in a buffer of
-four bytes a row that lives for that call alone — nothing is shared between
+The two reducers accumulate intersections inside the C call, in buffers of
+four bytes a row that live for that call alone — nothing is shared between
 threads, nothing persists on a store — and write hits into caller-allocated
 outputs sized for the worst case, of which only the slots of actual hits are
 ever touched.
@@ -43,6 +44,7 @@ import shutil
 import subprocess
 import tempfile
 import threading
+import weakref
 from pathlib import Path
 from typing import Dict, Optional, Tuple
 
@@ -53,16 +55,16 @@ from repro.db.kernels import numpy_impl
 name = "native"
 
 _SOURCE_PATH = Path(__file__).with_name("_kernels.c")
-_ABI_VERSION = 3
+_ABI_VERSION = 4
 
 #: argtypes of every exported kernel (i=int64 scalar, d=double, p=array address)
 _SIGNATURES = {
     "repro_kernels_abi_version": "",
     "repro_intersection_row": "pppppip",
     "repro_gbd_lower_bound_row": "iipip",
-    "repro_filter_verify_row": "iipppippippiipppppipipidipppp",
-    "repro_filter_verify_topk": "iipppipippipppppipipipiiippp",
-    "repro_merge_postings": "pppipppiipppppppiipppp",
+    "repro_filter_verify_row": "iippipipppppipidipppp",
+    "repro_filter_verify_topk": "iippiipppppippipiiippp",
+    "repro_merge_postings": "pppippppiipppppp",
 }
 _ARG_KINDS = {"i": ctypes.c_int64, "d": ctypes.c_double, "p": ctypes.c_void_p}
 #: ``max_gbd`` of a reducer called without the branch-bound cap: no GBD exceeds it.
@@ -172,23 +174,25 @@ def load_error() -> Optional[str]:
     return _load_error
 
 
-#: id(array) -> (keyed array, contiguous twin, address).  Entries strongly
-#: reference the keyed array, so its id cannot be recycled while cached and
-#: the address cannot dangle.  Snapshot arrays change only on compaction,
-#: where :func:`merge_postings` drops the superseded P-sized ones; the
-#: occasional wholesale clear just re-primes a handful of entries.
-_PTR_CACHE: Dict[int, Tuple[np.ndarray, np.ndarray, int]] = {}
+#: id(array) -> (weak reference to the keyed array, contiguous twin or
+#: ``None`` when that is the array itself, address).  The reference's callback
+#: drops the entry when the array is collected — before its id can be reused —
+#: so the cache never keeps an array alive: a write stream's superseded
+#: snapshots leave it with their arrays.
+_PTR_CACHE: Dict[int, Tuple[weakref.ref, Optional[np.ndarray], int]] = {}
 
 
 def _pinned(array: np.ndarray, dtype) -> int:
     """Cached address of a snapshot-stable array (contiguous, ``dtype``)."""
     key = id(array)
     entry = _PTR_CACHE.get(key)
-    if entry is None or entry[0] is not array:
-        if len(_PTR_CACHE) > 512:
-            _PTR_CACHE.clear()
+    if entry is None or entry[0]() is not array:
         contiguous = np.ascontiguousarray(array, dtype=dtype)
-        entry = (array, contiguous, contiguous.ctypes.data)
+        entry = (
+            weakref.ref(array, lambda _dead, key=key, drop=_PTR_CACHE.pop: drop(key, None)),
+            None if contiguous is array else contiguous,
+            contiguous.ctypes.data,
+        )
         _PTR_CACHE[key] = entry
     return entry[2]
 
@@ -201,16 +205,14 @@ def _c64(array: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(array, dtype=np.int64)
 
 
-def _address(array: Optional[np.ndarray]) -> Optional[int]:
-    """Address of a call-scoped array the caller keeps referenced (NULL for ``None``).
+def _address(array: np.ndarray) -> int:
+    """Address of a call-scoped array the caller keeps referenced.
 
     ``array.ctypes`` builds a helper object on every access (~1.9µs, and a
     read wrapper takes three to five addresses per query); the buffer
     protocol hands out the same address in a third of that.  It refuses
     empty and read-only arrays, which take the general route.
     """
-    if array is None:
-        return None
     try:
         return ctypes.addressof(ctypes.c_char.from_buffer(array))
     except (TypeError, ValueError):
@@ -253,9 +255,7 @@ def gbd_lower_bound_row(num_query_vertices, matched_total, orders):
 
 def filter_verify_row(
     csr,
-    blocks,
-    partition,
-    orders,
+    ranges,
     num_query_vertices,
     matched_total,
     key_ids,
@@ -267,59 +267,49 @@ def filter_verify_row(
     max_gbd,
 ):
     compact = _compact_csr(csr)
-    if compact is None:
-        return numpy_impl.filter_verify_row(
-            csr, blocks, partition, orders, num_query_vertices, matched_total,
-            key_ids, query_counts, thresholds, max_candidates, lut, gamma, max_gbd,
+    if compact is not None:
+        distinct, bounds = ranges
+        keys = _c64(key_ids)
+        counts_q = _c64(query_counts)
+        eligible_flags = np.empty(len(distinct), dtype=np.uint8)
+        # Room for every row to be a hit; only the slots of actual hits are
+        # ever written, so the rest of the pages are never touched.
+        out_positions = np.empty(csr[3], dtype=np.int64)
+        out_gbds = np.empty(csr[3], dtype=np.int64)
+        num_hits = np.zeros(1, dtype=np.int64)
+        num_eligible = int(
+            _library().repro_filter_verify_row(
+                int(num_query_vertices), int(matched_total),
+                _pinned(distinct, np.int64), _pinned(bounds, np.int64), len(distinct),
+                # The execution core reuses one thresholds array per repeated
+                # query shape, so its address is worth caching too.
+                _pinned(thresholds, np.int64), max(int(max_candidates), 0),
+                *compact,
+                _address(keys), _address(counts_q), len(keys),
+                _pinned(lut, np.float64), lut.shape[1], float(gamma),
+                _NO_CAP if max_gbd is None else int(max_gbd),
+                _address(out_positions), _address(out_gbds),
+                _address(eligible_flags), _address(num_hits),
+            )
         )
-    codes_sorted, permutation, stride = blocks
-    distinct, row_order, starts, ends = partition
-    num_rows = len(orders)
-    keys = _c64(key_ids)
-    counts_q = _c64(query_counts)
-    # The execution core reuses one thresholds array per repeated query
-    # shape, so its address is worth caching alongside the snapshot arrays.
-    bars_ptr = _pinned(thresholds, np.int64)
-    eligible_flags = np.empty(len(distinct), dtype=np.uint8)
-    # Room for every row to be a hit; only the slots of actual hits are
-    # ever written, so the rest of the pages are never touched.
-    out_positions = np.empty(num_rows, dtype=np.int64)
-    out_gbds = np.empty(num_rows, dtype=np.int64)
-    num_hits = np.zeros(1, dtype=np.int64)
-    num_eligible = int(
-        _library().repro_filter_verify_row(
-            int(num_query_vertices), int(matched_total),
-            _pinned(distinct, np.int64), _pinned(starts, np.int64),
-            _pinned(ends, np.int64), len(distinct),
-            _pinned(row_order, np.int64), bars_ptr, max(int(max_candidates), 0),
-            _pinned(codes_sorted, np.int64), _pinned(permutation, np.int64),
-            len(codes_sorted), stride,
-            *compact,
-            _address(keys), _address(counts_q), len(keys),
-            _pinned(orders, np.int64), num_rows,
-            _pinned(lut, np.float64), lut.shape[1], float(gamma),
-            _NO_CAP if max_gbd is None else int(max_gbd),
-            _address(out_positions), _address(out_gbds),
-            _address(eligible_flags), _address(num_hits),
-        )
-    )
-    if num_eligible < 0:  # allocation failure inside the kernel
-        return numpy_impl.filter_verify_row(
-            csr, blocks, partition, orders, num_query_vertices, matched_total,
-            key_ids, query_counts, thresholds, max_candidates, lut, gamma, max_gbd,
-        )
-    hits = int(num_hits[0])
-    # Copies, not views: a few hits must not keep two D-sized buffers alive.
-    return (
-        out_positions[:hits].copy(), out_gbds[:hits].copy(),
-        eligible_flags.view(np.bool_), num_eligible,
+        if num_eligible >= 0:
+            hits = int(num_hits[0])
+            # Copies, not views: a few hits must not keep two D-sized buffers alive.
+            return (
+                out_positions[:hits].copy(), out_gbds[:hits].copy(),
+                eligible_flags.view(np.bool_), num_eligible,
+            )
+    # A store that outgrew int32, or an allocation failure inside the kernel:
+    # the dtype-agnostic reference handles it.
+    return numpy_impl.filter_verify_row(
+        csr, ranges, num_query_vertices, matched_total, key_ids, query_counts,
+        thresholds, max_candidates, lut, gamma, max_gbd,
     )
 
 
 def filter_verify_topk(
     csr,
-    blocks,
-    partition,
+    ranges,
     global_ids,
     num_query_vertices,
     matched_total,
@@ -334,8 +324,7 @@ def filter_verify_topk(
     compact = _compact_csr(csr)
     capacity = min(int(k), len(global_ids))
     if compact is not None and capacity >= 1:
-        codes_sorted, permutation, stride = blocks
-        distinct, row_order, starts, ends = partition
+        distinct, bounds = ranges
         keys = _c64(key_ids)
         counts_q = _c64(query_counts)
         out_ids = np.empty(capacity, dtype=np.int64)
@@ -344,13 +333,11 @@ def filter_verify_topk(
         kept = int(
             _library().repro_filter_verify_topk(
                 int(num_query_vertices), int(matched_total),
-                _pinned(distinct, np.int64), _pinned(starts, np.int64),
-                _pinned(ends, np.int64), len(distinct),
-                _pinned(row_order, np.int64), max(int(max_candidates), 0),
-                _pinned(codes_sorted, np.int64), _pinned(permutation, np.int64), stride,
+                _pinned(distinct, np.int64), _pinned(bounds, np.int64), len(distinct),
+                max(int(max_candidates), 0),
                 *compact,
                 _address(keys), _address(counts_q), len(keys),
-                _pinned(global_ids, np.int64), len(global_ids),
+                _pinned(global_ids, np.int64),
                 _pinned(lut, np.float64), lut.shape[1],
                 _pinned(bound_lut, np.float64), bound_lut.shape[1],
                 _NO_CAP if max_gbd is None else int(max_gbd), capacity,
@@ -362,63 +349,40 @@ def filter_verify_topk(
     # A store that outgrew int32, no row to rank, or an allocation failure
     # inside the kernel: the dtype-agnostic reference handles it.
     return numpy_impl.filter_verify_topk(
-        csr, blocks, partition, global_ids, num_query_vertices, matched_total,
-        key_ids, query_counts, max_candidates, lut, bound_lut, max_gbd, k,
+        csr, ranges, global_ids, num_query_vertices, matched_total, key_ids,
+        query_counts, max_candidates, lut, bound_lut, max_gbd, k,
     )
 
 
-def merge_postings(csr, blocks, pending, num_keys, orders, position_dtype, count_dtype):
+def merge_postings(csr, pending, num_keys, shift, position_dtype, count_dtype):
     old_offsets, old_positions, old_counts, _old_rows = csr
-    # The snapshot these arrays belong to is being superseded: stop pinning
-    # them, or every compaction's P-sized arrays stay alive (and the next
-    # ones land on fresh pages) until the address cache's wholesale clear.
-    # A reader still on that snapshot holds the arrays itself and re-pins.
-    for array in csr[:3] + (blocks[:2] if blocks is not None else ()):
-        _PTR_CACHE.pop(id(array), None)
     if not (
         old_positions.dtype == old_counts.dtype == position_dtype == count_dtype == np.int32
     ):
         # Wide layout on either side of the merge (the promotion itself
         # included): the dtype-agnostic reference handles it.
         return numpy_impl.merge_postings(
-            csr, blocks, pending, num_keys, orders, position_dtype, count_dtype
+            csr, pending, num_keys, shift, position_dtype, count_dtype
         )
     pending_keys, pending_positions, pending_counts = (_c64(part) for part in pending)
-    orders = _c64(orders)
     old_offsets = _c64(old_offsets)
     old_positions = np.ascontiguousarray(old_positions)
     old_counts = np.ascontiguousarray(old_counts)
+    shift = _c64(shift)
     num_pending = len(pending_keys)
     total = len(old_positions) + num_pending
     offsets = np.empty(num_keys + 1, dtype=np.int64)
     positions = np.empty(total, dtype=np.int32)
     counts = np.empty(total, dtype=np.int32)
-    cursor = np.empty(num_keys, dtype=np.int64)
-    pending_slots = np.empty(num_pending, dtype=np.int64)
-    if blocks is None:
-        old_codes = old_permutation = pending_codes = by_code = codes = permutation = None
-        old_stride = stride = 0
-    else:
-        old_codes, old_permutation, old_stride = blocks
-        old_codes = _c64(old_codes)
-        old_permutation = _c64(old_permutation)
-        stride = numpy_impl.block_stride(orders)
-        # The only sort of a compaction, over the pending postings alone;
-        # stable over arrival, so equal codes keep their slot order.
-        pending_codes = pending_keys * stride + orders[pending_positions]
-        by_code = np.argsort(pending_codes, kind="stable")
-        codes = np.empty(total, dtype=np.int64)
-        permutation = np.empty(total, dtype=np.int64)
-
+    cursor = np.empty(num_keys + 1, dtype=np.int64)
+    sorted_positions = np.empty(num_pending, dtype=np.int32)
+    sorted_counts = np.empty(num_pending, dtype=np.int32)
     _library().repro_merge_postings(
         old_offsets.ctypes.data, old_positions.ctypes.data, old_counts.ctypes.data,
-        len(old_offsets) - 1,
+        len(old_offsets) - 1, shift.ctypes.data,
         pending_keys.ctypes.data, pending_positions.ctypes.data,
         pending_counts.ctypes.data, num_pending, num_keys,
         offsets.ctypes.data, positions.ctypes.data, counts.ctypes.data,
-        cursor.ctypes.data, pending_slots.ctypes.data,
-        _address(old_codes), _address(old_permutation), int(old_stride), stride,
-        _address(pending_codes), _address(by_code), _address(codes), _address(permutation),
+        cursor.ctypes.data, sorted_positions.ctypes.data, sorted_counts.ctypes.data,
     )
-    new_blocks = None if blocks is None else (codes, permutation, stride)
-    return (offsets, positions, counts), new_blocks
+    return offsets, positions, counts

@@ -90,31 +90,39 @@ def verified_rows(store, num_query_vertices, branches, thresholds, **view):
     """``filter_verify_row`` under a table that accepts every row it verifies.
 
     The hits are then exactly the verified rows, so the call reads as the
-    bound filter and the verification it fuses: ``(positions, intersections,
-    eligible, num_eligible)`` with ``positions`` ``None`` on the dense plan
-    (every row verified), ``intersections`` read as ``order - gbd``.
+    bound filter and the verification it fuses: ``(rows, intersections,
+    eligible, num_eligible)`` in arrival terms, like the store's public rows —
+    ``rows`` the verified rows' arrival numbers, ascending, or ``None`` on the
+    dense plan (every row verified, ``intersections`` then the whole row);
+    ``intersections`` read as ``order - gbd``.  The hits must be the
+    eligible ranges' positions, ascending.
     """
     csr = view["view"][0] if view else store.view()[0]
-    orders = store._snapshot_of(csr).orders
-    distinct, _row_order, starts, ends = store.order_partition(csr)
+    snapshot = store._snapshot_of(csr)
+    distinct, bounds = store.order_ranges(csr)
     largest = max([int(num_query_vertices), *distinct[-1:].tolist()])
     accept_all = np.ones((largest + 1, largest + 2))
     positions, gbds, eligible, verified, sparse = store.filter_verify_row(
         num_query_vertices, branches, thresholds, accept_all, 0.5, **view
     )
-    num_eligible = int((ends - starts)[eligible].sum())
+    ranges = [range(bounds[u], bounds[u + 1]) for u in range(len(distinct))]
+    num_eligible = sum(len(ranges[u]) for u in np.flatnonzero(eligible).tolist())
     assert positions.dtype == gbds.dtype == np.int64
     if num_eligible == 0:
         assert sparse is None and verified == 0
     else:
         assert sparse in (True, False)
-        assert verified == (num_eligible if sparse else len(orders))
+        assert verified == (num_eligible if sparse else len(snapshot.orders))
     assert len(positions) == verified  # every verified row is a hit of this table
-    intersections = np.maximum(int(num_query_vertices), orders[positions]) - gbds
+    intersections = np.maximum(int(num_query_vertices), snapshot.orders[positions]) - gbds
     if sparse is False:
-        assert positions.tolist() == list(range(len(orders)))
-        positions = None
-    return positions, intersections, eligible, num_eligible
+        assert positions.tolist() == list(range(len(snapshot.orders)))
+        return None, intersections[snapshot.slots], eligible, num_eligible
+    picked = np.flatnonzero(eligible).tolist() if sparse else []
+    assert positions.tolist() == [row for u in picked for row in ranges[u]]
+    arrival = np.argsort(snapshot.slots)[positions]
+    by_arrival = np.argsort(arrival)
+    return arrival[by_arrival], intersections[by_arrival], eligible, num_eligible
 
 
 #: ``sparse_row_budget`` stand-ins that force a verification plan on a small
@@ -133,7 +141,7 @@ def ranked_rows(store, num_query_vertices, branches, k, max_gbd=None, **view):
     bound table too; the ranking is sorted by ``(-score, id)``.
     """
     csr = view["view"][0] if view else store.view()[0]
-    distinct = store.order_partition(csr)[0]
+    distinct = store.order_ranges(csr)[0]
     largest = max([int(num_query_vertices), *distinct[-1:].tolist()])
     lut = np.zeros((largest + 1, largest + 2))
     for order in range(largest + 1):
@@ -290,18 +298,18 @@ class TestCompactionRegressions:
     def test_caches_refresh_after_mid_query_compaction(
         self, random_database, make_store, monkeypatch
     ):
-        """Per-snapshot derived caches must key on the CSR actually in use.
+        """Per-snapshot row vectors must belong to the CSR actually in use.
 
-        The order blocks and the order partition are cached per snapshot;
-        after an append + compaction they must be carried over to the new
-        arrays, never served stale for the old (shorter) ones.
+        The layout's vectors and ranges live on the snapshot; after an append
+        + compaction the new rows are interleaved into them, and the old
+        (shorter) ones are never served for the new arrays.
         """
-        # Block probes whatever they cost: the reads below go through both caches.
+        # Range slices whatever they cost: the reads below go through the ranges.
         monkeypatch.setattr(columnar, "sparse_row_budget", PLAN_BUDGETS["sparse"])
         store = make_store(random_database)
         queries = _queries(6, seed=29)
         branch_sets = [branch_multiset(query) for query in queries]
-        # Warm every derived cache on the first snapshot.
+        # Read through the ranges of the first snapshot.
         verified_rows(
             store, queries[0].num_vertices, branch_sets[0], np.unique(store.orders())
         )

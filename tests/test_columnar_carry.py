@@ -1,11 +1,12 @@
-"""The write path of the columnar store: compaction carries, it does not rebuild.
+"""The write path of the columnar store: compaction interleaves, it does not rebuild.
 
-``ColumnarBranchStore.compact`` produces each snapshot from the previous one
-(shifted segments, remapped block index, extended partition) instead of from
-scratch.  These tests hold the carried structures to the from-scratch
-builders (:mod:`repro.db.kernels.numpy_impl` ``build_*``) and every kernel
-answer to a store built fresh from the same entries, under both backends,
-across interleavings a fixed script would not think of.
+``ColumnarBranchStore.compact`` produces each snapshot from the previous one —
+new rows interleaved into their order's range, old positions shifted, pending
+postings merged into each key's sorted segment — instead of laying the store
+out from scratch.  These tests hold every snapshot to the layout invariant and
+to the from-scratch layout, and every kernel answer to a store built fresh
+from the same entries, under both backends, across interleavings a fixed
+script would not think of.
 """
 
 from __future__ import annotations
@@ -27,10 +28,10 @@ from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
 
 from repro.db import columnar
-from repro.db.columnar import ColumnarBranchStore
+from repro.db.columnar import ColumnarBranchStore, _Snapshot
 from repro.db.database import GraphDatabase
 from repro.db.index import BranchInvertedIndex
-from repro.db.kernels import available_backends, numpy_impl
+from repro.db.kernels import available_backends
 from repro.graphs.generators import random_labeled_graph
 from test_columnar import PLAN_BUDGETS, ranked_rows, verified_rows
 
@@ -57,32 +58,59 @@ def _entry(position: int, branches: Counter):
 
 # Twelve keys: a stream keeps meeting keys new to the vocabulary for a while.
 # Up to six of them with multiplicity up to four: orders 0 (a graph with no
-# branch at all) to 24, so the largest order — the block stride — keeps rising.
+# branch at all) to 24: new rows keep landing below, among and above the stored ones.
 branch_sets = st.dictionaries(
     st.tuples(st.just("k"), st.integers(0, 11)), st.integers(1, 4), max_size=6
 ).map(Counter)
 
 
-def assert_derived_match_builders(store: ColumnarBranchStore) -> None:
-    """Every materialised structure of the published snapshot equals its builder's."""
+def assert_layout_invariant(store: ColumnarBranchStore, entries) -> None:
+    """The published snapshot is the ``|V_G|``-clustered layout of ``entries``' prefix.
+
+    Orders ascend, each distinct order one range; every key segment ascends
+    strictly; positions map back onto the rows that arrived; each row's
+    postings are its branch multiset; and the whole record equals the layout
+    computed from scratch.
+    """
     snapshot = store._published
-    csr = snapshot.csr
-    assert csr[3] == len(snapshot.orders) == len(snapshot.global_ids)
-    assert len(csr[1]) == len(csr[2]) == csr[0][-1]
-    built = {
-        "blocks": lambda: numpy_impl.build_order_blocks(csr, snapshot.orders),
-        "partition": lambda: numpy_impl.build_order_partition(snapshot.orders),
-    }
-    for name, build in built.items():
-        carried = getattr(snapshot, name)
-        if carried is None:
-            continue
-        for mine, theirs in zip(carried, build()):
-            if isinstance(theirs, np.ndarray):
-                assert mine.dtype == theirs.dtype, name
-                assert np.array_equal(mine, theirs), name
-            else:
-                assert mine == theirs, name
+    offsets, positions, counts, rows = snapshot.csr
+    arrived = entries[:rows]
+    assert rows == len(snapshot.orders) == len(snapshot.global_ids) == len(snapshot.slots)
+    assert len(positions) == len(counts) == offsets[-1]
+    orders = snapshot.orders
+    assert (np.diff(orders) >= 0).all()
+    distinct, bounds = snapshot.ranges
+    unique, first = np.unique(orders, return_index=True)
+    assert distinct.tolist() == unique.tolist()
+    assert bounds.tolist() == first.tolist() + [rows]
+    for key in range(len(offsets) - 1):
+        assert (np.diff(positions[offsets[key] : offsets[key + 1]]) > 0).all()
+    assert sorted(snapshot.global_ids.tolist()) == sorted(e.graph_id for e in arrived)
+    assert sorted(snapshot.slots.tolist()) == list(range(rows))
+    assert snapshot.global_ids[snapshot.slots].tolist() == [e.graph_id for e in arrived]
+    assert orders[snapshot.slots].tolist() == [e.num_vertices for e in arrived]
+    postings = [Counter() for _ in range(rows)]
+    keys = store._keys
+    for key in range(len(offsets) - 1):
+        for slot in range(offsets[key], offsets[key + 1]):
+            postings[positions[slot]][keys[key]] = int(counts[slot])
+    for entry, position in zip(arrived, snapshot.slots.tolist()):
+        assert postings[position] == Counter(entry.branches)
+    scratch = _Snapshot.laid_out(
+        snapshot.csr, store._arrival_orders[:rows], store._arrival_ids[:rows]
+    )
+    for name in ("orders", "global_ids", "slots"):
+        mine, theirs = getattr(snapshot, name), getattr(scratch, name)
+        assert mine.dtype == theirs.dtype and np.array_equal(mine, theirs), name
+    for mine, theirs in zip(snapshot.ranges, scratch.ranges):
+        assert mine.dtype == theirs.dtype and np.array_equal(mine, theirs)
+
+
+def branches_of_order(order: int):
+    """Multisets of exactly ``order`` branches over the twelve keys."""
+    return st.lists(st.integers(0, 11), min_size=order, max_size=order).map(
+        lambda keys: Counter(("k", key) for key in keys)
+    )
 
 
 class CarryMachine(RuleBasedStateMachine):
@@ -125,17 +153,38 @@ class CarryMachine(RuleBasedStateMachine):
         self.store.extend(entries)
         self.entries.extend(entries)
 
+    @rule(
+        places=st.lists(st.sampled_from(["below", "among", "above"]), min_size=1, max_size=4),
+        data=st.data(),
+    )
+    def extend_around_the_stored_orders(self, places, data):
+        """A batch whose orders land below, among and above those already stored."""
+        stored = sorted({entry.num_vertices for entry in self.entries}) or [3]
+        batch = []
+        for place in places:
+            order = {
+                "below": max(stored[0] - 1, 0),
+                "among": data.draw(st.sampled_from(stored)),
+                "above": stored[-1] + data.draw(st.integers(1, 3)),
+            }[place]
+            batch.append(data.draw(branches_of_order(order)))
+        self.extend(batch)
+
     @rule()
     def compact(self):
         did_work = self.store.compact()
         assert did_work or self.store._is_compacted()
         assert not self.store.compact()
+        assert_layout_invariant(self.store, self.entries)
 
     @rule()
     def pickle_round_trip(self):
+        before = self.store._published
         self.store = pickle.loads(pickle.dumps(self.store))
-        snapshot = self.store._published
-        assert snapshot.blocks is None and snapshot.partition is None
+        after = self.store._published
+        assert after.csr[3] == before.csr[3]
+        for name in ("orders", "global_ids", "slots"):
+            assert np.array_equal(getattr(after, name), getattr(before, name)), name
 
     @rule(queries=st.lists(branch_sets, min_size=1, max_size=3))
     def read_dense(self, queries):
@@ -147,9 +196,18 @@ class CarryMachine(RuleBasedStateMachine):
             assert np.array_equal(
                 store.gbd_lower_bound_row(nq, q), fresh.gbd_lower_bound_row(nq, q)
             )
+        assert np.array_equal(store.orders(), [e.num_vertices for e in self.entries])
+        assert np.array_equal(store.global_ids(), [e.graph_id for e in self.entries])
+        # The view speaks positions: the same rows, clustered by order.
         csr, orders, global_ids = store.view()
-        assert np.array_equal(orders, [e.num_vertices for e in self.entries])
-        assert np.array_equal(global_ids, [e.graph_id for e in self.entries])
+        by_order = np.argsort(store.orders(), kind="stable")
+        assert np.array_equal(orders, store.orders()[by_order])
+        assert np.array_equal(global_ids, store.global_ids()[by_order])
+        for q in queries:
+            assert np.array_equal(
+                store.intersection_row(q, view=(csr, len(orders))),
+                fresh.intersection_row(q)[by_order],
+            )
         assert store.num_postings == sum(len(e.branches) for e in self.entries)
 
     @rule(
@@ -159,7 +217,7 @@ class CarryMachine(RuleBasedStateMachine):
         plan=st.sampled_from(sorted(PLAN_BUDGETS)),
     )
     def read_ranked(self, queries, k, max_gbd, plan):
-        """The top-k reducer: order groups walked through the carried block index."""
+        """The top-k reducer: order ranges walked through the interleaved layout."""
         store, fresh = self.store, self.fresh()
         by_cost = columnar.sparse_row_budget
         columnar.sparse_row_budget = PLAN_BUDGETS[plan]
@@ -189,10 +247,10 @@ class CarryMachine(RuleBasedStateMachine):
         data=st.data(),
     )
     def read_pruned(self, queries, bar, plan, data):
-        """The block-index kernels: what the thresholded path calls."""
+        """The range kernels: what the thresholded path calls."""
         store, fresh = self.store, self.fresh()
         csr = store.view()[0]
-        distinct, row_order, starts, ends = store.order_partition(csr)
+        distinct = store.order_ranges(csr)[0]
         bars = np.full(len(distinct), bar, dtype=np.int64)
         # Stores this small would nearly always take the dense plan on their
         # own: force each plan in turn so that both keep being compared.
@@ -215,7 +273,7 @@ class CarryMachine(RuleBasedStateMachine):
                     dense = dense[mine[0]]
                 assert np.array_equal(mine[1], dense)
             if len(distinct):
-                # Bars that keep some orders only: the probes read those blocks alone.
+                # Bars that keep some orders only: the slices read those ranges alone.
                 chosen = data.draw(st.sets(st.sampled_from(distinct.tolist()), min_size=1))
                 rows = np.flatnonzero(np.isin(store.orders(), sorted(chosen)))
                 only = np.where(np.isin(distinct, sorted(chosen)), 10**6, -1)
@@ -228,8 +286,7 @@ class CarryMachine(RuleBasedStateMachine):
             columnar.sparse_row_budget = by_cost
 
     @invariant()
-    def carried_structures_equal_their_builders(self):
-        assert_derived_match_builders(self.store)
+    def snapshot_equals_a_fresh_store(self):
         fresh = self.fresh()
         if self.store._is_compacted():
             for mine, theirs in zip(self.store._csr[:3], fresh.view()[0][:3]):
@@ -266,60 +323,72 @@ def _graphs(num, seed, low=4, high=12):
 
 @pytest.fixture
 def sparse_plan(monkeypatch):
-    """Pruned reads take the block-probe plan whatever it costs: these stores are small."""
+    """Pruned reads take the range-slice plan whatever it costs: these stores are small."""
     monkeypatch.setattr(columnar, "sparse_row_budget", lambda postings, rows: rows)
 
 
 @pytest.fixture
-def block_builds(monkeypatch):
-    """Count calls of the from-scratch block-index builder."""
+def scratch_layouts(monkeypatch):
+    """Count calls of the from-scratch layout (a sort of every row)."""
     calls = []
-    original = numpy_impl.build_order_blocks
+    original = _Snapshot.laid_out.__func__
 
-    def spy(csr, orders):
+    def spy(cls, csr, orders, global_ids):
         calls.append(csr[3])
-        return original(csr, orders)
+        return original(cls, csr, orders, global_ids)
 
-    monkeypatch.setattr(numpy_impl, "build_order_blocks", spy)
+    monkeypatch.setattr(_Snapshot, "laid_out", classmethod(spy))
     return calls
 
 
 @pytest.mark.parametrize("backend", backend_params)
-def test_write_then_pruned_read_sorts_nothing(backend, block_builds, sparse_plan):
-    database = GraphDatabase(_graphs(40, seed=3))
+def test_write_then_pruned_read_sorts_nothing(backend, scratch_layouts, sparse_plan):
+    """Writes interleave their rows; no read or write lays the store out from scratch."""
+    graphs = _graphs(40, seed=3)
+    database = GraphDatabase(graphs)
     index = BranchInvertedIndex(database, backend=backend)  # held: the hook is weak
     store = index.store
     query = _graphs(1, seed=5)[0]
     branches = Counter(database[0].branches)
 
     def pruned_read():
-        bars = np.full(len(store.order_partition(store.view()[0])[0]), 3, dtype=np.int64)
+        bars = np.full(len(store.order_ranges(store.view()[0])[0]), 3, dtype=np.int64)
         return verified_rows(store, query.num_vertices, branches, bars)
 
     pruned_read()
-    assert block_builds == [40]  # the first pruned read of a store sorts, once
     for batch in range(3):
-        database.add_many(_graphs(7, seed=10 + batch, high=16 + 4 * batch))
-        positions, intersections, _eligible, _count = pruned_read()
-        assert np.array_equal(intersections, store.intersection_row(branches)[positions])
-    assert block_builds == [40]  # three writes later: carried every time
+        # Sizes 4..16+: below, among and above the 4..12 already stored.
+        added = _graphs(7, seed=10 + batch, low=2, high=16 + 4 * batch)
+        database.add_many(added)
+        graphs += added
+        rows, intersections, _eligible, _count = pruned_read()
+        assert np.array_equal(intersections, store.intersection_row(branches)[rows])
+    assert scratch_layouts == []
     assert store.num_compactions == 4
-    assert_derived_match_builders(store)
+    assert_layout_invariant(store, list(database))
 
 
 @pytest.mark.parametrize("backend", backend_params)
-def test_store_never_pruned_holds_no_block_index(backend, block_builds):
+def test_a_snapshot_holds_the_csr_and_row_vectors_only(backend):
+    """What a snapshot costs beyond its postings: three D-long vectors and the ranges."""
     database = GraphDatabase(_graphs(30, seed=7))
     index = BranchInvertedIndex(database, backend=backend)
     store = index.store
     branches = Counter(database[3].branches)
     for batch in range(3):
         store.intersection_row(branches)
-        store.gbd_lower_bound_row(5, branches)
+        verified_rows(store, 5, branches, np.full(len(store.order_ranges(store._csr)[0]), 3))
+        ranked_rows(store, 5, branches, 4)
         database.add_many(_graphs(5, seed=20 + batch))
     store.compact()
-    assert store._published.blocks is None
-    assert block_builds == []
+    snapshot = store._published
+    rows, postings = snapshot.csr[3], len(snapshot.csr[1])
+    assert set(_Snapshot.__slots__) == {"csr", "orders", "global_ids", "ranges", "slots"}
+    for vector in (snapshot.orders, snapshot.global_ids, snapshot.slots):
+        assert vector.shape == (rows,) and vector.dtype == np.int64
+    distinct, bounds = snapshot.ranges
+    assert len(bounds) == len(distinct) + 1 <= rows + 1
+    assert snapshot.csr[1].nbytes + snapshot.csr[2].nbytes == 8 * postings  # int32 each
 
 
 @pytest.mark.parametrize("backend", backend_params)
@@ -331,11 +400,12 @@ def test_superseded_snapshot_arrays_are_released(backend, sparse_plan):
     branches = Counter(database[2].branches)
 
     def pruned_read():
-        csr, orders, _ids = store.view()
-        bars = np.full(len(store.order_partition(csr)[0]), 3, dtype=np.int64)
+        csr, orders, global_ids = store.view()
+        bars = np.full(len(store.order_ranges(csr)[0]), 3, dtype=np.int64)
         verified_rows(store, 8, branches, bars, view=(csr, len(orders)))
+        ranked_rows(store, 8, branches, 3, view=(csr, len(orders)))
         store.intersection_row(branches)
-        return [weakref.ref(csr[1]), weakref.ref(store._order_blocks_for(csr)[1])]
+        return [weakref.ref(csr[1]), weakref.ref(global_ids), weakref.ref(store._published.slots)]
 
     superseded = []
     for batch in range(4):
@@ -350,12 +420,13 @@ def test_superseded_snapshot_arrays_are_released(backend, sparse_plan):
 def test_pickle_ships_csr_and_row_vectors_only(backend):
     database = GraphDatabase(_graphs(30, seed=9))
     store = ColumnarBranchStore(database, backend=backend)
-    csr = store.view()[0]
-    store._order_blocks_for(csr), store.order_partition(csr)
-    lean = ColumnarBranchStore(database, backend=backend)
-    lean.compact()
-    assert len(pickle.dumps(store)) == len(pickle.dumps(lean))
+    store.compact()
+    state = store.__getstate__()
+    # The CSR travels as its tuple; the position-order vectors are laid out again.
+    assert state["_published"] is store._csr
     copy = pickle.loads(pickle.dumps(store))
+    for name in ("orders", "global_ids", "slots"):
+        assert np.array_equal(getattr(copy._published, name), getattr(store._published, name))
     branches = Counter(database[1].branches)
     assert np.array_equal(copy.intersection_row(branches), store.intersection_row(branches))
     copy.append(_entry(30, Counter({("new", 0): 2})))  # the trimmed buffers grow again
@@ -375,18 +446,20 @@ def test_reader_racing_add_many_sees_whole_batches_only(backend, sparse_plan):
     branches = Counter(database[0].branches)
 
     # The answer over every prefix a reader may legally see: the store before
-    # the writes and after each whole add_many batch — never part of one.
+    # the writes and after each whole add_many batch — never part of one.  A
+    # fresh store over a prefix has the same layout, so it answers by position.
     expected = {}
     graphs = list(base)
     for batch in [[]] + batches:
         graphs.extend(batch)
         fresh = ColumnarBranchStore(GraphDatabase(graphs), backend="numpy")
-        bars = np.full(len(fresh.order_partition(fresh.view()[0])[0]), 4, dtype=np.int64)
-        positions, intersections, _eligible, count = verified_rows(
+        csr = fresh.view()[0]
+        bars = np.full(len(fresh.order_ranges(csr)[0]), 4, dtype=np.int64)
+        rows, intersections, _eligible, count = verified_rows(
             fresh, query.num_vertices, branches, bars
         )
         expected[len(graphs)] = (
-            fresh.intersection_row(branches), positions, intersections, count
+            fresh.intersection_row(branches, view=(csr, len(graphs))), rows, intersections, count
         )
 
     failures, reads, done = [], [0], threading.Event()
@@ -396,13 +469,13 @@ def test_reader_racing_add_many_sees_whole_batches_only(backend, sparse_plan):
             while not done.is_set():
                 csr, orders, global_ids = store.view()
                 assert csr[3] == len(orders) == len(global_ids)
-                row, positions, intersections, count = expected[len(orders)]
+                row, rows, intersections, count = expected[len(orders)]
                 view = (csr, len(orders))
                 assert np.array_equal(store.intersection_row(branches, view=view), row)
-                bars = np.full(len(store.order_partition(csr)[0]), 4, dtype=np.int64)
+                bars = np.full(len(store.order_ranges(csr)[0]), 4, dtype=np.int64)
                 got = verified_rows(store, query.num_vertices, branches, bars, view=view)
                 assert got[3] == count
-                assert np.array_equal(got[0], positions)
+                assert np.array_equal(got[0], rows)
                 assert np.array_equal(got[1], intersections)
                 reads[0] += 1
         except BaseException as exc:  # noqa: BLE001 - reported by the main thread
@@ -427,4 +500,4 @@ def test_reader_racing_add_many_sees_whole_batches_only(backend, sparse_plan):
     assert not failures, failures[0]
     assert reads[0] > 0
     assert store.num_graphs == 60 + 9 * 12
-    assert_derived_match_builders(store)
+    assert_layout_invariant(store, list(database))

@@ -108,7 +108,7 @@ class TestKernelInterfaceDrift:
     """
 
     LOADER_API = {"available", "load_error", "library_path"}  # native's own, not kernels
-    #: The whole interface: four reads and the write path.
+    #: The whole interface: four reads and the write path — at most five kernels.
     KERNELS = {
         "intersection_row", "gbd_lower_bound_row", "filter_verify_row", "filter_verify_topk",
         "merge_postings",
@@ -141,10 +141,9 @@ class TestKernelInterfaceDrift:
             assert len(inspect.signature(wrapper).parameters) == len(
                 inspect.signature(reference[name]).parameters
             ), name
-        # What only the reference has is backend-independent: the builders of
-        # the derived structures, called by name from the store or the wrappers,
-        # and the k-best selection, which the execution core reduces its direct
-        # (table-less) top-k with.
+        # What only the reference has is backend-independent: the k-best
+        # selection, which the execution core reduces its direct (table-less)
+        # top-k with.
         callers = (
             self.source("..", "columnar.py")
             + self.source("native.py")
@@ -236,76 +235,90 @@ class TestBackendPlumbing:
 
 @needs_native
 class TestMergePostingsParity:
-    """The write-path kernel: native and NumPy emit the same next snapshot."""
+    """The write-path kernel: native and NumPy emit the same next snapshot.
 
-    ORDERS = np.asarray([3, 5, 3, 9, 5, 4, 12], dtype=np.int64)  # rows 0..6
-    #: ten postings over four keys; rows 0..3, position-sorted within each key
-    OLD = (
-        np.asarray([0, 3, 4, 8, 10], dtype=np.int64),
-        np.asarray([0, 2, 3, 1, 0, 1, 2, 3, 1, 3], dtype=np.int32),
-        np.asarray([1, 2, 1, 3, 1, 1, 2, 1, 2, 4], dtype=np.int32),
-        4,
-    )
-    EMPTY = (np.zeros(1, dtype=np.int64), np.empty(0, np.int32), np.empty(0, np.int32), 0)
+    Each case is stated in arrival terms — postings ``(key, row, count)`` and
+    the rows' orders — and laid out here by a plain sort, so the expected
+    merged CSR is computed independently of both kernels.
+    """
+
+    ORDERS = [3, 5, 3, 9, 5, 4, 12]  # rows 0..6
+    #: ten postings over four keys on rows 0..3
+    OLD = [
+        (0, 0, 1), (0, 2, 2), (0, 3, 1), (1, 1, 3), (2, 0, 1), (2, 1, 1), (2, 2, 2),
+        (2, 3, 1), (3, 1, 2), (3, 3, 4),
+    ]
 
     @staticmethod
-    def pending(*postings):
-        columns = np.asarray(postings, dtype=np.int64).reshape(-1, 3)
-        return tuple(np.ascontiguousarray(columns[:, i]) for i in range(3))
+    def slots(orders):
+        """arrival row -> position: ascending order, by arrival within one."""
+        by_order = sorted(range(len(orders)), key=lambda row: (orders[row], row))
+        return {row: position for position, row in enumerate(by_order)}
 
-    def check(self, csr, pending, num_keys, orders):
-        """Both backends, with and without the carried block index; returns the merged CSR."""
+    def csr(self, postings, orders, num_keys):
+        slot = self.slots(orders)
+        segments = [
+            sorted((slot[row], count) for key_of, row, count in postings if key_of == key)
+            for key in range(num_keys)
+        ]
+        return (
+            np.cumsum([0] + [len(segment) for segment in segments]).astype(np.int64),
+            np.asarray([p for segment in segments for p, _ in segment], dtype=np.int32),
+            np.asarray([c for segment in segments for _, c in segment], dtype=np.int32),
+            len(orders),
+        )
+
+    def check(self, old, new, old_rows, num_keys, position_dtype=np.int32):
+        """Both backends against the sorted model; returns the merged CSR."""
         from repro.db.kernels import native
 
-        merged = None
-        for blocks in (None, numpy_impl.build_order_blocks(csr, orders[: csr[3]])):
-            args = (csr, blocks, pending, num_keys, orders, np.int32, np.int32)
-            mine = native.merge_postings(*args)
-            theirs = numpy_impl.merge_postings(*args)
-            merged = (*mine[0], len(orders))
-            for a, b in zip(mine[0], theirs[0]):
-                assert a.dtype == b.dtype and np.array_equal(a, b)
-            assert (mine[1] is None) == (blocks is None)
-            if blocks is not None:
-                built = numpy_impl.build_order_blocks(merged, orders)
-                for a, b, c in zip(mine[1], theirs[1], built):
-                    assert np.array_equal(a, b) and np.array_equal(a, c)
-        return merged
+        orders = self.ORDERS
+        old_keys = max([key + 1 for key, _row, _count in old], default=0)
+        csr = self.csr(old, orders[:old_rows], old_keys)
+        before, after = self.slots(orders[:old_rows]), self.slots(orders)
+        shift = np.asarray([after[row] for row in sorted(before, key=before.get)], dtype=np.int64)
+        by_position = sorted(new, key=lambda posting: after[posting[1]])
+        pending = tuple(
+            np.asarray(column, dtype=np.int64).reshape(-1)
+            for column in zip(*[(key, after[row], count) for key, row, count in by_position])
+        ) or tuple(np.empty(0, dtype=np.int64) for _ in range(3))
+        expected = self.csr(old + new, orders, num_keys)
+        args = (csr, pending, num_keys, shift, position_dtype, np.int32)
+        mine, theirs = native.merge_postings(*args), numpy_impl.merge_postings(*args)
+        for a, b, c in zip(mine, theirs, expected):
+            assert a.dtype == b.dtype and np.array_equal(a, b) and np.array_equal(a, c)
+        return (*mine, len(orders))
 
-    def test_known_and_new_keys_with_a_larger_stride(self):
-        # rows 4..6: old keys, a key new to the vocabulary (4), and an order
-        # (12) above every old one, so the block codes are re-based
-        pending = self.pending((1, 4, 2), (3, 4, 1), (0, 5, 1), (4, 5, 3), (1, 6, 1), (4, 6, 2))
-        offsets, positions, counts, rows = self.check(self.OLD, pending, 5, self.ORDERS)
+    def test_known_and_new_keys_interleaved(self):
+        # rows 4..6: orders 5 (among), 4 (below the old 5s) and 12 (above every
+        # old one); old keys and one new to the vocabulary (4)
+        new = [(1, 4, 2), (3, 4, 1), (0, 5, 1), (4, 5, 3), (1, 6, 1), (4, 6, 2)]
+        offsets, positions, counts, rows = self.check(self.OLD, new, 4, 5)
+        # positions: row 0 -> 0, 2 -> 1, 5 -> 2, 1 -> 3, 4 -> 4, 3 -> 5, 6 -> 6
         assert offsets.tolist() == [0, 4, 7, 11, 14, 16] and rows == 7
-        assert positions.tolist() == [0, 2, 3, 5, 1, 4, 6, 0, 1, 2, 3, 1, 3, 4, 5, 6]
-        assert counts.tolist() == [1, 2, 1, 1, 3, 2, 1, 1, 1, 2, 1, 2, 4, 1, 3, 2]
+        assert positions.tolist() == [0, 1, 2, 5, 3, 4, 6, 0, 1, 3, 5, 3, 4, 5, 2, 6]
+        assert counts.tolist() == [1, 2, 1, 1, 3, 2, 1, 1, 2, 1, 1, 2, 1, 4, 3, 2]
 
     def test_empty_pending_still_covers_new_rows(self):
-        # zero-branch rows only: nothing to merge, the stride may still grow
-        merged = self.check(self.OLD, self.pending(), 4, self.ORDERS[:6])
-        assert all(np.array_equal(a, b) for a, b in zip(merged[:3], self.OLD[:3]))
+        # zero-branch rows only: nothing to merge, yet old rows move past row 5
+        merged = self.check(self.OLD, [], 4, 4)
+        assert merged[0].tolist() == [0, 3, 4, 8, 10] and merged[3] == 7
 
     def test_empty_store(self):
-        pending = self.pending((0, 0, 2), (1, 0, 1), (0, 1, 1), (2, 2, 3))
-        offsets, positions, _counts, _rows = self.check(self.EMPTY, pending, 3, self.ORDERS[:3])
-        assert offsets.tolist() == [0, 2, 3, 4] and positions.tolist() == [0, 1, 0, 2]
+        new = [(0, 0, 2), (1, 0, 1), (0, 1, 1), (2, 2, 3)]
+        offsets, positions, _counts, _rows = self.check([], new, 0, 3)
+        # rows 3..6 carry no branch but take their places: row 1 sits at position 3
+        assert offsets.tolist() == [0, 2, 3, 4] and positions.tolist() == [0, 3, 0, 1]
 
     def test_all_new_keys(self):
-        pending = self.pending((4, 4, 1), (5, 4, 2), (6, 5, 1), (4, 6, 1))
-        offsets, positions, _counts, _rows = self.check(self.OLD, pending, 7, self.ORDERS)
+        new = [(4, 4, 1), (5, 4, 2), (6, 5, 1), (4, 6, 1)]
+        offsets, positions, _counts, _rows = self.check(self.OLD, new, 4, 7)
         assert offsets.tolist() == [0, 3, 4, 8, 10, 12, 13, 14]
-        assert positions[10:].tolist() == [4, 6, 4, 5]
+        assert positions[10:].tolist() == [4, 6, 4, 2]
 
     def test_wide_layout_delegates_to_the_reference(self):
-        from repro.db.kernels import native
-
-        pending = self.pending((1, 4, 2), (4, 4, 1))
-        arrays, _blocks = native.merge_postings(
-            self.OLD, None, pending, 5, self.ORDERS[:5], np.int64, np.int32
-        )
-        assert arrays[1].dtype == np.int64 and arrays[2].dtype == np.int32
-        assert arrays[1].tolist() == [0, 2, 3, 1, 4, 0, 1, 2, 3, 1, 3, 4]
+        merged = self.check(self.OLD, [(1, 4, 2), (4, 4, 1)], 4, 5, position_dtype=np.int64)
+        assert merged[1].dtype == np.int64 and merged[2].dtype == np.int32
 
 
 # --------------------------------------------------------------------------- #
@@ -448,6 +461,9 @@ class TestReducerParity:
         self, multisets, query, bar, table, gamma, max_gbd, plan, position_limit
     ):
         entries, stores = _reducer_stores(multisets, range(100, 100 + len(multisets)), position_limit)
+        # Hits come back by position: ascending order, by arrival within one.
+        by_order = sorted(range(len(entries)), key=lambda row: (entries[row].num_vertices, row))
+        slot = {row: position for position, row in enumerate(by_order)}
         num_query_vertices = sum(query.values())
         scalar = _scalar_rows(entries, query)
         distinct = sorted({entry.num_vertices for entry in entries})
@@ -473,12 +489,11 @@ class TestReducerParity:
             budget = _sparse_budget(stores["numpy"], query)
             sparse = None if not survivors else len(survivors) <= budget
             verified = survivors if sparse is not False else range(len(entries))
-            hits = [
-                (position, scalar[position][1])
-                for position in verified
-                if (max_gbd is None or scalar[position][1] <= max_gbd)
-                and lut[scalar[position]] >= gamma
-            ]
+            hits = sorted(
+                (slot[row], scalar[row][1])
+                for row in verified
+                if (max_gbd is None or scalar[row][1] <= max_gbd) and lut[scalar[row]] >= gamma
+            )
             for backend, store in stores.items():
                 assert (store.view()[0][1].dtype == np.int64) == (len(entries) > position_limit)
                 positions, gbds, mask, count, taken = store.filter_verify_row(
@@ -611,6 +626,30 @@ class TestReducerParity:
         wide[:5, :6] = decreasing
         assert top(wide, None, 1, 6, _bound_table(decreasing, 9)) == ([(90, 1.0)], 3, True)
 
+    @pytest.mark.parametrize("backend", available_backends())
+    def test_a_lone_hit_at_every_slot_of_a_long_range(self, backend, monkeypatch):
+        """Ranges longer than the blocks the compiled reduce skips at a time.
+
+        Five rows of order 2, then 40 of order 3 of which only one matches the
+        query: wherever it sits, both plans find it, at its position.
+        """
+        lut = np.zeros((4, 5))
+        lut[:, 0] = 1.0  # only an exact match (GBD 0) is accepted
+        query = Counter({("k", 0): 3})
+        for lone in range(40):
+            rows = [Counter({("k", 2): 2})] * 5 + [
+                Counter({("k", 0 if row == lone else 1): 3}) for row in range(40)
+            ]
+            entries = [
+                SimpleNamespace(graph_id=row, num_vertices=sum(b.values()), branches=b)
+                for row, b in enumerate(rows)
+            ]
+            store = ColumnarBranchStore(entries, backend=backend)
+            for budget in (0, len(rows)):
+                monkeypatch.setattr(columnar, "sparse_row_budget", lambda postings, n: budget)
+                positions, gbds, *_ = store.filter_verify_row(3, query, [9, 9], lut, 0.5)
+                assert positions.tolist() == [5 + lone] and gbds.tolist() == [0], (lone, budget)
+
     def test_a_table_that_does_not_reach_the_largest_order_is_refused(self):
         entries, stores = _reducer_stores([Counter({("k", 0): 3}), Counter({("k", 1): 6})], [7, 8], 5)
         query = Counter({("k", 0): 2})
@@ -720,7 +759,11 @@ class TestReducersInTheCore:
                     SimilarityQuery(graph, tau_hat, 0.5), use_pruning=use_pruning
                 )
                 assert scored.scores_dict("accepted") == expected, (plan, tau_hat)
-                assert scored.graph_ids.tolist() == sorted(expected)
+                # Hits by ascending position: the ids of the store's layout.
+                positions = scored.positions
+                assert (np.diff(positions) > 0).all()
+                layout_ids = core.ensure_index().store.view()[2]
+                assert scored.graph_ids.tolist() == layout_ids[positions].tolist()
             assert core.filter_counters.sparse_passes == 0 or plan == "sparse"
             assert core.filter_counters.dense_passes == 0 or plan == "dense"
 
@@ -841,7 +884,7 @@ class TestReducerCountGuards:
         store = core.ensure_index().store
         csr, orders, _ids = store.view()
         num_rows = len(orders)
-        distinct = store.order_partition(csr)[0]
+        distinct = store.order_ranges(csr)[0]
         # Half the store: queries land on both sides of the budget.
         monkeypatch.setattr(columnar, "sparse_row_budget", lambda postings, rows: rows // 2)
         plans = set()
@@ -850,7 +893,7 @@ class TestReducerCountGuards:
             thresholds, _lut = core._pruned_thresholds(
                 query, np.maximum(num_vertices, distinct), False
             )
-            bounds = store.gbd_lower_bound_row(num_vertices, branches)
+            bounds = store.gbd_lower_bound_row(num_vertices, branches, db_orders=orders)
             eligible = int((bounds <= thresholds[np.searchsorted(distinct, orders)]).sum())
             sparse = None if eligible == 0 else eligible <= num_rows // 2
             verified = eligible if sparse is not False else num_rows
@@ -911,7 +954,7 @@ class TestReducerCountGuards:
         engine = BatchQueryEngine.from_search(search, cache_size=None, kernel_backend="native")
         engine.warm(range(2))
         core, store = engine._core, engine._core.ensure_index().store
-        distinct, _row_order, starts, ends = store.order_partition(store.view()[0])
+        distinct, row_bounds = store.order_ranges(store.view()[0])
         built = []
         concatenate = np.concatenate
 
@@ -941,6 +984,6 @@ class TestReducerCountGuards:
                 # exactly the groups whose bound reaches the k-th score — ties included
                 in_reach = (bounds > 0.0) & (bounds >= reference[-1][1])
                 assert core.filter_counters.candidates_verified - before == int(
-                    (ends - starts)[in_reach].sum()
+                    np.diff(row_bounds)[in_reach].sum()
                 )
         assert built == []

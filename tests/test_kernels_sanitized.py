@@ -33,6 +33,7 @@ SUITES = [
     "tests/test_columnar_carry.py",
     "tests/test_execution_parity.py",
     "tests/test_topk_multichunk.py",
+    "tests/test_clustered_layout.py",
 ]
 SANITIZE = ["-O1", "-g", "-fsanitize=address,undefined", "-fno-sanitize-recover=undefined"]
 
