@@ -43,11 +43,8 @@ def _jeffreys_row(args: Tuple[int, int, int, int]) -> Tuple[int, Dict[int, float
     for tau in range(1, max_tau + 1):
         fisher_information = 0.0
         for phi in range(model.max_phi(tau) + 1):
-            conditional = model.lambda1(tau, phi)
-            if conditional <= 0.0:
-                continue
-            score = model.score(tau, phi)
-            fisher_information += conditional * score * score
+            score = model.score(tau, phi)  # zero where Λ1 is
+            fisher_information += model.lambda1(tau, phi) * score * score
         weights[tau] = max(math.sqrt(max(fisher_information, 0.0)), _WEIGHT_FLOOR)
     # The score is degenerate at τ = 0 (the conditional is a point mass and
     # its Fisher information is unbounded); use the τ = 1 information as a

@@ -16,7 +16,9 @@ The four factors of the conditional ``Λ1 = Pr[GBD = ϕ | GED = τ]`` are
   ``m`` edge-covered vertices overlap so that exactly ``r`` branches are
   touched; hypergeometric (Lemma 4).
 
-All values are exact :class:`fractions.Fraction` numbers.  The τ-derivatives
+All values are exact :class:`fractions.Fraction` numbers, except
+:func:`omega2_column`, which returns whole Ω2 / dΩ2/dτ columns as the floats
+of those exact values.  The τ-derivatives
 ``dΩ1/dτ`` and ``dΩ2/dτ`` follow the Gamma-function continuation of the
 binomial coefficients; we implement the analytically consistent form (the
 log-derivative of each binomial factor expressed through digamma functions)
@@ -33,6 +35,8 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Tuple
 
+import numpy as np
+
 from repro.core.combinatorics import binomial, digamma, hypergeometric_pmf, multiset_coefficient
 
 __all__ = [
@@ -43,6 +47,7 @@ __all__ = [
     "omega4",
     "omega1_dtau",
     "omega2_dtau",
+    "omega2_column",
 ]
 
 
@@ -84,31 +89,15 @@ def omega2(m: int, x: int, tau: int, extended_order: int) -> Fraction:
     complete graph on ``v`` vertices cover exactly ``m`` vertices.  Computed
     with the exact inclusion–exclusion formula
 
-    ``C(C(v,2), τ-x)^{-1} * Σ_t (-1)^{m-t} C(v, m) C(m, t) C(C(t,2), τ-x)``.
+    ``C(C(v,2), τ-x)^{-1} * Σ_t (-1)^{m-t} C(v, m) C(m, t) C(C(t,2), τ-x)``
+
+    (:func:`_edge_cover_pass`); zero outside ``m ∈ [0, min(2(τ-x), v)]``.
     """
-    v = extended_order
     y = tau - x
-    if y < 0 or m < 0 or m > v:
+    if y < 0 or not 0 <= m <= min(2 * y, extended_order):
         return Fraction(0)
-    total_edges = binomial(v, 2)
-    denominator = binomial(total_edges, y)
-    if denominator == 0:
-        # No way to pick y edges at all; define the degenerate distribution
-        # to concentrate on m == 0 so the factor stays a proper pmf.
-        return Fraction(1) if (m == 0 and y == 0) else Fraction(0)
-    if y == 0:
-        return Fraction(1) if m == 0 else Fraction(0)
-    numerator = 0
-    choose_v_m = binomial(v, m)
-    for t in range(m + 1):
-        term = choose_v_m * binomial(m, t) * binomial(binomial(t, 2), y)
-        if (m - t) % 2 == 1:
-            numerator -= term
-        else:
-            numerator += term
-    if numerator <= 0:
-        return Fraction(0)
-    return Fraction(numerator, denominator)
+    denominator, counts, _, _ = _edge_cover_pass(y, extended_order)
+    return Fraction(counts[m], denominator)
 
 
 @lru_cache(maxsize=262144)
@@ -183,37 +172,83 @@ def omega2_dtau(m: int, x: int, tau: int, extended_order: int) -> Fraction:
     ``C(v,m) C(m,t) C(C(t,2), τ-x) / C(C(v,2), τ-x)`` separately:
     the τ-derivative of its logarithm is
     ``d/dτ log C(C(t,2), τ-x) - d/dτ log C(C(v,2), τ-x)``.
-    Terms whose binomial vanishes contribute zero.
+    Terms whose binomial vanishes contribute zero, and so does every ``m``
+    outside Ω2's support (:func:`_edge_cover_pass`).
     """
-    v = extended_order
     y = tau - x
-    if y < 0 or m < 0 or m > v:
+    if y < 0 or not 0 <= m <= min(2 * y, extended_order):
         return Fraction(0)
-    total_edges = binomial(v, 2)
-    denominator = binomial(total_edges, y)
-    if denominator == 0 or y == 0:
-        return Fraction(0)
-    choose_v_m = binomial(v, m)
-    log_derivative_denom = _log_binomial_dk(total_edges, y)
-    result = Fraction(0)
-    for t in range(m + 1):
-        pairs = binomial(t, 2)
-        numerator_term = choose_v_m * binomial(m, t) * binomial(pairs, y)
-        if numerator_term == 0:
-            continue
-        term_value = Fraction(numerator_term, denominator)
-        if (m - t) % 2 == 1:
-            term_value = -term_value
-        log_derivative = _log_binomial_dk(pairs, y) - log_derivative_denom
-        result += term_value * Fraction(log_derivative).limit_denominator(10**12)
-    return result
+    _, _, denominator, slopes = _edge_cover_pass(y, extended_order)
+    return Fraction(slopes[m], denominator)
+
+
+@lru_cache(maxsize=4096)
+def _edge_cover_pass(edges: int, extended_order: int) -> Tuple[int, tuple, int, tuple]:
+    """Exact numerators of Ω2 and dΩ2/dτ for ``y`` edges, ``m ∈ [0, min(2y, v)]``.
+
+    Returns ``(denominator, counts, slope_denominator, slopes)`` with
+    ``Ω2 = counts[m] / denominator`` and ``dΩ2/dτ = slopes[m] /
+    slope_denominator``.  Both depend on ``(x, τ)`` only through ``y = τ - x``,
+    so one integer inclusion–exclusion pass yields every ``m``:
+    ``C(C(t, 2), y)`` and the digamma factor (rationalised, so it composes
+    exactly with the other Ω factors) are computed once per ``t`` and reused
+    across ``m``, the factors over their common denominator.  ``y = 0`` (no
+    relabelled edge) is a point mass at ``m = 0`` with zero derivative, and
+    ``y > C(v, 2)`` (no way to pick the edges) has no mass at all.
+    """
+    v, y = extended_order, edges
+    size = min(2 * y, v) + 1
+    denominator = binomial(binomial(v, 2), y)
+    if y == 0 or denominator == 0:
+        return 1, (int(y == 0),) + (0,) * (size - 1), 1, (0,) * size
+    covers = [binomial(binomial(t, 2), y) for t in range(size)]
+    log_derivative_denom = _log_binomial_dk(binomial(v, 2), y)
+    factors = {
+        t: Fraction(_log_binomial_dk(binomial(t, 2), y) - log_derivative_denom)
+        .limit_denominator(10**12)
+        for t in range(size)
+        if covers[t]
+    }
+    common = math.lcm(*(factor.denominator for factor in factors.values()))
+    weighted = {
+        t: (covers[t], covers[t] * factor.numerator * (common // factor.denominator))
+        for t, factor in factors.items()
+    }
+    counts, slopes = [], []
+    for m in range(size):
+        count = slope = 0
+        for t, (cover, weight) in weighted.items():
+            if t > m:
+                break
+            term = binomial(m, t) if (m - t) % 2 == 0 else -binomial(m, t)
+            count += term * cover
+            slope += term * weight
+        counts.append(max(binomial(v, m) * count, 0))
+        slopes.append(binomial(v, m) * slope)
+    return denominator, tuple(counts), denominator * common, tuple(slopes)
+
+
+@lru_cache(maxsize=4096)
+def omega2_column(edges: int, extended_order: int) -> Tuple[np.ndarray, np.ndarray]:
+    """``Ω2`` and ``dΩ2/dτ`` of ``y`` relabelled edges over ``m ∈ [0, min(2y, v)]``.
+
+    The floats of :func:`omega2` / :func:`omega2_dtau` (bit-identical:
+    both are the correctly rounded quotients of the same integers), as
+    cached read-only arrays.
+    """
+    denominator, counts, slope_denominator, slopes = _edge_cover_pass(edges, extended_order)
+    values = np.array([count / denominator for count in counts])
+    derivatives = np.array([slope / slope_denominator for slope in slopes])
+    values.flags.writeable = derivatives.flags.writeable = False
+    return values, derivatives
 
 
 def omega_support(tau: int, extended_order: int) -> Tuple[range, range, range]:
     """Return the (x, m, r) summation ranges used when assembling Λ1.
 
     Follows Section VI-B: ``x ∈ [0, τ]``, ``m ∈ [0, min(2τ, v)]``,
-    ``r ∈ [0, min(3τ, v)]``.
+    ``r ∈ [0, min(3τ, v)]`` — the last is the length of the factored sum's
+    vector ``P_τ`` (:class:`~repro.core.model.BranchEditModel`).
     """
     v = extended_order
     return (

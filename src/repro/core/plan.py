@@ -41,14 +41,13 @@ scored rows, ranked here.  Asked to keep every posterior
 <repro.core.search.GBDASearch.query>` need) the threshold reducer scores the
 dense row in NumPy, for every row.
 
-Posteriors come from two interchangeable, bit-identical strategies, chosen
-once per query by estimated cost (:meth:`_use_tables`).  *Tables*: dense
-``(τ̂, |V'1|)`` posterior vectors from :meth:`GBDAEstimator.posterior_row`
-(each entry is the scalar :meth:`GBDAEstimator.posterior`), stacked into
-order-indexed lookup matrices — the table the store call compares with γ, on
-the very doubles the per-pair loop compares.  *Direct*: evaluate only the
-distinct ``(GBD, |V'1|)`` pairs actually present (cached across queries) —
-never worse than the per-pair loop.
+Posteriors have one source: dense ``(τ̂, |V'1|)`` posterior vectors from
+:meth:`GBDAEstimator.posterior_row` (each entry is the scalar
+:meth:`GBDAEstimator.posterior`, which reads the branch-edit model's cached
+factored rows), stacked into order-indexed lookup matrices — the table the
+store call compares with γ, on the very doubles the per-pair loop compares.
+A row costs one factored Λ1 row per τ <= τ̂ and |V'1|, so every query, even a
+lone one over a handful of graphs, reads the tables.
 
 A batch is a loop.  Two queries of a batch share nothing but lookup-table
 rows, which are cached across calls anyway, so :meth:`execute_batch` runs
@@ -86,7 +85,6 @@ from repro.core.estimator import GBDAEstimator
 from repro.core.gbd import max_gbd_for_ged
 from repro.db.database import GraphDatabase
 from repro.db.index import BranchInvertedIndex
-from repro.db.kernels import numpy_impl
 from repro.db.query import SimilarityQuery
 from repro.exceptions import SearchError
 from repro.obs.metrics import DEFAULT_RATIO_BUCKETS, get_registry
@@ -139,12 +137,6 @@ def _record_stage(name: str, started: float) -> None:
 #: are guaranteed filled *in that matrix* (immutable, swapped atomically).
 _Table = Tuple[np.ndarray, FrozenSet[int]]
 
-#: Fill factor: build table rows only when their one-time cost (Σ |V'1|+1
-#: posterior evaluations) is within this multiple of the direct per-pair
-#: work of the current call — serving workloads cross the bar immediately,
-#: one-shot large-τ̂ experiment queries never pay for rows they don't use.
-_TABLE_COST_FACTOR = 4
-
 
 def _ranked(ids: np.ndarray, scores: np.ndarray) -> List[Tuple[int, float]]:
     """``(id, score)`` pairs by descending score, ascending id under ties."""
@@ -189,11 +181,10 @@ class CandidateScores:
     From :meth:`ExecutionCore.execute` every array spans the whole store,
     aligned on store positions — the store's ``|V_G|``-clustered layout, so
     ``graph_ids`` maps each position to its graph and is not in id order.
-    From the accepted-only reducer
-    (:meth:`ExecutionCore.execute_pruned` on the tables side) nothing ``D``
-    long exists: ``graph_ids`` / :attr:`positions` hold the accepted rows,
-    their scores are in :attr:`accepted_items`, and the per-candidate arrays
-    are ``None``.
+    From the accepted-only reducer (:meth:`ExecutionCore.execute_pruned`)
+    nothing ``D`` long exists: ``graph_ids`` / :attr:`positions` hold the
+    accepted rows, their scores are in :attr:`accepted_items`, and the
+    per-candidate arrays are ``None``.
     """
 
     graph_ids: np.ndarray
@@ -290,12 +281,6 @@ class ExecutionCore:
         self._luts: Dict[int, _Table] = {}
         self._bound_luts: Dict[int, _Table] = {}  # top-k suffix-max bounds
         self._table_lock = threading.Lock()
-        # Direct-evaluation cache: (τ̂, |V'1|, ϕ) -> posterior.  Writes are
-        # idempotent (same float recomputed), so no lock is needed.
-        self._pair_cache: Dict[Tuple[int, int, int], float] = {}
-        # Memo of _use_tables calls that found every row already filled —
-        # tables only ever grow, so a fully-covered verdict stays true.
-        self._tables_ready: set = set()
         # (snapshot's order vector, {|V_Q|: the D-length max(|V_Q|, |V_G|) row}) of
         # the snapshot last seen — see _orders_row.
         self._snapshot_rows: Tuple[Optional[np.ndarray], Dict] = (None, {})
@@ -511,64 +496,8 @@ class ExecutionCore:
         return lookup
 
     # ------------------------------------------------------------------ #
-    # posterior strategies: dense tables vs direct pair evaluation
+    # published lookup tables
     # ------------------------------------------------------------------ #
-    def _use_tables(self, tau_hat: int, needed_orders: List[int], num_scored: int) -> bool:
-        """Whether filling table rows beats direct evaluation for this call.
-
-        A missing ``(τ̂, |V'1|)`` row costs ``|V'1| + 1`` scalar posterior
-        evaluations; direct evaluation costs at most one per scored cell.
-        Rows pay off when their one-time cost is within
-        ``_TABLE_COST_FACTOR`` times the direct work — always true for
-        serving-sized databases, never for one-shot large-τ̂ queries over a
-        handful of graphs (the paper-experiment shape).
-        """
-        # Hot path: once every needed row exists the answer can never flip
-        # back (tables only grow), so the scan is skipped on repeat calls.
-        # The key holds the exact order list — different lists never collide.
-        ready_key = (tau_hat, tuple(needed_orders))
-        if ready_key in self._tables_ready:
-            return True
-        if len(self._tables_ready) > 512:
-            self._tables_ready = set()  # bound the memo like the sibling caches
-        missing = sum(
-            order + 1
-            for order in needed_orders
-            if (tau_hat, max(order, 1)) not in self._tables
-        )
-        if missing == 0:
-            self._tables_ready.add(ready_key)
-        return missing <= _TABLE_COST_FACTOR * num_scored
-
-    def _posteriors_direct(
-        self, tau_hat: int, orders: np.ndarray, gbds: np.ndarray
-    ) -> np.ndarray:
-        """Posteriors for exactly the distinct ``(|V'1|, ϕ)`` pairs present.
-
-        Never evaluates a pair the per-pair reference loop would not have
-        evaluated; repeated pairs (across graphs, queries, and calls) are
-        served from the idempotent pair cache.  Values come from the same
-        :meth:`GBDAEstimator.posterior` as the table rows — bit-identical
-        either way.
-        """
-        if orders.size == 0:
-            return np.zeros(orders.shape, dtype=np.float64)
-        base = int(orders.max()) + 2  # gbd <= order < base, so codes are unique
-        codes = (orders.astype(np.int64) * base + gbds).ravel()
-        unique_codes, inverse = np.unique(codes, return_inverse=True)
-        cache = self._pair_cache
-        posterior = self.estimator.posterior
-        values = np.empty(len(unique_codes), dtype=np.float64)
-        for slot, code in enumerate(unique_codes.tolist()):
-            order, gbd = divmod(code, base)
-            key = (tau_hat, order, gbd)
-            value = cache.get(key)
-            if value is None:
-                value = posterior(gbd, tau_hat, order)
-                cache[key] = value
-            values[slot] = value
-        return values[inverse].reshape(orders.shape)
-
     def _published_table(
         self, registry: Dict, registry_key, tau_hat: int, needed_orders: List[int], derive, dtype
     ) -> np.ndarray:
@@ -627,19 +556,15 @@ class ExecutionCore:
     # ------------------------------------------------------------------ #
     # Steps 2–4 of Algorithm 1: one pipeline, two reducers
     # ------------------------------------------------------------------ #
-    def _open(self, query: SimilarityQuery, query_branches: Optional[Counter], call_rows: int = 1):
-        """First steps of every path: one snapshot, the query's orders, tables or direct.
+    def _open(self, query: SimilarityQuery, query_branches: Optional[Counter]):
+        """First steps of every path: one snapshot and the query's orders.
 
-        Returns ``(branches, store, snapshot, extended, needed_orders,
-        use_tables)``.  ``snapshot`` is the store's coherent ``(csr,
-        db_orders, global_ids)`` view: a concurrent database addition becomes
-        visible between queries, never mid-computation.  ``extended`` is
-        ``max(|V_Q|, |V_G|)`` per distinct ``|V_G|`` of the snapshot and
-        ``needed_orders`` the same as a list — the lookup-table rows the query
-        can touch.  ``use_tables`` is the tables-vs-direct posterior choice
-        (:meth:`_use_tables`), consulted here and nowhere else; the direct work
-        table rows are weighed against is that of the whole call, the
-        ``call_rows`` queries of an :meth:`execute_batch`.
+        Returns ``(branches, store, snapshot, extended, needed_orders)``.
+        ``snapshot`` is the store's coherent ``(csr, db_orders, global_ids)``
+        view: a concurrent database addition becomes visible between queries,
+        never mid-computation.  ``extended`` is ``max(|V_Q|, |V_G|)`` per
+        distinct ``|V_G|`` of the snapshot and ``needed_orders`` the same as a
+        list — the lookup-table rows the query can touch.
         """
         self.validate_tau(query.tau_hat)
         branches = query.branches() if query_branches is None else query_branches
@@ -647,9 +572,7 @@ class ExecutionCore:
         snapshot = store.view()
         distinct = store.order_ranges(snapshot[0])[0]
         extended = np.maximum(query.query_graph.num_vertices, distinct)
-        needed_orders = extended.tolist()
-        use_tables = self._use_tables(query.tau_hat, needed_orders, call_rows * len(snapshot[1]))
-        return branches, store, snapshot, extended, needed_orders, use_tables
+        return branches, store, snapshot, extended, extended.tolist()
 
     def _threshold(
         self,
@@ -657,7 +580,6 @@ class ExecutionCore:
         query_branches: Optional[Counter],
         use_pruning: bool,
         bounded: bool,
-        call_rows: int = 1,
     ) -> CandidateScores:
         """One query through the pipeline, reduced by the γ threshold.
 
@@ -671,21 +593,17 @@ class ExecutionCore:
         (:meth:`ColumnarBranchStore.filter_verify_row`) verifies the
         survivors, by range slices or one dense walk, and compares their
         posteriors with γ: it returns the accepted rows, and all that is left
-        here is their ids and scores.  Without ``bounded`` — or on the direct
-        side of the tables choice, a one-shot workload where inverting the
-        thresholds would cost more posterior evaluations than it saves —
-        every order is eligible: verification is the dense row and the
-        reducer keeps every posterior.
+        here is their ids and scores.  Without ``bounded`` every order is
+        eligible: verification is the dense row and the reducer keeps every
+        posterior, read off the same τ̂ table.
         """
         started = time.perf_counter()
-        branches, store, snapshot, extended, needed_orders, use_tables = self._open(
-            query, query_branches, call_rows
-        )
+        branches, store, snapshot, extended, needed_orders = self._open(query, query_branches)
         csr, db_orders, global_ids = snapshot
         tau_hat, gamma = query.tau_hat, query.gamma
         num_query_vertices = query.query_graph.num_vertices
         num_rows = len(db_orders)
-        if bounded and use_tables:
+        if bounded:
             thresholds, lut = self._pruned_thresholds(query, extended, use_pruning)
             hits, gbds, _eligible, verified, sparse = store.filter_verify_row(
                 num_query_vertices,
@@ -712,11 +630,8 @@ class ExecutionCore:
         self._count(num_rows, 0, num_rows, sparse=False)
         orders = self._orders_row(db_orders, num_query_vertices)
         gbds = orders - intersections
-        if use_tables:
-            lut = self._lut_for(tau_hat, needed_orders)
-            posteriors = lut.take(orders * lut.shape[1] + gbds)
-        else:
-            posteriors = self._posteriors_direct(tau_hat, orders, gbds)
+        lut = self._lut_for(tau_hat, needed_orders)
+        posteriors = lut.take(orders * lut.shape[1] + gbds)
         accepted = posteriors >= gamma
         within_branch_bound = None
         if use_pruning:
@@ -784,7 +699,7 @@ class ExecutionCore:
         started = time.perf_counter()
         with activated(rows_trace):
             results = [
-                self._threshold(query, branches, use_pruning, bounded, len(queries))
+                self._threshold(query, branches, use_pruning, bounded)
                 for query, branches in zip(queries, query_branches)
             ]
         if trace is not None:
@@ -814,18 +729,15 @@ class ExecutionCore:
         descending bound order — by range slices, or from one dense walk once
         slicing would cost as much — and offered to a k-best heap whose k-th
         score cuts off the groups no longer in reach; nothing ``D`` long is
-        built here.  On the direct side of the tables choice (a one-shot
-        workload) every row is scored and reduced once.  With ``use_pruning``
-        the ranking covers only the branch-bound candidate set (``GBD <= 2 τ̂``).
+        built here.  With ``use_pruning`` the ranking covers only the
+        branch-bound candidate set (``GBD <= 2 τ̂``).
         """
         started = time.perf_counter()
-        branches, store, snapshot, _extended, needed_orders, use_tables = self._open(
-            query, query_branches
-        )
+        branches, store, snapshot, _extended, needed_orders = self._open(query, query_branches)
         k = int(k)
         if k < 1:
             raise self.error_class("top_k must be a positive integer")
-        csr, db_orders, global_ids = snapshot
+        csr, db_orders = snapshot[:2]
         num_rows = len(db_orders)
         if num_rows == 0:
             return []
@@ -833,24 +745,14 @@ class ExecutionCore:
         tau_hat = query.tau_hat
         # The branch-bound cap on a ranked row's GBD (``use_pruning`` only).
         cap = max_gbd_for_ged(tau_hat) if use_pruning else None
-        view = (csr, num_rows)
-        if use_tables:
-            ids, scores, verified, sparse = store.filter_verify_topk(
-                num_query_vertices,
-                branches,
-                *self._topk_tables(tau_hat, num_query_vertices, needed_orders),
-                cap,
-                k,
-                view=view,
-            )
-        else:
-            # One-shot workload: score everything directly, reduce once.
-            orders_row = self._orders_row(db_orders, num_query_vertices)
-            gbds = orders_row - store.intersection_row(branches, view=view)
-            posteriors = self._posteriors_direct(tau_hat, orders_row, gbds)
-            rows = gbds <= cap if use_pruning else slice(None)
-            ids, scores = numpy_impl.k_best(global_ids[rows], posteriors[rows], k)
-            verified, sparse = num_rows, False
+        ids, scores, verified, sparse = store.filter_verify_topk(
+            num_query_vertices,
+            branches,
+            *self._topk_tables(tau_hat, num_query_vertices, needed_orders),
+            cap,
+            k,
+            view=(csr, num_rows),
+        )
         # A query none of whose order groups was ranked in ran neither plan.
         self._count(num_rows, num_rows - verified, verified, sparse=sparse)
         _record_stage("topk", started)

@@ -12,9 +12,9 @@ in :mod:`repro.db.kernels.numpy_impl`:
 
 The interface is five kernels — ``intersection_row``,
 ``gbd_lower_bound_row``, ``filter_verify_row``, ``filter_verify_topk`` on the
-read path and ``merge_postings`` on the write path — plus, in the reference
-only, the ``k_best`` selection.  Every array they exchange is indexed by the
-store's ``|V_G|``-clustered positions, each distinct order a contiguous range.
+read path and ``merge_postings`` on the write path.  Every array they
+exchange is indexed by the store's ``|V_G|``-clustered positions, each
+distinct order a contiguous range.
 
 ``"auto"`` (the default everywhere a backend is configurable) resolves to
 ``native`` when it can be built on this machine and ``numpy`` otherwise, so

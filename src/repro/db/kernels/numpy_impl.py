@@ -175,7 +175,7 @@ def filter_verify_row(
     return hits if positions is None else positions[hits], gbds[hits], eligible, num_eligible
 
 
-def k_best(ids: np.ndarray, scores: np.ndarray, k: int) -> Tuple[np.ndarray, np.ndarray]:
+def _k_best(ids: np.ndarray, scores: np.ndarray, k: int) -> Tuple[np.ndarray, np.ndarray]:
     """The first ``k`` of the scored rows under ``(-score, id)``, unsorted.
 
     The selection of the top-k reducer — exact group by group because the
@@ -251,7 +251,7 @@ def filter_verify_topk(
         group_ids = global_ids[start:end]
         if max_gbd is not None:
             group_ids, gbds = group_ids[gbds <= max_gbd], gbds[gbds <= max_gbd]
-        ids, scores = k_best(
+        ids, scores = _k_best(
             np.concatenate((ids, group_ids)),
             np.concatenate((scores, lut[extended[group], gbds])),
             k,
@@ -259,7 +259,7 @@ def filter_verify_topk(
     if max_gbd is None and (len(ids) < k or scores.min() <= 0.0):
         zero = np.flatnonzero(~ranked_in)
         zero_ids = global_ids[_flat_slices(bounds[zero], bounds[zero + 1] - bounds[zero])]
-        ids, scores = k_best(
+        ids, scores = _k_best(
             np.concatenate((ids, zero_ids)),
             np.concatenate((scores, np.zeros(len(zero_ids)))),
             k,

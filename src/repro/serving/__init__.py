@@ -8,8 +8,8 @@ deployable serving artifact:
   per-graph Python loop of ``GBDASearch.query`` (identical answers, several
   times the throughput);
 * :mod:`~repro.serving.snapshot` — versioned ``save``/``load`` of a fitted
-  engine (graphs + branch multisets + Λ2 GMM + Λ3 grid + posterior tables),
-  so a server starts without re-running the offline stage;
+  engine (graphs + branch multisets + Λ2 GMM + Λ3 grid), so a server starts
+  without re-running the offline stage;
 * :class:`~repro.serving.cache.QueryResultCache` — an LRU for repeated/hot
   queries with hit/miss accounting;
 * :class:`~repro.serving.executor.ServingExecutor` — shards a query stream

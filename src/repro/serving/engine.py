@@ -245,20 +245,6 @@ class BatchQueryEngine:
         """Number of ``(τ̂, |V'1|)`` posterior vectors currently materialised."""
         return len(self._core.tables)
 
-    def tables_state(self) -> List[Tuple[int, int, List[float]]]:
-        """Export the materialised posterior vectors (snapshot layer)."""
-        return [
-            (tau_hat, order, vector.tolist())
-            for (tau_hat, order), vector in sorted(self._core.tables.items())
-        ]
-
-    def load_tables(self, state: Iterable[Tuple[int, int, Sequence[float]]]) -> None:
-        """Restore posterior vectors exported by :meth:`tables_state`."""
-        for tau_hat, order, values in state:
-            self._core.tables[(int(tau_hat), int(order))] = np.asarray(
-                values, dtype=np.float64
-            )
-
     # ------------------------------------------------------------------ #
     # serving
     # ------------------------------------------------------------------ #

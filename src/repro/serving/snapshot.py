@@ -2,10 +2,11 @@
 
 A snapshot captures everything the online stage needs — the database graphs
 with their pre-computed branch multisets, the GMM parameters of the GBD
-prior (Λ2), the Jeffreys GED-prior grid (Λ3), and any posterior lookup
-tables already materialised — so a server process can
+prior (Λ2) and the Jeffreys GED-prior grid (Λ3) — so a server process can
 :func:`load_engine` in milliseconds instead of re-running the offline
-``fit()`` (pair sampling + EM + Jeffreys grid).
+``fit()`` (pair sampling + EM + Jeffreys grid).  Posterior lookup tables are
+not stored: they cost milliseconds to rebuild from the priors, and rebuilt
+they are the very floats ``query_reference`` computes on the loaded engine.
 
 The payload is a plain dict of built-in types serialized with :mod:`pickle`
 behind a ``(format, version)`` header; :func:`load_engine` refuses files
@@ -53,9 +54,11 @@ SNAPSHOT_FORMAT = "repro.serving.engine-snapshot"
 #: engine's ``pruned_execution`` flag; version 4 adds the *configured*
 #: ``kernel_backend`` (configured, not resolved — a snapshot built where the
 #: native kernels compile must still load on a machine without a toolchain,
-#: so ``"auto"`` re-resolves per host).  Older files are still readable —
-#: the new fields default to 0 / seed 0 / pruned execution on / ``"auto"``.
-SNAPSHOT_VERSION = 4
+#: so ``"auto"`` re-resolves per host); version 5 drops the v1–v4
+#: ``posterior_tables``, which loading ignores (an older Λ1 may differ in
+#: the last ulp).  Older files are still readable — the new fields default
+#: to 0 / seed 0 / pruned execution on / ``"auto"``.
+SNAPSHOT_VERSION = 5
 
 PathLike = Union[str, Path]
 
@@ -63,7 +66,7 @@ PathLike = Union[str, Path]
 #: ``sha256(payload) (32B) | payload length (8B big-endian) | magic (8B)``.
 #: The footer sits *after* the pickle stream, so files carrying it remain
 #: readable by any loader that simply unpickles from the front — and
-#: version 1–4 payloads round-trip through it unchanged.
+#: version 1–5 payloads round-trip through it unchanged.
 _FOOTER_MAGIC = b"RSNAPSUM"
 _FOOTER_STRUCT = struct.Struct(">32sQ8s")
 
@@ -156,7 +159,6 @@ def save_engine(engine: BatchQueryEngine, path: PathLike) -> Path:
             "pruned_execution": engine.pruned_execution,
             "kernel_backend": getattr(engine, "kernel_backend", "auto"),
         },
-        "posterior_tables": engine.tables_state(),
     }
     destination = Path(path)
     destination.parent.mkdir(parents=True, exist_ok=True)
@@ -230,6 +232,5 @@ def load_engine(path: PathLike) -> BatchQueryEngine:
         pruned_execution=config.get("pruned_execution", True),
         kernel_backend=config.get("kernel_backend", "auto"),
     )
-    engine.load_tables(payload["posterior_tables"])
     engine.model_version = int(payload.get("model_version", 0))
     return engine

@@ -1,4 +1,6 @@
-"""repro.testing — fault injection and chaos-testing harnesses.
+"""repro.testing — oracles, fault injection and chaos-testing harnesses.
+
+:mod:`~repro.testing.oracles` holds the unfactored Λ1 the model is held to.
 
 Production-facing resilience claims are only as good as the failures they
 were tested against.  This package holds the *correctness engine* of the

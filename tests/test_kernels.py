@@ -141,14 +141,9 @@ class TestKernelInterfaceDrift:
             assert len(inspect.signature(wrapper).parameters) == len(
                 inspect.signature(reference[name]).parameters
             ), name
-        # What only the reference has is backend-independent: the k-best
-        # selection, which the execution core reduces its direct (table-less)
-        # top-k with.
-        callers = (
-            self.source("..", "columnar.py")
-            + self.source("native.py")
-            + self.source("..", "..", "core", "plan.py")
-        )
+        # Whatever public function only the reference has must be
+        # backend-independent, called through the reference by name.
+        callers = self.source("..", "columnar.py") + self.source("native.py")
         for name in set(reference) - set(kernels):
             assert f"numpy_impl.{name}" in callers, name
 
@@ -745,7 +740,7 @@ class TestReducersInTheCore:
         for plan, budget in (("sparse", lambda postings, rows: rows), ("dense", lambda *_: 0)):
             monkeypatch.setattr(columnar, "sparse_row_budget", budget)
             core = ExecutionCore(database, estimator, max_tau=3, kernel_backend=backend)
-            core.warm(range(4), range(1, 11))  # the tables side of the tables-vs-direct choice
+            core.warm(range(4), range(1, 11))
             for query in _reducer_queries(12, seed=43):
                 graph, tau_hat = query.query_graph, query.tau_hat
                 expected = {}

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.model import BranchEditModel
+from repro.testing.oracles import lambda1_dtau_oracle, lambda1_oracle
 
 
 @pytest.fixture(scope="module")
@@ -76,7 +77,39 @@ class TestScore:
             assert trend * score > 0
 
     def test_score_outside_support_is_zero_or_finite(self, model_v4):
-        assert model_v4.score(1, 4) == pytest.approx(0.0, abs=10.0) or True
+        assert model_v4.score(1, 4) == 0.0
+        # Λ1(τ, ϕ) = 0 < Λ1(τ + 1, ϕ): no log-difference stands in for Z.
+        for tau, phi in ((0, 1), (1, 3), (1, 4)):
+            assert model_v4.lambda1(tau, phi) == 0.0 < model_v4.lambda1(tau + 1, phi)
+            assert model_v4.score(tau, phi) == 0.0
+
+
+#: (|V'|, τ values) of the oracle grid: every τ ≤ 12, plus τ = 30 at |V'| = 100.
+_ORACLE_GRID = [(v, range(13)) for v in (1, 2, 3, 4, 7, 12, 30, 60)] + [(100, [*range(13), 30])]
+
+
+class TestFactoredAgainstTheOracle:
+    """The factored rows ``Ω3 · P_τ`` equal the unfactored triple loop.
+
+    ``|LV| = |LE| = 50`` gives ``D > 10**6`` from ``|V'| = 2`` on, which takes
+    Ω3's log-space branch.
+    """
+
+    @pytest.mark.parametrize("alphabet", [(3, 2), (50, 50)], ids=["small", "large"])
+    @pytest.mark.parametrize("order, taus", _ORACLE_GRID, ids=[str(v) for v, _ in _ORACLE_GRID])
+    def test_lambda1_and_its_derivative_agree(self, order, taus, alphabet):
+        model = BranchEditModel(order, *alphabet)
+        for tau in taus:
+            values, slopes = model._row_pair(tau)
+            assert len(values) == len(slopes) == model.max_phi(tau) + 1
+            for phi in range(model.max_phi(tau) + 1):
+                for row, oracle in ((values, lambda1_oracle), (slopes, lambda1_dtau_oracle)):
+                    expected = oracle(order, *alphabet, tau, phi)
+                    where = (oracle.__name__, tau, phi)
+                    if expected == 0.0:
+                        assert row[phi] == 0.0, where
+                    else:
+                        assert abs(row[phi] - expected) <= 1e-12 * abs(expected), where
 
 
 class TestValidation:

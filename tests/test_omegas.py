@@ -10,6 +10,7 @@ from repro.core.omegas import (
     omega1,
     omega1_dtau,
     omega2,
+    omega2_column,
     omega2_dtau,
     omega3,
     omega4,
@@ -82,6 +83,51 @@ class TestOmega2:
     def test_out_of_range_m_is_zero(self):
         assert omega2(10, 0, 2, 5) == 0
         assert omega2(-1, 0, 2, 5) == 0
+
+    @pytest.mark.parametrize("v", [1, 2, 3, 4, 7, 12, 30])
+    def test_one_pass_per_y_equals_the_formula_term_by_term(self, v):
+        """The shared pass gives Lemma 2's exact values, and the column their floats."""
+        for y in range(min(binomial(v, 2), 12) + 2):
+            values, slopes = omega2_column(y, v)
+            assert len(values) == len(slopes) == min(2 * y, v) + 1
+            for m in range(v + 1):
+                assert omega2(m, 1, y + 1, v) == _omega2_term_by_term(m, y, v), (y, m)
+            for m in range(len(values)):
+                expected = _omega2_dtau_term_by_term(m, y, v)
+                assert omega2_dtau(m, 1, y + 1, v) == expected, (y, m)
+                assert values[m] == float(_omega2_term_by_term(m, y, v)), (y, m)
+                assert slopes[m] == float(expected), (y, m)
+
+
+def _omega2_term_by_term(m, y, v):
+    """Lemma 2's inclusion–exclusion for one ``(m, y)``, summed term by term."""
+    denominator = binomial(binomial(v, 2), y)
+    if denominator == 0:
+        return Fraction(0)
+    numerator = sum(
+        (-1) ** (m - t) * binomial(v, m) * binomial(m, t) * binomial(binomial(t, 2), y)
+        for t in range(m + 1)
+    )
+    return Fraction(max(numerator, 0), denominator)
+
+
+def _omega2_dtau_term_by_term(m, y, v):
+    """Each inclusion–exclusion term of Ω2 differentiated on its own."""
+    from repro.core.omegas import _log_binomial_dk
+
+    denominator = binomial(binomial(v, 2), y)
+    if denominator == 0 or y == 0:
+        return Fraction(0)
+    result = Fraction(0)
+    for t in range(m + 1):
+        numerator = binomial(v, m) * binomial(m, t) * binomial(binomial(t, 2), y)
+        if numerator:
+            log_derivative = _log_binomial_dk(binomial(t, 2), y) - _log_binomial_dk(
+                binomial(v, 2), y
+            )
+            factor = Fraction(log_derivative).limit_denominator(10**12)
+            result += (-1) ** (m - t) * Fraction(numerator, denominator) * factor
+    return result
 
 
 class TestOmega3:

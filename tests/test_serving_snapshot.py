@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import pickle
 import random
 
@@ -22,15 +23,19 @@ from repro.serving.snapshot import (
 
 
 @pytest.fixture(scope="module")
-def fitted_engine():
+def fitted_search():
     rng = random.Random(23)
     graphs = [
         random_labeled_graph(rng.randint(5, 8), rng.randint(5, 10), seed=rng)
         for _ in range(30)
     ]
     database = GraphDatabase(graphs, name="snapshot-db")
-    search = GBDASearch(database, max_tau=4, num_prior_pairs=120, seed=9).fit()
-    engine = BatchQueryEngine.from_search(search, keep_scores="all")
+    return GBDASearch(database, max_tau=4, num_prior_pairs=120, seed=9).fit()
+
+
+@pytest.fixture(scope="module")
+def fitted_engine(fitted_search):
+    engine = BatchQueryEngine.from_search(fitted_search, keep_scores="all")
     engine.warm([1, 2, 3])
     return engine
 
@@ -70,11 +75,17 @@ class TestRoundTrip:
         assert loaded.keep_scores == fitted_engine.keep_scores
         assert loaded.database[0].branches == fitted_engine.database[0].branches
 
-    def test_materialised_tables_survive(self, fitted_engine, tmp_path):
+    def test_tables_are_rebuilt_not_stored(self, fitted_engine, tmp_path):
         path = tmp_path / "engine.snapshot"
         save_engine(fitted_engine, path)
+        assert fitted_engine.num_cached_tables > 0
+        assert "posterior_tables" not in pickle.loads(path.read_bytes())
         loaded = load_engine(path)
-        assert loaded.num_cached_tables == fitted_engine.num_cached_tables
+        assert loaded.num_cached_tables == 0
+        for tau_hat in range(5):
+            for order in range(1, 13):
+                rebuilt = loaded.posterior_vector(tau_hat, order)
+                assert rebuilt.tolist() == fitted_engine.posterior_vector(tau_hat, order).tolist()
 
     def test_loaded_priors_match(self, fitted_engine, tmp_path):
         path = tmp_path / "engine.snapshot"
@@ -135,6 +146,33 @@ class TestVersioning:
         assert len(engine.database) == len(fitted_engine.database)
 
 
+def _with_footer(payload) -> bytes:
+    blob = pickle.dumps(payload)
+    return blob + _FOOTER_STRUCT.pack(hashlib.sha256(blob).digest(), len(blob), _FOOTER_MAGIC)
+
+
+class TestStoredTables:
+    def test_v4_posterior_tables_are_ignored(self, fitted_search, fitted_engine, tmp_path):
+        """A v4 file's tables never answer a query: doctored to 1.0 everywhere,
+        the loaded engine still answers exactly as the reference loop does."""
+        path = tmp_path / "engine.snapshot"
+        save_engine(fitted_engine, path)
+        payload = pickle.loads(path.read_bytes())
+        payload["version"] = 4
+        payload["posterior_tables"] = [
+            (tau_hat, order, [1.0] * (order + 1)) for tau_hat in range(5) for order in range(1, 13)
+        ]
+        path.write_bytes(_with_footer(payload))
+        loaded = load_engine(path)
+        for query in _queries(seed=37):
+            reference = fitted_search.query_reference(query)
+            answer = loaded.query(query)
+            assert answer.accepted_ids == reference.answer.accepted_ids
+            assert answer.scores == reference.posteriors
+            expected = fitted_search.query_topk_reference(query, 5)
+            assert loaded.query_topk(query, 5).ranking == expected
+
+
 class TestIntegrity:
     """Crash-safe writes and the sha256 integrity footer."""
 
@@ -187,7 +225,7 @@ class TestIntegrity:
         assert len(engine.database) == len(fitted_engine.database)
 
     def test_all_versions_round_trip_through_the_footer(self, fitted_engine, tmp_path):
-        """Rewriting any v1–v4 payload with the footer appended loads fine —
+        """Rewriting any v1–v5 payload with the footer appended loads fine —
         the footer sits after the pickle stream and never touches it."""
         path = tmp_path / "engine.snapshot"
         save_engine(fitted_engine, path)
@@ -195,14 +233,8 @@ class TestIntegrity:
         for version in range(1, SNAPSHOT_VERSION + 1):
             payload = dict(base)
             payload["version"] = version
-            blob = pickle.dumps(payload)
-            import hashlib
-
-            footer = _FOOTER_STRUCT.pack(
-                hashlib.sha256(blob).digest(), len(blob), _FOOTER_MAGIC
-            )
             versioned = tmp_path / f"engine.v{version}.snapshot"
-            versioned.write_bytes(blob + footer)
+            versioned.write_bytes(_with_footer(payload))
             engine = load_engine(versioned)
             assert len(engine.database) == len(fitted_engine.database)
 
