@@ -15,13 +15,19 @@ from __future__ import annotations
 
 import random
 import time
+from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
+from repro.core.branches import branch_multiset
+from repro.core.gbd import branch_intersection_size
 from repro.exceptions import PriorNotFittedError
 from repro.graphs.graph import Graph
 from repro.stats.gmm import GaussianMixtureModel
 from repro.stats.sampling import decode_rng_state, encode_rng_state, sample_pairs
+
+if TYPE_CHECKING:
+    from repro.db.database import GraphDatabase
 
 RandomState = Union[int, random.Random, None]
 
@@ -33,9 +39,29 @@ __all__ = ["GBDPrior", "GBDPriorReport"]
 _PROBABILITY_FLOOR = 1e-12
 
 
+def _pair_gbds(
+    orders: Sequence[int],
+    multisets: Union[Sequence[Counter], Mapping[int, Counter]],
+    pairs: Sequence[Tuple[int, int]],
+) -> List[int]:
+    """``GBD`` (Definition 4) of every index pair from extracted branch multisets.
+
+    ``orders[i]`` is ``|V|`` of graph ``i`` and ``multisets[i]`` its branch
+    multiset; both need only be indexable by the indices the pairs use.
+    """
+    return [
+        max(orders[i], orders[j]) - branch_intersection_size(multisets[i], multisets[j])
+        for i, j in pairs
+    ]
+
+
 @dataclass
 class GBDPriorReport:
-    """Book-keeping produced while fitting the prior (feeds Table IV)."""
+    """Book-keeping produced while fitting the prior (feeds Table IV).
+
+    ``gbd_seconds`` is Steps 1.1–1.2 (sampling the pairs and computing their
+    GBDs); ``fit_seconds`` is Steps 1.3–1.4 (the GMM and its table).
+    """
 
     num_pairs_sampled: int = 0
     num_components: int = 0
@@ -69,10 +95,6 @@ class GBDPrior:
     backend:
         EM backend forwarded to :class:`GaussianMixtureModel` (``"auto"``,
         ``"numpy"`` or ``"python"``).
-    num_workers:
-        Worker processes for the pair-GBD sampling loop (Step 1.2);
-        ``None``/1 keeps the serial path.  Results are identical for any
-        worker count (deterministic chunk merge).
     """
 
     def __init__(
@@ -82,12 +104,10 @@ class GBDPrior:
         *,
         seed: RandomState = 0,
         backend: str = "auto",
-        num_workers: Optional[int] = None,
     ) -> None:
         self.num_components = num_components
         self.num_pairs = num_pairs
         self.backend = backend
-        self.num_workers = num_workers
         self._seed = seed
         self._mixture: Optional[GaussianMixtureModel] = None
         self._table: Dict[int, float] = {}
@@ -97,23 +117,32 @@ class GBDPrior:
     # ------------------------------------------------------------------ #
     # fitting
     # ------------------------------------------------------------------ #
-    def fit(self, graphs: Sequence[Graph]) -> "GBDPrior":
-        """Run the four offline steps of Section V-C.1 on ``graphs``."""
-        # Imported here (not at module top) to avoid the import cycle
-        # repro.core.gbd_prior -> repro.offline -> fitter -> gbd_prior.
-        from repro.offline.parallel import compute_pair_gbds
+    def fit(self, graphs: Union[Sequence[Graph], GraphDatabase]) -> "GBDPrior":
+        """Run the four offline steps of Section V-C.1 on ``graphs``.
 
-        rng = self._seed if isinstance(self._seed, random.Random) else random.Random(self._seed)
-        pairs = sample_pairs(list(range(len(graphs))), self.num_pairs, seed=rng)
+        A :class:`~repro.db.database.GraphDatabase` is read through the
+        branch multisets it already stores; for bare graphs the sampled ones
+        are extracted here.
+        """
+        # Imported here: repro.db.database imports repro.core.
+        from repro.db.database import GraphDatabase
 
         start = time.perf_counter()
-        gbds = compute_pair_gbds(graphs, pairs, num_workers=self.num_workers)
+        rng = self._seed if isinstance(self._seed, random.Random) else random.Random(self._seed)
+        pairs = sample_pairs(range(len(graphs)), self.num_pairs, seed=rng)
+        if isinstance(graphs, GraphDatabase):
+            entries = graphs.entries()
+            orders = [entry.num_vertices for entry in entries]
+            multisets = [entry.branches for entry in entries]
+        else:
+            orders = [graph.num_vertices for graph in graphs]
+            sampled = {index for pair in pairs for index in pair}
+            multisets = {index: branch_multiset(graphs[index]) for index in sampled}
+        gbds = _pair_gbds(orders, multisets, pairs)
         gbd_seconds = time.perf_counter() - start
 
         return self.fit_from_samples(
-            gbds,
-            max_value=max((g.num_vertices for g in graphs), default=0),
-            gbd_seconds=gbd_seconds,
+            gbds, max_value=max(orders, default=0), gbd_seconds=gbd_seconds
         )
 
     def fit_from_samples(

@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Tuple
 
 from repro.core.model import BranchEditModel
 from repro.exceptions import PriorNotFittedError
@@ -28,33 +28,6 @@ __all__ = ["GEDPrior", "GEDPriorReport"]
 #: Floor applied to unnormalised Jeffreys weights so that no (τ, v) cell is
 #: exactly zero; keeps the posterior well-defined at boundary thresholds.
 _WEIGHT_FLOOR = 1e-12
-
-
-def _jeffreys_row(args: Tuple[int, int, int, int]) -> Tuple[int, Dict[int, float]]:
-    """One normalised grid column ``{τ: Pr[GED = τ]}`` for a fixed order.
-
-    Module-level (and taking a single tuple argument) so the offline stage
-    can fan the per-order computations out over a process pool — each
-    extended order is independent of every other.
-    """
-    extended_order, max_tau, num_vertex_labels, num_edge_labels = args
-    model = BranchEditModel(extended_order, num_vertex_labels, num_edge_labels)
-    weights: Dict[int, float] = {}
-    for tau in range(1, max_tau + 1):
-        fisher_information = 0.0
-        for phi in range(model.max_phi(tau) + 1):
-            score = model.score(tau, phi)  # zero where Λ1 is
-            fisher_information += model.lambda1(tau, phi) * score * score
-        weights[tau] = max(math.sqrt(max(fisher_information, 0.0)), _WEIGHT_FLOOR)
-    # The score is degenerate at τ = 0 (the conditional is a point mass and
-    # its Fisher information is unbounded); use the τ = 1 information as a
-    # conservative stand-in so GED = 0 keeps a sensible positive prior mass
-    # and exact matches are never filtered out by the prior alone.
-    weights[0] = weights.get(1, _WEIGHT_FLOOR) if max_tau >= 1 else 1.0
-    normaliser = sum(weights.values())
-    if normaliser <= 0:
-        normaliser = 1.0
-    return extended_order, {tau: weight / normaliser for tau, weight in weights.items()}
 
 
 @dataclass
@@ -97,9 +70,7 @@ class GEDPrior:
     # ------------------------------------------------------------------ #
     # fitting (offline pre-computation)
     # ------------------------------------------------------------------ #
-    def fit(
-        self, extended_orders: Iterable[int], *, num_workers: Optional[int] = None
-    ) -> "GEDPrior":
+    def fit(self, extended_orders: Iterable[int]) -> "GEDPrior":
         """Pre-compute the Jeffreys prior for every extended order in the input.
 
         ``extended_orders`` is typically the set of distinct values of
@@ -107,15 +78,11 @@ class GEDPrior:
         synthetic datasets that is just the handful of generated sizes, which
         is why Table V reports smaller costs on Syn-1/Syn-2 than on the real
         datasets despite the much larger graphs.
-
-        Each order's column is independent, so with ``num_workers > 1`` the
-        grid is built across a process pool (columns merged in sorted order;
-        the resulting matrix is identical to the serial build).
         """
         start = time.perf_counter()
         orders = sorted({int(v) for v in extended_orders if int(v) >= 1})
         self._table = {}
-        self._insert_rows(orders, num_workers=num_workers)
+        self._insert_rows(orders)
         self._orders = orders
         self.report = GEDPriorReport(
             max_tau=self.max_tau,
@@ -125,9 +92,7 @@ class GEDPrior:
         )
         return self
 
-    def update(
-        self, extended_orders: Iterable[int], *, num_workers: Optional[int] = None
-    ) -> List[int]:
+    def update(self, extended_orders: Iterable[int]) -> List[int]:
         """Extend the grid with any orders not yet covered; return the new ones.
 
         Incremental counterpart of :meth:`fit` used by the offline refit
@@ -141,7 +106,7 @@ class GEDPrior:
         requested = {int(v) for v in extended_orders if int(v) >= 1}
         missing = sorted(requested - set(self._orders))
         if missing:
-            self._insert_rows(missing, num_workers=num_workers)
+            self._insert_rows(missing)
             self._orders = sorted(set(self._orders) | set(missing))
         self.report = GEDPriorReport(
             max_tau=self.max_tau,
@@ -151,23 +116,28 @@ class GEDPrior:
         )
         return missing
 
-    def _insert_rows(self, orders: List[int], *, num_workers: Optional[int]) -> None:
-        """Compute and merge the grid columns for ``orders`` (sorted input)."""
-        # Imported lazily to avoid the cycle ged_prior -> repro.offline ->
-        # fitter -> ged_prior.
-        from repro.offline.parallel import parallel_map
-
-        rows = parallel_map(
-            _jeffreys_row,
-            [
-                (order, self.max_tau, self.num_vertex_labels, self.num_edge_labels)
-                for order in orders
-            ],
-            num_workers=num_workers,
-        )
-        for order, row in rows:
-            for tau, probability in row.items():
-                self._table[(tau, order)] = probability
+    def _insert_rows(self, orders: List[int]) -> None:
+        """Compute and merge the normalised grid column of every order in ``orders``."""
+        for order in orders:
+            model = BranchEditModel(order, self.num_vertex_labels, self.num_edge_labels)
+            weights: Dict[int, float] = {}
+            for tau in range(1, self.max_tau + 1):
+                fisher_information = 0.0
+                for phi in range(model.max_phi(tau) + 1):
+                    score = model.score(tau, phi)  # zero where Λ1 is
+                    fisher_information += model.lambda1(tau, phi) * score * score
+                weights[tau] = max(math.sqrt(max(fisher_information, 0.0)), _WEIGHT_FLOOR)
+            # The score is degenerate at τ = 0 (the conditional is a point mass
+            # and its Fisher information is unbounded); use the τ = 1
+            # information as a conservative stand-in so GED = 0 keeps a
+            # sensible positive prior mass and exact matches are never
+            # filtered out by the prior alone.
+            weights[0] = weights.get(1, _WEIGHT_FLOOR) if self.max_tau >= 1 else 1.0
+            normaliser = sum(weights.values())
+            if normaliser <= 0:
+                normaliser = 1.0
+            for tau, weight in weights.items():
+                self._table[(tau, order)] = weight / normaliser
 
     # ------------------------------------------------------------------ #
     # queries

@@ -76,10 +76,6 @@ class GBDASearch:
     backend:
         EM backend for the GBD-prior fit (``"auto"``, ``"numpy"`` or
         ``"python"``); forwarded to :class:`~repro.core.gbd_prior.GBDPrior`.
-    num_workers:
-        Worker processes for the offline hot loops (pair-GBD sampling and
-        the GED-prior grid); ``None``/1 keeps the serial paths.  Any worker
-        count produces identical priors (deterministic merges).
     """
 
     method_name = "GBDA"
@@ -94,7 +90,6 @@ class GBDASearch:
         seed: int = 0,
         use_index_pruning: bool = False,
         backend: str = "auto",
-        num_workers: Optional[int] = None,
     ) -> None:
         if len(database) == 0:
             raise SearchError("cannot build a search over an empty database")
@@ -105,7 +100,6 @@ class GBDASearch:
         self.seed = seed
         self.use_index_pruning = use_index_pruning
         self.backend = backend
-        self.num_workers = num_workers
 
         self.gbd_prior: Optional[GBDPrior] = None
         self.ged_prior: Optional[GEDPrior] = None
@@ -129,23 +123,20 @@ class GBDASearch:
         covered, which is the worst case the paper's Table V analyses.
         """
         start = time.perf_counter()
-        graphs = self.database.graphs()
-
         self.gbd_prior = GBDPrior(
             num_components=self.num_gmm_components,
             num_pairs=self.num_prior_pairs,
             seed=self.seed,
             backend=self.backend,
-            num_workers=self.num_workers,
-        ).fit(graphs)
+        ).fit(self.database)
 
         if extended_orders is None:
-            extended_orders = sorted({graph.num_vertices for graph in graphs})
+            extended_orders = sorted({entry.num_vertices for entry in self.database})
         self.ged_prior = GEDPrior(
             max_tau=self.max_tau,
             num_vertex_labels=self.database.num_vertex_labels,
             num_edge_labels=self.database.num_edge_labels,
-        ).fit(extended_orders, num_workers=self.num_workers)
+        ).fit(extended_orders)
 
         self.estimator = GBDAEstimator(
             self.gbd_prior,

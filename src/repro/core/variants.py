@@ -112,12 +112,14 @@ class GBDAV2Search(GBDASearch):
         super().fit(extended_orders=extended_orders)
         # Re-fit Λ2 on VGBD samples: the prior must describe the statistic
         # actually observed online (Section VII-D).
-        graphs = self.database.graphs()
+        entries = self.database.entries()
         rng = random.Random(self.seed)
-        pair_ids = sample_pairs(list(range(len(graphs))), self.num_prior_pairs, seed=rng)
+        pair_ids = sample_pairs(range(len(entries)), self.num_prior_pairs, seed=rng)
         vgbd_samples = []
         for i, j in pair_ids:
-            value = self.database.vgbd_to(graphs[i], j, self.weight)
+            value = self.database.vgbd_to(
+                entries[i].graph, j, self.weight, query_branches=entries[i].branches
+            )
             vgbd_samples.append(int(math.floor(value + 0.5)))
         if vgbd_samples:
             self.gbd_prior.fit_from_samples(

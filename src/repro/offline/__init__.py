@@ -1,4 +1,4 @@
-"""repro.offline — vectorized, parallel, incrementally refittable offline stage.
+"""repro.offline — vectorized, incrementally refittable offline stage.
 
 PR 1 made the *online* stage fast (the batched serving engine); this
 subpackage does the same for the *offline* stage, the dominant cost in the
@@ -8,9 +8,6 @@ paper's Table IV analysis:
   ``GaussianMixtureModel.fit(backend="numpy")``; responsibilities, M-step
   and log-likelihood as array operations over all samples at once, same
   seeding/convergence semantics as the scalar path (parity within 1e-9);
-* :mod:`~repro.offline.parallel` — chunked / multiprocess pair-GBD
-  sampling and Jeffreys-grid construction with deterministic merges (any
-  worker count produces identical priors);
 * :class:`~repro.offline.fitter.OfflineFitter` — subscribes to the
   database's add-hook, accumulates newly reachable GBD samples, and refits
   the priors incrementally; each refit bumps the model version and can be
@@ -26,12 +23,8 @@ Quickstart
 """
 
 from repro.offline.fitter import OfflineFitReport, OfflineFitter
-from repro.offline.parallel import compute_pair_gbds, parallel_map, resolve_num_workers
 
 __all__ = [
     "OfflineFitter",
     "OfflineFitReport",
-    "compute_pair_gbds",
-    "parallel_map",
-    "resolve_num_workers",
 ]

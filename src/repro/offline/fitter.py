@@ -6,9 +6,9 @@ cost, but the ROADMAP's serving story adds graphs to a live
 addition silently mis-describes the population after it.
 :class:`OfflineFitter` closes that gap:
 
-* :meth:`fit` runs the full offline stage once (vectorized EM, optionally
-  multiprocess pair sampling / grid construction) and keeps the sampled GBD
-  list;
+* :meth:`fit` runs the full offline stage once (pair GBDs read off the
+  database's stored branch multisets, vectorized EM) and keeps the sampled
+  GBD list;
 * the fitter subscribes to the database's add-hook, accumulating every
   graph added afterwards;
 * :meth:`refit` samples pairs that connect the *new* graphs to the rest of
@@ -35,12 +35,11 @@ from pathlib import Path
 from typing import List, Optional
 
 from repro.core.estimator import GBDAEstimator
-from repro.core.gbd_prior import GBDPrior
+from repro.core.gbd_prior import GBDPrior, _pair_gbds
 from repro.core.ged_prior import GEDPrior
 from repro.db.database import GraphDatabase, StoredGraph
 from repro.exceptions import SearchError
 from repro.obs.metrics import get_registry
-from repro.offline.parallel import compute_pair_gbds
 
 _FITS = get_registry().counter(
     "repro_offline_fits_total", "Offline (re)fits completed", ("kind",)
@@ -55,6 +54,16 @@ _MODEL_VERSION = get_registry().gauge(
 )
 
 __all__ = ["OfflineFitter", "OfflineFitReport"]
+
+
+def _draw_partners(rng: random.Random, population: int, graph_id: int, count: int) -> List[int]:
+    """``count`` distinct ids of ``range(population)`` other than ``graph_id``.
+
+    The draw is ``rng.sample`` over the ids without ``graph_id``, taken
+    without building that list: its index ``k`` is id ``k`` below
+    ``graph_id`` and ``k + 1`` from it on.
+    """
+    return [k + (k >= graph_id) for k in rng.sample(range(population - 1), count)]
 
 
 @dataclass
@@ -80,8 +89,6 @@ class OfflineFitter:
         As in :class:`~repro.core.search.GBDASearch`.
     backend:
         EM backend for the GMM fit (``"auto"``, ``"numpy"``, ``"python"``).
-    num_workers:
-        Worker processes for the pair-GBD / grid loops (``None`` = serial).
     refit_pairs_per_graph:
         How many sampled partners each newly added graph contributes to the
         incremental GBD sample on :meth:`refit`.
@@ -96,7 +103,6 @@ class OfflineFitter:
         num_gmm_components: int = 3,
         seed: int = 0,
         backend: str = "auto",
-        num_workers: Optional[int] = None,
         refit_pairs_per_graph: int = 64,
     ) -> None:
         if len(database) == 0:
@@ -107,7 +113,6 @@ class OfflineFitter:
         self.num_gmm_components = int(num_gmm_components)
         self.seed = seed
         self.backend = backend
-        self.num_workers = num_workers
         self.refit_pairs_per_graph = int(refit_pairs_per_graph)
 
         self.gbd_prior: Optional[GBDPrior] = None
@@ -161,8 +166,7 @@ class OfflineFitter:
             num_pairs=self.num_prior_pairs,
             seed=self.seed,
             backend=self.backend,
-            num_workers=self.num_workers,
-        ).fit(self.database.graphs())
+        ).fit(self.database)
         self._samples = list(self.gbd_prior.report.sampled_gbds)
 
         orders = sorted({entry.num_vertices for entry in self.database})
@@ -170,7 +174,7 @@ class OfflineFitter:
             max_tau=self.max_tau,
             num_vertex_labels=self.database.num_vertex_labels,
             num_edge_labels=self.database.num_edge_labels,
-        ).fit(orders, num_workers=self.num_workers)
+        ).fit(orders)
 
         self.estimator = GBDAEstimator(
             self.gbd_prior,
@@ -212,7 +216,7 @@ class OfflineFitter:
             return False
         start = time.perf_counter()
         new_entries, self._pending = self._pending, []
-        graphs = self.database.graphs()
+        entries = self.database.entries()
 
         # Deterministic per-version stream (integer-derived: string/tuple
         # hashes vary across processes), independent of the main seed's
@@ -220,16 +224,19 @@ class OfflineFitter:
         base_seed = self.seed if isinstance(self.seed, int) else 0
         rng = random.Random(base_seed * 1_000_003 + self.version)
         pairs = []
-        population = len(graphs)
+        population = len(entries)
         for entry in new_entries:
             partners = min(self.refit_pairs_per_graph, population - 1)
             if partners <= 0:
                 continue
-            others = [i for i in range(population) if i != entry.graph_id]
-            for j in rng.sample(others, partners):
+            for j in _draw_partners(rng, population, entry.graph_id, partners):
                 pairs.append((entry.graph_id, j))
 
-        new_samples = compute_pair_gbds(graphs, pairs, num_workers=self.num_workers)
+        new_samples = _pair_gbds(
+            [entry.num_vertices for entry in entries],
+            [entry.branches for entry in entries],
+            pairs,
+        )
         self._samples.extend(new_samples)
         self.gbd_prior.fit_from_samples(
             self._samples, max_value=self.database.max_vertices
@@ -246,10 +253,10 @@ class OfflineFitter:
                 max_tau=self.max_tau,
                 num_vertex_labels=self.database.num_vertex_labels,
                 num_edge_labels=self.database.num_edge_labels,
-            ).fit(sorted(orders), num_workers=self.num_workers)
+            ).fit(sorted(orders))
             new_orders = sorted(orders)
         else:
-            new_orders = self.ged_prior.update(orders, num_workers=self.num_workers)
+            new_orders = self.ged_prior.update(orders)
 
         self.estimator = GBDAEstimator(
             self.gbd_prior,

@@ -8,6 +8,7 @@ quadratic pair set.
 
 from __future__ import annotations
 
+import math
 import random
 from typing import List, Sequence, Tuple, TypeVar, Union
 
@@ -112,14 +113,15 @@ def sample_pairs(
 def _unrank_pair(flat_index: int, n: int) -> Tuple[int, int]:
     """Map a flat index in ``[0, C(n, 2))`` to the lexicographic pair ``(i, j)``.
 
-    Pairs are ordered ``(0,1), (0,2), ..., (0,n-1), (1,2), ...``; the inverse
-    mapping is computed with a closed-form row search so sampling stays
-    ``O(num_pairs)`` regardless of the population size.
+    Pairs are ordered ``(0,1), (0,2), ..., (0,n-1), (1,2), ...``.  Counted
+    from the last pair, row ``i`` holds the triangular range of indices
+    ``[k(k+1)/2, (k+1)(k+2)/2)`` with ``k = n - 2 - i``, so the row is one
+    integer square root away and sampling stays ``O(num_pairs)`` regardless
+    of the population size (exact integer arithmetic at any ``n``).
     """
-    remaining = flat_index
-    for i in range(n - 1):
-        row_length = n - 1 - i
-        if remaining < row_length:
-            return i, i + 1 + remaining
-        remaining -= row_length
-    raise ValueError(f"flat index {flat_index} out of range for population of size {n}")
+    total_pairs = n * (n - 1) // 2
+    if not 0 <= flat_index < total_pairs:
+        raise ValueError(f"flat index {flat_index} out of range for population of size {n}")
+    from_end = total_pairs - 1 - flat_index
+    i = n - 2 - (math.isqrt(8 * from_end + 1) - 1) // 2
+    return i, flat_index - i * (2 * n - i - 1) // 2 + i + 1

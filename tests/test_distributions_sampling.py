@@ -3,6 +3,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from repro.stats.distributions import (
@@ -11,7 +12,7 @@ from repro.stats.distributions import (
     normal_interval_probability,
     normal_pdf,
 )
-from repro.stats.sampling import sample_items, sample_pairs
+from repro.stats.sampling import _unrank_pair, sample_items, sample_pairs
 
 
 class TestNormalHelpers:
@@ -96,3 +97,38 @@ class TestSampling:
         rng = random.Random(11)
         pairs = sample_pairs(list(range(10)), 5, seed=rng)
         assert len(pairs) == 5
+
+
+def _scan_unrank(flat_indices, n):
+    """Oracle: walk the rows' lengths (one cumulative scan), then place each index."""
+    starts = np.concatenate(([0], np.cumsum(np.arange(n - 1, 0, -1, dtype=np.int64))))
+    indices = np.asarray(flat_indices, dtype=np.int64)
+    rows = np.searchsorted(starts, indices, side="right") - 1
+    return [(int(i), int(f - starts[i] + i + 1)) for i, f in zip(rows, indices)]
+
+
+class TestUnrankPair:
+    def test_every_index_matches_lexicographic_enumeration(self):
+        for n in range(2, 81):
+            pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+            assert [_unrank_pair(f, n) for f in range(len(pairs))] == pairs
+
+    @pytest.mark.parametrize("n", [4000, 40_000, 1_000_000])
+    def test_endpoints_and_random_indices_match_the_scan(self, n):
+        total = n * (n - 1) // 2
+        rng = random.Random(n)
+        indices = [0, 1, total - 2, total - 1] + [rng.randrange(total) for _ in range(200)]
+        assert [_unrank_pair(f, n) for f in indices] == _scan_unrank(indices, n)
+        assert _unrank_pair(total - 1, n) == (n - 2, n - 1)
+
+    @pytest.mark.parametrize("n", [2, 3, 80, 40_000])
+    def test_out_of_range_indices_are_rejected(self, n):
+        with pytest.raises(ValueError):
+            _unrank_pair(-1, n)
+        with pytest.raises(ValueError):
+            _unrank_pair(n * (n - 1) // 2, n)
+
+    @pytest.mark.parametrize("n", [40_000, 16_000, 4000])
+    def test_sample_pairs_matches_the_scan_at_bench_sizes(self, n):
+        chosen = random.Random(0).sample(range(n * (n - 1) // 2), 2000)
+        assert sample_pairs(range(n), 2000, seed=random.Random(0)) == _scan_unrank(chosen, n)

@@ -1,16 +1,20 @@
-"""Tests for repro.offline: parallel helpers and the incremental OfflineFitter."""
+"""Tests for repro.offline: pair GBDs from stored multisets and the incremental OfflineFitter."""
 
 import random
 
 import pytest
 
+from repro.core.gbd import graph_branch_distance
+from repro.core.gbd_prior import GBDPrior, _pair_gbds
 from repro.core.search import GBDASearch
 from repro.db.database import GraphDatabase
 from repro.db.query import SimilarityQuery
 from repro.exceptions import SearchError
 from repro.graphs.generators import random_labeled_graph
-from repro.offline import OfflineFitter, compute_pair_gbds, parallel_map, resolve_num_workers
+from repro.offline import OfflineFitter
+from repro.offline.fitter import _draw_partners
 from repro.serving.snapshot import load_engine
+from repro.stats.sampling import sample_pairs
 
 
 @pytest.fixture()
@@ -24,38 +28,35 @@ def database(population):
 
 
 class TestParallelHelpers:
-    def test_resolve_num_workers(self):
-        assert resolve_num_workers(None) == 1
-        assert resolve_num_workers(0) == 1
-        assert resolve_num_workers(1) == 1
-        assert resolve_num_workers(4) == 4
-        assert resolve_num_workers(-1) >= 1
-
-    def test_parallel_map_preserves_order(self):
-        items = list(range(20))
-        assert parallel_map(str, items) == [str(i) for i in items]
-        assert parallel_map(str, items, num_workers=2) == [str(i) for i in items]
-
-    def test_pair_gbds_parallel_matches_serial(self, population):
-        rng = random.Random(1)
-        pairs = [(rng.randrange(30), rng.randrange(30)) for _ in range(300)]
-        serial = compute_pair_gbds(population, pairs)
-        for workers in (2, 3):
-            assert compute_pair_gbds(
-                population, pairs, num_workers=workers, chunk_size=64
-            ) == serial
-
-    def test_pair_gbds_small_input_stays_serial(self, population):
-        pairs = [(0, 1), (1, 2), (2, 3)]
-        assert compute_pair_gbds(population, pairs, num_workers=4) == compute_pair_gbds(
-            population, pairs
-        )
-
     def test_pair_gbds_match_database_path(self, population, database):
         pairs = [(0, 5), (3, 7), (2, 2)]
-        gbds = compute_pair_gbds(population, pairs)
+        gbds = _pair_gbds(
+            [entry.num_vertices for entry in database], [entry.branches for entry in database],
+            pairs,
+        )
         for (i, j), gbd in zip(pairs, gbds):
             assert gbd == database.gbd_to(population[i], j)
+
+    def test_prior_samples_equal_graph_branch_distance(self, population, database):
+        """Stored multisets and bare-graph extraction give the same sampled GBDs."""
+        for seed in (0, 1, 2):
+            pairs = sample_pairs(range(len(population)), 200, seed=random.Random(seed))
+            expected = [graph_branch_distance(population[i], population[j]) for i, j in pairs]
+            stored = GBDPrior(num_components=2, num_pairs=200, seed=seed).fit(database)
+            extracted = GBDPrior(num_components=2, num_pairs=200, seed=seed).fit(population)
+            assert stored.report.sampled_gbds == expected
+            assert extracted.report.sampled_gbds == expected
+            assert stored.table() == extracted.table()
+
+    def test_repeats_and_self_pairs(self, population, database):
+        rng = random.Random(1)
+        pairs = [(rng.randrange(30), rng.randrange(30)) for _ in range(300)] + [(4, 4), (4, 4)]
+        gbds = _pair_gbds(
+            [entry.num_vertices for entry in database], [entry.branches for entry in database],
+            pairs,
+        )
+        assert gbds == [graph_branch_distance(population[i], population[j]) for i, j in pairs]
+        assert gbds[-1] == gbds[-2] == 0
 
 
 class TestOfflineFitterFullFit:
@@ -154,6 +155,44 @@ class TestIncrementalRefit:
         assert new_id in answer.accepted_ids
 
 
+class TestRefitPartners:
+    @staticmethod
+    def _listed(rng, population, graph_id, count):
+        """The draw as refit used to make it: over an explicit list of the other ids."""
+        others = [i for i in range(population) if i != graph_id]
+        return rng.sample(others, count)
+
+    def test_draw_equals_the_list_construction(self):
+        population = 1000
+        for seed in range(6):
+            ours, listed = random.Random(seed), random.Random(seed)
+            for graph_id in (0, population // 2, population - 1, 0, 7):
+                for count in (1, 64, population - 1):
+                    drawn = _draw_partners(ours, population, graph_id, count)
+                    assert drawn == self._listed(listed, population, graph_id, count)
+                    assert graph_id not in drawn
+
+    def test_refit_samples_equal_the_list_construction(self, population):
+        database = GraphDatabase(list(population), name="partners")
+        fitter = OfflineFitter(
+            database, max_tau=4, num_prior_pairs=60, seed=5, refit_pairs_per_graph=6
+        ).fit()
+        before = len(fitter._samples)
+        new_ids = database.add_many(
+            [random_labeled_graph(13, 17, seed=s, name=f"extra{s}") for s in (77, 78)]
+        )
+        fitter.refit()
+
+        rng = random.Random(5 * 1_000_003 + 1)
+        graphs = database.graphs()
+        expected = [
+            graph_branch_distance(graphs[graph_id], graphs[j])
+            for graph_id in new_ids
+            for j in self._listed(rng, len(graphs), graph_id, 6)
+        ]
+        assert fitter._samples[before:] == expected
+
+
 class TestSnapshotVersioning:
     def test_snapshot_round_trips_model_version(self, database, tmp_path):
         fitter = OfflineFitter(database, max_tau=4, num_prior_pairs=60, seed=0).fit()
@@ -196,11 +235,3 @@ class TestBackendEndToEnd:
             assert a.gbd_values == b.gbd_values
             for graph_id, posterior in a.posteriors.items():
                 assert b.posteriors[graph_id] == pytest.approx(posterior, abs=1e-9)
-
-    def test_parallel_workers_do_not_change_fit(self, database):
-        serial = GBDASearch(database, max_tau=4, num_prior_pairs=150, seed=2).fit()
-        parallel = GBDASearch(
-            database, max_tau=4, num_prior_pairs=150, seed=2, num_workers=2
-        ).fit()
-        assert parallel.gbd_prior.table() == serial.gbd_prior.table()
-        assert parallel.ged_prior.matrix() == serial.ged_prior.matrix()

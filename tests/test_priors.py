@@ -84,14 +84,6 @@ class TestGBDPrior:
         assert restored.table() == refit_original.table()
         assert restored.report.sampled_gbds == refit_original.report.sampled_gbds
 
-    def test_parallel_sampling_matches_serial(self, small_graph_population):
-        serial = GBDPrior(num_components=2, num_pairs=150, seed=3).fit(small_graph_population)
-        parallel = GBDPrior(
-            num_components=2, num_pairs=150, seed=3, num_workers=2
-        ).fit(small_graph_population)
-        assert parallel.report.sampled_gbds == serial.report.sampled_gbds
-        assert parallel.table() == serial.table()
-
 
 class TestGEDPrior:
     def test_fit_produces_normalised_distribution_per_order(self):
@@ -140,14 +132,6 @@ class TestGEDPrior:
         prior = GEDPrior(max_tau=6, num_vertex_labels=4, num_edge_labels=3).fit([10])
         distribution = prior.distribution(10)
         assert all(p > 0 for p in distribution[1:])
-
-    def test_parallel_grid_matches_serial(self):
-        serial = GEDPrior(max_tau=5, num_vertex_labels=4, num_edge_labels=3).fit([5, 8, 11])
-        parallel = GEDPrior(max_tau=5, num_vertex_labels=4, num_edge_labels=3).fit(
-            [5, 8, 11], num_workers=2
-        )
-        assert parallel.matrix() == serial.matrix()
-        assert parallel.orders == serial.orders
 
     def test_update_adds_only_missing_orders(self):
         prior = GEDPrior(max_tau=4, num_vertex_labels=3, num_edge_labels=2).fit([4, 6])

@@ -1,13 +1,18 @@
 """Tests for the GBDA search (Algorithm 1) and its ablation variants."""
 
+import math
+import random
+
 import pytest
 
+from repro.core.gbd_prior import GBDPrior
 from repro.core.search import GBDASearch
 from repro.core.variants import GBDAV1Search, GBDAV2Search
 from repro.db.database import GraphDatabase
 from repro.db.query import SimilarityQuery
 from repro.exceptions import SearchError
 from repro.graphs.generators import random_labeled_graph
+from repro.stats.sampling import sample_pairs
 
 
 @pytest.fixture(scope="module")
@@ -192,6 +197,22 @@ class TestVariants:
         ).fit()
         result = search.query(SimilarityQuery(family_database[0].graph, 2, 0.5))
         assert result.gbd_values[0] == 0
+
+    def test_v2_prior_equals_per_pair_extraction(self, family_database):
+        """The VGBD prior read off the stored multisets equals re-extracting each pair."""
+        search = GBDAV2Search(
+            family_database, weight=0.5, max_tau=3, num_prior_pairs=80, seed=4
+        ).fit()
+        graphs = family_database.graphs()
+        pairs = sample_pairs(range(len(graphs)), 80, seed=random.Random(4))
+        samples = [
+            int(math.floor(family_database.vgbd_to(graphs[i], j, 0.5) + 0.5)) for i, j in pairs
+        ]
+        expected = GBDPrior(num_components=3, num_pairs=80, seed=4).fit_from_samples(
+            samples, max_value=family_database.max_vertices
+        )
+        assert search.gbd_prior.report.sampled_gbds == samples
+        assert search.gbd_prior.table() == expected.table()
 
     def test_variants_threshold_guard(self, family_database):
         search = GBDAV1Search(family_database, alpha=3, max_tau=2, num_prior_pairs=30, seed=0).fit()
