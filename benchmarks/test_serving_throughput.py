@@ -12,9 +12,7 @@ and answers the same query stream through every online execution path:
 * per-query :meth:`BatchQueryEngine.query` (vectorized single-query
   serving), and
 * :meth:`BatchQueryEngine.query_batch` — the same per-query pipeline, row by
-  row, behind one cache-probe pass (a batch is a loop, not a matrix kernel)
-  — plus the shard-parallel ``"data-parallel"`` executor decomposition of
-  the same scoring.
+  row, behind one cache-probe pass (a batch is a loop, not a matrix kernel).
 
 Assertions: every path's accepted sets (and posterior scores, where the
 configuration retains them) are bit-identical to ``GBDASearch.query``; the
@@ -154,7 +152,7 @@ def test_engine_throughput_beats_query_loop(workload, results_dir):
     # Hot pass through the executor on a cache-backed engine: a repeated
     # stream is answered from the LRU.
     cached_engine = BatchQueryEngine.from_search(search)
-    executor = ServingExecutor(cached_engine, num_workers=4, mode="thread")
+    executor = ServingExecutor(cached_engine, num_workers=4)
     executor.map(queries)
     executor.map(queries)
     hot_stats = executor.last_stats
@@ -195,7 +193,7 @@ def _kernel_calls() -> float:
     return sum(child.value for _labels, child in family.series())
 
 
-def test_batched_matrix_and_sharded_parity(workload, results_dir):
+def test_batched_matrix_parity(workload, results_dir):
     """One ``query_batch`` call: the kernel calls of the loop, bit-identical answers."""
     database, search, queries = workload
 
@@ -239,15 +237,6 @@ def test_batched_matrix_and_sharded_parity(workload, results_dir):
         assert full_answer.accepted_ids == loop_result.answer.accepted_ids
         assert full_answer.scores == loop_result.posteriors
 
-    # Shard-parallel (data-parallel) scoring: the same parity assertion.
-    executor = ServingExecutor(full_engine, num_workers=2, mode="data-parallel")
-    sharded_start = time.perf_counter()
-    sharded_answers = executor.map(queries)
-    sharded_seconds = time.perf_counter() - sharded_start
-    for loop_result, sharded_answer in zip(loop_results, sharded_answers):
-        assert sharded_answer.accepted_ids == loop_result.answer.accepted_ids
-        assert sharded_answer.scores == loop_result.posteriors
-
     batch_speedup = batch_qps / loop_qps
     batch_vs_single = batch_qps / single_qps
     lines = [
@@ -257,8 +246,6 @@ def test_batched_matrix_and_sharded_parity(workload, results_dir):
         f"{'per-query loop (GBDASearch)':<38}{loop_seconds:>10.3f}{loop_qps:>12.1f}",
         f"{'per-query BatchQueryEngine.query':<38}{single_seconds:>10.3f}{single_qps:>12.1f}",
         f"{'one query_batch call':<38}{batch_seconds:>10.3f}{batch_qps:>12.1f}",
-        f"{'data-parallel, 2 shards (procs)':<38}{sharded_seconds:>10.3f}"
-        f"{len(queries) / sharded_seconds:>12.1f}",
         "",
         f"batched speedup over loop: {batch_speedup:.1f}x",
         f"batched vs per-query engine: {batch_vs_single:.2f}x",
@@ -367,7 +354,7 @@ def test_pruned_selective_workload(results_dir):
 
     # Latency percentiles (and the prune counters as serving stats) come
     # from one executor pass over the primary backend's pruned engine.
-    executor = ServingExecutor(results[primary]["engine"], num_workers=1, mode="serial")
+    executor = ServingExecutor(results[primary]["engine"], num_workers=1)
     executor.map(queries)
     stats = executor.last_stats
     primary_result = results[primary]

@@ -90,7 +90,7 @@ def main() -> None:
 
     # -- batch-serve a skewed stream ------------------------------------ #
     stream = build_query_stream()
-    executor = ServingExecutor(served_engine, num_workers=4, mode="thread")
+    executor = ServingExecutor(served_engine, num_workers=4)
     answers = executor.map(stream)
     stats = executor.last_stats
     print(f"served {stats.num_queries} queries in {stats.elapsed_seconds:.3f}s")

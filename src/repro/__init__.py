@@ -59,7 +59,7 @@ from repro.core.gbd_prior import GBDPrior
 from repro.core.ged_prior import GEDPrior
 from repro.core.estimator import GBDAEstimator
 from repro.core.plan import ExecutionCore
-from repro.db.database import GraphDatabase, GraphDatabaseShard
+from repro.db.database import GraphDatabase
 from repro.db.columnar import ColumnarBranchStore
 from repro.db.index import BranchInvertedIndex
 from repro.db.query import SimilarityQuery, QueryAnswer
@@ -154,7 +154,6 @@ __all__ = [
     "GBDAEstimator",
     "ExecutionCore",
     "GraphDatabase",
-    "GraphDatabaseShard",
     "ColumnarBranchStore",
     "BranchInvertedIndex",
     "SimilarityQuery",

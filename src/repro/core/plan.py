@@ -59,16 +59,11 @@ Every path returns accepted sets and scores bit-identical to the scalar
 saved, counted per query on every path.
 
 Thread-safety: queries may run concurrently from threads sharing one engine
-(the serving executor's ``"thread"`` mode).  The lookup-table caches are
+(the serving executor with ``num_workers > 1``).  The lookup-table caches are
 published as immutable ``(array, frozenset-of-filled-orders)`` pairs swapped
 atomically under a writer lock, so a reader either sees a table that
 provably contains every row it needs or takes the lock and fills the gap —
 never a torn or half-filled table.
-
-Because the core reads positions and *global* graph ids from the store, it
-works unchanged over id-preserving shard views
-(:meth:`~repro.db.database.GraphDatabase.shard`): per-shard
-:class:`CandidateScores` speak the global id space and merge by union.
 """
 
 from __future__ import annotations
@@ -93,9 +88,7 @@ from repro.obs.trace import QueryTrace, activated, active_trace
 __all__ = ["CandidateScores", "ExecutionCore", "FilterCounters"]
 
 # Metric children are bound once at import time (see repro.obs.metrics) and
-# deliberately *not* stored on core instances — cores are pickled into pool
-# workers, whose own import of this module rebinds against the worker-local
-# registry; the executor folds worker deltas back via MetricsRegistry.merge.
+# deliberately *not* stored on core instances, which stay picklable.
 _STAGE_SECONDS = get_registry().histogram(
     "repro_stage_seconds", "Execution-core stage durations in seconds", ("stage",)
 )
@@ -241,7 +234,7 @@ class ExecutionCore:
     Parameters
     ----------
     database:
-        The graph database (or id-preserving shard view) to score.
+        The graph database to score.
     estimator:
         A :class:`GBDAEstimator` built from fitted Λ2/Λ3 priors.
     max_tau:
@@ -304,7 +297,7 @@ class ExecutionCore:
         state = self.__dict__.copy()
         del state["_table_lock"]  # locks are not picklable
         del state["_counter_lock"]
-        state["_snapshot_rows"] = (None, {})  # rebuilt against the worker's store
+        state["_snapshot_rows"] = (None, {})  # rebuilt against the copy's store
         return state
 
     def __setstate__(self, state):

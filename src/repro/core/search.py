@@ -17,7 +17,7 @@ stay faithful to Algorithm 1 and is exercised by the ablation benchmark.
 
 The online steps themselves live in the shared
 :class:`~repro.core.plan.ExecutionCore` (one implementation for this
-search, the batched serving engine, and shard-parallel scoring);
+search and the batched serving engine);
 :meth:`GBDASearch.query_reference` keeps the literal per-pair loop as the
 bit-identical baseline the vectorized paths are verified against.
 """

@@ -8,7 +8,7 @@ branch index for candidate counting, and a small query layer shared by the
 GBDA search and the baselines.
 """
 
-from repro.db.database import GraphDatabase, GraphDatabaseShard, StoredGraph
+from repro.db.database import GraphDatabase, StoredGraph
 from repro.db.columnar import ColumnarBranchStore
 from repro.db.index import BranchInvertedIndex
 from repro.db.catalog import DatabaseCatalog
@@ -16,7 +16,6 @@ from repro.db.query import SimilarityQuery, QueryAnswer
 
 __all__ = [
     "GraphDatabase",
-    "GraphDatabaseShard",
     "StoredGraph",
     "ColumnarBranchStore",
     "BranchInvertedIndex",

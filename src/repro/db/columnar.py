@@ -29,10 +29,8 @@ public ``D``-length row — :meth:`intersection_row`, :meth:`gbd_row`,
 by *arrival* instead (the row number :meth:`append` returns), gathered once
 at the store boundary; only a caller that pins a :meth:`view` reads
 positions, paired with that view's own vectors.  :meth:`global_ids` maps a
-row back to its database graph id; for a plain
-:class:`~repro.db.database.GraphDatabase` arrival and graph id coincide, for
-an id-preserving shard view (:meth:`GraphDatabase.shard`) they differ, which
-is what lets shard stores be scored independently and merged by global id.
+row back to its database graph id; for a
+:class:`~repro.db.database.GraphDatabase` arrival and graph id coincide.
 
 The kernels themselves live in :mod:`repro.db.kernels` behind a pluggable
 ``backend`` (``"numpy"`` | ``"native"`` | ``"auto"``): this class owns the
@@ -60,7 +58,7 @@ sorted segment.  Only the new rows are sorted (by order).  A bulk load of
 :meth:`~repro.db.database.GraphDatabase.add_many`).
 
 Concurrency: queries may run from several threads sharing one engine (the
-serving executor's ``"thread"`` mode), so everything a read needs — CSR
+serving executor with ``num_workers > 1``), so everything a read needs — CSR
 arrays, row vectors, order ranges — is published as one snapshot record
 swapped behind a compaction lock, and readers operate on one snapshot for
 the whole query — a query racing a compaction sees either the pre-add or
@@ -85,12 +83,12 @@ __all__ = ["ColumnarBranchStore"]
 
 # Kernel call/row counters (repro.obs): children are bound once per backend
 # and cached at module level — the kernels below are the hot path of every
-# online query, and children must never live on store instances (stores are
-# pickled into pool workers, whose deltas merge back by label set).  Rows
-# count the cells each call produced (D for a dense row — the top-k reducer
-# counts here too: D when it walked the dense row, else the rows of the ranges
-# it verified — U distinct orders for the fused filter), making ``rows /
-# calls`` an instant read on how selective the pruned layer is.
+# online query, and children must never live on store instances (stores
+# stay picklable).  Rows count the cells each call produced (D for a dense
+# row — the top-k reducer counts here too: D when it walked the dense row,
+# else the rows of the ranges it verified — U distinct orders for the fused
+# filter), making ``rows / calls`` an instant read on how selective the
+# pruned layer is.
 _KERNEL_CALLS = get_registry().counter(
     "repro_kernel_calls_total", "Columnar CSR kernel invocations", ("kernel", "backend")
 )
@@ -257,9 +255,9 @@ class ColumnarBranchStore:
         return backend_module(self.backend)
 
     def __getstate__(self):
-        # Only the CSR and the arrival-order row vectors travel (to pool
-        # workers); the position-order vectors and ranges are 3 x D + U int64
-        # the receiving side lays out again in O(D log D).
+        # Only the CSR and the arrival-order row vectors are pickled; the
+        # position-order vectors and ranges are 3 x D + U int64 the
+        # receiving side lays out again in O(D log D).
         state = self.__dict__.copy()
         del state["_compact_lock"]  # locks are not picklable
         state["_published"] = self._published.csr

@@ -26,7 +26,7 @@ from repro.core.gbd import graph_branch_distance, variant_graph_branch_distance
 from repro.exceptions import DatasetError
 from repro.graphs.graph import Graph, union_label_alphabets
 
-__all__ = ["GraphDatabase", "GraphDatabaseShard", "StoredGraph"]
+__all__ = ["GraphDatabase", "StoredGraph"]
 
 
 @dataclass(frozen=True)
@@ -199,36 +199,6 @@ class GraphDatabase:
         return self.add_many(graphs)
 
     # ------------------------------------------------------------------ #
-    # sharding
-    # ------------------------------------------------------------------ #
-    def shard(self, num_shards: int) -> List["GraphDatabaseShard"]:
-        """Partition the database into id-preserving, read-only shard views.
-
-        Entries are split into ``min(num_shards, len(self))`` contiguous
-        blocks; each view exposes the usual read API but keeps the *global*
-        graph ids, so per-shard query answers (accepted ids, score dicts)
-        can be merged by simple union — the basis of shard-parallel scoring
-        and of the serving executor's ``"data-parallel"`` mode.
-
-        The views are snapshots: graphs added to the parent afterwards are
-        not reflected (re-shard to pick them up), and the views themselves
-        reject mutation.
-        """
-        if num_shards < 1:
-            raise DatasetError("the number of shards must be at least 1")
-        if len(self._entries) == 0:
-            raise DatasetError("cannot shard an empty database")
-        count = min(int(num_shards), len(self._entries))
-        shards = []
-        for shard_index in range(count):
-            low = (len(self._entries) * shard_index) // count
-            high = (len(self._entries) * (shard_index + 1)) // count
-            shards.append(
-                GraphDatabaseShard(self, self._entries[low:high], shard_index, count)
-            )
-        return shards
-
-    # ------------------------------------------------------------------ #
     # access
     # ------------------------------------------------------------------ #
     def __len__(self) -> int:
@@ -322,67 +292,3 @@ class GraphDatabase:
 
     def __repr__(self) -> str:
         return f"<GraphDatabase {self.name!r} |D|={len(self)}>"
-
-
-class GraphDatabaseShard(GraphDatabase):
-    """A read-only, id-preserving view over a contiguous slice of a database.
-
-    Produced by :meth:`GraphDatabase.shard`.  The view shares the parent's
-    :class:`StoredGraph` entries (no graph copies) and keeps their global
-    ids, so anything computed against a shard — GBDs, posterior scores,
-    accepted sets — speaks the same id space as the full database and can be
-    merged with the other shards' results by plain union.
-
-    ``__getitem__`` therefore indexes by *global* graph id (restricted to
-    the ids present in this shard), and mutation is rejected: a shard is a
-    snapshot taken at :meth:`~GraphDatabase.shard` time.
-    """
-
-    def __init__(
-        self,
-        parent: GraphDatabase,
-        entries: Sequence[StoredGraph],
-        shard_index: int,
-        num_shards: int,
-    ) -> None:
-        self.name = f"{parent.name}#{shard_index}/{num_shards}"
-        self._entries = list(entries)
-        # Share the parent's label alphabets: the probabilistic model's D
-        # depends on the *database* alphabets, not the shard's subset.
-        self._vertex_labels = set(parent._vertex_labels)
-        self._edge_labels = set(parent._edge_labels)
-        self._subscribers: List = []
-        self._revision = parent.revision
-        self.shard_index = int(shard_index)
-        self.num_shards = int(num_shards)
-        self._entries_by_id: Dict[int, StoredGraph] = {
-            entry.graph_id: entry for entry in self._entries
-        }
-
-    def add(self, graph: Graph, *, branches: Optional[Counter] = None) -> int:
-        raise DatasetError(
-            "shard views are read-only snapshots; add graphs to the parent "
-            "database and re-shard"
-        )
-
-    def add_many(self, graphs: Iterable[Graph]) -> List[int]:
-        raise DatasetError(
-            "shard views are read-only snapshots; add graphs to the parent "
-            "database and re-shard"
-        )
-
-    def __getitem__(self, graph_id: int) -> StoredGraph:
-        try:
-            return self._entries_by_id[graph_id]
-        except KeyError as exc:
-            raise DatasetError(
-                f"graph id {graph_id} is not part of shard "
-                f"{self.shard_index}/{self.num_shards}"
-            ) from exc
-
-    def graph_ids(self) -> List[int]:
-        """The global graph ids covered by this shard (in id order)."""
-        return [entry.graph_id for entry in self._entries]
-
-    def __repr__(self) -> str:
-        return f"<GraphDatabaseShard {self.name!r} |D|={len(self)}>"

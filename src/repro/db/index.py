@@ -111,8 +111,7 @@ class BranchInvertedIndex:
 
         The array is indexed by arrival — the order graphs were added in,
         which is graph id for a plain :class:`GraphDatabase` (ids are assigned
-        contiguously by :meth:`GraphDatabase.add`; shard views map arrival
-        rows to global ids via ``store.global_ids()``).  The store keeps its
+        contiguously by :meth:`GraphDatabase.add`).  The store keeps its
         rows clustered by ``|V_G|`` and gathers this row back into arrival
         order at its boundary.  This is the vectorized form of
         :meth:`gbd_all`: one walk of the query's CSR segments produces all

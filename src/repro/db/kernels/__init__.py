@@ -48,7 +48,7 @@ __all__ = [
 KNOWN_BACKENDS = ("auto", "numpy", "native")
 
 #: Resolved backend name -> module.  Stores hold only the *name* (modules are
-#: not picklable — stores travel into pool workers), so this lookup sits on
+#: not picklable and stores must stay picklable), so this lookup sits on
 #: the kernel-call path and must stay a plain dict probe.
 _MODULES = {"numpy": numpy_impl}
 

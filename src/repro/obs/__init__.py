@@ -6,9 +6,8 @@ and — since the distributed v2 — across the process boundary:
 
 * :mod:`~repro.obs.metrics` — a low-overhead registry of named counters,
   gauges, and fixed-bucket histograms with label support, histogram
-  exemplars linking buckets to sampled trace ids, a global enable switch,
-  and ``dump()``/``merge()``/``diff()`` for folding pool-worker deltas
-  back into the parent process;
+  exemplars linking buckets to sampled trace ids, and a global enable
+  switch;
 * :mod:`~repro.obs.trace` — sampled per-query stage waterfalls
   (:class:`Tracer` / :class:`QueryTrace`), the thread-active-trace hook
   deep layers record into, the bounded :class:`SlowQueryLog`, and

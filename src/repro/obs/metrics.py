@@ -22,12 +22,6 @@ Design constraints, in order:
    per-label-value children via :meth:`_MetricFamily.labels`; children are
    created under a lock (creation is rare), then cached and returned
    lock-free.
-3. **Aggregation.**  :meth:`MetricsRegistry.dump` snapshots every series
-   into plain picklable data, :meth:`MetricsRegistry.merge` folds such a
-   snapshot back in (counters and histograms add, gauges take ``max``),
-   and :meth:`MetricsRegistry.diff` subtracts two snapshots — the
-   mechanism by which process-pool workers return their per-task metric
-   deltas to the parent (see :class:`~repro.serving.executor.ServingExecutor`).
 
 ``set_enabled(False)`` turns every increment into an early return — the
 switch the overhead benchmark uses to price the instrumentation itself.
@@ -104,12 +98,6 @@ class Counter:
         if _ENABLED:
             self.value += amount
 
-    def state(self) -> float:
-        return self.value
-
-    def _merge_state(self, state: float) -> None:
-        self.value += state
-
 
 class Gauge:
     """Value that can go up and down (queue depth, model version, ...)."""
@@ -132,16 +120,6 @@ class Gauge:
         if _ENABLED:
             self.value -= amount
 
-    def state(self) -> float:
-        return self.value
-
-    def _merge_state(self, state: float) -> None:
-        # Gauges have no universally correct multi-worker fold; ``max`` is
-        # the conservative choice for the gauges this stack exports
-        # (versions, durations, depths) and is documented in the module
-        # docstring.  Counter-like gauges should be counters.
-        self.value = max(self.value, state)
-
 
 class Histogram:
     """Fixed-bucket histogram with a sum and a count.
@@ -155,10 +133,8 @@ class Histogram:
     stamps that trace id (plus the observed value) as the bucket's
     exemplar — the most recent sampled trace that landed there — so a bad
     latency bucket links straight to a concrete stage waterfall.
-    Exemplars are *process-local* annotations: they ride the JSON
-    ``snapshot()`` and the OpenMetrics-style exposition comments, but are
-    deliberately excluded from :meth:`state` so the worker dump/merge/diff
-    delta protocol is byte-for-byte unchanged.
+    Exemplars ride the JSON ``snapshot()`` and the OpenMetrics-style
+    exposition comments.
     """
 
     __slots__ = ("bounds", "bucket_counts", "sum", "count", "exemplars")
@@ -214,18 +190,6 @@ class Histogram:
                 fraction = (rank - previous) / bucket_count
                 return lower + (upper - lower) * min(fraction, 1.0)
         return self.bounds[-1] if self.bounds else 0.0
-
-    def state(self) -> Tuple[Tuple[float, ...], List[int], float, int]:
-        return (self.bounds, list(self.bucket_counts), self.sum, self.count)
-
-    def _merge_state(self, state) -> None:
-        bounds, counts, total, count = state
-        if tuple(bounds) != self.bounds:
-            raise ValueError("cannot merge histograms with different bucket bounds")
-        for slot, value in enumerate(counts):
-            self.bucket_counts[slot] += value
-        self.sum += total
-        self.count += count
 
 
 _KINDS = {"counter": Counter, "gauge": Gauge, "histogram": Histogram}
@@ -287,7 +251,7 @@ class _MetricFamily:
 
 
 class MetricsRegistry:
-    """Named metric families with get-or-create registration and merging.
+    """Named metric families with get-or-create registration.
 
     One process-global default registry (:func:`get_registry`) backs all
     built-in instrumentation, mirroring the Prometheus client convention;
@@ -355,75 +319,6 @@ class MetricsRegistry:
     def get(self, name: str) -> Optional[_MetricFamily]:
         """The family registered under ``name``, or ``None``."""
         return self._families.get(name)
-
-    def dump(self) -> Dict:
-        """Snapshot every series into plain picklable data.
-
-        Shape: ``{name: {"kind", "help", "labelnames", "buckets",
-        "series": {label_values_tuple: state}}}`` where counter/gauge state
-        is a float and histogram state is ``(bounds, counts, sum, count)``.
-        """
-        out: Dict = {}
-        for family in self.families():
-            out[family.name] = {
-                "kind": family.kind,
-                "help": family.help,
-                "labelnames": family.labelnames,
-                "buckets": family.buckets,
-                "series": {
-                    labels: child.state() for labels, child in family.series()
-                },
-            }
-        return out
-
-    def merge(self, snapshot: Dict) -> "MetricsRegistry":
-        """Fold a :meth:`dump` snapshot in: counters/histograms add, gauges max.
-
-        Families absent from this registry are created from the snapshot's
-        metadata — a parent process can merge a worker's dump without
-        having imported the modules that registered the worker's metrics.
-        """
-        for name, data in snapshot.items():
-            family = self._family(
-                name, data["help"], data["kind"], data["labelnames"], data["buckets"]
-            )
-            for label_values, state in data["series"].items():
-                if family.labelnames:
-                    child = family.labels(**dict(zip(family.labelnames, label_values)))
-                else:
-                    child = family.default
-                child._merge_state(state)
-        return self
-
-    @staticmethod
-    def diff(before: Dict, after: Dict) -> Dict:
-        """Return ``after - before`` as a mergeable snapshot.
-
-        Series/families absent from ``before`` pass through unchanged;
-        gauge series keep their ``after`` value (point-in-time semantics).
-        The result is what a pool worker returns as its per-task delta.
-        """
-        out: Dict = {}
-        for name, data in after.items():
-            base = before.get(name)
-            series: Dict = {}
-            for label_values, state in data["series"].items():
-                previous = None if base is None else base["series"].get(label_values)
-                if previous is None or data["kind"] == "gauge":
-                    series[label_values] = state
-                elif data["kind"] == "histogram":
-                    bounds, counts, total, count = state
-                    _, p_counts, p_total, p_count = previous
-                    series[label_values] = (
-                        bounds,
-                        [c - p for c, p in zip(counts, p_counts)],
-                        total - p_total,
-                        count - p_count,
-                    )
-                else:
-                    series[label_values] = state - previous
-            out[name] = {**data, "series": series}
-        return out
 
     def reset(self) -> None:
         """Drop every registered family (test isolation helper).

@@ -13,7 +13,7 @@ deployable serving artifact:
 * :class:`~repro.serving.cache.QueryResultCache` — an LRU for repeated/hot
   queries with hit/miss accounting;
 * :class:`~repro.serving.executor.ServingExecutor` — shards a query stream
-  across a thread/process pool and reports
+  across threads sharing one engine and reports
   :class:`~repro.serving.stats.ServingStats` (QPS, latency percentiles).
 
 Quickstart

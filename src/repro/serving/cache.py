@@ -10,8 +10,8 @@ touching the query graph again.
 
 The cache is a plain ``OrderedDict``-based LRU with hit/miss counters that
 the serving statistics surface.  A lock makes it safe to share across the
-thread-pool executor; the lock is dropped when pickling so engines remain
-process-pool friendly.
+thread-pool executor; the lock is dropped when pickling so engines stay
+picklable.
 """
 
 from __future__ import annotations
@@ -43,9 +43,9 @@ def query_cache_key(
     computed against: the database ``revision`` and the offline
     ``model_version``.  A GBDA answer is only determined by the query triple
     *given* those two; keying them in means an engine copy that lost its
-    add-hook (e.g. an unpickled process-pool worker whose database grew via
-    ``add_many``) can never serve a stale pre-add result set — the key
-    simply stops matching.
+    add-hook (e.g. an unpickled copy whose database grew via ``add_many``)
+    can never serve a stale pre-add result set — the key simply stops
+    matching.
     """
     return (
         frozenset(query_branches.items()),

@@ -28,12 +28,6 @@ Answers are bit-identical to :meth:`GBDASearch.query` (and its scalar
 tables are filled by the very same :meth:`GBDAEstimator.posterior`
 evaluations.
 
-For shard-parallel scoring, :meth:`shard_engines` splits the engine into
-engines over id-preserving database shards
-(:meth:`~repro.db.database.GraphDatabase.shard`) whose per-query answers
-:meth:`merge_answers` unions back — the building block of the serving
-executor's ``"data-parallel"`` mode.
-
 Repeated queries are served from an optional LRU result cache
 (:class:`~repro.serving.cache.QueryResultCache`), and the engine stays
 consistent with incremental database additions through the database's
@@ -44,7 +38,7 @@ from __future__ import annotations
 
 import dataclasses
 import time
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -63,9 +57,8 @@ __all__ = ["BatchQueryEngine"]
 #: Allowed values of the ``keep_scores`` engine option.
 _KEEP_SCORES_MODES = ("accepted", "all", "none")
 
-# Children bound once at import time; never stored on engine instances —
-# engines are pickled into pool workers (see repro.core.plan for the
-# worker-delta protocol).
+# Children bound once at import time; never stored on engine instances,
+# which stay picklable.
 _ENGINE_QUERIES = get_registry().counter(
     "repro_engine_queries_total", "Queries answered by the serving engine", ("path",)
 )
@@ -91,9 +84,7 @@ class BatchQueryEngine:
     Parameters
     ----------
     database:
-        The graph database ``D`` to serve (non-empty).  An id-preserving
-        shard view (:meth:`GraphDatabase.shard`) works too; answers then
-        cover the shard's graphs under their global ids.
+        The graph database ``D`` to serve (non-empty).
     estimator:
         A :class:`GBDAEstimator` built from fitted Λ2/Λ3 priors.
     max_tau:
@@ -494,90 +485,6 @@ class BatchQueryEngine:
         return self.query(SimilarityQuery(query_graph, tau_hat, gamma))
 
     # ------------------------------------------------------------------ #
-    # shard-parallel scoring
-    # ------------------------------------------------------------------ #
-    def shard_engines(self, num_shards: int) -> List["BatchQueryEngine"]:
-        """Split into engines over id-preserving database shards.
-
-        Each returned engine scores one contiguous shard of the database
-        (same estimator, same τ̂ limit, same pruning setting; result caches
-        are disabled — merged answers are cached by the caller if at all).
-        Because shard views keep global graph ids, the per-shard answers for
-        one query merge back with :meth:`merge_answers` into exactly the
-        full engine's answer.
-        """
-        shards = self.database.shard(num_shards)
-        engines = []
-        for shard in shards:
-            engine = BatchQueryEngine(
-                shard,
-                self.estimator,
-                max_tau=self.max_tau,
-                cache_size=None,
-                keep_scores=self.keep_scores,
-                use_index_pruning=self.use_index_pruning,
-                pruned_execution=self.pruned_execution,
-                kernel_backend=self.kernel_backend,
-            )
-            engine.model_version = self.model_version
-            engines.append(engine)
-        return engines
-
-    @staticmethod
-    def merge_answers(partials: Sequence[QueryAnswer]) -> QueryAnswer:
-        """Union per-shard answers for one query into the full-database answer.
-
-        Acceptance is decided per graph, so the union of the shards'
-        accepted sets (and score dicts) is exactly the unsharded answer.
-        The merged latency is the slowest shard's — the critical path of a
-        parallel execution.
-        """
-        if not partials:
-            raise ServingError("cannot merge an empty list of partial answers")
-        accepted: frozenset = frozenset()
-        scores: Dict[int, float] = {}
-        for partial in partials:
-            accepted |= partial.accepted_ids
-            scores.update(partial.scores)
-        return QueryAnswer(
-            method=partials[0].method,
-            accepted_ids=accepted,
-            scores=scores,
-            elapsed_seconds=max(partial.elapsed_seconds for partial in partials),
-        )
-
-    @staticmethod
-    def merge_topk_answers(partials: Sequence[QueryAnswer], k: int) -> QueryAnswer:
-        """Merge per-shard top-k answers into the full-database top-k.
-
-        Each shard's top-k is a superset of the shard's contribution to the
-        global top-k, so re-ranking the union of the partial rankings by
-        ``(-posterior, graph id)`` and keeping the first ``k`` reproduces
-        exactly the unsharded ranking.
-        """
-        if not partials:
-            raise ServingError("cannot merge an empty list of partial answers")
-        merged: List[Tuple[int, float]] = []
-        for partial in partials:
-            merged.extend(partial.ranking or partial.scores.items())
-        merged.sort(key=lambda item: (-item[1], item[0]))
-        ranking = merged[: int(k)]
-        return QueryAnswer(
-            method=partials[0].method,
-            accepted_ids=frozenset(graph_id for graph_id, _score in ranking),
-            scores=dict(ranking),
-            elapsed_seconds=max(partial.elapsed_seconds for partial in partials),
-            ranking=ranking,
-        )
-
-    @staticmethod
-    def merge_for(query: SimilarityQuery, partials: Sequence[QueryAnswer]) -> QueryAnswer:
-        """Merge per-shard answers of one query, honouring its top-k mode."""
-        if query.top_k is not None:
-            return BatchQueryEngine.merge_topk_answers(partials, query.top_k)
-        return BatchQueryEngine.merge_answers(partials)
-
-    # ------------------------------------------------------------------ #
     # filter effectiveness
     # ------------------------------------------------------------------ #
     @property
@@ -590,17 +497,6 @@ class BatchQueryEngine:
         :class:`~repro.core.plan.FilterCounters`.
         """
         return self._core.filter_counters.as_dict()
-
-    def query_sharded(self, query: SimilarityQuery, num_shards: int) -> QueryAnswer:
-        """Score ``query`` shard-by-shard in process and merge (parity helper).
-
-        The serving executor's ``"data-parallel"`` mode runs the same
-        per-shard scoring across process workers; this in-process form
-        exists for tests and diagnostics — it verifies shard decomposition
-        without pool overhead.
-        """
-        partials = [engine.query(query) for engine in self.shard_engines(num_shards)]
-        return self.merge_for(query, partials)
 
     # ------------------------------------------------------------------ #
     # persistence (delegates to repro.serving.snapshot)

@@ -1,9 +1,9 @@
 """Serving-side latency/throughput accounting.
 
 :class:`ServingStats` aggregates per-query latencies and cache counters
-across batches.  The executor produces one instance per run and merges the
-per-shard measurements back into it; benchmarks and operators read the
-derived QPS / percentile properties.
+across batches.  The executor produces one instance per run and merges it
+into a lifetime total; benchmarks and operators read the derived QPS /
+percentile properties.
 """
 
 from __future__ import annotations
@@ -48,8 +48,7 @@ class ServingStats:
         accumulated over the run's queries: (query, graph) pairs considered,
         eliminated by bound arithmetic before scoring, and actually scored.
         An unpruned engine reports every pair as generated *and* verified
-        (prune_rate 0).  Pool modes (process / data-parallel) fold the
-        workers' counter deltas back in, so the merged stats cover them too.
+        (prune_rate 0).
     """
 
     #: Default capacity of the recent-latency ring: large enough that p99
@@ -145,9 +144,8 @@ class ServingStats:
     def merge(self, other: "ServingStats") -> "ServingStats":
         """Fold another stats object into this one (in place) and return self.
 
-        Elapsed times are summed, which is correct for sequential runs; the
-        executor instead stamps the true wall-clock time of a concurrent run
-        after merging the per-shard latency lists.
+        Elapsed times are summed, which is correct for sequential runs —
+        each merged run carries its own wall-clock time.
         """
         self.num_queries += other.num_queries
         self.num_batches += other.num_batches

@@ -3,9 +3,9 @@
 The store lays rows out in ascending ``|V_G|`` whatever order they arrived
 in, so a store position is neither the arrival number nor the graph id.  The
 named cases below are the arrivals that pull the three apart — sizes
-descending, sizes shuffled, a shard view whose ids do not start at 0, and a
-store read between two ``add_many`` batches that interleave into the ranges
-already laid out.  Each is answered by the hits-only reducer, by the
+descending, sizes shuffled, a store read between two ``add_many`` batches
+that interleave into the ranges already laid out, and single ``add`` calls
+with a read after each.  Each is answered by the hits-only reducer, by the
 every-posterior path and by top-k, under both kernel backends and the wide
 (int64) layout, against ``query_reference`` / ``query_topk_reference``.  A
 count guard pins what the sparse plan of a thresholded query touches.
@@ -140,16 +140,6 @@ def test_sizes_arriving_shuffled(backend):
     _positions_are_not_ids(core)
 
 
-def test_a_shard_view_answers_in_global_ids(backend):
-    graphs = _graphs(45, seed=31)
-    search = _fit(GraphDatabase(graphs))
-    shard = search.database.shard(3)[1]
-    core = _core(shard, search, backend)
-    _check(search, core, _queries(graphs, seed=32))
-    _positions_are_not_ids(core)
-    assert min(entry.graph_id for entry in shard) == 15
-
-
 def test_a_read_between_two_interleaving_add_many(backend):
     graphs = _graphs(30, seed=41, low=5, high=8)
     database = GraphDatabase(graphs)
@@ -167,6 +157,28 @@ def test_a_read_between_two_interleaving_add_many(backend):
     assert store.num_compactions == 3
     scratch = _Snapshot.laid_out(store._csr, store.orders(), store.global_ids())
     assert np.array_equal(store.view()[2], scratch.global_ids)
+
+
+def test_single_adds_between_reads(backend):
+    graphs = _graphs(20, seed=61, low=6, high=9)
+    database = GraphDatabase(graphs)
+    search = _fit(database)
+    core = _core(database, search, backend)
+    queries = _queries(graphs, seed=62)
+    _check(search, core, queries)
+    # One graph at a time with a read after each: a size below the stored
+    # ones, one above, one among them, then a copy of a stored graph.
+    arrivals = (
+        _graphs(1, seed=63, low=2, high=3)
+        + _graphs(1, seed=64, low=11, high=12)
+        + _graphs(1, seed=65, low=7, high=7)
+        + [graphs[0].copy()]
+    )
+    for graph in arrivals:
+        database.add(graph)
+        _check(search, core, queries)
+    _positions_are_not_ids(core)
+    assert len(core.ensure_index().store.global_ids()) == len(database) == 24
 
 
 # --------------------------------------------------------------------------- #

@@ -423,18 +423,18 @@ class TestVectorizedKernels:
                 key=lambda pair: (-pair[1], pair[0]),
             )
 
-    def test_shard_stores_keep_global_ids(self, random_database, make_store):
-        full = make_store(random_database)
-        shards = random_database.shard(3)
-        query = _queries(1, seed=19)[0]
-        branches = branch_multiset(query)
-        merged = {}
-        for shard in shards:
-            store = make_store(shard)
-            row = store.gbd_row(query.num_vertices, branches)
-            for global_id, value in zip(store.global_ids().tolist(), row.tolist()):
-                merged[global_id] = value
-        assert merged == dict(enumerate(full.gbd_row(query.num_vertices, branches).tolist()))
+    def test_a_store_of_later_entries_keeps_their_graph_ids(self, random_database, make_store):
+        entries = list(random_database)[12:]
+        store = make_store(entries)
+        assert store.global_ids().tolist() == [entry.graph_id for entry in entries]
+        _csr, orders, global_ids = store.view()
+        assert sorted(global_ids.tolist()) == [entry.graph_id for entry in entries]
+        assert orders.tolist() == [random_database[gid].num_vertices for gid in global_ids.tolist()]
+        for query in _queries(4, seed=19):
+            row = store.gbd_row(query.num_vertices, branch_multiset(query))
+            assert dict(zip(store.global_ids().tolist(), row.tolist())) == {
+                entry.graph_id: graph_branch_distance(query, entry.graph) for entry in entries
+            }
 
 
 class TestBoundKernels:

@@ -44,6 +44,14 @@ class TestGraphDatabase:
         assert small_database.num_vertex_labels == 3  # A, B, C across all graphs
         assert small_database.num_edge_labels == 3
 
+    def test_label_alphabets_grow_with_each_add(self):
+        database = GraphDatabase([Graph.from_dicts({0: "A", 1: "B"}, {(0, 1): "x"})])
+        assert (database.num_vertex_labels, database.num_edge_labels) == (2, 1)
+        database.add(Graph.from_dicts({0: "C", 1: "D"}, {(0, 1): "y"}))
+        assert (database.num_vertex_labels, database.num_edge_labels) == (4, 2)
+        database.add(Graph.from_dicts({0: "A", 1: "C"}, {(0, 1): "x"}))
+        assert (database.num_vertex_labels, database.num_edge_labels) == (4, 2)
+
     def test_max_vertices_and_average_degree(self, small_database):
         assert small_database.max_vertices == 4
         assert small_database.average_degree > 0
@@ -222,52 +230,6 @@ class TestAddManyIsAllOrNothing:
         after = answers()
         assert after == reference() and after != before
         assert all(20 + offset in after[-6 + offset][0] for offset in range(6))
-
-
-class TestShardViews:
-    def test_shards_partition_and_preserve_global_ids(self):
-        graphs = [random_labeled_graph(4, 4, seed=i) for i in range(10)]
-        database = GraphDatabase(graphs, name="shardable")
-        shards = database.shard(3)
-        assert [len(shard) for shard in shards] == [3, 3, 4]
-        seen = [graph_id for shard in shards for graph_id in shard.graph_ids()]
-        assert seen == list(range(10))
-        # entries are shared, not copied, and reachable by their global id
-        assert shards[2][9] is database[9]
-
-    def test_shard_views_are_read_only(self):
-        database = GraphDatabase([random_labeled_graph(4, 4, seed=0)])
-        shard = database.shard(1)[0]
-        with pytest.raises(DatasetError):
-            shard.add(random_labeled_graph(4, 4, seed=1))
-        with pytest.raises(DatasetError):
-            shard.extend([random_labeled_graph(4, 4, seed=2)])
-
-    def test_shard_rejects_foreign_ids_and_bad_counts(self):
-        graphs = [random_labeled_graph(4, 4, seed=i) for i in range(4)]
-        database = GraphDatabase(graphs)
-        first, second = database.shard(2)
-        with pytest.raises(DatasetError):
-            first[3]  # id 3 lives in the second shard
-        assert second[3].graph_id == 3
-        with pytest.raises(DatasetError):
-            database.shard(0)
-        with pytest.raises(DatasetError):
-            GraphDatabase().shard(2)
-
-    def test_more_shards_than_graphs_clamps(self):
-        database = GraphDatabase([random_labeled_graph(4, 4, seed=i) for i in range(2)])
-        shards = database.shard(5)
-        assert len(shards) == 2
-        assert all(len(shard) == 1 for shard in shards)
-
-    def test_shards_share_parent_label_alphabets(self):
-        g1 = Graph.from_dicts({0: "A", 1: "B"}, {(0, 1): "x"})
-        g2 = Graph.from_dicts({0: "C", 1: "D"}, {(0, 1): "y"})
-        database = GraphDatabase([g1, g2])
-        for shard in database.shard(2):
-            assert shard.num_vertex_labels == database.num_vertex_labels
-            assert shard.num_edge_labels == database.num_edge_labels
 
 
 class TestDatabaseCatalog:

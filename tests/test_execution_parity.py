@@ -1,6 +1,6 @@
 """Cross-path parity: every online execution path returns identical answers.
 
-The multi-layer refactor leaves four ways to answer one similarity query —
+There are three ways to answer one similarity query —
 
 * :meth:`GBDASearch.query` (thin wrapper over the :class:`ExecutionCore`),
 * :meth:`GBDASearch.query_reference` (the literal per-pair Algorithm 1 loop),
@@ -8,10 +8,7 @@ The multi-layer refactor leaves four ways to answer one similarity query —
   :meth:`BatchQueryEngine.query_batch` (true batched matrix scoring) — each
   in both the pruned filter-and-verify form (``pruned_execution=True``, the
   default: γ-threshold inversion + GBD lower-bound elimination) and the
-  unpruned dense form, and
-* shard-parallel scoring (per-shard engines merged by
-  :meth:`BatchQueryEngine.merge_answers`, the executor's ``"data-parallel"``
-  decomposition) —
+  unpruned dense form —
 
 and this property test drives all of them across seeds, γ/τ̂ grids, query
 shapes, and pruning on/off, asserting bit-identical accepted sets and
@@ -53,7 +50,7 @@ _FITTED_CACHE = {}
 
 
 def _fitted(seed: int, pruning: bool, backend: str = BACKENDS[0]):
-    """Build (once per configuration) a fitted search + engines + shards."""
+    """Build (once per configuration) a fitted search + engines."""
     key = (seed, pruning, backend)
     if key not in _FITTED_CACHE:
         rng = random.Random(100 + seed)
@@ -79,14 +76,7 @@ def _fitted(seed: int, pruning: bool, backend: str = BACKENDS[0]):
         unpruned_engine = BatchQueryEngine.from_search(
             search, cache_size=None, pruned_execution=False, kernel_backend=backend
         )
-        shard_engines = engine.shard_engines(3)
-        _FITTED_CACHE[key] = (
-            search,
-            engine,
-            default_engine,
-            unpruned_engine,
-            shard_engines,
-        )
+        _FITTED_CACHE[key] = (search, engine, default_engine, unpruned_engine)
     return _FITTED_CACHE[key]
 
 
@@ -100,9 +90,7 @@ def _fitted(seed: int, pruning: bool, backend: str = BACKENDS[0]):
     gamma=st.sampled_from([0.05, 0.3, 0.5, 0.75, 0.9]),
 )
 def test_all_online_paths_agree(seed, pruning, backend, query_seed, tau_hat, gamma):
-    search, engine, default_engine, unpruned_engine, shard_engines = _fitted(
-        seed, pruning, backend
-    )
+    search, engine, default_engine, unpruned_engine = _fitted(seed, pruning, backend)
     qrng = random.Random(query_seed)
     query = SimilarityQuery(
         random_labeled_graph(qrng.randint(3, 10), qrng.randint(2, 14), seed=qrng),
@@ -123,9 +111,6 @@ def test_all_online_paths_agree(seed, pruning, backend, query_seed, tau_hat, gam
     pruned_single = default_engine.query(query)
     pruned_batch = default_engine.query_batch([decoy, query])[1]
     unpruned = unpruned_engine.query(query)
-    sharded = BatchQueryEngine.merge_answers(
-        [shard for shard in (e.query(query) for e in shard_engines)]
-    )
 
     expected_ids = reference.answer.accepted_ids
     assert wrapped.answer.accepted_ids == expected_ids
@@ -134,14 +119,12 @@ def test_all_online_paths_agree(seed, pruning, backend, query_seed, tau_hat, gam
     assert pruned_single.accepted_ids == expected_ids
     assert pruned_batch.accepted_ids == expected_ids
     assert unpruned.accepted_ids == expected_ids
-    assert sharded.accepted_ids == expected_ids
 
     # posterior scores are bit-identical, not merely approximately equal
     assert wrapped.posteriors == reference.posteriors
     assert wrapped.gbd_values == reference.gbd_values
     assert single.scores == reference.posteriors
     assert batched.scores == reference.posteriors
-    assert sharded.scores == reference.posteriors
     expected_accepted_scores = {gid: reference.posteriors[gid] for gid in expected_ids}
     assert pruned_single.scores == expected_accepted_scores
     assert pruned_batch.scores == expected_accepted_scores
@@ -152,16 +135,12 @@ def test_all_online_paths_agree(seed, pruning, backend, query_seed, tau_hat, gam
     expected_topk = search.query_topk_reference(query, k)
     assert search.query_topk(query, k).ranking == expected_topk
     assert default_engine.query_topk(query, k).ranking == expected_topk
-    sharded_topk = BatchQueryEngine.merge_topk_answers(
-        [e.query_topk(query, k) for e in shard_engines], k
-    )
-    assert sharded_topk.ranking == expected_topk
 
 
 @pytest.mark.parametrize("backend", BACKEND_PARAMS)
 @pytest.mark.parametrize("pruning", [False, True])
 def test_query_batch_returns_input_order(pruning, backend):
-    search, engine, _default, _unpruned, _shards = _fitted(0, pruning, backend)
+    search, engine, _default, _unpruned = _fitted(0, pruning, backend)
     qrng = random.Random(7)
     queries = [
         SimilarityQuery(
@@ -177,26 +156,54 @@ def test_query_batch_returns_input_order(pruning, backend):
         assert answer.accepted_ids == search.query(query).answer.accepted_ids
 
 
-def test_data_parallel_executor_matches_batch():
-    from repro.serving import ServingExecutor
-
-    search, engine, default_engine, _unpruned, _shards = _fitted(1, False)
-    qrng = random.Random(3)
-    queries = [
+def _executor_queries(seed, count, top_k=False):
+    qrng = random.Random(seed)
+    return [
         SimilarityQuery(
             random_labeled_graph(qrng.randint(3, 9), qrng.randint(2, 12), seed=qrng),
             qrng.randint(0, MAX_TAU),
-            0.5,
+            qrng.choice([0.3, 0.5, 0.8]),
+            top_k=qrng.randint(1, 6) if top_k else None,
         )
-        for _ in range(8)
+        for _ in range(count)
     ]
-    executor = ServingExecutor(default_engine, num_workers=2, mode="data-parallel")
-    answers = executor.map(queries)
-    expected = default_engine.query_batch(queries)
-    for answer, reference in zip(answers, expected):
-        assert answer.accepted_ids == reference.accepted_ids
-        assert answer.scores == reference.scores
-    assert executor.last_stats.num_queries == len(queries)
+
+
+@pytest.mark.parametrize("backend", BACKEND_PARAMS)
+@pytest.mark.parametrize("pruning", [False, True])
+def test_thread_executor_matches_reference(pruning, backend):
+    """Every engine behind a 3-thread executor answers like ``query_reference``."""
+    from repro.serving import ServingExecutor
+
+    search, engine, default_engine, unpruned_engine = _fitted(2, pruning, backend)
+    queries = _executor_queries(11, 9)
+    references = [search.query_reference(query) for query in queries]
+
+    def answers(serving_engine):
+        return ServingExecutor(serving_engine, num_workers=3).map(queries)
+
+    for answer, reference in zip(answers(engine), references):
+        assert answer.accepted_ids == reference.answer.accepted_ids
+        assert answer.scores == reference.posteriors
+    for answer, reference in zip(answers(default_engine), references):
+        expected_ids = reference.answer.accepted_ids
+        assert answer.accepted_ids == expected_ids
+        assert answer.scores == {gid: reference.posteriors[gid] for gid in expected_ids}
+    for answer, reference in zip(answers(unpruned_engine), references):
+        assert answer.accepted_ids == reference.answer.accepted_ids
+
+
+@pytest.mark.parametrize("num_workers", [1, 3])
+def test_executor_topk_matches_reference(num_workers):
+    from repro.serving import ServingExecutor
+
+    search, _engine, default_engine, _unpruned = _fitted(1, True)
+    queries = _executor_queries(13, 8, top_k=True)
+    answers = ServingExecutor(default_engine, num_workers=num_workers).map(queries)
+    for query, answer in zip(queries, answers):
+        ranked = search.query_topk_reference(query, query.top_k)
+        assert answer.ranking == ranked
+        assert answer.accepted_ids == frozenset(gid for gid, _ in ranked)
 
 
 @pytest.mark.parametrize("backend", BACKEND_PARAMS)
@@ -207,7 +214,7 @@ def test_bound_filter_never_prunes_an_accepted_graph(pruning, backend):
     (The accepted-set equality of the property test implies this; asserting
     it directly on the counters documents the filter really fires.)
     """
-    search, _engine, default_engine, _unpruned, _shards = _fitted(0, pruning, backend)
+    search, _engine, default_engine, _unpruned = _fitted(0, pruning, backend)
     before = default_engine.prune_counters
     qrng = random.Random(99)
     for _ in range(10):
@@ -231,7 +238,7 @@ def test_topk_on_query_routes_through_every_path():
     """``SimilarityQuery(top_k=...)`` is honoured by query/query_batch/executor."""
     from repro.serving import ServingExecutor
 
-    search, _engine, default_engine, _unpruned, _shards = _fitted(0, False)
+    search, _engine, default_engine, _unpruned = _fitted(0, False)
     qrng = random.Random(5)
     queries = [
         SimilarityQuery(
@@ -251,12 +258,6 @@ def test_topk_on_query_routes_through_every_path():
         assert answer.accepted_ids == frozenset(gid for gid, _ in ranked)
         assert answer.scores == dict(ranked)
 
-    executor = ServingExecutor(default_engine, num_workers=2, mode="data-parallel")
+    executor = ServingExecutor(default_engine, num_workers=2)
     for answer, ranked in zip(executor.map(queries), expected):
         assert answer.ranking == ranked
-
-    # regression: query_sharded must re-rank per-shard top-k's, not union them
-    for query, ranked in zip(queries, expected):
-        sharded = default_engine.query_sharded(query, 3)
-        assert sharded.ranking == ranked
-        assert sharded.accepted_ids == frozenset(gid for gid, _ in ranked)

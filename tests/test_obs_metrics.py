@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-import pickle
+import json
 
 import pytest
 
@@ -25,7 +25,6 @@ class TestPrimitives:
         counter.inc()
         counter.inc(2.5)
         assert counter.value == 3.5
-        assert counter.state() == 3.5
 
     def test_gauge_set_inc_dec(self):
         gauge = Gauge()
@@ -111,82 +110,6 @@ class TestRegistry:
         assert get_registry() is get_registry()
 
 
-class TestDumpMergeDiff:
-    def _sample_registry(self) -> MetricsRegistry:
-        registry = MetricsRegistry()
-        registry.counter("calls_total", "calls", ("kernel",)).labels(kernel="row").inc(5)
-        registry.gauge("depth").set(3)
-        registry.histogram("lat", buckets=(1.0, 2.0)).observe(1.5)
-        return registry
-
-    def test_dump_is_picklable(self):
-        dump = self._sample_registry().dump()
-        assert pickle.loads(pickle.dumps(dump)) == dump
-
-    def test_merge_adds_counters_and_histograms(self):
-        worker = self._sample_registry()
-        parent = self._sample_registry()
-        parent.merge(worker.dump())
-        assert parent.get("calls_total").labels(kernel="row").value == 10.0
-        hist = parent.histogram("lat", buckets=(1.0, 2.0))
-        assert hist.count == 2 and hist.sum == pytest.approx(3.0)
-
-    def test_merge_takes_max_for_gauges(self):
-        parent = MetricsRegistry()
-        parent.gauge("depth").set(5)
-        worker = MetricsRegistry()
-        worker.gauge("depth").set(3)
-        parent.merge(worker.dump())
-        assert parent.gauge("depth").value == 5.0
-
-    def test_merge_creates_unknown_families(self):
-        parent = MetricsRegistry()
-        parent.merge(self._sample_registry().dump())
-        assert parent.get("calls_total") is not None
-        assert parent.get("calls_total").labels(kernel="row").value == 5.0
-
-    def test_merge_rejects_incompatible_bucket_bounds(self):
-        parent = MetricsRegistry()
-        parent.histogram("lat", buckets=(1.0, 2.0)).observe(0.5)
-        worker = MetricsRegistry()
-        worker.histogram("lat", buckets=(1.0, 2.0, 3.0))
-        with pytest.raises(ValueError):
-            parent.merge(worker.dump())
-
-    def test_diff_subtracts_counters(self):
-        registry = self._sample_registry()
-        before = registry.dump()
-        registry.get("calls_total").labels(kernel="row").inc(7)
-        registry.histogram("lat", buckets=(1.0, 2.0)).observe(0.5)
-        delta = MetricsRegistry.diff(before, registry.dump())
-        assert delta["calls_total"]["series"][("row",)] == 7.0
-        _bounds, counts, total, count = delta["lat"]["series"][()]
-        assert count == 1 and total == pytest.approx(0.5) and sum(counts) == 1
-
-    def test_diff_keeps_after_value_for_gauges(self):
-        registry = self._sample_registry()
-        before = registry.dump()
-        registry.gauge("depth").set(9)
-        delta = MetricsRegistry.diff(before, registry.dump())
-        assert delta["depth"]["series"][()] == 9.0
-
-    def test_diff_passes_new_series_through(self):
-        registry = self._sample_registry()
-        before = registry.dump()
-        registry.get("calls_total").labels(kernel="matrix").inc(4)
-        delta = MetricsRegistry.diff(before, registry.dump())
-        assert delta["calls_total"]["series"][("matrix",)] == 4.0
-
-    def test_diff_then_merge_roundtrips(self):
-        # The executor's protocol: worker diffs, parent merges.
-        worker = self._sample_registry()
-        before = worker.dump()
-        worker.get("calls_total").labels(kernel="row").inc(3)
-        parent = self._sample_registry()
-        parent.merge(MetricsRegistry.diff(before, worker.dump()))
-        assert parent.get("calls_total").labels(kernel="row").value == 8.0
-
-
 class TestEnableSwitch:
     def test_disabled_increments_are_no_ops(self):
         counter = Counter()
@@ -251,6 +174,17 @@ class TestPrometheusText:
         assert hist_sample["count"] == 1
         assert hist_sample["buckets"]["+Inf"] == 1
 
+    def test_snapshot_round_trips_through_json(self):
+        registry = MetricsRegistry()
+        registry.counter("calls_total", "calls", ("kernel",)).labels(kernel="row").inc(5)
+        registry.gauge("depth").set(3)
+        registry.histogram("lat", buckets=(1.0, 2.0)).observe(1.5)
+        snap = snapshot(registry)
+        assert json.loads(json.dumps(snap)) == snap
+        assert snap["calls_total"]["samples"] == [{"labels": {"kernel": "row"}, "value": 5.0}]
+        assert snap["depth"]["samples"][0]["value"] == 3.0
+        assert snap["lat"]["samples"][0]["buckets"] == {"1": 0, "2": 1, "+Inf": 1}
+
     def test_instrumented_stack_registers_all_layers(self):
         # Importing the five layers must register their metric families in
         # the global registry — the exposition covers the whole stack.
@@ -300,8 +234,8 @@ class TestEngineQueryCounter:
         ranked = [SimilarityQuery(graph, 2, 0.5, top_k=3) for graph in graphs[5:8]]
 
         def counts():
-            series = get_registry().dump()["repro_engine_queries_total"]["series"]
-            return {labels[0]: value for labels, value in series.items()}
+            series = get_registry().get("repro_engine_queries_total").series()
+            return {labels[0]: child.value for labels, child in series}
 
         before = counts()
         engine.query_batch(plain + ranked)  # 5 batch + 3 topk
