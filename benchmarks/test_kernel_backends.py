@@ -93,9 +93,9 @@ def _timed(fn) -> float:
 
 def _unfused_filter_verify(store, num_query_vertices, branches):
     """The pre-fusion pipeline: one dense row by position, then the reduce in NumPy."""
-    csr, orders, _ids = store.view()
-    orders = np.maximum(num_query_vertices, orders)
-    gbds = orders - store.intersection_row(branches, view=(csr, len(orders)))
+    view = store.view()
+    orders = np.maximum(num_query_vertices, view[1])
+    gbds = orders - store.intersection_row(branches, view=view)
     positions = np.flatnonzero(LUT.take(orders * LUT.shape[1] + gbds) >= GAMMA)
     return positions, gbds[positions]
 
@@ -112,7 +112,7 @@ def _compaction_us(store, writes) -> float:
 def test_kernel_backend_microbench(workload, results_dir):
     stores, vertices, branch_sets, writes = workload
     reference = stores["numpy"]
-    distinct = np.unique(reference.orders())
+    distinct = np.unique(reference.view()[1])
     bars = np.full(len(distinct), TAU, dtype=np.int64)
 
     def ops(store):
@@ -167,7 +167,7 @@ def test_kernel_backend_microbench(workload, results_dir):
     kernels["merge_postings"] = {
         backend: _compaction_us(store, writes) for backend, store in stores.items()
     }
-    grown_bars = np.full(len(np.unique(reference.orders())), TAU, dtype=np.int64)
+    grown_bars = np.full(len(np.unique(reference.view()[1])), TAU, dtype=np.int64)
     for store in stores.values():
         for mine, theirs in zip(store.view()[0][:3], reference.view()[0][:3]):
             assert np.array_equal(mine, theirs)

@@ -306,8 +306,9 @@ def test_pruned_selective_workload(results_dir):
         pruned = BatchQueryEngine.from_search(
             search, cache_size=None, kernel_backend=backend
         )
+        # keep_scores="all" runs the dense every-posterior path.
         unpruned = BatchQueryEngine.from_search(
-            search, cache_size=None, pruned_execution=False, kernel_backend=backend
+            search, cache_size=None, keep_scores="all", kernel_backend=backend
         )
 
         # Correctness first: filter-and-verify must be bit-identical (warm pass).
@@ -315,7 +316,9 @@ def test_pruned_selective_workload(results_dir):
         for query, pruned_answer in zip(queries, pruned_answers):
             unpruned_answer = unpruned.query(query)
             assert pruned_answer.accepted_ids == unpruned_answer.accepted_ids
-            assert pruned_answer.scores == unpruned_answer.scores
+            assert pruned_answer.scores == {
+                gid: unpruned_answer.scores[gid] for gid in unpruned_answer.accepted_ids
+            }
 
         # Best-of-3: one pass over this workload is a couple of milliseconds,
         # so a single scheduler hiccup would otherwise dominate the reading.

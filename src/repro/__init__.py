@@ -61,7 +61,6 @@ from repro.core.estimator import GBDAEstimator
 from repro.core.plan import ExecutionCore
 from repro.db.database import GraphDatabase
 from repro.db.columnar import ColumnarBranchStore
-from repro.db.index import BranchInvertedIndex
 from repro.db.query import SimilarityQuery, QueryAnswer
 from repro.offline import OfflineFitter
 from repro.serving import (
@@ -155,7 +154,6 @@ __all__ = [
     "ExecutionCore",
     "GraphDatabase",
     "ColumnarBranchStore",
-    "BranchInvertedIndex",
     "SimilarityQuery",
     "QueryAnswer",
     "OfflineFitter",

@@ -104,7 +104,7 @@ def branches_of(graph: Graph) -> List[Branch]:
 def branch_multiset(graph: Graph) -> Counter:
     """Return ``B_G`` as a ``Counter`` keyed by canonical branch keys.
 
-    The ``Counter`` view is what the GBD computation and the branch index of
+    The ``Counter`` view is what the GBD computation and the branch store of
     the graph database use; the sorted-list view of :func:`branches_of` is
     kept for faithfulness to the paper's storage description and for
     human-readable output.

@@ -23,9 +23,9 @@ implements them once, as one pipeline a query goes through:
   descending bound order are offered to a running top ``k`` whose k-th score
   ends the scan between two groups.
 
-For callers that only need the accepted graphs (:meth:`execute_pruned`, the
-serving engine's default) *bound*, *verify* and *reduce* are **one store
-call**: :meth:`ColumnarBranchStore.filter_verify_row
+For callers that only need the accepted graphs (:meth:`execute_pruned`, what
+the serving engine runs unless ``keep_scores="all"``) *bound*, *verify* and
+*reduce* are **one store call**: :meth:`ColumnarBranchStore.filter_verify_row
 <repro.db.columnar.ColumnarBranchStore.filter_verify_row>` takes the
 per-order thresholds, the τ̂ posterior table, γ and the branch-bound cap and
 returns the *hits* — the accepted rows' store positions and GBDs — so nothing
@@ -78,8 +78,8 @@ import numpy as np
 
 from repro.core.estimator import GBDAEstimator
 from repro.core.gbd import max_gbd_for_ged
+from repro.db.columnar import ColumnarBranchStore
 from repro.db.database import GraphDatabase
-from repro.db.index import BranchInvertedIndex
 from repro.db.query import SimilarityQuery
 from repro.exceptions import SearchError
 from repro.obs.metrics import DEFAULT_RATIO_BUCKETS, get_registry
@@ -198,7 +198,7 @@ class CandidateScores:
         """Positions that were actually scored (all, unless pruning masked some)."""
         if self.gbds is None:
             raise ValueError(
-                "the scored rows were not materialised (scored with need='accepted')"
+                "the scored rows were not materialised (scored by execute_pruned)"
             )
         if self.eligible is None:
             return np.arange(len(self.gbds))
@@ -216,8 +216,7 @@ class CandidateScores:
             return dict(zip(*self.accepted_items))
         if self.posteriors is None:
             raise ValueError(
-                "per-candidate posteriors were not materialised "
-                "(scored with need='accepted')"
+                "per-candidate posteriors were not materialised (scored by execute_pruned)"
             )
         if which == "accepted":
             positions = np.flatnonzero(self.accepted)
@@ -242,14 +241,10 @@ class ExecutionCore:
     error_class:
         Exception type raised on invalid thresholds — :class:`SearchError`
         for the search wrapper, :class:`ServingError` for the engine.
-    index:
-        Optional pre-built :class:`BranchInvertedIndex`; built lazily on
-        first use otherwise.
     kernel_backend:
-        Columnar kernel backend of the lazily-built index (``"auto"`` |
-        ``"numpy"`` | ``"native"`` — see :mod:`repro.db.kernels`).  Ignored
-        when a pre-built ``index`` is supplied.  Neither answers nor plan
-        choices depend on it.
+        Columnar kernel backend of the :attr:`store` (``"auto"`` |
+        ``"numpy"`` | ``"native"`` — see :mod:`repro.db.kernels`).  Neither
+        answers nor plan choices depend on it.
     """
 
     def __init__(
@@ -259,7 +254,6 @@ class ExecutionCore:
         *,
         max_tau: int,
         error_class: Type[Exception] = SearchError,
-        index: Optional[BranchInvertedIndex] = None,
         kernel_backend: str = "auto",
     ) -> None:
         self.database = database
@@ -267,7 +261,7 @@ class ExecutionCore:
         self.max_tau = int(max_tau)
         self.error_class = error_class
         self.kernel_backend = str(kernel_backend)
-        self._index = index
+        self._store: Optional[ColumnarBranchStore] = None
         self._tables: Dict[Tuple[int, int], np.ndarray] = {}
         # Published (matrix, frozen filled-order set) pairs per τ̂ — see the
         # module docstring for the concurrency protocol.
@@ -304,20 +298,25 @@ class ExecutionCore:
         self.__dict__.update(state)
         self._table_lock = threading.Lock()
         self._counter_lock = threading.Lock()
+        if self._store is not None:
+            # The database sheds its (weakly held) subscribers when pickled.
+            self.database.subscribe(self._store.extend, batched=True)
 
     # ------------------------------------------------------------------ #
-    # index and posterior tables
+    # branch store and posterior tables
     # ------------------------------------------------------------------ #
     @property
-    def index(self) -> Optional[BranchInvertedIndex]:
-        """The branch index, or ``None`` when no query has needed it yet."""
-        return self._index
+    def store(self) -> ColumnarBranchStore:
+        """The columnar branch store, built on first use.
 
-    def ensure_index(self) -> BranchInvertedIndex:
-        """Return the branch index, building it on first use."""
-        if self._index is None:
-            self._index = BranchInvertedIndex(self.database, backend=self.kernel_backend)
-        return self._index
+        Once built it follows the database: ``store.extend`` is subscribed
+        batched, so a bulk load is one append, and weakly — through the
+        store's bound method — so a dropped core stops being notified.
+        """
+        if self._store is None:
+            self._store = ColumnarBranchStore(self.database, backend=self.kernel_backend)
+            self.database.subscribe(self._store.extend, batched=True)
+        return self._store
 
     @property
     def tables(self) -> Dict[Tuple[int, int], np.ndarray]:
@@ -561,9 +560,9 @@ class ExecutionCore:
         """
         self.validate_tau(query.tau_hat)
         branches = query.branches() if query_branches is None else query_branches
-        store = self.ensure_index().store
+        store = self.store
         snapshot = store.view()
-        distinct = store.order_ranges(snapshot[0])[0]
+        distinct = store.order_ranges(snapshot)[0]
         extended = np.maximum(query.query_graph.num_vertices, distinct)
         return branches, store, snapshot, extended, extended.tolist()
 
@@ -592,7 +591,7 @@ class ExecutionCore:
         """
         started = time.perf_counter()
         branches, store, snapshot, extended, needed_orders = self._open(query, query_branches)
-        csr, db_orders, global_ids = snapshot
+        _csr, db_orders, global_ids = snapshot
         tau_hat, gamma = query.tau_hat, query.gamma
         num_query_vertices = query.query_graph.num_vertices
         num_rows = len(db_orders)
@@ -605,7 +604,7 @@ class ExecutionCore:
                 lut,
                 gamma,
                 max_gbd_for_ged(tau_hat) if use_pruning else None,
-                view=(csr, num_rows),
+                view=snapshot,
             )
             # A query whose every row fell to the bound ran neither plan.
             self._count(num_rows, num_rows - verified, verified, sparse=sparse)
@@ -619,7 +618,7 @@ class ExecutionCore:
             )
             _record_stage("score_dense" if sparse is False else "verify", started)
             return scored
-        intersections = store.intersection_row(branches, view=(csr, num_rows))
+        intersections = store.intersection_row(branches, view=snapshot)
         self._count(num_rows, 0, num_rows, sparse=False)
         orders = self._orders_row(db_orders, num_query_vertices)
         gbds = orders - intersections
@@ -666,33 +665,31 @@ class ExecutionCore:
         *,
         query_branches: Optional[Sequence[Counter]] = None,
         use_pruning: bool = False,
-        need: str = "full",
         pruned: bool = False,
     ) -> List[CandidateScores]:
         """Score a batch of queries; return per-query results in input order.
 
         A row is a batch of one: each query goes through the same pipeline
-        as a single call — :meth:`execute_pruned`'s when the caller is
-        ``pruned`` and only needs the accepted graphs' scores
-        (``need="accepted"``), :meth:`execute`'s otherwise — so answers,
-        filter counters and per-row stage histograms are those of the
-        per-query loop.  Every τ̂ is validated before any row is scored.
-        Under an active trace (a sampled flush) the rows' stage durations are
-        folded by stage name into one span per stage, laid end to end from
-        the start of the call: the flush's waterfall, not 2 × rows spans.
+        as a single call — :meth:`execute_pruned`'s when ``pruned`` (the
+        caller only needs the accepted graphs' scores), :meth:`execute`'s
+        otherwise — so answers, filter counters and per-row stage histograms
+        are those of the per-query loop.  Every τ̂ is validated before any row
+        is scored.  Under an active trace (a sampled flush) the rows' stage
+        durations are folded by stage name into one span per stage, laid end
+        to end from the start of the call: the flush's waterfall, not 2 × rows
+        spans.
         """
         queries = list(queries)
         for query in queries:
             self.validate_tau(query.tau_hat)
         if query_branches is None:
             query_branches = [None] * len(queries)
-        bounded = pruned and need == "accepted"
         trace = active_trace()
         rows_trace = None if trace is None else QueryTrace()
         started = time.perf_counter()
         with activated(rows_trace):
             results = [
-                self._threshold(query, branches, use_pruning, bounded)
+                self._threshold(query, branches, use_pruning, pruned)
                 for query, branches in zip(queries, query_branches)
             ]
         if trace is not None:
@@ -730,8 +727,7 @@ class ExecutionCore:
         k = int(k)
         if k < 1:
             raise self.error_class("top_k must be a positive integer")
-        csr, db_orders = snapshot[:2]
-        num_rows = len(db_orders)
+        num_rows = len(snapshot[1])
         if num_rows == 0:
             return []
         num_query_vertices = query.query_graph.num_vertices
@@ -744,7 +740,7 @@ class ExecutionCore:
             *self._topk_tables(tau_hat, num_query_vertices, needed_orders),
             cap,
             k,
-            view=(csr, num_rows),
+            view=snapshot,
         )
         # A query none of whose order groups was ranked in ran neither plan.
         self._count(num_rows, num_rows - verified, verified, sparse=sparse)
@@ -772,5 +768,5 @@ class ExecutionCore:
     def __repr__(self) -> str:
         return (
             f"<ExecutionCore |D|={len(self.database)} max_tau={self.max_tau} "
-            f"tables={len(self._tables)} index={'built' if self._index else 'lazy'}>"
+            f"tables={len(self._tables)} store={'built' if self._store else 'lazy'}>"
         )

@@ -26,15 +26,15 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional
 
 from repro.core.branches import branch_multiset
 from repro.core.estimator import GBDAEstimator
+from repro.core.gbd import max_gbd_for_ged
 from repro.core.gbd_prior import GBDPrior
 from repro.core.ged_prior import GEDPrior
 from repro.core.plan import ExecutionCore
 from repro.db.database import GraphDatabase
-from repro.db.index import BranchInvertedIndex
 from repro.db.query import QueryAnswer, SimilarityQuery
 from repro.exceptions import SearchError
 from repro.graphs.graph import Graph
@@ -107,11 +107,6 @@ class GBDASearch:
         self._core: Optional[ExecutionCore] = None
         self.offline_seconds: float = 0.0
 
-    @property
-    def _index(self) -> Optional[BranchInvertedIndex]:
-        """The branch index, or ``None`` until the first query builds it."""
-        return self._core.index if self._core is not None else None
-
     # ------------------------------------------------------------------ #
     # offline stage (Step 1 of Algorithm 1)
     # ------------------------------------------------------------------ #
@@ -148,7 +143,8 @@ class GBDASearch:
             self.database, self.estimator, max_tau=self.max_tau, error_class=SearchError
         )
         if self.use_index_pruning:
-            self._core.ensure_index()
+            # Pruned queries read the store from the first one on: build it offline.
+            self._core.store
         self.offline_seconds = time.perf_counter() - start
         return self
 
@@ -168,7 +164,7 @@ class GBDASearch:
         """Answer one similarity query and return the detailed result.
 
         A thin wrapper over the shared :class:`ExecutionCore`: all GBDs come
-        from the columnar branch index in one vectorized pass (the pruned
+        from the columnar branch store in one vectorized pass (the pruned
         path reuses them for the bound filter instead of recomputing), and
         posteriors come from the shared ``(τ̂, |V'1|)`` lookup tables.
         Outputs are the historical dicts, bit-identical to the per-pair
@@ -178,8 +174,7 @@ class GBDASearch:
         self._core.validate_tau(query.tau_hat)
         start = time.perf_counter()
         query_branches = query.branches()
-        # When pruning is enabled after fit(), the core builds the index
-        # lazily on this first pruned query instead of silently full-scanning
+        # Unless fit() built it, the core builds the store on this first query
         # (it subscribes to the database, so it tracks later additions).
         scored = self._core.execute(
             query, query_branches=query_branches, use_pruning=self.use_index_pruning
@@ -207,30 +202,27 @@ class GBDASearch:
         tested against (and the baseline of the throughput benchmarks): one
         branch-multiset merge and one :meth:`GBDAEstimator.posterior`
         evaluation per database graph, exactly as the paper writes Steps
-        2–4.  Answers are bit-identical to :meth:`query`.
+        2–4.  With ``use_index_pruning`` a graph whose GBD exceeds ``2 τ̂`` is
+        skipped unscored, by the same per-pair GBD.  The loop reads nothing of
+        the columnar store, so it checks the store's kernels rather than
+        sharing them.  Answers are bit-identical to :meth:`query`.
         """
         self._require_fitted()
         self._core.validate_tau(query.tau_hat)
         start = time.perf_counter()
         query_branches = branch_multiset(query.query_graph)
-
-        candidate_ids: Sequence[int]
-        if self.use_index_pruning:
-            index = self._core.ensure_index()
-            candidate_ids = index.candidates_by_gbd_bound(
-                query.query_graph, query.tau_hat, query_branches=query_branches
-            )
-        else:
-            candidate_ids = [entry.graph_id for entry in self.database]
+        cap = max_gbd_for_ged(query.tau_hat) if self.use_index_pruning else None
 
         gbd_values: Dict[int, int] = {}
         posteriors: Dict[int, float] = {}
         accepted: List[int] = []
-        for graph_id in candidate_ids:
-            entry = self.database[graph_id]
+        for entry in self.database:
+            graph_id = entry.graph_id
             gbd_value = self.database.gbd_to(
                 query.query_graph, graph_id, query_branches=query_branches
             )
+            if cap is not None and gbd_value > cap:
+                continue
             gbd_values[graph_id] = gbd_value
             extended_order = max(query.query_graph.num_vertices, entry.num_vertices)
             posterior = self.estimator.posterior(gbd_value, query.tau_hat, extended_order)

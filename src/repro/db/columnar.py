@@ -22,15 +22,12 @@ count, so every distinct order owns one contiguous *range* of positions
 position, the rows of one ``(key, |V_G|)`` pair are one slice of that
 segment.  Algorithm 1 decides Steps 2–4 once per distinct extended order; the
 layout makes that grouping physical, so the reducers read eligibility as
-ranges and verify a range by slicing the matched segments.  The CSR, the
-vectors of :meth:`view` and the reducers' hits speak positions.  Every
-public ``D``-length row — :meth:`intersection_row`, :meth:`gbd_row`,
-:meth:`gbd_lower_bound_row`, :meth:`orders`, :meth:`global_ids` — is indexed
-by *arrival* instead (the row number :meth:`append` returns), gathered once
-at the store boundary; only a caller that pins a :meth:`view` reads
-positions, paired with that view's own vectors.  :meth:`global_ids` maps a
-row back to its database graph id; for a
-:class:`~repro.db.database.GraphDatabase` arrival and graph id coincide.
+ranges and verify a range by slicing the matched segments.  Everything the
+store hands out speaks positions: the CSR, the ``orders`` / ``global_ids``
+vectors of :meth:`view` (the latter maps a position back to its database
+graph id), every ``D``-length row (:meth:`intersection_row`,
+:meth:`gbd_lower_bound_row`) and the reducers' hits.  A read computes against
+the current snapshot, or against the :meth:`view` a caller pinned.
 
 The kernels themselves live in :mod:`repro.db.kernels` behind a pluggable
 ``backend`` (``"numpy"`` | ``"native"`` | ``"auto"``): this class owns the
@@ -151,42 +148,31 @@ _EMPTY_CSR: _Csr = (
 )
 
 
+#: What :meth:`ColumnarBranchStore.view` returns and a pinned read passes back:
+#: ``(csr, orders, global_ids)`` of one snapshot, the vectors by position.
+_View = Tuple[_Csr, np.ndarray, np.ndarray]
+
+
 class _Snapshot:
     """One published read state: the CSR and its row vectors, all by position.
 
-    ``orders`` (non-decreasing) and ``global_ids`` are indexed by position,
+    ``orders`` (non-decreasing) and ``global_ids`` are indexed by position and
     ``ranges`` is ``(distinct orders, bounds)`` — the rows of order
-    ``distinct[u]`` are the positions ``bounds[u]:bounds[u + 1]`` — and
-    ``slots[r]`` is the position of the row that arrived ``r``-th, which is
-    how public rows are gathered back into arrival order.  Nothing in a
-    snapshot changes after it is published, and nothing is built lazily.
+    ``distinct[u]`` are the positions ``bounds[u]:bounds[u + 1]``.  Nothing in
+    a snapshot changes after it is published, and nothing is built lazily.
     """
 
-    __slots__ = ("csr", "orders", "global_ids", "ranges", "slots")
+    __slots__ = ("csr", "orders", "global_ids", "ranges")
 
-    def __init__(self, csr, orders, global_ids, slots):
+    def __init__(self, csr, orders, global_ids):
         self.csr: _Csr = csr
         self.orders: np.ndarray = orders
         self.global_ids: np.ndarray = global_ids
-        self.slots: np.ndarray = slots
         starts = np.flatnonzero(np.diff(orders, prepend=-1))  # orders are >= 0
         self.ranges: Tuple[np.ndarray, np.ndarray] = (
             orders[starts],
             np.append(starts, len(orders)).astype(np.int64),
         )
-
-    @classmethod
-    def laid_out(cls, csr, orders: np.ndarray, global_ids: np.ndarray) -> "_Snapshot":
-        """The snapshot of ``csr`` from its rows' arrival-order vectors, from scratch.
-
-        The layout is a function of the arrival orders alone — a stable sort
-        — so this is also what :meth:`ColumnarBranchStore.compact` carries,
-        and the record a reader pinned to a superseded CSR gets.
-        """
-        by_order = np.argsort(orders, kind="stable")
-        slots = np.empty(len(orders), dtype=np.int64)
-        slots[by_order] = np.arange(len(orders))
-        return cls(csr, orders[by_order], global_ids[by_order], slots)
 
 
 def _segment_total(offsets: np.ndarray, key_ids: np.ndarray) -> int:
@@ -230,16 +216,16 @@ class ColumnarBranchStore:
         # kernels race-safe (a cap newer than a CSR snapshot only loosens
         # the bound — see matched_query_total).
         self._key_caps: List[int] = []
-        # Per-row metadata in arrival order: growable int64 buffers written
-        # only past the published rows, so a prefix of them never changes.
-        self._arrival_ids = np.empty(0, dtype=np.int64)
-        self._arrival_orders = np.empty(0, dtype=np.int64)
         self._num_rows = 0
         # Largest posting multiplicity compacted so far (decides the counts dtype).
         self._max_count = 0
         # Everything a read needs, swapped atomically as one record.
-        self._published = _Snapshot(_EMPTY_CSR, _EMPTY_I64, _EMPTY_I64, _EMPTY_I64)
-        # Append buffer: parallel lists of (key id, arrival row, count).
+        self._published = _Snapshot(_EMPTY_CSR, _EMPTY_I64, _EMPTY_I64)
+        # Append buffer: the rows appended since the last compaction, as
+        # parallel lists of (|V_G|, graph id), and their postings, as parallel
+        # lists of (key id, row number, count).
+        self._pending_orders: List[int] = []
+        self._pending_ids: List[int] = []
         self._pending_keys: List[int] = []
         self._pending_positions: List[int] = []
         self._pending_counts: List[int] = []
@@ -255,23 +241,18 @@ class ColumnarBranchStore:
         return backend_module(self.backend)
 
     def __getstate__(self):
-        # Only the CSR and the arrival-order row vectors are pickled; the
-        # position-order vectors and ranges are 3 x D + U int64 the
-        # receiving side lays out again in O(D log D).
+        # The snapshot travels as its view; the ranges are 2 x U int64 the
+        # receiving side derives again in O(D).
         state = self.__dict__.copy()
         del state["_compact_lock"]  # locks are not picklable
-        state["_published"] = self._published.csr
-        state["_arrival_orders"] = self._arrival_orders[: self._num_rows]
-        state["_arrival_ids"] = self._arrival_ids[: self._num_rows]
+        snapshot = self._published
+        state["_published"] = (snapshot.csr, snapshot.orders, snapshot.global_ids)
         return state
 
     def __setstate__(self, state):
         self.__dict__.update(state)
         self._compact_lock = threading.Lock()
-        csr = self._published
-        self._published = _Snapshot.laid_out(
-            csr, self._arrival_orders[: csr[3]], self._arrival_ids[: csr[3]]
-        )
+        self._published = _Snapshot(*self._published)
         # A snapshot restored on another machine keeps its configured
         # backend name; backend_module degrades native->numpy with a
         # warning if this host cannot build the library.
@@ -281,7 +262,10 @@ class ColumnarBranchStore:
     # mutation
     # ------------------------------------------------------------------ #
     def append(self, entry) -> int:
-        """Buffer one :class:`~repro.db.database.StoredGraph`; return its arrival row.
+        """Buffer one :class:`~repro.db.database.StoredGraph`; return its row number.
+
+        Row numbers count appended rows (``num_graphs`` before the call); the
+        row's position is decided by the compaction that publishes it.
 
         O(|branches|) bookkeeping that leaves the published snapshot alone; the
         next :meth:`compact` pays for the write.  Runs under the compaction lock
@@ -297,7 +281,7 @@ class ColumnarBranchStore:
             self._extend(entries)
 
     def _extend(self, entries) -> int:
-        """Buffer ``entries`` (lock held); return the arrival row of the first.
+        """Buffer ``entries`` (lock held); return the row number of the first.
 
         No Python statement runs per posting: the loops below visit only keys
         the vocabulary has not seen (:meth:`_learn_key`, once per new key) and
@@ -305,16 +289,8 @@ class ColumnarBranchStore:
         """
         first = self._num_rows
         rows = first + len(entries)
-        if rows > len(self._arrival_orders):
-            # Doubling keeps appends amortised O(1); published snapshots keep
-            # viewing the buffer they were cut from.
-            capacity = max(2 * rows, 64)
-            for name in ("_arrival_orders", "_arrival_ids"):
-                grown = np.empty(capacity, dtype=np.int64)
-                grown[:first] = getattr(self, name)[:first]
-                setattr(self, name, grown)
-        self._arrival_ids[first:rows] = [entry.graph_id for entry in entries]
-        self._arrival_orders[first:rows] = [entry.num_vertices for entry in entries]
+        self._pending_ids += [entry.graph_id for entry in entries]
+        self._pending_orders += [entry.num_vertices for entry in entries]
         multisets = [entry.branches for entry in entries]
         keys = list(chain.from_iterable(multisets))
         counts = list(chain.from_iterable(map(dict.values, multisets)))
@@ -348,13 +324,12 @@ class ColumnarBranchStore:
         return key_id
 
     def _is_compacted(self) -> bool:
-        """Whether the published snapshot already covers every posting *and* row.
+        """Whether the published snapshot already covers every appended row.
 
-        Both conditions matter: an appended entry with zero branches grows
-        the row count without touching the buffer.  (A key new to the
-        vocabulary always arrives with a pending posting.)
+        Every pending posting belongs to a pending row, and a key new to the
+        vocabulary always arrives with a pending posting.
         """
-        return not self._pending_keys and self._published.csr[3] == self._num_rows
+        return not self._pending_orders
 
     def compact(self) -> bool:
         """Publish the next snapshot if anything was appended; return whether work was done.
@@ -366,17 +341,18 @@ class ColumnarBranchStore:
         * the new rows are interleaved into their order's range, each behind
           the rows of its order that arrived before it: old positions move
           through one monotone shift table (an old row moves by the number of
-          new rows of a smaller order), and ``orders`` / ``global_ids`` /
-          ``slots`` / the ranges are re-laid out in O(D);
+          new rows of a smaller order), and ``orders`` / ``global_ids`` / the
+          ranges are re-laid out in O(D);
         * each key's old posting segment, its positions sent through the
           shift, moves by the room the keys before it grew, and its pending
           postings — visited by new position — are merged into it, so
           segments stay sorted by position.
 
-        The result equals :meth:`_Snapshot.laid_out` over the grown rows.  The
-        pass runs in the store's kernel backend under the compaction lock and
-        publishes the result as one record swap, so concurrent readers are
-        never exposed to a torn state.
+        The result is the layout a store built in one go over the same rows
+        has (a stable sort of every row by order).  The pass runs in the
+        store's kernel backend under the compaction lock and publishes the
+        result as one record swap, so concurrent readers are never exposed to
+        a torn state.
 
         ``positions``/``counts`` use int32 while every row index and posting
         multiplicity fits (:data:`_POSITION_DTYPE_LIMIT` /
@@ -392,7 +368,7 @@ class ColumnarBranchStore:
                 return False  # another thread compacted while we waited
             previous = self._published
             old_rows, num_rows = previous.csr[3], self._num_rows
-            added = self._arrival_orders[old_rows:num_rows]
+            added = np.asarray(self._pending_orders, dtype=np.int64)
             # New row i lands behind the old rows of an order <= its own and
             # the new rows sorted before it; an old row moves by the new rows
             # that land at or before it.
@@ -408,7 +384,7 @@ class ColumnarBranchStore:
             orders[placed] = added
             global_ids = np.empty(num_rows, dtype=np.int64)
             global_ids[shift] = previous.global_ids
-            global_ids[placed] = self._arrival_ids[old_rows:num_rows]
+            global_ids[placed] = self._pending_ids
 
             # Pending postings come row by row in arrival order; visit the rows
             # by new position instead, so each key's postings ascend.
@@ -431,12 +407,9 @@ class ColumnarBranchStore:
                 np.int32 if num_rows <= _POSITION_DTYPE_LIMIT else np.int64,
                 np.int32 if self._max_count <= _COUNT_DTYPE_LIMIT else np.int64,
             )
-            self._published = _Snapshot(
-                (*arrays, num_rows),
-                orders,
-                global_ids,
-                np.concatenate((shift[previous.slots], placed)),
-            )
+            self._published = _Snapshot((*arrays, num_rows), orders, global_ids)
+            self._pending_orders = []
+            self._pending_ids = []
             self._pending_keys = []
             self._pending_positions = []
             self._pending_counts = []
@@ -448,12 +421,7 @@ class ColumnarBranchStore:
         self.compact()
         return self._published
 
-    @property
-    def _csr(self) -> _Csr:
-        """The published CSR tuple (what the dtype-layout tests inspect)."""
-        return self._published.csr
-
-    def view(self) -> Tuple[_Csr, np.ndarray, np.ndarray]:
+    def view(self) -> _View:
         """Return one coherent ``(csr, orders, global_ids)`` read snapshot, by position.
 
         ``csr`` is the ``(offsets, positions, counts, rows)`` tuple and the
@@ -463,28 +431,26 @@ class ColumnarBranchStore:
         covered by the CSR — concurrent additions become visible only between
         queries, never as a torn mix or a graph with silently missing
         postings.  The first read after a write pays the compaction here.
+        Every read takes it back as ``view=`` to compute against it.
         """
         snapshot = self._snapshot()
         return snapshot.csr, snapshot.orders, snapshot.global_ids
 
-    def _snapshot_of(self, csr: _Csr) -> _Snapshot:
-        """The snapshot record ``csr`` belongs to.
+    def _snapshot_of(self, view: Optional[_View]) -> _Snapshot:
+        """The snapshot record a read computes against: the pinned ``view``'s, or the current.
 
-        A reader still computing against a superseded snapshot gets a record
-        of its own, laid out from scratch and uncached — the arrival-order row
-        buffers are append-only, so the prefix its CSR covers is still what it
-        was, and the layout is a function of that prefix.
+        A reader still computing against a superseded view gets a record of
+        its own, uncached, whose ranges are derived from the view's orders.
         """
+        if view is None:
+            return self._snapshot()
         snapshot = self._published
-        if snapshot.csr is not csr:
-            rows = csr[3]
-            snapshot = _Snapshot.laid_out(
-                csr, self._arrival_orders[:rows], self._arrival_ids[:rows]
-            )
+        if snapshot.csr is not view[0]:
+            snapshot = _Snapshot(*view)
         return snapshot
 
     # ------------------------------------------------------------------ #
-    # shape and per-row vectors
+    # shape and per-key caps
     # ------------------------------------------------------------------ #
     @property
     def num_graphs(self) -> int:
@@ -500,24 +466,6 @@ class ColumnarBranchStore:
     def num_postings(self) -> int:
         """Total postings held (compacted segment plus append buffer)."""
         return len(self._published.csr[1]) + len(self._pending_keys)
-
-    def global_ids(self) -> np.ndarray:
-        """Dense ``arrival row -> graph id`` vector of the (compacted) snapshot."""
-        return self._arrival_ids[: self._snapshot().csr[3]]
-
-    def orders(self) -> np.ndarray:
-        """Dense ``arrival row -> |V_G|`` vector of the (compacted) snapshot."""
-        return self._arrival_orders[: self._snapshot().csr[3]]
-
-    def branch_totals(self) -> np.ndarray:
-        """Dense ``arrival row -> |B_G|`` vector of total branch counts.
-
-        A graph contributes exactly one branch per vertex (Definition 2), so
-        the total branch count of a row equals its vertex count — this is
-        the per-graph norm the lower-bound kernels cap intersections with,
-        exposed under its own name so the bound math reads as written.
-        """
-        return self.orders()
 
     def key_caps(self) -> np.ndarray:
         """Dense ``key id -> max per-row multiplicity`` vector (cached)."""
@@ -578,31 +526,25 @@ class ColumnarBranchStore:
     # vectorized intersection / GBD kernels
     # ------------------------------------------------------------------ #
     def intersection_row(
-        self, query_branches: Counter, *, view: Optional[Tuple[_Csr, int]] = None
+        self, query_branches: Counter, *, view: Optional[_View] = None
     ) -> np.ndarray:
-        """Return ``|B_Q ∩ B_G|`` for every row as a dense ``(D,)`` array, by arrival.
+        """Return ``|B_Q ∩ B_G|`` for every row as a dense ``(D,)`` array, by position.
 
         One vocabulary pass over the query's branch keys, then the selected
         backend accumulates the matching CSR segments (a vectorized gather
         plus ``bincount`` scatter-add on numpy, a direct segment scatter in
-        C) and the result is gathered into arrival order.  ``view``
-        optionally pins the ``(csr, num_graphs)`` snapshot the caller is
-        computing against (see :meth:`view`); the row is then indexed by
-        position, like that view's own vectors, and nothing is gathered.
+        C).  ``view`` optionally pins the snapshot the caller is computing
+        against (see :meth:`view`); the current one otherwise.
         """
-        if view is not None:
-            csr, num_graphs = view
-        else:
-            csr = self._snapshot().csr
-            num_graphs = csr[3]
+        csr = self._snapshot_of(view).csr
+        num_graphs = csr[3]
         key_ids, query_counts, _total = self._match(query_branches, csr)
         calls, rows = _counters(self.backend).row
         calls.inc()
         rows.inc(num_graphs)
         if len(key_ids) == 0:
             return np.zeros(num_graphs, dtype=np.int64)
-        row = self._kernels.intersection_row(csr, key_ids, query_counts, num_graphs)
-        return row if view is not None else row[self._snapshot_of(csr).slots]
+        return self._kernels.intersection_row(csr, key_ids, query_counts, num_graphs)
 
     # ------------------------------------------------------------------ #
     # GBD lower-bound kernels and the ranges of the fused reads
@@ -623,9 +565,9 @@ class ColumnarBranchStore:
         num_query_vertices: int,
         query_branches: Counter,
         *,
-        db_orders: Optional[np.ndarray] = None,
+        view: Optional[_View] = None,
     ) -> np.ndarray:
-        """Vectorized lower bound on ``GBD(Q, G)`` for every row — O(1) per row.
+        """Vectorized lower bound on ``GBD(Q, G)`` for every row, by position — O(1) per row.
 
         ``|B_Q ∩ B_G| <= min(Σ_k min(q_k, cap_k), |B_G|)`` (the per-key-cap
         and branch-count norms), so
@@ -636,26 +578,26 @@ class ColumnarBranchStore:
         size-difference bound ``| |V_Q| - |V_G| |``.  No postings are
         traversed — the whole row costs one vocabulary pass plus two dense
         ops, which is what lets the pruned execution layer discard
-        candidates before touching the index.  The row is indexed like the
-        order vector it is computed over: :meth:`orders` (arrival) unless
-        ``db_orders`` pins another.
+        candidates before touching the postings.  ``view`` pins the snapshot
+        as in :meth:`intersection_row`.
         """
-        orders = self.orders() if db_orders is None else db_orders
+        orders = self._snapshot_of(view).orders
         calls, rows = _counters(self.backend).bound_row
         calls.inc()
         rows.inc(len(orders))
         total = self.matched_query_total(query_branches)
         return self._kernels.gbd_lower_bound_row(int(num_query_vertices), total, orders)
 
-    def order_ranges(self, csr: _Csr) -> Tuple[np.ndarray, np.ndarray]:
+    def order_ranges(self, view: Optional[_View] = None) -> Tuple[np.ndarray, np.ndarray]:
         """The ranges of a snapshot's layout: ``(distinct, bounds)``.
 
         ``distinct`` are the snapshot's distinct ``|V_G|``, ascending, and the
         rows of order ``distinct[u]`` are the positions ``bounds[u]:bounds[u +
         1]`` — what the fused filter-verify kernels consume: eligibility per
         range, candidates as ranges, the order of a row read off its range.
+        Of the pinned ``view``, or of the current snapshot.
         """
-        return self._snapshot_of(csr).ranges
+        return self._snapshot_of(view).ranges
 
     # ------------------------------------------------------------------ #
     # fused filter → verify → reduce (the two reducers of the execution core)
@@ -685,7 +627,7 @@ class ColumnarBranchStore:
         gamma: float,
         max_gbd: Optional[int] = None,
         *,
-        view: Optional[Tuple[_Csr, int]] = None,
+        view: Optional[_View] = None,
     ):
         """Bound filter, exact GBDs and the γ threshold of one query, in one pass.
 
@@ -711,8 +653,8 @@ class ColumnarBranchStore:
         One vocabulary pass, one kernel call; on the native backend that is
         one C call which hands back the hits and nothing ``D`` long.
         """
-        csr = view[0] if view is not None else self._snapshot().csr
-        ranges = self._snapshot_of(csr).ranges
+        snapshot = self._snapshot_of(view)
+        csr, ranges = snapshot.csr, snapshot.ranges
         calls, rows = _counters(self.backend).filter_verify_row
         calls.inc()
         rows.inc(len(ranges[0]))
@@ -746,7 +688,7 @@ class ColumnarBranchStore:
         max_gbd: Optional[int],
         k: int,
         *,
-        view: Optional[Tuple[_Csr, int]] = None,
+        view: Optional[_View] = None,
     ):
         """The ``k`` best rows of one query by posterior: ``(ids, scores, verified, sparse)``.
 
@@ -776,8 +718,8 @@ class ColumnarBranchStore:
         """
         if k < 1:
             raise ValueError("k must be a positive integer")
-        csr = view[0] if view is not None else self._snapshot().csr
-        snapshot = self._snapshot_of(csr)
+        snapshot = self._snapshot_of(view)
+        csr = snapshot.csr
         distinct = snapshot.ranges[0]
         key_ids, query_counts, matched_total = self._match(query_branches, csr)
         ids, scores, verified, dense = self._kernels.filter_verify_topk(
@@ -798,15 +740,6 @@ class ColumnarBranchStore:
         calls.inc()
         cells.inc(csr[3] if dense else verified)
         return ids, scores, verified, (not dense) if verified else None
-
-    def gbd_row(self, num_query_vertices: int, query_branches: Counter) -> np.ndarray:
-        """Return ``GBD(Q, G)`` for every row as a dense ``(D,)`` array, by arrival."""
-        snapshot = self._snapshot()
-        rows = snapshot.csr[3]
-        intersections = self.intersection_row(query_branches, view=(snapshot.csr, rows))
-        return np.maximum(int(num_query_vertices), self._arrival_orders[:rows]) - intersections[
-            snapshot.slots
-        ]
 
     def __repr__(self) -> str:
         return (

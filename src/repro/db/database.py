@@ -71,7 +71,14 @@ class GraphDatabase:
     # mutation
     # ------------------------------------------------------------------ #
     def _commit(self, graphs: Sequence[Graph], multisets: Sequence[Counter]) -> List[int]:
-        """Append one entry per graph, then tell the subscribers once."""
+        """Append one entry per graph, tell the subscribers once, then bump the revision.
+
+        The revision moves last: a reader that sees the new revision (and
+        keys a cached answer with it) also sees what the subscribers did —
+        the branch store holds the new rows, the engine's cache was cleared.
+        Bumped the other way round, a read overlapping the write could cache
+        an answer over the old rows under the new revision.
+        """
         first = len(self._entries)
         entries = [
             StoredGraph(first + offset, graph, branches, graph.num_vertices, graph.num_edges)
@@ -81,9 +88,11 @@ class GraphDatabase:
         for graph in graphs:
             self._vertex_labels |= graph.vertex_label_set()
             self._edge_labels |= graph.edge_label_set()
-        self._revision += len(entries)
-        if entries:
-            self._notify(entries)
+        try:
+            if entries:
+                self._notify(entries)
+        finally:
+            self._revision += len(entries)
         return list(range(first, first + len(entries)))
 
     def add(self, graph: Graph, *, branches: Optional[Counter] = None) -> int:
@@ -94,8 +103,8 @@ class GraphDatabase:
         ``branch_multiset(graph)`` or GBD computations will be wrong.
 
         Every registered :meth:`subscribe` callback is notified with the new
-        :class:`StoredGraph` so derived structures (e.g. the branch inverted
-        index) stay consistent with incremental additions.
+        :class:`StoredGraph` so derived structures (e.g. the columnar branch
+        store) stay consistent with incremental additions.
         """
         branches = branch_multiset(graph) if branches is None else branches
         return self._commit((graph,), (branches,))[0]
@@ -112,7 +121,7 @@ class GraphDatabase:
         registered with ``subscribe(..., batched=True)`` receive the whole
         batch in one call — so bulk loads trigger one cache invalidation /
         one derived-structure refresh instead of one per graph.  Combined
-        with the columnar index's append buffer this makes ``extend`` of
+        with the columnar store's append buffer this makes ``extend`` of
         ``k`` graphs cost one compaction, not ``k`` dense rebuilds.
         """
         graphs = list(graphs)
@@ -137,9 +146,10 @@ class GraphDatabase:
         """Register ``callback`` to be invoked with newly added entries.
 
         This is the incremental hook that keeps auxiliary structures (the
-        :class:`~repro.db.index.BranchInvertedIndex`, serving engines) from
-        silently serving stale state when graphs are added after they were
-        built.
+        execution core's :class:`~repro.db.columnar.ColumnarBranchStore`,
+        serving engines' result caches) from silently serving stale state
+        when graphs are added after they were built.  Callbacks run in
+        registration order, before :attr:`revision` moves.
 
         With ``batched=False`` (default) the callback receives one
         :class:`StoredGraph` per added graph.  With ``batched=True`` it
@@ -147,7 +157,7 @@ class GraphDatabase:
         :meth:`add`, and one call total per :meth:`add_many`/:meth:`extend`
         bulk load, which is what lets derived structures compact once.
 
-        Bound methods are held through weak references, so an index or
+        Bound methods are held through weak references, so a store or
         engine that is otherwise dropped does not stay alive (and keep being
         notified) just because it subscribed here; plain functions and other
         callables are held strongly — pair them with :meth:`unsubscribe`.
@@ -187,7 +197,7 @@ class GraphDatabase:
 
     # ------------------------------------------------------------------ #
     # pickling: weak references are not picklable; subscribers re-register
-    # themselves (see BranchInvertedIndex / BatchQueryEngine __setstate__)
+    # themselves (see ExecutionCore / BatchQueryEngine __setstate__)
     # ------------------------------------------------------------------ #
     def __getstate__(self):
         state = self.__dict__.copy()

@@ -889,7 +889,6 @@ class SimilarityService:
                 "database_size": len(engine.database),
                 "database_revision": engine.database.revision,
                 "max_tau": engine.max_tau,
-                "pruned_execution": engine.pruned_execution,
                 "kernel_backend": engine.active_kernel_backend,
                 "prune_counters": prune,
                 "cache": cache_stats,

@@ -9,7 +9,7 @@ exploits the key structural fact of the posterior: ``Φ = Pr[GED <= τ̂ |
 GBD = ϕ]`` depends only on the integer triple ``(ϕ, τ̂, |V'1|)``.  Scoring
 the whole database is therefore:
 
-1. one pass over the query's branches through the columnar branch index
+1. one pass over the query's branches through the columnar branch store
    (:class:`~repro.db.columnar.ColumnarBranchStore` — CSR postings, one
    ``bincount`` scatter-add) to obtain every GBD at once,
 2. a vectorized numpy table lookup mapping GBDs to posteriors, and
@@ -45,7 +45,6 @@ import numpy as np
 from repro.core.estimator import GBDAEstimator
 from repro.core.plan import CandidateScores, ExecutionCore
 from repro.db.database import GraphDatabase
-from repro.db.index import BranchInvertedIndex
 from repro.db.query import QueryAnswer, SimilarityQuery
 from repro.exceptions import ServingError
 from repro.obs.metrics import get_registry
@@ -95,24 +94,23 @@ class BatchQueryEngine:
         Which posterior scores to retain in each answer: ``"accepted"``
         (default — scores of accepted graphs only, keeps serving cheap),
         ``"all"`` (every database graph, matches ``GBDASearch.query``), or
-        ``"none"``.
+        ``"none"``.  It also picks the plan: ``"all"`` needs every
+        candidate's posterior and runs
+        :meth:`~repro.core.plan.ExecutionCore.execute`; the other modes run
+        the filter-and-verify path of
+        :meth:`~repro.core.plan.ExecutionCore.execute_pruned`, where the
+        ``(τ̂, γ)`` acceptance rule is inverted into a max-acceptable-GBD
+        threshold and candidates are eliminated by O(1) GBD-lower-bound
+        arithmetic before any postings traversal.  Accepted sets and their
+        scores are bit-identical either way.
     use_index_pruning:
         Mirror of the :class:`GBDASearch` option: when true, graphs whose
         GBD already certifies ``GED > τ̂`` (``GBD > 2 τ̂``) are rejected
         without scoring, exactly as the pruning search variant does —
         :meth:`from_search` propagates the search's setting so engine
         answers stay identical to the wrapped search either way.
-    pruned_execution:
-        When true (default) and the engine does not need every candidate's
-        posterior (``keep_scores != "all"``), queries run through the
-        filter-and-verify path of
-        :meth:`~repro.core.plan.ExecutionCore.execute_pruned`: the ``(τ̂,
-        γ)`` acceptance rule is inverted into a max-acceptable-GBD
-        threshold and candidates are eliminated by O(1) GBD-lower-bound
-        arithmetic before any postings traversal.  Answers are bit-identical
-        either way; set to false to benchmark the unpruned engine.
     kernel_backend:
-        Columnar kernel backend of the engine's branch index: ``"auto"``
+        Columnar kernel backend of the engine's branch store: ``"auto"``
         (default — the compiled backend when buildable, numpy otherwise),
         ``"numpy"``, or ``"native"`` (hard error when unbuildable).  See
         :mod:`repro.db.kernels`; answers are bit-identical across backends.
@@ -129,7 +127,6 @@ class BatchQueryEngine:
         cache_size: Optional[int] = 256,
         keep_scores: str = "accepted",
         use_index_pruning: bool = False,
-        pruned_execution: bool = True,
         kernel_backend: str = "auto",
     ) -> None:
         if len(database) == 0:
@@ -143,14 +140,14 @@ class BatchQueryEngine:
         self.max_tau = int(max_tau)
         self.keep_scores = keep_scores
         self.use_index_pruning = bool(use_index_pruning)
-        self.pruned_execution = bool(pruned_execution)
         self.kernel_backend = str(kernel_backend)
         self.cache_size = int(cache_size) if cache_size else 0
         self.cache: Optional[QueryResultCache] = (
             QueryResultCache(self.cache_size) if self.cache_size else None
         )
-        # The shared execution core: columnar branch index (subscribed to
-        # the database's add-hook) plus the (τ̂, |V'1|) posterior tables.
+        # The shared execution core: columnar branch store (subscribed to
+        # the database's add-hook, built here) plus the (τ̂, |V'1|) posterior
+        # tables.
         self._core = ExecutionCore(
             database,
             estimator,
@@ -158,7 +155,7 @@ class BatchQueryEngine:
             error_class=ServingError,
             kernel_backend=self.kernel_backend,
         )
-        self._core.ensure_index()
+        self._core.store
         #: Version of the offline model serving the answers.  0 for an
         #: engine built directly from a search; the incremental
         #: OfflineFitter bumps it on every refit so snapshots are ordered.
@@ -173,9 +170,9 @@ class BatchQueryEngine:
             self.cache.clear()
 
     def __setstate__(self, state):
-        # Mirror BranchInvertedIndex.__setstate__: the database sheds its
-        # weakly held subscribers on pickling, so re-register the cache
-        # invalidation hook in the unpickled copy.
+        # Like ExecutionCore.__setstate__: the database sheds its weakly held
+        # subscribers on pickling, so re-register the cache invalidation hook
+        # in the unpickled copy.
         self.__dict__.update(state)
         self.database.subscribe(self._on_graphs_added, batched=True)
 
@@ -196,11 +193,6 @@ class BatchQueryEngine:
         )
 
     @property
-    def _index(self) -> BranchInvertedIndex:
-        """The columnar branch index owned by the execution core."""
-        return self._core.ensure_index()
-
-    @property
     def active_kernel_backend(self) -> str:
         """The *resolved* kernel backend name (``"numpy"`` or ``"native"``).
 
@@ -208,7 +200,7 @@ class BatchQueryEngine:
         ``"auto"``, or when a snapshot configured for the native backend is
         restored on a machine that cannot build it.
         """
-        return self._core.ensure_index().store.backend
+        return self._core.store.backend
 
     # ------------------------------------------------------------------ #
     # posterior lookup tables (delegated to the execution core)
@@ -265,17 +257,12 @@ class BatchQueryEngine:
             elapsed_seconds=elapsed,
         )
 
-    @property
-    def _pruned_path(self) -> bool:
-        """Whether filter-and-verify applies: ``keep_scores="all"`` needs every posterior."""
-        return self.pruned_execution and self.keep_scores != "all"
-
     def query(self, query: SimilarityQuery) -> QueryAnswer:
         """Answer one similarity query (cache-backed, vectorized scoring).
 
         Queries carrying ``top_k`` are routed to :meth:`query_topk`; the
-        rest run through the pruned filter-and-verify path when the engine
-        configuration allows it (see ``pruned_execution``).
+        rest run through the pruned filter-and-verify path unless
+        ``keep_scores="all"`` (see ``keep_scores``).
         """
         if query.top_k is not None:
             return self.query_topk(query)
@@ -294,14 +281,8 @@ class BatchQueryEngine:
                 _CACHE_HITS.inc()
                 return self._copy_answer(cached, time.perf_counter() - start)
             _CACHE_MISSES.inc()
-        if self._pruned_path:
-            scored = self._core.execute_pruned(
-                query, query_branches=query_branches, use_pruning=self.use_index_pruning
-            )
-        else:
-            scored = self._core.execute(
-                query, query_branches=query_branches, use_pruning=self.use_index_pruning
-            )
+        execute = self._core.execute if self.keep_scores == "all" else self._core.execute_pruned
+        scored = execute(query, query_branches=query_branches, use_pruning=self.use_index_pruning)
         answer = self._answer_from_scores(scored, time.perf_counter() - start)
         _SECONDS_SINGLE.observe(answer.elapsed_seconds)
         if self.cache is not None:
@@ -442,10 +423,9 @@ class BatchQueryEngine:
                     query_branches=pending_branches,
                     use_pruning=self.use_index_pruning,
                     # keep_scores="all" needs every candidate's posterior; the
-                    # other modes let a pruned core threshold inside the store
-                    # call and materialise only accepted scores.
-                    need="full" if self.keep_scores == "all" else "accepted",
-                    pruned=self._pruned_path,
+                    # other modes threshold inside the store call and
+                    # materialise only accepted scores.
+                    pruned=self.keep_scores != "all",
                 )
                 elapsed = time.perf_counter() - start
                 if trace is not None:

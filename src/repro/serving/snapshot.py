@@ -51,13 +51,15 @@ __all__ = ["save_engine", "load_engine", "SNAPSHOT_FORMAT", "SNAPSHOT_VERSION"]
 SNAPSHOT_FORMAT = "repro.serving.engine-snapshot"
 #: Format version 2 adds the offline ``model_version`` and the priors' seed
 #: state (so a reloaded prior refits deterministically); version 3 adds the
-#: engine's ``pruned_execution`` flag; version 4 adds the *configured*
-#: ``kernel_backend`` (configured, not resolved — a snapshot built where the
-#: native kernels compile must still load on a machine without a toolchain,
-#: so ``"auto"`` re-resolves per host); version 5 drops the v1–v4
-#: ``posterior_tables``, which loading ignores (an older Λ1 may differ in
-#: the last ulp).  Older files are still readable — the new fields default
-#: to 0 / seed 0 / pruned execution on / ``"auto"``.
+#: engine's pruned-execution flag, which loading now ignores (answers
+#: were bit-identical under both values, and the plan follows
+#: ``keep_scores``); version 4 adds the *configured* ``kernel_backend``
+#: (configured, not resolved — a snapshot built where the native kernels
+#: compile must still load on a machine without a toolchain, so ``"auto"``
+#: re-resolves per host); version 5 drops the v1–v4 ``posterior_tables``,
+#: which loading ignores (an older Λ1 may differ in the last ulp).  Older
+#: files are still readable — the new fields default to 0 / seed 0 /
+#: ``"auto"``.
 SNAPSHOT_VERSION = 5
 
 PathLike = Union[str, Path]
@@ -156,7 +158,6 @@ def save_engine(engine: BatchQueryEngine, path: PathLike) -> Path:
             "cache_size": engine.cache_size,
             "keep_scores": engine.keep_scores,
             "use_index_pruning": engine.use_index_pruning,
-            "pruned_execution": engine.pruned_execution,
             "kernel_backend": getattr(engine, "kernel_backend", "auto"),
         },
     }
@@ -229,7 +230,6 @@ def load_engine(path: PathLike) -> BatchQueryEngine:
         cache_size=config["cache_size"] or None,
         keep_scores=config["keep_scores"],
         use_index_pruning=config.get("use_index_pruning", False),
-        pruned_execution=config.get("pruned_execution", True),
         kernel_backend=config.get("kernel_backend", "auto"),
     )
     engine.model_version = int(payload.get("model_version", 0))

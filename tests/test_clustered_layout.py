@@ -111,7 +111,7 @@ def _core(database, search, backend):
 
 
 def _positions_are_not_ids(core):
-    csr, orders, global_ids = core.ensure_index().store.view()
+    _csr, orders, global_ids = core.store.view()
     assert (np.diff(orders) >= 0).all()
     arrival = [entry.graph_id for entry in core.database]
     assert global_ids.tolist() != arrival
@@ -124,9 +124,9 @@ def test_sizes_arriving_in_descending_order(backend):
     _check(search, core, _queries(graphs, seed=12))
     _positions_are_not_ids(core)
     # Within one order arrival decides, so each range's ids ascend.
-    store = core.ensure_index().store
-    csr, _orders, global_ids = store.view()
-    bounds = store.order_ranges(csr)[1]
+    store = core.store
+    _csr, _orders, global_ids = store.view()
+    bounds = store.order_ranges()[1]
     for first, last in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
         assert (np.diff(global_ids[first:last]) > 0).all()
 
@@ -153,10 +153,11 @@ def test_a_read_between_two_interleaving_add_many(backend):
     _check(search, core, queries)
     database.add_many(_graphs(8, seed=45, low=3, high=10))
     _check(search, core, queries)
-    store = core.ensure_index().store
+    store = core.store
     assert store.num_compactions == 3
-    scratch = _Snapshot.laid_out(store._csr, store.orders(), store.global_ids())
-    assert np.array_equal(store.view()[2], scratch.global_ids)
+    # The layout from scratch: graph ids (arrival) stably sorted by order.
+    scratch = np.argsort([entry.num_vertices for entry in database], kind="stable")
+    assert np.array_equal(store.view()[2], scratch)
 
 
 def test_single_adds_between_reads(backend):
@@ -178,7 +179,7 @@ def test_single_adds_between_reads(backend):
         database.add(graph)
         _check(search, core, queries)
     _positions_are_not_ids(core)
-    assert len(core.ensure_index().store.global_ids()) == len(database) == 24
+    assert len(core.store.view()[2]) == len(database) == 24
 
 
 # --------------------------------------------------------------------------- #
@@ -225,7 +226,7 @@ def test_a_sparse_plan_reads_only_its_eligible_ranges_and_builds_nothing_d_long(
     entries = _entries(600, seed=51)
     store = ColumnarBranchStore(entries, backend=name)
     csr, orders, global_ids = store.view()
-    distinct, bounds = store.order_ranges(csr)
+    distinct, bounds = store.order_ranges()
     query = Counter({("k", 1): 2, ("k", 4): 1, ("k", 6): 1})
     # Two ranges in reach (orders 4 and 5); every lower bound is at least 0.
     thresholds = np.where(np.isin(distinct, [4, 5]), 10**6, -1).astype(np.int64)
@@ -237,7 +238,7 @@ def test_a_sparse_plan_reads_only_its_eligible_ranges_and_builds_nothing_d_long(
     poisoned = ColumnarBranchStore(entries, backend=name)
     poisoned.compact()
     poisoned._published = _Snapshot(
-        (csr[0], csr[1], poisoned_counts, csr[3]), orders, global_ids, store._published.slots
+        (csr[0], csr[1], poisoned_counts, csr[3]), orders, global_ids
     )
 
     calls = get_registry().get("repro_kernel_calls_total")

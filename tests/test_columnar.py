@@ -22,6 +22,7 @@ from repro.db.database import GraphDatabase
 from repro.db.kernels import available_backends
 from repro.graphs.generators import random_labeled_graph
 from repro.graphs.graph import Graph
+from store_rows import by_graph_id
 
 BACKENDS = available_backends()
 
@@ -86,20 +87,25 @@ def _fake_entry(graph_id, branches):
     )
 
 
+def gbd_row(store, num_query_vertices, branches):
+    """``GBD(Q, G)`` for every row, by position: the view's orders less the intersections."""
+    view = store.view()
+    return np.maximum(num_query_vertices, view[1]) - store.intersection_row(branches, view=view)
+
+
 def verified_rows(store, num_query_vertices, branches, thresholds, **view):
     """``filter_verify_row`` under a table that accepts every row it verifies.
 
     The hits are then exactly the verified rows, so the call reads as the
-    bound filter and the verification it fuses: ``(rows, intersections,
-    eligible, num_eligible)`` in arrival terms, like the store's public rows —
-    ``rows`` the verified rows' arrival numbers, ascending, or ``None`` on the
-    dense plan (every row verified, ``intersections`` then the whole row);
-    ``intersections`` read as ``order - gbd``.  The hits must be the
-    eligible ranges' positions, ascending.
+    bound filter and the verification it fuses: ``(positions, intersections,
+    eligible, num_eligible)`` by position, like every row of the store —
+    ``positions`` the verified rows, ascending, or ``None`` on the dense plan
+    (every row verified, ``intersections`` then the whole row);
+    ``intersections`` read as ``order - gbd``.  The hits must be the eligible
+    ranges' positions, ascending.
     """
-    csr = view["view"][0] if view else store.view()[0]
-    snapshot = store._snapshot_of(csr)
-    distinct, bounds = store.order_ranges(csr)
+    snapshot = store._snapshot_of(view.get("view"))
+    distinct, bounds = snapshot.ranges
     largest = max([int(num_query_vertices), *distinct[-1:].tolist()])
     accept_all = np.ones((largest + 1, largest + 2))
     positions, gbds, eligible, verified, sparse = store.filter_verify_row(
@@ -117,12 +123,10 @@ def verified_rows(store, num_query_vertices, branches, thresholds, **view):
     intersections = np.maximum(int(num_query_vertices), snapshot.orders[positions]) - gbds
     if sparse is False:
         assert positions.tolist() == list(range(len(snapshot.orders)))
-        return None, intersections[snapshot.slots], eligible, num_eligible
+        return None, intersections, eligible, num_eligible
     picked = np.flatnonzero(eligible).tolist() if sparse else []
     assert positions.tolist() == [row for u in picked for row in ranges[u]]
-    arrival = np.argsort(snapshot.slots)[positions]
-    by_arrival = np.argsort(arrival)
-    return arrival[by_arrival], intersections[by_arrival], eligible, num_eligible
+    return positions, intersections, eligible, num_eligible
 
 
 #: ``sparse_row_budget`` stand-ins that force a verification plan on a small
@@ -140,8 +144,7 @@ def ranked_rows(store, num_query_vertices, branches, k, max_gbd=None, **view):
     A table that decreases in ϕ is its own suffix maximum, so it serves as the
     bound table too; the ranking is sorted by ``(-score, id)``.
     """
-    csr = view["view"][0] if view else store.view()[0]
-    distinct = store.order_ranges(csr)[0]
+    distinct = store.order_ranges(view.get("view"))[0]
     largest = max([int(num_query_vertices), *distinct[-1:].tolist()])
     lut = np.zeros((largest + 1, largest + 2))
     for order in range(largest + 1):
@@ -182,8 +185,10 @@ class TestCsrLayout:
 
     def test_orders_and_global_ids(self, random_database, make_store):
         store = make_store(random_database)
-        assert store.orders().tolist() == [e.num_vertices for e in random_database]
-        assert store.global_ids().tolist() == [e.graph_id for e in random_database]
+        _csr, orders, global_ids = store.view()
+        assert sorted(global_ids.tolist()) == [e.graph_id for e in random_database]
+        assert orders.tolist() == [random_database[gid].num_vertices for gid in global_ids]
+        assert (np.diff(orders) >= 0).all()
 
 
 class TestAppendBufferCompaction:
@@ -293,7 +298,7 @@ class TestCompactionRegressions:
         assert csr[3] == len(orders) == len(global_ids) == len(random_database) + 1
         row = store.intersection_row(branch_multiset(_queries(1, seed=7)[0]))
         assert len(row) == store.num_graphs
-        assert row[-1] == 0  # the branchless row intersects nothing
+        assert by_graph_id(store, row)[-1] == 0  # the branchless row intersects nothing
 
     def test_caches_refresh_after_mid_query_compaction(
         self, random_database, make_store, monkeypatch
@@ -311,7 +316,7 @@ class TestCompactionRegressions:
         branch_sets = [branch_multiset(query) for query in queries]
         # Read through the ranges of the first snapshot.
         verified_rows(
-            store, queries[0].num_vertices, branch_sets[0], np.unique(store.orders())
+            store, queries[0].num_vertices, branch_sets[0], np.unique(store.view()[1])
         )
         extras = GraphDatabase(_queries(4, seed=31))
         for entry in extras:
@@ -342,7 +347,7 @@ class TestDtypeLayout:
     def test_compact_layout_is_int32_for_small_stores(self, random_database, make_store):
         store = make_store(random_database)
         store.compact()
-        offsets, positions, counts, _rows = store._csr
+        offsets, positions, counts, _rows = store.view()[0]
         assert offsets.dtype == np.int64
         assert positions.dtype == np.int32
         assert counts.dtype == np.int32
@@ -353,8 +358,8 @@ class TestDtypeLayout:
         monkeypatch.setattr(columnar, "_POSITION_DTYPE_LIMIT", 4)
         store = make_store(random_database)  # 30 rows > the patched limit
         store.compact()
-        assert store._csr[1].dtype == np.int64
-        assert store._csr[2].dtype == np.int32  # counts unaffected
+        assert store.view()[0][1].dtype == np.int64
+        assert store.view()[0][2].dtype == np.int32  # counts unaffected
         reference = ColumnarBranchStore(random_database, backend="numpy")
         for query in _queries(6, seed=61):
             branches = branch_multiset(query)
@@ -370,13 +375,13 @@ class TestDtypeLayout:
         database = GraphDatabase([heavy] + _queries(6, seed=67))
         store = make_store(database)
         store.compact()
-        assert store._csr[2].dtype == np.int64
+        assert store.view()[0][2].dtype == np.int64
         reference = ColumnarBranchStore(database, backend="numpy")
         for query in [heavy] + _queries(4, seed=71):
             branches = branch_multiset(query)
             assert (
-                store.gbd_row(query.num_vertices, branches).tolist()
-                == reference.gbd_row(query.num_vertices, branches).tolist()
+                gbd_row(store, query.num_vertices, branches).tolist()
+                == gbd_row(reference, query.num_vertices, branches).tolist()
             )
 
     def test_promotion_boundary_is_exact(self, make_store, monkeypatch):
@@ -385,10 +390,10 @@ class TestDtypeLayout:
         monkeypatch.setattr(columnar, "_POSITION_DTYPE_LIMIT", len(graphs))
         at_limit = make_store(GraphDatabase(graphs))
         at_limit.compact()
-        assert at_limit._csr[1].dtype == np.int32
+        assert at_limit.view()[0][1].dtype == np.int32
         past_limit = make_store(GraphDatabase(graphs + _queries(1, seed=74)))
         past_limit.compact()
-        assert past_limit._csr[1].dtype == np.int64
+        assert past_limit.view()[0][1].dtype == np.int64
 
 
 class TestVectorizedKernels:
@@ -396,7 +401,7 @@ class TestVectorizedKernels:
         store = make_store(random_database)
         for query in _queries(8, seed=11):
             branches = branch_multiset(query)
-            row = store.intersection_row(branches)
+            row = by_graph_id(store, store.intersection_row(branches))
             for entry in random_database:
                 expected = branch_intersection_size(branches, entry.branches)
                 assert row[entry.graph_id] == expected
@@ -404,9 +409,10 @@ class TestVectorizedKernels:
     def test_gbd_row_matches_direct_gbd(self, random_database, make_store):
         store = make_store(random_database)
         for query in _queries(8, seed=13):
-            row = store.gbd_row(query.num_vertices, branch_multiset(query))
+            row = by_graph_id(store, gbd_row(store, query.num_vertices, branch_multiset(query)))
             for entry in random_database:
                 assert row[entry.graph_id] == graph_branch_distance(query, entry.graph)
+                assert row[entry.graph_id] == random_database.gbd_to(query, entry.graph_id)
 
     def test_empty_batch_and_disjoint_queries(self, random_database, make_store):
         store = make_store(random_database)
@@ -426,13 +432,12 @@ class TestVectorizedKernels:
     def test_a_store_of_later_entries_keeps_their_graph_ids(self, random_database, make_store):
         entries = list(random_database)[12:]
         store = make_store(entries)
-        assert store.global_ids().tolist() == [entry.graph_id for entry in entries]
         _csr, orders, global_ids = store.view()
         assert sorted(global_ids.tolist()) == [entry.graph_id for entry in entries]
         assert orders.tolist() == [random_database[gid].num_vertices for gid in global_ids.tolist()]
         for query in _queries(4, seed=19):
-            row = store.gbd_row(query.num_vertices, branch_multiset(query))
-            assert dict(zip(store.global_ids().tolist(), row.tolist())) == {
+            row = gbd_row(store, query.num_vertices, branch_multiset(query))
+            assert dict(zip(global_ids.tolist(), row.tolist())) == {
                 entry.graph_id: graph_branch_distance(query, entry.graph) for entry in entries
             }
 
@@ -445,17 +450,17 @@ class TestBoundKernels:
         for query in _queries(25, seed=31):
             branches = branch_multiset(query)
             bounds = store.gbd_lower_bound_row(query.num_vertices, branches)
-            gbds = store.gbd_row(query.num_vertices, branches)
+            gbds = gbd_row(store, query.num_vertices, branches)
             assert (bounds <= gbds).all()
             # the norm bound dominates the plain size-difference bound
-            assert (bounds >= np.abs(query.num_vertices - store.orders())).all()
+            assert (bounds >= np.abs(query.num_vertices - store.view()[1])).all()
 
     def test_lower_bound_tight_for_database_members(self, random_database, make_store):
         """A graph queried against itself must keep lb <= GBD = 0."""
         store = make_store(random_database)
         for entry in random_database:
             bounds = store.gbd_lower_bound_row(entry.num_vertices, entry.branches)
-            assert bounds[entry.graph_id] == 0
+            assert by_graph_id(store, bounds)[entry.graph_id] == 0
 
     def test_bounds_stay_sound_after_incremental_appends(self, random_database, make_store):
         store = make_store(random_database)
@@ -467,7 +472,7 @@ class TestBoundKernels:
             for query in _queries(5, seed=rng.randint(0, 10_000)):
                 branches = branch_multiset(query)
                 bounds = store.gbd_lower_bound_row(query.num_vertices, branches)
-                assert (bounds <= store.gbd_row(query.num_vertices, branches)).all()
+                assert (bounds <= gbd_row(store, query.num_vertices, branches)).all()
 
     def test_key_caps_track_max_multiplicity(self, random_database, make_store):
         store = make_store(random_database)
@@ -495,7 +500,7 @@ class TestBoundKernels:
         """Block probes, the dense walk, or one after the other: the same ``k`` best."""
         monkeypatch.setattr(columnar, "sparse_row_budget", PLAN_BUDGETS[plan])
         store = make_store(random_database)
-        orders, ids = store.orders(), store.global_ids()
+        _csr, orders, ids = store.view()
         plans = set()
         for query in _queries(5, seed=47):
             branches = branch_multiset(query)
@@ -523,12 +528,12 @@ class TestFusedFilterVerify:
     def _bars(store, num_query_vertices, tau):
         """Per-distinct-order GBD bars: min(max(|V_Q|, o), τ) — arbitrary
         but order-dependent, like the γ-threshold inversion produces."""
-        distinct = np.unique(store.orders())
+        distinct = np.unique(store.view()[1])
         return distinct, np.minimum(np.maximum(num_query_vertices, distinct), tau)
 
     def test_row_matches_unfused_kernels(self, random_database, make_store, monkeypatch):
         store = make_store(random_database)
-        orders = store.orders()
+        orders = store.view()[1]
         by_cost = columnar.sparse_row_budget
         # A 30-row store would take the dense plan nearly every time on its
         # own: force each plan in turn, then let the cost rule choose.

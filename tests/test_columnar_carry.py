@@ -4,9 +4,10 @@
 new rows interleaved into their order's range, old positions shifted, pending
 postings merged into each key's sorted segment — instead of laying the store
 out from scratch.  These tests hold every snapshot to the layout invariant and
-to the from-scratch layout, and every kernel answer to a store built fresh
-from the same entries, under both backends, across interleavings a fixed
-script would not think of.
+to the from-scratch layout (a stable sort of the arrived rows by order,
+computed here), and every kernel answer to a store built fresh from the same
+entries, under both backends, across interleavings a fixed script would not
+think of.
 """
 
 from __future__ import annotations
@@ -27,13 +28,14 @@ from hypothesis import HealthCheck, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
 
+from repro.core.plan import ExecutionCore
 from repro.db import columnar
 from repro.db.columnar import ColumnarBranchStore, _Snapshot
 from repro.db.database import GraphDatabase
-from repro.db.index import BranchInvertedIndex
 from repro.db.kernels import available_backends
 from repro.graphs.generators import random_labeled_graph
-from test_columnar import PLAN_BUDGETS, ranked_rows, verified_rows
+from store_rows import by_graph_id
+from test_columnar import PLAN_BUDGETS, gbd_row, ranked_rows, verified_rows
 
 BACKENDS = available_backends()
 INT32_MAX = int(np.iinfo(np.int32).max)
@@ -64,6 +66,12 @@ branch_sets = st.dictionaries(
 ).map(Counter)
 
 
+def core_store(database, backend):
+    """The execution core's store over ``database`` (hold the core: the hook is weak)."""
+    core = ExecutionCore(database, None, max_tau=0, kernel_backend=backend)
+    return core, core.store
+
+
 def assert_layout_invariant(store: ColumnarBranchStore, entries) -> None:
     """The published snapshot is the ``|V_G|``-clustered layout of ``entries``' prefix.
 
@@ -75,7 +83,7 @@ def assert_layout_invariant(store: ColumnarBranchStore, entries) -> None:
     snapshot = store._published
     offsets, positions, counts, rows = snapshot.csr
     arrived = entries[:rows]
-    assert rows == len(snapshot.orders) == len(snapshot.global_ids) == len(snapshot.slots)
+    assert rows == len(snapshot.orders) == len(snapshot.global_ids)
     assert len(positions) == len(counts) == offsets[-1]
     orders = snapshot.orders
     assert (np.diff(orders) >= 0).all()
@@ -86,20 +94,21 @@ def assert_layout_invariant(store: ColumnarBranchStore, entries) -> None:
     for key in range(len(offsets) - 1):
         assert (np.diff(positions[offsets[key] : offsets[key + 1]]) > 0).all()
     assert sorted(snapshot.global_ids.tolist()) == sorted(e.graph_id for e in arrived)
-    assert sorted(snapshot.slots.tolist()) == list(range(rows))
-    assert snapshot.global_ids[snapshot.slots].tolist() == [e.graph_id for e in arrived]
-    assert orders[snapshot.slots].tolist() == [e.num_vertices for e in arrived]
+    position_of = {graph_id: p for p, graph_id in enumerate(snapshot.global_ids.tolist())}
+    assert len(position_of) == rows
+    assert [orders[position_of[e.graph_id]] for e in arrived] == [e.num_vertices for e in arrived]
     postings = [Counter() for _ in range(rows)]
     keys = store._keys
     for key in range(len(offsets) - 1):
         for slot in range(offsets[key], offsets[key + 1]):
             postings[positions[slot]][keys[key]] = int(counts[slot])
-    for entry, position in zip(arrived, snapshot.slots.tolist()):
-        assert postings[position] == Counter(entry.branches)
-    scratch = _Snapshot.laid_out(
-        snapshot.csr, store._arrival_orders[:rows], store._arrival_ids[:rows]
-    )
-    for name in ("orders", "global_ids", "slots"):
+    for entry in arrived:
+        assert postings[position_of[entry.graph_id]] == Counter(entry.branches)
+    arrival_orders = np.array([e.num_vertices for e in arrived], dtype=np.int64)
+    arrival_ids = np.array([e.graph_id for e in arrived], dtype=np.int64)
+    by_order = np.argsort(arrival_orders, kind="stable")
+    scratch = _Snapshot(snapshot.csr, arrival_orders[by_order], arrival_ids[by_order])
+    for name in ("orders", "global_ids"):
         mine, theirs = getattr(snapshot, name), getattr(scratch, name)
         assert mine.dtype == theirs.dtype and np.array_equal(mine, theirs), name
     for mine, theirs in zip(snapshot.ranges, scratch.ranges):
@@ -183,7 +192,7 @@ class CarryMachine(RuleBasedStateMachine):
         self.store = pickle.loads(pickle.dumps(self.store))
         after = self.store._published
         assert after.csr[3] == before.csr[3]
-        for name in ("orders", "global_ids", "slots"):
+        for name in ("orders", "global_ids"):
             assert np.array_equal(getattr(after, name), getattr(before, name)), name
 
     @rule(queries=st.lists(branch_sets, min_size=1, max_size=3))
@@ -192,21 +201,22 @@ class CarryMachine(RuleBasedStateMachine):
         vertices = [sum(q.values()) for q in queries]
         for nq, q in zip(vertices, queries):
             assert np.array_equal(store.intersection_row(q), fresh.intersection_row(q))
-            assert np.array_equal(store.gbd_row(nq, q), fresh.gbd_row(nq, q))
+            assert np.array_equal(gbd_row(store, nq, q), gbd_row(fresh, nq, q))
             assert np.array_equal(
                 store.gbd_lower_bound_row(nq, q), fresh.gbd_lower_bound_row(nq, q)
             )
-        assert np.array_equal(store.orders(), [e.num_vertices for e in self.entries])
-        assert np.array_equal(store.global_ids(), [e.graph_id for e in self.entries])
+        view = store.view()
+        arrival_orders = [e.num_vertices for e in self.entries]
+        assert np.array_equal(by_graph_id(store, view[1]), arrival_orders)
+        assert np.array_equal(np.sort(view[2]), [e.graph_id for e in self.entries])
         # The view speaks positions: the same rows, clustered by order.
-        csr, orders, global_ids = store.view()
-        by_order = np.argsort(store.orders(), kind="stable")
-        assert np.array_equal(orders, store.orders()[by_order])
-        assert np.array_equal(global_ids, store.global_ids()[by_order])
+        _csr, orders, global_ids = view
+        by_order = np.argsort(arrival_orders, kind="stable")
+        assert np.array_equal(orders, np.asarray(arrival_orders)[by_order])
+        assert np.array_equal(global_ids, [self.entries[row].graph_id for row in by_order])
         for q in queries:
             assert np.array_equal(
-                store.intersection_row(q, view=(csr, len(orders))),
-                fresh.intersection_row(q)[by_order],
+                store.intersection_row(q, view=view), fresh.intersection_row(q)
             )
         assert store.num_postings == sum(len(e.branches) for e in self.entries)
 
@@ -227,13 +237,13 @@ class CarryMachine(RuleBasedStateMachine):
                 mine = ranked_rows(store, nq, q, k, max_gbd)
                 assert mine == ranked_rows(fresh, nq, q, k, max_gbd)
                 # Φ = 1 / (1 + GBD): the ranking is that of the dense row.
-                gbds = fresh.gbd_row(nq, q)
+                gbds, ids = gbd_row(fresh, nq, q), fresh.view()[2]
                 rows = [
                     row for row, gbd in enumerate(gbds.tolist())
                     if max_gbd is None or gbd <= max_gbd
                 ]
                 expected = sorted(
-                    ((self.entries[row].graph_id, 1.0 / (1 + int(gbds[row]))) for row in rows),
+                    ((int(ids[row]), 1.0 / (1 + int(gbds[row]))) for row in rows),
                     key=lambda pair: (-pair[1], pair[0]),
                 )
                 assert mine[0] == expected[:k]
@@ -249,8 +259,7 @@ class CarryMachine(RuleBasedStateMachine):
     def read_pruned(self, queries, bar, plan, data):
         """The range kernels: what the thresholded path calls."""
         store, fresh = self.store, self.fresh()
-        csr = store.view()[0]
-        distinct = store.order_ranges(csr)[0]
+        distinct = store.order_ranges()[0]
         bars = np.full(len(distinct), bar, dtype=np.int64)
         # Stores this small would nearly always take the dense plan on their
         # own: force each plan in turn so that both keep being compared.
@@ -275,7 +284,7 @@ class CarryMachine(RuleBasedStateMachine):
             if len(distinct):
                 # Bars that keep some orders only: the slices read those ranges alone.
                 chosen = data.draw(st.sets(st.sampled_from(distinct.tolist()), min_size=1))
-                rows = np.flatnonzero(np.isin(store.orders(), sorted(chosen)))
+                rows = np.flatnonzero(np.isin(store.view()[1], sorted(chosen)))
                 only = np.where(np.isin(distinct, sorted(chosen)), 10**6, -1)
                 columnar.sparse_row_budget = lambda postings, rows: rows
                 for q in queries:
@@ -289,7 +298,7 @@ class CarryMachine(RuleBasedStateMachine):
     def snapshot_equals_a_fresh_store(self):
         fresh = self.fresh()
         if self.store._is_compacted():
-            for mine, theirs in zip(self.store._csr[:3], fresh.view()[0][:3]):
+            for mine, theirs in zip(self.store._published.csr[:3], fresh.view()[0][:3]):
                 assert mine.dtype == theirs.dtype
                 assert np.array_equal(mine, theirs)
 
@@ -328,31 +337,30 @@ def sparse_plan(monkeypatch):
 
 
 @pytest.fixture
-def scratch_layouts(monkeypatch):
-    """Count calls of the from-scratch layout (a sort of every row)."""
+def snapshot_records(monkeypatch):
+    """The row counts of the snapshot records built (each derives its ranges in O(D))."""
     calls = []
-    original = _Snapshot.laid_out.__func__
+    original = _Snapshot.__init__
 
-    def spy(cls, csr, orders, global_ids):
+    def spy(self, csr, orders, global_ids):
         calls.append(csr[3])
-        return original(cls, csr, orders, global_ids)
+        original(self, csr, orders, global_ids)
 
-    monkeypatch.setattr(_Snapshot, "laid_out", classmethod(spy))
+    monkeypatch.setattr(_Snapshot, "__init__", spy)
     return calls
 
 
 @pytest.mark.parametrize("backend", backend_params)
-def test_write_then_pruned_read_sorts_nothing(backend, scratch_layouts, sparse_plan):
-    """Writes interleave their rows; no read or write lays the store out from scratch."""
+def test_only_a_compaction_builds_a_snapshot_record(backend, snapshot_records, sparse_plan):
+    """Writes interleave their rows; a read of the current snapshot builds no record."""
     graphs = _graphs(40, seed=3)
     database = GraphDatabase(graphs)
-    index = BranchInvertedIndex(database, backend=backend)  # held: the hook is weak
-    store = index.store
+    core, store = core_store(database, backend)  # held: the hook is weak
     query = _graphs(1, seed=5)[0]
     branches = Counter(database[0].branches)
 
     def pruned_read():
-        bars = np.full(len(store.order_ranges(store.view()[0])[0]), 3, dtype=np.int64)
+        bars = np.full(len(store.order_ranges()[0]), 3, dtype=np.int64)
         return verified_rows(store, query.num_vertices, branches, bars)
 
     pruned_read()
@@ -363,28 +371,28 @@ def test_write_then_pruned_read_sorts_nothing(backend, scratch_layouts, sparse_p
         graphs += added
         rows, intersections, _eligible, _count = pruned_read()
         assert np.array_equal(intersections, store.intersection_row(branches)[rows])
-    assert scratch_layouts == []
+    # The empty store's record, then one per compaction.
+    assert snapshot_records == [0, 40, 47, 54, 61]
     assert store.num_compactions == 4
     assert_layout_invariant(store, list(database))
 
 
 @pytest.mark.parametrize("backend", backend_params)
 def test_a_snapshot_holds_the_csr_and_row_vectors_only(backend):
-    """What a snapshot costs beyond its postings: three D-long vectors and the ranges."""
+    """What a snapshot costs beyond its postings: two D-long vectors and the ranges."""
     database = GraphDatabase(_graphs(30, seed=7))
-    index = BranchInvertedIndex(database, backend=backend)
-    store = index.store
+    core, store = core_store(database, backend)
     branches = Counter(database[3].branches)
     for batch in range(3):
         store.intersection_row(branches)
-        verified_rows(store, 5, branches, np.full(len(store.order_ranges(store._csr)[0]), 3))
+        verified_rows(store, 5, branches, np.full(len(store.order_ranges()[0]), 3))
         ranked_rows(store, 5, branches, 4)
         database.add_many(_graphs(5, seed=20 + batch))
     store.compact()
     snapshot = store._published
     rows, postings = snapshot.csr[3], len(snapshot.csr[1])
-    assert set(_Snapshot.__slots__) == {"csr", "orders", "global_ids", "ranges", "slots"}
-    for vector in (snapshot.orders, snapshot.global_ids, snapshot.slots):
+    assert set(_Snapshot.__slots__) == {"csr", "orders", "global_ids", "ranges"}
+    for vector in (snapshot.orders, snapshot.global_ids):
         assert vector.shape == (rows,) and vector.dtype == np.int64
     distinct, bounds = snapshot.ranges
     assert len(bounds) == len(distinct) + 1 <= rows + 1
@@ -395,17 +403,16 @@ def test_a_snapshot_holds_the_csr_and_row_vectors_only(backend):
 def test_superseded_snapshot_arrays_are_released(backend, sparse_plan):
     """A write stream must not keep every old snapshot's postings alive."""
     database = GraphDatabase(_graphs(40, seed=13))
-    index = BranchInvertedIndex(database, backend=backend)
-    store = index.store
+    core, store = core_store(database, backend)
     branches = Counter(database[2].branches)
 
     def pruned_read():
-        csr, orders, global_ids = store.view()
-        bars = np.full(len(store.order_ranges(csr)[0]), 3, dtype=np.int64)
-        verified_rows(store, 8, branches, bars, view=(csr, len(orders)))
-        ranked_rows(store, 8, branches, 3, view=(csr, len(orders)))
+        view = csr, orders, global_ids = store.view()
+        bars = np.full(len(store.order_ranges(view)[0]), 3, dtype=np.int64)
+        verified_rows(store, 8, branches, bars, view=view)
+        ranked_rows(store, 8, branches, 3, view=view)
         store.intersection_row(branches)
-        return [weakref.ref(csr[1]), weakref.ref(global_ids), weakref.ref(store._published.slots)]
+        return [weakref.ref(csr[1]), weakref.ref(orders), weakref.ref(global_ids)]
 
     superseded = []
     for batch in range(4):
@@ -422,15 +429,20 @@ def test_pickle_ships_csr_and_row_vectors_only(backend):
     store = ColumnarBranchStore(database, backend=backend)
     store.compact()
     state = store.__getstate__()
-    # The CSR travels as its tuple; the position-order vectors are laid out again.
-    assert state["_published"] is store._csr
+    # The snapshot travels as its view; the ranges are derived again.
+    snapshot = store._published
+    shipped = (snapshot.csr, snapshot.orders, snapshot.global_ids)
+    assert all(mine is theirs for mine, theirs in zip(state["_published"], shipped))
     copy = pickle.loads(pickle.dumps(store))
-    for name in ("orders", "global_ids", "slots"):
+    for name in ("orders", "global_ids"):
         assert np.array_equal(getattr(copy._published, name), getattr(store._published, name))
+    for mine, theirs in zip(copy._published.ranges, store._published.ranges):
+        assert np.array_equal(mine, theirs)
     branches = Counter(database[1].branches)
     assert np.array_equal(copy.intersection_row(branches), store.intersection_row(branches))
-    copy.append(_entry(30, Counter({("new", 0): 2})))  # the trimmed buffers grow again
-    assert copy.orders().tolist() == store.orders().tolist() + [2]
+    copy.append(_entry(30, Counter({("new", 0): 2})))  # the copy keeps taking rows
+    assert copy.view()[1].tolist() == [2] + store.view()[1].tolist()
+    assert copy.view()[2].tolist() == [1030] + store.view()[2].tolist()
 
 
 # --------------------------------------------------------------------------- #
@@ -440,8 +452,7 @@ def test_pickle_ships_csr_and_row_vectors_only(backend):
 def test_reader_racing_add_many_sees_whole_batches_only(backend, sparse_plan):
     base, batches = _graphs(60, seed=31), [_graphs(9, seed=40 + i) for i in range(12)]
     database = GraphDatabase(base)
-    index = BranchInvertedIndex(database, backend=backend)
-    store = index.store
+    core, store = core_store(database, backend)
     query = base[0]
     branches = Counter(database[0].branches)
 
@@ -453,26 +464,22 @@ def test_reader_racing_add_many_sees_whole_batches_only(backend, sparse_plan):
     for batch in [[]] + batches:
         graphs.extend(batch)
         fresh = ColumnarBranchStore(GraphDatabase(graphs), backend="numpy")
-        csr = fresh.view()[0]
-        bars = np.full(len(fresh.order_ranges(csr)[0]), 4, dtype=np.int64)
+        bars = np.full(len(fresh.order_ranges()[0]), 4, dtype=np.int64)
         rows, intersections, _eligible, count = verified_rows(
             fresh, query.num_vertices, branches, bars
         )
-        expected[len(graphs)] = (
-            fresh.intersection_row(branches, view=(csr, len(graphs))), rows, intersections, count
-        )
+        expected[len(graphs)] = (fresh.intersection_row(branches), rows, intersections, count)
 
     failures, reads, done = [], [0], threading.Event()
 
     def reader():
         try:
             while not done.is_set():
-                csr, orders, global_ids = store.view()
+                view = csr, orders, global_ids = store.view()
                 assert csr[3] == len(orders) == len(global_ids)
                 row, rows, intersections, count = expected[len(orders)]
-                view = (csr, len(orders))
                 assert np.array_equal(store.intersection_row(branches, view=view), row)
-                bars = np.full(len(store.order_ranges(csr)[0]), 4, dtype=np.int64)
+                bars = np.full(len(store.order_ranges(view)[0]), 4, dtype=np.int64)
                 got = verified_rows(store, query.num_vertices, branches, bars, view=view)
                 assert got[3] == count
                 assert np.array_equal(got[0], rows)

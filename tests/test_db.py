@@ -1,20 +1,24 @@
-"""Tests for the graph database layer: storage, branch index, catalog, queries."""
+"""Tests for the graph database layer: storage, branch store, catalog, queries."""
 
 import random
 
 import pytest
 
-from repro.core.gbd import graph_branch_distance
+import numpy as np
+
+from repro.core.branches import branch_multiset
+from repro.core.gbd import graph_branch_distance, max_gbd_for_ged
+from repro.core.plan import ExecutionCore
 from repro.core.search import GBDASearch
 from repro.db.catalog import DatabaseCatalog
 from repro.db.database import GraphDatabase
-from repro.db.index import BranchInvertedIndex
 from repro.db.kernels import available_backends
 from repro.db.query import QueryAnswer, SimilarityQuery
 from repro.exceptions import DatasetError, SearchError
 from repro.graphs.generators import random_labeled_graph
 from repro.graphs.graph import Graph
 from repro.serving import BatchQueryEngine
+from store_rows import by_graph_id
 
 
 @pytest.fixture
@@ -81,41 +85,54 @@ class TestGraphDatabase:
         assert len(small_database.entries()) == 4
 
 
-class TestBranchInvertedIndex:
-    def test_intersection_sizes_match_pairwise_computation(self, small_database, paper_g1):
-        index = BranchInvertedIndex(small_database)
-        sizes = index.intersection_sizes(paper_g1)
-        from repro.core.branches import branch_multiset
+def core_store(database):
+    """The execution core's branch store over ``database`` (and the core that holds it)."""
+    core = ExecutionCore(database, None, max_tau=0)
+    return core, core.store
+
+
+def gbd_by_id(store, query):
+    """``{graph_id: GBD(Q, G)}`` from one position row of the store."""
+    row = store.intersection_row(branch_multiset(query))
+    row = by_graph_id(store, np.maximum(query.num_vertices, store.view()[1]) - row)
+    return dict(zip(sorted(store.view()[2].tolist()), row.tolist()))
+
+
+class TestCoreStore:
+    def test_intersection_row_matches_pairwise_computation(self, small_database, paper_g1):
+        _core, store = core_store(small_database)
+        query_branches = branch_multiset(paper_g1)
+        sizes = by_graph_id(store, store.intersection_row(query_branches))
         from repro.core.gbd import branch_intersection_size
 
-        query_branches = branch_multiset(paper_g1)
         for entry in small_database:
             expected = branch_intersection_size(query_branches, entry.branches)
-            assert sizes.get(entry.graph_id, 0) == expected
+            assert sizes[entry.graph_id] == expected
 
-    def test_gbd_all_matches_direct_gbd(self, small_database, paper_g1):
-        index = BranchInvertedIndex(small_database)
-        gbds = index.gbd_all(paper_g1)
+    def test_gbd_row_matches_direct_gbd(self, small_database, paper_g1):
+        _core, store = core_store(small_database)
+        gbds = gbd_by_id(store, paper_g1)
         for entry in small_database:
             assert gbds[entry.graph_id] == graph_branch_distance(paper_g1, entry.graph)
+            assert gbds[entry.graph_id] == small_database.gbd_to(paper_g1, entry.graph_id)
 
-    def test_candidate_pruning_keeps_all_true_answers(self, small_database, paper_g1):
-        index = BranchInvertedIndex(small_database)
+    def test_branch_bound_keeps_all_true_answers(self, small_database, paper_g1):
+        _core, store = core_store(small_database)
         tau_hat = 2
-        survivors = set(index.candidates_by_gbd_bound(paper_g1, tau_hat))
+        gbds = gbd_by_id(store, paper_g1)
+        survivors = {graph_id for graph_id, gbd in gbds.items() if gbd <= max_gbd_for_ged(tau_hat)}
         # Any graph with GED <= tau_hat satisfies GBD <= 2*tau_hat and must survive.
-        gbds = index.gbd_all(paper_g1)
         for graph_id, gbd in gbds.items():
             if gbd <= 2 * tau_hat:
                 assert graph_id in survivors
 
     def test_postings_and_statistics(self, small_database, paper_g1):
-        index = BranchInvertedIndex(small_database)
-        assert index.num_distinct_branches > 0
+        _core, store = core_store(small_database)
+        assert store.num_keys > 0
         some_key = next(iter(small_database[2].branches))
-        postings = index.postings(some_key)
+        postings = store.postings(some_key)
         assert any(graph_id == 2 for graph_id, _count in postings)
-        assert index.postings(("missing", ())) == []
+        assert store.postings(("missing", ())) == []
 
 
 class TestBatchNotifications:
@@ -144,17 +161,17 @@ class TestBatchNotifications:
         assert ids == [1, 2]
         assert database.revision == before + 2
 
-    def test_bulk_load_compacts_the_index_once(self, triangle, path_graph):
+    def test_bulk_load_compacts_the_store_once(self, triangle, path_graph):
         database = GraphDatabase([triangle, path_graph])
-        index = BranchInvertedIndex(database)
-        index.gbd_all(triangle)  # force the initial compaction
-        before = index.store.num_compactions
+        _core, store = core_store(database)
+        gbd_by_id(store, triangle)  # force the initial compaction
+        before = store.num_compactions
 
         database.extend([triangle.copy(name=f"bulk{i}") for i in range(10)])
-        assert index.num_indexed_graphs == 12  # appends buffered immediately
-        assert index.store.num_compactions == before  # ...but not compacted yet
-        gbds = index.gbd_all(triangle)
-        assert index.store.num_compactions == before + 1  # one merge for 10 adds
+        assert store.num_graphs == 12  # appends buffered immediately
+        assert store.num_compactions == before  # ...but not compacted yet
+        gbds = gbd_by_id(store, triangle)
+        assert store.num_compactions == before + 1  # one merge for 10 adds
         assert sum(1 for value in gbds.values() if value == 0) == 11
 
     def test_unsubscribe_detaches_batched_callback(self, triangle):
@@ -181,26 +198,26 @@ class TestAddManyIsAllOrNothing:
             for _ in range(count)
         ]
 
-    def test_a_bad_item_leaves_the_database_and_its_index_as_they_were(self):
+    def test_a_bad_item_leaves_the_database_and_its_store_as_they_were(self):
         a, b, c, d, e = self._graphs(5, seed=1)
         database = GraphDatabase([a, b])
-        index = BranchInvertedIndex(database)
+        _core, store = core_store(database)
         batches = []
         database.subscribe(batches.append, batched=True)
         alphabets = database.num_vertex_labels, database.num_edge_labels
-        gbds = index.gbd_all(a)
+        gbds = gbd_by_id(store, a)
 
         with pytest.raises(DatasetError, match="item 1"):
             database.add_many([c, None, d])
-        assert (len(database), database.revision, index.num_indexed_graphs) == (2, 2, 2)
+        assert (len(database), database.revision, store.num_graphs) == (2, 2, 2)
         assert (database.num_vertex_labels, database.num_edge_labels) == alphabets
-        assert batches == [] and index.gbd_all(a) == gbds
+        assert batches == [] and gbd_by_id(store, a) == gbds
 
-        # Every later graph is indexed at the row its id names.
+        # Every later graph is stored under the id it was given.
         assert database.add(e) == 2
         assert database.add_many([c, d]) == [3, 4]
-        assert index.store.global_ids().tolist() == [0, 1, 2, 3, 4]
-        assert index.gbd_all(c)[3] == 0 and index.gbd_all(d)[4] == 0
+        assert sorted(store.view()[2].tolist()) == [0, 1, 2, 3, 4]
+        assert gbd_by_id(store, c)[3] == 0 and gbd_by_id(store, d)[4] == 0
 
     @pytest.mark.parametrize("backend", available_backends())
     def test_the_engine_answers_like_the_reference_before_and_after(self, backend):

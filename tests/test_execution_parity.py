@@ -6,9 +6,9 @@ There are three ways to answer one similarity query —
 * :meth:`GBDASearch.query_reference` (the literal per-pair Algorithm 1 loop),
 * :meth:`BatchQueryEngine.query` (vectorized single-query serving) and
   :meth:`BatchQueryEngine.query_batch` (true batched matrix scoring) — each
-  in both the pruned filter-and-verify form (``pruned_execution=True``, the
-  default: γ-threshold inversion + GBD lower-bound elimination) and the
-  unpruned dense form —
+  in both the pruned filter-and-verify form (the default ``keep_scores``:
+  γ-threshold inversion + GBD lower-bound elimination) and the unpruned
+  dense form (``keep_scores="all"``) —
 
 and this property test drives all of them across seeds, γ/τ̂ grids, query
 shapes, and pruning on/off, asserting bit-identical accepted sets and
@@ -74,7 +74,7 @@ def _fitted(seed: int, pruning: bool, backend: str = BACKENDS[0]):
             search, cache_size=None, kernel_backend=backend
         )
         unpruned_engine = BatchQueryEngine.from_search(
-            search, cache_size=None, pruned_execution=False, kernel_backend=backend
+            search, cache_size=None, keep_scores="all", kernel_backend=backend
         )
         _FITTED_CACHE[key] = (search, engine, default_engine, unpruned_engine)
     return _FITTED_CACHE[key]
@@ -128,7 +128,9 @@ def test_all_online_paths_agree(seed, pruning, backend, query_seed, tau_hat, gam
     expected_accepted_scores = {gid: reference.posteriors[gid] for gid in expected_ids}
     assert pruned_single.scores == expected_accepted_scores
     assert pruned_batch.scores == expected_accepted_scores
-    assert unpruned.scores == expected_accepted_scores
+    assert {gid: unpruned.scores[gid] for gid in unpruned.accepted_ids} == (
+        expected_accepted_scores
+    )
 
     # top-k mode: exactly the first k of the γ=0 reference ranking
     k = 1 + (query_seed % 7)

@@ -757,7 +757,7 @@ class TestReducersInTheCore:
                 # Hits by ascending position: the ids of the store's layout.
                 positions = scored.positions
                 assert (np.diff(positions) > 0).all()
-                layout_ids = core.ensure_index().store.view()[2]
+                layout_ids = core.store.view()[2]
                 assert scored.graph_ids.tolist() == layout_ids[positions].tolist()
             assert core.filter_counters.sparse_passes == 0 or plan == "sparse"
             assert core.filter_counters.dense_passes == 0 or plan == "dense"
@@ -876,10 +876,10 @@ class TestReducerCountGuards:
             reducer_search.database, reducer_search.estimator, max_tau=3, kernel_backend="native"
         )
         core.warm(range(4), range(1, 11))
-        store = core.ensure_index().store
-        csr, orders, _ids = store.view()
+        store = core.store
+        view = _csr, orders, _ids = store.view()
         num_rows = len(orders)
-        distinct = store.order_ranges(csr)[0]
+        distinct = store.order_ranges(view)[0]
         # Half the store: queries land on both sides of the budget.
         monkeypatch.setattr(columnar, "sparse_row_budget", lambda postings, rows: rows // 2)
         plans = set()
@@ -888,7 +888,7 @@ class TestReducerCountGuards:
             thresholds, _lut = core._pruned_thresholds(
                 query, np.maximum(num_vertices, distinct), False
             )
-            bounds = store.gbd_lower_bound_row(num_vertices, branches, db_orders=orders)
+            bounds = store.gbd_lower_bound_row(num_vertices, branches, view=view)
             eligible = int((bounds <= thresholds[np.searchsorted(distinct, orders)]).sum())
             sparse = None if eligible == 0 else eligible <= num_rows // 2
             verified = eligible if sparse is not False else num_rows
@@ -948,8 +948,8 @@ class TestReducerCountGuards:
         ).fit()
         engine = BatchQueryEngine.from_search(search, cache_size=None, kernel_backend="native")
         engine.warm(range(2))
-        core, store = engine._core, engine._core.ensure_index().store
-        distinct, row_bounds = store.order_ranges(store.view()[0])
+        core, store = engine._core, engine._core.store
+        distinct, row_bounds = store.order_ranges()
         built = []
         concatenate = np.concatenate
 

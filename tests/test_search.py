@@ -8,6 +8,7 @@ import pytest
 from repro.core.gbd_prior import GBDPrior
 from repro.core.search import GBDASearch
 from repro.core.variants import GBDAV1Search, GBDAV2Search
+from repro.db.columnar import ColumnarBranchStore
 from repro.db.database import GraphDatabase
 from repro.db.query import SimilarityQuery
 from repro.exceptions import SearchError
@@ -130,7 +131,7 @@ class TestOnlineStage:
         search = GBDASearch(
             family_database, max_tau=4, num_prior_pairs=60, seed=0, use_index_pruning=True
         ).fit()
-        assert search._index is not None
+        assert search._core._store is not None  # fit() built it
         result = search.query(SimilarityQuery(family_database[0].graph, 2, 0.5))
         # pruned graphs are never scored, so far outliers are absent
         assert len(result.posteriors) < len(family_database)
@@ -140,13 +141,13 @@ class TestOnlineStage:
         """Regression: flipping the flag post-fit used to silently full-scan."""
         base = family_database[0].graph
         search = GBDASearch(family_database, max_tau=4, num_prior_pairs=60, seed=0).fit()
-        assert search._index is None
+        assert search._core._store is None
         full = search.query(SimilarityQuery(base, 2, 0.5))
         assert len(full.posteriors) == len(family_database)
 
         search.use_index_pruning = True
         pruned = search.query(SimilarityQuery(base, 2, 0.5))
-        assert search._index is not None, "first pruned query must build the index"
+        assert search._core._store is not None, "the first query builds the store"
         # the pruned scan actually skips GBD > 2τ̂ graphs instead of scoring all
         assert len(pruned.posteriors) < len(family_database)
         assert pruned.accepted_ids == full.accepted_ids
@@ -163,6 +164,36 @@ class TestOnlineStage:
             b = flag_first.query(SimilarityQuery(base, tau_hat, 0.5))
             assert a.accepted_ids == b.accepted_ids
             assert a.posteriors == b.posteriors
+
+    @pytest.mark.parametrize("pruning", [False, True])
+    def test_the_reference_shares_no_code_with_the_store(
+        self, family_database, pruning, monkeypatch
+    ):
+        """With every read of the columnar store raising, both references still answer."""
+        search = GBDASearch(
+            family_database, max_tau=4, num_prior_pairs=60, seed=0, use_index_pruning=pruning
+        ).fit()
+        base = family_database[0].graph
+        queries = [SimilarityQuery(base, tau_hat, 0.5) for tau_hat in (0, 1, 2, 4)]
+        expected = [search.query(query) for query in queries]
+        expected_topk = [search.query_topk(query, 3).ranking for query in queries]
+
+        def broken(*_args, **_kwargs):
+            raise RuntimeError("the columnar store was read")
+
+        for name in (
+            "view", "compact", "postings", "intersection_row", "matched_query_total",
+            "gbd_lower_bound_row", "order_ranges", "filter_verify_row", "filter_verify_topk",
+        ):
+            monkeypatch.setattr(ColumnarBranchStore, name, broken)
+        with pytest.raises(RuntimeError, match="columnar store"):
+            search.query(queries[0])
+        for query, scored, ranking in zip(queries, expected, expected_topk):
+            reference = search.query_reference(query)
+            assert reference.answer.accepted_ids == scored.answer.accepted_ids
+            assert reference.gbd_values == scored.gbd_values
+            assert reference.posteriors == scored.posteriors
+            assert search.query_topk_reference(query, 3) == ranking
 
 
 class TestVariants:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import threading
 
 import pytest
 
@@ -272,7 +273,7 @@ class TestIncrementalDatabase:
                 assert engine.query(query).accepted_ids == search.query(query).answer.accepted_ids
             engine.query_batch(queries)
             snapshot_orders, rows = core._snapshot_rows
-            assert snapshot_orders is core.index.store.view()[1]
+            assert snapshot_orders is core.store.view()[1]
             assert all(len(row) == len(database) for row in rows.values())
             assert len(rows) <= len({q.query_graph.num_vertices for q in queries}) + 1
             database.add_many([graphs[round_].copy(name=f"late-{round_}")])
@@ -327,14 +328,68 @@ class TestRevisionScopedCache:
         engine.query(query)
         assert engine.cache.hits == hits_before + 1  # key no longer matches
 
+    @pytest.mark.parametrize("topk", [False, True])
+    def test_a_read_overlapping_add_many_caches_no_stale_answer(self, topk, monkeypatch):
+        """A reader of the pre-write rows must not cache its answer under the new revision.
+
+        The reader starts while ``add_many`` notifies its subscribers — from a
+        hook registered before the engine's, so before the store takes the
+        new rows or the cache is cleared — reads its snapshot, and puts its
+        answer only once ``add_many`` has returned.  The write adds an exact
+        copy of the query (GBD 0): the next identical query must find it.
+        """
+        rng = random.Random(37)
+        graphs = [
+            random_labeled_graph(rng.randint(4, 9), rng.randint(3, 12), seed=rng)
+            for _ in range(40)
+        ]
+        database = GraphDatabase(graphs, name="serving-race")
+        viewed, written = threading.Event(), threading.Event()
+
+        def start_reader(_entries):
+            reader.start()
+            assert viewed.wait(30), "the reader never read its snapshot"
+
+        database.subscribe(start_reader, batched=True)  # runs before the engine's hooks
+        search = GBDASearch(database, max_tau=3, num_prior_pairs=80, seed=4).fit()
+        engine = BatchQueryEngine.from_search(search, cache_size=16)
+        query = SimilarityQuery(random_labeled_graph(7, 9, seed=rng), 2, 0.3)
+        k = len(graphs) + 1  # every graph is ranked, the copy included
+
+        def ask():
+            return engine.query_topk(query, k) if topk else engine.query(query)
+
+        store, cache = engine._core.store, engine.cache
+        view, put = store.view, cache.put
+
+        def view_then_signal():
+            snapshot = view()
+            if threading.current_thread() is reader:
+                viewed.set()
+            return snapshot
+
+        def put_once_written(key, answer):
+            if threading.current_thread() is reader:
+                assert written.wait(30), "add_many never returned"
+            put(key, answer)
+
+        monkeypatch.setattr(store, "view", view_then_signal)
+        monkeypatch.setattr(cache, "put", put_once_written)
+        answers = []
+        reader = threading.Thread(target=lambda: answers.append(ask()))
+        (copy_id,) = database.add_many([query.query_graph.copy(name="copy")])
+        database.unsubscribe(start_reader)
+        written.set()
+        reader.join(timeout=30)
+        assert not reader.is_alive() and len(answers) == 1
+        assert copy_id not in answers[0].accepted_ids  # it read the pre-write rows
+        assert copy_id in ask().accepted_ids
+
 
 class TestPrunedExecutionEngine:
     def test_prune_counters_accumulate_and_answers_match(self, fitted):
         pruned = BatchQueryEngine.from_search(fitted, cache_size=None)
-        unpruned = BatchQueryEngine.from_search(
-            fitted, cache_size=None, pruned_execution=False
-        )
-        assert pruned.pruned_execution and not unpruned.pruned_execution
+        unpruned = BatchQueryEngine.from_search(fitted, cache_size=None, keep_scores="all")
         for query in _random_queries(10, seed=41):
             assert pruned.query(query).accepted_ids == unpruned.query(query).accepted_ids
         counters = pruned.prune_counters
@@ -342,16 +397,35 @@ class TestPrunedExecutionEngine:
             counters["candidates_pruned"] + counters["candidates_verified"]
         )
         assert 0.0 <= counters["prune_rate"] <= 1.0
+        assert unpruned.prune_counters["candidates_pruned"] == 0
 
     def test_keep_scores_all_disables_filter_and_verify(self, fitted):
         engine = BatchQueryEngine.from_search(fitted, keep_scores="all", cache_size=None)
-        assert not engine._pruned_path  # every candidate's posterior is needed
+        queries = _random_queries(4, seed=43)
+        engine.query_batch(queries)
+        for query in queries:
+            engine.query(query)
+        # every candidate's posterior is needed: every row verified, one dense pass a query
+        counters = engine.prune_counters
+        assert counters["candidates_pruned"] == counters["sparse_passes"] == 0
+        assert counters["candidates_verified"] == 8 * len(fitted.database)
+        assert counters["dense_passes"] == 8
 
-    def test_pruned_execution_survives_snapshot(self, fitted, tmp_path):
-        engine = BatchQueryEngine.from_search(fitted, pruned_execution=False)
+    def test_older_snapshots_with_the_pruned_execution_key_still_load(self, fitted, tmp_path):
+        """The key once chose the plan; answers never depended on it, so it is ignored."""
+        import pickle
+
+        engine = BatchQueryEngine.from_search(fitted, cache_size=None)
         path = tmp_path / "engine.snapshot"
         engine.save(path)
-        assert not BatchQueryEngine.load(path).pruned_execution
+        payload = pickle.loads(path.read_bytes())
+        assert "pruned_execution" not in payload["engine"]
+        for flag in (False, True):
+            payload["engine"]["pruned_execution"] = flag
+            path.write_bytes(pickle.dumps(payload))
+            loaded = BatchQueryEngine.load(path)
+            for query in _random_queries(4, seed=47):
+                assert loaded.query(query).accepted_ids == engine.query(query).accepted_ids
 
 
 class TestOnePipeline:
@@ -382,9 +456,9 @@ class TestOnePipeline:
 
     def test_empty_batch_on_the_core(self, fitted):
         core = BatchQueryEngine.from_search(fitted, cache_size=None)._core
-        for need, pruned in (("full", False), ("accepted", False), ("accepted", True)):
-            assert core.execute_batch([], need=need, pruned=pruned) == []
-            assert core.execute_batch([], query_branches=[], need=need, pruned=pruned) == []
+        for pruned in (False, True):
+            assert core.execute_batch([], pruned=pruned) == []
+            assert core.execute_batch([], query_branches=[], pruned=pruned) == []
 
     def test_batch_counts_what_each_query_verified(self, selective):
         """``prune_counters`` mean one thing: batch == loop, numpy == native."""
