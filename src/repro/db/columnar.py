@@ -44,8 +44,9 @@ NumPy.
 
 Incremental additions go through an **append buffer**: :meth:`append` /
 :meth:`extend` are ``O(|branches|)`` bookkeeping with no Python statement per
-posting — a batch's key ids are one ``map`` of the vocabulary's ``get`` over
-its branch keys and each pending buffer is extended once — and :meth:`compact`,
+posting — a batch's key ids are one ``map`` of the vocabulary's subscript
+over its branch keys (which learns each unseen key once, on first sight) and
+each pending buffer is extended once — and :meth:`compact`,
 run lazily by the next read, is the one place a write is paid for.  It takes
 the previous published snapshot and produces the next in one linear pass: the
 new rows are interleaved into their order's range, old positions go through
@@ -175,6 +176,20 @@ class _Snapshot:
         )
 
 
+class _Vocabulary(dict):
+    """Branch key -> id, the ids dense in order of first sight.
+
+    ``vocabulary[key]`` learns an unseen key (the next id); only the write
+    path subscripts.  Reads use ``get``, which never learns.
+    """
+
+    __slots__ = ()
+
+    def __missing__(self, key: Tuple) -> int:
+        key_id = self[key] = len(self)
+        return key_id
+
+
 def _segment_total(offsets: np.ndarray, key_ids: np.ndarray) -> int:
     """Σ posting-segment lengths of the given keys: what one dense row walks."""
     return int((offsets[key_ids + 1] - offsets[key_ids]).sum())
@@ -209,8 +224,7 @@ class ColumnarBranchStore:
         #: but unbuildable ``"native"`` fails at construction, loudly.
         self.backend = resolve_backend(backend)
         _BACKEND_INFO.labels(backend=self.backend).set(1)
-        self._key_ids: Dict[Tuple, int] = {}
-        self._keys: List[Tuple] = []
+        self._key_ids = _Vocabulary()
         # Per-key norm: the largest multiplicity of the key in any single
         # row.  Monotone under appends, which is what makes the lower-bound
         # kernels race-safe (a cap newer than a CSR snapshot only loosens
@@ -283,9 +297,10 @@ class ColumnarBranchStore:
     def _extend(self, entries) -> int:
         """Buffer ``entries`` (lock held); return the row number of the first.
 
-        No Python statement runs per posting: the loops below visit only keys
-        the vocabulary has not seen (:meth:`_learn_key`, once per new key) and
-        multiplicities above 1 — at least 1 each, so only those can raise a cap.
+        No Python statement runs per posting: the one pass that maps keys to
+        ids learns each unseen key once, in order of first appearance (its cap
+        starts at 1), and the loop below visits only multiplicities above 1 —
+        at least 1 each, so only those can raise a cap.
         """
         first = self._num_rows
         rows = first + len(entries)
@@ -294,16 +309,9 @@ class ColumnarBranchStore:
         multisets = [entry.branches for entry in entries]
         keys = list(chain.from_iterable(multisets))
         counts = list(chain.from_iterable(map(dict.values, multisets)))
-        lookup = self._key_ids.get
-        key_ids = list(map(lookup, keys))
-        slot = -1
-        for _ in range(key_ids.count(None)):
-            slot = key_ids.index(None, slot + 1)
-            key_id = lookup(keys[slot])  # an earlier entry of the batch may have brought it
-            if key_id is None:
-                key_id = self._learn_key(keys[slot], counts[slot])
-            key_ids[slot] = key_id
+        key_ids = list(map(self._key_ids.__getitem__, keys))
         caps = self._key_caps
+        caps += repeat(1, len(self._key_ids) - len(caps))
         for key_id, count in compress(zip(key_ids, counts), map(gt, counts, repeat(1))):
             if count > caps[key_id]:
                 caps[key_id] = int(count)
@@ -315,13 +323,6 @@ class ColumnarBranchStore:
         self._num_rows = rows
         self._caps_cache = None
         return first
-
-    def _learn_key(self, key: Tuple, count: int) -> int:
-        """The vocabulary's slow path: the id of a branch key seen for the first time."""
-        key_id = self._key_ids[key] = len(self._keys)
-        self._keys.append(key)
-        self._key_caps.append(int(count))
-        return key_id
 
     def _is_compacted(self) -> bool:
         """Whether the published snapshot already covers every appended row.
@@ -402,7 +403,7 @@ class ColumnarBranchStore:
             arrays = self._kernels.merge_postings(
                 previous.csr,
                 pending,
-                len(self._keys),
+                len(self._key_ids),
                 shift,
                 np.int32 if num_rows <= _POSITION_DTYPE_LIMIT else np.int64,
                 np.int32 if self._max_count <= _COUNT_DTYPE_LIMIT else np.int64,
@@ -460,7 +461,7 @@ class ColumnarBranchStore:
     @property
     def num_keys(self) -> int:
         """Number of distinct branch keys in the vocabulary."""
-        return len(self._keys)
+        return len(self._key_ids)
 
     @property
     def num_postings(self) -> int:

@@ -10,10 +10,33 @@ on ordinary vertices or edges.
 The implementation favours dictionary-based adjacency so that the branch
 extraction of Section III runs in ``O(sum of degrees)`` time, matching the
 ``O(nd)`` bound claimed for GBD computation.
+
+Layout.  A :class:`Graph` holds two per-vertex dicts and one small map:
+
+* ``_vertex_labels``: vertex -> label, in insertion order ("vertex order");
+* ``_adjacency``: vertex -> ``{neighbour: edge label}``, with the same key
+  order.  Each edge sits in its two endpoints' dicts and nowhere else: the
+  branches of Section III need ``L(v)`` and the labels of the edges at ``v``,
+  nothing more;
+* ``_edge_label_counts``: ``(type(label), label)`` -> number of edges with
+  that label, at most ``|LE|`` entries.  It answers :attr:`Graph.num_edges`,
+  :meth:`Graph.edge_label_set` and :meth:`Graph.label_types` without walking
+  the edges; the type in the key keeps ``1``, ``True`` and ``1.0`` apart.
+
+:meth:`Graph.edges` walks the adjacency in vertex order and yields each edge
+once, as ``(u, v, label)`` with ``u`` the endpoint that comes first in vertex
+order; the edges at one vertex come in the order they were added there.  The
+order follows from the calls that built the graph alone, never from
+``PYTHONHASHSEED``.
+
+Graph pickles are not a storage format: snapshots store vertex and edge lists
+and rebuild graphs through :meth:`Graph.from_dicts`, so a graph pickled by an
+older version of this module is not expected to load.
 """
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Dict, FrozenSet, Hashable, Iterable, Iterator, Mapping, Optional, Tuple
 
 from repro.exceptions import (
@@ -32,12 +55,9 @@ VIRTUAL_LABEL = "ε"
 
 VertexId = Hashable
 Label = Hashable
-EdgeKey = FrozenSet
 
-
-def edge_key(u: VertexId, v: VertexId) -> EdgeKey:
-    """Return the canonical (unordered) key of the edge between ``u`` and ``v``."""
-    return frozenset((u, v))
+# The two halves of an ``_edge_label_counts`` key.
+_TYPE, _LABEL = itemgetter(0), itemgetter(1)
 
 
 class Graph:
@@ -56,14 +76,15 @@ class Graph:
       labeled undirected graphs" restriction.
     """
 
-    __slots__ = ("name", "_vertex_labels", "_adjacency", "_edge_labels")
+    __slots__ = ("name", "_vertex_labels", "_adjacency", "_edge_label_counts")
 
     def __init__(self, name: Optional[str] = None) -> None:
         self.name = name
         self._vertex_labels: Dict[VertexId, Label] = {}
         # adjacency maps vertex -> {neighbour: edge label}
         self._adjacency: Dict[VertexId, Dict[VertexId, Label]] = {}
-        self._edge_labels: Dict[EdgeKey, Label] = {}
+        # (type(label), label) -> number of edges carrying it
+        self._edge_label_counts: Dict[Tuple[type, Label], int] = {}
 
     # ------------------------------------------------------------------ #
     # construction helpers
@@ -88,7 +109,7 @@ class Graph:
         clone = Graph(name=self.name if name is None else name)
         clone._vertex_labels = dict(self._vertex_labels)
         clone._adjacency = {v: dict(nbrs) for v, nbrs in self._adjacency.items()}
-        clone._edge_labels = dict(self._edge_labels)
+        clone._edge_label_counts = dict(self._edge_label_counts)
         return clone
 
     # ------------------------------------------------------------------ #
@@ -163,60 +184,81 @@ class Graph:
         """Add an edge with a non-virtual label between two existing vertices."""
         if u == v:
             raise SelfLoopError(f"self-loop on vertex {u!r} is not allowed in simple graphs")
-        if u not in self._vertex_labels:
+        at_u = self._adjacency.get(u)
+        if at_u is None:
             raise MissingVertexError(f"vertex {u!r} does not exist")
-        if v not in self._vertex_labels:
+        at_v = self._adjacency.get(v)
+        if at_v is None:
             raise MissingVertexError(f"vertex {v!r} does not exist")
         if label == VIRTUAL_LABEL and not allow_virtual:
             raise InvalidLabelError("the virtual label is reserved for extended graphs")
-        key = edge_key(u, v)
-        if key in self._edge_labels:
+        if v in at_u:
             raise DuplicateEdgeError(f"edge {u!r}-{v!r} already exists")
-        self._edge_labels[key] = label
-        self._adjacency[u][v] = label
-        self._adjacency[v][u] = label
+        at_u[v] = label
+        at_v[u] = label
+        # _count(label, 1) inlined: this line runs once per edge of every graph built
+        counts = self._edge_label_counts
+        key = (type(label), label)
+        counts[key] = counts.get(key, 0) + 1
+
+    def _adjacent(self, u: VertexId, v: VertexId) -> Dict[VertexId, Label]:
+        """Return ``u``'s adjacency dict, or raise :class:`MissingEdgeError` if ``v`` is not in it."""
+        at_u = self._adjacency.get(u)
+        if at_u is None or v not in at_u:
+            raise MissingEdgeError(f"edge {u!r}-{v!r} does not exist")
+        return at_u
+
+    def _count(self, label: Label, step: int) -> None:
+        """Move the number of edges carrying ``label`` by ``step``; a label at 0 leaves the map."""
+        counts = self._edge_label_counts
+        key = (type(label), label)
+        left = counts.get(key, 0) + step
+        if left:
+            counts[key] = left
+        else:
+            del counts[key]
 
     def remove_edge(self, u: VertexId, v: VertexId) -> None:
         """Delete an existing edge (DE operation)."""
-        key = edge_key(u, v)
-        if key not in self._edge_labels:
-            raise MissingEdgeError(f"edge {u!r}-{v!r} does not exist")
-        del self._edge_labels[key]
-        del self._adjacency[u][v]
+        self._count(self._adjacent(u, v).pop(v), -1)
         del self._adjacency[v][u]
 
     def relabel_edge(self, u: VertexId, v: VertexId, label: Label, *, allow_virtual: bool = False) -> None:
         """Change the label of an existing edge (RE operation)."""
-        key = edge_key(u, v)
-        if key not in self._edge_labels:
-            raise MissingEdgeError(f"edge {u!r}-{v!r} does not exist")
+        at_u = self._adjacent(u, v)
         if label == VIRTUAL_LABEL and not allow_virtual:
             raise InvalidLabelError("cannot relabel an edge to the virtual label")
-        self._edge_labels[key] = label
-        self._adjacency[u][v] = label
+        self._count(at_u[v], -1)
+        at_u[v] = label
         self._adjacency[v][u] = label
+        self._count(label, 1)
 
     def has_edge(self, u: VertexId, v: VertexId) -> bool:
         """Return whether an edge between ``u`` and ``v`` exists."""
-        return edge_key(u, v) in self._edge_labels
+        at_u = self._adjacency.get(u)
+        return at_u is not None and v in at_u
 
     def edge_label(self, u: VertexId, v: VertexId) -> Label:
         """Return the label of an edge."""
-        try:
-            return self._edge_labels[edge_key(u, v)]
-        except KeyError as exc:
-            raise MissingEdgeError(f"edge {u!r}-{v!r} does not exist") from exc
+        return self._adjacent(u, v)[v]
 
     def edges(self) -> Iterator[Tuple[VertexId, VertexId, Label]]:
-        """Iterate over ``(u, v, label)`` triples with an arbitrary endpoint order."""
-        for key, label in self._edge_labels.items():
-            u, v = tuple(key)
-            yield u, v, label
+        """Iterate over ``(u, v, label)`` triples, each edge once, in vertex order.
+
+        ``u`` is the endpoint that comes first in vertex order; the edges at
+        one vertex come in the order they were added there (module docstring).
+        """
+        done = set()
+        for u, at_u in self._adjacency.items():
+            done.add(u)
+            for v, label in at_u.items():
+                if v not in done:
+                    yield u, v, label
 
     @property
     def num_edges(self) -> int:
         """Number of edges ``|E|``."""
-        return len(self._edge_labels)
+        return sum(self._edge_label_counts.values())
 
     # ------------------------------------------------------------------ #
     # neighbourhood / degree
@@ -271,12 +313,12 @@ class Graph:
 
     def edge_label_set(self) -> FrozenSet[Label]:
         """Return the set of edge labels used in this graph."""
-        return frozenset(self._edge_labels.values())
+        return frozenset(map(_LABEL, self._edge_label_counts))
 
     def label_types(self) -> set:
         """Return the exact Python types of the labels in use (``1 == True == 1.0``:
         code that must tell equal labels apart asks here whether it has to look)."""
-        return {*map(type, self._vertex_labels.values()), *map(type, self._edge_labels.values())}
+        return {*map(type, self._vertex_labels.values()), *map(_TYPE, self._edge_label_counts)}
 
     # ------------------------------------------------------------------ #
     # comparison helpers
@@ -290,7 +332,7 @@ class Graph:
         """
         return (
             self._vertex_labels == other._vertex_labels
-            and self._edge_labels == other._edge_labels
+            and self._adjacency == other._adjacency
         )
 
     def connected_components(self) -> list:

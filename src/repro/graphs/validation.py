@@ -23,7 +23,7 @@ def validate_graph(graph: Graph, *, require_connected: bool = False) -> None:
 
     * every edge endpoint is a known vertex;
     * no vertex or edge carries the reserved virtual label;
-    * adjacency structure and edge map agree on every edge;
+    * both endpoints' adjacency entries agree on every edge;
     * optionally, the graph is connected.
     """
     for vertex, label in graph.vertex_items():
@@ -34,13 +34,13 @@ def validate_graph(graph: Graph, *, require_connected: bool = False) -> None:
             raise GraphError(f"edge {u!r}-{v!r} carries the reserved virtual label")
         if not graph.has_vertex(u) or not graph.has_vertex(v):
             raise GraphError(f"edge {u!r}-{v!r} references an unknown vertex")
-        if graph.edge_label(u, v) != label:
-            raise GraphError(f"edge {u!r}-{v!r} label mismatch between edge map and adjacency")
+        if not graph.has_edge(v, u) or graph.edge_label(v, u) != label:
+            raise GraphError(f"edge {u!r}-{v!r} carries different labels at its two endpoints")
     for vertex in graph.vertices():
         for neighbour in graph.neighbors(vertex):
-            if not graph.has_edge(vertex, neighbour):
+            if not graph.has_edge(neighbour, vertex):
                 raise GraphError(
-                    f"adjacency lists {vertex!r}-{neighbour!r} but the edge map does not"
+                    f"adjacency lists {vertex!r}-{neighbour!r} but not {neighbour!r}-{vertex!r}"
                 )
     if require_connected and not graph.is_connected():
         raise GraphError(f"graph {graph.name!r} is not connected")

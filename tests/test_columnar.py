@@ -246,9 +246,11 @@ class TestAppendBufferCompaction:
 
         lock = store._compact_lock = CountingLock(store._compact_lock)
         learned = []
-        learn = store._learn_key
+        learn = columnar._Vocabulary.__missing__
         monkeypatch.setattr(
-            store, "_learn_key", lambda key, count: learned.append(key) or learn(key, count)
+            columnar._Vocabulary,
+            "__missing__",
+            lambda vocabulary, key: learned.append(key) or learn(vocabulary, key),
         )
         known = set(store._key_ids)
         batch = entries[10:] + [_fake_entry(40, {("new", ()): 3}), _fake_entry(41, {("new", ()): 5})]
@@ -258,7 +260,7 @@ class TestAppendBufferCompaction:
         assert len(fresh) > 1 and sorted(map(repr, learned)) == sorted(map(repr, fresh))
         assert len(learned) == len(set(learned))  # ("new", ()) came twice, was learned once
         caps = store.key_caps()
-        assert caps[store._key_ids[("new", ())]] == 5  # learned at 3, raised by the later entry
+        assert caps[store._key_ids.get(("new", ()))] == 5  # the larger of its two postings
 
         del learned[:]
         store.extend([_fake_entry(42 + offset, entry.branches) for offset, entry in enumerate(batch)])
@@ -267,7 +269,24 @@ class TestAppendBufferCompaction:
         assert [array.tolist() for array in store.view()[0][:3]] == [
             array.tolist() for array in reference.view()[0][:3]
         ]
-        assert store._keys == reference._keys and caps.tolist() == reference.key_caps().tolist()
+        assert list(store._key_ids) == list(reference._key_ids)
+        assert caps.tolist() == reference.key_caps().tolist()
+
+    def test_bulk_extend_matches_one_append_at_a_time(self, random_database, make_store):
+        """One batch learns its new keys in one pass: same vocabulary order, caps and CSR."""
+        entries = list(random_database)
+        entries += [_fake_entry(40, {("new", ()): 3}), _fake_entry(41, {("new", ()): 5, ("late", ()): 2})]
+        bulk = make_store(entries[:5])
+        bulk.extend(entries[5:])
+        single = make_store(entries[:5])
+        for entry in entries[5:]:
+            single.append(entry)
+        assert list(bulk._key_ids.items()) == list(single._key_ids.items())
+        assert bulk.key_caps().tolist() == single.key_caps().tolist()
+        (bulk_csr, *bulk_rest), (single_csr, *single_rest) = bulk.view(), single.view()
+        assert [np.asarray(part).tolist() for part in (*bulk_csr, *bulk_rest)] == [
+            np.asarray(part).tolist() for part in (*single_csr, *single_rest)
+        ]
 
 
 class TestCompactionRegressions:

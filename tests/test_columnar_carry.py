@@ -98,7 +98,7 @@ def assert_layout_invariant(store: ColumnarBranchStore, entries) -> None:
     assert len(position_of) == rows
     assert [orders[position_of[e.graph_id]] for e in arrived] == [e.num_vertices for e in arrived]
     postings = [Counter() for _ in range(rows)]
-    keys = store._keys
+    keys = list(store._key_ids)  # ids are dense in insertion order
     for key in range(len(offsets) - 1):
         for slot in range(offsets[key], offsets[key + 1]):
             postings[positions[slot]][keys[key]] = int(counts[slot])

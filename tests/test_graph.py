@@ -1,7 +1,19 @@
 """Unit tests for the labeled simple undirected graph data structure."""
 
-import pytest
+import os
+import pickle
+import random
+import subprocess
+import sys
+import textwrap
+import tracemalloc
 
+import pytest
+from hypothesis import settings
+from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
+
+import repro
 from repro.exceptions import (
     DuplicateEdgeError,
     DuplicateVertexError,
@@ -10,7 +22,8 @@ from repro.exceptions import (
     MissingVertexError,
     SelfLoopError,
 )
-from repro.graphs.graph import Graph, VIRTUAL_LABEL, edge_key, union_label_alphabets
+from repro.graphs.generators import random_labeled_graph
+from repro.graphs.graph import Graph, VIRTUAL_LABEL, union_label_alphabets
 
 
 class TestVertexOperations:
@@ -122,9 +135,6 @@ class TestEdgeOperations:
         with pytest.raises(MissingEdgeError):
             triangle.relabel_edge(0, 99, "w")
 
-    def test_edge_key_is_order_independent(self):
-        assert edge_key(1, 2) == edge_key(2, 1)
-
 
 class TestStructureQueries:
     def test_degree_and_average_degree(self, triangle, path_graph):
@@ -195,3 +205,194 @@ class TestCopyAndEquality:
         assert graph.num_vertices == 2
         assert graph.edge_label(0, 1) == "x"
         assert graph.name == "g"
+
+
+def _typed(label):
+    """A label with its exact type: ``1``, ``True`` and ``1.0`` stay apart."""
+    return type(label), label
+
+
+_IDS = st.sampled_from([0, 1, 2, 3, 4, "a", "b", "c"])
+_LABELS = st.sampled_from([1, True, 1.0, 0, False, "x", "y", VIRTUAL_LABEL])
+
+
+class GraphMachine(RuleBasedStateMachine):
+    """Every mutation of :class:`Graph`, held to a frozenset-keyed edge dict.
+
+    The model keeps each edge once, under ``frozenset((u, v))``, next to an
+    insertion-ordered vertex dict; the graph must agree with it on every
+    edge query after every step, and raise exactly where the model says.
+    """
+
+    def __init__(self):
+        super().__init__()
+        self.graph = Graph(name="machine")
+        self.vertices = {}
+        self.edges = {}
+
+    @rule(vertex=_IDS, label=_LABELS)
+    def add_vertex(self, vertex, label):
+        if vertex in self.vertices:
+            with pytest.raises(DuplicateVertexError):
+                self.graph.add_vertex(vertex, label)
+        elif label == VIRTUAL_LABEL:
+            with pytest.raises(InvalidLabelError):
+                self.graph.add_vertex(vertex, label)
+        else:
+            self.graph.add_vertex(vertex, label)
+            self.vertices[vertex] = label
+
+    @rule(vertex=_IDS)
+    def remove_vertex(self, vertex):
+        if vertex not in self.vertices:
+            with pytest.raises(MissingVertexError):
+                self.graph.remove_vertex(vertex)
+        elif any(vertex in key for key in self.edges):
+            with pytest.raises(SelfLoopError):
+                self.graph.remove_vertex(vertex)
+        else:
+            self.graph.remove_vertex(vertex)
+            del self.vertices[vertex]
+
+    @rule(vertex=_IDS, label=_LABELS)
+    def relabel_vertex(self, vertex, label):
+        if vertex not in self.vertices:
+            with pytest.raises(MissingVertexError):
+                self.graph.relabel_vertex(vertex, label)
+        elif label == VIRTUAL_LABEL:
+            with pytest.raises(InvalidLabelError):
+                self.graph.relabel_vertex(vertex, label)
+        else:
+            self.graph.relabel_vertex(vertex, label)
+            self.vertices[vertex] = label
+
+    @rule(u=_IDS, v=_IDS, label=_LABELS)
+    def add_edge(self, u, v, label):
+        key = frozenset((u, v))
+        if u == v:
+            expected = SelfLoopError
+        elif u not in self.vertices or v not in self.vertices:
+            expected = MissingVertexError
+        elif label == VIRTUAL_LABEL:
+            expected = InvalidLabelError
+        elif key in self.edges:
+            expected = DuplicateEdgeError
+        else:
+            self.graph.add_edge(u, v, label)
+            self.edges[key] = label
+            return
+        with pytest.raises(expected):
+            self.graph.add_edge(u, v, label)
+
+    @rule(u=_IDS, v=_IDS)
+    def remove_edge(self, u, v):
+        key = frozenset((u, v))
+        if u == v or key not in self.edges:
+            with pytest.raises(MissingEdgeError):
+                self.graph.remove_edge(u, v)
+        else:
+            self.graph.remove_edge(u, v)
+            del self.edges[key]
+
+    @rule(u=_IDS, v=_IDS, label=_LABELS)
+    def relabel_edge(self, u, v, label):
+        key = frozenset((u, v))
+        if u == v or key not in self.edges:
+            with pytest.raises(MissingEdgeError):
+                self.graph.relabel_edge(u, v, label)
+        elif label == VIRTUAL_LABEL:
+            with pytest.raises(InvalidLabelError):
+                self.graph.relabel_edge(u, v, label)
+        else:
+            self.graph.relabel_edge(u, v, label)
+            self.edges[key] = label
+
+    @invariant()
+    def edges_agree_with_the_model(self):
+        graph = self.graph
+        assert graph.num_edges == len(self.edges)
+        order = {vertex: at for at, vertex in enumerate(self.vertices)}
+        assert list(graph.vertices()) == list(self.vertices)
+        seen = {}
+        for u, v, label in graph.edges():
+            key = frozenset((u, v))
+            assert key not in seen, "each edge is yielded once"
+            seen[key] = _typed(label)
+            assert order[u] < order[v], "oriented from the endpoint first in vertex order"
+            assert graph.has_edge(u, v) and graph.has_edge(v, u)
+            assert _typed(graph.edge_label(u, v)) == _typed(graph.edge_label(v, u)) == _typed(label)
+        assert seen == {key: _typed(label) for key, label in self.edges.items()}
+        for u in self.vertices:
+            for v in self.vertices:
+                assert graph.has_edge(u, v) == (frozenset((u, v)) in self.edges and u != v)
+
+    @invariant()
+    def alphabets_agree_with_the_model(self):
+        graph = self.graph
+        assert graph.edge_label_set() == frozenset(self.edges.values())
+        assert graph.vertex_label_set() == frozenset(self.vertices.values())
+        assert graph.label_types() == {*map(type, self.vertices.values()), *map(type, self.edges.values())}
+
+    @invariant()
+    def copies_and_pickles_are_equal(self):
+        graph = self.graph
+        for other in (graph.copy(), pickle.loads(pickle.dumps(graph))):
+            assert other == graph and not other != graph
+            assert other.num_edges == graph.num_edges
+            assert other.label_types() == graph.label_types()
+            assert list(other.edges()) == list(graph.edges())
+
+
+GraphMachine.TestCase.settings = settings(max_examples=150, stateful_step_count=40, deadline=None)
+TestGraphStateMachine = GraphMachine.TestCase
+
+
+class TestEdgeOrder:
+    def test_edges_are_oriented_by_vertex_order(self):
+        graph = Graph.from_dicts({"c": "A", "a": "B", "b": "C"}, {})
+        graph.add_edge("b", "c", "x")
+        graph.add_edge("a", "b", "y")
+        graph.add_edge("c", "a", "z")
+        assert list(graph.edges()) == [("c", "b", "x"), ("c", "a", "z"), ("a", "b", "y")]
+
+    def test_edge_order_does_not_follow_the_hash_seed(self):
+        script = textwrap.dedent("""
+            import random
+            from repro.graphs.graph import Graph
+            rng = random.Random(3)
+            graph = Graph()
+            ids = [f"v{index}" for index in range(30)]
+            for vertex in ids:
+                graph.add_vertex(vertex, "A")
+            pairs = [(u, v) for at, u in enumerate(ids) for v in ids[at + 1:]]
+            for u, v in rng.sample(pairs, 60):
+                graph.add_edge(*rng.sample((u, v), 2), "x")
+            print(list(graph.edges()))
+        """)
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        runs = []
+        for seed in ("1", "2"):
+            env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src}
+            done = subprocess.run(
+                [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+            )
+            runs.append(done.stdout)
+        assert runs[0] == runs[1]
+
+
+class TestMemory:
+    def test_graphs_cost_at_most_300_bytes_an_edge(self):
+        """Bench-shaped graphs (8-120 vertices, 1.3 |V| edges, few labels) stay compact.
+
+        With the frozenset-keyed edge dict beside the adjacency this read ≈ 500.
+        """
+        rng = random.Random(5)
+        sizes = [rng.randint(8, 120) for _ in range(100)]
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            graphs = [random_labeled_graph(n, int(1.3 * n), seed=index) for index, n in enumerate(sizes)]
+            used = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert used / sum(graph.num_edges for graph in graphs) <= 300

@@ -71,6 +71,11 @@ class TestEdgeListFormat:
         restored = graph_io.from_edge_list(text, name="triangle")
         assert restored == triangle
 
+    @pytest.mark.parametrize("seed", range(5))
+    def test_random_graphs_round_trip(self, seed):
+        graph = random_labeled_graph(12, 20, seed=seed, name="g")
+        assert graph_io.from_edge_list(graph_io.to_edge_list(graph), name="g") == graph
+
     def test_comments_and_blank_lines_ignored(self):
         text = "# comment\n\nv 0 A\nv 1 B\ne 0 1 x\n"
         graph = graph_io.from_edge_list(text)

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.core.branches import branch_multiset
 from repro.core.search import GBDASearch
 from repro.db.database import GraphDatabase
 from repro.db.query import QueryAnswer, SimilarityQuery
@@ -476,6 +477,14 @@ class TestRoundTrips:
         assert (decoded.tau_hat, decoded.top_k) == (tau_hat, top_k)
         assert struct.pack("<d", decoded.gamma) == struct.pack("<d", gamma)
         assert _typed_graph(decoded.query_graph) == _typed_graph(graph)
+
+    @settings(max_examples=200, deadline=None)
+    @given(graph=_graphs())
+    def test_a_decoded_graph_has_the_same_branches(self, graph):
+        decoded = protocol.decode_graph(protocol.encode_graph(graph))
+        assert decoded == graph
+        assert list(decoded.edges()) == list(graph.edges())
+        assert branch_multiset(decoded) == branch_multiset(graph)
 
     def test_equal_labels_of_different_type_stay_distinct(self):
         labels = [1, True, 1.0, 0, False, 0.0, -0.0, (1,), (True,), (1.0,), ((1,),), "1", None]

@@ -75,6 +75,15 @@ class TestRoundTrip:
         assert loaded.keep_scores == fitted_engine.keep_scores
         assert loaded.database[0].branches == fitted_engine.database[0].branches
 
+    def test_graphs_survive_exactly(self, fitted_engine, tmp_path):
+        path = tmp_path / "engine.snapshot"
+        save_engine(fitted_engine, path)
+        loaded = load_engine(path)
+        for original, restored in zip(fitted_engine.database, loaded.database):
+            assert restored.graph == original.graph
+            assert list(restored.graph.edges()) == list(original.graph.edges())
+            assert restored.branches == original.branches
+
     def test_tables_are_rebuilt_not_stored(self, fitted_engine, tmp_path):
         path = tmp_path / "engine.snapshot"
         save_engine(fitted_engine, path)

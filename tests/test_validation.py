@@ -35,6 +35,19 @@ class TestValidateGraph:
         with pytest.raises(GraphError):
             validate_graph(graph)
 
+    @pytest.mark.parametrize("at", [0, 1])
+    def test_endpoints_that_disagree_are_rejected(self, triangle, at):
+        # The adjacency is the only edge store: each endpoint's entry must match the other's.
+        triangle._adjacency[at][1 - at] = "w"
+        with pytest.raises(GraphError, match="different labels"):
+            validate_graph(triangle)
+
+    @pytest.mark.parametrize("at", [0, 1])
+    def test_a_one_sided_adjacency_entry_is_rejected(self, triangle, at):
+        del triangle._adjacency[at][1 - at]
+        with pytest.raises(GraphError):
+            validate_graph(triangle)
+
     def test_disconnected_graph_rejected_when_required(self):
         graph = Graph.from_dicts({0: "A", 1: "B"}, {})
         validate_graph(graph)  # fine without the connectivity requirement
