@@ -177,16 +177,26 @@ class _Snapshot:
 
 
 class _Vocabulary(dict):
-    """Branch key -> id, the ids dense in order of first sight.
+    """Branch key -> id, the ids dense in order of first sight, and each id's cap.
 
     ``vocabulary[key]`` learns an unseen key (the next id); only the write
-    path subscripts.  Reads use ``get``, which never learns.
+    path subscripts.  Reads use ``get``, which never learns.  ``caps[key_id]``
+    is the key's largest multiplicity in any single row: a learnt key's cap
+    starts at 1 and exists before its id is visible, so a lock-free reader
+    that finds an id can always read its cap.
     """
 
-    __slots__ = ()
+    __slots__ = ("caps",)
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.caps: List[int] = []
 
     def __missing__(self, key: Tuple) -> int:
-        key_id = self[key] = len(self)
+        caps = self.caps
+        key_id = len(caps)
+        caps.append(1)
+        self[key] = key_id
         return key_id
 
 
@@ -224,12 +234,12 @@ class ColumnarBranchStore:
         #: but unbuildable ``"native"`` fails at construction, loudly.
         self.backend = resolve_backend(backend)
         _BACKEND_INFO.labels(backend=self.backend).set(1)
+        # Branch key -> id, and the per-key norm (``caps``): the largest
+        # multiplicity of the key in any single row.  Caps are monotone under
+        # appends, which is what makes the lower-bound kernels race-safe (a
+        # cap newer than a CSR snapshot only loosens the bound — see
+        # matched_query_total).
         self._key_ids = _Vocabulary()
-        # Per-key norm: the largest multiplicity of the key in any single
-        # row.  Monotone under appends, which is what makes the lower-bound
-        # kernels race-safe (a cap newer than a CSR snapshot only loosens
-        # the bound — see matched_query_total).
-        self._key_caps: List[int] = []
         self._num_rows = 0
         # Largest posting multiplicity compacted so far (decides the counts dtype).
         self._max_count = 0
@@ -310,8 +320,7 @@ class ColumnarBranchStore:
         keys = list(chain.from_iterable(multisets))
         counts = list(chain.from_iterable(map(dict.values, multisets)))
         key_ids = list(map(self._key_ids.__getitem__, keys))
-        caps = self._key_caps
-        caps += repeat(1, len(self._key_ids) - len(caps))
+        caps = self._key_ids.caps
         for key_id, count in compress(zip(key_ids, counts), map(gt, counts, repeat(1))):
             if count > caps[key_id]:
                 caps[key_id] = int(count)
@@ -470,8 +479,9 @@ class ColumnarBranchStore:
 
     def key_caps(self) -> np.ndarray:
         """Dense ``key id -> max per-row multiplicity`` vector (cached)."""
-        if self._caps_cache is None or len(self._caps_cache) != len(self._key_caps):
-            self._caps_cache = np.asarray(self._key_caps, dtype=np.int64)
+        caps = self._key_ids.caps
+        if self._caps_cache is None or len(self._caps_cache) != len(caps):
+            self._caps_cache = np.asarray(caps, dtype=np.int64)
         return self._caps_cache
 
     # ------------------------------------------------------------------ #
@@ -501,7 +511,7 @@ class ColumnarBranchStore:
         read runs it once.
         """
         known = len(csr[0]) - 1
-        caps = self._key_caps
+        caps = self._key_ids.caps
         lookup = self._key_ids.get
         key_ids: List[int] = []
         query_counts: List[int] = []

@@ -21,26 +21,28 @@ def validate_graph(graph: Graph, *, require_connected: bool = False) -> None:
 
     Checks performed:
 
-    * every edge endpoint is a known vertex;
     * no vertex or edge carries the reserved virtual label;
-    * both endpoints' adjacency entries agree on every edge;
+    * every adjacency entry names a known vertex, and that vertex's entry
+      back carries the same label (the adjacency is the only edge store, so
+      this is every edge, seen from both endpoints);
     * optionally, the graph is connected.
     """
     for vertex, label in graph.vertex_items():
         if label == VIRTUAL_LABEL:
             raise GraphError(f"vertex {vertex!r} carries the reserved virtual label")
-    for u, v, label in graph.edges():
-        if label == VIRTUAL_LABEL:
-            raise GraphError(f"edge {u!r}-{v!r} carries the reserved virtual label")
-        if not graph.has_vertex(u) or not graph.has_vertex(v):
-            raise GraphError(f"edge {u!r}-{v!r} references an unknown vertex")
-        if not graph.has_edge(v, u) or graph.edge_label(v, u) != label:
-            raise GraphError(f"edge {u!r}-{v!r} carries different labels at its two endpoints")
-    for vertex in graph.vertices():
         for neighbour in graph.neighbors(vertex):
+            edge_label = graph.edge_label(vertex, neighbour)
+            if edge_label == VIRTUAL_LABEL:
+                raise GraphError(f"edge {vertex!r}-{neighbour!r} carries the reserved virtual label")
+            if not graph.has_vertex(neighbour):
+                raise GraphError(f"edge {vertex!r}-{neighbour!r} references an unknown vertex")
             if not graph.has_edge(neighbour, vertex):
                 raise GraphError(
                     f"adjacency lists {vertex!r}-{neighbour!r} but not {neighbour!r}-{vertex!r}"
+                )
+            if graph.edge_label(neighbour, vertex) != edge_label:
+                raise GraphError(
+                    f"edge {vertex!r}-{neighbour!r} carries different labels at its two endpoints"
                 )
     if require_connected and not graph.is_connected():
         raise GraphError(f"graph {graph.name!r} is not connected")

@@ -508,3 +508,50 @@ def test_reader_racing_add_many_sees_whole_batches_only(backend, sparse_plan):
     assert reads[0] > 0
     assert store.num_graphs == 60 + 9 * 12
     assert_layout_invariant(store, list(database))
+
+
+@pytest.mark.parametrize("backend", backend_params)
+def test_reader_querying_keys_a_batch_is_learning(backend):
+    """A read may find a key the in-flight batch has just learnt: its cap is already there.
+
+    Every written row carries one key of its own; the readers ask for every
+    tenth of them, so while a batch maps its keys to ids they keep looking up
+    ids the vocabulary has handed out moments before.  Against a pinned view
+    the answer is exact: 1 on the rows whose key was asked for, 0 elsewhere.
+    """
+    store = ColumnarBranchStore(backend=backend)
+    batches, size = 8, 3000
+    query = Counter({("w", j): 1 for j in range(0, batches * size, 10)})
+    failures, reads, done = [], [0], threading.Event()
+
+    def reader():
+        try:
+            while not done.is_set():
+                view = _csr, _orders, global_ids = store.view()
+                expected = ((global_ids - 1000) % 10 == 0).astype(np.int64)
+                assert np.array_equal(store.intersection_row(query, view=view), expected)
+                assert store.matched_query_total(query) >= int(expected.sum())
+                reads[0] += 1
+        except BaseException as exc:  # noqa: BLE001 - reported by the main thread
+            failures.append(exc)
+            raise
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    threads = [threading.Thread(target=reader) for _ in range(2)]
+    try:
+        for thread in threads:
+            thread.start()
+        for first in range(0, batches * size, size):
+            store.extend(_entry(j, Counter({("w", j): 1})) for j in range(first, first + size))
+            time.sleep(0.002)
+    finally:
+        done.set()
+        for thread in threads:
+            thread.join(timeout=30)
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert not failures, failures[0]
+    assert reads[0] > 0
+    assert store.num_keys == store.num_graphs == batches * size
+    assert store.key_caps().tolist() == [1] * (batches * size)
