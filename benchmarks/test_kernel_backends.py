@@ -29,7 +29,6 @@ import pytest
 
 from repro.core.branches import branch_multiset
 from repro.db.columnar import ColumnarBranchStore
-from repro.db.database import GraphDatabase
 from repro.db.kernels import available_backends, native_load_error
 from repro.graphs.generators import random_labeled_graph
 
@@ -57,10 +56,10 @@ def workload():
         random_labeled_graph(rng.randint(8, MAX_ORDER), rng.randint(10, MAX_ORDER + 20), seed=rng)
         for _ in range(DATABASE_SIZE)
     ]
-    database = GraphDatabase(graphs, name=f"Kernels-{DATABASE_SIZE}")
+    multisets = [branch_multiset(graph) for graph in graphs]
     stores = {}
     for backend in BACKENDS:
-        store = ColumnarBranchStore(database, backend=backend)
+        store = ColumnarBranchStore(multisets, backend=backend)
         store.compact()
         stores[backend] = store
     qrng = random.Random(13)
@@ -70,12 +69,12 @@ def workload():
     ]
     branch_sets = [branch_multiset(query) for query in queries]
     vertices = [query.num_vertices for query in queries]
-    writes = GraphDatabase(
-        [
+    writes = [
+        branch_multiset(
             random_labeled_graph(rng.randint(8, MAX_ORDER), rng.randint(10, MAX_ORDER + 20), seed=rng)
-            for _ in range(NUM_ROUNDS * WRITE_BATCH)
-        ]
-    ).entries()
+        )
+        for _ in range(NUM_ROUNDS * WRITE_BATCH)
+    ]
     return stores, vertices, branch_sets, writes
 
 

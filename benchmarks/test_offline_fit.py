@@ -22,7 +22,7 @@ import os
 import random
 import time
 
-from repro.core.gbd_prior import GBDPrior, _pair_gbds
+from repro.core.gbd_prior import GBDPrior
 from repro.core.search import GBDASearch
 from repro.db.database import GraphDatabase
 from repro.db.query import SimilarityQuery
@@ -60,13 +60,12 @@ def test_vectorized_offline_fit_speedup(results_dir):
     graphs = _build_graphs()
 
     # Steps 1.1-1.2 of the offline stage: N pair GBDs (with replacement so
-    # the sample count is independent of |D|) read off the stored multisets.
+    # the sample count is independent of |D|) read off the database's store.
     stored = GraphDatabase(graphs, name="offline-pairs")
+    stored.store.compact()
     start = time.perf_counter()
     pairs = sample_pairs(range(len(graphs)), NUM_SAMPLES, seed=11, distinct=False)
-    samples = _pair_gbds(
-        [entry.num_vertices for entry in stored], [entry.branches for entry in stored], pairs
-    )
+    samples = stored.store.branch_distances(pairs)
     sampling_seconds = time.perf_counter() - start
     assert len(samples) == NUM_SAMPLES
     max_value = max(graph.num_vertices for graph in graphs)

@@ -303,12 +303,12 @@ def test_pruned_selective_workload(results_dir):
     primary = "native" if "native" in backends else "numpy"
     results = {}
     for backend in backends:
-        pruned = BatchQueryEngine.from_search(
-            search, cache_size=None, kernel_backend=backend
-        )
+        # One database (one store) per backend; the graphs and the model are shared.
+        served = GraphDatabase(graphs, name=database.name, kernel_backend=backend)
+        pruned = BatchQueryEngine(served, search.estimator, max_tau=3, cache_size=None)
         # keep_scores="all" runs the dense every-posterior path.
-        unpruned = BatchQueryEngine.from_search(
-            search, cache_size=None, keep_scores="all", kernel_backend=backend
+        unpruned = BatchQueryEngine(
+            served, search.estimator, max_tau=3, cache_size=None, keep_scores="all"
         )
 
         # Correctness first: filter-and-verify must be bit-identical (warm pass).

@@ -12,7 +12,7 @@ Its three layers are exposed here for convenience:
 * the serving layer (:mod:`repro.serving`): a batched, vectorized,
   snapshot-backed query engine for production-style workloads,
 * the offline layer (:mod:`repro.offline`): vectorized EM, pair GBDs read
-  off the stored branch multisets, and incremental prior refits via
+  off the database's branch store, and incremental prior refits via
   :class:`~repro.offline.fitter.OfflineFitter`,
 * the service layer (:mod:`repro.service`): an asyncio TCP server that
   micro-batches concurrent remote clients into ``query_batch`` calls, with

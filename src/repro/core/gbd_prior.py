@@ -120,9 +120,9 @@ class GBDPrior:
     def fit(self, graphs: Union[Sequence[Graph], GraphDatabase]) -> "GBDPrior":
         """Run the four offline steps of Section V-C.1 on ``graphs``.
 
-        A :class:`~repro.db.database.GraphDatabase` is read through the
-        branch multisets it already stores; for bare graphs the sampled ones
-        are extracted here.
+        A :class:`~repro.db.database.GraphDatabase` is read through its
+        branch store (:meth:`~repro.db.columnar.ColumnarBranchStore.branch_distances`);
+        for bare graphs the sampled ones' multisets are extracted here.
         """
         # Imported here: repro.db.database imports repro.core.
         from repro.db.database import GraphDatabase
@@ -131,19 +131,17 @@ class GBDPrior:
         rng = self._seed if isinstance(self._seed, random.Random) else random.Random(self._seed)
         pairs = sample_pairs(range(len(graphs)), self.num_pairs, seed=rng)
         if isinstance(graphs, GraphDatabase):
-            entries = graphs.entries()
-            orders = [entry.num_vertices for entry in entries]
-            multisets = [entry.branches for entry in entries]
+            gbds = graphs.store.branch_distances(pairs)
+            max_value = graphs.max_vertices
         else:
             orders = [graph.num_vertices for graph in graphs]
             sampled = {index for pair in pairs for index in pair}
             multisets = {index: branch_multiset(graphs[index]) for index in sampled}
-        gbds = _pair_gbds(orders, multisets, pairs)
+            gbds = _pair_gbds(orders, multisets, pairs)
+            max_value = max(orders, default=0)
         gbd_seconds = time.perf_counter() - start
 
-        return self.fit_from_samples(
-            gbds, max_value=max(orders, default=0), gbd_seconds=gbd_seconds
-        )
+        return self.fit_from_samples(gbds, max_value=max_value, gbd_seconds=gbd_seconds)
 
     def fit_from_samples(
         self,

@@ -241,10 +241,6 @@ class ExecutionCore:
     error_class:
         Exception type raised on invalid thresholds — :class:`SearchError`
         for the search wrapper, :class:`ServingError` for the engine.
-    kernel_backend:
-        Columnar kernel backend of the :attr:`store` (``"auto"`` |
-        ``"numpy"`` | ``"native"`` — see :mod:`repro.db.kernels`).  Neither
-        answers nor plan choices depend on it.
     """
 
     def __init__(
@@ -254,14 +250,11 @@ class ExecutionCore:
         *,
         max_tau: int,
         error_class: Type[Exception] = SearchError,
-        kernel_backend: str = "auto",
     ) -> None:
         self.database = database
         self.estimator = estimator
         self.max_tau = int(max_tau)
         self.error_class = error_class
-        self.kernel_backend = str(kernel_backend)
-        self._store: Optional[ColumnarBranchStore] = None
         self._tables: Dict[Tuple[int, int], np.ndarray] = {}
         # Published (matrix, frozen filled-order set) pairs per τ̂ — see the
         # module docstring for the concurrency protocol.
@@ -298,25 +291,14 @@ class ExecutionCore:
         self.__dict__.update(state)
         self._table_lock = threading.Lock()
         self._counter_lock = threading.Lock()
-        if self._store is not None:
-            # The database sheds its (weakly held) subscribers when pickled.
-            self.database.subscribe(self._store.extend, batched=True)
 
     # ------------------------------------------------------------------ #
     # branch store and posterior tables
     # ------------------------------------------------------------------ #
     @property
     def store(self) -> ColumnarBranchStore:
-        """The columnar branch store, built on first use.
-
-        Once built it follows the database: ``store.extend`` is subscribed
-        batched, so a bulk load is one append, and weakly — through the
-        store's bound method — so a dropped core stops being notified.
-        """
-        if self._store is None:
-            self._store = ColumnarBranchStore(self.database, backend=self.kernel_backend)
-            self.database.subscribe(self._store.extend, batched=True)
-        return self._store
+        """The database's columnar branch store (:attr:`GraphDatabase.store`)."""
+        return self.database.store
 
     @property
     def tables(self) -> Dict[Tuple[int, int], np.ndarray]:
@@ -768,5 +750,5 @@ class ExecutionCore:
     def __repr__(self) -> str:
         return (
             f"<ExecutionCore |D|={len(self.database)} max_tau={self.max_tau} "
-            f"tables={len(self._tables)} store={'built' if self._store else 'lazy'}>"
+            f"tables={len(self._tables)}>"
         )

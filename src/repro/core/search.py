@@ -6,7 +6,7 @@ The search proceeds in two stages, mirroring Section VI:
   over sampled pair GBDs, Section V-B) and the GED prior Λ3 (Jeffreys prior
   over the (τ, |V'1|) grid, Section V-C).
 * **Online** (:meth:`GBDASearch.query`): for every database graph, compute
-  ``GBD(Q, G)`` from pre-computed branch multisets (Step 2, ``O(nd)``),
+  ``GBD(Q, G)`` from the database's branch store (Step 2, ``O(nd)``),
   evaluate ``Φ = Pr[GED <= τ̂ | GBD = ϕ]`` (Step 3, ``O(τ̂³)``), and accept
   the graph when ``Φ >= γ`` (Step 4).
 
@@ -62,7 +62,7 @@ class GBDASearch:
     Parameters
     ----------
     database:
-        The graph database ``D`` to search (branch multisets pre-computed).
+        The graph database ``D`` to search (its branch store pre-computed).
     max_tau:
         Largest similarity threshold the offline priors must support.
     num_prior_pairs:
@@ -142,9 +142,6 @@ class GBDASearch:
         self._core = ExecutionCore(
             self.database, self.estimator, max_tau=self.max_tau, error_class=SearchError
         )
-        if self.use_index_pruning:
-            # Pruned queries read the store from the first one on: build it offline.
-            self._core.store
         self.offline_seconds = time.perf_counter() - start
         return self
 
@@ -174,8 +171,7 @@ class GBDASearch:
         self._core.validate_tau(query.tau_hat)
         start = time.perf_counter()
         query_branches = query.branches()
-        # Unless fit() built it, the core builds the store on this first query
-        # (it subscribes to the database, so it tracks later additions).
+        # The database's store holds every graph added so far, later ones included.
         scored = self._core.execute(
             query, query_branches=query_branches, use_pruning=self.use_index_pruning
         )

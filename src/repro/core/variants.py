@@ -20,6 +20,7 @@ import time
 from typing import Dict, List, Optional
 
 from repro.core.branches import branch_multiset
+from repro.core.gbd import variant_graph_branch_distance
 from repro.core.search import GBDASearch, SearchResult
 from repro.db.database import GraphDatabase
 from repro.db.query import QueryAnswer, SimilarityQuery
@@ -115,10 +116,16 @@ class GBDAV2Search(GBDASearch):
         entries = self.database.entries()
         rng = random.Random(self.seed)
         pair_ids = sample_pairs(range(len(entries)), self.num_prior_pairs, seed=rng)
+        sampled = {index for pair in pair_ids for index in pair}
+        multisets = {index: branch_multiset(entries[index].graph) for index in sampled}
         vgbd_samples = []
         for i, j in pair_ids:
-            value = self.database.vgbd_to(
-                entries[i].graph, j, self.weight, query_branches=entries[i].branches
+            value = variant_graph_branch_distance(
+                entries[i].graph,
+                entries[j].graph,
+                self.weight,
+                branches1=multisets[i],
+                branches2=multisets[j],
             )
             vgbd_samples.append(int(math.floor(value + 0.5)))
         if vgbd_samples:

@@ -3,9 +3,9 @@
 The paper assumes that "all auxiliary data structures in different methods
 ... are pre-computed and stored with graphs"; this subpackage provides that
 storage layer: a :class:`~repro.db.database.GraphDatabase` holding graphs
-together with their branch multisets and summary statistics, the columnar
-branch store the online stage reads, and a small query layer shared by the
-GBDA search and the baselines.
+together with the one columnar store of their branch multisets (what the
+online stage and the offline pair sampling read), and a small query layer
+shared by the GBDA search and the baselines.
 """
 
 from repro.db.database import GraphDatabase, StoredGraph

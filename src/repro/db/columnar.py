@@ -42,26 +42,35 @@ k-th score) at most ``k`` scored ones, so on the ``native`` backend — one C
 call each — neither pruned-out candidates nor a ``D``-length row ever reach
 NumPy.
 
-Incremental additions go through an **append buffer**: :meth:`append` /
-:meth:`extend` are ``O(|branches|)`` bookkeeping with no Python statement per
-posting — a batch's key ids are one ``map`` of the vocabulary's subscript
-over its branch keys (which learns each unseen key once, on first sight) and
-each pending buffer is extended once — and :meth:`compact`,
-run lazily by the next read, is the one place a write is paid for.  It takes
-the previous published snapshot and produces the next in one linear pass: the
-new rows are interleaved into their order's range, old positions go through
-one monotone shift table, and each key's pending postings are merged into its
-sorted segment.  Only the new rows are sorted (by order).  A bulk load of
-``k`` graphs costs one compaction, not ``k`` (see
-:meth:`~repro.db.database.GraphDatabase.add_many`).
+The store is written by its database alone
+(:meth:`~repro.db.database.GraphDatabase.add_many`): a row is one graph's
+branch multiset, its row number is the graph's id, and its ``|V_G|`` is the
+multiset's size (one branch per vertex).  Additions go through an **append
+buffer**: :meth:`extend` is ``O(|branches|)`` bookkeeping with no Python
+statement per posting — a batch's key ids are one ``map`` of the
+vocabulary's subscript over its branch keys (which learns each unseen key
+once, on first sight) and each pending buffer is extended once — and
+:meth:`compact`, run lazily by the next read, is the one place a write is
+paid for.  It takes the previous published snapshot and produces the next in
+one linear pass: the new rows are interleaved into their order's range, old
+positions go through one monotone shift table, and each key's pending
+postings are merged into its sorted segment.  Only the new rows are sorted
+(by order).  A bulk load of ``k`` graphs costs one compaction, not ``k``.
+
+The same pass keeps the pending postings, which arrive row by row, as the
+next chunk of a **row-major copy** by graph id (postings per row, key ids,
+counts): what the offline stage reads to compute the GBDs of sampled graph
+pairs (:meth:`branch_distances`, which joins the chunks) without a per-graph
+multiset anywhere.  A write pays O(p) for it, never a copy of the rows
+before it.
 
 Concurrency: queries may run from several threads sharing one engine (the
 serving executor with ``num_workers > 1``), so everything a read needs — CSR
 arrays, row vectors, order ranges — is published as one snapshot record
 swapped behind a compaction lock, and readers operate on one snapshot for
 the whole query — a query racing a compaction sees either the pre-add or
-post-add postings, never a torn mix.  Mutation (:meth:`append` /
-:meth:`extend`) takes the same lock.
+post-add postings, never a torn mix.  Mutation (:meth:`extend`) takes the
+same lock.
 """
 
 from __future__ import annotations
@@ -70,7 +79,7 @@ import threading
 from collections import Counter
 from itertools import chain, compress, repeat
 from operator import gt
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -147,6 +156,11 @@ _EMPTY_CSR: _Csr = (
     np.empty(0, dtype=np.int32),
     0,
 )
+
+
+#: Consecutive rows of the row-major copy by graph id: (postings per row,
+#: key ids, counts), the postings row after row.
+_Rows = Tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
 #: What :meth:`ColumnarBranchStore.view` returns and a pinned read passes back:
@@ -228,7 +242,7 @@ def sparse_row_budget(matched_postings: int, num_rows: int) -> int:
 class ColumnarBranchStore:
     """CSR branch-key postings with an append buffer and lazy compaction."""
 
-    def __init__(self, entries: Iterable = (), *, backend: str = "auto") -> None:
+    def __init__(self, multisets: Iterable[Mapping] = (), *, backend: str = "auto") -> None:
         #: Resolved kernel backend name (``"numpy"`` or ``"native"``) — the
         #: requested name is resolved once here, so an explicitly requested
         #: but unbuildable ``"native"`` fails at construction, loudly.
@@ -245,11 +259,11 @@ class ColumnarBranchStore:
         self._max_count = 0
         # Everything a read needs, swapped atomically as one record.
         self._published = _Snapshot(_EMPTY_CSR, _EMPTY_I64, _EMPTY_I64)
-        # Append buffer: the rows appended since the last compaction, as
-        # parallel lists of (|V_G|, graph id), and their postings, as parallel
-        # lists of (key id, row number, count).
-        self._pending_orders: List[int] = []
-        self._pending_ids: List[int] = []
+        # The compacted postings again, row-major by graph id: one chunk of
+        # rows per compaction, joined when read (see branch_distances).
+        self._graph_rows: List[_Rows] = []
+        # Append buffer: the postings of the rows appended since the last
+        # compaction, as parallel lists of (key id, row number, count).
         self._pending_keys: List[int] = []
         self._pending_positions: List[int] = []
         self._pending_counts: List[int] = []
@@ -257,7 +271,7 @@ class ColumnarBranchStore:
         self._compact_lock = threading.Lock()
         #: Number of compaction passes performed (bulk-load tests pin this).
         self.num_compactions = 0
-        self.extend(entries)
+        self.extend(multisets)
 
     @property
     def _kernels(self):
@@ -285,61 +299,39 @@ class ColumnarBranchStore:
     # ------------------------------------------------------------------ #
     # mutation
     # ------------------------------------------------------------------ #
-    def append(self, entry) -> int:
-        """Buffer one :class:`~repro.db.database.StoredGraph`; return its row number.
+    def extend(self, multisets: Iterable[Mapping]) -> None:
+        """Buffer one row per branch multiset, under one acquisition of the compaction lock.
 
-        Row numbers count appended rows (``num_graphs`` before the call); the
-        row's position is decided by the compaction that publishes it.
-
-        O(|branches|) bookkeeping that leaves the published snapshot alone; the
-        next :meth:`compact` pays for the write.  Runs under the compaction lock
-        so a reader-triggered merge never sees a half-written buffer entry.
-        """
-        with self._compact_lock:
-            return self._extend((entry,))
-
-    def extend(self, entries: Iterable) -> None:
-        """Buffer several entries under one acquisition of the compaction lock."""
-        entries = list(entries)
-        with self._compact_lock:
-            self._extend(entries)
-
-    def _extend(self, entries) -> int:
-        """Buffer ``entries`` (lock held); return the row number of the first.
-
+        The rows take the next row numbers (``num_graphs`` onwards), which
+        are their graphs' ids.  O(|branches|) bookkeeping that leaves the
+        published snapshot alone; the next :meth:`compact` pays for the write.
         No Python statement runs per posting: the one pass that maps keys to
         ids learns each unseen key once, in order of first appearance (its cap
         starts at 1), and the loop below visits only multiplicities above 1 —
         at least 1 each, so only those can raise a cap.
         """
-        first = self._num_rows
-        rows = first + len(entries)
-        self._pending_ids += [entry.graph_id for entry in entries]
-        self._pending_orders += [entry.num_vertices for entry in entries]
-        multisets = [entry.branches for entry in entries]
-        keys = list(chain.from_iterable(multisets))
-        counts = list(chain.from_iterable(map(dict.values, multisets)))
-        key_ids = list(map(self._key_ids.__getitem__, keys))
-        caps = self._key_ids.caps
-        for key_id, count in compress(zip(key_ids, counts), map(gt, counts, repeat(1))):
-            if count > caps[key_id]:
-                caps[key_id] = int(count)
-        self._pending_keys += key_ids
-        self._pending_positions += chain.from_iterable(
-            map(repeat, range(first, rows), map(len, multisets))
-        )
-        self._pending_counts += counts
-        self._num_rows = rows
-        self._caps_cache = None
-        return first
+        multisets = list(multisets)
+        with self._compact_lock:
+            first = self._num_rows
+            rows = first + len(multisets)
+            keys = list(chain.from_iterable(multisets))
+            counts = list(chain.from_iterable(map(dict.values, multisets)))
+            key_ids = list(map(self._key_ids.__getitem__, keys))
+            caps = self._key_ids.caps
+            for key_id, count in compress(zip(key_ids, counts), map(gt, counts, repeat(1))):
+                if count > caps[key_id]:
+                    caps[key_id] = int(count)
+            self._pending_keys += key_ids
+            self._pending_positions += chain.from_iterable(
+                map(repeat, range(first, rows), map(len, multisets))
+            )
+            self._pending_counts += counts
+            self._num_rows = rows
+            self._caps_cache = None
 
     def _is_compacted(self) -> bool:
-        """Whether the published snapshot already covers every appended row.
-
-        Every pending posting belongs to a pending row, and a key new to the
-        vocabulary always arrives with a pending posting.
-        """
-        return not self._pending_orders
+        """Whether the published snapshot already covers every appended row."""
+        return self._num_rows == self._published.csr[3]
 
     def compact(self) -> bool:
         """Publish the next snapshot if anything was appended; return whether work was done.
@@ -356,7 +348,10 @@ class ColumnarBranchStore:
         * each key's old posting segment, its positions sent through the
           shift, moves by the room the keys before it grew, and its pending
           postings — visited by new position — are merged into it, so
-          segments stay sorted by position.
+          segments stay sorted by position;
+        * the pending postings, as they arrived, become the next chunk of the
+          row-major copy (:meth:`branch_distances`): arrival order is graph-id
+          order.
 
         The result is the layout a store built in one go over the same rows
         has (a stable sort of every row by order).  The pass runs in the
@@ -378,7 +373,13 @@ class ColumnarBranchStore:
                 return False  # another thread compacted while we waited
             previous = self._published
             old_rows, num_rows = previous.csr[3], self._num_rows
-            added = np.asarray(self._pending_orders, dtype=np.int64)
+            # Pending postings come row by row in arrival order: a new row's
+            # |V_G| is the sum of its counts (one branch per vertex).
+            rows = np.asarray(self._pending_positions, dtype=np.int64) - old_rows
+            keys = np.asarray(self._pending_keys, dtype=np.int64)
+            counts = np.asarray(self._pending_counts, dtype=np.int64)
+            per_row = np.bincount(rows, minlength=num_rows - old_rows)
+            added = np.bincount(rows, weights=counts, minlength=len(per_row)).astype(np.int64)
             # New row i lands behind the old rows of an order <= its own and
             # the new rows sorted before it; an old row moves by the new rows
             # that land at or before it.
@@ -394,32 +395,26 @@ class ColumnarBranchStore:
             orders[placed] = added
             global_ids = np.empty(num_rows, dtype=np.int64)
             global_ids[shift] = previous.global_ids
-            global_ids[placed] = self._pending_ids
+            global_ids[placed] = np.arange(old_rows, num_rows)
 
-            # Pending postings come row by row in arrival order; visit the rows
-            # by new position instead, so each key's postings ascend.
-            rows = np.asarray(self._pending_positions, dtype=np.int64) - old_rows
-            per_row = np.bincount(rows, minlength=len(added))
+            # Visit the new rows by position instead, so each key's postings ascend.
             first, run = (np.cumsum(per_row) - per_row)[by_order], per_row[by_order]
             visit = np.repeat(first - (np.cumsum(run) - run), run) + np.arange(len(rows))
-            pending = (
-                np.asarray(self._pending_keys, dtype=np.int64)[visit],
-                placed[rows[visit]],
-                np.asarray(self._pending_counts, dtype=np.int64)[visit],
-            )
-            del rows, visit  # the largest temporaries of a bulk load
+            pending = (keys[visit], placed[rows[visit]], counts[visit])
             self._max_count = int(pending[2].max(initial=self._max_count))
+            count_dtype = np.int32 if self._max_count <= _COUNT_DTYPE_LIMIT else np.int64
+            key_dtype = np.int32 if len(self._key_ids) <= _POSITION_DTYPE_LIMIT else np.int64
+            self._graph_rows.append((per_row, keys.astype(key_dtype), counts.astype(count_dtype)))
+            del rows, visit, keys, counts  # the largest temporaries of a bulk load
             arrays = self._kernels.merge_postings(
                 previous.csr,
                 pending,
                 len(self._key_ids),
                 shift,
                 np.int32 if num_rows <= _POSITION_DTYPE_LIMIT else np.int64,
-                np.int32 if self._max_count <= _COUNT_DTYPE_LIMIT else np.int64,
+                count_dtype,
             )
             self._published = _Snapshot((*arrays, num_rows), orders, global_ids)
-            self._pending_orders = []
-            self._pending_ids = []
             self._pending_keys = []
             self._pending_positions = []
             self._pending_counts = []
@@ -497,6 +492,43 @@ class ColumnarBranchStore:
         start, end = int(offsets[key_id]), int(offsets[key_id + 1])
         ids = snapshot.global_ids[positions[start:end]]
         return sorted(zip(ids.tolist(), counts[start:end].tolist()))
+
+    def branch_distances(self, pairs: Sequence[Tuple[int, int]]) -> List[int]:
+        """``GBD`` (Definition 4) of each ``(i, j)`` pair of graph ids, self-pairs included.
+
+        Read off the row-major copy (its chunks joined into one first, under
+        the compaction lock): both rows of every pair are gathered,
+        tagged with their pair and sorted by ``(pair, key id)``, so a key the
+        two rows share is two adjacent entries; ``|B_i ∩ B_j|`` sums the
+        smaller counts of those, and ``|V|`` of a row is the sum of its counts.
+        Vectorized over all pairs — the offline stage's sampled pairs cost a
+        gather and one sort, with no per-graph multiset anywhere.
+        """
+        self.compact()
+        with self._compact_lock:
+            if len(self._graph_rows) > 1:
+                self._graph_rows[:] = [tuple(map(np.concatenate, zip(*self._graph_rows)))]
+            per_row, keys, counts = self._graph_rows[0] if self._graph_rows else (_EMPTY_I64,) * 3
+        offsets = np.concatenate(([0], np.cumsum(per_row)))
+        sides = np.asarray(pairs, dtype=np.int64).reshape(-1)
+        num_pairs = len(sides) // 2
+        starts = offsets[sides]
+        lengths = offsets[sides + 1] - starts
+        side = np.repeat(np.arange(len(sides)), lengths)
+        gathered = np.repeat(starts - (np.cumsum(lengths) - lengths), lengths) + np.arange(len(side))
+        values = counts[gathered].astype(np.int64)
+        orders = np.bincount(side, weights=values, minlength=len(sides)).astype(np.int64)
+        width = max(len(self._key_ids), 1)
+        tagged = (side // 2) * width + keys[gathered]
+        by_key = np.argsort(tagged)
+        tagged, values = tagged[by_key], values[by_key]
+        shared = np.flatnonzero(tagged[1:] == tagged[:-1])
+        intersections = np.bincount(
+            tagged[shared] // width,
+            weights=np.minimum(values[shared], values[shared + 1]),
+            minlength=num_pairs,
+        ).astype(np.int64)
+        return (np.maximum(orders[0::2], orders[1::2]) - intersections).tolist()
 
     def _match(self, query_branches: Counter, csr: _Csr) -> Tuple[np.ndarray, np.ndarray, int]:
         """The vocabulary pass of a read: ``(key_ids, query_counts, matched_total)``.

@@ -8,10 +8,11 @@ paper's Table IV analysis:
   ``GaussianMixtureModel.fit(backend="numpy")``; responsibilities, M-step
   and log-likelihood as array operations over all samples at once, same
   seeding/convergence semantics as the scalar path (parity within 1e-9);
-* :class:`~repro.offline.fitter.OfflineFitter` — subscribes to the
-  database's add-hook, accumulates newly reachable GBD samples, and refits
-  the priors incrementally; each refit bumps the model version and can be
-  persisted as a stamped serving snapshot.
+* :class:`~repro.offline.fitter.OfflineFitter` — reads the graphs added to
+  the database since its last fit (``database[fitted_revision:]``), samples
+  their GBDs off the database's branch store, and refits the priors
+  incrementally; each refit bumps the model version and can be persisted as
+  a stamped serving snapshot.
 
 Quickstart
 ----------

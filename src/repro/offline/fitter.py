@@ -7,11 +7,10 @@ addition silently mis-describes the population after it.
 :class:`OfflineFitter` closes that gap:
 
 * :meth:`fit` runs the full offline stage once (pair GBDs read off the
-  database's stored branch multisets, vectorized EM) and keeps the sampled
-  GBD list;
-* the fitter subscribes to the database's add-hook, accumulating every
-  graph added afterwards;
-* :meth:`refit` samples pairs that connect the *new* graphs to the rest of
+  database's branch store, vectorized EM), keeps the sampled GBD list and
+  records the database revision it covers;
+* :meth:`refit` takes the graphs added since that revision
+  (``database[fitted_revision:]``), samples pairs that connect them to the rest of
   the database, appends their GBDs to the retained sample list, refits the
   GMM over the combined samples, extends the Jeffreys grid with any
   previously unseen extended orders (:meth:`GEDPrior.update` — existing
@@ -35,9 +34,9 @@ from pathlib import Path
 from typing import List, Optional
 
 from repro.core.estimator import GBDAEstimator
-from repro.core.gbd_prior import GBDPrior, _pair_gbds
+from repro.core.gbd_prior import GBDPrior
 from repro.core.ged_prior import GEDPrior
-from repro.db.database import GraphDatabase, StoredGraph
+from repro.db.database import GraphDatabase
 from repro.exceptions import SearchError
 from repro.obs.metrics import get_registry
 
@@ -84,7 +83,7 @@ class OfflineFitter:
     Parameters
     ----------
     database:
-        The live graph database; the fitter subscribes to its add-hook.
+        The live graph database; :meth:`refit` folds in what was added to it.
     max_tau, num_prior_pairs, num_gmm_components, seed:
         As in :class:`~repro.core.search.GBDASearch`.
     backend:
@@ -122,19 +121,6 @@ class OfflineFitter:
         self.fitted_revision = -1
         self.last_report = OfflineFitReport()
         self._samples: List[int] = []
-        self._pending: List[StoredGraph] = []
-        database.subscribe(self._on_graph_added)
-
-    # ------------------------------------------------------------------ #
-    # database hook
-    # ------------------------------------------------------------------ #
-    def _on_graph_added(self, entry: StoredGraph) -> None:
-        self._pending.append(entry)
-
-    def __setstate__(self, state):
-        # The database sheds weakly-held subscribers on pickling; re-register.
-        self.__dict__.update(state)
-        self.database.subscribe(self._on_graph_added)
 
     @property
     def is_fitted(self) -> bool:
@@ -144,7 +130,7 @@ class OfflineFitter:
     @property
     def num_pending(self) -> int:
         """Graphs added since the last (re)fit and not yet sampled."""
-        return len(self._pending)
+        return len(self.database) - max(self.fitted_revision, 0)
 
     @property
     def is_stale(self) -> bool:
@@ -155,18 +141,22 @@ class OfflineFitter:
         if not self.is_fitted:
             raise SearchError("OfflineFitter.fit must be called before this operation")
 
+    def _unfitted_gbd_prior(self) -> GBDPrior:
+        return GBDPrior(
+            num_components=self.num_gmm_components,
+            num_pairs=self.num_prior_pairs,
+            seed=self.seed,
+            backend=self.backend,
+        )
+
     # ------------------------------------------------------------------ #
     # full offline stage
     # ------------------------------------------------------------------ #
     def fit(self) -> "OfflineFitter":
         """Run the full offline stage (Step 1 of Algorithm 1) and return self."""
         start = time.perf_counter()
-        self.gbd_prior = GBDPrior(
-            num_components=self.num_gmm_components,
-            num_pairs=self.num_prior_pairs,
-            seed=self.seed,
-            backend=self.backend,
-        ).fit(self.database)
+        revision = self.database.revision
+        self.gbd_prior = self._unfitted_gbd_prior().fit(self.database)
         self._samples = list(self.gbd_prior.report.sampled_gbds)
 
         orders = sorted({entry.num_vertices for entry in self.database})
@@ -183,8 +173,7 @@ class OfflineFitter:
             self.database.num_edge_labels,
         )
         self.version += 1
-        self.fitted_revision = self.database.revision
-        self._pending.clear()
+        self.fitted_revision = revision
         self.last_report = OfflineFitReport(
             version=self.version,
             num_new_graphs=len(self.database),
@@ -212,11 +201,11 @@ class OfflineFitter:
         new extended orders, rebuilds the estimator and bumps the version.
         """
         self._require_fitted()
-        if not self._pending:
-            return False
         start = time.perf_counter()
-        new_entries, self._pending = self._pending, []
         entries = self.database.entries()
+        new_entries = entries[self.fitted_revision :]
+        if not new_entries:
+            return False
 
         # Deterministic per-version stream (integer-derived: string/tuple
         # hashes vary across processes), independent of the main seed's
@@ -232,17 +221,14 @@ class OfflineFitter:
             for j in _draw_partners(rng, population, entry.graph_id, partners):
                 pairs.append((entry.graph_id, j))
 
-        new_samples = _pair_gbds(
-            [entry.num_vertices for entry in entries],
-            [entry.branches for entry in entries],
-            pairs,
-        )
-        self._samples.extend(new_samples)
-        self.gbd_prior.fit_from_samples(
-            self._samples, max_value=self.database.max_vertices
+        self._samples.extend(self.database.store.branch_distances(pairs))
+        orders = {entry.num_vertices for entry in entries}
+        # A new prior, not a refit of the old in place: engines built on the
+        # previous version keep reading the prior they were built with.
+        self.gbd_prior = self._unfitted_gbd_prior().fit_from_samples(
+            self._samples, max_value=max(orders)
         )
 
-        orders = {entry.num_vertices for entry in self.database}
         if (
             self.ged_prior.num_vertex_labels != self.database.num_vertex_labels
             or self.ged_prior.num_edge_labels != self.database.num_edge_labels
@@ -265,7 +251,7 @@ class OfflineFitter:
             self.database.num_edge_labels,
         )
         self.version += 1
-        self.fitted_revision = self.database.revision
+        self.fitted_revision = len(entries)
         self.last_report = OfflineFitReport(
             version=self.version,
             num_new_graphs=len(new_entries),

@@ -42,10 +42,9 @@ def query_cache_key(
     (``None`` for thresholded answers), and the *state* the answer was
     computed against: the database ``revision`` and the offline
     ``model_version``.  A GBDA answer is only determined by the query triple
-    *given* those two; keying them in means an engine copy that lost its
-    add-hook (e.g. an unpickled copy whose database grew via ``add_many``)
-    can never serve a stale pre-add result set — the key simply stops
-    matching.
+    *given* those two; keying them in means an engine whose database grew via
+    ``add_many`` never serves a stale pre-add result set — the key simply
+    stops matching, and no hook has to clear the cache.
     """
     return (
         frozenset(query_branches.items()),

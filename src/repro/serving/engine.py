@@ -29,9 +29,10 @@ tables are filled by the very same :meth:`GBDAEstimator.posterior`
 evaluations.
 
 Repeated queries are served from an optional LRU result cache
-(:class:`~repro.serving.cache.QueryResultCache`), and the engine stays
-consistent with incremental database additions through the database's
-subscription hook.
+(:class:`~repro.serving.cache.QueryResultCache`).  The engine stays
+consistent with incremental database additions without being told of them:
+it reads the database's own store, and cache keys carry the database
+revision, so an answer cached before an addition simply stops matching.
 """
 
 from __future__ import annotations
@@ -109,11 +110,10 @@ class BatchQueryEngine:
         without scoring, exactly as the pruning search variant does —
         :meth:`from_search` propagates the search's setting so engine
         answers stay identical to the wrapped search either way.
-    kernel_backend:
-        Columnar kernel backend of the engine's branch store: ``"auto"``
-        (default — the compiled backend when buildable, numpy otherwise),
-        ``"numpy"``, or ``"native"`` (hard error when unbuildable).  See
-        :mod:`repro.db.kernels`; answers are bit-identical across backends.
+
+    The kernel backend is the database's
+    (:class:`~repro.db.database.GraphDatabase` ``kernel_backend``): one
+    store, one backend.
     """
 
     method_name = "GBDA"
@@ -127,7 +127,6 @@ class BatchQueryEngine:
         cache_size: Optional[int] = 256,
         keep_scores: str = "accepted",
         use_index_pruning: bool = False,
-        kernel_backend: str = "auto",
     ) -> None:
         if len(database) == 0:
             raise ServingError("cannot serve queries over an empty database")
@@ -140,41 +139,19 @@ class BatchQueryEngine:
         self.max_tau = int(max_tau)
         self.keep_scores = keep_scores
         self.use_index_pruning = bool(use_index_pruning)
-        self.kernel_backend = str(kernel_backend)
         self.cache_size = int(cache_size) if cache_size else 0
         self.cache: Optional[QueryResultCache] = (
             QueryResultCache(self.cache_size) if self.cache_size else None
         )
-        # The shared execution core: columnar branch store (subscribed to
-        # the database's add-hook, built here) plus the (τ̂, |V'1|) posterior
-        # tables.
+        # The shared execution core: it reads the database's branch store and
+        # holds the (τ̂, |V'1|) posterior tables.
         self._core = ExecutionCore(
-            database,
-            estimator,
-            max_tau=self.max_tau,
-            error_class=ServingError,
-            kernel_backend=self.kernel_backend,
+            database, estimator, max_tau=self.max_tau, error_class=ServingError
         )
-        self._core.store
         #: Version of the offline model serving the answers.  0 for an
         #: engine built directly from a search; the incremental
         #: OfflineFitter bumps it on every refit so snapshots are ordered.
         self.model_version: int = 0
-        # Cached answers are scoped to the database contents: adding graphs
-        # must drop them or the cache would keep serving pre-add result
-        # sets.  The batched hook clears once per bulk load.
-        database.subscribe(self._on_graphs_added, batched=True)
-
-    def _on_graphs_added(self, entries) -> None:
-        if self.cache is not None:
-            self.cache.clear()
-
-    def __setstate__(self, state):
-        # Like ExecutionCore.__setstate__: the database sheds its weakly held
-        # subscribers on pickling, so re-register the cache invalidation hook
-        # in the unpickled copy.
-        self.__dict__.update(state)
-        self.database.subscribe(self._on_graphs_added, batched=True)
 
     # ------------------------------------------------------------------ #
     # construction helpers
@@ -196,11 +173,11 @@ class BatchQueryEngine:
     def active_kernel_backend(self) -> str:
         """The *resolved* kernel backend name (``"numpy"`` or ``"native"``).
 
-        May differ from the configured :attr:`kernel_backend` when that is
-        ``"auto"``, or when a snapshot configured for the native backend is
+        May differ from the database's configured ``kernel_backend`` when that
+        is ``"auto"``, or when a snapshot configured for the native backend is
         restored on a machine that cannot build it.
         """
-        return self._core.store.backend
+        return self.database.store.backend
 
     # ------------------------------------------------------------------ #
     # posterior lookup tables (delegated to the execution core)

@@ -1,12 +1,14 @@
 """Versioned on-disk snapshots of a fitted serving engine.
 
-A snapshot captures everything the online stage needs — the database graphs
-with their pre-computed branch multisets, the GMM parameters of the GBD
-prior (Λ2) and the Jeffreys GED-prior grid (Λ3) — so a server process can
-:func:`load_engine` in milliseconds instead of re-running the offline
-``fit()`` (pair sampling + EM + Jeffreys grid).  Posterior lookup tables are
-not stored: they cost milliseconds to rebuild from the priors, and rebuilt
-they are the very floats ``query_reference`` computes on the loaded engine.
+A snapshot captures everything the online stage needs — the database graphs,
+the GMM parameters of the GBD prior (Λ2) and the Jeffreys GED-prior grid
+(Λ3) — so a server process can :func:`load_engine` in milliseconds instead
+of re-running the offline ``fit()`` (pair sampling + EM + Jeffreys grid).
+Neither branch multisets nor posterior lookup tables are stored: the loader
+re-extracts the branches with one ``add_many`` (the store then holds what
+the graphs say, whatever a file claims), and the tables cost milliseconds to
+rebuild from the priors — rebuilt, they are the very floats
+``query_reference`` computes on the loaded engine.
 
 The payload is a plain dict of built-in types serialized with :mod:`pickle`
 behind a ``(format, version)`` header; :func:`load_engine` refuses files
@@ -33,11 +35,9 @@ import hashlib
 import os
 import pickle
 import struct
-from collections import Counter
 from pathlib import Path
 from typing import Union
 
-from repro.core.branches import branch_multiset
 from repro.core.estimator import GBDAEstimator
 from repro.core.gbd_prior import GBDPrior
 from repro.core.ged_prior import GEDPrior
@@ -57,10 +57,12 @@ SNAPSHOT_FORMAT = "repro.serving.engine-snapshot"
 #: (configured, not resolved — a snapshot built where the native kernels
 #: compile must still load on a machine without a toolchain, so ``"auto"``
 #: re-resolves per host); version 5 drops the v1–v4 ``posterior_tables``,
-#: which loading ignores (an older Λ1 may differ in the last ulp).  Older
-#: files are still readable — the new fields default to 0 / seed 0 /
-#: ``"auto"``.
-SNAPSHOT_VERSION = 5
+#: which loading ignores (an older Λ1 may differ in the last ulp); version 6
+#: drops each graph's ``branches`` record, which loading ignores in v1–v5
+#: files (a record that disagrees with its graph would be served as the
+#: graph's).  Older files are still readable — the new fields default to 0 /
+#: seed 0 / ``"auto"``.
+SNAPSHOT_VERSION = 6
 
 PathLike = Union[str, Path]
 
@@ -68,7 +70,7 @@ PathLike = Union[str, Path]
 #: ``sha256(payload) (32B) | payload length (8B big-endian) | magic (8B)``.
 #: The footer sits *after* the pickle stream, so files carrying it remain
 #: readable by any loader that simply unpickles from the front — and
-#: version 1–5 payloads round-trip through it unchanged.
+#: version 1–6 payloads round-trip through it unchanged.
 _FOOTER_MAGIC = b"RSNAPSUM"
 _FOOTER_STRUCT = struct.Struct(">32sQ8s")
 
@@ -130,19 +132,14 @@ def _verified_payload(blob: bytes, source: Path) -> bytes:
 
 def save_engine(engine: BatchQueryEngine, path: PathLike) -> Path:
     """Serialize a fitted :class:`BatchQueryEngine` to ``path``; return it."""
-    graphs = []
-    for entry in engine.database:
-        graphs.append(
-            {
-                "name": entry.graph.name,
-                "vertices": list(entry.graph.vertex_items()),
-                "edges": [(u, v, label) for u, v, label in entry.graph.edges()],
-                "branches": sorted(
-                    ((key, count) for key, count in entry.branches.items()),
-                    key=repr,
-                ),
-            }
-        )
+    graphs = [
+        {
+            "name": entry.graph.name,
+            "vertices": list(entry.graph.vertex_items()),
+            "edges": list(entry.graph.edges()),
+        }
+        for entry in engine.database
+    ]
     estimator = engine.estimator
     payload = {
         "format": SNAPSHOT_FORMAT,
@@ -158,7 +155,7 @@ def save_engine(engine: BatchQueryEngine, path: PathLike) -> Path:
             "cache_size": engine.cache_size,
             "keep_scores": engine.keep_scores,
             "use_index_pruning": engine.use_index_pruning,
-            "kernel_backend": getattr(engine, "kernel_backend", "auto"),
+            "kernel_backend": engine.database.kernel_backend,
         },
     }
     destination = Path(path)
@@ -200,19 +197,19 @@ def load_engine(path: PathLike) -> BatchQueryEngine:
             f"(this build reads versions 1..{SNAPSHOT_VERSION})"
         )
 
-    database = GraphDatabase(name=payload["database"]["name"])
-    for record in payload["database"]["graphs"]:
-        graph = Graph.from_dicts(
-            dict(record["vertices"]),
-            {(u, v): label for u, v, label in record["edges"]},
-            name=record["name"],
-        )
-        branches = Counter(dict(record["branches"]))
-        if sum(branches.values()) != graph.num_vertices:
-            # The stored multiset is inconsistent with the graph (one branch
-            # per vertex by construction) — fall back to re-extraction.
-            branches = branch_multiset(graph)
-        database.add(graph, branches=branches)
+    config = payload["engine"]
+    database = GraphDatabase(
+        (
+            Graph.from_dicts(
+                dict(record["vertices"]),
+                {(u, v): label for u, v, label in record["edges"]},
+                name=record["name"],
+            )
+            for record in payload["database"]["graphs"]
+        ),
+        name=payload["database"]["name"],
+        kernel_backend=config.get("kernel_backend", "auto"),
+    )
 
     gbd_prior = GBDPrior.from_state(payload["gbd_prior"])
     ged_prior = GEDPrior.from_state(payload["ged_prior"])
@@ -222,7 +219,6 @@ def load_engine(path: PathLike) -> BatchQueryEngine:
         payload["num_vertex_labels"],
         payload["num_edge_labels"],
     )
-    config = payload["engine"]
     engine = BatchQueryEngine(
         database,
         estimator,
@@ -230,7 +226,6 @@ def load_engine(path: PathLike) -> BatchQueryEngine:
         cache_size=config["cache_size"] or None,
         keep_scores=config["keep_scores"],
         use_index_pruning=config.get("use_index_pruning", False),
-        kernel_backend=config.get("kernel_backend", "auto"),
     )
     engine.model_version = int(payload.get("model_version", 0))
     return engine

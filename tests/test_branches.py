@@ -297,9 +297,8 @@ class TestExtractionCountGuards:
         for graph in graphs:
             SimilarityQuery(graph.copy(), 1).branches()  # the read path
         assert calls == []
-        assert [entry.branches for entry in database][20:] == [
-            entry.branches for entry in database
-        ][:20]
+        # Each copy's row equals its original's: GBD 0, pair by pair.
+        assert database.store.branch_distances([(i, i + 20) for i in range(20)]) == [0] * 20
         unseen = Graph.from_dicts(*_star("never seen", ["q", "p"]))
         assert database.add(unseen) == 40 and calls  # a new neighbourhood is sorted, once
         del calls[:]
@@ -310,7 +309,7 @@ class TestExtractionCountGuards:
         one = Graph.from_dicts(*_star("A", ["x", "y", "x"]))
         other = Graph.from_dicts(*_star("A", ["y", "x", "x"]))  # same branch, stored differently
         database = GraphDatabase([one, other])
-        held = [{key: key for key in database[graph_id].branches} for graph_id in (0, 1)]
+        held = [{key: key for key in branch_multiset(database[i].graph)} for i in (0, 1)]
         for key in (("A", ("x", "x", "y")), ("leaf", ("x",)), ("leaf", ("y",))):
             assert held[0][key] is held[1][key]
 

@@ -71,7 +71,8 @@ def _queries(stored, seed):
     ]
 
 
-def _fit(database):
+def _fit(graphs, backend):
+    database = GraphDatabase(graphs, kernel_backend=backend)
     return GBDASearch(database, max_tau=2, num_prior_pairs=60, seed=3).fit()
 
 
@@ -106,8 +107,8 @@ def _check(search, core, queries):
             assert core.execute_topk(query, k) == _ranking(posteriors, k)
 
 
-def _core(database, search, backend):
-    return ExecutionCore(database, search.estimator, max_tau=2, kernel_backend=backend)
+def _core(search):
+    return ExecutionCore(search.database, search.estimator, max_tau=2)
 
 
 def _positions_are_not_ids(core):
@@ -119,8 +120,8 @@ def _positions_are_not_ids(core):
 
 def test_sizes_arriving_in_descending_order(backend):
     graphs = sorted(_graphs(40, seed=11), key=lambda graph: -graph.num_vertices)
-    search = _fit(GraphDatabase(graphs))
-    core = _core(search.database, search, backend)
+    search = _fit(graphs, backend)
+    core = _core(search)
     _check(search, core, _queries(graphs, seed=12))
     _positions_are_not_ids(core)
     # Within one order arrival decides, so each range's ids ascend.
@@ -134,17 +135,16 @@ def test_sizes_arriving_in_descending_order(backend):
 def test_sizes_arriving_shuffled(backend):
     graphs = _graphs(40, seed=21)
     random.Random(22).shuffle(graphs)
-    search = _fit(GraphDatabase(graphs))
-    core = _core(search.database, search, backend)
+    search = _fit(graphs, backend)
+    core = _core(search)
     _check(search, core, _queries(graphs, seed=23))
     _positions_are_not_ids(core)
 
 
 def test_a_read_between_two_interleaving_add_many(backend):
     graphs = _graphs(30, seed=41, low=5, high=8)
-    database = GraphDatabase(graphs)
-    search = _fit(database)
-    core = _core(database, search, backend)
+    search = _fit(graphs, backend)
+    database, core = search.database, _core(search)
     queries = _queries(graphs, seed=42)
     _check(search, core, queries)
     # Below and above every stored size, then among them: the second batch
@@ -162,9 +162,8 @@ def test_a_read_between_two_interleaving_add_many(backend):
 
 def test_single_adds_between_reads(backend):
     graphs = _graphs(20, seed=61, low=6, high=9)
-    database = GraphDatabase(graphs)
-    search = _fit(database)
-    core = _core(database, search, backend)
+    search = _fit(graphs, backend)
+    database, core = search.database, _core(search)
     queries = _queries(graphs, seed=62)
     _check(search, core, queries)
     # One graph at a time with a read after each: a size below the stored
@@ -224,7 +223,7 @@ def test_a_sparse_plan_reads_only_its_eligible_ranges_and_builds_nothing_d_long(
     """
     monkeypatch.setattr(columnar, "sparse_row_budget", lambda postings, rows: rows)
     entries = _entries(600, seed=51)
-    store = ColumnarBranchStore(entries, backend=name)
+    store = ColumnarBranchStore([entry.branches for entry in entries], backend=name)
     csr, orders, global_ids = store.view()
     distinct, bounds = store.order_ranges()
     query = Counter({("k", 1): 2, ("k", 4): 1, ("k", 6): 1})
@@ -235,7 +234,7 @@ def test_a_sparse_plan_reads_only_its_eligible_ranges_and_builds_nothing_d_long(
 
     poisoned_counts = csr[2].copy()
     poisoned_counts[~eligible_rows[csr[1]]] = 0
-    poisoned = ColumnarBranchStore(entries, backend=name)
+    poisoned = ColumnarBranchStore([entry.branches for entry in entries], backend=name)
     poisoned.compact()
     poisoned._published = _Snapshot(
         (csr[0], csr[1], poisoned_counts, csr[3]), orders, global_ids

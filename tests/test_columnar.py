@@ -45,7 +45,7 @@ def backend(request):
 @pytest.fixture
 def make_store(backend):
     def make(entries=()):
-        return ColumnarBranchStore(entries, backend=backend)
+        return ColumnarBranchStore(map(branches_of, entries), backend=backend)
 
     return make
 
@@ -68,23 +68,17 @@ def _queries(num, seed):
     ]
 
 
-def _appendable(store, entry):
-    """Re-id a database entry so it can be appended to ``store``."""
-    return type(entry)(
-        graph_id=store.num_graphs,
-        graph=entry.graph,
-        branches=entry.branches,
-        num_vertices=entry.num_vertices,
-        num_edges=entry.num_edges,
-    )
-
-
 def _fake_entry(graph_id, branches):
-    """A store entry with no graph behind it: id, multiset and |V| are all a store reads."""
+    """An entry with no graph behind it: a store row is its multiset, |V| its size."""
     branches = Counter(branches)
     return SimpleNamespace(
         graph_id=graph_id, branches=branches, num_vertices=sum(branches.values())
     )
+
+
+def branches_of(entry):
+    """The branch multiset of a database entry (extracted) or of a fake entry (its own)."""
+    return entry.branches if isinstance(entry, SimpleNamespace) else branch_multiset(entry.graph)
 
 
 def gbd_row(store, num_query_vertices, branches):
@@ -162,16 +156,16 @@ class TestCsrLayout:
         store = make_store(random_database)
         store.compact()
         assert store.num_graphs == len(random_database)
-        distinct = {key for entry in random_database for key in entry.branches}
+        distinct = {key for entry in random_database for key in branches_of(entry)}
         assert store.num_keys == len(distinct)
         assert store.num_postings == sum(
-            len(entry.branches) for entry in random_database
+            len(branches_of(entry)) for entry in random_database
         )
 
     def test_postings_match_database_and_stay_sorted(self, random_database, make_store):
         store = make_store(random_database)
         for entry in random_database:
-            for key, count in entry.branches.items():
+            for key, count in branches_of(entry).items():
                 postings = store.postings(key)
                 assert (entry.graph_id, count) in postings
                 ids = [graph_id for graph_id, _count in postings]
@@ -197,9 +191,8 @@ class TestAppendBufferCompaction:
         store.compact()
         before = store.num_compactions
         extras = _queries(5, seed=3)
-        entries = GraphDatabase(extras)
-        for entry in entries:
-            store.append(_appendable(store, entry))
+        for graph in extras:
+            store.extend([branch_multiset(graph)])
         # five appends buffered, still zero extra compactions
         assert store.num_compactions == before
         store.intersection_row(branch_multiset(extras[0]))  # any read compacts
@@ -214,8 +207,7 @@ class TestAppendBufferCompaction:
         store = make_store(incremental)
         store.compact()
         for graph in graphs[10:]:
-            incremental.add(graph)
-            store.append(incremental[len(incremental) - 1])
+            store.extend([branch_multiset(graph)])
         bulk_store = make_store(GraphDatabase(graphs, name="bulk"))
         for query in _queries(5, seed=9):
             branches = branch_multiset(query)
@@ -254,16 +246,16 @@ class TestAppendBufferCompaction:
         )
         known = set(store._key_ids)
         batch = entries[10:] + [_fake_entry(40, {("new", ()): 3}), _fake_entry(41, {("new", ()): 5})]
-        store.extend(batch)
+        store.extend(map(branches_of, batch))
         assert lock.entered == 1
-        fresh = {key for entry in batch for key in entry.branches} - known
+        fresh = {key for entry in batch for key in branches_of(entry)} - known
         assert len(fresh) > 1 and sorted(map(repr, learned)) == sorted(map(repr, fresh))
         assert len(learned) == len(set(learned))  # ("new", ()) came twice, was learned once
         caps = store.key_caps()
         assert caps[store._key_ids.get(("new", ()))] == 5  # the larger of its two postings
 
         del learned[:]
-        store.extend([_fake_entry(42 + offset, entry.branches) for offset, entry in enumerate(batch)])
+        store.extend(map(branches_of, batch))
         assert lock.entered == 2 and learned == []  # nothing new: the slow path is not touched
         reference = make_store(entries + batch[-2:] + batch)
         assert [array.tolist() for array in store.view()[0][:3]] == [
@@ -277,10 +269,10 @@ class TestAppendBufferCompaction:
         entries = list(random_database)
         entries += [_fake_entry(40, {("new", ()): 3}), _fake_entry(41, {("new", ()): 5, ("late", ()): 2})]
         bulk = make_store(entries[:5])
-        bulk.extend(entries[5:])
+        bulk.extend(map(branches_of, entries[5:]))
         single = make_store(entries[:5])
         for entry in entries[5:]:
-            single.append(entry)
+            single.extend([branches_of(entry)])
         assert list(bulk._key_ids.items()) == list(single._key_ids.items())
         assert bulk.key_caps().tolist() == single.key_caps().tolist()
         (bulk_csr, *bulk_rest), (single_csr, *single_rest) = bulk.view(), single.view()
@@ -302,16 +294,7 @@ class TestCompactionRegressions:
         """
         store = make_store(random_database)
         store.compact()
-        entry = random_database[0]
-        store.append(
-            type(entry)(
-                graph_id=store.num_graphs,
-                graph=None,
-                branches=Counter(),
-                num_vertices=0,
-                num_edges=0,
-            )
-        )
+        store.extend([Counter()])
         assert store.compact() is True  # must do work, not early-return
         csr, orders, global_ids = store.view()  # and view() must terminate
         assert csr[3] == len(orders) == len(global_ids) == len(random_database) + 1
@@ -339,7 +322,7 @@ class TestCompactionRegressions:
         )
         extras = GraphDatabase(_queries(4, seed=31))
         for entry in extras:
-            store.append(_appendable(store, entry))
+            store.extend([branches_of(entry)])
         # The next read compacts mid-stream; answers must match a store built
         # directly over the grown database (fresh caches by construction).
         grown = GraphDatabase(
@@ -379,7 +362,7 @@ class TestDtypeLayout:
         store.compact()
         assert store.view()[0][1].dtype == np.int64
         assert store.view()[0][2].dtype == np.int32  # counts unaffected
-        reference = ColumnarBranchStore(random_database, backend="numpy")
+        reference = ColumnarBranchStore(map(branches_of, random_database), backend="numpy")
         for query in _queries(6, seed=61):
             branches = branch_multiset(query)
             assert (
@@ -395,7 +378,7 @@ class TestDtypeLayout:
         store = make_store(database)
         store.compact()
         assert store.view()[0][2].dtype == np.int64
-        reference = ColumnarBranchStore(database, backend="numpy")
+        reference = ColumnarBranchStore(map(branches_of, database), backend="numpy")
         for query in [heavy] + _queries(4, seed=71):
             branches = branch_multiset(query)
             assert (
@@ -422,7 +405,7 @@ class TestVectorizedKernels:
             branches = branch_multiset(query)
             row = by_graph_id(store, store.intersection_row(branches))
             for entry in random_database:
-                expected = branch_intersection_size(branches, entry.branches)
+                expected = branch_intersection_size(branches, branches_of(entry))
                 assert row[entry.graph_id] == expected
 
     def test_gbd_row_matches_direct_gbd(self, random_database, make_store):
@@ -448,18 +431,6 @@ class TestVectorizedKernels:
                 key=lambda pair: (-pair[1], pair[0]),
             )
 
-    def test_a_store_of_later_entries_keeps_their_graph_ids(self, random_database, make_store):
-        entries = list(random_database)[12:]
-        store = make_store(entries)
-        _csr, orders, global_ids = store.view()
-        assert sorted(global_ids.tolist()) == [entry.graph_id for entry in entries]
-        assert orders.tolist() == [random_database[gid].num_vertices for gid in global_ids.tolist()]
-        for query in _queries(4, seed=19):
-            row = gbd_row(store, query.num_vertices, branch_multiset(query))
-            assert dict(zip(global_ids.tolist(), row.tolist())) == {
-                entry.graph_id: graph_branch_distance(query, entry.graph) for entry in entries
-            }
-
 
 class TestBoundKernels:
     """GBD lower bounds and the sparse (position-restricted) kernels."""
@@ -478,7 +449,7 @@ class TestBoundKernels:
         """A graph queried against itself must keep lb <= GBD = 0."""
         store = make_store(random_database)
         for entry in random_database:
-            bounds = store.gbd_lower_bound_row(entry.num_vertices, entry.branches)
+            bounds = store.gbd_lower_bound_row(entry.num_vertices, branches_of(entry))
             assert by_graph_id(store, bounds)[entry.graph_id] == 0
 
     def test_bounds_stay_sound_after_incremental_appends(self, random_database, make_store):
@@ -486,8 +457,7 @@ class TestBoundKernels:
         rng = random.Random(41)
         for _ in range(3):
             graph = random_labeled_graph(rng.randint(2, 14), rng.randint(1, 20), seed=rng)
-            entry = GraphDatabase([graph])[0]
-            store.append(entry)
+            store.extend([branch_multiset(graph)])
             for query in _queries(5, seed=rng.randint(0, 10_000)):
                 branches = branch_multiset(query)
                 bounds = store.gbd_lower_bound_row(query.num_vertices, branches)
@@ -498,7 +468,7 @@ class TestBoundKernels:
         caps = store.key_caps()
         expected = {}
         for entry in random_database:
-            for key, count in entry.branches.items():
+            for key, count in branches_of(entry).items():
                 expected[key] = max(expected.get(key, 0), count)
         assert {
             key: int(caps[key_id]) for key, key_id in store._key_ids.items()
@@ -625,7 +595,7 @@ class TestFusedFilterVerify:
         assert sparse[0] is not None and sparse[2:] == first[2:]
         # A write publishes a new snapshot, which has other rows to count.
         monkeypatch.undo()
-        store.append(_appendable(store, random_database[0]))
+        store.extend([branches_of(random_database[0])])
         assert read(thresholds)[3] == first[3] + 1
 
     def test_sparse_row_budget_reads_the_querys_own_postings(self):

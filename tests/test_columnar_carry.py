@@ -28,7 +28,7 @@ from hypothesis import HealthCheck, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
 
-from repro.core.plan import ExecutionCore
+from repro.core.branches import branch_multiset
 from repro.db import columnar
 from repro.db.columnar import ColumnarBranchStore, _Snapshot
 from repro.db.database import GraphDatabase
@@ -51,11 +51,16 @@ backend_params = [
 ]
 
 
-def _entry(position: int, branches: Counter):
-    """What ``append`` reads of a stored graph; one branch per vertex."""
+def _entry(graph_id: int, branches: Counter):
+    """A row as the tests hold it: the graph id, its multiset, |V| (one branch per vertex)."""
     return SimpleNamespace(
-        graph_id=1000 + position, num_vertices=sum(branches.values()), branches=branches
+        graph_id=graph_id, num_vertices=sum(branches.values()), branches=branches
     )
+
+
+def arrived(database):
+    """The database's graphs as rows: ids, extracted multisets and sizes."""
+    return [_entry(entry.graph_id, branch_multiset(entry.graph)) for entry in database]
 
 
 # Twelve keys: a stream keeps meeting keys new to the vocabulary for a while.
@@ -64,12 +69,6 @@ def _entry(position: int, branches: Counter):
 branch_sets = st.dictionaries(
     st.tuples(st.just("k"), st.integers(0, 11)), st.integers(1, 4), max_size=6
 ).map(Counter)
-
-
-def core_store(database, backend):
-    """The execution core's store over ``database`` (hold the core: the hook is weak)."""
-    core = ExecutionCore(database, None, max_tau=0, kernel_backend=backend)
-    return core, core.store
 
 
 def assert_layout_invariant(store: ColumnarBranchStore, entries) -> None:
@@ -148,19 +147,18 @@ class CarryMachine(RuleBasedStateMachine):
 
     def fresh(self) -> ColumnarBranchStore:
         """A store built from scratch over the same entries (the oracle)."""
-        return ColumnarBranchStore(self.entries, backend="numpy")
+        return ColumnarBranchStore([e.branches for e in self.entries], backend="numpy")
 
     @rule(branches=branch_sets)
     def append(self, branches):
-        entry = _entry(len(self.entries), branches)
-        assert self.store.append(entry) == len(self.entries)
-        self.entries.append(entry)
+        self.store.extend([branches])
+        self.entries.append(_entry(len(self.entries), branches))
+        assert self.store.num_graphs == len(self.entries)
 
     @rule(batch=st.lists(branch_sets, max_size=4))
     def extend(self, batch):
-        entries = [_entry(len(self.entries) + i, b) for i, b in enumerate(batch)]
-        self.store.extend(entries)
-        self.entries.extend(entries)
+        self.store.extend(batch)
+        self.entries += [_entry(len(self.entries) + i, b) for i, b in enumerate(batch)]
 
     @rule(
         places=st.lists(st.sampled_from(["below", "among", "above"]), min_size=1, max_size=4),
@@ -219,6 +217,17 @@ class CarryMachine(RuleBasedStateMachine):
                 store.intersection_row(q, view=view), fresh.intersection_row(q)
             )
         assert store.num_postings == sum(len(e.branches) for e in self.entries)
+
+    @rule(data=st.data())
+    def pair_distances(self, data):
+        """The row-major copy by graph id: pair GBDs across compactions and promotions."""
+        ids = st.integers(0, max(len(self.entries) - 1, 0))
+        pairs = data.draw(st.lists(st.tuples(ids, ids), max_size=6 if self.entries else 0))
+        rows = [(self.entries[i], self.entries[j]) for i, j in pairs]
+        assert self.store.branch_distances(pairs) == [
+            max(a.num_vertices, b.num_vertices) - sum((a.branches & b.branches).values())
+            for a, b in rows
+        ]
 
     @rule(
         queries=st.lists(branch_sets, min_size=1, max_size=3),
@@ -354,10 +363,10 @@ def snapshot_records(monkeypatch):
 def test_only_a_compaction_builds_a_snapshot_record(backend, snapshot_records, sparse_plan):
     """Writes interleave their rows; a read of the current snapshot builds no record."""
     graphs = _graphs(40, seed=3)
-    database = GraphDatabase(graphs)
-    core, store = core_store(database, backend)  # held: the hook is weak
+    database = GraphDatabase(graphs, kernel_backend=backend)
+    store = database.store
     query = _graphs(1, seed=5)[0]
-    branches = Counter(database[0].branches)
+    branches = branch_multiset(database[0].graph)
 
     def pruned_read():
         bars = np.full(len(store.order_ranges()[0]), 3, dtype=np.int64)
@@ -374,15 +383,15 @@ def test_only_a_compaction_builds_a_snapshot_record(backend, snapshot_records, s
     # The empty store's record, then one per compaction.
     assert snapshot_records == [0, 40, 47, 54, 61]
     assert store.num_compactions == 4
-    assert_layout_invariant(store, list(database))
+    assert_layout_invariant(store, arrived(database))
 
 
 @pytest.mark.parametrize("backend", backend_params)
 def test_a_snapshot_holds_the_csr_and_row_vectors_only(backend):
     """What a snapshot costs beyond its postings: two D-long vectors and the ranges."""
-    database = GraphDatabase(_graphs(30, seed=7))
-    core, store = core_store(database, backend)
-    branches = Counter(database[3].branches)
+    database = GraphDatabase(_graphs(30, seed=7), kernel_backend=backend)
+    store = database.store
+    branches = branch_multiset(database[3].graph)
     for batch in range(3):
         store.intersection_row(branches)
         verified_rows(store, 5, branches, np.full(len(store.order_ranges()[0]), 3))
@@ -402,9 +411,9 @@ def test_a_snapshot_holds_the_csr_and_row_vectors_only(backend):
 @pytest.mark.parametrize("backend", backend_params)
 def test_superseded_snapshot_arrays_are_released(backend, sparse_plan):
     """A write stream must not keep every old snapshot's postings alive."""
-    database = GraphDatabase(_graphs(40, seed=13))
-    core, store = core_store(database, backend)
-    branches = Counter(database[2].branches)
+    database = GraphDatabase(_graphs(40, seed=13), kernel_backend=backend)
+    store = database.store
+    branches = branch_multiset(database[2].graph)
 
     def pruned_read():
         view = csr, orders, global_ids = store.view()
@@ -425,8 +434,8 @@ def test_superseded_snapshot_arrays_are_released(backend, sparse_plan):
 
 @pytest.mark.parametrize("backend", backend_params)
 def test_pickle_ships_csr_and_row_vectors_only(backend):
-    database = GraphDatabase(_graphs(30, seed=9))
-    store = ColumnarBranchStore(database, backend=backend)
+    database = GraphDatabase(_graphs(30, seed=9), kernel_backend=backend)
+    store = database.store
     store.compact()
     state = store.__getstate__()
     # The snapshot travels as its view; the ranges are derived again.
@@ -438,11 +447,11 @@ def test_pickle_ships_csr_and_row_vectors_only(backend):
         assert np.array_equal(getattr(copy._published, name), getattr(store._published, name))
     for mine, theirs in zip(copy._published.ranges, store._published.ranges):
         assert np.array_equal(mine, theirs)
-    branches = Counter(database[1].branches)
+    branches = branch_multiset(database[1].graph)
     assert np.array_equal(copy.intersection_row(branches), store.intersection_row(branches))
-    copy.append(_entry(30, Counter({("new", 0): 2})))  # the copy keeps taking rows
+    copy.extend([Counter({("new", 0): 2})])  # the copy keeps taking rows
     assert copy.view()[1].tolist() == [2] + store.view()[1].tolist()
-    assert copy.view()[2].tolist() == [1030] + store.view()[2].tolist()
+    assert copy.view()[2].tolist() == [30] + store.view()[2].tolist()
 
 
 # --------------------------------------------------------------------------- #
@@ -451,10 +460,10 @@ def test_pickle_ships_csr_and_row_vectors_only(backend):
 @pytest.mark.parametrize("backend", backend_params)
 def test_reader_racing_add_many_sees_whole_batches_only(backend, sparse_plan):
     base, batches = _graphs(60, seed=31), [_graphs(9, seed=40 + i) for i in range(12)]
-    database = GraphDatabase(base)
-    core, store = core_store(database, backend)
+    database = GraphDatabase(base, kernel_backend=backend)
+    store = database.store
     query = base[0]
-    branches = Counter(database[0].branches)
+    branches = branch_multiset(database[0].graph)
 
     # The answer over every prefix a reader may legally see: the store before
     # the writes and after each whole add_many batch — never part of one.  A
@@ -463,7 +472,7 @@ def test_reader_racing_add_many_sees_whole_batches_only(backend, sparse_plan):
     graphs = list(base)
     for batch in [[]] + batches:
         graphs.extend(batch)
-        fresh = ColumnarBranchStore(GraphDatabase(graphs), backend="numpy")
+        fresh = GraphDatabase(graphs, kernel_backend="numpy").store
         bars = np.full(len(fresh.order_ranges()[0]), 4, dtype=np.int64)
         rows, intersections, _eligible, count = verified_rows(
             fresh, query.num_vertices, branches, bars
@@ -507,7 +516,7 @@ def test_reader_racing_add_many_sees_whole_batches_only(backend, sparse_plan):
     assert not failures, failures[0]
     assert reads[0] > 0
     assert store.num_graphs == 60 + 9 * 12
-    assert_layout_invariant(store, list(database))
+    assert_layout_invariant(store, arrived(database))
 
 
 @pytest.mark.parametrize("backend", backend_params)
@@ -528,7 +537,7 @@ def test_reader_querying_keys_a_batch_is_learning(backend):
         try:
             while not done.is_set():
                 view = _csr, _orders, global_ids = store.view()
-                expected = ((global_ids - 1000) % 10 == 0).astype(np.int64)
+                expected = (global_ids % 10 == 0).astype(np.int64)
                 assert np.array_equal(store.intersection_row(query, view=view), expected)
                 assert store.matched_query_total(query) >= int(expected.sum())
                 reads[0] += 1
@@ -543,7 +552,7 @@ def test_reader_querying_keys_a_batch_is_learning(backend):
         for thread in threads:
             thread.start()
         for first in range(0, batches * size, size):
-            store.extend(_entry(j, Counter({("w", j): 1})) for j in range(first, first + size))
+            store.extend(Counter({("w", j): 1}) for j in range(first, first + size))
             time.sleep(0.002)
     finally:
         done.set()

@@ -1,8 +1,8 @@
-"""The execution core's branch store: edge cases, and how it follows the database.
+"""The branch store the execution core reads: edge cases, and how it follows the database.
 
-``ExecutionCore.store`` is the columnar store Steps 2–4 read.  Its rows are
-by position; these tests re-index them by graph id (``store_rows``) and hold
-them to the pairwise ``graph_branch_distance``.
+``ExecutionCore.store`` is the database's columnar store, the one Steps 2–4
+read.  Its rows are by position; these tests re-index them by graph id
+(``store_rows``) and hold them to the pairwise ``graph_branch_distance``.
 """
 
 from __future__ import annotations
@@ -130,46 +130,16 @@ class TestIncrementalConsistency:
         assert new_id in result.gbd_values
         assert result.gbd_values[new_id] == 0
 
-    def test_store_is_built_once_and_on_first_use(self, small_database):
+    def test_the_core_reads_the_database_store(self, small_database):
         core = core_over(small_database)
-        assert core._store is None
-        assert core.store is core.store
-        assert len(small_database._subscribers) == 1
-
-    def test_unsubscribe_detaches_hook(self, small_database, triangle):
-        core = core_over(small_database)
-        store = core.store
-        small_database.unsubscribe(store.extend)
-        small_database.add(triangle.copy(name="late"))
-        assert store.num_graphs == 2
-        # unsubscribing twice is a harmless no-op
-        small_database.unsubscribe(store.extend)
-
-    def test_dropped_core_does_not_leak_subscription(self, small_database, triangle):
-        """Discarded cores and their stores must be collectable and leave the hook list."""
-        import gc
-
-        for _ in range(5):
-            core_over(small_database).store
-        gc.collect()
-        small_database.add(triangle.copy(name="post-drop"))  # prunes dead hooks
-        assert len(small_database._subscribers) == 0
+        assert core.store is small_database.store
+        assert core_over(small_database).store is core.store
 
     def test_store_survives_pickling(self, small_database, triangle):
         import pickle
 
         core = core_over(small_database)
-        core.store
         clone = pickle.loads(pickle.dumps(core))
-        new_id = clone.database.add(triangle.copy(name="late"))
-        assert clone.store.num_graphs == 3
-        assert gbds(clone.store, triangle)[new_id] == 0
-
-    def test_unbuilt_store_stays_lazy_through_pickling(self, small_database, triangle):
-        import pickle
-
-        clone = pickle.loads(pickle.dumps(core_over(small_database)))
-        assert clone._store is None
         new_id = clone.database.add(triangle.copy(name="late"))
         assert clone.store.num_graphs == 3
         assert gbds(clone.store, triangle)[new_id] == 0

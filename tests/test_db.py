@@ -1,5 +1,6 @@
 """Tests for the graph database layer: storage, branch store, catalog, queries."""
 
+import gc
 import random
 
 import pytest
@@ -8,7 +9,6 @@ import numpy as np
 
 from repro.core.branches import branch_multiset
 from repro.core.gbd import graph_branch_distance, max_gbd_for_ged
-from repro.core.plan import ExecutionCore
 from repro.core.search import GBDASearch
 from repro.db.catalog import DatabaseCatalog
 from repro.db.database import GraphDatabase
@@ -32,17 +32,21 @@ class TestGraphDatabase:
         assert small_database[0].graph is triangle
         assert small_database[0].graph_id == 0
 
-    def test_add_returns_id_and_extend_appends(self):
+    def test_add_returns_id_and_add_many_appends(self):
         database = GraphDatabase()
         first = database.add(random_labeled_graph(4, 4, seed=0))
-        ids = database.extend([random_labeled_graph(4, 4, seed=1)])
+        ids = database.add_many([random_labeled_graph(4, 4, seed=1)])
         assert first == 0
         assert ids == [1]
 
-    def test_branches_precomputed(self, small_database, paper_g1):
-        from repro.core.branches import branch_multiset
-
-        assert small_database[2].branches == branch_multiset(paper_g1)
+    def test_branches_live_in_the_store_only(self, small_database, paper_g1):
+        """Row ``i`` of the store is graph ``i``'s multiset; the entry holds no copy."""
+        for key, count in branch_multiset(paper_g1).items():
+            assert (2, count) in small_database.store.postings(key)
+        assert small_database.store.num_postings == sum(
+            len(branch_multiset(entry.graph)) for entry in small_database
+        )
+        assert not hasattr(small_database[2], "branches")
 
     def test_label_alphabet_sizes(self, small_database):
         assert small_database.num_vertex_labels == 3  # A, B, C across all graphs
@@ -56,9 +60,8 @@ class TestGraphDatabase:
         database.add(Graph.from_dicts({0: "A", 1: "C"}, {(0, 1): "x"}))
         assert (database.num_vertex_labels, database.num_edge_labels) == (4, 2)
 
-    def test_max_vertices_and_average_degree(self, small_database):
+    def test_max_vertices(self, small_database):
         assert small_database.max_vertices == 4
-        assert small_database.average_degree > 0
 
     def test_gbd_to_matches_direct_computation(self, small_database, paper_g1, paper_g2):
         assert small_database.gbd_to(paper_g1, 3) == graph_branch_distance(paper_g1, paper_g2)
@@ -70,11 +73,6 @@ class TestGraphDatabase:
         with pytest.raises(DatasetError):
             small_database[99]
 
-    def test_distinct_extended_orders_grouping(self, small_database, paper_g1):
-        groups = small_database.distinct_extended_orders(paper_g1)
-        assert set(groups) == {3, 4}
-        assert sorted(sum(groups.values(), [])) == [0, 1, 2, 3]
-
     def test_stored_graph_name_fallback(self):
         database = GraphDatabase([Graph()])
         assert database[0].name == "g0"
@@ -83,12 +81,6 @@ class TestGraphDatabase:
         assert len(list(small_database)) == 4
         assert len(small_database.graphs()) == 4
         assert len(small_database.entries()) == 4
-
-
-def core_store(database):
-    """The execution core's branch store over ``database`` (and the core that holds it)."""
-    core = ExecutionCore(database, None, max_tau=0)
-    return core, core.store
 
 
 def gbd_by_id(store, query):
@@ -100,24 +92,24 @@ def gbd_by_id(store, query):
 
 class TestCoreStore:
     def test_intersection_row_matches_pairwise_computation(self, small_database, paper_g1):
-        _core, store = core_store(small_database)
+        store = small_database.store
         query_branches = branch_multiset(paper_g1)
         sizes = by_graph_id(store, store.intersection_row(query_branches))
         from repro.core.gbd import branch_intersection_size
 
         for entry in small_database:
-            expected = branch_intersection_size(query_branches, entry.branches)
+            expected = branch_intersection_size(query_branches, branch_multiset(entry.graph))
             assert sizes[entry.graph_id] == expected
 
     def test_gbd_row_matches_direct_gbd(self, small_database, paper_g1):
-        _core, store = core_store(small_database)
+        store = small_database.store
         gbds = gbd_by_id(store, paper_g1)
         for entry in small_database:
             assert gbds[entry.graph_id] == graph_branch_distance(paper_g1, entry.graph)
             assert gbds[entry.graph_id] == small_database.gbd_to(paper_g1, entry.graph_id)
 
     def test_branch_bound_keeps_all_true_answers(self, small_database, paper_g1):
-        _core, store = core_store(small_database)
+        store = small_database.store
         tau_hat = 2
         gbds = gbd_by_id(store, paper_g1)
         survivors = {graph_id for graph_id, gbd in gbds.items() if gbd <= max_gbd_for_ged(tau_hat)}
@@ -127,33 +119,15 @@ class TestCoreStore:
                 assert graph_id in survivors
 
     def test_postings_and_statistics(self, small_database, paper_g1):
-        _core, store = core_store(small_database)
+        store = small_database.store
         assert store.num_keys > 0
-        some_key = next(iter(small_database[2].branches))
+        some_key = next(iter(branch_multiset(paper_g1)))
         postings = store.postings(some_key)
         assert any(graph_id == 2 for graph_id, _count in postings)
         assert store.postings(("missing", ())) == []
 
 
-class TestBatchNotifications:
-    def test_extend_notifies_batched_subscribers_once(self, triangle, path_graph, paper_g1):
-        database = GraphDatabase([triangle])
-        single_calls = []
-        batch_calls = []
-        database.subscribe(single_calls.append)
-        database.subscribe(lambda entries: batch_calls.append(list(entries)), batched=True)
-
-        database.extend([path_graph, paper_g1, triangle.copy(name="t2")])
-        # per-entry subscribers see every graph; batched ones exactly one call
-        assert len(single_calls) == 3
-        assert len(batch_calls) == 1
-        assert len(batch_calls[0]) == 3
-
-        database.add(triangle.copy(name="t3"))
-        assert len(single_calls) == 4
-        assert len(batch_calls) == 2
-        assert len(batch_calls[1]) == 1
-
+class TestBulkLoads:
     def test_add_many_returns_contiguous_ids_and_bumps_revision(self, triangle, path_graph):
         database = GraphDatabase([triangle])
         before = database.revision
@@ -161,30 +135,26 @@ class TestBatchNotifications:
         assert ids == [1, 2]
         assert database.revision == before + 2
 
+    def test_revision_counts_the_graphs_and_slices_what_came_after(self, triangle, path_graph):
+        database = GraphDatabase([triangle, path_graph])
+        revision = database.revision
+        assert revision == len(database) == database.store.num_graphs == 2
+        database.add_many([triangle.copy(name="c"), path_graph.copy(name="d")])
+        assert [entry.graph.name for entry in database[revision:]] == ["c", "d"]
+        assert database[database.revision:] == []
+
     def test_bulk_load_compacts_the_store_once(self, triangle, path_graph):
         database = GraphDatabase([triangle, path_graph])
-        _core, store = core_store(database)
+        store = database.store
         gbd_by_id(store, triangle)  # force the initial compaction
         before = store.num_compactions
 
-        database.extend([triangle.copy(name=f"bulk{i}") for i in range(10)])
+        database.add_many([triangle.copy(name=f"bulk{i}") for i in range(10)])
         assert store.num_graphs == 12  # appends buffered immediately
         assert store.num_compactions == before  # ...but not compacted yet
         gbds = gbd_by_id(store, triangle)
         assert store.num_compactions == before + 1  # one merge for 10 adds
         assert sum(1 for value in gbds.values() if value == 0) == 11
-
-    def test_unsubscribe_detaches_batched_callback(self, triangle):
-        database = GraphDatabase([triangle])
-        calls = []
-
-        def hook(entries):
-            calls.append(entries)
-
-        database.subscribe(hook, batched=True)
-        database.unsubscribe(hook)
-        database.add(triangle.copy(name="late"))
-        assert calls == []
 
 
 class TestAddManyIsAllOrNothing:
@@ -201,9 +171,7 @@ class TestAddManyIsAllOrNothing:
     def test_a_bad_item_leaves_the_database_and_its_store_as_they_were(self):
         a, b, c, d, e = self._graphs(5, seed=1)
         database = GraphDatabase([a, b])
-        _core, store = core_store(database)
-        batches = []
-        database.subscribe(batches.append, batched=True)
+        store = database.store
         alphabets = database.num_vertex_labels, database.num_edge_labels
         gbds = gbd_by_id(store, a)
 
@@ -211,7 +179,7 @@ class TestAddManyIsAllOrNothing:
             database.add_many([c, None, d])
         assert (len(database), database.revision, store.num_graphs) == (2, 2, 2)
         assert (database.num_vertex_labels, database.num_edge_labels) == alphabets
-        assert batches == [] and gbd_by_id(store, a) == gbds
+        assert gbd_by_id(store, a) == gbds
 
         # Every later graph is stored under the id it was given.
         assert database.add(e) == 2
@@ -222,8 +190,9 @@ class TestAddManyIsAllOrNothing:
     @pytest.mark.parametrize("backend", available_backends())
     def test_the_engine_answers_like_the_reference_before_and_after(self, backend):
         stored, late, queries = self._graphs(20, 2), self._graphs(6, 3), self._graphs(6, 4)
-        search = GBDASearch(GraphDatabase(stored), max_tau=3, num_prior_pairs=80, seed=2).fit()
-        engine = BatchQueryEngine.from_search(search, cache_size=None, kernel_backend=backend)
+        database = GraphDatabase(stored, kernel_backend=backend)
+        search = GBDASearch(database, max_tau=3, num_prior_pairs=80, seed=2).fit()
+        engine = BatchQueryEngine.from_search(search, cache_size=None)
         queries = [SimilarityQuery(graph, tau, 0.3) for graph in queries for tau in (1, 3)]
         queries += [SimilarityQuery(graph, 0, 0.3) for graph in late]  # each finds itself, once added
 
@@ -247,6 +216,32 @@ class TestAddManyIsAllOrNothing:
         after = answers()
         assert after == reference() and after != before
         assert all(20 + offset in after[-6 + offset][0] for offset in range(6))
+
+
+class TestFootprint:
+    def test_a_database_and_its_engine_track_about_one_object_per_graph(self):
+        """One ``StoredGraph`` a graph: no per-graph multiset, no other tracked object.
+
+        The garbage collector walks every tracked object on a full collection;
+        what the corpus adds beyond its input graphs is the stored entries,
+        and the store's arrays, which it does not track.
+        """
+        rng = random.Random(7)
+        graphs = [
+            random_labeled_graph(rng.randint(4, 9), rng.randint(3, 12), seed=rng)
+            for _ in range(4000)
+        ]
+        search = GBDASearch(GraphDatabase(graphs[:200]), max_tau=2, num_prior_pairs=80, seed=1)
+        estimator = search.fit().estimator
+        query = SimilarityQuery(graphs[0], 1, 0.5)
+        gc.collect()
+        before = len(gc.get_objects())
+        database = GraphDatabase(graphs)
+        engine = BatchQueryEngine(database, estimator, max_tau=2)
+        engine.query(query)
+        gc.collect()
+        per_graph = (len(gc.get_objects()) - before) / len(graphs)
+        assert per_graph <= 1.05, per_graph
 
 
 class TestDatabaseCatalog:

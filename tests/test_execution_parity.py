@@ -58,7 +58,7 @@ def _fitted(seed: int, pruning: bool, backend: str = BACKENDS[0]):
             random_labeled_graph(rng.randint(4, 9), rng.randint(3, 12), seed=rng)
             for _ in range(25)
         ]
-        database = GraphDatabase(graphs, name=f"parity-{seed}")
+        database = GraphDatabase(graphs, name=f"parity-{seed}", kernel_backend=backend)
         search = GBDASearch(
             database,
             max_tau=MAX_TAU,
@@ -66,15 +66,11 @@ def _fitted(seed: int, pruning: bool, backend: str = BACKENDS[0]):
             seed=seed,
             use_index_pruning=pruning,
         ).fit()
-        engine = BatchQueryEngine.from_search(
-            search, keep_scores="all", cache_size=None, kernel_backend=backend
-        )
+        engine = BatchQueryEngine.from_search(search, keep_scores="all", cache_size=None)
         # default engine: accepted-only scores, pruned filter-and-verify path
-        default_engine = BatchQueryEngine.from_search(
-            search, cache_size=None, kernel_backend=backend
-        )
+        default_engine = BatchQueryEngine.from_search(search, cache_size=None)
         unpruned_engine = BatchQueryEngine.from_search(
-            search, cache_size=None, keep_scores="all", kernel_backend=backend
+            search, cache_size=None, keep_scores="all"
         )
         _FITTED_CACHE[key] = (search, engine, default_engine, unpruned_engine)
     return _FITTED_CACHE[key]

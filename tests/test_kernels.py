@@ -26,7 +26,7 @@ from hypothesis import strategies as st
 from repro.core.plan import ExecutionCore, FilterCounters
 from repro.core.search import GBDASearch
 from repro.db import columnar
-from repro.db.columnar import ColumnarBranchStore
+from repro.db.columnar import ColumnarBranchStore, _Snapshot
 from repro.db.database import GraphDatabase
 from repro.db.query import SimilarityQuery
 from repro.db.kernels import (
@@ -165,6 +165,18 @@ class TestKernelInterfaceDrift:
         assert declared == set(called) == {f"repro_{name}" for name in self.KERNELS}
 
 
+def _on_backend(database, backend):
+    """The same graphs, under the same ids, in a database whose store runs ``backend``."""
+    return GraphDatabase(database.graphs(), name=database.name, kernel_backend=backend)
+
+
+def _engine_on(search, backend, **kwargs):
+    """An engine over ``search``'s fitted model and graphs, its store on ``backend``."""
+    return BatchQueryEngine(
+        _on_backend(search.database, backend), search.estimator, max_tau=search.max_tau, **kwargs
+    )
+
+
 class TestBackendPlumbing:
     """The configured name travels store → core → engine → snapshot."""
 
@@ -186,35 +198,31 @@ class TestBackendPlumbing:
             ColumnarBranchStore(backend="fortran")
 
     def test_engine_reports_active_backend(self, fitted):
-        engine = BatchQueryEngine.from_search(fitted, kernel_backend="numpy")
-        assert engine.kernel_backend == "numpy"
+        engine = _engine_on(fitted, "numpy")
+        assert engine.database.kernel_backend == "numpy"
         assert engine.active_kernel_backend == "numpy"
         auto_engine = BatchQueryEngine.from_search(fitted)
-        assert auto_engine.kernel_backend == "auto"
+        assert auto_engine.database.kernel_backend == "auto"
         assert auto_engine.active_kernel_backend in available_backends()
 
     def test_snapshot_round_trips_configured_backend(self, fitted, tmp_path):
-        engine = BatchQueryEngine.from_search(fitted, kernel_backend="numpy")
+        engine = _engine_on(fitted, "numpy")
         path = save_engine(engine, tmp_path / "numpy.snap")
-        assert load_engine(path).kernel_backend == "numpy"
+        assert load_engine(path).database.kernel_backend == "numpy"
         # "auto" is persisted un-resolved: a snapshot from a machine with a
         # C toolchain must not pin native on a machine without one.
         auto_engine = BatchQueryEngine.from_search(fitted)
         assert auto_engine.active_kernel_backend in available_backends()
         path = save_engine(auto_engine, tmp_path / "auto.snap")
         restored = load_engine(path)
-        assert restored.kernel_backend == "auto"
+        assert restored.database.kernel_backend == "auto"
 
     @needs_native
     def test_backends_answer_identically(self, fitted):
         from repro.db.query import SimilarityQuery
 
-        numpy_engine = BatchQueryEngine.from_search(
-            fitted, cache_size=None, kernel_backend="numpy"
-        )
-        native_engine = BatchQueryEngine.from_search(
-            fitted, cache_size=None, kernel_backend="native"
-        )
+        numpy_engine = _engine_on(fitted, "numpy", cache_size=None)
+        native_engine = _engine_on(fitted, "native", cache_size=None)
         qrng = random.Random(29)
         for _ in range(12):
             query = SimilarityQuery(
@@ -333,6 +341,20 @@ reducer_queries = st.dictionaries(
 TABLE_VALUES = np.asarray([0.0, 0.25, 0.5, 0.75, 1.0])
 
 
+def _store_of(entries, backend):
+    """A store of ``entries``' multisets whose snapshot names each row by its entry's id.
+
+    A store numbers its rows in arrival order; the reducers read a position's
+    id off the snapshot only, so relabelling it puts ids in any relation to
+    positions — and under ties and in the zero-bound fill the id decides.
+    """
+    store = ColumnarBranchStore([entry.branches for entry in entries], backend=backend)
+    csr, orders, arrival = store.view()
+    ids = np.asarray([entry.graph_id for entry in entries], dtype=np.int64)
+    store._published = _Snapshot(csr, orders, ids[arrival])
+    return store
+
+
 def _reducer_stores(multisets, ids, position_limit):
     """The same rows under every backend (``position_limit`` 5: the wide layout)."""
     entries = [
@@ -342,10 +364,7 @@ def _reducer_stores(multisets, ids, position_limit):
     saved = columnar._POSITION_DTYPE_LIMIT
     columnar._POSITION_DTYPE_LIMIT = position_limit
     try:
-        stores = {}
-        for backend in available_backends():
-            stores[backend] = ColumnarBranchStore(entries, backend=backend)
-            stores[backend].compact()
+        stores = {backend: _store_of(entries, backend) for backend in available_backends()}
     finally:
         columnar._POSITION_DTYPE_LIMIT = saved
     return entries, stores
@@ -568,7 +587,7 @@ class TestReducerParity:
             (90, {a: 2}), (80, {a: 2, b: 1}), (70, {a: 2, b: 2}),
             (60, {a: 1, b: 1}), (50, {a: 1, c: 2}), (40, {c: 2}),
         )
-        store = ColumnarBranchStore(entries, backend=backend)
+        store = _store_of(entries, backend)
         query = Counter({a: 2})  # |V_Q| = 2: extended orders 2, 3, 4, lower bounds 0, 1, 2
         decreasing = np.zeros((5, 6))
         for order in range(5):
@@ -639,7 +658,7 @@ class TestReducerParity:
                 SimpleNamespace(graph_id=row, num_vertices=sum(b.values()), branches=b)
                 for row, b in enumerate(rows)
             ]
-            store = ColumnarBranchStore(entries, backend=backend)
+            store = _store_of(entries, backend)
             for budget in (0, len(rows)):
                 monkeypatch.setattr(columnar, "sparse_row_budget", lambda postings, n: budget)
                 positions, gbds, *_ = store.filter_verify_row(3, query, [9, 9], lut, 0.5)
@@ -735,11 +754,11 @@ class TestReducersInTheCore:
     def test_a_posterior_that_is_not_monotone_is_thresholded_like_the_loop(
         self, reducer_search, backend, use_pruning, monkeypatch
     ):
-        database = reducer_search.database
+        database = _on_backend(reducer_search.database, backend)
         estimator = _SawtoothPosterior()
         for plan, budget in (("sparse", lambda postings, rows: rows), ("dense", lambda *_: 0)):
             monkeypatch.setattr(columnar, "sparse_row_budget", budget)
-            core = ExecutionCore(database, estimator, max_tau=3, kernel_backend=backend)
+            core = ExecutionCore(database, estimator, max_tau=3)
             core.warm(range(4), range(1, 11))
             for query in _reducer_queries(12, seed=43):
                 graph, tau_hat = query.query_graph, query.tau_hat
@@ -770,7 +789,9 @@ class TestReducersInTheCore:
         """A budget of 250 rows: the first group of 200 is probed, the second walks densely."""
         monkeypatch.setattr(columnar, "sparse_row_budget", lambda postings, rows: 250)
         search = path_searches[use_pruning]
-        core = ExecutionCore(search.database, search.estimator, max_tau=2, kernel_backend=backend)
+        core = ExecutionCore(
+            _on_backend(search.database, backend), search.estimator, max_tau=2
+        )
         core.warm(range(3), range(1, 9))
         counters = columnar._counters(backend)
         rng = random.Random(73)
@@ -851,9 +872,7 @@ class TestReducerCountGuards:
         }
 
     def test_a_hits_only_query_is_one_fused_call_and_no_d_length_array(self, reducer_search):
-        engine = BatchQueryEngine.from_search(
-            reducer_search, cache_size=None, kernel_backend="native"
-        )
+        engine = _engine_on(reducer_search, "native", cache_size=None)
         engine.warm(range(4))
         core = engine._core
         for query in _reducer_queries(10, seed=59):
@@ -873,7 +892,7 @@ class TestReducerCountGuards:
     def test_filter_counters_of_a_mixed_stream(self, reducer_search, monkeypatch):
         """Per query: what the bound arithmetic says was pruned, verified, and how."""
         core = ExecutionCore(
-            reducer_search.database, reducer_search.estimator, max_tau=3, kernel_backend="native"
+            _on_backend(reducer_search.database, "native"), reducer_search.estimator, max_tau=3
         )
         core.warm(range(4), range(1, 11))
         store = core.store
@@ -914,9 +933,7 @@ class TestReducerCountGuards:
         assert plans == {None, True, False}
 
     def test_a_top_k_query_is_one_call_handing_back_k_rows(self, reducer_search, monkeypatch):
-        engine = BatchQueryEngine.from_search(
-            reducer_search, cache_size=None, kernel_backend="native"
-        )
+        engine = _engine_on(reducer_search, "native", cache_size=None)
         engine.warm(range(4))
         handed_back = []
         reducer = ColumnarBranchStore.filter_verify_topk
@@ -943,10 +960,9 @@ class TestReducerCountGuards:
             random_labeled_graph(8 + index % 113, 10 + index % 113, seed=rng)
             for index in range(452)
         ]
-        search = GBDASearch(
-            GraphDatabase(graphs, name="kernels-selective"), max_tau=1, num_prior_pairs=120, seed=5
-        ).fit()
-        engine = BatchQueryEngine.from_search(search, cache_size=None, kernel_backend="native")
+        database = GraphDatabase(graphs, name="kernels-selective", kernel_backend="native")
+        search = GBDASearch(database, max_tau=1, num_prior_pairs=120, seed=5).fit()
+        engine = BatchQueryEngine.from_search(search, cache_size=None)
         engine.warm(range(2))
         core, store = engine._core, engine._core.store
         distinct, row_bounds = store.order_ranges()

@@ -1,16 +1,21 @@
-"""Tests for repro.offline: pair GBDs from stored multisets and the incremental OfflineFitter."""
+"""Tests for repro.offline: pair GBDs from the branch store and the incremental OfflineFitter."""
 
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.core.branches import branch_multiset
 from repro.core.gbd import graph_branch_distance
 from repro.core.gbd_prior import GBDPrior, _pair_gbds
 from repro.core.search import GBDASearch
 from repro.db.database import GraphDatabase
+from repro.db.kernels import available_backends
 from repro.db.query import SimilarityQuery
 from repro.exceptions import SearchError
 from repro.graphs.generators import random_labeled_graph
+from repro.graphs.graph import Graph
 from repro.offline import OfflineFitter
 from repro.offline.fitter import _draw_partners
 from repro.serving.snapshot import load_engine
@@ -30,15 +35,14 @@ def database(population):
 class TestParallelHelpers:
     def test_pair_gbds_match_database_path(self, population, database):
         pairs = [(0, 5), (3, 7), (2, 2)]
-        gbds = _pair_gbds(
-            [entry.num_vertices for entry in database], [entry.branches for entry in database],
-            pairs,
-        )
+        multisets = [branch_multiset(graph) for graph in population]
+        gbds = _pair_gbds([graph.num_vertices for graph in population], multisets, pairs)
         for (i, j), gbd in zip(pairs, gbds):
             assert gbd == database.gbd_to(population[i], j)
+        assert database.store.branch_distances(pairs) == gbds
 
     def test_prior_samples_equal_graph_branch_distance(self, population, database):
-        """Stored multisets and bare-graph extraction give the same sampled GBDs."""
+        """The store's rows and bare-graph extraction give the same sampled GBDs."""
         for seed in (0, 1, 2):
             pairs = sample_pairs(range(len(population)), 200, seed=random.Random(seed))
             expected = [graph_branch_distance(population[i], population[j]) for i, j in pairs]
@@ -51,12 +55,53 @@ class TestParallelHelpers:
     def test_repeats_and_self_pairs(self, population, database):
         rng = random.Random(1)
         pairs = [(rng.randrange(30), rng.randrange(30)) for _ in range(300)] + [(4, 4), (4, 4)]
-        gbds = _pair_gbds(
-            [entry.num_vertices for entry in database], [entry.branches for entry in database],
-            pairs,
-        )
+        gbds = database.store.branch_distances(pairs)
         assert gbds == [graph_branch_distance(population[i], population[j]) for i, j in pairs]
         assert gbds[-1] == gbds[-2] == 0
+        assert database.store.branch_distances([]) == []
+
+
+_labels = st.sampled_from(["A", "B", "C"])
+
+
+@st.composite
+def _graph_sets(draw):
+    """Small labelled graphs — the empty graph and isolated vertices included."""
+    graphs = []
+    for _ in range(draw(st.integers(1, 8))):
+        graph = Graph()
+        size = draw(st.integers(0, 6))
+        for vertex in range(size):
+            graph.add_vertex(vertex, draw(_labels))
+        for u in range(size):
+            for v in range(u + 1, size):
+                if draw(st.booleans()):
+                    graph.add_edge(u, v, draw(st.sampled_from(["x", "y"])))
+        graphs.append(graph)
+    return graphs
+
+
+@settings(max_examples=60, deadline=None)
+@given(graphs=_graph_sets(), batches=st.integers(1, 3), data=st.data())
+@pytest.mark.parametrize("backend", available_backends())
+def test_store_pair_gbds_equal_both_scalar_paths(backend, graphs, batches, data):
+    """Pair GBDs read off the store = ``graph_branch_distance`` = the bare-graph ``_pair_gbds``.
+
+    The graphs arrive over one to three ``add_many`` batches, with a read of
+    the rows between batches; the pairs include self-pairs and repeats.
+    """
+    database = GraphDatabase(kernel_backend=backend)
+    cut = sorted(data.draw(st.lists(st.integers(0, len(graphs)), max_size=batches - 1)))
+    for low, high in zip([0, *cut], [*cut, len(graphs)]):
+        database.add_many(graphs[low:high])
+        database.store.branch_distances([(0, 0)] if len(database) else [])
+    ids = st.integers(0, len(graphs) - 1)
+    pairs = data.draw(st.lists(st.tuples(ids, ids), min_size=1, max_size=25))
+    pairs += [(i, i) for i, _j in pairs[:2]] + pairs[:3]
+    expected = [graph_branch_distance(graphs[i], graphs[j]) for i, j in pairs]
+    multisets = {index: branch_multiset(graphs[index]) for pair in pairs for index in pair}
+    assert _pair_gbds([graph.num_vertices for graph in graphs], multisets, pairs) == expected
+    assert database.store.branch_distances(pairs) == expected
 
 
 class TestOfflineFitterFullFit:
@@ -145,6 +190,30 @@ class TestIncrementalRefit:
         fitter.refit()
         assert fitter.ged_prior.num_vertex_labels == database.num_vertex_labels
         assert fitter.ged_prior.num_vertex_labels > labels_before
+
+    def test_refit_leaves_the_previous_prior_alone(self):
+        """An engine built on version 1 answers with version 1's model after a refit.
+
+        ``engine`` first reads its posterior tables after the refit; ``reference``
+        read them before it.  On the graphs both can see, they agree.
+        """
+        rng = random.Random(3)
+        small = [
+            random_labeled_graph(rng.randint(4, 9), rng.randint(3, 12), seed=rng)
+            for _ in range(40)
+        ]
+        database = GraphDatabase(small[:30])
+        fitter = OfflineFitter(database, max_tau=2, num_prior_pairs=80, seed=1).fit()
+        reference, engine = (
+            fitter.build_engine(cache_size=None, keep_scores="all") for _ in range(2)
+        )
+        query = SimilarityQuery(small[0], 2, 0.0)
+        expected = reference.query(query).scores
+        assert len(set(expected.values())) > 2  # posteriors strictly between 0 and 1 too
+        database.add_many(small[30:])
+        assert fitter.refit()
+        got = engine.query(query).scores
+        assert {graph_id: score for graph_id, score in got.items() if graph_id < 30} == expected
 
     def test_refit_answers_cover_new_graph(self, database):
         fitter = OfflineFitter(database, max_tau=4, num_prior_pairs=60, seed=0).fit()

@@ -127,27 +127,25 @@ class TestOnlineStage:
         # filter would also reject, so accepted sets agree.
         assert answer_plain.accepted_ids == answer_pruned.accepted_ids
 
-    def test_index_pruning_enabled_before_fit_builds_index(self, family_database):
+    def test_index_pruning_enabled_before_fit(self, family_database):
         search = GBDASearch(
             family_database, max_tau=4, num_prior_pairs=60, seed=0, use_index_pruning=True
         ).fit()
-        assert search._core._store is not None  # fit() built it
+        assert search._core.store is family_database.store  # the database's, built with it
         result = search.query(SimilarityQuery(family_database[0].graph, 2, 0.5))
         # pruned graphs are never scored, so far outliers are absent
         assert len(result.posteriors) < len(family_database)
         assert 0 in result.accepted_ids
 
-    def test_index_pruning_enabled_after_fit_builds_index_lazily(self, family_database):
+    def test_index_pruning_enabled_after_fit(self, family_database):
         """Regression: flipping the flag post-fit used to silently full-scan."""
         base = family_database[0].graph
         search = GBDASearch(family_database, max_tau=4, num_prior_pairs=60, seed=0).fit()
-        assert search._core._store is None
         full = search.query(SimilarityQuery(base, 2, 0.5))
         assert len(full.posteriors) == len(family_database)
 
         search.use_index_pruning = True
         pruned = search.query(SimilarityQuery(base, 2, 0.5))
-        assert search._core._store is not None, "the first query builds the store"
         # the pruned scan actually skips GBD > 2τ̂ graphs instead of scoring all
         assert len(pruned.posteriors) < len(family_database)
         assert pruned.accepted_ids == full.accepted_ids

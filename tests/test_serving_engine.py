@@ -221,19 +221,6 @@ class TestCacheBehaviour:
         cacheless.query_batch(batch)
         assert scored[0] == 7  # no cache key, nothing to deduplicate by
 
-    def test_dropped_engine_does_not_leak_subscription(self):
-        import gc
-
-        rng = random.Random(3)
-        graphs = [random_labeled_graph(5, 6, seed=rng) for _ in range(10)]
-        database = GraphDatabase(graphs)
-        search = GBDASearch(database, max_tau=2, num_prior_pairs=40, seed=0).fit()
-        for _ in range(4):
-            BatchQueryEngine.from_search(search)
-        gc.collect()
-        database.add(graphs[0].copy(name="post-drop"))  # prunes dead hooks
-        assert len(database._subscribers) == 0
-
 
 class TestIncrementalDatabase:
     def test_added_graph_is_served(self):
@@ -280,14 +267,11 @@ class TestIncrementalDatabase:
 
 
 class TestRevisionScopedCache:
-    def test_lost_add_hook_cannot_serve_stale_answers(self):
+    def test_cached_answers_do_not_outlive_an_add(self):
         """Regression: cache keys are scoped to the database revision.
 
-        An engine copy that lost its add-hook (the unpickled process-pool
-        scenario — the hook is re-registered on unpickle, but a copy whose
-        registration is gone must still be safe) used to keep serving
-        pre-``add_many`` result sets from its cache.  With the revision in
-        the key, the old entries simply stop matching.
+        Nothing clears the cache when graphs are added: with the revision in
+        the key, the pre-``add_many`` entries simply stop matching.
         """
         rng = random.Random(29)
         graphs = [
@@ -301,8 +285,6 @@ class TestRevisionScopedCache:
         query = SimilarityQuery(base, 2, 0.5)
         engine.query(query)  # populate the cache
 
-        # Simulate the lost hook: the cache is NOT cleared on addition.
-        database.unsubscribe(engine._on_graphs_added)
         new_ids = database.add_many([base.copy(name="post-pickle-duplicate")])
 
         served = engine.query(query)
@@ -332,9 +314,9 @@ class TestRevisionScopedCache:
     def test_a_read_overlapping_add_many_caches_no_stale_answer(self, topk, monkeypatch):
         """A reader of the pre-write rows must not cache its answer under the new revision.
 
-        The reader starts while ``add_many`` notifies its subscribers — from a
-        hook registered before the engine's, so before the store takes the
-        new rows or the cache is cleared — reads its snapshot, and puts its
+        The reader starts while ``add_many`` hands its batch to the store —
+        from a wrapper around ``store.extend``, so before the store takes the
+        new rows or the revision moves — reads its snapshot, and puts its
         answer only once ``add_many`` has returned.  The write adds an exact
         copy of the query (GBD 0): the next identical query must find it.
         """
@@ -345,12 +327,6 @@ class TestRevisionScopedCache:
         ]
         database = GraphDatabase(graphs, name="serving-race")
         viewed, written = threading.Event(), threading.Event()
-
-        def start_reader(_entries):
-            reader.start()
-            assert viewed.wait(30), "the reader never read its snapshot"
-
-        database.subscribe(start_reader, batched=True)  # runs before the engine's hooks
         search = GBDASearch(database, max_tau=3, num_prior_pairs=80, seed=4).fit()
         engine = BatchQueryEngine.from_search(search, cache_size=16)
         query = SimilarityQuery(random_labeled_graph(7, 9, seed=rng), 2, 0.3)
@@ -360,7 +336,12 @@ class TestRevisionScopedCache:
             return engine.query_topk(query, k) if topk else engine.query(query)
 
         store, cache = engine._core.store, engine.cache
-        view, put = store.view, cache.put
+        view, put, extend = store.view, cache.put, store.extend
+
+        def start_reader_then_extend(multisets):
+            reader.start()
+            assert viewed.wait(30), "the reader never read its snapshot"
+            extend(multisets)
 
         def view_then_signal():
             snapshot = view()
@@ -373,12 +354,13 @@ class TestRevisionScopedCache:
                 assert written.wait(30), "add_many never returned"
             put(key, answer)
 
+        monkeypatch.setattr(store, "extend", start_reader_then_extend)
         monkeypatch.setattr(store, "view", view_then_signal)
         monkeypatch.setattr(cache, "put", put_once_written)
         answers = []
         reader = threading.Thread(target=lambda: answers.append(ask()))
         (copy_id,) = database.add_many([query.query_graph.copy(name="copy")])
-        database.unsubscribe(start_reader)
+        monkeypatch.setattr(store, "extend", extend)
         written.set()
         reader.join(timeout=30)
         assert not reader.is_alive() and len(answers) == 1
@@ -465,8 +447,9 @@ class TestOnePipeline:
         search, queries = selective
         readings = {}
         for backend in available_backends():
+            database = GraphDatabase(search.database.graphs(), kernel_backend=backend)
             batch_engine, loop_engine = (
-                BatchQueryEngine.from_search(search, cache_size=None, kernel_backend=backend)
+                BatchQueryEngine(database, search.estimator, max_tau=1, cache_size=None)
                 for _ in range(2)
             )
             batched = batch_engine.query_batch(queries)
@@ -511,9 +494,10 @@ class TestOnePipeline:
         self, selective, monkeypatch, backend
     ):
         search, queries = selective
+        database = GraphDatabase(search.database.graphs(), kernel_backend=backend)
         for plan, budget in (("sparse", lambda postings, rows: rows), ("dense", lambda *_: 0)):
             monkeypatch.setattr(columnar, "sparse_row_budget", budget)
-            engine = BatchQueryEngine.from_search(search, cache_size=None, kernel_backend=backend)
+            engine = BatchQueryEngine(database, search.estimator, max_tau=1, cache_size=None)
             for query, answer in zip(queries, engine.query_batch(queries)):
                 reference = search.query_reference(query)
                 assert answer.accepted_ids == reference.answer.accepted_ids

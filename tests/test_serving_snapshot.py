@@ -6,6 +6,7 @@ import hashlib
 import pickle
 import random
 
+import numpy as np
 import pytest
 
 from repro.core.search import GBDASearch
@@ -73,7 +74,13 @@ class TestRoundTrip:
         assert loaded.database.name == fitted_engine.database.name
         assert loaded.max_tau == fitted_engine.max_tau
         assert loaded.keep_scores == fitted_engine.keep_scores
-        assert loaded.database[0].branches == fitted_engine.database[0].branches
+        # The store is rebuilt from the graphs: the same rows, laid out the same.
+        (csr, *vectors), (original_csr, *original_vectors) = (
+            loaded.database.store.view(),
+            fitted_engine.database.store.view(),
+        )
+        for mine, theirs in zip((*csr[:3], *vectors), (*original_csr[:3], *original_vectors)):
+            assert np.array_equal(mine, theirs)
 
     def test_graphs_survive_exactly(self, fitted_engine, tmp_path):
         path = tmp_path / "engine.snapshot"
@@ -82,7 +89,6 @@ class TestRoundTrip:
         for original, restored in zip(fitted_engine.database, loaded.database):
             assert restored.graph == original.graph
             assert list(restored.graph.edges()) == list(original.graph.edges())
-            assert restored.branches == original.branches
 
     def test_tables_are_rebuilt_not_stored(self, fitted_engine, tmp_path):
         path = tmp_path / "engine.snapshot"
@@ -182,6 +188,37 @@ class TestStoredTables:
             assert loaded.query_topk(query, 5).ranking == expected
 
 
+class TestStoredBranches:
+    def test_a_snapshot_stores_no_branches(self, fitted_engine, tmp_path):
+        path = tmp_path / "engine.snapshot"
+        save_engine(fitted_engine, path)
+        payload = pickle.loads(path.read_bytes())
+        assert payload["version"] == SNAPSHOT_VERSION == 6
+        assert all("branches" not in record for record in payload["database"]["graphs"])
+
+    def test_legacy_branch_records_that_disagree_with_their_graphs_are_ignored(
+        self, fitted_search, fitted_engine, tmp_path
+    ):
+        """A footer-less v5 file whose branch records lie (yet sum to |V|) is served by its graphs.
+
+        Trusted, the records would leave graph 0 without a branch in common
+        with an exact copy of itself, and the copy would miss it.
+        """
+        path = tmp_path / "engine.snapshot"
+        save_engine(fitted_engine, path)
+        payload = pickle.loads(path.read_bytes())
+        payload["version"] = 5
+        for record in payload["database"]["graphs"]:
+            record["branches"] = [(("bogus", ()), len(record["vertices"]))]
+        path.write_bytes(pickle.dumps(payload))  # no footer: as an older build wrote it
+        loaded = load_engine(path)
+        query = SimilarityQuery(fitted_search.database[0].graph.copy(), 0, 0.5)
+        expected = fitted_search.query_reference(query).answer
+        assert 0 in expected.accepted_ids
+        assert loaded.query(query).accepted_ids == expected.accepted_ids
+        assert loaded.query_topk(query, 3).ranking == fitted_search.query_topk_reference(query, 3)
+
+
 class TestIntegrity:
     """Crash-safe writes and the sha256 integrity footer."""
 
@@ -234,7 +271,7 @@ class TestIntegrity:
         assert len(engine.database) == len(fitted_engine.database)
 
     def test_all_versions_round_trip_through_the_footer(self, fitted_engine, tmp_path):
-        """Rewriting any v1–v5 payload with the footer appended loads fine —
+        """Rewriting any v1–v6 payload with the footer appended loads fine —
         the footer sits after the pickle stream and never touches it."""
         path = tmp_path / "engine.snapshot"
         save_engine(fitted_engine, path)

@@ -73,34 +73,36 @@ QUERIES = [
     _path("ACBA", name="unknown-key"),
     _path("ZZZ", name="no-match"),
 ]
+_GRAPHS = {}
 _BUILT = {}
 _REFERENCE = {}
 
 
-def _built(store: str, pruning: bool, backend: str):
-    """``(search, engine)`` over one of the two stores, built once each."""
-    key = (store, pruning)
-    if key not in _BUILT:
+def _graphs(store: str):
+    """The stored graphs of one of the two stores, generated once each."""
+    if store not in _GRAPHS:
         rng = random.Random(17)
         count = STORE_SIZES[store]
         if store == "uniform":
-            graphs = [_stored_path(rng, 4) for _ in range(count)]
+            _GRAPHS[store] = [_stored_path(rng, 4) for _ in range(count)]
         else:
-            graphs = [_stored_path(rng, 3 + index % 32) for index in range(count)]
+            _GRAPHS[store] = [_stored_path(rng, 3 + index % 32) for index in range(count)]
+    return _GRAPHS[store]
+
+
+def _built(store: str, pruning: bool, backend: str):
+    """``(search, engine)`` over one of the two stores, its database on ``backend``."""
+    key = (store, pruning, backend)
+    if key not in _BUILT:
         search = GBDASearch(
-            GraphDatabase(graphs, name=store),
+            GraphDatabase(_graphs(store), name=store, kernel_backend=backend),
             max_tau=MAX_TAU,
             num_prior_pairs=120,
             seed=3,
             use_index_pruning=pruning,
         ).fit()
-        _BUILT[key] = (search, {})
-    search, engines = _BUILT[key]
-    if backend not in engines:
-        engines[backend] = BatchQueryEngine.from_search(
-            search, cache_size=None, kernel_backend=backend
-        )
-    return search, engines[backend]
+        _BUILT[key] = (search, BatchQueryEngine.from_search(search, cache_size=None))
+    return _BUILT[key]
 
 
 def _reference(search, store: str, pruning: bool, query: SimilarityQuery):
@@ -199,9 +201,7 @@ class _DecreasingPosterior:
 def test_kth_best_score_ends_the_scan(backend):
     search, _engine = _built("mixed", False, backend)
     database = search.database
-    core = plan.ExecutionCore(
-        database, _DecreasingPosterior(), max_tau=MAX_TAU, kernel_backend=backend
-    )
+    core = plan.ExecutionCore(database, _DecreasingPosterior(), max_tau=MAX_TAU)
     graph = QUERIES[0]
     expected = sorted(
         (
