@@ -1,13 +1,14 @@
-"""Offline-stage speed: vectorized (numpy) vs scalar (python) EM fit.
+"""Offline-stage speed: the vectorized EM fit vs the scalar EM oracle.
 
 Table IV of the paper prices the offline stage by its pair-GBD sampling and
 GMM fit.  This benchmark draws 10 000 pair GBDs from a synthetic database
 (the paper's ``N = 10k`` regime, scaled to CI budgets), fits the GBD prior
-with both EM backends, and asserts that
+with the library's vectorized EM and with the scalar loop of
+:func:`repro.testing.oracles.fit_gmm_oracle`, and asserts that
 
-* the vectorized fit is at least 3x faster than the scalar path,
-* both backends produce the same mixture (within 1e-9), and
-* a :class:`GBDASearch` fitted with either backend returns identical
+* the vectorized fit is at least 3x faster than the scalar loop,
+* both produce the same mixture (within 1e-9), and
+* a :class:`GBDASearch` whose prior either loop fitted returns identical
   (bit-stable, per fixed seed) query answers.
 
 Setting ``REPRO_SMOKE=1`` (the CI smoke job) shrinks the sample count to
@@ -27,7 +28,9 @@ from repro.core.search import GBDASearch
 from repro.db.database import GraphDatabase
 from repro.db.query import SimilarityQuery
 from repro.graphs.generators import random_labeled_graph
+from repro.stats.gmm import GaussianMixtureModel
 from repro.stats.sampling import sample_pairs
+from repro.testing.oracles import fit_gmm_oracle
 
 SMOKE = os.environ.get("REPRO_SMOKE", "") not in ("", "0")
 NUM_SAMPLES = 2_000 if SMOKE else 10_000
@@ -44,19 +47,19 @@ def _build_graphs(seed: int = 0):
     ]
 
 
-def _fit_seconds(backend: str, samples, max_value: int) -> tuple:
-    """Best-of-two wall-clock of one backend's GMM fit (plus the prior)."""
+def _fit_seconds(samples, max_value: int) -> tuple:
+    """Best-of-two wall-clock of the GMM fit (plus the prior)."""
     runs = []
     prior = None
     for _ in range(2):
-        prior = GBDPrior(num_components=3, seed=7, backend=backend)
+        prior = GBDPrior(num_components=3, seed=7)
         start = time.perf_counter()
         prior.fit_from_samples(samples, max_value=max_value)
         runs.append(time.perf_counter() - start)
     return min(runs), prior
 
 
-def test_vectorized_offline_fit_speedup(results_dir):
+def test_vectorized_offline_fit_speedup(results_dir, monkeypatch):
     graphs = _build_graphs()
 
     # Steps 1.1-1.2 of the offline stage: N pair GBDs (with replacement so
@@ -70,11 +73,13 @@ def test_vectorized_offline_fit_speedup(results_dir):
     assert len(samples) == NUM_SAMPLES
     max_value = max(graph.num_vertices for graph in graphs)
 
-    scalar_seconds, scalar_prior = _fit_seconds("python", samples, max_value)
-    numpy_seconds, numpy_prior = _fit_seconds("numpy", samples, max_value)
+    numpy_seconds, numpy_prior = _fit_seconds(samples, max_value)
+    with monkeypatch.context() as scalar_em:
+        scalar_em.setattr(GaussianMixtureModel, "fit", fit_gmm_oracle)
+        scalar_seconds, scalar_prior = _fit_seconds(samples, max_value)
     speedup = scalar_seconds / numpy_seconds
 
-    # Backend parity: the same mixture within 1e-9 (same seeding, same
+    # Oracle parity: the same mixture within 1e-9 (same seeding, same
     # convergence semantics, array arithmetic only differs in round-off).
     scalar_components = scalar_prior.mixture.components
     numpy_components = numpy_prior.mixture.components
@@ -84,19 +89,17 @@ def test_vectorized_offline_fit_speedup(results_dir):
         assert abs(a.mean - b.mean) < 1e-9
         assert abs(a.std - b.std) < 1e-9
 
-    # Bit-stable query answers for a fixed seed: the backend refactor must
+    # Bit-stable query answers for a fixed seed: the vectorized EM must
     # not move a single graph across the accept threshold.
     database = GraphDatabase(graphs[:60], name="offline-bench")
     queries = [
         SimilarityQuery(database[i].graph, 1 + (i % 3), 0.5)
         for i in range(NUM_QUERIES)
     ]
-    scalar_search = GBDASearch(
-        database, max_tau=3, num_prior_pairs=300, seed=4, backend="python"
-    ).fit()
-    numpy_search = GBDASearch(
-        database, max_tau=3, num_prior_pairs=300, seed=4, backend="numpy"
-    ).fit()
+    numpy_search = GBDASearch(database, max_tau=3, num_prior_pairs=300, seed=4).fit()
+    with monkeypatch.context() as scalar_em:
+        scalar_em.setattr(GaussianMixtureModel, "fit", fit_gmm_oracle)
+        scalar_search = GBDASearch(database, max_tau=3, num_prior_pairs=300, seed=4).fit()
     for query in queries:
         scalar_answer = scalar_search.query(query).answer
         numpy_answer = numpy_search.query(query).answer
@@ -108,13 +111,13 @@ def test_vectorized_offline_fit_speedup(results_dir):
         "",
         f"{'stage':<38}{'seconds':>10}",
         f"{'pair-GBD sampling (stored multisets)':<38}{sampling_seconds:>10.3f}",
-        f"{'GMM fit, scalar EM (python)':<38}{scalar_seconds:>10.3f}",
+        f"{'GMM fit, scalar EM (oracle)':<38}{scalar_seconds:>10.3f}",
         f"{'GMM fit, vectorized EM (numpy)':<38}{numpy_seconds:>10.3f}",
         "",
         f"vectorized speedup over scalar: {speedup:.1f}x (required >= {MIN_SPEEDUP:.1f}x)",
         f"EM iterations: scalar={scalar_prior.mixture.n_iterations_} "
         f"numpy={numpy_prior.mixture.n_iterations_}",
-        f"query answers: identical accepted sets across backends "
+        f"query answers: identical accepted sets, oracle vs vectorized "
         f"({NUM_QUERIES} queries, |D|={len(database)})",
     ]
     rendered = "\n".join(lines)

@@ -14,16 +14,22 @@ A per-extended-order cache of :class:`BranchEditModel` instances gives the
 ``O(τ̂³)`` online cost of Section VI-B: for each distinct ``|V'1|`` the Λ1
 columns are computed once and re-used across all database graphs of that
 size and all thresholds ``τ <= τ̂``.
+
+:meth:`GBDAEstimator.fit` is the offline stage (Step 1 of Algorithm 1) in
+one call: Λ2 and Λ3 fitted on a database and combined into an estimator.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional
 
 from repro.core.gbd_prior import GBDPrior
 from repro.core.ged_prior import GEDPrior
 from repro.core.model import BranchEditModel
 from repro.exceptions import EstimationError
+
+if TYPE_CHECKING:
+    from repro.db.database import GraphDatabase
 
 __all__ = ["GBDAEstimator"]
 
@@ -57,6 +63,38 @@ class GBDAEstimator:
         self.num_vertex_labels = int(num_vertex_labels)
         self.num_edge_labels = int(num_edge_labels)
         self._models: Dict[int, BranchEditModel] = {}
+
+    @classmethod
+    def fit(
+        cls,
+        database: "GraphDatabase",
+        *,
+        max_tau: int,
+        num_prior_pairs: int,
+        num_gmm_components: int,
+        seed: int,
+        orders: Optional[Iterable[int]] = None,
+    ) -> "GBDAEstimator":
+        """Run the offline stage on ``database``: fit Λ2 and Λ3, return the estimator.
+
+        Λ2 is a ``num_gmm_components``-component GMM over the GBDs of
+        ``num_prior_pairs`` sampled pairs (Section V-B); Λ3 the Jeffreys
+        grid over τ ≤ ``max_tau`` and the extended ``orders`` (Section V-C),
+        by default every distinct vertex count in the database — the worst
+        case the paper's Table V analyses.  The priors are the returned
+        estimator's ``gbd_prior`` and ``ged_prior``.
+        """
+        gbd_prior = GBDPrior(
+            num_components=num_gmm_components, num_pairs=num_prior_pairs, seed=seed
+        ).fit(database)
+        if orders is None:
+            orders = sorted({entry.num_vertices for entry in database})
+        ged_prior = GEDPrior(
+            max_tau=max_tau,
+            num_vertex_labels=database.num_vertex_labels,
+            num_edge_labels=database.num_edge_labels,
+        ).fit(orders)
+        return cls(gbd_prior, ged_prior, database.num_vertex_labels, database.num_edge_labels)
 
     # ------------------------------------------------------------------ #
     # model cache

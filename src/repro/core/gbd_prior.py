@@ -4,7 +4,8 @@ The prior is estimated once per database in the offline stage:
 
 1. sample ``N`` graph pairs from the database (Step 1.1);
 2. compute the GBD of every sampled pair (Step 1.2, ``O(N · n d)``);
-3. fit a Gaussian Mixture Model to the sampled GBDs (Step 1.3);
+3. fit a Gaussian Mixture Model to the sampled GBDs by EM (Step 1.3,
+   :class:`~repro.stats.gmm.GaussianMixtureModel`);
 4. pre-compute ``Pr[GBD = ϕ]`` for every feasible ϕ with the continuity
    correction of Equation (14) (Step 1.4).
 
@@ -92,9 +93,6 @@ class GBDPrior:
         Number of graph pairs ``N`` to sample for the fit.
     seed:
         Seed controlling both the pair sampling and the GMM initialisation.
-    backend:
-        EM backend forwarded to :class:`GaussianMixtureModel` (``"auto"``,
-        ``"numpy"`` or ``"python"``).
     """
 
     def __init__(
@@ -103,11 +101,9 @@ class GBDPrior:
         num_pairs: int = 10_000,
         *,
         seed: RandomState = 0,
-        backend: str = "auto",
     ) -> None:
         self.num_components = num_components
         self.num_pairs = num_pairs
-        self.backend = backend
         self._seed = seed
         self._mixture: Optional[GaussianMixtureModel] = None
         self._table: Dict[int, float] = {}
@@ -162,7 +158,7 @@ class GBDPrior:
         self._max_value = max(max(samples), max_value or 0)
 
         start = time.perf_counter()
-        mixture = GaussianMixtureModel(self.num_components, seed=self._seed, backend=self.backend)
+        mixture = GaussianMixtureModel(self.num_components, seed=self._seed)
         mixture.fit(samples)
         self._mixture = mixture
 
@@ -245,23 +241,21 @@ class GBDPrior:
             "mixture": self._mixture.to_state(),
             "table": dict(self._table),
             "max_value": self._max_value,
-            "backend": self.backend,
             **seed_state,
         }
 
     @classmethod
     def from_state(cls, state: dict) -> "GBDPrior":
-        """Rebuild a fitted prior from :meth:`to_state` output without re-fitting."""
+        """Rebuild a fitted prior from :meth:`to_state` output without re-fitting.
+
+        A ``"backend"`` key, written by builds that had a choice of EM loop,
+        is ignored.
+        """
         if state.get("seed_rng_state") is not None:
             seed: RandomState = decode_rng_state(state["seed_rng_state"])
         else:
             seed = state.get("seed", 0)
-        prior = cls(
-            int(state["num_components"]),
-            int(state["num_pairs"]),
-            seed=seed,
-            backend=state.get("backend", "auto"),
-        )
+        prior = cls(int(state["num_components"]), int(state["num_pairs"]), seed=seed)
         prior._mixture = GaussianMixtureModel.from_state(state["mixture"])
         prior._table = {int(phi): float(p) for phi, p in state["table"].items()}
         prior._max_value = int(state["max_value"])

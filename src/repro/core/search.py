@@ -4,7 +4,9 @@ The search proceeds in two stages, mirroring Section VI:
 
 * **Offline** (:meth:`GBDASearch.fit`): pre-compute the GBD prior Λ2 (GMM
   over sampled pair GBDs, Section V-B) and the GED prior Λ3 (Jeffreys prior
-  over the (τ, |V'1|) grid, Section V-C).
+  over the (τ, |V'1|) grid, Section V-C) with
+  :meth:`~repro.core.estimator.GBDAEstimator.fit` — the offline stage
+  :class:`~repro.offline.fitter.OfflineFitter` runs too.
 * **Online** (:meth:`GBDASearch.query`): for every database graph, compute
   ``GBD(Q, G)`` from the database's branch store (Step 2, ``O(nd)``),
   evaluate ``Φ = Pr[GED <= τ̂ | GBD = ϕ]`` (Step 3, ``O(τ̂³)``), and accept
@@ -26,7 +28,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.core.branches import branch_multiset
 from repro.core.estimator import GBDAEstimator
@@ -73,9 +75,6 @@ class GBDASearch:
         Seed for the offline sampling / GMM initialisation.
     use_index_pruning:
         When true, graphs with ``GBD > 2 τ̂`` are rejected without scoring.
-    backend:
-        EM backend for the GBD-prior fit (``"auto"``, ``"numpy"`` or
-        ``"python"``); forwarded to :class:`~repro.core.gbd_prior.GBDPrior`.
     """
 
     method_name = "GBDA"
@@ -89,7 +88,6 @@ class GBDASearch:
         num_gmm_components: int = 3,
         seed: int = 0,
         use_index_pruning: bool = False,
-        backend: str = "auto",
     ) -> None:
         if len(database) == 0:
             raise SearchError("cannot build a search over an empty database")
@@ -99,7 +97,6 @@ class GBDASearch:
         self.num_gmm_components = int(num_gmm_components)
         self.seed = seed
         self.use_index_pruning = use_index_pruning
-        self.backend = backend
 
         self.gbd_prior: Optional[GBDPrior] = None
         self.ged_prior: Optional[GEDPrior] = None
@@ -118,27 +115,16 @@ class GBDASearch:
         covered, which is the worst case the paper's Table V analyses.
         """
         start = time.perf_counter()
-        self.gbd_prior = GBDPrior(
-            num_components=self.num_gmm_components,
-            num_pairs=self.num_prior_pairs,
-            seed=self.seed,
-            backend=self.backend,
-        ).fit(self.database)
-
-        if extended_orders is None:
-            extended_orders = sorted({entry.num_vertices for entry in self.database})
-        self.ged_prior = GEDPrior(
+        self.estimator = GBDAEstimator.fit(
+            self.database,
             max_tau=self.max_tau,
-            num_vertex_labels=self.database.num_vertex_labels,
-            num_edge_labels=self.database.num_edge_labels,
-        ).fit(extended_orders)
-
-        self.estimator = GBDAEstimator(
-            self.gbd_prior,
-            self.ged_prior,
-            self.database.num_vertex_labels,
-            self.database.num_edge_labels,
+            num_prior_pairs=self.num_prior_pairs,
+            num_gmm_components=self.num_gmm_components,
+            seed=self.seed,
+            orders=extended_orders,
         )
+        self.gbd_prior = self.estimator.gbd_prior
+        self.ged_prior = self.estimator.ged_prior
         self._core = ExecutionCore(
             self.database, self.estimator, max_tau=self.max_tau, error_class=SearchError
         )
@@ -252,7 +238,7 @@ class GBDASearch:
         if k is None:
             raise SearchError("query_topk needs top_k on the query or an explicit k")
         start = time.perf_counter()
-        ranking = self._core.execute_topk(query, k, use_pruning=self.use_index_pruning)
+        ranking = self._ranking(query, k)
         return QueryAnswer(
             method=self.method_name,
             accepted_ids=frozenset(graph_id for graph_id, _score in ranking),
@@ -260,6 +246,10 @@ class GBDASearch:
             elapsed_seconds=time.perf_counter() - start,
             ranking=ranking,
         )
+
+    def _ranking(self, query: SimilarityQuery, k: int) -> List[Tuple[int, float]]:
+        """The top-``k`` ``(graph id, posterior)`` pairs :meth:`query_topk` returns."""
+        return self._core.execute_topk(query, k, use_pruning=self.use_index_pruning)
 
     def query_topk_reference(self, query: SimilarityQuery, k: int) -> List:
         """Reference top-k ranking: full γ=0 scoring, sorted, first ``k``.

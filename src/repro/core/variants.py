@@ -7,9 +7,11 @@
 * **GBDA-V2** replaces the GBD with the weighted variant VGBD
   (Equation 26) with a user-chosen weight ``w`` when computing Λ1 and Λ2.
 
-Both variants reuse the entire GBDA machinery and only override the two
-hooks that differ, so their code doubles as documentation of exactly where
-the ablations deviate from Algorithm 1.
+Both variants reuse the entire GBDA machinery and only override the hooks
+that differ, so their code doubles as documentation of exactly where the
+ablations deviate from Algorithm 1.  The shared execution core's tables
+score plain GBDA, so a variant answers threshold, top-k and reference
+queries alike with its own per-pair loop.
 """
 
 from __future__ import annotations
@@ -17,12 +19,13 @@ from __future__ import annotations
 import math
 import random
 import time
-from typing import Dict, List, Optional
+from collections import Counter
+from typing import Dict, List, Optional, Tuple
 
 from repro.core.branches import branch_multiset
 from repro.core.gbd import variant_graph_branch_distance
 from repro.core.search import GBDASearch, SearchResult
-from repro.db.database import GraphDatabase
+from repro.db.database import GraphDatabase, StoredGraph
 from repro.db.query import QueryAnswer, SimilarityQuery
 from repro.exceptions import SearchError
 from repro.stats.sampling import sample_items, sample_pairs
@@ -30,7 +33,48 @@ from repro.stats.sampling import sample_items, sample_pairs
 __all__ = ["GBDAV1Search", "GBDAV2Search"]
 
 
-class GBDAV1Search(GBDASearch):
+class _VariantSearch(GBDASearch):
+    """Algorithm 1's per-pair loop with one hook: the ``(ϕ, |V'1|)`` of a pair."""
+
+    def _pair(
+        self, query: SimilarityQuery, query_branches: Counter, entry: StoredGraph
+    ) -> Tuple[int, int]:
+        """The statistic ϕ and extended order the variant scores one pair by."""
+        raise NotImplementedError
+
+    def query(self, query: SimilarityQuery) -> SearchResult:
+        """Steps 2–4 of Algorithm 1, scoring every pair by :meth:`_pair`."""
+        self._require_fitted()
+        self._core.validate_tau(query.tau_hat)
+        start = time.perf_counter()
+        query_branches = branch_multiset(query.query_graph)
+        gbd_values: Dict[int, int] = {}
+        posteriors: Dict[int, float] = {}
+        accepted: List[int] = []
+        for entry in self.database:
+            phi, extended_order = self._pair(query, query_branches, entry)
+            gbd_values[entry.graph_id] = phi
+            posterior = self.estimator.posterior(phi, query.tau_hat, extended_order)
+            posteriors[entry.graph_id] = posterior
+            if posterior >= query.gamma:
+                accepted.append(entry.graph_id)
+        answer = QueryAnswer(
+            method=self.method_name,
+            accepted_ids=frozenset(accepted),
+            scores=dict(posteriors),
+            elapsed_seconds=time.perf_counter() - start,
+        )
+        return SearchResult(answer=answer, gbd_values=gbd_values, posteriors=posteriors)
+
+    def query_reference(self, query: SimilarityQuery) -> SearchResult:
+        """A variant's reference is its own loop, :meth:`query`."""
+        return self.query(query)
+
+    def _ranking(self, query: SimilarityQuery, k: int) -> List[Tuple[int, float]]:
+        return self.query_topk_reference(query, k)
+
+
+class GBDAV1Search(_VariantSearch):
     """GBDA-V1: fixed extended order taken from a database sample.
 
     Parameters
@@ -58,40 +102,15 @@ class GBDAV1Search(GBDASearch):
         super().fit(extended_orders=[self.fixed_extended_order])
         return self
 
-    def query(self, query: SimilarityQuery) -> SearchResult:
+    def _pair(self, query, query_branches, entry):
         """Identical to Algorithm 1 except every pair uses the fixed |V'1|."""
-        self._require_fitted()
-        if query.tau_hat > self.max_tau:
-            raise SearchError(
-                f"τ̂={query.tau_hat} exceeds the pre-computed maximum {self.max_tau}"
-            )
-        start = time.perf_counter()
-        query_branches = branch_multiset(query.query_graph)
-        gbd_values: Dict[int, int] = {}
-        posteriors: Dict[int, float] = {}
-        accepted: List[int] = []
-        for entry in self.database:
-            gbd_value = self.database.gbd_to(
-                query.query_graph, entry.graph_id, query_branches=query_branches
-            )
-            gbd_values[entry.graph_id] = gbd_value
-            posterior = self.estimator.posterior(
-                gbd_value, query.tau_hat, self.fixed_extended_order
-            )
-            posteriors[entry.graph_id] = posterior
-            if posterior >= query.gamma:
-                accepted.append(entry.graph_id)
-        elapsed = time.perf_counter() - start
-        answer = QueryAnswer(
-            method=self.method_name,
-            accepted_ids=frozenset(accepted),
-            scores=dict(posteriors),
-            elapsed_seconds=elapsed,
+        gbd_value = self.database.gbd_to(
+            query.query_graph, entry.graph_id, query_branches=query_branches
         )
-        return SearchResult(answer=answer, gbd_values=gbd_values, posteriors=posteriors)
+        return gbd_value, self.fixed_extended_order
 
 
-class GBDAV2Search(GBDASearch):
+class GBDAV2Search(_VariantSearch):
     """GBDA-V2: the weighted VGBD of Equation (26) replaces GBD everywhere.
 
     Parameters
@@ -134,34 +153,10 @@ class GBDAV2Search(GBDASearch):
             )
         return self
 
-    def query(self, query: SimilarityQuery) -> SearchResult:
+    def _pair(self, query, query_branches, entry):
         """Algorithm 1 with VGBD in Steps 2 and 3."""
-        self._require_fitted()
-        if query.tau_hat > self.max_tau:
-            raise SearchError(
-                f"τ̂={query.tau_hat} exceeds the pre-computed maximum {self.max_tau}"
-            )
-        start = time.perf_counter()
-        query_branches = branch_multiset(query.query_graph)
-        gbd_values: Dict[int, int] = {}
-        posteriors: Dict[int, float] = {}
-        accepted: List[int] = []
-        for entry in self.database:
-            vgbd_value = self.database.vgbd_to(
-                query.query_graph, entry.graph_id, self.weight, query_branches=query_branches
-            )
-            rounded = max(int(math.floor(vgbd_value + 0.5)), 0)
-            gbd_values[entry.graph_id] = rounded
-            extended_order = max(query.query_graph.num_vertices, entry.num_vertices)
-            posterior = self.estimator.posterior(rounded, query.tau_hat, extended_order)
-            posteriors[entry.graph_id] = posterior
-            if posterior >= query.gamma:
-                accepted.append(entry.graph_id)
-        elapsed = time.perf_counter() - start
-        answer = QueryAnswer(
-            method=self.method_name,
-            accepted_ids=frozenset(accepted),
-            scores=dict(posteriors),
-            elapsed_seconds=elapsed,
+        vgbd_value = self.database.vgbd_to(
+            query.query_graph, entry.graph_id, self.weight, query_branches=query_branches
         )
-        return SearchResult(answer=answer, gbd_values=gbd_values, posteriors=posteriors)
+        extended_order = max(query.query_graph.num_vertices, entry.num_vertices)
+        return max(int(math.floor(vgbd_value + 0.5)), 0), extended_order

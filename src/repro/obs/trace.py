@@ -47,6 +47,7 @@ from __future__ import annotations
 
 import os
 import random
+import re
 import threading
 import time
 from collections import deque
@@ -66,6 +67,12 @@ __all__ = [
     "active_trace",
     "activated",
 ]
+
+#: ``version-trace_id-span_id-flags``, each field hex digits of its exact
+#: length (``int(x, 16)`` alone would also take ``+``, ``_`` and spaces).
+_TRACEPARENT = re.compile(
+    r"([0-9a-fA-F]{2})-([0-9a-fA-F]{32})-([0-9a-fA-F]{16})-([0-9a-fA-F]{2})"
+)
 
 
 def new_trace_id() -> str:
@@ -117,24 +124,15 @@ class TraceContext:
         """
         if not isinstance(value, str):
             return None
-        parts = value.split("-")
-        if len(parts) != 4:
+        match = _TRACEPARENT.fullmatch(value)
+        if match is None:
             return None
-        version, trace_id, span_id, flags = parts
-        if len(version) != 2 or len(trace_id) != 32 or len(span_id) != 16 or len(flags) != 2:
-            return None
-        try:
-            flag_bits = int(flags, 16)
-            int(trace_id, 16)
-            int(span_id, 16)
-            int(version, 16)
-        except ValueError:
-            return None
+        version, trace_id, span_id, flags = match.groups()
         if version.lower() == "ff":
             return None
         if trace_id == "0" * 32 or span_id == "0" * 16:
             return None
-        return cls(trace_id.lower(), span_id.lower(), sampled=bool(flag_bits & 0x01))
+        return cls(trace_id.lower(), span_id.lower(), sampled=bool(int(flags, 16) & 0x01))
 
     def to_dict(self) -> Dict[str, Any]:
         return {"trace_id": self.trace_id, "span_id": self.span_id, "sampled": self.sampled}

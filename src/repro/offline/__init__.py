@@ -1,18 +1,18 @@
-"""repro.offline — vectorized, incrementally refittable offline stage.
+"""repro.offline — the incrementally refittable offline stage.
 
-PR 1 made the *online* stage fast (the batched serving engine); this
-subpackage does the same for the *offline* stage, the dominant cost in the
-paper's Table IV analysis:
+The offline stage (Step 1 of Algorithm 1) is the dominant cost in the
+paper's Table IV analysis.  One function runs it from scratch,
+:meth:`repro.core.estimator.GBDAEstimator.fit` (pair GBDs read off the
+database's branch store, the vectorised EM of
+:class:`~repro.stats.gmm.GaussianMixtureModel`, the Jeffreys grid);
+:class:`~repro.core.search.GBDASearch` calls it once, and this subpackage
+keeps its result fresh:
 
-* :mod:`~repro.offline.em` — NumPy-vectorized EM inner loop behind
-  ``GaussianMixtureModel.fit(backend="numpy")``; responsibilities, M-step
-  and log-likelihood as array operations over all samples at once, same
-  seeding/convergence semantics as the scalar path (parity within 1e-9);
-* :class:`~repro.offline.fitter.OfflineFitter` — reads the graphs added to
-  the database since its last fit (``database[fitted_revision:]``), samples
-  their GBDs off the database's branch store, and refits the priors
-  incrementally; each refit bumps the model version and can be persisted as
-  a stamped serving snapshot.
+* :class:`~repro.offline.fitter.OfflineFitter` — runs that full fit, then
+  reads the graphs added to the database since (``database[fitted_revision:]``),
+  samples their GBDs off the database's branch store, and refits the priors
+  incrementally; each (re)fit bumps the model version and can be persisted
+  as a stamped serving snapshot.
 
 Quickstart
 ----------

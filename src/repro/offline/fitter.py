@@ -6,8 +6,10 @@ cost, but the ROADMAP's serving story adds graphs to a live
 addition silently mis-describes the population after it.
 :class:`OfflineFitter` closes that gap:
 
-* :meth:`fit` runs the full offline stage once (pair GBDs read off the
-  database's branch store, vectorized EM), keeps the sampled GBD list and
+* :meth:`fit` runs the full offline stage once — the same
+  :meth:`~repro.core.estimator.GBDAEstimator.fit` a
+  :class:`~repro.core.search.GBDASearch` runs (pair GBDs read off the
+  database's branch store, vectorised EM) — keeps the sampled GBD list and
   records the database revision it covers;
 * :meth:`refit` takes the graphs added since that revision
   (``database[fitted_revision:]``), samples pairs that connect them to the rest of
@@ -86,8 +88,6 @@ class OfflineFitter:
         The live graph database; :meth:`refit` folds in what was added to it.
     max_tau, num_prior_pairs, num_gmm_components, seed:
         As in :class:`~repro.core.search.GBDASearch`.
-    backend:
-        EM backend for the GMM fit (``"auto"``, ``"numpy"``, ``"python"``).
     refit_pairs_per_graph:
         How many sampled partners each newly added graph contributes to the
         incremental GBD sample on :meth:`refit`.
@@ -101,7 +101,6 @@ class OfflineFitter:
         num_prior_pairs: int = 10_000,
         num_gmm_components: int = 3,
         seed: int = 0,
-        backend: str = "auto",
         refit_pairs_per_graph: int = 64,
     ) -> None:
         if len(database) == 0:
@@ -111,7 +110,6 @@ class OfflineFitter:
         self.num_prior_pairs = int(num_prior_pairs)
         self.num_gmm_components = int(num_gmm_components)
         self.seed = seed
-        self.backend = backend
         self.refit_pairs_per_graph = int(refit_pairs_per_graph)
 
         self.gbd_prior: Optional[GBDPrior] = None
@@ -141,14 +139,6 @@ class OfflineFitter:
         if not self.is_fitted:
             raise SearchError("OfflineFitter.fit must be called before this operation")
 
-    def _unfitted_gbd_prior(self) -> GBDPrior:
-        return GBDPrior(
-            num_components=self.num_gmm_components,
-            num_pairs=self.num_prior_pairs,
-            seed=self.seed,
-            backend=self.backend,
-        )
-
     # ------------------------------------------------------------------ #
     # full offline stage
     # ------------------------------------------------------------------ #
@@ -156,22 +146,16 @@ class OfflineFitter:
         """Run the full offline stage (Step 1 of Algorithm 1) and return self."""
         start = time.perf_counter()
         revision = self.database.revision
-        self.gbd_prior = self._unfitted_gbd_prior().fit(self.database)
-        self._samples = list(self.gbd_prior.report.sampled_gbds)
-
-        orders = sorted({entry.num_vertices for entry in self.database})
-        self.ged_prior = GEDPrior(
+        self.estimator = GBDAEstimator.fit(
+            self.database,
             max_tau=self.max_tau,
-            num_vertex_labels=self.database.num_vertex_labels,
-            num_edge_labels=self.database.num_edge_labels,
-        ).fit(orders)
-
-        self.estimator = GBDAEstimator(
-            self.gbd_prior,
-            self.ged_prior,
-            self.database.num_vertex_labels,
-            self.database.num_edge_labels,
+            num_prior_pairs=self.num_prior_pairs,
+            num_gmm_components=self.num_gmm_components,
+            seed=self.seed,
         )
+        self.gbd_prior = self.estimator.gbd_prior
+        self.ged_prior = self.estimator.ged_prior
+        self._samples = list(self.gbd_prior.report.sampled_gbds)
         self.version += 1
         self.fitted_revision = revision
         self.last_report = OfflineFitReport(
@@ -179,7 +163,7 @@ class OfflineFitter:
             num_new_graphs=len(self.database),
             num_new_pairs=self.gbd_prior.report.num_pairs_sampled,
             num_total_samples=len(self._samples),
-            new_orders=orders,
+            new_orders=list(self.ged_prior.report.orders),
             seconds=time.perf_counter() - start,
         )
         _FITS_FULL.inc()
@@ -225,9 +209,11 @@ class OfflineFitter:
         orders = {entry.num_vertices for entry in entries}
         # A new prior, not a refit of the old in place: engines built on the
         # previous version keep reading the prior they were built with.
-        self.gbd_prior = self._unfitted_gbd_prior().fit_from_samples(
-            self._samples, max_value=max(orders)
-        )
+        self.gbd_prior = GBDPrior(
+            num_components=self.num_gmm_components,
+            num_pairs=self.num_prior_pairs,
+            seed=self.seed,
+        ).fit_from_samples(self._samples, max_value=max(orders))
 
         if (
             self.ged_prior.num_vertex_labels != self.database.num_vertex_labels

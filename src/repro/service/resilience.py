@@ -39,6 +39,7 @@ deterministic so chaos tests replay exactly.
 
 from __future__ import annotations
 
+import math
 import random
 import threading
 import time
@@ -115,10 +116,13 @@ class Deadline:
 
     @classmethod
     def after_ms(cls, budget_ms: float, *, clock: Optional[float] = None) -> "Deadline":
-        """Deadline ``budget_ms`` milliseconds from now (or from ``clock``)."""
+        """Deadline ``budget_ms`` milliseconds from now (or from ``clock``).
+
+        The budget must be finite and positive: a NaN would never expire.
+        """
         budget = float(budget_ms)
-        if budget <= 0:
-            raise ServiceError("deadline_ms must be a positive number of milliseconds")
+        if not math.isfinite(budget) or budget <= 0:
+            raise ServiceError("deadline_ms must be a finite positive number of milliseconds")
         now = time.monotonic() if clock is None else clock
         return cls(now + budget / 1000.0)
 

@@ -11,13 +11,15 @@ The implementation is a from-scratch univariate EM fit (no sklearn), with
 * a variance floor to keep components from collapsing onto repeated
   integer-valued samples (GBDs are integers),
 * a deterministic ``seed`` so offline pre-processing is reproducible, and
-* two interchangeable EM backends: the original scalar Python loop
-  (``backend="python"``) and a NumPy-vectorized loop
-  (``backend="numpy"``, see :mod:`repro.offline.em`) that computes the
-  responsibilities, M-step and log-likelihood as array operations over all
-  samples at once.  Both share the same seeding and convergence semantics
-  and agree to floating-point round-off; ``backend="auto"`` (the default)
-  picks the vectorized path when numpy is importable.
+* one vectorised EM loop (:meth:`GaussianMixtureModel.fit`): each
+  iteration computes the responsibilities, the M-step and the
+  log-likelihood as array operations over all samples at once — the
+  ``O(N · K)`` density evaluations per iteration that dominate the paper's
+  offline cost (Table IV).
+
+The per-sample scalar loop the vectorised one was derived from is kept as a
+test oracle (:func:`repro.testing.oracles.fit_gmm_oracle`); the two agree to
+floating-point round-off.
 """
 
 from __future__ import annotations
@@ -25,7 +27,9 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Union
+
+import numpy as np
 
 from repro.exceptions import ConvergenceError
 from repro.stats.distributions import continuity_corrected_pmf, normal_pdf
@@ -33,18 +37,14 @@ from repro.stats.sampling import decode_rng_state, encode_rng_state
 
 RandomState = Union[int, random.Random, None]
 
-__all__ = ["GaussianMixtureModel", "MixtureComponent", "EM_BACKENDS"]
+__all__ = ["GaussianMixtureModel", "MixtureComponent"]
 
-#: Valid values of the ``backend`` constructor argument.
-EM_BACKENDS = ("auto", "numpy", "python")
+_SQRT_2PI = math.sqrt(2.0 * math.pi)
 
-
-def _numpy_available() -> bool:
-    try:
-        import numpy  # noqa: F401
-    except ImportError:  # pragma: no cover - numpy ships with the toolchain
-        return False
-    return True
+#: Stand-in density total when every component density of a sample
+#: underflows to zero: the sample is assigned uniformly and the
+#: log-likelihood stays finite.
+_DENSITY_UNDERFLOW = 1e-300
 
 
 @dataclass(frozen=True)
@@ -71,12 +71,8 @@ class GaussianMixtureModel:
         Lower bound on component variances; prevents degenerate spikes when
         many samples share the same integer value.
     seed:
-        Seed (or ``random.Random``) controlling the k-means++ initialisation.
-    backend:
-        EM inner-loop implementation: ``"python"`` (scalar loop),
-        ``"numpy"`` (vectorized, :mod:`repro.offline.em`) or ``"auto"``
-        (numpy when importable, scalar otherwise).  Both backends share the
-        seeding, random stream and convergence semantics.
+        Seed (or ``random.Random``) controlling the k-means++ initialisation
+        and the re-seeding of a component that dies during EM.
     """
 
     def __init__(
@@ -87,17 +83,13 @@ class GaussianMixtureModel:
         tolerance: float = 1e-6,
         variance_floor: float = 1e-3,
         seed: RandomState = 0,
-        backend: str = "auto",
     ) -> None:
         if num_components < 1:
             raise ValueError("num_components must be at least 1")
-        if backend not in EM_BACKENDS:
-            raise ValueError(f"backend must be one of {EM_BACKENDS}, got {backend!r}")
         self.num_components = num_components
         self.max_iterations = max_iterations
         self.tolerance = tolerance
         self.variance_floor = variance_floor
-        self.backend = backend
         # Keep the original integer seed (when one was given) so to_state /
         # from_state can round-trip it; the live random stream is preserved
         # separately so a reloaded model refits exactly like the original.
@@ -110,107 +102,72 @@ class GaussianMixtureModel:
     # ------------------------------------------------------------------ #
     # fitting
     # ------------------------------------------------------------------ #
-    def resolved_backend(self) -> str:
-        """The backend :meth:`fit` will actually run (``"auto"`` resolved)."""
-        if self.backend == "auto":
-            return "numpy" if _numpy_available() else "python"
-        return self.backend
-
     def fit(self, samples: Sequence[float]) -> "GaussianMixtureModel":
-        """Fit the mixture to 1-D ``samples`` and return ``self``."""
+        """Fit the mixture to 1-D ``samples`` and return ``self``.
+
+        EM starts from the k-means++ means, the overall variance and equal
+        weights, and stops when the relative log-likelihood improvement
+        falls below ``tolerance`` or after ``max_iterations``.  The random
+        stream is drawn from again only when a component dies (its
+        responsibilities sum to ~0): it is re-seeded on a random sample.
+        """
         data = [float(x) for x in samples]
         if not data:
             raise ConvergenceError("cannot fit a mixture to an empty sample")
         k = min(self.num_components, len(set(data))) or 1
 
-        means = self._initial_means(data, k)
+        x = np.asarray(data, dtype=np.float64)
+        n = x.size
+        means = np.array(self._initial_means(data, k), dtype=np.float64)
         overall_variance = max(_variance(data), self.variance_floor)
-        variances = [overall_variance] * k
-        weights = [1.0 / k] * k
+        variances = np.full(k, overall_variance)
+        weights = np.full(k, 1.0 / k)
 
-        if self.resolved_backend() == "numpy":
-            from repro.offline.em import run_em_numpy
-
-            weights, means, variances, log_likelihood, n_iterations = run_em_numpy(
-                data,
-                means,
-                variances,
-                weights,
-                overall_variance,
-                max_iterations=self.max_iterations,
-                tolerance=self.tolerance,
-                variance_floor=self.variance_floor,
-                rng=self._rng,
-            )
-        else:
-            weights, means, variances, log_likelihood, n_iterations = self._run_em_python(
-                data, means, variances, weights, overall_variance
-            )
-
-        self.n_iterations_ = n_iterations
-        self.log_likelihood_ = log_likelihood
-        self.components = [
-            MixtureComponent(weight=weights[j], mean=means[j], std=math.sqrt(variances[j]))
-            for j in range(k)
-        ]
-        return self
-
-    def _run_em_python(
-        self,
-        data: List[float],
-        means: List[float],
-        variances: List[float],
-        weights: List[float],
-        overall_variance: float,
-    ) -> Tuple[List[float], List[float], List[float], float, int]:
-        """The original scalar EM loop (the ``backend="python"`` path)."""
-        k = len(means)
         previous_log_likelihood = -math.inf
         n_iterations = 0
         for iteration in range(1, self.max_iterations + 1):
-            # E-step: responsibilities
-            responsibilities = []
-            log_likelihood = 0.0
-            for x in data:
-                densities = [
-                    weights[j] * normal_pdf(x, means[j], math.sqrt(variances[j]))
-                    for j in range(k)
-                ]
-                total = sum(densities)
-                if total <= 0.0:
-                    total = 1e-300
-                    densities = [1e-300 / k] * k
-                responsibilities.append([d / total for d in densities])
-                log_likelihood += math.log(total)
+            # E-step: (n, k) responsibilities in one shot.
+            stds = np.sqrt(variances)
+            z = (x[:, None] - means[None, :]) / stds[None, :]
+            densities = weights[None, :] * np.exp(-0.5 * z * z) / (stds[None, :] * _SQRT_2PI)
+            totals = densities.sum(axis=1)
+            underflow = totals <= 0.0
+            if underflow.any():
+                densities[underflow, :] = _DENSITY_UNDERFLOW / k
+                totals = np.where(underflow, _DENSITY_UNDERFLOW, totals)
+            responsibilities = densities / totals[:, None]
+            log_likelihood = float(np.log(totals).sum())
 
-            # M-step: update weights, means, variances
+            # M-step: per-component reductions over all samples at once.
             for j in range(k):
-                resp_j = [responsibilities[i][j] for i in range(len(data))]
-                total_resp = sum(resp_j)
+                resp_j = responsibilities[:, j]
+                total_resp = float(resp_j.sum())
                 if total_resp <= 1e-12:
                     # dead component: re-seed it on a random sample
                     means[j] = self._rng.choice(data)
                     variances[j] = overall_variance
-                    weights[j] = 1.0 / len(data)
+                    weights[j] = 1.0 / n
                     continue
-                weights[j] = total_resp / len(data)
-                means[j] = sum(r * x for r, x in zip(resp_j, data)) / total_resp
+                weights[j] = total_resp / n
+                means[j] = float(resp_j @ x) / total_resp
                 variances[j] = max(
-                    sum(r * (x - means[j]) ** 2 for r, x in zip(resp_j, data)) / total_resp,
-                    self.variance_floor,
+                    float(resp_j @ np.square(x - means[j])) / total_resp, self.variance_floor
                 )
-
-            weight_sum = sum(weights)
-            weights = [w / weight_sum for w in weights]
+            weights = weights / weights.sum()
 
             n_iterations = iteration
             improvement = log_likelihood - previous_log_likelihood
-            if abs(improvement) < self.tolerance * max(abs(log_likelihood), 1.0):
-                previous_log_likelihood = log_likelihood
-                break
             previous_log_likelihood = log_likelihood
+            if abs(improvement) < self.tolerance * max(abs(log_likelihood), 1.0):
+                break
 
-        return weights, means, variances, previous_log_likelihood, n_iterations
+        self.n_iterations_ = n_iterations
+        self.log_likelihood_ = previous_log_likelihood
+        self.components = [
+            MixtureComponent(weight=float(w), mean=float(m), std=math.sqrt(v))
+            for w, m, v in zip(weights, means, variances.tolist())
+        ]
+        return self
 
     def _initial_means(self, data: List[float], k: int) -> List[float]:
         """k-means++-style seeding: spread the initial means across the data.
@@ -313,18 +270,17 @@ class GaussianMixtureModel:
             "n_iterations": self.n_iterations_,
             "seed": self._seed,
             "rng_state": encode_rng_state(self._rng),
-            "backend": self.backend,
         }
 
     @classmethod
     def from_state(cls, state: dict) -> "GaussianMixtureModel":
-        """Rebuild a fitted mixture from :meth:`to_state` output."""
+        """Rebuild a fitted mixture from :meth:`to_state` output.
+
+        A ``"backend"`` key, written by builds that had a choice of EM loop,
+        is ignored: the fitted parameters do not depend on it.
+        """
         seed = state.get("seed")
-        model = cls(
-            int(state["num_components"]),
-            seed=seed if seed is not None else 0,
-            backend=state.get("backend", "auto"),
-        )
+        model = cls(int(state["num_components"]), seed=seed if seed is not None else 0)
         model._seed = seed
         if state.get("rng_state") is not None:
             model._rng = decode_rng_state(state["rng_state"])

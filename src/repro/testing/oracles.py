@@ -1,10 +1,19 @@
-"""Equations (8) and (35) unfactored: the branch-edit model's test oracle.
+"""Scalar references the vectorised library code is held to in tests.
 
-One O(τ³) triple loop over the exact Ω factors per ``(τ, ϕ)`` — the sums
-:class:`~repro.core.model.BranchEditModel` evaluates factored, as ``Ω3 · P_τ``.
+* :func:`lambda1_oracle` / :func:`lambda1_dtau_oracle` — Equations (8) and
+  (35) unfactored: one O(τ³) triple loop over the exact Ω factors per
+  ``(τ, ϕ)``, the sums :class:`~repro.core.model.BranchEditModel` evaluates
+  factored, as ``Ω3 · P_τ``.
+* :func:`fit_gmm_oracle` — the Gaussian mixture's EM written per sample
+  and per component, the loop
+  :meth:`~repro.stats.gmm.GaussianMixtureModel.fit` runs as array
+  operations (same seeding, random stream and convergence test).
 """
 
 from __future__ import annotations
+
+import math
+from typing import Sequence
 
 from repro.core.omegas import (
     branch_type_count,
@@ -15,8 +24,10 @@ from repro.core.omegas import (
     omega3,
     omega4,
 )
+from repro.stats.distributions import normal_pdf
+from repro.stats.gmm import GaussianMixtureModel, MixtureComponent, _variance
 
-__all__ = ["lambda1_dtau_oracle", "lambda1_oracle"]
+__all__ = ["fit_gmm_oracle", "lambda1_dtau_oracle", "lambda1_oracle"]
 
 
 def lambda1_oracle(
@@ -83,3 +94,71 @@ def lambda1_dtau_oracle(
             inner_m_dtau += weight_m_dtau * inner_r
         total += weight_x * inner_m_dtau + weight_x_dtau * inner_m
     return total
+
+
+def fit_gmm_oracle(model: GaussianMixtureModel, samples: Sequence[float]) -> GaussianMixtureModel:
+    """:meth:`GaussianMixtureModel.fit` with EM written as a per-sample scalar loop.
+
+    Seeds ``model`` as ``fit`` does (its k-means++ draw on its own random
+    stream, which a dying component also draws from) and returns it fitted.
+    The signature is ``fit``'s, so ``monkeypatch.setattr(GaussianMixtureModel,
+    "fit", fit_gmm_oracle)`` makes everything above the mixture
+    (``GBDPrior``, ``GBDASearch``) fit by the scalar loop.
+    """
+    data = [float(x) for x in samples]
+    k = min(model.num_components, len(set(data))) or 1
+    means = model._initial_means(data, k)
+    overall_variance = max(_variance(data), model.variance_floor)
+    variances = [overall_variance] * k
+    weights = [1.0 / k] * k
+    previous_log_likelihood = -math.inf
+    n_iterations = 0
+    for iteration in range(1, model.max_iterations + 1):
+        # E-step: responsibilities
+        responsibilities = []
+        log_likelihood = 0.0
+        for x in data:
+            densities = [
+                weights[j] * normal_pdf(x, means[j], math.sqrt(variances[j])) for j in range(k)
+            ]
+            total = sum(densities)
+            if total <= 0.0:
+                total = 1e-300
+                densities = [1e-300 / k] * k
+            responsibilities.append([d / total for d in densities])
+            log_likelihood += math.log(total)
+
+        # M-step: update weights, means, variances
+        for j in range(k):
+            resp_j = [responsibilities[i][j] for i in range(len(data))]
+            total_resp = sum(resp_j)
+            if total_resp <= 1e-12:
+                # dead component: re-seed it on a random sample
+                means[j] = model._rng.choice(data)
+                variances[j] = overall_variance
+                weights[j] = 1.0 / len(data)
+                continue
+            weights[j] = total_resp / len(data)
+            means[j] = sum(r * x for r, x in zip(resp_j, data)) / total_resp
+            variances[j] = max(
+                sum(r * (x - means[j]) ** 2 for r, x in zip(resp_j, data)) / total_resp,
+                model.variance_floor,
+            )
+
+        weight_sum = sum(weights)
+        weights = [w / weight_sum for w in weights]
+
+        n_iterations = iteration
+        improvement = log_likelihood - previous_log_likelihood
+        if abs(improvement) < model.tolerance * max(abs(log_likelihood), 1.0):
+            previous_log_likelihood = log_likelihood
+            break
+        previous_log_likelihood = log_likelihood
+
+    model.n_iterations_ = n_iterations
+    model.log_likelihood_ = previous_log_likelihood
+    model.components = [
+        MixtureComponent(weight=weights[j], mean=means[j], std=math.sqrt(variances[j]))
+        for j in range(k)
+    ]
+    return model

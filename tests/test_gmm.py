@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.exceptions import ConvergenceError
-from repro.stats.gmm import EM_BACKENDS, GaussianMixtureModel
+from repro.stats.gmm import GaussianMixtureModel
+from repro.testing.oracles import fit_gmm_oracle
 
 
 def _two_cluster_sample(n=400, seed=0):
@@ -58,21 +59,12 @@ class TestFitting:
 
 
 class TestBackends:
-    def test_invalid_backend_rejected(self):
-        with pytest.raises(ValueError):
-            GaussianMixtureModel(2, backend="fortran")
-        for backend in EM_BACKENDS:
-            GaussianMixtureModel(2, backend=backend)
-
-    def test_auto_resolves_to_numpy_when_available(self):
-        model = GaussianMixtureModel(2)
-        assert model.backend == "auto"
-        assert model.resolved_backend() in ("numpy", "python")
+    """The vectorised EM of ``fit`` against the scalar loop of the oracle."""
 
     def test_backends_agree_on_two_cluster_data(self):
         data = _two_cluster_sample()
-        scalar = GaussianMixtureModel(2, seed=3, backend="python").fit(data)
-        vector = GaussianMixtureModel(2, seed=3, backend="numpy").fit(data)
+        scalar = fit_gmm_oracle(GaussianMixtureModel(2, seed=3), data)
+        vector = GaussianMixtureModel(2, seed=3).fit(data)
         assert vector.n_iterations_ == scalar.n_iterations_
         for a, b in zip(scalar.components, vector.components):
             assert b.weight == pytest.approx(a.weight, abs=1e-9)
@@ -89,12 +81,12 @@ class TestBackends:
     )
     @settings(max_examples=25, deadline=None)
     def test_backend_parity_property(self, seed, num_components, data_seed):
-        """The vectorized backend matches the scalar backend across seeds."""
+        """The vectorized EM matches the scalar oracle across seeds."""
         rng = random.Random(data_seed)
         # integer-heavy data mirrors real GBD samples
         data = [float(round(max(rng.gauss(5.0, 2.5), 0.0))) for _ in range(120)]
-        scalar = GaussianMixtureModel(num_components, seed=seed, backend="python").fit(data)
-        vector = GaussianMixtureModel(num_components, seed=seed, backend="numpy").fit(data)
+        scalar = fit_gmm_oracle(GaussianMixtureModel(num_components, seed=seed), data)
+        vector = GaussianMixtureModel(num_components, seed=seed).fit(data)
         assert len(scalar.components) == len(vector.components)
         for a, b in zip(scalar.components, vector.components):
             assert b.weight == pytest.approx(a.weight, abs=1e-9)
@@ -133,7 +125,7 @@ class TestSeedRoundTrip:
         model = GaussianMixtureModel(2, seed=41).fit(_two_cluster_sample())
         restored = GaussianMixtureModel.from_state(model.to_state())
         assert restored._seed == 41
-        assert restored.backend == model.backend
+        assert "backend" not in model.to_state()
 
     def test_reload_then_refit_is_deterministic(self):
         """Refitting a reloaded model matches refitting the live instance.

@@ -120,6 +120,18 @@ class TestTraceContext:
             "00-" + "0" * 32 + "-" + "b" * 16 + "-01",  # all-zero trace id
             "00-" + "a" * 32 + "-" + "0" * 16 + "-01",  # all-zero span id
             "00-" + "a" * 32 + "-" + "b" * 16 + "-01-extra",
+            # int(x, 16) takes a sign, underscores and surrounding spaces
+            "00-+" + "a" * 31 + "-" + "b" * 16 + "-01",
+            "00--" + "a" * 31 + "-" + "b" * 16 + "-01",
+            "00-" + "a" * 15 + "_" + "a" * 16 + "-" + "b" * 16 + "-01",
+            "00- " + "a" * 31 + "-" + "b" * 16 + "-01",
+            "00-" + "a" * 32 + "-" + "b" * 15 + " -01",
+            "00-" + "a" * 32 + "-+" + "b" * 15 + "-01",
+            "00-" + "a" * 32 + "-" + "b" * 16 + "-+1",
+            " 0-" + "a" * 32 + "-" + "b" * 16 + "-01",
+            "00-" + "a" * 32 + "-" + "b" * 16 + "-01\n",
+            "00-0x" + "a" * 30 + "-" + "b" * 16 + "-01",
+            "00-" + "\u0663" * 32 + "-" + "b" * 16 + "-01",  # non-ASCII digits
         ],
     )
     def test_malformed_values_parse_to_none(self, value):

@@ -19,7 +19,9 @@ from repro.graphs.graph import Graph
 from repro.offline import OfflineFitter
 from repro.offline.fitter import _draw_partners
 from repro.serving.snapshot import load_engine
+from repro.stats.gmm import GaussianMixtureModel
 from repro.stats.sampling import sample_pairs
+from repro.testing.oracles import fit_gmm_oracle
 
 
 @pytest.fixture()
@@ -116,6 +118,16 @@ class TestOfflineFitterFullFit:
         engine_answer = fitter.build_engine(cache_size=None).query(query)
         loop_answer = search.query(query).answer
         assert engine_answer.accepted_ids == loop_answer.accepted_ids
+
+    def test_search_fit_moves_no_offline_metric(self, database):
+        """GBDASearch runs the same offline stage, but it is not the fitter's fit."""
+        from repro.offline import fitter as fitter_module
+
+        metrics = ("_FITS_FULL", "_FITS_INCREMENTAL", "_FIT_SECONDS", "_MODEL_VERSION")
+        OfflineFitter(database, max_tau=4, num_prior_pairs=60, seed=0).fit()
+        before = [getattr(fitter_module, name).value for name in metrics]
+        GBDASearch(database, max_tau=4, num_prior_pairs=60, seed=1).fit()
+        assert [getattr(fitter_module, name).value for name in metrics] == before
 
     def test_fit_sets_version_and_revision(self, database):
         fitter = OfflineFitter(database, max_tau=4, num_prior_pairs=60, seed=0)
@@ -289,14 +301,13 @@ class TestSnapshotVersioning:
 
 
 class TestBackendEndToEnd:
-    def test_numpy_and_python_backends_answer_identically(self, database):
+    def test_numpy_and_python_backends_answer_identically(self, database, monkeypatch):
+        """A search whose prior the scalar EM oracle fitted answers as the vectorised one."""
         queries = [SimilarityQuery(database[i].graph, tau, 0.5) for i, tau in ((0, 1), (3, 2), (7, 4))]
-        scalar = GBDASearch(
-            database, max_tau=4, num_prior_pairs=120, seed=0, backend="python"
-        ).fit()
-        vector = GBDASearch(
-            database, max_tau=4, num_prior_pairs=120, seed=0, backend="numpy"
-        ).fit()
+        vector = GBDASearch(database, max_tau=4, num_prior_pairs=120, seed=0).fit()
+        with monkeypatch.context() as patched:
+            patched.setattr(GaussianMixtureModel, "fit", fit_gmm_oracle)
+            scalar = GBDASearch(database, max_tau=4, num_prior_pairs=120, seed=0).fit()
         for query in queries:
             a = scalar.query(query)
             b = vector.query(query)
@@ -304,3 +315,17 @@ class TestBackendEndToEnd:
             assert a.gbd_values == b.gbd_values
             for graph_id, posterior in a.posteriors.items():
                 assert b.posteriors[graph_id] == pytest.approx(posterior, abs=1e-9)
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda database: GaussianMixtureModel(2, backend="numpy"),
+            lambda database: GBDPrior(3, 100, backend="numpy"),
+            lambda database: GBDASearch(database, backend="numpy"),
+            lambda database: OfflineFitter(database, backend="numpy"),
+        ],
+        ids=["GaussianMixtureModel", "GBDPrior", "GBDASearch", "OfflineFitter"],
+    )
+    def test_constructors_reject_backend(self, database, build):
+        with pytest.raises(TypeError):
+            build(database)

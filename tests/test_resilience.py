@@ -127,6 +127,23 @@ class TestDeadline:
         with pytest.raises(ServiceError):
             Deadline.after_ms(-5)
 
+    @pytest.mark.parametrize("budget", [float("nan"), float("inf"), float("-inf")])
+    def test_rejects_non_finite_budget(self, budget):
+        # NaN passes a `<= 0` test and would never expire.
+        with pytest.raises(ServiceError):
+            Deadline.after_ms(budget)
+
+    def test_nan_deadline_is_a_bad_request(self, engine):
+        handle = start_service_thread(engine, max_batch=8)
+        query = _queries(1, seed=109)[0]
+        try:
+            with ServiceClient(*handle.address) as client:
+                with pytest.raises(ProtocolError, match="invalid deadline_ms"):
+                    client.query(query, deadline_ms=float("nan"))
+                assert client.query(query).accepted_ids == engine.query(query).accepted_ids
+        finally:
+            handle.stop()
+
 
 # ---------------------------------------------------------------------- #
 # RetryPolicy

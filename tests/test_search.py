@@ -243,6 +243,34 @@ class TestVariants:
         assert search.gbd_prior.report.sampled_gbds == samples
         assert search.gbd_prior.table() == expected.table()
 
+    @pytest.mark.parametrize(
+        "variant",
+        [
+            lambda database: GBDAV1Search(database, alpha=10, max_tau=4, num_prior_pairs=120, seed=3),
+            lambda database: GBDAV2Search(database, weight=0.5, max_tau=4, num_prior_pairs=120, seed=3),
+        ],
+        ids=["V1", "V2"],
+    )
+    def test_variant_topk_ranks_by_its_own_posteriors(self, variant):
+        """A variant's top-k and reference are its own loop, not plain GBDA's."""
+        rng = random.Random(11)
+        database = GraphDatabase(
+            [random_labeled_graph(rng.randint(5, 12), rng.randint(5, 16), seed=rng) for _ in range(60)]
+        )
+        search = variant(database).fit()
+        queries = [database[i].graph for i in range(0, 60, 10)]
+        queries += [random_labeled_graph(rng.randint(5, 12), rng.randint(5, 16), seed=rng) for _ in range(3)]
+        for graph in queries:
+            query = SimilarityQuery(graph, 4, 0.0)
+            posteriors = search.query(query).posteriors
+            expected = sorted(posteriors.items(), key=lambda item: (-item[1], item[0]))
+            answer = search.query_topk(query, len(database))
+            assert answer.ranking == expected
+            assert answer.scores == posteriors
+            assert search.query_topk(query, 5).ranking == expected[:5]
+            assert search.query_topk_reference(query, 5) == expected[:5]
+            assert search.query_reference(query).posteriors == posteriors
+
     def test_variants_threshold_guard(self, family_database):
         search = GBDAV1Search(family_database, alpha=3, max_tau=2, num_prior_pairs=30, seed=0).fit()
         with pytest.raises(SearchError):

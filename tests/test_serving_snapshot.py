@@ -188,6 +188,29 @@ class TestStoredTables:
             assert loaded.query_topk(query, 5).ranking == expected
 
 
+class TestPriorStates:
+    def test_v6_prior_states_with_a_backend_key_load(self, fitted_engine, tmp_path):
+        """Builds with a choice of EM loop wrote ``"backend"`` into both prior
+        states; such a v6 file loads and answers as the engine that wrote it."""
+        path = tmp_path / "engine.snapshot"
+        save_engine(fitted_engine, path)
+        payload = pickle.loads(path.read_bytes())
+        assert payload["version"] == 6
+        assert "backend" not in payload["gbd_prior"]
+        assert "backend" not in payload["gbd_prior"]["mixture"]
+        payload["gbd_prior"]["backend"] = "python"
+        payload["gbd_prior"]["mixture"]["backend"] = "python"
+        path.write_bytes(_with_footer(payload))
+        loaded = load_engine(path)
+        assert loaded.estimator.gbd_prior.to_state() == fitted_engine.estimator.gbd_prior.to_state()
+        for query in _queries(seed=41):
+            original = fitted_engine.query(query)
+            restored = loaded.query(query)
+            assert restored.accepted_ids == original.accepted_ids
+            assert restored.scores == original.scores
+            assert loaded.query_topk(query, 5).ranking == fitted_engine.query_topk(query, 5).ranking
+
+
 class TestStoredBranches:
     def test_a_snapshot_stores_no_branches(self, fitted_engine, tmp_path):
         path = tmp_path / "engine.snapshot"
