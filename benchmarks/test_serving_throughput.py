@@ -3,7 +3,7 @@
 Builds a 2000-graph synthetic database, fits the GBDA offline stage once,
 and answers the same query stream through every online execution path:
 
-* the faithful per-pair loop of :meth:`GBDASearch.query_reference`
+* the faithful per-pair loop of :func:`repro.testing.oracles.query_reference`
   (Algorithm 1 exactly as written — one branch-multiset merge and one
   posterior evaluation per database graph),
 * the per-query loop API :meth:`GBDASearch.query` (now a thin wrapper over
@@ -14,8 +14,8 @@ and answers the same query stream through every online execution path:
 * :meth:`BatchQueryEngine.query_batch` — the same per-query pipeline, row by
   row, behind one cache-probe pass (a batch is a loop, not a matrix kernel).
 
-Assertions: every path's accepted sets (and posterior scores, where the
-configuration retains them) are bit-identical to ``GBDASearch.query``; the
+Assertions: every path's accepted sets and their posterior scores are
+bit-identical to ``GBDASearch.query``; the
 vectorized engine clears 3x the per-query ``GBDASearch.query`` loop; and a
 ``query_batch`` call runs exactly the kernel calls of the same queries asked
 one by one — a count, which repeats, where the batch/loop and batch/single
@@ -25,7 +25,7 @@ A third benchmark exercises the pruned filter-and-verify execution layer
 on a selective workload (size-diverse database, small queries, small τ̂,
 high γ) under **every available kernel backend**: the γ-threshold
 inversion plus the GBD lower bound must clear a per-backend QPS multiple
-of the unpruned engine (3x for numpy; 1.3x for native, whose compiled
+of the dense every-posterior path (3x for numpy; 1.3x for native, whose compiled
 kernels speed the unpruned dense scan up several-fold too, shrinking the
 *relative* win while raising absolute QPS) with bit-identical answers.
 The run emits the machine-readable ``results/BENCH_serving.json`` (QPS
@@ -46,6 +46,7 @@ import time
 
 import pytest
 
+from repro.core.plan import ExecutionCore
 from repro.core.search import GBDASearch
 from repro.db.database import GraphDatabase
 from repro.db.kernels import available_backends
@@ -53,6 +54,7 @@ from repro.db.query import SimilarityQuery
 from repro.graphs.generators import random_labeled_graph
 from repro.obs.metrics import get_registry
 from repro.serving import BatchQueryEngine, ServingExecutor
+from repro.testing.oracles import query_reference
 
 SMOKE = os.environ.get("REPRO_SMOKE", "") not in ("", "0")
 
@@ -128,7 +130,7 @@ def test_engine_throughput_beats_query_loop(workload, results_dir):
     # The scalar per-pair reference (Algorithm 1 as written) — one pass is
     # plenty: it is orders of magnitude slower and only reported.
     reference_seconds, reference_answers = _best_of(
-        1, lambda: [search.query_reference(q).answer for q in queries]
+        1, lambda: [query_reference(search, q).answer for q in queries]
     )
     reference_qps = len(queries) / reference_seconds
 
@@ -203,7 +205,7 @@ def test_batched_matrix_parity(workload, results_dir):
     loop_qps = len(queries) / loop_seconds
 
     # Per-query vs batched on identically configured engines (no result
-    # cache, default keep_scores) — the no-regression comparison.
+    # cache) — the no-regression comparison.
     engine = BatchQueryEngine.from_search(search, cache_size=None)
     engine.query_batch(queries)  # warm the shared posterior tables
     single_seconds, single_answers = _best_of(2, lambda: [engine.query(q) for q in queries])
@@ -229,13 +231,6 @@ def test_batched_matrix_parity(workload, results_dir):
         expected_scores = {gid: loop_result.posteriors[gid] for gid in expected_ids}
         assert single_answer.scores == expected_scores
         assert batch_answer.scores == expected_scores
-
-    # Full-score parity: keep_scores="all" answers carry every candidate's
-    # posterior and must be bit-identical to GBDASearch.query's dicts.
-    full_engine = BatchQueryEngine.from_search(search, cache_size=None, keep_scores="all")
-    for loop_result, full_answer in zip(loop_results, full_engine.query_batch(queries)):
-        assert full_answer.accepted_ids == loop_result.answer.accepted_ids
-        assert full_answer.scores == loop_result.posteriors
 
     batch_speedup = batch_qps / loop_qps
     batch_vs_single = batch_qps / single_qps
@@ -269,8 +264,8 @@ def test_pruned_selective_workload(results_dir):
     (8..12 vertices) with small τ̂ and high γ.  The γ-threshold inversion
     plus the GBD lower bound then eliminates ~96% of the candidates with
     O(1) arithmetic per graph, and only the survivors' postings are read
-    through the (key, order)-block index — the unpruned engine scores the
-    whole database per query.  Answers must be bit-identical.  The whole
+    through the (key, order)-block index — the dense every-posterior path
+    (:meth:`ExecutionCore.execute`) scores the whole database per query.  Answers must be bit-identical.  The whole
     measurement runs once per available kernel backend (numpy always, the
     compiled native kernels when they build here), each held to the
     ``MIN_PRUNE_RATE`` bar on its prune counters.  Also emits the machine-readable
@@ -306,28 +301,23 @@ def test_pruned_selective_workload(results_dir):
         # One database (one store) per backend; the graphs and the model are shared.
         served = GraphDatabase(graphs, name=database.name, kernel_backend=backend)
         pruned = BatchQueryEngine(served, search.estimator, max_tau=3, cache_size=None)
-        # keep_scores="all" runs the dense every-posterior path.
-        unpruned = BatchQueryEngine(
-            served, search.estimator, max_tau=3, cache_size=None, keep_scores="all"
-        )
+        # The dense every-posterior path (what GBDASearch.query runs).
+        unpruned = ExecutionCore(served, search.estimator, max_tau=3)
 
         # Correctness first: filter-and-verify must be bit-identical (warm pass).
         pruned_answers = [pruned.query(query) for query in queries]
         for query, pruned_answer in zip(queries, pruned_answers):
-            unpruned_answer = unpruned.query(query)
-            assert pruned_answer.accepted_ids == unpruned_answer.accepted_ids
-            assert pruned_answer.scores == {
-                gid: unpruned_answer.scores[gid] for gid in unpruned_answer.accepted_ids
-            }
+            unpruned_answer = unpruned.execute(query)
+            assert pruned_answer.accepted_ids == unpruned_answer.accepted_id_set()
+            assert pruned_answer.scores == unpruned_answer.scores_dict("accepted")
 
         # Best-of-3: one pass over this workload is a couple of milliseconds,
         # so a single scheduler hiccup would otherwise dominate the reading.
         counters_before = pruned.prune_counters
         pruned_seconds, _ = _best_of(3, lambda: [pruned.query(q) for q in queries])
         counters_after = pruned.prune_counters
-        unpruned_seconds, _ = _best_of(3, lambda: [unpruned.query(q) for q in queries])
+        unpruned_seconds, _ = _best_of(3, lambda: [unpruned.execute(q) for q in queries])
         batch_pruned_seconds, _ = _best_of(3, lambda: pruned.query_batch(queries))
-        batch_unpruned_seconds, _ = _best_of(3, lambda: unpruned.query_batch(queries))
 
         generated = (
             counters_after["candidates_generated"] - counters_before["candidates_generated"]
@@ -344,8 +334,7 @@ def test_pruned_selective_workload(results_dir):
                 "unpruned": len(queries) / unpruned_seconds,
                 "speedup": unpruned_seconds / pruned_seconds,
                 "batch_pruned": len(queries) / batch_pruned_seconds,
-                "batch_unpruned": len(queries) / batch_unpruned_seconds,
-                "batch_speedup": batch_unpruned_seconds / batch_pruned_seconds,
+                "batch_speedup": unpruned_seconds / batch_pruned_seconds,
             },
             "prune": {
                 "candidates_generated": generated,

@@ -23,23 +23,28 @@ implements them once, as one pipeline a query goes through:
   descending bound order are offered to a running top ``k`` whose k-th score
   ends the scan between two groups.
 
-For callers that only need the accepted graphs (:meth:`execute_pruned`, what
-the serving engine runs unless ``keep_scores="all"``) *bound*, *verify* and
-*reduce* are **one store call**: :meth:`ColumnarBranchStore.filter_verify_row
+For callers that only need the accepted graphs (:meth:`execute_pruned` and
+its batch loop :meth:`execute_batch` — the serving engine's one plan)
+*bound*, *verify* and *reduce* are **one store call**:
+:meth:`ColumnarBranchStore.filter_verify_row
 <repro.db.columnar.ColumnarBranchStore.filter_verify_row>` takes the
-per-order thresholds, the τ̂ posterior table, γ and the branch-bound cap and
-returns the *hits* — the accepted rows' store positions and GBDs — so nothing
-``D`` long is produced or walked here; what is left is their ids and one table
-lookup each.  The ``bound_filter`` stage histogram therefore covers that whole
-call (bound, verification and the γ comparison) and the second stage —
-``verify`` after the sparse plan, ``score_dense`` after the dense one — the
-hits' ids and scores only.  Likewise all of top-k is one call
+per-order thresholds, the τ̂ posterior table and γ and returns the *hits* —
+the accepted rows' store positions and GBDs — so nothing ``D`` long is
+produced or walked here; what is left is their ids and one table lookup
+each, returned as they are (:data:`Hits`).  The ``bound_filter`` stage
+histogram therefore covers that whole call (bound, verification and the γ
+comparison) and the second stage — ``verify`` after the sparse plan,
+``score_dense`` after the dense one — the hits' ids and scores only.
+Likewise all of top-k is one call
 (:meth:`~repro.db.columnar.ColumnarBranchStore.filter_verify_topk`: bounds,
 group order, verification, k-best and cut-off) that hands back at most ``k``
-scored rows, ranked here.  Asked to keep every posterior
-(:meth:`execute`, what ``keep_scores="all"`` and :meth:`GBDASearch.query
-<repro.core.search.GBDASearch.query>` need) the threshold reducer scores the
-dense row in NumPy, for every row.
+scored rows, ranked here.  Asked to keep every posterior (:meth:`execute`,
+what :meth:`GBDASearch.query <repro.core.search.GBDASearch.query>` needs)
+the threshold reducer scores the dense row in NumPy, for every row.
+
+The branch bound ``GBD <= 2 τ̂`` (``use_pruning``) is the ablation filter of
+:class:`~repro.core.search.GBDASearch`, so only the two paths that search
+drives take it: :meth:`execute` and :meth:`execute_topk`.
 
 Posteriors have one source: dense ``(τ̂, |V'1|)`` posterior vectors from
 :meth:`GBDAEstimator.posterior_row` (each entry is the scalar
@@ -55,8 +60,9 @@ its rows through the pipeline one by one, in input order: a row is a batch
 of one, and what a batch saves lies outside the core (one cache-probe pass,
 one thread hand-over and one trace per flush), not in a matrix kernel.
 Every path returns accepted sets and scores bit-identical to the scalar
-``query_reference`` loop; :class:`FilterCounters` tracks what the bounds
-saved, counted per query on every path.
+per-pair loop (:func:`repro.testing.oracles.query_reference`);
+:class:`FilterCounters` tracks what the bounds saved, counted per query on
+every path.
 
 Thread-safety: queries may run concurrently from threads sharing one engine
 (the serving executor with ``num_workers > 1``).  The lookup-table caches are
@@ -167,57 +173,40 @@ class FilterCounters:
         return {**asdict(self), "prune_rate": self.prune_rate}
 
 
+#: What the accepted-only reducer returns: the accepted graphs' ids and their
+#: posteriors, parallel lists in store-position order.
+Hits = Tuple[List[int], List[float]]
+
+
 @dataclass
 class CandidateScores:
-    """Per-candidate output of one query's online stage.
+    """Every posterior of one query: what :meth:`ExecutionCore.execute` returns.
 
-    From :meth:`ExecutionCore.execute` every array spans the whole store,
-    aligned on store positions — the store's ``|V_G|``-clustered layout, so
-    ``graph_ids`` maps each position to its graph and is not in id order.
-    From the accepted-only reducer (:meth:`ExecutionCore.execute_pruned`)
-    nothing ``D`` long exists: ``graph_ids`` / :attr:`positions` hold the
-    accepted rows, their scores are in :attr:`accepted_items`, and the
-    per-candidate arrays are ``None``.
+    Every array spans the whole store, aligned on store positions — the
+    store's ``|V_G|``-clustered layout, so ``graph_ids`` maps each position to
+    its graph and is not in id order.
     """
 
     graph_ids: np.ndarray
-    gbds: Optional[np.ndarray] = None
-    posteriors: Optional[np.ndarray] = None
-    accepted: Optional[np.ndarray] = None
+    gbds: np.ndarray
+    posteriors: np.ndarray
+    accepted: np.ndarray
     #: Boolean survival mask of the branch lower-bound filter, or ``None``
     #: when pruning was off (every graph was scored).
     eligible: Optional[np.ndarray] = None
-    #: Accepted (ids, posteriors) lists of the accepted-only reducer — what
-    #: its consumers read (also through :meth:`accepted_id_set`).
-    accepted_items: Optional[Tuple[List[int], List[float]]] = None
-    #: Store positions of the rows ``graph_ids`` covers, or ``None`` when it
-    #: spans the whole store.
-    positions: Optional[np.ndarray] = None
 
     def candidate_positions(self) -> np.ndarray:
         """Positions that were actually scored (all, unless pruning masked some)."""
-        if self.gbds is None:
-            raise ValueError(
-                "the scored rows were not materialised (scored by execute_pruned)"
-            )
         if self.eligible is None:
             return np.arange(len(self.gbds))
         return np.flatnonzero(self.eligible)
 
     def accepted_id_set(self) -> frozenset:
         """The accepted global graph ids as a frozenset."""
-        if self.accepted_items is not None:
-            return frozenset(self.accepted_items[0])
         return frozenset(self.graph_ids[self.accepted].tolist())
 
     def scores_dict(self, which: str = "candidates") -> Dict[int, float]:
         """Posterior scores keyed by global id: ``"candidates"`` or ``"accepted"``."""
-        if which == "accepted" and self.accepted_items is not None:
-            return dict(zip(*self.accepted_items))
-        if self.posteriors is None:
-            raise ValueError(
-                "per-candidate posteriors were not materialised (scored by execute_pruned)"
-            )
         if which == "accepted":
             positions = np.flatnonzero(self.accepted)
         else:
@@ -264,8 +253,8 @@ class ExecutionCore:
         # (snapshot's order vector, {|V_Q|: the D-length max(|V_Q|, |V_G|) row}) of
         # the snapshot last seen — see _orders_row.
         self._snapshot_rows: Tuple[Optional[np.ndarray], Dict] = (None, {})
-        # (τ̂, γ, |V_Q|, |distinct|, pruning) -> (capped threshold vector,
-        # posterior table) of the thresholded path — see _pruned_thresholds.
+        # (τ̂, γ, |V_Q|, |distinct|) -> (threshold vector, posterior table) of
+        # the accepted-only path — see _pruned_thresholds.
         self._pruned_thresholds_cache: Dict[Tuple, Tuple[np.ndarray, np.ndarray]] = {}
         # (τ̂, |V_Q|, |distinct|) -> (posterior table, bound table) of top-k —
         # see _topk_tables.
@@ -389,35 +378,33 @@ class ExecutionCore:
         return int(accepting[-1]) if accepting.size else -1
 
     def _pruned_thresholds(
-        self, query: SimilarityQuery, extended: np.ndarray, use_pruning: bool
+        self, query: SimilarityQuery, extended: np.ndarray
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Cached ``(thresholds, lut)`` of one query shape: what the store call reads.
 
         ``thresholds`` is the max acceptable GBD per distinct order — Step 4
-        inverted (:meth:`acceptance_threshold`, vectorized), further capped by
-        the branch bound ``2 τ̂`` under ``use_pruning`` — and ``lut`` the τ̂
-        posterior table with a row for each of the shape's extended orders
+        inverted (:meth:`acceptance_threshold`, vectorized) — and ``lut`` the
+        τ̂ posterior table with a row for each of the shape's extended orders
         (:meth:`_lut_for`; filled rows never change, so a table that covered
-        the shape once covers it for good).  One query shape ``(τ̂, γ, |V_Q|,
-        pruning)`` over one snapshot always produces the same pair, so it is
-        built once and reused — a repeat costs one dict probe, however many
-        orders the store has — and because the *same array objects* recur, the
-        native backend's per-array address cache applies to them too.
+        the shape once covers it for good).  One query shape ``(τ̂, γ, |V_Q|)``
+        over one snapshot always produces the same pair, so it is built once
+        and reused — a repeat costs one dict probe, however many orders the
+        store has — and because the *same array objects* recur, the native
+        backend's per-array address cache applies to them too.
         ``len(extended)`` identifies the distinct-order set: the store is
         append-only, so the set only ever grows.
         """
         cache = self._pruned_thresholds_cache
         tau_hat, gamma = query.tau_hat, query.gamma
-        key = (tau_hat, gamma, query.query_graph.num_vertices, len(extended), use_pruning)
+        key = (tau_hat, gamma, query.query_graph.num_vertices, len(extended))
         cached = cache.get(key)
         if cached is None:
             if len(cache) > 256:
                 cache.clear()
-            thresholds = self._threshold_lookup(tau_hat, gamma, extended)[extended]
-            if use_pruning:
-                thresholds = np.minimum(thresholds, max_gbd_for_ged(tau_hat))
             cached = cache[key] = (
-                np.ascontiguousarray(thresholds, dtype=np.int64),
+                np.ascontiguousarray(
+                    self._threshold_lookup(tau_hat, gamma, extended)[extended], dtype=np.int64
+                ),
                 self._lut_for(tau_hat, extended.tolist()),
             )
         return cached
@@ -548,65 +535,33 @@ class ExecutionCore:
         extended = np.maximum(query.query_graph.num_vertices, distinct)
         return branches, store, snapshot, extended, extended.tolist()
 
-    def _threshold(
+    def execute(
         self,
         query: SimilarityQuery,
-        query_branches: Optional[Counter],
-        use_pruning: bool,
-        bounded: bool,
+        *,
+        query_branches: Optional[Counter] = None,
+        use_pruning: bool = False,
     ) -> CandidateScores:
-        """One query through the pipeline, reduced by the γ threshold.
+        """Score one query against every database graph; keep every posterior.
 
-        With ``bounded`` the ``(τ̂, γ)`` acceptance rule is inverted into a
-        per-order max-acceptable-GBD threshold (:meth:`acceptance_threshold`,
-        further capped by the branch bound ``2 τ̂`` when ``use_pruning`` is
-        on), and every candidate whose GBD *lower bound* exceeds it is
-        eliminated with O(1) arithmetic before any postings traversal — once
-        per *distinct* ``|V_G|``, since the bound depends on a row only
-        through its order.  The same store call
-        (:meth:`ColumnarBranchStore.filter_verify_row`) verifies the
-        survivors, by range slices or one dense walk, and compares their
-        posteriors with γ: it returns the accepted rows, and all that is left
-        here is their ids and scores.  Without ``bounded`` every order is
-        eligible: verification is the dense row and the reducer keeps every
-        posterior, read off the same τ̂ table.
+        Every order is eligible: verification is the dense row, and the
+        threshold reducer keeps every posterior, read off the τ̂ table.  With
+        ``use_pruning`` (:class:`~repro.core.search.GBDASearch`'s ablation
+        filter) a graph whose GBD exceeds ``2 τ̂`` is neither accepted nor
+        counted as scored (:attr:`CandidateScores.eligible`).
         """
         started = time.perf_counter()
-        branches, store, snapshot, extended, needed_orders = self._open(query, query_branches)
+        branches, store, snapshot, _extended, needed_orders = self._open(query, query_branches)
         _csr, db_orders, global_ids = snapshot
-        tau_hat, gamma = query.tau_hat, query.gamma
-        num_query_vertices = query.query_graph.num_vertices
+        tau_hat = query.tau_hat
         num_rows = len(db_orders)
-        if bounded:
-            thresholds, lut = self._pruned_thresholds(query, extended, use_pruning)
-            hits, gbds, _eligible, verified, sparse = store.filter_verify_row(
-                num_query_vertices,
-                branches,
-                thresholds,
-                lut,
-                gamma,
-                max_gbd_for_ged(tau_hat) if use_pruning else None,
-                view=snapshot,
-            )
-            # A query whose every row fell to the bound ran neither plan.
-            self._count(num_rows, num_rows - verified, verified, sparse=sparse)
-            _record_stage("bound_filter", started)
-            started = time.perf_counter()
-            ids = global_ids[hits]
-            orders = np.maximum(num_query_vertices, db_orders[hits])
-            scores = lut.take(orders * lut.shape[1] + gbds)
-            scored = CandidateScores(
-                ids, accepted_items=(ids.tolist(), scores.tolist()), positions=hits
-            )
-            _record_stage("score_dense" if sparse is False else "verify", started)
-            return scored
         intersections = store.intersection_row(branches, view=snapshot)
         self._count(num_rows, 0, num_rows, sparse=False)
-        orders = self._orders_row(db_orders, num_query_vertices)
+        orders = self._orders_row(db_orders, query.query_graph.num_vertices)
         gbds = orders - intersections
         lut = self._lut_for(tau_hat, needed_orders)
         posteriors = lut.take(orders * lut.shape[1] + gbds)
-        accepted = posteriors >= gamma
+        accepted = posteriors >= query.gamma
         within_branch_bound = None
         if use_pruning:
             within_branch_bound = gbds <= max_gbd_for_ged(tau_hat)
@@ -615,51 +570,65 @@ class ExecutionCore:
         _record_stage("score_dense", started)
         return scored
 
-    def execute(
-        self,
-        query: SimilarityQuery,
-        *,
-        query_branches: Optional[Counter] = None,
-        use_pruning: bool = False,
-    ) -> CandidateScores:
-        """Score one query against every database graph; keep every posterior."""
-        return self._threshold(query, query_branches, use_pruning, bounded=False)
+    def _accepted(self, query: SimilarityQuery, query_branches: Optional[Counter]) -> Hits:
+        """:meth:`execute_pruned`'s body; :meth:`execute_batch` calls it per row.
+
+        A batch thereby stays one call of a public entry point however many
+        rows it has: timing wrapped around the entry points (``bench``'s
+        per-layer spans) books its rows to the batch.
+        """
+        started = time.perf_counter()
+        branches, store, snapshot, extended, _needed = self._open(query, query_branches)
+        _csr, db_orders, global_ids = snapshot
+        num_query_vertices = query.query_graph.num_vertices
+        num_rows = len(db_orders)
+        thresholds, lut = self._pruned_thresholds(query, extended)
+        hits, gbds, _eligible, verified, sparse = store.filter_verify_row(
+            num_query_vertices, branches, thresholds, lut, query.gamma, view=snapshot
+        )
+        # A query whose every row fell to the bound ran neither plan.
+        self._count(num_rows, num_rows - verified, verified, sparse=sparse)
+        _record_stage("bound_filter", started)
+        started = time.perf_counter()
+        orders = np.maximum(num_query_vertices, db_orders[hits])
+        accepted = (global_ids[hits].tolist(), lut.take(orders * lut.shape[1] + gbds).tolist())
+        _record_stage("score_dense" if sparse is False else "verify", started)
+        return accepted
 
     def execute_pruned(
-        self,
-        query: SimilarityQuery,
-        *,
-        query_branches: Optional[Counter] = None,
-        use_pruning: bool = False,
-    ) -> CandidateScores:
-        """Filter-and-verify form of :meth:`execute` for accepted-only callers.
+        self, query: SimilarityQuery, *, query_branches: Optional[Counter] = None
+    ) -> Hits:
+        """The accepted graphs of one query and their posteriors: the serving plan.
 
-        Accepted sets and scores are bit-identical to :meth:`execute` (and
-        hence to ``query_reference``); per-candidate posteriors are *not*
-        materialised, so the result is meant for consumers of
-        :attr:`CandidateScores.accepted_items` — see :meth:`_threshold`.
+        The ``(τ̂, γ)`` acceptance rule is inverted into a per-order
+        max-acceptable-GBD threshold (:meth:`acceptance_threshold`), and every
+        candidate whose GBD *lower bound* exceeds it is eliminated with O(1)
+        arithmetic before any postings traversal — once per *distinct*
+        ``|V_G|``, since the bound depends on a row only through its order.
+        The same store call (:meth:`ColumnarBranchStore.filter_verify_row`)
+        verifies the survivors, by range slices or one dense walk, and
+        compares their posteriors with γ: it returns the accepted rows, and
+        all that is left here is their ids and scores — bit-identical to the
+        accepted rows of :meth:`execute` (and hence to the per-pair
+        reference loop).  Nothing ``D`` long is materialised.
         """
-        return self._threshold(query, query_branches, use_pruning, bounded=True)
+        return self._accepted(query, query_branches)
 
     def execute_batch(
         self,
         queries: Sequence[SimilarityQuery],
         *,
         query_branches: Optional[Sequence[Counter]] = None,
-        use_pruning: bool = False,
-        pruned: bool = False,
-    ) -> List[CandidateScores]:
-        """Score a batch of queries; return per-query results in input order.
+    ) -> List[Hits]:
+        """:meth:`execute_pruned` over a batch; per-query hits in input order.
 
         A row is a batch of one: each query goes through the same pipeline
-        as a single call — :meth:`execute_pruned`'s when ``pruned`` (the
-        caller only needs the accepted graphs' scores), :meth:`execute`'s
-        otherwise — so answers, filter counters and per-row stage histograms
-        are those of the per-query loop.  Every τ̂ is validated before any row
-        is scored.  Under an active trace (a sampled flush) the rows' stage
-        durations are folded by stage name into one span per stage, laid end
-        to end from the start of the call: the flush's waterfall, not 2 × rows
-        spans.
+        as a single call, so answers, filter counters and per-row stage
+        histograms are those of the per-query loop.  Every τ̂ is validated
+        before any row is scored.  Under an active trace (a sampled flush)
+        the rows' stage durations are folded by stage name into one span per
+        stage, laid end to end from the start of the call: the flush's
+        waterfall, not 2 × rows spans.
         """
         queries = list(queries)
         for query in queries:
@@ -671,7 +640,7 @@ class ExecutionCore:
         started = time.perf_counter()
         with activated(rows_trace):
             results = [
-                self._threshold(query, branches, use_pruning, pruned)
+                self._accepted(query, branches)
                 for query, branches in zip(queries, query_branches)
             ]
         if trace is not None:

@@ -16,12 +16,17 @@ An optional branch-index pruning step (``use_index_pruning=True``) skips the
 probabilistic scoring for graphs whose GBD already certifies ``GED > τ̂``
 (one edit operation changes at most two branches); it is off by default to
 stay faithful to Algorithm 1 and is exercised by the ablation benchmark.
+The serving engine answers without it, so
+:meth:`BatchQueryEngine.from_search
+<repro.serving.engine.BatchQueryEngine.from_search>` refuses a pruning
+search.
 
 The online steps themselves live in the shared
 :class:`~repro.core.plan.ExecutionCore` (one implementation for this
 search and the batched serving engine);
-:meth:`GBDASearch.query_reference` keeps the literal per-pair loop as the
-bit-identical baseline the vectorized paths are verified against.
+:func:`repro.testing.oracles.query_reference` keeps the literal per-pair
+loop as the bit-identical baseline the vectorized paths are verified
+against.
 """
 
 from __future__ import annotations
@@ -30,9 +35,7 @@ import time
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from repro.core.branches import branch_multiset
 from repro.core.estimator import GBDAEstimator
-from repro.core.gbd import max_gbd_for_ged
 from repro.core.gbd_prior import GBDPrior
 from repro.core.ged_prior import GEDPrior
 from repro.core.plan import ExecutionCore
@@ -151,7 +154,7 @@ class GBDASearch:
         path reuses them for the bound filter instead of recomputing), and
         posteriors come from the shared ``(τ̂, |V'1|)`` lookup tables.
         Outputs are the historical dicts, bit-identical to the per-pair
-        reference loop (:meth:`query_reference`).
+        reference loop (:func:`repro.testing.oracles.query_reference`).
         """
         self._require_fitted()
         self._core.validate_tau(query.tau_hat)
@@ -177,50 +180,6 @@ class GBDASearch:
         )
         return SearchResult(answer=answer, gbd_values=gbd_values, posteriors=posteriors)
 
-    def query_reference(self, query: SimilarityQuery) -> SearchResult:
-        """Answer one query with the literal per-pair loop of Algorithm 1.
-
-        This is the scalar reference implementation the vectorized paths are
-        tested against (and the baseline of the throughput benchmarks): one
-        branch-multiset merge and one :meth:`GBDAEstimator.posterior`
-        evaluation per database graph, exactly as the paper writes Steps
-        2–4.  With ``use_index_pruning`` a graph whose GBD exceeds ``2 τ̂`` is
-        skipped unscored, by the same per-pair GBD.  The loop reads nothing of
-        the columnar store, so it checks the store's kernels rather than
-        sharing them.  Answers are bit-identical to :meth:`query`.
-        """
-        self._require_fitted()
-        self._core.validate_tau(query.tau_hat)
-        start = time.perf_counter()
-        query_branches = branch_multiset(query.query_graph)
-        cap = max_gbd_for_ged(query.tau_hat) if self.use_index_pruning else None
-
-        gbd_values: Dict[int, int] = {}
-        posteriors: Dict[int, float] = {}
-        accepted: List[int] = []
-        for entry in self.database:
-            graph_id = entry.graph_id
-            gbd_value = self.database.gbd_to(
-                query.query_graph, graph_id, query_branches=query_branches
-            )
-            if cap is not None and gbd_value > cap:
-                continue
-            gbd_values[graph_id] = gbd_value
-            extended_order = max(query.query_graph.num_vertices, entry.num_vertices)
-            posterior = self.estimator.posterior(gbd_value, query.tau_hat, extended_order)
-            posteriors[graph_id] = posterior
-            if posterior >= query.gamma:
-                accepted.append(graph_id)
-
-        elapsed = time.perf_counter() - start
-        answer = QueryAnswer(
-            method=self.method_name,
-            accepted_ids=frozenset(accepted),
-            scores=dict(posteriors),
-            elapsed_seconds=elapsed,
-        )
-        return SearchResult(answer=answer, gbd_values=gbd_values, posteriors=posteriors)
-
     def query_topk(self, query: SimilarityQuery, k: Optional[int] = None) -> QueryAnswer:
         """Answer a top-k query: the ``k`` database graphs ranked by posterior.
 
@@ -228,7 +187,8 @@ class GBDASearch:
         posterior, ties broken by ascending graph id) is computed by the
         shared core with bound-based early termination
         (:meth:`~repro.core.plan.ExecutionCore.execute_topk`) and equals the
-        first ``k`` entries of :meth:`query_topk_reference` exactly.  With
+        first ``k`` entries of the γ = 0 reference ranking
+        (:func:`repro.testing.oracles.query_topk_reference`) exactly.  With
         ``use_index_pruning`` the ranking covers only the branch-bound
         candidate set, mirroring :meth:`query`.
         """
@@ -250,20 +210,6 @@ class GBDASearch:
     def _ranking(self, query: SimilarityQuery, k: int) -> List[Tuple[int, float]]:
         """The top-``k`` ``(graph id, posterior)`` pairs :meth:`query_topk` returns."""
         return self._core.execute_topk(query, k, use_pruning=self.use_index_pruning)
-
-    def query_topk_reference(self, query: SimilarityQuery, k: int) -> List:
-        """Reference top-k ranking: full γ=0 scoring, sorted, first ``k``.
-
-        Runs the literal per-pair loop (:meth:`query_reference`) with γ=0 —
-        so every candidate is scored — and sorts by ``(-posterior, graph
-        id)``.  This is the ground truth the early-terminating
-        :meth:`query_topk` is verified against.
-        """
-        reference = self.query_reference(
-            SimilarityQuery(query.query_graph, query.tau_hat, 0.0)
-        )
-        ranked = sorted(reference.posteriors.items(), key=lambda item: (-item[1], item[0]))
-        return ranked[: int(k)]
 
     def search(self, query_graph: Graph, tau_hat: int, gamma: float = 0.9) -> QueryAnswer:
         """Convenience wrapper: build the query object and return just the answer."""

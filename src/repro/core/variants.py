@@ -10,8 +10,8 @@
 Both variants reuse the entire GBDA machinery and only override the hooks
 that differ, so their code doubles as documentation of exactly where the
 ablations deviate from Algorithm 1.  The shared execution core's tables
-score plain GBDA, so a variant answers threshold, top-k and reference
-queries alike with its own per-pair loop.
+score plain GBDA, so a variant answers threshold and top-k queries alike
+with its own per-pair loop, which is also its reference.
 """
 
 from __future__ import annotations
@@ -66,12 +66,10 @@ class _VariantSearch(GBDASearch):
         )
         return SearchResult(answer=answer, gbd_values=gbd_values, posteriors=posteriors)
 
-    def query_reference(self, query: SimilarityQuery) -> SearchResult:
-        """A variant's reference is its own loop, :meth:`query`."""
-        return self.query(query)
-
     def _ranking(self, query: SimilarityQuery, k: int) -> List[Tuple[int, float]]:
-        return self.query_topk_reference(query, k)
+        """The first ``k`` of the γ = 0 loop by ``(-posterior, graph id)``."""
+        scored = self.query(SimilarityQuery(query.query_graph, query.tau_hat, 0.0)).posteriors
+        return sorted(scored.items(), key=lambda item: (-item[1], item[0]))[: int(k)]
 
 
 class GBDAV1Search(_VariantSearch):

@@ -668,7 +668,6 @@ class ColumnarBranchStore:
         thresholds: np.ndarray,
         lut: np.ndarray,
         gamma: float,
-        max_gbd: Optional[int] = None,
         *,
         view: Optional[_View] = None,
     ):
@@ -678,8 +677,8 @@ class ColumnarBranchStore:
         order ``distinct[i]`` (the snapshot's :meth:`order_ranges`) — the
         γ-threshold inversion of the execution core; ``lut[order, gbd]`` is
         its posterior table for the query's τ̂ (a row per extended order
-        ``max(|V_Q|, |V_G|)`` of the snapshot) and ``max_gbd`` the branch-bound
-        cap, if any.  Returns ``(positions, gbds, eligible, verified, sparse)``:
+        ``max(|V_Q|, |V_G|)`` of the snapshot).  Returns ``(positions, gbds,
+        eligible, verified, sparse)``:
 
         * ``eligible`` — the bool mask of the ranges whose GBD lower bound is
           within their threshold;
@@ -689,8 +688,7 @@ class ColumnarBranchStore:
           no pruned row's postings are touched), ``False`` / every row
           otherwise (walking the matched posting segments once is cheaper);
         * ``positions`` / ``gbds`` — the *hits*: ascending positions of the
-          verified rows with ``GBD <= max_gbd`` and ``lut[order, GBD] >=
-          gamma``, and those GBDs (``max(|V_Q|, |V_G|) - |B_Q ∩ B_G|``, exactly
+          verified rows with ``lut[order, GBD] >= gamma``, and those GBDs (``max(|V_Q|, |V_G|) - |B_Q ∩ B_G|``, exactly
           ``order - intersection_row(..., view=...)[positions]``).
 
         One vocabulary pass, one kernel call; on the native backend that is
@@ -714,7 +712,6 @@ class ColumnarBranchStore:
             budget,
             self._checked_table(lut, num_query_vertices, ranges[0]),
             float(gamma),
-            max_gbd,
         )
         if num_eligible == 0:
             return positions, gbds, eligible, 0, None

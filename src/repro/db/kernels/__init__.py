@@ -14,7 +14,11 @@ The interface is five kernels — ``intersection_row``,
 ``gbd_lower_bound_row``, ``filter_verify_row``, ``filter_verify_topk`` on the
 read path and ``merge_postings`` on the write path.  Every array they
 exchange is indexed by the store's ``|V_G|``-clustered positions, each
-distinct order a contiguous range.
+distinct order a contiguous range.  ``filter_verify_row`` — the serving
+engine's one plan — accepts by the posterior table and γ alone; only
+``filter_verify_topk`` takes the branch-bound cap ``max_gbd``, which
+:meth:`GBDASearch.query_topk <repro.core.search.GBDASearch.query_topk>` passes
+under its ``use_index_pruning`` ablation.
 
 ``"auto"`` (the default everywhere a backend is configurable) resolves to
 ``native`` when it can be built on this machine and ``numpy`` otherwise, so

@@ -37,7 +37,7 @@
 #define MIN64(a, b) ((a) < (b) ? (a) : (b))
 #define MAX64(a, b) ((a) > (b) ? (a) : (b))
 
-int64_t repro_kernels_abi_version(void) { return 4; }
+int64_t repro_kernels_abi_version(void) { return 5; }
 
 /* First slot in arr[0..n) not less than value (arr ascending). */
 static int64_t lower_bound_i32(const int32_t *arr, int64_t n, int64_t value) {
@@ -156,10 +156,10 @@ static int64_t reduce_rows(const int32_t *acc, int64_t from, int64_t to, int64_t
 }
 
 /* The hits among the `size` rows of one range, whose first row is position
- * `first` and whose extended order is `order`: row i is one when its GBD
- * order - acc[i] is within max_gbd and lut[order, gbd] >= gamma — Step 4's own
+ * `first` and whose extended order is `order`: row i is one when
+ * lut[order, gbd] >= gamma at its GBD order - acc[i] — Step 4's own
  * comparison of doubles.  The order is constant over the range, so the largest
- * accepting GBD within the cap is found once, and a row sharing fewer branches
+ * accepting GBD is found once, and a row sharing fewer branches
  * than order minus that GBD cannot be a hit: most rows are, and blocks of 16
  * of them are dismissed by one test the compiler vectorises.  Read off the
  * table, not off the caller's thresholds: hits are the rows the table accepts,
@@ -167,10 +167,10 @@ static int64_t reduce_rows(const int32_t *acc, int64_t from, int64_t to, int64_t
  * out_gbds from slot num_hits on; returns the new hit count. */
 static int64_t reduce_range(const int32_t *acc, int64_t first, int64_t size,
                             int64_t order, const double *lut, int64_t lut_width,
-                            double gamma, int64_t max_gbd, int64_t *out_positions,
-                            int64_t *out_gbds, int64_t num_hits) {
+                            double gamma, int64_t *out_positions, int64_t *out_gbds,
+                            int64_t num_hits) {
     const double *row_of = lut + order * lut_width;
-    int64_t largest = MIN64(order, max_gbd);
+    int64_t largest = order;
     while (largest >= 0 && !(row_of[largest] >= gamma)) --largest;
     if (largest < 0) return num_hits;
     int32_t fewest = (int32_t)(order - largest);
@@ -211,8 +211,8 @@ int64_t repro_filter_verify_row(
     int64_t max_candidates, const int64_t *offsets, const int32_t *positions,
     const int32_t *counts, const int64_t *key_ids, const int64_t *query_counts,
     int64_t num_keys, const double *lut, int64_t lut_width, double gamma,
-    int64_t max_gbd, int64_t *out_positions, int64_t *out_gbds,
-    uint8_t *out_eligible, int64_t *out_num_hits) {
+    int64_t *out_positions, int64_t *out_gbds, uint8_t *out_eligible,
+    int64_t *out_num_hits) {
     int64_t num_eligible = 0, num_picked = 0, num_hits = 0;
     *out_num_hits = 0;
     for (int64_t u = 0; u < num_distinct; ++u) {
@@ -237,7 +237,7 @@ int64_t repro_filter_verify_row(
         for (int64_t u = 0; u < num_distinct; ++u) {
             num_hits = reduce_range(acc + bounds[u], bounds[u], bounds[u + 1] - bounds[u],
                                     MAX64(num_query_vertices, distinct[u]), lut, lut_width,
-                                    gamma, max_gbd, out_positions, out_gbds, num_hits);
+                                    gamma, out_positions, out_gbds, num_hits);
         }
         free(acc);
         *out_num_hits = num_hits;
@@ -261,8 +261,7 @@ int64_t repro_filter_verify_row(
         int64_t u = picked[r];
         int64_t size = bounds[u + 1] - bounds[u];
         num_hits = reduce_range(column, bounds[u], size, MAX64(num_query_vertices, distinct[u]),
-                                lut, lut_width, gamma, max_gbd, out_positions, out_gbds,
-                                num_hits);
+                                lut, lut_width, gamma, out_positions, out_gbds, num_hits);
         column += size;
     }
     free(picked);

@@ -55,19 +55,19 @@ from repro.db.kernels import numpy_impl
 name = "native"
 
 _SOURCE_PATH = Path(__file__).with_name("_kernels.c")
-_ABI_VERSION = 4
+_ABI_VERSION = 5
 
 #: argtypes of every exported kernel (i=int64 scalar, d=double, p=array address)
 _SIGNATURES = {
     "repro_kernels_abi_version": "",
     "repro_intersection_row": "pppppip",
     "repro_gbd_lower_bound_row": "iipip",
-    "repro_filter_verify_row": "iippipipppppipidipppp",
+    "repro_filter_verify_row": "iippipipppppipidpppp",
     "repro_filter_verify_topk": "iippiipppppippipiiippp",
     "repro_merge_postings": "pppippppiipppppp",
 }
 _ARG_KINDS = {"i": ctypes.c_int64, "d": ctypes.c_double, "p": ctypes.c_void_p}
-#: ``max_gbd`` of a reducer called without the branch-bound cap: no GBD exceeds it.
+#: ``max_gbd`` of a top-k call without the branch-bound cap: no GBD exceeds it.
 _NO_CAP = int(np.iinfo(np.int64).max)
 
 _lock = threading.Lock()
@@ -264,7 +264,6 @@ def filter_verify_row(
     max_candidates,
     lut,
     gamma,
-    max_gbd,
 ):
     compact = _compact_csr(csr)
     if compact is not None:
@@ -287,7 +286,6 @@ def filter_verify_row(
                 *compact,
                 _address(keys), _address(counts_q), len(keys),
                 _pinned(lut, np.float64), lut.shape[1], float(gamma),
-                _NO_CAP if max_gbd is None else int(max_gbd),
                 _address(out_positions), _address(out_gbds),
                 _address(eligible_flags), _address(num_hits),
             )
@@ -303,7 +301,7 @@ def filter_verify_row(
     # the dtype-agnostic reference handles it.
     return numpy_impl.filter_verify_row(
         csr, ranges, num_query_vertices, matched_total, key_ids, query_counts,
-        thresholds, max_candidates, lut, gamma, max_gbd,
+        thresholds, max_candidates, lut, gamma,
     )
 
 

@@ -29,8 +29,9 @@ Interface conventions shared by all backends:
   order the query can meet (the store checks); ``bound_lut`` is its
   suffix-max twin, ``bound_lut[order, ϕ] = max(lut[order, ϕ:])`` — read at a
   GBD *lower bound* it upper-bounds the posterior — a table of its own
-  shape; ``max_gbd`` is the branch-bound cap on an acceptable GBD, or
-  ``None`` for no cap.  The two reducers (:func:`filter_verify_row`,
+  shape; ``max_gbd`` is the branch-bound cap on a ranked row's GBD, or
+  ``None`` for no cap — :func:`filter_verify_topk` only, the ablation
+  filter's top-k.  The two reducers (:func:`filter_verify_row`,
   :func:`filter_verify_topk`) read them to turn verified rows into *hits*
   inside the kernel; the compiled twins never materialise a dense row.
 * Outputs are always int64; weighted ``bincount`` sums are exact small
@@ -136,7 +137,6 @@ def filter_verify_row(
     max_candidates: int,
     lut: np.ndarray,
     gamma: float,
-    max_gbd: Optional[int],
 ):
     """Fused single-query bound filter → verify → threshold reduce.
 
@@ -146,10 +146,10 @@ def filter_verify_row(
     eligible: nothing is verified.  At most ``max_candidates`` (the caller's
     dense-plan bar): exactly those rows are verified, range by range, through
     the slices of the matched segments.  More: every row is, from one dense
-    row.  A verified row is a *hit* when ``gbd = max(|V_Q|, |V_G|) - |B_Q ∩
-    B_G|`` is within ``max_gbd`` and ``lut[order, gbd] >= gamma`` (Step 4's
-    comparison, on the very doubles the posteriors are); ``positions`` are the
-    hits' positions, ascending, and ``gbds`` their GBDs.
+    row.  A verified row is a *hit* when ``lut[order, gbd] >= gamma`` at ``gbd
+    = max(|V_Q|, |V_G|) - |B_Q ∩ B_G|`` (Step 4's comparison, on the very
+    doubles the posteriors are); ``positions`` are the hits' positions,
+    ascending, and ``gbds`` their GBDs.
     """
     distinct, bounds = ranges
     sizes = np.diff(bounds)
@@ -168,10 +168,7 @@ def filter_verify_row(
         positions = _flat_slices(starts, ends - starts)
         row_extended = np.repeat(extended[eligible], sizes[eligible])
         gbds = row_extended - _range_intersections(csr, key_ids, query_counts, starts, ends)
-    accepted = lut.take(row_extended * lut.shape[1] + gbds) >= gamma
-    if max_gbd is not None:
-        accepted &= gbds <= max_gbd
-    hits = np.flatnonzero(accepted)
+    hits = np.flatnonzero(lut.take(row_extended * lut.shape[1] + gbds) >= gamma)
     return hits if positions is None else positions[hits], gbds[hits], eligible, num_eligible
 
 

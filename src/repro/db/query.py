@@ -69,7 +69,7 @@ class SimilarityQuery:
             tau_hat = int(self.tau_hat)
             if tau_hat != self.tau_hat:
                 raise QueryError("the similarity threshold τ̂ must be an integer")
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise QueryError("the similarity threshold τ̂ must be an integer") from exc
         if tau_hat < 0:
             raise QueryError("the similarity threshold τ̂ must be non-negative")
@@ -85,7 +85,7 @@ class SimilarityQuery:
                 value = int(top_k)
                 if value != top_k:
                     raise QueryError("top_k must be a positive integer or None")
-            except (TypeError, ValueError) as exc:
+            except (TypeError, ValueError, OverflowError) as exc:
                 raise QueryError("top_k must be a positive integer or None") from exc
             if value < 1:
                 raise QueryError("top_k must be a positive integer or None")

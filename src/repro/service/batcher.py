@@ -50,9 +50,8 @@ costs a scoring cycle.
 from __future__ import annotations
 
 import asyncio
-import inspect
 import time
-from typing import Any, Awaitable, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Awaitable, Callable, Dict, List, Optional, Tuple
 
 from repro.db.query import QueryAnswer, SimilarityQuery
 from repro.exceptions import DeadlineExceededError, ServiceError
@@ -65,7 +64,9 @@ __all__ = ["MicroBatcher"]
 #: Queue sentinel marking the end of the stream (posted once by stop()).
 _SHUTDOWN = object()
 
-BatchRunner = Callable[[Sequence[SimilarityQuery]], Awaitable[List[QueryAnswer]]]
+#: ``run_batch(queries, trace=...)``: ``trace`` is the flush's batch-level
+#: :class:`QueryTrace` when a query of it was sampled, else ``None``.
+BatchRunner = Callable[..., Awaitable[List[QueryAnswer]]]
 
 _BATCH_SIZE = get_registry().histogram(
     "repro_batcher_batch_size",
@@ -95,7 +96,8 @@ class MicroBatcher:
     run_batch:
         Async callable scoring one list of queries into the same-length,
         same-order list of answers (typically an executor offload of
-        ``engine.query_batch``).
+        ``engine.query_batch``), called as ``run_batch(queries,
+        trace=batch_trace)`` — the flush's batch-level trace, or ``None``.
     max_batch:
         Flush as soon as this many queries are waiting (>= 1).  A smaller
         batch is flushed on the first event-loop turn that adds no query
@@ -106,13 +108,6 @@ class MicroBatcher:
         if max_batch < 1:
             raise ServiceError("max_batch must be a positive integer")
         self._run_batch = run_batch
-        # Trace plumbing is opt-in per runner: a runner declaring a ``trace``
-        # parameter receives the batch-level QueryTrace; plain
-        # ``(queries) -> answers`` runners keep working unchanged.
-        try:
-            self._runner_takes_trace = "trace" in inspect.signature(run_batch).parameters
-        except (TypeError, ValueError):  # pragma: no cover - exotic callables
-            self._runner_takes_trace = False
         self.max_batch = int(max_batch)
         self._queue: "asyncio.Queue" = asyncio.Queue()
         self._worker: "asyncio.Task | None" = None
@@ -273,15 +268,12 @@ class MicroBatcher:
         sampled_ids = [item[2].trace_id for item in batch if item[2] is not None]
         batch_trace = (
             QueryTrace(detail={"batch_size": len(batch), "trace_ids": sampled_ids})
-            if sampled_ids and self._runner_takes_trace
+            if sampled_ids
             else None
         )
         flush_started = time.perf_counter()
         try:
-            if self._runner_takes_trace:
-                answers = await self._run_batch(queries, trace=batch_trace)
-            else:
-                answers = await self._run_batch(queries)
+            answers = await self._run_batch(queries, trace=batch_trace)
             if len(answers) != len(batch):
                 raise ServiceError(
                     f"batch runner returned {len(answers)} answers for {len(batch)} queries"

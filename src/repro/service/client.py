@@ -31,7 +31,9 @@ Fault tolerance (primitives in :mod:`repro.service.resilience`):
   (``DEADLINE_EXCEEDED``).  The local wait differs per driver: the async
   client also bounds its own wait by the budget (``TimeoutError`` if that
   runs out first); the sync client waits up to ``read_timeout`` for the
-  server's typed refusal.
+  server's typed refusal.  A budget that is not finite and positive is
+  refused before anything is sent, by both drivers, with the
+  :class:`ProtocolError` the server would answer.
 * **Retries.**  A :class:`~repro.service.resilience.RetryPolicy` retries
   transient failures — ``OVERLOADED`` shedding, missed deadlines, timeouts,
   lost or corrupt streams — with capped, jittered exponential backoff.
@@ -92,7 +94,7 @@ from repro.service.protocol import (
     read_frame,
     recv_frame,
 )
-from repro.service.resilience import CircuitBreaker, HedgePolicy, RetryPolicy
+from repro.service.resilience import CircuitBreaker, Deadline, HedgePolicy, RetryPolicy
 
 __all__ = ["ServiceClient", "AsyncServiceClient"]
 
@@ -158,7 +160,18 @@ class _Requests:
 
     # -- logical requests ------------------------------------------------ #
     def query(self, query: SimilarityQuery, deadline_ms: Optional[float] = None) -> _Call:
-        """A new logical query: one key, one (sampled) root trace, encoded once."""
+        """A new logical query: one key, one (sampled) root trace, encoded once.
+
+        ``deadline_ms`` is checked by the server's rule
+        (:meth:`Deadline.after_ms`: finite and positive) before anything is
+        sent: a budget that can never be met is the caller's
+        :class:`ProtocolError`, not a timeout to retry.
+        """
+        if deadline_ms is not None:
+            try:
+                Deadline.after_ms(deadline_ms)
+            except (ServiceError, TypeError, ValueError) as exc:
+                raise ProtocolError(f"invalid deadline_ms {deadline_ms!r}") from exc
         self._next_key += 1
         key = f"{self._key_prefix}-{self._next_key}"
         trace = None
@@ -718,10 +731,11 @@ class AsyncServiceClient(_AdminCommands):
         """Answer one query (concurrent callers share the connection): per
         attempt circuit breaker → hedging, between attempts the retry policy;
         traced, it is one root span with a tagged child per attempt and hedge."""
+        call = self._requests.query(query, deadline_ms)
         wait = self.read_timeout
         if deadline_ms is not None:
             wait = min(wait, float(deadline_ms) / 1000.0)
-        return await self._run(self._requests.query(query, deadline_ms), wait)
+        return await self._run(call, wait)
 
     async def query_many(
         self,

@@ -6,14 +6,18 @@ is a vectorized caller of the shared
 :class:`~repro.core.plan.ExecutionCore` — the single implementation of
 Algorithm 1's online steps also behind :meth:`GBDASearch.query` — and
 exploits the key structural fact of the posterior: ``Φ = Pr[GED <= τ̂ |
-GBD = ϕ]`` depends only on the integer triple ``(ϕ, τ̂, |V'1|)``.  Scoring
-the whole database is therefore:
+GBD = ϕ]`` depends only on the integer triple ``(ϕ, τ̂, |V'1|)``.  So the
+Step-4 rule ``Φ >= γ`` inverts into a max-acceptable GBD per graph order,
+and answering a query is one plan
+(:meth:`~repro.core.plan.ExecutionCore.execute_pruned`):
 
-1. one pass over the query's branches through the columnar branch store
-   (:class:`~repro.db.columnar.ColumnarBranchStore` — CSR postings, one
-   ``bincount`` scatter-add) to obtain every GBD at once,
-2. a vectorized numpy table lookup mapping GBDs to posteriors, and
-3. a single threshold comparison against γ.
+1. an O(1) GBD lower bound per distinct ``|V_G|`` drops every order that
+   cannot reach γ before any postings are read,
+2. one pass over the query's branches through the columnar branch store
+   (:class:`~repro.db.columnar.ColumnarBranchStore` — CSR postings) gives
+   the surviving graphs' exact GBDs, and
+3. the posterior table compares them with γ; the accepted graphs and their
+   posteriors are the answer.
 
 :meth:`query_batch` answers a batch in input order.  Steps 2–4 are decided
 per (query, graph) pair, so a batch shares no scoring work: its rows go
@@ -23,10 +27,11 @@ is around the scoring — one cache-probe pass that also scores a repeated
 query once, and for the service one thread hand-over and one trace per
 flush — not a matrix kernel.
 
-Answers are bit-identical to :meth:`GBDASearch.query` (and its scalar
-:meth:`~repro.core.search.GBDASearch.query_reference` loop) because the
-tables are filled by the very same :meth:`GBDAEstimator.posterior`
-evaluations.
+Accepted sets and their scores are bit-identical to :meth:`GBDASearch.query`
+(and to the scalar per-pair loop,
+:func:`repro.testing.oracles.query_reference`) because the tables are filled
+by the very same :meth:`GBDAEstimator.posterior` evaluations; every graph's
+posterior, accepted or not, is :meth:`GBDASearch.query`'s to report.
 
 Repeated queries are served from an optional LRU result cache
 (:class:`~repro.serving.cache.QueryResultCache`).  The engine stays
@@ -44,7 +49,7 @@ from typing import Dict, Iterable, List, Optional, Tuple
 import numpy as np
 
 from repro.core.estimator import GBDAEstimator
-from repro.core.plan import CandidateScores, ExecutionCore
+from repro.core.plan import ExecutionCore, Hits
 from repro.db.database import GraphDatabase
 from repro.db.query import QueryAnswer, SimilarityQuery
 from repro.exceptions import ServingError
@@ -53,9 +58,6 @@ from repro.obs.trace import activated
 from repro.serving.cache import QueryResultCache, query_cache_key
 
 __all__ = ["BatchQueryEngine"]
-
-#: Allowed values of the ``keep_scores`` engine option.
-_KEEP_SCORES_MODES = ("accepted", "all", "none")
 
 # Children bound once at import time; never stored on engine instances,
 # which stay picklable.
@@ -91,25 +93,14 @@ class BatchQueryEngine:
         Largest similarity threshold supported by the priors.
     cache_size:
         Capacity of the LRU result cache; ``None`` or ``0`` disables caching.
-    keep_scores:
-        Which posterior scores to retain in each answer: ``"accepted"``
-        (default — scores of accepted graphs only, keeps serving cheap),
-        ``"all"`` (every database graph, matches ``GBDASearch.query``), or
-        ``"none"``.  It also picks the plan: ``"all"`` needs every
-        candidate's posterior and runs
-        :meth:`~repro.core.plan.ExecutionCore.execute`; the other modes run
-        the filter-and-verify path of
-        :meth:`~repro.core.plan.ExecutionCore.execute_pruned`, where the
-        ``(τ̂, γ)`` acceptance rule is inverted into a max-acceptable-GBD
-        threshold and candidates are eliminated by O(1) GBD-lower-bound
-        arithmetic before any postings traversal.  Accepted sets and their
-        scores are bit-identical either way.
-    use_index_pruning:
-        Mirror of the :class:`GBDASearch` option: when true, graphs whose
-        GBD already certifies ``GED > τ̂`` (``GBD > 2 τ̂``) are rejected
-        without scoring, exactly as the pruning search variant does —
-        :meth:`from_search` propagates the search's setting so engine
-        answers stay identical to the wrapped search either way.
+
+    An answer holds the accepted graphs and their posteriors only: the engine
+    runs one plan, the filter-and-verify path of
+    :meth:`~repro.core.plan.ExecutionCore.execute_pruned`, where the ``(τ̂,
+    γ)`` acceptance rule is inverted into a max-acceptable-GBD threshold and
+    candidates are eliminated by O(1) GBD-lower-bound arithmetic before any
+    postings traversal.  Every graph's posterior is
+    :meth:`GBDASearch.query <repro.core.search.GBDASearch.query>`'s.
 
     The kernel backend is the database's
     (:class:`~repro.db.database.GraphDatabase` ``kernel_backend``): one
@@ -125,20 +116,14 @@ class BatchQueryEngine:
         *,
         max_tau: int,
         cache_size: Optional[int] = 256,
-        keep_scores: str = "accepted",
-        use_index_pruning: bool = False,
     ) -> None:
         if len(database) == 0:
             raise ServingError("cannot serve queries over an empty database")
         if max_tau < 0:
             raise ServingError("max_tau must be non-negative")
-        if keep_scores not in _KEEP_SCORES_MODES:
-            raise ServingError(f"keep_scores must be one of {_KEEP_SCORES_MODES}")
         self.database = database
         self.estimator = estimator
         self.max_tau = int(max_tau)
-        self.keep_scores = keep_scores
-        self.use_index_pruning = bool(use_index_pruning)
         self.cache_size = int(cache_size) if cache_size else 0
         self.cache: Optional[QueryResultCache] = (
             QueryResultCache(self.cache_size) if self.cache_size else None
@@ -158,10 +143,18 @@ class BatchQueryEngine:
     # ------------------------------------------------------------------ #
     @classmethod
     def from_search(cls, search, **kwargs) -> "BatchQueryEngine":
-        """Build an engine from a fitted :class:`~repro.core.search.GBDASearch`."""
+        """Build an engine from a fitted :class:`~repro.core.search.GBDASearch`.
+
+        A search with ``use_index_pruning`` (the branch-bound ablation) is
+        refused: its accepted sets are not the engine's.
+        """
         if not getattr(search, "is_fitted", False):
             raise ServingError("the search must be fitted before building a serving engine")
-        kwargs.setdefault("use_index_pruning", getattr(search, "use_index_pruning", False))
+        if getattr(search, "use_index_pruning", False):
+            raise ServingError(
+                "cannot serve a search with use_index_pruning: the engine runs "
+                "Algorithm 1 without the branch-bound filter, so its answers would differ"
+            )
         return cls(
             search.database,
             search.estimator,
@@ -238,8 +231,8 @@ class BatchQueryEngine:
         """Answer one similarity query (cache-backed, vectorized scoring).
 
         Queries carrying ``top_k`` are routed to :meth:`query_topk`; the
-        rest run through the pruned filter-and-verify path unless
-        ``keep_scores="all"`` (see ``keep_scores``).
+        rest run through the filter-and-verify path, which returns the
+        accepted graphs and their posteriors.
         """
         if query.top_k is not None:
             return self.query_topk(query)
@@ -258,9 +251,8 @@ class BatchQueryEngine:
                 _CACHE_HITS.inc()
                 return self._copy_answer(cached, time.perf_counter() - start)
             _CACHE_MISSES.inc()
-        execute = self._core.execute if self.keep_scores == "all" else self._core.execute_pruned
-        scored = execute(query, query_branches=query_branches, use_pruning=self.use_index_pruning)
-        answer = self._answer_from_scores(scored, time.perf_counter() - start)
+        hits = self._core.execute_pruned(query, query_branches=query_branches)
+        answer = self._answer(hits, time.perf_counter() - start)
         _SECONDS_SINGLE.observe(answer.elapsed_seconds)
         if self.cache is not None:
             # Cache a private copy for the same reason.
@@ -308,9 +300,7 @@ class BatchQueryEngine:
                 _CACHE_HITS.inc()
                 return self._copy_answer(cached, time.perf_counter() - start)
             _CACHE_MISSES.inc()
-        ranking = self._core.execute_topk(
-            query, k, query_branches=query_branches, use_pruning=self.use_index_pruning
-        )
+        ranking = self._core.execute_topk(query, k, query_branches=query_branches)
         answer = QueryAnswer(
             method=self.method_name,
             accepted_ids=frozenset(graph_id for graph_id, _score in ranking),
@@ -395,21 +385,16 @@ class BatchQueryEngine:
 
             if pending:
                 start = time.perf_counter()
-                scored_list = self._core.execute_batch(
+                hits_list = self._core.execute_batch(
                     [queries[position] for position in pending],
                     query_branches=pending_branches,
-                    use_pruning=self.use_index_pruning,
-                    # keep_scores="all" needs every candidate's posterior; the
-                    # other modes threshold inside the store call and
-                    # materialise only accepted scores.
-                    pruned=self.keep_scores != "all",
                 )
                 elapsed = time.perf_counter() - start
                 if trace is not None:
                     trace.add("score", elapsed, depth=0)
                 per_query_elapsed = elapsed / len(pending)
-                for position, scored, cache_key in zip(pending, scored_list, pending_keys):
-                    answer = self._answer_from_scores(scored, per_query_elapsed)
+                for position, hits, cache_key in zip(pending, hits_list, pending_keys):
+                    answer = self._answer(hits, per_query_elapsed)
                     answers[position] = answer
                     if self.cache is not None:
                         self.cache.put(
@@ -420,20 +405,13 @@ class BatchQueryEngine:
         _SECONDS_BATCH.observe(time.perf_counter() - batch_started)
         return answers  # type: ignore[return-value]
 
-    def _answer_from_scores(self, scored: CandidateScores, elapsed: float) -> QueryAnswer:
-        """Assemble a :class:`QueryAnswer` from the core's dense results."""
-        accepted_ids = scored.accepted_id_set()
-        if self.keep_scores == "all":
-            # With pruning, mirror the loop: pruned graphs are never scored.
-            scores = scored.scores_dict("candidates")
-        elif self.keep_scores == "accepted":
-            scores = scored.scores_dict("accepted")
-        else:
-            scores = {}
+    def _answer(self, hits: Hits, elapsed: float) -> QueryAnswer:
+        """Assemble a :class:`QueryAnswer` from the core's accepted ids and posteriors."""
+        ids, scores = hits
         return QueryAnswer(
             method=self.method_name,
-            accepted_ids=accepted_ids,
-            scores=scores,
+            accepted_ids=frozenset(ids),
+            scores=dict(zip(ids, scores)),
             elapsed_seconds=elapsed,
         )
 

@@ -8,7 +8,7 @@ Neither branch multisets nor posterior lookup tables are stored: the loader
 re-extracts the branches with one ``add_many`` (the store then holds what
 the graphs say, whatever a file claims), and the tables cost milliseconds to
 rebuild from the priors — rebuilt, they are the very floats
-``query_reference`` computes on the loaded engine.
+the per-pair reference loop computes with the loaded priors.
 
 The payload is a plain dict of built-in types serialized with :mod:`pickle`
 behind a ``(format, version)`` header; :func:`load_engine` refuses files
@@ -52,17 +52,21 @@ SNAPSHOT_FORMAT = "repro.serving.engine-snapshot"
 #: Format version 2 adds the offline ``model_version`` and the priors' seed
 #: state (so a reloaded prior refits deterministically); version 3 adds the
 #: engine's pruned-execution flag, which loading now ignores (answers
-#: were bit-identical under both values, and the plan follows
-#: ``keep_scores``); version 4 adds the *configured* ``kernel_backend``
+#: were bit-identical under both values); version 4 adds the *configured* ``kernel_backend``
 #: (configured, not resolved — a snapshot built where the native kernels
 #: compile must still load on a machine without a toolchain, so ``"auto"``
 #: re-resolves per host); version 5 drops the v1–v4 ``posterior_tables``,
 #: which loading ignores (an older Λ1 may differ in the last ulp); version 6
 #: drops each graph's ``branches`` record, which loading ignores in v1–v5
 #: files (a record that disagrees with its graph would be served as the
-#: graph's).  Older files are still readable — the new fields default to 0 /
-#: seed 0 / ``"auto"``.
-SNAPSHOT_VERSION = 6
+#: graph's); version 7 drops the engine's ``keep_scores`` and
+#: ``use_index_pruning``, the engine having one plan: a v1–v6 file's
+#: ``keep_scores`` is ignored (accepted sets and their scores are unchanged;
+#: the other graphs' posteriors are no longer in an answer), and its
+#: ``use_index_pruning: True`` is refused (its accepted sets would change).
+#: Older files are still readable — the new fields default to 0 / seed 0 /
+#: ``"auto"``.
+SNAPSHOT_VERSION = 7
 
 PathLike = Union[str, Path]
 
@@ -70,7 +74,7 @@ PathLike = Union[str, Path]
 #: ``sha256(payload) (32B) | payload length (8B big-endian) | magic (8B)``.
 #: The footer sits *after* the pickle stream, so files carrying it remain
 #: readable by any loader that simply unpickles from the front — and
-#: version 1–6 payloads round-trip through it unchanged.
+#: version 1–7 payloads round-trip through it unchanged.
 _FOOTER_MAGIC = b"RSNAPSUM"
 _FOOTER_STRUCT = struct.Struct(">32sQ8s")
 
@@ -153,8 +157,6 @@ def save_engine(engine: BatchQueryEngine, path: PathLike) -> Path:
         "engine": {
             "max_tau": engine.max_tau,
             "cache_size": engine.cache_size,
-            "keep_scores": engine.keep_scores,
-            "use_index_pruning": engine.use_index_pruning,
             "kernel_backend": engine.database.kernel_backend,
         },
     }
@@ -198,6 +200,12 @@ def load_engine(path: PathLike) -> BatchQueryEngine:
         )
 
     config = payload["engine"]
+    if config.get("use_index_pruning", False):
+        raise SnapshotError(
+            f"snapshot {source} was saved with use_index_pruning, which this build "
+            "does not serve (its accepted sets would change); rebuild the engine "
+            "from a search without it"
+        )
     database = GraphDatabase(
         (
             Graph.from_dicts(
@@ -224,8 +232,6 @@ def load_engine(path: PathLike) -> BatchQueryEngine:
         estimator,
         max_tau=config["max_tau"],
         cache_size=config["cache_size"] or None,
-        keep_scores=config["keep_scores"],
-        use_index_pruning=config.get("use_index_pruning", False),
     )
     engine.model_version = int(payload.get("model_version", 0))
     return engine

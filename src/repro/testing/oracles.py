@@ -8,13 +8,21 @@
   and per component, the loop
   :meth:`~repro.stats.gmm.GaussianMixtureModel.fit` runs as array
   operations (same seeding, random stream and convergence test).
+* :func:`query_reference` / :func:`query_topk_reference` — Steps 2–4 of
+  Algorithm 1 as the paper writes them, one branch-multiset merge and one
+  :meth:`~repro.core.estimator.GBDAEstimator.posterior` per (query, graph)
+  pair, against which every online path of
+  :class:`~repro.core.plan.ExecutionCore` is held bit for bit.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Sequence
+import time
+from typing import Dict, List, Sequence, Tuple
 
+from repro.core.branches import branch_multiset
+from repro.core.gbd import max_gbd_for_ged
 from repro.core.omegas import (
     branch_type_count,
     omega1,
@@ -24,10 +32,18 @@ from repro.core.omegas import (
     omega3,
     omega4,
 )
+from repro.core.search import GBDASearch, SearchResult
+from repro.db.query import QueryAnswer, SimilarityQuery
 from repro.stats.distributions import normal_pdf
 from repro.stats.gmm import GaussianMixtureModel, MixtureComponent, _variance
 
-__all__ = ["fit_gmm_oracle", "lambda1_dtau_oracle", "lambda1_oracle"]
+__all__ = [
+    "fit_gmm_oracle",
+    "lambda1_dtau_oracle",
+    "lambda1_oracle",
+    "query_reference",
+    "query_topk_reference",
+]
 
 
 def lambda1_oracle(
@@ -162,3 +178,58 @@ def fit_gmm_oracle(model: GaussianMixtureModel, samples: Sequence[float]) -> Gau
         for j in range(k)
     ]
     return model
+
+
+def query_reference(search: GBDASearch, query: SimilarityQuery) -> SearchResult:
+    """Answer one query of a fitted search with the literal per-pair loop.
+
+    One branch-multiset merge and one :meth:`GBDAEstimator.posterior`
+    evaluation per database graph, exactly as the paper writes Steps 2–4.
+    With the search's ``use_index_pruning`` a graph whose GBD exceeds ``2 τ̂``
+    is skipped unscored, by the same per-pair GBD.  The loop reads nothing of
+    the columnar store, so it checks the store's kernels rather than sharing
+    them.  Answers are bit-identical to :meth:`GBDASearch.query`.
+    """
+    search._require_fitted()
+    search._core.validate_tau(query.tau_hat)
+    start = time.perf_counter()
+    database, estimator = search.database, search.estimator
+    query_branches = branch_multiset(query.query_graph)
+    cap = max_gbd_for_ged(query.tau_hat) if search.use_index_pruning else None
+
+    gbd_values: Dict[int, int] = {}
+    posteriors: Dict[int, float] = {}
+    accepted: List[int] = []
+    for entry in database:
+        graph_id = entry.graph_id
+        gbd_value = database.gbd_to(query.query_graph, graph_id, query_branches=query_branches)
+        if cap is not None and gbd_value > cap:
+            continue
+        gbd_values[graph_id] = gbd_value
+        extended_order = max(query.query_graph.num_vertices, entry.num_vertices)
+        posterior = estimator.posterior(gbd_value, query.tau_hat, extended_order)
+        posteriors[graph_id] = posterior
+        if posterior >= query.gamma:
+            accepted.append(graph_id)
+
+    answer = QueryAnswer(
+        method=search.method_name,
+        accepted_ids=frozenset(accepted),
+        scores=dict(posteriors),
+        elapsed_seconds=time.perf_counter() - start,
+    )
+    return SearchResult(answer=answer, gbd_values=gbd_values, posteriors=posteriors)
+
+
+def query_topk_reference(
+    search: GBDASearch, query: SimilarityQuery, k: int
+) -> List[Tuple[int, float]]:
+    """Reference top-k ranking: the γ = 0 loop of :func:`query_reference`, sorted, first ``k``.
+
+    Every candidate is scored and the pairs are sorted by ``(-posterior,
+    graph id)``: the ground truth :meth:`GBDASearch.query_topk` and the
+    engine's early-terminating top-k are held to.
+    """
+    reference = query_reference(search, SimilarityQuery(query.query_graph, query.tau_hat, 0.0))
+    ranked = sorted(reference.posteriors.items(), key=lambda item: (-item[1], item[0]))
+    return ranked[: int(k)]

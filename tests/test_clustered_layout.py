@@ -28,6 +28,7 @@ from repro.db.kernels import available_backends
 from repro.db.query import SimilarityQuery
 from repro.graphs.generators import random_labeled_graph
 from repro.obs.metrics import get_registry
+from repro.testing.oracles import query_reference
 
 BACKENDS = available_backends()
 #: ``_POSITION_DTYPE_LIMIT`` per layout: int32 positions, or int64 past five rows.
@@ -78,7 +79,7 @@ def _fit(graphs, backend):
 
 def _expected(search, query, ids):
     """``(accepted, accepted scores, every posterior, every GBD)`` of the loop over ``ids``."""
-    reference = search.query_reference(query)
+    reference = query_reference(search, query)
     posteriors = {gid: reference.posteriors[gid] for gid in ids}
     accepted = {gid for gid in reference.answer.accepted_ids if gid in posteriors}
     gbds = {gid: reference.gbd_values[gid] for gid in ids}
@@ -96,9 +97,9 @@ def _check(search, core, queries):
     core.warm(range(3), sorted({entry.num_vertices for entry in database} | set(range(1, 13))))
     for query in queries:
         accepted, scores, posteriors, gbds = _expected(search, query, ids)
-        pruned = core.execute_pruned(query)
-        assert pruned.accepted_id_set() == accepted
-        assert pruned.scores_dict("accepted") == scores
+        ids_hit, scores_hit = core.execute_pruned(query)
+        assert set(ids_hit) == accepted
+        assert dict(zip(ids_hit, scores_hit)) == scores
         full = core.execute(query)
         assert full.scores_dict("candidates") == posteriors
         assert dict(zip(full.graph_ids.tolist(), full.gbds.tolist())) == gbds

@@ -18,6 +18,7 @@ from repro.exceptions import DatasetError, SearchError
 from repro.graphs.generators import random_labeled_graph
 from repro.graphs.graph import Graph
 from repro.serving import BatchQueryEngine
+from repro.testing.oracles import query_reference
 from store_rows import by_graph_id
 
 
@@ -200,7 +201,7 @@ class TestAddManyIsAllOrNothing:
             return [(answer.accepted_ids, answer.scores) for answer in map(engine.query, queries)]
 
         def reference():
-            found = [search.query_reference(query) for query in queries]
+            found = [query_reference(search, query) for query in queries]
             return [
                 (one.answer.accepted_ids, {i: one.posteriors[i] for i in one.answer.accepted_ids})
                 for one in found
@@ -282,6 +283,11 @@ class TestQueryObjects:
             SimilarityQuery(triangle, tau_hat="two")
         with pytest.raises(QueryError):
             SimilarityQuery(triangle, tau_hat=1, gamma="high")
+        for infinite in (float("inf"), float("-inf")):
+            with pytest.raises(QueryError):
+                SimilarityQuery(triangle, tau_hat=infinite)
+            with pytest.raises(QueryError):
+                SimilarityQuery(triangle, tau_hat=1, top_k=infinite)
 
     def test_similarity_query_accepts_boundary_values(self, triangle):
         assert SimilarityQuery(triangle, tau_hat=0, gamma=0.0).gamma == 0.0

@@ -3,17 +3,20 @@
 There are three ways to answer one similarity query —
 
 * :meth:`GBDASearch.query` (thin wrapper over the :class:`ExecutionCore`),
-* :meth:`GBDASearch.query_reference` (the literal per-pair Algorithm 1 loop),
-* :meth:`BatchQueryEngine.query` (vectorized single-query serving) and
-  :meth:`BatchQueryEngine.query_batch` (true batched matrix scoring) — each
-  in both the pruned filter-and-verify form (the default ``keep_scores``:
-  γ-threshold inversion + GBD lower-bound elimination) and the unpruned
-  dense form (``keep_scores="all"``) —
+* :func:`repro.testing.oracles.query_reference` (the literal per-pair
+  Algorithm 1 loop),
+* :meth:`BatchQueryEngine.query` and :meth:`BatchQueryEngine.query_batch` —
+  the engine's one plan, filter-and-verify (γ-threshold inversion + GBD
+  lower-bound elimination), which answers with the accepted graphs and
+  their posteriors —
 
-and this property test drives all of them across seeds, γ/τ̂ grids, query
-shapes, and pruning on/off, asserting bit-identical accepted sets and
-posterior scores everywhere.  The top-k mode is verified against the first
-``k`` entries of the full γ=0 reference ranking (ties broken by graph id).
+and this property test drives all of them across seeds, γ/τ̂ grids and query
+shapes, asserting bit-identical accepted sets and posterior scores
+everywhere.  The search's branch-bound pruning (``use_index_pruning``) is
+checked on the search's own paths, against the reference loop under the
+same pruning; the engine, which does not serve a pruning search, is held to
+the unpruned reference.  The top-k mode is verified against the first ``k``
+entries of the full γ=0 reference ranking (ties broken by graph id).
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ from repro.db.kernels import available_backends
 from repro.db.query import SimilarityQuery
 from repro.graphs.generators import random_labeled_graph
 from repro.serving import BatchQueryEngine
+from repro.testing.oracles import query_reference, query_topk_reference
 
 MAX_TAU = 3
 #: Both kernel backends when the native one builds here, else just numpy —
@@ -50,29 +54,36 @@ _FITTED_CACHE = {}
 
 
 def _fitted(seed: int, pruning: bool, backend: str = BACKENDS[0]):
-    """Build (once per configuration) a fitted search + engines."""
+    """Build (once per configuration) ``(search, engine, plain search)``.
+
+    The engine is built from the plain (unpruned) search of the same seed,
+    database and backend — a pruning search cannot be served — so with
+    ``pruning`` the search and the engine share identical priors, and the
+    engine's answers are the plain search's.
+    """
     key = (seed, pruning, backend)
     if key not in _FITTED_CACHE:
-        rng = random.Random(100 + seed)
-        graphs = [
-            random_labeled_graph(rng.randint(4, 9), rng.randint(3, 12), seed=rng)
-            for _ in range(25)
-        ]
-        database = GraphDatabase(graphs, name=f"parity-{seed}", kernel_backend=backend)
-        search = GBDASearch(
-            database,
-            max_tau=MAX_TAU,
-            num_prior_pairs=80,
-            seed=seed,
-            use_index_pruning=pruning,
-        ).fit()
-        engine = BatchQueryEngine.from_search(search, keep_scores="all", cache_size=None)
-        # default engine: accepted-only scores, pruned filter-and-verify path
-        default_engine = BatchQueryEngine.from_search(search, cache_size=None)
-        unpruned_engine = BatchQueryEngine.from_search(
-            search, cache_size=None, keep_scores="all"
-        )
-        _FITTED_CACHE[key] = (search, engine, default_engine, unpruned_engine)
+        if pruning:
+            _plain, engine, plain = _fitted(seed, False, backend)
+            search = GBDASearch(
+                engine.database,
+                max_tau=MAX_TAU,
+                num_prior_pairs=80,
+                seed=seed,
+                use_index_pruning=True,
+            ).fit()
+        else:
+            rng = random.Random(100 + seed)
+            graphs = [
+                random_labeled_graph(rng.randint(4, 9), rng.randint(3, 12), seed=rng)
+                for _ in range(25)
+            ]
+            database = GraphDatabase(graphs, name=f"parity-{seed}", kernel_backend=backend)
+            search = plain = GBDASearch(
+                database, max_tau=MAX_TAU, num_prior_pairs=80, seed=seed
+            ).fit()
+            engine = BatchQueryEngine.from_search(search, cache_size=None)
+        _FITTED_CACHE[key] = (search, engine, plain)
     return _FITTED_CACHE[key]
 
 
@@ -86,7 +97,7 @@ def _fitted(seed: int, pruning: bool, backend: str = BACKENDS[0]):
     gamma=st.sampled_from([0.05, 0.3, 0.5, 0.75, 0.9]),
 )
 def test_all_online_paths_agree(seed, pruning, backend, query_seed, tau_hat, gamma):
-    search, engine, default_engine, unpruned_engine = _fitted(seed, pruning, backend)
+    search, engine, plain = _fitted(seed, pruning, backend)
     qrng = random.Random(query_seed)
     query = SimilarityQuery(
         random_labeled_graph(qrng.randint(3, 10), qrng.randint(2, 14), seed=qrng),
@@ -94,51 +105,40 @@ def test_all_online_paths_agree(seed, pruning, backend, query_seed, tau_hat, gam
         gamma,
     )
 
-    reference = search.query_reference(query)
+    reference = query_reference(search, query)
     wrapped = search.query(query)
-    single = engine.query(query)
-    # batch the query together with a decoy so the matrix path really runs
-    # a multi-row group (decoy shares τ̂; different graph and γ)
+    # batch the query together with a decoy so the batch path really runs
+    # a multi-row batch (decoy shares τ̂; different graph and γ)
     decoy = SimilarityQuery(
         random_labeled_graph(4, 4, seed=query_seed + 1), tau_hat, 0.5
     )
+    single = engine.query(query)
     batched = engine.query_batch([decoy, query])[1]
-    # pruned filter-and-verify (default engine) vs explicit unpruned engine
-    pruned_single = default_engine.query(query)
-    pruned_batch = default_engine.query_batch([decoy, query])[1]
-    unpruned = unpruned_engine.query(query)
 
-    expected_ids = reference.answer.accepted_ids
-    assert wrapped.answer.accepted_ids == expected_ids
-    assert single.accepted_ids == expected_ids
-    assert batched.accepted_ids == expected_ids
-    assert pruned_single.accepted_ids == expected_ids
-    assert pruned_batch.accepted_ids == expected_ids
-    assert unpruned.accepted_ids == expected_ids
-
+    assert wrapped.answer.accepted_ids == reference.answer.accepted_ids
     # posterior scores are bit-identical, not merely approximately equal
     assert wrapped.posteriors == reference.posteriors
     assert wrapped.gbd_values == reference.gbd_values
-    assert single.scores == reference.posteriors
-    assert batched.scores == reference.posteriors
-    expected_accepted_scores = {gid: reference.posteriors[gid] for gid in expected_ids}
-    assert pruned_single.scores == expected_accepted_scores
-    assert pruned_batch.scores == expected_accepted_scores
-    assert {gid: unpruned.scores[gid] for gid in unpruned.accepted_ids} == (
-        expected_accepted_scores
-    )
+
+    # the engine answers Algorithm 1 without the branch bound: the plain loop's
+    served = reference if not pruning else query_reference(plain, query)
+    expected_ids = served.answer.accepted_ids
+    assert single.accepted_ids == expected_ids
+    assert batched.accepted_ids == expected_ids
+    expected_accepted_scores = {gid: served.posteriors[gid] for gid in expected_ids}
+    assert single.scores == expected_accepted_scores
+    assert batched.scores == expected_accepted_scores
 
     # top-k mode: exactly the first k of the γ=0 reference ranking
     k = 1 + (query_seed % 7)
-    expected_topk = search.query_topk_reference(query, k)
-    assert search.query_topk(query, k).ranking == expected_topk
-    assert default_engine.query_topk(query, k).ranking == expected_topk
+    assert search.query_topk(query, k).ranking == query_topk_reference(search, query, k)
+    assert engine.query_topk(query, k).ranking == query_topk_reference(plain, query, k)
 
 
 @pytest.mark.parametrize("backend", BACKEND_PARAMS)
 @pytest.mark.parametrize("pruning", [False, True])
 def test_query_batch_returns_input_order(pruning, backend):
-    search, engine, _default, _unpruned = _fitted(0, pruning, backend)
+    search, engine, plain = _fitted(0, pruning, backend)
     qrng = random.Random(7)
     queries = [
         SimilarityQuery(
@@ -151,7 +151,9 @@ def test_query_batch_returns_input_order(pruning, backend):
     answers = engine.query_batch(queries)
     assert len(answers) == len(queries)
     for query, answer in zip(queries, answers):
-        assert answer.accepted_ids == search.query(query).answer.accepted_ids
+        assert answer.accepted_ids == plain.query(query).answer.accepted_ids
+        # the branch bound only ever removes graphs from an answer
+        assert search.query(query).answer.accepted_ids <= answer.accepted_ids
 
 
 def _executor_queries(seed, count, top_k=False):
@@ -170,38 +172,38 @@ def _executor_queries(seed, count, top_k=False):
 @pytest.mark.parametrize("backend", BACKEND_PARAMS)
 @pytest.mark.parametrize("pruning", [False, True])
 def test_thread_executor_matches_reference(pruning, backend):
-    """Every engine behind a 3-thread executor answers like ``query_reference``."""
+    """The engine behind a 3-thread executor answers like ``query_reference``."""
     from repro.serving import ServingExecutor
 
-    search, engine, default_engine, unpruned_engine = _fitted(2, pruning, backend)
+    search, engine, plain = _fitted(2, pruning, backend)
     queries = _executor_queries(11, 9)
-    references = [search.query_reference(query) for query in queries]
+    references = [query_reference(plain, query) for query in queries]
 
-    def answers(serving_engine):
-        return ServingExecutor(serving_engine, num_workers=3).map(queries)
-
-    for answer, reference in zip(answers(engine), references):
-        assert answer.accepted_ids == reference.answer.accepted_ids
-        assert answer.scores == reference.posteriors
-    for answer, reference in zip(answers(default_engine), references):
+    answers = ServingExecutor(engine, num_workers=3).map(queries)
+    for answer, reference in zip(answers, references):
         expected_ids = reference.answer.accepted_ids
         assert answer.accepted_ids == expected_ids
         assert answer.scores == {gid: reference.posteriors[gid] for gid in expected_ids}
-    for answer, reference in zip(answers(unpruned_engine), references):
-        assert answer.accepted_ids == reference.answer.accepted_ids
+    for query in queries:  # the search's own paths, under its pruning
+        reference = query_reference(search, query)
+        assert search.query(query).posteriors == reference.posteriors
 
 
 @pytest.mark.parametrize("num_workers", [1, 3])
 def test_executor_topk_matches_reference(num_workers):
     from repro.serving import ServingExecutor
 
-    search, _engine, default_engine, _unpruned = _fitted(1, True)
+    search, engine, plain = _fitted(1, True)
     queries = _executor_queries(13, 8, top_k=True)
-    answers = ServingExecutor(default_engine, num_workers=num_workers).map(queries)
+    answers = ServingExecutor(engine, num_workers=num_workers).map(queries)
     for query, answer in zip(queries, answers):
-        ranked = search.query_topk_reference(query, query.top_k)
+        ranked = query_topk_reference(plain, query, query.top_k)
         assert answer.ranking == ranked
         assert answer.accepted_ids == frozenset(gid for gid, _ in ranked)
+        # the pruning search ranks its branch-bound candidates only
+        assert search.query_topk(query).ranking == query_topk_reference(
+            search, query, query.top_k
+        )
 
 
 @pytest.mark.parametrize("backend", BACKEND_PARAMS)
@@ -212,8 +214,8 @@ def test_bound_filter_never_prunes_an_accepted_graph(pruning, backend):
     (The accepted-set equality of the property test implies this; asserting
     it directly on the counters documents the filter really fires.)
     """
-    search, _engine, default_engine, _unpruned = _fitted(0, pruning, backend)
-    before = default_engine.prune_counters
+    _search, engine, plain = _fitted(0, pruning, backend)
+    before = engine.prune_counters
     qrng = random.Random(99)
     for _ in range(10):
         query = SimilarityQuery(
@@ -222,10 +224,10 @@ def test_bound_filter_never_prunes_an_accepted_graph(pruning, backend):
             qrng.choice([0.5, 0.9, 0.99]),
         )
         assert (
-            default_engine.query(query).accepted_ids
-            == search.query_reference(query).answer.accepted_ids
+            engine.query(query).accepted_ids
+            == query_reference(plain, query).answer.accepted_ids
         )
-    after = default_engine.prune_counters
+    after = engine.prune_counters
     generated = after["candidates_generated"] - before["candidates_generated"]
     pruned = after["candidates_pruned"] - before["candidates_pruned"]
     verified = after["candidates_verified"] - before["candidates_verified"]
@@ -236,7 +238,7 @@ def test_topk_on_query_routes_through_every_path():
     """``SimilarityQuery(top_k=...)`` is honoured by query/query_batch/executor."""
     from repro.serving import ServingExecutor
 
-    search, _engine, default_engine, _unpruned = _fitted(0, False)
+    search, engine, _plain = _fitted(0, False)
     qrng = random.Random(5)
     queries = [
         SimilarityQuery(
@@ -247,15 +249,15 @@ def test_topk_on_query_routes_through_every_path():
         )
         for _ in range(6)
     ]
-    expected = [search.query_topk_reference(q, q.top_k) for q in queries]
+    expected = [query_topk_reference(search, q, q.top_k) for q in queries]
 
     for query, ranked in zip(queries, expected):
-        assert default_engine.query(query).ranking == ranked
-    for answer, ranked in zip(default_engine.query_batch(queries), expected):
+        assert engine.query(query).ranking == ranked
+    for answer, ranked in zip(engine.query_batch(queries), expected):
         assert answer.ranking == ranked
         assert answer.accepted_ids == frozenset(gid for gid, _ in ranked)
         assert answer.scores == dict(ranked)
 
-    executor = ServingExecutor(default_engine, num_workers=2)
+    executor = ServingExecutor(engine, num_workers=2)
     for answer, ranked in zip(executor.map(queries), expected):
         assert answer.ranking == ranked

@@ -43,6 +43,7 @@ from repro.graphs.graph import Graph
 from repro.obs.metrics import get_registry
 from repro.serving import BatchQueryEngine
 from repro.serving.snapshot import load_engine, save_engine
+from repro.testing.oracles import query_topk_reference
 
 NATIVE = native_available()
 needs_native = pytest.mark.skipif(not NATIVE, reason="native backend unavailable here")
@@ -467,12 +468,11 @@ class TestReducerParity:
         bar=st.integers(-1, 16),
         table=st.tuples(st.integers(0, 10_000), st.sampled_from([None, None, 0.5])),
         gamma=st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0, 0.6, 2.0]),
-        max_gbd=st.sampled_from([None, 0, 2, 4]),
         plan=st.sampled_from(["sparse", "dense", "by cost"]),
         position_limit=st.sampled_from([5, INT32_MAX]),
     )
     def test_threshold_reducer_equals_the_scalar_loop(
-        self, multisets, query, bar, table, gamma, max_gbd, plan, position_limit
+        self, multisets, query, bar, table, gamma, plan, position_limit
     ):
         entries, stores = _reducer_stores(multisets, range(100, 100 + len(multisets)), position_limit)
         # Hits come back by position: ascending order, by arrival within one.
@@ -506,12 +506,12 @@ class TestReducerParity:
             hits = sorted(
                 (slot[row], scalar[row][1])
                 for row in verified
-                if (max_gbd is None or scalar[row][1] <= max_gbd) and lut[scalar[row]] >= gamma
+                if lut[scalar[row]] >= gamma
             )
             for backend, store in stores.items():
                 assert (store.view()[0][1].dtype == np.int64) == (len(entries) > position_limit)
                 positions, gbds, mask, count, taken = store.filter_verify_row(
-                    num_query_vertices, query, bars, lut, gamma, max_gbd
+                    num_query_vertices, query, bars, lut, gamma
                 )
                 assert positions.dtype == gbds.dtype == np.int64, backend
                 assert list(zip(positions.tolist(), gbds.tolist())) == hits, backend
@@ -769,17 +769,20 @@ class TestReducersInTheCore:
                     score = estimator.posterior(gbd, tau_hat, order)
                     if score >= 0.5 and (not use_pruning or gbd <= 2 * tau_hat):
                         expected[entry.graph_id] = score
-                scored = core.execute_pruned(
-                    SimilarityQuery(graph, tau_hat, 0.5), use_pruning=use_pruning
-                )
-                assert scored.scores_dict("accepted") == expected, (plan, tau_hat)
+                query = SimilarityQuery(graph, tau_hat, 0.5)
+                if use_pruning:  # the branch bound: the search's every-posterior path
+                    scored = core.execute(query, use_pruning=True)
+                    assert scored.scores_dict("accepted") == expected, (plan, tau_hat)
+                    continue
+                ids, scores = core.execute_pruned(query)
+                assert dict(zip(ids, scores)) == expected, (plan, tau_hat)
                 # Hits by ascending position: the ids of the store's layout.
-                positions = scored.positions
-                assert (np.diff(positions) > 0).all()
-                layout_ids = core.store.view()[2]
-                assert scored.graph_ids.tolist() == layout_ids[positions].tolist()
-            assert core.filter_counters.sparse_passes == 0 or plan == "sparse"
-            assert core.filter_counters.dense_passes == 0 or plan == "dense"
+                position_of = {gid: at for at, gid in enumerate(core.store.view()[2].tolist())}
+                positions = [position_of[gid] for gid in ids]
+                assert positions == sorted(set(positions))
+            if not use_pruning:  # ``execute`` walks the dense row whatever the budget
+                assert core.filter_counters.sparse_passes == 0 or plan == "sparse"
+                assert core.filter_counters.dense_passes == 0 or plan == "dense"
 
     @pytest.mark.parametrize("backend", available_backends())
     @pytest.mark.parametrize("use_pruning", [False, True])
@@ -799,7 +802,7 @@ class TestReducersInTheCore:
         for _ in range(12):
             labels = [rng.choice("AABC") for _ in range(rng.randint(3, 7))]
             query = SimilarityQuery(_path(labels), rng.randint(0, 2), 0.5)
-            reference = search.query_topk_reference(query, len(search.database) + 1)
+            reference = query_topk_reference(search, query, len(search.database) + 1)
             for k in (1, 3, 250, len(search.database) + 5):
                 before = dataclasses.replace(core.filter_counters)
                 calls, cells = (child.value for child in counters.row)
@@ -878,16 +881,11 @@ class TestReducerCountGuards:
         for query in _reducer_queries(10, seed=59):
             _answer, calls = self.calls_during(lambda: engine.query(query))
             assert calls == {"filter_verify_row": 1}  # no dense ``row`` call beside it
-            scored = core.execute_pruned(query)
-            assert scored.gbds is scored.accepted is scored.eligible is scored.posteriors is None
-            assert len(scored.graph_ids) == len(scored.positions) == len(scored.accepted_items[0])
-            with pytest.raises(ValueError, match="not materialised"):
-                scored.scores_dict("candidates")
-            with pytest.raises(ValueError, match="not materialised"):
-                scored.candidate_positions()
+            ids, scores = core.execute_pruned(query)  # the hits, nothing per candidate
+            assert type(ids) is type(scores) is list and len(ids) == len(scores)
             full = core.execute(query)
-            assert scored.scores_dict("accepted") == full.scores_dict("accepted")
-            assert scored.positions.tolist() == np.flatnonzero(full.accepted).tolist()
+            assert dict(zip(ids, scores)) == full.scores_dict("accepted")
+            assert ids == full.graph_ids[full.accepted].tolist()  # by position
 
     def test_filter_counters_of_a_mixed_stream(self, reducer_search, monkeypatch):
         """Per query: what the bound arithmetic says was pruned, verified, and how."""
@@ -904,9 +902,7 @@ class TestReducerCountGuards:
         plans = set()
         for query in _reducer_queries(40, seed=61):
             branches, num_vertices = query.branches(), query.query_graph.num_vertices
-            thresholds, _lut = core._pruned_thresholds(
-                query, np.maximum(num_vertices, distinct), False
-            )
+            thresholds, _lut = core._pruned_thresholds(query, np.maximum(num_vertices, distinct))
             bounds = store.gbd_lower_bound_row(num_vertices, branches, view=view)
             eligible = int((bounds <= thresholds[np.searchsorted(distinct, orders)]).sum())
             sparse = None if eligible == 0 else eligible <= num_rows // 2
@@ -988,7 +984,7 @@ class TestReducerCountGuards:
             bounds = core._bound_lut_for(0, extended.tolist())[extended, lower]
             assert 0 < (bounds > 0.0).sum() < len(distinct) // 4
             for k in (1, 10):
-                reference = search.query_topk_reference(query, k)
+                reference = query_topk_reference(search, query, k)
                 before = core.filter_counters.candidates_verified
                 answer, calls = spied_top_k(query, k)
                 assert answer.ranking == reference and calls == {"row": 1}

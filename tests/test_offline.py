@@ -217,7 +217,7 @@ class TestIncrementalRefit:
         database = GraphDatabase(small[:30])
         fitter = OfflineFitter(database, max_tau=2, num_prior_pairs=80, seed=1).fit()
         reference, engine = (
-            fitter.build_engine(cache_size=None, keep_scores="all") for _ in range(2)
+            fitter.build_engine(cache_size=None) for _ in range(2)
         )
         query = SimilarityQuery(small[0], 2, 0.0)
         expected = reference.query(query).scores

@@ -144,6 +144,41 @@ class TestDeadline:
         finally:
             handle.stop()
 
+    @pytest.mark.parametrize("budget", [0, -5, float("nan"), float("inf")])
+    def test_sync_client_refuses_an_invalid_deadline_once(self, engine, budget):
+        handle = start_service_thread(engine, max_batch=8)
+        query = _queries(1, seed=113)[0]
+        retry = RetryPolicy(max_attempts=5, base_delay_ms=1, max_delay_ms=5, seed=4)
+        try:
+            with ServiceClient(*handle.address, retry=retry) as client:
+                with pytest.raises(ProtocolError, match="invalid deadline_ms"):
+                    client.query(query, deadline_ms=budget)
+                assert retry.retries == 0  # one attempt: refused, never retried
+                assert client.query(query).accepted_ids == engine.query(query).accepted_ids
+        finally:
+            handle.stop()
+
+    @pytest.mark.parametrize("budget", [0, -5, float("nan"), float("inf")])
+    def test_async_client_refuses_an_invalid_deadline_once(self, engine, budget):
+        handle = start_service_thread(engine, max_batch=8)
+        query = _queries(1, seed=113)[0]
+        retry = RetryPolicy(max_attempts=5, base_delay_ms=1, max_delay_ms=5, seed=4)
+
+        async def run():
+            client = await AsyncServiceClient.connect(*handle.address, retry=retry)
+            try:
+                with pytest.raises(ProtocolError, match="invalid deadline_ms"):
+                    await client.query(query, deadline_ms=budget)
+                assert retry.retries == 0  # one attempt: refused, never retried
+                return await client.query(query)
+            finally:
+                await client.close()
+
+        try:
+            assert asyncio.run(run()).accepted_ids == engine.query(query).accepted_ids
+        finally:
+            handle.stop()
+
 
 # ---------------------------------------------------------------------- #
 # RetryPolicy

@@ -245,7 +245,7 @@ class TestMicroBatcher:
     def test_concurrent_submissions_coalesce_into_one_batch(self):
         seen_batches = []
 
-        async def runner(queries):
+        async def runner(queries, trace=None):
             seen_batches.append(len(queries))
             return [f"answer-{id(query)}" for query in queries]
 
@@ -264,7 +264,7 @@ class TestMicroBatcher:
     def test_flush_on_full_is_immediate(self):
         seen_batches = []
 
-        async def runner(queries):
+        async def runner(queries, trace=None):
             seen_batches.append(len(queries))
             return list(queries)
 
@@ -285,7 +285,7 @@ class TestMicroBatcher:
     def test_stop_drains_queued_queries(self):
         served = []
 
-        async def runner(queries):
+        async def runner(queries, trace=None):
             served.extend(queries)
             return list(queries)
 
@@ -301,7 +301,7 @@ class TestMicroBatcher:
         assert served == list(range(7))
 
     def test_submit_after_stop_is_refused(self):
-        async def runner(queries):
+        async def runner(queries, trace=None):
             return list(queries)
 
         async def scenario():
@@ -314,7 +314,7 @@ class TestMicroBatcher:
         asyncio.run(scenario())
 
     def test_runner_failure_propagates_to_every_future(self):
-        async def runner(queries):
+        async def runner(queries, trace=None):
             raise RuntimeError("engine exploded")
 
         async def scenario():
@@ -333,7 +333,7 @@ class TestMicroBatcher:
     def _recording(seen, gate=None):
         """Stub runner: records every batch; the first one waits on ``gate``."""
 
-        async def runner(queries):
+        async def runner(queries, trace=None):
             seen.append(list(queries))
             if gate is not None and len(seen) == 1:
                 await gate.wait()
@@ -481,7 +481,7 @@ class TestMicroBatcher:
         assert stats["batches_flushed"] == 2 and stats["queries_batched"] == 3
 
     def test_invalid_knobs(self):
-        async def runner(queries):
+        async def runner(queries, trace=None):
             return list(queries)
 
         with pytest.raises(ServiceError):

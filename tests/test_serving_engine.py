@@ -7,6 +7,7 @@ import threading
 
 import pytest
 
+from repro.core.plan import ExecutionCore
 from repro.core.search import GBDASearch
 from repro.db import columnar
 from repro.db.database import GraphDatabase
@@ -17,6 +18,7 @@ from repro.graphs.generators import random_labeled_graph
 from repro.obs.metrics import get_registry
 from repro.obs.trace import QueryTrace
 from repro.serving import BatchQueryEngine
+from repro.testing.oracles import query_reference
 
 
 @pytest.fixture(scope="module")
@@ -36,7 +38,7 @@ def fitted(random_database):
 
 @pytest.fixture(scope="module")
 def engine(fitted):
-    return BatchQueryEngine.from_search(fitted, keep_scores="all")
+    return BatchQueryEngine.from_search(fitted)
 
 
 def _random_queries(num, seed, max_tau=4):
@@ -58,8 +60,8 @@ class TestRegressionAgainstLoop:
             loop = fitted.query(query)
             served = engine.query(query)
             assert served.accepted_ids == loop.answer.accepted_ids
-            # keep_scores="all": posterior scores are bit-identical too
-            assert served.scores == loop.posteriors
+            # the accepted graphs' posterior scores are bit-identical too
+            assert served.scores == {gid: loop.posteriors[gid] for gid in served.accepted_ids}
 
     def test_identical_answers_on_database_members(self, fitted, engine, random_database):
         for graph_id in (0, 7, 23):
@@ -117,19 +119,26 @@ class TestValidationAndLifecycle:
         with pytest.raises(ServingError):
             BatchQueryEngine(GraphDatabase(), fitted.estimator, max_tau=3)
 
-    def test_keep_scores_mode_is_validated(self, fitted):
-        with pytest.raises(ServingError):
-            BatchQueryEngine.from_search(fitted, keep_scores="sometimes")
+    def test_the_plan_options_are_gone(self, fitted):
+        for option in ({"keep_scores": "all"}, {"use_index_pruning": False}):
+            with pytest.raises(TypeError):
+                BatchQueryEngine(fitted.database, fitted.estimator, max_tau=4, **option)
+            with pytest.raises(TypeError):
+                BatchQueryEngine.from_search(fitted, **option)
 
-    def test_keep_scores_accepted_limits_scores(self, fitted):
-        engine = BatchQueryEngine.from_search(fitted, keep_scores="accepted", cache_size=None)
+    def test_scores_cover_the_accepted_graphs(self, fitted):
+        engine = BatchQueryEngine.from_search(fitted, cache_size=None)
         answer = engine.query(_random_queries(1, seed=2)[0])
         assert set(answer.scores) == set(answer.accepted_ids)
 
 
 class TestIndexPruningParity:
-    def test_engine_mirrors_pruning_search(self):
-        """from_search propagates use_index_pruning; answers stay identical."""
+    def test_pruning_search_is_not_served(self):
+        """The branch bound is the search's ablation filter: from_search refuses it.
+
+        Its answers are not the engine's: γ = 0 accepts every graph the
+        engine scores, and the pruning search drops those with GBD > 2 τ̂.
+        """
         rng = random.Random(29)
         graphs = [
             random_labeled_graph(rng.randint(4, 8), rng.randint(3, 10), seed=rng)
@@ -139,29 +148,14 @@ class TestIndexPruningParity:
         pruning = GBDASearch(
             database, max_tau=3, num_prior_pairs=80, seed=4, use_index_pruning=True
         ).fit()
-        engine = BatchQueryEngine.from_search(pruning, keep_scores="all", cache_size=None)
-        assert engine.use_index_pruning is True
-        # a tiny gamma accepts everything that gets scored, so any pruning
-        # divergence between the two paths would show up immediately
-        for tau_hat, gamma in [(1, 0.05), (2, 0.05), (3, 0.5)]:
-            for query_graph in (graphs[0], random_labeled_graph(6, 8, seed=rng)):
-                query = SimilarityQuery(query_graph, tau_hat, gamma)
-                loop = pruning.query(query)
-                served = engine.query(query)
-                assert served.accepted_ids == loop.answer.accepted_ids
-                assert served.scores == loop.posteriors
-
-    def test_pruning_survives_snapshot(self, tmp_path):
-        rng = random.Random(31)
-        graphs = [random_labeled_graph(5, 6, seed=rng) for _ in range(10)]
-        database = GraphDatabase(graphs)
-        search = GBDASearch(
-            database, max_tau=2, num_prior_pairs=40, seed=0, use_index_pruning=True
-        ).fit()
-        engine = BatchQueryEngine.from_search(search)
-        path = tmp_path / "pruning.snapshot"
-        engine.save(path)
-        assert BatchQueryEngine.load(path).use_index_pruning is True
+        with pytest.raises(ServingError, match="use_index_pruning"):
+            BatchQueryEngine.from_search(pruning)
+        pruning.use_index_pruning = False
+        engine = BatchQueryEngine.from_search(pruning, cache_size=None)
+        pruning.use_index_pruning = True
+        query = SimilarityQuery(graphs[0], 1, 0.0)
+        assert 0 in pruning.query(query).accepted_ids
+        assert pruning.query(query).accepted_ids < engine.query(query).accepted_ids
 
 
 class TestCacheBehaviour:
@@ -177,7 +171,7 @@ class TestCacheBehaviour:
         assert hot.elapsed_seconds > 0.0
 
     def test_caller_mutation_cannot_corrupt_cache(self, fitted):
-        engine = BatchQueryEngine.from_search(fitted, keep_scores="accepted")
+        engine = BatchQueryEngine.from_search(fitted)
         query = _random_queries(1, seed=78)[0]
         first = engine.query(query)
         first.scores.clear()
@@ -252,8 +246,8 @@ class TestIncrementalDatabase:
         ]
         database = GraphDatabase(graphs, name="serving-write-stream")
         search = GBDASearch(database, max_tau=3, num_prior_pairs=100, seed=1).fit()
-        engine = BatchQueryEngine.from_search(search, cache_size=None, keep_scores="all")
-        core = engine._core
+        engine = BatchQueryEngine.from_search(search, cache_size=None)
+        core = search._core  # the dense rows are the search's (ExecutionCore.execute)
         queries = _random_queries(6, seed=29, max_tau=3)
         for round_ in range(5):
             for query in queries:
@@ -371,24 +365,23 @@ class TestRevisionScopedCache:
 class TestPrunedExecutionEngine:
     def test_prune_counters_accumulate_and_answers_match(self, fitted):
         pruned = BatchQueryEngine.from_search(fitted, cache_size=None)
-        unpruned = BatchQueryEngine.from_search(fitted, cache_size=None, keep_scores="all")
+        unpruned = ExecutionCore(fitted.database, fitted.estimator, max_tau=fitted.max_tau)
         for query in _random_queries(10, seed=41):
-            assert pruned.query(query).accepted_ids == unpruned.query(query).accepted_ids
+            assert pruned.query(query).accepted_ids == unpruned.execute(query).accepted_id_set()
         counters = pruned.prune_counters
         assert counters["candidates_generated"] == (
             counters["candidates_pruned"] + counters["candidates_verified"]
         )
         assert 0.0 <= counters["prune_rate"] <= 1.0
-        assert unpruned.prune_counters["candidates_pruned"] == 0
+        assert unpruned.filter_counters.candidates_pruned == 0
 
-    def test_keep_scores_all_disables_filter_and_verify(self, fitted):
-        engine = BatchQueryEngine.from_search(fitted, keep_scores="all", cache_size=None)
+    def test_execute_verifies_every_row(self, fitted):
+        core = ExecutionCore(fitted.database, fitted.estimator, max_tau=fitted.max_tau)
         queries = _random_queries(4, seed=43)
-        engine.query_batch(queries)
-        for query in queries:
-            engine.query(query)
+        for query in queries * 2:
+            core.execute(query)
         # every candidate's posterior is needed: every row verified, one dense pass a query
-        counters = engine.prune_counters
+        counters = core.filter_counters.as_dict()
         assert counters["candidates_pruned"] == counters["sparse_passes"] == 0
         assert counters["candidates_verified"] == 8 * len(fitted.database)
         assert counters["dense_passes"] == 8
@@ -438,9 +431,8 @@ class TestOnePipeline:
 
     def test_empty_batch_on_the_core(self, fitted):
         core = BatchQueryEngine.from_search(fitted, cache_size=None)._core
-        for pruned in (False, True):
-            assert core.execute_batch([], pruned=pruned) == []
-            assert core.execute_batch([], query_branches=[], pruned=pruned) == []
+        assert core.execute_batch([]) == []
+        assert core.execute_batch([], query_branches=[]) == []
 
     def test_batch_counts_what_each_query_verified(self, selective):
         """``prune_counters`` mean one thing: batch == loop, numpy == native."""
@@ -456,7 +448,7 @@ class TestOnePipeline:
             looped = [loop_engine.query(query) for query in queries]
             for query, one, other in zip(queries, batched, looped):
                 assert one.accepted_ids == other.accepted_ids
-                assert one.accepted_ids == search.query_reference(query).answer.accepted_ids
+                assert one.accepted_ids == query_reference(search, query).answer.accepted_ids
             counters = batch_engine.prune_counters
             assert counters == loop_engine.prune_counters  # key by key, passes included
             assert counters["candidates_generated"] == len(queries) * len(search.database)
@@ -499,7 +491,7 @@ class TestOnePipeline:
             monkeypatch.setattr(columnar, "sparse_row_budget", budget)
             engine = BatchQueryEngine(database, search.estimator, max_tau=1, cache_size=None)
             for query, answer in zip(queries, engine.query_batch(queries)):
-                reference = search.query_reference(query)
+                reference = query_reference(search, query)
                 assert answer.accepted_ids == reference.answer.accepted_ids
                 assert answer.scores == {
                     graph_id: reference.posteriors[graph_id] for graph_id in answer.accepted_ids

@@ -13,6 +13,7 @@ from repro.db.query import SimilarityQuery
 from repro.exceptions import ServingError
 from repro.graphs.generators import random_labeled_graph
 from repro.serving import BatchQueryEngine, ServingExecutor, ServingStats
+from repro.testing.oracles import query_topk_reference
 
 
 NUM_GRAPHS = 30
@@ -76,7 +77,7 @@ class TestModes:
         finally:
             sys.setswitchinterval(interval)
         assert [a.ranking for a in answers] == [
-            search.query_topk_reference(q, q.top_k) for q in ranked
+            query_topk_reference(search, q, q.top_k) for q in ranked
         ]
 
     def test_invalid_mode_and_workers(self, engine):

@@ -21,6 +21,7 @@ from repro.serving.snapshot import (
     _FOOTER_MAGIC,
     _FOOTER_STRUCT,
 )
+from repro.testing.oracles import query_reference, query_topk_reference
 
 
 @pytest.fixture(scope="module")
@@ -36,7 +37,7 @@ def fitted_search():
 
 @pytest.fixture(scope="module")
 def fitted_engine(fitted_search):
-    engine = BatchQueryEngine.from_search(fitted_search, keep_scores="all")
+    engine = BatchQueryEngine.from_search(fitted_search)
     engine.warm([1, 2, 3])
     return engine
 
@@ -64,7 +65,7 @@ class TestRoundTrip:
             original = fitted_engine.query(query)
             restored = loaded.query(query)
             assert restored.accepted_ids == original.accepted_ids
-            assert restored.scores == original.scores  # keep_scores="all" → exact floats
+            assert restored.scores == original.scores  # exact floats
 
     def test_database_and_config_survive(self, fitted_engine, tmp_path):
         path = tmp_path / "engine.snapshot"
@@ -73,7 +74,7 @@ class TestRoundTrip:
         assert len(loaded.database) == len(fitted_engine.database)
         assert loaded.database.name == fitted_engine.database.name
         assert loaded.max_tau == fitted_engine.max_tau
-        assert loaded.keep_scores == fitted_engine.keep_scores
+        assert loaded.cache_size == fitted_engine.cache_size
         # The store is rebuilt from the graphs: the same rows, laid out the same.
         (csr, *vectors), (original_csr, *original_vectors) = (
             loaded.database.store.view(),
@@ -180,11 +181,13 @@ class TestStoredTables:
         path.write_bytes(_with_footer(payload))
         loaded = load_engine(path)
         for query in _queries(seed=37):
-            reference = fitted_search.query_reference(query)
+            reference = query_reference(fitted_search, query)
             answer = loaded.query(query)
             assert answer.accepted_ids == reference.answer.accepted_ids
-            assert answer.scores == reference.posteriors
-            expected = fitted_search.query_topk_reference(query, 5)
+            assert answer.scores == {
+                gid: reference.posteriors[gid] for gid in reference.answer.accepted_ids
+            }
+            expected = query_topk_reference(fitted_search, query, 5)
             assert loaded.query_topk(query, 5).ranking == expected
 
 
@@ -195,7 +198,7 @@ class TestPriorStates:
         path = tmp_path / "engine.snapshot"
         save_engine(fitted_engine, path)
         payload = pickle.loads(path.read_bytes())
-        assert payload["version"] == 6
+        payload["version"] = 6
         assert "backend" not in payload["gbd_prior"]
         assert "backend" not in payload["gbd_prior"]["mixture"]
         payload["gbd_prior"]["backend"] = "python"
@@ -211,12 +214,67 @@ class TestPriorStates:
             assert loaded.query_topk(query, 5).ranking == fitted_engine.query_topk(query, 5).ranking
 
 
+def _answers(engine, queries):
+    """Every answer ``engine`` gives ``queries``: thresholded, batched and top-5."""
+    return [
+        (answer.accepted_ids, answer.scores, answer.ranking)
+        for query in queries
+        for answer in (
+            engine.query(query), engine.query_batch([query])[0], engine.query_topk(query, 5)
+        )
+    ]
+
+
+class TestPlanFields:
+    """v7 drops the engine's ``keep_scores`` and ``use_index_pruning``."""
+
+    def _v6(self, fitted_engine, tmp_path, **engine_fields):
+        """A v6 file of ``fitted_engine``, with the plan fields a v6 build wrote."""
+        path = tmp_path / "engine.v6.snapshot"
+        save_engine(fitted_engine, path)
+        payload = pickle.loads(path.read_bytes())
+        payload["version"] = 6
+        payload["engine"].update(engine_fields)
+        path.write_bytes(_with_footer(payload))
+        return path
+
+    def test_v6_keep_scores_is_ignored(self, fitted_search, fitted_engine, tmp_path):
+        """A v6 ``keep_scores="all"`` file answers as a default engine over its priors."""
+        path = self._v6(fitted_engine, tmp_path, keep_scores="all", use_index_pruning=False)
+        loaded = load_engine(path)
+        default = BatchQueryEngine(
+            fitted_search.database, fitted_search.estimator, max_tau=fitted_search.max_tau
+        )
+        queries = _queries(seed=43)
+        assert _answers(loaded, queries) == _answers(default, queries)
+        for query in queries:  # accepted graphs only: the other posteriors are the search's
+            assert set(loaded.query(query).scores) == loaded.query(query).accepted_ids
+
+    def test_v6_index_pruning_is_refused(self, fitted_engine, tmp_path):
+        path = self._v6(fitted_engine, tmp_path, keep_scores="all", use_index_pruning=True)
+        with pytest.raises(SnapshotError, match="use_index_pruning"):
+            load_engine(path)
+
+    def test_v7_round_trips_bit_identically(self, fitted_engine, tmp_path):
+        path = tmp_path / "engine.snapshot"
+        save_engine(fitted_engine, path)
+        payload = pickle.loads(path.read_bytes())
+        assert payload["version"] == SNAPSHOT_VERSION == 7
+        assert not {"keep_scores", "use_index_pruning"} & set(payload["engine"])
+        loaded = load_engine(path)
+        queries = _queries(seed=47)
+        assert _answers(loaded, queries) == _answers(fitted_engine, queries)
+        resaved = tmp_path / "engine.again.snapshot"
+        save_engine(loaded, resaved)
+        assert pickle.loads(resaved.read_bytes()) == payload
+
+
 class TestStoredBranches:
     def test_a_snapshot_stores_no_branches(self, fitted_engine, tmp_path):
         path = tmp_path / "engine.snapshot"
         save_engine(fitted_engine, path)
         payload = pickle.loads(path.read_bytes())
-        assert payload["version"] == SNAPSHOT_VERSION == 6
+        assert payload["version"] == SNAPSHOT_VERSION == 7
         assert all("branches" not in record for record in payload["database"]["graphs"])
 
     def test_legacy_branch_records_that_disagree_with_their_graphs_are_ignored(
@@ -236,10 +294,10 @@ class TestStoredBranches:
         path.write_bytes(pickle.dumps(payload))  # no footer: as an older build wrote it
         loaded = load_engine(path)
         query = SimilarityQuery(fitted_search.database[0].graph.copy(), 0, 0.5)
-        expected = fitted_search.query_reference(query).answer
+        expected = query_reference(fitted_search, query).answer
         assert 0 in expected.accepted_ids
         assert loaded.query(query).accepted_ids == expected.accepted_ids
-        assert loaded.query_topk(query, 3).ranking == fitted_search.query_topk_reference(query, 3)
+        assert loaded.query_topk(query, 3).ranking == query_topk_reference(fitted_search, query, 3)
 
 
 class TestIntegrity:
@@ -294,7 +352,7 @@ class TestIntegrity:
         assert len(engine.database) == len(fitted_engine.database)
 
     def test_all_versions_round_trip_through_the_footer(self, fitted_engine, tmp_path):
-        """Rewriting any v1–v6 payload with the footer appended loads fine —
+        """Rewriting any v1–v7 payload with the footer appended loads fine —
         the footer sits after the pickle stream and never touches it."""
         path = tmp_path / "engine.snapshot"
         save_engine(fitted_engine, path)

@@ -14,10 +14,11 @@ first order group or two.  The two stores here are 64 and 16 times ``CHUNK``
   unverified, at 0.0) and the k-th best score ends the scan after the first
   group.
 
-Every ranking is compared with :meth:`GBDASearch.query_topk_reference` (the
-scalar per-pair loop, sorted) under both kernel backends, with and without
-the branch-bound candidate restriction; the work done is bounded by counts
-— kernel calls and verified candidates — not by the clock.
+Every ranking is compared with :func:`repro.testing.oracles.query_topk_reference`
+(the scalar per-pair loop, sorted) under both kernel backends: the engine's
+without the branch-bound candidate restriction, :meth:`GBDASearch.query_topk`'s
+with it (the engine does not serve a pruning search); the work done is
+bounded by counts — kernel calls and verified candidates — not by the clock.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from repro.db.query import SimilarityQuery
 from repro.graphs.graph import Graph
 from repro.obs.metrics import get_registry
 from repro.serving import BatchQueryEngine
+from repro.testing.oracles import query_topk_reference
 
 MAX_TAU = 2
 CHUNK = 512
@@ -91,7 +93,10 @@ def _graphs(store: str):
 
 
 def _built(store: str, pruning: bool, backend: str):
-    """``(search, engine)`` over one of the two stores, its database on ``backend``."""
+    """``(search, engine)`` over one of the two stores, its database on ``backend``.
+
+    A pruning search is not served: its engine is ``None``.
+    """
     key = (store, pruning, backend)
     if key not in _BUILT:
         search = GBDASearch(
@@ -101,7 +106,8 @@ def _built(store: str, pruning: bool, backend: str):
             seed=3,
             use_index_pruning=pruning,
         ).fit()
-        _BUILT[key] = (search, BatchQueryEngine.from_search(search, cache_size=None))
+        engine = None if pruning else BatchQueryEngine.from_search(search, cache_size=None)
+        _BUILT[key] = (search, engine)
     return _BUILT[key]
 
 
@@ -109,7 +115,7 @@ def _reference(search, store: str, pruning: bool, query: SimilarityQuery):
     """The whole reference ranking of one query (every ``k`` is a prefix of it)."""
     key = (store, pruning, query.query_graph.name, query.tau_hat)
     if key not in _REFERENCE:
-        _REFERENCE[key] = search.query_topk_reference(query, len(search.database) + 1)
+        _REFERENCE[key] = query_topk_reference(search, query, len(search.database) + 1)
     return _REFERENCE[key]
 
 
@@ -118,13 +124,14 @@ def _reference(search, store: str, pruning: bool, query: SimilarityQuery):
 @pytest.mark.parametrize("store", ["uniform", "mixed"])
 def test_rankings_equal_the_reference(store, pruning, backend):
     search, engine = _built(store, pruning, backend)
+    ranker = search if pruning else engine
     num_rows = len(search.database)
     for tau_hat in range(MAX_TAU + 1):
         for graph in QUERIES:
             query = SimilarityQuery(graph, tau_hat, 0.5)
             expected = _reference(search, store, pruning, query)
             for k in (1, 10, 3 * CHUNK, num_rows + 7):
-                ranking = engine.query_topk(query, k).ranking
+                ranking = ranker.query_topk(query, k).ranking
                 assert ranking == expected[:k], (graph.name, tau_hat, k)
 
 
