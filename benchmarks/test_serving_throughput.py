@@ -40,6 +40,7 @@ keeps only the parity assertions; rendered tables land in
 from __future__ import annotations
 
 import json
+import math
 import os
 import random
 import time
@@ -53,7 +54,7 @@ from repro.db.kernels import available_backends
 from repro.db.query import SimilarityQuery
 from repro.graphs.generators import random_labeled_graph
 from repro.obs.metrics import get_registry
-from repro.serving import BatchQueryEngine, ServingExecutor
+from repro.serving import BatchQueryEngine
 from repro.testing.oracles import query_reference
 
 SMOKE = os.environ.get("REPRO_SMOKE", "") not in ("", "0")
@@ -107,6 +108,11 @@ def workload():
     return database, search, _build_queries()
 
 
+def _nearest_rank(ordered, q):
+    """The ``q``-th percentile of sorted samples, nearest-rank rule."""
+    return ordered[max(math.ceil(q / 100.0 * len(ordered)), 1) - 1]
+
+
 def _best_of(runs, fn):
     """Best wall-clock of ``runs`` passes (shields against scheduler noise)."""
     best = None
@@ -151,13 +157,14 @@ def test_engine_throughput_beats_query_loop(workload, results_dir):
         assert loop_answer.scores == reference_answer.scores
         assert engine_answer.accepted_ids == loop_answer.accepted_ids
 
-    # Hot pass through the executor on a cache-backed engine: a repeated
-    # stream is answered from the LRU.
+    # Hot pass through one query_batch call on a cache-backed engine: a
+    # repeated stream is answered from the LRU.
     cached_engine = BatchQueryEngine.from_search(search)
-    executor = ServingExecutor(cached_engine, num_workers=4)
-    executor.map(queries)
-    executor.map(queries)
-    hot_stats = executor.last_stats
+    cached_engine.query_batch(queries)
+    hits, misses = cached_engine.cache.hits, cached_engine.cache.misses
+    hot_seconds, _ = _best_of(1, lambda: cached_engine.query_batch(queries))
+    hot_hits = cached_engine.cache.hits - hits
+    hot_hit_rate = hot_hits / (hot_hits + cached_engine.cache.misses - misses)
 
     speedup = engine_qps / loop_qps
     lines = [
@@ -171,11 +178,11 @@ def test_engine_throughput_beats_query_loop(workload, results_dir):
         f"{len(queries) / cold_seconds:>12.1f}",
         f"{'BatchQueryEngine (warm tables)':<38}{warm_seconds:>10.3f}"
         f"{len(queries) / warm_seconds:>12.1f}",
-        f"{'ServingExecutor (LRU-hot)':<38}{hot_stats.elapsed_seconds:>10.3f}"
-        f"{hot_stats.queries_per_second:>12.1f}",
+        f"{'query_batch (LRU-hot)':<38}{hot_seconds:>10.3f}"
+        f"{len(queries) / hot_seconds:>12.1f}",
         "",
         f"engine speedup over loop: {speedup:.1f}x (required >= {MIN_SPEEDUP:.0f}x)",
-        f"hot-pass cache hit rate: {hot_stats.cache_hit_rate:.0%}",
+        f"hot-pass cache hit rate: {hot_hit_rate:.0%}",
         f"posterior tables materialised: {engine.num_cached_tables}",
     ]
     rendered = "\n".join(lines)
@@ -344,11 +351,11 @@ def test_pruned_selective_workload(results_dir):
             },
         }
 
-    # Latency percentiles (and the prune counters as serving stats) come
-    # from one executor pass over the primary backend's pruned engine.
-    executor = ServingExecutor(results[primary]["engine"], num_workers=1)
-    executor.map(queries)
-    stats = executor.last_stats
+    # Latency percentiles come from one serial pass of engine.query over the
+    # primary backend's pruned engine: each answer's own elapsed_seconds.
+    latencies = [results[primary]["engine"].query(query).elapsed_seconds for query in queries]
+    ordered = sorted(latencies)
+    p50, p95, p99 = (_nearest_rank(ordered, q) for q in (50.0, 95.0, 99.0))
     primary_result = results[primary]
     prune_rate = primary_result["prune"]["prune_rate"]
 
@@ -364,10 +371,10 @@ def test_pruned_selective_workload(results_dir):
             "qps": primary_result["qps"],
             "prune": primary_result["prune"],
             "latency_seconds": {
-                "mean": stats.mean_latency,
-                "p50": stats.p50_latency,
-                "p95": stats.p95_latency,
-                "p99": stats.p99_latency,
+                "mean": sum(latencies) / len(latencies),
+                "p50": p50,
+                "p95": p95,
+                "p99": p99,
             },
             "backends": {
                 backend: {"qps": result["qps"], "prune": result["prune"]}
@@ -407,8 +414,8 @@ def test_pruned_selective_workload(results_dir):
         f"({prune['candidates_pruned']} of {prune['candidates_generated']} "
         f"candidates eliminated by bound arithmetic; "
         f"required >= {MIN_PRUNE_RATE:.0%} on every backend)",
-        f"latency p50/p95/p99 [{primary}]: {stats.p50_latency * 1e3:.2f} / "
-        f"{stats.p95_latency * 1e3:.2f} / {stats.p99_latency * 1e3:.2f} ms",
+        f"latency p50/p95/p99 [{primary}]: {p50 * 1e3:.2f} / "
+        f"{p95 * 1e3:.2f} / {p99 * 1e3:.2f} ms",
     ]
     rendered = "\n".join(lines)
     (results_dir / "serving_selective.txt").write_text(rendered + "\n", encoding="utf-8")

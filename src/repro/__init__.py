@@ -38,16 +38,14 @@ The offline stage (``fit``) is paid once; the serving engine then answers
 query batches with vectorized posterior-table lookups and can be persisted
 to disk and reloaded in milliseconds:
 
->>> from repro import BatchQueryEngine, ServingExecutor
+>>> from repro import BatchQueryEngine
 >>> engine = BatchQueryEngine.from_search(search)
 >>> batch = [SimilarityQuery(g1, 1, 0.5), SimilarityQuery(g2, 1, 0.5)]
 >>> answers = engine.query_batch(batch)
+>>> len(answers)
+2
 >>> engine.save("/tmp/gbda.snapshot")                       # doctest: +SKIP
 >>> served = BatchQueryEngine.load("/tmp/gbda.snapshot")    # doctest: +SKIP
->>> executor = ServingExecutor(engine, num_workers=4)
->>> answers = executor.map(batch)
->>> executor.last_stats.num_queries
-2
 """
 
 from repro.graphs.graph import Graph, VIRTUAL_LABEL
@@ -66,8 +64,6 @@ from repro.offline import OfflineFitter
 from repro.serving import (
     BatchQueryEngine,
     QueryResultCache,
-    ServingExecutor,
-    ServingStats,
     load_engine,
     save_engine,
 )
@@ -158,8 +154,6 @@ __all__ = [
     "QueryAnswer",
     "OfflineFitter",
     "BatchQueryEngine",
-    "ServingExecutor",
-    "ServingStats",
     "QueryResultCache",
     "save_engine",
     "load_engine",

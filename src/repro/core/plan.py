@@ -65,7 +65,7 @@ per-pair loop (:func:`repro.testing.oracles.query_reference`);
 every path.
 
 Thread-safety: queries may run concurrently from threads sharing one engine
-(the serving executor with ``num_workers > 1``).  The lookup-table caches are
+(the service's scoring thread and callers' own threads).  The lookup-table caches are
 published as immutable ``(array, frozenset-of-filled-orders)`` pairs swapped
 atomically under a writer lock, so a reader either sees a table that
 provably contains every row it needs or takes the lock and fills the gap —
@@ -86,7 +86,7 @@ from repro.core.estimator import GBDAEstimator
 from repro.core.gbd import max_gbd_for_ged
 from repro.db.columnar import ColumnarBranchStore
 from repro.db.database import GraphDatabase
-from repro.db.query import SimilarityQuery
+from repro.db.query import SimilarityQuery, validate_top_k
 from repro.exceptions import SearchError
 from repro.obs.metrics import DEFAULT_RATIO_BUCKETS, get_registry
 from repro.obs.trace import QueryTrace, activated, active_trace
@@ -675,9 +675,7 @@ class ExecutionCore:
         """
         started = time.perf_counter()
         branches, store, snapshot, _extended, needed_orders = self._open(query, query_branches)
-        k = int(k)
-        if k < 1:
-            raise self.error_class("top_k must be a positive integer")
+        k = validate_top_k(k, self.error_class)
         num_rows = len(snapshot[1])
         if num_rows == 0:
             return []

@@ -40,7 +40,7 @@ from repro.core.gbd_prior import GBDPrior
 from repro.core.ged_prior import GEDPrior
 from repro.core.plan import ExecutionCore
 from repro.db.database import GraphDatabase
-from repro.db.query import QueryAnswer, SimilarityQuery
+from repro.db.query import QueryAnswer, SimilarityQuery, validate_top_k
 from repro.exceptions import SearchError
 from repro.graphs.graph import Graph
 
@@ -197,6 +197,7 @@ class GBDASearch:
             k = query.top_k
         if k is None:
             raise SearchError("query_topk needs top_k on the query or an explicit k")
+        k = validate_top_k(k, SearchError)
         start = time.perf_counter()
         ranking = self._ranking(query, k)
         return QueryAnswer(

@@ -65,7 +65,8 @@ multiset anywhere.  A write pays O(p) for it, never a copy of the rows
 before it.
 
 Concurrency: queries may run from several threads sharing one engine (the
-serving executor with ``num_workers > 1``), so everything a read needs — CSR
+service's scoring thread, callers' own threads, a writer's ``add_many``),
+so everything a read needs — CSR
 arrays, row vectors, order ranges — is published as one snapshot record
 swapped behind a compaction lock, and readers operate on one snapshot for
 the whole query — a query racing a compaction sees either the pre-add or
@@ -79,7 +80,7 @@ import threading
 from collections import Counter
 from itertools import chain, compress, repeat
 from operator import gt
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -299,12 +300,17 @@ class ColumnarBranchStore:
     # ------------------------------------------------------------------ #
     # mutation
     # ------------------------------------------------------------------ #
-    def extend(self, multisets: Iterable[Mapping]) -> None:
+    def extend(
+        self, multisets: Iterable[Mapping], *, commit: Optional[Callable[[], None]] = None
+    ) -> None:
         """Buffer one row per branch multiset, under one acquisition of the compaction lock.
 
         The rows take the next row numbers (``num_graphs`` onwards), which
         are their graphs' ids.  O(|branches|) bookkeeping that leaves the
         published snapshot alone; the next :meth:`compact` pays for the write.
+        ``commit``, when given, runs last under the same lock: the database
+        lists the batch's graphs there, so no compaction publishes a row
+        before its graph is listed.
         No Python statement runs per posting: the one pass that maps keys to
         ids learns each unseen key once, in order of first appearance (its cap
         starts at 1), and the loop below visits only multiplicities above 1 —
@@ -328,6 +334,8 @@ class ColumnarBranchStore:
             self._pending_counts += counts
             self._num_rows = rows
             self._caps_cache = None
+            if commit is not None:
+                commit()
 
     def _is_compacted(self) -> bool:
         """Whether the published snapshot already covers every appended row."""

@@ -16,10 +16,12 @@ and :meth:`GraphDatabase.vgbd_to` are the scalar reference: they extract
 both multisets from the graphs and share nothing with the store.
 
 Writes: one writer at a time.  :meth:`GraphDatabase.add_many` extracts a
-batch, appends it to the store, and only then appends the entries, which is
-what moves :attr:`GraphDatabase.revision` — a reader that sees a revision
-(and keys a cached answer with it) finds at least that many rows in the
-store.  Reads may run concurrently with the writer.
+batch and appends it to the store, which appends the entries (what moves
+:attr:`GraphDatabase.revision`) under the lock its compaction takes.  A
+reader that sees a revision (and keys a cached answer with it) finds at
+least that many rows in the store, and every row a read computes against is
+a graph the database already lists.  Reads may run concurrently with the
+writer.
 """
 
 from __future__ import annotations
@@ -98,10 +100,10 @@ class GraphDatabase:
         All or nothing: every branch multiset of the batch is extracted before
         the store takes any, so a bad item (a non-:class:`Graph` is a
         :class:`DatasetError` naming its position) leaves the length, revision,
-        alphabets and the store exactly as they were.  The store then takes
-        the batch as one append (a bulk load of ``k`` graphs costs one
-        compaction, not ``k``) and the entries go in last, moving
-        :attr:`revision`.
+        alphabets and the store exactly as they were.  The alphabets grow
+        first; the store then takes the batch as one append (a bulk load of
+        ``k`` graphs costs one compaction, not ``k``) and, under the same
+        lock, the entries go in, moving :attr:`revision`.
         """
         graphs = list(graphs)
         for position, graph in enumerate(graphs):
@@ -109,14 +111,14 @@ class GraphDatabase:
                 raise DatasetError(f"add_many: item {position} is not a Graph; nothing was added")
         multisets = list(map(branch_multiset, graphs))
         first = len(self._entries)
-        self.store.extend(multisets)
-        for graph in graphs:
-            self._vertex_labels |= graph.vertex_label_set()
-            self._edge_labels |= graph.edge_label_set()
-        self._entries += [
+        entries = [
             StoredGraph(first + offset, graph, graph.num_vertices)
             for offset, graph in enumerate(graphs)
         ]
+        for graph in graphs:
+            self._vertex_labels |= graph.vertex_label_set()
+            self._edge_labels |= graph.edge_label_set()
+        self.store.extend(multisets, commit=lambda: self._entries.extend(entries))
         return list(range(first, first + len(graphs)))
 
     @property

@@ -9,8 +9,8 @@ the compact int32 layout (a store that outgrew int32) are transparently
 delegated to the numpy backend rather than widening the C surface.
 
 The compiled calls release the GIL for their whole duration (plain ctypes
-foreign calls), so multi-threaded serving executors scale better on this
-backend than on the numpy one.
+foreign calls), so threads sharing one engine — the service's scoring
+thread, callers' own — overlap better on this backend than on the numpy one.
 
 Pointer arguments are declared ``void *`` and passed as plain addresses:
 extracting ``array.ctypes.data_as(...)`` costs ~2µs per array in ctypes

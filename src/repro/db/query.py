@@ -12,12 +12,12 @@ from __future__ import annotations
 import struct
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import Dict, FrozenSet, List, Optional, Tuple, Type
 
 from repro.exceptions import QueryError
 from repro.graphs.graph import Graph
 
-__all__ = ["SimilarityQuery", "QueryAnswer"]
+__all__ = ["SimilarityQuery", "QueryAnswer", "validate_top_k"]
 
 #: Head of an answer's wire form: elapsed_seconds, len(method), has ranking,
 #: |accepted_ids|, |scores|, |ranking| (little-endian, unpadded).
@@ -27,6 +27,24 @@ _WIRE_COUNTS = struct.Struct("<dHBIII")
 def _wire_arrays(method_bytes: int, accepted: int, scored: int, ranked: int) -> str:
     """``struct`` format of what follows the counts: method, ids, (ids, scores) twice."""
     return "<%ds%dq%dq%dd%dq%dd" % (method_bytes, accepted, scored, scored, ranked, ranked)
+
+
+def validate_top_k(top_k, error: Type[Exception] = QueryError) -> int:
+    """Return ``top_k`` as a positive ``int``, or raise ``error``.
+
+    The one rule for a ranking size, whether it rides on the query or is
+    passed to a ``query_topk``: an integral number ≥ 1 (``2.0`` is 2;
+    ``2.7``, ``"3"``, NaN and infinities are refused, never truncated,
+    parsed or leaked as a bare ``ValueError`` / ``OverflowError``).
+    """
+    try:
+        value = int(top_k)
+        integral = value == top_k
+    except (TypeError, ValueError, OverflowError):
+        integral = False
+    if not integral or value < 1:
+        raise error(f"top_k must be a positive integer, got {top_k!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -79,17 +97,7 @@ class SimilarityQuery:
             raise QueryError("the probability threshold γ must be a number in [0, 1]") from exc
         if not 0.0 <= gamma <= 1.0:
             raise QueryError("the probability threshold γ must lie in [0, 1]")
-        top_k = self.top_k
-        if top_k is not None:
-            try:
-                value = int(top_k)
-                if value != top_k:
-                    raise QueryError("top_k must be a positive integer or None")
-            except (TypeError, ValueError, OverflowError) as exc:
-                raise QueryError("top_k must be a positive integer or None") from exc
-            if value < 1:
-                raise QueryError("top_k must be a positive integer or None")
-            top_k = value
+        top_k = None if self.top_k is None else validate_top_k(self.top_k)
         # Normalise so downstream arithmetic/comparisons see native numbers
         # even when the caller passed e.g. numpy scalars or 2.0 / "0.5".
         object.__setattr__(self, "tau_hat", tau_hat)

@@ -1,7 +1,7 @@
 """repro.obs — unified observability: metrics, tracing, logs, SLOs, profiling.
 
 The telemetry substrate threaded through every layer of the stack
-(columnar kernels → execution core → serving engine/executor → service),
+(columnar kernels → execution core → serving engine → service),
 and — since the distributed v2 — across the process boundary:
 
 * :mod:`~repro.obs.metrics` — a low-overhead registry of named counters,

@@ -1,7 +1,7 @@
 """Low-overhead metrics registry: counters, gauges, fixed-bucket histograms.
 
 The observability substrate of the whole stack (see :mod:`repro.obs`): every
-layer — columnar kernels, execution core, serving engine, executor, service
+layer — columnar kernels, execution core, serving engine, service
 — increments metrics registered here, and the exposition layer
 (:mod:`repro.obs.export`) renders one registry into Prometheus text or a
 plain snapshot dict.
@@ -172,8 +172,9 @@ class Histogram:
     def quantile(self, q: float) -> float:
         """Approximate ``q``-quantile (0..1) by linear interpolation in-bucket.
 
-        Good enough for dashboards/SLO checks; exact per-sample percentiles
-        stay in :class:`~repro.serving.stats.ServingStats`.
+        Good enough for dashboards/SLO checks; the service's ``stats``
+        document reports exact nearest-rank percentiles over its recent
+        latency window.
         """
         if not 0.0 <= q <= 1.0:
             raise ValueError("quantile q must lie in [0, 1]")

@@ -23,8 +23,8 @@ never receive a trace argument; they record into the **thread-active**
 trace (:func:`activate` / :func:`active_trace`, one ``threading.local``
 read when unsampled) installed by whoever owns the query — the engine's
 batch path activates the batch trace inside the scoring thread, so core
-instrumentation works unchanged for direct engine calls, the executor,
-and the service.
+instrumentation works unchanged for direct engine calls, callers' own
+threads, and the service.
 
 :class:`SlowQueryLog` is the tail-latency companion: queries whose
 end-to-end latency exceeds a configurable threshold are appended to a
@@ -385,9 +385,12 @@ class Tracer:
             self.recent.append(trace)
 
     def recent_traces(self, limit: int = 16) -> List[Dict[str, Any]]:
-        """The most recent finished traces, newest first, as dicts."""
+        """The ``limit`` most recent finished traces, newest first, as dicts."""
+        limit = int(limit)
+        if limit <= 0:
+            return []
         with self._lock:
-            newest = list(self.recent)[-int(limit):]
+            newest = list(self.recent)[-limit:]
         return [trace.to_dict() for trace in reversed(newest)]
 
     def find(self, trace_id: str) -> List[Dict[str, Any]]:

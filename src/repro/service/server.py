@@ -46,10 +46,12 @@ and the quickstart example (production deployments would run
 from __future__ import annotations
 
 import asyncio
+import math
 import signal
 import threading
 import time
-from typing import Any, Dict, Optional
+from collections import deque
+from typing import Any, Deque, Dict, Optional, Sequence
 
 from repro.db.query import SimilarityQuery
 from repro.exceptions import (
@@ -67,7 +69,6 @@ from repro.obs.slo import SLOEngine, error_rate_slo, latency_slo
 from repro.obs.trace import SlowQueryLog, TraceContext, Tracer
 from repro.serving.engine import BatchQueryEngine
 from repro.serving.snapshot import load_engine
-from repro.serving.stats import ServingStats
 from repro.service.admission import AdmissionController
 from repro.service.batcher import MicroBatcher
 from repro.service.protocol import (
@@ -109,6 +110,27 @@ _RELOAD_FAILURES = get_registry().counter(
 _CONNECTIONS = get_registry().gauge(
     "repro_service_connections", "Open client connections"
 )
+
+#: Capacity of the recent-latency window the ``serving`` percentiles read:
+#: large enough that p99 over it means something, small enough that the
+#: window stays O(100 KiB) and its sort per scrape cheap, however long the
+#: process serves.
+LATENCY_WINDOW = 8192
+
+
+def _admin_limit(message: Dict[str, Any], default: int) -> int:
+    """An admin command's ``limit``: a non-negative ``int`` (not a bool), or ``ProtocolError``."""
+    limit = message.get("limit", default)
+    if type(limit) is not int or limit < 0:
+        raise ProtocolError(f"limit must be a non-negative integer, got {limit!r}")
+    return limit
+
+
+def _nearest_rank(ordered: Sequence[float], q: float) -> float:
+    """The ``q``-th percentile of sorted samples, nearest-rank rule (0.0 if none)."""
+    if not ordered:
+        return 0.0
+    return ordered[max(math.ceil(q / 100.0 * len(ordered)), 1) - 1]
 
 
 def _requests_grand_total() -> float:
@@ -172,8 +194,6 @@ class SimilarityService:
         to deliver — there is no batching delay to set).
     max_pending, max_per_connection:
         Admission budgets (see :class:`~repro.service.admission.AdmissionController`).
-    latency_window:
-        Ring size of the serving stats' recent-latency window.
     trace_sample_rate:
         Fraction of queries traced into stage waterfalls (default 1%;
         0 disables tracing entirely).
@@ -209,7 +229,6 @@ class SimilarityService:
         max_batch: int = 32,
         max_pending: int = 1024,
         max_per_connection: int = 0,
-        latency_window: int = ServingStats.DEFAULT_LATENCY_WINDOW,
         trace_sample_rate: float = 0.01,
         slow_query_ms: float = 250.0,
         slow_log_size: int = 128,
@@ -228,7 +247,11 @@ class SimilarityService:
             max_pending=max_pending, max_per_connection=max_per_connection
         )
         self.batcher = MicroBatcher(self._run_batch, max_batch=max_batch)
-        self.stats = ServingStats(latency_window=latency_window)
+        #: Queries answered since construction, and the latencies of the
+        #: most recent :data:`LATENCY_WINDOW` of them (admission to
+        #: serialized answer, seconds): what the ``serving`` section reads.
+        self.queries_answered = 0
+        self.latencies: Deque[float] = deque(maxlen=LATENCY_WINDOW)
         self.idempotency = IdempotencyCache(capacity=idempotency_capacity)
         self.tracer = Tracer(sample_rate=trace_sample_rate)
         self.slow_log = SlowQueryLog(threshold_ms=slow_query_ms, capacity=slow_log_size)
@@ -408,7 +431,7 @@ class SimilarityService:
             self._metrics_server = await asyncio.start_server(
                 self._handle_metrics_http, host=self.host, port=self.metrics_port
             )
-        self._started_at = time.time()
+        self._started_at = time.monotonic()
         if self.snapshot_path is not None and not self._signal_registered:
             try:
                 loop.add_signal_handler(signal.SIGHUP, self._schedule_reload)
@@ -707,7 +730,8 @@ class SimilarityService:
             self.idempotency.put(str(request_key), encoded)
         payload = {"id": message_id, "kind": "answer", "answer": encoded}
         latency = time.perf_counter() - start
-        self.stats.record_latency(latency)
+        self.queries_answered += 1
+        self.latencies.append(latency)
         _REQ_ANSWERED.inc()
         # Exemplar: a sampled query's trace id rides on its latency bucket,
         # linking a bad bucket straight to a concrete waterfall.
@@ -755,7 +779,7 @@ class SimilarityService:
             elif command == "traces":
                 result = {
                     "tracer": self.tracer.as_dict(),
-                    "recent": self.tracer.recent_traces(int(message.get("limit", 16))),
+                    "recent": self.tracer.recent_traces(_admin_limit(message, 16)),
                 }
             elif command == "prometheus":
                 result = {
@@ -768,9 +792,7 @@ class SimilarityService:
                     for key in ("logger", "level", "trace_id")
                     if message.get(key) is not None
                 }
-                result = get_event_log().as_dict(
-                    limit=int(message.get("limit", 64)), **filters
-                )
+                result = get_event_log().as_dict(limit=_admin_limit(message, 64), **filters)
             elif command == "slo":
                 result = self.slo.evaluate()
             elif command == "profile":
@@ -786,6 +808,13 @@ class SimilarityService:
                     ),
                 )
                 return
+        except ProtocolError as exc:
+            # A malformed argument (a limit that is no count, an unknown
+            # profile action) is the caller's mistake, not the server's.
+            await self._respond(
+                writer, write_lock, error_response(message_id, ERROR_BAD_REQUEST, str(exc))
+            )
+            return
         except (ReproError, OSError, KeyError, TypeError, ValueError) as exc:
             # Same breadth as the SIGHUP path: a snapshot that passes the
             # header checks can still blow up while its body is rebuilt
@@ -819,7 +848,7 @@ class SimilarityService:
             return profiler.as_dict()
         if action == "status":
             return profiler.as_dict()
-        raise ServiceError(
+        raise ProtocolError(
             f"unknown profile action {action!r} "
             "(expected start/stop/status/dump/reset)"
         )
@@ -830,45 +859,48 @@ class SimilarityService:
     def metrics(self) -> Dict[str, Any]:
         """One JSON document of everything an operator scrapes.
 
-        ``serving`` carries the bounded-window latency percentiles and
-        query counts; ``engine`` the hot-swappable engine's identity, prune
-        counters, and result-cache hit rate; ``batcher`` the coalescing
+        ``serving`` carries the query count, the latency percentiles
+        (nearest rank) and mean over the recent-latency window, the
+        batcher's flush count, and the engine's cache and prune counters
+        (cache figures 0 when the engine has no cache); ``engine`` the
+        hot-swappable engine's identity; ``batcher`` the coalescing
         occupancy; ``admission`` the load-shedding counters;
         ``observability`` the tracer/slow-log summaries.
 
-        This is a **pure read**: the live counters (batcher flushes,
-        engine cache and prune counters, uptime) are overlaid on a *copy*
-        of the serving stats, so scraping at any frequency never perturbs
-        the numbers being reported.
+        This is a **pure read**: every figure is read from the counter that
+        owns it, so scraping at any frequency never perturbs the numbers
+        being reported.  Uptime is on the monotonic clock: a wall-clock
+        step never makes it negative.
         """
         engine = self.engine
-        uptime = time.time() - self._started_at if self._started_at else 0.0
-        # Batch counters live in the micro-batcher, cache/prune counters in
-        # the engine; overlay them on a snapshot of the serving stats so one
-        # document tells the whole story without mutating any of them.
-        serving = self.stats.as_dict()
-        serving["num_batches"] = self.batcher.batches_flushed
-        serving["elapsed_seconds"] = uptime
-        serving["queries_per_second"] = (
-            serving["num_queries"] / uptime if uptime > 0 else 0.0
-        )
-        if engine.cache is not None:
-            cache_stats = engine.cache.stats()
-            hits = int(cache_stats["hits"])
-            misses = int(cache_stats["misses"])
-            serving["cache_hits"] = hits
-            serving["cache_misses"] = misses
-            serving["cache_hit_rate"] = hits / (hits + misses) if hits + misses else 0.0
-        else:
-            cache_stats = None
+        uptime = time.monotonic() - self._started_at if self._started_at else 0.0
+        recent = list(self.latencies)
+        window = sorted(recent)
+        cache_stats = None if engine.cache is None else engine.cache.stats()
+        hits = int(cache_stats["hits"]) if cache_stats is not None else 0
+        misses = int(cache_stats["misses"]) if cache_stats is not None else 0
         prune = engine.prune_counters
         generated = int(prune["candidates_generated"])
-        serving["candidates_generated"] = generated
-        serving["candidates_pruned"] = int(prune["candidates_pruned"])
-        serving["candidates_verified"] = int(prune["candidates_verified"])
-        serving["prune_rate"] = (
-            serving["candidates_pruned"] / generated if generated > 0 else 0.0
-        )
+        pruned = int(prune["candidates_pruned"])
+        serving = {
+            "num_queries": self.queries_answered,
+            "num_batches": self.batcher.batches_flushed,
+            "elapsed_seconds": uptime,
+            "queries_per_second": self.queries_answered / uptime if uptime > 0 else 0.0,
+            "mean_latency": sum(recent) / len(recent) if recent else 0.0,
+            "p50_latency": _nearest_rank(window, 50.0),
+            "p95_latency": _nearest_rank(window, 95.0),
+            "p99_latency": _nearest_rank(window, 99.0),
+            "cache_hits": hits,
+            "cache_misses": misses,
+            "cache_hit_rate": hits / (hits + misses) if hits + misses else 0.0,
+            "candidates_generated": generated,
+            "candidates_pruned": pruned,
+            "candidates_verified": int(prune["candidates_verified"]),
+            "prune_rate": pruned / generated if generated > 0 else 0.0,
+            "latency_samples": len(window),
+            "latency_window": self.latencies.maxlen,
+        }
         return {
             "server": {
                 "uptime_seconds": uptime,
@@ -960,7 +992,7 @@ class SimilarityService:
     def __repr__(self) -> str:
         state = "closing" if self._closing else ("up" if self._server else "idle")
         return (
-            f"<SimilarityService {state} served={self.stats.num_queries} "
+            f"<SimilarityService {state} served={self.queries_answered} "
             f"batches={self.batcher.batches_flushed} reloads={self._reloads}>"
         )
 

@@ -11,37 +11,33 @@ deployable serving artifact:
   engine (graphs + branch multisets + Λ2 GMM + Λ3 grid), so a server starts
   without re-running the offline stage;
 * :class:`~repro.serving.cache.QueryResultCache` — an LRU for repeated/hot
-  queries with hit/miss accounting;
-* :class:`~repro.serving.executor.ServingExecutor` — shards a query stream
-  across threads sharing one engine and reports
-  :class:`~repro.serving.stats.ServingStats` (QPS, latency percentiles).
+  queries with hit/miss accounting.
+
+A stream of queries is served by ``query_batch``: the service's
+micro-batcher (:mod:`repro.service`) calls it once per flush.
 
 Quickstart
 ----------
 >>> from repro import GBDASearch, GraphDatabase, SimilarityQuery
->>> from repro.serving import BatchQueryEngine, ServingExecutor
+>>> from repro.serving import BatchQueryEngine
 >>> search = GBDASearch(database, max_tau=4).fit()          # doctest: +SKIP
 >>> engine = BatchQueryEngine.from_search(search)           # doctest: +SKIP
 >>> engine.save("engine.snapshot")                          # doctest: +SKIP
 >>> engine = BatchQueryEngine.load("engine.snapshot")       # doctest: +SKIP
->>> answers = ServingExecutor(engine).map(queries)          # doctest: +SKIP
+>>> answers = engine.query_batch(queries)                   # doctest: +SKIP
 """
 
 from repro.serving.cache import QueryResultCache, query_cache_key
 from repro.serving.engine import BatchQueryEngine
-from repro.serving.executor import ServingExecutor
 from repro.serving.snapshot import (
     SNAPSHOT_FORMAT,
     SNAPSHOT_VERSION,
     load_engine,
     save_engine,
 )
-from repro.serving.stats import ServingStats
 
 __all__ = [
     "BatchQueryEngine",
-    "ServingExecutor",
-    "ServingStats",
     "QueryResultCache",
     "query_cache_key",
     "save_engine",

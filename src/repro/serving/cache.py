@@ -9,8 +9,9 @@ both the GBDs against every database graph and the query's vertex count
 touching the query graph again.
 
 The cache is a plain ``OrderedDict``-based LRU with hit/miss counters that
-the serving statistics surface.  A lock makes it safe to share across the
-thread-pool executor; the lock is dropped when pickling so engines stay
+the service's ``stats`` document surfaces.  A lock makes it safe to share
+between the threads that call one engine — the service's scoring thread,
+a writer's, and callers' own — and is dropped when pickling so engines stay
 picklable.
 """
 

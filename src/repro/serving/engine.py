@@ -51,7 +51,7 @@ import numpy as np
 from repro.core.estimator import GBDAEstimator
 from repro.core.plan import ExecutionCore, Hits
 from repro.db.database import GraphDatabase
-from repro.db.query import QueryAnswer, SimilarityQuery
+from repro.db.query import QueryAnswer, SimilarityQuery, validate_top_k
 from repro.exceptions import ServingError
 from repro.obs.metrics import get_registry
 from repro.obs.trace import activated
@@ -276,9 +276,7 @@ class BatchQueryEngine:
             raise ServingError(
                 "query_topk needs top_k on the query or an explicit k argument"
             )
-        k = int(k)
-        if k < 1:
-            raise ServingError("top_k must be a positive integer")
+        k = validate_top_k(k, ServingError)
         self._validate_tau(query.tau_hat)
         _QUERIES_TOPK.inc()
         start = time.perf_counter()

@@ -288,6 +288,9 @@ class TestQueryObjects:
                 SimilarityQuery(triangle, tau_hat=infinite)
             with pytest.raises(QueryError):
                 SimilarityQuery(triangle, tau_hat=1, top_k=infinite)
+        for bad_k in (0, -1, float("nan"), 2.7, "3"):
+            with pytest.raises(QueryError):
+                SimilarityQuery(triangle, tau_hat=1, top_k=bad_k)
 
     def test_similarity_query_accepts_boundary_values(self, triangle):
         assert SimilarityQuery(triangle, tau_hat=0, gamma=0.0).gamma == 0.0

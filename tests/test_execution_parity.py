@@ -22,6 +22,7 @@ entries of the full γ=0 reference ranking (ties broken by graph id).
 from __future__ import annotations
 
 import random
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 from hypothesis import given, settings
@@ -156,6 +157,12 @@ def test_query_batch_returns_input_order(pruning, backend):
         assert search.query(query).answer.accepted_ids <= answer.accepted_ids
 
 
+def _on_threads(engine, queries, num_workers):
+    """``engine.query`` over ``queries`` from a pool of ``num_workers`` threads."""
+    with ThreadPoolExecutor(max_workers=num_workers) as pool:
+        return list(pool.map(engine.query, queries))
+
+
 def _executor_queries(seed, count, top_k=False):
     qrng = random.Random(seed)
     return [
@@ -172,14 +179,12 @@ def _executor_queries(seed, count, top_k=False):
 @pytest.mark.parametrize("backend", BACKEND_PARAMS)
 @pytest.mark.parametrize("pruning", [False, True])
 def test_thread_executor_matches_reference(pruning, backend):
-    """The engine behind a 3-thread executor answers like ``query_reference``."""
-    from repro.serving import ServingExecutor
-
+    """The engine behind a 3-thread pool answers like ``query_reference``."""
     search, engine, plain = _fitted(2, pruning, backend)
     queries = _executor_queries(11, 9)
     references = [query_reference(plain, query) for query in queries]
 
-    answers = ServingExecutor(engine, num_workers=3).map(queries)
+    answers = _on_threads(engine, queries, 3)
     for answer, reference in zip(answers, references):
         expected_ids = reference.answer.accepted_ids
         assert answer.accepted_ids == expected_ids
@@ -191,11 +196,9 @@ def test_thread_executor_matches_reference(pruning, backend):
 
 @pytest.mark.parametrize("num_workers", [1, 3])
 def test_executor_topk_matches_reference(num_workers):
-    from repro.serving import ServingExecutor
-
     search, engine, plain = _fitted(1, True)
     queries = _executor_queries(13, 8, top_k=True)
-    answers = ServingExecutor(engine, num_workers=num_workers).map(queries)
+    answers = _on_threads(engine, queries, num_workers)
     for query, answer in zip(queries, answers):
         ranked = query_topk_reference(plain, query, query.top_k)
         assert answer.ranking == ranked
@@ -235,9 +238,7 @@ def test_bound_filter_never_prunes_an_accepted_graph(pruning, backend):
 
 
 def test_topk_on_query_routes_through_every_path():
-    """``SimilarityQuery(top_k=...)`` is honoured by query/query_batch/executor."""
-    from repro.serving import ServingExecutor
-
+    """``SimilarityQuery(top_k=...)`` is honoured by query/query_batch/threads."""
     search, engine, _plain = _fitted(0, False)
     qrng = random.Random(5)
     queries = [
@@ -258,6 +259,5 @@ def test_topk_on_query_routes_through_every_path():
         assert answer.accepted_ids == frozenset(gid for gid, _ in ranked)
         assert answer.scores == dict(ranked)
 
-    executor = ServingExecutor(engine, num_workers=2)
-    for answer, ranked in zip(executor.map(queries), expected):
+    for answer, ranked in zip(_on_threads(engine, queries, 2), expected):
         assert answer.ranking == ranked

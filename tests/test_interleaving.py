@@ -72,18 +72,18 @@ def _answers_some_prefix(answer, query, posteriors, low, high):
     return False
 
 
-@pytest.mark.parametrize(
-    "backend",
-    [
-        pytest.param(
-            name,
-            marks=()
-            if name in available_backends()
-            else pytest.mark.skip(reason="native kernel backend unavailable here"),
-        )
-        for name in ("numpy", "native")
-    ],
-)
+BACKENDS = [
+    pytest.param(
+        name,
+        marks=()
+        if name in available_backends()
+        else pytest.mark.skip(reason="native kernel backend unavailable here"),
+    )
+    for name in ("numpy", "native")
+]
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
 def test_add_many_queries_and_refits_interleave(backend):
     stored, queries_graphs = _graphs(40, seed=3), _graphs(4, seed=4)
     queries = [
@@ -173,3 +173,28 @@ def test_add_many_queries_and_refits_interleave(backend):
             for partner in _draw_partners(rng, fitted, graph_id, PARTNERS)
         ]
         assert fitter._samples[samples : samples + len(expected)] == expected
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_a_read_as_the_store_takes_a_batch_names_only_listed_graphs(backend, monkeypatch):
+    # The first read after the store buffers a batch compacts it: every row
+    # it can see must already be a graph the database lists, or an answer
+    # names an id that ``database[id]`` refuses and a cache key's revision
+    # undercounts the rows its answer covers.
+    stored, (planted,) = _graphs(20, seed=3), _graphs(1, seed=4)
+    database = GraphDatabase(stored, kernel_backend=backend)
+    fitter = OfflineFitter(database, max_tau=MAX_TAU, num_prior_pairs=40, seed=1).fit()
+    engine = fitter.build_engine(cache_size=None)
+    queries = [SimilarityQuery(planted, 0, 0.3), SimilarityQuery(planted, 1, 0.3, top_k=5)]
+    extend, reads = database.store.extend, []
+
+    def extend_then_read(multisets, **kwargs):
+        extend(multisets, **kwargs)
+        reads.extend((database.revision, engine.query(query)) for query in queries)
+
+    monkeypatch.setattr(database.store, "extend", extend_then_read)
+    (new_id,) = database.add_many([planted.copy()])
+    assert len(reads) == 2
+    for revision, answer in reads:
+        assert answer.accepted_ids <= set(range(revision))
+        assert new_id in answer.accepted_ids  # the planted copy is visible

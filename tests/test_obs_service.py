@@ -8,7 +8,7 @@ Covers the acceptance criteria of the observability subsystem:
 * a sampled query trace's depth-0 stage durations sum to within 10% of
   its recorded end-to-end latency;
 * the ``stats``/``metrics`` admin command is a pure read — scraping twice
-  reports identical counters and never mutates the server's ServingStats;
+  reports identical counters;
 * the ``slow``, ``traces``, and ``prometheus`` admin commands round-trip;
 * distributed tracing (v2): a client-rooted trace joins on the server
   (same trace id, parent span id = the client's span), latency-histogram
@@ -21,10 +21,12 @@ Covers the acceptance criteria of the observability subsystem:
 from __future__ import annotations
 
 import asyncio
+import collections
 import random
 import re
 import socket
 import threading
+import time
 import urllib.error
 import urllib.request
 
@@ -40,19 +42,24 @@ from repro.obs import dump
 from repro.obs.trace import Tracer
 from repro.serving import BatchQueryEngine, load_engine, save_engine
 from repro.service import AsyncServiceClient, HedgePolicy, ServiceClient, start_service_thread
-from repro.service.protocol import query_request, recv_frame, send_frame
+from repro.service import server as server_module
+from repro.service.protocol import ERROR_BAD_REQUEST, query_request, recv_frame, send_frame
 from repro.testing.faults import FaultyEngine
 
 
 @pytest.fixture(scope="module")
-def engine():
+def search():
     rng = random.Random(29)
     graphs = [
         random_labeled_graph(rng.randint(5, 9), rng.randint(5, 12), seed=rng)
         for _ in range(40)
     ]
     database = GraphDatabase(graphs, name="obs-service")
-    search = GBDASearch(database, max_tau=4, num_prior_pairs=120, seed=7).fit()
+    return GBDASearch(database, max_tau=4, num_prior_pairs=120, seed=7).fit()
+
+
+@pytest.fixture(scope="module")
+def engine(search):
     return BatchQueryEngine.from_search(search)
 
 
@@ -211,16 +218,140 @@ class TestSlowLogAndPurity:
             "candidates_verified",
         ):
             assert first["serving"][key] == second["serving"][key], key
-        # The overlay never writes back: the server's own ServingStats only
-        # ever holds what record_latency put there.
-        stats = handle.service.stats
-        assert stats.candidates_generated == 0
-        assert stats.cache_hits == 0 and stats.cache_misses == 0
-        assert stats.num_batches == 0
-        # ... while the scrape reports the real engine-side counters.
+        # The scrape reports the real engine-side counters.
         assert first["serving"]["candidates_generated"] > 0
         assert first["serving"]["num_batches"] > 0
         assert first["observability"]["tracer"]["sampled"] > 0
+
+
+SERVING_KEYS = {
+    "num_queries",
+    "num_batches",
+    "elapsed_seconds",
+    "queries_per_second",
+    "mean_latency",
+    "p50_latency",
+    "p95_latency",
+    "p99_latency",
+    "cache_hits",
+    "cache_misses",
+    "cache_hit_rate",
+    "candidates_generated",
+    "candidates_pruned",
+    "candidates_verified",
+    "prune_rate",
+    "latency_samples",
+    "latency_window",
+}
+
+
+class TestServingSection:
+    def test_the_section_has_its_seventeen_keys(self, handle):
+        with ServiceClient(*handle.address) as client:
+            client.query(_random_queries(1, seed=93)[0])
+            assert set(client.stats()["serving"]) == SERVING_KEYS
+
+    def test_a_fresh_service_reports_zeros(self, engine):
+        with start_service_thread(engine, trace_sample_rate=0.0) as running:
+            with ServiceClient(*running.address) as client:
+                serving = client.stats()["serving"]
+        assert serving["num_queries"] == serving["num_batches"] == 0
+        assert serving["latency_samples"] == 0
+        assert serving["latency_window"] == server_module.LATENCY_WINDOW == 8192
+        for key in ("queries_per_second", "mean_latency", "p50_latency", "p95_latency"):
+            assert serving[key] == 0.0, key
+        assert serving["p99_latency"] == 0.0
+
+    def test_cache_figures_come_from_the_engine(self, engine):
+        query = _random_queries(1, seed=94)[0]
+        with start_service_thread(engine, trace_sample_rate=0.0) as running:
+            with ServiceClient(*running.address) as client:
+                client.query(query)
+                client.query(query)  # the second answer is a cache hit
+                serving = client.stats()["serving"]
+                cache = engine.cache.stats()
+        assert serving["cache_hits"] == cache["hits"] >= 1
+        assert serving["cache_misses"] == cache["misses"] >= 1
+        assert serving["cache_hit_rate"] == pytest.approx(
+            cache["hits"] / (cache["hits"] + cache["misses"])
+        )
+
+    def test_cache_figures_are_zero_without_a_cache(self, search):
+        cacheless = BatchQueryEngine.from_search(search, cache_size=None)
+        query = _random_queries(1, seed=95)[0]
+        with start_service_thread(cacheless, trace_sample_rate=0.0) as running:
+            with ServiceClient(*running.address) as client:
+                client.query(query)
+                client.query(query)
+                serving = client.stats()["serving"]
+        assert serving["num_queries"] == 2
+        assert (serving["cache_hits"], serving["cache_misses"]) == (0, 0)
+        assert serving["cache_hit_rate"] == 0.0
+
+    def test_prune_figures_come_from_the_engine(self, search):
+        cacheless = BatchQueryEngine.from_search(search, cache_size=None)
+        queries = _random_queries(3, seed=96)
+        with start_service_thread(cacheless, trace_sample_rate=0.0) as running:
+            with ServiceClient(*running.address) as client:
+                client.query_many(queries)
+                serving = client.stats()["serving"]
+                batches = running.service.batcher.batches_flushed
+        prune = cacheless.prune_counters
+        generated = serving["candidates_generated"]
+        assert generated == prune["candidates_generated"] == 3 * len(search.database)
+        assert serving["candidates_pruned"] == prune["candidates_pruned"]
+        assert serving["candidates_verified"] == prune["candidates_verified"]
+        assert serving["prune_rate"] == pytest.approx(serving["candidates_pruned"] / generated)
+        assert serving["num_batches"] == batches >= 1
+
+    @pytest.mark.parametrize(
+        "samples, q, expected",
+        [
+            ([], 50.0, 0.0),
+            ([0.7], 1.0, 0.7),
+            ([0.4, 0.1, 0.3, 0.2], 25.0, 0.1),  # rank ceil(1.00) = 1
+            ([0.4, 0.1, 0.3, 0.2], 26.0, 0.2),  # rank ceil(1.04) = 2
+            ([index / 100 for index in range(100, 0, -1)], 95.0, 0.95),
+        ],
+    )
+    def test_percentiles_use_the_nearest_rank(self, samples, q, expected):
+        assert server_module._nearest_rank(sorted(samples), q) == expected
+
+    def test_the_latency_window_keeps_the_last_answers(self, engine, monkeypatch):
+        monkeypatch.setattr(server_module, "LATENCY_WINDOW", 4)
+        recorded = []
+
+        class Recording(collections.deque):
+            def append(self, latency):
+                recorded.append(latency)
+                super().append(latency)
+
+        with start_service_thread(engine, trace_sample_rate=0.0) as running:
+            window = running.service.latencies
+            assert window.maxlen == 4
+            running.service.latencies = Recording(window, maxlen=window.maxlen)
+            with ServiceClient(*running.address) as client:
+                for query in _random_queries(6, seed=91):
+                    client.query(query)
+                serving = client.stats()["serving"]
+        last_four = sorted(recorded[-4:])
+        assert len(recorded) == 6
+        assert serving["num_queries"] == 6
+        assert serving["latency_samples"] == 4
+        assert serving["latency_window"] == 4
+        assert serving["p50_latency"] == last_four[1]  # rank ceil(0.50 * 4) = 2
+        assert serving["p99_latency"] == last_four[3]  # rank ceil(0.99 * 4) = 4
+        assert serving["mean_latency"] == pytest.approx(sum(last_four) / 4)
+
+    def test_uptime_survives_a_wall_clock_step_back(self, handle, monkeypatch):
+        wall_clock = time.time
+        monkeypatch.setattr(time, "time", lambda: wall_clock() - 3600.0)
+        with ServiceClient(*handle.address) as client:
+            client.query(_random_queries(1, seed=92)[0])
+            stats = client.stats()
+        assert stats["server"]["uptime_seconds"] >= 0.0
+        assert stats["serving"]["elapsed_seconds"] == stats["server"]["uptime_seconds"]
+        assert stats["serving"]["queries_per_second"] > 0.0
 
 
 class TestDistributedTracing:
@@ -444,6 +575,40 @@ class TestAdminCommands:
                 client.profile("explode")
             # The connection stays usable after the typed error.
             assert client.ping()["pong"] is True
+
+    @pytest.mark.parametrize(
+        "command, arguments",
+        [
+            ("traces", {"limit": -2}),
+            ("traces", {"limit": "x"}),
+            ("traces", {"limit": 1.5}),
+            ("traces", {"limit": True}),
+            ("traces", {"limit": None}),
+            ("logs", {"limit": -1}),
+            ("logs", {"limit": "16"}),
+            ("profile", {"action": "explode"}),
+        ],
+        ids=[
+            "traces-negative", "traces-string", "traces-float", "traces-bool",
+            "traces-null", "logs-negative", "logs-string", "profile-unknown-action",
+        ],
+    )
+    def test_malformed_admin_arguments_are_bad_requests(self, handle, command, arguments):
+        with socket.create_connection(handle.address, timeout=10) as sock:
+            send_frame(sock, {"id": 7, "kind": "admin", "command": command, **arguments})
+            response = recv_frame(sock)
+            assert response["kind"] == "error"
+            assert response["error"]["code"] == ERROR_BAD_REQUEST
+            # The connection stays usable after the typed error.
+            send_frame(sock, {"id": 8, "kind": "admin", "command": "ping"})
+            assert recv_frame(sock)["result"]["pong"] is True
+
+    def test_a_zero_limit_returns_nothing(self, handle):
+        with ServiceClient(*handle.address) as client:
+            client.query_many(_random_queries(2, seed=93))
+            assert client.traces(limit=0)["recent"] == []
+            assert client.logs(limit=0)["events"] == []
+            assert len(client.traces(limit=1)["recent"]) == 1
 
     def test_stats_observability_summary(self, handle):
         with ServiceClient(*handle.address) as client:

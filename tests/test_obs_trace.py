@@ -233,6 +233,7 @@ class TestTracer:
         assert len(tracer.recent) == 4
         newest = tracer.recent_traces(limit=2)
         assert [doc["detail"]["index"] for doc in newest] == [9, 8]
+        assert tracer.recent_traces(limit=0) == []
         assert tracer.as_dict()["retained"] == 4
 
 

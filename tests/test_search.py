@@ -64,6 +64,16 @@ class TestOfflineStage:
         with pytest.raises(SearchError):
             fitted.search(family_database[0].graph, tau_hat=99)
 
+    def test_topk_k_follows_the_query_rule(self, fitted, family_database):
+        """An explicit ``k`` is held to ``SimilarityQuery(top_k=...)``'s rule."""
+        query = SimilarityQuery(family_database[0].graph, 2, 0.5)
+        with pytest.raises(SearchError):
+            fitted.query_topk(query)
+        for bad in (0, -1, float("inf"), float("nan"), 2.7, "3"):
+            with pytest.raises(SearchError):
+                fitted.query_topk(query, bad)
+        assert len(fitted.query_topk(query, 2.0).ranking) == 2
+
 
 class TestOnlineStage:
     def test_query_itself_is_accepted(self, fitted, family_database):

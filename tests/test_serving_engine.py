@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import random
+import sys
 import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -18,7 +20,7 @@ from repro.graphs.generators import random_labeled_graph
 from repro.obs.metrics import get_registry
 from repro.obs.trace import QueryTrace
 from repro.serving import BatchQueryEngine
-from repro.testing.oracles import query_reference
+from repro.testing.oracles import query_reference, query_topk_reference
 
 
 @pytest.fixture(scope="module")
@@ -156,6 +158,105 @@ class TestIndexPruningParity:
         query = SimilarityQuery(graphs[0], 1, 0.0)
         assert 0 in pruning.query(query).accepted_ids
         assert pruning.query(query).accepted_ids < engine.query(query).accepted_ids
+
+
+def _kernel_calls() -> float:
+    """Columnar kernel invocations so far, all kernels and backends."""
+    family = get_registry().get("repro_kernel_calls_total")
+    return sum(child.value for _labels, child in family.series()) if family else 0.0
+
+
+def _on_threads(engine, queries, num_threads):
+    """``engine.query`` over ``queries`` from a pool of the caller's own threads."""
+    with ThreadPoolExecutor(max_workers=num_threads) as pool:
+        return list(pool.map(engine.query, queries))
+
+
+class TestThreadedCallers:
+    """Callers' threads share one engine: its cache, its core and the registry."""
+
+    def test_thread_answers_equal_serial_answers(self, fitted):
+        engine = BatchQueryEngine.from_search(fitted)
+        queries = _random_queries(12, seed=43)
+        serial = [engine.query(query) for query in queries]
+        engine.cache.clear()
+        for threaded, alone in zip(_on_threads(engine, queries, 4), serial):
+            assert threaded.accepted_ids == alone.accepted_ids
+            assert threaded.scores == alone.scores
+
+    def test_thread_answers_equal_serial_answers_on_topk(self, fitted):
+        # A fresh, cacheless engine: the top-k bound table of each τ̂ is
+        # first filled, then read, by several threads at once.
+        engine = BatchQueryEngine.from_search(fitted, cache_size=None)
+        ranked = [
+            SimilarityQuery(q.query_graph, q.tau_hat, q.gamma, top_k=1 + index % 5)
+            for index, q in enumerate(_random_queries(12, seed=43) * 4)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # more thread switches inside the table fill
+        try:
+            answers = _on_threads(engine, ranked, 4)
+        finally:
+            sys.setswitchinterval(interval)
+        assert [a.ranking for a in answers] == [
+            query_topk_reference(fitted, q, q.top_k) for q in ranked
+        ]
+
+    @pytest.mark.parametrize("num_threads", [1, 2, 5])
+    def test_prune_counters_add_up(self, fitted, random_database, num_threads):
+        engine = BatchQueryEngine.from_search(fitted, cache_size=None)
+        queries = _random_queries(6, seed=71)
+
+        def delta(run):
+            before = engine.prune_counters
+            run()
+            after = engine.prune_counters
+            return {name: after[name] - before[name] for name in before if name != "prune_rate"}
+
+        serial = delta(lambda: [engine.query(query) for query in queries])
+        threaded = delta(lambda: _on_threads(engine, queries, num_threads))
+        assert threaded == serial
+        assert threaded["candidates_generated"] == 6 * len(random_database)
+        assert threaded["candidates_generated"] == (
+            threaded["candidates_pruned"] + threaded["candidates_verified"]
+        )
+
+    @pytest.mark.parametrize("num_threads", [1, 2, 5])
+    def test_kernel_calls_land_in_the_registry(self, fitted, num_threads):
+        engine = BatchQueryEngine.from_search(fitted, cache_size=None)
+        queries = _random_queries(6, seed=71)
+
+        def delta(run):
+            before = _kernel_calls()
+            run()
+            return _kernel_calls() - before
+
+        serial = delta(lambda: [engine.query(query) for query in queries])
+        threaded = delta(lambda: _on_threads(engine, queries, num_threads))
+        assert threaded == serial
+        assert threaded >= 6  # at least one store call per query
+
+    @pytest.mark.parametrize("num_threads", [1, 2, 5])
+    def test_cache_hits_and_misses_add_up(self, fitted, num_threads):
+        engine = BatchQueryEngine.from_search(fitted, cache_size=64)
+        stream = _random_queries(1, seed=72) * 6
+        _on_threads(engine, stream, num_threads)
+        assert engine.cache.hits + engine.cache.misses == 6
+        # Threads may race to the first miss; each thread misses at most once.
+        misses = engine.cache.misses
+        assert 1 <= misses <= num_threads
+        _on_threads(engine, stream, num_threads)
+        assert engine.cache.hits == 12 - misses  # the second pass only hits
+        assert engine.cache.misses == misses
+
+
+    def test_an_empty_batch_answers_nothing_and_counts_nothing(self, fitted):
+        engine = BatchQueryEngine.from_search(fitted, cache_size=64)
+        prune, calls = engine.prune_counters, _kernel_calls()
+        assert engine.query_batch([]) == []
+        assert engine.prune_counters == prune
+        assert _kernel_calls() == calls
+        assert (engine.cache.hits, engine.cache.misses) == (0, 0)
 
 
 class TestCacheBehaviour:
@@ -332,10 +433,10 @@ class TestRevisionScopedCache:
         store, cache = engine._core.store, engine.cache
         view, put, extend = store.view, cache.put, store.extend
 
-        def start_reader_then_extend(multisets):
+        def start_reader_then_extend(multisets, **kwargs):
             reader.start()
             assert viewed.wait(30), "the reader never read its snapshot"
-            extend(multisets)
+            extend(multisets, **kwargs)
 
         def view_then_signal():
             snapshot = view()
@@ -521,8 +622,11 @@ class TestTopKServing:
         query = SimilarityQuery(_random_queries(1, seed=55)[0].query_graph, 2, 0.5)
         with pytest.raises(ServingError):
             engine.query_topk(query)
-        with pytest.raises(ServingError):
-            engine.query_topk(query, 0)
+        # SimilarityQuery(top_k=...)'s rule: refused, never truncated or parsed.
+        for bad in (0, -1, float("inf"), float("nan"), 2.7, "3"):
+            with pytest.raises(ServingError):
+                engine.query_topk(query, bad)
+        assert len(engine.query_topk(query, 2.0).ranking) == 2
 
     def test_topk_answers_are_cached_separately(self, fitted):
         engine = BatchQueryEngine.from_search(fitted)
