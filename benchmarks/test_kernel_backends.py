@@ -2,10 +2,12 @@
 
 Times each CSR kernel of the columnar branch store under every available
 backend on one identical store + query stream, and prices the headline
-fusion win — the single-pass ``filter_verify_row`` (bound filter → verify →
-γ threshold, hits out) against the unfused pipeline it replaced: one dense
-``intersection_row`` and the NumPy reduce over its ``D`` cells (GBD, posterior
-lookup, comparison with γ, ``flatnonzero``).  The write path's one kernel,
+fusion win — the single-pass ``filter_verify_rows`` (bound filter → verify →
+γ threshold, hits out), one query per call, against the unfused pipeline it
+replaced: one dense ``intersection_row`` and the NumPy reduce over its ``D``
+cells (GBD, posterior lookup, comparison with γ, ``flatnonzero``).  Beside it
+``filter_verify_rows_32`` prices the same reducer handed 32 queries per call
+(the serving engine's flush), per query.  The write path's one kernel,
 ``merge_postings``, is timed through its only caller: one
 ``ColumnarBranchStore.compact`` of a batch of appended graphs, interleaved
 into the store's ``|V_G|``-clustered layout.
@@ -40,6 +42,7 @@ NUM_QUERIES = 8 if SMOKE else 16
 NUM_ROUNDS = 3 if SMOKE else 5                # best-of rounds per (kernel, backend)
 WRITE_BATCH = 16 if SMOKE else 64             # graphs appended per timed compaction
 TAU = 2                                       # GBD bar for the filter kernels
+BATCH = 32                                    # queries per call of the batch line
 #: A posterior table that accepts exactly ``GBD <= TAU``: Φ = 1 / (1 + ϕ) at every order.
 GAMMA = 1.0 / (1 + TAU)
 LUT = np.ascontiguousarray(
@@ -113,6 +116,9 @@ def test_kernel_backend_microbench(workload, results_dir):
     reference = stores["numpy"]
     distinct = np.unique(reference.view()[1])
     bars = np.full(len(distinct), TAU, dtype=np.int64)
+    rows = [(nq, branches, bars, LUT, GAMMA) for nq, branches in zip(vertices, branch_sets)]
+    batch = (rows * BATCH)[:BATCH]
+    calls = {"filter_verify_rows_32": BATCH}  # queries per timed call; else len(rows)
 
     def ops(store):
         return {
@@ -123,10 +129,8 @@ def test_kernel_backend_microbench(workload, results_dir):
                 store.gbd_lower_bound_row(nq, branches)
                 for nq, branches in zip(vertices, branch_sets)
             ],
-            "filter_verify_row": lambda: [
-                store.filter_verify_row(nq, branches, bars, LUT, GAMMA)
-                for nq, branches in zip(vertices, branch_sets)
-            ],
+            "filter_verify_rows": lambda: [store.filter_verify_rows([row]) for row in rows],
+            "filter_verify_rows_32": lambda: store.filter_verify_rows(batch),
             "unfused_filter_verify": lambda: [
                 _unfused_filter_verify(store, nq, branches)
                 for nq, branches in zip(vertices, branch_sets)
@@ -137,13 +141,21 @@ def test_kernel_backend_microbench(workload, results_dir):
     for backend, store in stores.items():
         if backend == "numpy":
             continue
-        for nq, branches in zip(vertices, branch_sets):
+        batched = store.filter_verify_rows(batch)
+        for row, mine, theirs in zip(batch, batched, reference.filter_verify_rows(batch)):
+            assert all(np.array_equal(a, b) for a, b in zip(mine[:3], theirs[:3]))
+            assert mine[3:] == theirs[3:]
+            alone = store.filter_verify_rows([row])[0]  # a batch row is the query alone
+            assert all(np.array_equal(a, b) for a, b in zip(mine[:3], alone[:3]))
+            assert mine[3:] == alone[3:]
+        for row in rows:
+            nq, branches = row[:2]
             assert (
                 store.intersection_row(branches).tolist()
                 == reference.intersection_row(branches).tolist()
             )
-            mine = store.filter_verify_row(nq, branches, bars, LUT, GAMMA)
-            theirs = reference.filter_verify_row(nq, branches, bars, LUT, GAMMA)
+            mine = store.filter_verify_rows([row])[0]
+            theirs = reference.filter_verify_rows([row])[0]
             assert mine[4] is True, "the sparse plan is what this store's fused row prices"
             assert all(np.array_equal(a, b) for a, b in zip(mine[:3], theirs[:3]))
             assert mine[3:] == theirs[3:]
@@ -159,7 +171,7 @@ def test_kernel_backend_microbench(workload, results_dir):
         for backend, store in stores.items():
             fn = ops(store)[name]
             fn()  # warm caches (pinned addresses, posterior table)
-            kernels[name][backend] = _per_call_us(fn, len(branch_sets))
+            kernels[name][backend] = _per_call_us(fn, calls.get(name, len(rows)))
 
     # The write path last (it grows the stores): every backend compacts the
     # same batches, interleaving them into the layout the reads above used.
@@ -171,8 +183,8 @@ def test_kernel_backend_microbench(workload, results_dir):
         for mine, theirs in zip(store.view()[0][:3], reference.view()[0][:3]):
             assert np.array_equal(mine, theirs)
         for nq, branches in zip(vertices, branch_sets):
-            mine = store.filter_verify_row(nq, branches, grown_bars, LUT, GAMMA)
-            theirs = reference.filter_verify_row(nq, branches, grown_bars, LUT, GAMMA)
+            mine = store.filter_verify_rows([(nq, branches, grown_bars, LUT, GAMMA)])[0]
+            theirs = reference.filter_verify_rows([(nq, branches, grown_bars, LUT, GAMMA)])[0]
             assert all(np.array_equal(a, b) for a, b in zip(mine[:3], theirs[:3]))
 
     record = {
@@ -194,7 +206,7 @@ def test_kernel_backend_microbench(workload, results_dir):
             },
             "fused_vs_unfused": {
                 backend: kernels["unfused_filter_verify"][backend]
-                / kernels["filter_verify_row"][backend]
+                / kernels["filter_verify_rows"][backend]
                 for backend in BACKENDS
             },
         },

@@ -24,16 +24,16 @@ implements them once, as one pipeline a query goes through:
   ends the scan between two groups.
 
 For callers that only need the accepted graphs (:meth:`execute_pruned` and
-its batch loop :meth:`execute_batch` — the serving engine's one plan)
-*bound*, *verify* and *reduce* are **one store call**:
-:meth:`ColumnarBranchStore.filter_verify_row
-<repro.db.columnar.ColumnarBranchStore.filter_verify_row>` takes the
-per-order thresholds, the τ̂ posterior table and γ and returns the *hits* —
-the accepted rows' store positions and GBDs — so nothing ``D`` long is
-produced or walked here; what is left is their ids and one table lookup
-each, returned as they are (:data:`Hits`).  The ``bound_filter`` stage
-histogram therefore covers that whole call (bound, verification and the γ
-comparison) and the second stage — ``verify`` after the sparse plan,
+:meth:`execute_batch` — the serving engine's one plan) *bound*, *verify* and
+*reduce* are **one store call per batch**:
+:meth:`ColumnarBranchStore.filter_verify_rows
+<repro.db.columnar.ColumnarBranchStore.filter_verify_rows>` takes each
+query's per-order thresholds, τ̂ posterior table and γ and returns each
+query's *hits* — the accepted rows' store positions and GBDs — so nothing
+``D`` long is produced or walked here; what is left is their ids and one
+table lookup each, returned as they are (:data:`Hits`).  The ``bound_filter``
+stage histogram therefore covers that whole call (bound, verification and
+the γ comparison) and the second stage — ``verify`` after the sparse plan,
 ``score_dense`` after the dense one — the hits' ids and scores only.
 Likewise all of top-k is one call
 (:meth:`~repro.db.columnar.ColumnarBranchStore.filter_verify_topk`: bounds,
@@ -54,11 +54,16 @@ store call compares with γ, on the very doubles the per-pair loop compares.
 A row costs one factored Λ1 row per τ <= τ̂ and |V'1|, so every query, even a
 lone one over a handful of graphs, reads the tables.
 
-A batch is a loop.  Two queries of a batch share nothing but lookup-table
-rows, which are cached across calls anyway, so :meth:`execute_batch` runs
-its rows through the pipeline one by one, in input order: a row is a batch
-of one, and what a batch saves lies outside the core (one cache-probe pass,
-one thread hand-over and one trace per flush), not in a matrix kernel.
+A single query is a batch of one.  Two queries of a batch share nothing but
+the snapshot and lookup-table rows, so their answers are those of the
+per-query loop; what a batch shares is the work around them: one snapshot
+and one read of its order ranges, one store call — on the native backend one
+C call, whose Python wrapper runs once — and one fold of the counters.  The
+Python left per query is its vocabulary pass, its threshold lookup and its
+hits' ids and scores.  A flush spread over a thread pool, one query per
+task, measured slower than this: that per-query Python holds the GIL.
+The stage histograms keep one observation per query, the batch's time split
+evenly across its queries (see :meth:`ExecutionCore._accepted`).
 Every path returns accepted sets and scores bit-identical to the scalar
 per-pair loop (:func:`repro.testing.oracles.query_reference`);
 :class:`FilterCounters` tracks what the bounds saved, counted per query on
@@ -89,7 +94,7 @@ from repro.db.database import GraphDatabase
 from repro.db.query import SimilarityQuery, validate_top_k
 from repro.exceptions import SearchError
 from repro.obs.metrics import DEFAULT_RATIO_BUCKETS, get_registry
-from repro.obs.trace import QueryTrace, activated, active_trace
+from repro.obs.trace import active_trace
 
 __all__ = ["CandidateScores", "ExecutionCore", "FilterCounters"]
 
@@ -130,6 +135,37 @@ def _record_stage(name: str, started: float) -> None:
     trace = active_trace()
     if trace is not None:
         trace.add(name, seconds, depth=1)
+
+
+def _record_batch_stages(
+    started: float, filtered: float, scored: float, passes: Sequence[Tuple[int, Optional[bool]]]
+) -> None:
+    """Observe the two stages of a thresholded batch, one observation per query.
+
+    ``passes`` holds each query's ``(verified, sparse)``.  ``bound_filter``
+    (up to the store call's return) took ``filtered - started`` and the second
+    stage (``score_dense`` after the dense plan, else ``verify``) ``scored -
+    filtered``, for the whole batch: each query is booked an even share of
+    both.  An active trace (a sampled flush) gets one span per stage, laid end
+    to end from ``started``: the flush's waterfall, not 2 × rows spans.
+    """
+    share = 1.0 / len(passes)
+    score_share = (scored - filtered) * share
+    dense = sum(sparse is False for _rows, sparse in passes)
+    rows_by_stage = (("verify", len(passes) - dense), ("score_dense", dense))
+    _STAGES["bound_filter"].observe((filtered - started) * share, count=len(passes))
+    for name, rows in rows_by_stage:
+        if rows:
+            _STAGES[name].observe(score_share, count=rows)
+    trace = active_trace()
+    if trace is not None:
+        offset = started - trace.started_at
+        trace.add("bound_filter", filtered - started, depth=1, offset=offset)
+        offset += filtered - started
+        for name, rows in rows_by_stage:
+            if rows:
+                trace.add(name, score_share * rows, depth=1, offset=offset)
+                offset += score_share * rows
 
 
 #: A published lookup table: the dense matrix plus the orders whose rows
@@ -341,24 +377,35 @@ class ExecutionCore:
             row = rows[num_query_vertices] = np.maximum(num_query_vertices, db_orders)
         return row
 
-    def _count(
-        self, generated: int, pruned: int, verified: int, *, sparse: Optional[bool] = None
-    ) -> None:
-        """Fold one pass's filter-effectiveness numbers into the counters."""
+    def _count(self, num_rows: int, passes: Sequence[Tuple[int, Optional[bool]]]) -> None:
+        """Fold the filter-effectiveness numbers of some queries into the counters.
+
+        Each query of ``passes`` is ``(verified, sparse)`` over a snapshot of
+        ``num_rows`` rows: it generated ``num_rows`` candidates, verified
+        ``verified`` of them and pruned the rest, on the sparse plan, the dense
+        one, or (``None``) neither.  One lock round per call, however many
+        queries.
+        """
+        generated = num_rows * len(passes)
+        verified = 0
+        taken = {True: 0, False: 0}
+        for rows, sparse in passes:
+            verified += rows
+            if sparse is not None:
+                taken[sparse] += 1
+                if num_rows:
+                    _PLAN_METRICS[sparse][1].observe(rows / num_rows)
+        sparse_passes, dense_passes = taken[True], taken[False]
+        for sparse, count in taken.items():
+            if count:
+                _PLAN_METRICS[sparse][0].inc(count)
         with self._counter_lock:
             counters = self.filter_counters
             counters.candidates_generated += generated
-            counters.candidates_pruned += pruned
+            counters.candidates_pruned += generated - verified
             counters.candidates_verified += verified
-            if sparse is True:
-                counters.sparse_passes += 1
-            elif sparse is False:
-                counters.dense_passes += 1
-        if sparse is not None:
-            plan, selectivity = _PLAN_METRICS[sparse]
-            plan.inc()
-            if generated:
-                selectivity.observe(verified / generated)
+            counters.sparse_passes += sparse_passes
+            counters.dense_passes += dense_passes
 
     # ------------------------------------------------------------------ #
     # γ-threshold inversion: (τ̂, γ) acceptance as a max-acceptable GBD
@@ -378,29 +425,30 @@ class ExecutionCore:
         return int(accepting[-1]) if accepting.size else -1
 
     def _pruned_thresholds(
-        self, query: SimilarityQuery, extended: np.ndarray
+        self, tau_hat: int, gamma: float, num_query_vertices: int, distinct: np.ndarray
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Cached ``(thresholds, lut)`` of one query shape: what the store call reads.
 
-        ``thresholds`` is the max acceptable GBD per distinct order — Step 4
-        inverted (:meth:`acceptance_threshold`, vectorized) — and ``lut`` the
-        τ̂ posterior table with a row for each of the shape's extended orders
-        (:meth:`_lut_for`; filled rows never change, so a table that covered
-        the shape once covers it for good).  One query shape ``(τ̂, γ, |V_Q|)``
-        over one snapshot always produces the same pair, so it is built once
-        and reused — a repeat costs one dict probe, however many orders the
-        store has — and because the *same array objects* recur, the native
-        backend's per-array address cache applies to them too.
-        ``len(extended)`` identifies the distinct-order set: the store is
-        append-only, so the set only ever grows.
+        ``thresholds`` is the max acceptable GBD per distinct order of the
+        snapshot — Step 4 inverted (:meth:`acceptance_threshold`, vectorized)
+        at the extended orders ``max(|V_Q|, distinct)`` — and ``lut`` the τ̂
+        posterior table with a row for each of them (:meth:`_lut_for`; filled
+        rows never change, so a table that covered the shape once covers it
+        for good).  One query shape ``(τ̂, γ, |V_Q|)`` over one snapshot always
+        produces the same pair, so it is built once and reused — a repeat
+        costs one dict probe, however many orders the store has — and because
+        the *same array objects* recur, the native backend's per-array address
+        cache applies to them too.  ``len(distinct)`` identifies the
+        distinct-order set: the store is append-only, so the set only ever
+        grows.
         """
         cache = self._pruned_thresholds_cache
-        tau_hat, gamma = query.tau_hat, query.gamma
-        key = (tau_hat, gamma, query.query_graph.num_vertices, len(extended))
+        key = (tau_hat, gamma, num_query_vertices, len(distinct))
         cached = cache.get(key)
         if cached is None:
             if len(cache) > 256:
                 cache.clear()
+            extended = np.maximum(num_query_vertices, distinct)
             cached = cache[key] = (
                 np.ascontiguousarray(
                     self._threshold_lookup(tau_hat, gamma, extended)[extended], dtype=np.int64
@@ -518,22 +566,22 @@ class ExecutionCore:
     # Steps 2–4 of Algorithm 1: one pipeline, two reducers
     # ------------------------------------------------------------------ #
     def _open(self, query: SimilarityQuery, query_branches: Optional[Counter]):
-        """First steps of every path: one snapshot and the query's orders.
+        """First steps of the one-query paths: one snapshot and the query's orders.
 
-        Returns ``(branches, store, snapshot, extended, needed_orders)``.
-        ``snapshot`` is the store's coherent ``(csr, db_orders, global_ids)``
-        view: a concurrent database addition becomes visible between queries,
-        never mid-computation.  ``extended`` is ``max(|V_Q|, |V_G|)`` per
-        distinct ``|V_G|`` of the snapshot and ``needed_orders`` the same as a
-        list — the lookup-table rows the query can touch.
+        Returns ``(branches, store, snapshot, needed_orders)``.  ``snapshot``
+        is the store's coherent ``(csr, db_orders, global_ids)`` view: a
+        concurrent database addition becomes visible between queries, never
+        mid-computation.  ``needed_orders`` lists ``max(|V_Q|, |V_G|)`` per
+        distinct ``|V_G|`` of the snapshot — the lookup-table rows the query
+        can touch.
         """
         self.validate_tau(query.tau_hat)
         branches = query.branches() if query_branches is None else query_branches
         store = self.store
         snapshot = store.view()
         distinct = store.order_ranges(snapshot)[0]
-        extended = np.maximum(query.query_graph.num_vertices, distinct)
-        return branches, store, snapshot, extended, extended.tolist()
+        needed_orders = np.maximum(query.query_graph.num_vertices, distinct).tolist()
+        return branches, store, snapshot, needed_orders
 
     def execute(
         self,
@@ -551,12 +599,12 @@ class ExecutionCore:
         counted as scored (:attr:`CandidateScores.eligible`).
         """
         started = time.perf_counter()
-        branches, store, snapshot, _extended, needed_orders = self._open(query, query_branches)
+        branches, store, snapshot, needed_orders = self._open(query, query_branches)
         _csr, db_orders, global_ids = snapshot
         tau_hat = query.tau_hat
         num_rows = len(db_orders)
         intersections = store.intersection_row(branches, view=snapshot)
-        self._count(num_rows, 0, num_rows, sparse=False)
+        self._count(num_rows, [(num_rows, False)])
         orders = self._orders_row(db_orders, query.query_graph.num_vertices)
         gbds = orders - intersections
         lut = self._lut_for(tau_hat, needed_orders)
@@ -570,29 +618,63 @@ class ExecutionCore:
         _record_stage("score_dense", started)
         return scored
 
-    def _accepted(self, query: SimilarityQuery, query_branches: Optional[Counter]) -> Hits:
-        """:meth:`execute_pruned`'s body; :meth:`execute_batch` calls it per row.
+    def _accepted(
+        self,
+        queries: Sequence[SimilarityQuery],
+        query_branches: Optional[Sequence[Optional[Counter]]],
+    ) -> List[Hits]:
+        """The body of :meth:`execute_pruned` and :meth:`execute_batch`: each query's hits.
 
-        A batch thereby stays one call of a public entry point however many
-        rows it has: timing wrapped around the entry points (``bench``'s
-        per-layer spans) books its rows to the batch.
+        One snapshot, one read of its order ranges, one store call and one
+        fold of the counters for the batch; per query, its hits' ids and one
+        table lookup each.  Stages are recorded by :func:`_record_batch_stages`.
         """
+        queries = list(queries)
+        for query in queries:
+            self.validate_tau(query.tau_hat)
+        if query_branches is None:
+            query_branches = [None] * len(queries)
+        elif len(query_branches) != len(queries):
+            raise self.error_class(
+                f"{len(queries)} queries but {len(query_branches)} branch multisets"
+            )
+        if not queries:
+            return []
         started = time.perf_counter()
-        branches, store, snapshot, extended, _needed = self._open(query, query_branches)
+        store = self.store
+        snapshot = store.view()
         _csr, db_orders, global_ids = snapshot
-        num_query_vertices = query.query_graph.num_vertices
-        num_rows = len(db_orders)
-        thresholds, lut = self._pruned_thresholds(query, extended)
-        hits, gbds, _eligible, verified, sparse = store.filter_verify_row(
-            num_query_vertices, branches, thresholds, lut, query.gamma, view=snapshot
-        )
+        distinct = store.order_ranges(snapshot)[0]
+        rows = []
+        for query, branches in zip(queries, query_branches):
+            num_query_vertices = query.query_graph.num_vertices
+            thresholds, lut = self._pruned_thresholds(
+                query.tau_hat, query.gamma, num_query_vertices, distinct
+            )
+            rows.append((
+                num_query_vertices,
+                query.branches() if branches is None else branches,
+                thresholds,
+                lut,
+                query.gamma,
+            ))
+        found = store.filter_verify_rows(rows, view=snapshot)
+        filtered = time.perf_counter()
+        accepted: List[Hits] = []
+        for (num_query_vertices, _branches, _thresholds, lut, _gamma), row in zip(rows, found):
+            hits, gbds = row[0], row[1]
+            if len(hits) == 0:
+                accepted.append(([], []))
+                continue
+            orders = np.maximum(num_query_vertices, db_orders[hits])
+            accepted.append(
+                (global_ids[hits].tolist(), lut.take(orders * lut.shape[1] + gbds).tolist())
+            )
+        scored = time.perf_counter()
         # A query whose every row fell to the bound ran neither plan.
-        self._count(num_rows, num_rows - verified, verified, sparse=sparse)
-        _record_stage("bound_filter", started)
-        started = time.perf_counter()
-        orders = np.maximum(num_query_vertices, db_orders[hits])
-        accepted = (global_ids[hits].tolist(), lut.take(orders * lut.shape[1] + gbds).tolist())
-        _record_stage("score_dense" if sparse is False else "verify", started)
+        passes = [row[3:] for row in found]
+        self._count(len(db_orders), passes)
+        _record_batch_stages(started, filtered, scored, passes)
         return accepted
 
     def execute_pruned(
@@ -605,14 +687,15 @@ class ExecutionCore:
         candidate whose GBD *lower bound* exceeds it is eliminated with O(1)
         arithmetic before any postings traversal — once per *distinct*
         ``|V_G|``, since the bound depends on a row only through its order.
-        The same store call (:meth:`ColumnarBranchStore.filter_verify_row`)
+        The same store call (:meth:`ColumnarBranchStore.filter_verify_rows`)
         verifies the survivors, by range slices or one dense walk, and
         compares their posteriors with γ: it returns the accepted rows, and
         all that is left here is their ids and scores — bit-identical to the
         accepted rows of :meth:`execute` (and hence to the per-pair
-        reference loop).  Nothing ``D`` long is materialised.
+        reference loop).  Nothing ``D`` long is materialised.  A single
+        query is a batch of one (:meth:`execute_batch`).
         """
-        return self._accepted(query, query_branches)
+        return self._accepted([query], [query_branches])[0]
 
     def execute_batch(
         self,
@@ -622,33 +705,12 @@ class ExecutionCore:
     ) -> List[Hits]:
         """:meth:`execute_pruned` over a batch; per-query hits in input order.
 
-        A row is a batch of one: each query goes through the same pipeline
-        as a single call, so answers, filter counters and per-row stage
-        histograms are those of the per-query loop.  Every τ̂ is validated
-        before any row is scored.  Under an active trace (a sampled flush)
-        the rows' stage durations are folded by stage name into one span per
-        stage, laid end to end from the start of the call: the flush's
-        waterfall, not 2 × rows spans.
+        Answers, counters and per-query stage observations are those of the
+        per-query loop.  Every τ̂ is validated, and ``query_branches`` (one
+        multiset per query, when given) checked for length, before any query
+        is scored.
         """
-        queries = list(queries)
-        for query in queries:
-            self.validate_tau(query.tau_hat)
-        if query_branches is None:
-            query_branches = [None] * len(queries)
-        trace = active_trace()
-        rows_trace = None if trace is None else QueryTrace()
-        started = time.perf_counter()
-        with activated(rows_trace):
-            results = [
-                self._accepted(query, branches)
-                for query, branches in zip(queries, query_branches)
-            ]
-        if trace is not None:
-            offset = started - trace.started_at
-            for name, seconds in rows_trace.stage_seconds(depth=1).items():
-                trace.add(name, seconds, depth=1, offset=offset)
-                offset += seconds
-        return results
+        return self._accepted(queries, query_branches)
 
     def execute_topk(
         self,
@@ -674,7 +736,7 @@ class ExecutionCore:
         branch-bound candidate set (``GBD <= 2 τ̂``).
         """
         started = time.perf_counter()
-        branches, store, snapshot, _extended, needed_orders = self._open(query, query_branches)
+        branches, store, snapshot, needed_orders = self._open(query, query_branches)
         k = validate_top_k(k, self.error_class)
         num_rows = len(snapshot[1])
         if num_rows == 0:
@@ -692,7 +754,7 @@ class ExecutionCore:
             view=snapshot,
         )
         # A query none of whose order groups was ranked in ran neither plan.
-        self._count(num_rows, num_rows - verified, verified, sparse=sparse)
+        self._count(num_rows, [(verified, sparse)])
         _record_stage("topk", started)
         return _ranked(ids, scores)
 

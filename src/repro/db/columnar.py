@@ -32,15 +32,15 @@ the current snapshot, or against the :meth:`view` a caller pinned.
 The kernels themselves live in :mod:`repro.db.kernels` behind a pluggable
 ``backend`` (``"numpy"`` | ``"native"`` | ``"auto"``): this class owns the
 vocabulary pass, the layout, the published snapshot, and the metrics, and
-dispatches the array work to the selected backend.  Every read is one query
-against one snapshot — there is no batched ``(Q, D)`` form.  The two reducers
+dispatches the array work to the selected backend.  Every read computes
+against one snapshot, and there is no ``(Q, D)`` form.  The two reducers
 of the execution core run inside the store call that verifies:
-:meth:`filter_verify_row` (bound filter per range → range slices or dense
-walk → γ threshold) returns the accepted rows and :meth:`filter_verify_topk`
-(ranges in bound order → range slices or dense walk → k-best, cut off by the
-k-th score) at most ``k`` scored ones, so on the ``native`` backend — one C
-call each — neither pruned-out candidates nor a ``D``-length row ever reach
-NumPy.
+:meth:`filter_verify_rows` (per query of a batch: bound filter per range →
+range slices or dense walk → γ threshold) returns the accepted rows and
+:meth:`filter_verify_topk` (ranges in bound order → range slices or dense
+walk → k-best, cut off by the k-th score) at most ``k`` scored ones, so on
+the ``native`` backend — one C call each, for a whole batch in the first —
+neither pruned-out candidates nor a ``D``-length row ever reach NumPy.
 
 The store is written by its database alone
 (:meth:`~repro.db.database.GraphDatabase.add_many`): a row is one graph's
@@ -77,6 +77,7 @@ same lock.
 from __future__ import annotations
 
 import threading
+from array import array
 from collections import Counter
 from itertools import chain, compress, repeat
 from operator import gt
@@ -96,7 +97,7 @@ __all__ = ["ColumnarBranchStore"]
 # row — the top-k reducer counts here too: D when it walked the dense row,
 # else the rows of the ranges it verified — U distinct orders for the fused
 # filter), making ``rows / calls`` an instant read on how selective the
-# pruned layer is.
+# pruned layer is.  A batch of the fused filter counts as one call per query.
 _KERNEL_CALLS = get_registry().counter(
     "repro_kernel_calls_total", "Columnar CSR kernel invocations", ("kernel", "backend")
 )
@@ -115,7 +116,7 @@ _BACKEND_INFO = get_registry().gauge(
 class _BackendCounters:
     """Pre-bound (calls, rows) counter children of one backend label."""
 
-    __slots__ = ("row", "bound_row", "filter_verify_row")
+    __slots__ = ("row", "bound_row", "filter_verify_rows")
 
     def __init__(self, backend: str) -> None:
         for kernel in self.__slots__:
@@ -174,11 +175,16 @@ class _Snapshot:
 
     ``orders`` (non-decreasing) and ``global_ids`` are indexed by position and
     ``ranges`` is ``(distinct orders, bounds)`` — the rows of order
-    ``distinct[u]`` are the positions ``bounds[u]:bounds[u + 1]``.  Nothing in
-    a snapshot changes after it is published, and nothing is built lazily.
+    ``distinct[u]`` are the positions ``bounds[u]:bounds[u + 1]``.
+    ``segments[key_id]`` is the length of a key's posting segment, which the
+    vocabulary pass reads key by key as it matches a query's keys: an int64
+    ``array``, whose items Python reads nearly as fast as a list's, built in
+    one copy where a list would cost a Python int per key on every
+    compaction.  Nothing in a snapshot changes after it is published, and
+    nothing is built lazily.
     """
 
-    __slots__ = ("csr", "orders", "global_ids", "ranges")
+    __slots__ = ("csr", "orders", "global_ids", "ranges", "segments")
 
     def __init__(self, csr, orders, global_ids):
         self.csr: _Csr = csr
@@ -189,6 +195,7 @@ class _Snapshot:
             orders[starts],
             np.append(starts, len(orders)).astype(np.int64),
         )
+        self.segments = array("q", np.diff(csr[0]).astype(np.int64, copy=False).tobytes())
 
 
 class _Vocabulary(dict):
@@ -213,11 +220,6 @@ class _Vocabulary(dict):
         caps.append(1)
         self[key] = key_id
         return key_id
-
-
-def _segment_total(offsets: np.ndarray, key_ids: np.ndarray) -> int:
-    """Σ posting-segment lengths of the given keys: what one dense row walks."""
-    return int((offsets[key_ids + 1] - offsets[key_ids]).sum())
 
 
 def sparse_row_budget(matched_postings: int, num_rows: int) -> int:
@@ -538,24 +540,53 @@ class ColumnarBranchStore:
         ).astype(np.int64)
         return (np.maximum(orders[0::2], orders[1::2]) - intersections).tolist()
 
-    def _match(self, query_branches: Counter, csr: _Csr) -> Tuple[np.ndarray, np.ndarray, int]:
-        """The vocabulary pass of a read: ``(key_ids, query_counts, matched_total)``.
+    def _match(
+        self, query_branches: Counter, snapshot: _Snapshot
+    ) -> Tuple[np.ndarray, np.ndarray, int, int]:
+        """The vocabulary pass of a one-query read (:meth:`_match_into`).
 
-        The key arrays (int64, possibly empty) cover the query's branch keys
-        the snapshot can answer for: keys newer than the supplied CSR
-        (possible only mid-concurrent-append) are treated as unknown, keeping
-        the whole read consistent with one snapshot.  ``matched_total`` is
-        :meth:`matched_query_total`: it reads the *live* caps over every known
-        vocabulary key, newer ones included — a newer cap only loosens the
-        bound.  This is the only Python-level loop of the query kernels, so a
-        read runs it once.
+        Returns ``(key_ids, query_counts, matched_total, matched_postings)``,
+        the key arrays int64 (possibly empty).
         """
-        known = len(csr[0]) - 1
-        caps = self._key_ids.caps
-        lookup = self._key_ids.get
         key_ids: List[int] = []
         query_counts: List[int] = []
-        total = 0
+        total, postings = self._match_into(query_branches, snapshot, key_ids, query_counts)
+        if not key_ids:
+            return _EMPTY_I64, _EMPTY_I64, total, postings
+        return (
+            np.asarray(key_ids, dtype=np.int64),
+            np.asarray(query_counts, dtype=np.int64),
+            total,
+            postings,
+        )
+
+    def _match_into(
+        self,
+        query_branches: Counter,
+        snapshot: _Snapshot,
+        key_ids: List[int],
+        query_counts: List[int],
+    ) -> Tuple[int, int]:
+        """The vocabulary pass of one query: append its matched keys, return two sums.
+
+        Appended to ``key_ids`` / ``query_counts`` are the query's branch keys
+        the snapshot can answer for and their counts: keys newer than its CSR
+        (possible only mid-concurrent-append) are treated as unknown, keeping
+        the whole read consistent with one snapshot.  Returned are
+        ``matched_total`` — :meth:`matched_query_total`: it reads the *live*
+        caps over every known vocabulary key, newer ones included (a newer cap
+        only loosens the bound) — and ``matched_postings``, the postings of the
+        appended keys' segments: what one dense walk of them reads, the input
+        of :func:`sparse_row_budget`.  This is the only Python-level loop of
+        the query kernels, so a read runs it once per query.
+        """
+        caps = self._key_ids.caps
+        lookup = self._key_ids.get
+        segments = snapshot.segments
+        known = len(segments)
+        append_key = key_ids.append
+        append_count = query_counts.append
+        total = postings = 0
         for key, count in query_branches.items():
             key_id = lookup(key)
             if key_id is None:
@@ -563,15 +594,10 @@ class ColumnarBranchStore:
             cap = caps[key_id]
             total += count if count <= cap else cap
             if key_id < known:
-                key_ids.append(key_id)
-                query_counts.append(count)
-        if not key_ids:
-            return _EMPTY_I64, _EMPTY_I64, total
-        return (
-            np.asarray(key_ids, dtype=np.int64),
-            np.asarray(query_counts, dtype=np.int64),
-            total,
-        )
+                append_key(key_id)
+                append_count(count)
+                postings += segments[key_id]
+        return total, postings
 
     # ------------------------------------------------------------------ #
     # vectorized intersection / GBD kernels
@@ -587,9 +613,10 @@ class ColumnarBranchStore:
         C).  ``view`` optionally pins the snapshot the caller is computing
         against (see :meth:`view`); the current one otherwise.
         """
-        csr = self._snapshot_of(view).csr
+        snapshot = self._snapshot_of(view)
+        csr = snapshot.csr
         num_graphs = csr[3]
-        key_ids, query_counts, _total = self._match(query_branches, csr)
+        key_ids, query_counts, _total, _postings = self._match(query_branches, snapshot)
         calls, rows = _counters(self.backend).row
         calls.inc()
         rows.inc(num_graphs)
@@ -609,7 +636,7 @@ class ColumnarBranchStore:
         only loosens the bound (never past ``|B_Q|``), so the derived GBD
         lower bound stays a true lower bound for any CSR snapshot.
         """
-        return self._match(query_branches, self._published.csr)[2]
+        return self._match(query_branches, self._published)[2]
 
     def gbd_lower_bound_row(
         self,
@@ -654,39 +681,36 @@ class ColumnarBranchStore:
     # fused filter → verify → reduce (the two reducers of the execution core)
     # ------------------------------------------------------------------ #
     @staticmethod
-    def _checked_table(lut: np.ndarray, num_query_vertices: int, distinct: np.ndarray):
+    def _largest_order(distinct: np.ndarray) -> int:
+        """The largest ``|V_G|`` of a snapshot's ranges (0 for an empty store)."""
+        return int(distinct[-1]) if len(distinct) else 0
+
+    @staticmethod
+    def _checked_table(lut: np.ndarray, largest: int):
         """``lut`` once it provably has a cell for every ``(order, gbd)`` a read can meet.
 
-        The compiled reducers index the table unchecked (``gbd <= order`` by
-        construction, ``order <= max(|V_Q|, largest |V_G|)``, ``distinct``
-        ascending), so the rows and columns have to be there before its
-        address is handed over.
+        ``largest`` is the read's largest extended order, ``max(|V_Q|,
+        largest |V_G|)``.  The compiled reducers index the table unchecked
+        (``gbd <= order`` by construction, ``order <= largest``), so the rows
+        and columns have to be there before its address is handed over.
         """
-        largest = max(int(num_query_vertices), int(distinct[-1]) if len(distinct) else 0)
         if lut.ndim != 2 or min(lut.shape[0], lut.shape[1] - 1) <= largest:
             raise ValueError(
                 f"posterior table of shape {lut.shape} does not cover extended order {largest}"
             )
         return lut
 
-    def filter_verify_row(
-        self,
-        num_query_vertices: int,
-        query_branches: Counter,
-        thresholds: np.ndarray,
-        lut: np.ndarray,
-        gamma: float,
-        *,
-        view: Optional[_View] = None,
-    ):
-        """Bound filter, exact GBDs and the γ threshold of one query, in one pass.
+    def filter_verify_rows(self, rows: Sequence[Tuple], *, view: Optional[_View] = None):
+        """Bound filter, exact GBDs and the γ threshold of a batch of queries, in one pass.
 
-        ``thresholds[i]`` is the caller's max acceptable GBD for rows of
-        order ``distinct[i]`` (the snapshot's :meth:`order_ranges`) — the
-        γ-threshold inversion of the execution core; ``lut[order, gbd]`` is
-        its posterior table for the query's τ̂ (a row per extended order
-        ``max(|V_Q|, |V_G|)`` of the snapshot).  Returns ``(positions, gbds,
-        eligible, verified, sparse)``:
+        ``rows`` holds one ``(num_query_vertices, query_branches, thresholds,
+        lut, gamma)`` per query.  ``thresholds[i]`` is the caller's max
+        acceptable GBD for rows of order ``distinct[i]`` (the snapshot's
+        :meth:`order_ranges`) — the γ-threshold inversion of the execution
+        core; ``lut[order, gbd]`` is its posterior table for the query's τ̂ (a
+        row per extended order ``max(|V_Q|, |V_G|)`` of the snapshot).
+        Returns one ``(positions, gbds, eligible, verified, sparse)`` per
+        query, in order:
 
         * ``eligible`` — the bool mask of the ranges whose GBD lower bound is
           within their threshold;
@@ -696,36 +720,54 @@ class ColumnarBranchStore:
           no pruned row's postings are touched), ``False`` / every row
           otherwise (walking the matched posting segments once is cheaper);
         * ``positions`` / ``gbds`` — the *hits*: ascending positions of the
-          verified rows with ``lut[order, GBD] >= gamma``, and those GBDs (``max(|V_Q|, |V_G|) - |B_Q ∩ B_G|``, exactly
-          ``order - intersection_row(..., view=...)[positions]``).
+          verified rows with ``lut[order, GBD] >= gamma``, and those GBDs
+          (``max(|V_Q|, |V_G|) - |B_Q ∩ B_G|``, exactly ``order -
+          intersection_row(..., view=...)[positions]``).
 
-        One vocabulary pass, one kernel call; on the native backend that is
-        one C call which hands back the hits and nothing ``D`` long.
+        Every query computes against one snapshot, and the queries share
+        nothing else: a query's answer is the same in any batch.  One
+        vocabulary pass per query and one kernel call for the batch; on the
+        native backend that is one C call (two or more only when the hits
+        outgrow a buffer with room for two queries that hit every row), which
+        hands back the hits and nothing ``D`` long.  Counted as one call per
+        query.
         """
         snapshot = self._snapshot_of(view)
         csr, ranges = snapshot.csr, snapshot.ranges
-        calls, rows = _counters(self.backend).filter_verify_row
-        calls.inc()
-        rows.inc(len(ranges[0]))
-        key_ids, query_counts, matched_total = self._match(query_branches, csr)
-        budget = sparse_row_budget(_segment_total(csr[0], key_ids), csr[3])
-        positions, gbds, eligible, num_eligible = self._kernels.filter_verify_row(
+        distinct = ranges[0]
+        stored = self._largest_order(distinct)
+        calls, cells = _counters(self.backend).filter_verify_rows
+        calls.inc(len(rows))
+        cells.inc(len(rows) * len(distinct))
+        key_ids: List[int] = []
+        query_counts: List[int] = []
+        kernel_rows = []
+        for num_query_vertices, query_branches, thresholds, lut, gamma in rows:
+            num_query_vertices = int(num_query_vertices)
+            first = len(key_ids)
+            total, postings = self._match_into(query_branches, snapshot, key_ids, query_counts)
+            kernel_rows.append((
+                num_query_vertices, total, len(key_ids) - first,
+                np.ascontiguousarray(thresholds, dtype=np.int64),
+                sparse_row_budget(postings, csr[3]),
+                self._checked_table(lut, max(num_query_vertices, stored)), float(gamma),
+            ))
+        found = self._kernels.filter_verify_rows(
             csr,
             ranges,
-            int(num_query_vertices),
-            matched_total,
-            key_ids,
-            query_counts,
-            np.ascontiguousarray(thresholds, dtype=np.int64),
-            budget,
-            self._checked_table(lut, num_query_vertices, ranges[0]),
-            float(gamma),
+            kernel_rows,
+            np.asarray(key_ids, dtype=np.int64),
+            np.asarray(query_counts, dtype=np.int64),
         )
-        if num_eligible == 0:
-            return positions, gbds, eligible, 0, None
-        if num_eligible <= budget:
-            return positions, gbds, eligible, num_eligible, True
-        return positions, gbds, eligible, csr[3], False
+        results = []
+        for row, (positions, gbds, eligible, num_eligible) in zip(kernel_rows, found):
+            if num_eligible == 0:
+                results.append((positions, gbds, eligible, 0, None))
+            elif num_eligible <= row[4]:
+                results.append((positions, gbds, eligible, num_eligible, True))
+            else:
+                results.append((positions, gbds, eligible, csr[3], False))
+        return results
 
     def filter_verify_topk(
         self,
@@ -750,7 +792,7 @@ class ColumnarBranchStore:
         far.  A visited range is verified from its slices of the matched
         segments — no other row's postings are read — until the rows verified
         plus the next range exceed the query's :func:`sparse_row_budget` (the
-        rule of :meth:`filter_verify_row`), from where one dense walk of the
+        rule of :meth:`filter_verify_rows`), from where one dense walk of the
         matched segments serves the ranges still in reach.  A row is dropped
         when ``gbd > max_gbd`` and scored ``lut[order, gbd]``; with the cap,
         ranges whose bound already exceeds it are never visited; without it,
@@ -768,8 +810,8 @@ class ColumnarBranchStore:
             raise ValueError("k must be a positive integer")
         snapshot = self._snapshot_of(view)
         csr = snapshot.csr
-        distinct = snapshot.ranges[0]
-        key_ids, query_counts, matched_total = self._match(query_branches, csr)
+        largest = max(int(num_query_vertices), self._largest_order(snapshot.ranges[0]))
+        key_ids, query_counts, matched_total, postings = self._match(query_branches, snapshot)
         ids, scores, verified, dense = self._kernels.filter_verify_topk(
             csr,
             snapshot.ranges,
@@ -778,9 +820,9 @@ class ColumnarBranchStore:
             matched_total,
             key_ids,
             query_counts,
-            sparse_row_budget(_segment_total(csr[0], key_ids), csr[3]),
-            self._checked_table(lut, num_query_vertices, distinct),
-            self._checked_table(bound_lut, num_query_vertices, distinct),
+            sparse_row_budget(postings, csr[3]),
+            self._checked_table(lut, largest),
+            self._checked_table(bound_lut, largest),
             max_gbd,
             int(k),
         )

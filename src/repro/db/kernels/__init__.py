@@ -6,16 +6,17 @@ in :mod:`repro.db.kernels.numpy_impl`:
 * ``"numpy"`` — the pure-NumPy reference implementation (always available);
 * ``"native"`` — the bundled C kernels (:mod:`repro.db.kernels.native`),
   compiled on demand with the system toolchain and called through ctypes.
-  Single-pass and fused: the two reducers (``filter_verify_row``,
+  Single-pass and fused: the two reducers (``filter_verify_rows``,
   ``filter_verify_topk``) verify and reduce in one call, so pruned candidates
   never allocate intermediates and only hits come back.
 
 The interface is five kernels — ``intersection_row``,
-``gbd_lower_bound_row``, ``filter_verify_row``, ``filter_verify_topk`` on the
+``gbd_lower_bound_row``, ``filter_verify_rows``, ``filter_verify_topk`` on the
 read path and ``merge_postings`` on the write path.  Every array they
 exchange is indexed by the store's ``|V_G|``-clustered positions, each
-distinct order a contiguous range.  ``filter_verify_row`` — the serving
-engine's one plan — accepts by the posterior table and γ alone; only
+distinct order a contiguous range.  ``filter_verify_rows`` — the serving
+engine's one plan, a batch of queries per call — accepts by the posterior
+table and γ alone; only
 ``filter_verify_topk`` takes the branch-bound cap ``max_gbd``, which
 :meth:`GBDASearch.query_topk <repro.core.search.GBDASearch.query_topk>` passes
 under its ``use_index_pruning`` ablation.

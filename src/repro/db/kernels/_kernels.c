@@ -25,9 +25,18 @@
  *     ``lut[order * lut_width + gbd]`` is Pr[GED <= tau | GBD = gbd] at
  *     extended order ``order`` (row-major, every order a query can meet
  *     covered — checked by the store before the call).
- *   - Output buffers are caller-allocated.  The two reducers accumulate
- *     intersections in private int32 buffers that live for one call (an
- *     entry a reducer reads is at most |B_Q|): threads share nothing.
+ *   - Output buffers are caller-allocated.  The thresholded reducer takes a
+ *     batch of queries against one snapshot, their scalars packed as one
+ *     int64 row per query (the two tables by address) plus one double γ
+ *     each; it appends every query's hits to one buffer of the caller's
+ *     capacity, one query after the other, writes where each query's hits
+ *     end into its row, and returns how many queries it finished: a query
+ *     is started only while the buffer has room for every row of the store,
+ *     so the caller resumes from there with the buffer emptied.  The top-k
+ *     reducer takes one query and fills a k-slot heap.
+ *   - The two reducers accumulate intersections in private int32 buffers
+ *     that live for one query (an entry a reducer reads is at most |B_Q|):
+ *     threads share nothing.
  */
 
 #include <stdint.h>
@@ -37,7 +46,7 @@
 #define MIN64(a, b) ((a) < (b) ? (a) : (b))
 #define MAX64(a, b) ((a) > (b) ? (a) : (b))
 
-int64_t repro_kernels_abi_version(void) { return 5; }
+int64_t repro_kernels_abi_version(void) { return 6; }
 
 /* First slot in arr[0..n) not less than value (arr ascending). */
 static int64_t lower_bound_i32(const int32_t *arr, int64_t n, int64_t value) {
@@ -202,10 +211,9 @@ static int64_t reduce_range(const int32_t *acc, int64_t first, int64_t size,
  *      (reduce_range); the hits' positions (ascending) and GBDs are
  *      compacted into out_positions / out_gbds, their number written to
  *      *out_num_hits.
- * Returns the eligible row count, or -1 on allocation failure (the wrapper
- * then falls back to the numpy backend).  out_positions / out_gbds must hold
- * as many slots as there are rows. */
-int64_t repro_filter_verify_row(
+ * Returns the eligible row count, or -1 on allocation failure.
+ * out_positions / out_gbds must hold as many slots as there are rows. */
+static int64_t filter_verify_one(
     int64_t num_query_vertices, int64_t matched_total, const int64_t *distinct,
     const int64_t *bounds, int64_t num_distinct, const int64_t *thresholds,
     int64_t max_candidates, const int64_t *offsets, const int32_t *positions,
@@ -268,6 +276,58 @@ int64_t repro_filter_verify_row(
     free(acc);
     *out_num_hits = num_hits;
     return num_eligible;
+}
+
+/* The slots of one query's row in the table of repro_filter_verify_rows. */
+enum {
+    ROW_QUERY_VERTICES, /* |V_Q| */
+    ROW_MATCHED_TOTAL,  /* Σ_k min(q_k, cap_k): the bound's intersection ceiling */
+    ROW_MAX_CANDIDATES, /* the most eligible rows verified by range slices */
+    ROW_FIRST_KEY,      /* the query's matched keys: key_ids / query_counts */
+    ROW_NUM_KEYS,       /*   from ROW_FIRST_KEY on, ROW_NUM_KEYS of them */
+    ROW_THRESHOLDS,     /* address of the num_distinct max acceptable GBDs */
+    ROW_LUT,            /* address of the posterior table ... */
+    ROW_LUT_WIDTH,      /*   and its row length */
+    ROW_ELIGIBLE,       /* out: eligible rows, or -1 on allocation failure */
+    ROW_HITS_END,       /* out: the slot after the query's last hit */
+    ROW_FIELDS
+};
+
+/* filter_verify_one for the queries first..num_rows of one batch, against one
+ * snapshot.  Query r's scalars are row r of the int64 table `rows` (ROW_FIELDS
+ * slots each, its two tables by address) and gammas[r]; its eligibility flags
+ * go to out_eligible[r * num_distinct ..].  The hits of the queries are
+ * appended to out_positions / out_gbds from slot 0 on, one query after the
+ * other, and rows[r * ROW_FIELDS + ROW_HITS_END] says where query r's end.
+ * A query can hit every row of the store, so a query after the first is
+ * started only while `capacity` leaves that many slots: returns the first
+ * query not run (num_rows once all are), and the caller calls again from
+ * there with an emptied buffer.  A query whose allocation failed has
+ * ROW_ELIGIBLE = -1 and no hits (the wrapper answers it with the numpy
+ * backend); the queries after it still run. */
+int64_t repro_filter_verify_rows(
+    const int64_t *distinct, const int64_t *bounds, int64_t num_distinct,
+    const int64_t *offsets, const int32_t *positions, const int32_t *counts,
+    const int64_t *key_ids, const int64_t *query_counts, int64_t *rows,
+    const double *gammas, int64_t first, int64_t num_rows, int64_t capacity,
+    int64_t *out_positions, int64_t *out_gbds, uint8_t *out_eligible) {
+    int64_t num_hits = 0;
+    for (int64_t r = first; r < num_rows; ++r) {
+        if (r > first && capacity - num_hits < bounds[num_distinct]) return r;
+        int64_t *row = rows + r * ROW_FIELDS;
+        int64_t hits = 0;
+        row[ROW_ELIGIBLE] = filter_verify_one(
+            row[ROW_QUERY_VERTICES], row[ROW_MATCHED_TOTAL], distinct, bounds, num_distinct,
+            (const int64_t *)(intptr_t)row[ROW_THRESHOLDS], row[ROW_MAX_CANDIDATES],
+            offsets, positions, counts, key_ids + row[ROW_FIRST_KEY],
+            query_counts + row[ROW_FIRST_KEY], row[ROW_NUM_KEYS],
+            (const double *)(intptr_t)row[ROW_LUT], row[ROW_LUT_WIDTH], gammas[r],
+            out_positions + num_hits, out_gbds + num_hits, out_eligible + r * num_distinct,
+            &hits);
+        num_hits += hits;
+        row[ROW_HITS_END] = num_hits;
+    }
+    return num_rows;
 }
 
 /* Whether (score a, id a) ranks after (score b, id b) under (-score, id). */

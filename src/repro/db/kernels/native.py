@@ -23,10 +23,14 @@ dangle or alias a recycled ``id``, and a superseded snapshot's arrays leave
 the cache with the snapshot.
 
 The two reducers accumulate intersections inside the C call, in buffers of
-four bytes a row that live for that call alone — nothing is shared between
+four bytes a row that live for one query alone — nothing is shared between
 threads, nothing persists on a store — and write hits into caller-allocated
-outputs sized for the worst case, of which only the slots of actual hits are
-ever touched.
+outputs, of which only the slots of actual hits are ever touched.  The
+thresholded reducer answers a whole batch in one call: the queries' scalars
+travel as one int64 row table and one γ vector, and their hits are appended
+to one buffer with room for two queries that hit every row; the call returns
+how many queries it finished, and :func:`filter_verify_rows` calls again from
+there when the buffer filled first.
 
 Build products land in ``$REPRO_KERNEL_CACHE`` when set, else
 ``$TMPDIR/repro-kernels-<uid>`` (:func:`library_path` names the file); a
@@ -45,6 +49,7 @@ import subprocess
 import tempfile
 import threading
 import weakref
+from array import array
 from pathlib import Path
 from typing import Dict, Optional, Tuple
 
@@ -55,14 +60,14 @@ from repro.db.kernels import numpy_impl
 name = "native"
 
 _SOURCE_PATH = Path(__file__).with_name("_kernels.c")
-_ABI_VERSION = 5
+_ABI_VERSION = 6
 
 #: argtypes of every exported kernel (i=int64 scalar, d=double, p=array address)
 _SIGNATURES = {
     "repro_kernels_abi_version": "",
     "repro_intersection_row": "pppppip",
     "repro_gbd_lower_bound_row": "iipip",
-    "repro_filter_verify_row": "iippipipppppipidpppp",
+    "repro_filter_verify_rows": "ppipppppppiiippp",
     "repro_filter_verify_topk": "iippiipppppippipiiippp",
     "repro_merge_postings": "pppippppiipppppp",
 }
@@ -253,56 +258,75 @@ def gbd_lower_bound_row(num_query_vertices, matched_total, orders):
     return out
 
 
-def filter_verify_row(
-    csr,
-    ranges,
-    num_query_vertices,
-    matched_total,
-    key_ids,
-    query_counts,
-    thresholds,
-    max_candidates,
-    lut,
-    gamma,
-):
+#: Slots of one query's row in the table of ``repro_filter_verify_rows`` (the
+#: ``ROW_*`` enum of ``_kernels.c``): eight inputs, then the two outputs.
+_ROW_FIELDS = 10
+_ROW_FIRST_KEY, _ROW_ELIGIBLE, _ROW_HITS_END = 3, 8, 9
+
+
+def filter_verify_rows(csr, ranges, rows, key_ids, query_counts):
     compact = _compact_csr(csr)
-    if compact is not None:
-        distinct, bounds = ranges
-        keys = _c64(key_ids)
-        counts_q = _c64(query_counts)
-        eligible_flags = np.empty(len(distinct), dtype=np.uint8)
-        # Room for every row to be a hit; only the slots of actual hits are
-        # ever written, so the rest of the pages are never touched.
-        out_positions = np.empty(csr[3], dtype=np.int64)
-        out_gbds = np.empty(csr[3], dtype=np.int64)
-        num_hits = np.zeros(1, dtype=np.int64)
-        num_eligible = int(
-            _library().repro_filter_verify_row(
-                int(num_query_vertices), int(matched_total),
-                _pinned(distinct, np.int64), _pinned(bounds, np.int64), len(distinct),
-                # The execution core reuses one thresholds array per repeated
-                # query shape, so its address is worth caching too.
-                _pinned(thresholds, np.int64), max(int(max_candidates), 0),
-                *compact,
-                _address(keys), _address(counts_q), len(keys),
-                _pinned(lut, np.float64), lut.shape[1], float(gamma),
-                _address(out_positions), _address(out_gbds),
-                _address(eligible_flags), _address(num_hits),
-            )
-        )
-        if num_eligible >= 0:
-            hits = int(num_hits[0])
-            # Copies, not views: a few hits must not keep two D-sized buffers alive.
-            return (
-                out_positions[:hits].copy(), out_gbds[:hits].copy(),
-                eligible_flags.view(np.bool_), num_eligible,
-            )
-    # A store that outgrew int32, or an allocation failure inside the kernel:
-    # the dtype-agnostic reference handles it.
-    return numpy_impl.filter_verify_row(
-        csr, ranges, num_query_vertices, matched_total, key_ids, query_counts,
-        thresholds, max_candidates, lut, gamma,
+    if compact is None:
+        # A store that outgrew int32: the dtype-agnostic reference handles it.
+        return numpy_impl.filter_verify_rows(csr, ranges, rows, key_ids, query_counts)
+    distinct, bounds = ranges
+    keys = _c64(key_ids)
+    counts_q = _c64(query_counts)
+    # The per-query scalars as one flat int64 table and one double vector:
+    # ``array`` buffers, whose addresses cost nothing to take.
+    table = array("q")
+    gammas = array("d")
+    first_key = 0
+    for num_query_vertices, matched_total, num_keys, thresholds, budget, lut, gamma in rows:
+        # The execution core reuses one thresholds array and one table per
+        # repeated query shape, so their addresses are worth caching.
+        table.extend((
+            num_query_vertices, matched_total, max(budget, 0), first_key, num_keys,
+            _pinned(thresholds, np.int64), _pinned(lut, np.float64), lut.shape[1], 0, 0,
+        ))
+        gammas.append(gamma)
+        first_key += num_keys
+    num_rows, width = len(rows), len(distinct)
+    eligible = np.empty(num_rows * width, dtype=np.bool_)
+    # Hit positions, then their GBDs, with room for two queries that hit every
+    # row (one, for a batch of one); only the slots of actual hits are ever
+    # written, so the rest of the pages are never touched.
+    capacity = min(num_rows, 2) * max(csr[3], 1)
+    out = np.empty(2 * capacity, dtype=np.int64)
+    out_positions, out_gbds = out[:capacity], out[capacity:]
+    out_address = _address(out)
+    head = (
+        _pinned(distinct, np.int64), _pinned(bounds, np.int64), width, *compact,
+        _address(keys), _address(counts_q), table.buffer_info()[0], gammas.buffer_info()[0],
     )
+    tail = (capacity, out_address, out_address + 8 * capacity, _address(eligible))
+    results = []
+    first = 0
+    while first < num_rows:
+        done = int(_library().repro_filter_verify_rows(*head, first, num_rows, *tail))
+        used = table[(done - 1) * _ROW_FIELDS + _ROW_HITS_END]
+        # Copies, not views: a few hits must not keep the 2·D buffer alive.
+        positions = out_positions[:used].copy()
+        gbds = out_gbds[:used].copy()
+        start = 0
+        for row in range(first, done):
+            num_eligible = table[row * _ROW_FIELDS + _ROW_ELIGIBLE]
+            end = table[row * _ROW_FIELDS + _ROW_HITS_END]
+            if num_eligible < 0:
+                # An allocation failure inside the kernel: the reference answers.
+                key_start = table[row * _ROW_FIELDS + _ROW_FIRST_KEY]
+                key_span = slice(key_start, key_start + rows[row][2])
+                results.append(numpy_impl.filter_verify_rows(
+                    csr, ranges, [rows[row]], keys[key_span], counts_q[key_span]
+                )[0])
+            else:
+                results.append((
+                    positions[start:end], gbds[start:end],
+                    eligible[row * width : (row + 1) * width], num_eligible,
+                ))
+            start = end
+        first = done
+    return results
 
 
 def filter_verify_topk(

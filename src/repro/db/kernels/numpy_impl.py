@@ -31,7 +31,7 @@ Interface conventions shared by all backends:
   GBD *lower bound* it upper-bounds the posterior — a table of its own
   shape; ``max_gbd`` is the branch-bound cap on a ranked row's GBD, or
   ``None`` for no cap — :func:`filter_verify_topk` only, the ablation
-  filter's top-k.  The two reducers (:func:`filter_verify_row`,
+  filter's top-k.  The two reducers (:func:`filter_verify_rows`,
   :func:`filter_verify_topk`) read them to turn verified rows into *hits*
   inside the kernel; the compiled twins never materialise a dense row.
 * Outputs are always int64; weighted ``bincount`` sums are exact small
@@ -40,7 +40,7 @@ Interface conventions shared by all backends:
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -126,7 +126,36 @@ def gbd_lower_bound_row(
     )
 
 
-def filter_verify_row(
+def filter_verify_rows(
+    csr,
+    ranges: Tuple[np.ndarray, np.ndarray],
+    rows: Sequence[Tuple],
+    key_ids: np.ndarray,
+    query_counts: np.ndarray,
+):
+    """Fused bound filter → verify → threshold reduce of a batch of queries.
+
+    ``rows`` holds one ``(num_query_vertices, matched_total, num_keys,
+    thresholds, max_candidates, lut, gamma)`` tuple per query; ``key_ids`` /
+    ``query_counts`` are the queries' matched keys laid end to end, ``num_keys``
+    of them each.  Returns one :func:`_filter_verify_one` result per query, in
+    order: the queries share the snapshot and nothing else.
+    """
+    results = []
+    first = 0
+    for num_query_vertices, matched_total, num_keys, thresholds, budget, lut, gamma in rows:
+        last = first + num_keys
+        results.append(
+            _filter_verify_one(
+                csr, ranges, num_query_vertices, matched_total, key_ids[first:last],
+                query_counts[first:last], thresholds, budget, lut, gamma,
+            )
+        )
+        first = last
+    return results
+
+
+def _filter_verify_one(
     csr,
     ranges: Tuple[np.ndarray, np.ndarray],
     num_query_vertices: int,

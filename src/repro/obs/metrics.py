@@ -151,12 +151,13 @@ class Histogram:
         #: (rare) sampled path, read by the exposition layer.
         self.exemplars: Dict[int, Tuple[str, float]] = {}
 
-    def observe(self, value: float, trace_id: Optional[str] = None) -> None:
+    def observe(self, value: float, trace_id: Optional[str] = None, *, count: int = 1) -> None:
+        """Record ``value`` (``count`` observations of it, for a batch's even shares)."""
         if _ENABLED:
             slot = bisect_left(self.bounds, value)
-            self.bucket_counts[slot] += 1
-            self.sum += value
-            self.count += 1
+            self.bucket_counts[slot] += count
+            self.sum += value * count
+            self.count += count
             if trace_id is not None:
                 self.exemplars[slot] = (trace_id, value)
 

@@ -1,12 +1,11 @@
 """Dynamic micro-batching: coalesce concurrent queries into one batch call.
 
-The serving engine scores a batch row by row, no faster per row than a
-single query, so batching buys nothing inside the engine.  It buys what
-surrounds a score: the server offloads scoring to a thread, and one
-:meth:`~repro.serving.engine.BatchQueryEngine.query_batch` call per flush
-means one thread hand-over, one cache-probe pass (a repeated query is scored
-once) and one trace for everything that arrived together, where a server
-naively answering each request as it arrives pays each of them per request.
+One :meth:`~repro.serving.engine.BatchQueryEngine.query_batch` call per
+flush means one thread hand-over (the server offloads scoring to a thread),
+one cache-probe pass (a repeated query is scored once), one store call for
+every row of the flush and one trace for everything that arrived together,
+where a server naively answering each request as it arrives pays each of
+them per request.
 :class:`MicroBatcher` gets that without making anybody wait on a clock: it
 is *work-conserving*.
 
@@ -98,6 +97,8 @@ class MicroBatcher:
         same-order list of answers (typically an executor offload of
         ``engine.query_batch``), called as ``run_batch(queries,
         trace=batch_trace)`` — the flush's batch-level trace, or ``None``.
+        An exception in place of an answer fails that query alone; one
+        raised fails the whole flush.
     max_batch:
         Flush as soon as this many queries are waiting (>= 1).  A smaller
         batch is flushed on the first event-loop turn that adds no query
@@ -299,6 +300,10 @@ class MicroBatcher:
         if batch_trace is not None:
             batch_trace.total_seconds = score_seconds
         for (_query, future, trace, enqueued_at, _deadline), answer in zip(batch, answers):
+            if isinstance(answer, Exception):
+                if not future.done():
+                    future.set_exception(answer)
+                continue
             if trace is not None:
                 trace.add("queue_wait", max(flush_started - enqueued_at, 0.0), depth=1)
                 trace.add("score", score_seconds, depth=1)

@@ -118,6 +118,11 @@ _CONNECTIONS = get_registry().gauge(
 LATENCY_WINDOW = 8192
 
 
+def _tau_error(query: SimilarityQuery, engine: BatchQueryEngine) -> QueryError:
+    """The error of a query whose τ̂ the serving engine's priors do not reach."""
+    return QueryError(f"τ̂={query.tau_hat} exceeds the served model's maximum {engine.max_tau}")
+
+
 def _admin_limit(message: Dict[str, Any], default: int) -> int:
     """An admin command's ``limit``: a non-negative ``int`` (not a bool), or ``ProtocolError``."""
     limit = message.get("limit", default)
@@ -401,14 +406,35 @@ class SimilarityService:
         ``trace`` is the batch-level :class:`~repro.obs.trace.QueryTrace`
         the batcher creates when a sampled query rides in the flush; the
         engine activates it in the scoring thread so the cache-probe /
-        score / core-stage spans land in it.
+        score / core-stage spans land in it.  Returns an answer per query,
+        or, for a query whose τ̂ the flush's engine does not reach, the
+        :class:`~repro.exceptions.QueryError` it fails with.
         """
         engine = self.engine  # resolved per flush: the hot-swap boundary
         loop = asyncio.get_running_loop()
         queries = list(queries)
-        return await loop.run_in_executor(
-            None, lambda: engine.query_batch(queries, trace=trace)
-        )
+        # τ̂ was checked at admission against the engine of that moment; a
+        # reload since then may have lowered max_tau.  Such a query fails
+        # alone, with the QueryError admission would have raised (answered
+        # BAD_REQUEST), and its batch-mates are scored.
+        refused = {
+            position: _tau_error(query, engine)
+            for position, query in enumerate(queries)
+            if query.tau_hat > engine.max_tau
+        }
+        scored = [query for position, query in enumerate(queries) if position not in refused]
+        answers = []
+        if scored:
+            answers = await loop.run_in_executor(
+                None, lambda: engine.query_batch(scored, trace=trace)
+            )
+        if not refused:
+            return answers
+        answers = iter(answers)
+        return [
+            refused[position] if position in refused else next(answers)
+            for position in range(len(queries))
+        ]
 
     # ------------------------------------------------------------------ #
     # lifecycle
@@ -678,12 +704,10 @@ class SimilarityService:
             trace.add("admission", start - arrival, depth=0)
         try:
             query: SimilarityQuery = decode_query(message.get("query"))
-            # Refused here, per query: inside a batch the engine's own check
-            # would fail every batch-mate too, and as a SERVER_ERROR.
+            # Refused here, per query, before it waits for a batch; _run_batch
+            # checks again against the engine that scores the flush.
             if query.tau_hat > self._engine.max_tau:
-                raise QueryError(
-                    f"τ̂={query.tau_hat} exceeds the served model's maximum {self._engine.max_tau}"
-                )
+                raise _tau_error(query, self._engine)
             if trace is not None:
                 trace.add("decode", time.perf_counter() - start, depth=0)
             batcher_started = time.perf_counter()

@@ -19,13 +19,15 @@ and answering a query is one plan
 3. the posterior table compares them with γ; the accepted graphs and their
    posteriors are the answer.
 
-:meth:`query_batch` answers a batch in input order.  Steps 2–4 are decided
-per (query, graph) pair, so a batch shares no scoring work: its rows go
-through the same per-query pipeline as :meth:`query`, one by one
-(:meth:`~repro.core.plan.ExecutionCore.execute_batch`).  What a batch saves
-is around the scoring — one cache-probe pass that also scores a repeated
-query once, and for the service one thread hand-over and one trace per
-flush — not a matrix kernel.
+:meth:`query_batch` answers a batch in input order, each query exactly as
+:meth:`query` would: Steps 2–4 are decided per (query, graph) pair, so the
+queries of a batch share no scoring result.  They share the work around it:
+one cache-probe pass that also scores a repeated query once, then one pass
+of the execution core for the rest
+(:meth:`~repro.core.plan.ExecutionCore.execute_batch`: one store snapshot,
+one store call — on the native backend one C call for every row — and one
+fold of the filter counters), and for the service one thread hand-over and
+one trace per flush.  :meth:`query` is the same pass over a batch of one.
 
 Accepted sets and their scores are bit-identical to :meth:`GBDASearch.query`
 (and to the scalar per-pair loop,
@@ -317,9 +319,10 @@ class BatchQueryEngine:
         """Answer a batch of queries in input order.
 
         Cached queries are served from the LRU in one probe pass; the
-        remainder go through the execution core row by row — each the same
-        pipeline as :meth:`query`, reusing the lazily built ``(τ̂, |V'1|)``
-        tables across rows and batches.  A query that occurs several times
+        remainder go through the execution core as one batch — one store
+        call for all of them, each row answered as :meth:`query` answers it,
+        reusing the lazily built ``(τ̂, |V'1|)`` tables across rows and
+        batches.  A query that occurs several times
         in the batch is scored once and its answer copied to the repeats
         (the cache is probed for the whole batch before any of it is scored,
         so it cannot serve them).  Answers and filter counters are identical

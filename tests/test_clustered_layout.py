@@ -255,14 +255,14 @@ def test_a_sparse_plan_reads_only_its_eligible_ranges_and_builds_nothing_d_long(
                 return result
 
             patched.setattr(np, function, spy)
-        clean = store.filter_verify_row(5, query, thresholds, lut, 0.5)
-        dirty = poisoned.filter_verify_row(5, query, thresholds, lut, 0.5)
+        clean = store.filter_verify_rows([(5, query, thresholds, lut, 0.5)])[0]
+        dirty = poisoned.filter_verify_rows([(5, query, thresholds, lut, 0.5)])[0]
     after = {labels: child.value for labels, child in calls.series()}
     assert {
         labels[0]: after[labels] - before.get(labels, 0)
         for labels in after
         if after[labels] != before.get(labels, 0)
-    } == {"filter_verify_row": 2}  # no dense ``row`` call beside them
+    } == {"filter_verify_rows": 2}  # no dense ``row`` call beside them
     assert clean[4] is True and clean[3] == int(eligible_rows.sum()) < len(orders) // 3
     assert clean[0].tolist() == np.flatnonzero(eligible_rows).tolist()  # every row a hit
     for a, b in zip(clean[:2], dirty[:2]):
@@ -270,7 +270,7 @@ def test_a_sparse_plan_reads_only_its_eligible_ranges_and_builds_nothing_d_long(
     assert max(built, default=0) < len(orders)
 
     monkeypatch.setattr(columnar, "sparse_row_budget", lambda postings, rows: 0)
-    dense_clean = store.filter_verify_row(5, query, thresholds, lut, 0.5)
-    dense_dirty = poisoned.filter_verify_row(5, query, thresholds, lut, 0.5)
+    dense_clean = store.filter_verify_rows([(5, query, thresholds, lut, 0.5)])[0]
+    dense_dirty = poisoned.filter_verify_rows([(5, query, thresholds, lut, 0.5)])[0]
     assert dense_clean[4] is dense_dirty[4] is False
     assert not np.array_equal(dense_clean[1], dense_dirty[1])

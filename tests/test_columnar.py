@@ -88,7 +88,7 @@ def gbd_row(store, num_query_vertices, branches):
 
 
 def verified_rows(store, num_query_vertices, branches, thresholds, **view):
-    """``filter_verify_row`` under a table that accepts every row it verifies.
+    """``filter_verify_rows`` (a batch of one) under a table that accepts every row it verifies.
 
     The hits are then exactly the verified rows, so the call reads as the
     bound filter and the verification it fuses: ``(positions, intersections,
@@ -102,8 +102,8 @@ def verified_rows(store, num_query_vertices, branches, thresholds, **view):
     distinct, bounds = snapshot.ranges
     largest = max([int(num_query_vertices), *distinct[-1:].tolist()])
     accept_all = np.ones((largest + 1, largest + 2))
-    positions, gbds, eligible, verified, sparse = store.filter_verify_row(
-        num_query_vertices, branches, thresholds, accept_all, 0.5, **view
+    (positions, gbds, eligible, verified, sparse), = store.filter_verify_rows(
+        [(num_query_vertices, branches, thresholds, accept_all, 0.5)], **view
     )
     ranges = [range(bounds[u], bounds[u + 1]) for u in range(len(distinct))]
     num_eligible = sum(len(ranges[u]) for u in np.flatnonzero(eligible).tolist())

@@ -388,7 +388,8 @@ def test_only_a_compaction_builds_a_snapshot_record(backend, snapshot_records, s
 
 @pytest.mark.parametrize("backend", backend_params)
 def test_a_snapshot_holds_the_csr_and_row_vectors_only(backend):
-    """What a snapshot costs beyond its postings: two D-long vectors and the ranges."""
+    """What a snapshot costs beyond its postings: two D-long vectors, the ranges and
+    one segment length per key."""
     database = GraphDatabase(_graphs(30, seed=7), kernel_backend=backend)
     store = database.store
     branches = branch_multiset(database[3].graph)
@@ -400,7 +401,9 @@ def test_a_snapshot_holds_the_csr_and_row_vectors_only(backend):
     store.compact()
     snapshot = store._published
     rows, postings = snapshot.csr[3], len(snapshot.csr[1])
-    assert set(_Snapshot.__slots__) == {"csr", "orders", "global_ids", "ranges"}
+    assert set(_Snapshot.__slots__) == {"csr", "orders", "global_ids", "ranges", "segments"}
+    assert snapshot.segments.tolist() == np.diff(snapshot.csr[0]).tolist()
+    assert len(snapshot.segments) == store.num_keys  # per key, nothing D long
     for vector in (snapshot.orders, snapshot.global_ids):
         assert vector.shape == (rows,) and vector.dtype == np.int64
     distinct, bounds = snapshot.ranges

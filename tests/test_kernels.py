@@ -111,7 +111,7 @@ class TestKernelInterfaceDrift:
     LOADER_API = {"available", "load_error", "library_path"}  # native's own, not kernels
     #: The whole interface: four reads and the write path — at most five kernels.
     KERNELS = {
-        "intersection_row", "gbd_lower_bound_row", "filter_verify_row", "filter_verify_topk",
+        "intersection_row", "gbd_lower_bound_row", "filter_verify_rows", "filter_verify_topk",
         "merge_postings",
     }
 
@@ -372,11 +372,12 @@ def _reducer_stores(multisets, ids, position_limit):
 
 
 def _sparse_budget(store, query):
-    """``sparse_row_budget`` (as patched, if it is) of one query over a store's snapshot."""
-    csr = store.view()[0]
-    return columnar.sparse_row_budget(
-        columnar._segment_total(csr[0], store._match(query, csr)[0]), csr[3]
-    )
+    """``sparse_row_budget`` (as patched, if it is) of one query over a store's snapshot.
+
+    Its input, the postings of the query's known keys, is counted by ``postings``.
+    """
+    matched = sum(len(store.postings(key)) for key in query)
+    return columnar.sparse_row_budget(matched, store.view()[0][3])
 
 
 def _scalar_rows(entries, query):
@@ -510,8 +511,8 @@ class TestReducerParity:
             )
             for backend, store in stores.items():
                 assert (store.view()[0][1].dtype == np.int64) == (len(entries) > position_limit)
-                positions, gbds, mask, count, taken = store.filter_verify_row(
-                    num_query_vertices, query, bars, lut, gamma
+                (positions, gbds, mask, count, taken), = store.filter_verify_rows(
+                    [(num_query_vertices, query, bars, lut, gamma)]
                 )
                 assert positions.dtype == gbds.dtype == np.int64, backend
                 assert list(zip(positions.tolist(), gbds.tolist())) == hits, backend
@@ -661,7 +662,7 @@ class TestReducerParity:
             store = _store_of(entries, backend)
             for budget in (0, len(rows)):
                 monkeypatch.setattr(columnar, "sparse_row_budget", lambda postings, n: budget)
-                positions, gbds, *_ = store.filter_verify_row(3, query, [9, 9], lut, 0.5)
+                positions, gbds, *_ = store.filter_verify_rows([(3, query, [9, 9], lut, 0.5)])[0]
                 assert positions.tolist() == [5 + lone] and gbds.tolist() == [0], (lone, budget)
 
     def test_a_table_that_does_not_reach_the_largest_order_is_refused(self):
@@ -672,7 +673,7 @@ class TestReducerParity:
         for store in stores.values():
             for shape in ((6, 8), (7, 7)):  # a row short, a column short
                 with pytest.raises(ValueError, match="does not cover extended order 6"):
-                    store.filter_verify_row(2, query, bars, np.ones(shape), 0.5)
+                    store.filter_verify_rows([(2, query, bars, np.ones(shape), 0.5)])[0]
                 # each of top-k's two tables is checked against its own shape
                 for tables in ((np.ones(shape), full), (full, np.ones(shape))):
                     with pytest.raises(ValueError, match="does not cover extended order 6"):
@@ -880,7 +881,7 @@ class TestReducerCountGuards:
         core = engine._core
         for query in _reducer_queries(10, seed=59):
             _answer, calls = self.calls_during(lambda: engine.query(query))
-            assert calls == {"filter_verify_row": 1}  # no dense ``row`` call beside it
+            assert calls == {"filter_verify_rows": 1}  # no dense ``row`` call beside it
             ids, scores = core.execute_pruned(query)  # the hits, nothing per candidate
             assert type(ids) is type(scores) is list and len(ids) == len(scores)
             full = core.execute(query)
@@ -902,7 +903,9 @@ class TestReducerCountGuards:
         plans = set()
         for query in _reducer_queries(40, seed=61):
             branches, num_vertices = query.branches(), query.query_graph.num_vertices
-            thresholds, _lut = core._pruned_thresholds(query, np.maximum(num_vertices, distinct))
+            thresholds, _lut = core._pruned_thresholds(
+                query.tau_hat, query.gamma, num_vertices, distinct
+            )
             bounds = store.gbd_lower_bound_row(num_vertices, branches, view=view)
             eligible = int((bounds <= thresholds[np.searchsorted(distinct, orders)]).sum())
             sparse = None if eligible == 0 else eligible <= num_rows // 2

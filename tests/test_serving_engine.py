@@ -535,6 +535,17 @@ class TestOnePipeline:
         assert core.execute_batch([]) == []
         assert core.execute_batch([], query_branches=[]) == []
 
+    def test_branch_multisets_that_do_not_match_the_queries_are_refused(self, fitted):
+        """One multiset for three queries is an error, not one answer."""
+        core = BatchQueryEngine.from_search(fitted, cache_size=None)._core
+        queries = _random_queries(3, seed=71)
+        before = core.filter_counters.as_dict()
+        for branches in ([queries[0].branches()], [query.branches() for query in queries * 2]):
+            with pytest.raises(ServingError, match=f"3 queries but {len(branches)} branch"):
+                core.execute_batch(queries, query_branches=branches)
+        assert core.filter_counters.as_dict() == before  # refused before any row was scored
+        assert len(core.execute_batch(queries, query_branches=[q.branches() for q in queries])) == 3
+
     def test_batch_counts_what_each_query_verified(self, selective):
         """``prune_counters`` mean one thing: batch == loop, numpy == native."""
         search, queries = selective
