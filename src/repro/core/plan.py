@@ -9,8 +9,7 @@ implements them once, as one pipeline a query goes through:
   snapshot, from per-graph norms (O(1) each, no postings read).  The
   thresholded path compares it with the ``(τ̂, γ)`` acceptance rule inverted
   into a max-acceptable GBD (:meth:`acceptance_threshold`); top-k turns it
-  into a posterior upper bound.  Unpruned execution is the same pipeline
-  with every order eligible.
+  into a posterior upper bound.
 * **candidates** — the rows of the orders that survive the bound: contiguous
   position ranges, the store lays rows out by ``|V_G|``.
 * **verify** — the candidates' exact ``|B_Q ∩ B_G|``, by slicing the query's
@@ -23,28 +22,26 @@ implements them once, as one pipeline a query goes through:
   descending bound order are offered to a running top ``k`` whose k-th score
   ends the scan between two groups.
 
-For callers that only need the accepted graphs (:meth:`execute_pruned` and
-:meth:`execute_batch` — the serving engine's one plan) *bound*, *verify* and
-*reduce* are **one store call per batch**:
+*bound*, *verify* and *reduce* are **one store call per batch**, whichever
+reducer each query asks for: a batch's rows — :meth:`execute_pruned`,
+:meth:`execute_topk` (a batch of one each) and :meth:`execute_batch`, whose
+rows may mix both — go to
 :meth:`ColumnarBranchStore.filter_verify_rows
-<repro.db.columnar.ColumnarBranchStore.filter_verify_rows>` takes each
-query's per-order thresholds, τ̂ posterior table and γ and returns each
-query's *hits* — the accepted rows' store positions and GBDs — so nothing
-``D`` long is produced or walked here; what is left is their ids and one
-table lookup each, returned as they are (:data:`Hits`).  The ``bound_filter``
-stage histogram therefore covers that whole call (bound, verification and
-the γ comparison) and the second stage — ``verify`` after the sparse plan,
-``score_dense`` after the dense one — the hits' ids and scores only.
-Likewise all of top-k is one call
-(:meth:`~repro.db.columnar.ColumnarBranchStore.filter_verify_topk`: bounds,
-group order, verification, k-best and cut-off) that hands back at most ``k``
-scored rows, ranked here.  Asked to keep every posterior (:meth:`execute`,
-what :meth:`GBDASearch.query <repro.core.search.GBDASearch.query>` needs)
-the threshold reducer scores the dense row in NumPy, for every row.
-
-The branch bound ``GBD <= 2 τ̂`` (``use_pruning``) is the ablation filter of
-:class:`~repro.core.search.GBDASearch`, so only the two paths that search
-drives take it: :meth:`execute` and :meth:`execute_topk`.
+<repro.db.columnar.ColumnarBranchStore.filter_verify_rows>` together.  A
+thresholded row carries its per-order thresholds, τ̂ posterior table and γ
+and gets back its *hits* — the accepted rows' store positions and GBDs —
+so nothing ``D`` long is produced or walked here; what is left is their ids
+and one table lookup each, returned as they are (:data:`Hits`).  A top-k row
+carries ``k`` and the τ̂ bound table beside the posterior table and gets back
+its ranking, at most ``k`` scored rows.  The ``bound_filter`` stage histogram
+covers the store call for a thresholded row (bound, verification and the γ
+comparison) and the second stage — ``verify`` after the sparse plan,
+``score_dense`` after the dense one — its hits' ids and scores only; a top-k
+row's whole share is ``topk``.  Asked to keep every posterior
+(:meth:`execute`, what :meth:`GBDASearch.query
+<repro.core.search.GBDASearch.query>` needs) the core scores the dense row
+in NumPy, for every row; the search's ``use_index_pruning`` ablation is a
+post-filter over that, in the search.
 
 Posteriors have one source: dense ``(τ̂, |V'1|)`` posterior vectors from
 :meth:`GBDAEstimator.posterior_row` (each entry is the scalar
@@ -59,13 +56,13 @@ the snapshot and lookup-table rows, so their answers are those of the
 per-query loop; what a batch shares is the work around them: one snapshot
 and one read of its order ranges, one store call — on the native backend one
 C call, whose Python wrapper runs once — and one fold of the counters.  The
-Python left per query is its vocabulary pass, its threshold lookup and its
+Python left per query is its vocabulary pass, its table lookup and its
 hits' ids and scores.  A flush spread over a thread pool, one query per
 task, measured slower than this: that per-query Python holds the GIL.
 The stage histograms keep one observation per query, the batch's time split
-evenly across its queries (see :meth:`ExecutionCore._accepted`).
-Every path returns accepted sets and scores bit-identical to the scalar
-per-pair loop (:func:`repro.testing.oracles.query_reference`);
+evenly across its queries (see :func:`_record_batch_stages`).
+Every path returns accepted sets, rankings and scores bit-identical to the
+scalar per-pair loop (:func:`repro.testing.oracles.query_reference`);
 :class:`FilterCounters` tracks what the bounds saved, counted per query on
 every path.
 
@@ -88,8 +85,7 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple, T
 import numpy as np
 
 from repro.core.estimator import GBDAEstimator
-from repro.core.gbd import max_gbd_for_ged
-from repro.db.columnar import ColumnarBranchStore
+from repro.db.columnar import ColumnarBranchStore, TopK
 from repro.db.database import GraphDatabase
 from repro.db.query import SimilarityQuery, validate_top_k
 from repro.exceptions import SearchError
@@ -138,45 +134,49 @@ def _record_stage(name: str, started: float) -> None:
 
 
 def _record_batch_stages(
-    started: float, filtered: float, scored: float, passes: Sequence[Tuple[int, Optional[bool]]]
+    started: float,
+    filtered: float,
+    scored: float,
+    thresholded: Sequence[Tuple[int, Optional[bool]]],
+    ranked: int,
 ) -> None:
-    """Observe the two stages of a thresholded batch, one observation per query.
+    """Observe the stages of a batch, one observation per query.
 
-    ``passes`` holds each query's ``(verified, sparse)``.  ``bound_filter``
-    (up to the store call's return) took ``filtered - started`` and the second
-    stage (``score_dense`` after the dense plan, else ``verify``) ``scored -
-    filtered``, for the whole batch: each query is booked an even share of
-    both.  An active trace (a sampled flush) gets one span per stage, laid end
-    to end from ``started``: the flush's waterfall, not 2 × rows spans.
+    ``thresholded`` holds each thresholded query's ``(verified, sparse)`` and
+    ``ranked`` is the number of top-k queries.  The store call took
+    ``filtered - started`` and the hits' ids and scores ``scored - filtered``,
+    for the whole batch: each query is booked an even share of both — a
+    thresholded one under ``bound_filter`` and then ``score_dense`` after the
+    dense plan, else ``verify``; a top-k one both shares under ``topk``.  An
+    active trace (a sampled flush) gets one span per stage, laid end to end
+    from ``started``: the flush's waterfall, not a span per query.
     """
-    share = 1.0 / len(passes)
-    score_share = (scored - filtered) * share
-    dense = sum(sparse is False for _rows, sparse in passes)
-    rows_by_stage = (("verify", len(passes) - dense), ("score_dense", dense))
-    _STAGES["bound_filter"].observe((filtered - started) * share, count=len(passes))
-    for name, rows in rows_by_stage:
-        if rows:
-            _STAGES[name].observe(score_share, count=rows)
+    share = 1.0 / (len(thresholded) + ranked)
+    stages = []
+    if thresholded:
+        dense = 0
+        for _rows, sparse in thresholded:
+            dense += sparse is False
+        score_share = (scored - filtered) * share
+        stages.append(("bound_filter", len(thresholded), (filtered - started) * share))
+        if dense < len(thresholded):
+            stages.append(("verify", len(thresholded) - dense, score_share))
+        if dense:
+            stages.append(("score_dense", dense, score_share))
+    if ranked:
+        stages.append(("topk", ranked, (scored - started) * share))
     trace = active_trace()
-    if trace is not None:
-        offset = started - trace.started_at
-        trace.add("bound_filter", filtered - started, depth=1, offset=offset)
-        offset += filtered - started
-        for name, rows in rows_by_stage:
-            if rows:
-                trace.add(name, score_share * rows, depth=1, offset=offset)
-                offset += score_share * rows
+    offset = 0.0 if trace is None else started - trace.started_at
+    for name, rows, seconds in stages:
+        _STAGES[name].observe(seconds, count=rows)
+        if trace is not None:
+            trace.add(name, seconds * rows, depth=1, offset=offset)
+            offset += seconds * rows
 
 
 #: A published lookup table: the dense matrix plus the orders whose rows
 #: are guaranteed filled *in that matrix* (immutable, swapped atomically).
 _Table = Tuple[np.ndarray, FrozenSet[int]]
-
-
-def _ranked(ids: np.ndarray, scores: np.ndarray) -> List[Tuple[int, float]]:
-    """``(id, score)`` pairs by descending score, ascending id under ties."""
-    order = np.lexsort((ids, -scores))
-    return list(zip(ids[order].tolist(), scores[order].tolist()))
 
 
 @dataclass
@@ -209,47 +209,43 @@ class FilterCounters:
         return {**asdict(self), "prune_rate": self.prune_rate}
 
 
-#: What the accepted-only reducer returns: the accepted graphs' ids and their
+#: What the threshold reducer returns: the accepted graphs' ids and their
 #: posteriors, parallel lists in store-position order.
 Hits = Tuple[List[int], List[float]]
+#: What the k-best reducer returns: ``(graph id, posterior)`` pairs by
+#: descending posterior, ascending id under ties.
+Ranking = List[Tuple[int, float]]
 
 
 @dataclass
 class CandidateScores:
     """Every posterior of one query: what :meth:`ExecutionCore.execute` returns.
 
-    Every array spans the whole store, aligned on store positions — the
-    store's ``|V_G|``-clustered layout, so ``graph_ids`` maps each position to
-    its graph and is not in id order.
+    Every array is aligned on store positions — the store's
+    ``|V_G|``-clustered layout, so ``graph_ids`` maps each position to its
+    graph and is not in id order.
     """
 
     graph_ids: np.ndarray
     gbds: np.ndarray
     posteriors: np.ndarray
     accepted: np.ndarray
-    #: Boolean survival mask of the branch lower-bound filter, or ``None``
-    #: when pruning was off (every graph was scored).
-    eligible: Optional[np.ndarray] = None
-
-    def candidate_positions(self) -> np.ndarray:
-        """Positions that were actually scored (all, unless pruning masked some)."""
-        if self.eligible is None:
-            return np.arange(len(self.gbds))
-        return np.flatnonzero(self.eligible)
 
     def accepted_id_set(self) -> frozenset:
         """The accepted global graph ids as a frozenset."""
         return frozenset(self.graph_ids[self.accepted].tolist())
 
     def scores_dict(self, which: str = "candidates") -> Dict[int, float]:
-        """Posterior scores keyed by global id: ``"candidates"`` or ``"accepted"``."""
+        """Posterior scores keyed by global id: ``"candidates"`` (all) or ``"accepted"``."""
+        ids, scores = self.graph_ids, self.posteriors
         if which == "accepted":
-            positions = np.flatnonzero(self.accepted)
-        else:
-            positions = self.candidate_positions()
-        return dict(
-            zip(self.graph_ids[positions].tolist(), self.posteriors[positions].tolist())
-        )
+            ids, scores = ids[self.accepted], scores[self.accepted]
+        return dict(zip(ids.tolist(), scores.tolist()))
+
+    def ranking(self, k: int) -> Ranking:
+        """The first ``k`` ``(graph id, posterior)`` pairs by ``(-posterior, id)``."""
+        order = np.lexsort((self.graph_ids, -self.posteriors))[:k]
+        return list(zip(self.graph_ids[order].tolist(), self.posteriors[order].tolist()))
 
 
 class ExecutionCore:
@@ -289,17 +285,9 @@ class ExecutionCore:
         # (snapshot's order vector, {|V_Q|: the D-length max(|V_Q|, |V_G|) row}) of
         # the snapshot last seen — see _orders_row.
         self._snapshot_rows: Tuple[Optional[np.ndarray], Dict] = (None, {})
-        # (τ̂, γ, |V_Q|, |distinct|) -> (threshold vector, posterior table) of
-        # the accepted-only path — see _pruned_thresholds.
-        self._pruned_thresholds_cache: Dict[Tuple, Tuple[np.ndarray, np.ndarray]] = {}
-        # (τ̂, |V_Q|, |distinct|) -> (posterior table, bound table) of top-k —
-        # see _topk_tables.
-        self._topk_tables_cache: Dict[Tuple, Tuple[np.ndarray, np.ndarray]] = {}
-        # γ-threshold inversion cache: (τ̂, γ) -> order-indexed max acceptable
-        # GBD; -2 marks a not-yet-inverted order.  Fills are idempotent (derived
-        # from the posterior vectors), so no lock is needed; see
-        # _threshold_lookup.
-        self._threshold_arrays: Dict[Tuple[int, float], np.ndarray] = {}
+        # (τ̂, γ or None, |V_Q|, |distinct|) -> (bars, posterior table) of a
+        # store row — see _row_tables.
+        self._row_tables_cache: Dict[Tuple, Tuple[np.ndarray, np.ndarray]] = {}
         #: Cumulative filter-effectiveness counters across every query this
         #: core answered (updated under a dedicated lock; see FilterCounters).
         self.filter_counters = FilterCounters()
@@ -419,90 +407,46 @@ class ExecutionCore:
         the inversion sound even where the tabulated posterior is not
         monotone in ϕ — a candidate whose GBD lower bound exceeds the
         threshold provably cannot be accepted, whatever its exact GBD.
-        :meth:`_threshold_lookup` keeps the results per ``(τ̂, γ)``.
+        :meth:`_row_tables` keeps the results per query shape.
         """
         accepting = np.flatnonzero(self.posterior_vector(tau_hat, extended_order) >= float(gamma))
         return int(accepting[-1]) if accepting.size else -1
 
-    def _pruned_thresholds(
-        self, tau_hat: int, gamma: float, num_query_vertices: int, distinct: np.ndarray
+    def _row_tables(
+        self, tau_hat: int, gamma: Optional[float], num_query_vertices: int, distinct: np.ndarray
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """Cached ``(thresholds, lut)`` of one query shape: what the store call reads.
+        """Cached ``(bars, lut)`` of one query shape: what its store row reads.
 
-        ``thresholds`` is the max acceptable GBD per distinct order of the
-        snapshot — Step 4 inverted (:meth:`acceptance_threshold`, vectorized)
-        at the extended orders ``max(|V_Q|, distinct)`` — and ``lut`` the τ̂
-        posterior table with a row for each of them (:meth:`_lut_for`; filled
-        rows never change, so a table that covered the shape once covers it
-        for good).  One query shape ``(τ̂, γ, |V_Q|)`` over one snapshot always
-        produces the same pair, so it is built once and reused — a repeat
-        costs one dict probe, however many orders the store has — and because
-        the *same array objects* recur, the native backend's per-array address
-        cache applies to them too.  ``len(distinct)`` identifies the
-        distinct-order set: the store is append-only, so the set only ever
-        grows.
+        ``lut`` is the τ̂ posterior table with a row for each extended order
+        ``max(|V_Q|, distinct)`` of the snapshot (:meth:`_lut_for`; filled rows
+        never change, so a table that covered the shape once covers it for
+        good).  ``bars`` is what the row's bound is held to: for a thresholded
+        shape the max acceptable GBD per distinct order — Step 4 inverted
+        (:meth:`acceptance_threshold`) at those orders; for a top-k
+        shape (``gamma`` is ``None``) the τ̂ bound table (:meth:`_bound_lut_for`).
+        One query shape ``(τ̂, γ, |V_Q|)`` over one snapshot always produces the
+        same pair, so it is built once and reused — a repeat costs one dict
+        probe, however many orders the store has — and because the *same array
+        objects* recur, the native backend's per-array address cache applies
+        to them too.  ``len(distinct)`` identifies the distinct-order set: the
+        store is append-only, so the set only ever grows.
         """
-        cache = self._pruned_thresholds_cache
+        cache = self._row_tables_cache
         key = (tau_hat, gamma, num_query_vertices, len(distinct))
         cached = cache.get(key)
         if cached is None:
             if len(cache) > 256:
                 cache.clear()
-            extended = np.maximum(num_query_vertices, distinct)
-            cached = cache[key] = (
-                np.ascontiguousarray(
-                    self._threshold_lookup(tau_hat, gamma, extended)[extended], dtype=np.int64
-                ),
-                self._lut_for(tau_hat, extended.tolist()),
-            )
+            orders = np.maximum(num_query_vertices, distinct).tolist()
+            if gamma is None:
+                bars = self._bound_lut_for(tau_hat, orders)
+            else:
+                bars = np.asarray(
+                    [self.acceptance_threshold(tau_hat, gamma, order) for order in orders],
+                    dtype=np.int64,
+                )
+            cached = cache[key] = (bars, self._lut_for(tau_hat, orders))
         return cached
-
-    def _topk_tables(
-        self, tau_hat: int, num_query_vertices: int, needed_orders: List[int]
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Cached ``(lut, bound_lut)`` of one top-k query shape: what its store call reads.
-
-        The two published tables (:meth:`_lut_for`, :meth:`_bound_lut_for`)
-        each cost a coverage check over every needed order; one shape ``(τ̂,
-        |V_Q|)`` over one snapshot always needs the same rows, and filled rows
-        never change, so the pair found once is reused — keyed, as in
-        :meth:`_pruned_thresholds`, by the number of distinct orders.
-        """
-        cache = self._topk_tables_cache
-        key = (tau_hat, num_query_vertices, len(needed_orders))
-        tables = cache.get(key)
-        if tables is None:
-            if len(cache) > 256:
-                cache.clear()
-            tables = cache[key] = (
-                self._lut_for(tau_hat, needed_orders),
-                self._bound_lut_for(tau_hat, needed_orders),
-            )
-        return tables
-
-    def _threshold_lookup(
-        self, tau_hat: int, gamma: float, extended_orders: np.ndarray
-    ) -> np.ndarray:
-        """Dense ``order -> max acceptable GBD`` array covering the given orders.
-
-        The hot-path form of :meth:`acceptance_threshold`: one cached
-        ``int64`` vector per ``(τ̂, γ)``, filled lazily only for the orders
-        actually requested (-2 marks an order not inverted yet) and indexed
-        with a single numpy take per query.  Fills are idempotent, so
-        concurrent readers are safe without a lock.
-        """
-        key = (int(tau_hat), float(gamma))
-        max_order = int(extended_orders[-1]) if len(extended_orders) else 1
-        lookup = self._threshold_arrays.get(key)
-        if lookup is None or len(lookup) <= max_order:
-            grown = np.full(max_order + 2, -2, dtype=np.int64)
-            if lookup is not None:
-                grown[: len(lookup)] = lookup
-            lookup = grown
-            self._threshold_arrays[key] = lookup
-        for order in extended_orders[lookup[extended_orders] == -2].tolist():
-            lookup[order] = self.acceptance_threshold(tau_hat, gamma, order)
-        return lookup
 
     # ------------------------------------------------------------------ #
     # published lookup tables
@@ -565,71 +509,49 @@ class ExecutionCore:
     # ------------------------------------------------------------------ #
     # Steps 2–4 of Algorithm 1: one pipeline, two reducers
     # ------------------------------------------------------------------ #
-    def _open(self, query: SimilarityQuery, query_branches: Optional[Counter]):
-        """First steps of the one-query paths: one snapshot and the query's orders.
+    def execute(
+        self, query: SimilarityQuery, *, query_branches: Optional[Counter] = None
+    ) -> CandidateScores:
+        """Score one query against every database graph; keep every posterior.
 
-        Returns ``(branches, store, snapshot, needed_orders)``.  ``snapshot``
-        is the store's coherent ``(csr, db_orders, global_ids)`` view: a
-        concurrent database addition becomes visible between queries, never
-        mid-computation.  ``needed_orders`` lists ``max(|V_Q|, |V_G|)`` per
-        distinct ``|V_G|`` of the snapshot — the lookup-table rows the query
-        can touch.
+        Every order is eligible: verification is the dense row of one
+        snapshot, and every posterior is read off the τ̂ table.  A concurrent
+        database addition becomes visible between queries, never
+        mid-computation.
         """
+        started = time.perf_counter()
         self.validate_tau(query.tau_hat)
         branches = query.branches() if query_branches is None else query_branches
         store = self.store
         snapshot = store.view()
-        distinct = store.order_ranges(snapshot)[0]
-        needed_orders = np.maximum(query.query_graph.num_vertices, distinct).tolist()
-        return branches, store, snapshot, needed_orders
-
-    def execute(
-        self,
-        query: SimilarityQuery,
-        *,
-        query_branches: Optional[Counter] = None,
-        use_pruning: bool = False,
-    ) -> CandidateScores:
-        """Score one query against every database graph; keep every posterior.
-
-        Every order is eligible: verification is the dense row, and the
-        threshold reducer keeps every posterior, read off the τ̂ table.  With
-        ``use_pruning`` (:class:`~repro.core.search.GBDASearch`'s ablation
-        filter) a graph whose GBD exceeds ``2 τ̂`` is neither accepted nor
-        counted as scored (:attr:`CandidateScores.eligible`).
-        """
-        started = time.perf_counter()
-        branches, store, snapshot, needed_orders = self._open(query, query_branches)
         _csr, db_orders, global_ids = snapshot
-        tau_hat = query.tau_hat
         num_rows = len(db_orders)
+        num_query_vertices = query.query_graph.num_vertices
         intersections = store.intersection_row(branches, view=snapshot)
         self._count(num_rows, [(num_rows, False)])
-        orders = self._orders_row(db_orders, query.query_graph.num_vertices)
+        orders = self._orders_row(db_orders, num_query_vertices)
         gbds = orders - intersections
-        lut = self._lut_for(tau_hat, needed_orders)
+        distinct = store.order_ranges(snapshot)[0]
+        lut = self._lut_for(query.tau_hat, np.maximum(num_query_vertices, distinct).tolist())
         posteriors = lut.take(orders * lut.shape[1] + gbds)
-        accepted = posteriors >= query.gamma
-        within_branch_bound = None
-        if use_pruning:
-            within_branch_bound = gbds <= max_gbd_for_ged(tau_hat)
-            accepted &= within_branch_bound
-        scored = CandidateScores(global_ids, gbds, posteriors, accepted, within_branch_bound)
+        scored = CandidateScores(global_ids, gbds, posteriors, posteriors >= query.gamma)
         _record_stage("score_dense", started)
         return scored
 
-    def _accepted(
+    def _rows(
         self,
         queries: Sequence[SimilarityQuery],
         query_branches: Optional[Sequence[Optional[Counter]]],
-    ) -> List[Hits]:
-        """The body of :meth:`execute_pruned` and :meth:`execute_batch`: each query's hits.
+        ks: Sequence[Optional[int]],
+    ) -> List:
+        """The one body of :meth:`execute_pruned`, :meth:`execute_topk` and :meth:`execute_batch`.
 
-        One snapshot, one read of its order ranges, one store call and one
-        fold of the counters for the batch; per query, its hits' ids and one
-        table lookup each.  Stages are recorded by :func:`_record_batch_stages`.
+        ``ks[i]`` is ``None`` for a thresholded query (its :data:`Hits`) or its
+        ranking size (its :data:`Ranking`).  One snapshot, one read of its
+        order ranges, one store call and one fold of the counters for the
+        batch; per query, its table lookup and its hits' ids and scores.
+        Stages are recorded by :func:`_record_batch_stages`.
         """
-        queries = list(queries)
         for query in queries:
             self.validate_tau(query.tau_hat)
         if query_branches is None:
@@ -644,38 +566,46 @@ class ExecutionCore:
         store = self.store
         snapshot = store.view()
         _csr, db_orders, global_ids = snapshot
+        if len(db_orders) == 0:
+            return [([], []) if k is None else [] for k in ks]
         distinct = store.order_ranges(snapshot)[0]
         rows = []
-        for query, branches in zip(queries, query_branches):
+        for query, branches, k in zip(queries, query_branches, ks):
             num_query_vertices = query.query_graph.num_vertices
-            thresholds, lut = self._pruned_thresholds(
-                query.tau_hat, query.gamma, num_query_vertices, distinct
-            )
+            gamma = query.gamma if k is None else None
+            bars, lut = self._row_tables(query.tau_hat, gamma, num_query_vertices, distinct)
             rows.append((
                 num_query_vertices,
                 query.branches() if branches is None else branches,
-                thresholds,
+                bars if k is None else None,
                 lut,
-                query.gamma,
+                gamma if k is None else TopK(k, bars),
             ))
         found = store.filter_verify_rows(rows, view=snapshot)
         filtered = time.perf_counter()
-        accepted: List[Hits] = []
-        for (num_query_vertices, _branches, _thresholds, lut, _gamma), row in zip(rows, found):
-            hits, gbds = row[0], row[1]
-            if len(hits) == 0:
-                accepted.append(([], []))
+        answers: List = []
+        # Each query's (verified, sparse); one none of whose rows was verified
+        # ran neither plan.
+        passes = []
+        thresholded = []
+        for (num_query_vertices, _branches, _bars, lut, _reducer), k, row in zip(rows, ks, found):
+            hits, values, _eligible, verified, sparse = row
+            passes.append((verified, sparse))
+            if k is not None:  # ranked by the store call
+                answers.append(list(zip(hits.tolist(), values.tolist())))
                 continue
-            orders = np.maximum(num_query_vertices, db_orders[hits])
-            accepted.append(
-                (global_ids[hits].tolist(), lut.take(orders * lut.shape[1] + gbds).tolist())
-            )
+            thresholded.append((verified, sparse))
+            if len(hits) == 0:
+                answers.append(([], []))
+            else:
+                orders = np.maximum(num_query_vertices, db_orders[hits])
+                answers.append(
+                    (global_ids[hits].tolist(), lut.take(orders * lut.shape[1] + values).tolist())
+                )
         scored = time.perf_counter()
-        # A query whose every row fell to the bound ran neither plan.
-        passes = [row[3:] for row in found]
         self._count(len(db_orders), passes)
-        _record_batch_stages(started, filtered, scored, passes)
-        return accepted
+        _record_batch_stages(started, filtered, scored, thresholded, len(passes) - len(thresholded))
+        return answers
 
     def execute_pruned(
         self, query: SimilarityQuery, *, query_branches: Optional[Counter] = None
@@ -695,68 +625,43 @@ class ExecutionCore:
         reference loop).  Nothing ``D`` long is materialised.  A single
         query is a batch of one (:meth:`execute_batch`).
         """
-        return self._accepted([query], [query_branches])[0]
+        return self._rows([query], [query_branches], [None])[0]
 
     def execute_batch(
         self,
         queries: Sequence[SimilarityQuery],
         *,
         query_branches: Optional[Sequence[Counter]] = None,
-    ) -> List[Hits]:
-        """:meth:`execute_pruned` over a batch; per-query hits in input order.
+    ) -> List:
+        """Every query of a batch in one store call; answers in input order.
 
-        Answers, counters and per-query stage observations are those of the
-        per-query loop.  Every τ̂ is validated, and ``query_branches`` (one
-        multiset per query, when given) checked for length, before any query
-        is scored.
+        A query with ``top_k`` gets its :data:`Ranking` (:meth:`execute_topk`'s),
+        the others their :data:`Hits` (:meth:`execute_pruned`'s).  Answers,
+        counters and per-query stage observations are those of the per-query
+        loop.  Every τ̂ is validated, and ``query_branches`` (one multiset per
+        query, when given) checked for length, before any query is scored.
         """
-        return self._accepted(queries, query_branches)
+        queries = list(queries)
+        return self._rows(queries, query_branches, [query.top_k for query in queries])
 
     def execute_topk(
-        self,
-        query: SimilarityQuery,
-        k: int,
-        *,
-        query_branches: Optional[Counter] = None,
-        use_pruning: bool = False,
-    ) -> List[Tuple[int, float]]:
+        self, query: SimilarityQuery, k: int, *, query_branches: Optional[Counter] = None
+    ) -> Ranking:
         """Rank the database by posterior; return the top ``k`` (id, Φ) pairs.
 
         The ranking is exactly the first ``k`` entries of the full γ=0
         scoring sorted by ``(-posterior, graph id)`` — deterministic under
-        ties.  One store call (:meth:`ColumnarBranchStore.filter_verify_topk
-        <repro.db.columnar.ColumnarBranchStore.filter_verify_topk>`) is the
-        whole pass, bound → ordered candidates → verify → reduce: each
-        distinct ``|V_G|`` gets a posterior *upper* bound from its GBD lower
-        bound (:meth:`_bound_lut_for`), whole order groups are verified in
-        descending bound order — by range slices, or from one dense walk once
-        slicing would cost as much — and offered to a k-best heap whose k-th
-        score cuts off the groups no longer in reach; nothing ``D`` long is
-        built here.  With ``use_pruning`` the ranking covers only the
-        branch-bound candidate set (``GBD <= 2 τ̂``).
+        ties.  The store call is the whole pass, bound → ordered candidates →
+        verify → reduce: each distinct ``|V_G|`` gets a posterior *upper*
+        bound from its GBD lower bound (:meth:`_bound_lut_for`), whole order
+        groups are verified in descending bound order — by range slices, or
+        from one dense walk once slicing would cost as much — and offered to a
+        k-best heap whose k-th score cuts off the groups no longer in reach;
+        nothing ``D`` long is built here.  A single query is a batch of one
+        (:meth:`execute_batch`).
         """
-        started = time.perf_counter()
-        branches, store, snapshot, needed_orders = self._open(query, query_branches)
         k = validate_top_k(k, self.error_class)
-        num_rows = len(snapshot[1])
-        if num_rows == 0:
-            return []
-        num_query_vertices = query.query_graph.num_vertices
-        tau_hat = query.tau_hat
-        # The branch-bound cap on a ranked row's GBD (``use_pruning`` only).
-        cap = max_gbd_for_ged(tau_hat) if use_pruning else None
-        ids, scores, verified, sparse = store.filter_verify_topk(
-            num_query_vertices,
-            branches,
-            *self._topk_tables(tau_hat, num_query_vertices, needed_orders),
-            cap,
-            k,
-            view=snapshot,
-        )
-        # A query none of whose order groups was ranked in ran neither plan.
-        self._count(num_rows, [(verified, sparse)])
-        _record_stage("topk", started)
-        return _ranked(ids, scores)
+        return self._rows([query], [query_branches], [k])[0]
 
     def warm(
         self, tau_hats: Iterable[int], extended_orders: Optional[Iterable[int]] = None

@@ -12,12 +12,14 @@ The search proceeds in two stages, mirroring Section VI:
   evaluate ``Φ = Pr[GED <= τ̂ | GBD = ϕ]`` (Step 3, ``O(τ̂³)``), and accept
   the graph when ``Φ >= γ`` (Step 4).
 
-An optional branch-index pruning step (``use_index_pruning=True``) skips the
-probabilistic scoring for graphs whose GBD already certifies ``GED > τ̂``
-(one edit operation changes at most two branches); it is off by default to
-stay faithful to Algorithm 1 and is exercised by the ablation benchmark.
-The serving engine answers without it, so
-:meth:`BatchQueryEngine.from_search
+An optional branch-index pruning step (``use_index_pruning=True``) leaves
+out the graphs whose GBD already certifies ``GED > τ̂`` (one edit operation
+changes at most two branches); it is off by default to stay faithful to
+Algorithm 1 and is exercised by the ablation benchmark.  It is a post-filter
+over the every-posterior scores of :meth:`ExecutionCore.execute
+<repro.core.plan.ExecutionCore.execute>` (:func:`within_branch_bound`), so
+nothing below the search knows of it.  The serving engine answers without
+it, so :meth:`BatchQueryEngine.from_search
 <repro.serving.engine.BatchQueryEngine.from_search>` refuses a pruning
 search.
 
@@ -37,14 +39,29 @@ from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.core.estimator import GBDAEstimator
 from repro.core.gbd_prior import GBDPrior
+from repro.core.gbd import max_gbd_for_ged
 from repro.core.ged_prior import GEDPrior
-from repro.core.plan import ExecutionCore
+from repro.core.plan import CandidateScores, ExecutionCore
 from repro.db.database import GraphDatabase
 from repro.db.query import QueryAnswer, SimilarityQuery, validate_top_k
 from repro.exceptions import SearchError
 from repro.graphs.graph import Graph
 
-__all__ = ["GBDASearch", "SearchResult"]
+__all__ = ["GBDASearch", "SearchResult", "within_branch_bound"]
+
+
+def within_branch_bound(scored: CandidateScores, tau_hat: int) -> CandidateScores:
+    """The graphs of ``scored`` with ``GBD <= 2 τ̂``: the ``use_index_pruning`` filter.
+
+    A graph beyond the branch bound is neither a candidate nor accepted; the
+    ones within keep their posteriors, so the thresholded answer is
+    ``accepted ∧ GBD <= 2 τ̂`` and the top-k answer the first ``k`` of the
+    γ = 0 ranking restricted to ``GBD <= 2 τ̂``.
+    """
+    keep = scored.gbds <= max_gbd_for_ged(tau_hat)
+    return CandidateScores(
+        scored.graph_ids[keep], scored.gbds[keep], scored.posteriors[keep], scored.accepted[keep]
+    )
 
 
 @dataclass
@@ -150,8 +167,8 @@ class GBDASearch:
         """Answer one similarity query and return the detailed result.
 
         A thin wrapper over the shared :class:`ExecutionCore`: all GBDs come
-        from the columnar branch store in one vectorized pass (the pruned
-        path reuses them for the bound filter instead of recomputing), and
+        from the columnar branch store in one vectorized pass (the
+        ``use_index_pruning`` filter reads them instead of recomputing), and
         posteriors come from the shared ``(τ̂, |V'1|)`` lookup tables.
         Outputs are the historical dicts, bit-identical to the per-pair
         reference loop (:func:`repro.testing.oracles.query_reference`).
@@ -159,16 +176,10 @@ class GBDASearch:
         self._require_fitted()
         self._core.validate_tau(query.tau_hat)
         start = time.perf_counter()
-        query_branches = query.branches()
-        # The database's store holds every graph added so far, later ones included.
-        scored = self._core.execute(
-            query, query_branches=query_branches, use_pruning=self.use_index_pruning
-        )
-
-        positions = scored.candidate_positions()
-        graph_ids = scored.graph_ids[positions].tolist()
-        gbd_values = dict(zip(graph_ids, scored.gbds[positions].tolist()))
-        posteriors = dict(zip(graph_ids, scored.posteriors[positions].tolist()))
+        scored = self._scored(query)
+        graph_ids = scored.graph_ids.tolist()
+        gbd_values = dict(zip(graph_ids, scored.gbds.tolist()))
+        posteriors = dict(zip(graph_ids, scored.posteriors.tolist()))
         accepted = scored.graph_ids[scored.accepted].tolist()
 
         elapsed = time.perf_counter() - start
@@ -189,8 +200,9 @@ class GBDASearch:
         (:meth:`~repro.core.plan.ExecutionCore.execute_topk`) and equals the
         first ``k`` entries of the γ = 0 reference ranking
         (:func:`repro.testing.oracles.query_topk_reference`) exactly.  With
-        ``use_index_pruning`` the ranking covers only the branch-bound
-        candidate set, mirroring :meth:`query`.
+        ``use_index_pruning`` the ranking is the first ``k`` of the γ = 0
+        scores restricted to the branch-bound candidate set, mirroring
+        :meth:`query`.
         """
         self._require_fitted()
         if k is None:
@@ -208,9 +220,17 @@ class GBDASearch:
             ranking=ranking,
         )
 
+    def _scored(self, query: SimilarityQuery) -> CandidateScores:
+        """Every candidate's posterior: the core's dense scores, through the ablation filter."""
+        # The database's store holds every graph added so far, later ones included.
+        scored = self._core.execute(query)
+        return within_branch_bound(scored, query.tau_hat) if self.use_index_pruning else scored
+
     def _ranking(self, query: SimilarityQuery, k: int) -> List[Tuple[int, float]]:
         """The top-``k`` ``(graph id, posterior)`` pairs :meth:`query_topk` returns."""
-        return self._core.execute_topk(query, k, use_pruning=self.use_index_pruning)
+        if self.use_index_pruning:
+            return self._scored(query).ranking(k)
+        return self._core.execute_topk(query, k)
 
     def search(self, query_graph: Graph, tau_hat: int, gamma: float = 0.9) -> QueryAnswer:
         """Convenience wrapper: build the query object and return just the answer."""

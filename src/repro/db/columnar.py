@@ -33,14 +33,15 @@ The kernels themselves live in :mod:`repro.db.kernels` behind a pluggable
 ``backend`` (``"numpy"`` | ``"native"`` | ``"auto"``): this class owns the
 vocabulary pass, the layout, the published snapshot, and the metrics, and
 dispatches the array work to the selected backend.  Every read computes
-against one snapshot, and there is no ``(Q, D)`` form.  The two reducers
-of the execution core run inside the store call that verifies:
-:meth:`filter_verify_rows` (per query of a batch: bound filter per range →
-range slices or dense walk → γ threshold) returns the accepted rows and
-:meth:`filter_verify_topk` (ranges in bound order → range slices or dense
-walk → k-best, cut off by the k-th score) at most ``k`` scored ones, so on
-the ``native`` backend — one C call each, for a whole batch in the first —
-neither pruned-out candidates nor a ``D``-length row ever reach NumPy.
+against one snapshot, and there is no ``(Q, D)`` form.  Both reducers of the
+execution core run inside the store call that verifies,
+:meth:`filter_verify_rows`, whose every row — one query of a batch — names
+its reducer: the γ threshold (bound filter per range → range slices or dense
+walk → γ comparison) returns the accepted rows, the k best (ranges in bound
+order → range slices or dense walk → k-best heap, cut off by the k-th score)
+at most ``k`` scored ones.  On the ``native`` backend the whole batch is one
+C call, so neither pruned-out candidates nor a ``D``-length row ever reach
+NumPy.
 
 The store is written by its database alone
 (:meth:`~repro.db.database.GraphDatabase.add_many`): a row is one graph's
@@ -81,23 +82,24 @@ from array import array
 from collections import Counter
 from itertools import chain, compress, repeat
 from operator import gt
-from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.db.kernels import backend_module, resolve_backend
 from repro.obs.metrics import get_registry
 
-__all__ = ["ColumnarBranchStore"]
+__all__ = ["ColumnarBranchStore", "TopK"]
 
 # Kernel call/row counters (repro.obs): children are bound once per backend
 # and cached at module level — the kernels below are the hot path of every
 # online query, and children must never live on store instances (stores
 # stay picklable).  Rows count the cells each call produced (D for a dense
-# row — the top-k reducer counts here too: D when it walked the dense row,
-# else the rows of the ranges it verified — U distinct orders for the fused
-# filter), making ``rows / calls`` an instant read on how selective the
-# pruned layer is.  A batch of the fused filter counts as one call per query.
+# row, U distinct orders for a γ row of the fused reducer; a k-best row counts
+# as a ``row`` call producing D when it walked the dense row, else the rows of
+# the ranges it verified), making ``rows / calls`` an instant read on how
+# selective the pruned layer is.  A batch of the fused reducer counts as one
+# call per query.
 _KERNEL_CALLS = get_registry().counter(
     "repro_kernel_calls_total", "Columnar CSR kernel invocations", ("kernel", "backend")
 )
@@ -220,6 +222,18 @@ class _Vocabulary(dict):
         caps.append(1)
         self[key] = key_id
         return key_id
+
+
+class TopK(NamedTuple):
+    """The k-best reducer of a :meth:`ColumnarBranchStore.filter_verify_rows` row.
+
+    ``k`` (at least 1) rows are kept; ``bound_lut[order, ϕ]`` is the suffix
+    maximum of the row's posterior table over ``gbd >= ϕ``, the posterior
+    upper bound a GBD lower bound gives.
+    """
+
+    k: int
+    bound_lut: np.ndarray
 
 
 def sparse_row_budget(matched_postings: int, num_rows: int) -> int:
@@ -701,135 +715,105 @@ class ColumnarBranchStore:
         return lut
 
     def filter_verify_rows(self, rows: Sequence[Tuple], *, view: Optional[_View] = None):
-        """Bound filter, exact GBDs and the γ threshold of a batch of queries, in one pass.
+        """Bound filter, exact GBDs and each query's reducer, for a batch of queries in one pass.
 
         ``rows`` holds one ``(num_query_vertices, query_branches, thresholds,
-        lut, gamma)`` per query.  ``thresholds[i]`` is the caller's max
-        acceptable GBD for rows of order ``distinct[i]`` (the snapshot's
-        :meth:`order_ranges`) — the γ-threshold inversion of the execution
-        core; ``lut[order, gbd]`` is its posterior table for the query's τ̂ (a
-        row per extended order ``max(|V_Q|, |V_G|)`` of the snapshot).
-        Returns one ``(positions, gbds, eligible, verified, sparse)`` per
-        query, in order:
+        lut, reducer)`` per query.  ``lut[order, gbd]`` is the caller's
+        posterior table for the query's τ̂ (a row per extended order
+        ``max(|V_Q|, |V_G|)`` of the snapshot).  ``reducer`` names what is
+        kept of the verified rows:
 
-        * ``eligible`` — the bool mask of the ranges whose GBD lower bound is
-          within their threshold;
-        * ``sparse`` / ``verified`` — the plan taken and the rows it verified:
-          ``None`` / 0 when no range survives, ``True`` / the eligible rows
-          when they fit the query's :func:`sparse_row_budget` (range slices:
-          no pruned row's postings are touched), ``False`` / every row
-          otherwise (walking the matched posting segments once is cheaper);
-        * ``positions`` / ``gbds`` — the *hits*: ascending positions of the
-          verified rows with ``lut[order, GBD] >= gamma``, and those GBDs
-          (``max(|V_Q|, |V_G|) - |B_Q ∩ B_G|``, exactly ``order -
-          intersection_row(..., view=...)[positions]``).
+        * **γ** (a number) — the rows with ``lut[order, GBD] >= γ``.
+          ``thresholds[i]`` is then the caller's max acceptable GBD for rows of
+          order ``distinct[i]`` (the snapshot's :meth:`order_ranges`) — the
+          γ-threshold inversion of the execution core — and a range whose GBD
+          lower bound exceeds it is not verified.  The query's result is
+          ``(positions, gbds, eligible, verified, sparse)``: the *hits*'
+          ascending positions and their GBDs (``max(|V_Q|, |V_G|) - |B_Q ∩
+          B_G|``, exactly ``order - intersection_row(..., view=...)[positions]``),
+          and the bool mask of the ranges the bound kept.
+        * **k best** (:class:`TopK`, ``thresholds`` unused) — the ``k`` rows
+          first under ``(-score, graph id)``.  Per distinct ``|V_G|`` the GBD
+          lower bound read off the reducer's bound table (``bound_lut[order,
+          ϕ]``, the suffix maximum of ``lut[order, ϕ:]``, a table of its own
+          shape) gives a posterior *upper* bound shared by the rows of its
+          range; ranges are verified by descending bound until one falls
+          strictly below the k-th best score so far, zero-bound ranges never
+          (their score is 0.0: they fill a short or zero-tailed ranking by
+          smallest graph id).  The result is ``(ids, scores, visited,
+          verified, sparse)``: the graph ids and scores of at most ``k`` rows,
+          ranked (the ranking's first ``k``), and the mask of the ranges
+          verified.
+
+        ``sparse`` / ``verified`` are the plan taken and the rows it verified:
+        ``None`` / 0 when nothing was; ``True`` / those rows when they fit the
+        query's :func:`sparse_row_budget` (range slices: no other row's
+        postings are touched); ``False`` and every row (γ) or the rows of the
+        ranges visited (k best) once a dense walk of the matched posting
+        segments was cheaper — the k-best reducer switches mid-walk, when the
+        rows verified plus the next range exceed the budget.
 
         Every query computes against one snapshot, and the queries share
         nothing else: a query's answer is the same in any batch.  One
         vocabulary pass per query and one kernel call for the batch; on the
         native backend that is one C call (two or more only when the hits
-        outgrow a buffer with room for two queries that hit every row), which
-        hands back the hits and nothing ``D`` long.  Counted as one call per
-        query.
+        outgrow a buffer with room for two queries that hit every row; a
+        k-best query has at most ``k``), which hands back the hits and nothing
+        ``D`` long.  ``repro_kernel_calls_total`` counts one call per query of
+        the batch: a γ query as ``filter_verify_rows`` producing one cell per
+        distinct order, a k-best one as ``row`` producing the rows it
+        verified (all ``D`` once the dense walk ran) — what a one-query top-k
+        pass has always counted, so the top-k reading of ``rows / calls``
+        keeps its meaning.
         """
         snapshot = self._snapshot_of(view)
         csr, ranges = snapshot.csr, snapshot.ranges
         distinct = ranges[0]
         stored = self._largest_order(distinct)
-        calls, cells = _counters(self.backend).filter_verify_rows
-        calls.inc(len(rows))
-        cells.inc(len(rows) * len(distinct))
         key_ids: List[int] = []
         query_counts: List[int] = []
         kernel_rows = []
-        for num_query_vertices, query_branches, thresholds, lut, gamma in rows:
+        ranked = 0
+        for num_query_vertices, query_branches, thresholds, lut, reducer in rows:
             num_query_vertices = int(num_query_vertices)
+            largest = max(num_query_vertices, stored)
+            if isinstance(reducer, TopK):
+                k = int(reducer.k)
+                if k < 1:
+                    raise ValueError("k must be a positive integer")
+                bars, gamma = self._checked_table(reducer.bound_lut, largest), 0.0
+                ranked += 1
+            else:
+                k, bars, gamma = 0, np.ascontiguousarray(thresholds, dtype=np.int64), float(reducer)
             first = len(key_ids)
             total, postings = self._match_into(query_branches, snapshot, key_ids, query_counts)
             kernel_rows.append((
                 num_query_vertices, total, len(key_ids) - first,
-                np.ascontiguousarray(thresholds, dtype=np.int64),
-                sparse_row_budget(postings, csr[3]),
-                self._checked_table(lut, max(num_query_vertices, stored)), float(gamma),
+                sparse_row_budget(postings, csr[3]), self._checked_table(lut, largest),
+                bars, gamma, k,
             ))
         found = self._kernels.filter_verify_rows(
             csr,
             ranges,
+            snapshot.global_ids,
             kernel_rows,
             np.asarray(key_ids, dtype=np.int64),
             np.asarray(query_counts, dtype=np.int64),
         )
-        results = []
-        for row, (positions, gbds, eligible, num_eligible) in zip(kernel_rows, found):
-            if num_eligible == 0:
-                results.append((positions, gbds, eligible, 0, None))
-            elif num_eligible <= row[4]:
-                results.append((positions, gbds, eligible, num_eligible, True))
-            else:
-                results.append((positions, gbds, eligible, csr[3], False))
-        return results
-
-    def filter_verify_topk(
-        self,
-        num_query_vertices: int,
-        query_branches: Counter,
-        lut: np.ndarray,
-        bound_lut: np.ndarray,
-        max_gbd: Optional[int],
-        k: int,
-        *,
-        view: Optional[_View] = None,
-    ):
-        """The ``k`` best rows of one query by posterior: ``(ids, scores, verified, sparse)``.
-
-        The whole top-k reducer.  ``lut[order, gbd]`` is the caller's posterior
-        table for the query's τ̂ and ``bound_lut[order, ϕ]`` its suffix maximum
-        over ``gbd >= ϕ`` (tables of their own shapes, a row per extended order
-        of the snapshot each); ``max_gbd`` is the branch-bound cap, or ``None``.
-        Per distinct ``|V_G|`` the GBD lower bound gives a posterior *upper*
-        bound shared by the rows of its range; ranges are visited by
-        descending bound until one falls strictly below the k-th best score so
-        far.  A visited range is verified from its slices of the matched
-        segments — no other row's postings are read — until the rows verified
-        plus the next range exceed the query's :func:`sparse_row_budget` (the
-        rule of :meth:`filter_verify_rows`), from where one dense walk of the
-        matched segments serves the ranges still in reach.  A row is dropped
-        when ``gbd > max_gbd`` and scored ``lut[order, gbd]``; with the cap,
-        ranges whose bound already exceeds it are never visited; without it,
-        zero-bound ranges are not verified (their score is 0.0) and fill a
-        short or zero-tailed ranking by smallest graph id.
-
-        ``ids`` / ``scores`` are at most ``k`` pairs, the first under ``(-score,
-        id)``, unsorted; ``verified`` the rows of the visited ranges; ``sparse``
-        the plan taken — ``True`` range slices only, ``False`` the dense walk
-        ran, ``None`` no range was ranked in.  One vocabulary pass, one kernel
-        call, counted as a ``row`` kernel producing the rows it verified (all
-        ``D`` once the dense walk ran).
-        """
-        if k < 1:
-            raise ValueError("k must be a positive integer")
-        snapshot = self._snapshot_of(view)
-        csr = snapshot.csr
-        largest = max(int(num_query_vertices), self._largest_order(snapshot.ranges[0]))
-        key_ids, query_counts, matched_total, postings = self._match(query_branches, snapshot)
-        ids, scores, verified, dense = self._kernels.filter_verify_topk(
-            csr,
-            snapshot.ranges,
-            snapshot.global_ids,
-            int(num_query_vertices),
-            matched_total,
-            key_ids,
-            query_counts,
-            sparse_row_budget(postings, csr[3]),
-            self._checked_table(lut, largest),
-            self._checked_table(bound_lut, largest),
-            max_gbd,
-            int(k),
-        )
-        calls, cells = _counters(self.backend).row
-        calls.inc()
-        cells.inc(csr[3] if dense else verified)
-        return ids, scores, verified, (not dense) if verified else None
+        counters = _counters(self.backend)
+        if ranked < len(rows):
+            calls, cells = counters.filter_verify_rows
+            calls.inc(len(rows) - ranked)
+            cells.inc((len(rows) - ranked) * len(distinct))
+        if ranked:
+            produced = 0
+            for row, result in zip(kernel_rows, found):
+                if row[7]:
+                    produced += csr[3] if result[4] is False else result[3]
+            calls, cells = counters.row
+            calls.inc(ranked)
+            cells.inc(produced)
+        return found
 
     def __repr__(self) -> str:
         return (

@@ -6,20 +6,21 @@ in :mod:`repro.db.kernels.numpy_impl`:
 * ``"numpy"`` — the pure-NumPy reference implementation (always available);
 * ``"native"`` — the bundled C kernels (:mod:`repro.db.kernels.native`),
   compiled on demand with the system toolchain and called through ctypes.
-  Single-pass and fused: the two reducers (``filter_verify_rows``,
-  ``filter_verify_topk``) verify and reduce in one call, so pruned candidates
-  never allocate intermediates and only hits come back.
+  Single-pass and fused: the one reducer (``filter_verify_rows``) verifies
+  and reduces a whole batch in one call, so pruned candidates never allocate
+  intermediates and only hits come back.
 
-The interface is five kernels — ``intersection_row``,
-``gbd_lower_bound_row``, ``filter_verify_rows``, ``filter_verify_topk`` on the
-read path and ``merge_postings`` on the write path.  Every array they
-exchange is indexed by the store's ``|V_G|``-clustered positions, each
-distinct order a contiguous range.  ``filter_verify_rows`` — the serving
-engine's one plan, a batch of queries per call — accepts by the posterior
-table and γ alone; only
-``filter_verify_topk`` takes the branch-bound cap ``max_gbd``, which
-:meth:`GBDASearch.query_topk <repro.core.search.GBDASearch.query_topk>` passes
-under its ``use_index_pruning`` ablation.
+The interface is four kernels — ``intersection_row``,
+``gbd_lower_bound_row`` and ``filter_verify_rows`` on the read path and
+``merge_postings`` on the write path.  Every array they exchange is indexed
+by the store's ``|V_G|``-clustered positions, each distinct order a
+contiguous range.  ``filter_verify_rows`` — the serving engine's one plan
+and all of top-k, a batch of queries per call — runs, per query, the reducer
+its row names: the γ threshold, which accepts by the posterior table and γ
+alone, or the k best, which ranks by the table and cuts off by its bound
+table.  No kernel knows the branch-bound cap ``GBD <= 2 τ̂``: under
+:class:`~repro.core.search.GBDASearch`'s ``use_index_pruning`` ablation it is
+a post-filter over the search's own dense scores.
 
 ``"auto"`` (the default everywhere a backend is configurable) resolves to
 ``native`` when it can be built on this machine and ``numpy`` otherwise, so

@@ -25,17 +25,20 @@
  *     ``lut[order * lut_width + gbd]`` is Pr[GED <= tau | GBD = gbd] at
  *     extended order ``order`` (row-major, every order a query can meet
  *     covered — checked by the store before the call).
- *   - Output buffers are caller-allocated.  The thresholded reducer takes a
- *     batch of queries against one snapshot, their scalars packed as one
- *     int64 row per query (the two tables by address) plus one double γ
- *     each; it appends every query's hits to one buffer of the caller's
- *     capacity, one query after the other, writes where each query's hits
- *     end into its row, and returns how many queries it finished: a query
- *     is started only while the buffer has room for every row of the store,
- *     so the caller resumes from there with the buffer emptied.  The top-k
- *     reducer takes one query and fills a k-slot heap.
- *   - The two reducers accumulate intersections in private int32 buffers
- *     that live for one query (an entry a reducer reads is at most |B_Q|):
+ *   - Output buffers are caller-allocated.  The one exported reducer,
+ *     repro_filter_verify_rows, takes a batch of queries against one
+ *     snapshot, their scalars packed as one int64 row per query (the tables
+ *     by address) plus one double γ each.  A row names its reducer: the γ
+ *     threshold, whose hits are positions and GBDs, or the k best, whose hits
+ *     are at most k graph ids and their scores, best first.  Every query's
+ *     hits are appended to one buffer of the caller's capacity, one query
+ *     after the other; the call writes where each query's hits end into its
+ *     row and returns how many queries it finished: a query is started only
+ *     while the buffer has room for as many hits as it can have (every row of
+ *     the store for a γ query, min(k, rows) for a k-best one), so the caller
+ *     resumes from there with the buffer emptied.
+ *   - Both reducers accumulate intersections in private int32 buffers that
+ *     live for one query (an entry a reducer reads is at most |B_Q|):
  *     threads share nothing.
  */
 
@@ -46,7 +49,7 @@
 #define MIN64(a, b) ((a) < (b) ? (a) : (b))
 #define MAX64(a, b) ((a) > (b) ? (a) : (b))
 
-int64_t repro_kernels_abi_version(void) { return 6; }
+int64_t repro_kernels_abi_version(void) { return 7; }
 
 /* First slot in arr[0..n) not less than value (arr ascending). */
 static int64_t lower_bound_i32(const int32_t *arr, int64_t n, int64_t value) {
@@ -278,58 +281,6 @@ static int64_t filter_verify_one(
     return num_eligible;
 }
 
-/* The slots of one query's row in the table of repro_filter_verify_rows. */
-enum {
-    ROW_QUERY_VERTICES, /* |V_Q| */
-    ROW_MATCHED_TOTAL,  /* Σ_k min(q_k, cap_k): the bound's intersection ceiling */
-    ROW_MAX_CANDIDATES, /* the most eligible rows verified by range slices */
-    ROW_FIRST_KEY,      /* the query's matched keys: key_ids / query_counts */
-    ROW_NUM_KEYS,       /*   from ROW_FIRST_KEY on, ROW_NUM_KEYS of them */
-    ROW_THRESHOLDS,     /* address of the num_distinct max acceptable GBDs */
-    ROW_LUT,            /* address of the posterior table ... */
-    ROW_LUT_WIDTH,      /*   and its row length */
-    ROW_ELIGIBLE,       /* out: eligible rows, or -1 on allocation failure */
-    ROW_HITS_END,       /* out: the slot after the query's last hit */
-    ROW_FIELDS
-};
-
-/* filter_verify_one for the queries first..num_rows of one batch, against one
- * snapshot.  Query r's scalars are row r of the int64 table `rows` (ROW_FIELDS
- * slots each, its two tables by address) and gammas[r]; its eligibility flags
- * go to out_eligible[r * num_distinct ..].  The hits of the queries are
- * appended to out_positions / out_gbds from slot 0 on, one query after the
- * other, and rows[r * ROW_FIELDS + ROW_HITS_END] says where query r's end.
- * A query can hit every row of the store, so a query after the first is
- * started only while `capacity` leaves that many slots: returns the first
- * query not run (num_rows once all are), and the caller calls again from
- * there with an emptied buffer.  A query whose allocation failed has
- * ROW_ELIGIBLE = -1 and no hits (the wrapper answers it with the numpy
- * backend); the queries after it still run. */
-int64_t repro_filter_verify_rows(
-    const int64_t *distinct, const int64_t *bounds, int64_t num_distinct,
-    const int64_t *offsets, const int32_t *positions, const int32_t *counts,
-    const int64_t *key_ids, const int64_t *query_counts, int64_t *rows,
-    const double *gammas, int64_t first, int64_t num_rows, int64_t capacity,
-    int64_t *out_positions, int64_t *out_gbds, uint8_t *out_eligible) {
-    int64_t num_hits = 0;
-    for (int64_t r = first; r < num_rows; ++r) {
-        if (r > first && capacity - num_hits < bounds[num_distinct]) return r;
-        int64_t *row = rows + r * ROW_FIELDS;
-        int64_t hits = 0;
-        row[ROW_ELIGIBLE] = filter_verify_one(
-            row[ROW_QUERY_VERTICES], row[ROW_MATCHED_TOTAL], distinct, bounds, num_distinct,
-            (const int64_t *)(intptr_t)row[ROW_THRESHOLDS], row[ROW_MAX_CANDIDATES],
-            offsets, positions, counts, key_ids + row[ROW_FIRST_KEY],
-            query_counts + row[ROW_FIRST_KEY], row[ROW_NUM_KEYS],
-            (const double *)(intptr_t)row[ROW_LUT], row[ROW_LUT_WIDTH], gammas[r],
-            out_positions + num_hits, out_gbds + num_hits, out_eligible + r * num_distinct,
-            &hits);
-        num_hits += hits;
-        row[ROW_HITS_END] = num_hits;
-    }
-    return num_rows;
-}
-
 /* Whether (score a, id a) ranks after (score b, id b) under (-score, id). */
 static int ranks_after(double score_a, int64_t id_a, double score_b, int64_t id_b) {
     return score_a < score_b || (score_a == score_b && id_a > id_b);
@@ -408,13 +359,12 @@ static void next_group_sift_down(group_bound *heap, int64_t size, int64_t i) {
     }
 }
 
-/* The whole k-best reducer for one query — bound, ordered candidates, verify,
+/* The k-best reducer for one query — bound, ordered candidates, verify,
  * reduce:
  *   1. per distinct |V_G| (range u): extended order e = max(|V_Q|, |V_G|), GBD
  *      lower bound b = e - min(matched_total, |V_G|), posterior upper bound
- *      bound_lut[e * bound_width + b].  With the branch-bound cap (max_gbd <
- *      INT64_MAX) the groups with b <= max_gbd are ranked in; without it those
- *      with a positive bound — a zero bound settles the score at 0.0;
+ *      bound_lut[e * bound_width + b].  Groups with a positive bound are
+ *      ranked in; a zero bound settles the score at 0.0;
  *   2. ranked-in groups are visited by descending bound and the visit ends at
  *      the first whose bound is strictly below the k-th best score so far;
  *   3. a visited group's rows (positions bounds[u]..bounds[u + 1]) are
@@ -423,24 +373,23 @@ static void next_group_sift_down(group_bound *heap, int64_t size, int64_t i) {
  *      verified so far plus the next group exceed max_candidates: from there
  *      the matched keys' whole segments are walked once into a dense
  *      accumulator the groups that follow read as it is;
- *   4. a verified row with gbd = e - |B_Q ∩ B_G| <= max_gbd is scored
- *      lut[e * lut_width + gbd] and offered to the heap under (-score, id);
- *   5. without the cap, a heap that is short or whose root scores 0.0 is filled
- *      from the zero-bound groups, smallest graph ids first.
- * out_ids / out_scores (k slots, k <= rows) are the heap, left in heap order:
- * the caller ranks once, at the end.  out_plan[0] is the number of rows
- * verified, out_plan[1] whether the dense walk ran.  Returns the number of
- * entries, or -1 on allocation failure (the wrapper then falls back to the
- * numpy backend). */
-int64_t repro_filter_verify_topk(
+ *   4. a verified row is scored lut[e * lut_width + e - |B_Q ∩ B_G|] and
+ *      offered to the heap under (-score, graph id);
+ *   5. a heap that is short or whose root scores 0.0 is filled from the
+ *      zero-bound groups, smallest graph ids first.
+ * out_ids / out_scores (min(k, rows) slots) hold the heap of graph ids and
+ * scores, ranked in place at the end: best first.  out_visited[u] says whether
+ * group u was verified, *out_verified how many rows were, *out_dense whether
+ * the dense walk ran.  Returns the number of entries, or -1 on allocation
+ * failure. */
+static int64_t k_best_one(
     int64_t num_query_vertices, int64_t matched_total, const int64_t *distinct,
     const int64_t *bounds, int64_t num_distinct, int64_t max_candidates,
     const int64_t *offsets, const int32_t *positions, const int32_t *counts,
     const int64_t *key_ids, const int64_t *query_counts, int64_t num_keys,
     const int64_t *global_ids, const double *lut, int64_t lut_width,
-    const double *bound_lut, int64_t bound_width, int64_t max_gbd, int64_t k,
-    int64_t *out_ids, double *out_scores, int64_t *out_plan) {
-    int capped = max_gbd != INT64_MAX;
+    const double *bound_lut, int64_t bound_width, int64_t k, int64_t *out_ids,
+    double *out_scores, uint8_t *out_visited, int64_t *out_verified, int64_t *out_dense) {
     int64_t num_rows = bounds[num_distinct];
     group_bound *reach =
         (group_bound *)malloc((size_t)MAX64(num_distinct, 1) * sizeof(group_bound));
@@ -458,10 +407,11 @@ int64_t repro_filter_verify_topk(
         int64_t order = MAX64(num_query_vertices, distinct[u]);
         int64_t lower = order - MIN64(matched_total, distinct[u]);
         double bound = bound_lut[order * bound_width + lower];
-        if (capped ? lower <= max_gbd : bound > 0.0) {
+        out_visited[u] = 0;
+        if (bound > 0.0) {
             reach[in_reach].bound = bound;
             reach[in_reach++].group = u;
-        } else if (!capped) {
+        } else {
             reach[--settled].group = u;
         }
     }
@@ -493,15 +443,15 @@ int64_t repro_filter_verify_topk(
                         1, probe + verified);
         }
         verified += rows;
+        out_visited[u] = 1;
         int64_t order = MAX64(num_query_vertices, distinct[u]);
         const double *row_of = lut + order * lut_width;
         for (int64_t i = 0; i < rows; ++i) {
-            int64_t gbd = order - shared[i];
-            if (gbd > max_gbd) continue;
-            size = offer_to_heap(out_ids, out_scores, size, k, global_ids[first + i], row_of[gbd]);
+            size = offer_to_heap(out_ids, out_scores, size, k, global_ids[first + i],
+                                 row_of[order - shared[i]]);
         }
     }
-    out_plan[1] = acc != NULL;
+    *out_dense = acc != NULL;
     free(acc);
     free(probe);
 
@@ -514,8 +464,99 @@ int64_t repro_filter_verify_topk(
         }
     }
     free(reach);
-    out_plan[0] = verified;
+    /* Rank the heap in place, best first: the root ranks last of the entries
+     * still in the heap, so it moves behind them and the heap shrinks. */
+    for (int64_t end = size - 1; end > 0; --end) {
+        int64_t id = out_ids[0];
+        double score = out_scores[0];
+        out_ids[0] = out_ids[end];
+        out_scores[0] = out_scores[end];
+        out_ids[end] = id;
+        out_scores[end] = score;
+        last_ranked_sift_down(out_ids, out_scores, end, 0);
+    }
+    *out_verified = verified;
     return size;
+}
+
+/* The slots of one query's row in the table of repro_filter_verify_rows. */
+enum {
+    ROW_QUERY_VERTICES, /* |V_Q| */
+    ROW_MATCHED_TOTAL,  /* Σ_k min(q_k, cap_k): the bound's intersection ceiling */
+    ROW_MAX_CANDIDATES, /* the most rows verified by range slices */
+    ROW_FIRST_KEY,      /* the query's matched keys: key_ids / query_counts */
+    ROW_NUM_KEYS,       /*   from ROW_FIRST_KEY on, ROW_NUM_KEYS of them */
+    ROW_LUT,            /* address of the posterior table ... */
+    ROW_LUT_WIDTH,      /*   and its row length */
+    ROW_K,              /* the reducer: 0 the γ threshold (gammas[r]), k >= 1 the k best */
+    ROW_BARS,           /* address of the γ reducer's num_distinct max acceptable GBDs,
+                           or of the k-best reducer's bound table ... */
+    ROW_BARS_WIDTH,     /*   and the bound table's row length */
+    ROW_VERIFIED,       /* out: rows verified, or -1 on allocation failure */
+    ROW_DENSE,          /* out: whether the dense walk ran */
+    ROW_HITS_END,       /* out: the slot after the query's last hit */
+    ROW_FIELDS
+};
+
+/* The reducers for the queries first..num_rows of one batch, against one
+ * snapshot.  Query r's scalars are row r of the int64 table `rows` (ROW_FIELDS
+ * slots each, its tables by address) and gammas[r]; ROW_K picks its reducer:
+ *   - 0, the γ threshold (filter_verify_one): its hits are positions and GBDs,
+ *     appended to out_positions / out_gbds, and out_eligible[r * num_distinct
+ *     ..] flags the ranges the bound kept;
+ *   - k >= 1, the k best (k_best_one): its hits are graph ids and scores,
+ *     appended to out_positions / out_scores best first, and the flags say
+ *     which ranges were verified.
+ * Hits are appended from slot 0 on, one query after the other, and
+ * rows[r * ROW_FIELDS + ROW_HITS_END] says where query r's end.  A γ query can
+ * hit every row of the store, a k-best one min(k, rows), so a query after the
+ * first is started only while `capacity` leaves that many slots: returns the
+ * first query not run (num_rows once all are), and the caller calls again
+ * from there with an emptied buffer.  A query whose allocation failed has
+ * ROW_VERIFIED = -1 and no hits (the wrapper answers it with the numpy
+ * backend); the queries after it still run. */
+int64_t repro_filter_verify_rows(
+    const int64_t *distinct, const int64_t *bounds, int64_t num_distinct,
+    const int64_t *offsets, const int32_t *positions, const int32_t *counts,
+    const int64_t *global_ids, const int64_t *key_ids, const int64_t *query_counts,
+    int64_t *rows, const double *gammas, int64_t first, int64_t num_rows, int64_t capacity,
+    int64_t *out_positions, int64_t *out_gbds, double *out_scores, uint8_t *out_eligible) {
+    int64_t num_hits = 0, store_rows = bounds[num_distinct];
+    for (int64_t r = first; r < num_rows; ++r) {
+        int64_t *row = rows + r * ROW_FIELDS;
+        int64_t k = row[ROW_K];
+        if (r > first && capacity - num_hits < (k ? MIN64(k, store_rows) : store_rows)) return r;
+        const int64_t *keys = key_ids + row[ROW_FIRST_KEY];
+        const int64_t *keys_counts = query_counts + row[ROW_FIRST_KEY];
+        const double *lut = (const double *)(intptr_t)row[ROW_LUT];
+        uint8_t *eligible = out_eligible + r * num_distinct;
+        int64_t hits = 0;
+        if (k) {
+            hits = k_best_one(
+                row[ROW_QUERY_VERTICES], row[ROW_MATCHED_TOTAL], distinct, bounds, num_distinct,
+                row[ROW_MAX_CANDIDATES], offsets, positions, counts, keys, keys_counts,
+                row[ROW_NUM_KEYS], global_ids, lut, row[ROW_LUT_WIDTH],
+                (const double *)(intptr_t)row[ROW_BARS], row[ROW_BARS_WIDTH], k,
+                out_positions + num_hits, out_scores + num_hits, eligible, &row[ROW_VERIFIED],
+                &row[ROW_DENSE]);
+            if (hits < 0) {
+                row[ROW_VERIFIED] = -1;
+                hits = 0;
+            }
+        } else {
+            int64_t num_eligible = filter_verify_one(
+                row[ROW_QUERY_VERTICES], row[ROW_MATCHED_TOTAL], distinct, bounds, num_distinct,
+                (const int64_t *)(intptr_t)row[ROW_BARS], row[ROW_MAX_CANDIDATES], offsets,
+                positions, counts, keys, keys_counts, row[ROW_NUM_KEYS], lut,
+                row[ROW_LUT_WIDTH], gammas[r], out_positions + num_hits, out_gbds + num_hits,
+                eligible, &hits);
+            row[ROW_DENSE] = num_eligible > row[ROW_MAX_CANDIDATES];
+            row[ROW_VERIFIED] = num_eligible < 0 ? -1 : row[ROW_DENSE] ? store_rows : num_eligible;
+        }
+        num_hits += hits;
+        row[ROW_HITS_END] = num_hits;
+    }
+    return num_rows;
 }
 
 /* ------------------------------------------------------------------ *

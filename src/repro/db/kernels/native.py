@@ -22,15 +22,17 @@ entry lives exactly as long as its array, so a cached address can never
 dangle or alias a recycled ``id``, and a superseded snapshot's arrays leave
 the cache with the snapshot.
 
-The two reducers accumulate intersections inside the C call, in buffers of
-four bytes a row that live for one query alone — nothing is shared between
-threads, nothing persists on a store — and write hits into caller-allocated
-outputs, of which only the slots of actual hits are ever touched.  The
-thresholded reducer answers a whole batch in one call: the queries' scalars
-travel as one int64 row table and one γ vector, and their hits are appended
-to one buffer with room for two queries that hit every row; the call returns
-how many queries it finished, and :func:`filter_verify_rows` calls again from
-there when the buffer filled first.
+Both reducers run inside one C call, ``repro_filter_verify_rows``, for a
+whole batch of queries: a query's row names its reducer — the γ threshold or
+the k best — and the queries' scalars travel as one int64 row table and one
+γ vector.  Intersections accumulate in buffers of four bytes a row that live
+for one query alone — nothing is shared between threads, nothing persists on
+a store — and hits are appended to one caller-allocated buffer with room for
+the batch's hits up to two queries that hit every row (a k-best query has at
+most ``k``), their GBDs beside them and the k-best rows' scores in a buffer
+of their own; only the slots of actual hits are ever touched.  The call
+returns how many queries it finished, and :func:`filter_verify_rows` calls
+again from there when the buffer filled first.
 
 Build products land in ``$REPRO_KERNEL_CACHE`` when set, else
 ``$TMPDIR/repro-kernels-<uid>`` (:func:`library_path` names the file); a
@@ -60,20 +62,17 @@ from repro.db.kernels import numpy_impl
 name = "native"
 
 _SOURCE_PATH = Path(__file__).with_name("_kernels.c")
-_ABI_VERSION = 6
+_ABI_VERSION = 7
 
 #: argtypes of every exported kernel (i=int64 scalar, d=double, p=array address)
 _SIGNATURES = {
     "repro_kernels_abi_version": "",
     "repro_intersection_row": "pppppip",
     "repro_gbd_lower_bound_row": "iipip",
-    "repro_filter_verify_rows": "ppipppppppiiippp",
-    "repro_filter_verify_topk": "iippiipppppippipiiippp",
+    "repro_filter_verify_rows": "ppippppppppiiipppp",
     "repro_merge_postings": "pppippppiipppppp",
 }
 _ARG_KINDS = {"i": ctypes.c_int64, "d": ctypes.c_double, "p": ctypes.c_void_p}
-#: ``max_gbd`` of a top-k call without the branch-bound cap: no GBD exceeds it.
-_NO_CAP = int(np.iinfo(np.int64).max)
 
 _lock = threading.Lock()
 _lib: Optional[ctypes.CDLL] = None
@@ -259,121 +258,97 @@ def gbd_lower_bound_row(num_query_vertices, matched_total, orders):
 
 
 #: Slots of one query's row in the table of ``repro_filter_verify_rows`` (the
-#: ``ROW_*`` enum of ``_kernels.c``): eight inputs, then the two outputs.
-_ROW_FIELDS = 10
-_ROW_FIRST_KEY, _ROW_ELIGIBLE, _ROW_HITS_END = 3, 8, 9
+#: ``ROW_*`` enum of ``_kernels.c``): ten inputs, then the three outputs.
+_ROW_FIELDS = 13
+_ROW_FIRST_KEY, _ROW_VERIFIED, _ROW_DENSE, _ROW_HITS_END = 3, 10, 11, 12
 
 
-def filter_verify_rows(csr, ranges, rows, key_ids, query_counts):
+def filter_verify_rows(csr, ranges, global_ids, rows, key_ids, query_counts):
     compact = _compact_csr(csr)
     if compact is None:
         # A store that outgrew int32: the dtype-agnostic reference handles it.
-        return numpy_impl.filter_verify_rows(csr, ranges, rows, key_ids, query_counts)
+        return numpy_impl.filter_verify_rows(csr, ranges, global_ids, rows, key_ids, query_counts)
     distinct, bounds = ranges
     keys = _c64(key_ids)
     counts_q = _c64(query_counts)
+    num_store_rows = csr[3]
     # The per-query scalars as one flat int64 table and one double vector:
     # ``array`` buffers, whose addresses cost nothing to take.
-    table = array("q")
-    gammas = array("d")
-    first_key = 0
-    for num_query_vertices, matched_total, num_keys, thresholds, budget, lut, gamma in rows:
+    fields = []
+    gammas = []
+    first_key = room = ranked = 0
+    for num_query_vertices, matched_total, num_keys, budget, lut, bars, gamma, k in rows:
         # The execution core reuses one thresholds array and one table per
         # repeated query shape, so their addresses are worth caching.
-        table.extend((
+        if k:
+            bars_address, bars_width = _pinned(bars, np.float64), bars.shape[1]
+            room += min(k, num_store_rows)
+            ranked += 1
+        else:
+            bars_address, bars_width = _pinned(bars, np.int64), 0
+            room += num_store_rows
+        fields += (
             num_query_vertices, matched_total, max(budget, 0), first_key, num_keys,
-            _pinned(thresholds, np.int64), _pinned(lut, np.float64), lut.shape[1], 0, 0,
-        ))
+            _pinned(lut, np.float64), lut.shape[1], k, bars_address, bars_width, 0, 0, 0,
+        )
         gammas.append(gamma)
         first_key += num_keys
+    table = array("q", fields)
+    gammas = array("d", gammas)
     num_rows, width = len(rows), len(distinct)
     eligible = np.empty(num_rows * width, dtype=np.bool_)
-    # Hit positions, then their GBDs, with room for two queries that hit every
-    # row (one, for a batch of one); only the slots of actual hits are ever
-    # written, so the rest of the pages are never touched.
-    capacity = min(num_rows, 2) * max(csr[3], 1)
+    # Hits and their GBDs, and the k-best rows' scores, with room for the
+    # batch's hits up to two queries that hit every row; a query fits in any
+    # empty buffer.  Only the slots of actual hits are ever written, so the
+    # rest of the pages are never touched.
+    capacity = max(min(room, 2 * num_store_rows), 1)
     out = np.empty(2 * capacity, dtype=np.int64)
-    out_positions, out_gbds = out[:capacity], out[capacity:]
     out_address = _address(out)
+    # Graph ids and the scores buffer only matter to k-best rows.
+    scores = np.empty(capacity, dtype=np.float64) if ranked else out[:0]
     head = (
         _pinned(distinct, np.int64), _pinned(bounds, np.int64), width, *compact,
-        _address(keys), _address(counts_q), table.buffer_info()[0], gammas.buffer_info()[0],
+        _pinned(global_ids, np.int64) if ranked else 0, _address(keys), _address(counts_q),
+        table.buffer_info()[0], gammas.buffer_info()[0],
     )
-    tail = (capacity, out_address, out_address + 8 * capacity, _address(eligible))
+    tail = (
+        capacity, out_address, out_address + 8 * capacity, _address(scores) if ranked else 0,
+        _address(eligible),
+    )
+    # Views of the buffers suffice when one call answers a batch of top-k
+    # rows alone: the buffer is never refilled and holds no more than their k
+    # slots each.  Otherwise the hits are copied out, so that a few of them
+    # do not keep a buffer with room for every row of the store alive.
+    views = ranked == num_rows and room == capacity
     results = []
     first = 0
     while first < num_rows:
         done = int(_library().repro_filter_verify_rows(*head, first, num_rows, *tail))
         used = table[(done - 1) * _ROW_FIELDS + _ROW_HITS_END]
-        # Copies, not views: a few hits must not keep the 2·D buffer alive.
-        positions = out_positions[:used].copy()
-        gbds = out_gbds[:used].copy()
+        hits, gbds, found = out[:used], out[capacity : capacity + used], scores[:used]
+        if not views:
+            hits, gbds = hits.copy(), gbds.copy()
+            found = found.copy() if ranked else found
         start = 0
         for row in range(first, done):
-            num_eligible = table[row * _ROW_FIELDS + _ROW_ELIGIBLE]
-            end = table[row * _ROW_FIELDS + _ROW_HITS_END]
-            if num_eligible < 0:
+            at = row * _ROW_FIELDS
+            verified, end = table[at + _ROW_VERIFIED], table[at + _ROW_HITS_END]
+            if verified < 0:
                 # An allocation failure inside the kernel: the reference answers.
-                key_start = table[row * _ROW_FIELDS + _ROW_FIRST_KEY]
+                key_start = table[at + _ROW_FIRST_KEY]
                 key_span = slice(key_start, key_start + rows[row][2])
                 results.append(numpy_impl.filter_verify_rows(
-                    csr, ranges, [rows[row]], keys[key_span], counts_q[key_span]
+                    csr, ranges, global_ids, [rows[row]], keys[key_span], counts_q[key_span]
                 )[0])
             else:
                 results.append((
-                    positions[start:end], gbds[start:end],
-                    eligible[row * width : (row + 1) * width], num_eligible,
+                    hits[start:end], (found if rows[row][7] else gbds)[start:end],
+                    eligible[row * width : (row + 1) * width], verified,
+                    not table[at + _ROW_DENSE] if verified else None,
                 ))
             start = end
         first = done
     return results
-
-
-def filter_verify_topk(
-    csr,
-    ranges,
-    global_ids,
-    num_query_vertices,
-    matched_total,
-    key_ids,
-    query_counts,
-    max_candidates,
-    lut,
-    bound_lut,
-    max_gbd,
-    k,
-):
-    compact = _compact_csr(csr)
-    capacity = min(int(k), len(global_ids))
-    if compact is not None and capacity >= 1:
-        distinct, bounds = ranges
-        keys = _c64(key_ids)
-        counts_q = _c64(query_counts)
-        out_ids = np.empty(capacity, dtype=np.int64)
-        out_scores = np.empty(capacity, dtype=np.float64)
-        plan = np.zeros(2, dtype=np.int64)
-        kept = int(
-            _library().repro_filter_verify_topk(
-                int(num_query_vertices), int(matched_total),
-                _pinned(distinct, np.int64), _pinned(bounds, np.int64), len(distinct),
-                max(int(max_candidates), 0),
-                *compact,
-                _address(keys), _address(counts_q), len(keys),
-                _pinned(global_ids, np.int64),
-                _pinned(lut, np.float64), lut.shape[1],
-                _pinned(bound_lut, np.float64), bound_lut.shape[1],
-                _NO_CAP if max_gbd is None else int(max_gbd), capacity,
-                _address(out_ids), _address(out_scores), _address(plan),
-            )
-        )
-        if kept >= 0:
-            return out_ids[:kept], out_scores[:kept], int(plan[0]), bool(plan[1])
-    # A store that outgrew int32, no row to rank, or an allocation failure
-    # inside the kernel: the dtype-agnostic reference handles it.
-    return numpy_impl.filter_verify_topk(
-        csr, ranges, global_ids, num_query_vertices, matched_total, key_ids,
-        query_counts, max_candidates, lut, bound_lut, max_gbd, k,
-    )
 
 
 def merge_postings(csr, pending, num_keys, shift, position_dtype, count_dtype):

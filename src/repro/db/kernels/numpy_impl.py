@@ -23,24 +23,24 @@ Interface conventions shared by all backends:
   ``(key, |V_G|)`` pair are one contiguous slice of the key's segment.
 * ``key_ids``/``query_counts`` are parallel int64 arrays of the query's
   *matched* branch keys (possibly empty, never ``None``).
-* ``global_ids`` is the snapshot's int64 ``position -> graph id`` vector.
+* ``global_ids`` is the snapshot's int64 ``position -> graph id`` vector: the
+  k-best reducer ranks, and hands back, graph ids.
 * ``lut`` is a float64 posterior table, ``lut[order, gbd] = Pr[GED <= τ̂ |
   GBD = gbd]`` at extended order ``order``, with a row for every extended
-  order the query can meet (the store checks); ``bound_lut`` is its
-  suffix-max twin, ``bound_lut[order, ϕ] = max(lut[order, ϕ:])`` — read at a
-  GBD *lower bound* it upper-bounds the posterior — a table of its own
-  shape; ``max_gbd`` is the branch-bound cap on a ranked row's GBD, or
-  ``None`` for no cap — :func:`filter_verify_topk` only, the ablation
-  filter's top-k.  The two reducers (:func:`filter_verify_rows`,
-  :func:`filter_verify_topk`) read them to turn verified rows into *hits*
-  inside the kernel; the compiled twins never materialise a dense row.
-* Outputs are always int64; weighted ``bincount`` sums are exact small
-  integers, so the float64 round-trip is lossless.
+  order the query can meet (the store checks); a k-best row's bound table is
+  its suffix-max twin, ``bound_lut[order, ϕ] = max(lut[order, ϕ:])`` — read at
+  a GBD *lower bound* it upper-bounds the posterior — a table of its own
+  shape.  The one reducer, :func:`filter_verify_rows`, reads them to turn
+  verified rows into *hits* inside the kernel, for every query of a batch;
+  the compiled twin never materialises a dense row.
+* Outputs are int64 but for the k-best scores (float64); weighted
+  ``bincount`` sums are exact small integers, so the float64 round-trip is
+  lossless.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -129,28 +129,39 @@ def gbd_lower_bound_row(
 def filter_verify_rows(
     csr,
     ranges: Tuple[np.ndarray, np.ndarray],
+    global_ids: np.ndarray,
     rows: Sequence[Tuple],
     key_ids: np.ndarray,
     query_counts: np.ndarray,
 ):
-    """Fused bound filter → verify → threshold reduce of a batch of queries.
+    """Fused bound filter → verify → reduce of a batch of queries.
 
     ``rows`` holds one ``(num_query_vertices, matched_total, num_keys,
-    thresholds, max_candidates, lut, gamma)`` tuple per query; ``key_ids`` /
+    max_candidates, lut, bars, gamma, k)`` tuple per query; ``key_ids`` /
     ``query_counts`` are the queries' matched keys laid end to end, ``num_keys``
-    of them each.  Returns one :func:`_filter_verify_one` result per query, in
-    order: the queries share the snapshot and nothing else.
+    of them each.  ``k`` picks the reducer: 0 the γ threshold
+    (:func:`_filter_verify_one`, ``bars`` the max acceptable GBD per distinct
+    order), ``k >= 1`` the k best (:func:`_k_best_one`, ``bars`` the bound
+    table).  Returns one ``(positions, values, eligible, verified, sparse)``
+    per query, in order: the queries share the snapshot and nothing else.
+    ``sparse`` is ``None`` when nothing was verified, ``True`` when range
+    slices did all of it and ``False`` when the dense walk ran.
     """
     results = []
     first = 0
-    for num_query_vertices, matched_total, num_keys, thresholds, budget, lut, gamma in rows:
+    for num_query_vertices, matched_total, num_keys, budget, lut, bars, gamma, k in rows:
         last = first + num_keys
-        results.append(
-            _filter_verify_one(
-                csr, ranges, num_query_vertices, matched_total, key_ids[first:last],
-                query_counts[first:last], thresholds, budget, lut, gamma,
-            )
-        )
+        keys, counts = key_ids[first:last], query_counts[first:last]
+        if k:
+            results.append(_k_best_one(
+                csr, ranges, global_ids, num_query_vertices, matched_total, keys, counts,
+                budget, lut, bars, k,
+            ))
+        else:
+            results.append(_filter_verify_one(
+                csr, ranges, num_query_vertices, matched_total, keys, counts, bars, budget,
+                lut, gamma,
+            ))
         first = last
     return results
 
@@ -169,16 +180,15 @@ def _filter_verify_one(
 ):
     """Fused single-query bound filter → verify → threshold reduce.
 
-    Returns ``(positions, gbds, eligible, num_eligible)``.  ``eligible`` is
-    the per-distinct-order bool mask of the bound filter (lower bound ``<=
-    thresholds``) and ``num_eligible`` the rows of the eligible ranges.  None
-    eligible: nothing is verified.  At most ``max_candidates`` (the caller's
-    dense-plan bar): exactly those rows are verified, range by range, through
-    the slices of the matched segments.  More: every row is, from one dense
-    row.  A verified row is a *hit* when ``lut[order, gbd] >= gamma`` at ``gbd
-    = max(|V_Q|, |V_G|) - |B_Q ∩ B_G|`` (Step 4's comparison, on the very
-    doubles the posteriors are); ``positions`` are the hits' positions,
-    ascending, and ``gbds`` their GBDs.
+    ``eligible`` is the per-distinct-order bool mask of the bound filter
+    (lower bound ``<= thresholds``).  None eligible: nothing is verified.  At
+    most ``max_candidates`` rows (the caller's dense-plan bar): exactly those
+    rows are verified, range by range, through the slices of the matched
+    segments.  More: every row is, from one dense row.  A verified row is a
+    *hit* when ``lut[order, gbd] >= gamma`` at ``gbd = max(|V_Q|, |V_G|) -
+    |B_Q ∩ B_G|`` (Step 4's comparison, on the very doubles the posteriors
+    are); ``positions`` are the hits' positions, ascending, and the values
+    their GBDs.
     """
     distinct, bounds = ranges
     sizes = np.diff(bounds)
@@ -187,7 +197,7 @@ def _filter_verify_one(
     eligible = lower_bounds <= thresholds
     num_eligible = int(sizes[eligible].sum())
     if num_eligible == 0:
-        return _EMPTY_I64, _EMPTY_I64, eligible, 0
+        return _EMPTY_I64, _EMPTY_I64, eligible, 0, None
     if num_eligible > max_candidates:
         positions = None
         row_extended = np.repeat(extended, sizes)
@@ -198,7 +208,9 @@ def _filter_verify_one(
         row_extended = np.repeat(extended[eligible], sizes[eligible])
         gbds = row_extended - _range_intersections(csr, key_ids, query_counts, starts, ends)
     hits = np.flatnonzero(lut.take(row_extended * lut.shape[1] + gbds) >= gamma)
-    return hits if positions is None else positions[hits], gbds[hits], eligible, num_eligible
+    if positions is None:
+        return hits, gbds[hits], eligible, int(bounds[-1]), False
+    return positions[hits], gbds[hits], eligible, num_eligible, True
 
 
 def _k_best(ids: np.ndarray, scores: np.ndarray, k: int) -> Tuple[np.ndarray, np.ndarray]:
@@ -219,7 +231,7 @@ def _k_best(ids: np.ndarray, scores: np.ndarray, k: int) -> Tuple[np.ndarray, np
     return ids[keep], scores[keep]
 
 
-def filter_verify_topk(
+def _k_best_one(
     csr,
     ranges: Tuple[np.ndarray, np.ndarray],
     global_ids: np.ndarray,
@@ -230,35 +242,33 @@ def filter_verify_topk(
     max_candidates: int,
     lut: np.ndarray,
     bound_lut: np.ndarray,
-    max_gbd: Optional[int],
     k: int,
 ):
-    """The k-best reducer of one query: ``(ids, scores, verified, dense)``.
+    """The k-best reducer of one query.
 
     Every distinct ``|V_G|`` gets its GBD lower bound and, from ``bound_lut``,
     the posterior upper bound its rows share.  Ranked in are the order groups
-    — position ranges — whose lower bound is within ``max_gbd`` or, without the
-    cap, whose upper bound is positive (a zero bound settles the score at
-    0.0).  They are visited by descending bound, ties in ``distinct`` order,
-    until the first whose bound is strictly below the k-th best score so far.
-    A visited range is verified through its slices of the matched segments
-    while the rows verified so far plus its own stay within ``max_candidates``
-    (the caller's dense-plan bar); the first range past it, and every one
-    after, reads one dense row.  A verified row with ``gbd = max(|V_Q|, |V_G|)
-    - |B_Q ∩ B_G|`` within ``max_gbd`` scores ``lut[order, gbd]``.  Without the
-    cap, a ranking that is short or whose k-th score is 0.0 is filled from the
-    zero-bound ranges by smallest graph id.  Returned are at most ``k`` graph
-    ids and scores, the first under ``(-score, id)`` in no particular order
-    (the caller ranks once, at the end), the rows verified, and whether the
-    dense row was walked.
+    — position ranges — whose upper bound is positive (a zero bound settles
+    the score at 0.0).  They are visited by descending bound, ties in
+    ``distinct`` order, until the first whose bound is strictly below the k-th
+    best score so far.  A visited range is verified through its slices of the
+    matched segments while the rows verified so far plus its own stay within
+    ``max_candidates`` (the caller's dense-plan bar); the first range past it,
+    and every one after, reads one dense row.  A verified row scores
+    ``lut[order, gbd]`` at ``gbd = max(|V_Q|, |V_G|) - |B_Q ∩ B_G|``.  A
+    ranking that is short or whose k-th score is 0.0 is filled from the
+    zero-bound ranges by smallest graph id.  Returned are the graph ids and
+    scores of at most ``k`` rows, the first under ``(-score, id)``, in that
+    order, the mask of the ranges verified, the rows verified, and the plan.
     """
     distinct, bounds = ranges
     extended = np.maximum(int(num_query_vertices), distinct)
     lower_bounds = extended - np.minimum(int(matched_total), distinct)
     upper = bound_lut[extended, lower_bounds]
-    ranked_in = lower_bounds <= max_gbd if max_gbd is not None else upper > 0.0
+    ranked_in = upper > 0.0
     groups = np.argsort(-upper, kind="stable")
     ids, scores = global_ids[:0], np.empty(0, dtype=np.float64)
+    visited = np.zeros(len(distinct), dtype=np.bool_)
     verified, dense_row = 0, None
     for group in groups[ranked_in[groups]].tolist():
         if len(ids) == k and upper[group] < scores.min():
@@ -273,24 +283,20 @@ def filter_verify_topk(
         else:
             intersections = dense_row[start:end]
         verified += end - start
-        gbds = extended[group] - intersections
-        group_ids = global_ids[start:end]
-        if max_gbd is not None:
-            group_ids, gbds = group_ids[gbds <= max_gbd], gbds[gbds <= max_gbd]
+        visited[group] = True
         ids, scores = _k_best(
-            np.concatenate((ids, group_ids)),
-            np.concatenate((scores, lut[extended[group], gbds])),
+            np.concatenate((ids, global_ids[start:end])),
+            np.concatenate((scores, lut[extended[group], extended[group] - intersections])),
             k,
         )
-    if max_gbd is None and (len(ids) < k or scores.min() <= 0.0):
+    if len(ids) < k or scores.min() <= 0.0:
         zero = np.flatnonzero(~ranked_in)
         zero_ids = global_ids[_flat_slices(bounds[zero], bounds[zero + 1] - bounds[zero])]
         ids, scores = _k_best(
-            np.concatenate((ids, zero_ids)),
-            np.concatenate((scores, np.zeros(len(zero_ids)))),
-            k,
+            np.concatenate((ids, zero_ids)), np.concatenate((scores, np.zeros(len(zero_ids)))), k
         )
-    return ids, scores, verified, dense_row is not None
+    ranked = np.lexsort((ids, -scores))
+    return ids[ranked], scores[ranked], visited, verified, (dense_row is None) if verified else None
 
 
 # --------------------------------------------------------------------------- #

@@ -25,15 +25,20 @@ queries of a batch share no scoring result.  They share the work around it:
 one cache-probe pass that also scores a repeated query once, then one pass
 of the execution core for the rest
 (:meth:`~repro.core.plan.ExecutionCore.execute_batch`: one store snapshot,
-one store call — on the native backend one C call for every row — and one
-fold of the filter counters), and for the service one thread hand-over and
-one trace per flush.  :meth:`query` is the same pass over a batch of one.
+one store call — on the native backend one C call for every row, thresholded
+and top-k alike — and one fold of the filter counters), and for the service
+one thread hand-over and one trace per flush.  A top-k row of a flush rides
+that call: its k-best reducer runs beside the thresholded rows' γ reducer,
+and its cache key canonicalises γ, so top-k rows that differ only in γ are
+scored once.  :meth:`query` and :meth:`query_topk` are the same pass over a
+batch of one.
 
-Accepted sets and their scores are bit-identical to :meth:`GBDASearch.query`
-(and to the scalar per-pair loop,
-:func:`repro.testing.oracles.query_reference`) because the tables are filled
-by the very same :meth:`GBDAEstimator.posterior` evaluations; every graph's
-posterior, accepted or not, is :meth:`GBDASearch.query`'s to report.
+Accepted sets, rankings and their scores are bit-identical to
+:meth:`GBDASearch.query` / :meth:`GBDASearch.query_topk` (and to the scalar
+per-pair loop, :func:`repro.testing.oracles.query_reference`) because the
+tables are filled by the very same :meth:`GBDAEstimator.posterior`
+evaluations; every graph's posterior, accepted or not, is
+:meth:`GBDASearch.query`'s to report.
 
 Repeated queries are served from an optional LRU result cache
 (:class:`~repro.serving.cache.QueryResultCache`).  The engine stays
@@ -51,7 +56,7 @@ from typing import Dict, Iterable, List, Optional, Tuple
 import numpy as np
 
 from repro.core.estimator import GBDAEstimator
-from repro.core.plan import ExecutionCore, Hits
+from repro.core.plan import ExecutionCore
 from repro.db.database import GraphDatabase
 from repro.db.query import QueryAnswer, SimilarityQuery, validate_top_k
 from repro.exceptions import ServingError
@@ -209,11 +214,15 @@ class BatchQueryEngine:
         self._core.validate_tau(tau_hat)
 
     def _cache_key(self, query_branches, query: SimilarityQuery, top_k: Optional[int] = None):
-        """Cache key scoped to the current database revision and model version."""
+        """Cache key scoped to the current database revision and model version.
+
+        Rankings are γ-independent, so a top-k key canonicalises γ to 0.0 —
+        queries differing only in γ share one entry.
+        """
         return query_cache_key(
             query_branches,
             query.tau_hat,
-            query.gamma,
+            query.gamma if top_k is None else 0.0,
             revision=self.database.revision,
             model_version=self.model_version,
             top_k=top_k,
@@ -240,26 +249,7 @@ class BatchQueryEngine:
             return self.query_topk(query)
         self._validate_tau(query.tau_hat)
         _QUERIES_SINGLE.inc()
-        start = time.perf_counter()
-        query_branches = query.branches()
-        cache_key = None
-        if self.cache is not None:
-            cache_key = self._cache_key(query_branches, query)
-            cached = self.cache.get(cache_key)
-            if cached is not None:
-                # Hand out a copy: the serve time of *this* lookup replaces
-                # the cold-path latency, and the containers are duplicated so
-                # a caller mutating its answer cannot corrupt the cache.
-                _CACHE_HITS.inc()
-                return self._copy_answer(cached, time.perf_counter() - start)
-            _CACHE_MISSES.inc()
-        hits = self._core.execute_pruned(query, query_branches=query_branches)
-        answer = self._answer(hits, time.perf_counter() - start)
-        _SECONDS_SINGLE.observe(answer.elapsed_seconds)
-        if self.cache is not None:
-            # Cache a private copy for the same reason.
-            self.cache.put(cache_key, self._copy_answer(answer, answer.elapsed_seconds))
-        return answer
+        return self._serve_one(query, None, _SECONDS_SINGLE)
 
     def query_topk(self, query: SimilarityQuery, k: Optional[int] = None) -> QueryAnswer:
         """Answer a top-k query: the ``k`` best graphs ranked by posterior.
@@ -281,35 +271,31 @@ class BatchQueryEngine:
         k = validate_top_k(k, ServingError)
         self._validate_tau(query.tau_hat)
         _QUERIES_TOPK.inc()
+        return self._serve_one(query, k, _SECONDS_TOPK)
+
+    def _serve_one(self, query: SimilarityQuery, k: Optional[int], seconds) -> QueryAnswer:
+        """One query through the cache and the core: its hits, or its top ``k``."""
         start = time.perf_counter()
         query_branches = query.branches()
         cache_key = None
         if self.cache is not None:
-            # Rankings are γ-independent, so the key canonicalises γ to 0.0
-            # — queries differing only in γ share one cache entry.
-            cache_key = query_cache_key(
-                query_branches,
-                query.tau_hat,
-                0.0,
-                revision=self.database.revision,
-                model_version=self.model_version,
-                top_k=k,
-            )
+            cache_key = self._cache_key(query_branches, query, k)
             cached = self.cache.get(cache_key)
             if cached is not None:
+                # Hand out a copy: the serve time of *this* lookup replaces
+                # the cold-path latency, and the containers are duplicated so
+                # a caller mutating its answer cannot corrupt the cache.
                 _CACHE_HITS.inc()
                 return self._copy_answer(cached, time.perf_counter() - start)
             _CACHE_MISSES.inc()
-        ranking = self._core.execute_topk(query, k, query_branches=query_branches)
-        answer = QueryAnswer(
-            method=self.method_name,
-            accepted_ids=frozenset(graph_id for graph_id, _score in ranking),
-            scores=dict(ranking),
-            elapsed_seconds=time.perf_counter() - start,
-            ranking=ranking,
-        )
-        _SECONDS_TOPK.observe(answer.elapsed_seconds)
+        if k is None:
+            found = self._core.execute_pruned(query, query_branches=query_branches)
+        else:
+            found = self._core.execute_topk(query, k, query_branches=query_branches)
+        answer = self._answer(found, k, time.perf_counter() - start)
+        seconds.observe(answer.elapsed_seconds)
         if self.cache is not None:
+            # Cache a private copy for the same reason.
             self.cache.put(cache_key, self._copy_answer(answer, answer.elapsed_seconds))
         return answer
 
@@ -320,14 +306,17 @@ class BatchQueryEngine:
 
         Cached queries are served from the LRU in one probe pass; the
         remainder go through the execution core as one batch — one store
-        call for all of them, each row answered as :meth:`query` answers it,
-        reusing the lazily built ``(τ̂, |V'1|)`` tables across rows and
-        batches.  A query that occurs several times
-        in the batch is scored once and its answer copied to the repeats
-        (the cache is probed for the whole batch before any of it is scored,
-        so it cannot serve them).  Answers and filter counters are identical
-        to calling :meth:`query` per query; each scored answer's latency is
-        the batch scoring time amortised over the queries it was scored with.
+        call for all of them, thresholded and top-k rows alike, each row
+        answered as :meth:`query` answers it, reusing the lazily built
+        ``(τ̂, |V'1|)`` tables across rows and batches.  A query that occurs
+        several times in the batch is scored once and its answer copied to
+        the repeats (the cache is probed for the whole batch before any of it
+        is scored, so it cannot serve them); top-k rows that differ only in γ
+        are repeats.  Answers, rankings and filter counters are identical to
+        calling :meth:`query` per query, and every answer's containers are
+        its own; each scored answer's latency is the batch scoring time
+        amortised over the queries it was scored with.  A top-k row counts
+        once under ``path="topk"``, any other once under ``path="batch"``.
 
         ``trace`` optionally carries a batch-level
         :class:`~repro.obs.trace.QueryTrace`: it is activated thread-locally
@@ -340,8 +329,9 @@ class BatchQueryEngine:
             return []
         for query in queries:
             self._validate_tau(query.tau_hat)
-        # Top-k rows are answered (and counted, path="topk") by query_topk.
-        _QUERIES_BATCH.inc(sum(query.top_k is None for query in queries))
+        ranked = sum(query.top_k is not None for query in queries)
+        _QUERIES_BATCH.inc(len(queries) - ranked)
+        _QUERIES_TOPK.inc(ranked)
         batch_started = time.perf_counter()
         with activated(trace):
             answers: List[Optional[QueryAnswer]] = [None] * len(queries)
@@ -352,11 +342,6 @@ class BatchQueryEngine:
             repeats: List[Tuple[int, int]] = []
             probe_started = time.perf_counter()
             for position, query in enumerate(queries):
-                if query.top_k is not None:
-                    # Top-k queries rank instead of thresholding; answer them
-                    # through the dedicated (cache-aware) path.
-                    answers[position] = self.query_topk(query)
-                    continue
                 if self.cache is None:
                     pending.append(position)
                     pending_branches.append(query.branches())
@@ -364,7 +349,7 @@ class BatchQueryEngine:
                     continue
                 start = time.perf_counter()
                 query_branches = query.branches()
-                cache_key = self._cache_key(query_branches, query)
+                cache_key = self._cache_key(query_branches, query, query.top_k)
                 first = first_of.get(cache_key)
                 if first is not None:
                     repeats.append((position, first))
@@ -386,7 +371,7 @@ class BatchQueryEngine:
 
             if pending:
                 start = time.perf_counter()
-                hits_list = self._core.execute_batch(
+                scored = self._core.execute_batch(
                     [queries[position] for position in pending],
                     query_branches=pending_branches,
                 )
@@ -394,8 +379,8 @@ class BatchQueryEngine:
                 if trace is not None:
                     trace.add("score", elapsed, depth=0)
                 per_query_elapsed = elapsed / len(pending)
-                for position, hits, cache_key in zip(pending, hits_list, pending_keys):
-                    answer = self._answer(hits, per_query_elapsed)
+                for position, found, cache_key in zip(pending, scored, pending_keys):
+                    answer = self._answer(found, queries[position].top_k, per_query_elapsed)
                     answers[position] = answer
                     if self.cache is not None:
                         self.cache.put(
@@ -406,14 +391,22 @@ class BatchQueryEngine:
         _SECONDS_BATCH.observe(time.perf_counter() - batch_started)
         return answers  # type: ignore[return-value]
 
-    def _answer(self, hits: Hits, elapsed: float) -> QueryAnswer:
-        """Assemble a :class:`QueryAnswer` from the core's accepted ids and posteriors."""
-        ids, scores = hits
+    def _answer(self, found, k: Optional[int], elapsed: float) -> QueryAnswer:
+        """Assemble a :class:`QueryAnswer` from the core's hits, or from its ranking (``k``)."""
+        if k is None:
+            ids, scores = found
+            return QueryAnswer(
+                method=self.method_name,
+                accepted_ids=frozenset(ids),
+                scores=dict(zip(ids, scores)),
+                elapsed_seconds=elapsed,
+            )
         return QueryAnswer(
             method=self.method_name,
-            accepted_ids=frozenset(ids),
-            scores=dict(zip(ids, scores)),
+            accepted_ids=frozenset(graph_id for graph_id, _score in found),
+            scores=dict(found),
             elapsed_seconds=elapsed,
+            ranking=found,
         )
 
     def search(self, query_graph, tau_hat: int, gamma: float = 0.9) -> QueryAnswer:

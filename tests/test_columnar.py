@@ -17,7 +17,7 @@ import pytest
 from repro.core.branches import branch_multiset
 from repro.core.gbd import branch_intersection_size, graph_branch_distance
 from repro.db import columnar
-from repro.db.columnar import ColumnarBranchStore
+from repro.db.columnar import ColumnarBranchStore, TopK
 from repro.db.database import GraphDatabase
 from repro.db.kernels import available_backends
 from repro.graphs.generators import random_labeled_graph
@@ -132,8 +132,10 @@ PLAN_BUDGETS = {
 }
 
 
-def ranked_rows(store, num_query_vertices, branches, k, max_gbd=None, **view):
-    """``filter_verify_topk`` under Φ = 1 / (1 + GBD): ``(ranking, verified, sparse)``.
+def ranked_rows(store, num_query_vertices, branches, k, **view):
+    """A top-k row of ``filter_verify_rows`` under Φ = 1 / (1 + GBD).
+
+    Returns ``(ranking, verified, sparse)``.
 
     A table that decreases in ϕ is its own suffix maximum, so it serves as the
     bound table too; the ranking is sorted by ``(-score, id)``.
@@ -143,10 +145,11 @@ def ranked_rows(store, num_query_vertices, branches, k, max_gbd=None, **view):
     lut = np.zeros((largest + 1, largest + 2))
     for order in range(largest + 1):
         lut[order, : order + 1] = 1.0 / (1 + np.arange(order + 1))
-    ids, scores, verified, sparse = store.filter_verify_topk(
-        num_query_vertices, branches, lut, lut, max_gbd, k, **view
+    (ids, scores, visited, verified, sparse), = store.filter_verify_rows(
+        [(num_query_vertices, branches, None, lut, TopK(k, lut))], **view
     )
-    assert ids.dtype == np.int64 and scores.dtype == np.float64 and len(ids) == len(scores)
+    assert ids.dtype == np.int64 and scores.dtype == np.float64
+    assert len(ids) == len(scores) and visited.dtype == np.bool_
     order = np.lexsort((ids, -scores))
     return list(zip(ids[order].tolist(), scores[order].tolist())), verified, sparse
 
@@ -494,19 +497,15 @@ class TestBoundKernels:
         for query in _queries(5, seed=47):
             branches = branch_multiset(query)
             gbds = np.maximum(query.num_vertices, orders) - store.intersection_row(branches)
-            for max_gbd in (None, 3):
-                rows = np.flatnonzero(gbds <= (max_gbd if max_gbd is not None else gbds.max()))
-                expected = sorted(
-                    zip(ids[rows].tolist(), (1.0 / (1 + gbds[rows])).tolist()),
-                    key=lambda pair: (-pair[1], pair[0]),
-                )
-                for k in (1, 4, len(orders), len(orders) + 2):
-                    ranking, verified, sparse = ranked_rows(
-                        store, query.num_vertices, branches, k, max_gbd
-                    )
-                    assert ranking == expected[:k]
-                    assert verified <= len(orders) and (sparse is None) == (verified == 0)
-                    plans.add(sparse)
+            expected = sorted(
+                zip(ids.tolist(), (1.0 / (1 + gbds)).tolist()),
+                key=lambda pair: (-pair[1], pair[0]),
+            )
+            for k in (1, 4, len(orders), len(orders) + 2):
+                ranking, verified, sparse = ranked_rows(store, query.num_vertices, branches, k)
+                assert ranking == expected[:k]
+                assert verified <= len(orders) and (sparse is None) == (verified == 0)
+                plans.add(sparse)
         assert {"sparse": True, "dense": False, "half": False}[plan] in plans
 
 

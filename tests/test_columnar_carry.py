@@ -232,10 +232,9 @@ class CarryMachine(RuleBasedStateMachine):
     @rule(
         queries=st.lists(branch_sets, min_size=1, max_size=3),
         k=st.integers(1, 12),
-        max_gbd=st.sampled_from([None, 2, 5]),
         plan=st.sampled_from(sorted(PLAN_BUDGETS)),
     )
-    def read_ranked(self, queries, k, max_gbd, plan):
+    def read_ranked(self, queries, k, plan):
         """The top-k reducer: order ranges walked through the interleaved layout."""
         store, fresh = self.store, self.fresh()
         by_cost = columnar.sparse_row_budget
@@ -243,16 +242,15 @@ class CarryMachine(RuleBasedStateMachine):
         try:
             for q in queries:
                 nq = sum(q.values())
-                mine = ranked_rows(store, nq, q, k, max_gbd)
-                assert mine == ranked_rows(fresh, nq, q, k, max_gbd)
+                mine = ranked_rows(store, nq, q, k)
+                assert mine == ranked_rows(fresh, nq, q, k)
                 # Φ = 1 / (1 + GBD): the ranking is that of the dense row.
                 gbds, ids = gbd_row(fresh, nq, q), fresh.view()[2]
-                rows = [
-                    row for row, gbd in enumerate(gbds.tolist())
-                    if max_gbd is None or gbd <= max_gbd
-                ]
                 expected = sorted(
-                    ((int(ids[row]), 1.0 / (1 + int(gbds[row]))) for row in rows),
+                    (
+                        (int(ids[row]), 1.0 / (1 + int(gbd)))
+                        for row, gbd in enumerate(gbds.tolist())
+                    ),
                     key=lambda pair: (-pair[1], pair[0]),
                 )
                 assert mine[0] == expected[:k]

@@ -24,9 +24,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.plan import ExecutionCore, FilterCounters
-from repro.core.search import GBDASearch
+from repro.core.search import GBDASearch, within_branch_bound
 from repro.db import columnar
-from repro.db.columnar import ColumnarBranchStore, _Snapshot
+from repro.db.columnar import ColumnarBranchStore, TopK, _Snapshot
 from repro.db.database import GraphDatabase
 from repro.db.query import SimilarityQuery
 from repro.db.kernels import (
@@ -109,11 +109,9 @@ class TestKernelInterfaceDrift:
     """
 
     LOADER_API = {"available", "load_error", "library_path"}  # native's own, not kernels
-    #: The whole interface: four reads and the write path — at most five kernels.
-    KERNELS = {
-        "intersection_row", "gbd_lower_bound_row", "filter_verify_rows", "filter_verify_topk",
-        "merge_postings",
-    }
+    #: The whole interface: three reads and the write path — at most four kernels,
+    #: one filter-verify reducer among them.
+    KERNELS = {"intersection_row", "gbd_lower_bound_row", "filter_verify_rows", "merge_postings"}
 
     @staticmethod
     def public_functions(module):
@@ -415,19 +413,24 @@ def _ranked_pairs(pairs):
     return sorted(pairs, key=lambda pair: (-pair[1], pair[0]))
 
 
-def _scalar_top_k(
-    entries, scalar, num_query_vertices, matched_total, lut, bound_lut, max_gbd, k, budget
-):
+def _top_k_row(store, num_query_vertices, query, lut, bound_lut, k):
+    """A batch of one top-k row: ``(ids, scores, visited, verified, sparse)``."""
+    (found,) = store.filter_verify_rows(
+        [(num_query_vertices, query, None, lut, TopK(k, bound_lut))]
+    )
+    return found
+
+
+def _scalar_top_k(entries, scalar, num_query_vertices, matched_total, lut, bound_lut, k, budget):
     """``(ranking, verified, sparse)`` of the group walk, one Python step at a time.
 
     The ranking is checked against the plain definition first — the first ``k``
-    of every row within the cap under ``(-score, id)`` — so the walk is held to
-    it, not the other way round.
+    of every row under ``(-score, id)`` — so the walk is held to it, not the
+    other way round.
     """
     scored = {
         position: (entry.graph_id, float(lut[scalar[position]]))
         for position, entry in enumerate(entries)
-        if max_gbd is None or scalar[position][1] <= max_gbd
     }
     groups = {}
     for position, entry in enumerate(entries):
@@ -437,7 +440,7 @@ def _scalar_top_k(
         extended = max(num_query_vertices, order)
         lower = extended - min(matched_total, order)
         bound = float(bound_lut[extended, lower])
-        if bound > 0.0 if max_gbd is None else lower <= max_gbd:
+        if bound > 0.0:
             bounds[order] = bound
     kept, verified, dense = [], 0, False
     for order in sorted(bounds, key=lambda order: (-bounds[order], order)):
@@ -448,7 +451,7 @@ def _scalar_top_k(
         kept = _ranked_pairs(
             kept + [scored[position] for position in groups[order] if position in scored]
         )[:k]
-    if max_gbd is None and (len(kept) < k or kept[-1][1] <= 0.0):
+    if len(kept) < k or kept[-1][1] <= 0.0:
         zero = [
             (entries[position].graph_id, 0.0)
             for order in groups.keys() - bounds.keys()
@@ -529,12 +532,11 @@ class TestReducerParity:
         data=st.data(),
         table=st.tuples(st.integers(0, 10_000), st.sampled_from([None, None, None, 0.5, 0.0])),
         padding=st.sampled_from([(0, 0), (1, 0), (0, 1)]),
-        max_gbd=st.sampled_from([None, 0, 2, 4]),
         plan=st.sampled_from(["sparse", "dense", "half", "by cost"]),
         position_limit=st.sampled_from([5, INT32_MAX]),
     )
     def test_k_best_reducer_equals_the_scalar_ranking(
-        self, multisets, query, id_order, data, table, padding, max_gbd, plan, position_limit
+        self, multisets, query, id_order, data, table, padding, plan, position_limit
     ):
         # Ids in no relation to positions: under ties, and in the zero-bound
         # fill, it is the id that decides — never the position.
@@ -559,17 +561,18 @@ class TestReducerParity:
         try:
             expected = _scalar_top_k(
                 entries, scalar, num_query_vertices, stores["numpy"].matched_query_total(query),
-                lut, bound_lut, max_gbd, k, _sparse_budget(stores["numpy"], query),
+                lut, bound_lut, k, _sparse_budget(stores["numpy"], query),
             )
             for backend, store in stores.items():
                 assert (store.view()[0][1].dtype == np.int64) == (len(entries) > position_limit)
-                got_ids, got_scores, verified, sparse = store.filter_verify_topk(
-                    num_query_vertices, query, lut, bound_lut, max_gbd, k
+                got_ids, got_scores, visited, verified, sparse = _top_k_row(
+                    store, num_query_vertices, query, lut, bound_lut, k
                 )
                 assert got_ids.dtype == np.int64 and got_scores.dtype == np.float64, backend
-                # The k best, in no particular order: the caller ranks once, at the end.
-                got = _ranked_pairs(zip(got_ids.tolist(), got_scores.tolist()))
+                # The k best, ranked by the reducer itself.
+                got = list(zip(got_ids.tolist(), got_scores.tolist()))
                 assert (got, verified, sparse) == expected, backend
+                assert int(np.diff(store.order_ranges()[1])[visited].sum()) == verified, backend
         finally:
             columnar.sparse_row_budget = by_cost
 
@@ -596,50 +599,44 @@ class TestReducerParity:
         flat = np.full((5, 6), 0.5)
         sawtooth = np.tile([0.25, 0.75, 0.0, 0.5, 0.25, 0.75], (5, 1))  # not monotone in ϕ
 
-        def top(lut, max_gbd, k, budget, bound_lut=None):
+        def top(lut, k, budget, bound_lut=None):
             monkeypatch.setattr(columnar, "sparse_row_budget", lambda postings, rows: budget)
             bound_lut = _bound_table(lut, 4) if bound_lut is None else bound_lut
-            got = store.filter_verify_topk(2, query, lut, bound_lut, max_gbd, k)
+            ids, scores, _visited, verified, sparse = _top_k_row(store, 2, query, lut, bound_lut, k)
             scalar = _scalar_rows(entries, query)
             expected = _scalar_top_k(
-                entries, scalar, 2, store.matched_query_total(query), lut, bound_lut, max_gbd,
-                k, budget,
+                entries, scalar, 2, store.matched_query_total(query), lut, bound_lut, k, budget,
             )
-            ranking = _ranked_pairs(zip(got[0].tolist(), got[1].tolist()))
-            assert (ranking, *got[2:]) == expected
-            return ranking, got[2], got[3]
+            ranking = _ranked_pairs(zip(ids.tolist(), scores.tolist()))
+            assert (ranking, verified, sparse) == expected
+            return ranking, verified, sparse
 
         # k = 1: the exact match ends the scan inside the query's own size group.
-        assert top(decreasing, None, 1, 6) == ([(90, 1.0)], 3, True)
+        assert top(decreasing, 1, 6) == ([(90, 1.0)], 3, True)
         # k > rows: everything is ranked, groups by bound, ids inside a tie.
-        ranking, verified, sparse = top(decreasing, None, 9, 6)
+        ranking, verified, sparse = top(decreasing, 9, 6)
         assert [graph_id for graph_id, _ in ranking] == [90, 60, 80, 40, 50, 70]
         assert (verified, sparse) == (6, True)
         # One score everywhere: equal bounds across all three groups, so the id
         # alone decides and no group may be left out — the smallest ids sit in
         # the *last* rows of the groups visited last.
-        assert top(flat, None, 2, 6) == ([(40, 0.5), (50, 0.5)], 6, True)
-        # ... and under a k-th score above the shared bound, none is visited twice
-        # nor half: the cap 0 keeps the exact match only, every group in reach.
-        assert top(flat, 0, 2, 6) == ([(90, 0.5)], 3, True)
+        assert top(flat, 2, 6) == ([(40, 0.5), (50, 0.5)], 6, True)
         # The budget holds the first group (3 rows), not the second: a dense walk
         # after a walked group, over a row that is not monotone in ϕ.
-        ranking, verified, sparse = top(sawtooth, None, 4, 4)
+        ranking, verified, sparse = top(sawtooth, 4, 4)
         assert (verified, sparse) == (6, False) and ranking[0] == (60, 0.75)
         # Every bound zero: nothing is verified, the smallest ids fill the
         # ranking at 0.0 — by id, though positions ascend the other way.
         nothing = np.zeros((5, 6))
-        assert top(nothing, None, 3, 6) == ([(40, 0.0), (50, 0.0), (60, 0.0)], 0, None)
-        # ... but under the cap membership needs the exact GBD: groups are visited.
-        assert top(nothing, 1, 3, 6) == ([(60, 0.0), (80, 0.0), (90, 0.0)], 5, True)
+        assert top(nothing, 3, 6) == ([(40, 0.0), (50, 0.0), (60, 0.0)], 0, None)
         # A query that matches no key: bounds from the sizes alone.
         query = Counter({("unknown", 0): 2})
-        assert top(decreasing, None, 2, 6) == ([(40, 1 / 3), (60, 1 / 3)], 3, True)
+        assert top(decreasing, 2, 6) == ([(40, 1 / 3), (60, 1 / 3)], 3, True)
         # The pair of shapes the core really produced: 11 x 12 beside 10 x 11.
         query = Counter({a: 2})
         wide = np.zeros((11, 12))
         wide[:5, :6] = decreasing
-        assert top(wide, None, 1, 6, _bound_table(decreasing, 9)) == ([(90, 1.0)], 3, True)
+        assert top(wide, 1, 6, _bound_table(decreasing, 9)) == ([(90, 1.0)], 3, True)
 
     @pytest.mark.parametrize("backend", available_backends())
     def test_a_lone_hit_at_every_slot_of_a_long_range(self, backend, monkeypatch):
@@ -675,11 +672,11 @@ class TestReducerParity:
                 with pytest.raises(ValueError, match="does not cover extended order 6"):
                     store.filter_verify_rows([(2, query, bars, np.ones(shape), 0.5)])[0]
                 # each of top-k's two tables is checked against its own shape
-                for tables in ((np.ones(shape), full), (full, np.ones(shape))):
+                for lut, bound_lut in ((np.ones(shape), full), (full, np.ones(shape))):
                     with pytest.raises(ValueError, match="does not cover extended order 6"):
-                        store.filter_verify_topk(2, query, *tables, None, 1)
+                        store.filter_verify_rows([(2, query, None, lut, TopK(1, bound_lut))])
             with pytest.raises(ValueError, match="positive"):
-                store.filter_verify_topk(2, query, full, full, None, 0)
+                store.filter_verify_rows([(2, query, None, full, TopK(0, full))])
 
 
 class _SawtoothPosterior:
@@ -771,8 +768,8 @@ class TestReducersInTheCore:
                     if score >= 0.5 and (not use_pruning or gbd <= 2 * tau_hat):
                         expected[entry.graph_id] = score
                 query = SimilarityQuery(graph, tau_hat, 0.5)
-                if use_pruning:  # the branch bound: the search's every-posterior path
-                    scored = core.execute(query, use_pruning=True)
+                if use_pruning:  # the branch bound: a post-filter over every posterior
+                    scored = within_branch_bound(core.execute(query), tau_hat)
                     assert scored.scores_dict("accepted") == expected, (plan, tau_hat)
                     continue
                 ids, scores = core.execute_pruned(query)
@@ -807,7 +804,10 @@ class TestReducersInTheCore:
             for k in (1, 3, 250, len(search.database) + 5):
                 before = dataclasses.replace(core.filter_counters)
                 calls, cells = (child.value for child in counters.row)
-                ranking = core.execute_topk(query, k, use_pruning=use_pruning)
+                if use_pruning:  # the search's ablation: the first k of the dense row within 2 τ̂
+                    ranking = within_branch_bound(core.execute(query), query.tau_hat).ranking(k)
+                else:
+                    ranking = core.execute_topk(query, k)
                 assert ranking == reference[:k], (labels, k, query.tau_hat)
                 after = core.filter_counters
                 verified = after.candidates_verified - before.candidates_verified
@@ -819,8 +819,10 @@ class TestReducersInTheCore:
                 assert counters.row[0].value - calls == 1
                 assert counters.row[1].value - cells == (600 if dense else verified)
                 plans[None if not verified else not dense] += 1
-        # probes only; probes, then the dense walk for the groups still in reach
-        assert plans[True] and plans[False]
+        if use_pruning:  # every ablation ranking reads one dense walk of all rows
+            assert set(plans) == {False}
+        else:  # probes only; probes, then the dense walk for the groups still in reach
+            assert plans[True] and plans[False]
 
     def test_threads_sharing_one_engine_answer_like_a_serial_run(self, reducer_search):
         """No state is shared between calls: the accumulators are per call."""
@@ -903,7 +905,7 @@ class TestReducerCountGuards:
         plans = set()
         for query in _reducer_queries(40, seed=61):
             branches, num_vertices = query.branches(), query.query_graph.num_vertices
-            thresholds, _lut = core._pruned_thresholds(
+            thresholds, _lut = core._row_tables(
                 query.tau_hat, query.gamma, num_vertices, distinct
             )
             bounds = store.gbd_lower_bound_row(num_vertices, branches, view=view)
@@ -935,14 +937,14 @@ class TestReducerCountGuards:
         engine = _engine_on(reducer_search, "native", cache_size=None)
         engine.warm(range(4))
         handed_back = []
-        reducer = ColumnarBranchStore.filter_verify_topk
+        reducer = ColumnarBranchStore.filter_verify_rows
 
         def spy(store, *args, **kwargs):
-            result = reducer(store, *args, **kwargs)
-            handed_back.append((len(result[0]), len(result[1])))
-            return result
+            found = reducer(store, *args, **kwargs)
+            handed_back.extend((len(row[0]), len(row[1])) for row in found)
+            return found
 
-        monkeypatch.setattr(ColumnarBranchStore, "filter_verify_topk", spy)
+        monkeypatch.setattr(ColumnarBranchStore, "filter_verify_rows", spy)
         for query in _reducer_queries(12, seed=67):
             for k in (1, 5):
                 del handed_back[:]

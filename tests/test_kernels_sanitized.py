@@ -6,8 +6,8 @@ are usually still right.  This leg builds the bundled ``_kernels.c`` with
 ``-fsanitize=address,undefined`` at the path the loader itself would use
 (:func:`repro.db.kernels.native.library_path`) inside a private
 ``REPRO_KERNEL_CACHE``, and runs the suites that drive the kernels — parity,
-columnar, carry, multi-chunk top-k, the reducers, batches of the thresholded
-one — in a subprocess that preloads the sanitizer runtime.  Any report
+columnar, carry, multi-chunk top-k, the reducers, batches that mix both, the
+metamorphic relations — in a subprocess that preloads the sanitizer runtime.  Any report
 aborts that process, so the
 assertion is its exit code.  No switch in ``src/``: the sanitised build is
 just a library of the same source placed where the cache would have put it.
@@ -36,6 +36,7 @@ SUITES = [
     "tests/test_topk_multichunk.py",
     "tests/test_clustered_layout.py",
     "tests/test_batch_rows.py",
+    "tests/test_metamorphic.py",
 ]
 SANITIZE = ["-O1", "-g", "-fsanitize=address,undefined", "-fno-sanitize-recover=undefined"]
 

@@ -192,7 +192,7 @@ class TestOnlineStage:
 
         for name in (
             "view", "compact", "postings", "intersection_row", "matched_query_total",
-            "gbd_lower_bound_row", "order_ranges", "filter_verify_rows", "filter_verify_topk",
+            "gbd_lower_bound_row", "order_ranges", "filter_verify_rows",
         ):
             monkeypatch.setattr(ColumnarBranchStore, name, broken)
         with pytest.raises(RuntimeError, match="columnar store"):

@@ -535,6 +535,14 @@ class TestOnePipeline:
         assert core.execute_batch([]) == []
         assert core.execute_batch([], query_branches=[]) == []
 
+    def test_an_empty_store_answers_every_row_empty(self, fitted):
+        """No row to verify: empty hits and an empty ranking, not a refused table."""
+        core = ExecutionCore(GraphDatabase(), fitted.estimator, max_tau=fitted.max_tau)
+        query = _random_queries(1, seed=72)[0]
+        ranked = SimilarityQuery(query.query_graph, query.tau_hat, query.gamma, top_k=3)
+        assert core.execute_batch([query, ranked]) == [([], []), []]
+        assert core.execute_pruned(query) == ([], []) and core.execute_topk(query, 3) == []
+
     def test_branch_multisets_that_do_not_match_the_queries_are_refused(self, fitted):
         """One multiset for three queries is an error, not one answer."""
         core = BatchQueryEngine.from_search(fitted, cache_size=None)._core
@@ -649,3 +657,96 @@ class TestTopKServing:
         assert again.ranking == topk.ranking
         assert engine.cache.hits >= 1
         assert thresholded.ranking is None
+
+
+class TestBatchedTopK:
+    """Top-k rows ride the flush: one core call, each path counted once, unshared rankings."""
+
+    @staticmethod
+    def counts(family: str):
+        series = get_registry().get(family).series()
+        return {labels: child.value for labels, child in series}
+
+    def deltas(self, family: str, action):
+        before = self.counts(family)
+        result = action()
+        after = self.counts(family)
+        moved = {
+            labels: after[labels] - before.get(labels, 0.0)
+            for labels in after
+            if after[labels] != before.get(labels, 0.0)
+        }
+        return result, moved
+
+    def test_a_flush_scores_its_top_k_rows_with_the_rest(self, fitted, monkeypatch):
+        engine = BatchQueryEngine.from_search(fitted)
+        plain = _random_queries(3, seed=91)
+        ranked = [
+            SimilarityQuery(query.query_graph, query.tau_hat, query.gamma, top_k=2 + 3 * index)
+            for index, query in enumerate(_random_queries(3, seed=92))
+        ]
+        # Differs from ranked[0] in γ alone: the same ranking, the same cache key.
+        twin = SimilarityQuery(
+            ranked[0].query_graph, ranked[0].tau_hat, 1.0 - ranked[0].gamma, top_k=ranked[0].top_k
+        )
+        engine.query_topk(ranked[2])  # cached before the flush
+        scored = []
+        execute_batch = engine._core.execute_batch
+
+        def spy(queries, **kwargs):
+            scored.append([query.top_k for query in queries])
+            return execute_batch(queries, **kwargs)
+
+        monkeypatch.setattr(engine._core, "execute_batch", spy)
+        batch = [ranked[0], plain[0], ranked[1], twin, plain[1], ranked[2], ranked[0], plain[2]]
+        (answers, kernels), paths = self.deltas(
+            "repro_engine_queries_total",
+            lambda: self.deltas("repro_kernel_calls_total", lambda: engine.query_batch(batch)),
+        )
+        # Each top-k row counts once as ``topk``, each other once as ``batch``,
+        # whether it was scored, served from the cache or copied from a repeat.
+        assert paths == {("batch",): 3.0, ("topk",): 5.0}
+        # One core call for the flush: the three thresholded rows and ranked[0],
+        # ranked[1] once each; the twin and the repeat are copies, ranked[2] a hit.
+        assert scored == [[2, None, 5, None, None]]
+        # A scored top-k row counts one ``row`` call, a thresholded one a
+        # ``filter_verify_rows`` call: what either counts alone.
+        backend = engine.active_kernel_backend
+        assert kernels == {("row", backend): 2.0, ("filter_verify_rows", backend): 3.0}
+        for query, answer in zip(batch, answers):
+            if query.top_k is None:
+                assert answer.ranking is None
+                assert answer.accepted_ids == fitted.query(query).answer.accepted_ids
+            else:
+                expected = query_topk_reference(fitted, query, query.top_k)
+                assert answer.ranking == expected and answer.scores == dict(expected)
+
+        # Every ranking handed out is its own list: the scored row's, the
+        # cached row's, the γ twin's and the repeat's.
+        rankings = [answer.ranking for answer in answers if answer.ranking is not None]
+        assert len({id(ranking) for ranking in rankings}) == len(rankings) == 5
+        expected = [list(ranking) for ranking in rankings]
+        for answer in answers:
+            if answer.ranking is not None:
+                answer.ranking.append((-1, 2.0))  # vandalise every answer in place
+                answer.scores.clear()
+        assert engine.query_topk(ranked[0]).ranking == expected[0]
+        assert engine.query_topk(twin).ranking == expected[0]
+        assert engine.query_topk(ranked[2]).ranking == expected[3]
+
+    def test_a_cacheless_flush_scores_every_top_k_row(self, fitted, monkeypatch):
+        engine = BatchQueryEngine.from_search(fitted, cache_size=None)
+        query = _random_queries(1, seed=93)[0]
+        ranked = SimilarityQuery(query.query_graph, query.tau_hat, query.gamma, top_k=4)
+        scored = []
+        execute_batch = engine._core.execute_batch
+
+        def spy(queries, **kwargs):
+            scored.append(len(queries))
+            return execute_batch(queries, **kwargs)
+
+        monkeypatch.setattr(engine._core, "execute_batch", spy)
+        first, again = engine.query_batch([ranked, ranked])
+        assert scored == [2]  # no cache key, nothing to deduplicate by
+        assert first.ranking == again.ranking == query_topk_reference(fitted, ranked, 4)
+        assert first.ranking is not again.ranking
