@@ -33,7 +33,7 @@ import numpy as np
 import pytest
 
 from repro.core.branches import branch_multiset
-from repro.db.columnar import ColumnarBranchStore, TopK
+from repro.db.columnar import ColumnarBranchStore, PosteriorTable, TopK
 from repro.db.kernels import available_backends, native_load_error
 from repro.graphs.generators import random_labeled_graph
 
@@ -44,13 +44,13 @@ MAX_ORDER = 40 if SMOKE else 80
 NUM_QUERIES = 8 if SMOKE else 16
 NUM_ROUNDS = 3 if SMOKE else 5                # best-of rounds per (kernel, backend)
 WRITE_BATCH = 16 if SMOKE else 64             # graphs appended per timed compaction
-TAU = 2                                       # GBD bar for the filter kernels
+TAU = 2                                       # GBD bar of the filter kernels' table
 BATCH = 32                                    # queries per call of the batch lines
 TOP_K = 10                                    # k of the top-k lines
 #: A posterior table that accepts exactly ``GBD <= TAU``: Φ = 1 / (1 + ϕ) at every order.
 GAMMA = 1.0 / (1 + TAU)
-LUT = np.ascontiguousarray(
-    np.broadcast_to(1.0 / (1.0 + np.arange(MAX_ORDER + 2)), (MAX_ORDER + 1, MAX_ORDER + 2))
+TABLE = PosteriorTable.from_rows(
+    {order: 1.0 / (1.0 + np.arange(order + 1)) for order in range(MAX_ORDER + 1)}
 )
 
 BACKENDS = available_backends()
@@ -102,7 +102,7 @@ def _unfused_filter_verify(store, num_query_vertices, branches):
     view = store.view()
     orders = np.maximum(num_query_vertices, view[1])
     gbds = orders - store.intersection_row(branches, view=view)
-    positions = np.flatnonzero(LUT.take(orders * LUT.shape[1] + gbds) >= GAMMA)
+    positions = np.flatnonzero(TABLE.phi[TABLE.offsets[orders] + gbds] >= GAMMA)
     return positions, gbds[positions]
 
 
@@ -118,14 +118,9 @@ def _compaction_us(store, writes) -> float:
 def test_kernel_backend_microbench(workload, results_dir):
     stores, vertices, branch_sets, writes = workload
     reference = stores["numpy"]
-    distinct = np.unique(reference.view()[1])
-    bars = np.full(len(distinct), TAU, dtype=np.int64)
-    rows = [(nq, branches, bars, LUT, GAMMA) for nq, branches in zip(vertices, branch_sets)]
+    rows = [(nq, branches, TABLE, GAMMA) for nq, branches in zip(vertices, branch_sets)]
     batch = (rows * BATCH)[:BATCH]
-    # Φ = 1 / (1 + ϕ) decreases in ϕ: the table is its own suffix maximum, the bound table.
-    ranked = [
-        (nq, branches, None, LUT, TopK(TOP_K, LUT)) for nq, branches in zip(vertices, branch_sets)
-    ]
+    ranked = [(nq, branches, TABLE, TopK(TOP_K)) for nq, branches in zip(vertices, branch_sets)]
     ranked_batch = (ranked * BATCH)[:BATCH]
     # queries per timed call; else len(rows)
     calls = {"filter_verify_rows_32": BATCH, "filter_verify_rows_topk_32": BATCH}
@@ -202,13 +197,12 @@ def test_kernel_backend_microbench(workload, results_dir):
     kernels["merge_postings"] = {
         backend: _compaction_us(store, writes) for backend, store in stores.items()
     }
-    grown_bars = np.full(len(np.unique(reference.view()[1])), TAU, dtype=np.int64)
     for store in stores.values():
         for mine, theirs in zip(store.view()[0][:3], reference.view()[0][:3]):
             assert np.array_equal(mine, theirs)
         for nq, branches in zip(vertices, branch_sets):
-            mine = store.filter_verify_rows([(nq, branches, grown_bars, LUT, GAMMA)])[0]
-            theirs = reference.filter_verify_rows([(nq, branches, grown_bars, LUT, GAMMA)])[0]
+            mine = store.filter_verify_rows([(nq, branches, TABLE, GAMMA)])[0]
+            theirs = reference.filter_verify_rows([(nq, branches, TABLE, GAMMA)])[0]
             assert all(np.array_equal(a, b) for a, b in zip(mine[:3], theirs[:3]))
 
     record = {

@@ -182,20 +182,6 @@ class GBDAEstimator:
         order = max(int(extended_order), 1)
         return [self.posterior(gbd, tau_hat, order) for gbd in range(order + 1)]
 
-    def posterior_table(
-        self, tau_hat: int, extended_orders: Iterable[int]
-    ) -> Dict[int, List[float]]:
-        """Return dense posterior lookup rows ``{|V'1|: posterior_row}``.
-
-        The posterior ``Φ = Pr[GED <= τ̂ | GBD = ϕ]`` depends only on the
-        integer triple ``(ϕ, τ̂, |V'1|)``, so for a fixed τ̂ the whole
-        database can be scored by table lookup instead of per-pair
-        evaluation — this is what the batched serving engine pre-computes
-        (lazily, per τ̂) to vectorize the online stage.
-        """
-        orders = sorted({max(int(order), 1) for order in extended_orders})
-        return {order: self.posterior_row(tau_hat, order) for order in orders}
-
     def accepts(
         self,
         gbd_value: int,

@@ -6,10 +6,11 @@ with γ — are decided per (query, graph) pair, so :class:`ExecutionCore`
 implements them once, as one pipeline a query goes through:
 
 * **bound** — a GBD lower bound per distinct ``|V_G|`` of one store
-  snapshot, from per-graph norms (O(1) each, no postings read).  The
-  thresholded path compares it with the ``(τ̂, γ)`` acceptance rule inverted
-  into a max-acceptable GBD (:meth:`acceptance_threshold`); top-k turns it
-  into a posterior upper bound.
+  snapshot, from per-graph norms (O(1) each, no postings read), read against
+  the suffix maximum ``M`` of the posterior row: the thresholded path keeps a
+  range when ``M >= γ`` there — the ``(τ̂, γ)`` acceptance rule inverted into
+  a max-acceptable GBD (:meth:`acceptance_threshold`) — and top-k takes ``M``
+  as the range's posterior upper bound.
 * **candidates** — the rows of the orders that survive the bound: contiguous
   position ranges, the store lays rows out by ``|V_G|``.
 * **verify** — the candidates' exact ``|B_Q ∩ B_G|``, by slicing the query's
@@ -28,13 +29,12 @@ reducer each query asks for: a batch's rows — :meth:`execute_pruned`,
 rows may mix both — go to
 :meth:`ColumnarBranchStore.filter_verify_rows
 <repro.db.columnar.ColumnarBranchStore.filter_verify_rows>` together.  A
-thresholded row carries its per-order thresholds, τ̂ posterior table and γ
-and gets back its *hits* — the accepted rows' store positions and GBDs —
-so nothing ``D`` long is produced or walked here; what is left is their ids
-and one table lookup each, returned as they are (:data:`Hits`).  A top-k row
-carries ``k`` and the τ̂ bound table beside the posterior table and gets back
-its ranking, at most ``k`` scored rows.  The ``bound_filter`` stage histogram
-covers the store call for a thresholded row (bound, verification and the γ
+thresholded row carries its τ̂ posterior table and γ and gets back its
+*hits* — the accepted rows' store positions and GBDs — so nothing ``D`` long
+is produced or walked here; what is left is their ids and one table lookup
+each, returned as they are (:data:`Hits`).  A top-k row carries the same
+table and ``k`` and gets back its ranking, at most ``k`` scored rows.  The
+``bound_filter`` stage histogram covers the store call for a thresholded row (bound, verification and the γ
 comparison) and the second stage — ``verify`` after the sparse plan,
 ``score_dense`` after the dense one — its hits' ids and scores only; a top-k
 row's whole share is ``topk``.  Asked to keep every posterior
@@ -43,16 +43,19 @@ row's whole share is ``topk``.  Asked to keep every posterior
 in NumPy, for every row; the search's ``use_index_pruning`` ablation is a
 post-filter over that, in the search.
 
-Posteriors have one source: dense ``(τ̂, |V'1|)`` posterior vectors from
+Posteriors have one source: ``(τ̂, |V'1|)`` posterior rows from
 :meth:`GBDAEstimator.posterior_row` (each entry is the scalar
 :meth:`GBDAEstimator.posterior`, which reads the branch-edit model's cached
-factored rows), stacked into order-indexed lookup matrices — the table the
-store call compares with γ, on the very doubles the per-pair loop compares.
-A row costs one factored Λ1 row per τ <= τ̂ and |V'1|, so every query, even a
-lone one over a handful of graphs, reads the tables.
+factored rows), held in one ragged
+:class:`~repro.db.columnar.PosteriorTable` per τ̂ — the table the store call
+compares with γ, on the very doubles the per-pair loop compares.  It holds a
+row for every distinct stored order and every query size met, ``Σ (e + 1)``
+cells: its size follows what is stored, not the largest order.  A row costs
+one factored Λ1 row per τ <= τ̂ and |V'1|, so every query, even a lone one
+over a handful of graphs, reads the tables.
 
 A single query is a batch of one.  Two queries of a batch share nothing but
-the snapshot and lookup-table rows, so their answers are those of the
+the snapshot and the posterior tables, so their answers are those of the
 per-query loop; what a batch shares is the work around them: one snapshot
 and one read of its order ranges, one store call — on the native backend one
 C call, whose Python wrapper runs once — and one fold of the counters.  The
@@ -67,11 +70,11 @@ scalar per-pair loop (:func:`repro.testing.oracles.query_reference`);
 every path.
 
 Thread-safety: queries may run concurrently from threads sharing one engine
-(the service's scoring thread and callers' own threads).  The lookup-table caches are
-published as immutable ``(array, frozenset-of-filled-orders)`` pairs swapped
-atomically under a writer lock, so a reader either sees a table that
-provably contains every row it needs or takes the lock and fills the gap —
-never a torn or half-filled table.
+(the service's scoring thread and callers' own threads).  A τ̂'s table is
+immutable, published with the count of distinct stored orders it covers (the
+store only adds orders, so a count names the set) and grown by copying under
+the core's one lock: a reader sees a table that provably holds its rows, or
+takes the lock and fills the gap — never a torn or half-filled table.
 """
 
 from __future__ import annotations
@@ -80,12 +83,12 @@ import threading
 import time
 from collections import Counter
 from dataclasses import asdict, dataclass
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple, Type
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Type
 
 import numpy as np
 
 from repro.core.estimator import GBDAEstimator
-from repro.db.columnar import ColumnarBranchStore, TopK
+from repro.db.columnar import ColumnarBranchStore, PosteriorTable, TopK
 from repro.db.database import GraphDatabase
 from repro.db.query import SimilarityQuery, validate_top_k
 from repro.exceptions import SearchError
@@ -174,9 +177,8 @@ def _record_batch_stages(
             offset += seconds * rows
 
 
-#: A published lookup table: the dense matrix plus the orders whose rows
-#: are guaranteed filled *in that matrix* (immutable, swapped atomically).
-_Table = Tuple[np.ndarray, FrozenSet[int]]
+#: A τ̂ not met yet: no rows, covering no stored order.
+_UNFILLED = (PosteriorTable.from_rows({}), 0)
 
 
 @dataclass
@@ -276,18 +278,10 @@ class ExecutionCore:
         self.estimator = estimator
         self.max_tau = int(max_tau)
         self.error_class = error_class
-        self._tables: Dict[Tuple[int, int], np.ndarray] = {}
-        # Published (matrix, frozen filled-order set) pairs per τ̂ — see the
-        # module docstring for the concurrency protocol.
-        self._luts: Dict[int, _Table] = {}
-        self._bound_luts: Dict[int, _Table] = {}  # top-k suffix-max bounds
+        # τ̂ -> (its posterior table, the distinct stored orders it covers):
+        # immutable, replaced whole under the lock — see the module docstring.
+        self._tables: Dict[int, Tuple[PosteriorTable, int]] = {}
         self._table_lock = threading.Lock()
-        # (snapshot's order vector, {|V_Q|: the D-length max(|V_Q|, |V_G|) row}) of
-        # the snapshot last seen — see _orders_row.
-        self._snapshot_rows: Tuple[Optional[np.ndarray], Dict] = (None, {})
-        # (τ̂, γ or None, |V_Q|, |distinct|) -> (bars, posterior table) of a
-        # store row — see _row_tables.
-        self._row_tables_cache: Dict[Tuple, Tuple[np.ndarray, np.ndarray]] = {}
         #: Cumulative filter-effectiveness counters across every query this
         #: core answered (updated under a dedicated lock; see FilterCounters).
         self.filter_counters = FilterCounters()
@@ -297,7 +291,6 @@ class ExecutionCore:
         state = self.__dict__.copy()
         del state["_table_lock"]  # locks are not picklable
         del state["_counter_lock"]
-        state["_snapshot_rows"] = (None, {})  # rebuilt against the copy's store
         return state
 
     def __setstate__(self, state):
@@ -314,24 +307,21 @@ class ExecutionCore:
         return self.database.store
 
     @property
-    def tables(self) -> Dict[Tuple[int, int], np.ndarray]:
-        """The materialised ``(τ̂, |V'1|) -> posterior vector`` cache."""
-        return self._tables
+    def num_cached_tables(self) -> int:
+        """Number of ``(τ̂, |V'1|)`` posterior rows filled, over every τ̂'s table."""
+        return sum(
+            int(np.count_nonzero(table.offsets >= 0)) for table, _covered in self._tables.values()
+        )
 
     def posterior_vector(self, tau_hat: int, extended_order: int) -> np.ndarray:
-        """Return the dense posterior vector for one ``(τ̂, |V'1|)`` pair.
+        """Return the posterior row of one ``(τ̂, |V'1|)`` pair (read-only).
 
         ``vector[ϕ] = Pr[GED <= τ̂ | GBD = ϕ]`` for ``ϕ in 0..|V'1|``;
-        computed on first use via :meth:`GBDAEstimator.posterior_row` and
-        cached for the lifetime of the core.  (A concurrent duplicate
-        computation is idempotent — both threads store the same floats.)
+        computed on first use via :meth:`GBDAEstimator.posterior_row` into the
+        τ̂ table, where it stays for the lifetime of the core.
         """
-        key = (int(tau_hat), max(int(extended_order), 1))
-        vector = self._tables.get(key)
-        if vector is None:
-            vector = np.asarray(self.estimator.posterior_row(key[0], key[1]), dtype=np.float64)
-            self._tables[key] = vector
-        return vector
+        order = max(int(extended_order), 1)
+        return self._filled(int(tau_hat), [order]).row(order)
 
     def validate_tau(self, tau_hat: int) -> None:
         """Reject thresholds beyond the pre-computed priors."""
@@ -342,28 +332,37 @@ class ExecutionCore:
             )
 
     # ------------------------------------------------------------------ #
-    # order-row caches (derived from one store snapshot per query)
+    # the posterior tables
     # ------------------------------------------------------------------ #
-    def _orders_row(self, db_orders: np.ndarray, num_query_vertices: int) -> np.ndarray:
-        """Cached dense ``max(|V_Q|, |V_G|)`` row for one query size.
+    def _table(self, tau_hat: int, num_query_vertices: int, distinct: np.ndarray) -> PosteriorTable:
+        """The τ̂ table, holding every row a query of ``|V_Q|`` reads over ``distinct``.
 
-        The memo is keyed on the identity of the snapshot's order vector (one
-        object per published snapshot, held here so its id cannot be
-        recycled): the first call that sees a new snapshot drops the rows of
-        the superseded one, so a write stream never strands dead rows.
-        Entries are idempotent, so threads racing on one snapshot — or briefly
-        replacing each other's memo across two — only ever recompute.
+        Those are the rows of the extended orders ``max(|V_Q|, distinct)``:
+        each is ``|V_Q|`` or a stored order, so a table that covers the
+        snapshot's stored orders and has ``|V_Q|`` filled covers the query.
+        A repeat checks just that — a count and one offset — and only a new
+        order or query size takes the lock (:meth:`_filled`).
         """
-        memo = self._snapshot_rows
-        if memo[0] is not db_orders:
-            memo = self._snapshot_rows = (db_orders, {})
-        rows = memo[1]
-        row = rows.get(num_query_vertices)
-        if row is None:
-            if len(rows) > 256:
-                rows.clear()
-            row = rows[num_query_vertices] = np.maximum(num_query_vertices, db_orders)
-        return row
+        table, covered = self._tables.get(tau_hat, _UNFILLED)
+        if covered >= len(distinct) and table.filled(num_query_vertices):
+            return table
+        return self._filled(tau_hat, [num_query_vertices, *distinct.tolist()], len(distinct))
+
+    def _filled(self, tau_hat: int, orders: List[int], covered: int = 0) -> PosteriorTable:
+        """Publish the τ̂ table grown by the rows of ``orders`` it lacks; return it.
+
+        ``covered`` is the count of the distinct stored orders ``orders``
+        includes (0 when it is not a snapshot's).  Copy on write under the
+        lock: a published table never changes, so readers need no lock.
+        """
+        with self._table_lock:
+            table, was = self._tables.get(tau_hat, _UNFILLED)
+            missing = [order for order in set(orders) if not table.filled(order)]
+            table = table.grown(
+                {order: self.estimator.posterior_row(tau_hat, order) for order in missing}
+            )
+            self._tables[tau_hat] = (table, max(was, covered))
+            return table
 
     def _count(self, num_rows: int, passes: Sequence[Tuple[int, Optional[bool]]]) -> None:
         """Fold the filter-effectiveness numbers of some queries into the counters.
@@ -406,105 +405,13 @@ class ExecutionCore:
         when no GBD is acceptable).  Taking the *maximum* accepting ϕ keeps
         the inversion sound even where the tabulated posterior is not
         monotone in ϕ — a candidate whose GBD lower bound exceeds the
-        threshold provably cannot be accepted, whatever its exact GBD.
-        :meth:`_row_tables` keeps the results per query shape.
+        threshold provably cannot be accepted, whatever its exact GBD.  It is
+        read off the suffix maximum ``M`` of the τ̂ table's row
+        (:meth:`PosteriorTable.accepting`): ``M(ϕ) >= γ`` exactly up to it,
+        which is the comparison the store call makes per range.
         """
-        accepting = np.flatnonzero(self.posterior_vector(tau_hat, extended_order) >= float(gamma))
-        return int(accepting[-1]) if accepting.size else -1
-
-    def _row_tables(
-        self, tau_hat: int, gamma: Optional[float], num_query_vertices: int, distinct: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Cached ``(bars, lut)`` of one query shape: what its store row reads.
-
-        ``lut`` is the τ̂ posterior table with a row for each extended order
-        ``max(|V_Q|, distinct)`` of the snapshot (:meth:`_lut_for`; filled rows
-        never change, so a table that covered the shape once covers it for
-        good).  ``bars`` is what the row's bound is held to: for a thresholded
-        shape the max acceptable GBD per distinct order — Step 4 inverted
-        (:meth:`acceptance_threshold`) at those orders; for a top-k
-        shape (``gamma`` is ``None``) the τ̂ bound table (:meth:`_bound_lut_for`).
-        One query shape ``(τ̂, γ, |V_Q|)`` over one snapshot always produces the
-        same pair, so it is built once and reused — a repeat costs one dict
-        probe, however many orders the store has — and because the *same array
-        objects* recur, the native backend's per-array address cache applies
-        to them too.  ``len(distinct)`` identifies the distinct-order set: the
-        store is append-only, so the set only ever grows.
-        """
-        cache = self._row_tables_cache
-        key = (tau_hat, gamma, num_query_vertices, len(distinct))
-        cached = cache.get(key)
-        if cached is None:
-            if len(cache) > 256:
-                cache.clear()
-            orders = np.maximum(num_query_vertices, distinct).tolist()
-            if gamma is None:
-                bars = self._bound_lut_for(tau_hat, orders)
-            else:
-                bars = np.asarray(
-                    [self.acceptance_threshold(tau_hat, gamma, order) for order in orders],
-                    dtype=np.int64,
-                )
-            cached = cache[key] = (bars, self._lut_for(tau_hat, orders))
-        return cached
-
-    # ------------------------------------------------------------------ #
-    # published lookup tables
-    # ------------------------------------------------------------------ #
-    def _published_table(
-        self, registry: Dict, registry_key, tau_hat: int, needed_orders: List[int], derive, dtype
-    ) -> np.ndarray:
-        """Return a published lookup matrix covering ``needed_orders``.
-
-        Row ``order`` holds ``derive(posterior_vector(τ̂, order))``.  Fast
-        path: the current ``(matrix, filled)`` publication already covers
-        every needed row — return it without locking (the frozenset travels
-        with the exact matrix it describes, so the pair can never be torn).
-        Slow path: take the writer lock, copy-and-extend, fill the missing
-        rows, and publish a new pair.  Rows are only ever read after
-        appearing in a publication's frozenset, so in-place fills before
-        publishing are invisible.
-        """
-        max_order = max(needed_orders) if needed_orders else 1
-        published = registry.get(registry_key)
-        if published is not None:
-            matrix, filled = published
-            if matrix.shape[0] > max_order and filled.issuperset(needed_orders):
-                return matrix
-        with self._table_lock:
-            matrix, filled = registry.get(registry_key, (None, frozenset()))
-            missing = [order for order in needed_orders if order not in filled]
-            if matrix is None or matrix.shape[0] <= max_order:
-                grown = np.zeros((max_order + 1, max_order + 2), dtype=dtype)
-                if matrix is not None:
-                    grown[: matrix.shape[0], : matrix.shape[1]] = matrix
-                matrix = grown
-            for order in missing:
-                vector = self.posterior_vector(tau_hat, order)
-                matrix[order, : len(vector)] = derive(vector)
-            registry[registry_key] = (matrix, filled | set(missing))
-            return matrix
-
-    def _lut_for(self, tau_hat: int, needed_orders: List[int]) -> np.ndarray:
-        """``lut[order, gbd]`` posterior matrix for τ̂ (rows as needed)."""
-        return self._published_table(
-            self._luts, tau_hat, tau_hat, needed_orders, lambda vector: vector, np.float64
-        )
-
-    def _bound_lut_for(self, tau_hat: int, needed_orders: List[int]) -> np.ndarray:
-        """``lut[order, ϕ] = max posterior over GBD >= ϕ`` for τ̂ (rows as needed).
-
-        Read at a GBD *lower bound* it upper-bounds the true posterior: the
-        admissible bound of top-k early termination.
-        """
-        return self._published_table(
-            self._bound_luts,
-            tau_hat,
-            tau_hat,
-            needed_orders,
-            lambda vector: np.maximum.accumulate(vector[::-1])[::-1],
-            np.float64,
-        )
+        order = int(extended_order)
+        return self._filled(int(tau_hat), [order]).accepting(order, float(gamma))
 
     # ------------------------------------------------------------------ #
     # Steps 2–4 of Algorithm 1: one pipeline, two reducers
@@ -529,11 +436,10 @@ class ExecutionCore:
         num_query_vertices = query.query_graph.num_vertices
         intersections = store.intersection_row(branches, view=snapshot)
         self._count(num_rows, [(num_rows, False)])
-        orders = self._orders_row(db_orders, num_query_vertices)
+        table = self._table(query.tau_hat, num_query_vertices, store.order_ranges(snapshot)[0])
+        orders = np.maximum(num_query_vertices, db_orders)
         gbds = orders - intersections
-        distinct = store.order_ranges(snapshot)[0]
-        lut = self._lut_for(query.tau_hat, np.maximum(num_query_vertices, distinct).tolist())
-        posteriors = lut.take(orders * lut.shape[1] + gbds)
+        posteriors = table.phi.take(table.offsets.take(orders) + gbds)
         scored = CandidateScores(global_ids, gbds, posteriors, posteriors >= query.gamma)
         _record_stage("score_dense", started)
         return scored
@@ -572,14 +478,11 @@ class ExecutionCore:
         rows = []
         for query, branches, k in zip(queries, query_branches, ks):
             num_query_vertices = query.query_graph.num_vertices
-            gamma = query.gamma if k is None else None
-            bars, lut = self._row_tables(query.tau_hat, gamma, num_query_vertices, distinct)
             rows.append((
                 num_query_vertices,
                 query.branches() if branches is None else branches,
-                bars if k is None else None,
-                lut,
-                gamma if k is None else TopK(k, bars),
+                self._table(query.tau_hat, num_query_vertices, distinct),
+                query.gamma if k is None else TopK(k),
             ))
         found = store.filter_verify_rows(rows, view=snapshot)
         filtered = time.perf_counter()
@@ -588,7 +491,7 @@ class ExecutionCore:
         # ran neither plan.
         passes = []
         thresholded = []
-        for (num_query_vertices, _branches, _bars, lut, _reducer), k, row in zip(rows, ks, found):
+        for (num_query_vertices, _branches, table, _reducer), k, row in zip(rows, ks, found):
             hits, values, _eligible, verified, sparse = row
             passes.append((verified, sparse))
             if k is not None:  # ranked by the store call
@@ -599,9 +502,8 @@ class ExecutionCore:
                 answers.append(([], []))
             else:
                 orders = np.maximum(num_query_vertices, db_orders[hits])
-                answers.append(
-                    (global_ids[hits].tolist(), lut.take(orders * lut.shape[1] + values).tolist())
-                )
+                scores = table.phi.take(table.offsets.take(orders) + values)
+                answers.append((global_ids[hits].tolist(), scores.tolist()))
         scored = time.perf_counter()
         self._count(len(db_orders), passes)
         _record_batch_stages(started, filtered, scored, thresholded, len(passes) - len(thresholded))
@@ -613,10 +515,11 @@ class ExecutionCore:
         """The accepted graphs of one query and their posteriors: the serving plan.
 
         The ``(τ̂, γ)`` acceptance rule is inverted into a per-order
-        max-acceptable-GBD threshold (:meth:`acceptance_threshold`), and every
-        candidate whose GBD *lower bound* exceeds it is eliminated with O(1)
-        arithmetic before any postings traversal — once per *distinct*
-        ``|V_G|``, since the bound depends on a row only through its order.
+        max-acceptable GBD (:meth:`acceptance_threshold`, read off the
+        table's suffix maximum), and every candidate whose GBD *lower bound*
+        exceeds it is eliminated with O(1) arithmetic before any postings
+        traversal — once per *distinct* ``|V_G|``, since the bound depends on
+        a row only through its order.
         The same store call (:meth:`ColumnarBranchStore.filter_verify_rows`)
         verifies the survivors, by range slices or one dense walk, and
         compares their posteriors with γ: it returns the accepted rows, and
@@ -653,7 +556,7 @@ class ExecutionCore:
         scoring sorted by ``(-posterior, graph id)`` — deterministic under
         ties.  The store call is the whole pass, bound → ordered candidates →
         verify → reduce: each distinct ``|V_G|`` gets a posterior *upper*
-        bound from its GBD lower bound (:meth:`_bound_lut_for`), whole order
+        bound from its GBD lower bound (the τ̂ table's suffix maximum), whole order
         groups are verified in descending bound order — by range slices, or
         from one dense walk once slicing would cost as much — and offered to a
         k-best heap whose k-th score cuts off the groups no longer in reach;
@@ -666,23 +569,22 @@ class ExecutionCore:
     def warm(
         self, tau_hats: Iterable[int], extended_orders: Optional[Iterable[int]] = None
     ) -> int:
-        """Pre-compute posterior vectors ahead of traffic; return the table count.
+        """Fill posterior rows ahead of traffic; return :attr:`num_cached_tables`.
 
-        ``extended_orders`` defaults to the distinct vertex counts present
-        in the database — the exact orders hit by queries no larger than the
-        largest stored graph; larger queries extend the tables lazily.
+        ``extended_orders`` defaults to the distinct vertex counts of the
+        store — the exact orders hit by queries no larger than the largest
+        stored graph; larger queries extend the tables lazily.
         """
         if extended_orders is None:
-            extended_orders = sorted({entry.num_vertices for entry in self.database})
-        orders = list(extended_orders)
+            extended_orders = self.store.order_ranges()[0].tolist()
+        orders = [int(order) for order in extended_orders]
         for tau_hat in tau_hats:
             self.validate_tau(tau_hat)
-            for order in orders:
-                self.posterior_vector(tau_hat, order)
-        return len(self._tables)
+            self._filled(int(tau_hat), orders)
+        return self.num_cached_tables
 
     def __repr__(self) -> str:
         return (
             f"<ExecutionCore |D|={len(self.database)} max_tau={self.max_tau} "
-            f"tables={len(self._tables)}>"
+            f"tables={self.num_cached_tables}>"
         )

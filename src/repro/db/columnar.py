@@ -89,7 +89,7 @@ import numpy as np
 from repro.db.kernels import backend_module, resolve_backend
 from repro.obs.metrics import get_registry
 
-__all__ = ["ColumnarBranchStore", "TopK"]
+__all__ = ["ColumnarBranchStore", "PosteriorTable", "TopK"]
 
 # Kernel call/row counters (repro.obs): children are bound once per backend
 # and cached at module level — the kernels below are the hot path of every
@@ -224,16 +224,93 @@ class _Vocabulary(dict):
         return key_id
 
 
+class PosteriorTable(NamedTuple):
+    """One τ̂'s posterior rows, ragged: what a row of :meth:`ColumnarBranchStore.filter_verify_rows` reads.
+
+    Row ``e`` — an extended order ``max(|V_Q|, |V_G|)`` — holds ``Φ(ϕ) =
+    Pr[GED <= τ̂ | GBD = ϕ]`` for ``ϕ in 0..e`` at ``phi[offsets[e]:]``, and
+    ``best`` its suffix maximum ``M(ϕ) = max_{ϕ' >= ϕ} Φ(ϕ')`` in the same
+    layout; ``offsets[e]`` is -1 for a row not filled.  A table is sized by
+    the rows it holds, ``Σ (e + 1)`` cells, not by the largest order.
+
+    ``M`` serves both reducers.  Read at a GBD *lower bound* it upper-bounds
+    the posterior of every row of that order (the k-best bound), and because
+    it is non-increasing, ``M(ϕ) >= γ`` exactly when ``ϕ`` is at most the
+    largest accepting GBD ``max{ϕ : Φ(ϕ) >= γ}`` — Step 4 inverted, sound
+    where Φ is not monotone (:meth:`accepting`).  The arrays are read-only;
+    :meth:`grown` adds rows by copying, so a row once published never
+    changes.
+    """
+
+    offsets: np.ndarray
+    phi: np.ndarray
+    best: np.ndarray
+
+    @classmethod
+    def from_rows(cls, rows: Mapping[int, Sequence[float]]) -> "PosteriorTable":
+        """The table holding ``rows[e]`` (``Φ(0..e)``, its first ``e + 1`` values) as row ``e``."""
+        return _EMPTY_TABLE.grown(rows)
+
+    def filled(self, order: int) -> bool:
+        """Whether row ``order`` is filled."""
+        return order < len(self.offsets) and self.offsets[order] >= 0
+
+    def row(self, order: int) -> np.ndarray:
+        """``Φ(0..order)``, a read-only view (row ``order`` must be filled)."""
+        start = int(self.offsets[order])
+        return self.phi[start : start + order + 1]
+
+    def accepting(self, order: int, gamma: float) -> int:
+        """``max{ϕ : Φ(ϕ) >= γ}`` at this order, or -1: a binary search on ``M``, non-increasing."""
+        start = int(self.offsets[order])
+        return int(np.searchsorted(-self.best[start : start + order + 1], -gamma, side="right")) - 1
+
+    def grown(self, rows: Mapping[int, Sequence[float]]) -> "PosteriorTable":
+        """A copy with the rows of ``rows`` this table lacks filled too (copy on write).
+
+        ``rows[e]`` gives at least ``e + 1`` values; a row this table already
+        holds is kept as it is.  Returns this very table when nothing is new.
+        """
+        added = {}
+        for order, values in rows.items():
+            order = int(order)
+            if order < 0:
+                raise ValueError(f"an extended order is non-negative, got {order}")
+            if not self.filled(order):
+                values = np.asarray(values, dtype=np.float64)[: order + 1]
+                if len(values) != order + 1:
+                    raise ValueError(f"row {order} needs {order + 1} values, got {len(values)}")
+                added[order] = values
+        if not added:
+            return self
+        orders = sorted(added)
+        offsets = np.full(max(len(self.offsets), orders[-1] + 1), -1, dtype=np.int64)
+        offsets[: len(self.offsets)] = self.offsets
+        lengths = np.asarray(orders, dtype=np.int64) + 1
+        offsets[orders] = len(self.phi) + np.cumsum(lengths) - lengths
+        phi = np.concatenate([self.phi, *(added[order] for order in orders)])
+        best = np.concatenate(
+            [self.best, *(np.maximum.accumulate(added[order][::-1])[::-1] for order in orders)]
+        )
+        return PosteriorTable._frozen(offsets, phi, best)
+
+    @staticmethod
+    def _frozen(*arrays: np.ndarray) -> "PosteriorTable":
+        for array in arrays:
+            array.flags.writeable = False
+        return PosteriorTable(*arrays)
+
+
+_EMPTY_TABLE = PosteriorTable._frozen(np.empty(0, dtype=np.int64), np.empty(0), np.empty(0))
+
+
 class TopK(NamedTuple):
     """The k-best reducer of a :meth:`ColumnarBranchStore.filter_verify_rows` row.
 
-    ``k`` (at least 1) rows are kept; ``bound_lut[order, ϕ]`` is the suffix
-    maximum of the row's posterior table over ``gbd >= ϕ``, the posterior
-    upper bound a GBD lower bound gives.
+    ``k`` (at least 1) rows are kept.
     """
 
     k: int
-    bound_lut: np.ndarray
 
 
 def sparse_row_budget(matched_postings: int, num_rows: int) -> int:
@@ -694,53 +771,32 @@ class ColumnarBranchStore:
     # ------------------------------------------------------------------ #
     # fused filter → verify → reduce (the two reducers of the execution core)
     # ------------------------------------------------------------------ #
-    @staticmethod
-    def _largest_order(distinct: np.ndarray) -> int:
-        """The largest ``|V_G|`` of a snapshot's ranges (0 for an empty store)."""
-        return int(distinct[-1]) if len(distinct) else 0
-
-    @staticmethod
-    def _checked_table(lut: np.ndarray, largest: int):
-        """``lut`` once it provably has a cell for every ``(order, gbd)`` a read can meet.
-
-        ``largest`` is the read's largest extended order, ``max(|V_Q|,
-        largest |V_G|)``.  The compiled reducers index the table unchecked
-        (``gbd <= order`` by construction, ``order <= largest``), so the rows
-        and columns have to be there before its address is handed over.
-        """
-        if lut.ndim != 2 or min(lut.shape[0], lut.shape[1] - 1) <= largest:
-            raise ValueError(
-                f"posterior table of shape {lut.shape} does not cover extended order {largest}"
-            )
-        return lut
-
     def filter_verify_rows(self, rows: Sequence[Tuple], *, view: Optional[_View] = None):
         """Bound filter, exact GBDs and each query's reducer, for a batch of queries in one pass.
 
-        ``rows`` holds one ``(num_query_vertices, query_branches, thresholds,
-        lut, reducer)`` per query.  ``lut[order, gbd]`` is the caller's
-        posterior table for the query's τ̂ (a row per extended order
-        ``max(|V_Q|, |V_G|)`` of the snapshot).  ``reducer`` names what is
-        kept of the verified rows:
+        ``rows`` holds one ``(num_query_vertices, query_branches, table,
+        reducer)`` per query.  ``table`` is the query's τ̂
+        :class:`PosteriorTable`, which must hold a row for every extended
+        order ``max(|V_Q|, |V_G|)`` of the snapshot: a row whose table lacks
+        one, or whose offsets run past its cells, is refused with
+        ``ValueError`` before any row of the batch is reduced.  Per distinct
+        ``|V_G|`` the GBD lower bound ``ϕ`` is read against the table's
+        suffix maximum ``M(ϕ)``; ``reducer`` names what is kept of the
+        verified rows:
 
-        * **γ** (a number) — the rows with ``lut[order, GBD] >= γ``.
-          ``thresholds[i]`` is then the caller's max acceptable GBD for rows of
-          order ``distinct[i]`` (the snapshot's :meth:`order_ranges`) — the
-          γ-threshold inversion of the execution core — and a range whose GBD
-          lower bound exceeds it is not verified.  The query's result is
+        * **γ** (a number) — the rows with ``Φ(GBD) >= γ``.  A range with
+          ``M(ϕ) < γ`` cannot hold one (its every GBD is above the largest
+          accepting one) and is not verified.  The query's result is
           ``(positions, gbds, eligible, verified, sparse)``: the *hits*'
           ascending positions and their GBDs (``max(|V_Q|, |V_G|) - |B_Q ∩
           B_G|``, exactly ``order - intersection_row(..., view=...)[positions]``),
           and the bool mask of the ranges the bound kept.
-        * **k best** (:class:`TopK`, ``thresholds`` unused) — the ``k`` rows
-          first under ``(-score, graph id)``.  Per distinct ``|V_G|`` the GBD
-          lower bound read off the reducer's bound table (``bound_lut[order,
-          ϕ]``, the suffix maximum of ``lut[order, ϕ:]``, a table of its own
-          shape) gives a posterior *upper* bound shared by the rows of its
-          range; ranges are verified by descending bound until one falls
-          strictly below the k-th best score so far, zero-bound ranges never
-          (their score is 0.0: they fill a short or zero-tailed ranking by
-          smallest graph id).  The result is ``(ids, scores, visited,
+        * **k best** (:class:`TopK`) — the ``k`` rows first under ``(-score,
+          graph id)``.  ``M(ϕ)`` is a posterior *upper* bound shared by the
+          rows of a range; ranges are verified by descending bound until one
+          falls strictly below the k-th best score so far, zero-bound ranges
+          never (their score is 0.0: they fill a short or zero-tailed ranking
+          by smallest graph id).  The result is ``(ids, scores, visited,
           verified, sparse)``: the graph ids and scores of at most ``k`` rows,
           ranked (the ranking's first ``k``), and the mask of the ranges
           verified.
@@ -768,29 +824,24 @@ class ColumnarBranchStore:
         """
         snapshot = self._snapshot_of(view)
         csr, ranges = snapshot.csr, snapshot.ranges
-        distinct = ranges[0]
-        stored = self._largest_order(distinct)
         key_ids: List[int] = []
         query_counts: List[int] = []
         kernel_rows = []
         ranked = 0
-        for num_query_vertices, query_branches, thresholds, lut, reducer in rows:
-            num_query_vertices = int(num_query_vertices)
-            largest = max(num_query_vertices, stored)
+        for num_query_vertices, query_branches, table, reducer in rows:
             if isinstance(reducer, TopK):
                 k = int(reducer.k)
                 if k < 1:
                     raise ValueError("k must be a positive integer")
-                bars, gamma = self._checked_table(reducer.bound_lut, largest), 0.0
+                gamma = 0.0
                 ranked += 1
             else:
-                k, bars, gamma = 0, np.ascontiguousarray(thresholds, dtype=np.int64), float(reducer)
+                k, gamma = 0, float(reducer)
             first = len(key_ids)
             total, postings = self._match_into(query_branches, snapshot, key_ids, query_counts)
             kernel_rows.append((
-                num_query_vertices, total, len(key_ids) - first,
-                sparse_row_budget(postings, csr[3]), self._checked_table(lut, largest),
-                bars, gamma, k,
+                int(num_query_vertices), total, len(key_ids) - first,
+                sparse_row_budget(postings, csr[3]), table, gamma, k,
             ))
         found = self._kernels.filter_verify_rows(
             csr,
@@ -804,11 +855,11 @@ class ColumnarBranchStore:
         if ranked < len(rows):
             calls, cells = counters.filter_verify_rows
             calls.inc(len(rows) - ranked)
-            cells.inc((len(rows) - ranked) * len(distinct))
+            cells.inc((len(rows) - ranked) * len(ranges[0]))
         if ranked:
             produced = 0
             for row, result in zip(kernel_rows, found):
-                if row[7]:
+                if row[6]:
                     produced += csr[3] if result[4] is False else result[3]
             calls, cells = counters.row
             calls.inc(ranked)

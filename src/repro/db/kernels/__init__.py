@@ -17,8 +17,8 @@ by the store's ``|V_G|``-clustered positions, each distinct order a
 contiguous range.  ``filter_verify_rows`` — the serving engine's one plan
 and all of top-k, a batch of queries per call — runs, per query, the reducer
 its row names: the γ threshold, which accepts by the posterior table and γ
-alone, or the k best, which ranks by the table and cuts off by its bound
-table.  No kernel knows the branch-bound cap ``GBD <= 2 τ̂``: under
+alone, or the k best, which ranks by the table and cuts off by its suffix
+maximum.  No kernel knows the branch-bound cap ``GBD <= 2 τ̂``: under
 :class:`~repro.core.search.GBDASearch`'s ``use_index_pruning`` ablation it is
 a post-filter over the search's own dense scores.
 

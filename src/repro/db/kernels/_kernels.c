@@ -21,10 +21,14 @@
  *     positions are unique, so the rows of one (key, |V_row|) pair are one
  *     contiguous slice of the segment.
  *   - Everything else (key ids, query counts, orders, bounds, ids, outputs)
- *     is int64, except posterior tables and scores, which are doubles:
- *     ``lut[order * lut_width + gbd]`` is Pr[GED <= tau | GBD = gbd] at
- *     extended order ``order`` (row-major, every order a query can meet
- *     covered — checked by the store before the call).
+ *     is int64, except posterior tables and scores, which are doubles.  A
+ *     query's posterior table is ragged (repro.db.columnar.PosteriorTable):
+ *     row e — an extended order max(|V_Q|, |V_G|) — starts at offsets[e]
+ *     (-1: not filled); phi[offsets[e] + gbd] is Pr[GED <= tau | GBD = gbd]
+ *     and best[offsets[e] + gbd] its suffix maximum over gbd..e.  A batch
+ *     whose table lacks a row some query reads, or whose row would run past
+ *     the table's cells, is refused before any query is reduced
+ *     (table_covers): no table is read outside itself.
  *   - Output buffers are caller-allocated.  The one exported reducer,
  *     repro_filter_verify_rows, takes a batch of queries against one
  *     snapshot, their scalars packed as one int64 row per query (the tables
@@ -49,7 +53,7 @@
 #define MIN64(a, b) ((a) < (b) ? (a) : (b))
 #define MAX64(a, b) ((a) > (b) ? (a) : (b))
 
-int64_t repro_kernels_abi_version(void) { return 7; }
+int64_t repro_kernels_abi_version(void) { return 8; }
 
 /* First slot in arr[0..n) not less than value (arr ascending). */
 static int64_t lower_bound_i32(const int32_t *arr, int64_t n, int64_t value) {
@@ -152,6 +156,14 @@ static int32_t *zeroed_accumulator(int64_t num_rows) {
     return (int32_t *)calloc((size_t)MAX64(num_rows, 1), sizeof(int32_t));
 }
 
+/* A query's posterior table: row e starts at offsets[e] in phi (Φ) and in
+ * best (M, Φ's suffix maximum, non-increasing). */
+typedef struct {
+    const int64_t *offsets;
+    const double *phi;
+    const double *best;
+} posterior_table;
+
 /* Hits among rows from..to of a range (see reduce_range). */
 static int64_t reduce_rows(const int32_t *acc, int64_t from, int64_t to, int64_t first,
                            int64_t order, int32_t fewest, const double *row_of, double gamma,
@@ -167,23 +179,34 @@ static int64_t reduce_rows(const int32_t *acc, int64_t from, int64_t to, int64_t
     return num_hits;
 }
 
+/* The largest GBD in 0..order whose posterior reaches gamma, or -1: the
+ * last slot of the non-increasing best_of that does, by binary search. */
+static int64_t largest_accepting(const double *best_of, int64_t order, double gamma) {
+    int64_t lo = 0, hi = order + 1; /* best_of[ϕ] >= gamma below lo, not from hi on */
+    while (lo < hi) {
+        int64_t mid = lo + ((hi - lo) >> 1);
+        if (best_of[mid] >= gamma) {
+            lo = mid + 1;
+        } else {
+            hi = mid;
+        }
+    }
+    return lo - 1;
+}
+
 /* The hits among the `size` rows of one range, whose first row is position
  * `first` and whose extended order is `order`: row i is one when
- * lut[order, gbd] >= gamma at its GBD order - acc[i] — Step 4's own
- * comparison of doubles.  The order is constant over the range, so the largest
- * accepting GBD is found once, and a row sharing fewer branches
- * than order minus that GBD cannot be a hit: most rows are, and blocks of 16
- * of them are dismissed by one test the compiler vectorises.  Read off the
- * table, not off the caller's thresholds: hits are the rows the table accepts,
- * whatever bars the caller filtered with.  Appends to out_positions /
- * out_gbds from slot num_hits on; returns the new hit count. */
+ * Φ(gbd) >= gamma at its GBD order - acc[i] — Step 4's own comparison of
+ * doubles.  The order is constant over the range, so the largest accepting
+ * GBD is found once, and a row sharing fewer branches than order minus that
+ * GBD cannot be a hit: most rows are, and blocks of 16 of them are dismissed
+ * by one test the compiler vectorises.  Appends to out_positions / out_gbds
+ * from slot num_hits on; returns the new hit count. */
 static int64_t reduce_range(const int32_t *acc, int64_t first, int64_t size,
-                            int64_t order, const double *lut, int64_t lut_width,
-                            double gamma, int64_t *out_positions, int64_t *out_gbds,
-                            int64_t num_hits) {
-    const double *row_of = lut + order * lut_width;
-    int64_t largest = order;
-    while (largest >= 0 && !(row_of[largest] >= gamma)) --largest;
+                            int64_t order, posterior_table table, double gamma,
+                            int64_t *out_positions, int64_t *out_gbds, int64_t num_hits) {
+    const double *row_of = table.phi + table.offsets[order];
+    int64_t largest = largest_accepting(table.best + table.offsets[order], order, gamma);
     if (largest < 0) return num_hits;
     int32_t fewest = (int32_t)(order - largest);
     int64_t block = 0;
@@ -200,10 +223,10 @@ static int64_t reduce_range(const int32_t *acc, int64_t first, int64_t size,
 }
 
 /* Single-pass filter, verify and threshold reduce for one query:
- *   1. per distinct |V_G| (range u), the GBD lower bound is compared against
- *      the caller's max-acceptable-GBD threshold (out_eligible is always
- *      filled; ineligible ranges' rows are never touched again on the sparse
- *      plan);
+ *   1. per distinct |V_G| (range u), the range is eligible when M >= gamma at
+ *      its GBD lower bound: some GBD it can reach is accepted (out_eligible
+ *      is always filled; ineligible ranges' rows are never touched again on
+ *      the sparse plan);
  *   2. no eligible row: nothing else happens;
  *   3. at most max_candidates eligible rows (the sparse plan): the eligible
  *      ranges' intersections are accumulated from the slices of the matched
@@ -218,18 +241,17 @@ static int64_t reduce_range(const int32_t *acc, int64_t first, int64_t size,
  * out_positions / out_gbds must hold as many slots as there are rows. */
 static int64_t filter_verify_one(
     int64_t num_query_vertices, int64_t matched_total, const int64_t *distinct,
-    const int64_t *bounds, int64_t num_distinct, const int64_t *thresholds,
-    int64_t max_candidates, const int64_t *offsets, const int32_t *positions,
-    const int32_t *counts, const int64_t *key_ids, const int64_t *query_counts,
-    int64_t num_keys, const double *lut, int64_t lut_width, double gamma,
-    int64_t *out_positions, int64_t *out_gbds, uint8_t *out_eligible,
-    int64_t *out_num_hits) {
+    const int64_t *bounds, int64_t num_distinct, int64_t max_candidates,
+    const int64_t *offsets, const int32_t *positions, const int32_t *counts,
+    const int64_t *key_ids, const int64_t *query_counts, int64_t num_keys,
+    posterior_table table, double gamma, int64_t *out_positions, int64_t *out_gbds,
+    uint8_t *out_eligible, int64_t *out_num_hits) {
     int64_t num_eligible = 0, num_picked = 0, num_hits = 0;
     *out_num_hits = 0;
     for (int64_t u = 0; u < num_distinct; ++u) {
-        int64_t order = distinct[u];
-        int64_t bound = MAX64(num_query_vertices, order) - MIN64(matched_total, order);
-        out_eligible[u] = bound <= thresholds[u];
+        int64_t order = MAX64(num_query_vertices, distinct[u]);
+        int64_t bound = order - MIN64(matched_total, distinct[u]);
+        out_eligible[u] = table.best[table.offsets[order] + bound] >= gamma;
         if (out_eligible[u]) {
             num_eligible += bounds[u + 1] - bounds[u];
             ++num_picked;
@@ -247,8 +269,8 @@ static int64_t filter_verify_one(
         dense_walk(offsets, positions, counts, key_ids, query_counts, num_keys, acc);
         for (int64_t u = 0; u < num_distinct; ++u) {
             num_hits = reduce_range(acc + bounds[u], bounds[u], bounds[u + 1] - bounds[u],
-                                    MAX64(num_query_vertices, distinct[u]), lut, lut_width,
-                                    gamma, out_positions, out_gbds, num_hits);
+                                    MAX64(num_query_vertices, distinct[u]), table, gamma,
+                                    out_positions, out_gbds, num_hits);
         }
         free(acc);
         *out_num_hits = num_hits;
@@ -272,7 +294,7 @@ static int64_t filter_verify_one(
         int64_t u = picked[r];
         int64_t size = bounds[u + 1] - bounds[u];
         num_hits = reduce_range(column, bounds[u], size, MAX64(num_query_vertices, distinct[u]),
-                                lut, lut_width, gamma, out_positions, out_gbds, num_hits);
+                                table, gamma, out_positions, out_gbds, num_hits);
         column += size;
     }
     free(picked);
@@ -363,7 +385,7 @@ static void next_group_sift_down(group_bound *heap, int64_t size, int64_t i) {
  * reduce:
  *   1. per distinct |V_G| (range u): extended order e = max(|V_Q|, |V_G|), GBD
  *      lower bound b = e - min(matched_total, |V_G|), posterior upper bound
- *      bound_lut[e * bound_width + b].  Groups with a positive bound are
+ *      M(b) of row e.  Groups with a positive bound are
  *      ranked in; a zero bound settles the score at 0.0;
  *   2. ranked-in groups are visited by descending bound and the visit ends at
  *      the first whose bound is strictly below the k-th best score so far;
@@ -373,7 +395,7 @@ static void next_group_sift_down(group_bound *heap, int64_t size, int64_t i) {
  *      verified so far plus the next group exceed max_candidates: from there
  *      the matched keys' whole segments are walked once into a dense
  *      accumulator the groups that follow read as it is;
- *   4. a verified row is scored lut[e * lut_width + e - |B_Q ∩ B_G|] and
+ *   4. a verified row is scored Φ(e - |B_Q ∩ B_G|) of row e and
  *      offered to the heap under (-score, graph id);
  *   5. a heap that is short or whose root scores 0.0 is filled from the
  *      zero-bound groups, smallest graph ids first.
@@ -387,8 +409,7 @@ static int64_t k_best_one(
     const int64_t *bounds, int64_t num_distinct, int64_t max_candidates,
     const int64_t *offsets, const int32_t *positions, const int32_t *counts,
     const int64_t *key_ids, const int64_t *query_counts, int64_t num_keys,
-    const int64_t *global_ids, const double *lut, int64_t lut_width,
-    const double *bound_lut, int64_t bound_width, int64_t k, int64_t *out_ids,
+    const int64_t *global_ids, posterior_table table, int64_t k, int64_t *out_ids,
     double *out_scores, uint8_t *out_visited, int64_t *out_verified, int64_t *out_dense) {
     int64_t num_rows = bounds[num_distinct];
     group_bound *reach =
@@ -406,7 +427,7 @@ static int64_t k_best_one(
     for (int64_t u = 0; u < num_distinct; ++u) {
         int64_t order = MAX64(num_query_vertices, distinct[u]);
         int64_t lower = order - MIN64(matched_total, distinct[u]);
-        double bound = bound_lut[order * bound_width + lower];
+        double bound = table.best[table.offsets[order] + lower];
         out_visited[u] = 0;
         if (bound > 0.0) {
             reach[in_reach].bound = bound;
@@ -445,7 +466,7 @@ static int64_t k_best_one(
         verified += rows;
         out_visited[u] = 1;
         int64_t order = MAX64(num_query_vertices, distinct[u]);
-        const double *row_of = lut + order * lut_width;
+        const double *row_of = table.phi + table.offsets[order];
         for (int64_t i = 0; i < rows; ++i) {
             size = offer_to_heap(out_ids, out_scores, size, k, global_ids[first + i],
                                  row_of[order - shared[i]]);
@@ -486,27 +507,43 @@ enum {
     ROW_MAX_CANDIDATES, /* the most rows verified by range slices */
     ROW_FIRST_KEY,      /* the query's matched keys: key_ids / query_counts */
     ROW_NUM_KEYS,       /*   from ROW_FIRST_KEY on, ROW_NUM_KEYS of them */
-    ROW_LUT,            /* address of the posterior table ... */
-    ROW_LUT_WIDTH,      /*   and its row length */
+    ROW_OFFSETS,        /* the posterior table: address of its row offsets ... */
+    ROW_NUM_OFFSETS,    /*   and how many there are, */
+    ROW_PHI,            /*   the address of its Φ cells, */
+    ROW_BEST,           /*   of its M cells, */
+    ROW_CELLS,          /*   and how many cells each holds */
     ROW_K,              /* the reducer: 0 the γ threshold (gammas[r]), k >= 1 the k best */
-    ROW_BARS,           /* address of the γ reducer's num_distinct max acceptable GBDs,
-                           or of the k-best reducer's bound table ... */
-    ROW_BARS_WIDTH,     /*   and the bound table's row length */
     ROW_VERIFIED,       /* out: rows verified, or -1 on allocation failure */
     ROW_DENSE,          /* out: whether the dense walk ran */
     ROW_HITS_END,       /* out: the slot after the query's last hit */
     ROW_FIELDS
 };
 
+/* Whether the table of a query's row holds, inside its cells, every row the
+ * query reads: that of each extended order max(|V_Q|, distinct[u]). */
+static int table_covers(const int64_t *row, const int64_t *distinct, int64_t num_distinct) {
+    const int64_t *offsets = (const int64_t *)(intptr_t)row[ROW_OFFSETS];
+    for (int64_t u = 0; u < num_distinct; ++u) {
+        int64_t order = MAX64(row[ROW_QUERY_VERTICES], distinct[u]);
+        if (order >= row[ROW_NUM_OFFSETS]) return 0;
+        int64_t start = offsets[order];
+        if (start < 0 || start >= row[ROW_CELLS] - order) return 0;
+    }
+    return 1;
+}
+
 /* The reducers for the queries first..num_rows of one batch, against one
  * snapshot.  Query r's scalars are row r of the int64 table `rows` (ROW_FIELDS
- * slots each, its tables by address) and gammas[r]; ROW_K picks its reducer:
+ * slots each, its posterior table by address) and gammas[r]; ROW_K picks its
+ * reducer:
  *   - 0, the γ threshold (filter_verify_one): its hits are positions and GBDs,
  *     appended to out_positions / out_gbds, and out_eligible[r * num_distinct
  *     ..] flags the ranges the bound kept;
  *   - k >= 1, the k best (k_best_one): its hits are graph ids and scores,
  *     appended to out_positions / out_scores best first, and the flags say
  *     which ranges were verified.
+ * First every query's table is checked (table_covers): when one's is short,
+ * nothing is reduced and -1 - r is returned for the first such query r.
  * Hits are appended from slot 0 on, one query after the other, and
  * rows[r * ROW_FIELDS + ROW_HITS_END] says where query r's end.  A γ query can
  * hit every row of the store, a k-best one min(k, rows), so a query after the
@@ -521,6 +558,9 @@ int64_t repro_filter_verify_rows(
     const int64_t *global_ids, const int64_t *key_ids, const int64_t *query_counts,
     int64_t *rows, const double *gammas, int64_t first, int64_t num_rows, int64_t capacity,
     int64_t *out_positions, int64_t *out_gbds, double *out_scores, uint8_t *out_eligible) {
+    for (int64_t r = first; r < num_rows; ++r) {
+        if (!table_covers(rows + r * ROW_FIELDS, distinct, num_distinct)) return -1 - r;
+    }
     int64_t num_hits = 0, store_rows = bounds[num_distinct];
     for (int64_t r = first; r < num_rows; ++r) {
         int64_t *row = rows + r * ROW_FIELDS;
@@ -528,17 +568,19 @@ int64_t repro_filter_verify_rows(
         if (r > first && capacity - num_hits < (k ? MIN64(k, store_rows) : store_rows)) return r;
         const int64_t *keys = key_ids + row[ROW_FIRST_KEY];
         const int64_t *keys_counts = query_counts + row[ROW_FIRST_KEY];
-        const double *lut = (const double *)(intptr_t)row[ROW_LUT];
+        posterior_table table = {
+            (const int64_t *)(intptr_t)row[ROW_OFFSETS],
+            (const double *)(intptr_t)row[ROW_PHI],
+            (const double *)(intptr_t)row[ROW_BEST],
+        };
         uint8_t *eligible = out_eligible + r * num_distinct;
         int64_t hits = 0;
         if (k) {
             hits = k_best_one(
                 row[ROW_QUERY_VERTICES], row[ROW_MATCHED_TOTAL], distinct, bounds, num_distinct,
                 row[ROW_MAX_CANDIDATES], offsets, positions, counts, keys, keys_counts,
-                row[ROW_NUM_KEYS], global_ids, lut, row[ROW_LUT_WIDTH],
-                (const double *)(intptr_t)row[ROW_BARS], row[ROW_BARS_WIDTH], k,
-                out_positions + num_hits, out_scores + num_hits, eligible, &row[ROW_VERIFIED],
-                &row[ROW_DENSE]);
+                row[ROW_NUM_KEYS], global_ids, table, k, out_positions + num_hits,
+                out_scores + num_hits, eligible, &row[ROW_VERIFIED], &row[ROW_DENSE]);
             if (hits < 0) {
                 row[ROW_VERIFIED] = -1;
                 hits = 0;
@@ -546,10 +588,9 @@ int64_t repro_filter_verify_rows(
         } else {
             int64_t num_eligible = filter_verify_one(
                 row[ROW_QUERY_VERTICES], row[ROW_MATCHED_TOTAL], distinct, bounds, num_distinct,
-                (const int64_t *)(intptr_t)row[ROW_BARS], row[ROW_MAX_CANDIDATES], offsets,
-                positions, counts, keys, keys_counts, row[ROW_NUM_KEYS], lut,
-                row[ROW_LUT_WIDTH], gammas[r], out_positions + num_hits, out_gbds + num_hits,
-                eligible, &hits);
+                row[ROW_MAX_CANDIDATES], offsets, positions, counts, keys, keys_counts,
+                row[ROW_NUM_KEYS], table, gammas[r], out_positions + num_hits,
+                out_gbds + num_hits, eligible, &hits);
             row[ROW_DENSE] = num_eligible > row[ROW_MAX_CANDIDATES];
             row[ROW_VERIFIED] = num_eligible < 0 ? -1 : row[ROW_DENSE] ? store_rows : num_eligible;
         }

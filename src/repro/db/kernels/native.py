@@ -16,21 +16,22 @@ Pointer arguments are declared ``void *`` and passed as plain addresses:
 extracting ``array.ctypes.data_as(...)`` costs ~2µs per array in ctypes
 machinery, which at a dozen arrays per fused call would rival the kernel
 itself.  Addresses of snapshot-stable arrays (the CSR triple, the order
-ranges, the row vectors, the execution core's threshold vectors and
-posterior tables) are therefore identity-cached via :func:`_pinned` — an
-entry lives exactly as long as its array, so a cached address can never
-dangle or alias a recycled ``id``, and a superseded snapshot's arrays leave
-the cache with the snapshot.
+ranges, the row vectors, and the three arrays of each τ̂'s posterior table)
+are therefore identity-cached via :func:`_pinned` — an entry lives exactly
+as long as its array, so a cached address can never dangle or alias a
+recycled ``id``, and superseded snapshots and tables leave the cache.
 
 Both reducers run inside one C call, ``repro_filter_verify_rows``, for a
 whole batch of queries: a query's row names its reducer — the γ threshold or
 the k best — and the queries' scalars travel as one int64 row table and one
-γ vector.  Intersections accumulate in buffers of four bytes a row that live
-for one query alone — nothing is shared between threads, nothing persists on
-a store — and hits are appended to one caller-allocated buffer with room for
-the batch's hits up to two queries that hit every row (a k-best query has at
-most ``k``), their GBDs beside them and the k-best rows' scores in a buffer
-of their own; only the slots of actual hits are ever touched.  The call
+γ vector; a table that lacks a row its query reads refuses the batch
+before any query is reduced (``ValueError``).  Intersections accumulate in
+buffers of four bytes a row that live for one query alone — nothing is
+shared between threads, nothing persists on a store — and hits are appended
+to one caller-allocated buffer with room for the batch's hits up to two
+queries that hit every row (a k-best query has at most ``k``), their GBDs
+beside them and the k-best rows' scores in a buffer of their own; only the
+slots of actual hits are ever touched.  The call
 returns how many queries it finished, and :func:`filter_verify_rows` calls
 again from there when the buffer filled first.
 
@@ -62,7 +63,7 @@ from repro.db.kernels import numpy_impl
 name = "native"
 
 _SOURCE_PATH = Path(__file__).with_name("_kernels.c")
-_ABI_VERSION = 7
+_ABI_VERSION = 8
 
 #: argtypes of every exported kernel (i=int64 scalar, d=double, p=array address)
 _SIGNATURES = {
@@ -258,9 +259,9 @@ def gbd_lower_bound_row(num_query_vertices, matched_total, orders):
 
 
 #: Slots of one query's row in the table of ``repro_filter_verify_rows`` (the
-#: ``ROW_*`` enum of ``_kernels.c``): ten inputs, then the three outputs.
-_ROW_FIELDS = 13
-_ROW_FIRST_KEY, _ROW_VERIFIED, _ROW_DENSE, _ROW_HITS_END = 3, 10, 11, 12
+#: ``ROW_*`` enum of ``_kernels.c``): eleven inputs, then the three outputs.
+_ROW_FIELDS = 14
+_ROW_FIRST_KEY, _ROW_VERIFIED, _ROW_DENSE, _ROW_HITS_END = 3, 11, 12, 13
 
 
 def filter_verify_rows(csr, ranges, global_ids, rows, key_ids, query_counts):
@@ -277,19 +278,19 @@ def filter_verify_rows(csr, ranges, global_ids, rows, key_ids, query_counts):
     fields = []
     gammas = []
     first_key = room = ranked = 0
-    for num_query_vertices, matched_total, num_keys, budget, lut, bars, gamma, k in rows:
-        # The execution core reuses one thresholds array and one table per
-        # repeated query shape, so their addresses are worth caching.
+    for num_query_vertices, matched_total, num_keys, budget, table, gamma, k in rows:
+        # The execution core hands every query of a τ̂ the same table until
+        # it grows, so its addresses are worth caching.
+        offsets, phi, best = table
         if k:
-            bars_address, bars_width = _pinned(bars, np.float64), bars.shape[1]
             room += min(k, num_store_rows)
             ranked += 1
         else:
-            bars_address, bars_width = _pinned(bars, np.int64), 0
             room += num_store_rows
         fields += (
             num_query_vertices, matched_total, max(budget, 0), first_key, num_keys,
-            _pinned(lut, np.float64), lut.shape[1], k, bars_address, bars_width, 0, 0, 0,
+            _pinned(offsets, np.int64), len(offsets), _pinned(phi, np.float64),
+            _pinned(best, np.float64), min(len(phi), len(best)), k, 0, 0, 0,
         )
         gammas.append(gamma)
         first_key += num_keys
@@ -324,6 +325,8 @@ def filter_verify_rows(csr, ranges, global_ids, rows, key_ids, query_counts):
     first = 0
     while first < num_rows:
         done = int(_library().repro_filter_verify_rows(*head, first, num_rows, *tail))
+        if done < 0:
+            raise ValueError(f"the posterior table of row {-1 - done} lacks a row it reads")
         used = table[(done - 1) * _ROW_FIELDS + _ROW_HITS_END]
         hits, gbds, found = out[:used], out[capacity : capacity + used], scores[:used]
         if not views:
@@ -342,7 +345,7 @@ def filter_verify_rows(csr, ranges, global_ids, rows, key_ids, query_counts):
                 )[0])
             else:
                 results.append((
-                    hits[start:end], (found if rows[row][7] else gbds)[start:end],
+                    hits[start:end], (found if rows[row][6] else gbds)[start:end],
                     eligible[row * width : (row + 1) * width], verified,
                     not table[at + _ROW_DENSE] if verified else None,
                 ))

@@ -25,14 +25,14 @@ Interface conventions shared by all backends:
   *matched* branch keys (possibly empty, never ``None``).
 * ``global_ids`` is the snapshot's int64 ``position -> graph id`` vector: the
   k-best reducer ranks, and hands back, graph ids.
-* ``lut`` is a float64 posterior table, ``lut[order, gbd] = Pr[GED <= τ̂ |
-  GBD = gbd]`` at extended order ``order``, with a row for every extended
-  order the query can meet (the store checks); a k-best row's bound table is
-  its suffix-max twin, ``bound_lut[order, ϕ] = max(lut[order, ϕ:])`` — read at
-  a GBD *lower bound* it upper-bounds the posterior — a table of its own
-  shape.  The one reducer, :func:`filter_verify_rows`, reads them to turn
-  verified rows into *hits* inside the kernel, for every query of a batch;
-  the compiled twin never materialises a dense row.
+* ``table`` is a query's :class:`~repro.db.columnar.PosteriorTable`
+  ``(offsets, phi, best)``: row ``e`` — an extended order — holds ``Φ(0..e)``
+  at ``phi[offsets[e]:]`` and its suffix maximum ``M`` at
+  ``best[offsets[e]:]``.  Read at a range's GBD *lower bound*, ``M`` keeps a
+  γ range (``M >= γ``) and bounds a k-best one.  The one reducer,
+  :func:`filter_verify_rows`, turns verified rows into *hits* inside the
+  kernel, for every query of a batch; the compiled twin never materialises
+  a dense row.
 * Outputs are int64 but for the k-best scores (float64); weighted
   ``bincount`` sums are exact small integers, so the float64 round-trip is
   lossless.
@@ -126,6 +126,16 @@ def gbd_lower_bound_row(
     )
 
 
+def _table_starts(table, extended: np.ndarray, row: int) -> np.ndarray:
+    """Where ``table``'s row of each extended order starts; ``ValueError`` unless all lie inside."""
+    offsets, phi, best = table
+    if not len(extended) or extended[-1] < len(offsets):  # extended orders ascend
+        starts = np.asarray(offsets, dtype=np.int64)[extended]
+        if (starts >= 0).all() and (starts < min(len(phi), len(best)) - extended).all():
+            return starts
+    raise ValueError(f"the posterior table of row {row} lacks a row it reads")
+
+
 def filter_verify_rows(
     csr,
     ranges: Tuple[np.ndarray, np.ndarray],
@@ -137,30 +147,35 @@ def filter_verify_rows(
     """Fused bound filter → verify → reduce of a batch of queries.
 
     ``rows`` holds one ``(num_query_vertices, matched_total, num_keys,
-    max_candidates, lut, bars, gamma, k)`` tuple per query; ``key_ids`` /
+    max_candidates, table, gamma, k)`` tuple per query; ``key_ids`` /
     ``query_counts`` are the queries' matched keys laid end to end, ``num_keys``
     of them each.  ``k`` picks the reducer: 0 the γ threshold
-    (:func:`_filter_verify_one`, ``bars`` the max acceptable GBD per distinct
-    order), ``k >= 1`` the k best (:func:`_k_best_one`, ``bars`` the bound
-    table).  Returns one ``(positions, values, eligible, verified, sparse)``
-    per query, in order: the queries share the snapshot and nothing else.
+    (:func:`_filter_verify_one`), ``k >= 1`` the k best (:func:`_k_best_one`).
+    A table lacking a row its query reads refuses the batch (``ValueError``)
+    first.  Returns one ``(positions, values, eligible, verified, sparse)`` per
+    query, in order: the queries share the snapshot and nothing else.
     ``sparse`` is ``None`` when nothing was verified, ``True`` when range
     slices did all of it and ``False`` when the dense walk ran.
     """
+    distinct = ranges[0]
+    tables = []
+    for row, (num_query_vertices, _total, _keys, _budget, table, _gamma, _k) in enumerate(rows):
+        extended = np.maximum(int(num_query_vertices), distinct)
+        tables.append((extended, _table_starts(table, extended, row), table[1], table[2]))
     results = []
     first = 0
-    for num_query_vertices, matched_total, num_keys, budget, lut, bars, gamma, k in rows:
+    for (num_query_vertices, matched_total, num_keys, budget, _table, gamma, k), table in zip(
+        rows, tables
+    ):
         last = first + num_keys
         keys, counts = key_ids[first:last], query_counts[first:last]
         if k:
             results.append(_k_best_one(
-                csr, ranges, global_ids, num_query_vertices, matched_total, keys, counts,
-                budget, lut, bars, k,
+                csr, ranges, global_ids, matched_total, keys, counts, budget, table, k,
             ))
         else:
             results.append(_filter_verify_one(
-                csr, ranges, num_query_vertices, matched_total, keys, counts, bars, budget,
-                lut, gamma,
+                csr, ranges, matched_total, keys, counts, budget, table, gamma,
             ))
         first = last
     return results
@@ -169,45 +184,46 @@ def filter_verify_rows(
 def _filter_verify_one(
     csr,
     ranges: Tuple[np.ndarray, np.ndarray],
-    num_query_vertices: int,
     matched_total: int,
     key_ids: np.ndarray,
     query_counts: np.ndarray,
-    thresholds: np.ndarray,
     max_candidates: int,
-    lut: np.ndarray,
+    table: Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
     gamma: float,
 ):
     """Fused single-query bound filter → verify → threshold reduce.
 
-    ``eligible`` is the per-distinct-order bool mask of the bound filter
-    (lower bound ``<= thresholds``).  None eligible: nothing is verified.  At
-    most ``max_candidates`` rows (the caller's dense-plan bar): exactly those
-    rows are verified, range by range, through the slices of the matched
-    segments.  More: every row is, from one dense row.  A verified row is a
-    *hit* when ``lut[order, gbd] >= gamma`` at ``gbd = max(|V_Q|, |V_G|) -
-    |B_Q ∩ B_G|`` (Step 4's comparison, on the very doubles the posteriors
-    are); ``positions`` are the hits' positions, ascending, and the values
-    their GBDs.
+    ``table`` is ``(extended orders, their rows' starts, phi, best)`` per
+    distinct order.  ``eligible`` is the per-distinct-order bool mask of the
+    bound filter: ``M >= γ`` at the range's GBD lower bound.  None eligible:
+    nothing is verified.  At most ``max_candidates`` rows (the caller's
+    dense-plan bar): exactly those rows are verified, range by range, through
+    the slices of the matched segments.  More: every row is, from one dense
+    row.  A verified row is a *hit* when ``Φ(gbd) >= gamma`` at ``gbd =
+    max(|V_Q|, |V_G|) - |B_Q ∩ B_G|`` (Step 4's comparison, on the very
+    doubles the posteriors are); ``positions`` are the hits' positions,
+    ascending, and the values their GBDs.
     """
     distinct, bounds = ranges
+    extended, starts, phi, best = table
     sizes = np.diff(bounds)
-    extended = np.maximum(int(num_query_vertices), distinct)
     lower_bounds = extended - np.minimum(int(matched_total), distinct)
-    eligible = lower_bounds <= thresholds
+    eligible = best[starts + lower_bounds] >= gamma
     num_eligible = int(sizes[eligible].sum())
     if num_eligible == 0:
         return _EMPTY_I64, _EMPTY_I64, eligible, 0, None
     if num_eligible > max_candidates:
         positions = None
         row_extended = np.repeat(extended, sizes)
+        row_starts = np.repeat(starts, sizes)
         gbds = row_extended - intersection_row(csr, key_ids, query_counts, int(bounds[-1]))
     else:
-        starts, ends = bounds[:-1][eligible], bounds[1:][eligible]
-        positions = _flat_slices(starts, ends - starts)
+        first, last = bounds[:-1][eligible], bounds[1:][eligible]
+        positions = _flat_slices(first, last - first)
         row_extended = np.repeat(extended[eligible], sizes[eligible])
-        gbds = row_extended - _range_intersections(csr, key_ids, query_counts, starts, ends)
-    hits = np.flatnonzero(lut.take(row_extended * lut.shape[1] + gbds) >= gamma)
+        row_starts = np.repeat(starts[eligible], sizes[eligible])
+        gbds = row_extended - _range_intersections(csr, key_ids, query_counts, first, last)
+    hits = np.flatnonzero(phi[row_starts + gbds] >= gamma)
     if positions is None:
         return hits, gbds[hits], eligible, int(bounds[-1]), False
     return positions[hits], gbds[hits], eligible, num_eligible, True
@@ -235,36 +251,35 @@ def _k_best_one(
     csr,
     ranges: Tuple[np.ndarray, np.ndarray],
     global_ids: np.ndarray,
-    num_query_vertices: int,
     matched_total: int,
     key_ids: np.ndarray,
     query_counts: np.ndarray,
     max_candidates: int,
-    lut: np.ndarray,
-    bound_lut: np.ndarray,
+    table: Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
     k: int,
 ):
     """The k-best reducer of one query.
 
-    Every distinct ``|V_G|`` gets its GBD lower bound and, from ``bound_lut``,
-    the posterior upper bound its rows share.  Ranked in are the order groups
-    — position ranges — whose upper bound is positive (a zero bound settles
-    the score at 0.0).  They are visited by descending bound, ties in
-    ``distinct`` order, until the first whose bound is strictly below the k-th
-    best score so far.  A visited range is verified through its slices of the
-    matched segments while the rows verified so far plus its own stay within
-    ``max_candidates`` (the caller's dense-plan bar); the first range past it,
-    and every one after, reads one dense row.  A verified row scores
-    ``lut[order, gbd]`` at ``gbd = max(|V_Q|, |V_G|) - |B_Q ∩ B_G|``.  A
-    ranking that is short or whose k-th score is 0.0 is filled from the
-    zero-bound ranges by smallest graph id.  Returned are the graph ids and
-    scores of at most ``k`` rows, the first under ``(-score, id)``, in that
-    order, the mask of the ranges verified, the rows verified, and the plan.
+    Every distinct ``|V_G|`` gets its GBD lower bound and, from ``M`` there
+    (``table`` as in :func:`_filter_verify_one`), the posterior upper bound
+    its rows share.  Ranked in are the order groups — position ranges — whose
+    upper bound is positive (a zero bound settles the score at 0.0).  They
+    are visited by descending bound, ties in ``distinct`` order, until the
+    first whose bound is strictly below the k-th best score so far.  A
+    visited range is verified through its slices of the matched segments
+    while the rows verified so far plus its own stay within
+    ``max_candidates`` (the caller's dense-plan bar); the first range past
+    it, and every one after, reads one dense row.  A verified row scores
+    ``Φ(gbd)`` at ``gbd = max(|V_Q|, |V_G|) - |B_Q ∩ B_G|``.  A ranking that
+    is short or whose k-th score is 0.0 is filled from the zero-bound ranges
+    by smallest graph id.  Returned are the graph ids and scores of at most
+    ``k`` rows, the first under ``(-score, id)``, in that order, the mask of
+    the ranges verified, the rows verified, and the plan.
     """
     distinct, bounds = ranges
-    extended = np.maximum(int(num_query_vertices), distinct)
+    extended, starts, phi, best = table
     lower_bounds = extended - np.minimum(int(matched_total), distinct)
-    upper = bound_lut[extended, lower_bounds]
+    upper = best[starts + lower_bounds]
     ranked_in = upper > 0.0
     groups = np.argsort(-upper, kind="stable")
     ids, scores = global_ids[:0], np.empty(0, dtype=np.float64)
@@ -286,7 +301,7 @@ def _k_best_one(
         visited[group] = True
         ids, scores = _k_best(
             np.concatenate((ids, global_ids[start:end])),
-            np.concatenate((scores, lut[extended[group], extended[group] - intersections])),
+            np.concatenate((scores, phi[starts[group] + extended[group] - intersections])),
             k,
         )
     if len(ids) < k or scores.min() <= 0.0:

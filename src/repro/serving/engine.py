@@ -202,8 +202,8 @@ class BatchQueryEngine:
 
     @property
     def num_cached_tables(self) -> int:
-        """Number of ``(τ̂, |V'1|)`` posterior vectors currently materialised."""
-        return len(self._core.tables)
+        """Number of ``(τ̂, |V'1|)`` posterior rows currently filled."""
+        return self._core.num_cached_tables
 
     # ------------------------------------------------------------------ #
     # serving

@@ -226,8 +226,8 @@ def test_one_batch_covers_every_kind_of_row(backend):
                 (
                     query.query_graph.num_vertices,
                     query.branches(),
-                    *core._row_tables(
-                        query.tau_hat, query.gamma, query.query_graph.num_vertices,
+                    core._table(
+                        query.tau_hat, query.query_graph.num_vertices,
                         core.store.order_ranges()[0],
                     ),
                     query.gamma,
@@ -276,12 +276,12 @@ def test_one_mixed_batch_covers_every_kind_of_top_k_row(backend):
     plain = _query(core, "stored", 4, 1, 0.5)
     queries = [ranked[0], pruned, *ranked[1:3], twin, plain, *ranked[3:]]
     distinct = core.store.order_ranges()[0]
-    rows = [(pruned.query_graph.num_vertices, pruned.branches(), *core._row_tables(
-        0, 1.0, pruned.query_graph.num_vertices, distinct), 1.0)]
+    rows = [(pruned.query_graph.num_vertices, pruned.branches(), core._table(
+        0, pruned.query_graph.num_vertices, distinct), 1.0)]
     for query in ranked:
         num_query_vertices = query.query_graph.num_vertices
-        bound, lut = core._row_tables(query.tau_hat, None, num_query_vertices, distinct)
-        rows.append((num_query_vertices, query.branches(), None, lut, TopK(query.top_k, bound)))
+        table = core._table(query.tau_hat, num_query_vertices, distinct)
+        rows.append((num_query_vertices, query.branches(), table, TopK(query.top_k)))
     found = core.store.filter_verify_rows(rows)
     assert found[0][3] == 0 and len(found[0][0]) == 0  # all pruned, nothing verified
     # k > D: every row ranked, the ones no group visit reached at 0.0

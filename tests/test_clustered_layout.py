@@ -22,7 +22,7 @@ import pytest
 from repro.core.plan import ExecutionCore
 from repro.core.search import GBDASearch
 from repro.db import columnar
-from repro.db.columnar import ColumnarBranchStore, _Snapshot
+from repro.db.columnar import ColumnarBranchStore, PosteriorTable, _Snapshot
 from repro.db.database import GraphDatabase
 from repro.db.kernels import available_backends
 from repro.db.query import SimilarityQuery
@@ -228,9 +228,12 @@ def test_a_sparse_plan_reads_only_its_eligible_ranges_and_builds_nothing_d_long(
     csr, orders, global_ids = store.view()
     distinct, bounds = store.order_ranges()
     query = Counter({("k", 1): 2, ("k", 4): 1, ("k", 6): 1})
-    # Two ranges in reach (orders 4 and 5); every lower bound is at least 0.
-    thresholds = np.where(np.isin(distinct, [4, 5]), 10**6, -1).astype(np.int64)
-    lut = np.ones((10, 11))
+    # Two ranges in reach (orders 4 and 5): a table that accepts every GBD of
+    # theirs and none of the others', read by a query of the smallest order,
+    # so that every row's extended order is its own.
+    table = PosteriorTable.from_rows(
+        {order: np.full(order + 1, float(order in (4, 5))) for order in range(10)}
+    )
     eligible_rows = np.isin(orders, [4, 5])
 
     poisoned_counts = csr[2].copy()
@@ -255,8 +258,8 @@ def test_a_sparse_plan_reads_only_its_eligible_ranges_and_builds_nothing_d_long(
                 return result
 
             patched.setattr(np, function, spy)
-        clean = store.filter_verify_rows([(5, query, thresholds, lut, 0.5)])[0]
-        dirty = poisoned.filter_verify_rows([(5, query, thresholds, lut, 0.5)])[0]
+        clean = store.filter_verify_rows([(2, query, table, 0.5)])[0]
+        dirty = poisoned.filter_verify_rows([(2, query, table, 0.5)])[0]
     after = {labels: child.value for labels, child in calls.series()}
     assert {
         labels[0]: after[labels] - before.get(labels, 0)
@@ -269,8 +272,11 @@ def test_a_sparse_plan_reads_only_its_eligible_ranges_and_builds_nothing_d_long(
         assert np.array_equal(a, b)
     assert max(built, default=0) < len(orders)
 
+    # The dense plan under a table that accepts every row: the poisoned rows
+    # are hits, and their GBDs show the poison was read.
     monkeypatch.setattr(columnar, "sparse_row_budget", lambda postings, rows: 0)
-    dense_clean = store.filter_verify_rows([(5, query, thresholds, lut, 0.5)])[0]
-    dense_dirty = poisoned.filter_verify_rows([(5, query, thresholds, lut, 0.5)])[0]
+    accept_all = PosteriorTable.from_rows({order: np.ones(order + 1) for order in range(10)})
+    dense_clean = store.filter_verify_rows([(2, query, accept_all, 0.5)])[0]
+    dense_dirty = poisoned.filter_verify_rows([(2, query, accept_all, 0.5)])[0]
     assert dense_clean[4] is dense_dirty[4] is False
     assert not np.array_equal(dense_clean[1], dense_dirty[1])

@@ -17,7 +17,7 @@ import pytest
 from repro.core.branches import branch_multiset
 from repro.core.gbd import branch_intersection_size, graph_branch_distance
 from repro.db import columnar
-from repro.db.columnar import ColumnarBranchStore, TopK
+from repro.db.columnar import ColumnarBranchStore, PosteriorTable, TopK
 from repro.db.database import GraphDatabase
 from repro.db.kernels import available_backends
 from repro.graphs.generators import random_labeled_graph
@@ -87,40 +87,52 @@ def gbd_row(store, num_query_vertices, branches):
     return np.maximum(num_query_vertices, view[1]) - store.intersection_row(branches, view=view)
 
 
-def verified_rows(store, num_query_vertices, branches, thresholds, **view):
-    """``filter_verify_rows`` (a batch of one) under a table that accepts every row it verifies.
+def bar_table(largest, bar):
+    """A table accepting GBD ϕ at extended order ``e`` exactly while ``ϕ <= bar(e)``.
 
-    The hits are then exactly the verified rows, so the call reads as the
-    bound filter and the verification it fuses: ``(positions, intersections,
-    eligible, num_eligible)`` by position, like every row of the store —
-    ``positions`` the verified rows, ascending, or ``None`` on the dense plan
-    (every row verified, ``intersections`` then the whole row);
-    ``intersections`` read as ``order - gbd``.  The hits must be the eligible
-    ranges' positions, ascending.
+    Φ is 1.0 up to the bar and 0.0 past it, so at γ = 0.5 its suffix maximum
+    keeps a range exactly when the range's GBD lower bound is within its bar.
+    """
+    return PosteriorTable.from_rows({
+        order: (np.arange(order + 1) <= bar(order)).astype(np.float64)
+        for order in range(largest + 1)
+    })
+
+
+def verified_rows(store, num_query_vertices, branches, bar, **view):
+    """``filter_verify_rows`` (a batch of one) under :func:`bar_table` and γ = 0.5.
+
+    The call then reads as the bound filter and the verification it fuses:
+    returns ``(positions, hits, intersections, eligible, num_eligible)`` by
+    position, like every row of the store — ``positions`` the verified rows,
+    ascending, or ``None`` on the dense plan (every row verified); ``hits``
+    the verified rows within their bar, ascending, and ``intersections``
+    theirs, read as ``order - gbd``.  The hits must be exactly the verified
+    rows whose GBD (by ``intersection_row``) is within the bar.
     """
     snapshot = store._snapshot_of(view.get("view"))
     distinct, bounds = snapshot.ranges
     largest = max([int(num_query_vertices), *distinct[-1:].tolist()])
-    accept_all = np.ones((largest + 1, largest + 2))
-    (positions, gbds, eligible, verified, sparse), = store.filter_verify_rows(
-        [(num_query_vertices, branches, thresholds, accept_all, 0.5)], **view
+    (hits, gbds, eligible, verified, sparse), = store.filter_verify_rows(
+        [(num_query_vertices, branches, bar_table(largest, bar), 0.5)], **view
     )
     ranges = [range(bounds[u], bounds[u + 1]) for u in range(len(distinct))]
     num_eligible = sum(len(ranges[u]) for u in np.flatnonzero(eligible).tolist())
-    assert positions.dtype == gbds.dtype == np.int64
+    assert hits.dtype == gbds.dtype == np.int64
     if num_eligible == 0:
         assert sparse is None and verified == 0
     else:
         assert sparse in (True, False)
         assert verified == (num_eligible if sparse else len(snapshot.orders))
-    assert len(positions) == verified  # every verified row is a hit of this table
-    intersections = np.maximum(int(num_query_vertices), snapshot.orders[positions]) - gbds
+    picked = np.flatnonzero(eligible).tolist() if sparse is not False else range(len(distinct))
+    positions = np.asarray([row for u in picked for row in ranges[u]], dtype=np.int64)
+    extended = np.maximum(int(num_query_vertices), snapshot.orders)
+    true_gbds = extended - store.intersection_row(branches, view=view.get("view"))
+    within = [row for row in positions.tolist() if true_gbds[row] <= bar(int(extended[row]))]
+    assert hits.tolist() == within
     if sparse is False:
-        assert positions.tolist() == list(range(len(snapshot.orders)))
-        return None, intersections, eligible, num_eligible
-    picked = np.flatnonzero(eligible).tolist() if sparse else []
-    assert positions.tolist() == [row for u in picked for row in ranges[u]]
-    return positions, intersections, eligible, num_eligible
+        positions = None
+    return positions, hits, extended[hits] - gbds, eligible, num_eligible
 
 
 #: ``sparse_row_budget`` stand-ins that force a verification plan on a small
@@ -135,18 +147,15 @@ PLAN_BUDGETS = {
 def ranked_rows(store, num_query_vertices, branches, k, **view):
     """A top-k row of ``filter_verify_rows`` under Φ = 1 / (1 + GBD).
 
-    Returns ``(ranking, verified, sparse)``.
-
-    A table that decreases in ϕ is its own suffix maximum, so it serves as the
-    bound table too; the ranking is sorted by ``(-score, id)``.
+    Returns ``(ranking, verified, sparse)``, the ranking sorted by ``(-score, id)``.
     """
     distinct = store.order_ranges(view.get("view"))[0]
     largest = max([int(num_query_vertices), *distinct[-1:].tolist()])
-    lut = np.zeros((largest + 1, largest + 2))
-    for order in range(largest + 1):
-        lut[order, : order + 1] = 1.0 / (1 + np.arange(order + 1))
+    table = PosteriorTable.from_rows(
+        {order: 1.0 / (1 + np.arange(order + 1)) for order in range(largest + 1)}
+    )
     (ids, scores, visited, verified, sparse), = store.filter_verify_rows(
-        [(num_query_vertices, branches, None, lut, TopK(k, lut))], **view
+        [(num_query_vertices, branches, table, TopK(k))], **view
     )
     assert ids.dtype == np.int64 and scores.dtype == np.float64
     assert len(ids) == len(scores) and visited.dtype == np.bool_
@@ -320,9 +329,7 @@ class TestCompactionRegressions:
         queries = _queries(6, seed=29)
         branch_sets = [branch_multiset(query) for query in queries]
         # Read through the ranges of the first snapshot.
-        verified_rows(
-            store, queries[0].num_vertices, branch_sets[0], np.unique(store.view()[1])
-        )
+        verified_rows(store, queries[0].num_vertices, branch_sets[0], lambda order: order)
         extras = GraphDatabase(_queries(4, seed=31))
         for entry in extras:
             store.extend([branches_of(entry)])
@@ -512,13 +519,6 @@ class TestBoundKernels:
 class TestFusedFilterVerify:
     """Contract of the single-pass bound-filter + verify kernel."""
 
-    @staticmethod
-    def _bars(store, num_query_vertices, tau):
-        """Per-distinct-order GBD bars: min(max(|V_Q|, o), τ) — arbitrary
-        but order-dependent, like the γ-threshold inversion produces."""
-        distinct = np.unique(store.view()[1])
-        return distinct, np.minimum(np.maximum(num_query_vertices, distinct), tau)
-
     def test_row_matches_unfused_kernels(self, random_database, make_store, monkeypatch):
         store = make_store(random_database)
         orders = store.view()[1]
@@ -537,40 +537,41 @@ class TestFusedFilterVerify:
                 bounds = store.gbd_lower_bound_row(nq, branches)
                 dense = store.intersection_row(branches)
                 for tau in (0, 1, 2, 4, 50):
-                    distinct, thresholds = self._bars(store, nq, tau)
-                    positions, inters, eligible, num_eligible = verified_rows(
-                        store, nq, branches, thresholds
+                    # Per-order GBD bars min(max(|V_Q|, o), τ): arbitrary but
+                    # order-dependent, like the γ-threshold inversion's.
+                    positions, hits, inters, eligible, num_eligible = verified_rows(
+                        store, nq, branches, lambda order: min(order, tau)
                     )
-                    per_row_bar = thresholds[np.searchsorted(distinct, orders)]
+                    per_row_bar = np.minimum(np.maximum(nq, orders), tau)
                     expected_rows = np.flatnonzero(bounds <= per_row_bar)
-                    assert eligible.dtype == np.bool_ and len(eligible) == len(distinct)
+                    assert eligible.dtype == np.bool_ and len(eligible) == len(np.unique(orders))
                     assert num_eligible == len(expected_rows)
-                    if positions is None:  # the dense plan: every row's intersection
-                        assert plan != "sparse" and inters.tolist() == dense.tolist()
+                    if positions is None:  # the dense plan: every row verified
+                        assert plan != "sparse"
                     else:
                         assert plan != "dense" or num_eligible == 0
                         assert positions.tolist() == expected_rows.tolist()
-                        assert inters.tolist() == dense[expected_rows].tolist()
+                    assert inters.tolist() == dense[hits].tolist()
 
     def test_row_dense_bail_and_empty_cases(self, random_database, make_store):
         store = make_store(random_database)
         query = _queries(1, seed=59)[0]
         branches = branch_multiset(query)
         nq = query.num_vertices
-        distinct, thresholds = self._bars(store, nq, 50)  # everything survives
-        positions, inters, eligible, num_eligible = verified_rows(
-            store, nq, branches, thresholds
+        # every GBD within its bar: everything survives and every row is a hit
+        positions, hits, inters, eligible, num_eligible = verified_rows(
+            store, nq, branches, lambda order: order
         )
         # every row to verify: walking the postings once is the cheaper plan
-        assert positions is None
+        assert positions is None and hits.tolist() == list(range(store.num_graphs))
         assert inters.tolist() == store.intersection_row(branches).tolist()
         assert eligible.all() and num_eligible == store.num_graphs
-        hopeless = np.full(len(distinct), -1, dtype=np.int64)  # GBD >= 0 always
-        positions, inters, eligible, num_eligible = verified_rows(
+        hopeless = lambda order: -1  # noqa: E731 - GBD >= 0 always
+        positions, hits, inters, eligible, num_eligible = verified_rows(
             store, nq, branches, hopeless
         )
         assert num_eligible == 0 and not eligible.any()
-        assert positions.shape == (0,) and inters.shape == (0,)
+        assert positions.shape == hits.shape == inters.shape == (0,)
 
     def test_a_repeat_reads_the_same_on_either_plan(
         self, random_database, make_store, monkeypatch
@@ -578,24 +579,26 @@ class TestFusedFilterVerify:
         store = make_store(random_database)
         query = _queries(1, seed=59)[0]
         branches, nq = branch_multiset(query), query.num_vertices
-        _distinct, thresholds = self._bars(store, nq, 50)  # everything survives: dense
 
-        def read(bars):
-            positions, inters, eligible, num_eligible = verified_rows(store, nq, branches, bars)
-            return positions, inters.tolist(), eligible.tolist(), num_eligible
+        def read(bar):
+            positions, hits, inters, eligible, num_eligible = verified_rows(
+                store, nq, branches, bar
+            )
+            return positions, hits.tolist(), inters.tolist(), eligible.tolist(), num_eligible
 
-        first = read(thresholds)
-        assert first[0] is None and read(thresholds) == first
-        # Nothing is remembered per thresholds array: an equal copy reads the same.
-        assert read(thresholds.copy()) == first
+        everything = lambda order: order  # noqa: E731 - everything survives: dense
+        first = read(everything)
+        assert first[0] is None and read(everything) == first
+        # Nothing is remembered per table: an equal one, built anew, reads the same.
+        assert read(lambda order: order) == first
         # A repeat the budget sends to the probes still has them to run.
         monkeypatch.setattr(columnar, "sparse_row_budget", lambda postings, rows: rows)
-        sparse = read(thresholds)
-        assert sparse[0] is not None and sparse[2:] == first[2:]
+        sparse = read(everything)
+        assert sparse[0] is not None and sparse[1:] == first[1:]
         # A write publishes a new snapshot, which has other rows to count.
         monkeypatch.undo()
         store.extend([branches_of(random_database[0])])
-        assert read(thresholds)[3] == first[3] + 1
+        assert read(everything)[4] == first[4] + 1
 
     def test_sparse_row_budget_reads_the_querys_own_postings(self):
         budget = columnar.sparse_row_budget

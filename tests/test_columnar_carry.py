@@ -267,7 +267,6 @@ class CarryMachine(RuleBasedStateMachine):
         """The range kernels: what the thresholded path calls."""
         store, fresh = self.store, self.fresh()
         distinct = store.order_ranges()[0]
-        bars = np.full(len(distinct), bar, dtype=np.int64)
         # Stores this small would nearly always take the dense plan on their
         # own: force each plan in turn so that both keep being compared.
         by_cost = columnar.sparse_row_budget
@@ -276,28 +275,32 @@ class CarryMachine(RuleBasedStateMachine):
         try:
             for q in queries:
                 nq = sum(q.values())
-                mine = verified_rows(store, nq, q, bars)
-                theirs = verified_rows(fresh, nq, q, bars)
-                assert mine[3] == theirs[3]
+                mine = verified_rows(store, nq, q, lambda order: bar)
+                theirs = verified_rows(fresh, nq, q, lambda order: bar)
+                assert mine[4] == theirs[4]
                 assert (mine[0] is None) == (theirs[0] is None)
-                assert plan == "by cost" or mine[3] == 0 or (mine[0] is None) == (plan == "dense")
-                for a, b in zip(mine[1:3], theirs[1:3]):
+                assert plan == "by cost" or mine[4] == 0 or (mine[0] is None) == (plan == "dense")
+                for a, b in zip(mine[1:4], theirs[1:4]):
                     assert np.array_equal(a, b)
-                dense = fresh.intersection_row(q)
                 if mine[0] is not None:
                     assert np.array_equal(mine[0], theirs[0])
-                    dense = dense[mine[0]]
-                assert np.array_equal(mine[1], dense)
+                assert np.array_equal(mine[2], fresh.intersection_row(q)[mine[1]])
             if len(distinct):
-                # Bars that keep some orders only: the slices read those ranges alone.
+                # Bars that keep some extended orders only: the slices read those
+                # ranges alone.
                 chosen = data.draw(st.sets(st.sampled_from(distinct.tolist()), min_size=1))
-                rows = np.flatnonzero(np.isin(store.view()[1], sorted(chosen)))
-                only = np.where(np.isin(distinct, sorted(chosen)), 10**6, -1)
                 columnar.sparse_row_budget = lambda postings, rows: rows
                 for q in queries:
-                    mine = verified_rows(store, sum(q.values()), q, only)
-                    assert mine[0].tolist() == rows.tolist() and mine[3] == len(rows)
-                    assert np.array_equal(mine[1], fresh.intersection_row(q)[rows])
+                    nq = sum(q.values())
+                    kept = np.maximum(nq, sorted(chosen))
+                    extended = np.maximum(nq, store.view()[1])
+                    rows = np.flatnonzero(np.isin(extended, kept))
+                    mine = verified_rows(
+                        store, nq, q, lambda order: 10**6 if order in kept else -1
+                    )
+                    assert mine[0].tolist() == mine[1].tolist() == rows.tolist()
+                    assert mine[4] == len(rows)
+                    assert np.array_equal(mine[2], fresh.intersection_row(q)[rows])
         finally:
             columnar.sparse_row_budget = by_cost
 
@@ -367,8 +370,7 @@ def test_only_a_compaction_builds_a_snapshot_record(backend, snapshot_records, s
     branches = branch_multiset(database[0].graph)
 
     def pruned_read():
-        bars = np.full(len(store.order_ranges()[0]), 3, dtype=np.int64)
-        return verified_rows(store, query.num_vertices, branches, bars)
+        return verified_rows(store, query.num_vertices, branches, lambda order: 3)
 
     pruned_read()
     for batch in range(3):
@@ -376,8 +378,8 @@ def test_only_a_compaction_builds_a_snapshot_record(backend, snapshot_records, s
         added = _graphs(7, seed=10 + batch, low=2, high=16 + 4 * batch)
         database.add_many(added)
         graphs += added
-        rows, intersections, _eligible, _count = pruned_read()
-        assert np.array_equal(intersections, store.intersection_row(branches)[rows])
+        _rows, hits, intersections, _eligible, _count = pruned_read()
+        assert np.array_equal(intersections, store.intersection_row(branches)[hits])
     # The empty store's record, then one per compaction.
     assert snapshot_records == [0, 40, 47, 54, 61]
     assert store.num_compactions == 4
@@ -393,7 +395,7 @@ def test_a_snapshot_holds_the_csr_and_row_vectors_only(backend):
     branches = branch_multiset(database[3].graph)
     for batch in range(3):
         store.intersection_row(branches)
-        verified_rows(store, 5, branches, np.full(len(store.order_ranges()[0]), 3))
+        verified_rows(store, 5, branches, lambda order: 3)
         ranked_rows(store, 5, branches, 4)
         database.add_many(_graphs(5, seed=20 + batch))
     store.compact()
@@ -418,8 +420,7 @@ def test_superseded_snapshot_arrays_are_released(backend, sparse_plan):
 
     def pruned_read():
         view = csr, orders, global_ids = store.view()
-        bars = np.full(len(store.order_ranges(view)[0]), 3, dtype=np.int64)
-        verified_rows(store, 8, branches, bars, view=view)
+        verified_rows(store, 8, branches, lambda order: 3, view=view)
         ranked_rows(store, 8, branches, 3, view=view)
         store.intersection_row(branches)
         return [weakref.ref(csr[1]), weakref.ref(orders), weakref.ref(global_ids)]
@@ -474,11 +475,12 @@ def test_reader_racing_add_many_sees_whole_batches_only(backend, sparse_plan):
     for batch in [[]] + batches:
         graphs.extend(batch)
         fresh = GraphDatabase(graphs, kernel_backend="numpy").store
-        bars = np.full(len(fresh.order_ranges()[0]), 4, dtype=np.int64)
-        rows, intersections, _eligible, count = verified_rows(
-            fresh, query.num_vertices, branches, bars
+        rows, hits, intersections, _eligible, count = verified_rows(
+            fresh, query.num_vertices, branches, lambda order: 4
         )
-        expected[len(graphs)] = (fresh.intersection_row(branches), rows, intersections, count)
+        expected[len(graphs)] = (
+            fresh.intersection_row(branches), rows, hits, intersections, count
+        )
 
     failures, reads, done = [], [0], threading.Event()
 
@@ -487,13 +489,15 @@ def test_reader_racing_add_many_sees_whole_batches_only(backend, sparse_plan):
             while not done.is_set():
                 view = csr, orders, global_ids = store.view()
                 assert csr[3] == len(orders) == len(global_ids)
-                row, rows, intersections, count = expected[len(orders)]
+                row, rows, hits, intersections, count = expected[len(orders)]
                 assert np.array_equal(store.intersection_row(branches, view=view), row)
-                bars = np.full(len(store.order_ranges(view)[0]), 4, dtype=np.int64)
-                got = verified_rows(store, query.num_vertices, branches, bars, view=view)
-                assert got[3] == count
+                got = verified_rows(
+                    store, query.num_vertices, branches, lambda order: 4, view=view
+                )
+                assert got[4] == count
                 assert np.array_equal(got[0], rows)
-                assert np.array_equal(got[1], intersections)
+                assert np.array_equal(got[1], hits)
+                assert np.array_equal(got[2], intersections)
                 reads[0] += 1
         except BaseException as exc:  # noqa: BLE001 - reported by the main thread
             failures.append(exc)

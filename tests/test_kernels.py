@@ -26,7 +26,7 @@ from hypothesis import strategies as st
 from repro.core.plan import ExecutionCore, FilterCounters
 from repro.core.search import GBDASearch, within_branch_bound
 from repro.db import columnar
-from repro.db.columnar import ColumnarBranchStore, TopK, _Snapshot
+from repro.db.columnar import ColumnarBranchStore, PosteriorTable, TopK, _Snapshot
 from repro.db.database import GraphDatabase
 from repro.db.query import SimilarityQuery
 from repro.db.kernels import (
@@ -390,38 +390,42 @@ def _scalar_rows(entries, query):
 
 
 def _random_table(seed, constant, largest):
-    """A posterior table whose rows are not monotone in ϕ (nor anything else).
+    """A posterior table of rows 0..largest that are not monotone in ϕ (nor anything else).
 
     ``constant``: that value everywhere — every row a hit or none, every score a tie.
     """
-    shape = (largest + 1, largest + 2)
-    if constant is not None:
-        return np.full(shape, constant)
-    return TABLE_VALUES[np.random.default_rng(seed).integers(0, len(TABLE_VALUES), size=shape)]
+    rng = np.random.default_rng(seed)
+    return PosteriorTable.from_rows({
+        order: np.full(order + 1, constant) if constant is not None
+        else TABLE_VALUES[rng.integers(0, len(TABLE_VALUES), size=order + 1)]
+        for order in range(largest + 1)
+    })
 
 
-def _bound_table(lut, largest):
-    """Suffix maxima of ``lut`` over the cells a GBD can take, in a table of its own shape."""
-    bound = np.zeros((largest + 1, largest + 2))
-    for order in range(min(largest + 1, lut.shape[0])):
-        cells = lut[order, : min(order, lut.shape[1] - 1) + 1]
-        bound[order, : len(cells)] = np.maximum.accumulate(cells[::-1])[::-1]
-    return bound
+def _table_of(rows):
+    """A table of rows 0..len(rows) - 1, row ``e`` the first ``e + 1`` values of ``rows[e]``."""
+    return PosteriorTable.from_rows(dict(enumerate(rows)))
+
+
+def _phi(table, order, gbd):
+    return float(table.row(order)[gbd])
+
+
+def _best(table, order, gbd):
+    return float(table.best[table.offsets[order] + gbd])
 
 
 def _ranked_pairs(pairs):
     return sorted(pairs, key=lambda pair: (-pair[1], pair[0]))
 
 
-def _top_k_row(store, num_query_vertices, query, lut, bound_lut, k):
+def _top_k_row(store, num_query_vertices, query, table, k):
     """A batch of one top-k row: ``(ids, scores, visited, verified, sparse)``."""
-    (found,) = store.filter_verify_rows(
-        [(num_query_vertices, query, None, lut, TopK(k, bound_lut))]
-    )
+    (found,) = store.filter_verify_rows([(num_query_vertices, query, table, TopK(k))])
     return found
 
 
-def _scalar_top_k(entries, scalar, num_query_vertices, matched_total, lut, bound_lut, k, budget):
+def _scalar_top_k(entries, scalar, num_query_vertices, matched_total, table, k, budget):
     """``(ranking, verified, sparse)`` of the group walk, one Python step at a time.
 
     The ranking is checked against the plain definition first — the first ``k``
@@ -429,7 +433,7 @@ def _scalar_top_k(entries, scalar, num_query_vertices, matched_total, lut, bound
     other way round.
     """
     scored = {
-        position: (entry.graph_id, float(lut[scalar[position]]))
+        position: (entry.graph_id, _phi(table, *scalar[position]))
         for position, entry in enumerate(entries)
     }
     groups = {}
@@ -439,7 +443,7 @@ def _scalar_top_k(entries, scalar, num_query_vertices, matched_total, lut, bound
     for order in groups:
         extended = max(num_query_vertices, order)
         lower = extended - min(matched_total, order)
-        bound = float(bound_lut[extended, lower])
+        bound = _best(table, extended, lower)
         if bound > 0.0:
             bounds[order] = bound
     kept, verified, dense = [], 0, False
@@ -469,14 +473,13 @@ class TestReducerParity:
     @given(
         multisets=st.lists(reducer_branch_sets, max_size=12),
         query=reducer_queries,
-        bar=st.integers(-1, 16),
         table=st.tuples(st.integers(0, 10_000), st.sampled_from([None, None, 0.5])),
         gamma=st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0, 0.6, 2.0]),
         plan=st.sampled_from(["sparse", "dense", "by cost"]),
         position_limit=st.sampled_from([5, INT32_MAX]),
     )
     def test_threshold_reducer_equals_the_scalar_loop(
-        self, multisets, query, bar, table, gamma, plan, position_limit
+        self, multisets, query, table, gamma, plan, position_limit
     ):
         entries, stores = _reducer_stores(multisets, range(100, 100 + len(multisets)), position_limit)
         # Hits come back by position: ascending order, by arrival within one.
@@ -486,14 +489,20 @@ class TestReducerParity:
         scalar = _scalar_rows(entries, query)
         distinct = sorted({entry.num_vertices for entry in entries})
         largest = max([num_query_vertices, *distinct])
-        lut = _random_table(*table, largest)
-        # Bars that differ by order, like the γ-threshold inversion's.
-        bars = np.asarray([bar - (order % 3) for order in distinct], dtype=np.int64)
+        table = _random_table(*table, largest)
 
         matched_total = stores["numpy"].matched_query_total(query)
+        # A range is kept when some GBD its lower bound allows is accepted:
+        # the suffix maximum there reaches γ.
         eligible = [
-            max(num_query_vertices, order) - min(matched_total, order) <= threshold
-            for order, threshold in zip(distinct, bars.tolist())
+            max(
+                _phi(table, max(num_query_vertices, order), gbd)
+                for gbd in range(
+                    max(num_query_vertices, order) - min(matched_total, order),
+                    max(num_query_vertices, order) + 1,
+                )
+            ) >= gamma
+            for order in distinct
         ]
         eligible_orders = {order for order, kept in zip(distinct, eligible) if kept}
         survivors = [
@@ -510,12 +519,12 @@ class TestReducerParity:
             hits = sorted(
                 (slot[row], scalar[row][1])
                 for row in verified
-                if lut[scalar[row]] >= gamma
+                if _phi(table, *scalar[row]) >= gamma
             )
             for backend, store in stores.items():
                 assert (store.view()[0][1].dtype == np.int64) == (len(entries) > position_limit)
                 (positions, gbds, mask, count, taken), = store.filter_verify_rows(
-                    [(num_query_vertices, query, bars, lut, gamma)]
+                    [(num_query_vertices, query, table, gamma)]
                 )
                 assert positions.dtype == gbds.dtype == np.int64, backend
                 assert list(zip(positions.tolist(), gbds.tolist())) == hits, backend
@@ -531,7 +540,7 @@ class TestReducerParity:
         id_order=st.sampled_from(["ascending", "descending", "shuffled"]),
         data=st.data(),
         table=st.tuples(st.integers(0, 10_000), st.sampled_from([None, None, None, 0.5, 0.0])),
-        padding=st.sampled_from([(0, 0), (1, 0), (0, 1)]),
+        padding=st.sampled_from([0, 1]),
         plan=st.sampled_from(["sparse", "dense", "half", "by cost"]),
         position_limit=st.sampled_from([5, INT32_MAX]),
     )
@@ -548,9 +557,8 @@ class TestReducerParity:
         num_query_vertices = sum(query.values())
         scalar = _scalar_rows(entries, query)
         largest = max(num_query_vertices, max(entry.num_vertices for entry in entries))
-        # The two tables grow independently in the core: each has its own shape.
-        lut = _random_table(*table, largest + padding[0])
-        bound_lut = _bound_table(lut, largest + padding[1])
+        # A table may hold rows no query reads.
+        table = _random_table(*table, largest + padding)
         by_cost = columnar.sparse_row_budget
         if plan != "by cost":
             columnar.sparse_row_budget = {
@@ -561,12 +569,12 @@ class TestReducerParity:
         try:
             expected = _scalar_top_k(
                 entries, scalar, num_query_vertices, stores["numpy"].matched_query_total(query),
-                lut, bound_lut, k, _sparse_budget(stores["numpy"], query),
+                table, k, _sparse_budget(stores["numpy"], query),
             )
             for backend, store in stores.items():
                 assert (store.view()[0][1].dtype == np.int64) == (len(entries) > position_limit)
                 got_ids, got_scores, visited, verified, sparse = _top_k_row(
-                    store, num_query_vertices, query, lut, bound_lut, k
+                    store, num_query_vertices, query, table, k
                 )
                 assert got_ids.dtype == np.int64 and got_scores.dtype == np.float64, backend
                 # The k best, ranked by the reducer itself.
@@ -593,19 +601,16 @@ class TestReducerParity:
         )
         store = _store_of(entries, backend)
         query = Counter({a: 2})  # |V_Q| = 2: extended orders 2, 3, 4, lower bounds 0, 1, 2
-        decreasing = np.zeros((5, 6))
-        for order in range(5):
-            decreasing[order, : order + 1] = 1.0 / (1 + np.arange(order + 1))
-        flat = np.full((5, 6), 0.5)
-        sawtooth = np.tile([0.25, 0.75, 0.0, 0.5, 0.25, 0.75], (5, 1))  # not monotone in ϕ
+        decreasing = _table_of([1.0 / (1 + np.arange(order + 1)) for order in range(5)])
+        flat = _table_of([np.full(order + 1, 0.5) for order in range(5)])
+        sawtooth = _table_of([[0.25, 0.75, 0.0, 0.5, 0.25, 0.75]] * 5)  # not monotone in ϕ
 
-        def top(lut, k, budget, bound_lut=None):
+        def top(table, k, budget):
             monkeypatch.setattr(columnar, "sparse_row_budget", lambda postings, rows: budget)
-            bound_lut = _bound_table(lut, 4) if bound_lut is None else bound_lut
-            ids, scores, _visited, verified, sparse = _top_k_row(store, 2, query, lut, bound_lut, k)
+            ids, scores, _visited, verified, sparse = _top_k_row(store, 2, query, table, k)
             scalar = _scalar_rows(entries, query)
             expected = _scalar_top_k(
-                entries, scalar, 2, store.matched_query_total(query), lut, bound_lut, k, budget,
+                entries, scalar, 2, store.matched_query_total(query), table, k, budget,
             )
             ranking = _ranked_pairs(zip(ids.tolist(), scores.tolist()))
             assert (ranking, verified, sparse) == expected
@@ -627,16 +632,15 @@ class TestReducerParity:
         assert (verified, sparse) == (6, False) and ranking[0] == (60, 0.75)
         # Every bound zero: nothing is verified, the smallest ids fill the
         # ranking at 0.0 — by id, though positions ascend the other way.
-        nothing = np.zeros((5, 6))
+        nothing = _table_of([np.zeros(order + 1) for order in range(5)])
         assert top(nothing, 3, 6) == ([(40, 0.0), (50, 0.0), (60, 0.0)], 0, None)
         # A query that matches no key: bounds from the sizes alone.
         query = Counter({("unknown", 0): 2})
         assert top(decreasing, 2, 6) == ([(40, 1 / 3), (60, 1 / 3)], 3, True)
-        # The pair of shapes the core really produced: 11 x 12 beside 10 x 11.
+        # A table grown copy on write past the orders the store holds.
         query = Counter({a: 2})
-        wide = np.zeros((11, 12))
-        wide[:5, :6] = decreasing
-        assert top(wide, 1, 6, _bound_table(decreasing, 9)) == ([(90, 1.0)], 3, True)
+        grown = decreasing.grown({order: np.zeros(order + 1) for order in range(5, 11)})
+        assert top(grown, 1, 6) == ([(90, 1.0)], 3, True)
 
     @pytest.mark.parametrize("backend", available_backends())
     def test_a_lone_hit_at_every_slot_of_a_long_range(self, backend, monkeypatch):
@@ -645,8 +649,8 @@ class TestReducerParity:
         Five rows of order 2, then 40 of order 3 of which only one matches the
         query: wherever it sits, both plans find it, at its position.
         """
-        lut = np.zeros((4, 5))
-        lut[:, 0] = 1.0  # only an exact match (GBD 0) is accepted
+        # only an exact match (GBD 0) is accepted
+        table = _table_of([np.eye(1, order + 1)[0] for order in range(4)])
         query = Counter({("k", 0): 3})
         for lone in range(40):
             rows = [Counter({("k", 2): 2})] * 5 + [
@@ -659,24 +663,58 @@ class TestReducerParity:
             store = _store_of(entries, backend)
             for budget in (0, len(rows)):
                 monkeypatch.setattr(columnar, "sparse_row_budget", lambda postings, n: budget)
-                positions, gbds, *_ = store.filter_verify_rows([(3, query, [9, 9], lut, 0.5)])[0]
+                positions, gbds, *_ = store.filter_verify_rows([(3, query, table, 0.5)])[0]
                 assert positions.tolist() == [5 + lone] and gbds.tolist() == [0], (lone, budget)
 
-    def test_a_table_that_does_not_reach_the_largest_order_is_refused(self):
-        entries, stores = _reducer_stores([Counter({("k", 0): 3}), Counter({("k", 1): 6})], [7, 8], 5)
+    @pytest.mark.parametrize("backend", available_backends())
+    def test_a_table_that_does_not_hold_a_row_the_read_needs_is_refused(
+        self, backend, monkeypatch
+    ):
+        """Refused before any query of the batch is reduced, on both backends.
+
+        Orders 3 and 6 stored; a query of 2 vertices reads rows 3 and 6.  A
+        table that lacks either, or whose row 6 runs past its cells (by one,
+        or from a negative or huge offset), is refused with ``ValueError`` —
+        also when the bad row rides behind a good one.  The sanitised leg
+        holds the kernel to reading nothing outside the table meanwhile.
+        """
+        entries = [
+            SimpleNamespace(graph_id=graph_id, num_vertices=sum(b.values()), branches=b)
+            for graph_id, b in ((7, Counter({("k", 0): 3})), (8, Counter({("k", 1): 6})))
+        ]
+        store = _store_of(entries, backend)
         query = Counter({("k", 0): 2})
-        bars = np.asarray([9, 9], dtype=np.int64)
-        full = np.ones((7, 8))
-        for store in stores.values():
-            for shape in ((6, 8), (7, 7)):  # a row short, a column short
-                with pytest.raises(ValueError, match="does not cover extended order 6"):
-                    store.filter_verify_rows([(2, query, bars, np.ones(shape), 0.5)])[0]
-                # each of top-k's two tables is checked against its own shape
-                for lut, bound_lut in ((np.ones(shape), full), (full, np.ones(shape))):
-                    with pytest.raises(ValueError, match="does not cover extended order 6"):
-                        store.filter_verify_rows([(2, query, None, lut, TopK(1, bound_lut))])
-            with pytest.raises(ValueError, match="positive"):
-                store.filter_verify_rows([(2, query, None, full, TopK(0, full))])
+        full = _table_of([np.ones(order + 1) for order in range(7)])
+        offsets, phi, best = full
+        short = offsets.copy()
+        short[6] = len(phi) - 6  # row 6's last cell one past the end
+        tables = {
+            "no row 6": PosteriorTable.from_rows({3: np.ones(4)}),
+            "no row 3": PosteriorTable.from_rows({6: np.ones(7)}),
+            "no rows at all": PosteriorTable.from_rows({}),
+            "row 6 unfilled": PosteriorTable(offsets[:6], phi, best),
+            "row 6 past the cells": PosteriorTable(short, phi, best),
+            "best shorter than phi": PosteriorTable(offsets, phi, best[:-1]),
+            "a negative offset": PosteriorTable(
+                np.where(offsets == offsets[6], -2, offsets), phi, best
+            ),
+            "a huge offset": PosteriorTable(
+                np.where(offsets == offsets[6], np.iinfo(np.int64).max, offsets), phi, best
+            ),
+        }
+        for name, table in tables.items():
+            for reducer in (0.5, TopK(1)):
+                for rows in (
+                    [(2, query, table, reducer)],
+                    [(2, query, full, 0.5), (2, query, table, reducer)],
+                ):
+                    with pytest.raises(ValueError, match="lacks a row it reads"):
+                        store.filter_verify_rows(rows)
+        # The full table reads fine, and so does one holding just the rows read.
+        for table in (full, PosteriorTable.from_rows({3: np.ones(4), 6: np.ones(7)})):
+            assert store.filter_verify_rows([(2, query, table, 0.5)])[0][0].tolist() == [0, 1]
+        with pytest.raises(ValueError, match="positive"):
+            store.filter_verify_rows([(2, query, full, TopK(0))])
 
 
 class _SawtoothPosterior:
@@ -905,9 +943,10 @@ class TestReducerCountGuards:
         plans = set()
         for query in _reducer_queries(40, seed=61):
             branches, num_vertices = query.branches(), query.query_graph.num_vertices
-            thresholds, _lut = core._row_tables(
-                query.tau_hat, query.gamma, num_vertices, distinct
-            )
+            thresholds = np.asarray([
+                core.acceptance_threshold(query.tau_hat, query.gamma, max(num_vertices, order))
+                for order in distinct.tolist()
+            ])
             bounds = store.gbd_lower_bound_row(num_vertices, branches, view=view)
             eligible = int((bounds <= thresholds[np.searchsorted(distinct, orders)]).sum())
             sparse = None if eligible == 0 else eligible <= num_rows // 2
@@ -971,14 +1010,11 @@ class TestReducerCountGuards:
         concatenate = np.concatenate
 
         def spied_top_k(query, k):
-            """The query with every ``np.concatenate`` and ``_orders_row`` call recorded."""
+            """The query with every ``np.concatenate`` call recorded."""
             with monkeypatch.context() as patched:
                 patched.setattr(
                     np, "concatenate", lambda arrays, *a, **kw: built.append("concatenate")
                     or concatenate(arrays, *a, **kw),
-                )
-                patched.setattr(
-                    ExecutionCore, "_orders_row", lambda *args: built.append("_orders_row")
                 )
                 return self.calls_during(lambda: engine.query_topk(query, k))
 
@@ -986,7 +1022,8 @@ class TestReducerCountGuards:
             query = SimilarityQuery(graphs[index].copy(), 0, 0.95)  # a planted exact match
             extended = np.maximum(query.query_graph.num_vertices, distinct)
             lower = extended - np.minimum(store.matched_query_total(query.branches()), distinct)
-            bounds = core._bound_lut_for(0, extended.tolist())[extended, lower]
+            table = core._table(0, query.query_graph.num_vertices, distinct)
+            bounds = table.best[table.offsets[extended] + lower]
             assert 0 < (bounds > 0.0).sum() < len(distinct) // 4
             for k in (1, 10):
                 reference = query_topk_reference(search, query, k)

@@ -7,7 +7,8 @@ are usually still right.  This leg builds the bundled ``_kernels.c`` with
 (:func:`repro.db.kernels.native.library_path`) inside a private
 ``REPRO_KERNEL_CACHE``, and runs the suites that drive the kernels — parity,
 columnar, carry, multi-chunk top-k, the reducers, batches that mix both, the
-metamorphic relations — in a subprocess that preloads the sanitizer runtime.  Any report
+metamorphic relations, the posterior table and graphs of 10⁵ vertices — in a
+subprocess that preloads the sanitizer runtime.  Any report
 aborts that process, so the
 assertion is its exit code.  No switch in ``src/``: the sanitised build is
 just a library of the same source placed where the cache would have put it.
@@ -37,6 +38,8 @@ SUITES = [
     "tests/test_clustered_layout.py",
     "tests/test_batch_rows.py",
     "tests/test_metamorphic.py",
+    "tests/test_posterior_table.py",
+    "tests/test_large_orders.py",
 ]
 SANITIZE = ["-O1", "-g", "-fsanitize=address,undefined", "-fno-sanitize-recover=undefined"]
 

@@ -7,6 +7,7 @@ import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
+import numpy as np
 import pytest
 
 from repro.core.plan import ExecutionCore
@@ -86,11 +87,10 @@ class TestPosteriorTables:
         for gbd in range(9):
             assert vector[gbd] == estimator.posterior(gbd, 3, 8)
 
-    def test_posterior_table_refactor_matches_posterior(self, fitted):
+    def test_posterior_row_matches_posterior(self, fitted):
         estimator = fitted.estimator
-        table = estimator.posterior_table(2, [5, 7, 5])
-        assert sorted(table) == [5, 7]
-        for order, row in table.items():
+        for order in (5, 7):
+            row = estimator.posterior_row(2, order)
             assert len(row) == order + 1
             for gbd, value in enumerate(row):
                 assert value == estimator.posterior(gbd, 2, order)
@@ -338,8 +338,8 @@ class TestIncrementalDatabase:
         assert served.accepted_ids == loop.answer.accepted_ids
 
 
-    def test_a_write_strands_no_row_data_in_the_core(self):
-        """Per-snapshot rows of the execution core are dropped with their snapshot."""
+    def test_after_a_write_stream_the_core_holds_nothing_d_long(self):
+        """The execution core keeps posterior tables, sized by orders, and no per-snapshot row."""
         rng = random.Random(23)
         graphs = [
             random_labeled_graph(rng.randint(5, 8), rng.randint(5, 10), seed=rng)
@@ -354,11 +354,20 @@ class TestIncrementalDatabase:
             for query in queries:
                 assert engine.query(query).accepted_ids == search.query(query).answer.accepted_ids
             engine.query_batch(queries)
-            snapshot_orders, rows = core._snapshot_rows
-            assert snapshot_orders is core.store.view()[1]
-            assert all(len(row) == len(database) for row in rows.values())
-            assert len(rows) <= len({q.query_graph.num_vertices for q in queries}) + 1
             database.add_many([graphs[round_].copy(name=f"late-{round_}")])
+        for held in (core, engine._core):
+            assert set(vars(held)) == {
+                "database", "estimator", "max_tau", "error_class", "_tables", "_table_lock",
+                "filter_counters", "_counter_lock",
+            }
+            orders = {entry.num_vertices for entry in database} | {
+                q.query_graph.num_vertices for q in queries
+            }
+            for tau_hat, (table, covered) in held._tables.items():
+                filled = np.flatnonzero(table.offsets >= 0)
+                assert set(filled.tolist()) <= orders and covered <= len(orders)
+                assert len(table.offsets) == filled.max() + 1
+                assert len(table.phi) == len(table.best) == int((filled + 1).sum())
 
 
 class TestRevisionScopedCache:
