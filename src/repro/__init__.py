@@ -2,26 +2,23 @@
 
 The library implements GBDA (Graph Branch Distance Approximation): a
 probabilistic filter for graph similarity search under Graph Edit Distance.
-Its three layers are exposed here for convenience:
+The top level holds what the quickstarts import; every other name lives in
+its layer's package and is imported from there:
 
-* the graph substrate (:class:`~repro.graphs.Graph` and edit operations),
-* the GBDA core (:func:`~repro.core.graph_branch_distance`,
-  :class:`~repro.core.GBDASearch`, priors, and the probabilistic model),
-* the competitor baselines and the evaluation harness used to regenerate the
-  paper's tables and figures,
-* the serving layer (:mod:`repro.serving`): a batched, vectorized,
-  snapshot-backed query engine for production-style workloads,
-* the offline layer (:mod:`repro.offline`): vectorized EM, pair GBDs read
-  off the database's branch store, and incremental prior refits via
-  :class:`~repro.offline.fitter.OfflineFitter`,
-* the service layer (:mod:`repro.service`): an asyncio TCP server that
-  micro-batches concurrent remote clients into ``query_batch`` calls, with
-  admission control and zero-downtime snapshot hot swap,
-* the observability layer (:mod:`repro.obs`): a low-overhead metrics
-  registry instrumenting all of the above, distributed per-query stage
-  waterfalls (one trace id from client to core), structured event
-  logging, burn-rate SLOs, an on-demand sampling profiler, a slow-query
-  log, and Prometheus text exposition.
+* :mod:`repro.graphs` — the graph substrate (edit operations, generators,
+  validation, :mod:`repro.graphs.io` interchange);
+* :mod:`repro.core` — branches, GBD, the priors, the probabilistic model and
+  the execution core;
+* :mod:`repro.db` — the graph database, its columnar branch store and
+  queries;
+* :mod:`repro.offline` — incremental prior refits;
+* :mod:`repro.serving` — the batched, snapshot-backed query engine;
+* :mod:`repro.service` — the asyncio TCP server and its clients (loaded
+  only when imported);
+* :mod:`repro.obs` — metrics, traces, logs, SLOs and the profiler;
+* :mod:`repro.baselines`, :mod:`repro.datasets`, :mod:`repro.evaluation`,
+  :mod:`repro.experiments` — the competitors and the harness that
+  regenerates the paper's tables and figures.
 
 Quickstart
 ----------
@@ -48,72 +45,15 @@ to disk and reloaded in milliseconds:
 >>> served = BatchQueryEngine.load("/tmp/gbda.snapshot")    # doctest: +SKIP
 """
 
-from repro.graphs.graph import Graph, VIRTUAL_LABEL
-from repro.core.gbd import graph_branch_distance, variant_graph_branch_distance
-from repro.core.branches import Branch, branches_of, branch_multiset
-from repro.core.search import GBDASearch, SearchResult
-from repro.core.variants import GBDAV1Search, GBDAV2Search
-from repro.core.gbd_prior import GBDPrior
-from repro.core.ged_prior import GEDPrior
-from repro.core.estimator import GBDAEstimator
-from repro.core.plan import ExecutionCore
+from repro.graphs.graph import Graph
+from repro.core.gbd import graph_branch_distance
+from repro.core.search import GBDASearch
 from repro.db.database import GraphDatabase
-from repro.db.columnar import ColumnarBranchStore
-from repro.db.query import SimilarityQuery, QueryAnswer
+from repro.db.query import SimilarityQuery
 from repro.offline import OfflineFitter
-from repro.serving import (
-    BatchQueryEngine,
-    QueryResultCache,
-    load_engine,
-    save_engine,
-)
-from repro.service import (
-    AsyncServiceClient,
-    CircuitBreaker,
-    Deadline,
-    HedgePolicy,
-    RetryPolicy,
-    ServiceClient,
-    SimilarityService,
-    start_service_thread,
-)
-from repro.obs import (
-    MetricsRegistry,
-    SamplingProfiler,
-    SLOEngine,
-    SlowQueryLog,
-    TraceContext,
-    Tracer,
-    build_info,
-    get_logger,
-    get_registry,
-    prometheus_text,
-    register_build_info,
-    set_enabled,
-)
-from repro.baselines import (
-    AStarGED,
-    BranchFilterGED,
-    EstimatorSearch,
-    GreedySortGED,
-    LSAPGED,
-    SeriationGED,
-    exact_ged,
-)
-from repro.datasets.registry import Dataset, build_dataset
-from repro.exceptions import (
-    CircuitOpenError,
-    ConnectionLostError,
-    DeadlineExceededError,
-    ProtocolError,
-    QueryError,
-    ReproError,
-    ServiceError,
-    ServiceOverloadedError,
-    ServingError,
-    SnapshotCorruptError,
-    SnapshotError,
-)
+from repro.serving import BatchQueryEngine
+from repro.baselines import exact_ged
+from repro.obs import register_build_info
 
 __version__ = "1.8.0"
 
@@ -134,68 +74,12 @@ register_build_info(__version__, _resolved_kernel_backend())
 
 __all__ = [
     "Graph",
-    "VIRTUAL_LABEL",
-    "Branch",
-    "branches_of",
-    "branch_multiset",
-    "graph_branch_distance",
-    "variant_graph_branch_distance",
-    "GBDASearch",
-    "SearchResult",
-    "GBDAV1Search",
-    "GBDAV2Search",
-    "GBDPrior",
-    "GEDPrior",
-    "GBDAEstimator",
-    "ExecutionCore",
     "GraphDatabase",
-    "ColumnarBranchStore",
+    "GBDASearch",
     "SimilarityQuery",
-    "QueryAnswer",
-    "OfflineFitter",
     "BatchQueryEngine",
-    "QueryResultCache",
-    "save_engine",
-    "load_engine",
-    "SimilarityService",
-    "ServiceClient",
-    "AsyncServiceClient",
-    "start_service_thread",
-    "RetryPolicy",
-    "CircuitBreaker",
-    "HedgePolicy",
-    "Deadline",
-    "MetricsRegistry",
-    "Tracer",
-    "TraceContext",
-    "SlowQueryLog",
-    "SLOEngine",
-    "SamplingProfiler",
-    "get_registry",
-    "get_logger",
-    "prometheus_text",
-    "set_enabled",
-    "register_build_info",
-    "build_info",
-    "AStarGED",
+    "OfflineFitter",
+    "graph_branch_distance",
     "exact_ged",
-    "LSAPGED",
-    "GreedySortGED",
-    "SeriationGED",
-    "BranchFilterGED",
-    "EstimatorSearch",
-    "Dataset",
-    "build_dataset",
-    "ReproError",
-    "QueryError",
-    "ServingError",
-    "SnapshotError",
-    "SnapshotCorruptError",
-    "ServiceError",
-    "ServiceOverloadedError",
-    "DeadlineExceededError",
-    "ConnectionLostError",
-    "CircuitOpenError",
-    "ProtocolError",
     "__version__",
 ]

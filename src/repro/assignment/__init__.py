@@ -1,16 +1,6 @@
 """Assignment-problem substrate used by the LSAP-based GED baselines.
 
 Provides a from-scratch O(n³) Hungarian solver for the exact linear sum
-assignment problem and the greedy / sorted-greedy approximations used by
+assignment problem and the sorted-greedy approximation used by
 Greedy-Sort-GED.
 """
-
-from repro.assignment.hungarian import hungarian, assignment_cost
-from repro.assignment.greedy import greedy_assignment, sorted_greedy_assignment
-
-__all__ = [
-    "hungarian",
-    "assignment_cost",
-    "greedy_assignment",
-    "sorted_greedy_assignment",
-]

@@ -1,9 +1,9 @@
-"""Greedy approximations of the linear sum assignment problem.
+"""Greedy approximation of the linear sum assignment problem.
 
 Greedy-Sort-GED (Riesen, Ferrer & Bunke, 2015) replaces the exact Hungarian
-solution with a quadratic-time greedy assignment: process rows in order (or
-in a globally cost-sorted order) and commit each row to its cheapest still
-available column.  The resulting assignment cost is not a bound on GED but
+solution with a quadratic-time greedy assignment: take the (row, column)
+pairs in globally cost-sorted order and commit each whose row and column are
+both still free.  The resulting assignment cost is not a bound on GED but
 is empirically a good estimate, which is exactly how the paper uses it as a
 competitor.
 """
@@ -14,7 +14,7 @@ from typing import List, Sequence
 
 from repro.exceptions import AssignmentError
 
-__all__ = ["greedy_assignment", "sorted_greedy_assignment"]
+__all__ = ["sorted_greedy_assignment"]
 
 
 def _validate(cost_matrix: Sequence[Sequence[float]]) -> int:
@@ -28,24 +28,6 @@ def _validate(cost_matrix: Sequence[Sequence[float]]) -> int:
     if num_cols < num_rows:
         raise AssignmentError("cost matrix must have at least as many columns as rows")
     return num_rows
-
-
-def greedy_assignment(cost_matrix: Sequence[Sequence[float]]) -> List[int]:
-    """Row-by-row greedy assignment: each row takes its cheapest free column.
-
-    Runs in ``O(n·m)`` time.  Returns ``assignment[row] = column``.
-    """
-    num_rows = _validate(cost_matrix)
-    if num_rows == 0:
-        return []
-    num_cols = len(cost_matrix[0])
-    free_columns = set(range(num_cols))
-    assignment: List[int] = []
-    for row in range(num_rows):
-        best_column = min(free_columns, key=lambda column: cost_matrix[row][column])
-        assignment.append(best_column)
-        free_columns.remove(best_column)
-    return assignment
 
 
 def sorted_greedy_assignment(cost_matrix: Sequence[Sequence[float]]) -> List[int]:

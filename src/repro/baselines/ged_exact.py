@@ -18,7 +18,7 @@ from __future__ import annotations
 import heapq
 import itertools
 from collections import Counter
-from typing import List, Optional, Tuple
+from typing import Optional
 
 from repro.baselines.base import PairwiseGEDEstimator
 from repro.exceptions import SearchError
@@ -42,32 +42,6 @@ def _label_multiset_lower_bound(g1: Graph, g2: Graph, unmapped1, unmapped2) -> f
     labels2 = Counter(g2.vertex_label(v) for v in unmapped2)
     intersection = sum((labels1 & labels2).values())
     return max(sum(labels1.values()), sum(labels2.values())) - intersection
-
-
-def _edge_cost_for_mapping(
-    g1: Graph, g2: Graph, mapped_pairs: List[Tuple[object, Optional[object]]]
-) -> int:
-    """Edge edit cost induced by a (complete) vertex mapping.
-
-    For every pair of mapped G1 vertices, compares the edge (or absence
-    thereof) with the edge between their images; unmatched edges cost one
-    deletion/insertion, mismatched labels cost one relabel.  Edges of G2
-    between inserted vertices are handled by the caller.
-    """
-    cost = 0
-    for (u1, u2), (v1, v2) in itertools.combinations(mapped_pairs, 2):
-        edge1 = g1.edge_label(u1, v1) if g1.has_edge(u1, v1) else None
-        if u2 is _DELETED or v2 is _DELETED:
-            edge2 = None
-        else:
-            edge2 = g2.edge_label(u2, v2) if g2.has_edge(u2, v2) else None
-        if edge1 is None and edge2 is None:
-            continue
-        if edge1 is None or edge2 is None:
-            cost += 1
-        elif edge1 != edge2:
-            cost += 1
-    return cost
 
 
 def exact_ged(

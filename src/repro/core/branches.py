@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import dataclasses
 from collections import Counter
-from typing import Hashable, Iterator, List, Tuple
+from typing import Hashable, List, Tuple
 
 from repro.graphs.graph import Graph
 
@@ -64,10 +64,6 @@ class Branch:
     def degree(self) -> int:
         """Degree of the root vertex (size of the incident-edge multiset)."""
         return len(self.edge_labels)
-
-    def as_strings(self) -> List[str]:
-        """Return the list-of-strings encoding described in Section III."""
-        return [str(self.vertex_label)] + [str(label) for label in self.edge_labels]
 
     def canonical_key(self) -> Tuple:
         """Return a hashable key that identifies the branch up to isomorphism."""
@@ -125,12 +121,6 @@ def branch_multiset(graph: Graph) -> Counter:
     if None in counts:  # some neighbourhood is new to the table: count again, learning it
         counts = Counter(_BRANCH_KEYS.get(probe) or _learn_branch_key(probe) for probe in probes)
     return counts
-
-
-def iter_branches(graph: Graph) -> Iterator[Tuple[object, Branch]]:
-    """Yield ``(vertex, branch)`` pairs for every vertex of the graph."""
-    for vertex in graph.vertices():
-        yield vertex, branch_of(graph, vertex)
 
 
 #: Memo of label -> sort key: labels come from small fixed alphabets and the

@@ -9,27 +9,22 @@ an alternating inclusion–exclusion sum), so every primitive here works with
 exact Python integers / :class:`fractions.Fraction` values and converts to
 ``float`` only at the very end.
 
-Real-valued continuations (log-gamma based binomials, harmonic numbers,
-digamma) are also provided for the τ-derivatives required by the Jeffreys
-prior (Appendix C-B).
+The one real-valued continuation, digamma, serves the τ-derivatives required
+by the Jeffreys prior (Appendix C-B).
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache
 
 from scipy import special as _special
 
 __all__ = [
     "binomial",
-    "log_binomial",
     "multiset_coefficient",
     "hypergeometric_pmf",
-    "harmonic_number",
     "digamma",
-    "log_factorial",
 ]
 
 
@@ -38,20 +33,6 @@ def binomial(n: int, k: int) -> int:
     if k < 0 or n < 0 or k > n:
         return 0
     return math.comb(n, k)
-
-
-def log_binomial(n: float, k: float) -> float:
-    """Real-valued ``log C(n, k)`` via log-gamma; ``-inf`` outside the support.
-
-    Used only by the continuous (Gamma-function) continuation needed for the
-    Fisher-information derivatives; all probability mass computations use the
-    exact integer :func:`binomial`.
-    """
-    if k < 0 or n < 0 or k > n:
-        return float("-inf")
-    return float(
-        _special.gammaln(n + 1.0) - _special.gammaln(k + 1.0) - _special.gammaln(n - k + 1.0)
-    )
 
 
 def multiset_coefficient(n: int, k: int) -> int:
@@ -77,29 +58,6 @@ def hypergeometric_pmf(x: int, population: int, successes: int, draws: int) -> F
     return Fraction(numerator, denominator)
 
 
-@lru_cache(maxsize=65536)
-def harmonic_number(n: float) -> float:
-    """Generalised harmonic number ``H(n) = psi(n + 1) + gamma``.
-
-    The paper's derivative formulas (Equations 36–41) are written in terms of
-    harmonic numbers of possibly non-integer arguments; the digamma-based
-    continuation is the standard one.  ``H(0) = 0``; negative arguments where
-    digamma has poles return ``nan``.
-    """
-    if n == 0:
-        return 0.0
-    value = _special.digamma(n + 1.0) + float(_special.digamma(1.0)) * -1.0
-    # digamma(1) == -euler_gamma, so the line above equals psi(n+1) + gamma.
-    return float(value)
-
-
 def digamma(x: float) -> float:
     """Digamma function ``psi(x)`` (thin wrapper around scipy)."""
     return float(_special.digamma(x))
-
-
-def log_factorial(n: int) -> float:
-    """``log(n!)`` via log-gamma (real-valued, for scoring only)."""
-    if n < 0:
-        raise ValueError("factorial of a negative number is undefined")
-    return float(_special.gammaln(n + 1.0))

@@ -136,39 +136,6 @@ class GBDAEstimator:
             total += conditional * prior_ged / prior_gbd
         return min(max(total, 0.0), 1.0)
 
-    def posterior_profile(self, gbd_value: int, tau_hat: int, extended_order: int) -> List[float]:
-        """Return the per-τ contributions ``Λ1·Λ3/Λ2`` for τ in ``0..τ̂``.
-
-        Useful for diagnostics and for the worked example of the paper
-        (Example 7 lists the individual summands).
-
-        The contributions are reconciled with :meth:`posterior`'s ``[0, 1]``
-        clamp: the cumulative sum of the returned list is clamped to 1, so
-        ``sum(posterior_profile(...))`` agrees with ``posterior(...)`` (to
-        floating-point round-off) even when the raw Bayes summands total
-        more than 1 — previously the unclamped summands silently disagreed
-        with the clamped posterior.
-        """
-        if tau_hat < 0:
-            raise EstimationError("the similarity threshold must be non-negative")
-        if gbd_value < 0:
-            raise EstimationError("GBD values are non-negative by definition")
-        model = self.model_for(extended_order)
-        prior_gbd = self.gbd_prior.probability(gbd_value)
-        contributions = []
-        cumulative = 0.0
-        for tau in range(tau_hat + 1):
-            conditional = model.lambda1(tau, gbd_value)
-            prior_ged = self.ged_prior.probability(tau, extended_order)
-            raw = conditional * prior_ged / prior_gbd if conditional > 0 else 0.0
-            # Each entry is the increment of the clamped running sum, so the
-            # profile telescopes to min(Σ raw, 1) — bit-identical to the
-            # value posterior() returns (same accumulation order).
-            before = cumulative
-            cumulative += raw
-            contributions.append(min(cumulative, 1.0) - min(before, 1.0))
-        return contributions
-
     def posterior_row(self, tau_hat: int, extended_order: int) -> List[float]:
         """Return ``[Φ(ϕ, τ̂, |V'1|) for ϕ in 0..|V'1|]`` for one extended order.
 

@@ -100,8 +100,3 @@ def max_gbd_for_ged(tau: int) -> int:
     — or whose GBD *lower bound* — exceeds ``2 τ̂`` without scoring it.
     """
     return 2 * int(tau)
-
-
-def gbd_upper_bound_on_ged(gbd_value: int) -> int:
-    """Legacy name of :func:`ged_lower_bound` (kept for API compatibility)."""
-    return ged_lower_bound(gbd_value)

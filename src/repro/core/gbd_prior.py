@@ -202,11 +202,6 @@ class GBDPrior:
         # is larger than everything sampled offline; integrate on demand.
         return max(self._mixture.discrete_probability(phi), _PROBABILITY_FLOOR)
 
-    def density(self, value: float) -> float:
-        """Return the fitted mixture density ``f(value)`` (Equation 13)."""
-        self._require_fitted()
-        return self._mixture.pdf(value)
-
     def table(self) -> Dict[int, float]:
         """Return a copy of the pre-computed ``{ϕ: Pr[GBD = ϕ]}`` table."""
         self._require_fitted()

@@ -164,10 +164,6 @@ class GEDPrior:
         order = self._nearest_order(extended_order)
         return self._table.get((tau, order), _WEIGHT_FLOOR)
 
-    def distribution(self, extended_order: int) -> List[float]:
-        """Return ``[Pr[GED = τ] for τ in 0..max_tau]`` for one extended order."""
-        return [self.probability(tau, extended_order) for tau in range(self.max_tau + 1)]
-
     def matrix(self) -> Dict[Tuple[int, int], float]:
         """Return a copy of the full ``{(τ, |V'1|): probability}`` matrix (Figure 6)."""
         self._require_fitted()

@@ -160,18 +160,6 @@ class BranchEditModel:
             return self._row_pair(tau)[1][phi] / value
         return 0.0
 
-    # ------------------------------------------------------------------ #
-    # diagnostics
-    # ------------------------------------------------------------------ #
-    def conditional_table(self, max_tau: int) -> Dict[int, List[float]]:
-        """Return ``{τ: conditional row}`` for all ``τ ∈ [0, max_tau]``."""
-        return {tau: self.conditional_row(tau) for tau in range(max_tau + 1)}
-
-    def expected_gbd(self, tau: int) -> float:
-        """Expected GBD under ``GED = τ`` — useful for sanity checks and docs."""
-        row = self.conditional_row(tau)
-        return sum(phi * probability for phi, probability in enumerate(row))
-
     def editable_elements(self) -> int:
         """Number of editable elements of the extended graph: ``v + C(v, 2)``."""
         return self.extended_order + binomial(self.extended_order, 2)

@@ -74,7 +74,11 @@ Thread-safety: queries may run concurrently from threads sharing one engine
 immutable, published with the count of distinct stored orders it covers (the
 store only adds orders, so a count names the set) and grown by copying under
 the core's one lock: a reader sees a table that provably holds its rows, or
-takes the lock and fills the gap — never a torn or half-filled table.
+fills the gap — never a torn or half-filled table.  The rows a gap needs are
+computed before the lock is taken (they are deterministic, and the memos
+beneath them only get-or-set deterministic values), so a slow new order holds
+up no thread that needs another row; a row two threads computed at once is
+published once.
 """
 
 from __future__ import annotations
@@ -351,16 +355,25 @@ class ExecutionCore:
     def _filled(self, tau_hat: int, orders: List[int], covered: int = 0) -> PosteriorTable:
         """Publish the τ̂ table grown by the rows of ``orders`` it lacks; return it.
 
+        The one place a table grows, so the one place τ̂ is checked: a τ̂
+        beyond :attr:`max_tau` raises before anything is computed or stored.
         ``covered`` is the count of the distinct stored orders ``orders``
-        includes (0 when it is not a snapshot's).  Copy on write under the
-        lock: a published table never changes, so readers need no lock.
+        includes (0 when it is not a snapshot's).  The missing rows are
+        computed outside the lock, then published copy on write under it
+        (tables only grow, so the published one lacks no more than the table
+        read first; a row published meanwhile is kept): a published table
+        never changes, so readers need no lock.
         """
+        self.validate_tau(tau_hat)
+        table = self._tables.get(tau_hat, _UNFILLED)[0]
+        rows = {
+            order: self.estimator.posterior_row(tau_hat, order)
+            for order in set(orders)
+            if not table.filled(order)
+        }
         with self._table_lock:
             table, was = self._tables.get(tau_hat, _UNFILLED)
-            missing = [order for order in set(orders) if not table.filled(order)]
-            table = table.grown(
-                {order: self.estimator.posterior_row(tau_hat, order) for order in missing}
-            )
+            table = table.grown(rows)
             self._tables[tau_hat] = (table, max(was, covered))
             return table
 
@@ -579,7 +592,6 @@ class ExecutionCore:
             extended_orders = self.store.order_ranges()[0].tolist()
         orders = [int(order) for order in extended_orders]
         for tau_hat in tau_hats:
-            self.validate_tau(tau_hat)
             self._filled(int(tau_hat), orders)
         return self.num_cached_tables
 

@@ -18,7 +18,7 @@ offline environment, so this subpackage provides:
   each named dataset to its generator.
 """
 
-from repro.datasets.registry import Dataset, GroundTruth, DATASET_BUILDERS, build_dataset
+from repro.datasets.registry import Dataset, GroundTruth, DATASET_BUILDERS
 from repro.datasets.synthetic import (
     KnownGEDFamily,
     find_modification_center,
@@ -35,7 +35,6 @@ __all__ = [
     "Dataset",
     "GroundTruth",
     "DATASET_BUILDERS",
-    "build_dataset",
     "KnownGEDFamily",
     "find_modification_center",
     "make_known_ged_family",

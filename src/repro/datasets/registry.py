@@ -16,7 +16,7 @@ from typing import Callable, Dict, FrozenSet, List, Optional, Tuple
 from repro.exceptions import DatasetError
 from repro.graphs.graph import Graph
 
-__all__ = ["GroundTruth", "Dataset", "DATASET_BUILDERS", "build_dataset", "register_dataset"]
+__all__ = ["GroundTruth", "Dataset", "DATASET_BUILDERS", "register_dataset"]
 
 #: Sentinel distance meaning "far apart": the true GED exceeds any threshold
 #: used in the experiments, so the pair never belongs to an answer set.
@@ -104,13 +104,3 @@ DATASET_BUILDERS: Dict[str, Callable[..., Dataset]] = {}
 def register_dataset(name: str, builder: Callable[..., Dataset]) -> None:
     """Register a dataset builder under a (case-insensitive) name."""
     DATASET_BUILDERS[name.lower()] = builder
-
-
-def build_dataset(name: str, **kwargs) -> Dataset:
-    """Build a registered dataset by name (e.g. ``"AIDS"``, ``"Syn-1"``)."""
-    try:
-        builder = DATASET_BUILDERS[name.lower()]
-    except KeyError as exc:
-        known = ", ".join(sorted(DATASET_BUILDERS))
-        raise DatasetError(f"unknown dataset {name!r}; known datasets: {known}") from exc
-    return builder(**kwargs)

@@ -189,8 +189,6 @@ def make_known_ged_family(
     max_distance: int,
     *,
     seed: RandomState = None,
-    edge_label_prefix: str = "mod",
-    min_center_degree: Optional[int] = None,
 ) -> KnownGEDFamily:
     """Derive a known-GED family from a template graph (Appendix I, phase 2).
 
@@ -208,17 +206,15 @@ def make_known_ged_family(
         on distinguishable far-away vertices to make up the difference, so
         low-degree domains (molecule-like graphs) can still span the full
         GED range used in the experiments.
-    edge_label_prefix:
-        Prefix of the fresh labels assigned to modified elements; each
-        (variant, slot) combination gets a distinct label so that the
-        pairwise GED equals the plain Hamming distance of the modifications.
+
+    Each modified element gets a fresh label ``mod_<variant>_<kind>_<target>``,
+    distinct per (variant, slot), so the pairwise GED equals the plain Hamming
+    distance of the modifications.
     """
     if family_size < 1:
         raise DatasetError("family_size must be at least 1")
     rng = _as_rng(seed)
-    needed_degree = 3 if min_center_degree is None else min_center_degree
-
-    center = find_modification_center(template, min_degree=max(needed_degree, 1))
+    center = find_modification_center(template, min_degree=3)
     if center is None:
         # Repair: pick the highest-degree vertex and make its neighbourhood
         # distinguishable, then re-check.
@@ -256,7 +252,7 @@ def make_known_ged_family(
         variant_edits: Dict[Tuple[str, object], object] = {}
         for slot in chosen:
             kind, target = slot
-            new_label = f"{edge_label_prefix}_{variant_index}_{kind}_{target}"
+            new_label = f"mod_{variant_index}_{kind}_{target}"
             if kind == "edge":
                 variant.relabel_edge(center, target, new_label)
             else:

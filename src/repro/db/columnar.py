@@ -361,7 +361,6 @@ class ColumnarBranchStore:
         self._pending_keys: List[int] = []
         self._pending_positions: List[int] = []
         self._pending_counts: List[int] = []
-        self._caps_cache: Optional[np.ndarray] = None
         self._compact_lock = threading.Lock()
         #: Number of compaction passes performed (bulk-load tests pin this).
         self.num_compactions = 0
@@ -426,7 +425,6 @@ class ColumnarBranchStore:
             )
             self._pending_counts += counts
             self._num_rows = rows
-            self._caps_cache = None
             if commit is not None:
                 commit()
 
@@ -556,7 +554,7 @@ class ColumnarBranchStore:
         return snapshot
 
     # ------------------------------------------------------------------ #
-    # shape and per-key caps
+    # shape
     # ------------------------------------------------------------------ #
     @property
     def num_graphs(self) -> int:
@@ -572,13 +570,6 @@ class ColumnarBranchStore:
     def num_postings(self) -> int:
         """Total postings held (compacted segment plus append buffer)."""
         return len(self._published.csr[1]) + len(self._pending_keys)
-
-    def key_caps(self) -> np.ndarray:
-        """Dense ``key id -> max per-row multiplicity`` vector (cached)."""
-        caps = self._key_ids.caps
-        if self._caps_cache is None or len(self._caps_cache) != len(caps):
-            self._caps_cache = np.asarray(caps, dtype=np.int64)
-        return self._caps_cache
 
     # ------------------------------------------------------------------ #
     # postings access

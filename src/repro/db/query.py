@@ -137,14 +137,6 @@ class QueryAnswer:
         """Number of graphs in the answer set."""
         return len(self.accepted_ids)
 
-    def contains(self, graph_id: int) -> bool:
-        """Whether a database graph id is part of the answer."""
-        return graph_id in self.accepted_ids
-
-    def score_of(self, graph_id: int) -> Optional[float]:
-        """Return the recorded score of a graph id, if any."""
-        return self.scores.get(graph_id)
-
     # ------------------------------------------------------------------ #
     # wire serialization (used by the repro.service protocol)
     # ------------------------------------------------------------------ #

@@ -5,21 +5,3 @@ paper reports — precision, recall, F1 (Figures 10–21, 31–42), wall-clock
 query time (Figures 7–9), and offline costs (Tables IV–V) — and formats them
 as text tables/series for the benchmark harness.
 """
-
-from repro.evaluation.metrics import ConfusionCounts, precision_recall_f1, evaluate_answer
-from repro.evaluation.ground_truth import true_answer_set, GroundTruthOracle
-from repro.evaluation.runner import ExperimentRunner, MethodResult
-from repro.evaluation.reporting import format_table, format_series, Table
-
-__all__ = [
-    "ConfusionCounts",
-    "precision_recall_f1",
-    "evaluate_answer",
-    "true_answer_set",
-    "GroundTruthOracle",
-    "ExperimentRunner",
-    "MethodResult",
-    "format_table",
-    "format_series",
-    "Table",
-]

@@ -1,19 +1,16 @@
 """Ground-truth answer sets for effectiveness evaluation.
 
-Two sources of truth are supported, mirroring the paper's own strategy:
-
-* **recorded ground truth** — datasets built from known-GED families record
-  the exact GED of every (query, same-family graph) pair; everything else is
-  provably farther away than any experimental threshold;
-* **exact computation** — for tiny graphs the A* baseline can compute exact
-  GEDs on demand, which the tests use to validate the recorded ground truth.
+The truth is recorded, mirroring the paper's own strategy: datasets built
+from known-GED families record the exact GED of every (query, same-family
+graph) pair, and everything else is provably farther away than any
+experimental threshold.  The tests hold the recorded values to the exact A*
+baseline (``repro.baselines.ged_exact``) on small graphs.
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Optional
+from typing import FrozenSet
 
-from repro.baselines.ged_exact import exact_ged
 from repro.datasets.registry import Dataset
 from repro.db.database import GraphDatabase
 from repro.exceptions import DatasetError
@@ -29,56 +26,16 @@ def true_answer_set(dataset: Dataset, query_index: int, tau_hat: int) -> FrozenS
 
 
 class GroundTruthOracle:
-    """Answer-set oracle combining recorded ground truth with exact GED.
+    """Answer-set oracle over a dataset's recorded ground truth."""
 
-    Parameters
-    ----------
-    dataset:
-        The dataset whose ground truth should be served.
-    exact_fallback_max_vertices:
-        When a (query, graph) pair has no recorded ground truth and both
-        graphs are at most this size, the oracle computes the exact GED with
-        A* instead of treating the pair as "far apart".  Disabled by default
-        because recorded ground truth is complete for the generated datasets.
-    """
-
-    def __init__(self, dataset: Dataset, *, exact_fallback_max_vertices: int = 0) -> None:
+    def __init__(self, dataset: Dataset) -> None:
         self.dataset = dataset
-        self.exact_fallback_max_vertices = exact_fallback_max_vertices
-        self._exact_cache: Dict[tuple, int] = {}
-
-    def ged(self, query_index: int, graph_id: int) -> Optional[int]:
-        """True GED of a (query, database graph) pair, or ``None`` when far apart."""
-        query_key = self.dataset.query_key(query_index)
-        recorded = self.dataset.ground_truth.ged(query_key, graph_id)
-        if recorded is not None:
-            return recorded
-        if self.exact_fallback_max_vertices <= 0:
-            return None
-        query = self.dataset.query_graphs[query_index]
-        graph = self.dataset.database_graphs[graph_id]
-        limit = self.exact_fallback_max_vertices
-        if query.num_vertices > limit or graph.num_vertices > limit:
-            return None
-        cache_key = (query_key, graph_id)
-        if cache_key not in self._exact_cache:
-            self._exact_cache[cache_key] = exact_ged(query, graph, max_vertices=limit)
-        return self._exact_cache[cache_key]
 
     def answer_set(self, query_index: int, tau_hat: int) -> FrozenSet[int]:
         """True answer set for one query at threshold ``τ̂``."""
         if tau_hat < 0:
             raise DatasetError("the similarity threshold must be non-negative")
-        if self.exact_fallback_max_vertices <= 0:
-            return true_answer_set(self.dataset, query_index, tau_hat)
-        accepted = set(true_answer_set(self.dataset, query_index, tau_hat))
-        for graph_id in range(len(self.dataset.database_graphs)):
-            if graph_id in accepted:
-                continue
-            ged = self.ged(query_index, graph_id)
-            if ged is not None and ged <= tau_hat:
-                accepted.add(graph_id)
-        return frozenset(accepted)
+        return true_answer_set(self.dataset, query_index, tau_hat)
 
     def build_database(self) -> GraphDatabase:
         """Construct a :class:`GraphDatabase` over the dataset's database graphs."""

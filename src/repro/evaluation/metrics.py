@@ -14,9 +14,9 @@ degenerate cases follow the usual information-retrieval definitions:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Set, Tuple
+from typing import Iterable, Set
 
-__all__ = ["ConfusionCounts", "precision_recall_f1", "evaluate_answer", "aggregate_counts"]
+__all__ = ["ConfusionCounts", "evaluate_answer", "aggregate_counts"]
 
 
 @dataclass(frozen=True)
@@ -69,14 +69,6 @@ def evaluate_answer(retrieved: Iterable[int], relevant: Iterable[int]) -> Confus
         false_positives=len(retrieved_set) - true_positives,
         false_negatives=len(relevant_set) - true_positives,
     )
-
-
-def precision_recall_f1(
-    retrieved: Iterable[int], relevant: Iterable[int]
-) -> Tuple[float, float, float]:
-    """Convenience wrapper returning the (precision, recall, F1) triple."""
-    counts = evaluate_answer(retrieved, relevant)
-    return counts.precision, counts.recall, counts.f1
 
 
 def aggregate_counts(counts: Iterable[ConfusionCounts]) -> ConfusionCounts:

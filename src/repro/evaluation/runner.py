@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from repro.baselines.base import EstimatorSearch, PairwiseGEDEstimator
 from repro.core.search import GBDASearch
@@ -89,13 +89,11 @@ class ExperimentRunner:
         num_gmm_components: int = 3,
         seed: int = 0,
         use_index_pruning: bool = False,
-        factory: Optional[Callable[..., GBDASearch]] = None,
     ) -> GBDASearch:
         """Return a fitted GBDA search (cached per configuration)."""
-        factory = factory or GBDASearch
-        key = (factory, max_tau, num_prior_pairs, num_gmm_components, seed, use_index_pruning)
+        key = (max_tau, num_prior_pairs, num_gmm_components, seed, use_index_pruning)
         if key not in self._gbda_cache:
-            search = factory(
+            search = GBDASearch(
                 self.database,
                 max_tau=max_tau,
                 num_prior_pairs=num_prior_pairs,

@@ -16,7 +16,6 @@ from repro.graphs.edit_ops import (
     EditPath,
     RelabelEdge,
     RelabelVertex,
-    apply_edit_path,
 )
 from repro.graphs.extended import ExtendedGraphView, extend_pair
 from repro.graphs.generators import (
@@ -37,7 +36,6 @@ __all__ = [
     "DeleteEdge",
     "RelabelEdge",
     "EditPath",
-    "apply_edit_path",
     "ExtendedGraphView",
     "extend_pair",
     "random_labeled_graph",

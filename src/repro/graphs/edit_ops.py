@@ -12,7 +12,7 @@ Definition 1 of the paper restricts graph edit operations to six types:
 An *edit path* (``seq`` in the paper) is a sequence of such operations; the
 Graph Edit Distance is the length of the shortest edit path transforming one
 graph into another.  This module provides concrete operation objects that can
-be applied to :class:`~repro.graphs.graph.Graph` instances, inverted, and
+be applied to :class:`~repro.graphs.graph.Graph` instances and
 verified — used by the exact GED baseline, the synthetic known-GED dataset
 generator, and the tests.
 """
@@ -39,24 +39,6 @@ class EditOperation:
         """Apply the operation to ``graph`` in place."""
         raise NotImplementedError
 
-    def inverse(self, graph: Graph) -> "EditOperation":
-        """Return the operation that undoes this one on the *current* ``graph``.
-
-        The inverse is computed against the graph state *before* ``apply`` is
-        called because relabel operations need to remember the old label.
-        """
-        raise NotImplementedError
-
-    @property
-    def is_vertex_operation(self) -> bool:
-        """Whether the operation touches a vertex (AV/DV/RV)."""
-        return self.code in ("AV", "DV", "RV")
-
-    @property
-    def is_edge_operation(self) -> bool:
-        """Whether the operation touches an edge (AE/DE/RE)."""
-        return self.code in ("AE", "DE", "RE")
-
 
 @dataclasses.dataclass(frozen=True)
 class AddVertex(EditOperation):
@@ -70,9 +52,6 @@ class AddVertex(EditOperation):
         if self.label == VIRTUAL_LABEL:
             raise EditOperationError("AV must add a vertex with a non-virtual label")
         graph.add_vertex(self.vertex, self.label)
-
-    def inverse(self, graph: Graph) -> EditOperation:
-        return DeleteVertex(self.vertex)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -90,9 +69,6 @@ class DeleteVertex(EditOperation):
             )
         graph.remove_vertex(self.vertex)
 
-    def inverse(self, graph: Graph) -> EditOperation:
-        return AddVertex(self.vertex, graph.vertex_label(self.vertex))
-
 
 @dataclasses.dataclass(frozen=True)
 class RelabelVertex(EditOperation):
@@ -109,9 +85,6 @@ class RelabelVertex(EditOperation):
             )
         graph.relabel_vertex(self.vertex, self.label)
 
-    def inverse(self, graph: Graph) -> EditOperation:
-        return RelabelVertex(self.vertex, graph.vertex_label(self.vertex))
-
 
 @dataclasses.dataclass(frozen=True)
 class AddEdge(EditOperation):
@@ -127,9 +100,6 @@ class AddEdge(EditOperation):
             raise EditOperationError("AE must add an edge with a non-virtual label")
         graph.add_edge(self.u, self.v, self.label)
 
-    def inverse(self, graph: Graph) -> EditOperation:
-        return DeleteEdge(self.u, self.v)
-
 
 @dataclasses.dataclass(frozen=True)
 class DeleteEdge(EditOperation):
@@ -141,9 +111,6 @@ class DeleteEdge(EditOperation):
 
     def apply(self, graph: Graph) -> None:
         graph.remove_edge(self.u, self.v)
-
-    def inverse(self, graph: Graph) -> EditOperation:
-        return AddEdge(self.u, self.v, graph.edge_label(self.u, self.v))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -162,9 +129,6 @@ class RelabelEdge(EditOperation):
                 f"({self.label!r} is unchanged)"
             )
         graph.relabel_edge(self.u, self.v, self.label)
-
-    def inverse(self, graph: Graph) -> EditOperation:
-        return RelabelEdge(self.u, self.v, graph.edge_label(self.u, self.v))
 
 
 class EditPath:
@@ -221,8 +185,3 @@ class EditPath:
         except Exception:
             return False
         return result.is_identical(target)
-
-
-def apply_edit_path(graph: Graph, operations: Sequence[EditOperation]) -> Graph:
-    """Apply a sequence of edit operations to a copy of ``graph`` and return it."""
-    return EditPath(operations).apply_to(graph)

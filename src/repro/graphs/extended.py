@@ -70,21 +70,9 @@ class ExtendedGraphView(Graph):
             if not self.has_edge(u, v):
                 self.add_edge(u, v, VIRTUAL_LABEL, allow_virtual=True)
 
-    def real_vertices(self):
-        """Iterate over the non-virtual vertices of the view."""
-        return (v for v, label in self.vertex_items() if label != VIRTUAL_LABEL)
-
     def virtual_vertices(self):
         """Iterate over the virtual vertices of the view."""
         return (v for v, label in self.vertex_items() if label == VIRTUAL_LABEL)
-
-    def real_edges(self):
-        """Iterate over the non-virtual edges of the view."""
-        return ((u, v, label) for u, v, label in self.edges() if label != VIRTUAL_LABEL)
-
-    def virtual_edges(self):
-        """Iterate over the virtual edges of the view."""
-        return ((u, v, label) for u, v, label in self.edges() if label == VIRTUAL_LABEL)
 
 
 def extend_pair(g1: Graph, g2: Graph) -> Tuple[ExtendedGraphView, ExtendedGraphView]:

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from collections import Counter
 from typing import Iterable, List, Sequence
 
 from repro.exceptions import GraphError
@@ -46,16 +45,6 @@ def validate_graph(graph: Graph, *, require_connected: bool = False) -> None:
                 )
     if require_connected and not graph.is_connected():
         raise GraphError(f"graph {graph.name!r} is not connected")
-
-
-def degree_histogram(graph: Graph) -> Counter:
-    """Return a ``Counter`` mapping degree -> number of vertices with that degree."""
-    return Counter(graph.degree(v) for v in graph.vertices())
-
-
-def degree_sequence(graph: Graph) -> List[int]:
-    """Return the sorted (descending) degree sequence of the graph."""
-    return sorted((graph.degree(v) for v in graph.vertices()), reverse=True)
 
 
 def powerlaw_exponent_estimate(graphs: Iterable[Graph], *, k_min: int = 2) -> float:

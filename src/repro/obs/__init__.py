@@ -46,7 +46,6 @@ from repro.obs.metrics import (
     Histogram,
     MetricsRegistry,
     get_registry,
-    metrics_enabled,
     set_enabled,
 )
 from repro.obs.profile import SamplingProfiler
@@ -57,10 +56,8 @@ from repro.obs.trace import (
     Span,
     TraceContext,
     Tracer,
-    activate,
     activated,
     active_trace,
-    deactivate,
     new_span_id,
     new_trace_id,
 )
@@ -73,17 +70,14 @@ __all__ = [
     "DEFAULT_LATENCY_BUCKETS",
     "DEFAULT_SIZE_BUCKETS",
     "get_registry",
-    "metrics_enabled",
     "set_enabled",
     "QueryTrace",
     "SlowQueryLog",
     "Span",
     "TraceContext",
     "Tracer",
-    "activate",
     "activated",
     "active_trace",
-    "deactivate",
     "new_trace_id",
     "new_span_id",
     "EventLog",

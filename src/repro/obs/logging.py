@@ -218,9 +218,6 @@ class StructuredLogger:
         record.update(fields)
         return self.log.emit(record)
 
-    def debug(self, event: str, **fields: Any) -> Optional[Dict[str, Any]]:
-        return self.event(event, level="debug", **fields)
-
     def info(self, event: str, **fields: Any) -> Optional[Dict[str, Any]]:
         return self.event(event, level="info", **fields)
 

@@ -42,7 +42,6 @@ __all__ = [
     "DEFAULT_SIZE_BUCKETS",
     "get_registry",
     "set_enabled",
-    "metrics_enabled",
 ]
 
 #: Latency histogram bounds in seconds: 50µs .. 10s, roughly log-spaced —
@@ -79,11 +78,6 @@ def set_enabled(enabled: bool) -> bool:
     return previous
 
 
-def metrics_enabled() -> bool:
-    """Whether metric recording is currently on (default: on)."""
-    return _ENABLED
-
-
 class Counter:
     """Monotonically increasing value (one labeled series of a family)."""
 
@@ -115,10 +109,6 @@ class Gauge:
     def inc(self, amount: float = 1.0) -> None:
         if _ENABLED:
             self.value += amount
-
-    def dec(self, amount: float = 1.0) -> None:
-        if _ENABLED:
-            self.value -= amount
 
 
 class Histogram:
@@ -169,31 +159,6 @@ class Histogram:
             total += count
             out.append(total)
         return out
-
-    def quantile(self, q: float) -> float:
-        """Approximate ``q``-quantile (0..1) by linear interpolation in-bucket.
-
-        Good enough for dashboards/SLO checks; the service's ``stats``
-        document reports exact nearest-rank percentiles over its recent
-        latency window.
-        """
-        if not 0.0 <= q <= 1.0:
-            raise ValueError("quantile q must lie in [0, 1]")
-        if self.count == 0:
-            return 0.0
-        rank = q * self.count
-        cumulative = 0
-        for slot, bucket_count in enumerate(self.bucket_counts):
-            previous = cumulative
-            cumulative += bucket_count
-            if cumulative >= rank and bucket_count:
-                lower = 0.0 if slot == 0 else self.bounds[slot - 1]
-                upper = self.bounds[slot] if slot < len(self.bounds) else lower * 2 or 1.0
-                fraction = (rank - previous) / bucket_count
-                return lower + (upper - lower) * min(fraction, 1.0)
-        return self.bounds[-1] if self.bounds else 0.0
-
-
 _KINDS = {"counter": Counter, "gauge": Gauge, "histogram": Histogram}
 
 

@@ -241,10 +241,6 @@ class SLOEngine:
                 self._tracked[target.name] = _TrackedSLO(target, self.windows[-1])
         return target
 
-    @property
-    def targets(self) -> List[SLOTarget]:
-        return [tracked.target for tracked in self._tracked.values()]
-
     def _classify(self, burns: Dict[str, float]) -> str:
         values = list(burns.values())
         if all(burn >= self.page_burn for burn in values):

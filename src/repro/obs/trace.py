@@ -20,7 +20,7 @@ Stage conventions:
 
 Deep layers (:mod:`repro.core.plan`, :class:`~repro.serving.engine.BatchQueryEngine`)
 never receive a trace argument; they record into the **thread-active**
-trace (:func:`activate` / :func:`active_trace`, one ``threading.local``
+trace (:func:`activated` / :func:`active_trace`, one ``threading.local``
 read when unsampled) installed by whoever owns the query — the engine's
 batch path activates the batch trace inside the scoring thread, so core
 instrumentation works unchanged for direct engine calls, callers' own
@@ -62,8 +62,6 @@ __all__ = [
     "SlowQueryLog",
     "new_trace_id",
     "new_span_id",
-    "activate",
-    "deactivate",
     "active_trace",
     "activated",
 ]
@@ -293,21 +291,6 @@ class QueryTrace:
             return self.total_seconds
         return time.perf_counter() - self.started_at
 
-    def stage_seconds(self, depth: Optional[int] = 0) -> Dict[str, float]:
-        """Per-stage summed durations, optionally restricted to one depth."""
-        out: Dict[str, float] = {}
-        for span in self.spans:
-            if depth is None or span.depth == depth:
-                out[span.name] = out.get(span.name, 0.0) + span.seconds
-        return out
-
-    def waterfall_coverage(self) -> float:
-        """Fraction of the end-to-end latency covered by depth-0 stages."""
-        total = self.total_seconds
-        if not total:
-            return 0.0
-        return sum(span.seconds for span in self.spans if span.depth == 0) / total
-
     def to_dict(self) -> Dict[str, Any]:
         """JSON-able form (admin ``traces`` command / slow log entries)."""
         return {
@@ -421,16 +404,6 @@ class Tracer:
 # thread-active trace: how deep layers find the current query's trace
 # ---------------------------------------------------------------------- #
 _ACTIVE = threading.local()
-
-
-def activate(trace: Optional[QueryTrace]) -> None:
-    """Install ``trace`` as the calling thread's active trace (None clears)."""
-    _ACTIVE.trace = trace
-
-
-def deactivate() -> None:
-    """Clear the calling thread's active trace."""
-    _ACTIVE.trace = None
 
 
 def active_trace() -> Optional[QueryTrace]:

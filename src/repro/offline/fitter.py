@@ -130,11 +130,6 @@ class OfflineFitter:
         """Graphs added since the last (re)fit and not yet sampled."""
         return len(self.database) - max(self.fitted_revision, 0)
 
-    @property
-    def is_stale(self) -> bool:
-        """True when the database changed since the priors were last fitted."""
-        return self.database.revision != self.fitted_revision
-
     def _require_fitted(self) -> None:
         if not self.is_fitted:
             raise SearchError("OfflineFitter.fit must be called before this operation")

@@ -162,9 +162,9 @@ class RetryPolicy:
         retry timing replays exactly.
     seed:
         Seed of the jitter stream (``None`` → nondeterministic).
-    retry_on:
-        Exception types that are safe to retry (defaults to
-        :data:`RETRYABLE_ERRORS`).  Anything else propagates immediately.
+
+    Only :data:`RETRYABLE_ERRORS` are retried; anything else propagates
+    immediately.
     """
 
     def __init__(
@@ -175,7 +175,6 @@ class RetryPolicy:
         max_delay_ms: float = 1000.0,
         jitter: float = 0.5,
         seed: Optional[int] = None,
-        retry_on: Tuple[type, ...] = RETRYABLE_ERRORS,
     ) -> None:
         if max_attempts < 1:
             raise ServiceError("max_attempts must be >= 1")
@@ -187,7 +186,6 @@ class RetryPolicy:
         self.base_delay = float(base_delay_ms) / 1000.0
         self.max_delay = float(max_delay_ms) / 1000.0
         self.jitter = float(jitter)
-        self.retry_on = tuple(retry_on)
         self._rng = random.Random(seed)
         #: Lifetime counter surfaced in client stats.
         self.retries = 0
@@ -201,7 +199,7 @@ class RetryPolicy:
         """
         if isinstance(error, CircuitOpenError):
             return False
-        return isinstance(error, self.retry_on)
+        return isinstance(error, RETRYABLE_ERRORS)
 
     def delay_for(self, attempt: int) -> float:
         """Backoff (seconds) after failed attempt number ``attempt`` (1-based)."""
@@ -302,10 +300,6 @@ class CircuitBreaker:
             self.fast_failures += 1
             _BREAKER_FAST_FAILS.inc()
             return False, 0
-
-    def allow(self) -> bool:
-        """True when a request may be sent now (claims the half-open probe)."""
-        return self._admit()[0]
 
     def check(self) -> int:
         """Raise :class:`CircuitOpenError` unless a request may be sent now.

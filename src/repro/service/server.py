@@ -155,7 +155,7 @@ def _repro_build_info() -> Dict[str, str]:
     return build_info()
 
 
-def _default_slo_engine(**kwargs) -> SLOEngine:
+def _default_slo_engine(on_transition) -> SLOEngine:
     """The service's stock objectives over the request metrics.
 
     * ``latency``: 99% of answered requests within 250 ms (the largest
@@ -163,7 +163,7 @@ def _default_slo_engine(**kwargs) -> SLOEngine:
     * ``availability``: 99.9% of requests not ending in ``SERVER_ERROR``
       (shed load and client mistakes are not availability failures).
     """
-    engine = SLOEngine(**kwargs)
+    engine = SLOEngine(on_transition=on_transition)
     engine.add(
         latency_slo("latency", _REQUEST_SECONDS, 0.25, objective=0.99)
     )
@@ -202,22 +202,13 @@ class SimilarityService:
     trace_sample_rate:
         Fraction of queries traced into stage waterfalls (default 1%;
         0 disables tracing entirely).
-    slow_query_ms, slow_log_size:
-        Latency threshold and ring capacity of the slow-query log.
+    slow_query_ms:
+        Latency threshold of the slow-query log (a ring of the newest 128).
     metrics_port:
         When given, a plain-HTTP listener on this port (same host) serves
         Prometheus text exposition at ``/metrics`` — port 0 picks a free
         port (see :attr:`metrics_http_port`).  ``None`` (default) starts
         no listener; the ``prometheus`` admin command always works.
-    idempotency_capacity:
-        Ring size of the completed-request idempotency cache (duplicate
-        ``request_key`` sends — client retries and hedges — are answered
-        from it bit-identically without re-scoring; 0 disables it).
-    slo_engine:
-        Optional pre-built :class:`~repro.obs.slo.SLOEngine`; by default
-        the service registers its stock latency/availability objectives
-        (evaluated by the ``slo`` admin command and on every ``stats``
-        scrape into ``repro_slo_*`` gauges).
     profiler_interval_ms:
         Sampling interval of the on-demand continuous profiler (started
         and stopped through the ``profile`` admin command; never running
@@ -236,10 +227,7 @@ class SimilarityService:
         max_per_connection: int = 0,
         trace_sample_rate: float = 0.01,
         slow_query_ms: float = 250.0,
-        slow_log_size: int = 128,
         metrics_port: Optional[int] = None,
-        idempotency_capacity: int = 2048,
-        slo_engine: Optional[SLOEngine] = None,
         profiler_interval_ms: float = 10.0,
     ) -> None:
         if engine is None and snapshot_path is None:
@@ -257,22 +245,20 @@ class SimilarityService:
         #: serialized answer, seconds): what the ``serving`` section reads.
         self.queries_answered = 0
         self.latencies: Deque[float] = deque(maxlen=LATENCY_WINDOW)
-        self.idempotency = IdempotencyCache(capacity=idempotency_capacity)
+        #: Completed requests by ``request_key`` (the newest 2 048): client
+        #: retries and hedges are answered from it bit-identically.
+        self.idempotency = IdempotencyCache()
         self.tracer = Tracer(sample_rate=trace_sample_rate)
-        self.slow_log = SlowQueryLog(threshold_ms=slow_query_ms, capacity=slow_log_size)
+        self.slow_log = SlowQueryLog(threshold_ms=slow_query_ms)
         self.log = get_logger("service")
         # The per-query slow_query warnings get their own logger (and thus
         # their own rate-limit bucket): a chatty slow patch must never
         # starve rare lifecycle events (reloads, SLO transitions) of
         # tokens on the shared "service" logger.
         self.slow_query_logger = get_logger("service.slow")
-        self.slo = (
-            slo_engine
-            if slo_engine is not None
-            else _default_slo_engine(on_transition=self._on_slo_transition)
-        )
-        if self.slo.on_transition is None:
-            self.slo.on_transition = self._on_slo_transition
+        #: The stock objectives, evaluated by the ``slo`` admin command and
+        #: on every ``stats`` scrape into ``repro_slo_*`` gauges.
+        self.slo = _default_slo_engine(self._on_slo_transition)
         self.profiler = SamplingProfiler(interval_ms=profiler_interval_ms)
         self.metrics_port = None if metrics_port is None else int(metrics_port)
         self._metrics_server: Optional[asyncio.base_events.Server] = None

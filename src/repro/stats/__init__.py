@@ -4,20 +4,3 @@ These are the building blocks of the offline GBD-prior estimation of
 Section V-B: sample graph pairs, fit a Gaussian Mixture Model to their GBDs
 with EM, and read off discrete probabilities with a continuity correction.
 """
-
-from repro.stats.distributions import (
-    continuity_corrected_pmf,
-    normal_cdf,
-    normal_pdf,
-)
-from repro.stats.gmm import GaussianMixtureModel
-from repro.stats.sampling import sample_pairs, sample_items
-
-__all__ = [
-    "GaussianMixtureModel",
-    "normal_pdf",
-    "normal_cdf",
-    "continuity_corrected_pmf",
-    "sample_pairs",
-    "sample_items",
-]

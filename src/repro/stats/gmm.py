@@ -63,33 +63,23 @@ class GaussianMixtureModel:
     ----------
     num_components:
         Number of mixture components ``K`` (user chosen, as in the paper).
-    max_iterations:
-        Maximum EM iterations (``ℓ`` in the paper's complexity analysis).
-    tolerance:
-        Relative log-likelihood improvement below which EM stops early.
-    variance_floor:
-        Lower bound on component variances; prevents degenerate spikes when
-        many samples share the same integer value.
     seed:
         Seed (or ``random.Random``) controlling the k-means++ initialisation
         and the re-seeding of a component that dies during EM.
     """
 
-    def __init__(
-        self,
-        num_components: int = 3,
-        *,
-        max_iterations: int = 200,
-        tolerance: float = 1e-6,
-        variance_floor: float = 1e-3,
-        seed: RandomState = 0,
-    ) -> None:
+    #: Maximum EM iterations (``ℓ`` in the paper's complexity analysis).
+    max_iterations = 200
+    #: Relative log-likelihood improvement below which EM stops early.
+    tolerance = 1e-6
+    #: Lower bound on component variances; prevents degenerate spikes when
+    #: many samples share the same integer value.
+    variance_floor = 1e-3
+
+    def __init__(self, num_components: int = 3, *, seed: RandomState = 0) -> None:
         if num_components < 1:
             raise ValueError("num_components must be at least 1")
         self.num_components = num_components
-        self.max_iterations = max_iterations
-        self.tolerance = tolerance
-        self.variance_floor = variance_floor
         # Keep the original integer seed (when one was given) so to_state /
         # from_state can round-trip it; the live random stream is preserved
         # separately so a reloaded model refits exactly like the original.

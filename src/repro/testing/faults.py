@@ -246,10 +246,9 @@ class FaultProxy:
         The seeded decision source.
     host, port:
         Listen address of the proxy (port 0 picks a free port).
-    faulty_directions:
-        Which legs faults apply to: subset of ``{"request", "response"}``
-        (default: responses only, the leg that exercises client-side
-        timeout/retry machinery hardest; clean legs still forward).
+
+    Faults apply to responses only, the leg that exercises the client's
+    timeout/retry machinery hardest; requests are forwarded clean.
     """
 
     def __init__(
@@ -259,13 +258,11 @@ class FaultProxy:
         *,
         host: str = "127.0.0.1",
         port: int = 0,
-        faulty_directions: Tuple[str, ...] = ("response",),
     ) -> None:
         self.upstream = upstream
         self.injector = injector
         self.host = host
         self._requested_port = int(port)
-        self.faulty_directions = tuple(faulty_directions)
         self._server: Optional[asyncio.base_events.Server] = None
         self._tasks: set = set()
 
@@ -327,7 +324,7 @@ class FaultProxy:
             frame = await _read_raw_frame(reader)
             if frame is None:
                 break
-            if direction in self.faulty_directions:
+            if direction == "response":
                 action, delay = self.injector.wire_action(direction)
             else:
                 action, delay = "pass", 0.0
@@ -533,15 +530,15 @@ class ChaosService:
         self.handle.kill()
         self._handle = None
 
-    def restart(self, wait_seconds: float = 5.0) -> ServiceHandle:
+    def restart(self) -> ServiceHandle:
         """Bring a killed service back on the same port.
 
         The dead listener's socket may linger briefly after the crash;
-        rebinding retries for up to ``wait_seconds``.
+        rebinding retries for up to 5 s.
         """
         if self._handle is not None:
             raise ServiceError("restart() after kill(); the service is still running")
-        deadline = time.monotonic() + wait_seconds
+        deadline = time.monotonic() + 5.0
         last_error: Optional[Exception] = None
         while time.monotonic() < deadline:
             try:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment
 
-from repro.assignment.greedy import greedy_assignment, sorted_greedy_assignment
+from repro.assignment.greedy import sorted_greedy_assignment
 from repro.assignment.hungarian import assignment_cost, hungarian
 from repro.exceptions import AssignmentError
 
@@ -80,38 +80,30 @@ class TestHungarian:
 
 
 class TestGreedy:
-    def test_row_greedy_picks_cheapest_free_column(self):
-        matrix = [[1.0, 9.0], [1.0, 9.0]]
-        assert greedy_assignment(matrix) == [0, 1]
-
-    def test_sorted_greedy_can_beat_row_greedy(self):
-        # Row greedy commits row 0 to column 0 (cost 1) forcing row 1 into 100;
-        # sorted greedy assigns the global cheapest pairs first.
-        matrix = [[1.0, 2.0], [1.0, 100.0]]
-        row_cost = assignment_cost(matrix, greedy_assignment(matrix))
-        sorted_cost = assignment_cost(matrix, sorted_greedy_assignment(matrix))
-        assert sorted_cost <= row_cost
+    def test_sorted_greedy_takes_the_global_cheapest_pairs_first(self):
+        # Row by row, row 0 would take column 0 (cost 2) and force row 1 into
+        # 100; the globally sorted order assigns (1, 0) and then (0, 1).
+        matrix = [[2.0, 3.0], [1.0, 100.0]]
+        assert sorted_greedy_assignment(matrix) == [1, 0]
+        assert assignment_cost(matrix, sorted_greedy_assignment(matrix)) == 4.0
 
     def test_greedy_never_beats_hungarian(self):
         for seed in range(6):
             matrix = _random_matrix(6, 6, 200 + seed)
             optimal = assignment_cost(matrix, hungarian(matrix))
-            assert assignment_cost(matrix, greedy_assignment(matrix)) >= optimal - 1e-9
             assert assignment_cost(matrix, sorted_greedy_assignment(matrix)) >= optimal - 1e-9
 
     def test_greedy_is_a_valid_matching(self):
         matrix = _random_matrix(5, 8, 9)
-        for solver in (greedy_assignment, sorted_greedy_assignment):
-            assignment = solver(matrix)
-            assert len(assignment) == 5
-            assert len(set(assignment)) == 5
+        assignment = sorted_greedy_assignment(matrix)
+        assert len(assignment) == 5
+        assert len(set(assignment)) == 5
 
     def test_empty_matrix(self):
-        assert greedy_assignment([]) == []
         assert sorted_greedy_assignment([]) == []
 
     def test_invalid_shapes_rejected(self):
         with pytest.raises(AssignmentError):
-            greedy_assignment([[1.0], [2.0]])
+            sorted_greedy_assignment([[1.0], [2.0]])
         with pytest.raises(AssignmentError):
             sorted_greedy_assignment([[1.0, 2.0], [3.0]])

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import branches
-from repro.core.branches import Branch, branch_multiset, branch_of, branches_of, iter_branches
+from repro.core.branches import Branch, branch_multiset, branch_of, branches_of
 from repro.db.database import GraphDatabase
 from repro.db.query import SimilarityQuery
 from repro.graphs.generators import random_labeled_graph
@@ -50,8 +50,8 @@ class TestBranchExtraction:
         keys = [(b.vertex_label, b.edge_labels) for b in branches]
         assert keys == sorted(keys, key=lambda item: (str(item[0]), [str(x) for x in item[1]]))
 
-    def test_iter_branches_covers_every_vertex(self, paper_g1):
-        pairs = dict(iter_branches(paper_g1))
+    def test_branch_of_covers_every_vertex(self, paper_g1):
+        pairs = {vertex: branch_of(paper_g1, vertex) for vertex in paper_g1.vertices()}
         assert set(pairs) == {"v1", "v2", "v3"}
 
 
@@ -59,8 +59,9 @@ class TestBranchProperties:
     def test_degree_property(self, paper_g1):
         assert branch_of(paper_g1, "v1").degree == 2
 
-    def test_as_strings_layout(self, paper_g1):
-        assert branch_of(paper_g1, "v1").as_strings() == ["A", "y", "y"]
+    def test_canonical_key_layout(self, paper_g1):
+        """Section III's layout: the vertex label, then the sorted edge labels."""
+        assert branch_of(paper_g1, "v1").canonical_key() == ("A", ("y", "y"))
 
     def test_str_rendering(self, paper_g1):
         assert str(branch_of(paper_g1, "v2")) == "{C; y, z}"

@@ -263,7 +263,7 @@ class TestAppendBufferCompaction:
         fresh = {key for entry in batch for key in branches_of(entry)} - known
         assert len(fresh) > 1 and sorted(map(repr, learned)) == sorted(map(repr, fresh))
         assert len(learned) == len(set(learned))  # ("new", ()) came twice, was learned once
-        caps = store.key_caps()
+        caps = store._key_ids.caps
         assert caps[store._key_ids.get(("new", ()))] == 5  # the larger of its two postings
 
         del learned[:]
@@ -274,7 +274,7 @@ class TestAppendBufferCompaction:
             array.tolist() for array in reference.view()[0][:3]
         ]
         assert list(store._key_ids) == list(reference._key_ids)
-        assert caps.tolist() == reference.key_caps().tolist()
+        assert caps == reference._key_ids.caps
 
     def test_bulk_extend_matches_one_append_at_a_time(self, random_database, make_store):
         """One batch learns its new keys in one pass: same vocabulary order, caps and CSR."""
@@ -286,7 +286,7 @@ class TestAppendBufferCompaction:
         for entry in entries[5:]:
             single.extend([branches_of(entry)])
         assert list(bulk._key_ids.items()) == list(single._key_ids.items())
-        assert bulk.key_caps().tolist() == single.key_caps().tolist()
+        assert bulk._key_ids.caps == single._key_ids.caps
         (bulk_csr, *bulk_rest), (single_csr, *single_rest) = bulk.view(), single.view()
         assert [np.asarray(part).tolist() for part in (*bulk_csr, *bulk_rest)] == [
             np.asarray(part).tolist() for part in (*single_csr, *single_rest)
@@ -475,7 +475,7 @@ class TestBoundKernels:
 
     def test_key_caps_track_max_multiplicity(self, random_database, make_store):
         store = make_store(random_database)
-        caps = store.key_caps()
+        caps = store._key_ids.caps
         expected = {}
         for entry in random_database:
             for key, count in branches_of(entry).items():

@@ -568,4 +568,4 @@ def test_reader_querying_keys_a_batch_is_learning(backend):
     assert not failures, failures[0]
     assert reads[0] > 0
     assert store.num_keys == store.num_graphs == batches * size
-    assert store.key_caps().tolist() == [1] * (batches * size)
+    assert store._key_ids.caps == [1] * (batches * size)

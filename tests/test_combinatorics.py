@@ -9,10 +9,7 @@ from scipy import special
 from repro.core.combinatorics import (
     binomial,
     digamma,
-    harmonic_number,
     hypergeometric_pmf,
-    log_binomial,
-    log_factorial,
     multiset_coefficient,
 )
 
@@ -30,12 +27,6 @@ class TestBinomial:
 
     def test_large_values_are_exact(self):
         assert binomial(100, 50) == math.comb(100, 50)
-
-    def test_log_binomial_matches_log_of_exact(self):
-        assert log_binomial(30, 12) == pytest.approx(math.log(binomial(30, 12)), rel=1e-9)
-
-    def test_log_binomial_out_of_support(self):
-        assert log_binomial(3, 5) == float("-inf")
 
 
 class TestMultisetCoefficient:
@@ -72,20 +63,5 @@ class TestHypergeometric:
 
 
 class TestSpecialFunctions:
-    def test_harmonic_number_integers(self):
-        assert harmonic_number(0) == 0.0
-        assert harmonic_number(1) == pytest.approx(1.0)
-        assert harmonic_number(4) == pytest.approx(1 + 0.5 + 1 / 3 + 0.25)
-
-    def test_harmonic_number_matches_digamma_identity(self):
-        euler_gamma = -special.digamma(1.0)
-        for n in (2.5, 7, 13.25):
-            assert harmonic_number(n) == pytest.approx(special.digamma(n + 1) + euler_gamma)
-
     def test_digamma_wrapper(self):
         assert digamma(1.0) == pytest.approx(float(special.digamma(1.0)))
-
-    def test_log_factorial(self):
-        assert log_factorial(5) == pytest.approx(math.log(120))
-        with pytest.raises(ValueError):
-            log_factorial(-1)

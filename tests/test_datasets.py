@@ -4,7 +4,6 @@ import pytest
 
 from repro.baselines.ged_exact import exact_ged
 from repro.datasets import (
-    build_dataset,
     find_modification_center,
     make_aasd_like,
     make_aids_like,
@@ -164,13 +163,9 @@ class TestRegistry:
             assert name in DATASET_BUILDERS
 
     def test_build_dataset_by_name(self):
-        dataset = build_dataset("fingerprint", num_templates=3, family_size=4, seed=5)
+        dataset = DATASET_BUILDERS["fingerprint"](num_templates=3, family_size=4, seed=5)
         assert isinstance(dataset, Dataset)
         assert dataset.name == "Fingerprint"
-
-    def test_unknown_name_rejected(self):
-        with pytest.raises(DatasetError):
-            build_dataset("no-such-dataset")
 
     def test_ground_truth_record_validation(self):
         truth = GroundTruth()

@@ -305,7 +305,7 @@ class TestQueryObjects:
     def test_query_answer_helpers(self):
         answer = QueryAnswer(method="x", accepted_ids=frozenset({1, 2}), scores={1: 0.9})
         assert answer.size == 2
-        assert answer.contains(1)
-        assert not answer.contains(3)
-        assert answer.score_of(1) == 0.9
-        assert answer.score_of(3) is None
+        assert 1 in answer.accepted_ids
+        assert 3 not in answer.accepted_ids
+        assert answer.scores.get(1) == 0.9
+        assert answer.scores.get(3) is None

@@ -11,7 +11,6 @@ from repro.graphs.edit_ops import (
     EditPath,
     RelabelEdge,
     RelabelVertex,
-    apply_edit_path,
 )
 from repro.graphs.graph import Graph, VIRTUAL_LABEL
 
@@ -72,49 +71,8 @@ class TestSingleOperations:
         assert RelabelEdge(0, 1, "x").code == "RE"
 
     def test_vertex_vs_edge_classification(self):
-        assert AddVertex(0, "A").is_vertex_operation
-        assert not AddVertex(0, "A").is_edge_operation
-        assert DeleteEdge(0, 1).is_edge_operation
-        assert not DeleteEdge(0, 1).is_vertex_operation
-
-
-class TestInverses:
-    def test_relabel_vertex_inverse(self, triangle):
-        operation = RelabelVertex(0, "Z")
-        inverse = operation.inverse(triangle)
-        operation.apply(triangle)
-        inverse.apply(triangle)
-        assert triangle.vertex_label(0) == "A"
-
-    def test_delete_edge_inverse(self, triangle):
-        operation = DeleteEdge(0, 1)
-        inverse = operation.inverse(triangle)
-        operation.apply(triangle)
-        inverse.apply(triangle)
-        assert triangle.edge_label(0, 1) == "x"
-
-    def test_add_vertex_inverse(self, triangle):
-        operation = AddVertex(9, "Q")
-        inverse = operation.inverse(triangle)
-        operation.apply(triangle)
-        inverse.apply(triangle)
-        assert not triangle.has_vertex(9)
-
-    def test_delete_vertex_inverse(self):
-        graph = Graph()
-        graph.add_vertex(0, "A")
-        operation = DeleteVertex(0)
-        inverse = operation.inverse(graph)
-        operation.apply(graph)
-        inverse.apply(graph)
-        assert graph.vertex_label(0) == "A"
-
-    def test_relabel_edge_inverse(self, triangle):
-        operation = RelabelEdge(1, 2, "q")
-        inverse = operation.inverse(triangle)
-        operation.apply(triangle)
-        inverse.apply(triangle)
-        assert triangle.edge_label(1, 2) == "y"
+        assert AddVertex(0, "A").code[1] == "V"
+        assert DeleteEdge(0, 1).code[1] == "E"
 
 
 class TestEditPath:
@@ -172,7 +130,7 @@ class TestEditPath:
         path.extend([RelabelVertex(1, "Y")])
         assert len(path) == 2
 
-    def test_apply_edit_path_helper(self, triangle):
-        result = apply_edit_path(triangle, [RelabelVertex(0, "Z")])
+    def test_apply_to_copies(self, triangle):
+        result = EditPath([RelabelVertex(0, "Z")]).apply_to(triangle)
         assert result.vertex_label(0) == "Z"
         assert triangle.vertex_label(0) == "A"

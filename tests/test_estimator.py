@@ -35,55 +35,11 @@ class TestPosterior:
     def test_identical_graphs_accepted_at_any_threshold(self, estimator):
         assert estimator.posterior(0, tau_hat=1, extended_order=10) > 0.1
 
-    def test_posterior_profile_sums_to_posterior(self, estimator):
-        gbd, tau_hat, order = 2, 4, 10
-        profile = estimator.posterior_profile(gbd, tau_hat, order)
-        assert len(profile) == tau_hat + 1
-        assert min(sum(profile), 1.0) == pytest.approx(
-            estimator.posterior(gbd, tau_hat, order), abs=1e-9
-        )
-
-    def test_posterior_profile_clamped_when_raw_sum_overflows(self, estimator):
-        # At gbd=0 the raw Bayes summands total well above 1 (the three Λ
-        # terms are estimated independently); the profile must agree with
-        # the clamped posterior instead of returning the unclamped values.
-        gbd, tau_hat, order = 0, 6, 10
-        model = estimator.model_for(order)
-        prior_gbd = estimator.gbd_prior.probability(gbd)
-        raw_sum = sum(
-            model.lambda1(tau, gbd) * estimator.ged_prior.probability(tau, order) / prior_gbd
-            for tau in range(tau_hat + 1)
-            if model.lambda1(tau, gbd) > 0
-        )
-        assert raw_sum > 1.0, "fixture must exercise the overflow branch"
-        profile = estimator.posterior_profile(gbd, tau_hat, order)
-        assert sum(profile) == pytest.approx(estimator.posterior(gbd, tau_hat, order), abs=1e-12)
-        assert sum(profile) == pytest.approx(1.0, abs=1e-12)
-        assert all(contribution >= 0.0 for contribution in profile)
-        # prefixes of the clamped profile never exceed 1
-        cumulative = 0.0
-        for contribution in profile:
-            cumulative += contribution
-            assert cumulative <= 1.0 + 1e-12
-
-    def test_posterior_profile_unclamped_case_matches_raw_summands(self, estimator):
-        # When the raw sum stays below 1 the clamp must be a no-op.
-        gbd, tau_hat, order = 8, 6, 10
-        profile = estimator.posterior_profile(gbd, tau_hat, order)
-        assert sum(profile) == pytest.approx(estimator.posterior(gbd, tau_hat, order), abs=1e-12)
-        assert sum(profile) < 1.0
-
     def test_invalid_arguments_rejected(self, estimator):
         with pytest.raises(EstimationError):
             estimator.posterior(0, tau_hat=-1, extended_order=10)
         with pytest.raises(EstimationError):
             estimator.posterior(-1, tau_hat=2, extended_order=10)
-
-    def test_posterior_profile_validates_like_posterior(self, estimator):
-        with pytest.raises(EstimationError):
-            estimator.posterior_profile(0, tau_hat=-1, extended_order=10)
-        with pytest.raises(EstimationError):
-            estimator.posterior_profile(-1, tau_hat=2, extended_order=10)
 
 
 class TestAccepts:

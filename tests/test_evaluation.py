@@ -10,7 +10,6 @@ from repro.evaluation.metrics import (
     ConfusionCounts,
     aggregate_counts,
     evaluate_answer,
-    precision_recall_f1,
 )
 from repro.evaluation.reporting import Table, format_series, format_table
 from repro.evaluation.runner import ExperimentRunner
@@ -18,8 +17,8 @@ from repro.evaluation.runner import ExperimentRunner
 
 class TestMetrics:
     def test_perfect_answer(self):
-        precision, recall, f1 = precision_recall_f1({1, 2, 3}, {1, 2, 3})
-        assert precision == recall == f1 == 1.0
+        counts = evaluate_answer({1, 2, 3}, {1, 2, 3})
+        assert counts.precision == counts.recall == counts.f1 == 1.0
 
     def test_partial_overlap(self):
         counts = evaluate_answer({1, 2, 3, 4}, {3, 4, 5})
@@ -71,8 +70,13 @@ class TestGroundTruthOracle:
     def test_oracle_matches_recorded_truth(self, dataset):
         oracle = GroundTruthOracle(dataset)
         key = dataset.query_key(0)
-        for graph_id in range(len(dataset.database_graphs)):
-            assert oracle.ged(0, graph_id) == dataset.ground_truth.ged(key, graph_id)
+        for tau_hat in (0, 2, 5, 10):
+            recorded = {
+                graph_id
+                for graph_id in range(len(dataset.database_graphs))
+                if (ged := dataset.ground_truth.ged(key, graph_id)) is not None and ged <= tau_hat
+            }
+            assert oracle.answer_set(0, tau_hat) == recorded
 
     def test_answer_sets_monotone_in_threshold(self, dataset):
         oracle = GroundTruthOracle(dataset)

@@ -26,7 +26,11 @@ class TestExtendedGraphView:
 
     def test_real_edges_preserved(self, paper_g1):
         view = ExtendedGraphView(paper_g1, 2)
-        real = {(frozenset((u, v)), label) for u, v, label in view.real_edges()}
+        real = {
+            (frozenset((u, v)), label)
+            for u, v, label in view.edges()
+            if label != VIRTUAL_LABEL
+        }
         original = {(frozenset((u, v)), label) for u, v, label in paper_g1.edges()}
         assert real == original
 

@@ -5,7 +5,7 @@ import pytest
 from repro.core.branches import branch_multiset
 from repro.core.gbd import (
     branch_intersection_size,
-    gbd_upper_bound_on_ged,
+    ged_lower_bound,
     graph_branch_distance,
     variant_graph_branch_distance,
 )
@@ -98,6 +98,6 @@ class TestGbdGedRelation:
         assert gbd <= 2 * ged
 
     def test_lower_bound_helper(self):
-        assert gbd_upper_bound_on_ged(0) == 0
-        assert gbd_upper_bound_on_ged(3) == 2
-        assert gbd_upper_bound_on_ged(4) == 2
+        assert ged_lower_bound(0) == 0
+        assert ged_lower_bound(3) == 2
+        assert ged_lower_bound(4) == 2

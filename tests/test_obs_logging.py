@@ -108,7 +108,7 @@ class TestStructuredLogger:
     def test_level_helpers(self):
         log = EventLog(clock=FakeClock())
         logger = StructuredLogger("svc", log, clock=FakeClock())
-        assert logger.debug("d")["level"] == "debug"
+        assert logger.event("d", level="debug")["level"] == "debug"
         assert logger.info("i")["level"] == "info"
         assert logger.warning("w")["level"] == "warning"
         assert logger.error("e")["level"] == "error"

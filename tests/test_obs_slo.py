@@ -211,8 +211,8 @@ class TestEngineSurface:
         first = CountSource()
         engine.add(SLOTarget("t", 0.99, first))
         engine.add(SLOTarget("t", 0.5, CountSource()))
-        assert len(engine.targets) == 1
-        assert engine.targets[0].objective == 0.99
+        assert list(engine._tracked) == ["t"]
+        assert engine._tracked["t"].target.objective == 0.99
 
     def test_report_shape(self):
         engine = _engine(FakeClock())

@@ -132,11 +132,10 @@ class TestOfflineFitterFullFit:
     def test_fit_sets_version_and_revision(self, database):
         fitter = OfflineFitter(database, max_tau=4, num_prior_pairs=60, seed=0)
         assert not fitter.is_fitted
-        assert fitter.is_stale
+        assert database.revision != fitter.fitted_revision
         fitter.fit()
         assert fitter.is_fitted
         assert fitter.version == 1
-        assert not fitter.is_stale
         assert fitter.fitted_revision == database.revision
 
     def test_empty_database_rejected(self):
@@ -165,12 +164,12 @@ class TestIncrementalRefit:
         database.add(random_labeled_graph(15, 20, seed=90, name="new0"))
         database.add(random_labeled_graph(15, 22, seed=91, name="new1"))
         assert fitter.num_pending == 2
-        assert fitter.is_stale
+        assert database.revision != fitter.fitted_revision
 
         assert fitter.refit() is True
         assert fitter.version == 2
         assert fitter.num_pending == 0
-        assert not fitter.is_stale
+        assert fitter.fitted_revision == database.revision
         assert fitter.last_report.num_new_graphs == 2
         assert fitter.last_report.num_new_pairs == 16
         assert fitter.last_report.num_total_samples == samples_before + 16

@@ -248,18 +248,19 @@ class TestCircuitBreaker:
         assert breaker.state == CircuitBreaker.OPEN
         time.sleep(0.03)
         assert breaker.state == CircuitBreaker.HALF_OPEN
-        assert breaker.allow()  # the single probe is claimed...
-        assert not breaker.allow()  # ...and concurrent attempts still fail fast
+        assert breaker.check()  # the single probe is claimed...
+        with pytest.raises(CircuitOpenError):
+            breaker.check()  # ...and concurrent attempts still fail fast
         breaker.record_success()
         assert breaker.state == CircuitBreaker.CLOSED
-        assert breaker.allow()
+        assert breaker.check() == 0
 
     def test_half_open_probe_failure_reopens(self):
         breaker = CircuitBreaker(failure_threshold=5, reset_timeout_ms=20)
         for _ in range(5):
             breaker.record_failure()
         time.sleep(0.03)
-        assert breaker.allow()  # half-open probe
+        assert breaker.check()  # half-open probe
         breaker.record_failure()  # probe failed → straight back to open
         assert breaker.state == CircuitBreaker.OPEN
         assert breaker.as_dict()["opened"] == 2

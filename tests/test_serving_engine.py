@@ -16,7 +16,7 @@ from repro.db import columnar
 from repro.db.database import GraphDatabase
 from repro.db.kernels import available_backends
 from repro.db.query import SimilarityQuery
-from repro.exceptions import ServingError
+from repro.exceptions import SearchError, ServingError
 from repro.graphs.generators import random_labeled_graph
 from repro.obs.metrics import get_registry
 from repro.obs.trace import QueryTrace
@@ -104,6 +104,70 @@ class TestPosteriorTables:
     def test_warm_rejects_excessive_tau(self, engine):
         with pytest.raises(ServingError):
             engine.warm([99])
+
+    def test_no_table_is_filled_for_a_tau_every_query_refuses(self, fitted):
+        """τ̂ > max_tau raises where a table grows, before anything is stored."""
+        engine = BatchQueryEngine.from_search(fitted)
+        before = engine.num_cached_tables
+        with pytest.raises(ServingError):
+            engine.posterior_vector(5, 6)
+        assert engine.num_cached_tables == before
+        core = fitted._core
+        before = core.num_cached_tables
+        with pytest.raises(SearchError):
+            core.acceptance_threshold(5, 0.5, 6)
+        assert core.num_cached_tables == before
+        assert 5 not in core._tables and 5 not in engine._core._tables
+
+    def test_a_slow_new_row_holds_up_no_other_row(self, fitted, monkeypatch):
+        """A row is computed outside the table lock: while one (τ̂, order) is
+        still being computed, a query that needs another τ̂'s rows answers."""
+        engine = BatchQueryEngine.from_search(fitted, cache_size=None)
+        estimator = engine._core.estimator
+        computed = estimator.posterior_row
+        entered, release = threading.Event(), threading.Event()
+        slow = (1, 40)  # an extended order no stored graph or query has
+
+        def held(tau_hat, extended_order):
+            if (tau_hat, extended_order) == slow:
+                entered.set()
+                release.wait(30)
+            return computed(tau_hat, extended_order)
+
+        monkeypatch.setattr(estimator, "posterior_row", held)
+        holder = threading.Thread(target=engine.posterior_vector, args=slow)
+        holder.start()
+        query = SimilarityQuery(random_labeled_graph(7, 9, seed=5), 3, 0.5)
+        pool = ThreadPoolExecutor(max_workers=1)
+        try:
+            assert entered.wait(10)
+            answer = pool.submit(engine.query, query).result(timeout=10)
+        finally:
+            release.set()
+            pool.shutdown()
+            holder.join()
+        assert engine._core._tables[1][0].filled(40)
+        reference = query_reference(fitted, query)
+        assert answer.accepted_ids == reference.answer.accepted_ids
+        assert answer.scores == {gid: reference.posteriors[gid] for gid in answer.accepted_ids}
+
+    def test_a_row_computed_twice_at_once_is_published_once(self, fitted, monkeypatch):
+        engine = BatchQueryEngine.from_search(fitted, cache_size=None)
+        estimator = engine._core.estimator
+        computed = estimator.posterior_row
+        both_computing = threading.Barrier(2, timeout=10)
+
+        def in_step(tau_hat, extended_order):
+            both_computing.wait()  # each thread read the table before either published
+            return computed(tau_hat, extended_order)
+
+        monkeypatch.setattr(estimator, "posterior_row", in_step)
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            rows = list(pool.map(lambda _: engine.posterior_vector(2, 33), range(2)))
+        table, _covered = engine._core._tables[2]
+        assert engine.num_cached_tables == 1
+        assert len(table.phi) == 34
+        assert rows[0].tolist() == rows[1].tolist() == computed(2, 33)
 
 
 class TestValidationAndLifecycle:
