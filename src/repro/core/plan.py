@@ -141,16 +141,12 @@ def _record_stage(name: str, started: float) -> None:
 
 
 def _record_batch_stages(
-    started: float,
-    filtered: float,
-    scored: float,
-    thresholded: Sequence[Tuple[int, Optional[bool]]],
-    ranked: int,
+    started: float, filtered: float, scored: float, thresholded: int, dense: int, ranked: int
 ) -> None:
     """Observe the stages of a batch, one observation per query.
 
-    ``thresholded`` holds each thresholded query's ``(verified, sparse)`` and
-    ``ranked`` is the number of top-k queries.  The store call took
+    The batch held ``thresholded`` thresholded queries, ``dense`` of which
+    took the dense plan, and ``ranked`` top-k ones.  The store call took
     ``filtered - started`` and the hits' ids and scores ``scored - filtered``,
     for the whole batch: each query is booked an even share of both — a
     thresholded one under ``bound_filter`` and then ``score_dense`` after the
@@ -158,16 +154,13 @@ def _record_batch_stages(
     active trace (a sampled flush) gets one span per stage, laid end to end
     from ``started``: the flush's waterfall, not a span per query.
     """
-    share = 1.0 / (len(thresholded) + ranked)
+    share = 1.0 / (thresholded + ranked)
     stages = []
     if thresholded:
-        dense = 0
-        for _rows, sparse in thresholded:
-            dense += sparse is False
         score_share = (scored - filtered) * share
-        stages.append(("bound_filter", len(thresholded), (filtered - started) * share))
-        if dense < len(thresholded):
-            stages.append(("verify", len(thresholded) - dense, score_share))
+        stages.append(("bound_filter", thresholded, (filtered - started) * share))
+        if dense < thresholded:
+            stages.append(("verify", thresholded - dense, score_share))
         if dense:
             stages.append(("score_dense", dense, score_share))
     if ranked:
@@ -503,14 +496,15 @@ class ExecutionCore:
         # Each query's (verified, sparse); one none of whose rows was verified
         # ran neither plan.
         passes = []
-        thresholded = []
+        dense = ranked = 0
         for (num_query_vertices, _branches, table, _reducer), k, row in zip(rows, ks, found):
             hits, values, _eligible, verified, sparse = row
             passes.append((verified, sparse))
             if k is not None:  # ranked by the store call
+                ranked += 1
                 answers.append(list(zip(hits.tolist(), values.tolist())))
                 continue
-            thresholded.append((verified, sparse))
+            dense += sparse is False
             if len(hits) == 0:
                 answers.append(([], []))
             else:
@@ -519,7 +513,7 @@ class ExecutionCore:
                 answers.append((global_ids[hits].tolist(), scores.tolist()))
         scored = time.perf_counter()
         self._count(len(db_orders), passes)
-        _record_batch_stages(started, filtered, scored, thresholded, len(passes) - len(thresholded))
+        _record_batch_stages(started, filtered, scored, len(rows) - ranked, dense, ranked)
         return answers
 
     def execute_pruned(

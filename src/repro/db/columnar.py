@@ -172,6 +172,11 @@ _Rows = Tuple[np.ndarray, np.ndarray, np.ndarray]
 _View = Tuple[_Csr, np.ndarray, np.ndarray]
 
 
+#: The dtypes the compiled reducer reads a snapshot's arrays in: distinct,
+#: bounds, the CSR triple and global_ids (see _Snapshot.arguments).
+_COMPILED_DTYPES = (np.int64, np.int64, np.int64, np.int32, np.int32, np.int64)
+
+
 class _Snapshot:
     """One published read state: the CSR and its row vectors, all by position.
 
@@ -182,11 +187,23 @@ class _Snapshot:
     vocabulary pass reads key by key as it matches a query's keys: an int64
     ``array``, whose items Python reads nearly as fast as a list's, built in
     one copy where a list would cost a Python int per key on every
-    compaction.  Nothing in a snapshot changes after it is published, and
-    nothing is built lazily.
+    compaction.
+
+    ``arguments`` is what the compiled reducer takes of the snapshot, in
+    one int64 ``array`` (the ``SNAPSHOT_*`` slots of ``_kernels.c``): the
+    addresses of ``distinct``, ``bounds``, the CSR triple and ``global_ids``,
+    then the count of distinct orders.  It is ``None`` when an array is not
+    contiguous in the dtype the C source reads — a CSR that outgrew int32 —
+    and the NumPy reference answers.  The record holds every array it names,
+    so an address lives exactly as long as its record; nothing else keeps
+    one, and none is pickled (a store travels as its :meth:`view`).
+
+    A record owns everything it holds: it is built whole — at publish, for a
+    superseded view a reader pinned, and on unpickling — and nothing in it
+    changes after it is built or is built lazily.
     """
 
-    __slots__ = ("csr", "orders", "global_ids", "ranges", "segments")
+    __slots__ = ("csr", "orders", "global_ids", "ranges", "segments", "arguments")
 
     def __init__(self, csr, orders, global_ids):
         self.csr: _Csr = csr
@@ -194,10 +211,19 @@ class _Snapshot:
         self.global_ids: np.ndarray = global_ids
         starts = np.flatnonzero(np.diff(orders, prepend=-1))  # orders are >= 0
         self.ranges: Tuple[np.ndarray, np.ndarray] = (
-            orders[starts],
+            orders[starts].astype(np.int64, copy=False),
             np.append(starts, len(orders)).astype(np.int64),
         )
         self.segments = array("q", np.diff(csr[0]).astype(np.int64, copy=False).tobytes())
+        distinct, bounds = self.ranges
+        arrays = (distinct, bounds, *csr[:3], global_ids)
+        self.arguments: Optional[array] = None
+        if all(
+            vector.dtype == dtype and vector.flags.c_contiguous
+            for vector, dtype in zip(arrays, _COMPILED_DTYPES)
+        ):
+            self.arguments = array("q", [vector.ctypes.data for vector in arrays])
+            self.arguments.append(len(distinct))
 
 
 class _Vocabulary(dict):
@@ -224,7 +250,13 @@ class _Vocabulary(dict):
         return key_id
 
 
-class PosteriorTable(NamedTuple):
+class _TableArrays(NamedTuple):
+    offsets: np.ndarray
+    phi: np.ndarray
+    best: np.ndarray
+
+
+class PosteriorTable(_TableArrays):
     """One τ̂'s posterior rows, ragged: what a row of :meth:`ColumnarBranchStore.filter_verify_rows` reads.
 
     Row ``e`` — an extended order ``max(|V_Q|, |V_G|)`` — holds ``Φ(ϕ) =
@@ -240,11 +272,32 @@ class PosteriorTable(NamedTuple):
     where Φ is not monotone (:meth:`accepting`).  The arrays are read-only;
     :meth:`grown` adds rows by copying, so a row once published never
     changes.
+
+    A table is the tuple of its three arrays (int64, float64, float64,
+    contiguous), and carries ``arguments``, what the compiled reducer takes
+    of it: the addresses of ``offsets``, ``phi`` and ``best`` with the
+    length of ``offsets`` and the cells ``min(len(phi), len(best))`` (the
+    ``ROW_OFFSETS`` .. ``ROW_CELLS`` slots of a query's row in
+    ``_kernels.c``).  They are derived once, when the table is built; the
+    table holds the arrays they name, and a pickled table carries its arrays
+    only.
     """
 
-    offsets: np.ndarray
-    phi: np.ndarray
-    best: np.ndarray
+    def __new__(cls, offsets, phi, best):
+        table = super().__new__(
+            cls,
+            np.ascontiguousarray(offsets, dtype=np.int64),
+            np.ascontiguousarray(phi, dtype=np.float64),
+            np.ascontiguousarray(best, dtype=np.float64),
+        )
+        table.arguments = (
+            table.offsets.ctypes.data, len(table.offsets), table.phi.ctypes.data,
+            table.best.ctypes.data, min(len(table.phi), len(table.best)),
+        )
+        return table
+
+    def __reduce__(self):
+        return PosteriorTable, tuple(self)
 
     @classmethod
     def from_rows(cls, rows: Mapping[int, Sequence[float]]) -> "PosteriorTable":
@@ -630,14 +683,14 @@ class ColumnarBranchStore:
         Returns ``(key_ids, query_counts, matched_total, matched_postings)``,
         the key arrays int64 (possibly empty).
         """
-        key_ids: List[int] = []
-        query_counts: List[int] = []
+        key_ids = array("q")
+        query_counts = array("q")
         total, postings = self._match_into(query_branches, snapshot, key_ids, query_counts)
         if not key_ids:
             return _EMPTY_I64, _EMPTY_I64, total, postings
         return (
-            np.asarray(key_ids, dtype=np.int64),
-            np.asarray(query_counts, dtype=np.int64),
+            np.frombuffer(key_ids, dtype=np.int64),
+            np.frombuffer(query_counts, dtype=np.int64),
             total,
             postings,
         )
@@ -646,12 +699,13 @@ class ColumnarBranchStore:
         self,
         query_branches: Counter,
         snapshot: _Snapshot,
-        key_ids: List[int],
-        query_counts: List[int],
+        key_ids: array,
+        query_counts: array,
     ) -> Tuple[int, int]:
         """The vocabulary pass of one query: append its matched keys, return two sums.
 
-        Appended to ``key_ids`` / ``query_counts`` are the query's branch keys
+        Appended to the int64 buffers ``key_ids`` / ``query_counts`` — those
+        the kernel reads, with no copy in between — are the query's branch keys
         the snapshot can answer for and their counts: keys newer than its CSR
         (possible only mid-concurrent-append) are treated as unknown, keeping
         the whole read consistent with one snapshot.  Returned are
@@ -696,15 +750,14 @@ class ColumnarBranchStore:
         against (see :meth:`view`); the current one otherwise.
         """
         snapshot = self._snapshot_of(view)
-        csr = snapshot.csr
-        num_graphs = csr[3]
+        num_graphs = snapshot.csr[3]
         key_ids, query_counts, _total, _postings = self._match(query_branches, snapshot)
         calls, rows = _counters(self.backend).row
         calls.inc()
         rows.inc(num_graphs)
         if len(key_ids) == 0:
             return np.zeros(num_graphs, dtype=np.int64)
-        return self._kernels.intersection_row(csr, key_ids, query_counts, num_graphs)
+        return self._kernels.intersection_row(snapshot, key_ids, query_counts)
 
     # ------------------------------------------------------------------ #
     # GBD lower-bound kernels and the ranges of the fused reads
@@ -815,8 +868,8 @@ class ColumnarBranchStore:
         """
         snapshot = self._snapshot_of(view)
         csr, ranges = snapshot.csr, snapshot.ranges
-        key_ids: List[int] = []
-        query_counts: List[int] = []
+        key_ids = array("q")
+        query_counts = array("q")
         kernel_rows = []
         ranked = 0
         for num_query_vertices, query_branches, table, reducer in rows:
@@ -834,14 +887,7 @@ class ColumnarBranchStore:
                 int(num_query_vertices), total, len(key_ids) - first,
                 sparse_row_budget(postings, csr[3]), table, gamma, k,
             ))
-        found = self._kernels.filter_verify_rows(
-            csr,
-            ranges,
-            snapshot.global_ids,
-            kernel_rows,
-            np.asarray(key_ids, dtype=np.int64),
-            np.asarray(query_counts, dtype=np.int64),
-        )
+        found = self._kernels.filter_verify_rows(snapshot, kernel_rows, key_ids, query_counts)
         counters = _counters(self.backend)
         if ranked < len(rows):
             calls, cells = counters.filter_verify_rows

@@ -31,16 +31,18 @@
  *     (table_covers): no table is read outside itself.
  *   - Output buffers are caller-allocated.  The one exported reducer,
  *     repro_filter_verify_rows, takes a batch of queries against one
- *     snapshot, their scalars packed as one int64 row per query (the tables
- *     by address) plus one double γ each.  A row names its reducer: the γ
- *     threshold, whose hits are positions and GBDs, or the k best, whose hits
- *     are at most k graph ids and their scores, best first.  Every query's
- *     hits are appended to one buffer of the caller's capacity, one query
- *     after the other; the call writes where each query's hits end into its
- *     row and returns how many queries it finished: a query is started only
- *     while the buffer has room for as many hits as it can have (every row of
- *     the store for a γ query, min(k, rows) for a k-best one), so the caller
- *     resumes from there with the buffer emptied.
+ *     snapshot: the snapshot's arrays as one int64 block of addresses
+ *     (SNAPSHOT_*), and the queries' scalars packed as one int64 row per
+ *     query (the tables by address) plus one double γ each.  A row names
+ *     its reducer: the γ threshold, whose hits are positions and GBDs, or
+ *     the k best, whose hits are at most k graph ids and their scores, best
+ *     first.  Every query's hits are appended to one buffer of the
+ *     caller's capacity, one query after the other; the call writes where
+ *     each query's hits end into its row and returns how many queries it
+ *     finished: a query is started only while the buffer has room for as
+ *     many hits as it can have (every row of the store for a γ query,
+ *     min(k, rows) for a k-best one), so the caller resumes from there with
+ *     the buffer emptied.
  *   - Both reducers accumulate intersections in private int32 buffers that
  *     live for one query (an entry a reducer reads is at most |B_Q|):
  *     threads share nothing.
@@ -53,7 +55,7 @@
 #define MIN64(a, b) ((a) < (b) ? (a) : (b))
 #define MAX64(a, b) ((a) > (b) ? (a) : (b))
 
-int64_t repro_kernels_abi_version(void) { return 8; }
+int64_t repro_kernels_abi_version(void) { return 9; }
 
 /* First slot in arr[0..n) not less than value (arr ascending). */
 static int64_t lower_bound_i32(const int32_t *arr, int64_t n, int64_t value) {
@@ -500,6 +502,19 @@ static int64_t k_best_one(
     return size;
 }
 
+/* The slots of a snapshot's argument block (repro.db.columnar._Snapshot.arguments),
+ * built once per snapshot: the addresses of its arrays and its range count. */
+enum {
+    SNAPSHOT_DISTINCT,     /* int64: the distinct orders, ascending */
+    SNAPSHOT_BOUNDS,       /* int64: where each order's range starts, plus the row count */
+    SNAPSHOT_OFFSETS,      /* int64: the CSR row pointers */
+    SNAPSHOT_POSITIONS,    /* int32: the CSR positions */
+    SNAPSHOT_COUNTS,       /* int32: the CSR counts */
+    SNAPSHOT_GLOBAL_IDS,   /* int64: position -> graph id */
+    SNAPSHOT_NUM_DISTINCT, /* how many distinct orders */
+    SNAPSHOT_FIELDS
+};
+
 /* The slots of one query's row in the table of repro_filter_verify_rows. */
 enum {
     ROW_QUERY_VERTICES, /* |V_Q| */
@@ -533,8 +548,9 @@ static int table_covers(const int64_t *row, const int64_t *distinct, int64_t num
 }
 
 /* The reducers for the queries first..num_rows of one batch, against one
- * snapshot.  Query r's scalars are row r of the int64 table `rows` (ROW_FIELDS
- * slots each, its posterior table by address) and gammas[r]; ROW_K picks its
+ * snapshot, whose arrays the block `snapshot` names (SNAPSHOT_FIELDS slots).
+ * Query r's scalars are row r of the int64 table `rows` (ROW_FIELDS slots
+ * each, its posterior table by address) and gammas[r]; ROW_K picks its
  * reducer:
  *   - 0, the γ threshold (filter_verify_one): its hits are positions and GBDs,
  *     appended to out_positions / out_gbds, and out_eligible[r * num_distinct
@@ -553,11 +569,16 @@ static int table_covers(const int64_t *row, const int64_t *distinct, int64_t num
  * ROW_VERIFIED = -1 and no hits (the wrapper answers it with the numpy
  * backend); the queries after it still run. */
 int64_t repro_filter_verify_rows(
-    const int64_t *distinct, const int64_t *bounds, int64_t num_distinct,
-    const int64_t *offsets, const int32_t *positions, const int32_t *counts,
-    const int64_t *global_ids, const int64_t *key_ids, const int64_t *query_counts,
+    const int64_t *snapshot, const int64_t *key_ids, const int64_t *query_counts,
     int64_t *rows, const double *gammas, int64_t first, int64_t num_rows, int64_t capacity,
     int64_t *out_positions, int64_t *out_gbds, double *out_scores, uint8_t *out_eligible) {
+    const int64_t *distinct = (const int64_t *)(intptr_t)snapshot[SNAPSHOT_DISTINCT];
+    const int64_t *bounds = (const int64_t *)(intptr_t)snapshot[SNAPSHOT_BOUNDS];
+    int64_t num_distinct = snapshot[SNAPSHOT_NUM_DISTINCT];
+    const int64_t *offsets = (const int64_t *)(intptr_t)snapshot[SNAPSHOT_OFFSETS];
+    const int32_t *positions = (const int32_t *)(intptr_t)snapshot[SNAPSHOT_POSITIONS];
+    const int32_t *counts = (const int32_t *)(intptr_t)snapshot[SNAPSHOT_COUNTS];
+    const int64_t *global_ids = (const int64_t *)(intptr_t)snapshot[SNAPSHOT_GLOBAL_IDS];
     for (int64_t r = first; r < num_rows; ++r) {
         if (!table_covers(rows + r * ROW_FIELDS, distinct, num_distinct)) return -1 - r;
     }

@@ -15,25 +15,32 @@ thread, callers' own — overlap better on this backend than on the numpy one.
 Pointer arguments are declared ``void *`` and passed as plain addresses:
 extracting ``array.ctypes.data_as(...)`` costs ~2µs per array in ctypes
 machinery, which at a dozen arrays per fused call would rival the kernel
-itself.  Addresses of snapshot-stable arrays (the CSR triple, the order
-ranges, the row vectors, and the three arrays of each τ̂'s posterior table)
-are therefore identity-cached via :func:`_pinned` — an entry lives exactly
-as long as its array, so a cached address can never dangle or alias a
-recycled ``id``, and superseded snapshots and tables leave the cache.
+itself.  The reducer's long-lived arrays are therefore never looked up per
+call.  A store snapshot carries its own argument block
+(``_Snapshot.arguments`` in :mod:`repro.db.columnar`: the addresses of its
+order ranges, CSR triple and ``global_ids``, derived when the record is
+built; ``None`` when the CSR is not in the int32 layout), and a
+:class:`~repro.db.columnar.PosteriorTable` its own addresses and sizes
+(``PosteriorTable.arguments``, derived when the table is built).  Each
+lives exactly as long as the arrays it names, which the snapshot or table
+holds, so an address can never dangle, and this module keeps a reference
+to neither.  The per-call inputs are ``array`` buffers, whose addresses
+cost nothing to take: the store's vocabulary pass appends a batch's matched
+keys and counts straight into them.
 
 Both reducers run inside one C call, ``repro_filter_verify_rows``, for a
 whole batch of queries: a query's row names its reducer — the γ threshold or
 the k best — and the queries' scalars travel as one int64 row table and one
-γ vector; a table that lacks a row its query reads refuses the batch
-before any query is reduced (``ValueError``).  Intersections accumulate in
-buffers of four bytes a row that live for one query alone — nothing is
-shared between threads, nothing persists on a store — and hits are appended
-to one caller-allocated buffer with room for the batch's hits up to two
-queries that hit every row (a k-best query has at most ``k``), their GBDs
-beside them and the k-best rows' scores in a buffer of their own; only the
-slots of actual hits are ever touched.  The call
-returns how many queries it finished, and :func:`filter_verify_rows` calls
-again from there when the buffer filled first.
+γ vector beside the snapshot's block; a table that lacks a row its query
+reads refuses the batch before any query is reduced (``ValueError``).
+Intersections accumulate in buffers of four bytes a row that live for one
+query alone — nothing is shared between threads, nothing persists on a
+store — and hits are appended to one caller-allocated buffer with room for
+the batch's hits up to two queries that hit every row (a k-best query has
+at most ``k``), their GBDs beside them and the k-best rows' scores in a
+buffer of their own; only the slots of actual hits are ever touched.  The
+call returns how many queries it finished, and :func:`filter_verify_rows`
+calls again from there when the buffer filled first.
 
 Build products land in ``$REPRO_KERNEL_CACHE`` when set, else
 ``$TMPDIR/repro-kernels-<uid>`` (:func:`library_path` names the file); a
@@ -51,10 +58,9 @@ import shutil
 import subprocess
 import tempfile
 import threading
-import weakref
 from array import array
 from pathlib import Path
-from typing import Dict, Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
@@ -63,14 +69,14 @@ from repro.db.kernels import numpy_impl
 name = "native"
 
 _SOURCE_PATH = Path(__file__).with_name("_kernels.c")
-_ABI_VERSION = 8
+_ABI_VERSION = 9
 
 #: argtypes of every exported kernel (i=int64 scalar, d=double, p=array address)
 _SIGNATURES = {
     "repro_kernels_abi_version": "",
     "repro_intersection_row": "pppppip",
     "repro_gbd_lower_bound_row": "iipip",
-    "repro_filter_verify_rows": "ppippppppppiiipppp",
+    "repro_filter_verify_rows": "pppppiiipppp",
     "repro_merge_postings": "pppippppiipppppp",
 }
 _ARG_KINDS = {"i": ctypes.c_int64, "d": ctypes.c_double, "p": ctypes.c_void_p}
@@ -179,29 +185,6 @@ def load_error() -> Optional[str]:
     return _load_error
 
 
-#: id(array) -> (weak reference to the keyed array, contiguous twin or
-#: ``None`` when that is the array itself, address).  The reference's callback
-#: drops the entry when the array is collected — before its id can be reused —
-#: so the cache never keeps an array alive: a write stream's superseded
-#: snapshots leave it with their arrays.
-_PTR_CACHE: Dict[int, Tuple[weakref.ref, Optional[np.ndarray], int]] = {}
-
-
-def _pinned(array: np.ndarray, dtype) -> int:
-    """Cached address of a snapshot-stable array (contiguous, ``dtype``)."""
-    key = id(array)
-    entry = _PTR_CACHE.get(key)
-    if entry is None or entry[0]() is not array:
-        contiguous = np.ascontiguousarray(array, dtype=dtype)
-        entry = (
-            weakref.ref(array, lambda _dead, key=key, drop=_PTR_CACHE.pop: drop(key, None)),
-            None if contiguous is array else contiguous,
-            contiguous.ctypes.data,
-        )
-        _PTR_CACHE[key] = entry
-    return entry[2]
-
-
 def _c64(array: np.ndarray) -> np.ndarray:
     # No-op for the common case (already contiguous int64); copies strided
     # or mistyped caller arrays instead of reading garbage.  The caller must
@@ -214,7 +197,7 @@ def _address(array: np.ndarray) -> int:
     """Address of a call-scoped array the caller keeps referenced.
 
     ``array.ctypes`` builds a helper object on every access (~1.9µs, and a
-    read wrapper takes three to five addresses per query); the buffer
+    read wrapper takes two or three addresses per call); the buffer
     protocol hands out the same address in a third of that.  It refuses
     empty and read-only arrays, which take the general route.
     """
@@ -224,36 +207,31 @@ def _address(array: np.ndarray) -> int:
         return array.ctypes.data
 
 
-def _compact_csr(csr) -> Optional[Tuple[int, int, int]]:
-    """Pinned (offsets, positions, counts) addresses iff in the int32 layout."""
-    offsets, positions, counts, _rows = csr
-    if positions.dtype != np.int32 or counts.dtype != np.int32:
-        return None  # store outgrew int32 — numpy backend handles the wide layout
-    return (
-        _pinned(offsets, np.int64),
-        _pinned(positions, np.int32),
-        _pinned(counts, np.int32),
-    )
+#: The CSR triple's slots in a snapshot's argument block (``SNAPSHOT_OFFSETS``
+#: .. ``SNAPSHOT_COUNTS`` of ``_kernels.c``).
+_CSR_SLOTS = slice(2, 5)
 
 
-def intersection_row(csr, key_ids, query_counts, num_graphs):
-    compact = _compact_csr(csr)
-    if compact is None:
-        return numpy_impl.intersection_row(csr, key_ids, query_counts, num_graphs)
+def intersection_row(snapshot, key_ids, query_counts):
+    arguments = snapshot.arguments
+    if arguments is None:
+        # A store that outgrew int32: the dtype-agnostic reference handles it.
+        return numpy_impl.intersection_row(snapshot, key_ids, query_counts)
     keys = _c64(key_ids)
     counts_q = _c64(query_counts)
-    out = np.zeros(num_graphs, dtype=np.int64)
+    out = np.zeros(snapshot.csr[3], dtype=np.int64)
     _library().repro_intersection_row(
-        *compact, _address(keys), _address(counts_q), len(keys), _address(out),
+        *arguments[_CSR_SLOTS], _address(keys), _address(counts_q), len(keys), _address(out),
     )
     return out
 
 
 def gbd_lower_bound_row(num_query_vertices, matched_total, orders):
+    orders = _c64(orders)
     out = np.empty(len(orders), dtype=np.int64)
     _library().repro_gbd_lower_bound_row(
         int(num_query_vertices), int(matched_total),
-        _pinned(orders, np.int64), len(orders), _address(out),
+        _address(orders), len(orders), _address(out),
     )
     return out
 
@@ -264,24 +242,23 @@ _ROW_FIELDS = 14
 _ROW_FIRST_KEY, _ROW_VERIFIED, _ROW_DENSE, _ROW_HITS_END = 3, 11, 12, 13
 
 
-def filter_verify_rows(csr, ranges, global_ids, rows, key_ids, query_counts):
-    compact = _compact_csr(csr)
-    if compact is None:
+#: An int64 buffer for a batch that matched no key: an empty ``array`` has no
+#: storage, and the reducer is handed real addresses only.
+_NO_KEYS = array("q", (0,))
+
+
+def filter_verify_rows(snapshot, rows, key_ids, query_counts):
+    arguments = snapshot.arguments
+    if arguments is None:
         # A store that outgrew int32: the dtype-agnostic reference handles it.
-        return numpy_impl.filter_verify_rows(csr, ranges, global_ids, rows, key_ids, query_counts)
-    distinct, bounds = ranges
-    keys = _c64(key_ids)
-    counts_q = _c64(query_counts)
-    num_store_rows = csr[3]
-    # The per-query scalars as one flat int64 table and one double vector:
-    # ``array`` buffers, whose addresses cost nothing to take.
+        return numpy_impl.filter_verify_rows(snapshot, rows, key_ids, query_counts)
+    num_store_rows = snapshot.csr[3]
+    # The per-query scalars as one flat int64 table and one double vector,
+    # each table by the addresses and sizes it carries.
     fields = []
-    gammas = []
+    gammas = array("d")
     first_key = room = ranked = 0
     for num_query_vertices, matched_total, num_keys, budget, table, gamma, k in rows:
-        # The execution core hands every query of a τ̂ the same table until
-        # it grows, so its addresses are worth caching.
-        offsets, phi, best = table
         if k:
             room += min(k, num_store_rows)
             ranked += 1
@@ -289,14 +266,12 @@ def filter_verify_rows(csr, ranges, global_ids, rows, key_ids, query_counts):
             room += num_store_rows
         fields += (
             num_query_vertices, matched_total, max(budget, 0), first_key, num_keys,
-            _pinned(offsets, np.int64), len(offsets), _pinned(phi, np.float64),
-            _pinned(best, np.float64), min(len(phi), len(best)), k, 0, 0, 0,
+            *table.arguments, k, 0, 0, 0,
         )
         gammas.append(gamma)
         first_key += num_keys
     table = array("q", fields)
-    gammas = array("d", gammas)
-    num_rows, width = len(rows), len(distinct)
+    num_rows, width = len(rows), len(snapshot.ranges[0])
     eligible = np.empty(num_rows * width, dtype=np.bool_)
     # Hits and their GBDs, and the k-best rows' scores, with room for the
     # batch's hits up to two queries that hit every row; a query fits in any
@@ -305,11 +280,12 @@ def filter_verify_rows(csr, ranges, global_ids, rows, key_ids, query_counts):
     capacity = max(min(room, 2 * num_store_rows), 1)
     out = np.empty(2 * capacity, dtype=np.int64)
     out_address = _address(out)
-    # Graph ids and the scores buffer only matter to k-best rows.
+    # The scores buffer only matters to k-best rows.
     scores = np.empty(capacity, dtype=np.float64) if ranked else out[:0]
     head = (
-        _pinned(distinct, np.int64), _pinned(bounds, np.int64), width, *compact,
-        _pinned(global_ids, np.int64) if ranked else 0, _address(keys), _address(counts_q),
+        arguments.buffer_info()[0],
+        (key_ids if first_key else _NO_KEYS).buffer_info()[0],
+        (query_counts if first_key else _NO_KEYS).buffer_info()[0],
         table.buffer_info()[0], gammas.buffer_info()[0],
     )
     tail = (
@@ -341,7 +317,7 @@ def filter_verify_rows(csr, ranges, global_ids, rows, key_ids, query_counts):
                 key_start = table[at + _ROW_FIRST_KEY]
                 key_span = slice(key_start, key_start + rows[row][2])
                 results.append(numpy_impl.filter_verify_rows(
-                    csr, ranges, global_ids, [rows[row]], keys[key_span], counts_q[key_span]
+                    snapshot, [rows[row]], key_ids[key_span], query_counts[key_span]
                 )[0])
             else:
                 results.append((

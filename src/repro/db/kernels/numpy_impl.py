@@ -22,7 +22,12 @@ Interface conventions shared by all backends:
   holds one slot per distinct order plus the row count), so the rows of a
   ``(key, |V_G|)`` pair are one contiguous slice of the key's segment.
 * ``key_ids``/``query_counts`` are parallel int64 arrays of the query's
-  *matched* branch keys (possibly empty, never ``None``).
+  *matched* branch keys (possibly empty, never ``None``); the batch reducer
+  takes them as the int64 ``array`` buffers the store's vocabulary pass
+  filled, and converts them once.
+* ``snapshot`` (the reads' first argument) is the store's published read
+  state (:class:`~repro.db.columnar._Snapshot`): its ``csr``, ``ranges`` and
+  ``global_ids``, and the ``arguments`` block the compiled twin reads.
 * ``global_ids`` is the snapshot's int64 ``position -> graph id`` vector: the
   k-best reducer ranks, and hands back, graph ids.
 * ``table`` is a query's :class:`~repro.db.columnar.PosteriorTable`
@@ -57,7 +62,13 @@ def _flat_slices(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     )
 
 
-def intersection_row(
+def intersection_row(snapshot, key_ids: np.ndarray, query_counts: np.ndarray) -> np.ndarray:
+    """``|B_Q ∩ B_G|`` for every position of ``snapshot`` (:func:`_intersections`)."""
+    csr = snapshot.csr
+    return _intersections(csr, key_ids, query_counts, csr[3])
+
+
+def _intersections(
     csr, key_ids: np.ndarray, query_counts: np.ndarray, num_graphs: int
 ) -> np.ndarray:
     """``|B_Q ∩ B_G|`` for every position: one gather plus one bincount scatter-add.
@@ -136,15 +147,8 @@ def _table_starts(table, extended: np.ndarray, row: int) -> np.ndarray:
     raise ValueError(f"the posterior table of row {row} lacks a row it reads")
 
 
-def filter_verify_rows(
-    csr,
-    ranges: Tuple[np.ndarray, np.ndarray],
-    global_ids: np.ndarray,
-    rows: Sequence[Tuple],
-    key_ids: np.ndarray,
-    query_counts: np.ndarray,
-):
-    """Fused bound filter → verify → reduce of a batch of queries.
+def filter_verify_rows(snapshot, rows: Sequence[Tuple], key_ids, query_counts):
+    """Fused bound filter → verify → reduce of a batch of queries against one snapshot.
 
     ``rows`` holds one ``(num_query_vertices, matched_total, num_keys,
     max_candidates, table, gamma, k)`` tuple per query; ``key_ids`` /
@@ -157,6 +161,9 @@ def filter_verify_rows(
     ``sparse`` is ``None`` when nothing was verified, ``True`` when range
     slices did all of it and ``False`` when the dense walk ran.
     """
+    csr, ranges, global_ids = snapshot.csr, snapshot.ranges, snapshot.global_ids
+    key_ids = np.asarray(key_ids, dtype=np.int64)
+    query_counts = np.asarray(query_counts, dtype=np.int64)
     distinct = ranges[0]
     tables = []
     for row, (num_query_vertices, _total, _keys, _budget, table, _gamma, _k) in enumerate(rows):
@@ -216,7 +223,7 @@ def _filter_verify_one(
         positions = None
         row_extended = np.repeat(extended, sizes)
         row_starts = np.repeat(starts, sizes)
-        gbds = row_extended - intersection_row(csr, key_ids, query_counts, int(bounds[-1]))
+        gbds = row_extended - _intersections(csr, key_ids, query_counts, int(bounds[-1]))
     else:
         first, last = bounds[:-1][eligible], bounds[1:][eligible]
         positions = _flat_slices(first, last - first)
@@ -290,7 +297,7 @@ def _k_best_one(
             break
         start, end = bounds[group : group + 2].tolist()
         if dense_row is None and verified + end - start > max_candidates:
-            dense_row = intersection_row(csr, key_ids, query_counts, int(bounds[-1]))
+            dense_row = _intersections(csr, key_ids, query_counts, int(bounds[-1]))
         if dense_row is None:
             intersections = _range_intersections(
                 csr, key_ids, query_counts, bounds[group : group + 1], bounds[group + 1 : group + 2]

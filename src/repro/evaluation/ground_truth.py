@@ -14,7 +14,6 @@ from typing import FrozenSet
 from repro.datasets.registry import Dataset
 from repro.db.database import GraphDatabase
 from repro.exceptions import DatasetError
-from repro.graphs.graph import Graph
 
 __all__ = ["true_answer_set", "GroundTruthOracle"]
 
@@ -40,7 +39,3 @@ class GroundTruthOracle:
     def build_database(self) -> GraphDatabase:
         """Construct a :class:`GraphDatabase` over the dataset's database graphs."""
         return GraphDatabase(self.dataset.database_graphs, name=self.dataset.name)
-
-    def query_graph(self, query_index: int) -> Graph:
-        """Return one query graph of the workload."""
-        return self.dataset.query_graphs[query_index]

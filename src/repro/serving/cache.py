@@ -9,7 +9,11 @@ both the GBDs against every database graph and the query's vertex count
 touching the query graph again.
 
 The cache is a plain ``OrderedDict``-based LRU with hit/miss counters that
-the service's ``stats`` document surfaces.  A lock makes it safe to share
+the service's ``stats`` document surfaces.  It stores whatever value it is
+given; the serving engine stores what its execution core scored — the
+accepted ids as a ``frozenset`` with the hits' ids and scores, or with the
+ranking — and builds every caller's answer from that entry, so an answer's
+mutable containers are never the cache's.  A lock makes it safe to share
 between the threads that call one engine — the service's scoring thread,
 a writer's, and callers' own — and is dropped when pickling so engines stay
 picklable.
@@ -58,7 +62,11 @@ def query_cache_key(
 
 
 class QueryResultCache:
-    """A bounded LRU mapping query keys to :class:`~repro.db.query.QueryAnswer`.
+    """A bounded LRU mapping query keys to scored results.
+
+    The serving engine's entries are the immutable scored results of
+    :mod:`repro.serving.engine` (``_Scored``), never a caller's
+    :class:`~repro.db.query.QueryAnswer`.
 
     Parameters
     ----------

@@ -41,7 +41,14 @@ evaluations; every graph's posterior, accepted or not, is
 :meth:`GBDASearch.query`'s to report.
 
 Repeated queries are served from an optional LRU result cache
-(:class:`~repro.serving.cache.QueryResultCache`).  The engine stays
+(:class:`~repro.serving.cache.QueryResultCache`).  An entry is what the
+core scored, never an answer: the accepted ids as an immutable ``frozenset``
+with the hits' ids and scores, or with the ranking (:data:`_Scored`).
+Every caller's :class:`~repro.db.query.QueryAnswer` is built from an entry
+by :meth:`BatchQueryEngine._answer` — on a miss, a hit or an in-batch
+repeat alike — with ``scores`` and ``ranking`` containers of its own, so no
+answer shares a mutable container with the cache or with another answer,
+and nothing is copied for an answer nobody has asked for.  The engine stays
 consistent with incremental database additions without being told of them:
 it reads the database's own store, and cache keys carry the database
 revision, so an answer cached before an addition simply stops matching.
@@ -49,9 +56,9 @@ revision, so an answer cached before an addition simply stops matching.
 
 from __future__ import annotations
 
-import dataclasses
 import time
-from typing import Dict, Iterable, List, Optional, Tuple
+from operator import itemgetter
+from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -85,6 +92,23 @@ _SECONDS_TOPK = _ENGINE_SECONDS.labels(path="topk")
 _SECONDS_BATCH = _ENGINE_SECONDS.labels(path="batch")
 _CACHE_HITS = _CACHE_EVENTS.labels(outcome="hit")
 _CACHE_MISSES = _CACHE_EVENTS.labels(outcome="miss")
+
+#: What the engine keeps of a scored query, and what its result cache holds:
+#: ``(accepted ids, ids, scores)`` of a thresholded query's hits, or
+#: ``(accepted ids, ranking, None)`` of a top-k one.  Nothing in an entry is
+#: handed to a caller: :meth:`BatchQueryEngine._answer` builds each answer's
+#: containers afresh.
+_Scored = Tuple[FrozenSet[int], Union[List[int], List[Tuple[int, float]]], Optional[List[float]]]
+
+_GRAPH_ID = itemgetter(0)
+
+
+def _scored(found, k: Optional[int]) -> _Scored:
+    """The entry of the core's hits, or of its ranking (``k``)."""
+    if k is None:
+        ids, scores = found
+        return frozenset(ids), ids, scores
+    return frozenset(map(_GRAPH_ID, found)), found, None
 
 
 class BatchQueryEngine:
@@ -208,11 +232,6 @@ class BatchQueryEngine:
     # ------------------------------------------------------------------ #
     # serving
     # ------------------------------------------------------------------ #
-    def _validate_tau(self, tau_hat: int) -> None:
-        # Single source of truth: the core raises ServingError (its
-        # configured error_class) with the canonical message.
-        self._core.validate_tau(tau_hat)
-
     def _cache_key(self, query_branches, query: SimilarityQuery, top_k: Optional[int] = None):
         """Cache key scoped to the current database revision and model version.
 
@@ -228,16 +247,6 @@ class BatchQueryEngine:
             top_k=top_k,
         )
 
-    @staticmethod
-    def _copy_answer(answer: QueryAnswer, elapsed: float) -> QueryAnswer:
-        """Private copy of a cached answer (fresh latency, unshared containers)."""
-        return dataclasses.replace(
-            answer,
-            scores=dict(answer.scores),
-            ranking=None if answer.ranking is None else list(answer.ranking),
-            elapsed_seconds=elapsed,
-        )
-
     def query(self, query: SimilarityQuery) -> QueryAnswer:
         """Answer one similarity query (cache-backed, vectorized scoring).
 
@@ -247,7 +256,8 @@ class BatchQueryEngine:
         """
         if query.top_k is not None:
             return self.query_topk(query)
-        self._validate_tau(query.tau_hat)
+        # The core raises ServingError (its error_class) with the canonical message.
+        self._core.validate_tau(query.tau_hat)
         _QUERIES_SINGLE.inc()
         return self._serve_one(query, None, _SECONDS_SINGLE)
 
@@ -269,7 +279,7 @@ class BatchQueryEngine:
                 "query_topk needs top_k on the query or an explicit k argument"
             )
         k = validate_top_k(k, ServingError)
-        self._validate_tau(query.tau_hat)
+        self._core.validate_tau(query.tau_hat)
         _QUERIES_TOPK.inc()
         return self._serve_one(query, k, _SECONDS_TOPK)
 
@@ -277,26 +287,24 @@ class BatchQueryEngine:
         """One query through the cache and the core: its hits, or its top ``k``."""
         start = time.perf_counter()
         query_branches = query.branches()
-        cache_key = None
-        if self.cache is not None:
+        cache = self.cache
+        if cache is not None:
             cache_key = self._cache_key(query_branches, query, k)
-            cached = self.cache.get(cache_key)
-            if cached is not None:
-                # Hand out a copy: the serve time of *this* lookup replaces
-                # the cold-path latency, and the containers are duplicated so
-                # a caller mutating its answer cannot corrupt the cache.
+            entry = cache.get(cache_key)
+            if entry is not None:
+                # The serve time of *this* lookup is the answer's latency.
                 _CACHE_HITS.inc()
-                return self._copy_answer(cached, time.perf_counter() - start)
+                return self._answer(entry, time.perf_counter() - start)
             _CACHE_MISSES.inc()
         if k is None:
             found = self._core.execute_pruned(query, query_branches=query_branches)
         else:
             found = self._core.execute_topk(query, k, query_branches=query_branches)
-        answer = self._answer(found, k, time.perf_counter() - start)
+        entry = _scored(found, k)
+        answer = self._answer(entry, time.perf_counter() - start)
         seconds.observe(answer.elapsed_seconds)
-        if self.cache is not None:
-            # Cache a private copy for the same reason.
-            self.cache.put(cache_key, self._copy_answer(answer, answer.elapsed_seconds))
+        if cache is not None:
+            cache.put(cache_key, entry)
         return answer
 
     def query_batch(
@@ -309,14 +317,15 @@ class BatchQueryEngine:
         call for all of them, thresholded and top-k rows alike, each row
         answered as :meth:`query` answers it, reusing the lazily built
         ``(τ̂, |V'1|)`` tables across rows and batches.  A query that occurs
-        several times in the batch is scored once and its answer copied to
-        the repeats (the cache is probed for the whole batch before any of it
-        is scored, so it cannot serve them); top-k rows that differ only in γ
-        are repeats.  Answers, rankings and filter counters are identical to
-        calling :meth:`query` per query, and every answer's containers are
-        its own; each scored answer's latency is the batch scoring time
-        amortised over the queries it was scored with.  A top-k row counts
-        once under ``path="topk"``, any other once under ``path="batch"``.
+        several times in the batch is scored once and each repeat gets an
+        answer of its own built from that entry (the cache is probed for the
+        whole batch before any of it is scored, so it cannot serve them);
+        top-k rows that differ only in γ are repeats.  Answers, rankings and
+        filter counters are identical to calling :meth:`query` per query, and
+        every answer's containers are its own; each scored answer's latency is
+        the batch scoring time amortised over the queries it was scored with.
+        A top-k row counts once under ``path="topk"``, any other once under
+        ``path="batch"``.
 
         ``trace`` optionally carries a batch-level
         :class:`~repro.obs.trace.QueryTrace`: it is activated thread-locally
@@ -328,7 +337,7 @@ class BatchQueryEngine:
         if not queries:
             return []
         for query in queries:
-            self._validate_tau(query.tau_hat)
+            self._core.validate_tau(query.tau_hat)
         ranked = sum(query.top_k is not None for query in queries)
         _QUERIES_BATCH.inc(len(queries) - ranked)
         _QUERIES_TOPK.inc(ranked)
@@ -354,12 +363,10 @@ class BatchQueryEngine:
                 if first is not None:
                     repeats.append((position, first))
                     continue
-                cached = self.cache.get(cache_key)
-                if cached is not None:
+                entry = self.cache.get(cache_key)
+                if entry is not None:
                     _CACHE_HITS.inc()
-                    answers[position] = self._copy_answer(
-                        cached, time.perf_counter() - start
-                    )
+                    answers[position] = self._answer(entry, time.perf_counter() - start)
                     continue
                 _CACHE_MISSES.inc()
                 first_of[cache_key] = position
@@ -379,34 +386,37 @@ class BatchQueryEngine:
                 if trace is not None:
                     trace.add("score", elapsed, depth=0)
                 per_query_elapsed = elapsed / len(pending)
+                entries: Dict[int, _Scored] = {}
                 for position, found, cache_key in zip(pending, scored, pending_keys):
-                    answer = self._answer(found, queries[position].top_k, per_query_elapsed)
-                    answers[position] = answer
+                    entry = entries[position] = _scored(found, queries[position].top_k)
+                    answers[position] = self._answer(entry, per_query_elapsed)
                     if self.cache is not None:
-                        self.cache.put(
-                            cache_key, self._copy_answer(answer, per_query_elapsed)
-                        )
+                        self.cache.put(cache_key, entry)
                 for position, first in repeats:
-                    answers[position] = self._copy_answer(answers[first], per_query_elapsed)
+                    answers[position] = self._answer(entries[first], per_query_elapsed)
         _SECONDS_BATCH.observe(time.perf_counter() - batch_started)
         return answers  # type: ignore[return-value]
 
-    def _answer(self, found, k: Optional[int], elapsed: float) -> QueryAnswer:
-        """Assemble a :class:`QueryAnswer` from the core's hits, or from its ranking (``k``)."""
-        if k is None:
-            ids, scores = found
+    def _answer(self, entry: _Scored, elapsed: float) -> QueryAnswer:
+        """A caller's :class:`QueryAnswer` of a scored entry: its containers are its own.
+
+        The ``frozenset`` of accepted ids is shared, being immutable; the
+        ``scores`` dict and the ``ranking`` list are built here, every time.
+        """
+        accepted_ids, ids_or_ranking, scores = entry
+        if scores is None:
             return QueryAnswer(
                 method=self.method_name,
-                accepted_ids=frozenset(ids),
-                scores=dict(zip(ids, scores)),
+                accepted_ids=accepted_ids,
+                scores=dict(ids_or_ranking),
                 elapsed_seconds=elapsed,
+                ranking=list(ids_or_ranking),
             )
         return QueryAnswer(
             method=self.method_name,
-            accepted_ids=frozenset(graph_id for graph_id, _score in found),
-            scores=dict(found),
+            accepted_ids=accepted_ids,
+            scores=dict(zip(ids_or_ranking, scores)),
             elapsed_seconds=elapsed,
-            ranking=found,
         )
 
     def search(self, query_graph, tau_hat: int, gamma: float = 0.9) -> QueryAnswer:

@@ -388,8 +388,8 @@ def test_only_a_compaction_builds_a_snapshot_record(backend, snapshot_records, s
 
 @pytest.mark.parametrize("backend", backend_params)
 def test_a_snapshot_holds_the_csr_and_row_vectors_only(backend):
-    """What a snapshot costs beyond its postings: two D-long vectors, the ranges and
-    one segment length per key."""
+    """What a snapshot costs beyond its postings: two D-long vectors, the ranges,
+    one segment length per key and the compiled reducer's seven-slot argument block."""
     database = GraphDatabase(_graphs(30, seed=7), kernel_backend=backend)
     store = database.store
     branches = branch_multiset(database[3].graph)
@@ -401,7 +401,10 @@ def test_a_snapshot_holds_the_csr_and_row_vectors_only(backend):
     store.compact()
     snapshot = store._published
     rows, postings = snapshot.csr[3], len(snapshot.csr[1])
-    assert set(_Snapshot.__slots__) == {"csr", "orders", "global_ids", "ranges", "segments"}
+    assert set(_Snapshot.__slots__) == {
+        "csr", "orders", "global_ids", "ranges", "segments", "arguments"
+    }
+    assert len(snapshot.arguments) == 7  # addresses and one count, nothing D long
     assert snapshot.segments.tolist() == np.diff(snapshot.csr[0]).tolist()
     assert len(snapshot.segments) == store.num_keys  # per key, nothing D long
     for vector in (snapshot.orders, snapshot.global_ids):

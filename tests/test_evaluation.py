@@ -86,10 +86,6 @@ class TestGroundTruthOracle:
         database = GroundTruthOracle(dataset).build_database()
         assert len(database) == dataset.num_database_graphs
 
-    def test_query_graph_accessor(self, dataset):
-        oracle = GroundTruthOracle(dataset)
-        assert oracle.query_graph(0) is dataset.query_graphs[0]
-
 
 class TestExperimentRunner:
     @pytest.fixture(scope="class")

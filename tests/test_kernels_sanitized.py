@@ -40,6 +40,7 @@ SUITES = [
     "tests/test_metamorphic.py",
     "tests/test_posterior_table.py",
     "tests/test_large_orders.py",
+    "tests/test_snapshot_arguments.py",
 ]
 SANITIZE = ["-O1", "-g", "-fsanitize=address,undefined", "-fno-sanitize-recover=undefined"]
 

@@ -345,6 +345,44 @@ class TestCacheBehaviour:
         assert -1 not in second.scores
         assert set(second.scores) == set(second.accepted_ids)
 
+    @pytest.mark.parametrize("backend", available_backends())
+    def test_caller_mutation_of_a_ranking_cannot_corrupt_cache(
+        self, fitted, random_database, backend
+    ):
+        """A top-k answer's ranking and scores are its caller's, on a hit and on an in-batch repeat."""
+        engine = BatchQueryEngine(
+            GraphDatabase(random_database.graphs(), kernel_backend=backend),
+            fitted.estimator,
+            max_tau=fitted.max_tau,
+        )
+        query = _random_queries(1, seed=80)[0]
+        first = engine.query_topk(query, 5)
+        original = list(first.ranking)
+        assert len(original) == 5
+        first.ranking.reverse()  # vandalise the returned answer in place
+        first.ranking.append((-1, 99.0))
+        first.scores.clear()
+        first.scores[-1] = 99.0
+        second = engine.query_topk(query, 5)
+        assert engine.cache.hits == 1
+        assert second.ranking == original
+        assert second.scores == dict(original)
+        assert second.accepted_ids == {graph_id for graph_id, _score in original}
+
+        # Top-k rows that differ only in γ are one entry: scored once, three answers.
+        ranked = SimilarityQuery(query.query_graph, query.tau_hat, query.gamma, top_k=5)
+        repeat = SimilarityQuery(query.query_graph, query.tau_hat, 0.1, top_k=5)
+        engine.cache.clear()
+        answers = engine.query_batch([ranked, repeat, ranked])
+        assert [answer.ranking for answer in answers] == [original] * 3
+        answers[0].ranking.clear()
+        answers[0].scores.clear()
+        answers[1].ranking.append((-1, 99.0))
+        answers[1].scores[-1] = 99.0
+        assert answers[2].ranking == original and answers[2].scores == dict(original)
+        hit = engine.query_topk(query, 5)
+        assert hit.ranking == original and hit.scores == dict(original)
+
     def test_batch_scores_a_repeated_query_once(self, fitted, monkeypatch):
         """Repeats inside one batch are copies of the first row's answer."""
         engine = BatchQueryEngine.from_search(fitted)
