@@ -130,10 +130,6 @@ def test_kernel_backend_microbench(workload, results_dir):
             "intersection_row": lambda: [
                 store.intersection_row(branches) for branches in branch_sets
             ],
-            "gbd_lower_bound_row": lambda: [
-                store.gbd_lower_bound_row(nq, branches)
-                for nq, branches in zip(vertices, branch_sets)
-            ],
             "filter_verify_rows": lambda: [store.filter_verify_rows([row]) for row in rows],
             "filter_verify_rows_32": lambda: store.filter_verify_rows(batch),
             "filter_verify_rows_topk": lambda: [store.filter_verify_rows([row]) for row in ranked],

@@ -14,7 +14,6 @@ The resulting table is ``O(n)`` in size, matching the paper's space bound.
 
 from __future__ import annotations
 
-import random
 import time
 from collections import Counter
 from dataclasses import dataclass, field
@@ -25,12 +24,12 @@ from repro.core.gbd import branch_intersection_size
 from repro.exceptions import PriorNotFittedError
 from repro.graphs.graph import Graph
 from repro.stats.gmm import GaussianMixtureModel
-from repro.stats.sampling import decode_rng_state, encode_rng_state, sample_pairs
+from repro.stats.sampling import (
+    RandomState, as_rng, decode_rng_state, encode_rng_state, sample_pairs,
+)
 
 if TYPE_CHECKING:
     from repro.db.database import GraphDatabase
-
-RandomState = Union[int, random.Random, None]
 
 __all__ = ["GBDPrior", "GBDPriorReport"]
 
@@ -124,7 +123,7 @@ class GBDPrior:
         from repro.db.database import GraphDatabase
 
         start = time.perf_counter()
-        rng = self._seed if isinstance(self._seed, random.Random) else random.Random(self._seed)
+        rng = as_rng(self._seed)
         pairs = sample_pairs(range(len(graphs)), self.num_pairs, seed=rng)
         if isinstance(graphs, GraphDatabase):
             gbds = graphs.store.branch_distances(pairs)

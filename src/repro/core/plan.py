@@ -442,7 +442,7 @@ class ExecutionCore:
         num_query_vertices = query.query_graph.num_vertices
         intersections = store.intersection_row(branches, view=snapshot)
         self._count(num_rows, [(num_rows, False)])
-        table = self._table(query.tau_hat, num_query_vertices, store.order_ranges(snapshot)[0])
+        table = self._table(query.tau_hat, num_query_vertices, snapshot.ranges[0])
         orders = np.maximum(num_query_vertices, db_orders)
         gbds = orders - intersections
         posteriors = table.phi.take(table.offsets.take(orders) + gbds)
@@ -480,7 +480,7 @@ class ExecutionCore:
         _csr, db_orders, global_ids = snapshot
         if len(db_orders) == 0:
             return [([], []) if k is None else [] for k in ks]
-        distinct = store.order_ranges(snapshot)[0]
+        distinct = snapshot.ranges[0]
         rows = []
         for query, branches, k in zip(queries, query_branches, ks):
             num_query_vertices = query.query_graph.num_vertices
@@ -583,7 +583,7 @@ class ExecutionCore:
         stored graph; larger queries extend the tables lazily.
         """
         if extended_orders is None:
-            extended_orders = self.store.order_ranges()[0].tolist()
+            extended_orders = self.store.view().ranges[0].tolist()
         orders = [int(order) for order in extended_orders]
         for tau_hat in tau_hats:
             self._filled(int(tau_hat), orders)

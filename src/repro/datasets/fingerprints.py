@@ -10,13 +10,12 @@ and occasional bifurcations.
 from __future__ import annotations
 
 import random
-from typing import List, Union
+from typing import List
 
 from repro.datasets._assembly import assemble_family_dataset, spread_sizes
 from repro.datasets.registry import Dataset, register_dataset
 from repro.graphs.graph import Graph
-
-RandomState = Union[int, random.Random, None]
+from repro.stats.sampling import RandomState, as_rng
 
 __all__ = ["make_fingerprint_graph", "make_fingerprint_like"]
 
@@ -28,15 +27,9 @@ _MINUTIAE_WEIGHTS = [0.55, 0.30, 0.08, 0.07]
 _ORIENTATIONS = ["o0", "o45", "o90", "o135"]
 
 
-def _as_rng(seed: RandomState) -> random.Random:
-    if isinstance(seed, random.Random):
-        return seed
-    return random.Random(seed)
-
-
 def make_fingerprint_graph(num_vertices: int, *, seed: RandomState = None, name: str = None) -> Graph:
     """Generate one fingerprint-like graph (sparse skeleton, degree ≈ 1.7)."""
-    rng = _as_rng(seed)
+    rng = as_rng(seed)
     graph = Graph(name=name)
     if num_vertices <= 0:
         return graph

@@ -10,13 +10,12 @@ crosses, and connecting strokes) to mimic that structure.
 from __future__ import annotations
 
 import random
-from typing import List, Union
+from typing import List
 
 from repro.datasets._assembly import assemble_family_dataset, spread_sizes
 from repro.datasets.registry import Dataset, register_dataset
 from repro.graphs.graph import Graph
-
-RandomState = Union[int, random.Random, None]
+from repro.stats.sampling import RandomState, as_rng
 
 __all__ = ["make_grec_graph", "make_grec_like"]
 
@@ -28,12 +27,6 @@ _PRIMITIVE_WEIGHTS = [0.40, 0.30, 0.22, 0.08]
 _SEGMENTS = ["line", "arc", "dashed"]
 
 
-def _as_rng(seed: RandomState) -> random.Random:
-    if isinstance(seed, random.Random):
-        return seed
-    return random.Random(seed)
-
-
 def make_grec_graph(num_vertices: int, *, seed: RandomState = None, name: str = None) -> Graph:
     """Generate one GREC-like symbol graph.
 
@@ -41,7 +34,7 @@ def make_grec_graph(num_vertices: int, *, seed: RandomState = None, name: str = 
     plus internal strokes connecting contour points, producing the mix of
     cycles and trees typical of technical drawings.
     """
-    rng = _as_rng(seed)
+    rng = as_rng(seed)
     graph = Graph(name=name)
     if num_vertices <= 0:
         return graph

@@ -12,13 +12,12 @@ the (non-redistributable) original screening data.
 from __future__ import annotations
 
 import random
-from typing import List, Union
+from typing import List
 
 from repro.datasets._assembly import assemble_family_dataset, spread_sizes
 from repro.datasets.registry import Dataset, register_dataset
 from repro.graphs.graph import Graph
-
-RandomState = Union[int, random.Random, None]
+from repro.stats.sampling import RandomState, as_rng
 
 __all__ = ["make_molecule_graph", "make_aids_like"]
 
@@ -31,12 +30,6 @@ _BONDS = ["single", "double", "aromatic"]
 _BOND_WEIGHTS = [0.70, 0.18, 0.12]
 
 
-def _as_rng(seed: RandomState) -> random.Random:
-    if isinstance(seed, random.Random):
-        return seed
-    return random.Random(seed)
-
-
 def make_molecule_graph(num_atoms: int, *, seed: RandomState = None, name: str = None) -> Graph:
     """Generate one molecule-like labeled graph with ``num_atoms`` vertices.
 
@@ -45,7 +38,7 @@ def make_molecule_graph(num_atoms: int, *, seed: RandomState = None, name: str =
     which yields connected graphs with average degree close to the published
     2.1 of the AIDS dataset.
     """
-    rng = _as_rng(seed)
+    rng = as_rng(seed)
     graph = Graph(name=name)
     if num_atoms <= 0:
         return graph

@@ -26,14 +26,13 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.datasets.registry import Dataset, GroundTruth, register_dataset
 from repro.exceptions import DatasetError
 from repro.graphs.generators import random_labeled_graph, scale_free_labeled_graph
 from repro.graphs.graph import Graph
-
-RandomState = Union[int, random.Random, None]
+from repro.stats.sampling import RandomState, as_rng
 
 __all__ = [
     "find_modification_center",
@@ -42,12 +41,6 @@ __all__ = [
     "make_syn1",
     "make_syn2",
 ]
-
-
-def _as_rng(seed: RandomState) -> random.Random:
-    if isinstance(seed, random.Random):
-        return seed
-    return random.Random(seed)
 
 
 def _neighbor_signature(graph: Graph, center, neighbor) -> Tuple:
@@ -213,7 +206,7 @@ def make_known_ged_family(
     """
     if family_size < 1:
         raise DatasetError("family_size must be at least 1")
-    rng = _as_rng(seed)
+    rng = as_rng(seed)
     center = find_modification_center(template, min_degree=3)
     if center is None:
         # Repair: pick the highest-degree vertex and make its neighbourhood

@@ -18,16 +18,17 @@ internal dtype change, never an API event.
 **Rows are clustered by** ``|V_G|``.  A row's *position* is its slot in a
 layout that lists rows in ascending vertex count, by arrival within one
 count, so every distinct order owns one contiguous *range* of positions
-(:meth:`order_ranges`) and, because each key's posting segment is sorted by
+(the ``ranges`` of a snapshot) and, because each key's posting segment is sorted by
 position, the rows of one ``(key, |V_G|)`` pair are one slice of that
 segment.  Algorithm 1 decides Steps 2–4 once per distinct extended order; the
 layout makes that grouping physical, so the reducers read eligibility as
 ranges and verify a range by slicing the matched segments.  Everything the
 store hands out speaks positions: the CSR, the ``orders`` / ``global_ids``
-vectors of :meth:`view` (the latter maps a position back to its database
-graph id), every ``D``-length row (:meth:`intersection_row`,
-:meth:`gbd_lower_bound_row`) and the reducers' hits.  A read computes against
-the current snapshot, or against the :meth:`view` a caller pinned.
+vectors of the :meth:`view` record (the latter maps a position back to its
+database graph id), every ``D``-length row (:meth:`intersection_row` and the
+NumPy-only reference :meth:`gbd_lower_bound_row`) and the reducers' hits.  A
+read computes against the current snapshot, or against the :meth:`view`
+record a caller pinned.
 
 The kernels themselves live in :mod:`repro.db.kernels` behind a pluggable
 ``backend`` (``"numpy"`` | ``"native"`` | ``"auto"``): this class owns the
@@ -118,7 +119,7 @@ _BACKEND_INFO = get_registry().gauge(
 class _BackendCounters:
     """Pre-bound (calls, rows) counter children of one backend label."""
 
-    __slots__ = ("row", "bound_row", "filter_verify_rows")
+    __slots__ = ("row", "filter_verify_rows")
 
     def __init__(self, backend: str) -> None:
         for kernel in self.__slots__:
@@ -167,22 +168,24 @@ _EMPTY_CSR: _Csr = (
 _Rows = Tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
-#: What :meth:`ColumnarBranchStore.view` returns and a pinned read passes back:
-#: ``(csr, orders, global_ids)`` of one snapshot, the vectors by position.
-_View = Tuple[_Csr, np.ndarray, np.ndarray]
-
-
 #: The dtypes the compiled reducer reads a snapshot's arrays in: distinct,
 #: bounds, the CSR triple and global_ids (see _Snapshot.arguments).
 _COMPILED_DTYPES = (np.int64, np.int64, np.int64, np.int32, np.int32, np.int64)
 
 
-class _Snapshot:
+class _SnapshotArrays(NamedTuple):
+    csr: _Csr
+    orders: np.ndarray
+    global_ids: np.ndarray
+
+
+class _Snapshot(_SnapshotArrays):
     """One published read state: the CSR and its row vectors, all by position.
 
-    ``orders`` (non-decreasing) and ``global_ids`` are indexed by position and
-    ``ranges`` is ``(distinct orders, bounds)`` — the rows of order
-    ``distinct[u]`` are the positions ``bounds[u]:bounds[u + 1]``.
+    What :meth:`ColumnarBranchStore.view` returns and a pinned read passes
+    back.  ``orders`` (non-decreasing) and ``global_ids`` are indexed by
+    position and ``ranges`` is ``(distinct orders, bounds)`` — the rows of
+    order ``distinct[u]`` are the positions ``bounds[u]:bounds[u + 1]``.
     ``segments[key_id]`` is the length of a key's posting segment, which the
     vocabulary pass reads key by key as it matches a query's keys: an int64
     ``array``, whose items Python reads nearly as fast as a list's, built in
@@ -196,34 +199,34 @@ class _Snapshot:
     contiguous in the dtype the C source reads — a CSR that outgrew int32 —
     and the NumPy reference answers.  The record holds every array it names,
     so an address lives exactly as long as its record; nothing else keeps
-    one, and none is pickled (a store travels as its :meth:`view`).
+    one.
 
-    A record owns everything it holds: it is built whole — at publish, for a
-    superseded view a reader pinned, and on unpickling — and nothing in it
-    changes after it is built or is built lazily.
+    A record is the tuple ``(csr, orders, global_ids)``; ``ranges``,
+    ``segments`` and ``arguments`` are derived once, when it is built — at
+    publish, for the empty store, and on unpickling, which ships the tuple
+    only.  Nothing in it changes afterwards.  Records compare by identity
+    alone: the tuple's ``==`` would compare arrays.
     """
 
-    __slots__ = ("csr", "orders", "global_ids", "ranges", "segments", "arguments")
-
-    def __init__(self, csr, orders, global_ids):
-        self.csr: _Csr = csr
-        self.orders: np.ndarray = orders
-        self.global_ids: np.ndarray = global_ids
+    def __new__(cls, csr, orders, global_ids):
+        snapshot = super().__new__(cls, csr, orders, global_ids)
         starts = np.flatnonzero(np.diff(orders, prepend=-1))  # orders are >= 0
-        self.ranges: Tuple[np.ndarray, np.ndarray] = (
-            orders[starts].astype(np.int64, copy=False),
-            np.append(starts, len(orders)).astype(np.int64),
-        )
-        self.segments = array("q", np.diff(csr[0]).astype(np.int64, copy=False).tobytes())
-        distinct, bounds = self.ranges
+        distinct = orders[starts].astype(np.int64, copy=False)
+        bounds = np.append(starts, len(orders)).astype(np.int64)
+        snapshot.ranges = distinct, bounds
+        snapshot.segments = array("q", np.diff(csr[0]).astype(np.int64, copy=False).tobytes())
         arrays = (distinct, bounds, *csr[:3], global_ids)
-        self.arguments: Optional[array] = None
+        snapshot.arguments = None
         if all(
             vector.dtype == dtype and vector.flags.c_contiguous
             for vector, dtype in zip(arrays, _COMPILED_DTYPES)
         ):
-            self.arguments = array("q", [vector.ctypes.data for vector in arrays])
-            self.arguments.append(len(distinct))
+            snapshot.arguments = array("q", [vector.ctypes.data for vector in arrays])
+            snapshot.arguments.append(len(distinct))
+        return snapshot
+
+    def __reduce__(self):
+        return _Snapshot, tuple(self)
 
 
 class _Vocabulary(dict):
@@ -305,18 +308,26 @@ class PosteriorTable(_TableArrays):
         return _EMPTY_TABLE.grown(rows)
 
     def filled(self, order: int) -> bool:
-        """Whether row ``order`` is filled."""
-        return order < len(self.offsets) and self.offsets[order] >= 0
+        """Whether row ``order`` is filled (never for a negative order)."""
+        return 0 <= order < len(self.offsets) and self.offsets[order] >= 0
 
     def row(self, order: int) -> np.ndarray:
-        """``Φ(0..order)``, a read-only view (row ``order`` must be filled)."""
-        start = int(self.offsets[order])
+        """``Φ(0..order)``, a read-only view; ``ValueError`` unless row ``order`` is filled."""
+        start = self._start(order)
         return self.phi[start : start + order + 1]
 
     def accepting(self, order: int, gamma: float) -> int:
-        """``max{ϕ : Φ(ϕ) >= γ}`` at this order, or -1: a binary search on ``M``, non-increasing."""
-        start = int(self.offsets[order])
+        """``max{ϕ : Φ(ϕ) >= γ}`` at this order, or -1: a binary search on ``M``, non-increasing.
+
+        ``ValueError`` unless row ``order`` is filled.
+        """
+        start = self._start(order)
         return int(np.searchsorted(-self.best[start : start + order + 1], -gamma, side="right")) - 1
+
+    def _start(self, order: int) -> int:
+        if not self.filled(order):
+            raise ValueError(f"the table holds no row {order}")
+        return int(self.offsets[order])
 
     def grown(self, rows: Mapping[int, Sequence[float]]) -> "PosteriorTable":
         """A copy with the rows of ``rows`` this table lacks filled too (copy on write).
@@ -425,18 +436,13 @@ class ColumnarBranchStore:
         return backend_module(self.backend)
 
     def __getstate__(self):
-        # The snapshot travels as its view; the ranges are 2 x U int64 the
-        # receiving side derives again in O(D).
         state = self.__dict__.copy()
         del state["_compact_lock"]  # locks are not picklable
-        snapshot = self._published
-        state["_published"] = (snapshot.csr, snapshot.orders, snapshot.global_ids)
         return state
 
     def __setstate__(self, state):
         self.__dict__.update(state)
         self._compact_lock = threading.Lock()
-        self._published = _Snapshot(*self._published)
         # A snapshot restored on another machine keeps its configured
         # backend name; backend_module degrades native->numpy with a
         # warning if this host cannot build the library.
@@ -573,38 +579,21 @@ class ColumnarBranchStore:
             self.num_compactions += 1
         return True
 
-    def _snapshot(self) -> _Snapshot:
-        """Compact if needed and return the published snapshot."""
-        self.compact()
-        return self._published
-
-    def view(self) -> _View:
-        """Return one coherent ``(csr, orders, global_ids)`` read snapshot, by position.
+    def view(self) -> _Snapshot:
+        """Return the published read snapshot ``(csr, orders, global_ids)``, by position.
 
         ``csr`` is the ``(offsets, positions, counts, rows)`` tuple and the
         two vectors are indexed by position, like the CSR and the reducers'
-        hits; the three pieces belong to one published snapshot record, so a
-        whole query computes against arrays of one length whose every row is
-        covered by the CSR — concurrent additions become visible only between
-        queries, never as a torn mix or a graph with silently missing
-        postings.  The first read after a write pays the compaction here.
-        Every read takes it back as ``view=`` to compute against it.
+        hits; the record also carries the snapshot's ``ranges`` (see
+        :class:`_Snapshot`).  A whole query computes against arrays of one
+        length whose every row is covered by the CSR — concurrent additions
+        become visible only between queries, never as a torn mix or a graph
+        with silently missing postings.  The first read after a write pays
+        the compaction here.  Every read takes the record back as ``view=``
+        to compute against it, superseded or not, and builds nothing.
         """
-        snapshot = self._snapshot()
-        return snapshot.csr, snapshot.orders, snapshot.global_ids
-
-    def _snapshot_of(self, view: Optional[_View]) -> _Snapshot:
-        """The snapshot record a read computes against: the pinned ``view``'s, or the current.
-
-        A reader still computing against a superseded view gets a record of
-        its own, uncached, whose ranges are derived from the view's orders.
-        """
-        if view is None:
-            return self._snapshot()
-        snapshot = self._published
-        if snapshot.csr is not view[0]:
-            snapshot = _Snapshot(*view)
-        return snapshot
+        self.compact()
+        return self._published
 
     # ------------------------------------------------------------------ #
     # shape
@@ -627,17 +616,6 @@ class ColumnarBranchStore:
     # ------------------------------------------------------------------ #
     # postings access
     # ------------------------------------------------------------------ #
-    def postings(self, branch_key: Tuple) -> List[Tuple[int, int]]:
-        """Return the ``(graph_id, count)`` postings of one branch key, by graph id."""
-        snapshot = self._snapshot()
-        offsets, positions, counts, _rows = snapshot.csr
-        key_id = self._key_ids.get(branch_key)
-        if key_id is None or key_id >= len(offsets) - 1:
-            return []
-        start, end = int(offsets[key_id]), int(offsets[key_id + 1])
-        ids = snapshot.global_ids[positions[start:end]]
-        return sorted(zip(ids.tolist(), counts[start:end].tolist()))
-
     def branch_distances(self, pairs: Sequence[Tuple[int, int]]) -> List[int]:
         """``GBD`` (Definition 4) of each ``(i, j)`` pair of graph ids, self-pairs included.
 
@@ -739,7 +717,7 @@ class ColumnarBranchStore:
     # vectorized intersection / GBD kernels
     # ------------------------------------------------------------------ #
     def intersection_row(
-        self, query_branches: Counter, *, view: Optional[_View] = None
+        self, query_branches: Counter, *, view: Optional[_Snapshot] = None
     ) -> np.ndarray:
         """Return ``|B_Q ∩ B_G|`` for every row as a dense ``(D,)`` array, by position.
 
@@ -749,7 +727,7 @@ class ColumnarBranchStore:
         C).  ``view`` optionally pins the snapshot the caller is computing
         against (see :meth:`view`); the current one otherwise.
         """
-        snapshot = self._snapshot_of(view)
+        snapshot = self.view() if view is None else view
         num_graphs = snapshot.csr[3]
         key_ids, query_counts, _total, _postings = self._match(query_branches, snapshot)
         calls, rows = _counters(self.backend).row
@@ -760,7 +738,7 @@ class ColumnarBranchStore:
         return self._kernels.intersection_row(snapshot, key_ids, query_counts)
 
     # ------------------------------------------------------------------ #
-    # GBD lower-bound kernels and the ranges of the fused reads
+    # the GBD lower bound the fused reads apply per range
     # ------------------------------------------------------------------ #
     def matched_query_total(self, query_branches: Counter) -> int:
         """Upper bound on ``|B_Q ∩ B_G|`` valid for *every* row: ``Σ_k min(q_k, cap_k)``.
@@ -778,7 +756,7 @@ class ColumnarBranchStore:
         num_query_vertices: int,
         query_branches: Counter,
         *,
-        view: Optional[_View] = None,
+        view: Optional[_Snapshot] = None,
     ) -> np.ndarray:
         """Vectorized lower bound on ``GBD(Q, G)`` for every row, by position — O(1) per row.
 
@@ -789,33 +767,19 @@ class ColumnarBranchStore:
 
         Because ``matched_total <= |B_Q| = |V_Q|``, this dominates the plain
         size-difference bound ``| |V_Q| - |V_G| |``.  No postings are
-        traversed — the whole row costs one vocabulary pass plus two dense
-        ops, which is what lets the pruned execution layer discard
-        candidates before touching the postings.  ``view`` pins the snapshot
-        as in :meth:`intersection_row`.
+        traversed.  The reducers of :meth:`filter_verify_rows` apply the same
+        bound once per order range; this dense form is their NumPy reference,
+        with no kernel behind it.  ``view`` pins the snapshot as in
+        :meth:`intersection_row`.
         """
-        orders = self._snapshot_of(view).orders
-        calls, rows = _counters(self.backend).bound_row
-        calls.inc()
-        rows.inc(len(orders))
+        orders = (self.view() if view is None else view).orders
         total = self.matched_query_total(query_branches)
-        return self._kernels.gbd_lower_bound_row(int(num_query_vertices), total, orders)
-
-    def order_ranges(self, view: Optional[_View] = None) -> Tuple[np.ndarray, np.ndarray]:
-        """The ranges of a snapshot's layout: ``(distinct, bounds)``.
-
-        ``distinct`` are the snapshot's distinct ``|V_G|``, ascending, and the
-        rows of order ``distinct[u]`` are the positions ``bounds[u]:bounds[u +
-        1]`` — what the fused filter-verify kernels consume: eligibility per
-        range, candidates as ranges, the order of a row read off its range.
-        Of the pinned ``view``, or of the current snapshot.
-        """
-        return self._snapshot_of(view).ranges
+        return np.maximum(int(num_query_vertices), orders) - np.minimum(total, orders)
 
     # ------------------------------------------------------------------ #
     # fused filter → verify → reduce (the two reducers of the execution core)
     # ------------------------------------------------------------------ #
-    def filter_verify_rows(self, rows: Sequence[Tuple], *, view: Optional[_View] = None):
+    def filter_verify_rows(self, rows: Sequence[Tuple], *, view: Optional[_Snapshot] = None):
         """Bound filter, exact GBDs and each query's reducer, for a batch of queries in one pass.
 
         ``rows`` holds one ``(num_query_vertices, query_branches, table,
@@ -866,7 +830,7 @@ class ColumnarBranchStore:
         pass has always counted, so the top-k reading of ``rows / calls``
         keeps its meaning.
         """
-        snapshot = self._snapshot_of(view)
+        snapshot = self.view() if view is None else view
         csr, ranges = snapshot.csr, snapshot.ranges
         key_ids = array("q")
         query_counts = array("q")

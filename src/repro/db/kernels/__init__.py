@@ -10,9 +10,11 @@ in :mod:`repro.db.kernels.numpy_impl`:
   and reduces a whole batch in one call, so pruned candidates never allocate
   intermediates and only hits come back.
 
-The interface is four kernels — ``intersection_row``,
-``gbd_lower_bound_row`` and ``filter_verify_rows`` on the read path and
-``merge_postings`` on the write path.  Every array they exchange is indexed
+The interface is three kernels — ``intersection_row`` and
+``filter_verify_rows`` on the read path and ``merge_postings`` on the write
+path.  The dense GBD lower bound has no kernel: the reducers apply it once
+per order range, and the store's ``gbd_lower_bound_row`` is their NumPy
+reference.  Every array they exchange is indexed
 by the store's ``|V_G|``-clustered positions, each distinct order a
 contiguous range.  ``filter_verify_rows`` — the serving engine's one plan
 and all of top-k, a batch of queries per call — runs, per query, the reducer

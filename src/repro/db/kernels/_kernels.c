@@ -7,6 +7,12 @@
  * suite (tests/test_execution_parity.py) drives both backends against the
  * scalar reference loop.
  *
+ * Three kernels are exported: repro_intersection_row (the dense row of
+ * |B_Q ∩ B_G|), repro_filter_verify_rows (both reducers, a batch of queries
+ * per call) and repro_merge_postings (the write path's compaction).  The GBD
+ * lower bound has no kernel of its own: the reducers apply it once per order
+ * range.
+ *
  * Data layout contract (enforced by the ctypes wrappers):
  *   - A row is addressed by its position in the clustered layout: rows lie in
  *     ascending |V_row|, by arrival within one order.  ``bounds`` (one slot
@@ -55,7 +61,7 @@
 #define MIN64(a, b) ((a) < (b) ? (a) : (b))
 #define MAX64(a, b) ((a) > (b) ? (a) : (b))
 
-int64_t repro_kernels_abi_version(void) { return 9; }
+int64_t repro_kernels_abi_version(void) { return 10; }
 
 /* First slot in arr[0..n) not less than value (arr ascending). */
 static int64_t lower_bound_i32(const int32_t *arr, int64_t n, int64_t value) {
@@ -88,20 +94,6 @@ void repro_intersection_row(const int64_t *offsets, const int32_t *positions,
         for (int64_t s = start; s < end; ++s) {
             out[positions[s]] += MIN64(qc, (int64_t)counts[s]);
         }
-    }
-}
-
-/* ------------------------------------------------------------------ *
- * GBD lower bound
- * ------------------------------------------------------------------ */
-
-/* GBD(Q, G) >= max(|V_Q|, |V_G|) - min(matched_total, |V_G|) per row. */
-void repro_gbd_lower_bound_row(int64_t num_query_vertices, int64_t matched_total,
-                               const int64_t *orders, int64_t num_rows,
-                               int64_t *out) {
-    for (int64_t i = 0; i < num_rows; ++i) {
-        int64_t order = orders[i];
-        out[i] = MAX64(num_query_vertices, order) - MIN64(matched_total, order);
     }
 }
 

@@ -3,8 +3,9 @@
 The bundled ``_kernels.c`` is compiled on demand with the system C compiler
 (``cc``/``gcc``/``clang`` — no third-party build dependency) into a per-user
 cache directory keyed by the source hash, then loaded through :mod:`ctypes`.
-Every wrapper returns bit-identical results to its
-:mod:`repro.db.kernels.numpy_impl` twin; inputs whose CSR arrays are not in
+Its three wrappers (``intersection_row``, ``filter_verify_rows`` and
+``merge_postings``) return bit-identical results to their
+:mod:`repro.db.kernels.numpy_impl` twins; inputs whose CSR arrays are not in
 the compact int32 layout (a store that outgrew int32) are transparently
 delegated to the numpy backend rather than widening the C surface.
 
@@ -69,13 +70,12 @@ from repro.db.kernels import numpy_impl
 name = "native"
 
 _SOURCE_PATH = Path(__file__).with_name("_kernels.c")
-_ABI_VERSION = 9
+_ABI_VERSION = 10
 
 #: argtypes of every exported kernel (i=int64 scalar, d=double, p=array address)
 _SIGNATURES = {
     "repro_kernels_abi_version": "",
     "repro_intersection_row": "pppppip",
-    "repro_gbd_lower_bound_row": "iipip",
     "repro_filter_verify_rows": "pppppiiipppp",
     "repro_merge_postings": "pppippppiipppppp",
 }
@@ -222,16 +222,6 @@ def intersection_row(snapshot, key_ids, query_counts):
     out = np.zeros(snapshot.csr[3], dtype=np.int64)
     _library().repro_intersection_row(
         *arguments[_CSR_SLOTS], _address(keys), _address(counts_q), len(keys), _address(out),
-    )
-    return out
-
-
-def gbd_lower_bound_row(num_query_vertices, matched_total, orders):
-    orders = _c64(orders)
-    out = np.empty(len(orders), dtype=np.int64)
-    _library().repro_gbd_lower_bound_row(
-        int(num_query_vertices), int(matched_total),
-        _address(orders), len(orders), _address(out),
     )
     return out
 

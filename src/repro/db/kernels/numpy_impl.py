@@ -1,9 +1,10 @@
 """Pure-NumPy kernel backend for the columnar (CSR) branch-postings store.
 
 This module is the behaviour-defining reference implementation of the kernel
-backend interface: every function is a stateless array transform over one CSR
-snapshot plus the pre-matched query arrays the store's vocabulary pass
-produced.  The compiled backend (:mod:`repro.db.kernels.native`) must return
+backend interface — ``intersection_row`` and ``filter_verify_rows`` on the
+read path, ``merge_postings`` on the write path: every function is a
+stateless array transform over one CSR snapshot plus the pre-matched query
+arrays the store's vocabulary pass produced.  The compiled backend (:mod:`repro.db.kernels.native`) must return
 bit-identical results for every function here; the hypothesis parity suite
 drives both against the scalar reference loop.
 
@@ -126,15 +127,6 @@ def _range_intersections(
         weights=capped,
         minlength=int(sizes.sum()),
     ).astype(np.int64)
-
-
-def gbd_lower_bound_row(
-    num_query_vertices: int, matched_total: int, orders: np.ndarray
-) -> np.ndarray:
-    """``max(|V_Q|, |V_G|) - min(matched_total, |V_G|)`` per row."""
-    return np.maximum(int(num_query_vertices), orders) - np.minimum(
-        int(matched_total), orders
-    )
 
 
 def _table_starts(table, extended: np.ndarray, row: int) -> np.ndarray:

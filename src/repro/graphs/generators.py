@@ -20,25 +20,16 @@ reproducible.
 
 from __future__ import annotations
 
-import random
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 import networkx as nx
 
 from repro.graphs.graph import Graph
-
-RandomState = Union[int, random.Random, None]
+from repro.stats.sampling import RandomState, as_rng
 
 #: Default label alphabets used when a caller does not supply any.
 DEFAULT_VERTEX_LABELS: Sequence[str] = ("A", "B", "C", "D", "E")
 DEFAULT_EDGE_LABELS: Sequence[str] = ("x", "y", "z")
-
-
-def _as_rng(seed: RandomState) -> random.Random:
-    """Normalise ``seed`` into a ``random.Random`` instance."""
-    if isinstance(seed, random.Random):
-        return seed
-    return random.Random(seed)
 
 
 def random_labeled_graph(
@@ -72,7 +63,7 @@ def random_labeled_graph(
     """
     if num_vertices < 0:
         raise ValueError("num_vertices must be non-negative")
-    rng = _as_rng(seed)
+    rng = as_rng(seed)
     graph = Graph(name=name)
     for vertex in range(num_vertices):
         graph.add_vertex(vertex, rng.choice(list(vertex_labels)))
@@ -120,7 +111,7 @@ def scale_free_labeled_graph(
         raise ValueError("num_vertices must be non-negative")
     if edges_per_vertex < 1:
         raise ValueError("edges_per_vertex must be at least 1")
-    rng = _as_rng(seed)
+    rng = as_rng(seed)
     graph = Graph(name=name)
     for vertex in range(num_vertices):
         graph.add_vertex(vertex, rng.choice(list(vertex_labels)))

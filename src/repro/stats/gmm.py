@@ -25,17 +25,14 @@ floating-point round-off.
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Union
+from typing import List, Optional, Sequence
 
 import numpy as np
 
 from repro.exceptions import ConvergenceError
 from repro.stats.distributions import continuity_corrected_pmf, normal_pdf
-from repro.stats.sampling import decode_rng_state, encode_rng_state
-
-RandomState = Union[int, random.Random, None]
+from repro.stats.sampling import RandomState, as_rng, decode_rng_state, encode_rng_state
 
 __all__ = ["GaussianMixtureModel", "MixtureComponent"]
 
@@ -84,7 +81,7 @@ class GaussianMixtureModel:
         # from_state can round-trip it; the live random stream is preserved
         # separately so a reloaded model refits exactly like the original.
         self._seed: Optional[int] = seed if isinstance(seed, int) else None
-        self._rng = seed if isinstance(seed, random.Random) else random.Random(seed)
+        self._rng = as_rng(seed)
         self.components: List[MixtureComponent] = []
         self.log_likelihood_: Optional[float] = None
         self.n_iterations_: int = 0
@@ -232,7 +229,7 @@ class GaussianMixtureModel:
     def sample(self, n: int, *, seed: RandomState = None) -> List[float]:
         """Draw ``n`` samples from the fitted mixture (for tests and examples)."""
         self._require_fitted()
-        rng = seed if isinstance(seed, random.Random) else random.Random(seed)
+        rng = as_rng(seed)
         weights = [c.weight for c in self.components]
         samples = []
         for _ in range(n):

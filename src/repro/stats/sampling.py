@@ -16,6 +16,8 @@ T = TypeVar("T")
 RandomState = Union[int, random.Random, None]
 
 __all__ = [
+    "RandomState",
+    "as_rng",
     "sample_pairs",
     "sample_items",
     "encode_rng_state",
@@ -23,7 +25,8 @@ __all__ = [
 ]
 
 
-def _as_rng(seed: RandomState) -> random.Random:
+def as_rng(seed: RandomState) -> random.Random:
+    """``seed`` itself when it is a ``random.Random``, else a new one seeded with it."""
     if isinstance(seed, random.Random):
         return seed
     return random.Random(seed)
@@ -52,7 +55,7 @@ def sample_items(items: Sequence[T], count: int, *, seed: RandomState = None) ->
     """Sample ``count`` items without replacement (all items when count >= len)."""
     if count >= len(items):
         return list(items)
-    rng = _as_rng(seed)
+    rng = as_rng(seed)
     return rng.sample(list(items), count)
 
 
@@ -82,7 +85,7 @@ def sample_pairs(
     n = len(population)
     if n < 2:
         return []
-    rng = _as_rng(seed)
+    rng = as_rng(seed)
 
     if not distinct:
         pairs = []

@@ -228,7 +228,7 @@ def test_one_batch_covers_every_kind_of_row(backend):
                     query.branches(),
                     core._table(
                         query.tau_hat, query.query_graph.num_vertices,
-                        core.store.order_ranges()[0],
+                        core.store.view().ranges[0],
                     ),
                     query.gamma,
                 )
@@ -275,7 +275,7 @@ def test_one_mixed_batch_covers_every_kind_of_top_k_row(backend):
     pruned = _query(core, "random", 3, 0, 1.0)  # no GBD is acceptable: the bound prunes all
     plain = _query(core, "stored", 4, 1, 0.5)
     queries = [ranked[0], pruned, *ranked[1:3], twin, plain, *ranked[3:]]
-    distinct = core.store.order_ranges()[0]
+    distinct = core.store.view().ranges[0]
     rows = [(pruned.query_graph.num_vertices, pruned.branches(), core._table(
         0, pruned.query_graph.num_vertices, distinct), 1.0)]
     for query in ranked:

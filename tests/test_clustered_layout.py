@@ -128,7 +128,7 @@ def test_sizes_arriving_in_descending_order(backend):
     # Within one order arrival decides, so each range's ids ascend.
     store = core.store
     _csr, _orders, global_ids = store.view()
-    bounds = store.order_ranges()[1]
+    bounds = store.view().ranges[1]
     for first, last in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
         assert (np.diff(global_ids[first:last]) > 0).all()
 
@@ -226,7 +226,7 @@ def test_a_sparse_plan_reads_only_its_eligible_ranges_and_builds_nothing_d_long(
     entries = _entries(600, seed=51)
     store = ColumnarBranchStore([entry.branches for entry in entries], backend=name)
     csr, orders, global_ids = store.view()
-    distinct, bounds = store.order_ranges()
+    distinct, bounds = store.view().ranges
     query = Counter({("k", 1): 2, ("k", 4): 1, ("k", 6): 1})
     # Two ranges in reach (orders 4 and 5): a table that accepts every GBD of
     # theirs and none of the others', read by a query of the smallest order,

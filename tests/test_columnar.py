@@ -22,7 +22,7 @@ from repro.db.database import GraphDatabase
 from repro.db.kernels import available_backends
 from repro.graphs.generators import random_labeled_graph
 from repro.graphs.graph import Graph
-from store_rows import by_graph_id
+from store_rows import by_graph_id, key_postings
 
 BACKENDS = available_backends()
 
@@ -110,7 +110,7 @@ def verified_rows(store, num_query_vertices, branches, bar, **view):
     theirs, read as ``order - gbd``.  The hits must be exactly the verified
     rows whose GBD (by ``intersection_row``) is within the bar.
     """
-    snapshot = store._snapshot_of(view.get("view"))
+    snapshot = view.get("view") or store.view()
     distinct, bounds = snapshot.ranges
     largest = max([int(num_query_vertices), *distinct[-1:].tolist()])
     (hits, gbds, eligible, verified, sparse), = store.filter_verify_rows(
@@ -149,7 +149,7 @@ def ranked_rows(store, num_query_vertices, branches, k, **view):
 
     Returns ``(ranking, verified, sparse)``, the ranking sorted by ``(-score, id)``.
     """
-    distinct = store.order_ranges(view.get("view"))[0]
+    distinct = (view.get("view") or store.view()).ranges[0]
     largest = max([int(num_query_vertices), *distinct[-1:].tolist()])
     table = PosteriorTable.from_rows(
         {order: 1.0 / (1 + np.arange(order + 1)) for order in range(largest + 1)}
@@ -178,7 +178,7 @@ class TestCsrLayout:
         store = make_store(random_database)
         for entry in random_database:
             for key, count in branches_of(entry).items():
-                postings = store.postings(key)
+                postings = key_postings(store, key)
                 assert (entry.graph_id, count) in postings
                 ids = [graph_id for graph_id, _count in postings]
                 assert ids == sorted(ids)
@@ -186,7 +186,7 @@ class TestCsrLayout:
     def test_unknown_key_and_empty_store(self, make_store):
         store = make_store()
         assert store.num_graphs == 0
-        assert store.postings(("missing", ())) == []
+        assert key_postings(store, ("missing", ())) == []
         assert store.intersection_row(branch_multiset(random_labeled_graph(3, 2, seed=0))).shape == (0,)
 
     def test_orders_and_global_ids(self, random_database, make_store):

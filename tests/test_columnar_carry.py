@@ -266,7 +266,7 @@ class CarryMachine(RuleBasedStateMachine):
     def read_pruned(self, queries, bar, plan, data):
         """The range kernels: what the thresholded path calls."""
         store, fresh = self.store, self.fresh()
-        distinct = store.order_ranges()[0]
+        distinct = store.view().ranges[0]
         # Stores this small would nearly always take the dense plan on their
         # own: force each plan in turn so that both keep being compared.
         by_cost = columnar.sparse_row_budget
@@ -350,19 +350,20 @@ def sparse_plan(monkeypatch):
 def snapshot_records(monkeypatch):
     """The row counts of the snapshot records built (each derives its ranges in O(D))."""
     calls = []
-    original = _Snapshot.__init__
+    original = _Snapshot.__new__
 
-    def spy(self, csr, orders, global_ids):
+    def spy(cls, csr, orders, global_ids):
         calls.append(csr[3])
-        original(self, csr, orders, global_ids)
+        return original(cls, csr, orders, global_ids)
 
-    monkeypatch.setattr(_Snapshot, "__init__", spy)
+    monkeypatch.setattr(_Snapshot, "__new__", spy)
     return calls
 
 
 @pytest.mark.parametrize("backend", backend_params)
 def test_only_a_compaction_builds_a_snapshot_record(backend, snapshot_records, sparse_plan):
-    """Writes interleave their rows; a read of the current snapshot builds no record."""
+    """Writes interleave their rows; a read of the current snapshot builds no record,
+    and neither does a read of a superseded one."""
     graphs = _graphs(40, seed=3)
     database = GraphDatabase(graphs, kernel_backend=backend)
     store = database.store
@@ -385,6 +386,21 @@ def test_only_a_compaction_builds_a_snapshot_record(backend, snapshot_records, s
     assert store.num_compactions == 4
     assert_layout_invariant(store, arrived(database))
 
+    old, old_graphs = store.view(), list(graphs)
+    database.add_many(_graphs(5, seed=20))
+    store.compact()
+    built = list(snapshot_records)
+    thresholded = verified_rows(store, query.num_vertices, branches, lambda order: 3, view=old)
+    ranked = ranked_rows(store, query.num_vertices, branches, 4, view=old)
+    superseded = store.intersection_row(branches, view=old)
+    assert built[-1] == 66 and snapshot_records == built  # the reads of `old` build none
+    fresh = ColumnarBranchStore(map(branch_multiset, old_graphs), backend=backend)
+    expected = verified_rows(fresh, query.num_vertices, branches, lambda order: 3)
+    for mine, theirs in zip(thresholded, expected):
+        assert np.array_equal(mine, theirs) if theirs is not None else mine is None
+    assert ranked == ranked_rows(fresh, query.num_vertices, branches, 4)
+    assert np.array_equal(superseded, fresh.intersection_row(branches))
+
 
 @pytest.mark.parametrize("backend", backend_params)
 def test_a_snapshot_holds_the_csr_and_row_vectors_only(backend):
@@ -401,9 +417,8 @@ def test_a_snapshot_holds_the_csr_and_row_vectors_only(backend):
     store.compact()
     snapshot = store._published
     rows, postings = snapshot.csr[3], len(snapshot.csr[1])
-    assert set(_Snapshot.__slots__) == {
-        "csr", "orders", "global_ids", "ranges", "segments", "arguments"
-    }
+    assert _Snapshot._fields == ("csr", "orders", "global_ids")
+    assert set(vars(snapshot)) == {"ranges", "segments", "arguments"}
     assert len(snapshot.arguments) == 7  # addresses and one count, nothing D long
     assert snapshot.segments.tolist() == np.diff(snapshot.csr[0]).tolist()
     assert len(snapshot.segments) == store.num_keys  # per key, nothing D long
@@ -442,11 +457,15 @@ def test_pickle_ships_csr_and_row_vectors_only(backend):
     database = GraphDatabase(_graphs(30, seed=9), kernel_backend=backend)
     store = database.store
     store.compact()
-    state = store.__getstate__()
-    # The snapshot travels as its view; the ranges are derived again.
+    # The record travels as its three fields; the ranges are derived again.
     snapshot = store._published
-    shipped = (snapshot.csr, snapshot.orders, snapshot.global_ids)
-    assert all(mine is theirs for mine, theirs in zip(state["_published"], shipped))
+    assert store.__getstate__()["_published"] is snapshot
+    rebuild, shipped = snapshot.__reduce__()
+    assert rebuild is _Snapshot and len(shipped) == 3
+    assert all(
+        mine is theirs
+        for mine, theirs in zip(shipped, (snapshot.csr, snapshot.orders, snapshot.global_ids))
+    )
     copy = pickle.loads(pickle.dumps(store))
     for name in ("orders", "global_ids"):
         assert np.array_equal(getattr(copy._published, name), getattr(store._published, name))
@@ -572,3 +591,4 @@ def test_reader_querying_keys_a_batch_is_learning(backend):
     assert reads[0] > 0
     assert store.num_keys == store.num_graphs == batches * size
     assert store._key_ids.caps == [1] * (batches * size)
+

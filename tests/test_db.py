@@ -19,7 +19,7 @@ from repro.graphs.generators import random_labeled_graph
 from repro.graphs.graph import Graph
 from repro.serving import BatchQueryEngine
 from repro.testing.oracles import query_reference
-from store_rows import by_graph_id
+from store_rows import by_graph_id, key_postings
 
 
 @pytest.fixture
@@ -43,7 +43,7 @@ class TestGraphDatabase:
     def test_branches_live_in_the_store_only(self, small_database, paper_g1):
         """Row ``i`` of the store is graph ``i``'s multiset; the entry holds no copy."""
         for key, count in branch_multiset(paper_g1).items():
-            assert (2, count) in small_database.store.postings(key)
+            assert (2, count) in key_postings(small_database.store, key)
         assert small_database.store.num_postings == sum(
             len(branch_multiset(entry.graph)) for entry in small_database
         )
@@ -123,9 +123,9 @@ class TestCoreStore:
         store = small_database.store
         assert store.num_keys > 0
         some_key = next(iter(branch_multiset(paper_g1)))
-        postings = store.postings(some_key)
+        postings = key_postings(store, some_key)
         assert any(graph_id == 2 for graph_id, _count in postings)
-        assert store.postings(("missing", ())) == []
+        assert key_postings(store, ("missing", ())) == []
 
 
 class TestBulkLoads:

@@ -109,9 +109,9 @@ class TestKernelInterfaceDrift:
     """
 
     LOADER_API = {"available", "load_error", "library_path"}  # native's own, not kernels
-    #: The whole interface: three reads and the write path — at most four kernels,
-    #: one filter-verify reducer among them.
-    KERNELS = {"intersection_row", "gbd_lower_bound_row", "filter_verify_rows", "merge_postings"}
+    #: The whole interface: two reads and the write path — three kernels, one
+    #: filter-verify reducer among them.
+    KERNELS = {"intersection_row", "filter_verify_rows", "merge_postings"}
 
     @staticmethod
     def public_functions(module):
@@ -372,10 +372,13 @@ def _reducer_stores(multisets, ids, position_limit):
 def _sparse_budget(store, query):
     """``sparse_row_budget`` (as patched, if it is) of one query over a store's snapshot.
 
-    Its input, the postings of the query's known keys, is counted by ``postings``.
+    Its input, the postings of the query's known keys, is summed from the
+    snapshot's ``segments``.
     """
-    matched = sum(len(store.postings(key)) for key in query)
-    return columnar.sparse_row_budget(matched, store.view()[0][3])
+    snapshot = store.view()
+    key_ids = [store._key_ids.get(key) for key in query]
+    matched = sum(snapshot.segments[key_id] for key_id in key_ids if key_id is not None)
+    return columnar.sparse_row_budget(matched, snapshot.csr[3])
 
 
 def _scalar_rows(entries, query):
@@ -580,7 +583,7 @@ class TestReducerParity:
                 # The k best, ranked by the reducer itself.
                 got = list(zip(got_ids.tolist(), got_scores.tolist()))
                 assert (got, verified, sparse) == expected, backend
-                assert int(np.diff(store.order_ranges()[1])[visited].sum()) == verified, backend
+                assert int(np.diff(store.view().ranges[1])[visited].sum()) == verified, backend
         finally:
             columnar.sparse_row_budget = by_cost
 
@@ -937,7 +940,7 @@ class TestReducerCountGuards:
         store = core.store
         view = _csr, orders, _ids = store.view()
         num_rows = len(orders)
-        distinct = store.order_ranges(view)[0]
+        distinct = view.ranges[0]
         # Half the store: queries land on both sides of the budget.
         monkeypatch.setattr(columnar, "sparse_row_budget", lambda postings, rows: rows // 2)
         plans = set()
@@ -1005,7 +1008,7 @@ class TestReducerCountGuards:
         engine = BatchQueryEngine.from_search(search, cache_size=None)
         engine.warm(range(2))
         core, store = engine._core, engine._core.store
-        distinct, row_bounds = store.order_ranges()
+        distinct, row_bounds = store.view().ranges
         built = []
         concatenate = np.concatenate
 

@@ -108,6 +108,17 @@ def test_a_row_is_refused_without_its_cells():
         PosteriorTable.from_rows({-1: [1.0]})
 
 
+def test_a_row_the_table_does_not_hold_is_refused_not_read():
+    table = PosteriorTable.from_rows({2: [1.0, 0.5, 0.0], 5: [1.0] * 6})
+    assert [table.filled(order) for order in (-1, 2, 3, 5, 6)] == [False, True, False, True, False]
+    for order in (-1, 3, 6):
+        with pytest.raises(ValueError, match=f"no row {order}"):
+            table.row(order)
+        with pytest.raises(ValueError, match=f"no row {order}"):
+            table.accepting(order, 0.5)
+    assert table.row(2).tolist() == [1.0, 0.5, 0.0] and table.accepting(2, 0.5) == 1
+
+
 @pytest.mark.parametrize("backend", available_backends())
 @settings(max_examples=80, deadline=None)
 @given(row=phi_rows, data=st.data(), dense=st.booleans())

@@ -35,6 +35,9 @@ KEPT = {
     "repro.core.model.BranchEditModel.editable_elements": "v + C(v, 2), a paper anchor",
     "repro.core.plan.ExecutionCore.acceptance_threshold": "the γ inversion, documented in README",
     "repro.datasets.iam.load_iam_directory": "the loader of genuine IAM data",
+    "repro.db.columnar.ColumnarBranchStore.gbd_lower_bound_row": (
+        "the reducers' bound, its NumPy reference (bench/trace.py traces gbd_*)"
+    ),
     "repro.graphs.edit_ops.EditPath.verify": "the edit-path certificate GED tests check against",
     "repro.graphs.extended.ExtendedGraphView.virtual_vertices": "Definition 5 / Figure 2 anchors",
     "repro.graphs.extended.extend_pair": "Definition 5 / Figure 2 anchors",

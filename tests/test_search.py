@@ -191,8 +191,8 @@ class TestOnlineStage:
             raise RuntimeError("the columnar store was read")
 
         for name in (
-            "view", "compact", "postings", "intersection_row", "matched_query_total",
-            "gbd_lower_bound_row", "order_ranges", "filter_verify_rows",
+            "view", "compact", "intersection_row", "matched_query_total",
+            "gbd_lower_bound_row", "filter_verify_rows",
         ):
             monkeypatch.setattr(ColumnarBranchStore, name, broken)
         with pytest.raises(RuntimeError, match="columnar store"):

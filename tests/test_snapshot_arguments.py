@@ -107,7 +107,7 @@ def test_a_superseded_view_is_read_against_its_own_arrays(backend):
     core, store = engine._core, search.database.store
     queries = _queries(seed=4)
     old = store.view()
-    distinct = store.order_ranges(old)[0]
+    distinct = old.ranges[0]
     rows = [
         (
             query.query_graph.num_vertices,
