@@ -23,7 +23,11 @@ a process-wide table maps a vertex's neighbourhood as stored (``L(v)`` plus its
 incident edge labels in adjacency order) to the canonical ``(L(v), N(v))`` key
 object.  A hit is one tuple build and one dict probe, a miss the scalar sort,
 and equal branches of different graphs are one shared tuple.  The table holds
-at most ``_SORT_KEY_MEMO_LIMIT`` entries and is cleared when full.  Type rule:
+at most ``_SORT_KEY_MEMO_LIMIT`` entries and, once full, stops learning: it
+keeps what it holds, and a neighbourhood it does not hold pays the scalar sort
+on every sight.  Emptying it would cost more: edge order multiplies the entries
+far beyond the distinct branches, and those learnt first are the ones most
+graphs share.  Type rule:
 :func:`_sort_key` puts the type name first, so ``1``, ``True`` and ``1.0`` (or
 ``"A"`` and ``numpy.str_("A")``) sort differently although tuples holding them
 compare and hash equal; an entry is therefore keyed on the exact types of its
@@ -105,10 +109,11 @@ def branch_multiset(graph: Graph) -> Counter:
     kept for faithfulness to the paper's storage description and for
     human-readable output.
 
-    Every write and every query pays this, so a neighbourhood the process has
-    seen costs one tuple build and one probe of the table in the module
-    docstring; only a new one is sorted.  Keys, counts and iteration order are
-    those of ``Counter(branch_of(graph, v).canonical_key() for v in graph)``.
+    Every write and every query pays this, so a neighbourhood the table in the
+    module docstring holds costs one tuple build and one probe; only the others
+    are sorted.  Each vertex is probed once and the graph counted once, misses
+    or not.  Keys, counts and iteration order are those of
+    ``Counter(branch_of(graph, v).canonical_key() for v in graph)``.
     """
     kinds = graph.label_types()
     if len(kinds) == 1:
@@ -117,15 +122,13 @@ def branch_multiset(graph: Graph) -> Counter:
     else:
         hoods = [(label, *incident) for label, incident in graph.neighbourhoods()]
         probes = [(tuple(map(type, hood)), *hood) for hood in hoods]
-    counts = Counter(map(_BRANCH_KEYS.get, probes))
-    if None in counts:  # some neighbourhood is new to the table: count again, learning it
-        counts = Counter(_BRANCH_KEYS.get(probe) or _learn_branch_key(probe) for probe in probes)
-    return counts
+    return Counter(map(_BRANCH_KEYS.__getitem__, probes))
 
 
 #: Memo of label -> sort key: labels come from small fixed alphabets and the
 #: (type name, str) tuples are expensive to rebuild per comparison.  Bounded so
-#: a long-lived server answering arbitrary queries cannot grow it without limit.
+#: a long-lived server answering arbitrary queries cannot grow it without limit:
+#: like the neighbourhood table, once full it answers and remembers nothing new.
 _SORT_KEY_MEMO: dict = {}
 _SORT_KEY_MEMO_LIMIT = 8192
 
@@ -142,29 +145,40 @@ def _sort_key(label: Label) -> Tuple[str, str]:
     memo_key = (type(label), label)
     key = _SORT_KEY_MEMO.get(memo_key)
     if key is None:
-        if len(_SORT_KEY_MEMO) >= _SORT_KEY_MEMO_LIMIT:
-            _SORT_KEY_MEMO.clear()  # alphabet churn beyond any real dataset
         key = (type(label).__name__, str(label))
-        _SORT_KEY_MEMO[memo_key] = key
+        if len(_SORT_KEY_MEMO) < _SORT_KEY_MEMO_LIMIT:
+            _SORT_KEY_MEMO[memo_key] = key
     return key
 
 
-#: (exact label types, neighbourhood as stored) -> canonical key.  Plain ``get`` /
-#: ``setdefault`` under the memo's bound: threads can lose an entry, never read a wrong one.
-_BRANCH_KEYS: dict = {}
+class _BranchTable(dict):
+    """(exact label types, neighbourhood as stored) -> canonical key.
+
+    A probe is ``table[probe]``: a neighbourhood the table does not hold is
+    sorted by :func:`_learn_branch_key` right there, so an extraction probes
+    each vertex once and counts the graph once, misses or not.  Plain
+    ``setdefault`` under the memo's bound: threads can lose an entry, never
+    read a wrong one.
+    """
+
+    def __missing__(self, probe: Tuple) -> Tuple:
+        return _learn_branch_key(probe)
+
+
+_BRANCH_KEYS = _BranchTable()
 #: (canonical key, its labels' exact types) -> the one object standing for it,
-#: however the branch's edges were stored; emptied with the table.
+#: however the branch's edges were stored; grows only with the table.
 _SHARED_KEYS: dict = {}
 
 
 def _learn_branch_key(probe: Tuple) -> Tuple:
-    """Sort one neighbourhood the table has not seen and remember its key."""
+    """Sort one neighbourhood the table does not hold; remember it while there is room."""
     _kind, label, *incident = probe
-    if len(_BRANCH_KEYS) >= _SORT_KEY_MEMO_LIMIT:
-        _BRANCH_KEYS.clear()
-        _SHARED_KEYS.clear()
     key = (label, tuple(sorted(incident, key=_sort_key)))
-    key = _SHARED_KEYS.setdefault((key, type(label), *map(type, key[1])), key)
+    shared = (key, type(label), *map(type, key[1]))
+    if len(_BRANCH_KEYS) >= _SORT_KEY_MEMO_LIMIT:
+        return _SHARED_KEYS.get(shared, key)
+    key = _SHARED_KEYS.setdefault(shared, key)
     return _BRANCH_KEYS.setdefault(probe, key)
 
 

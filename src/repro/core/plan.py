@@ -462,10 +462,10 @@ class ExecutionCore:
         ranking size (its :data:`Ranking`).  One snapshot, one read of its
         order ranges, one store call and one fold of the counters for the
         batch; per query, its table lookup and its hits' ids and scores.
-        Stages are recorded by :func:`_record_batch_stages`.
+        Stages are recorded by :func:`_record_batch_stages`.  τ̂ is checked
+        once, by the table lookup: a τ̂ beyond :attr:`max_tau` never has a
+        table, so its lookup raises (:meth:`_filled`) before the store call.
         """
-        for query in queries:
-            self.validate_tau(query.tau_hat)
         if query_branches is None:
             query_branches = [None] * len(queries)
         elif len(query_branches) != len(queries):
@@ -478,7 +478,9 @@ class ExecutionCore:
         store = self.store
         snapshot = store.view()
         _csr, db_orders, global_ids = snapshot
-        if len(db_orders) == 0:
+        if len(db_orders) == 0:  # no table is read, so τ̂ is checked here
+            for query in queries:
+                self.validate_tau(query.tau_hat)
             return [([], []) if k is None else [] for k in ks]
         distinct = snapshot.ranges[0]
         rows = []

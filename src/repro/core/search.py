@@ -174,9 +174,8 @@ class GBDASearch:
         reference loop (:func:`repro.testing.oracles.query_reference`).
         """
         self._require_fitted()
-        self._core.validate_tau(query.tau_hat)
         start = time.perf_counter()
-        scored = self._scored(query)
+        scored = self._scored(query)  # the core checks τ̂ first
         graph_ids = scored.graph_ids.tolist()
         gbd_values = dict(zip(graph_ids, scored.gbds.tolist()))
         posteriors = dict(zip(graph_ids, scored.posteriors.tolist()))

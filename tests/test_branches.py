@@ -123,7 +123,7 @@ def _star(centre, edge_labels, first_id=0):
 @pytest.fixture
 def fresh_table(monkeypatch):
     """An empty neighbourhood table, so a test decides what it has seen."""
-    monkeypatch.setattr(branches, "_BRANCH_KEYS", {})
+    monkeypatch.setattr(branches, "_BRANCH_KEYS", branches._BranchTable())
     monkeypatch.setattr(branches, "_SHARED_KEYS", {})
 
 
@@ -231,7 +231,7 @@ class TestMemoisedExtractionProperties:
     @given(_mixed_graphs(), st.data())
     @settings(max_examples=100, deadline=None)
     def test_still_true_after_edits_with_a_table_of_four(self, graph, data):
-        """Bound 4: the table (and the sort-key memo) is emptied in the middle of a graph."""
+        """Bound 4: the table (and the sort-key memo) fills in the middle of a graph."""
         with mock.patch.object(branches, "_SORT_KEY_MEMO_LIMIT", 4):
             branches._BRANCH_KEYS.clear()  # what earlier tests left is not bounded by 4
             branches._SHARED_KEYS.clear()
@@ -277,6 +277,41 @@ class TestMemoisedExtractionProperties:
         assert wrong == []
 
 
+class CountingTable(branches._BranchTable):
+    """A neighbourhood table that counts its probes and the times it was emptied."""
+
+    probes = 0
+    clears = 0
+
+    def __getitem__(self, probe):
+        CountingTable.probes += 1
+        return super().__getitem__(probe)
+
+    def clear(self):
+        CountingTable.clears += 1
+        super().clear()
+
+
+@pytest.fixture
+def counting_table(monkeypatch):
+    """An empty :class:`CountingTable` with its counts at zero."""
+    monkeypatch.setattr(CountingTable, "probes", 0)
+    monkeypatch.setattr(CountingTable, "clears", 0)
+    monkeypatch.setattr(branches, "_BRANCH_KEYS", CountingTable())
+    monkeypatch.setattr(branches, "_SHARED_KEYS", {})
+
+
+@pytest.fixture
+def counted_sorts(monkeypatch):
+    """The neighbourhoods sorted since the test began: ``_learn_branch_key`` calls."""
+    sorted_probes = []
+    learn = branches._learn_branch_key
+    monkeypatch.setattr(
+        branches, "_learn_branch_key", lambda probe: sorted_probes.append(probe) or learn(probe)
+    )
+    return sorted_probes
+
+
 class TestExtractionCountGuards:
     """What the memo saves, as counts: sorts avoided, tuples shared, table never emptied."""
 
@@ -316,14 +351,7 @@ class TestExtractionCountGuards:
 
     def test_the_benchmark_smoke_databases_never_empty_the_table(self, monkeypatch):
         inputs = pytest.importorskip("bench.inputs")
-
-        class CountingTable(dict):
-            clears = 0
-
-            def clear(self):
-                CountingTable.clears += 1
-                super().clear()
-
+        monkeypatch.setattr(CountingTable, "clears", 0)
         for workload in inputs.WORKLOADS:
             monkeypatch.setattr(branches, "_BRANCH_KEYS", CountingTable())
             sizes = inputs.sizes_for(workload, smoke=True)
@@ -338,3 +366,70 @@ class TestExtractionCountGuards:
             assert len(GraphDatabase(graphs)) == count
             assert 0 < len(branches._BRANCH_KEYS) < branches._SORT_KEY_MEMO_LIMIT
         assert CountingTable.clears == 0
+
+    def test_a_full_table_keeps_what_it_holds_and_probes_each_vertex_once(
+        self, counting_table, counted_sorts, monkeypatch
+    ):
+        """A stream with more distinct neighbourhoods than the table holds."""
+        monkeypatch.setattr(branches, "_SORT_KEY_MEMO_LIMIT", 16)
+        graphs = self._graphs(count=40, seed=11)
+        stored = {
+            (label, *incident) for graph in graphs for label, incident in graph.neighbourhoods()
+        }
+        assert len(stored) > 4 * 16
+        held = {}
+        for graph in graphs:
+            probes_before, sorts_before = CountingTable.probes, len(counted_sorts)
+            extracted = branch_multiset(graph)
+            assert CountingTable.probes - probes_before == graph.num_vertices
+            assert len(counted_sorts) - sorts_before <= graph.num_vertices
+            expected = _scalar_multiset(graph)
+            assert extracted == expected and list(extracted) == list(expected)
+            assert held.items() <= branches._BRANCH_KEYS.items()  # nothing once held is lost
+            held = dict(branches._BRANCH_KEYS)
+        assert len(held) == 16 and len(branches._SHARED_KEYS) <= 16
+        assert CountingTable.clears == 0
+        # A full table still sorts what it does not hold, and stores none of it.
+        assert len(counted_sorts) > 16
+
+    def test_a_full_sort_key_memo_answers_and_remembers_nothing_new(self, monkeypatch):
+        monkeypatch.setattr(branches, "_SORT_KEY_MEMO", {})
+        monkeypatch.setattr(branches, "_SORT_KEY_MEMO_LIMIT", 3)
+        labels = ["b", 1, True, 1.0, "a", ("t", 1)]
+        for _ in range(2):
+            assert [branches._sort_key(label) for label in labels] == [
+                ("str", "b"), ("int", "1"), ("bool", "True"),
+                ("float", "1.0"), ("str", "a"), ("tuple", "('t', 1)"),
+            ]
+            assert list(branches._SORT_KEY_MEMO) == [(str, "b"), (int, 1), (bool, True)]
+
+    def test_the_full_filter_selective_store_sorts_each_miss_once(
+        self, counting_table, counted_sorts
+    ):
+        """At the size where the table fills: 16 000 graphs whose 21 527 distinct
+        neighbourhoods as stored (1 417 distinct branches) overflow it."""
+        inputs = pytest.importorskip("bench.inputs")
+        sizes = inputs.sizes_for("filter_selective")
+        graphs = inputs.make_graphs(
+            inputs.rng_for(5, "filter_selective:graphs"),
+            inputs.cycled_sizes(sizes.graphs, sizes.vertices),
+        )
+        # Independent of the table: vertex by vertex, a neighbourhood not
+        # learnt yet is sorted, and the first _SORT_KEY_MEMO_LIMIT distinct
+        # neighbourhoods are learnt.
+        learnt, expected_sorts, vertices = set(), 0, 0
+        for graph in graphs:
+            for label, incident in graph.neighbourhoods():
+                hood = (label, *incident)
+                vertices += 1
+                if hood not in learnt:
+                    expected_sorts += 1
+                    if len(learnt) < branches._SORT_KEY_MEMO_LIMIT:
+                        learnt.add(hood)
+        assert len(learnt) == branches._SORT_KEY_MEMO_LIMIT  # the stream overflows the table
+        for graph in graphs:
+            branch_multiset(graph)
+        del graphs
+        assert len(counted_sorts) == expected_sorts
+        assert CountingTable.probes == vertices and CountingTable.clears == 0
+        assert len(branches._BRANCH_KEYS) == branches._SORT_KEY_MEMO_LIMIT

@@ -119,6 +119,50 @@ class TestPosteriorTables:
         assert core.num_cached_tables == before
         assert 5 not in core._tables and 5 not in engine._core._tables
 
+    def test_a_query_checks_its_tau_once_on_every_path(self, fitted, monkeypatch):
+        """One check per query, refused or answered; a refusal stores nothing."""
+        engine = BatchQueryEngine.from_search(fitted)
+        empty = ExecutionCore(GraphDatabase(), fitted.estimator, max_tau=fitted.max_tau)
+        checked = []
+        for core in (engine._core, fitted._core, empty):
+            check = core.validate_tau
+            monkeypatch.setattr(
+                core, "validate_tau", lambda tau, check=check: checked.append(tau) or check(tau)
+            )
+        good, other = _random_queries(2, seed=73)
+        bad = SimilarityQuery(good.query_graph, fitted.max_tau + 1, 0.5)
+        ranked_bad = SimilarityQuery(good.query_graph, bad.tau_hat, 0.5, top_k=3)
+        message = f"τ̂={bad.tau_hat} exceeds the pre-computed maximum {fitted.max_tau}"
+        refusals = [
+            (ServingError, lambda: engine.query(bad)),
+            (ServingError, lambda: engine.query_topk(bad, 3)),
+            (ServingError, lambda: engine.query_batch([good, ranked_bad])),
+            (SearchError, lambda: fitted.query(bad)),
+            (SearchError, lambda: empty.execute_pruned(bad)),
+            (SearchError, lambda: empty.execute_batch([good, ranked_bad])),
+        ]
+        tables = engine.num_cached_tables
+        for error, call in refusals:
+            del checked[:]
+            with pytest.raises(error, match=message):
+                call()
+            assert checked[-1] == bad.tau_hat and checked.count(bad.tau_hat) == 1
+        assert engine.num_cached_tables == tables and len(engine.cache) == 0
+        assert bad.tau_hat not in engine._core._tables and bad.tau_hat not in empty._tables
+        answers = [
+            (1, lambda: engine.query(good)),
+            (1, lambda: engine.query_topk(good, 3)),
+            (2, lambda: engine.query_batch([good, other])),
+            (1, lambda: fitted.query(good)),
+            (2, lambda: empty.execute_batch([good, other])),
+        ]
+        for checks, call in answers:
+            call()  # fills the rows it reads: a table that grows checks τ̂ as it grows
+            engine.cache.clear()
+            del checked[:]
+            call()
+            assert len(checked) == checks
+
     def test_a_slow_new_row_holds_up_no_other_row(self, fitted, monkeypatch):
         """A row is computed outside the table lock: while one (τ̂, order) is
         still being computed, a query that needs another τ̂'s rows answers."""
