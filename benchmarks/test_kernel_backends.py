@@ -32,7 +32,7 @@ import time
 import numpy as np
 import pytest
 
-from repro.core.branches import branch_multiset
+from repro.core.branches import branch_keys, branch_multiset
 from repro.db.columnar import ColumnarBranchStore, PosteriorTable, TopK
 from repro.db.kernels import available_backends, native_load_error
 from repro.graphs.generators import random_labeled_graph
@@ -63,10 +63,10 @@ def workload():
         random_labeled_graph(rng.randint(8, MAX_ORDER), rng.randint(10, MAX_ORDER + 20), seed=rng)
         for _ in range(DATABASE_SIZE)
     ]
-    multisets = [branch_multiset(graph) for graph in graphs]
     stores = {}
     for backend in BACKENDS:
-        store = ColumnarBranchStore(multisets, backend=backend)
+        store = ColumnarBranchStore(backend=backend)
+        _append(store, graphs)
         store.compact()
         stores[backend] = store
     qrng = random.Random(13)
@@ -77,12 +77,15 @@ def workload():
     branch_sets = [branch_multiset(query) for query in queries]
     vertices = [query.num_vertices for query in queries]
     writes = [
-        branch_multiset(
-            random_labeled_graph(rng.randint(8, MAX_ORDER), rng.randint(10, MAX_ORDER + 20), seed=rng)
-        )
+        random_labeled_graph(rng.randint(8, MAX_ORDER), rng.randint(10, MAX_ORDER + 20), seed=rng)
         for _ in range(NUM_ROUNDS * WRITE_BATCH)
     ]
     return stores, vertices, branch_sets, writes
+
+
+def _append(store, graphs) -> None:
+    """One row per graph, through the store's write path."""
+    store.extend(branch_keys(graphs), [graph.num_vertices for graph in graphs])
 
 
 def _per_call_us(fn, calls: int) -> float:
@@ -110,7 +113,7 @@ def _compaction_us(store, writes) -> float:
     """Best-of-NUM_ROUNDS wall time of compacting one appended batch, in microseconds."""
     best = float("inf")
     for low in range(0, len(writes), WRITE_BATCH):
-        store.extend(writes[low : low + WRITE_BATCH])
+        _append(store, writes[low : low + WRITE_BATCH])
         best = min(best, _timed(store.compact))
     return best * 1e6
 

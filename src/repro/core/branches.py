@@ -17,11 +17,14 @@ same layout so branches can live in ``Counter`` multisets and be compared
 lexicographically.
 
 Every stored graph and every query pays for extraction, and a database repeats
-a few thousand neighbourhoods over and over, so :func:`branch_multiset` — the
-one extractor of the write and the read path — sorts each *distinct* one once:
-a process-wide table maps a vertex's neighbourhood as stored (``L(v)`` plus its
-incident edge labels in adjacency order) to the canonical ``(L(v), N(v))`` key
-object.  A hit is one tuple build and one dict probe, a miss the scalar sort,
+a few thousand neighbourhoods over and over, so both extractors sort each
+*distinct* one once.  :func:`branch_multiset` is the read path's: one query
+graph's ``Counter``.  :func:`branch_keys` is the write path's: a whole batch's
+keys, one per vertex, graph after graph, and no ``Counter`` at all — the
+columnar store counts the batch in one NumPy pass.  They share one probe
+builder, the type rule below and one process-wide table, which maps a vertex's
+neighbourhood as stored (``L(v)`` plus its incident edge labels in adjacency
+order) to the canonical ``(L(v), N(v))`` key object.  A hit is one tuple build and one dict probe, a miss the scalar sort,
 and equal branches of different graphs are one shared tuple.  The table holds
 at most ``_SORT_KEY_MEMO_LIMIT`` entries and, once full, stops learning: it
 keeps what it holds, and a neighbourhood it does not hold pays the scalar sort
@@ -32,7 +35,8 @@ graphs share.  Type rule:
 ``"A"`` and ``numpy.str_("A")``) sort differently although tuples holding them
 compare and hash equal; an entry is therefore keyed on the exact types of its
 labels too — the one type of all the graph's labels where there is only one,
-the neighbourhood's own tuple of types otherwise.  (Labels *inside* a container
+the neighbourhood's own tuple of types otherwise (a batch whose labels all share
+one type decides this once for the batch).  (Labels *inside* a container
 label, ``(1,)`` and ``(True,)``, are told apart by value only, as the sort-key
 memo always has.)  :func:`branch_of` / :func:`branches_of` stay the scalar
 Definition 2, one sort per vertex: the oracle the tests hold the table against.
@@ -42,7 +46,8 @@ from __future__ import annotations
 
 import dataclasses
 from collections import Counter
-from typing import Hashable, List, Tuple
+from itertools import chain
+from typing import Hashable, List, Sequence, Tuple
 
 from repro.graphs.graph import Graph
 
@@ -104,25 +109,48 @@ def branches_of(graph: Graph) -> List[Branch]:
 def branch_multiset(graph: Graph) -> Counter:
     """Return ``B_G`` as a ``Counter`` keyed by canonical branch keys.
 
-    The ``Counter`` view is what the GBD computation and the branch store of
-    the graph database use; the sorted-list view of :func:`branches_of` is
+    The ``Counter`` view is what the GBD computation and a query's read of
+    the branch store use; the sorted-list view of :func:`branches_of` is
     kept for faithfulness to the paper's storage description and for
     human-readable output.
 
-    Every write and every query pays this, so a neighbourhood the table in the
-    module docstring holds costs one tuple build and one probe; only the others
-    are sorted.  Each vertex is probed once and the graph counted once, misses
-    or not.  Keys, counts and iteration order are those of
+    Every query pays this, so a neighbourhood the table in the module
+    docstring holds costs one tuple build and one probe; only the others are
+    sorted.  Each vertex is probed once and the graph counted once, misses or
+    not.  Keys, counts and iteration order are those of
     ``Counter(branch_of(graph, v).canonical_key() for v in graph)``.
     """
-    kinds = graph.label_types()
+    return Counter(map(_BRANCH_KEYS.__getitem__, _probes(graph, graph.label_types())))
+
+
+def branch_keys(graphs: Sequence[Graph]) -> List[Tuple]:
+    """The canonical branch key of every vertex, graph after graph, in vertex order.
+
+    The write path's extractor: ``graphs[i]`` contributes its
+    ``num_vertices`` keys, each the object :func:`branch_multiset` would
+    count for that vertex, and nothing is counted here — the store counts
+    the whole batch at once.  The type rule is decided once for the batch
+    when all its labels share one type, graph by graph otherwise; probes are
+    built graph by graph, so no per-vertex probe outlives its graph.
+    """
+    kinds = set(chain.from_iterable(map(Graph.label_types, graphs)))
+    one_kind = len(kinds) == 1
+    probe = _BRANCH_KEYS.__getitem__
+    keys: List[Tuple] = []
+    for graph in graphs:
+        keys += map(probe, _probes(graph, kinds if one_kind else graph.label_types()))
+    return keys
+
+
+def _probes(graph: Graph, kinds: set) -> List[Tuple]:
+    """The table probes of ``graph``'s vertices: its labels' type(s), then ``L(v)`` and the
+    incident edge labels as stored.  ``kinds`` holds the exact types of the labels in use:
+    one type is one leading item, several a per-vertex tuple of types (module docstring)."""
     if len(kinds) == 1:
         (kind,) = kinds
-        probes = [(kind, label, *incident) for label, incident in graph.neighbourhoods()]
-    else:
-        hoods = [(label, *incident) for label, incident in graph.neighbourhoods()]
-        probes = [(tuple(map(type, hood)), *hood) for hood in hoods]
-    return Counter(map(_BRANCH_KEYS.__getitem__, probes))
+        return [(kind, label, *incident) for label, incident in graph.neighbourhoods()]
+    hoods = [(label, *incident) for label, incident in graph.neighbourhoods()]
+    return [(tuple(map(type, hood)), *hood) for hood in hoods]
 
 
 #: Memo of label -> sort key: labels come from small fixed alphabets and the

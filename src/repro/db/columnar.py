@@ -47,11 +47,16 @@ NumPy.
 The store is written by its database alone
 (:meth:`~repro.db.database.GraphDatabase.add_many`): a row is one graph's
 branch multiset, its row number is the graph's id, and its ``|V_G|`` is the
-multiset's size (one branch per vertex).  Additions go through an **append
-buffer**: :meth:`extend` is ``O(|branches|)`` bookkeeping with no Python
-statement per posting — a batch's key ids are one ``map`` of the
-vocabulary's subscript over its branch keys (which learns each unseen key
-once, on first sight) and each pending buffer is extended once — and
+multiset's size (one branch per vertex).  A batch arrives as one branch key
+per vertex, graph after graph, plus each graph's vertex count
+(:func:`~repro.core.branches.branch_keys`); no per-graph multiset is ever
+built.  Additions go through an **append buffer**: :meth:`extend` is
+``O(v log v)`` bookkeeping over the batch's ``v`` vertices with no Python
+statement per posting — the batch's key ids are one ``map`` of the
+vocabulary's subscript over the vertex stream (which learns each unseen key
+once, on first sight), one ``numpy.unique`` over ``(row, key id)`` counts the
+postings, and the result is appended to each pending buffer as one int64
+array chunk — and
 :meth:`compact`, run lazily by the next read, is the one place a write is
 paid for.  It takes the previous published snapshot and produces the next in
 one linear pass: the new rows are interleaved into their order's range, old
@@ -81,9 +86,7 @@ from __future__ import annotations
 import threading
 from array import array
 from collections import Counter
-from itertools import chain, compress, repeat
-from operator import gt
-from typing import Callable, Dict, Iterable, List, Mapping, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -161,6 +164,11 @@ _EMPTY_CSR: _Csr = (
     np.empty(0, dtype=np.int32),
     0,
 )
+
+
+def _joined(chunks: List[np.ndarray]) -> np.ndarray:
+    """The append buffer's int64 chunks as one array (a lone chunk as itself)."""
+    return chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
 
 
 #: Consecutive rows of the row-major copy by graph id: (postings per row,
@@ -400,7 +408,7 @@ def sparse_row_budget(matched_postings: int, num_rows: int) -> int:
 class ColumnarBranchStore:
     """CSR branch-key postings with an append buffer and lazy compaction."""
 
-    def __init__(self, multisets: Iterable[Mapping] = (), *, backend: str = "auto") -> None:
+    def __init__(self, *, backend: str = "auto") -> None:
         #: Resolved kernel backend name (``"numpy"`` or ``"native"``) — the
         #: requested name is resolved once here, so an explicitly requested
         #: but unbuildable ``"native"`` fails at construction, loudly.
@@ -421,14 +429,13 @@ class ColumnarBranchStore:
         # rows per compaction, joined when read (see branch_distances).
         self._graph_rows: List[_Rows] = []
         # Append buffer: the postings of the rows appended since the last
-        # compaction, as parallel lists of (key id, row number, count).
-        self._pending_keys: List[int] = []
-        self._pending_positions: List[int] = []
-        self._pending_counts: List[int] = []
+        # compaction, one int64 chunk per extend of (key ids, row numbers, counts).
+        self._pending_keys: List[np.ndarray] = []
+        self._pending_positions: List[np.ndarray] = []
+        self._pending_counts: List[np.ndarray] = []
         self._compact_lock = threading.Lock()
         #: Number of compaction passes performed (bulk-load tests pin this).
         self.num_compactions = 0
-        self.extend(multisets)
 
     @property
     def _kernels(self):
@@ -452,38 +459,55 @@ class ColumnarBranchStore:
     # mutation
     # ------------------------------------------------------------------ #
     def extend(
-        self, multisets: Iterable[Mapping], *, commit: Optional[Callable[[], None]] = None
+        self,
+        keys: Sequence[Tuple],
+        sizes: Sequence[int],
+        *,
+        commit: Optional[Callable[[], None]] = None,
     ) -> None:
-        """Buffer one row per branch multiset, under one acquisition of the compaction lock.
+        """Buffer one row per graph of a batch, under one acquisition of the compaction lock.
 
-        The rows take the next row numbers (``num_graphs`` onwards), which
-        are their graphs' ids.  O(|branches|) bookkeeping that leaves the
-        published snapshot alone; the next :meth:`compact` pays for the write.
+        ``keys`` is the batch's branch keys vertex by vertex, graph after graph
+        (:func:`~repro.core.branches.branch_keys`): row ``i`` is the next
+        ``sizes[i]`` of them, ``sizes[i]`` its graph's ``|V_G|``.  The rows
+        take the next row numbers (``num_graphs`` onwards), which are their
+        graphs' ids.  O(|branches|) bookkeeping that leaves the published
+        snapshot alone; the next :meth:`compact` pays for the write.
         ``commit``, when given, runs last under the same lock: the database
         lists the batch's graphs there, so no compaction publishes a row
         before its graph is listed.
-        No Python statement runs per posting: the one pass that maps keys to
-        ids learns each unseen key once, in order of first appearance (its cap
-        starts at 1), and the loop below visits only multiplicities above 1 —
-        at least 1 each, so only those can raise a cap.
+
+        One ``map`` of the vocabulary's subscript turns the keys into ids,
+        learning each unseen key once, in order of first sight (its cap
+        starts at 1); one NumPy pass then counts the (row, key id) pairs, and
+        only the counts above 1 — the ones that can raise a cap — are looked
+        at again.  A row's postings are buffered in ascending key id.
         """
-        multisets = list(multisets)
+        sizes = np.asarray(sizes, dtype=np.int64)
+        if int(sizes.sum()) != len(keys):
+            raise ValueError("extend: the row sizes do not add up to the number of keys")
         with self._compact_lock:
-            first = self._num_rows
-            rows = first + len(multisets)
-            keys = list(chain.from_iterable(multisets))
-            counts = list(chain.from_iterable(map(dict.values, multisets)))
-            key_ids = list(map(self._key_ids.__getitem__, keys))
-            caps = self._key_ids.caps
-            for key_id, count in compress(zip(key_ids, counts), map(gt, counts, repeat(1))):
-                if count > caps[key_id]:
-                    caps[key_id] = int(count)
-            self._pending_keys += key_ids
-            self._pending_positions += chain.from_iterable(
-                map(repeat, range(first, rows), map(len, multisets))
+            vocabulary = self._key_ids
+            key_ids = np.fromiter(
+                map(vocabulary.__getitem__, keys), dtype=np.int64, count=len(keys)
             )
-            self._pending_counts += counts
-            self._num_rows = rows
+            width = max(len(vocabulary), 1)
+            rows = np.repeat(np.arange(len(sizes), dtype=np.int64), sizes)
+            pairs, counts = np.unique(rows * width + key_ids, return_counts=True)
+            rows, key_ids = np.divmod(pairs, width)
+            raised = counts > 1
+            if raised.any():
+                largest = np.zeros(width, dtype=np.int64)
+                np.maximum.at(largest, key_ids[raised], counts[raised])
+                touched = np.flatnonzero(largest)
+                caps = vocabulary.caps
+                for key_id, count in zip(touched.tolist(), largest[touched].tolist()):
+                    if count > caps[key_id]:
+                        caps[key_id] = count
+            self._pending_keys.append(key_ids)
+            self._pending_positions.append(rows + self._num_rows)
+            self._pending_counts.append(counts)
+            self._num_rows += len(sizes)
             if commit is not None:
                 commit()
 
@@ -533,9 +557,9 @@ class ColumnarBranchStore:
             old_rows, num_rows = previous.csr[3], self._num_rows
             # Pending postings come row by row in arrival order: a new row's
             # |V_G| is the sum of its counts (one branch per vertex).
-            rows = np.asarray(self._pending_positions, dtype=np.int64) - old_rows
-            keys = np.asarray(self._pending_keys, dtype=np.int64)
-            counts = np.asarray(self._pending_counts, dtype=np.int64)
+            rows = _joined(self._pending_positions) - old_rows
+            keys = _joined(self._pending_keys)
+            counts = _joined(self._pending_counts)
             per_row = np.bincount(rows, minlength=num_rows - old_rows)
             added = np.bincount(rows, weights=counts, minlength=len(per_row)).astype(np.int64)
             # New row i lands behind the old rows of an order <= its own and
@@ -611,7 +635,11 @@ class ColumnarBranchStore:
     @property
     def num_postings(self) -> int:
         """Total postings held (compacted segment plus append buffer)."""
-        return len(self._published.csr[1]) + len(self._pending_keys)
+        return len(self._published.csr[1]) + self._num_pending
+
+    @property
+    def _num_pending(self) -> int:
+        return sum(map(len, self._pending_keys))
 
     # ------------------------------------------------------------------ #
     # postings access
@@ -870,6 +898,6 @@ class ColumnarBranchStore:
     def __repr__(self) -> str:
         return (
             f"<ColumnarBranchStore rows={self.num_graphs} keys={self.num_keys} "
-            f"postings={self.num_postings} pending={len(self._pending_keys)} "
+            f"postings={self.num_postings} pending={self._num_pending} "
             f"backend={self.backend}>"
         )

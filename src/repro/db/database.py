@@ -16,8 +16,11 @@ and :meth:`GraphDatabase.vgbd_to` are the scalar reference: they extract
 both multisets from the graphs and share nothing with the store.
 
 Writes: one writer at a time.  :meth:`GraphDatabase.add_many` extracts a
-batch and appends it to the store, which appends the entries (what moves
-:attr:`GraphDatabase.revision`) under the lock its compaction takes.  A
+batch as one branch key per vertex (:func:`~repro.core.branches.branch_keys`;
+no per-graph ``Counter``, and the alphabets come from the batch's distinct
+keys) and appends it to the store, which counts the postings in one NumPy
+pass and appends the entries (what moves :attr:`GraphDatabase.revision`)
+under the lock its compaction takes.  A
 reader that sees a revision (and keys a cached answer with it) finds at
 least that many rows in the store, and every row a read computes against is
 a graph the database already lists.  Reads may run concurrently with the
@@ -28,9 +31,11 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
+from operator import itemgetter
 from typing import Iterable, Iterator, List, Optional, Sequence, Union
 
-from repro.core.branches import branch_multiset
+from repro.core.branches import branch_keys
 from repro.core.gbd import graph_branch_distance, variant_graph_branch_distance
 from repro.db.columnar import ColumnarBranchStore
 from repro.exceptions import DatasetError
@@ -97,28 +102,34 @@ class GraphDatabase:
     def add_many(self, graphs: Iterable[Graph]) -> List[int]:
         """Add several graphs; return their ids.
 
-        All or nothing: every branch multiset of the batch is extracted before
-        the store takes any, so a bad item (a non-:class:`Graph` is a
+        All or nothing: every branch key of the batch is extracted before the
+        store takes any, so a bad item (a non-:class:`Graph` is a
         :class:`DatasetError` naming its position) leaves the length, revision,
         alphabets and the store exactly as they were.  The alphabets grow
-        first; the store then takes the batch as one append (a bulk load of
-        ``k`` graphs costs one compaction, not ``k``) and, under the same
-        lock, the entries go in, moving :attr:`revision`.
+        first, from the batch's distinct branch keys (each holds ``L(v)`` and
+        the labels of the edges at ``v``, and every edge has two ends); the
+        store then takes the batch as one append of one key per vertex (a bulk
+        load of ``k`` graphs costs one compaction, not ``k``) and, under the
+        same lock, the entries go in, moving :attr:`revision`.
         """
         graphs = list(graphs)
         for position, graph in enumerate(graphs):
             if not isinstance(graph, Graph):
                 raise DatasetError(f"add_many: item {position} is not a Graph; nothing was added")
-        multisets = list(map(branch_multiset, graphs))
+        keys = branch_keys(graphs)
         first = len(self._entries)
         entries = [
             StoredGraph(first + offset, graph, graph.num_vertices)
             for offset, graph in enumerate(graphs)
         ]
-        for graph in graphs:
-            self._vertex_labels |= graph.vertex_label_set()
-            self._edge_labels |= graph.edge_label_set()
-        self.store.extend(multisets, commit=lambda: self._entries.extend(entries))
+        distinct = set(keys)
+        self._vertex_labels.update(map(itemgetter(0), distinct))
+        self._edge_labels.update(chain.from_iterable(map(itemgetter(1), distinct)))
+        self.store.extend(
+            keys,
+            [entry.num_vertices for entry in entries],
+            commit=lambda: self._entries.extend(entries),
+        )
         return list(range(first, first + len(graphs)))
 
     @property

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import branches
-from repro.core.branches import Branch, branch_multiset, branch_of, branches_of
+from repro.core.branches import Branch, branch_keys, branch_multiset, branch_of, branches_of
 from repro.db.database import GraphDatabase
 from repro.db.query import SimilarityQuery
 from repro.graphs.generators import random_labeled_graph
@@ -392,6 +392,33 @@ class TestExtractionCountGuards:
         # A full table still sorts what it does not hold, and stores none of it.
         assert len(counted_sorts) > 16
 
+    def test_a_bulk_load_builds_no_counter_and_buffers_arrays(self, counting_table, monkeypatch):
+        """``GraphDatabase(graphs)``: no ``Counter`` per graph, one probe per vertex, and the
+        append buffer holds int64 arrays, never a Python int per posting, until a compaction."""
+        inputs = pytest.importorskip("bench.inputs")
+        sizes = inputs.sizes_for("scan_dense", smoke=True)
+        graphs = inputs.make_graphs(
+            inputs.rng_for(7, "scan_dense"), inputs.cycled_sizes(sizes.graphs, sizes.vertices)
+        )
+        built = []
+        monkeypatch.setattr(
+            branches, "Counter", lambda *args, **kwargs: built.append(args) or Counter(*args)
+        )
+        database = GraphDatabase(graphs)
+        database.add_many(graphs[:7])
+        assert built == []
+        assert CountingTable.probes == sum(g.num_vertices for g in graphs + graphs[:7])
+        store = database.store
+        buffers = (store._pending_keys, store._pending_positions, store._pending_counts)
+        for chunks in buffers:
+            assert len(chunks) == 2  # one chunk per add_many
+            for chunk in chunks:
+                assert isinstance(chunk, np.ndarray) and chunk.dtype == np.int64
+        assert store.num_postings == sum(map(len, store._pending_keys))
+        assert store.compact()
+        assert store._pending_keys == store._pending_positions == store._pending_counts == []
+        assert store.num_postings == len(store.view().csr[1])
+
     def test_a_full_sort_key_memo_answers_and_remembers_nothing_new(self, monkeypatch):
         monkeypatch.setattr(branches, "_SORT_KEY_MEMO", {})
         monkeypatch.setattr(branches, "_SORT_KEY_MEMO_LIMIT", 3)
@@ -427,8 +454,7 @@ class TestExtractionCountGuards:
                     if len(learnt) < branches._SORT_KEY_MEMO_LIMIT:
                         learnt.add(hood)
         assert len(learnt) == branches._SORT_KEY_MEMO_LIMIT  # the stream overflows the table
-        for graph in graphs:
-            branch_multiset(graph)
+        branch_keys(graphs)  # the write path's extraction
         del graphs
         assert len(counted_sorts) == expected_sorts
         assert CountingTable.probes == vertices and CountingTable.clears == 0

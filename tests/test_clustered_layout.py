@@ -22,13 +22,14 @@ import pytest
 from repro.core.plan import ExecutionCore
 from repro.core.search import GBDASearch
 from repro.db import columnar
-from repro.db.columnar import ColumnarBranchStore, PosteriorTable, _Snapshot
+from repro.db.columnar import PosteriorTable, _Snapshot
 from repro.db.database import GraphDatabase
 from repro.db.kernels import available_backends
 from repro.db.query import SimilarityQuery
 from repro.graphs.generators import random_labeled_graph
 from repro.obs.metrics import get_registry
 from repro.testing.oracles import query_reference
+from store_rows import store_of
 
 BACKENDS = available_backends()
 #: ``_POSITION_DTYPE_LIMIT`` per layout: int32 positions, or int64 past five rows.
@@ -224,7 +225,7 @@ def test_a_sparse_plan_reads_only_its_eligible_ranges_and_builds_nothing_d_long(
     """
     monkeypatch.setattr(columnar, "sparse_row_budget", lambda postings, rows: rows)
     entries = _entries(600, seed=51)
-    store = ColumnarBranchStore([entry.branches for entry in entries], backend=name)
+    store = store_of([entry.branches for entry in entries], backend=name)
     csr, orders, global_ids = store.view()
     distinct, bounds = store.view().ranges
     query = Counter({("k", 1): 2, ("k", 4): 1, ("k", 6): 1})
@@ -238,7 +239,7 @@ def test_a_sparse_plan_reads_only_its_eligible_ranges_and_builds_nothing_d_long(
 
     poisoned_counts = csr[2].copy()
     poisoned_counts[~eligible_rows[csr[1]]] = 0
-    poisoned = ColumnarBranchStore([entry.branches for entry in entries], backend=name)
+    poisoned = store_of([entry.branches for entry in entries], backend=name)
     poisoned.compact()
     poisoned._published = _Snapshot(
         (csr[0], csr[1], poisoned_counts, csr[3]), orders, global_ids

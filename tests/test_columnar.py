@@ -17,12 +17,12 @@ import pytest
 from repro.core.branches import branch_multiset
 from repro.core.gbd import branch_intersection_size, graph_branch_distance
 from repro.db import columnar
-from repro.db.columnar import ColumnarBranchStore, PosteriorTable, TopK
+from repro.db.columnar import PosteriorTable, TopK
 from repro.db.database import GraphDatabase
 from repro.db.kernels import available_backends
 from repro.graphs.generators import random_labeled_graph
 from repro.graphs.graph import Graph
-from store_rows import by_graph_id, key_postings
+from store_rows import by_graph_id, key_postings, store_of, vertex_stream
 
 BACKENDS = available_backends()
 
@@ -45,7 +45,7 @@ def backend(request):
 @pytest.fixture
 def make_store(backend):
     def make(entries=()):
-        return ColumnarBranchStore(map(branches_of, entries), backend=backend)
+        return store_of(map(branches_of, entries), backend=backend)
 
     return make
 
@@ -204,7 +204,7 @@ class TestAppendBufferCompaction:
         before = store.num_compactions
         extras = _queries(5, seed=3)
         for graph in extras:
-            store.extend([branch_multiset(graph)])
+            store.extend(*vertex_stream([branch_multiset(graph)]))
         # five appends buffered, still zero extra compactions
         assert store.num_compactions == before
         store.intersection_row(branch_multiset(extras[0]))  # any read compacts
@@ -219,7 +219,7 @@ class TestAppendBufferCompaction:
         store = make_store(incremental)
         store.compact()
         for graph in graphs[10:]:
-            store.extend([branch_multiset(graph)])
+            store.extend(*vertex_stream([branch_multiset(graph)]))
         bulk_store = make_store(GraphDatabase(graphs, name="bulk"))
         for query in _queries(5, seed=9):
             branches = branch_multiset(query)
@@ -258,7 +258,7 @@ class TestAppendBufferCompaction:
         )
         known = set(store._key_ids)
         batch = entries[10:] + [_fake_entry(40, {("new", ()): 3}), _fake_entry(41, {("new", ()): 5})]
-        store.extend(map(branches_of, batch))
+        store.extend(*vertex_stream(map(branches_of, batch)))
         assert lock.entered == 1
         fresh = {key for entry in batch for key in branches_of(entry)} - known
         assert len(fresh) > 1 and sorted(map(repr, learned)) == sorted(map(repr, fresh))
@@ -267,7 +267,7 @@ class TestAppendBufferCompaction:
         assert caps[store._key_ids.get(("new", ()))] == 5  # the larger of its two postings
 
         del learned[:]
-        store.extend(map(branches_of, batch))
+        store.extend(*vertex_stream(map(branches_of, batch)))
         assert lock.entered == 2 and learned == []  # nothing new: the slow path is not touched
         reference = make_store(entries + batch[-2:] + batch)
         assert [array.tolist() for array in store.view()[0][:3]] == [
@@ -281,10 +281,10 @@ class TestAppendBufferCompaction:
         entries = list(random_database)
         entries += [_fake_entry(40, {("new", ()): 3}), _fake_entry(41, {("new", ()): 5, ("late", ()): 2})]
         bulk = make_store(entries[:5])
-        bulk.extend(map(branches_of, entries[5:]))
+        bulk.extend(*vertex_stream(map(branches_of, entries[5:])))
         single = make_store(entries[:5])
         for entry in entries[5:]:
-            single.extend([branches_of(entry)])
+            single.extend(*vertex_stream([branches_of(entry)]))
         assert list(bulk._key_ids.items()) == list(single._key_ids.items())
         assert bulk._key_ids.caps == single._key_ids.caps
         (bulk_csr, *bulk_rest), (single_csr, *single_rest) = bulk.view(), single.view()
@@ -306,7 +306,7 @@ class TestCompactionRegressions:
         """
         store = make_store(random_database)
         store.compact()
-        store.extend([Counter()])
+        store.extend(*vertex_stream([Counter()]))
         assert store.compact() is True  # must do work, not early-return
         csr, orders, global_ids = store.view()  # and view() must terminate
         assert csr[3] == len(orders) == len(global_ids) == len(random_database) + 1
@@ -332,7 +332,7 @@ class TestCompactionRegressions:
         verified_rows(store, queries[0].num_vertices, branch_sets[0], lambda order: order)
         extras = GraphDatabase(_queries(4, seed=31))
         for entry in extras:
-            store.extend([branches_of(entry)])
+            store.extend(*vertex_stream([branches_of(entry)]))
         # The next read compacts mid-stream; answers must match a store built
         # directly over the grown database (fresh caches by construction).
         grown = GraphDatabase(
@@ -372,7 +372,7 @@ class TestDtypeLayout:
         store.compact()
         assert store.view()[0][1].dtype == np.int64
         assert store.view()[0][2].dtype == np.int32  # counts unaffected
-        reference = ColumnarBranchStore(map(branches_of, random_database), backend="numpy")
+        reference = store_of(map(branches_of, random_database), backend="numpy")
         for query in _queries(6, seed=61):
             branches = branch_multiset(query)
             assert (
@@ -388,7 +388,7 @@ class TestDtypeLayout:
         store = make_store(database)
         store.compact()
         assert store.view()[0][2].dtype == np.int64
-        reference = ColumnarBranchStore(map(branches_of, database), backend="numpy")
+        reference = store_of(map(branches_of, database), backend="numpy")
         for query in [heavy] + _queries(4, seed=71):
             branches = branch_multiset(query)
             assert (
@@ -467,7 +467,7 @@ class TestBoundKernels:
         rng = random.Random(41)
         for _ in range(3):
             graph = random_labeled_graph(rng.randint(2, 14), rng.randint(1, 20), seed=rng)
-            store.extend([branch_multiset(graph)])
+            store.extend(*vertex_stream([branch_multiset(graph)]))
             for query in _queries(5, seed=rng.randint(0, 10_000)):
                 branches = branch_multiset(query)
                 bounds = store.gbd_lower_bound_row(query.num_vertices, branches)
@@ -597,7 +597,7 @@ class TestFusedFilterVerify:
         assert sparse[0] is not None and sparse[1:] == first[1:]
         # A write publishes a new snapshot, which has other rows to count.
         monkeypatch.undo()
-        store.extend([branches_of(random_database[0])])
+        store.extend(*vertex_stream([branches_of(random_database[0])]))
         assert read(everything)[4] == first[4] + 1
 
     def test_sparse_row_budget_reads_the_querys_own_postings(self):

@@ -34,7 +34,7 @@ from repro.db.columnar import ColumnarBranchStore, _Snapshot
 from repro.db.database import GraphDatabase
 from repro.db.kernels import available_backends
 from repro.graphs.generators import random_labeled_graph
-from store_rows import by_graph_id
+from store_rows import by_graph_id, store_of, vertex_stream
 from test_columnar import PLAN_BUDGETS, gbd_row, ranked_rows, verified_rows
 
 BACKENDS = available_backends()
@@ -147,17 +147,17 @@ class CarryMachine(RuleBasedStateMachine):
 
     def fresh(self) -> ColumnarBranchStore:
         """A store built from scratch over the same entries (the oracle)."""
-        return ColumnarBranchStore([e.branches for e in self.entries], backend="numpy")
+        return store_of([e.branches for e in self.entries], backend="numpy")
 
     @rule(branches=branch_sets)
     def append(self, branches):
-        self.store.extend([branches])
+        self.store.extend(*vertex_stream([branches]))
         self.entries.append(_entry(len(self.entries), branches))
         assert self.store.num_graphs == len(self.entries)
 
     @rule(batch=st.lists(branch_sets, max_size=4))
     def extend(self, batch):
-        self.store.extend(batch)
+        self.store.extend(*vertex_stream(batch))
         self.entries += [_entry(len(self.entries) + i, b) for i, b in enumerate(batch)]
 
     @rule(
@@ -394,7 +394,7 @@ def test_only_a_compaction_builds_a_snapshot_record(backend, snapshot_records, s
     ranked = ranked_rows(store, query.num_vertices, branches, 4, view=old)
     superseded = store.intersection_row(branches, view=old)
     assert built[-1] == 66 and snapshot_records == built  # the reads of `old` build none
-    fresh = ColumnarBranchStore(map(branch_multiset, old_graphs), backend=backend)
+    fresh = store_of(map(branch_multiset, old_graphs), backend=backend)
     expected = verified_rows(fresh, query.num_vertices, branches, lambda order: 3)
     for mine, theirs in zip(thresholded, expected):
         assert np.array_equal(mine, theirs) if theirs is not None else mine is None
@@ -473,7 +473,7 @@ def test_pickle_ships_csr_and_row_vectors_only(backend):
         assert np.array_equal(mine, theirs)
     branches = branch_multiset(database[1].graph)
     assert np.array_equal(copy.intersection_row(branches), store.intersection_row(branches))
-    copy.extend([Counter({("new", 0): 2})])  # the copy keeps taking rows
+    copy.extend(*vertex_stream([Counter({("new", 0): 2})]))  # the copy keeps taking rows
     assert copy.view()[1].tolist() == [2] + store.view()[1].tolist()
     assert copy.view()[2].tolist() == [30] + store.view()[2].tolist()
 
@@ -579,7 +579,7 @@ def test_reader_querying_keys_a_batch_is_learning(backend):
         for thread in threads:
             thread.start()
         for first in range(0, batches * size, size):
-            store.extend(Counter({("w", j): 1}) for j in range(first, first + size))
+            store.extend(*vertex_stream(Counter({("w", j): 1}) for j in range(first, first + size)))
             time.sleep(0.002)
     finally:
         done.set()

@@ -188,8 +188,8 @@ def test_a_read_as_the_store_takes_a_batch_names_only_listed_graphs(backend, mon
     queries = [SimilarityQuery(planted, 0, 0.3), SimilarityQuery(planted, 1, 0.3, top_k=5)]
     extend, reads = database.store.extend, []
 
-    def extend_then_read(multisets, **kwargs):
-        extend(multisets, **kwargs)
+    def extend_then_read(*args, **kwargs):
+        extend(*args, **kwargs)
         reads.extend((database.revision, engine.query(query)) for query in queries)
 
     monkeypatch.setattr(database.store, "extend", extend_then_read)

@@ -44,6 +44,7 @@ from repro.obs.metrics import get_registry
 from repro.serving import BatchQueryEngine
 from repro.serving.snapshot import load_engine, save_engine
 from repro.testing.oracles import query_topk_reference
+from store_rows import store_of
 
 NATIVE = native_available()
 needs_native = pytest.mark.skipif(not NATIVE, reason="native backend unavailable here")
@@ -347,7 +348,7 @@ def _store_of(entries, backend):
     id off the snapshot only, so relabelling it puts ids in any relation to
     positions — and under ties and in the zero-bound fill the id decides.
     """
-    store = ColumnarBranchStore([entry.branches for entry in entries], backend=backend)
+    store = store_of([entry.branches for entry in entries], backend=backend)
     csr, orders, arrival = store.view()
     ids = np.asarray([entry.graph_id for entry in entries], dtype=np.int64)
     store._published = _Snapshot(csr, orders, ids[arrival])

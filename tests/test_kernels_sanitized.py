@@ -33,6 +33,7 @@ SUITES = [
     "tests/test_kernels.py",
     "tests/test_columnar.py",
     "tests/test_columnar_carry.py",
+    "tests/test_batch_extraction.py",
     "tests/test_execution_parity.py",
     "tests/test_topk_multichunk.py",
     "tests/test_clustered_layout.py",

@@ -21,9 +21,10 @@ from hypothesis import strategies as st
 
 from repro.core.plan import ExecutionCore
 from repro.db import columnar
-from repro.db.columnar import ColumnarBranchStore, PosteriorTable
+from repro.db.columnar import PosteriorTable
 from repro.db.database import GraphDatabase
 from repro.db.kernels import available_backends
+from store_rows import store_of
 
 values = st.one_of(st.sampled_from([0.0, 0.25, 0.5, 1.0]), st.floats(0.0, 1.0))
 #: Posterior rows Φ(0..e): anything in [0, 1], all zero, or runs of exact 1.0.
@@ -134,7 +135,7 @@ def test_the_compiled_search_finds_the_hits_a_scan_does(backend, row, data, dens
         Counter({("q", 0): shared, ("own", shared): order - shared}) + Counter()
         for shared in range(order + 1)
     ]
-    store = ColumnarBranchStore(multisets, backend=backend)
+    store = store_of(multisets, backend=backend)
     table = PosteriorTable.from_rows({order: row})
     saved = columnar.sparse_row_budget
     columnar.sparse_row_budget = (lambda postings, rows: 0) if dense else (lambda p, rows: rows)

@@ -588,10 +588,10 @@ class TestRevisionScopedCache:
         store, cache = engine._core.store, engine.cache
         view, put, extend = store.view, cache.put, store.extend
 
-        def start_reader_then_extend(multisets, **kwargs):
+        def start_reader_then_extend(*args, **kwargs):
             reader.start()
             assert viewed.wait(30), "the reader never read its snapshot"
-            extend(multisets, **kwargs)
+            extend(*args, **kwargs)
 
         def view_then_signal():
             snapshot = view()
